@@ -9,7 +9,7 @@ GO ?= go
 BENCH_PKGS := ./internal/core ./internal/agreement ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal
 BENCH_PAT  ?= .
 
-.PHONY: build test race vet ci bench bench-check chaos-short chaos recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
+.PHONY: build test race vet ci bench bench-build bench-check chaos-short chaos recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
 
 build:
 	$(GO) build ./...
@@ -23,7 +23,13 @@ race:
 vet:
 	$(GO) vet ./...
 
-ci: vet build race chaos-short recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
+ci: vet build bench-build race chaos-short recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
+
+# bench/ is a nested module (repro/bench) that `go build ./...` and
+# `go vet ./...` never reach: vet and compile it here, so an API move
+# that breaks the end-to-end benchmark is caught without running it.
+bench-build:
+	$(GO) vet -C bench . && $(GO) build -C bench -o /dev/null .
 
 # Fixed-seed, small-N fault-injection campaigns under the race detector:
 # quick enough for every CI run, loud on any safety violation (the chaos

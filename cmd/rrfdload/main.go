@@ -225,8 +225,7 @@ func run(cfg config, w io.Writer) error {
 	// Tally and audit.
 	var decided, abstained, overloaded, unreachable int
 	var lat []time.Duration
-	decidedByReq := map[string]map[int]bool{}
-	decidedByInst := map[string]map[int]bool{}
+	audit := rrfd.NewServiceAuditor()
 	for _, oc := range outs {
 		lat = append(lat, oc.latency)
 		switch {
@@ -234,14 +233,7 @@ func run(cfg config, w io.Writer) error {
 			unreachable++
 		case oc.status == rrfd.ServiceDecided:
 			decided++
-			if decidedByReq[oc.req] == nil {
-				decidedByReq[oc.req] = map[int]bool{}
-			}
-			decidedByReq[oc.req][oc.val] = true
-			if decidedByInst[oc.inst] == nil {
-				decidedByInst[oc.inst] = map[int]bool{}
-			}
-			decidedByInst[oc.inst][oc.val] = true
+			audit.Note(oc.inst, oc.req, oc.val)
 		case oc.status == rrfd.ServiceAbstain:
 			abstained++
 		case oc.status == rrfd.ServiceOverload:
@@ -249,25 +241,17 @@ func run(cfg config, w io.Writer) error {
 		}
 	}
 	var violations []string
-	for req, vals := range decidedByReq {
-		if len(vals) > 1 {
-			violations = append(violations, fmt.Sprintf("idempotency: request %s decided %d distinct values", req, len(vals)))
+	for _, v := range audit.Violations(submitted, cfg.k) {
+		switch v.Kind {
+		case "idempotency":
+			violations = append(violations, fmt.Sprintf("idempotency: request %s decided %d distinct values", v.Req, len(v.Values)))
+		case "k-agreement":
+			violations = append(violations, fmt.Sprintf("k-agreement: instance %s decided %d distinct values > k=%d", v.Inst, len(v.Values), cfg.k))
+		case "validity":
+			violations = append(violations, fmt.Sprintf("validity: instance %s decided %d, never submitted", v.Inst, v.Values[0]))
 		}
 	}
-	distinctMax := 0
-	for inst, vals := range decidedByInst {
-		if len(vals) > distinctMax {
-			distinctMax = len(vals)
-		}
-		if len(vals) > cfg.k {
-			violations = append(violations, fmt.Sprintf("k-agreement: instance %s decided %d distinct values > k=%d", inst, len(vals), cfg.k))
-		}
-		for v := range vals {
-			if !submitted[inst][v] {
-				violations = append(violations, fmt.Sprintf("validity: instance %s decided %d, never submitted", inst, v))
-			}
-		}
-	}
+	instances, distinctMax := audit.Decided()
 	sort.Strings(violations)
 
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
@@ -295,7 +279,7 @@ func run(cfg config, w io.Writer) error {
 			hq(0.99).Round(time.Microsecond), hDecide.Count())
 	}
 	fmt.Fprintf(w, "agreement: %d instances decided, widest %d distinct values (k=%d)\n",
-		len(decidedByInst), distinctMax, cfg.k)
+		instances, distinctMax, cfg.k)
 	for _, v := range violations {
 		fmt.Fprintf(w, "VIOLATION %s\n", v)
 	}

@@ -94,7 +94,7 @@ func runNetChild(cfg config, w io.Writer) error {
 			}
 		}
 	}
-	rec, stalls, err := rrfd.RunSubstrateRounds(node, n, f, rounds, watchdogMS, lingerMS,
+	rec, stalls, err := rrfd.RunSubstrateRounds(node, f, rounds, watchdogMS, lingerMS,
 		func(_ rrfd.PID, _ int, prev map[rrfd.PID]rrfd.Value, _ rrfd.Set) rrfd.Value {
 			fold(prev)
 			return min

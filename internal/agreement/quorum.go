@@ -4,12 +4,29 @@ import (
 	"repro/internal/core"
 )
 
+// QuorumMin is the honest one-round decision rule (internal/fleet folds
+// its packed slabs separately): holding at least quorum round messages, a
+// process decides the smallest int among them; with fewer it waits or
+// abstains. Under eq. (3) with quorum n−f each process misses at most the
+// f smallest inputs, so at most f+1 distinct minima are decided. The
+// planted bugs are its callers' deliberate misuse: a wrong quorum
+// (QuorumKSetBuggy, chaos QuorumBug) or a view not durably held (recovery
+// AmnesiaBug).
+func QuorumMin[V any](view map[core.PID]V, quorum int) (min int, ok bool) {
+	if len(view) < quorum {
+		return 0, false
+	}
+	for _, v := range view {
+		if x, isInt := any(v).(int); isInt && (!ok || x < min) {
+			min, ok = x, true
+		}
+	}
+	return min, ok
+}
+
 // quorumKSet is the quorum-gated k-set algorithm the chaos harness and the
 // model checker both exercise: emit the input, wait for a quorum of n−f
-// round messages, decide the minimum value received. Under eq. (3)
-// (|D(i,r)| ≤ f) the quorum arrives every round, each process misses at
-// most the f smallest inputs, and at most f+1 = k distinct minima are
-// decided.
+// round messages, decide by QuorumMin.
 //
 // The buggy variant has the classic off-by-one quorum check: it gates the
 // min-decision on strictly *more* than n−f messages, and its "cannot
@@ -49,18 +66,12 @@ func (a *quorumKSet) Deliver(r int, msgs map[core.PID]core.Message, suspects cor
 		return a.out, true
 	}
 	quorum := a.n - a.f
-	enough := len(msgs) >= quorum
 	if a.buggy {
-		enough = len(msgs) > quorum
+		quorum++ // the planted off-by-one: "more than n−f"
 	}
+	min, ok := QuorumMin(msgs, quorum)
 	switch {
-	case enough:
-		min := a.input
-		for _, m := range msgs {
-			if v := m.(int); v < min {
-				min = v
-			}
-		}
+	case ok:
 		a.out, a.decided = min, true
 	case a.buggy:
 		// The planted bug's unreachable-looking fallback: with the wrong

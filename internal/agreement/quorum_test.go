@@ -98,3 +98,39 @@ func TestFloodMinFingerprintTracksEstimate(t *testing.T) {
 		t.Fatal("estimate change did not change the fingerprint")
 	}
 }
+
+// TestQuorumMin pins the one honest decision rule at its boundaries, for
+// n = 4, f = 1 (quorum 3) as seen by process 2 with input 20.
+func TestQuorumMin(t *testing.T) {
+	const quorum = 3
+	cases := []struct {
+		name string
+		view map[core.PID]core.Value
+		min  int
+		ok   bool
+	}{
+		{"empty view", map[core.PID]core.Value{}, 0, false},
+		{"nil view", nil, 0, false},
+		{"one short of quorum", map[core.PID]core.Value{0: 5, 2: 20}, 0, false},
+		{"exactly quorum", map[core.PID]core.Value{0: 5, 2: 20, 3: 30}, 5, true},
+		{"everyone heard", map[core.PID]core.Value{0: 5, 1: 10, 2: 20, 3: 30}, 5, true},
+		{"own value smallest", map[core.PID]core.Value{1: 40, 2: 20, 3: 30}, 20, true},
+		{"own value largest", map[core.PID]core.Value{0: 5, 1: 10, 2: 20}, 5, true},
+		{"own message missed", map[core.PID]core.Value{0: 50, 1: 40, 3: 30}, 30, true},
+		{"non-int values ignored", map[core.PID]core.Value{0: "x", 1: 7, 3: nil}, 7, true},
+		{"no int at all", map[core.PID]core.Value{0: "x", 1: "y", 3: nil}, 0, false},
+	}
+	for _, c := range cases {
+		if min, ok := QuorumMin(c.view, quorum); min != c.min || ok != c.ok {
+			t.Errorf("%s: QuorumMin = (%d, %v), want (%d, %v)", c.name, min, ok, c.min, c.ok)
+		}
+	}
+	// The typed views of the service and the journal go through the same
+	// rule, and a quorum of zero still never decides from nothing.
+	if min, ok := QuorumMin(map[core.PID]int{0: 9, 1: -3, 2: 4}, quorum); min != -3 || !ok {
+		t.Errorf("int view: QuorumMin = (%d, %v), want (-3, true)", min, ok)
+	}
+	if _, ok := QuorumMin(map[core.PID]int{}, 0); ok {
+		t.Error("an empty view decided under quorum 0")
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/msgnet"
@@ -372,35 +373,26 @@ func Execute(cfg Config, schedSeed int64, plan faultnet.Plan, crashes map[core.P
 	return out, rep, decide(cfg, out), err
 }
 
-// decide applies the decision rule to an outcome: process i decides the
-// minimum of its round-1 view provided the view reached the n−f quorum
-// (under QuorumBug, regardless of quorum). The rule reads only the
-// outcome, so virtual and networked executions share it verbatim.
+// decide applies the decision rule to an outcome: process i decides by
+// agreement.QuorumMin on its round-1 view with the n−f quorum (under
+// QuorumBug, a quorum of one: any non-empty view). The rule reads only
+// the outcome, so virtual and networked executions share it verbatim.
 func decide(cfg Config, out *msgnet.RoundOutcome) map[core.PID]core.Value {
 	decisions := make(map[core.PID]core.Value)
 	if out == nil {
 		return decisions
+	}
+	quorum := cfg.N - cfg.F
+	if cfg.QuorumBug {
+		quorum = 1
 	}
 	for i := 0; i < cfg.N; i++ {
 		views := out.Views[core.PID(i)]
 		if len(views) == 0 {
 			continue // crashed before completing round 1: undecided
 		}
-		view := views[0]
-		if len(view) < cfg.N-cfg.F && !cfg.QuorumBug {
-			continue // sub-quorum view: abstain rather than risk safety
-		}
-		if len(view) == 0 {
-			continue
-		}
-		decided := false
-		min := 0
-		for _, v := range view {
-			if n, ok := v.(int); ok && (!decided || n < min) {
-				min, decided = n, true
-			}
-		}
-		if decided {
+		// A sub-quorum view abstains rather than risk safety.
+		if min, ok := agreement.QuorumMin(views[0], quorum); ok {
 			decisions[core.PID(i)] = min
 		}
 	}

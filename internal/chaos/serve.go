@@ -379,18 +379,7 @@ func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 	batchB := runBatch(1, 8)
 
 	// Cross-batch audits.
-	decidedByReq := map[string]map[int]bool{}
-	decidedByInst := map[string]map[int]bool{}
-	note := func(inst, req string, val int) {
-		if decidedByReq[req] == nil {
-			decidedByReq[req] = map[int]bool{}
-		}
-		decidedByReq[req][val] = true
-		if decidedByInst[inst] == nil {
-			decidedByInst[inst] = map[int]bool{}
-		}
-		decidedByInst[inst][val] = true
-	}
+	audit := serve.NewAuditor()
 	for _, outs := range [][]reqOutcome{batchA, batchB} {
 		for si, oc := range outs {
 			switch {
@@ -398,7 +387,7 @@ func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 				sum.Unreachable++
 			case oc.status == serve.StatusDecided:
 				sum.Acked++
-				note(specs[si].inst, specs[si].req, oc.val)
+				audit.Note(specs[si].inst, specs[si].req, oc.val)
 			case oc.status == serve.StatusAbstain:
 				sum.Abstains++
 			case oc.status == serve.StatusOverload:
@@ -407,28 +396,20 @@ func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 		}
 	}
 	for inst, val := range js.Decisions {
-		note(inst, "", val)
+		audit.Note(inst, "", val)
 	}
-	delete(decidedByReq, "")
-	for req, vals := range decidedByReq {
-		if len(vals) > 1 {
+	_, sum.DistinctMax = audit.Decided()
+	for _, v := range audit.Violations(submitted, c.K) {
+		switch v.Kind {
+		case "idempotency":
 			sum.violate("conflicting-retry", fmt.Sprintf(
-				"request %s received %d distinct decided values %v across retries", req, len(vals), keys(vals)))
-		}
-	}
-	for inst, vals := range decidedByInst {
-		if len(vals) > sum.DistinctMax {
-			sum.DistinctMax = len(vals)
-		}
-		if len(vals) > c.K {
+				"request %s received %d distinct decided values %v across retries", v.Req, len(v.Values), v.Values))
+		case "k-agreement":
 			sum.violate("k-agreement", fmt.Sprintf(
-				"instance %s decided %d distinct values %v > k=%d", inst, len(vals), keys(vals), c.K))
-		}
-		for v := range vals {
-			if !submitted[inst][v] {
-				sum.violate("validity", fmt.Sprintf(
-					"instance %s decided %d, which no client submitted", inst, v))
-			}
+				"instance %s decided %d distinct values %v > k=%d", v.Inst, len(v.Values), v.Values, c.K))
+		case "validity":
+			sum.violate("validity", fmt.Sprintf(
+				"instance %s decided %d, which no client submitted", v.Inst, v.Values[0]))
 		}
 	}
 
@@ -449,12 +430,4 @@ func (s *ServeSummary) noteRetries(n int64) {
 
 func (s *ServeSummary) violate(kind, detail string) {
 	s.Violations = append(s.Violations, ServeViolation{Kind: kind, Detail: detail})
-}
-
-func keys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

@@ -6,8 +6,9 @@ import "repro/internal/core"
 // everything a protocol body needs, and nothing about how the messages
 // actually move. The virtual-clock scheduler of this package implements
 // it with steps; internal/netsub implements it with length-prefixed
-// frames over real net.Conn and a millisecond clock. Protocol bodies
-// written against Substrate run unchanged on either.
+// frames over real net.Conn and a millisecond clock; reliablelink.Link
+// decorates either. Protocol bodies written against Substrate —
+// RunSubstrateRounds first among them — run unchanged on all three.
 //
 // Clock semantics are substrate-relative: Clock returns ticks (scheduler
 // steps here, milliseconds since node start on the network), and the
@@ -50,37 +51,50 @@ func (nd *Node) Size() int { return nd.N }
 var _ Substrate = (*Node)(nil)
 
 // RoundRec is one process's record of a round-protocol execution: its
-// per-round suspect sets (D(i,r)) and views (S(i,r) with payloads). Every
-// round runner — the unreliable protocol here, reliablelink's watchdogged
-// one, netsub's wall-clock one — fills one RoundRec per process and hands
-// them to AssembleRoundOutcome.
+// per-round suspect sets (D(i,r)) and views (S(i,r) with payloads),
+// indexed by r−1. A round the process never completed — recovery skips
+// rounds to catch up — holds the zero Set and a nil view. Every runner
+// fills one RoundRec per process and hands them to AssembleRoundOutcome.
 type RoundRec struct {
 	Dsets []core.Set
 	Views []map[core.PID]core.Value
 }
 
+// Complete records that the process finished round r with the given view
+// and D(i,r), leaving any rounds it skipped on the way marked incomplete.
+func (rec *RoundRec) Complete(r int, view map[core.PID]core.Value, d core.Set) {
+	for len(rec.Dsets) < r {
+		rec.Dsets = append(rec.Dsets, core.Set{})
+		rec.Views = append(rec.Views, nil)
+	}
+	rec.Dsets[r-1], rec.Views[r-1] = d, view
+}
+
+// completed reports whether the process finished round r.
+func (rec *RoundRec) completed(r int) bool {
+	return rec != nil && len(rec.Dsets) >= r && rec.Dsets[r-1].Universe() > 0
+}
+
 // AssembleRoundOutcome builds the induced RRFD trace from per-process
-// round records: Active at round r is every process with an r-th record,
+// round records: Active at round r is every process that completed r,
 // Suspects[i] is its D(i,r), Deliver[i] the complement, and a process
-// that stopped recording is marked Crashed when the substrate crashed it.
-// Trace assembly stops at the first round nobody completed. Nil entries
-// of recs are treated as empty records.
-func AssembleRoundOutcome(n, rounds int, recs []*RoundRec, crashed core.Set, steps int) *RoundOutcome {
+// without the round is marked Crashed when the substrate crashed it. The
+// trace runs to the last round anybody completed. Nil entries of recs are
+// treated as empty records.
+func AssembleRoundOutcome(n int, recs []*RoundRec, crashed core.Set, steps int) *RoundOutcome {
 	res := &RoundOutcome{
 		Trace:   core.NewTrace(n),
 		Views:   make(map[core.PID][]map[core.PID]core.Value, n),
 		Crashed: crashed,
 		Steps:   steps,
 	}
-	empty := &RoundRec{}
-	rec := func(i int) *RoundRec {
-		if recs[i] == nil {
-			return empty
+	rounds := 0
+	for i, rec := range recs {
+		res.Views[core.PID(i)] = nil
+		if rec != nil {
+			res.Views[core.PID(i)] = rec.Views
+			rounds = max(rounds, len(rec.Dsets))
 		}
-		return recs[i]
-	}
-	for i := 0; i < n; i++ {
-		res.Views[core.PID(i)] = rec(i).Views
 	}
 	for r := 1; r <= rounds; r++ {
 		rr := core.RoundRecord{
@@ -92,10 +106,10 @@ func AssembleRoundOutcome(n, rounds int, recs []*RoundRec, crashed core.Set, ste
 		}
 		for i := 0; i < n; i++ {
 			pid := core.PID(i)
-			if len(rec(i).Dsets) >= r {
+			if recs[i].completed(r) {
 				rr.Active.Add(pid)
-				rr.Suspects[i] = rec(i).Dsets[r-1]
-				rr.Deliver[i] = rec(i).Dsets[r-1].Complement()
+				rr.Suspects[i] = recs[i].Dsets[r-1]
+				rr.Deliver[i] = recs[i].Dsets[r-1].Complement()
 			} else {
 				rr.Suspects[i] = core.NewSet(n)
 				rr.Deliver[i] = core.NewSet(n)
@@ -103,9 +117,6 @@ func AssembleRoundOutcome(n, rounds int, recs []*RoundRec, crashed core.Set, ste
 					rr.Crashed.Add(pid)
 				}
 			}
-		}
-		if rr.Active.Empty() {
-			break
 		}
 		res.Trace.Append(rr)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/msgnet"
 )
 
 // Wire format. Every frame is length-prefixed and checksummed:
@@ -194,13 +195,9 @@ const (
 	tagRoundMsg = 0x05 // uvarint round + nested value
 )
 
-// RoundMsg is the round protocol's wire payload: the round number and
-// the emitted value, mirroring the unexported roundMsg of msgnet and
-// reliablelink on the network substrate.
-type RoundMsg struct {
-	Round int
-	Value core.Value
-}
+// RoundMsg is the round protocol's payload, msgnet.RoundMsg, under the
+// name it had when this package owned the type.
+type RoundMsg = msgnet.RoundMsg
 
 // AppendValue appends the wire encoding of v to dst. Supported types:
 // nil, int, string, []byte, bool, RoundMsg. Anything else is a caller

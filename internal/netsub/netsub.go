@@ -27,9 +27,9 @@
 //
 // The substrate clock is milliseconds since node start; RecvTimeout
 // deadlines are absolute ticks on it, exactly as msgnet deadlines are
-// absolute steps. RunRounds runs the same round protocol as
-// reliablelink.RunRounds with a wall-clock watchdog, so stalls degrade
-// into suspicions identically and RunReports stay comparable.
+// absolute steps. RunRounds runs msgnet.RunSubstrateRounds — the one
+// round loop, shared with the virtual substrates — with a wall-clock
+// watchdog, so stalls degrade into suspicions identically.
 package netsub
 
 import (

@@ -3,15 +3,12 @@ package netsub
 import (
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/msgnet"
-	"repro/internal/obs"
-	"repro/internal/reliablelink"
 )
 
 // RoundsConfig tunes a round-protocol execution over the network
@@ -30,8 +27,7 @@ type RoundsConfig struct {
 
 	// Watchdog is how long a process waits within one round before it
 	// gives the round up and records every still-missing sender as
-	// suspected for the round (the D(i,r) entries) — the wall-clock
-	// analogue of reliablelink's WatchdogSteps. 0 means 2s.
+	// suspected for the round (the D(i,r) entries). 0 means 2s.
 	Watchdog time.Duration
 
 	// Linger is how long a finished process keeps its node up so slower
@@ -53,15 +49,14 @@ func (c RoundsConfig) linger() time.Duration {
 	return c.Linger
 }
 
-// RunReport is the structured diagnosis of a networked execution,
-// mirroring reliablelink.RunReport so chaos verdicts and diagnostics
-// stay comparable across substrates: who stalled, on whom, in which
-// round, and how much transport work the pool did.
+// RunReport is the structured diagnosis of a networked execution: who
+// stalled, on whom, in which round, and how much transport work the
+// pool did.
 type RunReport struct {
 	// Stalls lists every watchdog firing, ordered by (process, round).
 	// The Step field of each stall is a millisecond tick of that node's
 	// clock, not a scheduler step.
-	Stalls []reliablelink.Stall
+	Stalls []msgnet.Stall
 
 	// PerProc holds each node's transport statistics.
 	PerProc []Stats
@@ -91,103 +86,17 @@ func (r *RunReport) String() string {
 	return b.String()
 }
 
-// RunSubstrateRounds executes the §2 item 3 round protocol — broadcast,
-// collect n−f current-round messages, watchdog the stragglers into
-// D(i,r) — against any msgnet.Substrate. The SAME function body drives
-// the virtual scheduler (where Clock ticks are steps) and the network
-// substrate (where they are milliseconds): the protocol only ever sees
-// absolute Clock deadlines, so lost, shed, and late messages degrade
-// into suspicions identically on both. Returns the process's round
-// record, its stalls, and any fatal error.
-func RunSubstrateRounds(sub msgnet.Substrate, n, f, rounds, watchdogTicks, lingerTicks int, emit msgnet.RoundEmit, o obs.Observer) (*msgnet.RoundRec, []reliablelink.Stall, error) {
-	if emit == nil {
-		emit = func(me core.PID, r int, _ map[core.PID]core.Value, _ core.Set) core.Value {
-			return fmt.Sprintf("p%d@r%d", me, r)
-		}
-	}
-	me := sub.PID()
-	rec := &msgnet.RoundRec{}
-	var stalls []reliablelink.Stall
-	// future buffers messages from rounds ahead of ours.
-	future := make(map[int]map[core.PID]core.Value)
-	var prevMsgs map[core.PID]core.Value
-	prevSus := core.NewSet(n)
-	for r := 1; r <= rounds; r++ {
-		v := emit(me, r, prevMsgs, prevSus)
-		if err := sub.Broadcast(RoundMsg{Round: r, Value: v}); err != nil {
-			return rec, stalls, err
-		}
-		got := future[r]
-		if got == nil {
-			got = make(map[core.PID]core.Value)
-		}
-		delete(future, r)
-		deadline := sub.Clock() + watchdogTicks
-		for len(got) < n-f {
-			env, ok, err := sub.RecvTimeout(deadline)
-			if err != nil {
-				return rec, stalls, err
-			}
-			if !ok {
-				// Watchdog: give the round up and suspect whoever is
-				// still missing.
-				missing := make([]core.PID, 0, n-len(got))
-				for i := 0; i < n; i++ {
-					if _, have := got[core.PID(i)]; !have {
-						missing = append(missing, core.PID(i))
-					}
-				}
-				stalls = append(stalls, reliablelink.Stall{P: me, Round: r, Missing: missing, Step: sub.Clock()})
-				if o != nil {
-					o.Event("netsub.watchdog", r, int(me), map[string]any{"missing": len(missing), "tick": sub.Clock()})
-				}
-				break
-			}
-			m, isRound := env.Payload.(RoundMsg)
-			if !isRound {
-				return rec, stalls, fmt.Errorf("netsub: foreign payload %T", env.Payload)
-			}
-			switch {
-			case m.Round == r:
-				got[env.From] = m.Value
-			case m.Round > r: // early: buffer
-				if future[m.Round] == nil {
-					future[m.Round] = make(map[core.PID]core.Value)
-				}
-				future[m.Round][env.From] = m.Value
-			default: // late: discard
-			}
-		}
-		d := core.FullSet(n)
-		for p := range got {
-			d.Remove(p)
-		}
-		rec.Dsets = append(rec.Dsets, d)
-		rec.Views = append(rec.Views, got)
-		prevMsgs, prevSus = got, d
-	}
-	// Linger: keep receiving (and discarding) so our queued frames drain
-	// and slower peers can still complete their last rounds against us.
-	until := sub.Clock() + lingerTicks
-	for sub.Clock() < until {
-		if _, _, err := sub.RecvTimeout(until); err != nil {
-			break
-		}
-	}
-	return rec, stalls, nil
-}
-
 // RunRounds is the in-process harness: it brings up n loopback nodes
 // (or adopts cfg.Listeners, typically chaos-wrapped), runs
-// RunSubstrateRounds on each in its own goroutine, and assembles the
+// msgnet.RunSubstrateRounds on each in its own goroutine, and assembles the
 // same RoundOutcome shape the virtual substrates produce — so predicate
 // checking and the chaos verdicts run unchanged on real sockets. The
 // RunReport is always non-nil, even alongside an error.
 func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgnet.RoundOutcome, *RunReport, error) {
-	rep := &RunReport{PerProc: make([]Stats, n), Errs: make(map[core.PID]error)}
-	if n <= 0 || f < 0 || f >= n || rounds < 0 {
-		return nil, rep, fmt.Errorf("netsub: invalid shape n=%d f=%d rounds=%d", n, f, rounds)
+	if err := msgnet.CheckShape(n, f, rounds); err != nil {
+		return nil, &RunReport{}, err
 	}
+	rep := &RunReport{PerProc: make([]Stats, n)}
 
 	lns := cfg.Listeners
 	if lns == nil {
@@ -227,54 +136,45 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgn
 		nodes[i] = nd
 	}
 
-	watchdogTicks := int(cfg.watchdog() / time.Millisecond)
-	lingerTicks := int(cfg.linger() / time.Millisecond)
+	var onStall func(msgnet.Stall)
+	if o := cfg.Node.Observer; o != nil {
+		onStall = func(s msgnet.Stall) {
+			o.Event("netsub.watchdog", s.Round, int(s.P), map[string]any{"missing": len(s.Missing), "tick": s.Step})
+		}
+	}
 	recs := make([]*msgnet.RoundRec, n)
-	stalls := make([][]reliablelink.Stall, n)
+	stalls := make([][]msgnet.Stall, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rec, st, err := RunSubstrateRounds(nodes[i], n, f, rounds, watchdogTicks, lingerTicks, emit, cfg.Node.Observer)
-			recs[i], stalls[i] = rec, st
-			if err != nil {
-				mu.Lock()
-				rep.Errs[core.PID(i)] = err
-				mu.Unlock()
-			}
+			recs[i], stalls[i], errs[i] = msgnet.RunSubstrateRounds(nodes[i], f, rounds,
+				int(cfg.watchdog()/time.Millisecond), int(cfg.linger()/time.Millisecond), emit, onStall)
 		}(i)
 	}
 	wg.Wait()
 
+	// The lowest-pid failure is the run's error, whichever node failed
+	// first on the wall clock.
+	var err error
 	for i, nd := range nodes {
-		if ms := nd.Clock(); ms > rep.Millis {
-			rep.Millis = ms
-		}
+		rep.Millis = max(rep.Millis, nd.Clock())
 		rep.PerProc[i] = nd.Stats()
 		nd.Close()
-	}
-	for i := 0; i < n; i++ {
 		rep.Sheds += rep.PerProc[i].Sheds
 		rep.Reconnects += rep.PerProc[i].Reconnects
 		rep.Evictions += rep.PerProc[i].Evictions
 		rep.Stalls = append(rep.Stalls, stalls[i]...)
-	}
-	sort.Slice(rep.Stalls, func(a, b int) bool {
-		if rep.Stalls[a].P != rep.Stalls[b].P {
-			return rep.Stalls[a].P < rep.Stalls[b].P
+		if errs[i] == nil {
+			continue
 		}
-		return rep.Stalls[a].Round < rep.Stalls[b].Round
-	})
-	if len(rep.Errs) == 0 {
-		rep.Errs = nil
+		if err == nil {
+			rep.Errs = make(map[core.PID]error)
+			err = fmt.Errorf("netsub: p%d: %w", i, errs[i])
+		}
+		rep.Errs[core.PID(i)] = errs[i]
 	}
-
-	var err error
-	for p, e := range rep.Errs {
-		err = fmt.Errorf("netsub: p%d: %w", p, e)
-		break
-	}
-	return msgnet.AssembleRoundOutcome(n, rounds, recs, core.NewSet(n), rep.Millis), rep, err
+	return msgnet.AssembleRoundOutcome(n, recs, core.NewSet(n), rep.Millis), rep, err
 }

@@ -1,7 +1,9 @@
 package netsub
 
 import (
+	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,56 +62,6 @@ func TestRunRoundsFaultFree(t *testing.T) {
 	}
 }
 
-// TestSameBodyBothSubstrates runs the IDENTICAL protocol function —
-// RunSubstrateRounds — once on the virtual-clock scheduler and once on
-// real TCP, and checks both induce traces with the same structural
-// guarantees. This is the substrate-portability property the Substrate
-// interface exists for: the body never learns which clock it is on.
-func TestSameBodyBothSubstrates(t *testing.T) {
-	const n, f, rounds = 3, 1, 2
-
-	// Virtual substrate: the same body inside a scheduler process.
-	recs := make([]*msgnet.RoundRec, n)
-	vout, err := msgnet.Run(n, msgnet.Config{Chooser: msgnet.Seeded(7)}, func(nd *msgnet.Node) (core.Value, error) {
-		rec, _, err := RunSubstrateRounds(nd, n, f, rounds, 4096, 512, emitPID, nil)
-		recs[nd.Me] = rec
-		return nil, err
-	})
-	if err != nil {
-		t.Fatalf("msgnet run: %v", err)
-	}
-	virtual := msgnet.AssembleRoundOutcome(n, rounds, recs, vout.Crashed, vout.Steps)
-
-	// Network substrate: the same body over loopback TCP.
-	networked, rep, err := RunRounds(n, f, rounds, RoundsConfig{
-		Node:     testConfig(),
-		Watchdog: 2 * time.Second,
-	}, emitPID)
-	if err != nil {
-		t.Fatalf("netsub run: %v", err)
-	}
-	if rep.Stalled() {
-		t.Fatalf("netsub run stalled: %s", rep)
-	}
-
-	for name, out := range map[string]*msgnet.RoundOutcome{"virtual": virtual, "tcp": networked} {
-		if out.Trace.Len() != rounds {
-			t.Fatalf("%s: trace length %d, want %d", name, out.Trace.Len(), rounds)
-		}
-		for r := 1; r <= rounds; r++ {
-			rec := out.Trace.Round(r)
-			for i := 0; i < n; i++ {
-				if !rec.Active.Has(core.PID(i)) {
-					t.Fatalf("%s round %d: p%d inactive", name, r, i)
-				}
-				if rec.Suspects[i].Count() > f {
-					t.Fatalf("%s round %d: |D(%d,r)| > f", name, r, i)
-				}
-			}
-		}
-	}
-}
-
 // TestDeadPeerDegradesIntoSuspicion: a process that never comes up
 // must surface as a D(i,r) suspicion at every live process, with the
 // rounds completing on the n-f quorum — loss degrades into suspicion,
@@ -150,7 +102,7 @@ func TestDeadPeerDegradesIntoSuspicion(t *testing.T) {
 	done := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			rec, _, err := RunSubstrateRounds(nodes[i], n, f, rounds, 2000, 100, emitPID, nil)
+			rec, _, err := msgnet.RunSubstrateRounds(nodes[i], f, rounds, 2000, 100, emitPID, nil)
 			results[i] = result{rec, err}
 			done <- i
 		}(i)
@@ -214,14 +166,14 @@ func TestKilledAndRestartedPeerTerminates(t *testing.T) {
 	out := make(chan result, 4)
 	for _, nd := range survivors {
 		go func(nd *Node) {
-			rec, st, err := RunSubstrateRounds(nd, n, f, rounds, 500, 200, emitPID, nil)
+			rec, st, err := msgnet.RunSubstrateRounds(nd, f, rounds, 500, 200, emitPID, nil)
 			out <- result{rec, len(st), err}
 		}(nd)
 	}
 	// The victim participates in its first rounds, then is killed.
 	victimDone := make(chan result, 1)
 	go func(nd *Node) {
-		rec, st, err := RunSubstrateRounds(nd, n, f, 2, 500, 0, emitPID, nil)
+		rec, st, err := msgnet.RunSubstrateRounds(nd, f, 2, 500, 0, emitPID, nil)
 		nd.Close()
 		victimDone <- result{rec, len(st), err}
 	}(victim)
@@ -248,7 +200,7 @@ func TestKilledAndRestartedPeerTerminates(t *testing.T) {
 	}
 	defer reborn.Close()
 	go func(nd *Node) {
-		rec, st, err := RunSubstrateRounds(nd, n, f, rounds, 500, 0, emitPID, nil)
+		rec, st, err := msgnet.RunSubstrateRounds(nd, f, rounds, 500, 0, emitPID, nil)
 		out <- result{rec, len(st), err}
 	}(reborn)
 
@@ -271,6 +223,33 @@ func TestKilledAndRestartedPeerTerminates(t *testing.T) {
 		}
 		if len(r.rec.Dsets) != rounds {
 			t.Fatalf("participant completed %d rounds, want %d", len(r.rec.Dsets), rounds)
+		}
+	}
+}
+
+// TestRunRoundsReturnsLowestPidError: when several nodes fail, the
+// run's error is the lowest pid's whichever failed first on the wall
+// clock, and the report keeps them all. p1 and p2 emit a value the
+// codec refuses, so both fail their first broadcast.
+func TestRunRoundsReturnsLowestPidError(t *testing.T) {
+	const n, f, rounds = 3, 1, 1
+	for i := 0; i < 4; i++ {
+		_, rep, err := RunRounds(n, f, rounds, RoundsConfig{
+			Node:     testConfig(),
+			Watchdog: 50 * time.Millisecond,
+			Linger:   10 * time.Millisecond,
+		}, func(me core.PID, _ int, _ map[core.PID]core.Value, _ core.Set) core.Value {
+			if me == 0 {
+				return 0
+			}
+			return struct{}{}
+		})
+		var unsupported *UnsupportedTypeError
+		if !errors.As(err, &unsupported) || !strings.HasPrefix(err.Error(), "netsub: p1: ") {
+			t.Fatalf("run %d: error %v, want p1's unsupported-type error", i, err)
+		}
+		if len(rep.Errs) != 2 || rep.Errs[1] == nil || rep.Errs[2] == nil {
+			t.Fatalf("run %d: report errors %v, want p1 and p2", i, rep.Errs)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package recovery
 import (
 	"fmt"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/predicate"
 )
@@ -74,16 +75,17 @@ func Audit(out *Outcome, n, f, rounds int) error {
 			return &AuditError{Kind: "durability", Proc: p,
 				Detail: fmt.Sprintf("journal unreadable: %v", err)}
 		}
+		justified, quorate := agreement.QuorumMin(st.LastView, n-f)
 		switch {
 		case st.LastViewRound != rounds:
 			return &AuditError{Kind: "durability", Proc: p,
 				Detail: fmt.Sprintf("decided %d but the durable view is for round %d, not the final round %d", d, st.LastViewRound, rounds)}
-		case len(st.LastView) < n-f:
+		case !quorate:
 			return &AuditError{Kind: "durability", Proc: p,
 				Detail: fmt.Sprintf("decided %d from a durable view of %d < n-f = %d messages", d, len(st.LastView), n-f)}
-		case minOf(st.LastView) != d:
+		case justified != d:
 			return &AuditError{Kind: "durability", Proc: p,
-				Detail: fmt.Sprintf("decided %d but the durable final view justifies %d", d, minOf(st.LastView))}
+				Detail: fmt.Sprintf("decided %d but the durable final view justifies %d", d, justified)}
 		}
 	}
 	return nil

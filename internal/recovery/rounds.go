@@ -3,6 +3,7 @@ package recovery
 import (
 	"fmt"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/msgnet"
 	"repro/internal/obs"
@@ -72,27 +73,33 @@ type Outcome struct {
 	Errs map[core.PID]error
 }
 
-type rmsg struct {
-	r   int
-	est int
-}
-
-type roundView struct {
-	view map[core.PID]int
-	d    core.Set
-}
-
 // procState is one process's cross-incarnation record. The crashed
 // incarnation is parked before its successor spawns, so there is no
 // concurrent access.
 type procState struct {
-	completed map[int]roundView
+	rec       msgnet.RoundRec
 	recovered bool
 	rejoined  bool
 	replayed  int
 	lost      int
 	decided   bool
 	decision  int
+}
+
+// floodTap is the node as the gather step sees it, with the min-flood
+// spliced into the receive path: every round message that reaches the
+// process — current, early or late — lowers *est before it is filed.
+type floodTap struct {
+	*msgnet.Node
+	est *int
+}
+
+func (t floodTap) RecvTimeout(deadline int) (msgnet.Envelope, bool, error) {
+	env, ok, err := t.Node.RecvTimeout(deadline)
+	if m, isRound := env.Payload.(msgnet.RoundMsg); isRound {
+		*t.est = min(*t.est, m.Value.(int))
+	}
+	return env, ok, err
 }
 
 // RunRounds executes the n−f round protocol under crash-and-recover faults.
@@ -109,11 +116,8 @@ type procState struct {
 // decisions by f+1 exactly as in the fail-stop analysis — recovery costs
 // liveness (an uncaught-up process abstains), never safety.
 func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
-	if n <= 0 || f < 0 || f >= n {
-		return nil, fmt.Errorf("recovery: invalid n=%d f=%d", n, f)
-	}
-	if rounds < 1 {
-		return nil, fmt.Errorf("recovery: invalid rounds=%d", rounds)
+	if err := msgnet.CheckShape(n, f, rounds); err != nil {
+		return nil, err
 	}
 	journals := cfg.Journals
 	if journals == nil {
@@ -148,17 +152,15 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 		ob = o
 	}
 
-	procs := make([]*procState, n)
-	for i := range procs {
-		procs[i] = &procState{completed: make(map[int]roundView)}
-	}
+	procs := make([]procState, n)
 
 	out, err := msgnet.Run(n, cfg.Net, func(nd *msgnet.Node) (core.Value, error) {
-		me := procs[nd.Me]
+		me := &procs[nd.Me]
 		j := journals[nd.Me]
 		est := proposals[nd.Me]
 		r := 1
 		var bugView map[core.PID]int
+		var final map[core.PID]core.Value // the last round's view, once assembled
 
 		if nd.Incarnation > 1 {
 			// Recovery path. The honest order is crash-then-recover: the
@@ -196,7 +198,7 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 			})
 		}
 
-		future := make(map[int]map[core.PID]int)
+		g := msgnet.NewGather(floodTap{nd, &est}, n-f)
 		sinceFlush := 0
 		for r <= rounds {
 			// Durable emit before broadcast: a later incarnation resumes
@@ -204,61 +206,26 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 			if err := j.LogEmit(r, est); err != nil {
 				return nil, err
 			}
-			if err := nd.Broadcast(rmsg{r: r, est: est}); err != nil {
+			if err := nd.Broadcast(msgnet.RoundMsg{Round: r, Value: est}); err != nil {
 				return nil, err
 			}
-			got := future[r]
-			if got == nil {
-				got = make(map[core.PID]int)
+			got, full, err := g.Round(r, watchdog)
+			if err != nil {
+				return nil, err
 			}
-			delete(future, r)
-			deadline := nd.Clock() + watchdog
-			timedOut := false
-			for len(got) < n-f {
-				env, ok, err := nd.RecvTimeout(deadline)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					timedOut = true
-					break
-				}
-				m, mok := env.Payload.(rmsg)
-				if !mok {
-					return nil, fmt.Errorf("recovery: foreign payload %T", env.Payload)
-				}
-				if m.est < est {
-					est = m.est // min-flood from any round, late or early
-				}
-				switch {
-				case m.r == r:
-					got[env.From] = m.est
-				case m.r > r: // early: buffer
-					if future[m.r] == nil {
-						future[m.r] = make(map[core.PID]int)
-					}
-					future[m.r][env.From] = m.est
-				default: // late: discard
-				}
-			}
-			if timedOut {
+			if !full {
 				// The round cannot complete (peers moved on, or too many are
 				// down). Skip to the newest round the network is talking
 				// about; the skipped rounds keep us in our peers' D sets.
-				next := r + 1
-				for fr := range future {
-					if fr > next {
-						next = fr
-					}
-				}
-				r = next
+				r = max(r+1, g.Newest())
 				continue
 			}
-			d := core.FullSet(n)
-			for p := range got {
-				d.Remove(p)
+			view := make(map[core.PID]int, len(got))
+			for p, v := range got {
+				view[p] = v.(int) // only this body broadcasts here, and only ints
 			}
-			if err := j.LogView(r, got, d); err != nil {
+			d := msgnet.Unheard(n, got)
+			if err := j.LogView(r, view, d); err != nil {
 				return nil, err
 			}
 			sinceFlush++
@@ -270,7 +237,10 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 				}
 				sinceFlush = 0
 			}
-			me.completed[r] = roundView{view: got, d: d}
+			me.rec.Complete(r, got, d)
+			if r == rounds {
+				final = got
+			}
 			if me.recovered && !me.rejoined {
 				me.rejoined = true
 				ob.Event("recovery.rejoin", r, int(nd.Me), map[string]any{
@@ -280,15 +250,12 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 			r++
 		}
 
+		// The one-round quorum rule. The planted bug applies it to the
+		// pre-crash un-logged view as if that were durable truth.
 		if cfg.AmnesiaBug && bugView != nil {
-			// The planted bug: decide from the pre-crash un-logged view as
-			// if it were durable truth.
-			me.decided, me.decision = true, minOf(bugView)
-		} else if v, ok := me.completed[rounds]; ok {
-			me.decided, me.decision = true, minOf(v.view)
-		}
-		if me.decided {
-			return me.decision, nil
+			me.decision, me.decided = agreement.QuorumMin(bugView, n-f)
+		} else {
+			me.decision, me.decided = agreement.QuorumMin(final, n-f)
 		}
 		return nil, nil
 	})
@@ -308,9 +275,10 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 		Steps:     out.Steps,
 		Errs:      out.Errs,
 	}
-	maxR := 0
-	for i, ps := range procs {
-		pid := core.PID(i)
+	recs := make([]*msgnet.RoundRec, n)
+	for i := range procs {
+		ps, pid := &procs[i], core.PID(i)
+		recs[i] = &ps.rec
 		if ps.decided {
 			res.Decisions[pid] = ps.decision
 		}
@@ -321,47 +289,7 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 			res.Replayed[pid] = ps.replayed
 			res.Lost[pid] = ps.lost
 		}
-		for r := range ps.completed {
-			if r > maxR {
-				maxR = r
-			}
-		}
 	}
-	res.Trace = core.NewTrace(n)
-	for r := 1; r <= maxR; r++ {
-		rec := core.RoundRecord{
-			R:        r,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   core.NewSet(n),
-			Crashed:  core.NewSet(n),
-		}
-		for i := 0; i < n; i++ {
-			pid := core.PID(i)
-			if rv, ok := procs[i].completed[r]; ok {
-				rec.Active.Add(pid)
-				rec.Suspects[i] = rv.d
-				rec.Deliver[i] = rv.d.Complement()
-			} else {
-				rec.Suspects[i] = core.NewSet(n)
-				rec.Deliver[i] = core.NewSet(n)
-				if out.Crashed.Has(pid) {
-					rec.Crashed.Add(pid)
-				}
-			}
-		}
-		res.Trace.Append(rec)
-	}
+	res.Trace = msgnet.AssembleRoundOutcome(n, recs, out.Crashed, out.Steps).Trace
 	return res, nil
-}
-
-func minOf(view map[core.PID]int) int {
-	first := true
-	m := 0
-	for _, v := range view {
-		if first || v < m {
-			m, first = v, false
-		}
-	}
-	return m
 }

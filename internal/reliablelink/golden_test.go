@@ -1,0 +1,47 @@
+package reliablelink
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/faultnet"
+	"repro/internal/msgnet"
+	"repro/internal/obs"
+)
+
+// TestGoldenStalledEventStream pins the full JSONL event stream of one
+// stalled execution, recorded before Link became a msgnet.Substrate
+// decorator under the shared round loop: the hash covers every
+// substrate and link event, so it fixes the name, the fields and the
+// stream position of "rlink.watchdog" along with the step counts.
+func TestGoldenStalledEventStream(t *testing.T) {
+	plan := faultnet.Plan{Seed: 1, Components: []faultnet.Component{{
+		Kind:   faultnet.Partition,
+		Groups: [][]core.PID{{0, 2}, {1}},
+		Name:   "island-p1",
+	}}}
+	var buf bytes.Buffer
+	log := obs.NewEventLog(&buf)
+	_, rep, err := RunRounds(3, 1, 2, RoundsConfig{
+		Net:           msgnet.Config{Chooser: msgnet.Seeded(11), Faults: plan.Injector(), Observer: log},
+		Link:          Config{RetransmitAfter: 4, RetransmitCap: 8, MaxAttempts: 2, Observer: log},
+		WatchdogSteps: 600,
+		LingerSteps:   200,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Stalled() {
+		t.Fatal("the islanded run must stall")
+	}
+	got := fmt.Sprintf("steps=%d lines=%d watchdogs=%d stream=%x", rep.Steps, log.Lines(),
+		strings.Count(buf.String(), `"kind":"rlink.watchdog"`), sha256.Sum256(buf.Bytes()))
+	const want = "steps=1415 lines=176 watchdogs=2 stream=69fbb7d8ccc04b9e9b06cc1593a0131b98c834fbe5cb0ec157c5f66f8d342fc4"
+	if got != want {
+		t.Fatalf("got  %s\nwant %s", got, want)
+	}
+}

@@ -4,12 +4,12 @@
 // retransmit unacknowledged frames with capped exponential backoff driven by
 // the scheduler's step clock (no wall time anywhere).
 //
-// On top of the link, RunRounds re-implements the §2 item 3 round protocol
-// with a watchdog: a round that stalls despite retransmission — because a
-// sender crashed, omitted, or sits behind an unhealed partition — degrades
-// gracefully into RRFD suspicions (the missing senders become D(i,r)
-// entries) instead of deadlocking the execution, and the RunReport records
-// who stalled, on whom, and in which round.
+// A Link is itself a msgnet.Substrate, so RunRounds is the one §2 item 3
+// round loop (msgnet.RunSubstrateRounds) run over links with a watchdog:
+// a round that stalls despite retransmission — because a sender crashed,
+// omitted, or sits behind an unhealed partition — degrades gracefully into
+// RRFD suspicions (the missing senders become D(i,r) entries) instead of
+// deadlocking, and the RunReport records who stalled, on whom, and when.
 package reliablelink
 
 import (
@@ -112,10 +112,14 @@ type pendingFrame struct {
 	attempts int
 }
 
-// Link is one process's reliable endpoint. It is not safe for concurrent
-// use; like Node, it belongs to the single goroutine running the process.
+// Link is one process's reliable endpoint: a decorator over the lossy
+// Substrate it embeds (whose PID, Size and Clock it keeps). Acks, duplicate
+// suppression and due retransmissions all happen under Recv/RecvTimeout,
+// so a body that keeps receiving — as the round loop's linger does — keeps
+// serving its peers. It is not safe for concurrent use; like Node, it
+// belongs to the single goroutine running the process.
 type Link struct {
-	nd      *msgnet.Node
+	msgnet.Substrate
 	cfg     Config
 	nextSeq map[core.PID]int
 	unacked map[ackKey]*pendingFrame
@@ -124,19 +128,18 @@ type Link struct {
 	stats   Stats
 }
 
-// New wraps a msgnet node in a reliable link.
-func New(nd *msgnet.Node, cfg Config) *Link {
+var _ msgnet.Substrate = (*Link)(nil)
+
+// New wraps a substrate endpoint in a reliable link.
+func New(sub msgnet.Substrate, cfg Config) *Link {
 	return &Link{
-		nd:      nd,
-		cfg:     cfg,
-		nextSeq: make(map[core.PID]int),
-		unacked: make(map[ackKey]*pendingFrame),
-		seen:    make(map[core.PID]map[int]bool),
+		Substrate: sub,
+		cfg:       cfg,
+		nextSeq:   make(map[core.PID]int),
+		unacked:   make(map[ackKey]*pendingFrame),
+		seen:      make(map[core.PID]map[int]bool),
 	}
 }
-
-// Node returns the underlying msgnet node (for its Clock).
-func (l *Link) Node() *msgnet.Node { return l.nd }
 
 // Stats returns the link's recovery counters so far.
 func (l *Link) Stats() Stats { return l.stats }
@@ -147,23 +150,23 @@ func (l *Link) Stats() Stats { return l.stats }
 func (l *Link) Send(to core.PID, payload core.Value) error {
 	seq := l.nextSeq[to]
 	l.nextSeq[to]++
-	if err := l.nd.Send(to, frame{Seq: seq, App: payload}); err != nil {
+	if err := l.Substrate.Send(to, frame{Seq: seq, App: payload}); err != nil {
 		return err
 	}
 	l.stats.Sent++
-	if to == l.nd.Me {
+	if to == l.PID() {
 		return nil
 	}
 	bo := backoff.Policy{Initial: l.cfg.retransmitAfter(), Cap: l.cfg.retransmitCap()}.Sequence()
 	wait := bo.Next()
-	l.unacked[ackKey{to, seq}] = &pendingFrame{payload: payload, nextAt: l.nd.Clock() + wait, wait: wait, seq: bo}
+	l.unacked[ackKey{to, seq}] = &pendingFrame{payload: payload, nextAt: l.Clock() + wait, wait: wait, seq: bo}
 	l.order = append(l.order, ackKey{to, seq})
 	return nil
 }
 
 // Broadcast sends payload reliably to every process including the sender.
 func (l *Link) Broadcast(payload core.Value) error {
-	for i := 0; i < l.nd.N; i++ {
+	for i := 0; i < l.Size(); i++ {
 		if err := l.Send(core.PID(i), payload); err != nil {
 			return err
 		}
@@ -171,41 +174,58 @@ func (l *Link) Broadcast(payload core.Value) error {
 	return nil
 }
 
-// Recv returns the next fresh application message, or ok=false once the
-// step clock reaches the absolute deadline with nothing fresh delivered.
+// noDeadline is the deadline of an unbounded Recv.
+const noDeadline = int(^uint(0) >> 1)
+
+// Recv blocks until the next fresh application message, retransmitting
+// as timers fall due.
+func (l *Link) Recv() (msgnet.Envelope, error) {
+	env, _, err := l.RecvTimeout(noDeadline)
+	return env, err
+}
+
+// RecvTimeout returns the next fresh application message, or false once
+// the clock reaches the absolute deadline with nothing fresh delivered.
 // Acks, duplicates, and due retransmissions are handled internally.
-func (l *Link) Recv(deadline int) (from core.PID, payload core.Value, ok bool, err error) {
+func (l *Link) RecvTimeout(deadline int) (msgnet.Envelope, bool, error) {
 	for {
 		if err := l.retransmitDue(); err != nil {
-			return 0, nil, false, err
+			return msgnet.Envelope{}, false, err
 		}
 		wake := deadline
 		if t, exists := l.nextTimer(); exists && t < wake {
 			wake = t
 		}
-		env, got, err := l.nd.RecvTimeout(wake)
+		var env msgnet.Envelope
+		got := true
+		var err error
+		if wake == noDeadline {
+			env, err = l.Substrate.Recv()
+		} else {
+			env, got, err = l.Substrate.RecvTimeout(wake)
+		}
 		if err != nil {
-			return 0, nil, false, err
+			return msgnet.Envelope{}, false, err
 		}
 		if !got {
-			if l.nd.Clock() >= deadline {
-				return 0, nil, false, nil
+			if l.Clock() >= deadline {
+				return msgnet.Envelope{}, false, nil
 			}
 			continue // a retransmission timer fired first
 		}
 		f, isFrame := env.Payload.(frame)
 		if !isFrame {
-			return 0, nil, false, fmt.Errorf("reliablelink: foreign payload %T", env.Payload)
+			return msgnet.Envelope{}, false, fmt.Errorf("reliablelink: foreign payload %T", env.Payload)
 		}
 		if f.Ack {
 			delete(l.unacked, ackKey{env.From, f.Seq})
 			l.stats.AcksReceived++
 			continue
 		}
-		if env.From != l.nd.Me {
+		if env.From != l.PID() {
 			// Always re-ack: the previous ack may have been lost.
-			if err := l.nd.Send(env.From, frame{Seq: f.Seq, Ack: true}); err != nil {
-				return 0, nil, false, err
+			if err := l.Substrate.Send(env.From, frame{Seq: f.Seq, Ack: true}); err != nil {
+				return msgnet.Envelope{}, false, err
 			}
 		}
 		if l.seen[env.From][f.Seq] {
@@ -217,26 +237,10 @@ func (l *Link) Recv(deadline int) (from core.PID, payload core.Value, ok bool, e
 			l.seen[env.From] = make(map[int]bool)
 		}
 		l.seen[env.From][f.Seq] = true
-		return env.From, f.App, true, nil
+		env.Payload = f.App
+		return env, true, nil
 	}
 }
-
-// Drain keeps the link serving acknowledgements, duplicate suppression and
-// retransmissions until the step clock reaches the absolute step until —
-// the linger a finishing process grants its peers so their last frames are
-// not orphaned. Fresh application frames arriving during the drain are
-// acknowledged and discarded.
-func (l *Link) Drain(until int) error {
-	for l.nd.Clock() < until {
-		if _, _, _, err := l.Recv(until); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Unacked returns the number of frames still awaiting acknowledgement.
-func (l *Link) Unacked() int { return len(l.unacked) }
 
 // retransmitDue retransmits every unacked frame whose timer expired,
 // walking frames in insertion order for determinism.
@@ -245,7 +249,7 @@ func (l *Link) retransmitDue() error {
 		l.order = l.order[:0]
 		return nil
 	}
-	now := l.nd.Clock()
+	now := l.Clock()
 	kept := l.order[:0]
 	for _, k := range l.order {
 		pf := l.unacked[k]
@@ -263,7 +267,7 @@ func (l *Link) retransmitDue() error {
 			l.event("rlink.giveup", map[string]any{"to": int(k.to), "seq": k.seq, "attempts": pf.attempts})
 			continue
 		}
-		if err := l.nd.Send(k.to, frame{Seq: k.seq, App: pf.payload}); err != nil {
+		if err := l.Substrate.Send(k.to, frame{Seq: k.seq, App: pf.payload}); err != nil {
 			return err
 		}
 		pf.attempts++
@@ -273,7 +277,7 @@ func (l *Link) retransmitDue() error {
 		// ladder, so observers can histogram it.
 		l.event("rlink.retransmit", map[string]any{"to": int(k.to), "seq": k.seq, "attempt": pf.attempts, "interval": pf.wait})
 		pf.wait = pf.seq.Next()
-		pf.nextAt = l.nd.Clock() + pf.wait
+		pf.nextAt = l.Clock() + pf.wait
 	}
 	l.order = kept
 	return nil
@@ -292,6 +296,6 @@ func (l *Link) nextTimer() (int, bool) {
 
 func (l *Link) event(kind string, fields map[string]any) {
 	if l.cfg.Observer != nil {
-		l.cfg.Observer.Event(kind, -1, int(l.nd.Me), fields)
+		l.cfg.Observer.Event(kind, -1, int(l.PID()), fields)
 	}
 }

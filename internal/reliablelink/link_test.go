@@ -10,6 +10,13 @@ import (
 	"repro/internal/obs"
 )
 
+// linger is the round loop's linger on its own: zero rounds, then ticks
+// of receive-and-discard with the link serving acks and retransmissions.
+func linger(l *Link, ticks int) error {
+	_, _, err := msgnet.RunSubstrateRounds(l, 0, 0, 0, ticks, nil, nil)
+	return err
+}
+
 func TestLossyLinkRecoveredByRetransmission(t *testing.T) {
 	// 40% drop on every link: all 20 messages must still arrive, each
 	// exactly once, purely via retransmission. (The link guarantees
@@ -25,12 +32,12 @@ func TestLossyLinkRecoveredByRetransmission(t *testing.T) {
 					return nil, err
 				}
 			}
-			err := l.Drain(nd.Clock() + 2000)
+			err := linger(l, 2000)
 			sendStats = l.Stats()
 			return nil, err
 		}
 		for len(delivered) < 20 {
-			_, v, ok, err := l.Recv(nd.Clock() + 4000)
+			env, ok, err := l.RecvTimeout(nd.Clock() + 4000)
 			if err != nil {
 				return nil, err
 			}
@@ -38,9 +45,9 @@ func TestLossyLinkRecoveredByRetransmission(t *testing.T) {
 				t.Errorf("receiver timed out after %d/20 messages", len(delivered))
 				return nil, nil
 			}
-			delivered = append(delivered, v)
+			delivered = append(delivered, env.Payload)
 		}
-		return nil, l.Drain(nd.Clock() + 500)
+		return nil, linger(l, 500)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,19 +88,19 @@ func TestDuplicateFramesSuppressed(t *testing.T) {
 					return nil, err
 				}
 			}
-			return nil, l.Drain(nd.Clock() + 500)
+			return nil, linger(l, 500)
 		}
 		for len(delivered) < 5 {
-			_, v, ok, err := l.Recv(nd.Clock() + 1000)
+			env, ok, err := l.RecvTimeout(nd.Clock() + 1000)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
 				break
 			}
-			delivered = append(delivered, v)
+			delivered = append(delivered, env.Payload)
 		}
-		err := l.Drain(nd.Clock() + 200)
+		err := linger(l, 200)
 		recvStats = l.Stats()
 		return nil, err
 	})
@@ -121,11 +128,11 @@ func TestGiveUpAfterMaxAttempts(t *testing.T) {
 			if err := l.Send(1, "doomed"); err != nil {
 				return nil, err
 			}
-			err := l.Drain(nd.Clock() + 300)
+			err := linger(l, 300)
 			st = l.Stats()
 			return nil, err
 		}
-		_, _, _, err := l.Recv(nd.Clock() + 300)
+		_, _, err := l.RecvTimeout(nd.Clock() + 300)
 		return nil, err
 	})
 	if err != nil {

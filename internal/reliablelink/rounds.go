@@ -43,27 +43,13 @@ func (c RoundsConfig) linger() int {
 	return c.LingerSteps
 }
 
-// Stall records one watchdog firing: process P gave up waiting in Round,
-// still missing the round messages of Missing, at scheduler step Step.
-type Stall struct {
-	P       core.PID
-	Round   int
-	Missing []core.PID
-	Step    int
-}
-
-// String renders the stall for diagnostics.
-func (s Stall) String() string {
-	return fmt.Sprintf("p%d stalled in round %d waiting on %v (step %d)", s.P, s.Round, s.Missing, s.Step)
-}
-
 // RunReport is the structured diagnosis of a reliable-rounds execution —
 // the replacement for opaque deadlock/step-budget sentinels: it says who
 // was blocked, on whom, in which round, and how much recovery work the
 // links did.
 type RunReport struct {
 	// Stalls lists every watchdog firing, ordered by (process, round).
-	Stalls []Stall
+	Stalls []msgnet.Stall
 
 	// PerProc holds each process's link statistics.
 	PerProc []Stats
@@ -98,20 +84,13 @@ func (r *RunReport) String() string {
 	return b.String()
 }
 
-// roundMsg is the reliable round protocol's payload.
-type roundMsg struct {
-	round int
-	value core.Value
-}
-
 // RunRounds executes the round-based f-resilient asynchronous protocol of
-// §2 item 3 over reliable links on a lossy substrate: in each round a
-// process broadcasts its round message and receives until it holds n−f
-// current-round messages, the link retransmitting lost frames underneath.
-// If the round stalls past the watchdog despite retransmission, the process
-// records every missing sender in D(i,r) and advances — lost messages
-// degrade into suspicions, never into deadlock. Each process lingers after
-// its last round so peers can finish.
+// §2 item 3 over reliable links on a lossy substrate: every process runs
+// msgnet.RunSubstrateRounds on a Link, which retransmits lost frames
+// underneath the loop. If a round stalls past the watchdog despite
+// retransmission, the process records every missing sender in D(i,r) and
+// advances — lost messages degrade into suspicions, never into deadlock.
+// Each process lingers after its last round so peers can finish.
 //
 // The trace in the outcome is the induced RRFD trace; when no round
 // stalled it satisfies eq. (3) (|D(i,r)| ≤ f) exactly as the unreliable
@@ -119,80 +98,23 @@ type roundMsg struct {
 // chaos harness decides which model the faulty execution still realized.
 // The RunReport is always non-nil, even alongside an error.
 func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgnet.RoundOutcome, *RunReport, error) {
-	if emit == nil {
-		emit = func(me core.PID, r int, _ map[core.PID]core.Value, _ core.Set) core.Value {
-			return fmt.Sprintf("p%d@r%d", me, r)
-		}
+	if err := msgnet.CheckShape(n, f, rounds); err != nil {
+		return nil, &RunReport{}, err
 	}
-
+	rep := &RunReport{PerProc: make([]Stats, n), Crashed: core.NewSet(n)}
 	recs := make([]*msgnet.RoundRec, n)
-	stalls := make([][]Stall, n)
+	stalls := make([][]msgnet.Stall, n)
 	links := make([]*Link, n)
 	out, err := msgnet.Run(n, cfg.Net, func(nd *msgnet.Node) (core.Value, error) {
 		l := New(nd, cfg.Link)
 		links[nd.Me] = l
-		rec := &msgnet.RoundRec{}
-		recs[nd.Me] = rec
-		// future buffers messages from rounds ahead of ours.
-		future := make(map[int]map[core.PID]core.Value)
-		var prevMsgs map[core.PID]core.Value
-		prevSus := core.NewSet(n)
-		for r := 1; r <= rounds; r++ {
-			v := emit(nd.Me, r, prevMsgs, prevSus)
-			if err := l.Broadcast(roundMsg{round: r, value: v}); err != nil {
-				return nil, err
-			}
-			got := future[r]
-			if got == nil {
-				got = make(map[core.PID]core.Value)
-			}
-			delete(future, r)
-			deadline := nd.Clock() + cfg.watchdog()
-			for len(got) < n-f {
-				from, payload, ok, err := l.Recv(deadline)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					// Watchdog: give the round up and suspect whoever is
-					// still missing.
-					missing := make([]core.PID, 0, n-len(got))
-					for i := 0; i < n; i++ {
-						if _, have := got[core.PID(i)]; !have {
-							missing = append(missing, core.PID(i))
-						}
-					}
-					stalls[nd.Me] = append(stalls[nd.Me], Stall{P: nd.Me, Round: r, Missing: missing, Step: nd.Clock()})
-					l.event("rlink.watchdog", map[string]any{"round": r, "missing": len(missing), "step": nd.Clock()})
-					break
-				}
-				m, isRound := payload.(roundMsg)
-				if !isRound {
-					return nil, fmt.Errorf("reliablelink: foreign payload %T", payload)
-				}
-				switch {
-				case m.round == r:
-					got[from] = m.value
-				case m.round > r: // early: buffer
-					if future[m.round] == nil {
-						future[m.round] = make(map[core.PID]core.Value)
-					}
-					future[m.round][from] = m.value
-				default: // late: discard
-				}
-			}
-			d := core.FullSet(n)
-			for p := range got {
-				d.Remove(p)
-			}
-			rec.Dsets = append(rec.Dsets, d)
-			rec.Views = append(rec.Views, got)
-			prevMsgs, prevSus = got, d
-		}
-		return nil, l.Drain(nd.Clock() + cfg.linger())
+		var err error
+		recs[nd.Me], stalls[nd.Me], err = msgnet.RunSubstrateRounds(l, f, rounds, cfg.watchdog(), cfg.linger(), emit, func(s msgnet.Stall) {
+			l.event("rlink.watchdog", map[string]any{"round": s.Round, "missing": len(s.Missing), "step": s.Step})
+		})
+		return nil, err
 	})
 
-	rep := &RunReport{PerProc: make([]Stats, n), Crashed: core.NewSet(n)}
 	if out != nil {
 		rep.Steps = out.Steps
 		rep.Crashed = out.Crashed
@@ -208,10 +130,5 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgn
 		}
 		rep.Stalls = append(rep.Stalls, stalls[i]...)
 	}
-
-	crashed, steps := core.NewSet(n), 0
-	if out != nil {
-		crashed, steps = out.Crashed, out.Steps
-	}
-	return msgnet.AssembleRoundOutcome(n, rounds, recs, crashed, steps), rep, err
+	return msgnet.AssembleRoundOutcome(n, recs, rep.Crashed, rep.Steps), rep, err
 }

@@ -57,6 +57,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/netsub"
 	"repro/internal/obs"
@@ -745,14 +746,9 @@ func (s *Server) onPeer(shard int, t *shardTable, ev peerEv) bool {
 }
 
 func (s *Server) maybeDecide(t *shardTable, ins *instance) bool {
-	if len(ins.got) < s.cfg.N-s.cfg.F {
+	min, ok := agreement.QuorumMin(ins.got, s.cfg.N-s.cfg.F)
+	if !ok {
 		return false
-	}
-	min := ins.proposal
-	for _, v := range ins.got {
-		if v < min {
-			min = v
-		}
 	}
 	s.ctr.decisions.Add(1)
 	s.event("serve.decide", map[string]any{"gathered": len(ins.got)})

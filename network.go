@@ -3,24 +3,12 @@ package rrfd
 import (
 	"repro/internal/backoff"
 	"repro/internal/chaos"
-	"repro/internal/msgnet"
 	"repro/internal/netsub"
-	"repro/internal/reliablelink"
 )
 
 // ---- Real-network substrate (internal/netsub) ----
 
 type (
-	// Substrate is the node-facing surface every message-passing
-	// substrate implements — the virtual-clock scheduler with steps, the
-	// TCP mesh with milliseconds. Protocol bodies written against it run
-	// unchanged on either.
-	Substrate = msgnet.Substrate
-
-	// RoundEmit produces one process's round-r payload from what it
-	// heard (and suspected) in round r−1.
-	RoundEmit = msgnet.RoundEmit
-
 	// TCPNode is one process's endpoint in a real-socket mesh.
 	TCPNode = netsub.Node
 
@@ -37,10 +25,6 @@ type (
 	// TCPRunReport diagnoses a networked execution: stalls, sheds,
 	// reconnects, evictions.
 	TCPRunReport = netsub.RunReport
-
-	// RoundStall records one watchdog firing: who gave up which round,
-	// missing whom.
-	RoundStall = reliablelink.Stall
 
 	// BackoffPolicy is the capped-exponential retry ladder shared by the
 	// reliable link's retransmits and the TCP mesh's redials.
@@ -73,10 +57,6 @@ var (
 	// RunTCPRounds is the in-process harness: n loopback nodes running
 	// the §2 item 3 round protocol with a wall-clock watchdog.
 	RunTCPRounds = netsub.RunRounds
-
-	// RunSubstrateRounds executes the round protocol — broadcast, collect
-	// n−f, watchdog stragglers into D(i,r) — against any Substrate.
-	RunSubstrateRounds = netsub.RunSubstrateRounds
 
 	// WrapChaosListener interposes the socket-level fault injector on
 	// every connection accepted by a listener.

@@ -93,6 +93,10 @@ var (
 	// ReadServiceJournal replays a server's WAL without starting it.
 	ReadServiceJournal = serve.ReadJournal
 
+	// NewServiceAuditor returns an empty auditor of reported decisions
+	// against the service's promises: idempotency, k-agreement, validity.
+	NewServiceAuditor = serve.NewAuditor
+
 	// RunServeChaos runs one kill-and-recover service campaign: seeded
 	// client load, a mid-batch victim kill, a journal audit, a restart,
 	// and a full idempotent replay.

@@ -111,6 +111,20 @@ type (
 
 	// NetRoundOutcome reports a round-protocol run.
 	NetRoundOutcome = msgnet.RoundOutcome
+
+	// Substrate is the node-facing surface every message-passing
+	// substrate implements — the virtual-clock scheduler with steps, the
+	// TCP mesh with milliseconds. Protocol bodies written against it run
+	// unchanged on either.
+	Substrate = msgnet.Substrate
+
+	// RoundEmit produces one process's round-r payload from what it
+	// heard (and suspected) in round r−1.
+	RoundEmit = msgnet.RoundEmit
+
+	// RoundStall records one watchdog firing: who gave up which round,
+	// missing whom.
+	RoundStall = msgnet.Stall
 )
 
 var (
@@ -122,6 +136,10 @@ var (
 	// (buffer early, discard late, wait for n−f) and returns its RRFD
 	// trace.
 	RunNetworkRounds = msgnet.RunRounds
+
+	// RunSubstrateRounds is the one §2 item 3 round loop — broadcast,
+	// gather n−f, watchdog stragglers into D(i,r) — on any Substrate.
+	RunSubstrateRounds = msgnet.RunSubstrateRounds
 
 	// NetSeeded is a deterministic pseudo-random network adversary.
 	NetSeeded = msgnet.Seeded
