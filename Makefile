@@ -4,9 +4,9 @@
 
 GO ?= go
 
-# Engine + agreement + chaos-campaign + TCP-substrate + service
-# benchmarks tracked in BENCH_core.json.
-BENCH_PKGS := ./internal/core ./internal/agreement ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal
+# Engine + agreement + virtual-substrate + reliable-link + chaos-campaign +
+# TCP-substrate + service benchmarks tracked in BENCH_core.json.
+BENCH_PKGS := ./internal/core ./internal/agreement ./internal/msgnet ./internal/reliablelink ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal
 BENCH_PAT  ?= .
 
 .PHONY: build test race vet ci bench bench-build bench-check chaos-short chaos recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short

@@ -159,34 +159,62 @@ func (p Plan) WithoutComponent(i int) Plan {
 // gets its own deterministic random stream derived from (Seed, index), so
 // the injector as a whole is deterministic for a fixed plan.
 func (p Plan) Injector() msgnet.FaultInjector {
-	inj := &injector{comps: p.Components}
+	inj := &injector{
+		comps:   p.Components,
+		rngs:    make([]rng, len(p.Components)),
+		groupOf: make([][]int, len(p.Components)),
+	}
+	copies := 1 // the most copies one send can become: sizes the scratch
 	for i, c := range p.Components {
-		inj.rngs = append(inj.rngs, newRNG(p.Seed+int64(i+1)*0x9E3779B9))
-		groups := map[core.PID]int(nil)
-		if c.Kind == Partition {
-			groups = make(map[core.PID]int)
-			for g, side := range c.Groups {
-				for _, pid := range side {
-					groups[pid] = g
+		inj.rngs[i] = *newRNG(p.Seed + int64(i+1)*0x9E3779B9)
+		if c.Kind == Duplicate {
+			copies += max(1, c.Copies)
+		}
+		if c.Kind != Partition {
+			continue
+		}
+		for g, side := range c.Groups {
+			for _, pid := range side {
+				if pid < 0 {
+					continue
 				}
+				for len(inj.groupOf[i]) <= int(pid) {
+					inj.groupOf[i] = append(inj.groupOf[i], noGroup)
+				}
+				inj.groupOf[i][pid] = g
 			}
 		}
-		inj.groupOf = append(inj.groupOf, groups)
 	}
+	inj.delays = make([]int, 0, copies)
 	return inj
 }
 
+// noGroup marks a process on no side of a partition.
+const noGroup = -1
+
 type injector struct {
 	comps   []Component
-	rngs    []*rng
-	groupOf []map[core.PID]int
+	rngs    []rng
+	groupOf [][]int // per partition component: pid → side, or noGroup
+	delays  []int   // the Deliveries scratch, sized for the plan's most copies
+}
+
+// side returns the partition side of pid under component i, or noGroup.
+func (in *injector) side(i int, pid core.PID) int {
+	if pid < 0 || int(pid) >= len(in.groupOf[i]) {
+		return noGroup
+	}
+	return in.groupOf[i][pid]
 }
 
 // OnSend implements msgnet.FaultInjector: the components transform the
-// fault-free single immediate delivery in order, first drop wins.
+// fault-free single immediate delivery in order, first drop wins. The
+// returned Deliveries is the injector's scratch, valid until the next
+// OnSend.
 func (in *injector) OnSend(step int, from, to core.PID) msgnet.FaultAction {
-	delays := []int{0}
-	for i, c := range in.comps {
+	delays := append(in.delays[:0], 0)
+	for i := range in.comps {
+		c := &in.comps[i]
 		switch c.Kind {
 		case SendOmission:
 			if containsPID(c.Senders, from) && in.rngs[i].chance(c.Rate) {
@@ -194,9 +222,8 @@ func (in *injector) OnSend(step int, from, to core.PID) msgnet.FaultAction {
 			}
 		case Partition:
 			if step >= c.From && (c.Until == 0 || step < c.Until) {
-				gf, okf := in.groupOf[i][from]
-				gt, okt := in.groupOf[i][to]
-				if okf && okt && gf != gt {
+				gf, gt := in.side(i, from), in.side(i, to)
+				if gf != noGroup && gt != noGroup && gf != gt {
 					return msgnet.FaultAction{Reason: "partition"}
 				}
 			}

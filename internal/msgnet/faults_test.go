@@ -3,6 +3,7 @@ package msgnet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -259,5 +260,88 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); !bytes.Equal(a, b) {
 		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// scripted answers the k-th non-loopback send with the k-th action.
+type scripted struct {
+	acts []FaultAction
+	k    int
+}
+
+func (s *scripted) OnSend(int, core.PID, core.PID) FaultAction {
+	act := s.acts[s.k]
+	s.k++
+	return act
+}
+
+// TestDelayedCopiesJoinInReleaseThenSendOrder pins the delayed queue's
+// ordering rule: copies join the receiver's mailbox by release step, ties
+// broken by send order, so a later-sent copy with an earlier release
+// overtakes (the reordering fault) and equal releases stay FIFO.
+func TestDelayedCopiesJoinInReleaseThenSendOrder(t *testing.T) {
+	// p0's k-th send executes at step k; payload k is delayed so that it
+	// releases at the step in the comment.
+	script := &scripted{acts: []FaultAction{
+		{Deliveries: []int{10}}, // 0: release 10
+		{Deliveries: []int{9}},  // 1: release 10, sent after 0
+		{Deliveries: []int{3}},  // 2: release 5, overtakes both
+		{Deliveries: []int{7}},  // 3: release 10, sent after 1
+		{Deliveries: []int{8}},  // 4: release 12
+		{Deliveries: []int{5}},  // 5: release 10, sent after 3, joins before 4
+	}}
+	out, err := Run(2, Config{Faults: script}, func(nd *Node) (core.Value, error) {
+		if nd.Me == 0 {
+			for k := range script.acts {
+				if err := nd.Send(1, k); err != nil {
+					return nil, err
+				}
+			}
+			return nil, nil
+		}
+		var got []int
+		for range script.acts {
+			env, err := nd.Recv()
+			if err != nil {
+				return nil, err
+			}
+			got = append(got, env.Payload.(int))
+		}
+		return got, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(out.Values[1]), "[2 0 1 3 5 4]"; got != want {
+		t.Fatalf("delivery order %s, want %s", got, want)
+	}
+}
+
+// TestDeadlockErrorOrdersInFlightLinks strands mail on four links and pins
+// the diagnosis: InFlight sorted by (From, To), and the rendered text.
+func TestDeadlockErrorOrdersInFlightLinks(t *testing.T) {
+	_, err := Run(4, Config{Chooser: Seeded(3)}, func(nd *Node) (core.Value, error) {
+		if nd.Me == 0 || nd.Me == 3 {
+			return nil, nil // never receive: mail addressed here is stranded
+		}
+		for _, to := range []core.PID{3, 0, 0}[:4-nd.Me] {
+			if err := nd.Send(to, "stranded"); err != nil {
+				return nil, err
+			}
+		}
+		_, err := nd.Recv() // nobody sends to p1 or p2
+		return nil, err
+	})
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("err = %T %v, want *DeadlockError", err, err)
+	}
+	want := []LinkLoad{{1, 0, 2}, {1, 3, 1}, {2, 0, 1}, {2, 3, 1}}
+	if fmt.Sprint(dl.InFlight) != fmt.Sprint(want) {
+		t.Fatalf("in-flight = %v, want %v", dl.InFlight, want)
+	}
+	const text = "msgnet: deadlock at step 5: processes [1 2] blocked on receive; in-flight: p1→p0:2 p1→p3:1 p2→p0:1 p2→p3:1"
+	if err.Error() != text {
+		t.Fatalf("error text\n got %s\nwant %s", err, text)
 	}
 }

@@ -27,7 +27,7 @@ package msgnet
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -119,7 +119,8 @@ type Envelope struct {
 // Chooser picks among scheduling options: it is called with the global step
 // number and a sorted option list (process IDs when picking who steps,
 // sender IDs when picking which queued message a receive returns) and
-// returns an index into the list.
+// returns an index into the list. The list is the scheduler's scratch: it
+// is valid only during the call and must not be retained or modified.
 type Chooser func(step int, options []core.PID) int
 
 // Seeded returns a deterministic pseudo-random chooser.
@@ -137,6 +138,9 @@ func Seeded(seed int64) Chooser {
 // copy is queued per entry of Deliveries, each held back that many scheduler
 // steps (0 or less means immediate). An empty Deliveries drops the message.
 type FaultAction struct {
+	// Deliveries is valid until the next OnSend on the same injector: an
+	// injector may answer from a scratch slice it reuses, so the caller
+	// reads it at once and keeps no reference to it.
 	Deliveries []int
 
 	// Reason tags a drop for observability ("drop", "omission",
@@ -144,8 +148,12 @@ type FaultAction struct {
 	Reason string
 }
 
-// DeliverNow is the fault-free action: one immediate copy.
-func DeliverNow() FaultAction { return FaultAction{Deliveries: []int{0}} }
+// deliverNow is shared by every fault-free send; nothing writes to it.
+var deliverNow = FaultAction{Deliveries: []int{0}}
+
+// DeliverNow is the fault-free action: one immediate copy. The result is
+// shared and must not be modified.
+func DeliverNow() FaultAction { return deliverNow }
 
 // FaultInjector decides the fate of each sent message. The scheduler calls
 // OnSend exactly once per send operation, in execution order, and never for
@@ -225,8 +233,8 @@ type Node struct {
 	Incarnation int
 
 	events chan<- procEvent
-	reply  chan result
 	clock  int
+	req    request // the one outstanding operation, refilled by do
 }
 
 // Clock returns the global scheduler step at which the node's most recent
@@ -243,8 +251,11 @@ const (
 	opRecvTimeout
 )
 
+// request is a node's one outstanding operation. It lives inside its Node
+// and is refilled per operation: the node writes it before announcing the
+// operation on the events channel and the scheduler reads it before
+// replying, so the two never touch it at the same time.
 type request struct {
-	pid      core.PID
 	kind     opKind
 	env      Envelope
 	deadline int // absolute step bound for opRecvTimeout
@@ -260,7 +271,7 @@ type result struct {
 
 type procEvent struct {
 	pid core.PID
-	req *request
+	req *request // non-nil: an operation; nil: the body returned
 	out core.Value
 	err error
 }
@@ -272,8 +283,7 @@ func (nd *Node) Send(to core.PID, payload core.Value) error {
 	if to < 0 || int(to) >= nd.N {
 		return fmt.Errorf("msgnet: send to invalid process %d", to)
 	}
-	_, err := nd.do(&request{pid: nd.Me, kind: opSend,
-		env: Envelope{From: nd.Me, To: to, Payload: payload}})
+	_, err := nd.do(opSend, Envelope{From: nd.Me, To: to, Payload: payload}, 0)
 	return err
 }
 
@@ -292,7 +302,7 @@ func (nd *Node) Broadcast(payload core.Value) error {
 // Recv blocks until the adversary delivers some in-flight message addressed
 // to the caller and returns it.
 func (nd *Node) Recv() (Envelope, error) {
-	res, err := nd.do(&request{pid: nd.Me, kind: opRecv})
+	res, err := nd.do(opRecv, Envelope{}, 0)
 	if err != nil {
 		return Envelope{}, err
 	}
@@ -309,7 +319,7 @@ func (nd *Node) Recv() (Envelope, error) {
 // substrate without wall time: time is the step counter, and the scheduler
 // fast-forwards it when every process is waiting.
 func (nd *Node) RecvTimeout(deadline int) (Envelope, bool, error) {
-	res, err := nd.do(&request{pid: nd.Me, kind: opRecvTimeout, deadline: deadline})
+	res, err := nd.do(opRecvTimeout, Envelope{}, deadline)
 	if err != nil {
 		return Envelope{}, false, err
 	}
@@ -319,49 +329,72 @@ func (nd *Node) RecvTimeout(deadline int) (Envelope, bool, error) {
 	return res.env, true, nil
 }
 
-func (nd *Node) do(req *request) (result, error) {
-	req.reply = nd.reply
-	nd.events <- procEvent{pid: nd.Me, req: req}
-	res := <-nd.reply
+func (nd *Node) do(kind opKind, env Envelope, deadline int) (result, error) {
+	nd.req.kind, nd.req.env, nd.req.deadline = kind, env, deadline
+	nd.events <- procEvent{pid: nd.Me, req: &nd.req}
+	res := <-nd.req.reply
 	if res.err == nil {
 		nd.clock = res.step
 	}
 	return res, res.err
 }
 
-// mailbox holds per-link FIFO queues of undelivered payloads for one
-// receiver.
+// link is one directed link's FIFO of undelivered payloads: q[head:].
+type link struct {
+	q    []core.Value
+	head int
+}
+
+// mailbox holds one receiver's undelivered payloads: links[from] is the
+// FIFO of the link from→receiver and mail counts the payloads across all
+// of them, so "has mail" is a compare.
 type mailbox struct {
-	queues map[core.PID][]core.Value
+	links []link
+	mail  int
 }
 
 func (m *mailbox) push(from core.PID, payload core.Value) {
-	if m.queues == nil {
-		m.queues = make(map[core.PID][]core.Value)
-	}
-	m.queues[from] = append(m.queues[from], payload)
+	m.links[from].q = append(m.links[from].q, payload)
+	m.mail++
 }
 
-func (m *mailbox) senders() []core.PID {
-	out := make([]core.PID, 0, len(m.queues))
-	for from, q := range m.queues {
-		if len(q) > 0 {
-			out = append(out, from)
+// senders appends the processes with queued mail to buf[:0], ascending.
+func (m *mailbox) senders(buf []core.PID) []core.PID {
+	buf = buf[:0]
+	for from := range m.links {
+		if l := &m.links[from]; l.head < len(l.q) {
+			buf = append(buf, core.PID(from))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return buf
 }
 
 func (m *mailbox) pop(from core.PID) core.Value {
-	q := m.queues[from]
-	v := q[0]
-	if len(q) == 1 {
-		delete(m.queues, from)
-	} else {
-		m.queues[from] = q[1:]
+	l := &m.links[from]
+	v := l.q[l.head]
+	l.q[l.head] = nil
+	l.head++
+	if l.head == len(l.q) {
+		l.q, l.head = l.q[:0], 0
 	}
+	m.mail--
 	return v
+}
+
+// clear discards every queued payload.
+func (m *mailbox) clear() {
+	clear(m.links)
+	m.mail = 0
+}
+
+// proc is the scheduler's state for one pid.
+type proc struct {
+	pending   *request // the outstanding operation, nil if none
+	box       mailbox
+	opsDone   int  // operations the current incarnation completed
+	returns   int  // bodies that returned (two for a restarted pid)
+	crashAt   int  // operations completed before crashing; -1: never
+	restarted bool // restart scheduled or spawned
 }
 
 // delayedMsg is an in-flight copy held back by an injected delay.
@@ -378,8 +411,14 @@ type restartEvent struct {
 
 // Run executes body at every process under the configured adversary and
 // returns once every body has returned. Goroutines never leak: on crash,
-// deadlock, or step overflow every blocked operation is failed with
-// ErrCrashed so bodies unwind, and Run waits for them all.
+// deadlock, step overflow or an out-of-range chooser answer every blocked
+// and subsequent operation is failed with ErrCrashed so bodies unwind, and
+// Run waits for them all.
+//
+// A scheduler step does O(n) work over per-pid slices and allocates
+// nothing once the queues have grown to their working size. What it must
+// preserve, because fixed-seed executions are pinned to the step, is
+// listed in DESIGN §11 ("The virtual substrate step").
 func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("msgnet: invalid process count %d", n)
@@ -396,7 +435,7 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 
 	events := make(chan procEvent)
 	spawn := func(pid core.PID, incarnation int) {
-		nd := &Node{Me: pid, N: n, Incarnation: incarnation, events: events, reply: make(chan result, 1)}
+		nd := &Node{Me: pid, N: n, Incarnation: incarnation, events: events, req: request{reply: make(chan result, 1)}}
 		go func() {
 			out, err := body(nd)
 			events <- procEvent{pid: nd.Me, out: out, err: err}
@@ -412,13 +451,21 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 		Crashed:   core.NewSet(n),
 		Restarted: core.NewSet(n),
 	}
-	boxes := make([]mailbox, n)
-	var delayed []delayedMsg
+	links := make([]link, n*n)
+	procs := make([]proc, n)
+	for i := range procs {
+		procs[i].box.links = links[i*n : (i+1)*n]
+		procs[i].crashAt = -1
+	}
+	for pid, limit := range cfg.Crash {
+		if pid >= 0 && int(pid) < n {
+			procs[pid].crashAt = max(limit, 0)
+		}
+	}
+	var delayed []delayedMsg // ordered by (release, send order)
 	var restarts []restartEvent
-	restarted := make(map[core.PID]bool) // restart scheduled or spawned
-	returns := make(map[core.PID]int, n)
-	pending := make(map[core.PID]*request, n)
-	opsDone := make(map[core.PID]int, n)
+	runnable := make([]core.PID, 0, n) // scratch: the chooser's option lists
+	senders := make([]core.PID, 0, n)
 	finished := 0
 	total := n // bodies that must return: n plus one per restart
 	computing := n
@@ -430,12 +477,13 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 			ev := <-events
 			computing--
 			if ev.req != nil {
-				pending[ev.pid] = ev.req
+				procs[ev.pid].pending = ev.req
 				continue
 			}
 			finished++
-			returns[ev.pid]++
-			if errors.Is(ev.err, ErrCrashed) && restarted[ev.pid] && returns[ev.pid] == 1 {
+			p := &procs[ev.pid]
+			p.returns++
+			if errors.Is(ev.err, ErrCrashed) && p.restarted && p.returns == 1 {
 				// The crashed incarnation unwound; its restart supersedes
 				// it, so record nothing.
 			} else if ev.err != nil {
@@ -450,18 +498,14 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 			break
 		}
 
-		// Release delayed copies whose time has come, in (release step,
-		// send order) — the stable sort preserves insertion order among
-		// equal release steps.
-		if len(delayed) > 0 {
-			sort.SliceStable(delayed, func(i, j int) bool { return delayed[i].release < delayed[j].release })
-			k := 0
-			for k < len(delayed) && delayed[k].release <= step {
-				boxes[delayed[k].env.To].push(delayed[k].env.From, delayed[k].env.Payload)
-				k++
-			}
-			delayed = delayed[k:]
+		// Release the delayed copies whose time has come: the due prefix
+		// of a queue kept in (release step, send order).
+		k := 0
+		for k < len(delayed) && delayed[k].release <= step {
+			procs[delayed[k].env.To].box.push(delayed[k].env.From, delayed[k].env.Payload)
+			k++
 		}
+		delayed = slices.Delete(delayed, 0, k)
 
 		// Spawn due restarts (all of them when aborting, so every body
 		// unwinds and the run terminates). The dead incarnation's queued
@@ -474,8 +518,8 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 					keep = append(keep, rs)
 					continue
 				}
-				boxes[rs.pid] = mailbox{}
-				opsDone[rs.pid] = 0
+				procs[rs.pid].box.clear()
+				procs[rs.pid].opsDone = 0
 				out.Restarted.Add(rs.pid)
 				if ob != nil {
 					ob.Event("msgnet.restart", -1, int(rs.pid), map[string]any{"step": step, "incarnation": 2})
@@ -490,35 +534,28 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 			}
 		}
 
-		// Runnable: pending senders, pending receivers with mail, and
-		// timed receivers whose deadline has passed.
-		runnable := make([]core.PID, 0, len(pending))
-		for pid, req := range pending {
-			if abort != nil {
-				runnable = append(runnable, pid)
+		// Runnable, ascending: pending senders, pending receivers with
+		// mail, and timed receivers whose deadline has passed.
+		runnable = runnable[:0]
+		for pid := range procs {
+			req := procs[pid].pending
+			if req == nil {
 				continue
 			}
-			switch {
-			case req.kind == opSend:
-				runnable = append(runnable, pid)
-			case len(boxes[pid].senders()) > 0:
-				runnable = append(runnable, pid)
-			case req.kind == opRecvTimeout && step >= req.deadline:
-				runnable = append(runnable, pid)
+			if abort != nil || req.kind == opSend || procs[pid].box.mail > 0 ||
+				(req.kind == opRecvTimeout && step >= req.deadline) {
+				runnable = append(runnable, core.PID(pid))
 			}
 		}
-		sort.Slice(runnable, func(i, j int) bool { return runnable[i] < runnable[j] })
 		if len(runnable) == 0 {
 			// Nobody can act now; fast-forward virtual time to the next
 			// delayed release, receive deadline, or scheduled restart.
 			next := -1
-			for _, dm := range delayed {
-				if next < 0 || dm.release < next {
-					next = dm.release
-				}
+			if len(delayed) > 0 {
+				next = delayed[0].release
 			}
-			for _, req := range pending {
-				if req.kind == opRecvTimeout && (next < 0 || req.deadline < next) {
+			for pid := range procs {
+				if req := procs[pid].pending; req != nil && req.kind == opRecvTimeout && (next < 0 || req.deadline < next) {
 					next = req.deadline
 				}
 			}
@@ -533,51 +570,47 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 				}
 				step = next
 				if step > maxSteps {
-					abort = &StepLimitError{Steps: maxSteps, Pending: pendingPIDs(pending)}
+					abort = &StepLimitError{Steps: maxSteps, Pending: pendingPIDs(procs)}
 				}
 				continue
 			}
-			abort = newDeadlockError(step, pending, boxes)
+			abort = newDeadlockError(step, procs)
 			continue
 		}
 
-		var pick core.PID
-		if abort != nil {
-			pick = runnable[0]
-		} else {
+		pick := runnable[0]
+		if abort == nil {
 			idx := chooser(step, runnable)
 			if idx < 0 || idx >= len(runnable) {
-				return nil, fmt.Errorf("msgnet: chooser returned %d for %d options", idx, len(runnable))
+				abort = fmt.Errorf("msgnet: chooser returned %d for %d options", idx, len(runnable))
+				continue
 			}
 			pick = runnable[idx]
 		}
-		req := pending[pick]
-		delete(pending, pick)
+		p := &procs[pick]
+		req := p.pending
+		p.pending = nil
 
-		limit, hasLimit := cfg.Crash[pick]
 		switch {
-		case abort != nil, hasLimit && !restarted[pick] && opsDone[pick] >= limit:
+		case abort != nil, p.crashAt >= 0 && !p.restarted && p.opsDone >= p.crashAt:
 			if abort == nil {
 				out.Crashed.Add(pick)
 				if ob != nil {
-					ob.Event("msgnet.crash", -1, int(pick), map[string]any{"ops": opsDone[pick], "step": step})
+					ob.Event("msgnet.crash", -1, int(pick), map[string]any{"ops": p.opsDone, "step": step})
 				}
 				if delay, ok := cfg.Restart[pick]; ok {
-					if delay < 1 {
-						delay = 1
-					}
-					restarts = append(restarts, restartEvent{at: step + delay, pid: pick})
-					restarted[pick] = true
+					restarts = append(restarts, restartEvent{at: step + max(delay, 1), pid: pick})
+					p.restarted = true
 					total++
 				}
 			}
 			req.reply <- result{err: ErrCrashed}
 		case req.kind == opSend:
-			act := DeliverNow()
+			act := deliverNow
 			if cfg.Faults != nil && req.env.From != req.env.To {
 				act = cfg.Faults.OnSend(step, req.env.From, req.env.To)
 			}
-			opsDone[pick]++
+			p.opsDone++
 			if ob != nil {
 				ob.Event("msgnet.send", -1, int(pick), map[string]any{"to": int(req.env.To), "step": step})
 			}
@@ -593,12 +626,10 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 				maxDelay := 0
 				for _, d := range act.Deliveries {
 					if d <= 0 {
-						boxes[req.env.To].push(req.env.From, req.env.Payload)
+						procs[req.env.To].box.push(req.env.From, req.env.Payload)
 					} else {
-						delayed = append(delayed, delayedMsg{release: step + d, env: req.env})
-						if d > maxDelay {
-							maxDelay = d
-						}
+						delayed = insertDelayed(delayed, delayedMsg{release: step + d, env: req.env})
+						maxDelay = max(maxDelay, d)
 					}
 				}
 				if ob != nil {
@@ -611,25 +642,25 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 				}
 			}
 			req.reply <- result{step: step}
-		default: // opRecv / opRecvTimeout
-			senders := boxes[pick].senders()
-			if len(senders) == 0 {
-				// Only an expired opRecvTimeout is scheduled with an
-				// empty mailbox: the deadline fires.
-				opsDone[pick]++
-				if ob != nil {
-					ob.Event("msgnet.timeout", -1, int(pick), map[string]any{"deadline": req.deadline, "step": step})
-				}
-				req.reply <- result{step: step, timedOut: true}
-				break
+		case p.box.mail == 0:
+			// Only an expired opRecvTimeout is scheduled with an empty
+			// mailbox: the deadline fires.
+			p.opsDone++
+			if ob != nil {
+				ob.Event("msgnet.timeout", -1, int(pick), map[string]any{"deadline": req.deadline, "step": step})
 			}
+			req.reply <- result{step: step, timedOut: true}
+		default: // opRecv / opRecvTimeout with mail
+			senders = p.box.senders(senders)
 			sIdx := chooser(step, senders)
 			if sIdx < 0 || sIdx >= len(senders) {
-				return nil, fmt.Errorf("msgnet: chooser returned %d for %d senders", sIdx, len(senders))
+				abort = fmt.Errorf("msgnet: chooser returned %d for %d senders", sIdx, len(senders))
+				req.reply <- result{err: ErrCrashed}
+				break
 			}
 			from := senders[sIdx]
-			payload := boxes[pick].pop(from)
-			opsDone[pick]++
+			payload := p.box.pop(from)
+			p.opsDone++
 			if ob != nil {
 				ob.Event("msgnet.recv", -1, int(pick), map[string]any{"from": int(from), "step": step})
 			}
@@ -638,7 +669,7 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 		computing++
 		step++
 		if step > maxSteps && abort == nil {
-			abort = &StepLimitError{Steps: maxSteps, Pending: pendingPIDs(pending)}
+			abort = &StepLimitError{Steps: maxSteps, Pending: pendingPIDs(procs)}
 		}
 	}
 	out.Steps = step
@@ -657,32 +688,37 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	return out, nil
 }
 
-// pendingPIDs lists the processes with an outstanding request, ascending.
-func pendingPIDs(pending map[core.PID]*request) []core.PID {
-	out := make([]core.PID, 0, len(pending))
-	for pid := range pending {
-		out = append(out, pid)
+// insertDelayed adds dm behind every queued copy released no later than it:
+// the queue stays ordered by (release step, send order).
+func insertDelayed(q []delayedMsg, dm delayedMsg) []delayedMsg {
+	i := len(q)
+	for i > 0 && q[i-1].release > dm.release {
+		i--
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return slices.Insert(q, i, dm)
+}
+
+// pendingPIDs lists the processes with an outstanding request, ascending.
+func pendingPIDs(procs []proc) []core.PID {
+	var out []core.PID
+	for pid := range procs {
+		if procs[pid].pending != nil {
+			out = append(out, core.PID(pid))
+		}
+	}
 	return out
 }
 
 // newDeadlockError snapshots the blocked processes and the per-link
-// in-flight counts at the moment of deadlock.
-func newDeadlockError(step int, pending map[core.PID]*request, boxes []mailbox) *DeadlockError {
-	e := &DeadlockError{Step: step, Blocked: pendingPIDs(pending)}
-	for to := range boxes {
-		for from, q := range boxes[to].queues {
-			if len(q) > 0 {
-				e.InFlight = append(e.InFlight, LinkLoad{From: from, To: core.PID(to), Queued: len(q)})
+// in-flight counts, by (From, To), at the moment of deadlock.
+func newDeadlockError(step int, procs []proc) *DeadlockError {
+	e := &DeadlockError{Step: step, Blocked: pendingPIDs(procs)}
+	for from := range procs {
+		for to := range procs {
+			if l := procs[to].box.links[from]; l.head < len(l.q) {
+				e.InFlight = append(e.InFlight, LinkLoad{From: core.PID(from), To: core.PID(to), Queued: len(l.q) - l.head})
 			}
 		}
 	}
-	sort.Slice(e.InFlight, func(i, j int) bool {
-		if e.InFlight[i].From != e.InFlight[j].From {
-			return e.InFlight[i].From < e.InFlight[j].From
-		}
-		return e.InFlight[i].To < e.InFlight[j].To
-	})
 	return e
 }

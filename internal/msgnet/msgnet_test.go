@@ -2,7 +2,10 @@ package msgnet
 
 import (
 	"errors"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -205,5 +208,47 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same seed diverged: %d vs %d", a, b)
+	}
+}
+
+// TestBadChooserUnwindsEveryBody: a chooser answering out of range, on its
+// k-th call, is an error — and every body must still return, failed with
+// ErrCrashed. Under the always-first chooser p0 broadcasts in calls 1–3 and
+// is picked to receive in call 4, so call 5 is a which-sender choice.
+func TestBadChooserUnwindsEveryBody(t *testing.T) {
+	for k, want := range map[int]string{1: "chooser returned 3 for 3 options", 5: "chooser returned 1 for 1 senders"} {
+		const n = 3
+		var bodies sync.WaitGroup
+		bodies.Add(n)
+		calls := 0
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(n, Config{Chooser: func(step int, options []core.PID) int {
+				if calls++; calls == k {
+					return len(options)
+				}
+				return 0
+			}}, func(nd *Node) (core.Value, error) {
+				defer bodies.Done()
+				if err := nd.Broadcast("x"); err != nil {
+					return nil, err
+				}
+				for {
+					if _, err := nd.Recv(); err != nil {
+						return nil, err
+					}
+				}
+			})
+			bodies.Wait()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("k=%d: err = %v, want %q", k, err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("k=%d: bodies still parked after a bad chooser answer", k)
+		}
 	}
 }

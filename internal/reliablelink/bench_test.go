@@ -1,0 +1,27 @@
+package reliablelink
+
+import (
+	"testing"
+
+	"repro/internal/faultnet"
+	"repro/internal/msgnet"
+)
+
+// BenchmarkLinkRounds measures the round protocol over reliable links on a
+// substrate that loses 30% of the messages: the reliable-link rung of the
+// ladder, one layer above msgnet's BenchmarkRounds.
+func BenchmarkLinkRounds(b *testing.B) {
+	const n, f, rounds = 6, 2, 4
+	retransmits := 0
+	for i := 0; i < b.N; i++ {
+		plan := faultnet.Plan{Seed: int64(i), Components: []faultnet.Component{{Kind: faultnet.Drop, Rate: 0.3}}}
+		_, rep, err := RunRounds(n, f, rounds, RoundsConfig{
+			Net: msgnet.Config{Chooser: msgnet.Seeded(int64(i)), Faults: plan.Injector()},
+		}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		retransmits += rep.Retransmissions
+	}
+	b.ReportMetric(float64(retransmits)/float64(b.N), "retransmits/op")
+}

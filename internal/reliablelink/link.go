@@ -105,11 +105,22 @@ type ackKey struct {
 }
 
 type pendingFrame struct {
-	payload  core.Value
-	nextAt   int // step of the next retransmission
-	wait     int // the interval that expires at nextAt
-	seq      *backoff.Seq
+	live     bool       // sent and neither acknowledged nor given up
+	wire     core.Value // the data frame, boxed once for every transmission
+	nextAt   int        // step of the next retransmission
+	wait     int        // the interval that expires at nextAt
+	seq      backoff.Seq
 	attempts int
+}
+
+// peer is a link's state towards one process. Sequence numbers on a
+// directed link are consecutive from 0, so both tables are indexed by
+// them; they grow by one entry per frame for the life of the link, which
+// is one bounded run.
+type peer struct {
+	nextSeq int
+	frames  []pendingFrame // by sequence number of the frames sent
+	seen    []bool         // by sequence number of the data frames delivered
 }
 
 // Link is one process's reliable endpoint: a decorator over the lossy
@@ -120,12 +131,11 @@ type pendingFrame struct {
 // belongs to the single goroutine running the process.
 type Link struct {
 	msgnet.Substrate
-	cfg     Config
-	nextSeq map[core.PID]int
-	unacked map[ackKey]*pendingFrame
-	order   []ackKey // insertion order of unacked, for deterministic scans
-	seen    map[core.PID]map[int]bool
-	stats   Stats
+	cfg    Config
+	policy backoff.Policy
+	peers  []peer   // by pid; the loopback entry only counts sequence numbers
+	order  []ackKey // frames awaiting an ack, in send order: the retransmission scan
+	stats  Stats
 }
 
 var _ msgnet.Substrate = (*Link)(nil)
@@ -135,9 +145,8 @@ func New(sub msgnet.Substrate, cfg Config) *Link {
 	return &Link{
 		Substrate: sub,
 		cfg:       cfg,
-		nextSeq:   make(map[core.PID]int),
-		unacked:   make(map[ackKey]*pendingFrame),
-		seen:      make(map[core.PID]map[int]bool),
+		policy:    backoff.Policy{Initial: cfg.retransmitAfter(), Cap: cfg.retransmitCap()},
+		peers:     make([]peer, sub.Size()),
 	}
 }
 
@@ -148,18 +157,23 @@ func (l *Link) Stats() Stats { return l.stats }
 // acknowledged. The loopback link is reliable by construction, so self
 // sends are not tracked.
 func (l *Link) Send(to core.PID, payload core.Value) error {
-	seq := l.nextSeq[to]
-	l.nextSeq[to]++
-	if err := l.Substrate.Send(to, frame{Seq: seq, App: payload}); err != nil {
+	if to < 0 || int(to) >= len(l.peers) {
+		return fmt.Errorf("reliablelink: send to invalid process %d", to)
+	}
+	p := &l.peers[to]
+	seq := p.nextSeq
+	p.nextSeq++
+	var wire core.Value = frame{Seq: seq, App: payload}
+	if err := l.Substrate.Send(to, wire); err != nil {
 		return err
 	}
 	l.stats.Sent++
 	if to == l.PID() {
 		return nil
 	}
-	bo := backoff.Policy{Initial: l.cfg.retransmitAfter(), Cap: l.cfg.retransmitCap()}.Sequence()
+	bo := *l.policy.Sequence()
 	wait := bo.Next()
-	l.unacked[ackKey{to, seq}] = &pendingFrame{payload: payload, nextAt: l.Clock() + wait, wait: wait, seq: bo}
+	p.frames = append(p.frames, pendingFrame{live: true, wire: wire, nextAt: l.Clock() + wait, wait: wait, seq: bo})
 	l.order = append(l.order, ackKey{to, seq})
 	return nil
 }
@@ -189,16 +203,13 @@ func (l *Link) Recv() (msgnet.Envelope, error) {
 // Acks, duplicates, and due retransmissions are handled internally.
 func (l *Link) RecvTimeout(deadline int) (msgnet.Envelope, bool, error) {
 	for {
-		if err := l.retransmitDue(); err != nil {
+		timer, err := l.retransmitDue()
+		if err != nil {
 			return msgnet.Envelope{}, false, err
 		}
-		wake := deadline
-		if t, exists := l.nextTimer(); exists && t < wake {
-			wake = t
-		}
+		wake := min(deadline, timer)
 		var env msgnet.Envelope
 		got := true
-		var err error
 		if wake == noDeadline {
 			env, err = l.Substrate.Recv()
 		} else {
@@ -217,8 +228,14 @@ func (l *Link) RecvTimeout(deadline int) (msgnet.Envelope, bool, error) {
 		if !isFrame {
 			return msgnet.Envelope{}, false, fmt.Errorf("reliablelink: foreign payload %T", env.Payload)
 		}
+		p := &l.peers[env.From]
 		if f.Ack {
-			delete(l.unacked, ackKey{env.From, f.Seq})
+			// An ack for a frame this link never sent (a restarted process
+			// can be handed one meant for its previous incarnation) or has
+			// already settled is ignored.
+			if f.Seq < len(p.frames) {
+				p.frames[f.Seq] = pendingFrame{}
+			}
 			l.stats.AcksReceived++
 			continue
 		}
@@ -228,74 +245,67 @@ func (l *Link) RecvTimeout(deadline int) (msgnet.Envelope, bool, error) {
 				return msgnet.Envelope{}, false, err
 			}
 		}
-		if l.seen[env.From][f.Seq] {
+		if f.Seq < len(p.seen) && p.seen[f.Seq] {
 			l.stats.DupFramesReceived++
-			l.event("rlink.dup_rx", map[string]any{"from": int(env.From), "seq": f.Seq})
+			if l.cfg.Observer != nil {
+				l.event("rlink.dup_rx", map[string]any{"from": int(env.From), "seq": f.Seq})
+			}
 			continue
 		}
-		if l.seen[env.From] == nil {
-			l.seen[env.From] = make(map[int]bool)
+		for len(p.seen) <= f.Seq {
+			p.seen = append(p.seen, false)
 		}
-		l.seen[env.From][f.Seq] = true
+		p.seen[f.Seq] = true
 		env.Payload = f.App
 		return env, true, nil
 	}
 }
 
 // retransmitDue retransmits every unacked frame whose timer expired,
-// walking frames in insertion order for determinism.
-func (l *Link) retransmitDue() error {
-	if len(l.unacked) == 0 {
-		l.order = l.order[:0]
-		return nil
-	}
+// walking frames in send order for determinism, and returns the earliest
+// step at which one of those left falls due (noDeadline when none is).
+func (l *Link) retransmitDue() (int, error) {
+	timer := noDeadline
 	now := l.Clock()
 	kept := l.order[:0]
-	for _, k := range l.order {
-		pf := l.unacked[k]
-		if pf == nil {
+	for i, k := range l.order {
+		pf := &l.peers[k.to].frames[k.seq]
+		if !pf.live {
 			continue // acked; compact out of the scan order
 		}
+		if pf.nextAt <= now {
+			if pf.attempts >= l.cfg.maxAttempts() {
+				l.stats.GiveUps++
+				if l.cfg.Observer != nil {
+					l.event("rlink.giveup", map[string]any{"to": int(k.to), "seq": k.seq, "attempts": pf.attempts})
+				}
+				*pf = pendingFrame{}
+				continue
+			}
+			if err := l.Substrate.Send(k.to, pf.wire); err != nil {
+				l.order = append(kept, l.order[i:]...)
+				return 0, err
+			}
+			pf.attempts++
+			l.stats.Retransmissions++
+			// The reported interval is the backoff that just expired — a
+			// deterministic step count from the shared capped-exponential
+			// ladder, so observers can histogram it.
+			if l.cfg.Observer != nil {
+				l.event("rlink.retransmit", map[string]any{"to": int(k.to), "seq": k.seq, "attempt": pf.attempts, "interval": pf.wait})
+			}
+			pf.wait = pf.seq.Next()
+			pf.nextAt = l.Clock() + pf.wait
+		}
 		kept = append(kept, k)
-		if pf.nextAt > now {
-			continue
-		}
-		if pf.attempts >= l.cfg.maxAttempts() {
-			delete(l.unacked, k)
-			kept = kept[:len(kept)-1]
-			l.stats.GiveUps++
-			l.event("rlink.giveup", map[string]any{"to": int(k.to), "seq": k.seq, "attempts": pf.attempts})
-			continue
-		}
-		if err := l.Substrate.Send(k.to, frame{Seq: k.seq, App: pf.payload}); err != nil {
-			return err
-		}
-		pf.attempts++
-		l.stats.Retransmissions++
-		// The reported interval is the backoff that just expired — a
-		// deterministic step count from the shared capped-exponential
-		// ladder, so observers can histogram it.
-		l.event("rlink.retransmit", map[string]any{"to": int(k.to), "seq": k.seq, "attempt": pf.attempts, "interval": pf.wait})
-		pf.wait = pf.seq.Next()
-		pf.nextAt = l.Clock() + pf.wait
+		timer = min(timer, pf.nextAt)
 	}
 	l.order = kept
-	return nil
+	return timer, nil
 }
 
-// nextTimer returns the earliest pending retransmission step.
-func (l *Link) nextTimer() (int, bool) {
-	best, found := 0, false
-	for _, pf := range l.unacked {
-		if !found || pf.nextAt < best {
-			best, found = pf.nextAt, true
-		}
-	}
-	return best, found
-}
-
+// event reports to the observer; callers check cfg.Observer first, so the
+// field map is only built when somebody listens.
 func (l *Link) event(kind string, fields map[string]any) {
-	if l.cfg.Observer != nil {
-		l.cfg.Observer.Event(kind, -1, int(l.PID()), fields)
-	}
+	l.cfg.Observer.Event(kind, -1, int(l.PID()), fields)
 }

@@ -110,7 +110,9 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgn
 		links[nd.Me] = l
 		var err error
 		recs[nd.Me], stalls[nd.Me], err = msgnet.RunSubstrateRounds(l, f, rounds, cfg.watchdog(), cfg.linger(), emit, func(s msgnet.Stall) {
-			l.event("rlink.watchdog", map[string]any{"round": s.Round, "missing": len(s.Missing), "step": s.Step})
+			if cfg.Link.Observer != nil {
+				l.event("rlink.watchdog", map[string]any{"round": s.Round, "missing": len(s.Missing), "step": s.Step})
+			}
 		})
 		return nil, err
 	})

@@ -16,7 +16,6 @@ package swmr
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -34,7 +33,9 @@ var Bottom core.Value = nil
 
 // Chooser picks which pending operation runs next: it receives the global
 // step number and the sorted PIDs with a pending operation, and returns an
-// index into that slice. Choosers are the scheduling adversary.
+// index into that slice. Choosers are the scheduling adversary. The slice is
+// the scheduler's scratch: it is valid only during the call and must not be
+// retained or modified.
 type Chooser func(step int, runnable []core.PID) int
 
 // RoundRobin returns a chooser that cycles fairly through pending processes.
@@ -145,8 +146,10 @@ func (m *memory) read(k regKey) core.Value { return m.cells[k] }
 
 func (m *memory) write(k regKey, v core.Value) { m.cells[k] = v }
 
+// request is a process's one outstanding operation. It lives inside its
+// Proc and is refilled per operation: the process writes it before
+// announcing the operation and the scheduler reads it before replying.
 type request struct {
-	pid   core.PID
 	apply func(m *memory) core.Value
 	reply chan result
 }
@@ -172,7 +175,7 @@ type Proc struct {
 	N int
 
 	events chan<- procEvent
-	reply  chan result
+	req    request // the one outstanding operation, refilled by do
 }
 
 // Write sets the caller's register name. Only the owner may write a
@@ -227,17 +230,18 @@ func (p *Proc) Collect(name string) ([]core.Value, error) {
 }
 
 func (p *Proc) do(apply func(m *memory) core.Value) (core.Value, error) {
-	req := &request{pid: p.Me, apply: apply, reply: p.reply}
-	p.events <- procEvent{pid: p.Me, req: req}
-	res := <-p.reply
+	p.req.apply = apply
+	p.events <- procEvent{pid: p.Me, req: &p.req}
+	res := <-p.req.reply
 	return res.v, res.err
 }
 
 // Run executes body at every process under the configured scheduler and
 // returns once every process body has returned. It never leaks goroutines:
-// crashed processes receive ErrCrashed on their pending and subsequent
-// operations, so well-formed bodies unwind promptly, and Run waits for all
-// of them.
+// crashed processes — and, after a step overflow or an out-of-range chooser
+// answer, all processes — receive ErrCrashed on their pending and
+// subsequent operations, so well-formed bodies unwind promptly, and Run
+// waits for all of them.
 func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("swmr: invalid process count %d", n)
@@ -254,7 +258,7 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	events := make(chan procEvent)
 	procs := make([]*Proc, n)
 	for i := 0; i < n; i++ {
-		procs[i] = &Proc{Me: core.PID(i), N: n, events: events, reply: make(chan result, 1)}
+		procs[i] = &Proc{Me: core.PID(i), N: n, events: events, req: request{reply: make(chan result, 1)}}
 	}
 	for i := 0; i < n; i++ {
 		go func(p *Proc) {
@@ -269,12 +273,23 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 		Errs:    make(map[core.PID]error),
 		Crashed: core.NewSet(n),
 	}
-	pending := make(map[core.PID]*request, n)
-	opsDone := make(map[core.PID]int, n)
+	// Indexed by pid.
+	pending := make([]*request, n) // the outstanding operation, nil if none
+	opsDone := make([]int, n)
+	crashAt := make([]int, n) // operations completed before crashing; -1: never
+	for i := range crashAt {
+		crashAt[i] = -1
+	}
+	for pid, limit := range cfg.Crash {
+		if pid >= 0 && int(pid) < n {
+			crashAt[pid] = max(limit, 0)
+		}
+	}
+	runnable := make([]core.PID, 0, n) // scratch: the chooser's option list
 	finished := 0
 	computing := n // processes neither finished nor blocked on an op
 	step := 0
-	var overflow error
+	var abort error // once set, all further ops fail so bodies unwind
 
 	for finished < n {
 		// Quiesce: wait until every live process is blocked or done.
@@ -295,33 +310,32 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 		if finished == n {
 			break
 		}
-		if len(pending) == 0 {
+
+		runnable = runnable[:0]
+		for pid, req := range pending {
+			if req != nil {
+				runnable = append(runnable, core.PID(pid))
+			}
+		}
+		if len(runnable) == 0 {
 			return nil, errors.New("swmr: deadlock: live processes with no pending operations")
 		}
 
-		runnable := make([]core.PID, 0, len(pending))
-		for pid := range pending {
-			runnable = append(runnable, pid)
-		}
-		sort.Slice(runnable, func(i, j int) bool { return runnable[i] < runnable[j] })
-
-		var pick core.PID
-		if overflow != nil {
-			pick = runnable[0] // drain deterministically after overflow
-		} else {
+		pick := runnable[0] // drain deterministically once aborting
+		if abort == nil {
 			idx := chooser(step, runnable)
 			if idx < 0 || idx >= len(runnable) {
-				return nil, fmt.Errorf("swmr: chooser returned %d for %d runnable", idx, len(runnable))
+				abort = fmt.Errorf("swmr: chooser returned %d for %d runnable", idx, len(runnable))
+				continue
 			}
 			pick = runnable[idx]
 		}
 		req := pending[pick]
-		delete(pending, pick)
+		pending[pick] = nil
 
-		limit, hasLimit := cfg.Crash[pick]
 		switch {
-		case overflow != nil, hasLimit && opsDone[pick] >= limit:
-			if overflow == nil {
+		case abort != nil, crashAt[pick] >= 0 && opsDone[pick] >= crashAt[pick]:
+			if abort == nil {
 				out.Crashed.Add(pick)
 			}
 			req.reply <- result{err: ErrCrashed}
@@ -332,13 +346,13 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 		}
 		computing++
 		step++
-		if step > maxSteps && overflow == nil {
-			overflow = ErrMaxSteps
+		if step > maxSteps && abort == nil {
+			abort = ErrMaxSteps
 		}
 	}
 	out.Steps = step
-	if overflow != nil {
-		return out, overflow
+	if abort != nil {
+		return out, abort
 	}
 	return out, nil
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -425,5 +427,41 @@ func TestExploreLimitCarriesCount(t *testing.T) {
 	}
 	if !strings.Contains(limit.Error(), "schedules run") {
 		t.Fatalf("error text lacks the count: %q", limit.Error())
+	}
+}
+
+// TestBadChooserUnwindsEveryBody: a chooser answering out of range on its
+// third call is an error — and every body must still return, failed with
+// ErrCrashed.
+func TestBadChooserUnwindsEveryBody(t *testing.T) {
+	const n = 3
+	var bodies sync.WaitGroup
+	bodies.Add(n)
+	calls := 0
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(n, Config{Chooser: func(step int, runnable []core.PID) int {
+			if calls++; calls == 3 {
+				return len(runnable)
+			}
+			return 0
+		}}, func(p *Proc) (core.Value, error) {
+			defer bodies.Done()
+			for {
+				if err := p.Write("r", 1); err != nil {
+					return nil, err
+				}
+			}
+		})
+		bodies.Wait()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "chooser returned 3 for 3 runnable") {
+			t.Fatalf("err = %v, want the chooser error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("bodies still parked after a bad chooser answer")
 	}
 }
