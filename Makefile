@@ -5,8 +5,9 @@
 GO ?= go
 
 # Engine + agreement + virtual-substrate + reliable-link + chaos-campaign +
-# TCP-substrate + service benchmarks tracked in BENCH_core.json.
-BENCH_PKGS := ./internal/core ./internal/agreement ./internal/msgnet ./internal/reliablelink ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal
+# TCP-substrate + service + trace-checker/plan-enumerator benchmarks tracked in
+# BENCH_core.json.
+BENCH_PKGS := ./internal/core ./internal/agreement ./internal/msgnet ./internal/reliablelink ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal ./internal/hoalg
 BENCH_PAT  ?= .
 
 .PHONY: build test race vet ci bench bench-build bench-check chaos-short chaos recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
@@ -73,12 +74,14 @@ mc-cover:
 		print } END { \
 		if (c + 0 < 85) { print "internal/mc coverage " c "% below 85% floor"; exit 1 } }'
 
-# Model-algebra gate: the differential suites (compiled vs bespoke
-# checkers, compiled vs bespoke enumerators, fuzz seed corpus, chaos
-# closure) under the race detector, one -model smoke per run mode, and a
-# coverage floor on the compiler package itself.
+# Model-algebra gate, under the race detector: the atom table's own tests
+# (internal/predicate), the legacy-name <-> expression binding and golden
+# verdict suites, every enumerator path against its checker, compiled vs
+# reference enumerators, the fuzz seed corpus and chaos closure; then one
+# -model smoke per run mode and a coverage floor on the compiler package
+# itself.
 hoalg-short:
-	$(GO) test -race -count=1 ./internal/hoalg/ ./internal/adversary/
+	$(GO) test -race -count=1 ./internal/predicate/ ./internal/hoalg/ ./internal/adversary/
 	$(GO) run -race ./cmd/rrfdsim -model sync-crash -n 3 -f 1 -alg none -rounds 3
 	$(GO) run -race ./cmd/rrfdsim -mc -model 'kset(2) | perround(1)' -n 3 -f 1 -k 2 -alg qkset
 	$(GO) run -race ./cmd/rrfdsim -chaos -model async -n 5 -f 1 -k 2 -runs 10 -rounds 3 -seed 7

@@ -773,6 +773,12 @@ func validate(cfg config) error {
 	if (cfg.ckptDir != "" || cfg.resumeDir != "") && cfg.alg == "none" {
 		return fmt.Errorf("checkpointing journals an algorithm run: use an -alg other than none")
 	}
+	if cfg.f < 0 {
+		return fmt.Errorf("invalid fault budget %d: -f must be >= 0", cfg.f)
+	}
+	if cfg.k < 1 {
+		return fmt.Errorf("invalid agreement parameter %d: -k must be >= 1", cfg.k)
+	}
 	return nil
 }
 

@@ -37,10 +37,19 @@ func TestValidateRejectsDumpTraceWithoutTrace(t *testing.T) {
 }
 
 func TestValidateRejectsBadN(t *testing.T) {
-	cfg := baseConfig()
-	cfg.n = 0
-	if err := validate(cfg); err == nil {
-		t.Fatal("validate accepted n=0")
+	for _, c := range []struct {
+		what string
+		set  func(*config)
+	}{
+		{"n=0", func(c *config) { c.n = 0 }},
+		{"f=-1", func(c *config) { c.f = -1 }},
+		{"k=0", func(c *config) { c.k = 0 }},
+	} {
+		cfg := baseConfig()
+		c.set(&cfg)
+		if err := validate(cfg); err == nil {
+			t.Fatalf("validate accepted %s", c.what)
+		}
 	}
 }
 
@@ -350,7 +359,7 @@ func TestValidateRecoveryFlagCombos(t *testing.T) {
 }
 
 func TestRunChaosRecoverClean(t *testing.T) {
-	cfg := config{n: 5, f: 1, chaosRecover: true, runs: 25, seed: 42}
+	cfg := config{n: 5, f: 1, k: 2, chaosRecover: true, runs: 25, seed: 42}
 	var out bytes.Buffer
 	if err := run(cfg, &out); err != nil {
 		t.Fatalf("clean campaign errored: %v\n%s", err, out.String())
@@ -361,7 +370,7 @@ func TestRunChaosRecoverClean(t *testing.T) {
 }
 
 func TestRunChaosRecoverAmnesiaBugFailsLoudly(t *testing.T) {
-	cfg := config{n: 5, f: 1, chaosRecover: true, runs: 40, seed: 42, bug: true}
+	cfg := config{n: 5, f: 1, k: 2, chaosRecover: true, runs: 40, seed: 42, bug: true}
 	var out bytes.Buffer
 	err := run(cfg, &out)
 	if err == nil {
@@ -376,7 +385,7 @@ func TestRunChaosRecoverAmnesiaBugFailsLoudly(t *testing.T) {
 }
 
 func TestRunChaosRecoverMetrics(t *testing.T) {
-	cfg := config{n: 5, f: 1, chaosRecover: true, runs: 10, seed: 7, metrics: true}
+	cfg := config{n: 5, f: 1, k: 2, chaosRecover: true, runs: 10, seed: 7, metrics: true}
 	var out bytes.Buffer
 	if err := run(cfg, &out); err != nil {
 		t.Fatal(err)

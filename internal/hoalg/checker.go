@@ -7,11 +7,12 @@ import (
 	"repro/internal/predicate"
 )
 
-// Compile lowers the expression to a runtime trace checker. The checker is
-// structurally compatible with the hand-written constructors in
-// internal/predicate: the same *Violation type, and — for every atom —
-// the same first-offender round/process attribution (the differential tests
-// in diff_test.go hold the compiler to that byte for byte).
+// Compile lowers the expression to a runtime trace checker: the operators
+// become predicate's And/Or/Not combinators and every atom becomes
+// predicate's trace-checker driver over that atom's table entry — the same
+// entry the legacy-named constructors of internal/predicate bind, so a
+// compiled checker and its named twin differ in Violation.Predicate only
+// (diff_test.go and golden_test.go hold them to that).
 func (e *Expr) Compile() predicate.P {
 	return compileAt(e, 1)
 }
@@ -55,260 +56,7 @@ func compileAt(e *Expr, from int) predicate.P {
 			return inner.Check(t)
 		}}
 	case OpAtom:
-		return atomChecker(e, from)
+		return e.Atom.Checker(name, from, e.Args...)
 	}
 	panic(fmt.Sprintf("hoalg: unknown op %d", e.Op))
-}
-
-// atomChecker builds the per-atom checker. Each case mirrors the loop shape
-// and Violation fields of its internal/predicate twin exactly, restricted to
-// rounds >= from (from == 1 is the unrestricted hand-written behaviour).
-func atomChecker(e *Expr, from int) predicate.P {
-	name := e.String()
-	// perRound iterates the window's round records in order.
-	perRound := func(t *core.Trace, fn func(rec *core.RoundRecord) error) error {
-		for i := range t.Rounds {
-			rec := &t.Rounds[i]
-			if rec.R < from {
-				continue
-			}
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	switch e.Atom {
-	case AtomSelfTrust:
-		return predicate.P{Name: name, Check: func(t *core.Trace) error {
-			return perRound(t, func(rec *core.RoundRecord) error {
-				var bad core.PID = -1
-				rec.Active.ForEach(func(p core.PID) {
-					if bad < 0 && rec.Suspects[p].Has(p) {
-						bad = p
-					}
-				})
-				if bad >= 0 {
-					return &predicate.Violation{Predicate: name, Round: rec.R, Proc: bad,
-						Detail: "process suspects itself"}
-				}
-				return nil
-			})
-		}}
-	case AtomAtMost:
-		f := e.Args[0]
-		return predicate.P{Name: name, Check: func(t *core.Trace) error {
-			u := windowUnion(t, from)
-			if c := u.Count(); c > f {
-				return &predicate.Violation{Predicate: name, Proc: -1,
-					Detail: fmt.Sprintf("%d distinct processes suspected (%s), budget %d", c, u, f)}
-			}
-			return nil
-		}}
-	case AtomPerRound:
-		f := e.Args[0]
-		return predicate.P{Name: name, Check: func(t *core.Trace) error {
-			return perRound(t, func(rec *core.RoundRecord) error {
-				var bad core.PID = -1
-				rec.Active.ForEach(func(p core.PID) {
-					if bad < 0 && rec.Suspects[p].Count() > f {
-						bad = p
-					}
-				})
-				if bad >= 0 {
-					return &predicate.Violation{Predicate: name, Round: rec.R, Proc: bad,
-						Detail: fmt.Sprintf("|D|=%d > f=%d (%s)", rec.Suspects[bad].Count(), f, rec.Suspects[bad])}
-				}
-				return nil
-			})
-		}}
-	case AtomKSet:
-		k := e.Args[0]
-		return predicate.P{Name: name, Check: func(t *core.Trace) error {
-			return perRound(t, func(rec *core.RoundRecord) error {
-				u := t.SuspectUnion(rec.R)
-				in := t.SuspectIntersection(rec.R).Intersect(u)
-				unc := u.Diff(in)
-				if unc.Count() >= k {
-					return &predicate.Violation{Predicate: name, Round: rec.R, Proc: -1,
-						Detail: fmt.Sprintf("uncertainty %s has size %d ≥ k=%d", unc, unc.Count(), k)}
-				}
-				return nil
-			})
-		}}
-	case AtomNoMutualMiss:
-		return predicate.P{Name: name, Check: func(t *core.Trace) error {
-			return perRound(t, func(rec *core.RoundRecord) error {
-				var badI, badJ core.PID = -1, -1
-				rec.Active.ForEach(func(i core.PID) {
-					if badI >= 0 {
-						return
-					}
-					rec.Suspects[i].ForEach(func(j core.PID) {
-						if badI >= 0 || !rec.Active.Has(j) {
-							return
-						}
-						if rec.Suspects[j].Has(i) {
-							badI, badJ = i, j
-						}
-					})
-				})
-				if badI >= 0 {
-					return &predicate.Violation{Predicate: name, Round: rec.R, Proc: badI,
-						Detail: fmt.Sprintf("processes %d and %d suspect each other", badI, badJ)}
-				}
-				return nil
-			})
-		}}
-	case AtomSomeoneSeen:
-		return predicate.P{Name: name, Check: func(t *core.Trace) error {
-			return perRound(t, func(rec *core.RoundRecord) error {
-				u := t.SuspectUnion(rec.R)
-				if u.Count() >= t.N {
-					return &predicate.Violation{Predicate: name, Round: rec.R, Proc: -1,
-						Detail: "every process is suspected by someone"}
-				}
-				return nil
-			})
-		}}
-	case AtomIdentical:
-		return predicate.P{Name: name, Check: func(t *core.Trace) error {
-			return perRound(t, func(rec *core.RoundRecord) error {
-				var first core.Set
-				var bad core.PID = -1
-				got := false
-				rec.Active.ForEach(func(p core.PID) {
-					if bad >= 0 {
-						return
-					}
-					if !got {
-						first, got = rec.Suspects[p], true
-						return
-					}
-					if !rec.Suspects[p].Equal(first) {
-						bad = p
-					}
-				})
-				if bad >= 0 {
-					return &predicate.Violation{Predicate: name, Round: rec.R, Proc: bad,
-						Detail: fmt.Sprintf("D(%d)=%s differs from %s", bad, rec.Suspects[bad], first)}
-				}
-				return nil
-			})
-		}}
-	case AtomChain:
-		return predicate.P{Name: name, Check: func(t *core.Trace) error {
-			return perRound(t, func(rec *core.RoundRecord) error {
-				members := rec.Active.Members()
-				for a := 0; a < len(members); a++ {
-					for b := a + 1; b < len(members); b++ {
-						di, dj := rec.Suspects[members[a]], rec.Suspects[members[b]]
-						if !di.IsSubset(dj) && !dj.IsSubset(di) {
-							return &predicate.Violation{Predicate: name, Round: rec.R, Proc: members[a],
-								Detail: fmt.Sprintf("D(%d)=%s and D(%d)=%s incomparable",
-									members[a], di, members[b], dj)}
-						}
-					}
-				}
-				return nil
-			})
-		}}
-	case AtomImmediacy:
-		return predicate.P{Name: name, Check: func(t *core.Trace) error {
-			return perRound(t, func(rec *core.RoundRecord) error {
-				var badI, badJ core.PID = -1, -1
-				rec.Active.ForEach(func(i core.PID) {
-					if badI >= 0 {
-						return
-					}
-					rec.Active.ForEach(func(j core.PID) {
-						if badI >= 0 || i == j || rec.Suspects[i].Has(j) {
-							return
-						}
-						if !rec.Suspects[i].IsSubset(rec.Suspects[j]) {
-							badI, badJ = i, j
-						}
-					})
-				})
-				if badI >= 0 {
-					return &predicate.Violation{Predicate: name, Round: rec.R, Proc: badI,
-						Detail: fmt.Sprintf("hears %d but D(%d)=%s ⊄ D(%d)=%s",
-							badJ, badI, rec.Suspects[badI], badJ, rec.Suspects[badJ])}
-				}
-				return nil
-			})
-		}}
-	case AtomPropagates:
-		return predicate.P{Name: name, Check: func(t *core.Trace) error {
-			for r := from; r < t.Len(); r++ {
-				u := t.SuspectUnion(r)
-				next := t.Round(r + 1)
-				var bad core.PID = -1
-				next.Active.ForEach(func(k core.PID) {
-					if bad < 0 && !u.IsSubset(next.Suspects[k]) {
-						bad = k
-					}
-				})
-				if bad >= 0 {
-					return &predicate.Violation{Predicate: name, Round: r + 1, Proc: bad,
-						Detail: fmt.Sprintf("D(%d,%d)=%s does not contain round-%d union %s",
-							bad, r+1, next.Suspects[bad], r, u)}
-				}
-			}
-			return nil
-		}}
-	case AtomNeverSusp:
-		return predicate.P{Name: name, Check: func(t *core.Trace) error {
-			if t.Len() < from {
-				return nil
-			}
-			if c := core.FullSet(t.N).Diff(windowUnion(t, from)); !c.Empty() {
-				return nil
-			}
-			detail := "every process was suspected at some round"
-			if from > 1 {
-				detail = fmt.Sprintf("every process suspected after round %d", from-1)
-			}
-			return &predicate.Violation{Predicate: name, Proc: -1, Detail: detail}
-		}}
-	case AtomBSys:
-		f, tb := e.Args[0], e.Args[1]
-		return predicate.P{Name: name, Check: func(tr *core.Trace) error {
-			return perRound(tr, func(rec *core.RoundRecord) error {
-				q := core.NewSet(tr.N)
-				var bad core.PID = -1
-				rec.Active.ForEach(func(p core.PID) {
-					c := rec.Suspects[p].Count()
-					if c > tb {
-						bad = p
-					} else if c > f {
-						q.Add(p)
-					}
-				})
-				if bad >= 0 {
-					return &predicate.Violation{Predicate: name, Round: rec.R, Proc: bad,
-						Detail: fmt.Sprintf("|D|=%d exceeds even the t=%d budget", rec.Suspects[bad].Count(), tb)}
-				}
-				if q.Count() > tb {
-					return &predicate.Violation{Predicate: name, Round: rec.R, Proc: -1,
-						Detail: fmt.Sprintf("%d processes exceed the f budget, allowed ≤ t=%d", q.Count(), tb)}
-				}
-				return nil
-			})
-		}}
-	}
-	panic(fmt.Sprintf("hoalg: unknown atom %d", e.Atom))
-}
-
-// windowUnion is ⋃_{r >= from} ⋃_i D(i,r); at from == 1 it equals
-// t.CumulativeSuspects(t.Len()).
-func windowUnion(t *core.Trace, from int) core.Set {
-	u := core.NewSet(t.N)
-	for i := range t.Rounds {
-		if t.Rounds[i].R < from {
-			continue
-		}
-		u = u.Union(t.SuspectUnion(t.Rounds[i].R))
-	}
-	return u
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/predicate"
 )
 
 // EnumState is what a compiled enumerator may condition on: the round, the
@@ -191,9 +192,7 @@ func compileProductEnum(conjs []conjunct, n int) Enum {
 		st.Active.ForEach(func(p core.PID) {
 			per[p] = subsets(n, without(st.Active, p), bound)
 		})
-		return tuples(n, st.Active, per, func(ds []core.Set) bool {
-			return roundAdmits(conjs, st, st.Active, ds, n)
-		})
+		return tuples(n, st.Active, per, roundAdmits(conjs, st, st.Active, n))
 	}
 }
 
@@ -232,6 +231,7 @@ func compileCrashEnum(conjs []conjunct, prop conjunct, n int) (Enum, error) {
 		}
 		fresh := subsets(n, live.Diff(st.Suspected), room)
 
+		admits := roundAdmits(conjs, st, live, n)
 		var out []core.RoundPlan
 		for _, newSusp := range fresh {
 			per := make(map[core.PID][]core.Set)
@@ -242,9 +242,7 @@ func compileCrashEnum(conjs []conjunct, prop conjunct, n int) (Enum, error) {
 				}
 				per[p] = opts
 			})
-			for _, pl := range tuples(n, live, per, func(ds []core.Set) bool {
-				return roundAdmits(conjs, st, live, ds, n)
-			}) {
+			for _, pl := range tuples(n, live, per, admits) {
 				pl.Crashes = crashes.Clone()
 				// Crashed processes carry empty D entries already (they
 				// do not emit), matching the engine contract.
@@ -255,157 +253,49 @@ func compileCrashEnum(conjs []conjunct, prop conjunct, n int) (Enum, error) {
 	}, nil
 }
 
-// roundAdmits evaluates every in-window conjunct against one candidate
-// assignment of suspect sets for this round. active is the set the round's
-// quantifiers range over; ds is indexed by pid.
-func roundAdmits(conjs []conjunct, st EnumState, active core.Set, ds []core.Set, n int) bool {
+// roundAdmits returns the plan filter for one state: every in-window
+// conjunct's atom-table entry — the clause body the compiled checker runs —
+// judged against a candidate assignment of suspect sets (ds, indexed by
+// pid). active is the set the round's quantifiers range over.
+func roundAdmits(conjs []conjunct, st EnumState, active core.Set, n int) func(ds []core.Set) bool {
+	type windowed struct {
+		conjunct
+		rd predicate.Round
+	}
+	var in []windowed
 	for _, cj := range conjs {
-		if st.R <= cj.stab {
-			continue
-		}
-		ok := atomAdmits(cj, st, active, ds, n)
-		if cj.neg {
-			ok = !ok
-		}
-		if !ok {
-			return false
+		if st.R > cj.stab {
+			in = append(in, windowed{cj, st.window(cj.stab, n, active)})
 		}
 	}
-	return true
-}
-
-// windowCumulative is the suspicion union over past rounds > stab.
-func windowCumulative(st EnumState, stab, n int) core.Set {
-	if stab == 0 || st.Unions == nil {
-		return st.Suspected
-	}
-	u := core.NewSet(n)
-	for i := stab; i < len(st.Unions); i++ {
-		u = u.Union(st.Unions[i])
-	}
-	return u
-}
-
-func atomAdmits(cj conjunct, st EnumState, active core.Set, ds []core.Set, n int) bool {
-	switch a := cj.atom; a.Atom {
-	case AtomSelfTrust:
-		ok := true
-		active.ForEach(func(p core.PID) {
-			if ds[p].Has(p) {
-				ok = false
-			}
-		})
-		return ok
-	case AtomAtMost:
-		u := windowCumulative(st, cj.stab, n)
-		active.ForEach(func(p core.PID) { u = u.Union(ds[p]) })
-		return u.Count() <= a.Args[0]
-	case AtomPerRound:
-		ok := true
-		active.ForEach(func(p core.PID) {
-			if ds[p].Count() > a.Args[0] {
-				ok = false
-			}
-		})
-		return ok
-	case AtomKSet:
-		var union, inter core.Set
-		first := true
-		active.ForEach(func(p core.PID) {
-			if first {
-				union, inter, first = ds[p].Clone(), ds[p].Clone(), false
-				return
-			}
-			union = union.Union(ds[p])
-			inter = inter.Intersect(ds[p])
-		})
-		if first {
-			return true
-		}
-		return union.Diff(inter).Count() < a.Args[0]
-	case AtomNoMutualMiss:
-		ok := true
-		active.ForEach(func(i core.PID) {
-			ds[i].ForEach(func(j core.PID) {
-				if active.Has(j) && ds[j].Has(i) {
-					ok = false
-				}
-			})
-		})
-		return ok
-	case AtomSomeoneSeen:
-		u := core.NewSet(n)
-		active.ForEach(func(p core.PID) { u = u.Union(ds[p]) })
-		return u.Count() < n
-	case AtomIdentical:
-		var first core.Set
-		ok, got := true, false
-		active.ForEach(func(p core.PID) {
-			if !got {
-				first, got = ds[p], true
-				return
-			}
-			if !ds[p].Equal(first) {
-				ok = false
-			}
-		})
-		return ok
-	case AtomChain:
-		members := active.Members()
-		for x := 0; x < len(members); x++ {
-			for y := x + 1; y < len(members); y++ {
-				di, dj := ds[members[x]], ds[members[y]]
-				if !di.IsSubset(dj) && !dj.IsSubset(di) {
-					return false
-				}
+	return func(ds []core.Set) bool {
+		for _, w := range in {
+			w.rd.D = ds
+			if w.atom.Atom.Holds(w.atom.Args, w.rd) == w.neg {
+				return false
 			}
 		}
 		return true
-	case AtomImmediacy:
-		ok := true
-		active.ForEach(func(i core.PID) {
-			active.ForEach(func(j core.PID) {
-				if i == j || ds[i].Has(j) {
-					return
-				}
-				if !ds[i].IsSubset(ds[j]) {
-					ok = false
-				}
-			})
-		})
-		return ok
-	case AtomPropagates:
-		// Round stab+1 opens the window: there is no in-window previous
-		// round to propagate from (and in round 1 PrevUnion is empty).
-		if st.R <= cj.stab+1 {
-			return true
-		}
-		ok := true
-		active.ForEach(func(p core.PID) {
-			if !st.PrevUnion.IsSubset(ds[p]) {
-				ok = false
-			}
-		})
-		return ok
-	case AtomNeverSusp:
-		u := windowCumulative(st, cj.stab, n)
-		active.ForEach(func(p core.PID) { u = u.Union(ds[p]) })
-		return u.Count() < n
-	case AtomBSys:
-		f, t := a.Args[0], a.Args[1]
-		over := 0
-		ok := true
-		active.ForEach(func(p core.PID) {
-			c := ds[p].Count()
-			if c > t {
-				ok = false
-			} else if c > f {
-				over++
-			}
-		})
-		return ok && over <= t
 	}
-	return false
+}
+
+// window is the context a clause constrained from round stab+1 on sees at
+// this state: Cum is the suspicion union over past rounds > stab, Prev the
+// previous round's union unless round stab+1 opens the window (there is
+// then no in-window round to propagate from; in round 1 PrevUnion is empty
+// anyway).
+func (st EnumState) window(stab, n int, active core.Set) predicate.Round {
+	rd := predicate.Round{N: n, R: st.R, Active: active, From: stab + 1, Cum: st.Suspected}
+	if stab > 0 && st.Unions != nil {
+		rd.Cum = core.NewSet(n)
+		for i := stab; i < len(st.Unions); i++ {
+			rd.Cum.UnionInto(st.Unions[i])
+		}
+	}
+	if st.R > stab+1 {
+		rd.Prev = st.PrevUnion
+	}
+	return rd
 }
 
 // without returns pool minus p.

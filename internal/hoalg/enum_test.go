@@ -129,3 +129,98 @@ func TestCompileEnumNegatedAtom(t *testing.T) {
 		}
 	}
 }
+
+// walkEnum follows every path of a compiled enumerator for the given number
+// of rounds, evolving the state as the mc driver does (adversary.Enumerated),
+// and hands each complete path to visit as a trace.
+func walkEnum(n, rounds int, enum Enum, visit func(*core.Trace)) {
+	var walk func(st EnumState, recs []core.RoundRecord)
+	walk = func(st EnumState, recs []core.RoundRecord) {
+		if st.R > rounds {
+			visit(&core.Trace{N: n, Rounds: recs})
+			return
+		}
+		for _, plan := range enum(st) {
+			live := st.Active.Diff(plan.Crashes)
+			u := core.UnionAll(n, plan.Suspects)
+			walk(EnumState{R: st.R + 1, Active: live,
+				Suspected: st.Suspected.Union(u), PrevUnion: u,
+				Unions: append(st.Unions[:len(st.Unions):len(st.Unions)], u)},
+				append(recs[:len(recs):len(recs)], core.RoundRecord{R: st.R,
+					Suspects: plan.Suspects, Deliver: make([]core.Set, n),
+					Active: live, Crashed: live.Complement()}))
+		}
+	}
+	walk(EnumState{R: 1, Active: core.FullSet(n),
+		Suspected: core.NewSet(n), PrevUnion: core.NewSet(n)}, nil)
+}
+
+// TestEnumPathsMatchChecker: the plan filter and the trace checker run the
+// same atom-table entry, so EVERY path of a compiled enumerator must pass
+// the compiled checker of the same expression — for each atom over 2
+// rounds, for eventually(1, atom) over 3 — and every round of a negated
+// atom's paths must fail the atom's checker (on the prefix up to that round
+// for the whole-trace clauses, on the round alone otherwise).
+func TestEnumPathsMatchChecker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive enumerator sweep")
+	}
+	const n = 3
+	atoms := []*Expr{
+		SelfTrusting(), AtMostSuspected(1), PerRound(1), KSetEq3(2),
+		NoMutualMiss(), SomeoneSeen(), Identical(), Chain(), Immediacy(),
+		And(AtMostSuspected(1), Propagates()), NeverSuspected(), BSys(1, 2),
+	}
+	for _, a := range atoms {
+		for _, c := range []struct {
+			e      *Expr
+			rounds int
+		}{{a, 2}, {Eventually(1, a), 3}} {
+			enum, err := c.e.CompileEnum(n)
+			if c.e.Op == OpEventually && a.Op == OpAnd {
+				if err == nil {
+					t.Fatalf("%s: a windowed propagates must be refused", c.e)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: CompileEnum: %v", c.e, err)
+			}
+			check, paths := c.e.Compile(), 0
+			walkEnum(n, c.rounds, enum, func(tr *core.Trace) {
+				paths++
+				if err := check.Check(tr); err != nil {
+					t.Fatalf("%s: enumerated path fails its own checker: %v\n%s", c.e, err, tr)
+				}
+			})
+			if paths == 0 {
+				t.Fatalf("%s: no paths enumerated", c.e)
+			}
+		}
+
+		if a.Op != OpAtom || a.Atom == AtomSelfTrust {
+			continue // !selftrust and !propagates are not enumerable
+		}
+		enum, err := Not(a).CompileEnum(n)
+		if err != nil {
+			t.Fatalf("!%s: CompileEnum: %v", a, err)
+		}
+		check, paths := a.Compile(), 0
+		whole := a.Atom == AtomAtMost || a.Atom == AtomNeverSusp
+		walkEnum(n, 2, enum, func(tr *core.Trace) {
+			paths++
+			for r := 1; r <= tr.Len(); r++ {
+				part := tr.Prefix(r)
+				if !whole {
+					part = &core.Trace{N: n, Rounds: tr.Rounds[r-1 : r]}
+				}
+				if check.Check(part) == nil {
+					t.Fatalf("!%s: round %d of an enumerated path satisfies the atom\n%s", a, r, tr)
+				}
+			}
+		})
+		if paths == 0 {
+			t.Fatalf("!%s: no paths enumerated", a)
+		}
+	}
+}

@@ -5,8 +5,8 @@
 // suspect sets of an execution; this package makes those predicates
 // first-class expressions with a canonical string form and three compilers:
 //
-//   - Compile() — a runtime trace checker (predicate.P, same Violation
-//     attribution as the hand-written checkers in internal/predicate);
+//   - Compile() — a runtime trace checker (predicate.P, driven by the same
+//     atom-table entries as the named constructors of internal/predicate);
 //   - CompileEnum(n) — an exhaustive round-plan enumerator for the
 //     internal/mc explorer (the four bespoke enumerators that used to live
 //     in internal/adversary are now thin wrappers over this);
@@ -21,6 +21,8 @@ package hoalg
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/predicate"
 )
 
 // Op is the node kind of an expression.
@@ -35,64 +37,25 @@ const (
 	OpEventually
 )
 
-// AtomKind enumerates the elementary predicates over D(i,r). Each maps to a
-// clause of the paper's model equations (see DESIGN §17 for the table).
-type AtomKind int
+// AtomKind enumerates the elementary predicates over D(i,r): the rows of
+// predicate's atom table, where each clause's name, arity, evaluator and
+// violation text are defined once (DESIGN §17 has the table).
+type AtomKind = predicate.AtomKind
 
 const (
-	// AtomSelfTrust: p ∉ D(p,r) — the self-trust clause of eq. (1).
-	AtomSelfTrust AtomKind = iota
-	// AtomAtMost: |⋃_r ⋃_i D(i,r)| ≤ f — eq. (1)'s whole-run budget.
-	AtomAtMost
-	// AtomPerRound: |D(i,r)| ≤ f — eq. (3), the async model.
-	AtomPerRound
-	// AtomKSet: |⋃D \ ⋂D| < k per round — the §3 k-set detector.
-	AtomKSet
-	// AtomNoMutualMiss: j ∈ D(i,r) ⇒ i ∉ D(j,r) — §2 item 4 alternative.
-	AtomNoMutualMiss
-	// AtomSomeoneSeen: |⋃_i D(i,r)| < n — eq. (4).
-	AtomSomeoneSeen
-	// AtomIdentical: D(i,r) = D(j,r) — eq. (5), the DDS detector.
-	AtomIdentical
-	// AtomChain: suspect sets totally ordered by ⊆ — §2 item 5 snapshots.
-	AtomChain
-	// AtomImmediacy: j ∉ D(i,r) ⇒ D(i,r) ⊆ D(j,r) — immediate snapshots.
-	AtomImmediacy
-	// AtomPropagates: ⋃_i D(i,r) ⊆ D(k,r+1) — eq. (2), crash propagation.
-	AtomPropagates
-	// AtomNeverSusp: some process is in no D(i,r) — §2 item 6 (detector S).
-	AtomNeverSusp
-	// AtomBSys: the §2 item 3 counterexample system B(f,t).
-	AtomBSys
+	AtomSelfTrust    = predicate.AtomSelfTrust
+	AtomAtMost       = predicate.AtomAtMost
+	AtomPerRound     = predicate.AtomPerRound
+	AtomKSet         = predicate.AtomKSet
+	AtomNoMutualMiss = predicate.AtomNoMutualMiss
+	AtomSomeoneSeen  = predicate.AtomSomeoneSeen
+	AtomIdentical    = predicate.AtomIdentical
+	AtomChain        = predicate.AtomChain
+	AtomImmediacy    = predicate.AtomImmediacy
+	AtomPropagates   = predicate.AtomPropagates
+	AtomNeverSusp    = predicate.AtomNeverSusp
+	AtomBSys         = predicate.AtomBSys
 )
-
-// atomInfo drives parsing, printing and arity checking per atom.
-var atomInfo = map[AtomKind]struct {
-	name  string
-	arity int
-}{
-	AtomSelfTrust:    {"selftrust", 0},
-	AtomAtMost:       {"atmost", 1},
-	AtomPerRound:     {"perround", 1},
-	AtomKSet:         {"kset", 1},
-	AtomNoMutualMiss: {"nomutualmiss", 0},
-	AtomSomeoneSeen:  {"someoneseen", 0},
-	AtomIdentical:    {"identical", 0},
-	AtomChain:        {"chain", 0},
-	AtomImmediacy:    {"immediacy", 0},
-	AtomPropagates:   {"propagates", 0},
-	AtomNeverSusp:    {"neversusp", 0},
-	AtomBSys:         {"bsys", 2},
-}
-
-// atomByName is the inverse of atomInfo, built once at init.
-var atomByName = func() map[string]AtomKind {
-	m := make(map[string]AtomKind, len(atomInfo))
-	for k, info := range atomInfo {
-		m[info.name] = k
-	}
-	return m
-}()
 
 // Expr is a model expression. Leaves are atoms; inner nodes combine
 // sub-expressions. Expressions are immutable once built.
@@ -255,8 +218,7 @@ func (e *Expr) render(b *strings.Builder, parent int) {
 func (e *Expr) renderRaw(b *strings.Builder) {
 	switch e.Op {
 	case OpAtom:
-		info := atomInfo[e.Atom]
-		b.WriteString(info.name)
+		b.WriteString(e.Atom.Name())
 		if len(e.Args) > 0 {
 			b.WriteByte('(')
 			for i, a := range e.Args {

@@ -3,6 +3,8 @@ package hoalg
 import (
 	"fmt"
 	"strconv"
+
+	"repro/internal/predicate"
 )
 
 // ParseError is a structured syntax error: Pos is the byte offset into the
@@ -236,7 +238,7 @@ func (p *parser) call(depth int) (*Expr, error) {
 		}
 		return Eventually(stab, e), nil
 	}
-	kind, ok := atomByName[name]
+	kind, ok := predicate.AtomByName(name)
 	if !ok {
 		p.pos = namePos
 		if name == "" {
@@ -244,7 +246,7 @@ func (p *parser) call(depth int) (*Expr, error) {
 		}
 		return nil, p.errf("unknown atom %q (known: %s)", name, atomNames())
 	}
-	arity := atomInfo[kind].arity
+	arity := kind.Arity()
 	if arity == 0 {
 		if p.peek() == '(' {
 			return nil, p.errf("atom %q takes no arguments", name)
@@ -283,7 +285,7 @@ func atomNames() string {
 		if names != "" {
 			names += ", "
 		}
-		names += atomInfo[k].name
+		names += k.Name()
 	}
 	return names
 }

@@ -3,6 +3,11 @@
 // suspect sets D(i,r) of an execution trace; each concrete system in the
 // paper's §2–§5 is exactly one of these predicates (or a conjunction).
 //
+// Each elementary clause is defined once, as a row of the atom table in
+// atoms.go; the named constructors below bind a legacy name to a row, and
+// internal/hoalg compiles expressions and plan enumerators over the same
+// rows.
+//
 // Predicates are checked post-hoc over a recorded core.Trace. A nil error
 // means the trace satisfies the predicate; otherwise the returned *Violation
 // pinpoints the first offending round/process.
@@ -102,36 +107,13 @@ func Not(name string, p P) P {
 // SelfTrusting is the "p_i ∉ D(i,r)" clause of eq. (1): a process never
 // suspects itself.
 func SelfTrusting() P {
-	const name = "self-trusting"
-	return P{Name: name, Check: func(t *core.Trace) error {
-		for _, rec := range t.Rounds {
-			var bad core.PID = -1
-			rec.Active.ForEach(func(p core.PID) {
-				if bad < 0 && rec.Suspects[p].Has(p) {
-					bad = p
-				}
-			})
-			if bad >= 0 {
-				return &Violation{Predicate: name, Round: rec.R, Proc: bad,
-					Detail: "process suspects itself"}
-			}
-		}
-		return nil
-	}}
+	return AtomSelfTrust.Checker("self-trusting", 1)
 }
 
 // TotalSuspectBudget is the |⋃_{r>0} ⋃_i D(i,r)| ≤ f clause of eq. (1): over
 // the whole execution at most f distinct processes are ever suspected.
 func TotalSuspectBudget(f int) P {
-	name := fmt.Sprintf("total-suspect-budget(f=%d)", f)
-	return P{Name: name, Check: func(t *core.Trace) error {
-		u := t.CumulativeSuspects(t.Len())
-		if c := u.Count(); c > f {
-			return &Violation{Predicate: name, Proc: -1,
-				Detail: fmt.Sprintf("%d distinct processes suspected (%s), budget %d", c, u, f)}
-		}
-		return nil
-	}}
+	return AtomAtMost.Checker(fmt.Sprintf("total-suspect-budget(f=%d)", f), 1, f)
 }
 
 // SendOmission is eq. (1): the RRFD counterpart of a synchronous
@@ -145,25 +127,7 @@ func SendOmission(f int) P {
 // Conjoined with eq. (1) it yields the synchronous crash-fault model; the
 // paper notes this makes crash an explicit submodel of send-omission.
 func SuspicionPropagates() P {
-	const name = "suspicion-propagates"
-	return P{Name: name, Check: func(t *core.Trace) error {
-		for r := 1; r < t.Len(); r++ {
-			u := t.SuspectUnion(r)
-			next := t.Round(r + 1)
-			var bad core.PID = -1
-			next.Active.ForEach(func(k core.PID) {
-				if bad < 0 && !u.IsSubset(next.Suspects[k]) {
-					bad = k
-				}
-			})
-			if bad >= 0 {
-				return &Violation{Predicate: name, Round: r + 1, Proc: bad,
-					Detail: fmt.Sprintf("D(%d,%d)=%s does not contain round-%d union %s",
-						bad, r+1, next.Suspects[bad], r, u)}
-			}
-		}
-		return nil
-	}}
+	return AtomPropagates.Checker("suspicion-propagates", 1)
 }
 
 // SyncCrash is eqs. (1)+(2): the RRFD counterpart of a synchronous
@@ -176,22 +140,7 @@ func SyncCrash(f int) P {
 // RRFD counterpart of an asynchronous message-passing system with at most f
 // crash failures (a process advances after hearing n−f round messages).
 func PerRoundBudget(f int) P {
-	name := fmt.Sprintf("async-mp(f=%d)", f)
-	return P{Name: name, Check: func(t *core.Trace) error {
-		for _, rec := range t.Rounds {
-			var bad core.PID = -1
-			rec.Active.ForEach(func(p core.PID) {
-				if bad < 0 && rec.Suspects[p].Count() > f {
-					bad = p
-				}
-			})
-			if bad >= 0 {
-				return &Violation{Predicate: name, Round: rec.R, Proc: bad,
-					Detail: fmt.Sprintf("|D|=%d > f=%d (%s)", rec.Suspects[bad].Count(), f, rec.Suspects[bad])}
-			}
-		}
-		return nil
-	}}
+	return AtomPerRound.Checker(fmt.Sprintf("async-mp(f=%d)", f), 1, f)
 }
 
 // SomeoneSeenByAll is eq. (4): in every round at least one process is
@@ -199,17 +148,7 @@ func PerRoundBudget(f int) P {
 // paper's RRFD counterpart of asynchronous SWMR shared memory (avoiding the
 // network-partition behaviour message passing has when 2f ≥ n).
 func SomeoneSeenByAll() P {
-	const name = "someone-seen-by-all"
-	return P{Name: name, Check: func(t *core.Trace) error {
-		for _, rec := range t.Rounds {
-			u := t.SuspectUnion(rec.R)
-			if u.Count() >= t.N {
-				return &Violation{Predicate: name, Round: rec.R, Proc: -1,
-					Detail: "every process is suspected by someone"}
-			}
-		}
-		return nil
-	}}
+	return AtomSomeoneSeen.Checker("someone-seen-by-all", 1)
 }
 
 // SharedMemory is eqs. (3)+(4): the RRFD counterpart of an asynchronous SWMR
@@ -223,35 +162,14 @@ func SharedMemory(f int) P {
 // eq. (4) on its own (misses can form a cycle), so the shared-memory
 // alternative is the conjunction of both.
 func NoMutualMiss() P {
-	const name = "no-mutual-miss"
-	return P{Name: name, Check: func(t *core.Trace) error {
-		for _, rec := range t.Rounds {
-			var badI, badJ core.PID = -1, -1
-			rec.Active.ForEach(func(i core.PID) {
-				if badI >= 0 {
-					return
-				}
-				rec.Suspects[i].ForEach(func(j core.PID) {
-					if badI >= 0 || !rec.Active.Has(j) {
-						return
-					}
-					if rec.Suspects[j].Has(i) {
-						badI, badJ = i, j
-					}
-				})
-			})
-			if badI >= 0 {
-				return &Violation{Predicate: name, Round: rec.R, Proc: badI,
-					Detail: fmt.Sprintf("processes %d and %d suspect each other", badI, badJ)}
-			}
-		}
-		return nil
-	}}
+	return AtomNoMutualMiss.Checker("no-mutual-miss", 1)
 }
 
 // SelfIncluded requires p_i ∉ D(i,r) — identical to SelfTrusting but named as
 // in §2 item 5's snapshot predicate for readability in conjunctions.
 func SelfIncluded() P {
+	// Only P.Name changes: violations have always named "self-trusting",
+	// and fixed-seed outputs quote them.
 	p := SelfTrusting()
 	p.Name = "self-included"
 	return p
@@ -261,23 +179,7 @@ func SelfIncluded() P {
 // suspect sets are totally ordered by containment — D(i,r) ⊆ D(j,r) or
 // D(j,r) ⊆ D(i,r) for all i,j.
 func ContainmentChain() P {
-	const name = "containment-chain"
-	return P{Name: name, Check: func(t *core.Trace) error {
-		for _, rec := range t.Rounds {
-			members := rec.Active.Members()
-			for a := 0; a < len(members); a++ {
-				for b := a + 1; b < len(members); b++ {
-					di, dj := rec.Suspects[members[a]], rec.Suspects[members[b]]
-					if !di.IsSubset(dj) && !dj.IsSubset(di) {
-						return &Violation{Predicate: name, Round: rec.R, Proc: members[a],
-							Detail: fmt.Sprintf("D(%d)=%s and D(%d)=%s incomparable",
-								members[a], di, members[b], dj)}
-					}
-				}
-			}
-		}
-		return nil
-	}}
+	return AtomChain.Checker("containment-chain", 1)
 }
 
 // Immediacy is the defining extra clause of the iterated immediate-snapshot
@@ -287,31 +189,7 @@ func ContainmentChain() P {
 // self-inclusion and the containment chain it makes IIS a strict submodel
 // of the item 5 snapshot model.
 func Immediacy() P {
-	const name = "immediacy"
-	return P{Name: name, Check: func(t *core.Trace) error {
-		for _, rec := range t.Rounds {
-			var badI, badJ core.PID = -1, -1
-			rec.Active.ForEach(func(i core.PID) {
-				if badI >= 0 {
-					return
-				}
-				rec.Active.ForEach(func(j core.PID) {
-					if badI >= 0 || i == j || rec.Suspects[i].Has(j) {
-						return
-					}
-					if !rec.Suspects[i].IsSubset(rec.Suspects[j]) {
-						badI, badJ = i, j
-					}
-				})
-			})
-			if badI >= 0 {
-				return &Violation{Predicate: name, Round: rec.R, Proc: badI,
-					Detail: fmt.Sprintf("hears %d but D(%d)=%s ⊄ D(%d)=%s",
-						badJ, badI, rec.Suspects[badI], badJ, rec.Suspects[badJ])}
-			}
-		}
-		return nil
-	}}
+	return AtomImmediacy.Checker("immediacy", 1)
 }
 
 // ImmediateSnapshot is the iterated-immediate-snapshot predicate: the item 5
@@ -336,14 +214,7 @@ func AtomicSnapshot(f int) P {
 // this is the same predicate as |⋃_r ⋃_i D(i,r)| < n, i.e. eq. (1)'s budget
 // clause with f = n−1.
 func NeverSuspectedExists() P {
-	const name = "never-suspected-exists"
-	return P{Name: name, Check: func(t *core.Trace) error {
-		if t.NeverSuspected().Empty() {
-			return &Violation{Predicate: name, Proc: -1,
-				Detail: "every process was suspected at some round"}
-		}
-		return nil
-	}}
+	return AtomNeverSusp.Checker("never-suspected-exists", 1)
 }
 
 // EventuallyNeverSuspected is the eventual-accuracy analogue of §2 item 6
@@ -351,21 +222,7 @@ func NeverSuspectedExists() P {
 // fixed process appears in no D(i,r). Traces no longer than stab satisfy it
 // vacuously.
 func EventuallyNeverSuspected(stab int) P {
-	name := fmt.Sprintf("eventually-never-suspected(stab=%d)", stab)
-	return P{Name: name, Check: func(t *core.Trace) error {
-		if t.Len() <= stab {
-			return nil
-		}
-		candidates := core.FullSet(t.N)
-		for r := stab + 1; r <= t.Len(); r++ {
-			candidates = candidates.Diff(t.SuspectUnion(r))
-		}
-		if candidates.Empty() {
-			return &Violation{Predicate: name, Proc: -1,
-				Detail: fmt.Sprintf("every process suspected after round %d", stab)}
-		}
-		return nil
-	}}
+	return AtomNeverSusp.Checker(fmt.Sprintf("eventually-never-suspected(stab=%d)", stab), stab+1)
 }
 
 // KSetDetector is the §3 predicate: |⋃_i D(i,r) \ ⋂_i D(i,r)| < k in every
@@ -373,50 +230,14 @@ func EventuallyNeverSuspected(stab int) P {
 // shows it solves k-set agreement in one round; Theorem 3.3 shows a system
 // with a k-set-consensus object and SWMR memory implements it.
 func KSetDetector(k int) P {
-	name := fmt.Sprintf("k-set-detector(k=%d)", k)
-	return P{Name: name, Check: func(t *core.Trace) error {
-		for _, rec := range t.Rounds {
-			u := t.SuspectUnion(rec.R)
-			in := t.SuspectIntersection(rec.R).Intersect(u)
-			unc := u.Diff(in)
-			if unc.Count() >= k {
-				return &Violation{Predicate: name, Round: rec.R, Proc: -1,
-					Detail: fmt.Sprintf("uncertainty %s has size %d ≥ k=%d", unc, unc.Count(), k)}
-			}
-		}
-		return nil
-	}}
+	return AtomKSet.Checker(fmt.Sprintf("k-set-detector(k=%d)", k), 1, k)
 }
 
 // IdenticalSuspects is eq. (5) from §5: every process gets the same suspect
 // set each round — D(i,r) = D(j,r) for all i,j. This is the k=1 instance of
 // the §3 detector, implementable in 2 steps of the semi-synchronous model.
 func IdenticalSuspects() P {
-	const name = "identical-suspects"
-	return P{Name: name, Check: func(t *core.Trace) error {
-		for _, rec := range t.Rounds {
-			var first core.Set
-			var bad core.PID = -1
-			got := false
-			rec.Active.ForEach(func(p core.PID) {
-				if bad >= 0 {
-					return
-				}
-				if !got {
-					first, got = rec.Suspects[p], true
-					return
-				}
-				if !rec.Suspects[p].Equal(first) {
-					bad = p
-				}
-			})
-			if bad >= 0 {
-				return &Violation{Predicate: name, Round: rec.R, Proc: bad,
-					Detail: fmt.Sprintf("D(%d)=%s differs from %s", bad, rec.Suspects[bad], first)}
-			}
-		}
-		return nil
-	}}
+	return AtomIdentical.Checker("identical-suspects", 1)
 }
 
 // BSystem is the §2 item 3 counterexample system B: per round there is a set
@@ -425,30 +246,5 @@ func IdenticalSuspects() P {
 // eq. (3) is not the weakest RRFD for f-resilient asynchronous message
 // passing: two rounds of B implement one round of the eq. (3) system A.
 func BSystem(f, t int) P {
-	name := fmt.Sprintf("b-system(f=%d,t=%d)", f, t)
-	return P{Name: name, Check: func(tr *core.Trace) error {
-		for _, rec := range tr.Rounds {
-			// Q is the set of processes exceeding the f budget; it must
-			// be small and its members must respect the t budget.
-			q := core.NewSet(tr.N)
-			var bad core.PID = -1
-			rec.Active.ForEach(func(p core.PID) {
-				c := rec.Suspects[p].Count()
-				if c > t {
-					bad = p
-				} else if c > f {
-					q.Add(p)
-				}
-			})
-			if bad >= 0 {
-				return &Violation{Predicate: name, Round: rec.R, Proc: bad,
-					Detail: fmt.Sprintf("|D|=%d exceeds even the t=%d budget", rec.Suspects[bad].Count(), t)}
-			}
-			if q.Count() > t {
-				return &Violation{Predicate: name, Round: rec.R, Proc: -1,
-					Detail: fmt.Sprintf("%d processes exceed the f budget, allowed ≤ t=%d", q.Count(), t)}
-			}
-		}
-		return nil
-	}}
+	return AtomBSys.Checker(fmt.Sprintf("b-system(f=%d,t=%d)", f, t), 1, f, t)
 }
