@@ -5,9 +5,11 @@
 GO ?= go
 
 # Engine + agreement + virtual-substrate + reliable-link + chaos-campaign +
-# TCP-substrate + service + trace-checker/plan-enumerator benchmarks tracked in
-# BENCH_core.json.
-BENCH_PKGS := ./internal/core ./internal/agreement ./internal/msgnet ./internal/reliablelink ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal ./internal/hoalg
+# TCP-substrate + service + trace-checker/plan-enumerator + shared-memory
+# (snapshot, semi-synchronous) round-runner benchmarks tracked in
+# BENCH_core.json. benchstatjson keys rows by bare benchmark name, so names
+# must be unique across these packages.
+BENCH_PKGS := ./internal/core ./internal/agreement ./internal/msgnet ./internal/reliablelink ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal ./internal/hoalg ./internal/snapshot ./internal/semisync
 BENCH_PAT  ?= .
 
 .PHONY: build test race vet ci bench bench-build bench-check chaos-short chaos recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short

@@ -163,7 +163,7 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.system, "system", "kset", "system: omission|crash|chain|async|sharedmem|snapshot|kset|identical|s|benign")
-	flag.StringVar(&cfg.alg, "alg", "kset", "algorithm: kset|floodmin|floodset|coordinator|none")
+	flag.StringVar(&cfg.alg, "alg", "kset", "algorithm: kset|floodmin|floodset|coordinator|none, or qkset (the n−f quorum-min rule; -mc only)")
 	flag.StringVar(&cfg.model, "model", "", "model expression or catalog name (internal/hoalg): overrides -system in plain runs, drives -mc enumeration branch by branch, and fixes the -chaos fault plan")
 	flag.IntVar(&cfg.n, "n", 8, "number of processes")
 	flag.IntVar(&cfg.f, "f", 2, "fault budget")

@@ -3,6 +3,7 @@ package rrfd
 import (
 	"repro/internal/abd"
 	"repro/internal/adversary"
+	"repro/internal/core"
 	"repro/internal/immediate"
 	"repro/internal/predicate"
 	"repro/internal/view"
@@ -62,7 +63,7 @@ type (
 	ImmediateView = immediate.View
 
 	// ImmediateRoundOutcome reports an iterated-immediate-snapshot run.
-	ImmediateRoundOutcome = immediate.RoundOutcome
+	ImmediateRoundOutcome = core.RoundOutcome
 )
 
 var (

@@ -332,7 +332,7 @@ func crashString(crashes map[core.PID]int) string {
 // decisions, and whether any round stalled — not which kind of report
 // (step-clock reliablelink or wall-clock netsub) said so.
 type runResult struct {
-	out       *msgnet.RoundOutcome
+	out       *core.RoundOutcome
 	stalled   bool
 	err       error
 	decisions map[core.PID]core.Value
@@ -342,7 +342,7 @@ type runResult struct {
 // seed, fault plan and crash pattern. Process i proposes the value i and
 // decides the minimum of its round-1 view provided the view reached the
 // n−f quorum; under QuorumBug it decides regardless of quorum.
-func Execute(cfg Config, schedSeed int64, plan faultnet.Plan, crashes map[core.PID]int) (*msgnet.RoundOutcome, *reliablelink.RunReport, map[core.PID]core.Value, error) {
+func Execute(cfg Config, schedSeed int64, plan faultnet.Plan, crashes map[core.PID]int) (*core.RoundOutcome, *reliablelink.RunReport, map[core.PID]core.Value, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Observer != nil {
 		for _, c := range plan.Partitions() {
@@ -377,7 +377,7 @@ func Execute(cfg Config, schedSeed int64, plan faultnet.Plan, crashes map[core.P
 // agreement.QuorumMin on its round-1 view with the n−f quorum (under
 // QuorumBug, a quorum of one: any non-empty view). The rule reads only
 // the outcome, so virtual and networked executions share it verbatim.
-func decide(cfg Config, out *msgnet.RoundOutcome) map[core.PID]core.Value {
+func decide(cfg Config, out *core.RoundOutcome) map[core.PID]core.Value {
 	decisions := make(map[core.PID]core.Value)
 	if out == nil {
 		return decisions

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultnet"
-	"repro/internal/msgnet"
 	"repro/internal/netsub"
 )
 
@@ -49,7 +48,7 @@ func (c NetConfig) linger() time.Duration {
 // and the fault-application layer differ. Crash patterns are not
 // expressible here (processes are goroutine-local, not scheduler-owned);
 // the multi-process rrfdsim harness covers real process death.
-func ExecuteNet(cfg Config, plan faultnet.Plan, ncfg NetConfig) (*msgnet.RoundOutcome, *netsub.RunReport, map[core.PID]core.Value, error) {
+func ExecuteNet(cfg Config, plan faultnet.Plan, ncfg NetConfig) (*core.RoundOutcome, *netsub.RunReport, map[core.PID]core.Value, error) {
 	cfg = cfg.withDefaults()
 	lns, err := netsub.WrapAll(cfg.N, plan, netsub.ChaosConfig{
 		StepMillis: ncfg.StepMillis,

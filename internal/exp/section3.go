@@ -332,13 +332,13 @@ func E09DetectorFromKSet(quick bool) (*Table, error) {
 // chosen identifier to its cell, reads everyone's cells, and takes
 // D(i,r) = S − Q where Q is the set of chosen identifiers it read. All
 // suspect sets then differ only on chosen identifiers (at most k), and the
-// first-written choice is read by everyone, so |⋃D \ ⋂D| ≤ k−1 < k.
+// first-written choice is read by everyone, so |⋃D \ ⋂D| ≤ k−1 < k. A
+// process the scheduler crashes is inactive from the round it missed.
 func DetectorFromKSet(n, k, rounds int, cfg swmr.Config) (*core.Trace, error) {
-	type rec struct{ dsets []core.Set }
-	recs := make([]*rec, n)
-	_, err := swmr.Run(n, cfg, func(p *swmr.Proc) (core.Value, error) {
-		r0 := &rec{}
-		recs[p.Me] = r0
+	recs := make([]*core.RoundRec, n)
+	out, err := swmr.Run(n, cfg, func(p *swmr.Proc) (core.Value, error) {
+		rec := &core.RoundRec{}
+		recs[p.Me] = rec
 		for r := 1; r <= rounds; r++ {
 			if err := p.Write(fmt.Sprintf("val:%d", r), int(p.Me)*1000+r); err != nil {
 				return nil, err
@@ -373,27 +373,12 @@ func DetectorFromKSet(n, k, rounds int, cfg swmr.Config) (*core.Trace, error) {
 					q.Add(id)
 				}
 			}
-			r0.dsets = append(r0.dsets, q.Complement())
+			rec.Complete(r, nil, q.Complement())
 		}
 		return nil, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	tr := core.NewTrace(n)
-	for r := 1; r <= rounds; r++ {
-		rr := core.RoundRecord{
-			R:        r,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   core.FullSet(n),
-			Crashed:  core.NewSet(n),
-		}
-		for i := 0; i < n; i++ {
-			rr.Suspects[i] = recs[i].dsets[r-1]
-			rr.Deliver[i] = recs[i].dsets[r-1].Complement()
-		}
-		tr.Append(rr)
-	}
-	return tr, nil
+	return core.InducedTrace(n, recs, out.Crashed), nil
 }

@@ -7,97 +7,30 @@ import (
 	"repro/internal/swmr"
 )
 
-// RoundOutcome reports an iterated-immediate-snapshot (IIS) execution.
-type RoundOutcome struct {
-	// Trace is the induced RRFD trace: D(i,r) is the complement of p_i's
-	// round-r immediate-snapshot view.
-	Trace *core.Trace
-
-	// Views[i][r-1] maps members of p_i's round-r view to their round-r
-	// emissions.
-	Views map[core.PID][]map[core.PID]core.Value
-
-	// Crashed is the set of processes crashed by the scheduler.
-	Crashed core.Set
-}
-
-// RoundEmit computes p_i's round-r emission from the previous round's view
-// (nil at round 1).
-type RoundEmit func(me core.PID, r int, received map[core.PID]core.Value, suspects core.Set) core.Value
-
-// RunRounds executes rounds rounds of the iterated immediate snapshot: one
-// fresh one-shot object per round, each process participating with its
-// round emission. The induced RRFD trace satisfies the item 5 snapshot
-// predicate with budget n−1 PLUS immediacy — the strict strengthening the
-// E-series lattice records.
-func RunRounds(n, rounds int, cfg swmr.Config, emit RoundEmit) (*RoundOutcome, error) {
-	if emit == nil {
-		emit = func(me core.PID, r int, _ map[core.PID]core.Value, _ core.Set) core.Value {
-			return fmt.Sprintf("p%d@r%d", me, r)
-		}
+// RunRounds executes rounds rounds of the iterated immediate snapshot:
+// core.RunRounds with the wait-free exchange — one fresh one-shot object
+// per round, each process participating with its round emission; D(i,r)
+// is the complement of its view. The induced RRFD trace satisfies the
+// item 5 snapshot predicate with budget n−1 PLUS immediacy — the strict
+// strengthening the E-series lattice records.
+func RunRounds(n, rounds int, cfg swmr.Config, emit core.RoundEmit) (*core.RoundOutcome, error) {
+	if err := core.CheckShape(n, n-1, rounds); err != nil {
+		return nil, err
 	}
-	type rec struct {
-		dsets []core.Set
-		views []map[core.PID]core.Value
-	}
-	recs := make([]*rec, n)
+	recs := make([]*core.RoundRec, n)
 	out, err := swmr.Run(n, cfg, func(p *swmr.Proc) (core.Value, error) {
-		r0 := &rec{}
-		recs[p.Me] = r0
-		var prev map[core.PID]core.Value
-		prevSus := core.NewSet(n)
-		for r := 1; r <= rounds; r++ {
-			obj := New(p, fmt.Sprintf("r%d", r))
-			view, err := obj.Participate(emit(p.Me, r, prev, prevSus))
+		rec, err := core.RunRounds(p.Me, n, rounds, emit, func(r int, v core.Value) (map[core.PID]core.Value, core.Set, error) {
+			view, err := New(p, fmt.Sprintf("r%d", r)).Participate(v)
 			if err != nil {
-				return nil, err
+				return nil, core.Set{}, err
 			}
-			d := view.Members.Complement()
-			r0.dsets = append(r0.dsets, d)
-			r0.views = append(r0.views, view.Values)
-			prev, prevSus = view.Values, d
-		}
-		return nil, nil
+			return view.Values, view.Members.Complement(), nil
+		})
+		recs[p.Me] = rec
+		return nil, err
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	res := &RoundOutcome{
-		Trace:   core.NewTrace(n),
-		Views:   make(map[core.PID][]map[core.PID]core.Value, n),
-		Crashed: out.Crashed,
-	}
-	for i := 0; i < n; i++ {
-		if recs[i] == nil {
-			recs[i] = &rec{}
-		}
-		res.Views[core.PID(i)] = recs[i].views
-	}
-	for r := 1; r <= rounds; r++ {
-		rr := core.RoundRecord{
-			R:        r,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   core.NewSet(n),
-			Crashed:  core.NewSet(n),
-		}
-		for i := 0; i < n; i++ {
-			pid := core.PID(i)
-			if len(recs[i].dsets) >= r {
-				rr.Active.Add(pid)
-				rr.Suspects[i] = recs[i].dsets[r-1]
-				rr.Deliver[i] = recs[i].dsets[r-1].Complement()
-			} else {
-				rr.Suspects[i] = core.NewSet(n)
-				rr.Deliver[i] = core.NewSet(n)
-				rr.Crashed.Add(pid)
-			}
-		}
-		if rr.Active.Empty() {
-			break
-		}
-		res.Trace.Append(rr)
-	}
-	return res, nil
+	return core.AssembleRoundOutcome(n, recs, out.Crashed, out.Steps), nil
 }

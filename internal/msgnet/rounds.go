@@ -6,26 +6,6 @@ import (
 	"repro/internal/core"
 )
 
-// RoundEmit computes the message process me emits at round r given the
-// previous round's receptions (nil at round 1) and suspect set.
-type RoundEmit func(me core.PID, r int, received map[core.PID]core.Value, suspects core.Set) core.Value
-
-// RoundOutcome is the result of running the message-passing round protocol.
-type RoundOutcome struct {
-	// Trace is the induced RRFD trace: Active at round r is the set of
-	// processes that completed the round, Suspects[i] is D(i,r).
-	Trace *core.Trace
-
-	// Views[i][r-1] maps each process in S(i,r) to its round-r message.
-	Views map[core.PID][]map[core.PID]core.Value
-
-	// Crashed is the set of processes crashed by the scheduler.
-	Crashed core.Set
-
-	// Steps is the number of network operations scheduled.
-	Steps int
-}
-
 // RoundMsg is the round protocol's payload on every substrate.
 type RoundMsg struct {
 	Round int
@@ -45,23 +25,6 @@ type Stall struct {
 // String renders the stall for diagnostics.
 func (s Stall) String() string {
 	return fmt.Sprintf("p%d stalled in round %d waiting on %v (step %d)", s.P, s.Round, s.Missing, s.Step)
-}
-
-// ShapeError rejects a round-protocol shape outside eq. (3): the n−f
-// quorum needs n > 0 and 0 ≤ f < n (and rounds ≥ 0).
-type ShapeError struct{ N, F, Rounds int }
-
-func (e *ShapeError) Error() string {
-	return fmt.Sprintf("msgnet: invalid round-protocol shape n=%d f=%d rounds=%d", e.N, e.F, e.Rounds)
-}
-
-// CheckShape is the one shape validation: every round runner calls it
-// before it builds anything, and the loop itself on entry.
-func CheckShape(n, f, rounds int) error {
-	if n <= 0 || f < 0 || f >= n || rounds < 0 {
-		return &ShapeError{n, f, rounds}
-	}
-	return nil
 }
 
 // Gather is one process's receive side of the §2 item 3 protocol: it
@@ -141,12 +104,13 @@ func Unheard(n int, view map[core.PID]core.Value) core.Set {
 }
 
 // RunSubstrateRounds is one process's side of the round-based f-resilient
-// asynchronous protocol of §2 item 3, on any Substrate: each round it
-// broadcasts its round message, gathers n−f current-round messages, and
-// records as D(i,r) whoever was missing when it advanced. The SAME body
-// drives the virtual scheduler (ticks are steps), a reliablelink.Link
-// decorating it, and the TCP mesh (ticks are milliseconds), so lost, shed
-// and late messages degrade into suspicions identically on all three.
+// asynchronous protocol of §2 item 3, on any Substrate: core.RunRounds
+// with the message-passing exchange — broadcast the round message, gather
+// n−f current-round messages, take as D(i,r) whoever was missing when the
+// process advanced. The SAME body drives the virtual scheduler (ticks are
+// steps), a reliablelink.Link decorating it, and the TCP mesh (ticks are
+// milliseconds), so lost, shed and late messages degrade into suspicions
+// identically on all three.
 //
 // A round still short of its quorum after watchdogTicks (0: no watchdog,
 // see Gather.Round) is given up as a Stall, reported to onStall (if
@@ -154,28 +118,20 @@ func Unheard(n int, view map[core.PID]core.Value) core.Set {
 // lingerTicks, receiving and discarding, so that whatever lives under
 // RecvTimeout — acks, retransmissions, queued frames — keeps serving
 // slower peers. The record and stalls so far accompany any error.
-func RunSubstrateRounds(sub Substrate, f, rounds, watchdogTicks, lingerTicks int, emit RoundEmit, onStall func(Stall)) (*RoundRec, []Stall, error) {
+func RunSubstrateRounds(sub Substrate, f, rounds, watchdogTicks, lingerTicks int, emit core.RoundEmit, onStall func(Stall)) (*core.RoundRec, []Stall, error) {
 	n, me := sub.Size(), sub.PID()
-	rec := &RoundRec{}
-	if err := CheckShape(n, f, rounds); err != nil {
-		return rec, nil, err
-	}
-	if emit == nil {
-		emit = func(me core.PID, r int, _ map[core.PID]core.Value, _ core.Set) core.Value {
-			return fmt.Sprintf("p%d@r%d", me, r)
-		}
+	if err := core.CheckShape(n, f, rounds); err != nil {
+		return &core.RoundRec{}, nil, err
 	}
 	var stalls []Stall
 	g := NewGather(sub, n-f)
-	var prevMsgs map[core.PID]core.Value
-	prevSus := core.NewSet(n)
-	for r := 1; r <= rounds; r++ {
-		if err := sub.Broadcast(RoundMsg{Round: r, Value: emit(me, r, prevMsgs, prevSus)}); err != nil {
-			return rec, stalls, err
+	rec, err := core.RunRounds(me, n, rounds, emit, func(r int, v core.Value) (map[core.PID]core.Value, core.Set, error) {
+		if err := sub.Broadcast(RoundMsg{Round: r, Value: v}); err != nil {
+			return nil, core.Set{}, err
 		}
 		got, full, err := g.Round(r, watchdogTicks)
 		if err != nil {
-			return rec, stalls, err
+			return nil, core.Set{}, err
 		}
 		d := Unheard(n, got)
 		if !full {
@@ -185,8 +141,10 @@ func RunSubstrateRounds(sub Substrate, f, rounds, watchdogTicks, lingerTicks int
 				onStall(s)
 			}
 		}
-		rec.Complete(r, got, d)
-		prevMsgs, prevSus = got, d
+		return got, d, nil
+	})
+	if err != nil {
+		return rec, stalls, err
 	}
 	for until := sub.Clock() + lingerTicks; sub.Clock() < until; {
 		if _, _, err := sub.RecvTimeout(until); err != nil {
@@ -204,14 +162,14 @@ func RunSubstrateRounds(sub Substrate, f, rounds, watchdogTicks, lingerTicks int
 // tests validate exactly that, and that it can violate the shared-memory
 // predicate eq. (4), which is the paper's point about network partitions
 // when 2f ≥ n.
-func RunRounds(n, f, rounds int, cfg Config, emit RoundEmit) (*RoundOutcome, error) {
-	if err := CheckShape(n, f, rounds); err != nil {
+func RunRounds(n, f, rounds int, cfg Config, emit core.RoundEmit) (*core.RoundOutcome, error) {
+	if err := core.CheckShape(n, f, rounds); err != nil {
 		return nil, err
 	}
 	if len(cfg.Crash) > f {
 		return nil, fmt.Errorf("msgnet: %d crashes exceed resilience f=%d", len(cfg.Crash), f)
 	}
-	recs := make([]*RoundRec, n)
+	recs := make([]*core.RoundRec, n)
 	out, err := Run(n, cfg, func(nd *Node) (core.Value, error) {
 		rec, _, err := RunSubstrateRounds(nd, f, rounds, 0, 0, emit, nil)
 		recs[nd.Me] = rec
@@ -220,5 +178,5 @@ func RunRounds(n, f, rounds int, cfg Config, emit RoundEmit) (*RoundOutcome, err
 	if err != nil {
 		return nil, err
 	}
-	return AssembleRoundOutcome(n, recs, out.Crashed, out.Steps), nil
+	return core.AssembleRoundOutcome(n, recs, out.Crashed, out.Steps), nil
 }

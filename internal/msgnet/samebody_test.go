@@ -33,8 +33,8 @@ func TestSameBodyBothSubstrates(t *testing.T) {
 
 	// virtual runs the body inside scheduler processes, each on whatever
 	// substrate wrap makes of its node.
-	virtual := func(wrap func(*msgnet.Node) msgnet.Substrate) *msgnet.RoundOutcome {
-		recs := make([]*msgnet.RoundRec, n)
+	virtual := func(wrap func(*msgnet.Node) msgnet.Substrate) *core.RoundOutcome {
+		recs := make([]*core.RoundRec, n)
 		out, err := msgnet.Run(n, msgnet.Config{Chooser: msgnet.Seeded(7)}, func(nd *msgnet.Node) (core.Value, error) {
 			rec, stalls, err := msgnet.RunSubstrateRounds(wrap(nd), f, rounds, 4096, 512, emitMin, nil)
 			if len(stalls) > 0 {
@@ -46,7 +46,7 @@ func TestSameBodyBothSubstrates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("msgnet run: %v", err)
 		}
-		return msgnet.AssembleRoundOutcome(n, recs, out.Crashed, out.Steps)
+		return core.AssembleRoundOutcome(n, recs, out.Crashed, out.Steps)
 	}
 
 	networked, rep, err := netsub.RunRounds(n, f, rounds, netsub.RoundsConfig{
@@ -65,7 +65,7 @@ func TestSameBodyBothSubstrates(t *testing.T) {
 		t.Fatalf("netsub run stalled: %s", rep)
 	}
 
-	for name, out := range map[string]*msgnet.RoundOutcome{
+	for name, out := range map[string]*core.RoundOutcome{
 		"virtual": virtual(func(nd *msgnet.Node) msgnet.Substrate { return nd }),
 		"link":    virtual(func(nd *msgnet.Node) msgnet.Substrate { return reliablelink.New(nd, reliablelink.Config{}) }),
 		"tcp":     networked,

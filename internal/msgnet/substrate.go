@@ -49,76 +49,3 @@ func (nd *Node) PID() core.PID { return nd.Me }
 func (nd *Node) Size() int { return nd.N }
 
 var _ Substrate = (*Node)(nil)
-
-// RoundRec is one process's record of a round-protocol execution: its
-// per-round suspect sets (D(i,r)) and views (S(i,r) with payloads),
-// indexed by r−1. A round the process never completed — recovery skips
-// rounds to catch up — holds the zero Set and a nil view. Every runner
-// fills one RoundRec per process and hands them to AssembleRoundOutcome.
-type RoundRec struct {
-	Dsets []core.Set
-	Views []map[core.PID]core.Value
-}
-
-// Complete records that the process finished round r with the given view
-// and D(i,r), leaving any rounds it skipped on the way marked incomplete.
-func (rec *RoundRec) Complete(r int, view map[core.PID]core.Value, d core.Set) {
-	for len(rec.Dsets) < r {
-		rec.Dsets = append(rec.Dsets, core.Set{})
-		rec.Views = append(rec.Views, nil)
-	}
-	rec.Dsets[r-1], rec.Views[r-1] = d, view
-}
-
-// completed reports whether the process finished round r.
-func (rec *RoundRec) completed(r int) bool {
-	return rec != nil && len(rec.Dsets) >= r && rec.Dsets[r-1].Universe() > 0
-}
-
-// AssembleRoundOutcome builds the induced RRFD trace from per-process
-// round records: Active at round r is every process that completed r,
-// Suspects[i] is its D(i,r), Deliver[i] the complement, and a process
-// without the round is marked Crashed when the substrate crashed it. The
-// trace runs to the last round anybody completed. Nil entries of recs are
-// treated as empty records.
-func AssembleRoundOutcome(n int, recs []*RoundRec, crashed core.Set, steps int) *RoundOutcome {
-	res := &RoundOutcome{
-		Trace:   core.NewTrace(n),
-		Views:   make(map[core.PID][]map[core.PID]core.Value, n),
-		Crashed: crashed,
-		Steps:   steps,
-	}
-	rounds := 0
-	for i, rec := range recs {
-		res.Views[core.PID(i)] = nil
-		if rec != nil {
-			res.Views[core.PID(i)] = rec.Views
-			rounds = max(rounds, len(rec.Dsets))
-		}
-	}
-	for r := 1; r <= rounds; r++ {
-		rr := core.RoundRecord{
-			R:        r,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   core.NewSet(n),
-			Crashed:  core.NewSet(n),
-		}
-		for i := 0; i < n; i++ {
-			pid := core.PID(i)
-			if recs[i].completed(r) {
-				rr.Active.Add(pid)
-				rr.Suspects[i] = recs[i].Dsets[r-1]
-				rr.Deliver[i] = recs[i].Dsets[r-1].Complement()
-			} else {
-				rr.Suspects[i] = core.NewSet(n)
-				rr.Deliver[i] = core.NewSet(n)
-				if crashed.Has(pid) {
-					rr.Crashed.Add(pid)
-				}
-			}
-		}
-		res.Trace.Append(rr)
-	}
-	return res
-}

@@ -86,7 +86,7 @@ func TestProxyPartitionCrossValidatesFaultnet(t *testing.T) {
 		Name:   "island-p0",
 	}}}
 
-	check := func(name string, out *msgnet.RoundOutcome) {
+	check := func(name string, out *core.RoundOutcome) {
 		t.Helper()
 		if out.Trace.Len() != rounds {
 			t.Fatalf("%s: trace length %d, want %d", name, out.Trace.Len(), rounds)

@@ -92,8 +92,8 @@ func (r *RunReport) String() string {
 // same RoundOutcome shape the virtual substrates produce — so predicate
 // checking and the chaos verdicts run unchanged on real sockets. The
 // RunReport is always non-nil, even alongside an error.
-func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgnet.RoundOutcome, *RunReport, error) {
-	if err := msgnet.CheckShape(n, f, rounds); err != nil {
+func RunRounds(n, f, rounds int, cfg RoundsConfig, emit core.RoundEmit) (*core.RoundOutcome, *RunReport, error) {
+	if err := core.CheckShape(n, f, rounds); err != nil {
 		return nil, &RunReport{}, err
 	}
 	rep := &RunReport{PerProc: make([]Stats, n)}
@@ -142,7 +142,7 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgn
 			o.Event("netsub.watchdog", s.Round, int(s.P), map[string]any{"missing": len(s.Missing), "tick": s.Step})
 		}
 	}
-	recs := make([]*msgnet.RoundRec, n)
+	recs := make([]*core.RoundRec, n)
 	stalls := make([][]msgnet.Stall, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -176,5 +176,5 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgn
 		}
 		rep.Errs[core.PID(i)] = errs[i]
 	}
-	return msgnet.AssembleRoundOutcome(n, recs, core.NewSet(n), rep.Millis), rep, err
+	return core.AssembleRoundOutcome(n, recs, core.NewSet(n), rep.Millis), rep, err
 }

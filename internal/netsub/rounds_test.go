@@ -95,7 +95,7 @@ func TestDeadPeerDegradesIntoSuspicion(t *testing.T) {
 	}
 
 	type result struct {
-		rec *msgnet.RoundRec
+		rec *core.RoundRec
 		err error
 	}
 	results := make([]result, 2)
@@ -159,7 +159,7 @@ func TestKilledAndRestartedPeerTerminates(t *testing.T) {
 	victim := mk(1, 1, lns[1])
 
 	type result struct {
-		rec    *msgnet.RoundRec
+		rec    *core.RoundRec
 		stalls int
 		err    error
 	}

@@ -77,7 +77,7 @@ type Outcome struct {
 // incarnation is parked before its successor spawns, so there is no
 // concurrent access.
 type procState struct {
-	rec       msgnet.RoundRec
+	rec       core.RoundRec
 	recovered bool
 	rejoined  bool
 	replayed  int
@@ -116,7 +116,7 @@ func (t floodTap) RecvTimeout(deadline int) (msgnet.Envelope, bool, error) {
 // decisions by f+1 exactly as in the fail-stop analysis — recovery costs
 // liveness (an uncaught-up process abstains), never safety.
 func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
-	if err := msgnet.CheckShape(n, f, rounds); err != nil {
+	if err := core.CheckShape(n, f, rounds); err != nil {
 		return nil, err
 	}
 	journals := cfg.Journals
@@ -275,7 +275,7 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 		Steps:     out.Steps,
 		Errs:      out.Errs,
 	}
-	recs := make([]*msgnet.RoundRec, n)
+	recs := make([]*core.RoundRec, n)
 	for i := range procs {
 		ps, pid := &procs[i], core.PID(i)
 		recs[i] = &ps.rec
@@ -290,6 +290,6 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 			res.Lost[pid] = ps.lost
 		}
 	}
-	res.Trace = msgnet.AssembleRoundOutcome(n, recs, out.Crashed, out.Steps).Trace
+	res.Trace = core.InducedTrace(n, recs, out.Crashed)
 	return res, nil
 }

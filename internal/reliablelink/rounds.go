@@ -97,12 +97,12 @@ func (r *RunReport) String() string {
 // substrate's protocol does, and predicate checking of the trace is how the
 // chaos harness decides which model the faulty execution still realized.
 // The RunReport is always non-nil, even alongside an error.
-func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgnet.RoundOutcome, *RunReport, error) {
-	if err := msgnet.CheckShape(n, f, rounds); err != nil {
+func RunRounds(n, f, rounds int, cfg RoundsConfig, emit core.RoundEmit) (*core.RoundOutcome, *RunReport, error) {
+	if err := core.CheckShape(n, f, rounds); err != nil {
 		return nil, &RunReport{}, err
 	}
 	rep := &RunReport{PerProc: make([]Stats, n), Crashed: core.NewSet(n)}
-	recs := make([]*msgnet.RoundRec, n)
+	recs := make([]*core.RoundRec, n)
 	stalls := make([][]msgnet.Stall, n)
 	links := make([]*Link, n)
 	out, err := msgnet.Run(n, cfg.Net, func(nd *msgnet.Node) (core.Value, error) {
@@ -132,5 +132,5 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit msgnet.RoundEmit) (*msgn
 		}
 		rep.Stalls = append(rep.Stalls, stalls[i]...)
 	}
-	return msgnet.AssembleRoundOutcome(n, recs, rep.Crashed, rep.Steps), rep, err
+	return core.AssembleRoundOutcome(n, recs, rep.Crashed, rep.Steps), rep, err
 }

@@ -34,7 +34,7 @@ type twoStep struct {
 	phase     int // 1 or 2 within the round
 	broadcast bool
 	seen      map[int]map[core.PID]core.Value // round → sender → value
-	dsets     []core.Set
+	rec       core.RoundRec                   // D(i,r) per completed round
 	decided   bool
 }
 
@@ -94,7 +94,7 @@ func (t *twoStep) Step(received []Msg) StepResult {
 	if t.broadcast {
 		d.Remove(t.me)
 	}
-	t.dsets = append(t.dsets, d)
+	t.rec.Complete(t.round, nil, d)
 
 	if t.round == 1 && !t.decided {
 		// Theorem 3.1 with k = 1: adopt the value of the smallest
@@ -154,33 +154,11 @@ func RunTwoStep(n, rounds int, cfg Config, inputs []core.Value) (*TwoStepOutcome
 	if err != nil {
 		return nil, err
 	}
-	trace := core.NewTrace(n)
-	for r := 1; r <= rounds; r++ {
-		rec := core.RoundRecord{
-			R:        r,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   core.NewSet(n),
-			Crashed:  core.NewSet(n),
-		}
-		for i := 0; i < n; i++ {
-			pid := core.PID(i)
-			if steppers[i] != nil && len(steppers[i].dsets) >= r {
-				rec.Active.Add(pid)
-				rec.Suspects[i] = steppers[i].dsets[r-1]
-				rec.Deliver[i] = steppers[i].dsets[r-1].Complement()
-			} else {
-				rec.Suspects[i] = core.NewSet(n)
-				rec.Deliver[i] = core.NewSet(n)
-				rec.Crashed.Add(pid)
-			}
-		}
-		if rec.Active.Empty() {
-			break
-		}
-		trace.Append(rec)
+	recs := make([]*core.RoundRec, n)
+	for i, st := range steppers {
+		recs[i] = &st.rec
 	}
-	return &TwoStepOutcome{Outcome: out, Trace: trace}, nil
+	return &TwoStepOutcome{Outcome: out, Trace: core.InducedTrace(n, recs, out.Crashed)}, nil
 }
 
 var _ Stepper = (*twoStep)(nil)

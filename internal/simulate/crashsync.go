@@ -94,7 +94,7 @@ func CrashSync(n, f, k, rounds int, cfg swmr.Config, factory core.Factory, input
 	}
 
 	type procRecord struct {
-		dsets     []core.Set // D(i,r) for each completed simulated round
+		sim       core.RoundRec // D(i,r) for each completed simulated round
 		out       core.Value
 		decidedAt int
 		selfCrash int // simulated round of "I crashed", 0 if none
@@ -189,7 +189,7 @@ func CrashSync(n, f, k, rounds int, cfg swmr.Config, factory core.Factory, input
 				zombie = true
 				continue
 			}
-			rec.dsets = append(rec.dsets, committed)
+			rec.sim.Complete(r, nil, committed)
 			if !decided {
 				out, dec := alg.Deliver(r, msgs, committed)
 				if dec {
@@ -245,17 +245,18 @@ func CrashSync(n, f, k, rounds int, cfg swmr.Config, factory core.Factory, input
 			DecidedAt: make(map[core.PID]int),
 			Rounds:    rounds,
 			Crashed:   core.NewSet(n),
-			Trace:     core.NewTrace(n),
 		},
 		Adopted:     make(map[core.PID]core.Value),
 		RealCrashes: out.Crashed,
 		Steps:       out.Steps,
 	}
+	simRecs := make([]*core.RoundRec, n)
 	for i := 0; i < n; i++ {
 		if recs[i] == nil {
 			recs[i] = &procRecord{}
 		}
 		pid := core.PID(i)
+		simRecs[i] = &recs[i].sim
 		if recs[i].decidedAt > 0 {
 			res.Result.Outputs[pid] = recs[i].out
 			res.Result.DecidedAt[pid] = recs[i].decidedAt
@@ -267,31 +268,7 @@ func CrashSync(n, f, k, rounds int, cfg swmr.Config, factory core.Factory, input
 			res.Result.Crashed.Add(pid)
 		}
 	}
-	for r := 1; r <= rounds; r++ {
-		rec := core.RoundRecord{
-			R:        r,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   core.NewSet(n),
-			Crashed:  core.NewSet(n),
-		}
-		for i := 0; i < n; i++ {
-			pid := core.PID(i)
-			if len(recs[i].dsets) >= r {
-				rec.Active.Add(pid)
-				rec.Suspects[i] = recs[i].dsets[r-1]
-				rec.Deliver[i] = recs[i].dsets[r-1].Complement()
-			} else {
-				rec.Suspects[i] = core.NewSet(n)
-				rec.Deliver[i] = core.NewSet(n)
-				rec.Crashed.Add(pid)
-			}
-		}
-		if rec.Active.Empty() {
-			break
-		}
-		res.Result.Trace.Append(rec)
-	}
+	res.Result.Trace = core.InducedTrace(n, simRecs, res.Result.Crashed)
 	return res, nil
 }
 

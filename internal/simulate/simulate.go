@@ -40,6 +40,21 @@ import (
 // active throughout (the construction is for the failure-free-by-
 // indistinguishability regime of the RRFD model).
 func TwoRoundsToSharedMemory(t *core.Trace) (*core.Trace, error) {
+	return twoRoundsToOne(t, func(i, _ int, first, second *core.RoundRecord) (core.Set, error) {
+		heard := core.NewSet(t.N)
+		second.Deliver[i].ForEach(func(j core.PID) {
+			heard = heard.Union(first.Deliver[j])
+		})
+		return heard.Complement(), nil
+	})
+}
+
+// twoRoundsToOne is the skeleton both two-for-one trace derivations share:
+// simulated round ρ is built from base rounds 2ρ−1 and 2ρ, Active and
+// Crashed are those of the first, a process that missed either base round
+// is inactive, and every other process i gets D_sim(i,ρ) from derive (its
+// complement is the simulated reception set).
+func twoRoundsToOne(t *core.Trace, derive func(i, rho int, first, second *core.RoundRecord) (core.Set, error)) (*core.Trace, error) {
 	if t.Len()%2 != 0 {
 		return nil, fmt.Errorf("simulate: need an even number of base rounds, have %d", t.Len())
 	}
@@ -63,12 +78,12 @@ func TwoRoundsToSharedMemory(t *core.Trace) (*core.Trace, error) {
 				rec.Active.Remove(pid)
 				continue
 			}
-			heard := core.NewSet(n)
-			second.Deliver[i].ForEach(func(j core.PID) {
-				heard = heard.Union(first.Deliver[j])
-			})
-			rec.Deliver[i] = heard
-			rec.Suspects[i] = heard.Complement()
+			d, err := derive(i, rho, first, second)
+			if err != nil {
+				return nil, err
+			}
+			rec.Suspects[i] = d
+			rec.Deliver[i] = d.Complement()
 		}
 		out.Append(rec)
 	}
@@ -88,49 +103,23 @@ func TwoRoundsToSharedMemory(t *core.Trace) (*core.Trace, error) {
 // n−t > t because 2t < n. (The full-information protocol realizes the
 // adoption by relaying first-round views.)
 func BToA(t *core.Trace, f int) (*core.Trace, error) {
-	if t.Len()%2 != 0 {
-		return nil, fmt.Errorf("simulate: need an even number of base rounds, have %d", t.Len())
-	}
-	n := t.N
-	out := core.NewTrace(n)
-	for rho := 1; rho <= t.Len()/2; rho++ {
-		first := t.Round(2*rho - 1)
-		second := t.Round(2 * rho)
-		rec := core.RoundRecord{
-			R:        rho,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   first.Active.Clone(),
-			Crashed:  first.Crashed.Clone(),
-		}
-		for i := 0; i < n; i++ {
-			pid := core.PID(i)
-			if !first.Active.Has(pid) || !second.Active.Has(pid) {
-				rec.Suspects[i] = core.NewSet(n)
-				rec.Deliver[i] = core.NewSet(n)
-				rec.Active.Remove(pid)
-				continue
+	return twoRoundsToOne(t, func(i, rho int, first, second *core.RoundRecord) (core.Set, error) {
+		var chosen core.Set
+		found := false
+		second.Deliver[i].ForEach(func(s core.PID) {
+			d := first.Suspects[s]
+			if d.Count() > f {
+				return
 			}
-			var chosen core.Set
-			found := false
-			second.Deliver[i].ForEach(func(s core.PID) {
-				d := first.Suspects[s]
-				if d.Count() > f {
-					return
-				}
-				if !found || d.Count() < chosen.Count() {
-					chosen, found = d, true
-				}
-			})
-			if !found {
-				return nil, fmt.Errorf("simulate: process %d has no f-budget source at simulated round %d", i, rho)
+			if !found || d.Count() < chosen.Count() {
+				chosen, found = d, true
 			}
-			rec.Suspects[i] = chosen.Clone()
-			rec.Deliver[i] = chosen.Complement()
+		})
+		if !found {
+			return core.Set{}, fmt.Errorf("simulate: process %d has no f-budget source at simulated round %d", i, rho)
 		}
-		out.Append(rec)
-	}
-	return out, nil
+		return chosen.Clone(), nil
+	})
 }
 
 // OmissionPrefix is Theorem 4.1 at the trace level: given an execution of

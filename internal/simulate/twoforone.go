@@ -40,7 +40,7 @@ type twoForOne struct {
 
 	pending core.Message // inner's message for the current simulated round
 	got     map[core.PID]core.Message
-	dsets   []core.Set // simulated D(i,ρ), for trace assembly
+	rec     core.RoundRec // simulated D(i,ρ), for trace assembly
 	err     error
 }
 
@@ -70,7 +70,7 @@ func (a *twoForOne) Deliver(r int, msgs map[core.PID]core.Message, suspects core
 		}
 		return nil, false
 	}
-	a.dsets = append(a.dsets, simD)
+	a.rec.Complete(rho, nil, simD)
 	return a.inner.Deliver(rho, simMsgs, simD)
 }
 
@@ -165,39 +165,19 @@ func RunTwoForOne(n int, inputs []core.Value, factory core.Factory, base core.Or
 		return nil, err
 	}
 
+	recs := make([]*core.RoundRec, n)
+	for i, w := range wrappers {
+		recs[i] = &w.rec
+	}
 	sim := &core.Result{
 		Outputs:   res.Outputs,
 		DecidedAt: make(map[core.PID]int, len(res.DecidedAt)),
 		Rounds:    res.Rounds / 2,
 		Crashed:   res.Crashed,
-		Trace:     core.NewTrace(n),
+		Trace:     core.InducedTrace(n, recs, res.Crashed),
 	}
 	for p, r := range res.DecidedAt {
 		sim.DecidedAt[p] = r / 2
-	}
-	for rho := 1; rho <= res.Rounds/2; rho++ {
-		rec := core.RoundRecord{
-			R:        rho,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   core.NewSet(n),
-			Crashed:  core.NewSet(n),
-		}
-		for i := 0; i < n; i++ {
-			if wrappers[i] != nil && len(wrappers[i].dsets) >= rho {
-				rec.Active.Add(core.PID(i))
-				rec.Suspects[i] = wrappers[i].dsets[rho-1]
-				rec.Deliver[i] = wrappers[i].dsets[rho-1].Complement()
-			} else {
-				rec.Suspects[i] = core.NewSet(n)
-				rec.Deliver[i] = core.NewSet(n)
-				rec.Crashed.Add(core.PID(i))
-			}
-		}
-		if rec.Active.Empty() {
-			break
-		}
-		sim.Trace.Append(rec)
 	}
 	return &TwoForOneResult{Result: sim, BaseRounds: res.Rounds}, nil
 }

@@ -32,8 +32,8 @@ func BenchmarkUpdateScan(b *testing.B) {
 	}
 }
 
-// BenchmarkRounds measures one iterated-snapshot round (§2 item 5).
-func BenchmarkRounds(b *testing.B) {
+// BenchmarkSnapshotRounds measures one iterated-snapshot round (§2 item 5).
+func BenchmarkSnapshotRounds(b *testing.B) {
 	n, f, rounds := 5, 2, 3
 	steps := 0
 	runs := 0

@@ -2,6 +2,7 @@ package rrfd
 
 import (
 	"repro/internal/adoptcommit"
+	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/msgnet"
 	"repro/internal/semisync"
@@ -62,7 +63,7 @@ type (
 	SnapshotCell = snapshot.Cell
 
 	// SnapshotRoundOutcome reports a snapshot round-protocol run.
-	SnapshotRoundOutcome = snapshot.RoundOutcome
+	SnapshotRoundOutcome = core.RoundOutcome
 )
 
 var (
@@ -110,7 +111,7 @@ type (
 	NetEnvelope = msgnet.Envelope
 
 	// NetRoundOutcome reports a round-protocol run.
-	NetRoundOutcome = msgnet.RoundOutcome
+	NetRoundOutcome = core.RoundOutcome
 
 	// Substrate is the node-facing surface every message-passing
 	// substrate implements — the virtual-clock scheduler with steps, the
@@ -120,7 +121,7 @@ type (
 
 	// RoundEmit produces one process's round-r payload from what it
 	// heard (and suspected) in round r−1.
-	RoundEmit = msgnet.RoundEmit
+	RoundEmit = core.RoundEmit
 
 	// RoundStall records one watchdog firing: who gave up which round,
 	// missing whom.
