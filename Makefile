@@ -44,8 +44,9 @@ chaos-short:
 
 # Fixed-seed crash-recovery campaigns plus a kill-and-resume round trip,
 # all under the race detector: every run crashes at least one process and
-# audits safety; the resumed execution must match the journal or rrfdsim
-# exits non-zero with a divergence error.
+# is audited by recovery.Audit (task.KSet plus durability); the resumed
+# execution must match the journal or rrfdsim exits non-zero with a
+# divergence error.
 recovery-short:
 	$(GO) run -race ./cmd/rrfdsim -chaos-recover -n 5 -f 1 -runs 25 -seed 42
 	$(GO) run -race ./cmd/rrfdsim -chaos-recover -n 5 -f 1 -runs 15 -seed 7 \
@@ -68,20 +69,24 @@ mc-short:
 	$(GO) run -race ./cmd/rrfdsim -mc -system async -n 3 -f 1 -alg qkset -bug -mc-replay c1:4; \
 		test $$? -eq 1
 
-# Coverage floor for the model-checking engine: the subsystem exists to
-# find other packages' bugs, so its own statements stay >= 85% covered.
+# Coverage floors for the two packages that judge every other package's
+# safety: the model-checking engine stays >= 85% covered, and the task
+# relation every audit evaluates (task.KSet) >= 90%.
 mc-cover:
-	$(GO) test -cover ./internal/mc/ | awk '{ \
-		for (i = 1; i <= NF; i++) if ($$i == "coverage:") c = substr($$(i+1), 1, length($$(i+1))-1); \
+	$(GO) test -cover ./internal/mc/ ./internal/task/ | awk '{ \
+		for (i = 1; i <= NF; i++) if ($$i == "coverage:") c[$$2] = substr($$(i+1), 1, length($$(i+1))-1); \
 		print } END { \
-		if (c + 0 < 85) { print "internal/mc coverage " c "% below 85% floor"; exit 1 } }'
+		if (c["repro/internal/mc"] + 0 < 85) { print "internal/mc coverage " c["repro/internal/mc"] "% below 85% floor"; bad = 1 } \
+		if (c["repro/internal/task"] + 0 < 90) { print "internal/task coverage " c["repro/internal/task"] "% below 90% floor"; bad = 1 } \
+		exit bad }'
 
 # Model-algebra gate, under the race detector: the atom table's own tests
 # (internal/predicate), the legacy-name <-> expression binding and golden
 # verdict suites, every enumerator path against its checker, compiled vs
 # reference enumerators, the fuzz seed corpus and chaos closure; then one
-# -model smoke per run mode and a coverage floor on the compiler package
-# itself.
+# -model smoke per run mode (the -mc and -chaos ones judged by task.KSet,
+# through the mc properties and chaos's check) and a coverage floor on the
+# compiler package itself.
 hoalg-short:
 	$(GO) test -race -count=1 ./internal/predicate/ ./internal/hoalg/ ./internal/adversary/
 	$(GO) run -race ./cmd/rrfdsim -model sync-crash -n 3 -f 1 -alg none -rounds 3

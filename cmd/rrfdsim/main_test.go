@@ -427,6 +427,10 @@ func TestRunMCFindsPlantedBug(t *testing.T) {
 	if !strings.Contains(out, "c1:4") {
 		t.Fatalf("output lacks the replay string:\n%s", out)
 	}
+	// Wording recorded before mc.KAgreement moved onto internal/task.
+	if want := "violation: property 2-agreement violated: 3 distinct decisions, want <= 2\n"; !strings.Contains(out, want) {
+		t.Fatalf("counterexample line changed, want %q in:\n%s", want, out)
+	}
 }
 
 func TestRunMCWorkersByteIdentical(t *testing.T) {

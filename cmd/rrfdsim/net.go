@@ -337,26 +337,30 @@ func runNetParent(cfg config, w io.Writer) error {
 		}
 	}
 
-	distinct := map[int]bool{}
+	inputs := make(map[int]bool, n)
+	for i := range results {
+		inputs[i] = true // process i proposed i
+	}
+	vd := rrfd.KSetVerdict(k, func(v int) bool { return inputs[v] }, n,
+		func(i int) (int, bool) { return results[i].Decision, true }, nil)
 	stalls, reconnects := 0, int64(0)
 	for _, res := range results {
 		fmt.Fprintf(w, "p%-3d → %-4d (incarnation %d, rounds %d, stalls %d)\n",
 			res.PID, res.Decision, res.Incarnation, res.Rounds, res.Stalls)
-		if res.Decision < 0 || res.Decision >= n {
-			return fmt.Errorf("validity violated: p%d decided %d, not any process's input", res.PID, res.Decision)
-		}
-		distinct[res.Decision] = true
 		stalls += res.Stalls
 		reconnects += res.Reconnects
+	}
+	if bad := vd.Invalid; len(bad) > 0 {
+		return fmt.Errorf("validity violated: p%d decided %d, not any process's input", results[bad[0].Index].PID, bad[0].Value)
 	}
 	if results[victim].Incarnation != 2 {
 		return fmt.Errorf("p%d's result came from incarnation %d, want the restart", victim, results[victim].Incarnation)
 	}
 	fmt.Fprintf(w, "stalls: %d, reconnects: %d\n", stalls, reconnects)
-	if len(distinct) > k {
-		return fmt.Errorf("k-agreement violated: %d distinct decisions > k=%d", len(distinct), k)
+	if vd.Excess {
+		return fmt.Errorf("k-agreement violated: %d distinct decisions > k=%d", len(vd.Distinct), k)
 	}
-	fmt.Fprintf(w, "agreement check: %d distinct decision(s) ≤ k=%d; restarted process re-entered and terminated\n", len(distinct), k)
+	fmt.Fprintf(w, "agreement check: %d distinct decision(s) ≤ k=%d; restarted process re-entered and terminated\n", len(vd.Distinct), k)
 	return nil
 }
 

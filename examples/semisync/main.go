@@ -35,11 +35,12 @@ func main() {
 		if err := rrfd.IdenticalSuspects().Check(fast.Trace); err != nil {
 			log.Fatal(err)
 		}
-		distinct := map[rrfd.Value]bool{}
-		for _, v := range fast.Outcome.Values {
-			distinct[v] = true
+		decided := func(i int) (rrfd.Value, bool) {
+			v, ok := fast.Outcome.Values[rrfd.PID(i)]
+			return v, ok
 		}
-		if len(distinct) != 1 {
+		nobody := func(int) bool { return false } // no crashes: all must decide
+		if vd := rrfd.KSetVerdict(1, nil, n, decided, nobody); vd.Excess || len(vd.Undecided) > 0 {
 			log.Fatalf("n=%d: disagreement: %v", n, fast.Outcome.Values)
 		}
 

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/task"
 )
 
 // Validate checks the standard k-set agreement conditions on an execution
@@ -29,27 +30,13 @@ import (
 // crash. maxRound, when positive, additionally bounds the latest decision
 // round.
 func Validate(res *core.Result, inputs []core.Value, k, maxRound int) error {
-	if got := res.DistinctOutputs(); got > k {
-		return fmt.Errorf("agreement: %d distinct outputs, want ≤ %d (outputs %v)", got, k, res.Outputs)
-	}
-	valid := make(map[core.Value]bool, len(inputs))
-	for _, v := range inputs {
-		valid[v] = true
-	}
-	for p, v := range res.Outputs {
-		if !valid[v] {
-			return fmt.Errorf("agreement: process %d decided %v, not an input", p, v)
-		}
-	}
-	n := len(inputs)
-	for i := 0; i < n; i++ {
-		p := core.PID(i)
-		if res.Crashed.Has(p) {
-			continue
-		}
-		if _, ok := res.DecidedAt[p]; !ok {
-			return fmt.Errorf("agreement: live process %d never decided", p)
-		}
+	switch vd := task.KSet(k, task.Inputs(inputs), len(inputs), task.ByPID(res.Outputs), task.In(res.Crashed)); {
+	case vd.Excess:
+		return fmt.Errorf("agreement: %d distinct outputs, want ≤ %d (outputs %v)", len(vd.Distinct), k, res.Outputs)
+	case len(vd.Invalid) > 0:
+		return fmt.Errorf("agreement: process %d decided %v, not an input", vd.Invalid[0].Index, vd.Invalid[0].Value)
+	case len(vd.Undecided) > 0:
+		return fmt.Errorf("agreement: live process %d never decided", vd.Undecided[0])
 	}
 	if maxRound > 0 {
 		if got := res.MaxDecisionRound(); got > maxRound {

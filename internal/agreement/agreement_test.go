@@ -365,3 +365,33 @@ func TestValidateCatchesBadOutputs(t *testing.T) {
 		t.Fatal("late decision must fail the round bound")
 	}
 }
+
+// TestValidateWording pins Validate's error strings, recorded before the
+// relation moved onto internal/task.
+func TestValidateWording(t *testing.T) {
+	in := identityInputs(3)
+	round1 := map[core.PID]int{0: 1, 1: 1, 2: 1}
+	for _, tc := range []struct {
+		res      core.Result
+		maxRound int
+		want     string
+	}{
+		{core.Result{Outputs: map[core.PID]core.Value{0: 0, 1: 1, 2: 2}, DecidedAt: round1}, 0,
+			"agreement: 3 distinct outputs, want ≤ 2 (outputs map[0:0 1:1 2:2])"},
+		{core.Result{Outputs: map[core.PID]core.Value{0: 0, 1: 7, 2: 0}, DecidedAt: round1}, 0,
+			"agreement: process 1 decided 7, not an input"},
+		{core.Result{Outputs: map[core.PID]core.Value{0: 0, 1: 0}, DecidedAt: map[core.PID]int{0: 1, 1: 1}}, 0,
+			"agreement: live process 2 never decided"},
+		{core.Result{Outputs: map[core.PID]core.Value{0: 0, 1: 0, 2: 0}, DecidedAt: map[core.PID]int{0: 1, 1: 3, 2: 1}}, 2,
+			"agreement: decision at round 3, want ≤ 2"},
+	} {
+		tc.res.Crashed = core.NewSet(3)
+		if err := Validate(&tc.res, in, 2, tc.maxRound); err == nil || err.Error() != tc.want {
+			t.Errorf("Validate = %v, want %s", err, tc.want)
+		}
+	}
+	crashed := core.Result{Outputs: map[core.PID]core.Value{0: 0, 1: 0}, DecidedAt: map[core.PID]int{0: 1, 1: 1}, Crashed: core.SetOf(3, 2)}
+	if err := Validate(&crashed, in, 2, 0); err != nil {
+		t.Errorf("a crashed process must be exempt from termination: %v", err)
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/predicate"
 	"repro/internal/reliablelink"
+	"repro/internal/task"
 )
 
 // Config shapes a chaos campaign. The zero value is usable: 100 runs of
@@ -410,28 +411,25 @@ func check(cfg Config, res runResult) []Violation {
 		add("run-error", "execution failed instead of degrading: %v", res.err)
 	}
 
-	// Validity: every decided value is some process's proposal.
-	for p, v := range res.decisions {
-		n, ok := v.(int)
-		if !ok || n < 0 || n >= cfg.N {
-			add("validity", "p%d decided %v, which no process proposed", p, v)
-		}
+	// Validity and k-agreement: the shared relation over the proposals
+	// 0..N-1, every offender reported.
+	proposals := make([]core.Value, cfg.N)
+	for i := range proposals {
+		proposals[i] = i
 	}
-
-	// k-agreement: at most K distinct decided values.
-	distinct := make(map[core.Value]bool)
-	for _, v := range res.decisions {
-		distinct[v] = true
+	vd := task.KSet(cfg.K, task.Inputs(proposals), cfg.N, task.ByPID(res.decisions), nil)
+	for _, o := range vd.Invalid {
+		add("validity", "p%d decided %v, which no process proposed", o.Index, o.Value)
 	}
-	if len(distinct) > cfg.K {
-		vals := make([]int, 0, len(distinct))
-		for v := range distinct {
+	if vd.Excess {
+		vals := make([]int, 0, len(vd.Distinct))
+		for _, v := range vd.Distinct {
 			if n, ok := v.(int); ok {
 				vals = append(vals, n)
 			}
 		}
 		sort.Ints(vals)
-		add("k-agreement", "%d distinct decisions %v exceed k=%d", len(distinct), vals, cfg.K)
+		add("k-agreement", "%d distinct decisions %v exceed k=%d", len(vd.Distinct), vals, cfg.K)
 	}
 
 	// Predicate conformance. With a TracePred the compiled model predicate
@@ -476,98 +474,117 @@ func Minimize(cfg Config, schedSeed int64, plan faultnet.Plan, crashes map[core.
 	return cur
 }
 
-// Run executes the campaign: Runs randomized executions, each checked
-// against the safety invariants, each violation minimized and reported.
+// campaignSpec is what the campaign configs have in common.
+type campaignSpec struct {
+	runs      int
+	seed      int64
+	workers   int
+	observed  bool
+	telemetry *hist.Registry
+	wallName  string
+	out       io.Writer
+}
+
+// runCampaign is the campaign loop, and the owner of its determinism
+// contract. Every run's (scheduler, scenario) seeds are pre-drawn
+// sequentially from the campaign RNG, so run i consumes exactly the random
+// stream it would in a sequential campaign whatever order the workers
+// execute in; an observed campaign runs on one worker, so the event stream
+// stays a function of the seed; wall time flows only into the histogram;
+// and runs are folded, and their violations printed, in run order — so the
+// summary and the out stream are byte-identical at any worker count.
 //
-// Runs are fanned out over cfg.Workers goroutines (see Config.Workers);
-// each run is a pure function of its pre-drawn seeds, and aggregation
-// happens in run order, so the result is independent of the worker count.
-func Run(cfg Config) *Summary {
-	cfg = cfg.withDefaults()
-	sum := &Summary{Runs: cfg.Runs}
-
-	// Pre-draw every run's seeds sequentially from the campaign RNG, so
-	// run i consumes exactly the random stream it would in a sequential
-	// campaign, whatever order the workers execute in.
-	type runSeeds struct{ sched, plan int64 }
-	seeds := faultnet.NewRNG(cfg.Seed)
-	draws := make([]runSeeds, cfg.Runs)
+// one draws a run's scenario from its seeds, executes it inside timed (the
+// part the wall histogram measures) and checks the execution into the
+// run's share of the summary; fold adds a share to the campaign summary
+// and returns its violations.
+func runCampaign[C any, V fmt.Stringer](c campaignSpec, sum fmt.Stringer,
+	one func(run int, sched, scen int64, timed func(execute func())) C, fold func(C) []V) {
+	type seeds struct{ sched, scen int64 }
+	rng := faultnet.NewRNG(c.seed)
+	draws := make([]seeds, c.runs)
 	for i := range draws {
-		draws[i].sched = int64(seeds.Intn(1<<30)) + 1
-		draws[i].plan = int64(seeds.Intn(1<<30)) + 1
+		draws[i].sched = int64(rng.Intn(1<<30)) + 1
+		draws[i].scen = int64(rng.Intn(1<<30)) + 1
 	}
 
-	workers := par.Workers(cfg.Workers)
-	if cfg.Observer != nil {
-		workers = 1 // serialize the observed event stream
+	workers := par.Workers(c.workers)
+	if c.observed {
+		workers = 1
 	}
-
-	type runOutcome struct {
-		decided, undecided               int
-		stalls, retransmissions, giveUps int
-		steps                            int
-		vs                               []Violation
-	}
-	var wall *hist.Histogram
-	if cfg.Telemetry != nil {
-		wall = cfg.Telemetry.Get("chaos_run_wall_ns")
-	}
-	outs, perr := par.Map(workers, cfg.Runs, func(run int) runOutcome {
-		plan := RandomPlan(cfg, draws[run].plan)
-		if cfg.FixedPlan != nil {
-			plan = *cfg.FixedPlan
-		}
-		crashes := randomCrashes(cfg, draws[run].plan)
-
-		var start time.Time
-		if wall != nil {
-			start = time.Now()
-		}
-		out, rep, decisions, err := Execute(cfg, draws[run].sched, plan, crashes)
-		if wall != nil {
+	timed := func(execute func()) { execute() }
+	if c.telemetry != nil {
+		wall := c.telemetry.Get(c.wallName)
+		timed = func(execute func()) {
+			start := time.Now()
+			execute()
 			wall.Record(time.Since(start).Nanoseconds())
 		}
-		oc := runOutcome{decided: len(decisions), undecided: cfg.N - len(decisions)}
-		if rep != nil {
-			oc.stalls = len(rep.Stalls)
-			oc.retransmissions = rep.Retransmissions
-			oc.giveUps = rep.GiveUps
-			oc.steps = rep.Steps
-		}
-		oc.vs = check(cfg, runResult{out, rep.Stalled(), err, decisions})
-		if len(oc.vs) == 0 {
-			return oc
-		}
-		min := Minimize(cfg, draws[run].sched, plan, crashes)
-		for i := range oc.vs {
-			oc.vs[i].Run = run
-			oc.vs[i].SchedSeed = draws[run].sched
-			oc.vs[i].Plan = plan
-			oc.vs[i].MinPlan = min
-			oc.vs[i].Crashes = crashes
-		}
-		return oc
+	}
+	shares, perr := par.Map(workers, c.runs, func(run int) C {
+		return one(run, draws[run].sched, draws[run].scen, timed)
 	})
 	if perr != nil {
 		panic(perr) // a panicking run would abort a sequential campaign too
 	}
 
-	for _, oc := range outs {
-		sum.Decided += oc.decided
-		sum.Undecided += oc.undecided
-		sum.Stalls += oc.stalls
-		sum.Retransmissions += oc.retransmissions
-		sum.GiveUps += oc.giveUps
-		sum.Steps += oc.steps
-		for _, v := range oc.vs {
-			sum.Violations = append(sum.Violations, v)
-			if cfg.Out != nil {
-				fmt.Fprintf(cfg.Out, "%s\n", v)
+	for _, share := range shares {
+		for _, v := range fold(share) {
+			if c.out != nil {
+				fmt.Fprintf(c.out, "%s\n", v)
 			}
 		}
 	}
-	if cfg.Out != nil {
-		fmt.Fprintf(cfg.Out, "%s\n", sum)
+	if c.out != nil {
+		fmt.Fprintf(c.out, "%s\n", sum)
 	}
+}
+
+// Run executes the campaign: Runs randomized executions, each checked
+// against the safety invariants, each violation minimized and reported.
+// Runs fan out over cfg.Workers goroutines (see Config.Workers) under
+// runCampaign's contract: the result is independent of the worker count.
+func Run(cfg Config) *Summary {
+	cfg = cfg.withDefaults()
+	sum := &Summary{Runs: cfg.Runs}
+	runCampaign(campaignSpec{cfg.Runs, cfg.Seed, cfg.Workers, cfg.Observer != nil, cfg.Telemetry, "chaos_run_wall_ns", cfg.Out}, sum,
+		func(run int, sched, seed int64, timed func(func())) Summary {
+			plan := RandomPlan(cfg, seed)
+			if cfg.FixedPlan != nil {
+				plan = *cfg.FixedPlan
+			}
+			crashes := randomCrashes(cfg, seed)
+
+			var res runResult
+			var rep *reliablelink.RunReport
+			timed(func() { res.out, rep, res.decisions, res.err = Execute(cfg, sched, plan, crashes) })
+			res.stalled = rep.Stalled()
+
+			one := Summary{Decided: len(res.decisions), Undecided: cfg.N - len(res.decisions)}
+			if rep != nil {
+				one.Stalls = len(rep.Stalls)
+				one.Retransmissions = rep.Retransmissions
+				one.GiveUps = rep.GiveUps
+				one.Steps = rep.Steps
+			}
+			if one.Violations = check(cfg, res); len(one.Violations) > 0 {
+				min := Minimize(cfg, sched, plan, crashes)
+				for i := range one.Violations {
+					v := &one.Violations[i]
+					v.Run, v.SchedSeed, v.Plan, v.MinPlan, v.Crashes = run, sched, plan, min, crashes
+				}
+			}
+			return one
+		},
+		func(one Summary) []Violation {
+			sum.Decided += one.Decided
+			sum.Undecided += one.Undecided
+			sum.Stalls += one.Stalls
+			sum.Retransmissions += one.Retransmissions
+			sum.GiveUps += one.GiveUps
+			sum.Steps += one.Steps
+			sum.Violations = append(sum.Violations, one.Violations...)
+			return one.Violations
+		})
 	return sum
 }

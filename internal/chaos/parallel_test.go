@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -79,6 +80,44 @@ func TestRunRecoverParallelByteIdentical(t *testing.T) {
 		}
 		if gotOut != wantOut {
 			t.Fatalf("workers=%d Out stream differs:\n%q\nvs workers=1:\n%q", workers, gotOut, wantOut)
+		}
+	}
+}
+
+// amnesiaCampaign is a planted-bug recover campaign in which several runs
+// (15 and 18) have more than one process breaking durability, so which one
+// the audit names is visible in the summary and the Out stream.
+func amnesiaCampaign(workers int) (string, string) {
+	var out bytes.Buffer
+	sum := RunRecover(RecoverConfig{
+		N: 7, F: 3,
+		Rounds:        6,
+		Runs:          19,
+		Seed:          11,
+		MaxCrashes:    3,
+		RestartChance: 1,
+		AmnesiaBug:    true,
+		Workers:       workers,
+		Out:           &out,
+	})
+	return sum.String(), out.String()
+}
+
+// TestRunRecoverViolationsByteIdentical: a fixed-seed violating campaign
+// is a pure function of the seed — the audit walks processes in PID order,
+// so repeated and parallel invocations name the same offenders.
+func TestRunRecoverViolationsByteIdentical(t *testing.T) {
+	wantSum, wantOut := amnesiaCampaign(1)
+	if !strings.Contains(wantOut, "durability violation") {
+		t.Fatalf("planted bug produced no durability violation:\n%s", wantOut)
+	}
+	for _, workers := range []int{1, 1, 8} {
+		gotSum, gotOut := amnesiaCampaign(workers)
+		if gotSum != wantSum {
+			t.Fatalf("workers=%d summary differs:\n%s\nvs the first invocation:\n%s", workers, gotSum, wantSum)
+		}
+		if gotOut != wantOut {
+			t.Fatalf("workers=%d Out stream differs:\n%q\nvs the first invocation:\n%q", workers, gotOut, wantOut)
 		}
 	}
 }

@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/msgnet"
 	"repro/internal/obs"
 	"repro/internal/obs/hist"
-	"repro/internal/par"
 	"repro/internal/recovery"
 )
 
@@ -260,94 +258,54 @@ func checkRecover(cfg RecoverConfig, out *recovery.Outcome, err error) []Recover
 
 // RunRecover executes the crash-and-recover campaign: Runs seeded
 // executions, each with at least one crash, each audited. Violations carry
-// the full replay recipe.
-// RunRecover fans runs out over cfg.Workers goroutines the same way Run
-// does: seeds pre-drawn in run order, aggregation in run order, output
-// byte-identical for any worker count.
+// the full replay recipe. Runs fan out over cfg.Workers goroutines under
+// runCampaign's contract, as Run's do: output byte-identical for any
+// worker count.
 func RunRecover(cfg RecoverConfig) *RecoverSummary {
 	cfg = cfg.withDefaults()
 	sum := &RecoverSummary{Runs: cfg.Runs}
+	runCampaign(campaignSpec{cfg.Runs, cfg.Seed, cfg.Workers, cfg.Observer != nil, cfg.Telemetry, "chaos_recover_wall_ns", cfg.Out}, sum,
+		func(run int, sched, seed int64, timed func(func())) RecoverSummary {
+			s := RandomRecoverScenario(cfg, seed)
+			s.SchedSeed = sched
 
-	type runSeeds struct{ sched, scen int64 }
-	seeds := faultnet.NewRNG(cfg.Seed)
-	draws := make([]runSeeds, cfg.Runs)
-	for i := range draws {
-		draws[i].sched = int64(seeds.Intn(1<<30)) + 1
-		draws[i].scen = int64(seeds.Intn(1<<30)) + 1
-	}
+			var out *recovery.Outcome
+			var err error
+			timed(func() { out, err = ExecuteRecover(cfg, s) })
 
-	workers := par.Workers(cfg.Workers)
-	if cfg.Observer != nil {
-		workers = 1 // serialize the observed event stream
-	}
-
-	type runOutcome struct {
-		decided, undecided          int
-		crashes, restarts, rejoins  int
-		replayedRounds, lostRecords int
-		steps                       int
-		vs                          []RecoverViolation
-	}
-	var wall *hist.Histogram
-	if cfg.Telemetry != nil {
-		wall = cfg.Telemetry.Get("chaos_recover_wall_ns")
-	}
-	outs, perr := par.Map(workers, cfg.Runs, func(run int) runOutcome {
-		s := RandomRecoverScenario(cfg, draws[run].scen)
-		s.SchedSeed = draws[run].sched
-
-		var start time.Time
-		if wall != nil {
-			start = time.Now()
-		}
-		out, err := ExecuteRecover(cfg, s)
-		if wall != nil {
-			wall.Record(time.Since(start).Nanoseconds())
-		}
-		var oc runOutcome
-		if out != nil {
-			oc.decided = len(out.Decisions)
-			oc.undecided = cfg.N - len(out.Decisions)
-			oc.crashes = out.Crashed.Count()
-			oc.restarts = out.Restarted.Count()
-			oc.rejoins = out.Rejoined.Count()
-			for _, r := range out.Replayed {
-				oc.replayedRounds += r
+			var one RecoverSummary
+			if out != nil {
+				one.Decided = len(out.Decisions)
+				one.Undecided = cfg.N - len(out.Decisions)
+				one.Crashes = out.Crashed.Count()
+				one.Restarts = out.Restarted.Count()
+				one.Rejoins = out.Rejoined.Count()
+				for _, r := range out.Replayed {
+					one.ReplayedRounds += r
+				}
+				for _, l := range out.Lost {
+					one.LostRecords += l
+				}
+				one.Steps = out.Steps
 			}
-			for _, l := range out.Lost {
-				oc.lostRecords += l
+			one.Violations = checkRecover(cfg, out, err)
+			for i := range one.Violations {
+				one.Violations[i].Run = run
+				one.Violations[i].Scenario = s
 			}
-			oc.steps = out.Steps
-		}
-		oc.vs = checkRecover(cfg, out, err)
-		for i := range oc.vs {
-			oc.vs[i].Run = run
-			oc.vs[i].Scenario = s
-		}
-		return oc
-	})
-	if perr != nil {
-		panic(perr) // a panicking run would abort a sequential campaign too
-	}
-
-	for _, oc := range outs {
-		sum.Decided += oc.decided
-		sum.Undecided += oc.undecided
-		sum.Crashes += oc.crashes
-		sum.Restarts += oc.restarts
-		sum.Rejoins += oc.rejoins
-		sum.ReplayedRounds += oc.replayedRounds
-		sum.LostRecords += oc.lostRecords
-		sum.Steps += oc.steps
-		for _, v := range oc.vs {
-			sum.Violations = append(sum.Violations, v)
-			if cfg.Out != nil {
-				fmt.Fprintf(cfg.Out, "%s\n", v)
-			}
-		}
-	}
-	if cfg.Out != nil {
-		fmt.Fprintf(cfg.Out, "%s\n", sum)
-	}
+			return one
+		},
+		func(one RecoverSummary) []RecoverViolation {
+			sum.Decided += one.Decided
+			sum.Undecided += one.Undecided
+			sum.Crashes += one.Crashes
+			sum.Restarts += one.Restarts
+			sum.Rejoins += one.Rejoins
+			sum.ReplayedRounds += one.ReplayedRounds
+			sum.LostRecords += one.LostRecords
+			sum.Steps += one.Steps
+			sum.Violations = append(sum.Violations, one.Violations...)
+			return one.Violations
+		})
 	return sum
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/predicate"
 	"repro/internal/swmr"
+	"repro/internal/task"
 )
 
 // X04Ablations validates that the design choices the paper's constructions
@@ -94,7 +95,7 @@ func X04Ablations(quick bool) (*Table, error) {
 			if err != nil {
 				return err
 			}
-			if res.DistinctOutputs() > k {
+			if task.KSet(k, nil, n, task.ByPID(res.Outputs), nil).Excess {
 				witnesses++
 			}
 			return nil

@@ -10,6 +10,7 @@ import (
 	"repro/internal/predicate"
 	"repro/internal/snapshot"
 	"repro/internal/swmr"
+	"repro/internal/task"
 )
 
 func identityInputs(n int) []core.Value {
@@ -213,7 +214,7 @@ func E08KSetSharedMem(quick bool) (*Table, error) {
 	seeds := seedsFor(quick, 40)
 	for _, tc := range []struct{ n, k int }{{5, 1}, {6, 2}, {8, 3}, {9, 4}} {
 		crashes := tc.k - 1
-		rs, err := sweep(seeds, func(seed int) (int, error) {
+		rs, err := sweep(seeds, func(seed int) (task.Verdict[core.Value], error) {
 			cfg := swmr.Config{Chooser: swmr.Seeded(int64(seed))}
 			if crashes > 0 {
 				cfg.Crash = map[core.PID]int{}
@@ -227,12 +228,12 @@ func E08KSetSharedMem(quick bool) (*Table, error) {
 			}
 			out, err := snapshot.RunRounds(tc.n, crashes, 1, cfg, emit)
 			if err != nil {
-				return 0, err
+				return task.Verdict[core.Value]{}, err
 			}
-			distinct := make(map[core.Value]bool)
-			for _, views := range out.Views {
+			return task.KSet(tc.k, nil, tc.n, func(i int) (core.Value, bool) {
+				views := out.Views[core.PID(i)]
 				if len(views) < 1 {
-					continue // crashed before completing the round
+					return nil, false // crashed before completing the round
 				}
 				// Theorem 3.1 rule: the smallest identifier present.
 				best := core.PID(-1)
@@ -241,21 +242,16 @@ func E08KSetSharedMem(quick bool) (*Table, error) {
 						best = from
 					}
 				}
-				distinct[views[0][best]] = true
-			}
-			return len(distinct), nil
+				return views[0][best], true
+			}, nil), nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		maxDistinct, ok := 0, true
-		for _, d := range rs {
-			if d > tc.k {
-				ok = false
-			}
-			if d > maxDistinct {
-				maxDistinct = d
-			}
+		for _, vd := range rs {
+			ok = ok && !vd.Excess
+			maxDistinct = max(maxDistinct, len(vd.Distinct))
 		}
 		t.AddRow(tc.n, tc.k, crashes, seeds, maxDistinct, verdict(ok))
 	}

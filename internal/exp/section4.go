@@ -10,6 +10,7 @@ import (
 	"repro/internal/predicate"
 	"repro/internal/simulate"
 	"repro/internal/swmr"
+	"repro/internal/task"
 )
 
 // E10OmissionSim validates Theorem 4.1: the first ⌊f/k⌋ rounds of an
@@ -73,23 +74,24 @@ func E11AdoptCommit(quick bool) (*Table, error) {
 	}
 
 	check := func(inputs []core.Value, cfg swmr.Config) error {
-		outs := make(map[core.PID]adoptcommit.Outcome)
 		res, err := swmr.Run(len(inputs), cfg, func(p *swmr.Proc) (core.Value, error) {
 			return adoptcommit.Run(p, "x", inputs[p.Me])
 		})
 		if err != nil {
 			return err
 		}
+		a := task.Assignment{Inputs: inputs, Outputs: make(map[core.PID]core.Value), Crashed: core.NewSet(len(inputs))}
 		for pid, e := range res.Errs {
 			if !errors.Is(e, swmr.ErrCrashed) {
 				return e
 			}
-			_ = pid
+			a.Crashed.Add(pid)
 		}
 		for pid, v := range res.Values {
-			outs[pid] = v.(adoptcommit.Outcome)
+			o := v.(adoptcommit.Outcome)
+			a.Outputs[pid] = task.GradedValue{Commit: o.Grade == adoptcommit.Commit, Value: o.Value}
 		}
-		return checkACProperties(inputs, outs)
+		return task.AdoptCommit().Check(a)
 	}
 
 	// Exhaustive, two processes, contested inputs, every crash point. The
@@ -152,41 +154,6 @@ func E11AdoptCommit(quick bool) (*Table, error) {
 		t.AddRow("seeded", n, seeds, bad, 2*n+2, verdict(bad == 0))
 	}
 	return t, nil
-}
-
-// checkACProperties verifies the adopt-commit contract on live outcomes.
-func checkACProperties(inputs []core.Value, outs map[core.PID]adoptcommit.Outcome) error {
-	inputSet := make(map[core.Value]bool)
-	allSame := true
-	for _, v := range inputs {
-		inputSet[v] = true
-		if v != inputs[0] {
-			allSame = false
-		}
-	}
-	for _, o := range outs {
-		if !inputSet[o.Value] {
-			return errors.New("output is not a proposal")
-		}
-	}
-	if allSame {
-		for _, o := range outs {
-			if o.Grade != adoptcommit.Commit {
-				return errors.New("unanimous proposals must commit")
-			}
-		}
-	}
-	for _, o := range outs {
-		if o.Grade != adoptcommit.Commit {
-			continue
-		}
-		for _, o2 := range outs {
-			if o2.Value != o.Value {
-				return errors.New("a commit must force all values")
-			}
-		}
-	}
-	return nil
 }
 
 // E12CrashSim validates Theorem 4.3: the crash-fault simulation is sound

@@ -62,6 +62,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs/hist"
 	"repro/internal/par"
+	"repro/internal/task"
 )
 
 // Config describes a fleet run.
@@ -617,7 +618,6 @@ func Audit(cfg Config, res *Result) error {
 	}
 	n := cfg.Procs
 	inputs := make(map[int64]bool, n)
-	distinct := make(map[int64]bool, cfg.F+1)
 	for i := 0; i < cfg.Instances; i++ {
 		if int(res.Rounds[i]) != rounds(cfg, i) {
 			return fmt.Errorf("fleet: instance %d ran %d rounds, schedule says %d", i, res.Rounds[i], rounds(cfg, i))
@@ -626,19 +626,19 @@ func Audit(cfg Config, res *Result) error {
 		for p := 0; p < n; p++ {
 			inputs[Input(cfg, i, p)] = true
 		}
-		clear(distinct)
-		for p := 0; p < n; p++ {
-			v := res.Values[i*n+p]
-			if !inputs[v] {
-				return fmt.Errorf("fleet: instance %d process %d decided %d, not any input", i, p, v)
-			}
+		values := res.Values[i*n : (i+1)*n]
+		vd := task.KSet(cfg.F+1, func(v int64) bool { return inputs[v] }, n,
+			func(p int) (int64, bool) { return values[p], true }, nil)
+		if bad := vd.Invalid; len(bad) > 0 {
+			return fmt.Errorf("fleet: instance %d process %d decided %d, not any input", i, bad[0].Index, bad[0].Value)
+		}
+		for p, v := range values {
 			if own := Input(cfg, i, p); v > own {
 				return fmt.Errorf("fleet: instance %d process %d decided %d above own input %d", i, p, v, own)
 			}
-			distinct[v] = true
 		}
-		if len(distinct) > cfg.F+1 {
-			return fmt.Errorf("fleet: instance %d decided %d distinct values, k-set bound is %d", i, len(distinct), cfg.F+1)
+		if vd.Excess {
+			return fmt.Errorf("fleet: instance %d decided %d distinct values, k-set bound is %d", i, len(vd.Distinct), cfg.F+1)
 		}
 	}
 	return nil

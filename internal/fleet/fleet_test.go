@@ -156,16 +156,34 @@ func TestFleetProtocolNonTrivial(t *testing.T) {
 }
 
 // TestFleetAuditCatchesCorruption: the audit must reject a result whose
-// values violate validity or the k-set bound.
+// values violate validity or the k-set bound, naming the lowest offender
+// in words recorded before the audit moved onto internal/task.
 func TestFleetAuditCatchesCorruption(t *testing.T) {
 	cfg := testConfig()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Values[3] = res.Values[3] - 1 // no longer any input
-	if err := Audit(cfg, res); err == nil {
-		t.Fatal("audit accepted a corrupted value")
+	n := cfg.Procs
+	for _, tc := range []struct {
+		name    string
+		corrupt func(res *Result)
+		want    string
+	}{
+		{"not an input", func(res *Result) { res.Values[3]-- },
+			"fleet: instance 0 process 3 decided 2138247551862347290, not any input"},
+		{"F+2 distinct", func(res *Result) {
+			for p := 0; p < n; p++ {
+				res.Values[7*n+p] = Input(cfg, 7, p)
+			}
+		}, "fleet: instance 7 decided 5 distinct values, k-set bound is 3"},
+		{"above own input", func(res *Result) { res.Values[7*n] = Input(cfg, 7, 2) },
+			"fleet: instance 7 process 0 decided 5205173353877084396 above own input 2463003259222485249"},
+	} {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(res)
+		if err := Audit(cfg, res); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Audit = %v, want %s", tc.name, err, tc.want)
+		}
 	}
 }
 

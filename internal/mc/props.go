@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/predicate"
+	tasks "repro/internal/task"
 )
 
 // Property is a named predicate over a finished execution. Check returns
@@ -33,18 +34,10 @@ func (e *PropertyError) Unwrap() error { return e.Err }
 
 // Validity holds when every decision value is some process's input.
 func Validity(inputs []core.Value) Property {
+	n, input := len(inputs), tasks.Inputs(inputs)
 	return Property{Name: "validity", Check: func(res *core.Result) error {
-		for p, v := range res.Outputs {
-			ok := false
-			for _, in := range inputs {
-				if in == v {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return fmt.Errorf("process %d decided %v, not any input", p, v)
-			}
+		if bad := tasks.KSet(n, input, n, tasks.ByPID(res.Outputs), nil).Invalid; len(bad) > 0 {
+			return fmt.Errorf("process %d decided %v, not any input", bad[0].Index, bad[0].Value)
 		}
 		return nil
 	}}
@@ -53,8 +46,8 @@ func Validity(inputs []core.Value) Property {
 // KAgreement holds when at most k distinct values are decided.
 func KAgreement(k int) Property {
 	return Property{Name: fmt.Sprintf("%d-agreement", k), Check: func(res *core.Result) error {
-		if d := res.DistinctOutputs(); d > k {
-			return fmt.Errorf("%d distinct decisions, want <= %d", d, k)
+		if vd := tasks.KSet(k, nil, res.Crashed.Universe(), tasks.ByPID(res.Outputs), nil); vd.Excess {
+			return fmt.Errorf("%d distinct decisions, want <= %d", len(vd.Distinct), k)
 		}
 		return nil
 	}}
@@ -65,19 +58,16 @@ func KAgreement(k int) Property {
 // bounded-round claim).
 func DecideWithin(r int) Property {
 	return Property{Name: fmt.Sprintf("decide-within(%d)", r), Check: func(res *core.Result) error {
-		var bad error
-		res.Crashed.Complement().ForEach(func(p core.PID) {
-			if bad != nil {
-				return
+		n := res.Crashed.Universe()
+		if late := tasks.KSet(n, nil, n, tasks.ByPID(res.Outputs), tasks.In(res.Crashed)).Undecided; len(late) > 0 {
+			return fmt.Errorf("process %d never decided", late[0])
+		}
+		for p := 0; p < n; p++ {
+			if rd := res.DecidedAt[core.PID(p)]; rd > r && !res.Crashed.Has(core.PID(p)) {
+				return fmt.Errorf("process %d decided in round %d, want <= %d", p, rd, r)
 			}
-			rd, ok := res.DecidedAt[p]
-			if !ok {
-				bad = fmt.Errorf("process %d never decided", p)
-			} else if rd > r {
-				bad = fmt.Errorf("process %d decided in round %d, want <= %d", p, rd, r)
-			}
-		})
-		return bad
+		}
+		return nil
 	}}
 }
 

@@ -2,10 +2,12 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/predicate"
+	"repro/internal/task"
 )
 
 // AuditError reports the first safety violation the post-hoc audit finds in
@@ -52,24 +54,23 @@ func Audit(out *Outcome, n, f, rounds int) error {
 		return &AuditError{Kind: "budget", Proc: -1, Detail: err.Error()}
 	}
 
-	valid := make(map[int]bool, n)
-	for _, p := range out.Proposals {
-		valid[p] = true
+	vd := task.KSet(f+1, task.Inputs(out.Proposals), n, task.ByPID(out.Decisions), nil)
+	if len(vd.Invalid) > 0 {
+		return &AuditError{Kind: "validity", Proc: core.PID(vd.Invalid[0].Index),
+			Detail: fmt.Sprintf("decided %d, not a proposal", vd.Invalid[0].Value)}
 	}
-	distinct := make(map[int]bool)
-	for p, d := range out.Decisions {
-		if !valid[d] {
-			return &AuditError{Kind: "validity", Proc: p,
-				Detail: fmt.Sprintf("decided %d, not a proposal", d)}
-		}
-		distinct[d] = true
-	}
-	if len(distinct) > f+1 {
+	if vd.Excess {
+		slices.Sort(vd.Distinct)
 		return &AuditError{Kind: "k-agreement", Proc: -1,
-			Detail: fmt.Sprintf("%d distinct decisions %v exceed k=f+1=%d", len(distinct), keys(distinct), f+1)}
+			Detail: fmt.Sprintf("%d distinct decisions %v exceed k=f+1=%d", len(vd.Distinct), vd.Distinct, f+1)}
 	}
 
-	for p, d := range out.Decisions {
+	for i := 0; i < n; i++ {
+		p := core.PID(i)
+		d, decided := out.Decisions[p]
+		if !decided {
+			continue
+		}
 		st, err := out.Journals[p].Recover()
 		if err != nil {
 			return &AuditError{Kind: "durability", Proc: p,
@@ -89,12 +90,4 @@ func Audit(out *Outcome, n, f, rounds int) error {
 		}
 	}
 	return nil
-}
-
-func keys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

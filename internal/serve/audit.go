@@ -3,6 +3,8 @@ package serve
 import (
 	"cmp"
 	"slices"
+
+	"repro/internal/task"
 )
 
 // Auditor checks reported decisions against the service's client-visible
@@ -62,14 +64,14 @@ func (a *Auditor) Violations(submitted map[string]map[int]bool, k int) []AuditVi
 		}
 	}
 	for _, inst := range sortedKeys(a.byInst) {
-		vals := sortedKeys(a.byInst[inst])
-		if len(vals) > k {
+		vals, valid := sortedKeys(a.byInst[inst]), submitted[inst]
+		vd := task.KSet(k, func(v int) bool { return valid[v] }, len(vals),
+			func(i int) (int, bool) { return vals[i], true }, nil)
+		if vd.Excess {
 			out = append(out, AuditViolation{Kind: "k-agreement", Inst: inst, Values: vals})
 		}
-		for _, v := range vals {
-			if !submitted[inst][v] {
-				out = append(out, AuditViolation{Kind: "validity", Inst: inst, Values: []int{v}})
-			}
+		for _, o := range vd.Invalid {
+			out = append(out, AuditViolation{Kind: "validity", Inst: inst, Values: []int{o.Value}})
 		}
 	}
 	return out

@@ -35,6 +35,21 @@ func TestAuditor(t *testing.T) {
 	if got := a.Violations(submitted, 3); !reflect.DeepEqual(got, append(want[:1:1], want[2])) {
 		t.Fatalf("Violations(k=3) = %+v", got)
 	}
+	// With k = 1 instance b breaks both promises: k-agreement leads, then
+	// every value nobody submitted, ascending.
+	a.Note("d", "r5", 9) // an instance nobody submitted to
+	a.Note("d", "r6", 4)
+	want = []AuditViolation{
+		want[0], want[1],
+		{Kind: "k-agreement", Inst: "b", Values: []int{7, 8}},
+		want[2],
+		{Kind: "k-agreement", Inst: "d", Values: []int{4, 9}},
+		{Kind: "validity", Inst: "d", Values: []int{4}},
+		{Kind: "validity", Inst: "d", Values: []int{9}},
+	}
+	if got := a.Violations(submitted, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Violations(k=1)\n got %+v\nwant %+v", got, want)
+	}
 	if got := NewAuditor().Violations(submitted, 1); got != nil {
 		t.Fatalf("an empty auditor reported %+v", got)
 	}

@@ -1,4 +1,4 @@
-package task
+package task_test
 
 import (
 	"strings"
@@ -8,6 +8,7 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/predicate"
+	. "repro/internal/task"
 )
 
 func identityInputs(n int) []core.Value {
