@@ -5,11 +5,12 @@
 GO ?= go
 
 # Engine + agreement + virtual-substrate + reliable-link + chaos-campaign +
-# TCP-substrate + service + trace-checker/plan-enumerator + shared-memory
-# (snapshot, semi-synchronous) round-runner benchmarks tracked in
+# TCP-substrate + service + trace-checker/plan-enumerator + exhaustive-sweep
+# (trace space, enumerated exploration) + shared-memory (snapshot,
+# semi-synchronous) round-runner benchmarks tracked in
 # BENCH_core.json. benchstatjson keys rows by bare benchmark name, so names
 # must be unique across these packages.
-BENCH_PKGS := ./internal/core ./internal/agreement ./internal/msgnet ./internal/reliablelink ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal ./internal/hoalg ./internal/snapshot ./internal/semisync
+BENCH_PKGS := ./internal/core ./internal/agreement ./internal/msgnet ./internal/reliablelink ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal ./internal/hoalg ./internal/predicate ./internal/adversary ./internal/snapshot ./internal/semisync
 BENCH_PAT  ?= .
 
 .PHONY: build test race vet ci bench bench-build bench-check chaos-short chaos recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
@@ -23,8 +24,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# gofmt -l prints the files it would rewrite (bench/ included, which
+# ./... never reaches): any name fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .) && test -z "$$out" || { echo "gofmt -l . lists:"; echo "$$out"; exit 1; }
 
 ci: vet build bench-build race chaos-short recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
 

@@ -4,10 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	rrfd "repro"
 )
 
 func baseConfig() config {
@@ -49,6 +53,44 @@ func TestValidateRejectsBadN(t *testing.T) {
 		c.set(&cfg)
 		if err := validate(cfg); err == nil {
 			t.Fatalf("validate accepted %s", c.what)
+		}
+	}
+}
+
+// TestRunMCRejectsUnsatisfiableModel: a model expression that admits no
+// plan is an input error like a bad -n — one line naming the branch, the
+// round and the state, at every -workers count and on replay — where it
+// used to be a panic out of the adversary.
+func TestRunMCRejectsUnsatisfiableModel(t *testing.T) {
+	for _, c := range []struct {
+		model  string
+		round  int
+		replay string
+	}{
+		{model: "perround(0) & !perround(0)", round: 1},
+		{model: "identical & !identical", round: 1},
+		{model: "identical & !identical", round: 1, replay: "c1:0"},
+		{model: "eventually(1, perround(0) & !perround(0))", round: 2},
+	} {
+		for _, workers := range []int{1, 4, 8} {
+			cfg := modelConfig(c.model)
+			cfg.mc, cfg.alg, cfg.rounds = true, "floodmin", 2
+			cfg.workers, cfg.mcReplay = workers, c.replay
+			var buf bytes.Buffer
+			err := run(cfg, &buf)
+			var empty *rrfd.EmptyFamilyError
+			if !errors.As(err, &empty) || empty.Round != c.round {
+				t.Fatalf("-model %q -workers %d -mc-replay %q: err = %v, want an empty plan family in round %d\n%s",
+					c.model, workers, c.replay, err, c.round, buf.String())
+			}
+			text := err.Error()
+			if strings.Contains(text, "\n") || !strings.Contains(text, c.model) ||
+				!strings.Contains(text, fmt.Sprintf("no plan in round %d (active={0,1,2}", c.round)) {
+				t.Fatalf("-model %q: error should be one line naming the branch, the round and the state: %q", c.model, text)
+			}
+			if strings.Contains(buf.String(), "violation") {
+				t.Fatalf("-model %q: an unsatisfiable model reported as a violation:\n%s", c.model, buf.String())
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -141,6 +142,11 @@ func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 			return err
 		}
 		rerr := rrfd.MCReplay(choices, run)
+		var empty *rrfd.EmptyFamilyError
+		if errors.As(rerr, &empty) {
+			// Not a reproduced violation: there is no schedule to replay.
+			return fmt.Errorf("mc: replaying %q: %w", exps[0].label, rerr)
+		}
 		if tracer != nil {
 			if err := tracer.ExportFile(cfg.perfetto); err != nil {
 				return fmt.Errorf("write perfetto trace: %w", err)
@@ -201,7 +207,7 @@ func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 	for _, e := range exps {
 		res, err := rrfd.MCExplore(opts, rrfd.MCCheckRun(makeSpec(e, nil)))
 		if err != nil {
-			return err
+			return fmt.Errorf("mc: exploring %q: %w", e.label, err)
 		}
 		schedules += res.Schedules
 		if cfg.model != "" {

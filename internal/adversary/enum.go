@@ -35,6 +35,12 @@ type Enum = hoalg.Enum
 // duplicate plans. It tracks the suspicion history EnumState exposes and
 // implements mc.Fingerprinter over it, so RunSpec.Mark-based pruning can
 // include the adversary's state.
+//
+// The state handed to enum aliases the oracle's own history (nothing is
+// cloned per round) and the chosen plan is enum's own: a compiled Enum
+// memoises its lists (hoalg.Enum), so one enum shared by every schedule of
+// an exploration expands each state once. A state the model admits no plan
+// from fails the exploration with an *EmptyFamilyError (mc.Ctx.Fail).
 func Enumerated(ctx *mc.Ctx, n int, enum Enum) core.Oracle {
 	return &enumerated{ctx: ctx, n: n, enum: enum,
 		suspected: core.NewSet(n), prevUnion: core.NewSet(n)}
@@ -49,12 +55,32 @@ type enumerated struct {
 	unions    []core.Set
 }
 
+// EmptyFamilyError reports that an enumerator listed no plan at all: the
+// model is unsatisfiable from State, so there is no schedule to explore
+// past Round. It reaches the caller as mc.Explore's (or mc.Replay's) error.
+type EmptyFamilyError struct {
+	Round int
+	State EnumState
+}
+
+// Error implements error.
+func (e *EmptyFamilyError) Error() string {
+	return fmt.Sprintf("adversary: the model admits no plan in round %d (active=%s suspected=%s prev-round=%s)",
+		e.Round, e.State.Active, e.State.Suspected, e.State.PrevUnion)
+}
+
 func (e *enumerated) Plan(r int, active core.Set) core.RoundPlan {
-	plans := e.enum(EnumState{R: r, Active: active.Clone(),
-		Suspected: e.suspected.Clone(), PrevUnion: e.prevUnion.Clone(),
-		Unions: append([]core.Set(nil), e.unions...)})
+	st := EnumState{R: r, Active: active, Suspected: e.suspected,
+		PrevUnion: e.prevUnion, Unions: e.unions}
+	plans := e.enum(st)
 	if len(plans) == 0 {
-		panic(fmt.Sprintf("adversary: enum produced no plans in round %d", r))
+		// The error outlives the round: detach it from the engine's live
+		// set and from the history this oracle updates in place.
+		st.Active, st.Suspected = active.Clone(), e.suspected.Clone()
+		e.ctx.Fail(&EmptyFamilyError{Round: r, State: st})
+		// No plan to return: the engine rejects the zero plan and the
+		// schedule ends here.
+		return core.RoundPlan{}
 	}
 	labels := make([]uint64, len(plans))
 	for i := range plans {
@@ -64,12 +90,10 @@ func (e *enumerated) Plan(r int, active core.Set) core.RoundPlan {
 
 	u := core.NewSet(e.n)
 	for _, d := range plan.Suspects {
-		if !d.Empty() {
-			u = u.Union(d)
-		}
+		u.UnionInto(d)
 	}
 	e.prevUnion = u
-	e.suspected = e.suspected.Union(u)
+	e.suspected.UnionInto(u)
 	e.unions = append(e.unions, u)
 	return plan
 }

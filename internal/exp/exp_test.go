@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 )
 
 // TestAllExperimentsPass runs every experiment in quick mode and requires
@@ -90,5 +92,19 @@ func TestVerdictAndSeeds(t *testing.T) {
 	}
 	if seedsFor(true, 100) != 8 || seedsFor(false, 100) != 100 || seedsFor(true, 5) != 5 {
 		t.Fatal("seedsFor broken")
+	}
+}
+
+// TestExploreModelReturnsAnEmptyFamily: an expression that admits no plan
+// fails X05's exploration with an error naming the branch, not a panic.
+func TestExploreModelReturnsAnEmptyFamily(t *testing.T) {
+	e := hoalg.And(hoalg.Identical(), hoalg.Not(hoalg.Identical()))
+	schedules, err := exploreModel(e, 3, 1)
+	var empty *adversary.EmptyFamilyError
+	if !errors.As(err, &empty) || empty.Round != 1 || schedules != 0 {
+		t.Fatalf("exploreModel = (%d, %v), want an empty plan family in round 1", schedules, err)
+	}
+	if !strings.Contains(err.Error(), e.String()) {
+		t.Fatalf("error does not name the branch %q: %v", e, err)
 	}
 }

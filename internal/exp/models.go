@@ -114,7 +114,7 @@ func exploreModel(e *hoalg.Expr, n, f int) (int, error) {
 			// whole-trace property (see mc.RunSpec.Model).
 		}))
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("branch %q: %w", b.Expr, err)
 		}
 		if res.Counterexample != nil {
 			return 0, fmt.Errorf("branch %q found a counterexample: %v", b.Expr, res.Counterexample.Err)

@@ -47,10 +47,10 @@ func BenchmarkCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkEnumRound times one expansion of a compiled plan family at n=3
-// from the initial state: the filtered product (perround) and the crash
-// generator (sync-crash), both of which run the atom table once per
-// candidate plan.
+// BenchmarkEnumRound times what one round of one explored schedule pays a
+// compiled plan family at n=3 for a state it has expanded before — the
+// initial one, under the filtered product (perround) and the crash generator
+// (sync-crash): encode the state, look the list up, return it.
 func BenchmarkEnumRound(b *testing.B) {
 	const n = 3
 	st := hoalg.EnumState{R: 1, Active: core.FullSet(n),

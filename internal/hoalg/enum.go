@@ -2,6 +2,7 @@ package hoalg
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/predicate"
@@ -36,6 +37,10 @@ type EnumState struct {
 // Enum lists every round plan the model allows from the given state. The
 // list must be non-empty for satisfiable models, deterministic, and in a
 // stable order — the mc choice tree is built from its indices.
+//
+// A compiled Enum is a memoised function of the state: the list is computed
+// on the first call for a state and that same slice is returned on every
+// later one, to any goroutine. Callers must not mutate the returned plans.
 type Enum func(st EnumState) []core.RoundPlan
 
 // Branch pairs one top-level disjunct of an expression with its compiled
@@ -88,10 +93,67 @@ func (e *Expr) CompileEnum(n int) (Enum, error) {
 	}
 	for _, cj := range conjs {
 		if cj.atom.Atom == AtomPropagates && !cj.neg {
-			return compileCrashEnum(conjs, cj, n)
+			gen, err := compileCrashEnum(conjs, cj, n)
+			if err != nil {
+				return nil, err
+			}
+			return memoise(n, gen), nil
 		}
 	}
-	return compileProductEnum(conjs, n), nil
+	return memoise(n, compileProductEnum(conjs, n)), nil
+}
+
+// memoise makes gen pay for each distinct state once. A plan family is a
+// function of the suspicion history alone, and an exhaustive exploration
+// replays every schedule from round 1, so it asks for the same few states
+// thousands of times over. The table is unbounded: CompileEnum's n <= 4
+// guard bounds the states reachable in the handful of rounds a sweep runs
+// (DESIGN §11, Exhaustive sweeps, has the measured sizes). The lock is held
+// across gen, so concurrent explorers of one Enum compute a state once and
+// all see the same slice.
+func memoise(n int, gen Enum) Enum {
+	var (
+		mu    sync.Mutex
+		plans = make(map[string][]core.RoundPlan)
+	)
+	return func(st EnumState) []core.RoundPlan {
+		var buf [32]byte
+		key := st.appendKey(buf[:0], n)
+		mu.Lock()
+		defer mu.Unlock()
+		out, ok := plans[string(key)]
+		if !ok {
+			out = gen(st)
+			plans[string(key)] = out
+		}
+		return out
+	}
+}
+
+// appendKey encodes everything the state carries, and so everything a
+// generator can read: R, the three sets, whether Unions was recorded at all
+// (window tells nil from empty) and each of its entries in order. Two states
+// share a key only when they are equal field by field.
+func (st EnumState) appendKey(key []byte, n int) []byte {
+	bits := func(s core.Set) byte { // n <= 4: a set is four bits
+		var b byte
+		for p := 0; p < n; p++ {
+			if s.Has(core.PID(p)) {
+				b |= 1 << p
+			}
+		}
+		return b
+	}
+	key = append(key, byte(st.R), byte(st.R>>8), byte(st.R>>16), byte(st.R>>24),
+		bits(st.Active), bits(st.Suspected), bits(st.PrevUnion))
+	if st.Unions == nil {
+		return key
+	}
+	key = append(key, 0xff) // not a set over n <= 4 processes
+	for _, u := range st.Unions {
+		key = append(key, bits(u))
+	}
+	return key
 }
 
 // EnumBranches compiles each top-level disjunct separately (a single branch
@@ -327,30 +389,40 @@ func subsets(n int, pool core.Set, maxSize int) []core.Set {
 
 // tuples builds one plan per combination of per-process suspect sets,
 // odometer order, keeping those ok admits. perProc[i] lists the candidate
-// D(i,r) for live process i; inactive processes get empty sets.
+// D(i,r) for live process i; inactive processes get empty sets. Candidates
+// are judged in one scratch assignment that borrows the perProc sets; only
+// an admitted tuple is copied out, so a filter that rejects everything costs
+// no allocation per candidate.
 func tuples(n int, active core.Set, perProc map[core.PID][]core.Set, ok func(ds []core.Set) bool) []core.RoundPlan {
 	lives := active.Members()
 	idx := make([]int, len(lives))
+	cand := make([]core.Set, n)
+	empty := core.NewSet(n)
+	for i := range cand {
+		cand[i] = empty
+	}
+	for _, p := range lives {
+		cand[p] = perProc[p][0]
+	}
 	var out []core.RoundPlan
 	for {
-		ds := make([]core.Set, n)
-		for i := range ds {
-			ds[i] = core.NewSet(n)
-		}
-		for j, p := range lives {
-			ds[p] = perProc[p][idx[j]].Clone()
-		}
-		if ok == nil || ok(ds) {
+		if ok == nil || ok(cand) {
+			ds := make([]core.Set, n)
+			for i := range ds {
+				ds[i] = cand[i].Clone()
+			}
 			out = append(out, core.RoundPlan{Suspects: ds})
 		}
 		j := len(idx) - 1
 		for j >= 0 && idx[j]+1 == len(perProc[lives[j]]) {
 			idx[j] = 0
+			cand[lives[j]] = perProc[lives[j]][0]
 			j--
 		}
 		if j < 0 {
 			return out
 		}
 		idx[j]++
+		cand[lives[j]] = perProc[lives[j]][idx[j]]
 	}
 }

@@ -17,6 +17,7 @@ type Ctx struct {
 	replay []int
 	rp     int
 	got    []int
+	abort  error // set by Fail
 }
 
 // Choose asks the explorer to pick one of options alternatives (numbered
@@ -49,6 +50,23 @@ func (c *Ctx) Mark(hash uint64) {
 	}
 }
 
+// Fail reports that the schedule cannot be run at all — the system under
+// exploration is ill-formed at this point (an adversary with no move to
+// offer), which is a fact about the run function's inputs, not a property
+// violation. Explore stops and returns err as its error, with the counters
+// accumulated so far; Replay returns err. The run should then wind down and
+// return; until it does, Choose answers 0. Only the first Fail of a
+// schedule counts.
+func (c *Ctx) Fail(err error) {
+	abort := &c.abort
+	if c.t != nil {
+		abort = &c.t.abort
+	}
+	if *abort == nil {
+		*abort = err
+	}
+}
+
 func (c *Ctx) choose(options int, labels []uint64) int {
 	if options <= 0 {
 		panic("mc: Choose called with no options")
@@ -57,6 +75,9 @@ func (c *Ctx) choose(options int, labels []uint64) int {
 		return c.t.choose(options, labels)
 	}
 	v := 0
+	if c.abort != nil {
+		return v
+	}
 	if c.rp < len(c.replay) {
 		v = c.replay[c.rp]
 		if v < 0 {
@@ -73,7 +94,8 @@ func (c *Ctx) choose(options int, labels []uint64) int {
 
 // Replay re-executes run driven by a recorded choice sequence (for
 // example a Counterexample's Choices, or a string decoded by
-// ParseChoices) and returns whatever the run returns. Out-of-range
+// ParseChoices) and returns whatever the run returns — or, if the run
+// called Ctx.Fail, the error it was handed. Out-of-range
 // choices are clamped and choices beyond the sequence default to 0, so a
 // shrunk or hand-edited sequence always replays to *some* schedule.
 func Replay(choices []int, run func(*Ctx) error) error {
@@ -87,6 +109,9 @@ func Replay(choices []int, run func(*Ctx) error) error {
 func replayNorm(choices []int, run func(*Ctx) error) (error, []int) {
 	ctx := &Ctx{replay: choices}
 	err := run(ctx)
+	if ctx.abort != nil {
+		err = ctx.abort
+	}
 	norm := ctx.got
 	for len(norm) > 0 && norm[len(norm)-1] == 0 {
 		norm = norm[:len(norm)-1]
@@ -148,7 +173,10 @@ type task struct {
 	rng         rng
 	pendingHash uint64
 	hasPending  bool
-	div         *DivergenceError
+
+	// abort ends the task with an infrastructure failure: a
+	// *DivergenceError from choose, or whatever the run handed Ctx.Fail.
+	abort error
 }
 
 func newTask(o Options, run func(*Ctx) error, prefix []frame, budget int) *task {
@@ -169,18 +197,18 @@ type taskResult struct {
 	limitHit  bool
 	cx        []int // first violating choice sequence, nil if none
 	cxErr     error // what the run returned for cx
-	err       error // infrastructure failure (divergence)
+	err       error // infrastructure failure (divergence, Ctx.Fail)
 }
 
 func (t *task) mark(h uint64) {
-	if t.drain || t.div != nil {
+	if t.drain || t.abort != nil {
 		return
 	}
 	t.pendingHash, t.hasPending = h, true
 }
 
 func (t *task) choose(options int, labels []uint64) int {
-	if t.div != nil {
+	if t.abort != nil {
 		return 0
 	}
 	if t.drain {
@@ -202,7 +230,7 @@ func (t *task) choose(options int, labels []uint64) int {
 		// run is not replayable. The chooser cannot fail, so record the
 		// divergence and keep returning in-range choices until run comes
 		// back; the task aborts then.
-		t.div = &DivergenceError{Depth: d, Want: f.options, Got: options}
+		t.abort = &DivergenceError{Depth: d, Want: f.options, Got: options}
 		return 0
 	}
 	t.hasPending = false
@@ -393,8 +421,8 @@ func (t *task) explore() taskResult {
 			return taskResult{stats: t.stats, limitHit: true}
 		}
 		err := t.runOnce()
-		if t.div != nil {
-			return taskResult{stats: t.stats, err: t.div}
+		if t.abort != nil {
+			return taskResult{stats: t.stats, err: t.abort}
 		}
 		if err != nil {
 			return taskResult{stats: t.stats, cx: t.currentChoices(), cxErr: err}
@@ -465,9 +493,10 @@ func (r *rng) next(n int) int {
 // reports whether the space was exhausted, the first violating schedule
 // in depth-first order shrunk to a minimal counterexample, and the
 // schedule/prune/depth counters. The returned error is non-nil only for
-// infrastructure failures — today, a *DivergenceError when run is not a
-// deterministic function of its choices — and the Result still carries
-// the counters accumulated up to that point.
+// infrastructure failures — a *DivergenceError when run is not a
+// deterministic function of its choices, or the error a schedule handed to
+// Ctx.Fail — and the Result still carries the counters accumulated up to
+// that point.
 //
 // The result is byte-identical for every Options.Workers value: the tree
 // is split at its first branching node, the subtrees are searched
@@ -480,8 +509,8 @@ func Explore(opts Options, run func(*Ctx) error) (*Result, error) {
 	// to find the first branching node, where the parallel split happens.
 	probe := newTask(o, run, nil, 1)
 	err := probe.runOnce()
-	if probe.div != nil {
-		return &Result{Stats: probe.stats}, probe.div
+	if probe.abort != nil {
+		return &Result{Stats: probe.stats}, probe.abort
 	}
 	if err != nil {
 		// The very first schedule in depth-first order violates; no

@@ -166,6 +166,52 @@ func TestExploreLabelDivergence(t *testing.T) {
 	}
 }
 
+// TestExploreFail: a schedule that calls Ctx.Fail ends the exploration with
+// that error — not a counterexample — carrying the schedules completed
+// before it, identically at every worker count; later choices of the failed
+// schedule answer 0, the first Fail wins, and Replay returns it too.
+func TestExploreFail(t *testing.T) {
+	broken := errors.New("no move to offer")
+	run := func(ctx *Ctx) error {
+		a := ctx.Choose(3)
+		if a == 1 {
+			ctx.Fail(broken)
+			ctx.Fail(errors.New("a second failure"))
+			if v := ctx.Choose(5); v != 0 {
+				t.Errorf("Choose after Fail = %d, want 0", v)
+			}
+			return errors.New("the wind-down error is not what Explore reports")
+		}
+		ctx.Choose(2)
+		return nil
+	}
+	var first *Result
+	for _, workers := range []int{1, 4, 8} {
+		res, err := Explore(Options{Workers: workers}, run)
+		if err != broken {
+			t.Fatalf("workers=%d: err = %v, want the error handed to Fail", workers, err)
+		}
+		if res.Schedules != 2 || res.Counterexample != nil {
+			t.Fatalf("workers=%d: res = %+v, want the first subtree's 2 schedules and no counterexample", workers, res)
+		}
+		if first == nil {
+			first = res
+		} else if !reflect.DeepEqual(res, first) {
+			t.Fatalf("workers=%d: res = %+v, workers=1 gave %+v", workers, res, first)
+		}
+	}
+	if err := Replay([]int{1}, run); err != broken {
+		t.Fatalf("Replay = %v, want the error handed to Fail", err)
+	}
+	if err := Replay([]int{2, 1}, run); err != nil {
+		t.Fatalf("Replay of a healthy schedule = %v", err)
+	}
+	// On the very first schedule the probe reports it.
+	if res, err := Explore(Options{}, func(ctx *Ctx) error { ctx.Fail(broken); return nil }); err != broken || res.Schedules != 0 {
+		t.Fatalf("Fail on the first schedule: (%+v, %v)", res, err)
+	}
+}
+
 func TestSymmetryReduction(t *testing.T) {
 	// Three options, two of them carrying the same label: the duplicate
 	// is collapsed at every node, so the depth-2 tree has 4 leaves, not 9.

@@ -38,53 +38,68 @@ func Implies(gen TraceGen, a, b P, trials int) error {
 // The space has (2^n − 1)^(n·rounds) traces, so keep n and rounds tiny
 // (n = 3, rounds = 2 is ~1.2e5; n = 4, rounds = 1 is ~5e4). fn returning a
 // non-nil error aborts the enumeration.
+//
+// One trace is built and walked in place: between two calls only the
+// D(i,r) / S(i,r) of the slots the odometer moved are rewritten. The
+// *core.Trace handed to fn is therefore valid only during that call, and fn
+// must not mutate it; a caller that wants to keep a trace copies it.
 func ExhaustiveTraces(n, rounds int, fn func(*core.Trace) error) error {
 	if n < 1 || n > 5 || rounds < 1 {
 		return fmt.Errorf("predicate: exhaustive enumeration needs 1 ≤ n ≤ 5 and rounds ≥ 1, got n=%d rounds=%d", n, rounds)
 	}
-	slots := n * rounds
-	masks := make([]uint32, slots) // masks[i] ∈ [0, 2^n−1), bit b = process b suspected
-	limit := uint32(1)<<n - 1      // excludes D = S
-	full := core.FullSet(n)
+	limit := uint32(1)<<n - 1 // excludes D = S
 
-	build := func() *core.Trace {
-		t := core.NewTrace(n)
-		for r := 0; r < rounds; r++ {
-			rec := core.RoundRecord{
-				R:        r + 1,
-				Suspects: make([]core.Set, n),
-				Deliver:  make([]core.Set, n),
-				Active:   full,
-				Crashed:  core.NewSet(n),
+	// suspects[m] is the set with bitmask m (bit b = process b suspected),
+	// heard[m] its complement: the values a slot is rewritten from.
+	suspects := make([]core.Set, limit)
+	heard := make([]core.Set, limit)
+	for m := range suspects {
+		d := core.NewSet(n)
+		for b := 0; b < n; b++ {
+			if m&(1<<b) != 0 {
+				d.Add(core.PID(b))
 			}
-			for i := 0; i < n; i++ {
-				d := core.NewSet(n)
-				m := masks[r*n+i]
-				for b := 0; b < n; b++ {
-					if m&(1<<b) != 0 {
-						d.Add(core.PID(b))
-					}
-				}
-				rec.Suspects[i] = d
-				rec.Deliver[i] = d.Complement()
-			}
-			t.Append(rec)
 		}
-		return t
+		suspects[m], heard[m] = d, d.Complement()
 	}
 
+	t := core.NewTrace(n)
+	full := core.FullSet(n)
+	for r := 0; r < rounds; r++ {
+		rec := core.RoundRecord{
+			R:        r + 1,
+			Suspects: make([]core.Set, n),
+			Deliver:  make([]core.Set, n),
+			Active:   full,
+			Crashed:  core.NewSet(n),
+		}
+		for i := 0; i < n; i++ {
+			rec.Suspects[i] = suspects[0].Clone()
+			rec.Deliver[i] = heard[0].Clone()
+		}
+		t.Append(rec)
+	}
+
+	slots := n * rounds
+	masks := make([]uint32, slots) // masks[r*n+i] ∈ [0, 2^n−1) is D(i,r+1)
 	for {
-		if err := fn(build()); err != nil {
+		if err := fn(t); err != nil {
 			return err
 		}
-		// Odometer increment.
+		// Odometer increment, rewriting each slot it moves.
 		i := 0
 		for ; i < slots; i++ {
 			masks[i]++
-			if masks[i] < limit {
+			carry := masks[i] == limit
+			if carry {
+				masks[i] = 0
+			}
+			rec := &t.Rounds[i/n]
+			rec.Suspects[i%n].CopyFrom(suspects[masks[i]])
+			rec.Deliver[i%n].CopyFrom(heard[masks[i]])
+			if !carry {
 				break
 			}
-			masks[i] = 0
 		}
 		if i == slots {
 			return nil

@@ -1,6 +1,9 @@
 package predicate
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"strings"
 	"testing"
 
@@ -122,5 +125,53 @@ func TestExhaustiveImpliesSendOmissionNotCrash(t *testing.T) {
 	}
 	if witnesses == 0 {
 		t.Fatal("omission must strictly contain crash")
+	}
+}
+
+// exhaustiveTracesGolden is the SHA-256 of every ExhaustiveTraces(3, 2)
+// trace's String() in visiting order, recorded before the walk was made
+// in-place: the walk must keep visiting the same traces in the same order.
+const exhaustiveTracesGolden = "d2d0f25c79315858ae33d54a76078c6286f5a6d4dadce8bfc787db45b8542098"
+
+func TestExhaustiveTracesWalk(t *testing.T) {
+	const n, rounds = 3, 2
+	full, none := core.FullSet(n), core.NewSet(n)
+	seen := make(map[uint32]bool)
+	h := sha256.New()
+	if err := ExhaustiveTraces(n, rounds, func(tr *core.Trace) error {
+		if tr.N != n || tr.Len() != rounds {
+			t.Fatalf("bad trace shape: n=%d len=%d", tr.N, tr.Len())
+		}
+		var key uint32
+		for r, rec := range tr.Rounds {
+			if rec.R != r+1 || !rec.Active.Equal(full) || !rec.Crashed.Equal(none) {
+				t.Fatalf("round %d: R=%d active=%s crashed=%s", r+1, rec.R, rec.Active, rec.Crashed)
+			}
+			for i := 0; i < n; i++ {
+				if !rec.Deliver[i].Equal(rec.Suspects[i].Complement()) {
+					t.Fatalf("round %d: S(%d)=%s is not the complement of D=%s", r+1, i, rec.Deliver[i], rec.Suspects[i])
+				}
+				for p := 0; p < n; p++ {
+					key <<= 1
+					if rec.Suspects[i].Has(core.PID(p)) {
+						key |= 1
+					}
+				}
+			}
+		}
+		if seen[key] {
+			t.Fatalf("trace visited twice:\n%s", tr)
+		}
+		seen[key] = true
+		io.WriteString(h, tr.String())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 117649 {
+		t.Fatalf("visited %d distinct traces, want 7^6 = 117649", len(seen))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != exhaustiveTracesGolden {
+		t.Fatalf("trace sequence hash %s, want %s", got, exhaustiveTracesGolden)
 	}
 }

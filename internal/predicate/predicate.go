@@ -48,14 +48,38 @@ type P struct {
 	Check func(t *core.Trace) error
 }
 
-// And returns the conjunction of predicates under the given name.
+// wrapped is the failure of a compound predicate: the violation of one of
+// its parts under the compound's name. The text is rendered only when asked
+// for, so a failure that is merely tested against nil — a premise rejected
+// by ExhaustiveImplies, a short-circuited disjunct — formats nothing beyond
+// the part's own Detail.
+type wrapped struct {
+	name string
+	or   bool // every disjunct failed; err is the first one's failure
+	err  error
+}
+
+// Error implements error.
+func (w *wrapped) Error() string {
+	if w.or {
+		return w.name + ": every disjunct fails, first: " + w.err.Error()
+	}
+	return w.name + ": " + w.err.Error()
+}
+
+// Unwrap exposes the part's failure (in the end a *Violation) to
+// errors.Is/As.
+func (w *wrapped) Unwrap() error { return w.err }
+
+// And returns the conjunction of predicates under the given name. A failure
+// reads "name: <the first failing conjunct's error>" and unwraps to it.
 func And(name string, preds ...P) P {
 	return P{
 		Name: name,
 		Check: func(t *core.Trace) error {
 			for _, p := range preds {
 				if err := p.Check(t); err != nil {
-					return fmt.Errorf("%s: %w", name, err)
+					return &wrapped{name: name, err: err}
 				}
 			}
 			return nil
@@ -65,7 +89,8 @@ func And(name string, preds ...P) P {
 
 // Or returns the disjunction of predicates under the given name: the trace
 // satisfies it when at least one disjunct holds. On failure the first
-// disjunct's violation is reported (wrapped), since every disjunct failed.
+// disjunct's violation is reported, since every disjunct failed: the error
+// reads "name: every disjunct fails, first: <it>" and unwraps to it.
 func Or(name string, preds ...P) P {
 	return P{
 		Name: name,
@@ -83,7 +108,7 @@ func Or(name string, preds ...P) P {
 			if first == nil {
 				return nil
 			}
-			return fmt.Errorf("%s: every disjunct fails, first: %w", name, first)
+			return &wrapped{name: name, or: true, err: first}
 		},
 	}
 }

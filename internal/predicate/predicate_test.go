@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -255,6 +256,62 @@ func TestAndShortCircuitsWithContext(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "sync-send-omission") {
 		t.Fatalf("conjunction name missing from error: %v", err)
+	}
+}
+
+// TestCompoundErrorsWrapTheViolation: through nested And/Or the failure
+// still reads exactly as fmt.Errorf("%s: %w") rendered it, and still is the
+// part's *Violation to errors.As.
+func TestCompoundErrorsWrapTheViolation(t *testing.T) {
+	tr := mkTrace(3, [][]core.PID{pids(0), pids(), pids()}) // p0 suspects itself
+	p := And("outer",
+		PerRoundBudget(2),
+		Or("either", SyncCrash(2), IdenticalSuspects()))
+	err := p.Check(tr)
+	const want = `outer: either: every disjunct fails, first: sync-crash(f=2): sync-send-omission(f=2): ` +
+		`predicate "self-trusting" violated (round 1, process 0): process suspects itself`
+	if err == nil || err.Error() != want {
+		t.Fatalf("error text\n got %v\nwant %s", err, want)
+	}
+	var v *Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("errors.As found no *Violation in %#v", err)
+	}
+	if v.Predicate != "self-trusting" || v.Round != 1 || v.Proc != 0 {
+		t.Fatalf("unwrapped to %+v, want the self-trusting violation at round 1, process 0", v)
+	}
+	if inner := errors.Unwrap(err); inner == nil || "outer: "+inner.Error() != want {
+		t.Fatalf("Unwrap gives %v, want the disjunction's failure", inner)
+	}
+}
+
+// TestExhaustiveWalkAllocations pins the two halves of the exhaustive sweep:
+// the walk rewrites one trace in place, so all 343 one-round traces cost only
+// ExhaustiveTraces' set-up; and a premise that fails is only compared with
+// nil, so it costs its Violation, its Detail and one wrapper per compound —
+// no rendered text.
+func TestExhaustiveWalkAllocations(t *testing.T) {
+	visit := func(*core.Trace) error { return nil }
+	walk := testing.AllocsPerRun(5, func() {
+		if err := ExhaustiveTraces(3, 1, visit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured 36, all before the first trace; rebuilding costs 14 a trace.
+	if walk > 45 {
+		t.Fatalf("ExhaustiveTraces(3, 1) allocated %.0f times over 343 traces, want <= 45 (set-up only)", walk)
+	}
+
+	premise, consequent := SyncCrash(2), SendOmission(2)
+	const traces = 117649
+	implies := testing.AllocsPerRun(1, func() {
+		if checked, _, err := ExhaustiveImplies(3, 2, premise, consequent); err != nil || checked != traces {
+			t.Fatalf("checked %d, err %v", checked, err)
+		}
+	})
+	// Measured 3.25 a trace; rendering the discarded text is 6 more.
+	if perTrace := implies / traces; perTrace > 4.1 {
+		t.Fatalf("ExhaustiveImplies(3, 2, sync-crash, send-omission) allocated %.2f times per trace, want <= 4.1", perTrace)
 	}
 }
 

@@ -54,6 +54,10 @@ type (
 
 	// AdversaryEnum lists every round plan a model allows from a state.
 	AdversaryEnum = adversary.Enum
+
+	// EmptyFamilyError is MCExplore's (and MCReplay's) error when an
+	// enumeration lists no plan: the model is unsatisfiable from that state.
+	EmptyFamilyError = adversary.EmptyFamilyError
 )
 
 var (

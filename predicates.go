@@ -82,7 +82,8 @@ var (
 	Separates = predicate.Separates
 
 	// ExhaustiveTraces enumerates every crash-free trace over a tiny
-	// universe.
+	// universe, walking one trace in place: the *Trace is valid only
+	// during the callback.
 	ExhaustiveTraces = predicate.ExhaustiveTraces
 
 	// ExhaustiveImplies proves A ⇒ B over a tiny universe by
