@@ -4,13 +4,14 @@
 
 GO ?= go
 
-# Engine + agreement + virtual-substrate + reliable-link + chaos-campaign +
-# TCP-substrate + service + trace-checker/plan-enumerator + exhaustive-sweep
+# Engine + agreement + virtual-substrate (msgnet, swmr) + reliable-link +
+# chaos-campaign + TCP-substrate + service + trace-checker/plan-enumerator +
+# exhaustive-sweep
 # (trace space, enumerated exploration) + shared-memory (snapshot,
 # semi-synchronous) round-runner benchmarks tracked in
 # BENCH_core.json. benchstatjson keys rows by bare benchmark name, so names
 # must be unique across these packages.
-BENCH_PKGS := ./internal/core ./internal/agreement ./internal/msgnet ./internal/reliablelink ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal ./internal/hoalg ./internal/predicate ./internal/adversary ./internal/snapshot ./internal/semisync
+BENCH_PKGS := ./internal/core ./internal/agreement ./internal/msgnet ./internal/swmr ./internal/reliablelink ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal ./internal/hoalg ./internal/predicate ./internal/adversary ./internal/snapshot ./internal/semisync
 BENCH_PAT  ?= .
 
 .PHONY: build test race vet ci bench bench-build bench-check chaos-short chaos recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
@@ -40,8 +41,12 @@ bench-build:
 
 # Fixed-seed, small-N fault-injection campaigns under the race detector:
 # quick enough for every CI run, loud on any safety violation (the chaos
-# binary exits non-zero and prints seed + minimized fault plan).
+# binary exits non-zero and prints seed + minimized fault plan). The
+# substrates' scheduler runs on whichever process goroutine stopped
+# computing last (internal/baton), so the packages built on it are raced at
+# one and at four processors whatever the runner has.
 chaos-short:
+	$(GO) test -race -count=1 -cpu 1,4 ./internal/baton/ ./internal/msgnet/ ./internal/swmr/ ./internal/reliablelink/
 	$(GO) run -race ./cmd/rrfdsim -chaos -n 6 -f 2 -k 3 -runs 25 -drop 0.3 -seed 7
 	$(GO) run -race ./cmd/rrfdsim -chaos -n 5 -f 1 -k 2 -runs 15 -seed 21 \
 		-drop 0.3 -dup 0.3 -delay 0.4 -omit 0.4 -partition 0.5 -crashes 1

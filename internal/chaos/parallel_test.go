@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,21 @@ func TestRunParallelByteIdentical(t *testing.T) {
 		}
 		if gotOut != wantOut {
 			t.Fatalf("workers=%d Out stream differs:\n%q\nvs workers=1:\n%q", workers, gotOut, wantOut)
+		}
+	}
+}
+
+// TestCampaignIndependentOfGOMAXPROCS: the substrate's scheduler runs on
+// whichever process goroutine stopped computing last, so which goroutine
+// takes a step depends on the processor count — the campaign may not.
+func TestCampaignIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	wantSum, wantOut := campaign(1, false)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if gotSum, gotOut := campaign(2, false); gotSum != wantSum || gotOut != wantOut {
+			t.Fatalf("GOMAXPROCS=%d differs:\n%s\n%q\nvs GOMAXPROCS=1:\n%s\n%q", procs, gotSum, gotOut, wantSum, wantOut)
 		}
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/baton"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -121,6 +122,12 @@ type Envelope struct {
 // sender IDs when picking which queued message a receive returns) and
 // returns an index into the list. The list is the scheduler's scratch: it
 // is valid only during the call and must not be retained or modified.
+//
+// Calls are serialized and ordered by happens-before, but arrive on
+// whichever process goroutine holds the scheduler: a Chooser may keep
+// unsynchronized state (Seeded does) but may not depend on goroutine
+// identity (t.FailNow, runtime.LockOSThread). The same holds for a
+// FaultInjector and for Config.Observer.
 type Chooser func(step int, options []core.PID) int
 
 // Seeded returns a deterministic pseudo-random chooser.
@@ -158,7 +165,8 @@ func DeliverNow() FaultAction { return deliverNow }
 // FaultInjector decides the fate of each sent message. The scheduler calls
 // OnSend exactly once per send operation, in execution order, and never for
 // the loopback link (from == to). Implementations must be deterministic for
-// a fixed seed so executions replay exactly.
+// a fixed seed so executions replay exactly. Calls are serialized but come
+// from varying goroutines (see Chooser).
 type FaultInjector interface {
 	OnSend(step int, from, to core.PID) FaultAction
 }
@@ -200,7 +208,8 @@ type Config struct {
 	// per virtual-time jump ("msgnet.advance"), per crash ("msgnet.crash"),
 	// per abnormal stop ("msgnet.deadlock", "msgnet.maxsteps") and a final
 	// "msgnet.done". Substrate events use round -1: the asynchronous
-	// network has steps, not rounds.
+	// network has steps, not rounds. Calls are serialized but come from
+	// varying goroutines (see Chooser).
 	Observer obs.Observer
 }
 
@@ -232,9 +241,9 @@ type Node struct {
 	// recovery path from a boot path.
 	Incarnation int
 
-	events chan<- procEvent
-	clock  int
-	req    request // the one outstanding operation, refilled by do
+	sched *sched
+	clock int
+	req   request // the one outstanding operation, refilled by do
 }
 
 // Clock returns the global scheduler step at which the node's most recent
@@ -252,14 +261,14 @@ const (
 )
 
 // request is a node's one outstanding operation. It lives inside its Node
-// and is refilled per operation: the node writes it before announcing the
-// operation on the events channel and the scheduler reads it before
-// replying, so the two never touch it at the same time.
+// and is refilled per operation: the node writes it before posting it and
+// yielding, the baton holder that applies it writes res before waking the
+// node, so the two never touch it at the same time.
 type request struct {
 	kind     opKind
 	env      Envelope
 	deadline int // absolute step bound for opRecvTimeout
-	reply    chan result
+	res      result
 }
 
 type result struct {
@@ -267,13 +276,6 @@ type result struct {
 	step     int
 	timedOut bool
 	err      error
-}
-
-type procEvent struct {
-	pid core.PID
-	req *request // non-nil: an operation; nil: the body returned
-	out core.Value
-	err error
 }
 
 // Send queues a message to process to. Delivery order is per-link FIFO but
@@ -331,8 +333,9 @@ func (nd *Node) RecvTimeout(deadline int) (Envelope, bool, error) {
 
 func (nd *Node) do(kind opKind, env Envelope, deadline int) (result, error) {
 	nd.req.kind, nd.req.env, nd.req.deadline = kind, env, deadline
-	nd.events <- procEvent{pid: nd.Me, req: &nd.req}
-	res := <-nd.req.reply
+	nd.sched.procs[nd.Me].pending = &nd.req
+	nd.sched.baton.Yield(nd.Me)
+	res := nd.req.res
 	if res.err == nil {
 		nd.clock = res.step
 	}
@@ -392,7 +395,6 @@ type proc struct {
 	pending   *request // the outstanding operation, nil if none
 	box       mailbox
 	opsDone   int  // operations the current incarnation completed
-	returns   int  // bodies that returned (two for a restarted pid)
 	crashAt   int  // operations completed before crashing; -1: never
 	restarted bool // restart scheduled or spawned
 }
@@ -409,13 +411,35 @@ type restartEvent struct {
 	pid core.PID
 }
 
+// sched is the scheduler state. No goroutine owns it: it is handed from one
+// baton holder to the next (internal/baton), and only the holder touches it
+// — but for a node posting into its own procs[pid].pending.
+type sched struct {
+	cfg   Config // Chooser and MaxSteps defaulted; Observer dropped after a panic
+	body  Body
+	baton *baton.Baton
+	out   *Outcome
+
+	procs    []proc
+	delayed  []delayedMsg // ordered by (release, send order)
+	restarts []restartEvent
+	runnable []core.PID // scratch: the chooser's option lists
+	senders  []core.PID
+	spawning []core.PID // restarts made ready, spawned at the end of the step
+	step     int
+	abort    error // once set, all further ops fail so bodies unwind
+}
+
 // Run executes body at every process under the configured adversary and
 // returns once every body has returned. Goroutines never leak: on crash,
-// deadlock, step overflow or an out-of-range chooser answer every blocked
-// and subsequent operation is failed with ErrCrashed so bodies unwind, and
-// Run waits for them all.
+// deadlock, step overflow, an out-of-range chooser answer or a panic — in a
+// body, the Chooser, the FaultInjector or the Observer — every blocked and
+// subsequent operation is failed with ErrCrashed so bodies unwind, and Run
+// waits for them all; a panic is then raised again on Run's caller.
 //
-// A scheduler step does O(n) work over per-pid slices and allocates
+// There is no scheduler goroutine: Run spawns the bodies and waits, and the
+// process that was the last to stop computing takes the scheduler's steps
+// (internal/baton). A step does O(n) work over per-pid slices and allocates
 // nothing once the queues have grown to their working size. What it must
 // preserve, because fixed-seed executions are pinned to the step, is
 // listed in DESIGN §11 ("The virtual substrate step").
@@ -423,126 +447,112 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("msgnet: invalid process count %d", n)
 	}
-	chooser := cfg.Chooser
-	if chooser == nil {
-		chooser = Seeded(1)
+	s := &sched{cfg: cfg, body: body}
+	if s.cfg.Chooser == nil {
+		s.cfg.Chooser = Seeded(1)
 	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 1 << 20
+	if s.cfg.MaxSteps == 0 {
+		s.cfg.MaxSteps = 1 << 20
 	}
-	ob := cfg.Observer
-
-	events := make(chan procEvent)
-	spawn := func(pid core.PID, incarnation int) {
-		nd := &Node{Me: pid, N: n, Incarnation: incarnation, events: events, req: request{reply: make(chan result, 1)}}
-		go func() {
-			out, err := body(nd)
-			events <- procEvent{pid: nd.Me, out: out, err: err}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		spawn(core.PID(i), 1)
-	}
-
-	out := &Outcome{
-		Values:    make(map[core.PID]core.Value, n),
-		Errs:      make(map[core.PID]error),
-		Crashed:   core.NewSet(n),
-		Restarted: core.NewSet(n),
-	}
+	s.out = &Outcome{Crashed: core.NewSet(n), Restarted: core.NewSet(n)}
 	links := make([]link, n*n)
-	procs := make([]proc, n)
-	for i := range procs {
-		procs[i].box.links = links[i*n : (i+1)*n]
-		procs[i].crashAt = -1
+	s.procs = make([]proc, n)
+	for i := range s.procs {
+		s.procs[i].box.links = links[i*n : (i+1)*n]
+		s.procs[i].crashAt = -1
 	}
 	for pid, limit := range cfg.Crash {
 		if pid >= 0 && int(pid) < n {
-			procs[pid].crashAt = max(limit, 0)
+			s.procs[pid].crashAt = max(limit, 0)
 		}
 	}
-	var delayed []delayedMsg // ordered by (release, send order)
-	var restarts []restartEvent
-	runnable := make([]core.PID, 0, n) // scratch: the chooser's option lists
-	senders := make([]core.PID, 0, n)
-	finished := 0
-	total := n // bodies that must return: n plus one per restart
-	computing := n
-	step := 0
-	var abort error // once set, all further ops fail so bodies unwind
+	s.runnable = make([]core.PID, 0, n)
+	s.senders = make([]core.PID, 0, n)
 
-	for finished < total {
-		for computing > 0 {
-			ev := <-events
-			computing--
-			if ev.req != nil {
-				procs[ev.pid].pending = ev.req
-				continue
-			}
-			finished++
-			p := &procs[ev.pid]
-			p.returns++
-			if errors.Is(ev.err, ErrCrashed) && p.restarted && p.returns == 1 {
-				// The crashed incarnation unwound; its restart supersedes
-				// it, so record nothing.
-			} else if ev.err != nil {
-				out.Errs[ev.pid] = ev.err
-				delete(out.Values, ev.pid)
-			} else {
-				out.Values[ev.pid] = ev.out
-				delete(out.Errs, ev.pid)
-			}
+	s.baton = baton.New(n, s.run)
+	for i := 0; i < n; i++ {
+		s.spawn(core.PID(i), 1)
+	}
+	s.out.Values, s.out.Errs = s.baton.Wait()
+	s.out.Steps = s.step
+	if ob := cfg.Observer; ob != nil {
+		switch {
+		case errors.Is(s.abort, ErrDeadlock):
+			ob.Event("msgnet.deadlock", -1, -1, map[string]any{"step": s.step})
+		case errors.Is(s.abort, ErrMaxSteps):
+			ob.Event("msgnet.maxsteps", -1, -1, map[string]any{"step": s.step})
 		}
-		if finished == total {
-			break
+		ob.Event("msgnet.done", -1, -1, map[string]any{"steps": s.step, "crashed": s.out.Crashed.Count()})
+	}
+	return s.out, s.abort
+}
+
+func (s *sched) spawn(pid core.PID, incarnation int) {
+	nd := &Node{Me: pid, N: len(s.procs), Incarnation: incarnation, sched: s}
+	s.baton.Go(pid, func() (core.Value, error) { return s.body(nd) })
+}
+
+// run is the baton's step function: called with every live process parked
+// on a posted operation, it returns the one whose operation it applied. A
+// restarted process's returns need no care: the crashed incarnation unwinds
+// before its successor is spawned, and the baton keeps the latest.
+func (s *sched) run(abort error) (core.PID, bool) {
+	if abort != nil { // a panic: unwind, and call nothing of the caller's again
+		if s.abort == nil {
+			s.abort = abort
 		}
+		s.cfg.Observer = nil
+	}
+	procs, ob := s.procs, s.cfg.Observer
+	for s.baton.Live() > 0 || len(s.restarts) > 0 {
+		step := s.step
 
 		// Release the delayed copies whose time has come: the due prefix
 		// of a queue kept in (release step, send order).
 		k := 0
-		for k < len(delayed) && delayed[k].release <= step {
-			procs[delayed[k].env.To].box.push(delayed[k].env.From, delayed[k].env.Payload)
+		for k < len(s.delayed) && s.delayed[k].release <= step {
+			procs[s.delayed[k].env.To].box.push(s.delayed[k].env.From, s.delayed[k].env.Payload)
 			k++
 		}
-		delayed = slices.Delete(delayed, 0, k)
+		s.delayed = slices.Delete(s.delayed, 0, k)
 
 		// Spawn due restarts (all of them when aborting, so every body
 		// unwinds and the run terminates). The dead incarnation's queued
 		// mail is discarded: messages addressed to a down process are lost.
-		if len(restarts) > 0 {
-			keep := restarts[:0]
-			spawned := false
-			for _, rs := range restarts {
-				if abort == nil && rs.at > step {
-					keep = append(keep, rs)
-					continue
-				}
-				procs[rs.pid].box.clear()
-				procs[rs.pid].opsDone = 0
-				out.Restarted.Add(rs.pid)
-				if ob != nil {
-					ob.Event("msgnet.restart", -1, int(rs.pid), map[string]any{"step": step, "incarnation": 2})
-				}
-				spawn(rs.pid, 2)
-				computing++
-				spawned = true
+		// The goroutines start last: from then on the new incarnations
+		// compute beside this one, which gives up the baton.
+		for i := 0; i < len(s.restarts); {
+			rs := s.restarts[i]
+			if s.abort == nil && rs.at > step {
+				i++
+				continue
 			}
-			restarts = keep
-			if spawned {
-				continue // drain the new incarnation's first event
+			if ob != nil {
+				ob.Event("msgnet.restart", -1, int(rs.pid), map[string]any{"step": step, "incarnation": 2})
 			}
+			s.restarts = slices.Delete(s.restarts, i, i+1)
+			procs[rs.pid].box.clear()
+			procs[rs.pid].opsDone = 0
+			s.out.Restarted.Add(rs.pid)
+			s.spawning = append(s.spawning, rs.pid)
+		}
+		if due := s.spawning; len(due) > 0 {
+			s.spawning = due[:0]
+			for _, pid := range due {
+				s.spawn(pid, 2)
+			}
+			return -1, false
 		}
 
 		// Runnable, ascending: pending senders, pending receivers with
 		// mail, and timed receivers whose deadline has passed.
-		runnable = runnable[:0]
+		runnable := s.runnable[:0]
 		for pid := range procs {
 			req := procs[pid].pending
 			if req == nil {
 				continue
 			}
-			if abort != nil || req.kind == opSend || procs[pid].box.mail > 0 ||
+			if s.abort != nil || req.kind == opSend || procs[pid].box.mail > 0 ||
 				(req.kind == opRecvTimeout && step >= req.deadline) {
 				runnable = append(runnable, core.PID(pid))
 			}
@@ -551,15 +561,15 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 			// Nobody can act now; fast-forward virtual time to the next
 			// delayed release, receive deadline, or scheduled restart.
 			next := -1
-			if len(delayed) > 0 {
-				next = delayed[0].release
+			if len(s.delayed) > 0 {
+				next = s.delayed[0].release
 			}
 			for pid := range procs {
 				if req := procs[pid].pending; req != nil && req.kind == opRecvTimeout && (next < 0 || req.deadline < next) {
 					next = req.deadline
 				}
 			}
-			for _, rs := range restarts {
+			for _, rs := range s.restarts {
 				if next < 0 || rs.at < next {
 					next = rs.at
 				}
@@ -568,47 +578,45 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 				if ob != nil {
 					ob.Event("msgnet.advance", -1, -1, map[string]any{"from": step, "to": next})
 				}
-				step = next
-				if step > maxSteps {
-					abort = &StepLimitError{Steps: maxSteps, Pending: pendingPIDs(procs)}
+				s.step = next
+				if next > s.cfg.MaxSteps {
+					s.abort = &StepLimitError{Steps: s.cfg.MaxSteps, Pending: pendingPIDs(procs)}
 				}
 				continue
 			}
-			abort = newDeadlockError(step, procs)
+			s.abort = newDeadlockError(step, procs)
 			continue
 		}
 
 		pick := runnable[0]
-		if abort == nil {
-			idx := chooser(step, runnable)
+		if s.abort == nil {
+			idx := s.cfg.Chooser(step, runnable)
 			if idx < 0 || idx >= len(runnable) {
-				abort = fmt.Errorf("msgnet: chooser returned %d for %d options", idx, len(runnable))
+				s.abort = fmt.Errorf("msgnet: chooser returned %d for %d options", idx, len(runnable))
 				continue
 			}
 			pick = runnable[idx]
 		}
 		p := &procs[pick]
-		req := p.pending
-		p.pending = nil
+		req := p.pending // stays posted until applied: a panic below must not lose it
 
 		switch {
-		case abort != nil, p.crashAt >= 0 && !p.restarted && p.opsDone >= p.crashAt:
-			if abort == nil {
-				out.Crashed.Add(pick)
+		case s.abort != nil, p.crashAt >= 0 && !p.restarted && p.opsDone >= p.crashAt:
+			if s.abort == nil {
+				s.out.Crashed.Add(pick)
 				if ob != nil {
 					ob.Event("msgnet.crash", -1, int(pick), map[string]any{"ops": p.opsDone, "step": step})
 				}
-				if delay, ok := cfg.Restart[pick]; ok {
-					restarts = append(restarts, restartEvent{at: step + max(delay, 1), pid: pick})
+				if delay, ok := s.cfg.Restart[pick]; ok {
+					s.restarts = append(s.restarts, restartEvent{at: step + max(delay, 1), pid: pick})
 					p.restarted = true
-					total++
 				}
 			}
-			req.reply <- result{err: ErrCrashed}
+			req.res = result{err: ErrCrashed}
 		case req.kind == opSend:
 			act := deliverNow
-			if cfg.Faults != nil && req.env.From != req.env.To {
-				act = cfg.Faults.OnSend(step, req.env.From, req.env.To)
+			if s.cfg.Faults != nil && req.env.From != req.env.To {
+				act = s.cfg.Faults.OnSend(step, req.env.From, req.env.To)
 			}
 			p.opsDone++
 			if ob != nil {
@@ -628,7 +636,7 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 					if d <= 0 {
 						procs[req.env.To].box.push(req.env.From, req.env.Payload)
 					} else {
-						delayed = insertDelayed(delayed, delayedMsg{release: step + d, env: req.env})
+						s.delayed = insertDelayed(s.delayed, delayedMsg{release: step + d, env: req.env})
 						maxDelay = max(maxDelay, d)
 					}
 				}
@@ -641,7 +649,7 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 					}
 				}
 			}
-			req.reply <- result{step: step}
+			req.res = result{step: step}
 		case p.box.mail == 0:
 			// Only an expired opRecvTimeout is scheduled with an empty
 			// mailbox: the deadline fires.
@@ -649,43 +657,31 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 			if ob != nil {
 				ob.Event("msgnet.timeout", -1, int(pick), map[string]any{"deadline": req.deadline, "step": step})
 			}
-			req.reply <- result{step: step, timedOut: true}
+			req.res = result{step: step, timedOut: true}
 		default: // opRecv / opRecvTimeout with mail
-			senders = p.box.senders(senders)
-			sIdx := chooser(step, senders)
-			if sIdx < 0 || sIdx >= len(senders) {
-				abort = fmt.Errorf("msgnet: chooser returned %d for %d senders", sIdx, len(senders))
-				req.reply <- result{err: ErrCrashed}
+			s.senders = p.box.senders(s.senders)
+			sIdx := s.cfg.Chooser(step, s.senders)
+			if sIdx < 0 || sIdx >= len(s.senders) {
+				s.abort = fmt.Errorf("msgnet: chooser returned %d for %d senders", sIdx, len(s.senders))
+				req.res = result{err: ErrCrashed}
 				break
 			}
-			from := senders[sIdx]
+			from := s.senders[sIdx]
 			payload := p.box.pop(from)
 			p.opsDone++
 			if ob != nil {
 				ob.Event("msgnet.recv", -1, int(pick), map[string]any{"from": int(from), "step": step})
 			}
-			req.reply <- result{env: Envelope{From: from, To: pick, Payload: payload}, step: step}
+			req.res = result{env: Envelope{From: from, To: pick, Payload: payload}, step: step}
 		}
-		computing++
-		step++
-		if step > maxSteps && abort == nil {
-			abort = &StepLimitError{Steps: maxSteps, Pending: pendingPIDs(procs)}
+		p.pending = nil
+		s.step++
+		if s.step > s.cfg.MaxSteps && s.abort == nil {
+			s.abort = &StepLimitError{Steps: s.cfg.MaxSteps, Pending: pendingPIDs(procs)}
 		}
+		return pick, false
 	}
-	out.Steps = step
-	if ob != nil {
-		switch {
-		case errors.Is(abort, ErrDeadlock):
-			ob.Event("msgnet.deadlock", -1, -1, map[string]any{"step": step})
-		case errors.Is(abort, ErrMaxSteps):
-			ob.Event("msgnet.maxsteps", -1, -1, map[string]any{"step": step})
-		}
-		ob.Event("msgnet.done", -1, -1, map[string]any{"steps": step, "crashed": out.Crashed.Count()})
-	}
-	if abort != nil {
-		return out, abort
-	}
-	return out, nil
+	return -1, true
 }
 
 // insertDelayed adds dm behind every queued copy released no later than it:

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/baton"
 	"repro/internal/core"
 )
 
@@ -36,6 +37,11 @@ var Bottom core.Value = nil
 // index into that slice. Choosers are the scheduling adversary. The slice is
 // the scheduler's scratch: it is valid only during the call and must not be
 // retained or modified.
+//
+// Calls are serialized and ordered by happens-before, but arrive on
+// whichever process goroutine holds the scheduler: a Chooser may keep
+// unsynchronized state (Seeded, RoundRobin and Explore's do) but may not
+// depend on goroutine identity (t.FailNow, runtime.LockOSThread).
 type Chooser func(step int, runnable []core.PID) int
 
 // RoundRobin returns a chooser that cycles fairly through pending processes.
@@ -147,22 +153,20 @@ func (m *memory) read(k regKey) core.Value { return m.cells[k] }
 func (m *memory) write(k regKey, v core.Value) { m.cells[k] = v }
 
 // request is a process's one outstanding operation. It lives inside its
-// Proc and is refilled per operation: the process writes it before
-// announcing the operation and the scheduler reads it before replying.
+// Proc and is refilled per operation: the process writes it before posting
+// it and yielding, and the baton holder that applies it writes res before
+// waking the process.
+//
+// apply closures — Atomic's fn among them — run, like the Chooser, on
+// whichever process goroutine holds the scheduler: serialized and ordered,
+// so they may keep unsynchronized state, but not tied to a goroutine.
 type request struct {
 	apply func(m *memory) core.Value
-	reply chan result
+	res   result
 }
 
 type result struct {
 	v   core.Value
-	err error
-}
-
-type procEvent struct {
-	pid core.PID
-	req *request // non-nil: an operation; nil: the body returned
-	out core.Value
 	err error
 }
 
@@ -174,8 +178,8 @@ type Proc struct {
 	// N is the number of processes.
 	N int
 
-	events chan<- procEvent
-	req    request // the one outstanding operation, refilled by do
+	sched *sched
+	req   request // the one outstanding operation, refilled by do
 }
 
 // Write sets the caller's register name. Only the owner may write a
@@ -200,8 +204,8 @@ func (p *Proc) Read(owner core.PID, name string) (core.Value, error) {
 // step and returns fn's result. It models invoking a linearizable shared
 // object that the system is ASSUMED to provide — e.g. the k-set-consensus
 // oracle of Theorem 3.3, which cannot be built from registers (that
-// impossibility is the very content of §3/§4). fn must be deterministic;
-// the initial state is Bottom.
+// impossibility is the very content of §3/§4). fn must be deterministic and,
+// like a Chooser, not tied to a goroutine; the initial state is Bottom.
 func (p *Proc) Atomic(name string, fn func(state core.Value) (newState, result core.Value)) (core.Value, error) {
 	return p.do(func(m *memory) core.Value {
 		if m.objects == nil {
@@ -231,128 +235,120 @@ func (p *Proc) Collect(name string) ([]core.Value, error) {
 
 func (p *Proc) do(apply func(m *memory) core.Value) (core.Value, error) {
 	p.req.apply = apply
-	p.events <- procEvent{pid: p.Me, req: &p.req}
-	res := <-p.req.reply
-	return res.v, res.err
+	p.sched.pending[p.Me] = &p.req
+	p.sched.baton.Yield(p.Me)
+	return p.req.res.v, p.req.res.err
+}
+
+// sched is the scheduler state. No goroutine owns it: it is handed from one
+// baton holder to the next (internal/baton), and only the holder touches it
+// — but for a process posting into its own pending[pid].
+type sched struct {
+	cfg   Config // Chooser and MaxSteps defaulted
+	baton *baton.Baton
+	mem   memory
+	out   *Outcome
+
+	// Indexed by pid.
+	pending []*request // the outstanding operation, nil if none
+	opsDone []int
+	crashAt []int // operations completed before crashing; -1: never
+
+	runnable []core.PID // scratch: the chooser's option list
+	step     int
+	abort    error // once set, all further ops fail so bodies unwind
 }
 
 // Run executes body at every process under the configured scheduler and
 // returns once every process body has returned. It never leaks goroutines:
-// crashed processes — and, after a step overflow or an out-of-range chooser
-// answer, all processes — receive ErrCrashed on their pending and
-// subsequent operations, so well-formed bodies unwind promptly, and Run
-// waits for all of them.
+// crashed processes — and, after a step overflow, an out-of-range chooser
+// answer or a panic in a body, the Chooser or an operation, all processes —
+// receive ErrCrashed on their pending and subsequent operations, so
+// well-formed bodies unwind promptly, and Run waits for all of them; a panic
+// is then raised again on Run's caller.
+//
+// There is no scheduler goroutine: Run spawns the bodies and waits, and the
+// process that was the last to stop computing takes the scheduler's steps
+// (internal/baton).
 func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("swmr: invalid process count %d", n)
 	}
-	chooser := cfg.Chooser
-	if chooser == nil {
-		chooser = Seeded(1)
+	s := &sched{
+		cfg:      cfg,
+		mem:      memory{cells: make(map[regKey]core.Value)},
+		out:      &Outcome{Crashed: core.NewSet(n)},
+		pending:  make([]*request, n),
+		opsDone:  make([]int, n),
+		crashAt:  make([]int, n),
+		runnable: make([]core.PID, 0, n),
 	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 1 << 20
+	if s.cfg.Chooser == nil {
+		s.cfg.Chooser = Seeded(1)
 	}
-
-	events := make(chan procEvent)
-	procs := make([]*Proc, n)
-	for i := 0; i < n; i++ {
-		procs[i] = &Proc{Me: core.PID(i), N: n, events: events, req: request{reply: make(chan result, 1)}}
+	if s.cfg.MaxSteps == 0 {
+		s.cfg.MaxSteps = 1 << 20
 	}
-	for i := 0; i < n; i++ {
-		go func(p *Proc) {
-			out, err := body(p)
-			events <- procEvent{pid: p.Me, out: out, err: err}
-		}(procs[i])
-	}
-
-	mem := &memory{cells: make(map[regKey]core.Value)}
-	out := &Outcome{
-		Values:  make(map[core.PID]core.Value, n),
-		Errs:    make(map[core.PID]error),
-		Crashed: core.NewSet(n),
-	}
-	// Indexed by pid.
-	pending := make([]*request, n) // the outstanding operation, nil if none
-	opsDone := make([]int, n)
-	crashAt := make([]int, n) // operations completed before crashing; -1: never
-	for i := range crashAt {
-		crashAt[i] = -1
+	for i := range s.crashAt {
+		s.crashAt[i] = -1
 	}
 	for pid, limit := range cfg.Crash {
 		if pid >= 0 && int(pid) < n {
-			crashAt[pid] = max(limit, 0)
+			s.crashAt[pid] = max(limit, 0)
 		}
 	}
-	runnable := make([]core.PID, 0, n) // scratch: the chooser's option list
-	finished := 0
-	computing := n // processes neither finished nor blocked on an op
-	step := 0
-	var abort error // once set, all further ops fail so bodies unwind
 
-	for finished < n {
-		// Quiesce: wait until every live process is blocked or done.
-		for computing > 0 {
-			ev := <-events
-			computing--
-			if ev.req != nil {
-				pending[ev.pid] = ev.req
-				continue
-			}
-			finished++
-			if ev.err != nil {
-				out.Errs[ev.pid] = ev.err
-			} else {
-				out.Values[ev.pid] = ev.out
-			}
-		}
-		if finished == n {
-			break
-		}
+	s.baton = baton.New(n, s.run)
+	for i := 0; i < n; i++ {
+		p := &Proc{Me: core.PID(i), N: n, sched: s}
+		s.baton.Go(p.Me, func() (core.Value, error) { return body(p) })
+	}
+	s.out.Values, s.out.Errs = s.baton.Wait()
+	s.out.Steps = s.step
+	return s.out, s.abort
+}
 
-		runnable = runnable[:0]
-		for pid, req := range pending {
+// run is the baton's step function: called with every live process parked
+// on a posted operation, it returns the one whose operation it applied.
+func (s *sched) run(abort error) (core.PID, bool) {
+	if abort != nil && s.abort == nil { // a panic: unwind
+		s.abort = abort
+	}
+	for s.baton.Live() > 0 {
+		runnable := s.runnable[:0]
+		for pid, req := range s.pending {
 			if req != nil {
 				runnable = append(runnable, core.PID(pid))
 			}
 		}
-		if len(runnable) == 0 {
-			return nil, errors.New("swmr: deadlock: live processes with no pending operations")
-		}
 
 		pick := runnable[0] // drain deterministically once aborting
-		if abort == nil {
-			idx := chooser(step, runnable)
+		if s.abort == nil {
+			idx := s.cfg.Chooser(s.step, runnable)
 			if idx < 0 || idx >= len(runnable) {
-				abort = fmt.Errorf("swmr: chooser returned %d for %d runnable", idx, len(runnable))
+				s.abort = fmt.Errorf("swmr: chooser returned %d for %d runnable", idx, len(runnable))
 				continue
 			}
 			pick = runnable[idx]
 		}
-		req := pending[pick]
-		pending[pick] = nil
+		req := s.pending[pick] // stays posted until applied: a panic below must not lose it
 
 		switch {
-		case abort != nil, crashAt[pick] >= 0 && opsDone[pick] >= crashAt[pick]:
-			if abort == nil {
-				out.Crashed.Add(pick)
+		case s.abort != nil, s.crashAt[pick] >= 0 && s.opsDone[pick] >= s.crashAt[pick]:
+			if s.abort == nil {
+				s.out.Crashed.Add(pick)
 			}
-			req.reply <- result{err: ErrCrashed}
+			req.res = result{err: ErrCrashed}
 		default:
-			v := req.apply(mem)
-			opsDone[pick]++
-			req.reply <- result{v: v}
+			req.res = result{v: req.apply(&s.mem)}
+			s.opsDone[pick]++
 		}
-		computing++
-		step++
-		if step > maxSteps && abort == nil {
-			abort = ErrMaxSteps
+		s.pending[pick] = nil
+		s.step++
+		if s.step > s.cfg.MaxSteps && s.abort == nil {
+			s.abort = ErrMaxSteps
 		}
+		return pick, false
 	}
-	out.Steps = step
-	if abort != nil {
-		return out, abort
-	}
-	return out, nil
+	return -1, true
 }
