@@ -121,8 +121,10 @@ telemetry-short:
 	test -s $$dir/chaos.json && rm -rf $$dir
 
 # Real-network smoke under the race detector: the loopback TCP substrate
-# tests (peer pool, backpressure, eviction, chaos proxy, cross-validation
-# against the virtual injector) plus the multi-process run — one OS
+# tests (peer pool, backpressure, eviction, the coalescing writer, the
+# first send after a peer's restart — TestFirstSendAfterPeerRestartArrives —
+# chaos proxy, cross-validation against the virtual injector) plus the
+# multi-process run — one OS
 # process per pid over inherited listeners, the highest pid killed and
 # restarted mid-run, decisions audited for validity and k-agreement.
 net-short:
@@ -130,7 +132,11 @@ net-short:
 	$(GO) run -race ./cmd/rrfdsim -substrate tcp -n 4 -f 1 -k 2 -rounds 3 -watchdog 600
 
 # Agreement-service smoke under the race detector: the service package
-# tests (durable instances, admission control, retry discipline), an
+# tests (durable instances, admission control, retry discipline, and the
+# turn's pins: TestFramesAndCommitsPerDecide holds a fault-free decide to
+# <= 9.5 mesh frames and <= 4.5 journal commits,
+# TestFirstSubmitAfterRestartDecidesPromptly the first decide at a
+# restarted node to a quarter of RequestTimeout), an
 # in-process load-generator run with its idempotency/validity/k-agreement
 # audit, the fixed-seed kill-and-recover campaign, and the same campaign
 # with the planted ack-before-journal bug — which MUST fail on the lost

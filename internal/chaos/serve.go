@@ -234,8 +234,8 @@ func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 	// few requests pin victim-exclusive instances: no other client ever
 	// submits them, so the victim commits each with a live waiter and the
 	// CrashAfterAcks counter provably reaches the kill point mid-batch —
-	// shared instances often reach the victim as peer decide broadcasts
-	// first, and the resulting idempotent acks don't count.
+	// shared instances are often decided at the victim off its peers'
+	// proposals first, and the resulting idempotent acks don't count.
 	exclusive := sum.CrashAfterAcks + 2
 	if exclusive > c.Requests {
 		exclusive = c.Requests

@@ -217,6 +217,7 @@ type Node struct {
 
 	inMu    sync.Mutex
 	inbound map[core.PID]net.Conn
+	seenInc []int // highest incarnation each pid has announced; 0 = none yet
 
 	hRTT, hQueue *hist.Histogram
 
@@ -252,6 +253,7 @@ func Start(cfg Config) (*Node, error) {
 		peers:   make([]*peer, cfg.N),
 		done:    make(chan struct{}),
 		inbound: make(map[core.PID]net.Conn),
+		seenInc: make([]int, cfg.N),
 	}
 	if cfg.Hist != nil {
 		nd.hRTT = cfg.Hist.Get("netsub_rtt_ns")
@@ -467,7 +469,6 @@ func (nd *Node) serveInbound(c net.Conn) {
 		nd.event("netsub.frame_error", map[string]any{"reason": "bad hello"})
 		return
 	}
-	nd.hellos.Add(1)
 	nd.event("netsub.hello", map[string]any{"peer": int(h.pid), "incarnation": h.incarnation})
 	nd.event("netsub.conn_open", map[string]any{"peer": int(h.pid), "dir": "in"})
 
@@ -478,7 +479,16 @@ func (nd *Node) serveInbound(c net.Conn) {
 		old.Close()
 	}
 	nd.inbound[h.pid] = c
+	prevInc := nd.seenInc[h.pid]
+	nd.seenInc[h.pid] = max(prevInc, h.incarnation)
 	nd.inMu.Unlock()
+	// A newer incarnation means the process our outbound lane was
+	// talking to is gone: the kernel would still accept one write on that
+	// connection and lose it. At first contact nothing older exists.
+	if prevInc != 0 && h.incarnation > prevInc {
+		nd.peers[h.pid].noteRestart()
+	}
+	nd.hellos.Add(1) // last: whoever reads the count knows the lane was told
 	defer func() {
 		nd.inMu.Lock()
 		if nd.inbound[h.pid] == c {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -267,5 +268,117 @@ func TestClockMonotonicMillis(t *testing.T) {
 	b := nodes[0].Clock()
 	if b < a+10 {
 		t.Fatalf("clock advanced %d ms over a 20ms sleep", b-a)
+	}
+}
+
+// TestFirstSendAfterPeerRestartArrives: p1 dies and comes back as
+// incarnation 2. With heartbeats off p0 has no way to find its outbound
+// connection dead except p1's new hello — and its very next Send must
+// land on the new process, not vanish into the old connection (the
+// kernel accepts exactly one write there).
+func TestFirstSendAfterPeerRestartArrives(t *testing.T) {
+	nodes := startMesh(t, 2, func(i int, c *Config) { c.HeartbeatEvery = -1 })
+	nodes[0].Send(1, "before")
+	recvFrom(t, nodes[1], 0, 2*time.Second)
+	// p0 must have met incarnation 1 to recognise 2 as a restart.
+	hellos := func(want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); nodes[0].Stats().HellosAccepted < want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("p0 accepted %d hellos, want %d", nodes[0].Stats().HellosAccepted, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	hellos(1)
+
+	addrs := []string{nodes[0].Addr(), nodes[1].Addr()}
+	nodes[1].Close()
+	var restarted *Node
+	var err error
+	for attempt := 0; attempt < 50; attempt++ {
+		cfg := testConfig()
+		cfg.Me, cfg.N, cfg.Addrs, cfg.Incarnation, cfg.HeartbeatEvery = 1, 2, addrs, 2, -1
+		if restarted, err = Start(cfg); err == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond) // port may linger briefly
+	}
+	if err != nil {
+		t.Fatalf("restart on %s: %v", addrs[1], err)
+	}
+	defer restarted.Close()
+
+	hellos(2) // counted only after the outbound lane was told
+	if err := nodes[0].Send(1, "after"); err != nil {
+		t.Fatalf("send after restart: %v", err)
+	}
+	if env := recvFrom(t, restarted, 0, 2*time.Second); env.Payload != "after" {
+		t.Fatalf("restarted peer got %#v, want the first frame sent to it", env.Payload)
+	}
+	if st := nodes[0].Stats(); st.Reconnects != 1 {
+		t.Fatalf("reconnects = %d, want exactly 1 (no redial loop): %+v", st.Reconnects, st)
+	}
+}
+
+// stallConn counts Write calls and holds the second one (the first data
+// write; the hello is the first) until released.
+type stallConn struct {
+	net.Conn
+	writes  atomic.Int64
+	release chan struct{}
+}
+
+func (c *stallConn) Write(b []byte) (int, error) {
+	if c.writes.Add(1) == 2 {
+		<-c.release
+	}
+	return c.Conn.Write(b)
+}
+
+// TestWriterCoalescesQueuedFrames: frames that queue up behind a slow
+// write leave in one conn.Write, in order, and each still counts as a
+// frame sent.
+func TestWriterCoalescesQueuedFrames(t *testing.T) {
+	const k = 20
+	sc := &stallConn{release: make(chan struct{})}
+	nodes := startMesh(t, 2, func(i int, c *Config) {
+		c.HeartbeatEvery = -1 // every Write past the hello is a data write
+		if i == 0 {
+			c.Dial = func(addr string) (net.Conn, error) {
+				conn, err := net.Dial("tcp", addr)
+				sc.Conn = conn
+				return sc, err
+			}
+		}
+	})
+	nodes[0].Send(1, 0)
+	for deadline := time.Now().Add(2 * time.Second); sc.writes.Load() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("writer never reached its first data write")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 1; i < k; i++ {
+		if err := nodes[0].Send(1, i); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	close(sc.release)
+	for i := 0; i < k; i++ {
+		if env := recvFrom(t, nodes[1], 0, 2*time.Second); env.Payload != i {
+			t.Fatalf("frame %d arrived as %#v", i, env.Payload)
+		}
+	}
+	if w := sc.writes.Load() - 1; w >= k {
+		t.Fatalf("%d frames took %d data writes, want fewer", k, w)
+	}
+	// The writer counts a batch once its Write has returned, which may be
+	// after the receiver has read it.
+	for deadline := time.Now().Add(2 * time.Second); nodes[0].Stats().FramesSent != k; {
+		if time.Now().After(deadline) {
+			t.Fatalf("FramesSent = %d, want %d", nodes[0].Stats().FramesSent, k)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

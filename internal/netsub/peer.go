@@ -11,6 +11,11 @@ import (
 	"repro/internal/core"
 )
 
+// maxWriteBytes bounds how many queued bytes the writer gathers into one
+// conn.Write: enough that a backlog of small frames costs one syscall,
+// small enough that one write stays well inside the write deadline.
+const maxWriteBytes = 64 << 10
+
 // peer is one outbound lane of the pool: a bounded queue of encoded
 // frames, a writer goroutine that owns dialing and the connection, and a
 // flow monitor that evicts the peer if the queue stops draining.
@@ -21,6 +26,17 @@ type peer struct {
 
 	// q is the bounded in-flight queue; Send sheds when it is full.
 	q chan []byte
+
+	// restarted (buffered 1) tells the writer that the remote process
+	// came back as a newer incarnation: whatever connection or redial
+	// sleep the lane is in belongs to the dead one.
+	restarted chan struct{}
+
+	// wbuf holds the wn frames the writer has taken off q and not yet
+	// written — writer-owned; it outlives a connection only when a
+	// restart signal abandons that connection under it.
+	wbuf []byte
+	wn   int
 
 	// connMu guards conn, the writer's current connection; closeConn uses
 	// it to unblock the writer from outside (eviction, node close).
@@ -35,7 +51,23 @@ type peer struct {
 }
 
 func newPeer(nd *Node, to core.PID, addr string) *peer {
-	return &peer{nd: nd, to: to, addr: addr, q: make(chan []byte, nd.cfg.SendQueue)}
+	return &peer{
+		nd: nd, to: to, addr: addr,
+		q:         make(chan []byte, nd.cfg.SendQueue),
+		restarted: make(chan struct{}, 1),
+	}
+}
+
+// noteRestart is called by the inbound side when the remote announced a
+// newer incarnation than the last one seen. The lane cannot tell which
+// incarnation its connection reached, so one that had already redialled
+// on its own (possible when the listener outlives the process, as under
+// `rrfdsim -substrate tcp`) pays a redundant reconnect.
+func (p *peer) noteRestart() {
+	select {
+	case p.restarted <- struct{}{}:
+	default:
+	}
 }
 
 // send enqueues one encoded frame, shedding instead of blocking.
@@ -80,6 +112,12 @@ func (p *peer) run() {
 			continue
 		}
 		bo.Reset()
+		// A restart announced before this dial completed is answered by
+		// it: the connection reached the listener of the new process.
+		select {
+		case <-p.restarted:
+		default:
+		}
 		p.nd.dials.Add(1)
 		if hadConn {
 			p.nd.reconnects.Add(1)
@@ -114,8 +152,9 @@ func (p *peer) dial() (net.Conn, error) {
 }
 
 // serve drains the queue onto one live connection, interleaving
-// heartbeats, until the connection breaks or the node closes. It returns
-// a reason tag for the close event.
+// heartbeats, until the connection breaks, the remote restarts or the
+// node closes. Everything already queued when the writer wakes leaves in
+// one conn.Write. It returns a reason tag for the close event.
 func (p *peer) serve(conn net.Conn) string {
 	// The ack reader turns heartbeat echoes into RTT samples; it exits
 	// when the connection is closed (here or by the remote).
@@ -129,27 +168,59 @@ func (p *peer) serve(conn net.Conn) string {
 		hb = t.C
 	}
 	for {
+		if p.wn == 0 {
+			select {
+			case <-p.nd.done:
+				return "closed"
+			case <-p.restarted:
+				return "restarted"
+			case buf := <-p.q:
+				p.gather(buf)
+			case <-hb:
+				if p.evicted.Load() {
+					return "evicted"
+				}
+				if !p.write(conn, p.nd.encodeHeartbeat()) {
+					return "write"
+				}
+				continue
+			}
+			// select picks at random among ready cases: frames taken
+			// while a restart signal was pending wait in wbuf for the
+			// next connection rather than die on this one.
+			select {
+			case <-p.restarted:
+				return "restarted"
+			default:
+			}
+		}
+		n := int64(p.wn)
+		ok := p.write(conn, p.wbuf)
+		p.wbuf, p.wn = p.wbuf[:0], 0
+		if !ok {
+			return "write"
+		}
+		p.nd.framesSent.Add(n)
+		p.drained.Add(n)
+	}
+}
+
+// gather moves first, and whatever else is already queued up to
+// maxWriteBytes, into wbuf.
+func (p *peer) gather(first []byte) {
+	p.wbuf, p.wn = append(p.wbuf, first...), 1
+	for len(p.wbuf) < maxWriteBytes {
 		select {
-		case <-p.nd.done:
-			return "closed"
 		case buf := <-p.q:
-			if !p.write(conn, buf) {
-				return "write"
-			}
-			p.nd.framesSent.Add(1)
-			p.drained.Add(1)
-		case <-hb:
-			if p.evicted.Load() {
-				return "evicted"
-			}
-			if !p.write(conn, p.nd.encodeHeartbeat()) {
-				return "write"
-			}
+			p.wbuf = append(p.wbuf, buf...)
+			p.wn++
+		default:
+			return
 		}
 	}
 }
 
-// write puts one frame on the wire under the write deadline.
+// write puts buf — whole frames — on the wire under the write deadline.
 func (p *peer) write(conn net.Conn, buf []byte) bool {
 	conn.SetWriteDeadline(time.Now().Add(p.nd.cfg.WriteTimeout))
 	_, err := conn.Write(buf)
@@ -236,7 +307,8 @@ func (p *peer) closeConn(string) {
 	p.connMu.Unlock()
 }
 
-// sleep waits d or until the node closes or the peer is evicted,
+// sleep waits d, or until the remote restarts (its listener is back: no
+// point sitting out the backoff), the node closes or the peer is evicted,
 // reporting whether the writer should continue.
 func (p *peer) sleep(d time.Duration) bool {
 	timer := time.NewTimer(d)
@@ -244,7 +316,8 @@ func (p *peer) sleep(d time.Duration) bool {
 	select {
 	case <-p.nd.done:
 		return false
+	case <-p.restarted:
 	case <-timer.C:
-		return !p.evicted.Load()
 	}
+	return !p.evicted.Load()
 }

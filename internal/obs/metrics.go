@@ -189,7 +189,7 @@ func (n NetSnapshot) empty() bool { return n == NetSnapshot{} }
 // crash-recovery lifecycle of service nodes.
 type ServeSnapshot struct {
 	// Decisions counts instance decisions committed (journaled then
-	// acked); Adoptions the subset learned from a peer's decide broadcast
+	// acked); Adoptions the subset learned from a peer's decide reply
 	// rather than gathered locally.
 	Decisions int64 `json:"decisions"`
 	Adoptions int64 `json:"adoptions"`

@@ -4,44 +4,52 @@
 // an acknowledged decision survives kill-and-restart, and defends itself
 // under overload.
 //
-// The protocol per instance is the quorum form of §2 item 3: each server
-// adopts the first value it hears for an instance (its own client's, or
-// a peer's) as its proposal, broadcasts it, and decides the minimum of
-// the first n−f proposals it gathers. Views that contain n−f of the n
-// proposals overlap enough that at most f+1 distinct minima exist, so
-// k-agreement holds for k ≥ f+1 — the same eq. (3) argument the
-// simulation stack checks, here per instance. Decisions are broadcast and
-// adopted, which only merges decision sets and never widens them.
+// The protocol per instance is the quorum form of §2 item 3, one
+// communication-closed round: each server adopts the first value it hears
+// for an instance (its own client's, or a peer's) as its proposal, sends
+// it to every peer, and decides the minimum of the first n−f proposals it
+// gathers. Views that contain n−f of the n proposals overlap enough that
+// at most f+1 distinct minima exist, so k-agreement holds for k ≥ f+1 —
+// the same eq. (3) argument the simulation stack checks, here per
+// instance. Every node that hears of an instance proposes, so with n−f
+// live nodes every live node fills its own view: a decision is not
+// announced. It is sent only in reply, to a peer that proposes for an
+// instance already decided here (a straggler, a restarted node, an origin
+// resubmitting); adopting it merges decision sets and never widens them.
 //
-// Robustness is the headline, in three layers:
+// A shard loop works in turns — drain the event queue, compute, emit
+// once. Handlers touch only the shard's table and record their effects in
+// it; the flush at the end of the turn appends all of the turn's journal
+// records in one wal.Group commit, then releases the client responses,
+// then sends each peer at most one mesh frame (a message, or a pmBatch of
+// them). Robustness is the headline, in three layers:
 //
-//   - Durability: proposals and decisions are journaled before a decision
-//     is acknowledged to any client (journal-before-ack). A killed and
-//     restarted server replays its WAL, re-enters the mesh with the next
-//     incarnation, and still holds every decision it ever acknowledged.
-//     The Config.AckBeforeJournalBug flag plants the classic inversion of
-//     this rule for the chaos campaign to catch.
+//   - Durability: nothing of a turn leaves before its records are durable
+//     per the SyncMode (journal-before-externalize), and a refused append
+//     externalizes nothing. A killed and restarted server replays its
+//     WAL, re-enters the mesh with the next incarnation, and still holds
+//     every decision it ever acknowledged. Config.AckBeforeJournalBug
+//     plants the classic inversion — the turn's acks leave before its
+//     append — for the chaos campaign to catch.
 //   - Admission control: the in-flight instance table is bounded; a
 //     submit that would exceed it is shed with a structured
 //     *OverloadError (StatusOverload on the wire) instead of queued.
 //   - Deadlines: every request carries a deadline; when it expires before
 //     a quorum view forms the server answers abstain-and-report
 //     (StatusAbstain with view progress) instead of hanging, and an
-//     undecided instance is evicted after a TTL so the table stays
-//     bounded under churn.
+//     undecided instance is evicted after a TTL — one deadline queue and
+//     one timer per shard — so the table stays bounded under churn.
 //
 // Throughput comes from sharding: the instance table is split across
-// Config.Shards independent event loops, each owning the instances that
-// hash to it, so concurrent submits for different instances never
-// serialize on one loop. Cross-cutting state is three atomics (global
-// in-flight count for admission, acked-decision count for the crash
-// hook, plus the stat counters) — no server-wide mutex sits on the
-// decide path. The journal is shared through a wal.Group, which
-// coalesces the shards' concurrent appends into one write+fsync per
-// batch while preserving journal-before-ack per record; decide and
-// propose broadcasts funnel through a batcher goroutine that packs
-// whatever accumulated into one pmBatch mesh frame per peer — greedy, so
-// an idle server still sends every message immediately.
+// Config.Shards independent loops, each owning the instances that hash to
+// it, so concurrent submits for different instances never serialize on
+// one loop. Cross-cutting state is three atomics (global in-flight count
+// for admission, acked-decision count for the crash hook, plus the stat
+// counters) — no server-wide mutex sits on the decide path. The journal
+// is shared through a wal.Group, which coalesces the shards' concurrent
+// turn appends into one write+fsync per commit. Batching is greedy
+// everywhere: an idle server handles one event per turn and sends every
+// message immediately; under load the turn grows with the backlog.
 //
 // A request that times out, gets shed, or hits a dead server is safely
 // retried by Client with seeded-jitter backoff and the same request ID:
@@ -127,21 +135,23 @@ type Config struct {
 
 	// Observer, when non-nil, receives "serve.*" events; Hist, when
 	// non-nil, receives request/decide latency and table depth
-	// distributions, plus journal and broadcast batch sizes
-	// ("serve_wal_batch", "serve_bcast_batch").
+	// distributions, records per journal commit and peer messages per
+	// mesh frame ("serve_wal_batch", "serve_bcast_batch"), and events
+	// and journal wait per turn ("serve_turn_events",
+	// "serve_turn_journal_ns").
 	Observer obs.Observer
 	Hist     *hist.Registry
 
-	// AckBeforeJournalBug plants the durability inversion: decisions are
-	// acknowledged to clients before they are journaled, so a crash in
-	// between loses an acknowledged decision. Exists to be caught by the
-	// chaos campaign; never set it otherwise.
+	// AckBeforeJournalBug plants the durability inversion: a turn's
+	// decisions are acknowledged to clients before they are journaled, so
+	// a crash in between loses an acknowledged decision. Exists to be
+	// caught by the chaos campaign; never set it otherwise.
 	AckBeforeJournalBug bool
 
 	// CrashAfterAcks, when >0, halts the server abruptly (no clean
-	// shutdown, Crashed() closes) immediately after the CrashAfterAcks-th
-	// decision acknowledged to at least one client — the chaos campaign's
-	// deterministic kill point.
+	// shutdown, Crashed() closes) at the end of the turn that
+	// acknowledges the CrashAfterAcks-th decision to at least one client
+	// — the chaos campaign's deterministic kill point.
 	CrashAfterAcks int
 }
 
@@ -184,8 +194,9 @@ type Stats struct {
 	IdempotentHits int64
 
 	// Decisions counts instances this server decided locally; Adopted
-	// the decisions learned from peer broadcasts; AckedDecisions the
-	// decisions acknowledged to at least one waiting client.
+	// the decisions learned from a peer's reply to our proposal;
+	// AckedDecisions the decisions acknowledged to at least one waiting
+	// client.
 	Decisions      int64
 	Adopted        int64
 	AckedDecisions int64
@@ -230,8 +241,8 @@ type instance struct {
 	proposal int
 	got      map[core.PID]int // pid → proposal heard (includes self)
 	waiters  []*waiter
-	start    time.Time
-	gen      uint64 // guards TTL timers across evict/reopen
+	start    time.Time // it expires InstanceTTL later
+	settled  bool      // decided or evicted: its deadline-queue entry is dead
 }
 
 // waiter is one client request attached to an instance.
@@ -263,23 +274,24 @@ type (
 		inst string
 		req  string
 	}
-	instExpireEv struct {
-		inst string
-		gen  uint64
-	}
 )
 
 // shardTable is the state one shard loop owns exclusively: the instances
-// that hash to it. No lock — only the owning loop touches it.
+// that hash to it, and the effects of the turn in progress. No lock —
+// only the owning loop touches it.
 type shardTable struct {
+	shard     int // index of the owning loop
 	inflight  map[string]*instance
 	proposals map[string]int // first-wins proposal per instance, journaled
 	decided   map[string]int
-	gen       uint64
-}
 
-// maxBcastBatch bounds one coalesced broadcast frame.
-const maxBcastBatch = 64
+	// ttl queues the opened instances in deadline order, which is the
+	// order they were opened in (InstanceTTL is one constant); the
+	// loop's single timer sleeps until the head's deadline.
+	ttl []*instance
+
+	turn // what this turn's handlers want externalized
+}
 
 // Server is one agreement-service node. Start it with Start; stop it
 // cleanly with Close, or abruptly (simulated kill) with Kill.
@@ -291,7 +303,6 @@ type Server struct {
 	group *wal.Group
 
 	ev       []chan any // one event queue per shard loop
-	bcast    chan []byte
 	done     chan struct{}
 	crashed  chan struct{}
 	haltOne  sync.Once
@@ -319,10 +330,12 @@ type Server struct {
 	recoveredProposals int64
 	incarnation        int
 
-	hReq      *hist.Histogram
-	hDecide   *hist.Histogram
-	hInflight *hist.Histogram
-	hBcast    *hist.Histogram
+	hReq         *hist.Histogram
+	hDecide      *hist.Histogram
+	hInflight    *hist.Histogram
+	hBcast       *hist.Histogram
+	hTurnEvents  *hist.Histogram
+	hTurnJournal *hist.Histogram
 }
 
 // Start opens (or creates) the WAL, replays it, joins the mesh as the
@@ -339,7 +352,6 @@ func Start(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		log:       log,
 		ev:        make([]chan any, cfg.Shards),
-		bcast:     make(chan []byte, 1024),
 		done:      make(chan struct{}),
 		crashed:   make(chan struct{}),
 		conns:     make(map[*clientConn]struct{}),
@@ -349,9 +361,11 @@ func Start(cfg Config) (*Server, error) {
 	for i := range s.sh {
 		s.ev[i] = make(chan any, 1024)
 		s.sh[i] = shardTable{
+			shard:     i,
 			inflight:  make(map[string]*instance),
 			proposals: make(map[string]int),
 			decided:   make(map[string]int),
+			turn:      turn{out: make([][][]byte, cfg.N)},
 		}
 	}
 	boots := 0
@@ -389,10 +403,13 @@ func Start(cfg Config) (*Server, error) {
 		s.hDecide = cfg.Hist.Get("serve_decide_ns")
 		s.hInflight = cfg.Hist.Get("serve_inflight_depth")
 		s.hBcast = cfg.Hist.Get("serve_bcast_batch")
+		s.hTurnEvents = cfg.Hist.Get("serve_turn_events")
+		s.hTurnJournal = cfg.Hist.Get("serve_turn_journal_ns")
 		walBatchHist = cfg.Hist.Get("serve_wal_batch")
 	}
 	// From here on the group committer is the journal's single writer:
-	// every shard loop appends through it, one fsync per batch.
+	// every shard loop appends its turn's records through it, one fsync
+	// per commit.
 	s.group = wal.NewGroup(log, wal.GroupOptions{BatchHist: walBatchHist})
 
 	mesh := cfg.Mesh
@@ -430,13 +447,12 @@ func Start(cfg Config) (*Server, error) {
 		})
 	}
 
-	s.wg.Add(cfg.Shards + 3)
+	s.wg.Add(cfg.Shards + 2)
 	for i := 0; i < cfg.Shards; i++ {
 		go s.loop(i)
 	}
 	go s.acceptLoop()
 	go s.recvLoop()
-	go s.batchLoop()
 	return s, nil
 }
 
@@ -555,15 +571,6 @@ func (s *Server) post(shard int, e any) {
 	}
 }
 
-// broadcast hands a peer message to the batcher, which packs it with
-// whatever else is in flight into one mesh frame per peer.
-func (s *Server) broadcast(payload []byte) {
-	select {
-	case s.bcast <- payload:
-	case <-s.done:
-	}
-}
-
 // event emits one serve.* observer event.
 func (s *Server) event(kind string, fields map[string]any) {
 	if s.cfg.Observer != nil {
@@ -571,47 +578,21 @@ func (s *Server) event(kind string, fields map[string]any) {
 	}
 }
 
-// loop is one shard's event loop: it exclusively owns the instances that
-// hash to shard i, so the table needs no lock and journal-before-ack
-// stays serial per instance.
-func (s *Server) loop(i int) {
-	defer s.wg.Done()
-	t := &s.sh[i]
-	for {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
-		select {
-		case <-s.done:
-			return
-		case e := <-s.ev[i]:
-			if s.handle(i, t, e) {
-				return // CrashAfterAcks fired: the loop dies mid-stride
-			}
-		}
-	}
-}
-
-// handle dispatches one event; a true return crashes the loop.
-func (s *Server) handle(shard int, t *shardTable, e any) bool {
+// handle dispatches one event.
+func (s *Server) handle(t *shardTable, e any) {
 	switch ev := e.(type) {
 	case submitEv:
-		return s.onSubmit(shard, t, ev)
+		s.onSubmit(t, ev)
 	case queryEv:
 		s.onQuery(t, ev)
 	case peerEv:
-		return s.onPeer(shard, t, ev)
+		s.onPeer(t, ev)
 	case reqExpireEv:
 		s.onReqExpire(t, ev)
-	case instExpireEv:
-		s.onInstExpire(t, ev)
 	}
-	return false
 }
 
-func (s *Server) onSubmit(shard int, t *shardTable, ev submitEv) bool {
+func (s *Server) onSubmit(t *shardTable, ev submitEv) {
 	s.ctr.submits.Add(1)
 	id, req := ev.req.Inst, ev.req.Req
 
@@ -620,10 +601,10 @@ func (s *Server) onSubmit(shard int, t *shardTable, ev submitEv) bool {
 	if val, ok := t.decided[id]; ok {
 		s.ctr.idempotentHits.Add(1)
 		s.event("serve.dup", nil)
-		s.respond(ev.cc, ev.start, Response{
+		t.respond(ev.cc, ev.start, Response{
 			Req: req, Inst: id, Status: StatusDecided, Val: val, Incarnation: s.incarnation,
 		})
-		return false
+		return
 	}
 
 	ins, open := t.inflight[id]
@@ -634,17 +615,18 @@ func (s *Server) onSubmit(shard int, t *shardTable, ev submitEv) bool {
 			oe := &OverloadError{Inflight: int(n), Max: s.cfg.MaxInflight}
 			s.ctr.overloads.Add(1)
 			s.event("serve.shed", map[string]any{"inflight": oe.Inflight})
-			s.respond(ev.cc, ev.start, Response{
+			t.respond(ev.cc, ev.start, Response{
 				Req: req, Inst: id, Status: StatusOverload,
 				Inflight: oe.Inflight, Max: oe.Max, Incarnation: s.incarnation,
 			})
-			return false
+			return
 		}
-		ins = s.openInstance(shard, t, id, ev.req.Val)
+		ins = s.openInstance(t, id, ev.req.Val)
 	} else {
-		// A re-submission while in flight re-broadcasts our proposal:
-		// cheap, and it re-seeds peers that restarted mid-instance.
-		s.broadcast(encodePeerMsg(pmPropose, id, ins.proposal))
+		// A re-submission while in flight re-sends our proposal: cheap,
+		// it re-seeds peers that restarted mid-instance, and a peer that
+		// has decided meanwhile answers it with the decision.
+		s.toPeers(t, encodePeerMsg(pmPropose, id, ins.proposal))
 	}
 
 	d := s.cfg.RequestTimeout
@@ -652,64 +634,88 @@ func (s *Server) onSubmit(shard int, t *shardTable, ev submitEv) bool {
 		d = time.Duration(ev.req.TimeoutMS) * time.Millisecond
 	}
 	w := &waiter{req: req, cc: ev.cc, start: ev.start}
-	w.timer = time.AfterFunc(d, func() { s.post(shard, reqExpireEv{inst: id, req: req}) })
+	w.timer = time.AfterFunc(d, func() { s.post(t.shard, reqExpireEv{inst: id, req: req}) })
 	ins.waiters = append(ins.waiters, w)
 
-	return s.maybeDecide(t, ins)
+	s.maybeDecide(t, ins)
 }
 
-// openInstance creates the in-flight entry for id, journaling and
-// broadcasting the first-wins proposal. The proposal journal entry is
-// what keeps this node's proposal stable across kill-and-restart: a
-// resubmission after recovery proposes the same value, so the min-of-view
-// decision rule keeps drawing from the same closed set.
-func (s *Server) openInstance(shard int, t *shardTable, id string, val int) *instance {
+// toPeers records msg for every other node.
+func (s *Server) toPeers(t *shardTable, msg []byte) {
+	for to := range t.out {
+		if core.PID(to) != s.cfg.Me {
+			t.send(core.PID(to), msg)
+		}
+	}
+}
+
+// openInstance creates the in-flight entry for id, journaling the
+// first-wins proposal and sending it to every peer. The proposal journal
+// entry is what keeps this node's proposal stable across
+// kill-and-restart: a resubmission after recovery proposes the same
+// value, so the min-of-view decision rule keeps drawing from the same
+// closed set.
+func (s *Server) openInstance(t *shardTable, id string, val int) *instance {
 	prop, known := t.proposals[id]
 	if !known {
 		prop = val
 		t.proposals[id] = prop
-		s.journal(recProposal, encodeInstVal(id, prop))
+		t.journal(recProposal, id, prop)
 	}
-	t.gen++
 	ins := &instance{
 		id:       id,
 		proposal: prop,
 		got:      map[core.PID]int{s.cfg.Me: prop},
 		start:    time.Now(),
-		gen:      t.gen,
 	}
 	t.inflight[id] = ins
+	t.ttl = append(trimSettled(t.ttl), ins)
 	if n := s.inflightN.Add(1); s.hInflight != nil {
 		s.hInflight.Record(n)
 	}
-	gen := ins.gen
-	time.AfterFunc(s.cfg.InstanceTTL, func() { s.post(shard, instExpireEv{inst: id, gen: gen}) })
-	s.broadcast(encodePeerMsg(pmPropose, id, prop))
+	s.toPeers(t, encodePeerMsg(pmPropose, id, prop))
 	return ins
+}
+
+// settle removes ins from the in-flight table: decided or evicted.
+func (s *Server) settle(t *shardTable, ins *instance) {
+	delete(t.inflight, ins.id)
+	ins.settled = true
+	s.inflightN.Add(-1)
+}
+
+// trimSettled drops the head entries of a deadline queue whose instances
+// have decided or been evicted since; in steady state instances settle
+// in roughly the order they opened, so the queue stays about as long as
+// the in-flight table.
+func trimSettled(q []*instance) []*instance {
+	for len(q) > 0 && q[0].settled {
+		q[0] = nil
+		q = q[1:]
+	}
+	return q
 }
 
 func (s *Server) onQuery(t *shardTable, ev queryEv) {
 	s.ctr.queries.Add(1)
+	r := Response{Req: ev.req.Req, Inst: ev.req.Inst, Status: StatusUnknown, Incarnation: s.incarnation}
 	if val, ok := t.decided[ev.req.Inst]; ok {
-		s.respond(ev.cc, time.Time{}, Response{
-			Req: ev.req.Req, Inst: ev.req.Inst, Status: StatusDecided, Val: val, Incarnation: s.incarnation,
-		})
-		return
+		r.Status, r.Val = StatusDecided, val
 	}
-	s.respond(ev.cc, time.Time{}, Response{
-		Req: ev.req.Req, Inst: ev.req.Inst, Status: StatusUnknown, Incarnation: s.incarnation,
-	})
+	t.respond(ev.cc, time.Time{}, r)
 }
 
-func (s *Server) onPeer(shard int, t *shardTable, ev peerEv) bool {
+func (s *Server) onPeer(t *shardTable, ev peerEv) {
 	switch ev.kind {
 	case pmPropose:
 		s.ctr.peerProposes.Add(1)
 		if val, ok := t.decided[ev.inst]; ok {
-			// Help the straggler (a restarted peer re-proposing an old
-			// instance) straight to the decision.
-			s.node.Send(ev.from, encodePeerMsg(pmDecide, ev.inst, val))
-			return false
+			// The one place a decision is announced: to a peer still
+			// proposing for an instance this node has decided — a
+			// straggler, a restarted peer, or one resubmitting because
+			// its own view never filled.
+			t.send(ev.from, encodePeerMsg(pmDecide, ev.inst, val))
+			return
 		}
 		ins, open := t.inflight[ev.inst]
 		if !open {
@@ -718,118 +724,68 @@ func (s *Server) onPeer(shard int, t *shardTable, ev peerEv) bool {
 				// the origin's deadline degrades the loss into abstain.
 				s.ctr.peerSheds.Add(1)
 				s.event("serve.shed", map[string]any{"inflight": int(s.inflightN.Load()), "peer": true})
-				return false
+				return
 			}
-			ins = s.openInstance(shard, t, ev.inst, ev.val)
+			ins = s.openInstance(t, ev.inst, ev.val)
 		}
 		if _, seen := ins.got[ev.from]; !seen {
 			ins.got[ev.from] = ev.val
 		} else {
 			// A repeated proposal is a peer that lost our answer (or a
 			// restart): resend ours directly rather than re-flooding.
-			s.node.Send(ev.from, encodePeerMsg(pmPropose, ev.inst, ins.proposal))
+			t.send(ev.from, encodePeerMsg(pmPropose, ev.inst, ins.proposal))
 		}
-		return s.maybeDecide(t, ins)
+		s.maybeDecide(t, ins)
 	case pmDecide:
 		s.ctr.peerDecides.Add(1)
 		if _, ok := t.decided[ev.inst]; ok {
-			return false
+			return
 		}
 		// Adopting a peer's decision only merges decision sets — the
 		// adopted value is itself a min over an n−f view, so the
 		// ≤ f+1 distinct-decisions bound is unchanged.
 		s.ctr.adopted.Add(1)
 		s.event("serve.adopt", nil)
-		return s.commitDecision(t, ev.inst, ev.val, false)
+		s.commitDecision(t, ev.inst, ev.val)
 	}
-	return false
 }
 
-func (s *Server) maybeDecide(t *shardTable, ins *instance) bool {
+func (s *Server) maybeDecide(t *shardTable, ins *instance) {
 	min, ok := agreement.QuorumMin(ins.got, s.cfg.N-s.cfg.F)
 	if !ok {
-		return false
+		return
 	}
 	s.ctr.decisions.Add(1)
 	s.event("serve.decide", map[string]any{"gathered": len(ins.got)})
 	if s.hDecide != nil {
 		s.hDecide.Record(time.Since(ins.start).Nanoseconds())
 	}
-	return s.commitDecision(t, ins.id, min, true)
+	s.commitDecision(t, ins.id, min)
 }
 
-// commitDecision is where the durability contract lives. The honest
-// order is: journal the decision (through the group committer — the
-// append returns only once the record is durable per the SyncMode), then
-// update memory, broadcast, and acknowledge waiters — a crash at any
-// point either loses an instance no client was ever told about, or loses
-// nothing. If the journal refuses the append (the server is halting),
-// the ack is skipped too: journal-before-ack survives shutdown races.
-// With AckBeforeJournalBug the acknowledgement happens first, so a crash
-// in the window (which CrashAfterAcks plants deterministically) loses a
-// decision a client already holds — the violation the chaos campaign
-// exists to catch. Returns true when the crash hook fired.
-func (s *Server) commitDecision(t *shardTable, id string, val int, local bool) bool {
-	ins := t.inflight[id]
-	if !s.cfg.AckBeforeJournalBug {
-		if s.journal(recDecision, encodeInstVal(id, val)) != nil {
-			return false // halting: never acknowledge what wasn't journaled
-		}
-	}
+// commitDecision records a decision: the journal record, the table
+// update, and a response to every waiter. Nothing is announced to peers —
+// each of them decides on its own n−f view, and one that cannot is
+// answered when it proposes (onPeer). flush makes the record durable
+// before any of the responses leave.
+func (s *Server) commitDecision(t *shardTable, id string, val int) {
+	t.journal(recDecision, id, val)
 	t.decided[id] = val
-	if _, ok := t.inflight[id]; ok {
-		delete(t.inflight, id)
-		s.inflightN.Add(-1)
+	ins := t.inflight[id]
+	if ins == nil {
+		return
 	}
-	acked := false
-	if ins != nil {
-		for _, w := range ins.waiters {
-			w.timer.Stop()
-			s.respond(w.cc, w.start, Response{
-				Req: w.req, Inst: id, Status: StatusDecided, Val: val, Incarnation: s.incarnation,
-			})
-			acked = true
-		}
-		ins.waiters = nil
+	s.settle(t, ins)
+	for _, w := range ins.waiters {
+		w.timer.Stop()
+		t.respond(w.cc, w.start, Response{
+			Req: w.req, Inst: id, Status: StatusDecided, Val: val, Incarnation: s.incarnation,
+		})
 	}
-	crash := s.noteAck(acked)
-	if s.cfg.AckBeforeJournalBug {
-		if crash {
-			// The planted bug's fatal window: the client holds the ack,
-			// the journal never hears about it.
-			s.crash()
-			return true
-		}
-		s.journal(recDecision, encodeInstVal(id, val))
+	if len(ins.waiters) > 0 {
+		t.acked++
 	}
-	if local {
-		s.broadcast(encodePeerMsg(pmDecide, id, val))
-	}
-	if crash {
-		s.crash()
-		return true
-	}
-	return false
-}
-
-// journal appends one record through the group committer, blocking until
-// it is durable per the configured SyncMode. An error means the journal
-// is closing — the caller must not externalize anything based on the
-// record.
-func (s *Server) journal(kind uint8, payload []byte) error {
-	_, err := s.group.Append(kind, payload)
-	return err
-}
-
-// noteAck counts decisions acknowledged to at least one client and
-// reports whether the CrashAfterAcks hook should fire now.
-func (s *Server) noteAck(acked bool) bool {
-	if !acked {
-		return false
-	}
-	n := s.acked.Add(1)
-	s.ctr.ackedDecisions.Add(1)
-	return s.cfg.CrashAfterAcks > 0 && n == int64(s.cfg.CrashAfterAcks)
+	ins.waiters = nil
 }
 
 // crash is the abrupt internal halt: mark, stop serving, die mid-stride.
@@ -837,6 +793,17 @@ func (s *Server) crash() {
 	s.crashOne.Do(func() { close(s.crashed) })
 	s.event("serve.crash", map[string]any{"acked": s.acked.Load()})
 	s.halt()
+}
+
+// abstain answers one waiter abstain-and-report: the missing
+// n−f−gathered senders are exactly the processes D(i,r) would suspect
+// this round.
+func (s *Server) abstain(t *shardTable, ins *instance, w *waiter) {
+	s.ctr.abstains.Add(1)
+	t.respond(w.cc, w.start, Response{
+		Req: w.req, Inst: ins.id, Status: StatusAbstain,
+		Gathered: len(ins.got), Need: s.cfg.N - s.cfg.F, Incarnation: s.incarnation,
+	})
 }
 
 func (s *Server) onReqExpire(t *shardTable, ev reqExpireEv) {
@@ -849,79 +816,34 @@ func (s *Server) onReqExpire(t *shardTable, ev reqExpireEv) {
 			continue
 		}
 		ins.waiters = append(ins.waiters[:i], ins.waiters[i+1:]...)
-		s.ctr.abstains.Add(1)
-		// Abstain-and-report: the missing n−f−gathered senders are
-		// exactly the processes D(i,r) would suspect this round.
 		s.event("serve.abstain", map[string]any{"gathered": len(ins.got), "need": s.cfg.N - s.cfg.F})
-		s.respond(w.cc, w.start, Response{
-			Req: w.req, Inst: ev.inst, Status: StatusAbstain,
-			Gathered: len(ins.got), Need: s.cfg.N - s.cfg.F, Incarnation: s.incarnation,
-		})
+		s.abstain(t, ins, w)
 		return
 	}
 }
 
-func (s *Server) onInstExpire(t *shardTable, ev instExpireEv) {
-	ins, ok := t.inflight[ev.inst]
-	if !ok || ins.gen != ev.gen {
-		return
-	}
-	for _, w := range ins.waiters {
-		w.timer.Stop()
-		s.ctr.abstains.Add(1)
-		s.respond(w.cc, w.start, Response{
-			Req: w.req, Inst: ev.inst, Status: StatusAbstain,
-			Gathered: len(ins.got), Need: s.cfg.N - s.cfg.F, Incarnation: s.incarnation,
-		})
-	}
-	ins.waiters = nil
-	delete(t.inflight, ev.inst)
-	s.inflightN.Add(-1)
-	s.ctr.evictions.Add(1)
-	s.event("serve.evict_instance", map[string]any{"gathered": len(ins.got)})
-}
-
-// respond hands a response to the connection's writer and records the
-// request latency.
-func (s *Server) respond(cc *clientConn, start time.Time, r Response) {
-	if s.hReq != nil && !start.IsZero() {
-		s.hReq.Record(time.Since(start).Nanoseconds())
-	}
-	cc.respond(r)
-}
-
-// batchLoop coalesces outbound broadcasts: whatever peer messages the
-// shard loops queued while the previous Broadcast was in flight are
-// packed into one pmBatch frame — one mesh send per peer per batch. The
-// drain is greedy, so at low load every message still departs alone and
-// immediately; under load the batch size self-tunes to the backlog.
-func (s *Server) batchLoop() {
-	defer s.wg.Done()
-	msgs := make([][]byte, 0, maxBcastBatch)
+// expireInstances evicts every instance whose TTL has passed, abstaining
+// the waiters still attached, and returns how long the shard's timer
+// should sleep: until the next live deadline, or a full TTL when nothing
+// is queued (anything opened later expires later still).
+func (s *Server) expireInstances(t *shardTable, now time.Time) time.Duration {
 	for {
-		select {
-		case <-s.done:
-			return
-		case m := <-s.bcast:
-			msgs = append(msgs[:0], m)
-		drain:
-			for len(msgs) < maxBcastBatch {
-				select {
-				case m2 := <-s.bcast:
-					msgs = append(msgs, m2)
-				default:
-					break drain
-				}
-			}
-			if s.hBcast != nil {
-				s.hBcast.Record(int64(len(msgs)))
-			}
-			if len(msgs) == 1 {
-				s.node.Broadcast(msgs[0])
-			} else {
-				s.node.Broadcast(encodePeerBatch(msgs))
-			}
+		t.ttl = trimSettled(t.ttl)
+		if len(t.ttl) == 0 {
+			return s.cfg.InstanceTTL
 		}
+		ins := t.ttl[0]
+		if d := ins.start.Add(s.cfg.InstanceTTL).Sub(now); d > 0 {
+			return d
+		}
+		for _, w := range ins.waiters {
+			w.timer.Stop()
+			s.abstain(t, ins, w)
+		}
+		ins.waiters = nil
+		s.settle(t, ins)
+		s.ctr.evictions.Add(1)
+		s.event("serve.evict_instance", map[string]any{"gathered": len(ins.got)})
 	}
 }
 
@@ -933,9 +855,6 @@ func (s *Server) recvLoop() {
 		env, err := s.node.Recv()
 		if err != nil {
 			return
-		}
-		if env.From == s.cfg.Me {
-			continue // Broadcast self-delivers; local state is already updated
 		}
 		b, ok := env.Payload.([]byte)
 		if !ok {

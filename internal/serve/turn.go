@@ -1,0 +1,173 @@
+// The turn: how a shard loop externalizes. Handlers (serve.go) only update
+// the shard's table and record effects here; flush is the one place a
+// journal record, a client response or a mesh frame leaves the loop, once
+// per drained queue and always in that order.
+package serve
+
+import (
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/wal"
+)
+
+// maxTurnEvents bounds how many queued events one turn handles before it
+// flushes, so a deep backlog cannot hold the first event's ack hostage.
+const maxTurnEvents = 64
+
+// turn is what the handlers of one turn want externalized.
+type turn struct {
+	recs  []wal.BatchEntry // journal records, in order
+	acks  []ack            // client responses
+	out   [][][]byte       // peer messages, indexed by destination pid
+	acked int              // decisions among acks that reached ≥1 waiter
+}
+
+// ack is one recorded client response.
+type ack struct {
+	cc    *clientConn
+	start time.Time // zero: not a timed request
+	resp  Response
+}
+
+func (t *turn) journal(kind uint8, inst string, val int) {
+	t.recs = append(t.recs, wal.BatchEntry{Kind: kind, Payload: encodeInstVal(inst, val)})
+}
+
+func (t *turn) respond(cc *clientConn, start time.Time, r Response) {
+	t.acks = append(t.acks, ack{cc: cc, start: start, resp: r})
+}
+
+func (t *turn) send(to core.PID, msg []byte) {
+	t.out[to] = append(t.out[to], msg)
+}
+
+// reset empties the turn, keeping its buffers but none of their contents.
+func (t *turn) reset() {
+	clear(t.recs)
+	clear(t.acks)
+	t.recs, t.acks, t.acked = t.recs[:0], t.acks[:0], 0
+	for to, msgs := range t.out {
+		clear(msgs)
+		t.out[to] = msgs[:0]
+	}
+}
+
+// loop is one shard's event loop: it exclusively owns the instances that
+// hash to shard i, so the table needs no lock. It runs in turns: take
+// whatever is queued (at most maxTurnEvents), let the handlers update the
+// table and record what they want journaled, acknowledged and sent, then
+// flush once. One timer per shard covers every instance's TTL.
+func (s *Server) loop(i int) {
+	defer s.wg.Done()
+	t := &s.sh[i]
+	// Always armed: with nothing queued it wakes once per InstanceTTL,
+	// and whatever opened since expires later than that.
+	ttl := time.NewTimer(s.cfg.InstanceTTL)
+	defer ttl.Stop()
+	for {
+		select {
+		case <-s.done:
+			return
+		default:
+		}
+		n := 1
+		select {
+		case <-s.done:
+			return
+		case now := <-ttl.C:
+			ttl.Reset(s.expireInstances(t, now))
+		case e := <-s.ev[i]:
+			s.handle(t, e)
+		drain:
+			for ; n < maxTurnEvents; n++ {
+				select {
+				case e = <-s.ev[i]:
+					s.handle(t, e)
+				default:
+					break drain
+				}
+			}
+		}
+		if s.hTurnEvents != nil {
+			s.hTurnEvents.Record(int64(n))
+		}
+		if s.flush(&t.turn) {
+			return // crashed, or the journal refused: the loop dies mid-stride
+		}
+	}
+}
+
+// flush ends a turn: one journal append carrying every record of the turn
+// (it returns once they are durable per the SyncMode), then the client
+// responses, then at most one mesh frame per peer. A crash at any point
+// either loses instances no client was ever told about, or loses nothing.
+// If the journal refuses the append nothing of the turn leaves, and since
+// the table is now ahead of the journal the server stops serving. With
+// AckBeforeJournalBug the responses leave first, so a crash in the window
+// (which CrashAfterAcks plants deterministically) loses decisions a
+// client already holds — the violation the chaos campaign exists to
+// catch. Returns true when the loop must die.
+func (s *Server) flush(t *turn) bool {
+	defer t.reset()
+	bug := s.cfg.AckBeforeJournalBug
+	if bug && s.release(t) {
+		s.crash() // clients hold the acks, the journal never hears of them
+		return true
+	}
+	if len(t.recs) > 0 {
+		var t0 time.Time
+		if s.hTurnJournal != nil {
+			t0 = time.Now()
+		}
+		if _, err := s.group.AppendBatch(t.recs); err != nil {
+			s.event("serve.journal_refused", map[string]any{"err": err.Error(), "records": len(t.recs)})
+			s.halt()
+			return true
+		}
+		if s.hTurnJournal != nil {
+			s.hTurnJournal.Record(time.Since(t0).Nanoseconds())
+		}
+	}
+	crash := !bug && s.release(t)
+	for to, msgs := range t.out {
+		if len(msgs) == 0 {
+			continue
+		}
+		if s.hBcast != nil {
+			s.hBcast.Record(int64(len(msgs)))
+		}
+		frame := msgs[0]
+		if len(msgs) > 1 {
+			frame = encodePeerBatch(msgs)
+		}
+		// A shed or a closing mesh is a lost message: the origin's
+		// deadline and resubmission cover it.
+		_ = s.node.Send(core.PID(to), frame)
+	}
+	if crash {
+		s.crash()
+	}
+	return crash
+}
+
+// release hands the turn's responses to their connections, counts the
+// decisions acknowledged to at least one client, and reports whether the
+// CrashAfterAcks hook fires on this turn.
+func (s *Server) release(t *turn) bool {
+	for i := range t.acks {
+		a := &t.acks[i]
+		if s.hReq != nil && !a.start.IsZero() {
+			s.hReq.Record(time.Since(a.start).Nanoseconds())
+		}
+		a.cc.respond(a.resp)
+	}
+	if t.acked == 0 {
+		return false
+	}
+	k := int64(t.acked)
+	n := s.acked.Add(k)
+	s.ctr.ackedDecisions.Add(k)
+	at := int64(s.cfg.CrashAfterAcks)
+	return at > 0 && n-k < at && at <= n
+}

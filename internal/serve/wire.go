@@ -25,7 +25,7 @@ import (
 // Peer message kinds.
 const (
 	pmPropose byte = 1 // "my proposal for instance X is v"
-	pmDecide  byte = 2 // "I decided v for instance X"
+	pmDecide  byte = 2 // "I decided v for instance X", in reply to a proposal for X
 	pmBatch   byte = 3 // coalesced frame: uvarint count, then length-prefixed messages
 )
 
@@ -34,8 +34,7 @@ const (
 const maxBatchMsgs = 4096
 
 // encodePeerBatch packs several peer messages into one pmBatch frame:
-// one mesh send (one length-prefixed TCP write per peer) carries the
-// whole backlog the broadcast batcher drained.
+// one mesh send carries everything a turn has for one peer.
 func encodePeerBatch(msgs [][]byte) []byte {
 	sz := 1 + binary.MaxVarintLen64
 	for _, m := range msgs {

@@ -2,17 +2,21 @@
 // single-writer; AppendBatch gives that writer a way to make many
 // records durable under ONE write + ONE fsync. Group is the concurrent
 // front-end the sharded service uses: any number of goroutines call
-// Group.Append, a single committer goroutine drains whatever has
-// accumulated into one AppendBatch, and every caller's Append returns
-// only once its record is durable per the log's SyncMode — so the
-// journal-before-ack contract survives concurrency while the fsyncs are
-// paid once per batch, not once per record.
+// Group.AppendBatch — each with everything it has to journal, one record
+// or many — a single committer goroutine drains whatever has accumulated
+// into one Log.AppendBatch, and every caller returns only once its
+// records are durable per the log's SyncMode — so the journal-before-ack
+// contract survives concurrency while the fsyncs are paid once per
+// commit, not once per record.
 //
 // The batching is greedy and windowless: when the committer is free it
-// commits a single record immediately (no added latency at low load);
+// commits a single request immediately (no added latency at low load);
 // when a commit is in flight, everything that arrives meanwhile forms
 // the next batch (fsyncs amortize exactly as fast as load grows). This
-// is the classic group-commit self-tuning behaviour.
+// is the classic group-commit self-tuning behaviour. A caller that
+// already holds several records — a serve shard loop at the end of a
+// turn — coalesces before the committer ever sees them: its records
+// share a commit even when nobody else is appending.
 package wal
 
 import (
@@ -83,12 +87,14 @@ func (l *Log) AppendBatch(entries []BatchEntry) (uint64, error) {
 	return first, nil
 }
 
-// ErrGroupClosed reports an Append on a closed Group.
+// ErrGroupClosed reports an append on a closed Group.
 var ErrGroupClosed = errors.New("wal: group writer closed")
 
 // GroupOptions tunes a Group.
 type GroupOptions struct {
-	// MaxBatch bounds one commit's record count. 0 means 256.
+	// MaxBatch bounds how many records the committer gathers into one
+	// commit; a single request's records are never split, so a commit
+	// may exceed it by that request's tail. 0 means 256.
 	MaxBatch int
 
 	// Queue bounds the pending-append channel. 0 means 1024.
@@ -107,7 +113,7 @@ type GroupStats struct {
 }
 
 // Group is the concurrent group-commit front-end over a Log. Create
-// with NewGroup; stop with Close. After Close, Append fails with
+// with NewGroup; stop with Close. After Close, appends fail with
 // ErrGroupClosed; the underlying Log remains open and owned by the
 // caller.
 type Group struct {
@@ -125,8 +131,8 @@ type Group struct {
 }
 
 type groupReq struct {
-	entry BatchEntry
-	res   chan groupRes
+	entries []BatchEntry
+	res     chan groupRes
 }
 
 type groupRes struct {
@@ -151,11 +157,22 @@ func NewGroup(l *Log, opts GroupOptions) *Group {
 }
 
 // Append makes one record durable per the log's SyncMode and returns its
-// sequence number. Safe for concurrent use; blocks until the commit that
-// carries the record completes, so a caller returning from Append may
-// acknowledge whatever the record promises.
+// sequence number: the one-entry case of AppendBatch.
 func (g *Group) Append(kind uint8, payload []byte) (uint64, error) {
-	r := groupReq{entry: BatchEntry{Kind: kind, Payload: payload}, res: make(chan groupRes, 1)}
+	return g.AppendBatch([]BatchEntry{{Kind: kind, Payload: payload}})
+}
+
+// AppendBatch makes entries durable per the log's SyncMode, in order and
+// with contiguous sequence numbers, and returns the first. Safe for
+// concurrent use; blocks until the commit that carries the entries
+// completes — they always share one — so a caller returning from
+// AppendBatch may acknowledge whatever the records promise. The caller
+// must leave entries untouched until then. An empty batch is a no-op.
+func (g *Group) AppendBatch(entries []BatchEntry) (uint64, error) {
+	if len(entries) == 0 {
+		return 0, nil
+	}
+	r := groupReq{entries: entries, res: make(chan groupRes, 1)}
 	g.mu.RLock()
 	if g.closed {
 		g.mu.RUnlock()
@@ -196,8 +213,8 @@ func (g *Group) Close() error {
 }
 
 // commit is the committer loop: one blocking receive starts a batch,
-// a non-blocking drain (capped at MaxBatch) fills it, one AppendBatch
-// makes it durable, and every waiter learns its fate.
+// a non-blocking drain (until MaxBatch records are gathered) fills it,
+// one AppendBatch makes it durable, and every waiter learns its fate.
 func (g *Group) commit() {
 	defer g.wg.Done()
 	batch := make([]BatchEntry, 0, g.opts.MaxBatch)
@@ -208,7 +225,7 @@ func (g *Group) commit() {
 			return
 		}
 		batch, waiters = batch[:0], waiters[:0]
-		batch = append(batch, r.entry)
+		batch = append(batch, r.entries...)
 		waiters = append(waiters, r)
 	drain:
 		for len(batch) < g.opts.MaxBatch {
@@ -217,7 +234,7 @@ func (g *Group) commit() {
 				if !ok2 {
 					break drain
 				}
-				batch = append(batch, r2.entry)
+				batch = append(batch, r2.entries...)
 				waiters = append(waiters, r2)
 			default:
 				break drain
@@ -230,12 +247,13 @@ func (g *Group) commit() {
 		if g.opts.BatchHist != nil {
 			g.opts.BatchHist.Record(int64(len(batch)))
 		}
-		for i, w := range waiters {
+		for _, w := range waiters {
 			if err != nil {
 				w.res <- groupRes{err: err}
 			} else {
-				w.res <- groupRes{seq: first + uint64(i)}
+				w.res <- groupRes{seq: first}
 			}
+			first += uint64(len(w.entries))
 		}
 	}
 }

@@ -296,3 +296,32 @@ func BenchmarkAppendBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGroupAppend prices one trip through the group committer —
+// what a serve turn's flush waits for — carrying one record and carrying
+// two. SyncNever keeps the disk out of the number: what is left is the
+// hand-off to the committer goroutine and back.
+func BenchmarkGroupAppend(b *testing.B) {
+	for _, recs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("records=%d", recs), func(b *testing.B) {
+			l, err := Create(b.TempDir(), Options{SegmentBytes: 1 << 30})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			g := NewGroup(l, GroupOptions{})
+			defer g.Close()
+			entries := make([]BatchEntry, recs)
+			for i := range entries {
+				entries[i] = BatchEntry{Kind: 1, Payload: make([]byte, 16)}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.AppendBatch(entries); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
