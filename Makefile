@@ -136,13 +136,16 @@ net-short:
 # turn's pins: TestFramesAndCommitsPerDecide holds a fault-free decide to
 # <= 9.5 mesh frames and <= 4.5 journal commits,
 # TestFirstSubmitAfterRestartDecidesPromptly the first decide at a
-# restarted node to a quarter of RequestTimeout), an
+# restarted node to a quarter of RequestTimeout), the concurrent-reader
+# test ten times over (connection readers answer reads from the decided
+# table while the shard loops publish into it), an
 # in-process load-generator run with its idempotency/validity/k-agreement
 # audit, the fixed-seed kill-and-recover campaign, and the same campaign
 # with the planted ack-before-journal bug — which MUST fail on the lost
 # acked decision (the leading ! inverts the expected exit 1).
 serve-short:
 	$(GO) test -race -count 1 ./internal/serve/
+	$(GO) test -race -count 10 -run 'TestConcurrentReaders|TestReadYourWrites' ./internal/serve/
 	$(GO) run -race ./cmd/rrfdload -local 3 -f 1 -clients 6 -requests 10 -seed 7
 	$(GO) run -race ./cmd/rrfdsim -chaos-serve -n 3 -f 1 -k 2 -seed 7
 	! $(GO) run -race ./cmd/rrfdsim -chaos-serve -n 3 -f 1 -k 2 -seed 7 -bug

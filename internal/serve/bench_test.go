@@ -110,3 +110,40 @@ func BenchmarkServeDecide(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decides/sec")
 	})
 }
+
+// BenchmarkServeRead measures the read path the way ServeDecide/serial
+// measures the write path: one client re-reading 64 decided instances,
+// one request at a time — as re-submits (hit: answered from the decision
+// table under the request's own ID) and as queries.
+func BenchmarkServeRead(b *testing.B) {
+	const decided = 64
+	for _, op := range []string{"hit", "query"} {
+		b.Run(op, func(b *testing.B) {
+			cl := benchCluster(b, 0)
+			c := NewClient(ClientConfig{Addr: cl.ClientAddrs()[0], Timeout: 5 * time.Second, Seed: 1})
+			defer c.Close()
+			insts := make([]string, decided)
+			for i := range insts {
+				insts[i] = fmt.Sprintf("read-%d", i)
+				if resp, err := c.Submit(insts[i], insts[i], i); err != nil || resp.Status != StatusDecided {
+					b.Fatalf("decide %s: %+v, %v", insts[i], resp, err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inst := insts[i%decided]
+				var resp Response
+				var err error
+				if op == "hit" {
+					resp, err = c.Submit(inst, inst, -1)
+				} else {
+					resp, err = c.Query(inst)
+				}
+				if err != nil || resp.Status != StatusDecided || resp.Val != i%decided {
+					b.Fatalf("%s %s: %+v, %v", op, inst, resp, err)
+				}
+			}
+		})
+	}
+}

@@ -7,8 +7,9 @@
 package serve
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -61,8 +62,8 @@ func (c *ClientConfig) fill() {
 type Client struct {
 	cfg  ClientConfig
 	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	in   *bufio.Scanner
+	out  []byte // the request line, reused
 	seq  *backoff.Seq
 
 	// Retries counts backoff sleeps taken; Attempts counts wire
@@ -137,8 +138,9 @@ func (c *Client) retry(req Request) (Response, error) {
 }
 
 // roundTrip runs one attempt: ensure a connection, send the request,
-// read its response. Any failure invalidates the connection, so request
-// and response streams can never skew.
+// read its response. Any failure — a response longer than maxLine
+// included — invalidates the connection, so request and response streams
+// can never skew.
 func (c *Client) roundTrip(req Request) (Response, error) {
 	deadline := time.Now().Add(c.cfg.Timeout + 500*time.Millisecond)
 	if c.conn == nil {
@@ -147,15 +149,21 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 			return Response{}, err
 		}
 		c.conn = conn
-		c.enc = newLineEncoder(conn)
-		c.dec = newLineDecoder(conn)
+		c.in = newLineScanner(conn)
 	}
 	c.conn.SetDeadline(deadline)
-	if err := c.enc.Encode(req); err != nil {
+	c.out = appendRequest(c.out[:0], &req)
+	if _, err := c.conn.Write(c.out); err != nil {
 		return Response{}, err
 	}
+	if !c.in.Scan() {
+		if err := c.in.Err(); err != nil {
+			return Response{}, err
+		}
+		return Response{}, io.EOF
+	}
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := parseResponse(c.in.Bytes(), &resp); err != nil {
 		return Response{}, err
 	}
 	return resp, nil
@@ -165,7 +173,6 @@ func (c *Client) dropConn() {
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil
-		c.enc, c.dec = nil, nil
 	}
 }
 

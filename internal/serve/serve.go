@@ -20,17 +20,19 @@
 // A shard loop works in turns — drain the event queue, compute, emit
 // once. Handlers touch only the shard's table and record their effects in
 // it; the flush at the end of the turn appends all of the turn's journal
-// records in one wal.Group commit, then releases the client responses,
-// then sends each peer at most one mesh frame (a message, or a pmBatch of
-// them). Robustness is the headline, in three layers:
+// records in one wal.Group commit, then makes the turn's decisions
+// readable, then releases the client responses, then sends each peer at
+// most one mesh frame (a message, or a pmBatch of them). A read — a query,
+// a submit for a decided instance — enters no loop: the connection's reader
+// answers it from the durable decisions. Robustness comes in three layers:
 //
-//   - Durability: nothing of a turn leaves before its records are durable
-//     per the SyncMode (journal-before-externalize), and a refused append
-//     externalizes nothing. A killed and restarted server replays its
-//     WAL, re-enters the mesh with the next incarnation, and still holds
-//     every decision it ever acknowledged. Config.AckBeforeJournalBug
-//     plants the classic inversion — the turn's acks leave before its
-//     append — for the chaos campaign to catch.
+//   - Durability: nothing of a turn leaves, or can be read, before its
+//     records are durable per the SyncMode (journal-before-externalize),
+//     and a refused append externalizes nothing. A killed and restarted
+//     server replays its WAL, re-enters the mesh with the next
+//     incarnation, and still holds every decision it ever acknowledged.
+//     Config.AckBeforeJournalBug plants the classic inversion — the
+//     turn's acks leave before its append — for the chaos campaign to catch.
 //   - Admission control: the in-flight instance table is bounded; a
 //     submit that would exceed it is shed with a structured
 //     *OverloadError (StatusOverload on the wire) instead of queued.
@@ -57,9 +59,8 @@
 package serve
 
 import (
-	"errors"
+	"bufio"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -260,10 +261,6 @@ type (
 		cc    *clientConn
 		start time.Time
 	}
-	queryEv struct {
-		req Request
-		cc  *clientConn
-	}
 	peerEv struct {
 		from core.PID
 		kind byte
@@ -276,14 +273,15 @@ type (
 	}
 )
 
-// shardTable is the state one shard loop owns exclusively: the instances
-// that hash to it, and the effects of the turn in progress. No lock —
-// only the owning loop touches it.
+// shardTable is the state of one shard: the instances that hash to it, and
+// the effects of the turn in progress. Only the owning loop touches it,
+// except that connection readers read decided, under mu (turn.go).
 type shardTable struct {
 	shard     int // index of the owning loop
 	inflight  map[string]*instance
 	proposals map[string]int // first-wins proposal per instance, journaled
-	decided   map[string]int
+	mu        sync.Mutex
+	decided   map[string]int // durable decisions only: flush adds a turn's
 
 	// ttl queues the opened instances in deadline order, which is the
 	// order they were opened in (InstanceTTL is one constant); the
@@ -314,7 +312,7 @@ type Server struct {
 	conns  map[*clientConn]struct{}
 	halted bool // set under connMu; accepted conns arriving later are refused
 
-	// Shard-loop-owned state: sh[i] is touched only by loop i.
+	// Shard state: sh[i] is touched only by loop i, bar sh[i].read.
 	sh []shardTable
 
 	// Cross-shard state, all atomic — nothing on the decide path takes a
@@ -365,7 +363,7 @@ func Start(cfg Config) (*Server, error) {
 			inflight:  make(map[string]*instance),
 			proposals: make(map[string]int),
 			decided:   make(map[string]int),
-			turn:      turn{out: make([][][]byte, cfg.N)},
+			turn:      turn{fresh: make(map[string]int), out: make([][][]byte, cfg.N)},
 		}
 	}
 	boots := 0
@@ -456,11 +454,13 @@ func Start(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// shardOf maps an instance id to its owning shard loop.
+// shardOf maps an instance id to its owning shard loop by 32-bit FNV-1a.
 func (s *Server) shardOf(inst string) int {
-	h := fnv.New32a()
-	h.Write([]byte(inst))
-	return int(h.Sum32() % uint32(s.cfg.Shards))
+	h := uint32(2166136261)
+	for i := 0; i < len(inst); i++ {
+		h = (h ^ uint32(inst[i])) * 16777619
+	}
+	return int(h % uint32(s.cfg.Shards))
 }
 
 // ClientAddr is the address clients dial.
@@ -518,10 +518,7 @@ func (s *Server) Mesh() *netsub.Node { return s.node }
 // Close shuts the server down cleanly: stops serving, waits for the
 // goroutines, drains the journal committer, syncs and closes the journal.
 func (s *Server) Close() error {
-	s.halt()
-	s.wg.Wait()
-	s.wwg.Wait()
-	s.group.Close()
+	s.Kill()
 	return s.log.Close()
 }
 
@@ -583,8 +580,6 @@ func (s *Server) handle(t *shardTable, e any) {
 	switch ev := e.(type) {
 	case submitEv:
 		s.onSubmit(t, ev)
-	case queryEv:
-		s.onQuery(t, ev)
 	case peerEv:
 		s.onPeer(t, ev)
 	case reqExpireEv:
@@ -596,14 +591,10 @@ func (s *Server) onSubmit(t *shardTable, ev submitEv) {
 	s.ctr.submits.Add(1)
 	id, req := ev.req.Inst, ev.req.Req
 
-	// Idempotency: a decided instance answers every (re)submission from
-	// the decision table; nothing can decide twice.
-	if val, ok := t.decided[id]; ok {
-		s.ctr.idempotentHits.Add(1)
-		s.event("serve.dup", nil)
-		t.respond(ev.cc, ev.start, Response{
-			Req: req, Inst: id, Status: StatusDecided, Val: val, Incarnation: s.incarnation,
-		})
+	// Idempotency: a decided instance answers every (re)submission that
+	// got past the connection's reader; nothing can decide twice.
+	if val, ok := t.lookup(id); ok {
+		t.respond(ev.cc, ev.start, s.dup(req, id, val))
 		return
 	}
 
@@ -696,20 +687,18 @@ func trimSettled(q []*instance) []*instance {
 	return q
 }
 
-func (s *Server) onQuery(t *shardTable, ev queryEv) {
-	s.ctr.queries.Add(1)
-	r := Response{Req: ev.req.Req, Inst: ev.req.Inst, Status: StatusUnknown, Incarnation: s.incarnation}
-	if val, ok := t.decided[ev.req.Inst]; ok {
-		r.Status, r.Val = StatusDecided, val
-	}
-	t.respond(ev.cc, time.Time{}, r)
+// dup counts and builds the answer to a submit for a decided instance.
+func (s *Server) dup(req, inst string, val int) Response {
+	s.ctr.idempotentHits.Add(1)
+	s.event("serve.dup", nil)
+	return Response{Req: req, Inst: inst, Status: StatusDecided, Val: val, Incarnation: s.incarnation}
 }
 
 func (s *Server) onPeer(t *shardTable, ev peerEv) {
 	switch ev.kind {
 	case pmPropose:
 		s.ctr.peerProposes.Add(1)
-		if val, ok := t.decided[ev.inst]; ok {
+		if val, ok := t.lookup(ev.inst); ok {
 			// The one place a decision is announced: to a peer still
 			// proposing for an instance this node has decided — a
 			// straggler, a restarted peer, or one resubmitting because
@@ -738,7 +727,7 @@ func (s *Server) onPeer(t *shardTable, ev peerEv) {
 		s.maybeDecide(t, ins)
 	case pmDecide:
 		s.ctr.peerDecides.Add(1)
-		if _, ok := t.decided[ev.inst]; ok {
+		if _, ok := t.lookup(ev.inst); ok {
 			return
 		}
 		// Adopting a peer's decision only merges decision sets — the
@@ -763,14 +752,14 @@ func (s *Server) maybeDecide(t *shardTable, ins *instance) {
 	s.commitDecision(t, ins.id, min)
 }
 
-// commitDecision records a decision: the journal record, the table
-// update, and a response to every waiter. Nothing is announced to peers —
-// each of them decides on its own n−f view, and one that cannot is
-// answered when it proposes (onPeer). flush makes the record durable
-// before any of the responses leave.
+// commitDecision records a decision in the turn: the journal record, the
+// decision, a response to every waiter. Nothing is announced to peers —
+// each decides on its own n−f view, and one that cannot is answered when
+// it proposes (onPeer). flush makes the record durable before the
+// decision can be read off the loop or any of the responses leave.
 func (s *Server) commitDecision(t *shardTable, id string, val int) {
 	t.journal(recDecision, id, val)
-	t.decided[id] = val
+	t.fresh[id] = val
 	ins := t.inflight[id]
 	if ins == nil {
 		return
@@ -884,22 +873,25 @@ func (s *Server) handlePeerMsg(from core.PID, b []byte) {
 }
 
 // clientConn is one accepted client connection: a reader goroutine
-// parses requests into events, a writer goroutine drains the bounded
-// response queue. A client that stops reading fills the queue and is
-// disconnected — the client-side mirror of the mesh's backpressure
-// discipline.
+// parses requests, answers reads and malformed lines itself and posts the
+// other submits to their shard loops; a writer goroutine drains the
+// bounded queue of the loops' responses. Each writes whole lines, so
+// responses may overtake each other but never interleave. A client that
+// stops reading blocks its reader and fills the queue, and is
+// disconnected — the mesh's backpressure discipline, client side.
 type clientConn struct {
 	c    net.Conn
 	out  chan Response
 	dead chan struct{} // closed by the reader on its way out
 }
 
-func (cc *clientConn) respond(r Response) {
-	select {
-	case cc.out <- r:
-	default:
-		cc.c.Close() // slow client: shed the connection, not the server
-	}
+// write sends r as one line, coded into the caller's reused buffer,
+// within the write deadline.
+func (cc *clientConn) write(buf *[]byte, r *Response) error {
+	*buf = appendResponse((*buf)[:0], r)
+	cc.c.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	_, err := cc.c.Write(*buf)
+	return err
 }
 
 func (s *Server) acceptLoop() {
@@ -934,66 +926,74 @@ func (s *Server) readConn(cc *clientConn) {
 		delete(s.conns, cc)
 		s.connMu.Unlock()
 	}()
-	dec := newLineDecoder(cc.c)
-	for {
+	in := newLineScanner(cc.c)
+	var out []byte
+	for in.Scan() {
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if parseRequest(in.Bytes(), &req) != nil {
 			return
 		}
-		switch req.Op {
-		case "submit":
-			if req.Inst == "" || req.Req == "" {
-				cc.respond(Response{Status: StatusError, Err: "submit needs inst and req"})
-				continue
+		resp := Response{Status: StatusError}
+		start, shard := time.Now(), s.shardOf(req.Inst)
+		val, ok := s.sh[shard].read(req.Inst)
+		switch {
+		case req.Op == "submit" && (req.Inst == "" || req.Req == ""):
+			resp.Err = "submit needs inst and req"
+		case req.Op == "submit" && !ok:
+			s.post(shard, submitEv{req: req, cc: cc, start: start})
+			continue
+		case req.Op == "submit":
+			s.ctr.submits.Add(1)
+			resp = s.dup(req.Req, req.Inst, val)
+			if s.hReq != nil {
+				s.hReq.Record(time.Since(start).Nanoseconds())
 			}
-			s.post(s.shardOf(req.Inst), submitEv{req: req, cc: cc, start: time.Now()})
-		case "query":
-			if req.Inst == "" {
-				cc.respond(Response{Status: StatusError, Err: "query needs inst"})
-				continue
+		case req.Op == "query" && req.Inst == "":
+			resp.Err = "query needs inst"
+		case req.Op == "query":
+			s.ctr.queries.Add(1)
+			resp = Response{Req: req.Req, Inst: req.Inst, Status: StatusUnknown, Incarnation: s.incarnation}
+			if ok {
+				resp.Status, resp.Val = StatusDecided, val
 			}
-			s.post(s.shardOf(req.Inst), queryEv{req: req, cc: cc})
 		default:
-			cc.respond(Response{Status: StatusError, Err: "unknown op " + req.Op})
+			resp.Err = "unknown op " + req.Op
 		}
+		if cc.write(&out, &resp) != nil {
+			return
+		}
+	}
+	if in.Err() == bufio.ErrTooLong {
+		cc.write(&out, &Response{Status: StatusError, Err: "line too long"})
 	}
 }
 
+// writeConn writes the loops' responses; on shutdown it first writes what
+// is queued — "the loop acknowledged it" becomes "the client received it".
 func (s *Server) writeConn(cc *clientConn) {
 	defer s.wwg.Done()
-	enc := newLineEncoder(cc.c)
-	// drain flushes everything already queued — on shutdown this is what
-	// turns "the loop acknowledged it" into "the client received it".
-	drain := func() {
-		for {
-			select {
-			case r := <-cc.out:
-				cc.c.SetWriteDeadline(time.Now().Add(5 * time.Second))
-				if enc.Encode(r) != nil {
-					return
-				}
-			default:
+	var buf []byte
+	for stopping := false; ; {
+		var r Response
+		select {
+		case r = <-cc.out:
+		default:
+			if stopping {
 				return
+			}
+			select {
+			case <-s.done:
+				stopping = true
+				continue
+			case <-cc.dead:
+				stopping = true
+				continue
+			case r = <-cc.out:
 			}
 		}
-	}
-	for {
-		select {
-		case <-s.done:
-			drain()
+		if cc.write(&buf, &r) != nil {
+			cc.c.Close()
 			return
-		case <-cc.dead:
-			drain()
-			return
-		case r := <-cc.out:
-			cc.c.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			if enc.Encode(r) != nil {
-				cc.c.Close()
-				return
-			}
 		}
 	}
 }
-
-// ErrClosed reports an operation on a closed client.
-var ErrClosed = errors.New("serve: closed")

@@ -1,7 +1,7 @@
 // The turn: how a shard loop externalizes. Handlers (serve.go) only update
 // the shard's table and record effects here; flush is the one place a
-// journal record, a client response or a mesh frame leaves the loop, once
-// per drained queue and always in that order.
+// journal record, a readable decision, a client response or a mesh frame
+// leaves the loop, once per drained queue and always in that order.
 package serve
 
 import (
@@ -18,6 +18,7 @@ const maxTurnEvents = 64
 // turn is what the handlers of one turn want externalized.
 type turn struct {
 	recs  []wal.BatchEntry // journal records, in order
+	fresh map[string]int   // decisions among recs, not yet in the decided table
 	acks  []ack            // client responses
 	out   [][][]byte       // peer messages, indexed by destination pid
 	acked int              // decisions among acks that reached ≥1 waiter
@@ -26,7 +27,7 @@ type turn struct {
 // ack is one recorded client response.
 type ack struct {
 	cc    *clientConn
-	start time.Time // zero: not a timed request
+	start time.Time
 	resp  Response
 }
 
@@ -45,6 +46,7 @@ func (t *turn) send(to core.PID, msg []byte) {
 // reset empties the turn, keeping its buffers but none of their contents.
 func (t *turn) reset() {
 	clear(t.recs)
+	clear(t.fresh)
 	clear(t.acks)
 	t.recs, t.acks, t.acked = t.recs[:0], t.acks[:0], 0
 	for to, msgs := range t.out {
@@ -53,8 +55,27 @@ func (t *turn) reset() {
 	}
 }
 
+// lookup is the loop's own look-up: the decided table, which the loop
+// alone writes and so reads without the lock, then this turn's decisions.
+func (t *shardTable) lookup(inst string) (int, bool) {
+	if val, ok := t.decided[inst]; ok {
+		return val, true
+	}
+	val, ok := t.fresh[inst]
+	return val, ok
+}
+
+// read is everybody else's look-up (a connection's reader): durable
+// decisions only.
+func (t *shardTable) read(inst string) (int, bool) {
+	t.mu.Lock()
+	val, ok := t.decided[inst]
+	t.mu.Unlock()
+	return val, ok
+}
+
 // loop is one shard's event loop: it exclusively owns the instances that
-// hash to shard i, so the table needs no lock. It runs in turns: take
+// hash to shard i and is the only writer of its table. It runs in turns: take
 // whatever is queued (at most maxTurnEvents), let the handlers update the
 // table and record what they want journaled, acknowledged and sent, then
 // flush once. One timer per shard covers every instance's TTL.
@@ -92,15 +113,16 @@ func (s *Server) loop(i int) {
 		if s.hTurnEvents != nil {
 			s.hTurnEvents.Record(int64(n))
 		}
-		if s.flush(&t.turn) {
+		if s.flush(t) {
 			return // crashed, or the journal refused: the loop dies mid-stride
 		}
 	}
 }
 
 // flush ends a turn: one journal append carrying every record of the turn
-// (it returns once they are durable per the SyncMode), then the client
-// responses, then at most one mesh frame per peer. A crash at any point
+// (it returns once they are durable per the SyncMode), then its decisions
+// become readable off the loop, then the client responses, then at most
+// one mesh frame per peer. A crash at any point
 // either loses instances no client was ever told about, or loses nothing.
 // If the journal refuses the append nothing of the turn leaves, and since
 // the table is now ahead of the journal the server stops serving. With
@@ -108,10 +130,10 @@ func (s *Server) loop(i int) {
 // (which CrashAfterAcks plants deterministically) loses decisions a
 // client already holds — the violation the chaos campaign exists to
 // catch. Returns true when the loop must die.
-func (s *Server) flush(t *turn) bool {
+func (s *Server) flush(t *shardTable) bool {
 	defer t.reset()
 	bug := s.cfg.AckBeforeJournalBug
-	if bug && s.release(t) {
+	if bug && s.release(&t.turn) {
 		s.crash() // clients hold the acks, the journal never hears of them
 		return true
 	}
@@ -129,7 +151,14 @@ func (s *Server) flush(t *turn) bool {
 			s.hTurnJournal.Record(time.Since(t0).Nanoseconds())
 		}
 	}
-	crash := !bug && s.release(t)
+	if len(t.fresh) > 0 {
+		t.mu.Lock()
+		for inst, val := range t.fresh {
+			t.decided[inst] = val
+		}
+		t.mu.Unlock()
+	}
+	crash := !bug && s.release(&t.turn)
 	for to, msgs := range t.out {
 		if len(msgs) == 0 {
 			continue
@@ -157,10 +186,14 @@ func (s *Server) flush(t *turn) bool {
 func (s *Server) release(t *turn) bool {
 	for i := range t.acks {
 		a := &t.acks[i]
-		if s.hReq != nil && !a.start.IsZero() {
+		if s.hReq != nil {
 			s.hReq.Record(time.Since(a.start).Nanoseconds())
 		}
-		a.cc.respond(a.resp)
+		select {
+		case a.cc.out <- a.resp:
+		default:
+			a.cc.c.Close() // slow client: shed the connection, not the server
+		}
 	}
 	if t.acked == 0 {
 		return false

@@ -61,8 +61,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestRefusedAppendExternalizesNothing: a turn whose journal append is
-// refused releases no ack and no frame, and the server — its table now
-// ahead of its journal — stops serving.
+// refused releases no ack, no frame and no readable decision, and the
+// server — its table now ahead of its journal — stops serving.
 func TestRefusedAppendExternalizesNothing(t *testing.T) {
 	cl := fastCluster(t, nil)
 	c := clientOf(cl, 0)
@@ -89,6 +89,25 @@ func TestRefusedAppendExternalizesNothing(t *testing.T) {
 	proposes := cl.Servers[1].Stats().PeerProposes + cl.Servers[2].Stats().PeerProposes
 	s.group.Close()
 
+	// A second connection reads the doomed instance for as long as the
+	// server answers at all.
+	reads := make(chan struct{})
+	go func() {
+		defer close(reads)
+		q := clientOf(cl, 0)
+		defer q.Close()
+		for {
+			resp, err := q.Query("doomed")
+			if err != nil {
+				return
+			}
+			if resp.Status != StatusUnknown {
+				t.Errorf("a query read %+v of an instance whose journal append was refused", resp)
+				return
+			}
+		}
+	}()
+
 	// The turn that handles this submit records a proposal record and a
 	// proposal to each peer; the append is refused.
 	if resp, err := c.Submit("doomed", "r", 7); err == nil {
@@ -99,6 +118,7 @@ func TestRefusedAppendExternalizesNothing(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("server kept serving after its journal refused an append")
 	}
+	<-reads
 	if got := s.Mesh().Stats().FramesSent; got != frames {
 		t.Fatalf("refused turn sent %d frames", got-frames)
 	}

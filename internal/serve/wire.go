@@ -1,7 +1,7 @@
 // Wire formats of the agreement service: the compact peer-to-peer
 // message encoding carried as []byte payloads over the netsub mesh, the
-// WAL record encodings that make instance state durable, and the
-// newline-delimited JSON protocol clients speak.
+// WAL record encodings that make instance state durable, and the types of
+// the newline-delimited JSON protocol clients speak (codec.go codes them).
 //
 // Peer messages ride the existing netsub frame codec as opaque byte
 // slices, so the mesh transport needs no knowledge of the service layer:
@@ -15,11 +15,8 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // Peer message kinds.
@@ -261,9 +258,3 @@ func (e *UnreachableError) Error() string {
 
 // Unwrap exposes the final transport error.
 func (e *UnreachableError) Unwrap() error { return e.Last }
-
-// newLineDecoder and newLineEncoder pin the client protocol framing in
-// one place: one JSON value per line, buffered reads.
-func newLineDecoder(r io.Reader) *json.Decoder { return json.NewDecoder(bufio.NewReader(r)) }
-
-func newLineEncoder(w io.Writer) *json.Encoder { return json.NewEncoder(w) }
