@@ -169,11 +169,14 @@ chaos:
 		-drop 0.4 -delay 0.4 -partition 0.4 -crashes 3
 
 # -count 3: the gate compares per-name ns/op minima, and min-of-3 irons
-# out scheduler and fsync noise that a single run leaves in.
+# out scheduler and fsync noise that a single run leaves in. -cpu 1: the
+# committed rows are recorded at one processor (before Go 1.25 GOMAXPROCS
+# ignores a container's CPU quota, so the default differs from host to
+# host), and the gate compares like with like.
 BENCH_COUNT ?= 3
 
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -count $(BENCH_COUNT) $(BENCH_PKGS) \
+	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -cpu 1 -count $(BENCH_COUNT) $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchstatjson -o BENCH_core.json
 
 # The regression gate: rerun the tracked benchmarks and diff against the
@@ -184,5 +187,5 @@ bench:
 # CPU contention make its alloc count noisy while ns/op stays stable, so
 # re-drop that field after regenerating the baseline.
 bench-check:
-	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -count $(BENCH_COUNT) $(BENCH_PKGS) \
+	$(GO) test -run '^$$' -bench '$(BENCH_PAT)' -benchmem -cpu 1 -count $(BENCH_COUNT) $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchstatjson -compare BENCH_core.json

@@ -27,6 +27,7 @@ type Baton struct {
 	seats     []chan struct{} // by pid, capacity 1: waking a process never waits for it
 	returns   []result        // by pid; the latest incarnation's return wins
 	done      chan struct{}
+	wakes     int                 // hand-overs that woke a parked process; the holder's, read by tests
 	computing atomic.Int32        // goroutines running body code, plus one for the holder
 	live      atomic.Int32        // bodies started and not yet returned
 	panicked  atomic.Pointer[any] // the first panic, for Wait to raise again
@@ -118,6 +119,7 @@ func (b *Baton) arrive(me core.PID) bool {
 		case next == me:
 			return true
 		default:
+			b.wakes++
 			b.seats[next] <- struct{}{}
 			return false
 		}

@@ -242,73 +242,61 @@ type Node struct {
 	Incarnation int
 
 	sched *sched
-	clock int
-	req   request // the one outstanding operation, refilled by do
+	req   request // the one outstanding operation, refilled per operation
 }
 
 // Clock returns the global scheduler step at which the node's most recent
 // operation executed — a logical timestamp usable for linearizability
 // checking and for step-driven timeouts. It is only meaningful between the
-// node's own operations.
-func (nd *Node) Clock() int { return nd.clock }
-
-type opKind int
-
-const (
-	opSend opKind = iota + 1
-	opRecv
-	opRecvTimeout
-)
+// node's own operations; a Handler reads it between the operations of its
+// drive, where the baton holder that applied the last one has set it.
+func (nd *Node) Clock() int { return nd.req.clock }
 
 // request is a node's one outstanding operation. It lives inside its Node
 // and is refilled per operation: the node writes it before posting it and
-// yielding, the baton holder that applies it writes res before waking the
-// node, so the two never touch it at the same time.
+// yielding, the baton holder that applies it writes res, err and clock
+// before waking the node — or, mid-drive, before asking h for the next
+// operation and refilling op itself, the node still parked — so the two
+// never touch it at the same time.
 type request struct {
-	kind     opKind
-	env      Envelope
-	deadline int // absolute step bound for opRecvTimeout
-	res      result
-}
-
-type result struct {
-	env      Envelope
-	step     int
-	timedOut bool
-	err      error
+	op    Op
+	h     Handler // nil: wake the node after this operation
+	res   Result
+	err   error
+	clock int // step of the latest operation applied
 }
 
 // Send queues a message to process to. Delivery order is per-link FIFO but
 // cross-link order is up to the adversary (and injected delays may reorder
 // even a single link).
 func (nd *Node) Send(to core.PID, payload core.Value) error {
-	if to < 0 || int(to) >= nd.N {
-		return fmt.Errorf("msgnet: send to invalid process %d", to)
-	}
-	_, err := nd.do(opSend, Envelope{From: nd.Me, To: to, Payload: payload}, 0)
+	_, err := nd.drive(Op{Send: true, To: to, Payload: payload}, nil)
 	return err
 }
 
 // Broadcast sends payload to every process including the sender, as n
 // individual Send steps (a crash mid-broadcast yields a partial broadcast,
-// exactly the send-omission behaviour of the crash model).
+// exactly the send-omission behaviour of the crash model). The node sleeps
+// through all n: each holder that applies one posts the next.
 func (nd *Node) Broadcast(payload core.Value) error {
-	for i := 0; i < nd.N; i++ {
-		if err := nd.Send(core.PID(i), payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := nd.drive(Op{Send: true, Payload: payload}, (*broadcast)(nd))
+	return err
+}
+
+// broadcast is a Node as the Handler of its own Broadcast: the send just
+// applied names the next peer and carries the payload.
+type broadcast Node
+
+func (b *broadcast) Handle(sent Result) (Op, bool) {
+	to := sent.Env.To + 1
+	return Op{Send: true, To: to, Payload: sent.Env.Payload}, int(to) < b.N
 }
 
 // Recv blocks until the adversary delivers some in-flight message addressed
 // to the caller and returns it.
 func (nd *Node) Recv() (Envelope, error) {
-	res, err := nd.do(opRecv, Envelope{}, 0)
-	if err != nil {
-		return Envelope{}, err
-	}
-	return res.env, nil
+	res, err := nd.drive(Op{Deadline: NoDeadline}, nil)
+	return res.Env, err
 }
 
 // RecvTimeout is Recv with a deadline: it returns a message and true, or —
@@ -321,25 +309,32 @@ func (nd *Node) Recv() (Envelope, error) {
 // substrate without wall time: time is the step counter, and the scheduler
 // fast-forwards it when every process is waiting.
 func (nd *Node) RecvTimeout(deadline int) (Envelope, bool, error) {
-	res, err := nd.do(opRecvTimeout, Envelope{}, deadline)
-	if err != nil {
-		return Envelope{}, false, err
-	}
-	if res.timedOut {
-		return Envelope{}, false, nil
-	}
-	return res.env, true, nil
+	res, err := nd.drive(Op{Deadline: deadline}, nil)
+	return res.Env, res.Got, err
 }
 
-func (nd *Node) do(kind opKind, env Envelope, deadline int) (result, error) {
-	nd.req.kind, nd.req.env, nd.req.deadline = kind, env, deadline
+// drive posts first and parks until a baton holder wakes the node: after
+// first when h is nil, otherwise after the operation at which h said it was
+// done, or the one that failed.
+func (nd *Node) drive(first Op, h Handler) (Result, error) {
+	if err := first.check(nd.N); err != nil {
+		return Result{}, err
+	}
+	nd.req.op, nd.req.h, nd.req.err = first, h, nil
 	nd.sched.procs[nd.Me].pending = &nd.req
 	nd.sched.baton.Yield(nd.Me)
-	res := nd.req.res
-	if res.err == nil {
-		nd.clock = res.step
+	if nd.req.err != nil {
+		return Result{}, nd.req.err
 	}
-	return res, res.err
+	return nd.req.res, nil
+}
+
+// check validates an operation before the node, or a holder for it, posts it.
+func (op Op) check(n int) error {
+	if op.Send && (op.To < 0 || int(op.To) >= n) {
+		return fmt.Errorf("msgnet: send to invalid process %d", op.To)
+	}
+	return nil
 }
 
 // link is one directed link's FIFO of undelivered payloads: q[head:].
@@ -552,8 +547,7 @@ func (s *sched) run(abort error) (core.PID, bool) {
 			if req == nil {
 				continue
 			}
-			if s.abort != nil || req.kind == opSend || procs[pid].box.mail > 0 ||
-				(req.kind == opRecvTimeout && step >= req.deadline) {
+			if s.abort != nil || req.op.Send || procs[pid].box.mail > 0 || step >= req.op.Deadline {
 				runnable = append(runnable, core.PID(pid))
 			}
 		}
@@ -565,8 +559,8 @@ func (s *sched) run(abort error) (core.PID, bool) {
 				next = s.delayed[0].release
 			}
 			for pid := range procs {
-				if req := procs[pid].pending; req != nil && req.kind == opRecvTimeout && (next < 0 || req.deadline < next) {
-					next = req.deadline
+				if req := procs[pid].pending; req != nil && req.op.Deadline != NoDeadline && (next < 0 || req.op.Deadline < next) {
+					next = req.op.Deadline
 				}
 			}
 			for _, rs := range s.restarts {
@@ -612,15 +606,16 @@ func (s *sched) run(abort error) (core.PID, bool) {
 					p.restarted = true
 				}
 			}
-			req.res = result{err: ErrCrashed}
-		case req.kind == opSend:
+			req.err = ErrCrashed
+		case req.op.Send:
+			env := Envelope{From: pick, To: req.op.To, Payload: req.op.Payload}
 			act := deliverNow
-			if s.cfg.Faults != nil && req.env.From != req.env.To {
-				act = s.cfg.Faults.OnSend(step, req.env.From, req.env.To)
+			if s.cfg.Faults != nil && env.From != env.To {
+				act = s.cfg.Faults.OnSend(step, env.From, env.To)
 			}
 			p.opsDone++
 			if ob != nil {
-				ob.Event("msgnet.send", -1, int(pick), map[string]any{"to": int(req.env.To), "step": step})
+				ob.Event("msgnet.send", -1, int(pick), map[string]any{"to": int(env.To), "step": step})
 			}
 			if len(act.Deliveries) == 0 {
 				if ob != nil {
@@ -628,42 +623,42 @@ func (s *sched) run(abort error) (core.PID, bool) {
 					if reason == "" {
 						reason = "drop"
 					}
-					ob.Event("faultnet.drop", -1, int(pick), map[string]any{"to": int(req.env.To), "reason": reason, "step": step})
+					ob.Event("faultnet.drop", -1, int(pick), map[string]any{"to": int(env.To), "reason": reason, "step": step})
 				}
 			} else {
 				maxDelay := 0
 				for _, d := range act.Deliveries {
 					if d <= 0 {
-						procs[req.env.To].box.push(req.env.From, req.env.Payload)
+						procs[env.To].box.push(env.From, env.Payload)
 					} else {
-						s.delayed = insertDelayed(s.delayed, delayedMsg{release: step + d, env: req.env})
+						s.delayed = insertDelayed(s.delayed, delayedMsg{release: step + d, env: env})
 						maxDelay = max(maxDelay, d)
 					}
 				}
 				if ob != nil {
 					if len(act.Deliveries) > 1 {
-						ob.Event("faultnet.dup", -1, int(pick), map[string]any{"to": int(req.env.To), "copies": len(act.Deliveries), "step": step})
+						ob.Event("faultnet.dup", -1, int(pick), map[string]any{"to": int(env.To), "copies": len(act.Deliveries), "step": step})
 					}
 					if maxDelay > 0 {
-						ob.Event("faultnet.delay", -1, int(pick), map[string]any{"to": int(req.env.To), "delay": maxDelay, "step": step})
+						ob.Event("faultnet.delay", -1, int(pick), map[string]any{"to": int(env.To), "delay": maxDelay, "step": step})
 					}
 				}
 			}
-			req.res = result{step: step}
+			req.res = Result{Env: env, Got: true}
 		case p.box.mail == 0:
-			// Only an expired opRecvTimeout is scheduled with an empty
+			// Only a receive past its deadline is scheduled with an empty
 			// mailbox: the deadline fires.
 			p.opsDone++
 			if ob != nil {
-				ob.Event("msgnet.timeout", -1, int(pick), map[string]any{"deadline": req.deadline, "step": step})
+				ob.Event("msgnet.timeout", -1, int(pick), map[string]any{"deadline": req.op.Deadline, "step": step})
 			}
-			req.res = result{step: step, timedOut: true}
-		default: // opRecv / opRecvTimeout with mail
+			req.res = Result{}
+		default: // a receive with mail
 			s.senders = p.box.senders(s.senders)
 			sIdx := s.cfg.Chooser(step, s.senders)
 			if sIdx < 0 || sIdx >= len(s.senders) {
 				s.abort = fmt.Errorf("msgnet: chooser returned %d for %d senders", sIdx, len(s.senders))
-				req.res = result{err: ErrCrashed}
+				req.err = ErrCrashed
 				break
 			}
 			from := s.senders[sIdx]
@@ -672,14 +667,32 @@ func (s *sched) run(abort error) (core.PID, bool) {
 			if ob != nil {
 				ob.Event("msgnet.recv", -1, int(pick), map[string]any{"from": int(from), "step": step})
 			}
-			req.res = result{env: Envelope{From: from, To: pick, Payload: payload}, step: step}
+			req.res = Result{Env: Envelope{From: from, To: pick, Payload: payload}, Got: true}
 		}
 		p.pending = nil
 		s.step++
 		if s.step > s.cfg.MaxSteps && s.abort == nil {
 			s.abort = &StepLimitError{Steps: s.cfg.MaxSteps, Pending: pendingPIDs(procs)}
 		}
-		return pick, false
+		if req.err != nil {
+			return pick, false
+		}
+		req.clock = step
+		if req.h == nil {
+			return pick, false
+		}
+		// Mid-drive: the holder runs what the node would have run between
+		// this operation and its next, and posts that one for it. The node
+		// is parked throughout, so a panicking handler must find it posted.
+		p.pending = req
+		var more bool
+		if req.op, more = req.h.Handle(req.res); more {
+			req.err = req.op.check(len(procs))
+		}
+		if !more || req.err != nil {
+			p.pending = nil
+			return pick, false
+		}
 	}
 	return -1, true
 }

@@ -1,6 +1,7 @@
 package msgnet_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -65,10 +66,22 @@ func TestSameBodyBothSubstrates(t *testing.T) {
 		t.Fatalf("netsub run stalled: %s", rep)
 	}
 
+	// A link whose node is hidden from msgnet.Drive runs its drives as plain
+	// loops on the body's goroutine; over the bare node the baton holders run
+	// them. The execution is the same one.
+	link := virtual(func(nd *msgnet.Node) msgnet.Substrate { return reliablelink.New(nd, reliablelink.Config{}) })
+	looped := virtual(func(nd *msgnet.Node) msgnet.Substrate {
+		return reliablelink.New(struct{ msgnet.Substrate }{nd}, reliablelink.Config{})
+	})
+	if !reflect.DeepEqual(link, looped) {
+		t.Fatalf("link over a node and over a hidden node differ:\n%+v\n%+v", link, looped)
+	}
+
 	for name, out := range map[string]*core.RoundOutcome{
-		"virtual": virtual(func(nd *msgnet.Node) msgnet.Substrate { return nd }),
-		"link":    virtual(func(nd *msgnet.Node) msgnet.Substrate { return reliablelink.New(nd, reliablelink.Config{}) }),
-		"tcp":     networked,
+		"virtual":     virtual(func(nd *msgnet.Node) msgnet.Substrate { return nd }),
+		"link":        link,
+		"link/looped": looped,
+		"tcp":         networked,
 	} {
 		if out.Trace.Len() != rounds {
 			t.Fatalf("%s: trace length %d, want %d", name, out.Trace.Len(), rounds)

@@ -129,25 +129,49 @@ type peer struct {
 // so a body that keeps receiving — as the round loop's linger does — keeps
 // serving its peers. It is not safe for concurrent use; like Node, it
 // belongs to the single goroutine running the process.
+//
+// Every call is one msgnet.Drive with the link as the Handler. Over a
+// *msgnet.Node that means the body sleeps through the whole call while the
+// link's bookkeeping between two operations runs on whichever goroutine
+// holds the scheduler (see msgnet.Handler): the body is woken for a fresh
+// message, its deadline or an error, never for an ack, a duplicate or a
+// retransmission.
 type Link struct {
 	msgnet.Substrate
-	cfg    Config
-	policy backoff.Policy
-	peers  []peer   // by pid; the loopback entry only counts sequence numbers
-	order  []ackKey // frames awaiting an ack, in send order: the retransmission scan
-	stats  Stats
+	cfg   Config
+	peers []peer   // by pid; the loopback entry only counts sequence numbers
+	order []ackKey // frames awaiting an ack, in send order: the retransmission scan
+	stats Stats
+	pump  pump
 }
+
+// pump is the state of the drive in progress: which operation is in flight
+// and what the handler needs to carry on from its result. DESIGN §11 draws
+// the machine (scanning → receiving → acking, and round again).
+type pump struct {
+	state    pumpState
+	i, kept  int        // scanning: order[i] is being retransmitted, order[:kept] stays
+	now      int        // scanning: the clock when the walk began, which decides what is due
+	timer    int        // scanning: the earliest timer among order[:kept]
+	deadline int        // of the RecvTimeout being served
+	app      core.Value // the application payload being broadcast, or delivered
+}
+
+type pumpState uint8
+
+const (
+	sending      pumpState = iota // one stamped frame
+	broadcasting                  // a stamped frame, more peers to go
+	scanning                      // a retransmission
+	receiving                     // the receive a finished walk leads to
+	acking                        // the ack of the data frame just received
+)
 
 var _ msgnet.Substrate = (*Link)(nil)
 
 // New wraps a substrate endpoint in a reliable link.
 func New(sub msgnet.Substrate, cfg Config) *Link {
-	return &Link{
-		Substrate: sub,
-		cfg:       cfg,
-		policy:    backoff.Policy{Initial: cfg.retransmitAfter(), Cap: cfg.retransmitCap()},
-		peers:     make([]peer, sub.Size()),
-	}
+	return &Link{Substrate: sub, cfg: cfg, peers: make([]peer, sub.Size())}
 }
 
 // Stats returns the link's recovery counters so far.
@@ -160,41 +184,22 @@ func (l *Link) Send(to core.PID, payload core.Value) error {
 	if to < 0 || int(to) >= len(l.peers) {
 		return fmt.Errorf("reliablelink: send to invalid process %d", to)
 	}
-	p := &l.peers[to]
-	seq := p.nextSeq
-	p.nextSeq++
-	var wire core.Value = frame{Seq: seq, App: payload}
-	if err := l.Substrate.Send(to, wire); err != nil {
-		return err
-	}
-	l.stats.Sent++
-	if to == l.PID() {
-		return nil
-	}
-	bo := *l.policy.Sequence()
-	wait := bo.Next()
-	p.frames = append(p.frames, pendingFrame{live: true, wire: wire, nextAt: l.Clock() + wait, wait: wait, seq: bo})
-	l.order = append(l.order, ackKey{to, seq})
-	return nil
+	l.pump.state = sending
+	_, err := msgnet.Drive(l.Substrate, l.stamp(to, payload), (*handler)(l))
+	return err
 }
 
 // Broadcast sends payload reliably to every process including the sender.
 func (l *Link) Broadcast(payload core.Value) error {
-	for i := 0; i < l.Size(); i++ {
-		if err := l.Send(core.PID(i), payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	l.pump.state, l.pump.app = broadcasting, payload
+	_, err := msgnet.Drive(l.Substrate, l.stamp(0, payload), (*handler)(l))
+	return err
 }
-
-// noDeadline is the deadline of an unbounded Recv.
-const noDeadline = int(^uint(0) >> 1)
 
 // Recv blocks until the next fresh application message, retransmitting
 // as timers fall due.
 func (l *Link) Recv() (msgnet.Envelope, error) {
-	env, _, err := l.RecvTimeout(noDeadline)
+	env, _, err := l.RecvTimeout(msgnet.NoDeadline)
 	return env, err
 }
 
@@ -202,106 +207,168 @@ func (l *Link) Recv() (msgnet.Envelope, error) {
 // the clock reaches the absolute deadline with nothing fresh delivered.
 // Acks, duplicates, and due retransmissions are handled internally.
 func (l *Link) RecvTimeout(deadline int) (msgnet.Envelope, bool, error) {
-	for {
-		timer, err := l.retransmitDue()
-		if err != nil {
-			return msgnet.Envelope{}, false, err
+	l.pump.deadline = deadline
+	res, err := msgnet.Drive(l.Substrate, l.rescan(), (*handler)(l))
+	switch _, isFrame := res.Env.Payload.(frame); {
+	case err != nil:
+		if l.pump.state == scanning { // a retransmission failed: the frames behind it stay in the order
+			l.order = append(l.order[:l.pump.kept], l.order[l.pump.i:]...)
 		}
-		wake := min(deadline, timer)
-		var env msgnet.Envelope
-		got := true
-		if wake == noDeadline {
-			env, err = l.Substrate.Recv()
-		} else {
-			env, got, err = l.Substrate.RecvTimeout(wake)
+		return msgnet.Envelope{}, false, err
+	case !res.Got:
+		return msgnet.Envelope{}, false, nil
+	case !isFrame:
+		return msgnet.Envelope{}, false, fmt.Errorf("reliablelink: foreign payload %T", res.Env.Payload)
+	}
+	// The drive ended on a fresh frame off the loopback link or on the ack
+	// just sent for one: either is addressed to the frame's sender.
+	return msgnet.Envelope{From: res.Env.To, To: l.PID(), Payload: l.pump.app}, true, nil
+}
+
+// handler is a Link as the msgnet.Handler of its own drives. Over a Node it
+// runs on the scheduler's holder, the link's process parked.
+type handler Link
+
+// Handle books the operation just performed and names the next one.
+func (h *handler) Handle(last msgnet.Result) (msgnet.Op, bool) {
+	l, pm := (*Link)(h), &h.pump
+	switch pm.state {
+	case sending, broadcasting:
+		l.book(last.Env)
+		to := last.Env.To + 1
+		if pm.state == sending || int(to) == len(l.peers) {
+			return msgnet.Op{}, false
 		}
-		if err != nil {
-			return msgnet.Envelope{}, false, err
+		return l.stamp(to, pm.app), true
+	case scanning:
+		k := l.order[pm.i]
+		pf := &l.peers[k.to].frames[k.seq]
+		pf.attempts++
+		l.stats.Retransmissions++
+		// The reported interval is the backoff that just expired — a
+		// deterministic step count from the shared capped-exponential
+		// ladder, so observers can histogram it.
+		if l.cfg.Observer != nil {
+			l.event("rlink.retransmit", map[string]any{"to": int(k.to), "seq": k.seq, "attempt": pf.attempts, "interval": pf.wait})
 		}
-		if !got {
-			if l.Clock() >= deadline {
-				return msgnet.Envelope{}, false, nil
-			}
-			continue // a retransmission timer fired first
-		}
-		f, isFrame := env.Payload.(frame)
-		if !isFrame {
-			return msgnet.Envelope{}, false, fmt.Errorf("reliablelink: foreign payload %T", env.Payload)
-		}
-		p := &l.peers[env.From]
-		if f.Ack {
-			// An ack for a frame this link never sent (a restarted process
-			// can be handed one meant for its previous incarnation) or has
-			// already settled is ignored.
-			if f.Seq < len(p.frames) {
-				p.frames[f.Seq] = pendingFrame{}
-			}
-			l.stats.AcksReceived++
-			continue
-		}
-		if env.From != l.PID() {
-			// Always re-ack: the previous ack may have been lost.
-			if err := l.Substrate.Send(env.From, frame{Seq: f.Seq, Ack: true}); err != nil {
-				return msgnet.Envelope{}, false, err
-			}
-		}
-		if f.Seq < len(p.seen) && p.seen[f.Seq] {
-			l.stats.DupFramesReceived++
-			if l.cfg.Observer != nil {
-				l.event("rlink.dup_rx", map[string]any{"from": int(env.From), "seq": f.Seq})
-			}
-			continue
-		}
-		for len(p.seen) <= f.Seq {
-			p.seen = append(p.seen, false)
-		}
-		p.seen[f.Seq] = true
-		env.Payload = f.App
-		return env, true, nil
+		pf.wait = pf.seq.Next()
+		pf.nextAt = l.Clock() + pf.wait
+		l.keep(k, pf.nextAt)
+		return l.scan(pm.i + 1), true
+	case receiving:
+		return l.received(last)
+	default: // acking: the ack just sent names the data frame it answers
+		return l.deliver(last.Env.To, last.Env.Payload.(frame).Seq)
 	}
 }
 
-// retransmitDue retransmits every unacked frame whose timer expired,
-// walking frames in send order for determinism, and returns the earliest
-// step at which one of those left falls due (noDeadline when none is).
-func (l *Link) retransmitDue() (int, error) {
-	timer := noDeadline
-	now := l.Clock()
-	kept := l.order[:0]
-	for i, k := range l.order {
-		pf := &l.peers[k.to].frames[k.seq]
-		if !pf.live {
-			continue // acked; compact out of the scan order
-		}
-		if pf.nextAt <= now {
-			if pf.attempts >= l.cfg.maxAttempts() {
-				l.stats.GiveUps++
-				if l.cfg.Observer != nil {
-					l.event("rlink.giveup", map[string]any{"to": int(k.to), "seq": k.seq, "attempts": pf.attempts})
-				}
-				*pf = pendingFrame{}
-				continue
-			}
-			if err := l.Substrate.Send(k.to, pf.wire); err != nil {
-				l.order = append(kept, l.order[i:]...)
-				return 0, err
-			}
-			pf.attempts++
-			l.stats.Retransmissions++
-			// The reported interval is the backoff that just expired — a
-			// deterministic step count from the shared capped-exponential
-			// ladder, so observers can histogram it.
-			if l.cfg.Observer != nil {
-				l.event("rlink.retransmit", map[string]any{"to": int(k.to), "seq": k.seq, "attempt": pf.attempts, "interval": pf.wait})
-			}
-			pf.wait = pf.seq.Next()
-			pf.nextAt = l.Clock() + pf.wait
-		}
-		kept = append(kept, k)
-		timer = min(timer, pf.nextAt)
+// stamp puts payload under the next sequence number of the link to peer to.
+func (l *Link) stamp(to core.PID, payload core.Value) msgnet.Op {
+	p := &l.peers[to]
+	p.nextSeq++
+	return msgnet.Op{Send: true, To: to, Payload: frame{Seq: p.nextSeq - 1, App: payload}}
+}
+
+// book tracks the data frame just sent — boxed once, in stamp, for every
+// transmission — until it is acknowledged or given up.
+func (l *Link) book(sent msgnet.Envelope) {
+	l.stats.Sent++
+	if sent.To == l.PID() {
+		return
 	}
-	l.order = kept
-	return timer, nil
+	bo := *backoff.Policy{Initial: l.cfg.retransmitAfter(), Cap: l.cfg.retransmitCap()}.Sequence()
+	wait := bo.Next()
+	p := &l.peers[sent.To]
+	p.frames = append(p.frames, pendingFrame{live: true, wire: sent.Payload, nextAt: l.Clock() + wait, wait: wait, seq: bo})
+	l.order = append(l.order, ackKey{sent.To, sent.Payload.(frame).Seq})
+}
+
+// rescan begins the walk every receive starts with: retransmit each unacked
+// frame whose timer has expired, in send order for determinism, then
+// receive until the caller's deadline or the earliest timer left.
+func (l *Link) rescan() msgnet.Op {
+	l.pump.kept, l.pump.now, l.pump.timer = 0, l.Clock(), msgnet.NoDeadline
+	return l.scan(0)
+}
+
+// scan walks order[i:], compacting settled frames out, up to the next frame
+// due — whose retransmission it asks for — or to the end and the receive.
+func (l *Link) scan(i int) msgnet.Op {
+	pm := &l.pump
+	for ; i < len(l.order); i++ {
+		k := l.order[i]
+		pf := &l.peers[k.to].frames[k.seq]
+		switch {
+		case !pf.live: // acked
+		case pf.nextAt > pm.now:
+			l.keep(k, pf.nextAt)
+		case pf.attempts >= l.cfg.maxAttempts():
+			l.stats.GiveUps++
+			if l.cfg.Observer != nil {
+				l.event("rlink.giveup", map[string]any{"to": int(k.to), "seq": k.seq, "attempts": pf.attempts})
+			}
+			*pf = pendingFrame{}
+		default:
+			pm.state, pm.i = scanning, i
+			return msgnet.Op{Send: true, To: k.to, Payload: pf.wire}
+		}
+	}
+	l.order = l.order[:pm.kept]
+	pm.state = receiving
+	return msgnet.Op{Deadline: min(pm.deadline, pm.timer)}
+}
+
+// keep leaves k, which next falls due at nextAt, in the scan order.
+func (l *Link) keep(k ackKey, nextAt int) {
+	l.order[l.pump.kept] = k
+	l.pump.kept++
+	l.pump.timer = min(l.pump.timer, nextAt)
+}
+
+// received sorts what the receive after a walk returned: nothing, an ack
+// or a data frame, which a peer is always sent an ack for — the previous
+// one may have been lost — before the duplicate check.
+func (l *Link) received(res msgnet.Result) (msgnet.Op, bool) {
+	f, isFrame := res.Env.Payload.(frame)
+	switch from := res.Env.From; {
+	case !res.Got && l.Clock() < l.pump.deadline:
+		return l.rescan(), true // a retransmission timer fired first
+	case !res.Got, !isFrame:
+		return msgnet.Op{}, false // RecvTimeout tells the deadline from a foreign payload
+	case f.Ack:
+		// An ack for a frame this link never sent (a restarted process
+		// can be handed one meant for its previous incarnation) or has
+		// already settled is ignored.
+		if p := &l.peers[from]; f.Seq < len(p.frames) {
+			p.frames[f.Seq] = pendingFrame{}
+		}
+		l.stats.AcksReceived++
+		return l.rescan(), true
+	case from == l.PID():
+		l.pump.app = f.App
+		return l.deliver(from, f.Seq)
+	default:
+		l.pump.state, l.pump.app = acking, f.App
+		return msgnet.Op{Send: true, To: from, Payload: frame{Seq: f.Seq, Ack: true}}, true
+	}
+}
+
+// deliver ends the drive if from's frame seq is fresh, and suppresses it
+// as a duplicate otherwise.
+func (l *Link) deliver(from core.PID, seq int) (msgnet.Op, bool) {
+	p := &l.peers[from]
+	if seq < len(p.seen) && p.seen[seq] {
+		l.stats.DupFramesReceived++
+		if l.cfg.Observer != nil {
+			l.event("rlink.dup_rx", map[string]any{"from": int(from), "seq": seq})
+		}
+		return l.rescan(), true
+	}
+	for len(p.seen) <= seq {
+		p.seen = append(p.seen, false)
+	}
+	p.seen[seq] = true
+	return msgnet.Op{}, false
 }
 
 // event reports to the observer; callers check cfg.Observer first, so the

@@ -98,6 +98,12 @@ func (r *RunReport) String() string {
 // chaos harness decides which model the faulty execution still realized.
 // The RunReport is always non-nil, even alongside an error.
 func RunRounds(n, f, rounds int, cfg RoundsConfig, emit core.RoundEmit) (*core.RoundOutcome, *RunReport, error) {
+	return runRounds(n, f, rounds, cfg, emit, func(nd *msgnet.Node) msgnet.Substrate { return nd })
+}
+
+// runRounds is RunRounds with each link laid over under(node): the tests
+// hide the node there, which sends every drive through msgnet.Drive's loop.
+func runRounds(n, f, rounds int, cfg RoundsConfig, emit core.RoundEmit, under func(*msgnet.Node) msgnet.Substrate) (*core.RoundOutcome, *RunReport, error) {
 	if err := core.CheckShape(n, f, rounds); err != nil {
 		return nil, &RunReport{}, err
 	}
@@ -106,7 +112,7 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit core.RoundEmit) (*core.R
 	stalls := make([][]msgnet.Stall, n)
 	links := make([]*Link, n)
 	out, err := msgnet.Run(n, cfg.Net, func(nd *msgnet.Node) (core.Value, error) {
-		l := New(nd, cfg.Link)
+		l := New(under(nd), cfg.Link)
 		links[nd.Me] = l
 		var err error
 		recs[nd.Me], stalls[nd.Me], err = msgnet.RunSubstrateRounds(l, f, rounds, cfg.watchdog(), cfg.linger(), emit, func(s msgnet.Stall) {
