@@ -514,9 +514,9 @@ func runChaos(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 		pred := expr.Compile()
 		ccfg.FixedPlan = &plan
 		ccfg.TracePred = &pred
-		// Lock-step rounds: the compiled plan is the only suspicion source,
-		// so the run satisfies (honest) or violates (negated) the model by
-		// construction rather than by scheduler luck.
+		// Lock-step rounds on the engine: the compiled plan is the only
+		// suspicion source, so the run satisfies (honest) or violates
+		// (negated) the model by construction rather than by scheduler luck.
 		ccfg.SyncRounds = true
 	}
 	ccfg.Observer = rrfd.MultiObserver(metrics, events)
@@ -551,7 +551,7 @@ func runChaos(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 			// as a causal diagram, byte-identical across reruns.
 			v := sum.Violations[0]
 			tracer := rrfd.NewTracer()
-			replay := chaosConfig(cfg)
+			replay := ccfg
 			replay.Observer = tracer
 			if err := rrfd.ChaosReplay(replay, v); err != nil {
 				return fmt.Errorf("replay violation: %w", err)
@@ -720,6 +720,9 @@ func validate(cfg config) error {
 		}
 		if cfg.substrate == "tcp" {
 			return fmt.Errorf("-model compiles virtual-substrate adversaries: drop -substrate tcp")
+		}
+		if cfg.chaos && cfg.crashes > 0 {
+			return fmt.Errorf("-chaos -model runs lock-step, the compiled plan the only author of suspicions: drop -crashes")
 		}
 	}
 	if cfg.workers > 1 && !cfg.chaos && !cfg.chaosRecover && !cfg.mc {

@@ -88,14 +88,16 @@ type Config struct {
 	// rather than recovery noise.
 	TracePred *predicate.P
 
-	// SyncRounds makes the round protocol wait for every process instead
-	// of advancing at the first n−F arrivals, so the only suspicions are
-	// watchdog timeouts on processes whose messages genuinely never came.
-	// Without it, which process a round misses is scheduler arrival order
-	// — eq. (3) slack that even a fault-free run exhibits. Model campaigns
-	// (FixedPlan from hoalg.CompilePlan) set it so the induced suspicions
-	// are exactly D(i,r) = omitting senders ∖ {i}, the synchronous reading
-	// the plan compiler promises; the decision quorum stays at n−F.
+	// SyncRounds runs every execution in lock-step on the engine: the plan
+	// is read as an oracle (faultnet.Plan.LockStep: D(i,r) = rate-1.0
+	// omitting senders ∖ {i} every round, duplicates and short delays leave
+	// no mark) and core.RunLockStep executes it — no goroutines, links,
+	// scheduler or watchdog; the decision quorum stays at n−F. It is what
+	// hoalg.CompilePlan's plans are written for, and what waiting for all n
+	// on the substrate induces (TestLockStepEqualsSubstrate). A crash draw
+	// or a component that depends on step timing is a *LockStepError (a
+	// "run-error"). The summary counts no stalls, retransmissions, give-ups
+	// or steps; the Observer gets the engine's hooks on a clock standing still.
 	SyncRounds bool
 
 	// QuorumBug deliberately breaks the decision rule — processes decide
@@ -202,7 +204,8 @@ type Summary struct {
 	// Stalls, Retransmissions and GiveUps aggregate link recovery work.
 	Stalls, Retransmissions, GiveUps int
 
-	// Steps totals scheduler steps across runs.
+	// Steps totals scheduler steps across runs. Like the three above it is
+	// 0 for a SyncRounds campaign, which has no links and no scheduler.
 	Steps int
 }
 
@@ -342,9 +345,14 @@ type runResult struct {
 // Execute runs one k-set-agreement execution under the given scheduler
 // seed, fault plan and crash pattern. Process i proposes the value i and
 // decides the minimum of its round-1 view provided the view reached the
-// n−f quorum; under QuorumBug it decides regardless of quorum.
+// n−f quorum; under QuorumBug it decides regardless of quorum. Under
+// SyncRounds (see there) the seed goes unused and the report stays empty.
 func Execute(cfg Config, schedSeed int64, plan faultnet.Plan, crashes map[core.PID]int) (*core.RoundOutcome, *reliablelink.RunReport, map[core.PID]core.Value, error) {
 	cfg = cfg.withDefaults()
+	if cfg.SyncRounds {
+		out, err := executeLockStep(cfg, plan, crashes)
+		return out, &reliablelink.RunReport{}, decide(cfg, out), err
+	}
 	if cfg.Observer != nil {
 		for _, c := range plan.Partitions() {
 			cfg.Observer.Event("faultnet.partition_span", -1, -1, map[string]any{
@@ -352,11 +360,7 @@ func Execute(cfg Config, schedSeed int64, plan faultnet.Plan, crashes map[core.P
 			})
 		}
 	}
-	roundF := cfg.F
-	if cfg.SyncRounds {
-		roundF = 0 // lock-step rounds: only the watchdog produces suspicions
-	}
-	out, rep, err := reliablelink.RunRounds(cfg.N, roundF, cfg.Rounds, reliablelink.RoundsConfig{
+	out, rep, err := reliablelink.RunRounds(cfg.N, cfg.F, cfg.Rounds, reliablelink.RoundsConfig{
 		Net: msgnet.Config{
 			Chooser:  msgnet.Seeded(schedSeed),
 			Crash:    crashes,
@@ -367,11 +371,30 @@ func Execute(cfg Config, schedSeed int64, plan faultnet.Plan, crashes map[core.P
 		Link:          reliablelink.Config{Observer: cfg.Observer},
 		WatchdogSteps: cfg.WatchdogSteps,
 		LingerSteps:   cfg.LingerSteps,
-	}, func(me core.PID, r int, _ map[core.PID]core.Value, _ core.Set) core.Value {
-		return int(me) // the proposal, re-broadcast every round
-	})
+	}, proposal)
 
 	return out, rep, decide(cfg, out), err
+}
+
+// proposal is the round message: process i's proposal, i, every round.
+func proposal(me core.PID, _ int, _ map[core.PID]core.Value, _ core.Set) core.Value { return int(me) }
+
+// LockStepError is why a SyncRounds execution was refused: something beside
+// the plan's lock-step reading would have authored suspicions.
+type LockStepError struct{ error }
+
+// executeLockStep runs the plan's lock-step reading on the engine, on a
+// clock that stands still: an observed campaign's events carry no wall time.
+func executeLockStep(cfg Config, plan faultnet.Plan, crashes map[core.PID]int) (*core.RoundOutcome, error) {
+	if len(crashes) > 0 {
+		return nil, &LockStepError{fmt.Errorf("chaos: crashes %s are suspects the lock-step plan never chose", crashString(crashes))}
+	}
+	oracle, err := plan.LockStep(cfg.N, cfg.WatchdogSteps)
+	if err != nil {
+		return nil, &LockStepError{err}
+	}
+	return core.RunLockStep(cfg.N, cfg.Rounds, proposal, oracle,
+		core.WithObserver(cfg.Observer), core.WithClock(func() time.Time { return time.Time{} }))
 }
 
 // decide applies the decision rule to an outcome: process i decides by

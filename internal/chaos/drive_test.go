@@ -64,10 +64,6 @@ func (c counted) RecvTimeout(deadline int) (msgnet.Envelope, bool, error) {
 // msgnet.Drive's loop instead of the baton holders.
 func executeOn(cfg Config, sched int64, plan faultnet.Plan, crashes map[core.PID]int, under func(*msgnet.Node) msgnet.Substrate) (*core.RoundOutcome, tally, error) {
 	cfg = cfg.withDefaults()
-	roundF := cfg.F
-	if cfg.SyncRounds {
-		roundF = 0
-	}
 	recs := make([]*core.RoundRec, cfg.N)
 	stalls := make([][]msgnet.Stall, cfg.N)
 	links := make([]*reliablelink.Link, cfg.N)
@@ -85,8 +81,7 @@ func executeOn(cfg Config, sched int64, plan faultnet.Plan, crashes map[core.PID
 		l := reliablelink.New(under(nd), reliablelink.Config{})
 		links[nd.Me] = l
 		var err error
-		recs[nd.Me], stalls[nd.Me], err = msgnet.RunSubstrateRounds(counted{l, &calls[nd.Me]}, roundF, cfg.Rounds, cfg.WatchdogSteps, cfg.LingerSteps,
-			func(me core.PID, r int, _ map[core.PID]core.Value, _ core.Set) core.Value { return int(me) }, nil)
+		recs[nd.Me], stalls[nd.Me], err = msgnet.RunSubstrateRounds(counted{l, &calls[nd.Me]}, cfg.F, cfg.Rounds, cfg.WatchdogSteps, cfg.LingerSteps, proposal, nil)
 		return nil, err
 	})
 	t := tally{rep: reliablelink.RunReport{PerProc: make([]reliablelink.Stats, cfg.N), Steps: out.Steps, Crashed: out.Crashed, Errs: out.Errs}}

@@ -106,6 +106,44 @@ func RunRounds(me PID, n, rounds int, emit RoundEmit, exchange func(r int, v Val
 	return rec, nil
 }
 
+// roundProc is a process of the round protocol as an engine Algorithm: it
+// emits what emit makes of its last delivery and records each round as
+// RunRounds does.
+type roundProc struct {
+	me   PID
+	emit RoundEmit
+	rec  RoundRec
+	view map[PID]Value
+	d    Set
+}
+
+func (p *roundProc) Emit(r int) Message { return p.emit(p.me, r, p.view, p.d) }
+
+func (p *roundProc) Deliver(r int, msgs map[PID]Message, d Set) (Value, bool) {
+	p.view, p.d = make(map[PID]Value, len(msgs)), d.Clone()
+	for q, m := range msgs {
+		p.view[q] = m
+	}
+	p.rec.Complete(r, p.view, p.d)
+	return nil, false
+}
+
+// RunLockStep executes the round protocol on the engine, for a system whose
+// D(i,r) the oracle already knows: no substrate, no steps, and the outcome
+// a substrate runner assembles from the same records.
+func RunLockStep(n, rounds int, emit RoundEmit, oracle Oracle, opts ...Option) (*RoundOutcome, error) {
+	recs := make([]*RoundRec, n)
+	res, err := Run(n, make([]Value, n), func(me PID, n int, _ Value) Algorithm {
+		p := &roundProc{me: me, emit: emit, d: NewSet(n)}
+		recs[me] = &p.rec
+		return p
+	}, oracle, append(opts[:len(opts):len(opts)], WithoutTrace(), WithMaxRounds(rounds))...)
+	if err != nil && err != ErrMaxRounds { // Run's bare return once the rounds are run: nobody decides
+		return nil, err
+	}
+	return AssembleRoundOutcome(n, recs, res.Crashed, 0), nil
+}
+
 // InducedTrace builds the RRFD trace an execution induces from its
 // per-process round records: Active at round r is every process that
 // completed r, Suspects[i] is its D(i,r), Deliver[i] the complement, and

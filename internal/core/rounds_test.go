@@ -89,3 +89,47 @@ func TestInducedTraceMarking(t *testing.T) {
 		t.Errorf("views = %v, want three per view-keeping process with a nil hole at the skipped round", out.Views)
 	}
 }
+
+// TestRunLockStep: on the engine each emission is made of the process's
+// previous delivery, the outcome is the one a substrate runner assembles —
+// views, induced trace, no steps — and an invalid plan is the error.
+func TestRunLockStep(t *testing.T) {
+	const n = 3
+	suspects := []Set{SetOf(n, 2), NewSet(n), NewSet(n)} // p0 never hears p2
+	oracle := OracleFunc(func(int, Set) RoundPlan { return RoundPlan{Suspects: suspects} })
+	emit := func(me PID, r int, received map[PID]Value, d Set) Value {
+		if r == 1 {
+			return int(me)
+		}
+		return 10*len(received) + d.Count()
+	}
+	out, err := RunLockStep(n, 2, emit, oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[PID][]map[PID]Value{
+		0: {{0: 0, 1: 1}, {0: 21, 1: 30}},
+		1: {{0: 0, 1: 1, 2: 2}, {0: 21, 1: 30, 2: 30}},
+		2: {{0: 0, 1: 1, 2: 2}, {0: 21, 1: 30, 2: 30}},
+	}
+	if got := fmt.Sprint(out.Views); got != fmt.Sprint(want) {
+		t.Fatalf("views %s, want %s", got, fmt.Sprint(want))
+	}
+	if out.Steps != 0 || !out.Crashed.Empty() || out.Trace.Len() != 2 {
+		t.Fatalf("outcome %+v", out)
+	}
+	for r := 1; r <= 2; r++ {
+		rec := out.Trace.Round(r)
+		for i := range suspects {
+			if !rec.Active.Equal(FullSet(n)) || !rec.Suspects[i].Equal(suspects[i]) || !rec.Deliver[i].Equal(suspects[i].Complement()) {
+				t.Fatalf("round %d: %+v", r, rec)
+			}
+		}
+	}
+
+	var bad *PlanError
+	everybody := OracleFunc(func(int, Set) RoundPlan { return RoundPlan{Suspects: []Set{FullSet(n), NewSet(n), NewSet(n)}} })
+	if out, err := RunLockStep(n, 2, emit, everybody); !errors.As(err, &bad) || out != nil {
+		t.Fatalf("D(0,1) = S: outcome %v, err %v, want a *PlanError", out, err)
+	}
+}

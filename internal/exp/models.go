@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/adversary"
 	"repro/internal/agreement"
@@ -16,7 +15,7 @@ import (
 // through all three compiled artifacts: each model's expression is
 // enumerated branch by branch under the mc explorer (schedules must
 // exhaust with the compiled checker attached as a trace property), and
-// chaos-tested on the virtual substrate under its honest compiled plan
+// chaos-tested in lock-step engine runs under its honest compiled plan
 // (zero violations) and under its negation's breaker plan (the compiled
 // checker must catch it). One expression, three validated artifacts —
 // the single-source-of-truth claim, measured.
@@ -143,7 +142,6 @@ func modelCampaign(e, planFrom *hoalg.Expr, n, f, k, runs int, seed int64) (*cha
 		SyncRounds: true,
 		FixedPlan:  &plan,
 		TracePred:  &pred,
-		Out:        io.Discard,
 	}), nil
 }
 

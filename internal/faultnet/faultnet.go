@@ -189,6 +189,40 @@ func (p Plan) Injector() msgnet.FaultInjector {
 	return inj
 }
 
+// LockStep is the plan's second reading, for rounds in which every process
+// waits for all n up to a watchdog of that many steps: the plan as the
+// author of D(i,r). A rate-1.0 SendOmission sender is suspected by everyone
+// but itself in every round; Duplicate, omission at rate 0 and Delay
+// components that together stay under the watchdog leave no mark. Any other
+// component — Drop, Partition, omission at a rate in between, a delay that
+// can reach the watchdog — suspects whom the scheduler makes it suspect:
+// the plan has no reading. The oracle plans, and owns, the same sets every
+// round.
+func (p Plan) LockStep(n, watchdog int) (core.Oracle, error) {
+	omitting, delay := core.NewSet(n), 0
+	for _, c := range p.Components {
+		switch {
+		case c.Kind == Duplicate, c.Kind == SendOmission && c.Rate <= 0:
+		case c.Kind == Delay && delay+max(1, c.MaxDelay) < watchdog:
+			delay += max(1, c.MaxDelay)
+		case c.Kind == SendOmission && c.Rate >= 1:
+			for _, s := range c.Senders {
+				omitting.Add(s)
+			}
+		default:
+			return nil, fmt.Errorf("faultnet: %s has no lock-step reading", c)
+		}
+	}
+	suspects := make([]core.Set, n)
+	for i := range suspects {
+		suspects[i] = omitting.Clone()
+		suspects[i].Remove(core.PID(i))
+	}
+	return core.OracleFunc(func(int, core.Set) core.RoundPlan {
+		return core.RoundPlan{Suspects: suspects}
+	}), nil
+}
+
 // noGroup marks a process on no side of a partition.
 const noGroup = -1
 
@@ -286,10 +320,3 @@ func (r *rng) Intn(n int) int { return int(r.next() % uint64(n)) }
 func (r *rng) chance(rate float64) bool { return rate > 0 && r.Float() < rate }
 
 func (r *rng) intn(n int) int { return r.Intn(n) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -124,3 +124,56 @@ func TestRNGUniformish(t *testing.T) {
 		}
 	}
 }
+
+// TestLockStepReading: a rate-1.0 omitting sender is suspected by everyone
+// but itself in every round, whatever the active set; noise leaves no mark.
+func TestLockStepReading(t *testing.T) {
+	const n, watchdog = 5, 1200
+	oracle, err := Plan{Seed: 3, Components: []Component{
+		{Kind: Delay, Rate: 0.5, MaxDelay: 8},
+		{Kind: Duplicate, Rate: 0.3, Copies: 2},
+		{Kind: SendOmission, Rate: 0, Senders: []core.PID{0}},
+		{Kind: SendOmission, Rate: 1, Senders: []core.PID{1, 3, 9}},
+	}}.LockStep(n, watchdog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r <= 3; r++ {
+		plan := oracle.Plan(r, core.FullSet(n))
+		if !plan.Crashes.Empty() || plan.Deliver != nil || len(plan.Suspects) != n {
+			t.Fatalf("round %d plans crashes %s, deliveries %v, %d suspect sets", r, plan.Crashes, plan.Deliver, len(plan.Suspects))
+		}
+		for i, d := range plan.Suspects {
+			want := core.SetOf(n, 1, 3)
+			want.Remove(core.PID(i))
+			if !d.Equal(want) {
+				t.Fatalf("round %d: D(%d) = %s, want %s", r, i, d, want)
+			}
+		}
+	}
+}
+
+// TestNoLockStepReading: a component whose effect depends on step timing
+// leaves the plan without the reading, and the error names it.
+func TestNoLockStepReading(t *testing.T) {
+	const n, watchdog = 5, 1200
+	for _, c := range []Component{
+		{Kind: Drop, Rate: 0.3},
+		{Kind: Partition, Groups: [][]core.PID{{0, 1}, {2}}, Until: 50},
+		{Kind: SendOmission, Rate: 0.5, Senders: []core.PID{1}},
+		{Kind: Delay, Rate: 0.2, MaxDelay: watchdog},
+		{Kind: "reorder"},
+	} {
+		plan := Plan{Seed: 1, Components: []Component{{Kind: Duplicate, Rate: 0.1}, c}}
+		oracle, err := plan.LockStep(n, watchdog)
+		if err == nil || oracle != nil || !strings.Contains(err.Error(), c.String()) {
+			t.Fatalf("%s: LockStep = (%v, %v), want an error naming %s", plan, oracle, err, c)
+		}
+	}
+	// Delays add up along one copy's way: two that each stay under the
+	// watchdog do not together.
+	two := Plan{Components: []Component{{Kind: Delay, Rate: 1, MaxDelay: 700}, {Kind: Delay, Rate: 1, MaxDelay: 700}}}
+	if _, err := two.LockStep(n, watchdog); err == nil {
+		t.Fatalf("%s has a lock-step reading under a %d-step watchdog", two, watchdog)
+	}
+}

@@ -17,9 +17,9 @@ import (
 // satisfy every conjunct. A permanently omitting sender is exactly a
 // send-omission-faulty process in the paper's eq. (1) sense: everyone else
 // times out on it each round and suspects it, it keeps hearing everyone.
-// That reading assumes lock-step rounds — campaigns running a compiled plan
-// should set chaos.Config.SyncRounds, or arrival-order slack adds
-// suspicions the plan never chose.
+// That is the plan's lock-step reading (faultnet.Plan.LockStep), which a
+// campaign sets chaos.Config.SyncRounds to execute, on the engine; under
+// n−f rounds arrival order, like a crash, adds suspicions it never chose.
 //
 // For a top-level negation !e the plan is a breaker: the omitting sender
 // set is sized so the induced suspicions must violate e (e.g. f+1 senders
