@@ -14,7 +14,7 @@ GO ?= go
 BENCH_PKGS := ./internal/core ./internal/agreement ./internal/msgnet ./internal/swmr ./internal/reliablelink ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal ./internal/hoalg ./internal/predicate ./internal/adversary ./internal/snapshot ./internal/semisync
 BENCH_PAT  ?= .
 
-.PHONY: build test race vet ci bench bench-build bench-check chaos-short chaos recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
+.PHONY: build test race vet ci bench bench-build bench-check baton-race readers-race net-short cover chaos
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ build:
 test:
 	$(GO) test ./...
 
+# Every package and every cmd/ test under the race detector. The cmd/ tests
+# drive each CLI mode through run() with fixed seeds — clean and planted-bug
+# campaigns (-chaos, -chaos-recover, -chaos-serve), -mc exhaustive, bounded
+# and replayed, -model, -perfetto, kill-and-resume, the rrfdload local and
+# pooled modes — so no target below repeats one as a `go run` smoke: a
+# target stays only for what this one cannot assert.
 race:
 	$(GO) test -race ./...
 
@@ -31,7 +37,7 @@ vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .) && test -z "$$out" || { echo "gofmt -l . lists:"; echo "$$out"; exit 1; }
 
-ci: vet build bench-build race chaos-short recovery-short mc-short mc-cover hoalg-short telemetry-short net-short serve-short fleet-short
+ci: vet build bench-build race baton-race readers-race net-short cover
 
 # bench/ is a nested module (repro/bench) that `go build ./...` and
 # `go vet ./...` never reach: vet and compile it here, so an API move
@@ -39,125 +45,34 @@ ci: vet build bench-build race chaos-short recovery-short mc-short mc-cover hoal
 bench-build:
 	$(GO) vet -C bench . && $(GO) build -C bench -o /dev/null .
 
-# Fixed-seed, small-N fault-injection campaigns under the race detector:
-# quick enough for every CI run, loud on any safety violation (the chaos
-# binary exits non-zero and prints seed + minimized fault plan). The
-# substrates' scheduler runs on whichever process goroutine stopped
+# The substrates' scheduler runs on whichever process goroutine stopped
 # computing last (internal/baton), so the packages built on it are raced at
 # one and at four processors whatever the runner has.
-chaos-short:
+baton-race:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/baton/ ./internal/msgnet/ ./internal/swmr/ ./internal/reliablelink/
-	$(GO) run -race ./cmd/rrfdsim -chaos -n 6 -f 2 -k 3 -runs 25 -drop 0.3 -seed 7
-	$(GO) run -race ./cmd/rrfdsim -chaos -n 5 -f 1 -k 2 -runs 15 -seed 21 \
-		-drop 0.3 -dup 0.3 -delay 0.4 -omit 0.4 -partition 0.5 -crashes 1
 
-# Fixed-seed crash-recovery campaigns plus a kill-and-resume round trip,
-# all under the race detector: every run crashes at least one process and
-# is audited by recovery.Audit (task.KSet plus durability); the resumed
-# execution must match the journal or rrfdsim exits non-zero with a
-# divergence error.
-recovery-short:
-	$(GO) run -race ./cmd/rrfdsim -chaos-recover -n 5 -f 1 -runs 25 -seed 42
-	$(GO) run -race ./cmd/rrfdsim -chaos-recover -n 5 -f 1 -runs 15 -seed 7 \
-		-drop 0.15 -delay 0.2
-	dir=$$(mktemp -d)/ck && \
-	$(GO) run -race ./cmd/rrfdsim -system crash -alg floodmin -n 8 -f 3 -seed 5 \
-		-checkpoint $$dir -kill-after 1 && \
-	$(GO) run -race ./cmd/rrfdsim -system crash -alg floodmin -n 8 -f 3 -seed 5 \
-		-resume $$dir && rm -rf $${dir%/ck}
+# Connection readers answer reads from the decided table while the shard
+# loops publish into it: the concurrent-reader tests ten times over.
+readers-race:
+	$(GO) test -race -count 10 -run 'TestConcurrentReaders|TestReadYourWrites' ./internal/serve/
 
-# Fixed-seed model-checking runs under the race detector: exhaustive
-# exploration of small instances for three model families, a bounded
-# sampled run, and the planted wrong-quorum bug — which MUST fail with its
-# known one-choice counterexample (the ! inverts the expected exit 1).
-mc-short:
-	$(GO) run -race ./cmd/rrfdsim -mc -system async -n 3 -f 1 -alg qkset -workers 4
-	$(GO) run -race ./cmd/rrfdsim -mc -system omission -n 3 -f 1 -alg floodmin -rounds 3
-	$(GO) run -race ./cmd/rrfdsim -mc -system crash -n 3 -f 1 -alg floodmin -rounds 2 -mc-depth 1
-	! $(GO) run -race ./cmd/rrfdsim -mc -system async -n 3 -f 1 -alg qkset -bug
-	$(GO) run -race ./cmd/rrfdsim -mc -system async -n 3 -f 1 -alg qkset -bug -mc-replay c1:4; \
-		test $$? -eq 1
-
-# Coverage floors for the two packages that judge every other package's
-# safety: the model-checking engine stays >= 85% covered, and the task
-# relation every audit evaluates (task.KSet) >= 90%.
-mc-cover:
-	$(GO) test -cover ./internal/mc/ ./internal/task/ | awk '{ \
-		for (i = 1; i <= NF; i++) if ($$i == "coverage:") c[$$2] = substr($$(i+1), 1, length($$(i+1))-1); \
-		print } END { \
-		if (c["repro/internal/mc"] + 0 < 85) { print "internal/mc coverage " c["repro/internal/mc"] "% below 85% floor"; bad = 1 } \
-		if (c["repro/internal/task"] + 0 < 90) { print "internal/task coverage " c["repro/internal/task"] "% below 90% floor"; bad = 1 } \
-		exit bad }'
-
-# Model-algebra gate, under the race detector: the atom table's own tests
-# (internal/predicate), the legacy-name <-> expression binding and golden
-# verdict suites, every enumerator path against its checker, compiled vs
-# reference enumerators, the fuzz seed corpus and chaos closure; then one
-# -model smoke for the plain and the -mc run mode (-chaos -model is pinned
-# in tier-1 by cmd/rrfdsim's TestChaosModelGolden) and a coverage floor on
-# the compiler package itself.
-hoalg-short:
-	$(GO) test -race -count=1 ./internal/predicate/ ./internal/hoalg/ ./internal/adversary/
-	$(GO) run -race ./cmd/rrfdsim -model sync-crash -n 3 -f 1 -alg none -rounds 3
-	$(GO) run -race ./cmd/rrfdsim -mc -model 'kset(2) | perround(1)' -n 3 -f 1 -k 2 -alg qkset
-	$(GO) test -cover ./internal/hoalg/ | awk '{ \
-		for (i = 1; i <= NF; i++) if ($$i == "coverage:") c = substr($$(i+1), 1, length($$(i+1))-1); \
-		print } END { \
-		if (c + 0 < 85) { print "internal/hoalg coverage " c "% below 85% floor"; exit 1 } }'
-
-# Telemetry smoke under the race detector: a single run writes a Perfetto
-# trace and a metrics snapshot; the planted-bug chaos campaign must fail
-# (the leading ! inverts the expected exit 1) AND replay its first
-# violation into a trace; both files must be non-empty.
-telemetry-short:
-	dir=$$(mktemp -d) && \
-	$(GO) run -race ./cmd/rrfdsim -system kset -k 2 -n 6 -alg kset -seed 3 \
-		-metrics -perfetto $$dir/run.json && \
-	test -s $$dir/run.json && \
-	! $(GO) run -race ./cmd/rrfdsim -chaos -n 6 -f 2 -k 3 -runs 60 -seed 13 \
-		-drop 1.0 -omit 0.8 -partition 0.6 -watchdog 300 -bug \
-		-perfetto $$dir/chaos.json && \
-	test -s $$dir/chaos.json && rm -rf $$dir
-
-# Real-network smoke under the race detector: the loopback TCP substrate
-# tests (peer pool, backpressure, eviction, the coalescing writer, the
-# first send after a peer's restart — TestFirstSendAfterPeerRestartArrives —
-# chaos proxy, cross-validation against the virtual injector) plus the
-# multi-process run — one OS
-# process per pid over inherited listeners, the highest pid killed and
-# restarted mid-run, decisions audited for validity and k-agreement.
+# The multi-process run, which no test spawns: one OS process per pid over
+# inherited loopback listeners, the highest pid killed and restarted
+# mid-run, decisions audited for validity and k-agreement.
 net-short:
-	$(GO) test -race -count 1 ./internal/netsub/
 	$(GO) run -race ./cmd/rrfdsim -substrate tcp -n 4 -f 1 -k 2 -rounds 3 -watchdog 600
 
-# Agreement-service smoke under the race detector: the service package
-# tests (durable instances, admission control, retry discipline, and the
-# turn's pins: TestFramesAndCommitsPerDecide holds a fault-free decide to
-# <= 9.5 mesh frames and <= 4.5 journal commits,
-# TestFirstSubmitAfterRestartDecidesPromptly the first decide at a
-# restarted node to a quarter of RequestTimeout), the concurrent-reader
-# test ten times over (connection readers answer reads from the decided
-# table while the shard loops publish into it), an
-# in-process load-generator run with its idempotency/validity/k-agreement
-# audit, the fixed-seed kill-and-recover campaign, and the same campaign
-# with the planted ack-before-journal bug — which MUST fail on the lost
-# acked decision (the leading ! inverts the expected exit 1).
-serve-short:
-	$(GO) test -race -count 1 ./internal/serve/
-	$(GO) test -race -count 10 -run 'TestConcurrentReaders|TestReadYourWrites' ./internal/serve/
-	$(GO) run -race ./cmd/rrfdload -local 3 -f 1 -clients 6 -requests 10 -seed 7
-	$(GO) run -race ./cmd/rrfdsim -chaos-serve -n 3 -f 1 -k 2 -seed 7
-	! $(GO) run -race ./cmd/rrfdsim -chaos-serve -n 3 -f 1 -k 2 -seed 7 -bug
-
-# Engine-fleet smoke under the race detector: the fleet package tests
-# (shard × worker determinism grid, repartitioned crash/resume, protocol
-# audit) plus a pooled-connection scale run of the load generator — many
-# virtual clients multiplexed over a bounded connection pool against a
-# sharded local cluster, audits clean.
-fleet-short:
-	$(GO) test -race -count 1 ./internal/fleet/
-	$(GO) run -race ./cmd/rrfdload -local 3 -f 1 -clients 2000 -conns 8 \
-		-requests 1 -instances 256 -seed 7
+# Coverage floors for the packages that judge every other package's safety:
+# the model-checking engine and the model-algebra compiler stay >= 85%
+# covered, the task relation every audit evaluates (task.KSet) >= 90%.
+cover:
+	$(GO) test -cover ./internal/mc/ ./internal/task/ ./internal/hoalg/ | awk '{ \
+		for (i = 1; i <= NF; i++) if ($$i == "coverage:") c[$$2] = substr($$(i+1), 1, length($$(i+1))-1); \
+		print } END { \
+		floor["mc"] = 85; floor["task"] = 90; floor["hoalg"] = 85; \
+		for (p in floor) if (c["repro/internal/" p] + 0 < floor[p]) { \
+			print "internal/" p " coverage " c["repro/internal/" p] "% below " floor[p] "% floor"; bad = 1 } \
+		exit bad }'
 
 # The larger sweep: every fault class, more seeds, more runs.
 chaos:

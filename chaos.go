@@ -2,21 +2,13 @@ package rrfd
 
 import (
 	"repro/internal/chaos"
-	"repro/internal/faultnet"
 )
 
 // ChaosConfig shapes a randomized fault-injection campaign; see
 // internal/chaos.Config for field semantics.
 type ChaosConfig = chaos.Config
 
-// ChaosSummary aggregates a campaign's runs and safety violations.
-type ChaosSummary = chaos.Summary
-
-// FaultPlan is a seeded, composable link-fault model; see
-// internal/faultnet.Plan.
-type FaultPlan = faultnet.Plan
-
 // ChaosRun executes a chaos campaign: many seeded executions of k-set
 // agreement over reliable links on a randomly faulty substrate, each
 // checked against validity, k-agreement, and trace-predicate conformance.
-func ChaosRun(cfg ChaosConfig) *ChaosSummary { return chaos.Run(cfg) }
+var ChaosRun = chaos.Run

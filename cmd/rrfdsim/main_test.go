@@ -222,13 +222,19 @@ func TestRunCollectOnly(t *testing.T) {
 }
 
 func TestRunChaosClean(t *testing.T) {
-	cfg := config{n: 6, f: 2, k: 3, seed: 7, chaos: true, runs: 10, drop: 0.3}
-	var out bytes.Buffer
-	if err := run(cfg, &out); err != nil {
-		t.Fatalf("clean campaign errored: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "0 violations") {
-		t.Fatalf("summary missing:\n%s", out.String())
+	for _, cfg := range []config{
+		{n: 6, f: 2, k: 3, seed: 7, chaos: true, runs: 25, drop: 0.3},
+		// Every fault class at once, plus a crash.
+		{n: 5, f: 1, k: 2, seed: 21, chaos: true, runs: 15, drop: 0.3, dup: 0.3,
+			delay: 0.4, omit: 0.4, partition: 0.5, crashes: 1},
+	} {
+		var out bytes.Buffer
+		if err := run(cfg, &out); err != nil {
+			t.Fatalf("clean campaign errored: %v\n%s", err, out.String())
+		}
+		if !strings.Contains(out.String(), " 0 violations") {
+			t.Fatalf("summary missing:\n%s", out.String())
+		}
 	}
 }
 
@@ -401,13 +407,18 @@ func TestValidateRecoveryFlagCombos(t *testing.T) {
 }
 
 func TestRunChaosRecoverClean(t *testing.T) {
-	cfg := config{n: 5, f: 1, k: 2, chaosRecover: true, runs: 25, seed: 42}
-	var out bytes.Buffer
-	if err := run(cfg, &out); err != nil {
-		t.Fatalf("clean campaign errored: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), " 0 violations") {
-		t.Fatalf("summary missing:\n%s", out.String())
+	for _, cfg := range []config{
+		{n: 5, f: 1, k: 2, chaosRecover: true, runs: 25, seed: 42},
+		// Crashes and restarts over lossy, slow links.
+		{n: 5, f: 1, k: 2, chaosRecover: true, runs: 15, seed: 7, drop: 0.15, delay: 0.2},
+	} {
+		var out bytes.Buffer
+		if err := run(cfg, &out); err != nil {
+			t.Fatalf("clean campaign errored: %v\n%s", err, out.String())
+		}
+		if !strings.Contains(out.String(), " 0 violations") {
+			t.Fatalf("summary missing:\n%s", out.String())
+		}
 	}
 }
 
@@ -443,14 +454,27 @@ func mcConfig() config {
 	return config{system: "async", alg: "qkset", n: 3, f: 1, k: 2, seed: 1, mc: true}
 }
 
+// TestRunMCExhaustsHonest explores one honest rule per model family to the
+// end, and a depth-bounded one that samples past its frontier.
 func TestRunMCExhaustsHonest(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(mcConfig(), &buf); err != nil {
-		t.Fatalf("run: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "schedules=27") || !strings.Contains(out, "exhausted") {
-		t.Fatalf("output lacks the exhaustive verdict:\n%s", out)
+	for _, tc := range []struct {
+		cfg                config
+		schedules, verdict string
+	}{
+		{mcConfig(), "schedules=27 ", "exhausted: every schedule satisfies the properties"},
+		{config{system: "omission", alg: "floodmin", n: 3, f: 1, k: 2, rounds: 3, seed: 1, mc: true},
+			"schedules=124 pruned=22 ", "exhausted: every schedule satisfies the properties"},
+		{config{system: "crash", alg: "floodmin", n: 3, f: 1, k: 2, rounds: 2, seed: 1, mc: true, mcDepth: 1},
+			"schedules=80 pruned=0 sampled=80 ", "bounded: sampled beyond depth 1, no violation found"},
+	} {
+		var buf bytes.Buffer
+		if err := run(tc.cfg, &buf); err != nil {
+			t.Fatalf("run: %v\n%s", err, buf.String())
+		}
+		out := buf.String()
+		if !strings.Contains(out, tc.schedules) || !strings.Contains(out, tc.verdict) {
+			t.Fatalf("output lacks %q and %q:\n%s", tc.schedules, tc.verdict, out)
+		}
 	}
 }
 

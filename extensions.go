@@ -3,7 +3,6 @@ package rrfd
 import (
 	"repro/internal/abd"
 	"repro/internal/adversary"
-	"repro/internal/core"
 	"repro/internal/immediate"
 	"repro/internal/predicate"
 	"repro/internal/view"
@@ -11,26 +10,7 @@ import (
 
 // ---- Full-information views (§1, §2 items 3-4, Cor 4.4 machinery) ----
 
-type (
-	// KnowledgeView is a process's full-information state: its input and
-	// the recursive views it received, with the local-state chain.
-	KnowledgeView = view.View
-
-	// ViewHistory is each process's sequence of end-of-round views.
-	ViewHistory = view.History
-
-	// FIFOReception is one simulated reception of the non-round-based
-	// system of §2 item 3.
-	FIFOReception = view.Reception
-
-	// WriteEmulation reports the §2 item 4 emulated-write analysis.
-	WriteEmulation = view.WriteEmulation
-)
-
 var (
-	// FullInfo is the full-information protocol factory.
-	FullInfo = view.FullInfo
-
 	// RunFullInfo runs the full-information protocol and returns final
 	// views.
 	RunFullInfo = view.Run
@@ -55,16 +35,8 @@ var (
 
 // ---- Immediate snapshots (reference [4], the iterated model) ----
 
-type (
-	// ImmediateObject is a one-shot immediate snapshot handle.
-	ImmediateObject = immediate.Object
-
-	// ImmediateView is a Participate result.
-	ImmediateView = immediate.View
-
-	// ImmediateRoundOutcome reports an iterated-immediate-snapshot run.
-	ImmediateRoundOutcome = core.RoundOutcome
-)
+// ImmediateView is a Participate result.
+type ImmediateView = immediate.View
 
 var (
 	// NewImmediate returns a handle to a named one-shot immediate
@@ -91,20 +63,9 @@ var (
 
 // ---- ABD register emulation (reference [22]) ----
 
-type (
-	// ABDRegister is a process's handle to the emulated SWMR atomic
-	// register over message passing.
-	ABDRegister = abd.Register
-
-	// ABDOp is one logged register operation with its logical interval.
-	ABDOp = abd.Op
-
-	// ABDOutcome reports an emulation run.
-	ABDOutcome = abd.Outcome
-
-	// ABDScript is the per-process workload.
-	ABDScript = abd.Script
-)
+// ABDRegister is a process's handle to the emulated SWMR atomic
+// register over message passing.
+type ABDRegister = abd.Register
 
 var (
 	// RunABD executes a workload over the emulated register (2f < n).

@@ -4,50 +4,24 @@ import "repro/internal/hoalg"
 
 // ---- Model expression algebra (internal/hoalg) ----
 //
-// A ModelExpr is a higher-order model over the per-round suspicion sets
-// D(i,r): atoms are the paper's elementary constraints (eqs. (1)–(5),
+// A model expression is a higher-order model over the per-round suspicion
+// sets D(i,r): atoms are the paper's elementary constraints (eqs. (1)–(5),
 // the §3 k-set detector, ...) and expressions close them under and/or/
-// not/forever/eventually. One expression compiles three ways — Compile
-// (a checkable Predicate), CompileEnum/EnumBranches (an exhaustive
-// adversary enumeration for the model checker) and CompilePlan (a chaos
-// fault plan whose honest form satisfies the model and whose negation
-// violates it). See DESIGN §17.
+// not/forever/eventually. One expression compiles three ways: a checkable
+// Predicate, an exhaustive adversary enumeration for the model checker, and
+// a chaos fault plan whose honest form satisfies the model and whose
+// negation violates it. See DESIGN §17.
 
-type (
-	// ModelExpr is a model expression over per-round suspicion sets.
-	ModelExpr = hoalg.Expr
-
-	// ModelParams instantiates a catalog model for a concrete system
-	// size (n, f, k, stabilization round).
-	ModelParams = hoalg.Params
-
-	// DerivedModel is one named catalog model (expression family plus
-	// its paper locus).
-	DerivedModel = hoalg.Model
-
-	// ModelBranch is one disjunct of a model with its enumerator:
-	// disjunctions are explored branch by branch, since mixing branches
-	// per round could satisfy neither disjunct.
-	ModelBranch = hoalg.Branch
-
-	// ModelParseError reports where and why a model expression string
-	// failed to parse.
-	ModelParseError = hoalg.ParseError
-)
+// ModelParams instantiates a catalog model for a concrete system size
+// (n, f, k, stabilization round).
+type ModelParams = hoalg.Params
 
 var (
-	// ParseModel parses the canonical expression syntax (the String
-	// round-trip form), e.g. "selftrust & atmost(2)".
-	ParseModel = hoalg.Parse
-
 	// ResolveModel turns a -model argument into an expression: a
 	// catalog model name instantiated with the params, or failing that
 	// a parsed expression string.
 	ResolveModel = hoalg.Resolve
 
-	// ModelCatalog lists the derived-model catalog in presentation
-	// order; LookupModel finds one by name; ModelNames lists the names.
-	ModelCatalog = hoalg.Catalog
-	LookupModel  = hoalg.Lookup
-	ModelNames   = hoalg.Names
+	// ModelNames lists the derived-model catalog's names, sorted.
+	ModelNames = hoalg.Names
 )

@@ -74,8 +74,9 @@ run 18: durability violation: recovery audit: durability violation at p0: decide
 }
 
 // TestGoldenQuorumBugCampaign pins the full violating text of the
-// telemetry-short planted-bug campaign, recorded before check moved onto
-// internal/task: the clean goldens above say nothing about wording.
+// planted-bug campaign cmd/rrfdsim's TestRunChaosPerfetto runs, recorded
+// before check moved onto internal/task: the clean goldens above say nothing
+// about wording.
 func TestGoldenQuorumBugCampaign(t *testing.T) {
 	const want = `chaos: 60 runs, 8 violations, 360 decided, 0 undecided, 167 stalls, 23908 retransmissions, 0 give-ups, 66708 steps
 run 3: k-agreement violation: 4 distinct decisions [0 1 2 5] exceed k=3

@@ -265,7 +265,9 @@ func (t *task) push(options int, labels []uint64) {
 		if !t.opts.NoPrune && t.explored[f.hash] {
 			f.pruned = true
 			t.stats.Pruned++
-			t.event("mc.prune", map[string]any{"depth": t.depth})
+			if o := t.opts.Observer; o != nil {
+				o.Event("mc.prune", -1, -1, map[string]any{"depth": t.depth})
+			}
 		}
 	}
 	if f.labels != nil && !f.pruned {
@@ -434,18 +436,16 @@ func (t *task) explore() taskResult {
 		}
 		if t.sampling {
 			t.stats.Sampled++
-			t.event("mc.sample", map[string]any{"depth": t.pathLen})
+			if o := t.opts.Observer; o != nil {
+				o.Event("mc.sample", -1, -1, map[string]any{"depth": t.pathLen})
+			}
 		}
-		t.event("mc.schedule", map[string]any{"depth": t.pathLen})
+		if o := t.opts.Observer; o != nil {
+			o.Event("mc.schedule", -1, -1, map[string]any{"depth": t.pathLen})
+		}
 		if !t.backtrack() {
 			return taskResult{stats: t.stats, exhausted: !t.sawSampling}
 		}
-	}
-}
-
-func (t *task) event(kind string, fields map[string]any) {
-	if t.opts.Observer != nil {
-		t.opts.Observer.Event(kind, -1, -1, fields)
 	}
 }
 

@@ -423,6 +423,32 @@ func TestObserverEvents(t *testing.T) {
 	}
 }
 
+// discardEvents is an observer that keeps nothing.
+type discardEvents struct{}
+
+func (discardEvents) Event(string, int, int, map[string]any) {}
+
+// TestUnobservedExploreBuildsNoEventFields: with no Observer an explored
+// schedule builds no field map for the mc.schedule event nobody receives, so
+// the same exploration under an observer that discards everything allocates
+// at least one map per schedule more.
+func TestUnobservedExploreBuildsNoEventFields(t *testing.T) {
+	const schedules = 64
+	explore := func(opts Options) float64 {
+		opts.Workers = 1
+		return testing.AllocsPerRun(20, func() {
+			if res, err := Explore(opts, tree(3, 4, nil)); err != nil || res.Schedules != schedules {
+				t.Fatalf("res = %+v, err = %v, want %d schedules", res, err, schedules)
+			}
+		})
+	}
+	unobserved, observed := explore(Options{}), explore(Options{Observer: discardEvents{}})
+	if unobserved+schedules > observed {
+		t.Fatalf("%.0f allocations unobserved, %.0f observed: want at least %d fewer, one field map per schedule",
+			unobserved, observed, schedules)
+	}
+}
+
 func TestShrinkLowersChoices(t *testing.T) {
 	// Any schedule whose first choice is >= 1 violates; the minimal
 	// counterexample is [1], not the [4,...] the search found first...

@@ -41,10 +41,7 @@
 // the same counters flow to obs.Metrics under the "mc" key.
 package mc
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // DivergenceError reports that replaying a choice prefix presented a
 // different option set than the recorded tree — i.e. the run function is
@@ -68,25 +65,6 @@ func (e *DivergenceError) Error() string {
 	return fmt.Sprintf("mc: non-deterministic replay at depth %d: %d options recorded, %d on replay",
 		e.Depth, e.Want, e.Got)
 }
-
-// ErrLimit is the sentinel matched by errors.Is for a search that ran out
-// of schedule budget before exhausting the space.
-var ErrLimit = errors.New("mc: schedule space not exhausted within limit")
-
-// LimitError reports an un-exhausted search space, carrying the schedules
-// that did run so callers reporting the error lose no information.
-type LimitError struct {
-	// Schedules is how many schedules executed before the budget ran out.
-	Schedules int
-}
-
-// Error implements error.
-func (e *LimitError) Error() string {
-	return fmt.Sprintf("mc: schedule space not exhausted within limit (%d schedules run)", e.Schedules)
-}
-
-// Is reports ErrLimit equivalence for errors.Is.
-func (e *LimitError) Is(target error) bool { return target == ErrLimit }
 
 // Options configures Explore.
 type Options struct {

@@ -20,7 +20,6 @@ func BenchmarkNetsubRoundTrip(b *testing.B) {
 			Me: me, N: 2, Addrs: addrs, Listener: lns[me],
 			HeartbeatEvery: -1, // isolate the data path
 			SendQueue:      256,
-			RecvQueue:      256,
 			WriteTimeout:   5 * time.Second,
 		}
 		nd, err := Start(cfg)

@@ -49,6 +49,14 @@ import (
 	"repro/internal/obs/hist"
 )
 
+// recvQueue bounds the received-envelope queue shared by all inbound
+// connections; when full, inbound readers block, which backpressures the
+// kernel buffers and ultimately the senders.
+const recvQueue = 256
+
+// redial is the reconnect backoff ladder, in units of Config.RedialUnit.
+var redial = backoff.Policy{Initial: 1, Cap: 64, Jitter: 0.2}
+
 // Config shapes one node of the mesh. Me, N and Addrs are required;
 // every other field has a usable default.
 type Config struct {
@@ -78,11 +86,6 @@ type Config struct {
 	// *BackpressureError. 0 means 64.
 	SendQueue int
 
-	// RecvQueue bounds the received-envelope queue shared by all inbound
-	// connections; when full, inbound readers block, which backpressures
-	// the kernel buffers and ultimately the senders. 0 means 256.
-	RecvQueue int
-
 	// HeartbeatEvery is the outbound heartbeat cadence; an inbound
 	// connection silent for 4 of these intervals is declared dead. 0
 	// means 500ms; negative disables heartbeats and the silence bound.
@@ -95,12 +98,8 @@ type Config struct {
 	// DialTimeout bounds one dial and the inbound hello wait. 0 means 2s.
 	DialTimeout time.Duration
 
-	// Redial is the reconnect backoff ladder in units of RedialUnit;
-	// zero means {Initial: 1, Cap: 64, Jitter: 0.2} — 25ms doubling to
-	// 1.6s with ±20% seeded jitter.
-	Redial backoff.Policy
-
-	// RedialUnit scales Redial intervals; 0 means 25ms.
+	// RedialUnit scales the reconnect backoff ladder (redial); 0 means
+	// 25ms — 25ms doubling to 1.6s with ±20% seeded jitter.
 	RedialUnit time.Duration
 
 	// Seed derives each peer's jitter stream; 0 means 1.
@@ -141,9 +140,6 @@ func (c *Config) fill() error {
 	if c.SendQueue <= 0 {
 		c.SendQueue = 64
 	}
-	if c.RecvQueue <= 0 {
-		c.RecvQueue = 256
-	}
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = 500 * time.Millisecond
 	}
@@ -152,9 +148,6 @@ func (c *Config) fill() error {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
-	}
-	if c.Redial == (backoff.Policy{}) {
-		c.Redial = backoff.Policy{Initial: 1, Cap: 64, Jitter: 0.2}
 	}
 	if c.RedialUnit <= 0 {
 		c.RedialUnit = 25 * time.Millisecond
@@ -249,7 +242,7 @@ func Start(cfg Config) (*Node, error) {
 		n:       cfg.N,
 		start:   time.Now(),
 		ln:      ln,
-		recvQ:   make(chan msgnet.Envelope, cfg.RecvQueue),
+		recvQ:   make(chan msgnet.Envelope, recvQueue),
 		peers:   make([]*peer, cfg.N),
 		done:    make(chan struct{}),
 		inbound: make(map[core.PID]net.Conn),

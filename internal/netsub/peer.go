@@ -96,7 +96,7 @@ func (p *peer) run() {
 	defer p.nd.wg.Done()
 	// Each (node, peer) pair gets its own deterministic jitter stream so
 	// a thundering herd of redials decorrelates reproducibly.
-	bo := p.nd.cfg.Redial.Seeded(p.nd.cfg.Seed ^ (int64(p.nd.me)<<16 | int64(p.to)))
+	bo := redial.Seeded(p.nd.cfg.Seed ^ (int64(p.nd.me)<<16 | int64(p.to)))
 	hadConn := false
 	for {
 		if p.nd.closed() || p.evicted.Load() {

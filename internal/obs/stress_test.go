@@ -12,7 +12,7 @@ import (
 
 // TestMultiConcurrentStress hammers a Multi fan-out — Metrics + EventLog +
 // Tracer — plus direct histogram recording from many goroutines at once.
-// Run under -race (make telemetry-short, CI) it is the data-race canary
+// Run under -race (make race, CI) it is the data-race canary
 // for the whole observer stack; the count checks catch lost updates.
 func TestMultiConcurrentStress(t *testing.T) {
 	metrics := obs.NewMetrics()

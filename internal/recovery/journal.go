@@ -25,13 +25,7 @@
 //     both on every recovered run.
 package recovery
 
-import (
-	"encoding/json"
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/wal"
-)
+import "repro/internal/core"
 
 // State is what a journal yields at recovery: the last journaled round,
 // the estimate as of that round, and the last completed view.
@@ -85,11 +79,11 @@ type Journal interface {
 
 // entry is one journal record.
 type entry struct {
-	Round int              `json:"r"`
-	Emit  bool             `json:"emit"`
-	Est   int              `json:"est,omitempty"`
-	View  map[core.PID]int `json:"view,omitempty"`
-	D     core.Set         `json:"d,omitempty"`
+	Round int
+	Emit  bool
+	Est   int
+	View  map[core.PID]int
+	D     core.Set
 }
 
 func stateOf(entries []entry) State {
@@ -163,83 +157,3 @@ func (j *MemJournal) Unflushed() (State, error) {
 }
 
 var _ Journal = (*MemJournal)(nil)
-
-// DiskJournal is a Journal over an internal/wal log. Records are flushed
-// through the WAL's fsync policy; Crash closes and reopens the log, which
-// drops at most a torn tail — the disk analogue of a process kill. Under
-// wal.SyncAlways there is no amnesia window at all, which is the point of
-// having a disk journal.
-type DiskJournal struct {
-	log *wal.Log
-	dir string
-}
-
-// OpenDiskJournal opens (or creates) a WAL-backed journal in dir.
-func OpenDiskJournal(dir string) (*DiskJournal, error) {
-	l, _, _, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
-	if err != nil {
-		return nil, err
-	}
-	return &DiskJournal{log: l, dir: dir}, nil
-}
-
-func (j *DiskJournal) append(e entry) error {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	_, err = j.log.Append(1, b)
-	return err
-}
-
-// LogEmit implements Journal.
-func (j *DiskJournal) LogEmit(r, est int) error {
-	return j.append(entry{Round: r, Emit: true, Est: est})
-}
-
-// LogView implements Journal.
-func (j *DiskJournal) LogView(r int, view map[core.PID]int, d core.Set) error {
-	return j.append(entry{Round: r, View: view, D: d})
-}
-
-// Flush implements Journal.
-func (j *DiskJournal) Flush() error { return j.log.Sync() }
-
-// Crash implements Journal.
-func (j *DiskJournal) Crash() error {
-	if err := j.log.Close(); err != nil {
-		return err
-	}
-	l, _, _, err := wal.Open(j.dir, wal.Options{Sync: wal.SyncAlways})
-	if err != nil {
-		return err
-	}
-	j.log = l
-	return nil
-}
-
-// Recover implements Journal.
-func (j *DiskJournal) Recover() (State, error) {
-	recs, _, err := wal.Replay(j.dir)
-	if err != nil {
-		return State{}, err
-	}
-	entries := make([]entry, 0, len(recs))
-	for _, rec := range recs {
-		var e entry
-		if err := json.Unmarshal(rec.Payload, &e); err != nil {
-			return State{}, fmt.Errorf("recovery: decode journal record %d: %w", rec.Seq, err)
-		}
-		entries = append(entries, e)
-	}
-	return stateOf(entries), nil
-}
-
-// Unflushed implements Journal. A disk journal has no volatile half beyond
-// the torn tail, so it coincides with Recover.
-func (j *DiskJournal) Unflushed() (State, error) { return j.Recover() }
-
-// Close closes the underlying log.
-func (j *DiskJournal) Close() error { return j.log.Close() }
-
-var _ Journal = (*DiskJournal)(nil)

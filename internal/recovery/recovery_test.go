@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -69,51 +68,6 @@ func TestMemJournalDurabilityClasses(t *testing.T) {
 	}
 	if st.LastViewRound != 2 {
 		t.Fatalf("flushed view lost: %+v", st)
-	}
-}
-
-func TestDiskJournalRoundTrip(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "journal")
-	j, err := OpenDiskJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.LogEmit(1, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.LogView(1, map[core.PID]int{0: 7, 1: 4}, core.SetOf(3, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.LogEmit(2, 4); err != nil {
-		t.Fatal(err)
-	}
-	// Crash (close + reopen) must preserve everything written so far.
-	if err := j.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := j.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Round != 2 || st.Est != 4 || st.LastViewRound != 1 || st.LastView[1] != 4 {
-		t.Fatalf("recovered state: %+v", st)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen from scratch — the journal is a plain WAL directory.
-	j2, err := OpenDiskJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	st2, err := j2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Round != st.Round || st2.Est != st.Est || st2.LastViewRound != st.LastViewRound {
-		t.Fatalf("reopened state %+v differs from %+v", st2, st)
 	}
 }
 
@@ -282,38 +236,5 @@ func TestAmnesiaBugCaught(t *testing.T) {
 	}
 	if err := Audit(hout, n, f, rounds); err != nil {
 		t.Fatalf("honest run failed audit: %v", err)
-	}
-}
-
-// TestDiskJournalRecovery runs the protocol over WAL-backed journals: the
-// round trip must work end to end against real files.
-func TestDiskJournalRecovery(t *testing.T) {
-	const n, f, rounds = 4, 1, 3
-	root := t.TempDir()
-	journals := make([]Journal, n)
-	for i := range journals {
-		j, err := OpenDiskJournal(filepath.Join(root, "p", string(rune('0'+i))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer j.Close()
-		journals[i] = j
-	}
-	cfg := Config{
-		Net: msgnet.Config{
-			Crash:   map[core.PID]int{1: 6},
-			Restart: map[core.PID]int{1: 25},
-		},
-		Journals: journals,
-	}
-	out, err := RunRounds(n, f, rounds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Audit(out, n, f, rounds); err != nil {
-		t.Fatalf("audit: %v", err)
-	}
-	if !out.Restarted.Has(1) {
-		t.Fatalf("p1 not restarted: %s", out.Restarted)
 	}
 }

@@ -146,8 +146,27 @@ type Link struct {
 }
 
 // pump is the state of the drive in progress: which operation is in flight
-// and what the handler needs to carry on from its result. DESIGN §11 draws
-// the machine (scanning → receiving → acking, and round again).
+// and what the handler needs to carry on from its result (DESIGN §11 "The
+// handler" has the contract). The machine:
+//
+//	RecvTimeout(deadline) ── rescan: now = Clock(), kept = 0, timer = ∞
+//	          │
+//	          ▼
+//	      scanning: walk order[i:] in send order
+//	          │   settled → drop · not due at now → keep, timer = min(timer, nextAt)
+//	          │   out of attempts → give up · due ──send the boxed frame──▶ Handle:
+//	          │                                      attempts++, re-arm, keep, walk on from i+1
+//	          ▼ end of order: order = order[:kept]
+//	      receiving: recv until min(deadline, timer)
+//	          │
+//	          ├─ nothing, Clock() < deadline (a timer fired) ───────────▶ rescan
+//	          ├─ nothing, deadline reached ─────────────────────────────▶ done: false
+//	          ├─ not a frame ───────────────────────────────────────────▶ done: error
+//	          ├─ an ack: settle the frame it names ─────────────────────▶ rescan
+//	          ├─ a data frame off the loopback link ────────────────────▶ deliver
+//	          └─ a data frame from a peer ──send its ack── acking ──────▶ deliver
+//	                                   (always: the previous ack may be lost)
+//	      deliver: seen before → rlink.dup_rx ──▶ rescan · fresh → done: the message
 type pump struct {
 	state    pumpState
 	i, kept  int        // scanning: order[i] is being retransmitted, order[:kept] stays

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestDecisionReadableOnlyOnceFlushed drives one shard's handlers and
@@ -81,6 +83,47 @@ func TestDecisionReadableOnlyOnceFlushed(t *testing.T) {
 	}
 }
 
+// TestUnobservedDecideBuildsNoEventFields drives one shard's handlers by
+// hand, as above: each peer proposal for a fresh instance opens it and
+// decides it (n−f = 2: the proposal and our own). With no Observer the
+// decide builds no field map for the serve.decide event nobody receives, so
+// the same turn under an observer that discards everything allocates more.
+func TestUnobservedDecideBuildsNoEventFields(t *testing.T) {
+	const decides = 200
+	insts := make([]string, decides+1) // AllocsPerRun warms up with one extra call
+	for i := range insts {
+		insts[i] = fmt.Sprintf("i%d", i)
+	}
+	perDecide := func(o obs.Observer) float64 {
+		s, err := Start(Config{
+			Me: 0, N: 3, F: 1,
+			MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
+			WALDir:      t.TempDir(),
+			Shards:      1,
+			InstanceTTL: time.Hour,
+			Seed:        1,
+			Observer:    o,
+		})
+		if err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		defer s.Close()
+		tb, next := &s.sh[0], 0
+		allocs := testing.AllocsPerRun(decides, func() {
+			s.handle(tb, peerEv{from: 1, kind: pmPropose, inst: insts[next], val: 5})
+			next++
+		})
+		if st := s.Stats(); st.Decisions != decides+1 {
+			t.Fatalf("%d decisions over %d proposals", st.Decisions, decides+1)
+		}
+		return allocs
+	}
+	if unobserved, observed := perDecide(nil), perDecide(obs.Base{}); unobserved >= observed {
+		t.Fatalf("%.0f allocations per unobserved decide, %.0f per observed one: the field map is built for nobody",
+			unobserved, observed)
+	}
+}
+
 // TestReadYourWrites: once a client holds the ack for an instance, a
 // query to the same node — on that connection or any other — answers
 // decided, never unknown: flush publishes before it acknowledges.
@@ -103,7 +146,7 @@ func TestReadYourWrites(t *testing.T) {
 // TestConcurrentReaders: connections re-submitting and querying a hot set
 // of decided instances, and racing queries at instances other clients are
 // deciding right now in the same shards, only ever see the first decided
-// value. `make serve-short` runs it under -race -count=10.
+// value. `make readers-race` runs it under -race -count=10.
 func TestConcurrentReaders(t *testing.T) {
 	cl := fastCluster(t, nil)
 	seed := clientOf(cl, 0)

@@ -605,7 +605,9 @@ func (s *Server) onSubmit(t *shardTable, ev submitEv) {
 		if n := s.inflightN.Load(); n >= int64(s.cfg.MaxInflight) {
 			oe := &OverloadError{Inflight: int(n), Max: s.cfg.MaxInflight}
 			s.ctr.overloads.Add(1)
-			s.event("serve.shed", map[string]any{"inflight": oe.Inflight})
+			if s.cfg.Observer != nil {
+				s.event("serve.shed", map[string]any{"inflight": oe.Inflight})
+			}
 			t.respond(ev.cc, ev.start, Response{
 				Req: req, Inst: id, Status: StatusOverload,
 				Inflight: oe.Inflight, Max: oe.Max, Incarnation: s.incarnation,
@@ -712,7 +714,9 @@ func (s *Server) onPeer(t *shardTable, ev peerEv) {
 				// Peer-initiated instances obey the same admission bound;
 				// the origin's deadline degrades the loss into abstain.
 				s.ctr.peerSheds.Add(1)
-				s.event("serve.shed", map[string]any{"inflight": int(s.inflightN.Load()), "peer": true})
+				if s.cfg.Observer != nil {
+					s.event("serve.shed", map[string]any{"inflight": int(s.inflightN.Load()), "peer": true})
+				}
 				return
 			}
 			ins = s.openInstance(t, ev.inst, ev.val)
@@ -745,7 +749,9 @@ func (s *Server) maybeDecide(t *shardTable, ins *instance) {
 		return
 	}
 	s.ctr.decisions.Add(1)
-	s.event("serve.decide", map[string]any{"gathered": len(ins.got)})
+	if s.cfg.Observer != nil {
+		s.event("serve.decide", map[string]any{"gathered": len(ins.got)})
+	}
 	if s.hDecide != nil {
 		s.hDecide.Record(time.Since(ins.start).Nanoseconds())
 	}
@@ -805,7 +811,9 @@ func (s *Server) onReqExpire(t *shardTable, ev reqExpireEv) {
 			continue
 		}
 		ins.waiters = append(ins.waiters[:i], ins.waiters[i+1:]...)
-		s.event("serve.abstain", map[string]any{"gathered": len(ins.got), "need": s.cfg.N - s.cfg.F})
+		if s.cfg.Observer != nil {
+			s.event("serve.abstain", map[string]any{"gathered": len(ins.got), "need": s.cfg.N - s.cfg.F})
+		}
 		s.abstain(t, ins, w)
 		return
 	}
@@ -832,7 +840,9 @@ func (s *Server) expireInstances(t *shardTable, now time.Time) time.Duration {
 		ins.waiters = nil
 		s.settle(t, ins)
 		s.ctr.evictions.Add(1)
-		s.event("serve.evict_instance", map[string]any{"gathered": len(ins.got)})
+		if s.cfg.Observer != nil {
+			s.event("serve.evict_instance", map[string]any{"gathered": len(ins.got)})
+		}
 	}
 }
 

@@ -19,14 +19,6 @@ type (
 	// workers, observer).
 	MCOptions = mc.Options
 
-	// MCResult reports an exploration: statistics, exhaustiveness, and
-	// the counterexample if a property failed.
-	MCResult = mc.Result
-
-	// MCStats are the exploration counters (schedules, pruned, skips,
-	// max depth).
-	MCStats = mc.Stats
-
 	// MCCounterexample is a shrunk, replayable violating schedule.
 	MCCounterexample = mc.Counterexample
 
@@ -39,18 +31,6 @@ type (
 
 	// MCProperty is a named predicate over a finished execution.
 	MCProperty = mc.Property
-
-	// MCPropertyError wraps a property violation with its name.
-	MCPropertyError = mc.PropertyError
-
-	// MCDivergenceError reports a non-deterministic run function.
-	MCDivergenceError = mc.DivergenceError
-
-	// ChoiceDecodeError reports a malformed counterexample choice string.
-	ChoiceDecodeError = mc.DecodeError
-
-	// EnumState is what an adversary enumeration may condition on.
-	EnumState = adversary.EnumState
 
 	// AdversaryEnum lists every round plan a model allows from a state.
 	AdversaryEnum = adversary.Enum
@@ -70,12 +50,9 @@ var (
 	// MCCheckRun compiles an MCRunSpec into an explorable run function.
 	MCCheckRun = mc.CheckRun
 
-	// MCValidity, MCKAgreement, MCDecideWithin and MCTraceSatisfies are
-	// the stock properties.
-	MCValidity       = mc.Validity
-	MCKAgreement     = mc.KAgreement
-	MCDecideWithin   = mc.DecideWithin
-	MCTraceSatisfies = mc.TraceSatisfies
+	// MCValidity and MCKAgreement are the stock properties.
+	MCValidity   = mc.Validity
+	MCKAgreement = mc.KAgreement
 
 	// FormatChoices and ParseChoices round-trip a counterexample through
 	// its portable replay string ("c1:2.0.1").

@@ -9,13 +9,6 @@ import (
 // Observability layer, re-exported from internal/obs (see the package doc
 // there for the observer contract and the JSONL event schema).
 type (
-	// Observer receives structured events from the engine and the
-	// substrates. Embed ObserverBase to implement a subset of the hooks.
-	Observer = obs.Observer
-
-	// ObserverBase is an Observer with every hook a no-op.
-	ObserverBase = obs.Base
-
 	// Metrics is a concurrency-safe Observer aggregating counters and
 	// histograms with a JSON-serializable Snapshot.
 	Metrics = obs.Metrics
@@ -28,9 +21,6 @@ type (
 )
 
 var (
-	// NewMetrics returns an empty Metrics.
-	NewMetrics = obs.NewMetrics
-
 	// NewEventLog returns an EventLog writing JSONL to a writer.
 	NewEventLog = obs.NewEventLog
 
@@ -40,23 +30,12 @@ var (
 	// WithObserver attaches an observer to one engine execution.
 	WithObserver = core.WithObserver
 
-	// WithClock injects the engine's phase-timing clock (defaults to
-	// time.Now; tests inject fakes for deterministic latency metrics).
-	WithClock = core.WithClock
-
 	// SetDefaultObserver installs a process-wide fallback observer for
 	// every Run without an explicit WithObserver — how cmd/experiments
 	// meters whole experiment sweeps without threading options through.
 	SetDefaultObserver = core.SetDefaultObserver
 
-	// DefaultObserver returns the installed fallback observer, or nil.
-	DefaultObserver = core.DefaultObserver
-
 	// OneRoundKSetObserved is OneRoundKSet reporting each process's
 	// chosen identifier as an "agreement.kset_choose" event.
 	OneRoundKSetObserved = agreement.OneRoundKSetObserved
-
-	// PhasedConsensusObserved is PhasedConsensus reporting phase
-	// transitions and adopt/commit outcomes as protocol events.
-	PhasedConsensusObserved = agreement.PhasedConsensusObserved
 )

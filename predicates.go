@@ -8,27 +8,11 @@ import (
 // of suspect sets D(i,r) of an execution trace.
 type Predicate = predicate.P
 
-// PredicateViolation pinpoints where a trace broke a predicate.
-type PredicateViolation = predicate.Violation
-
-// TraceGen produces traces from seeds, for implication testing.
-type TraceGen = predicate.TraceGen
-
 // Model predicates from the paper (§2–§5).
 var (
 	// SendOmission is eq. (1): the synchronous message-passing system
 	// with at most f send-omission faults (§2 item 1).
 	SendOmission = predicate.SendOmission
-
-	// SelfTrusting is the p_i ∉ D(i,r) clause of eq. (1).
-	SelfTrusting = predicate.SelfTrusting
-
-	// TotalSuspectBudget is the |⋃⋃D| ≤ f clause of eq. (1).
-	TotalSuspectBudget = predicate.TotalSuspectBudget
-
-	// SuspicionPropagates is eq. (2): what anyone suspects at round r,
-	// everyone suspects at round r+1.
-	SuspicionPropagates = predicate.SuspicionPropagates
 
 	// SyncCrash is eqs. (1)+(2): the synchronous crash-fault system (§2
 	// item 2).
@@ -49,9 +33,6 @@ var (
 	// NoMutualMiss is the alternative shared-memory clause of §2 item 4.
 	NoMutualMiss = predicate.NoMutualMiss
 
-	// ContainmentChain orders each round's suspect sets by inclusion.
-	ContainmentChain = predicate.ContainmentChain
-
 	// AtomicSnapshot is the §2 item 5 predicate: budget + self-inclusion
 	// + containment chain.
 	AtomicSnapshot = predicate.AtomicSnapshot
@@ -65,21 +46,12 @@ var (
 	// IdenticalSuspects is eq. (5) of §5: D(i,r) = D(j,r) for all i, j.
 	IdenticalSuspects = predicate.IdenticalSuspects
 
-	// BSystem is the §2 item 3 counterexample system.
-	BSystem = predicate.BSystem
-
 	// EventuallyNeverSuspected is the eventual-accuracy (◇S-analogue)
 	// predicate: some process is never suspected after round stab.
 	EventuallyNeverSuspected = predicate.EventuallyNeverSuspected
 
-	// AndPredicates conjoins predicates under a name.
-	AndPredicates = predicate.And
-
 	// Implies empirically checks the submodel relation A ⇒ B.
 	Implies = predicate.Implies
-
-	// Separates finds a witness trace satisfying A but not B.
-	Separates = predicate.Separates
 
 	// ExhaustiveTraces enumerates every crash-free trace over a tiny
 	// universe, walking one trace in place: the *Trace is valid only

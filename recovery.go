@@ -12,26 +12,8 @@ import (
 // crash-recovery round protocol with durable journals (internal/recovery),
 // and the crash-and-recover chaos campaign (internal/chaos).
 
-// Write-ahead log types.
-type (
-	// WAL is an append-only checksummed segmented log.
-	WAL = wal.Log
-
-	// WALOptions tunes segment rotation and the fsync policy.
-	WALOptions = wal.Options
-
-	// WALRecord is one replayed log entry.
-	WALRecord = wal.Record
-
-	// WALReplayReport summarizes a replay, including any torn tail dropped.
-	WALReplayReport = wal.ReplayReport
-
-	// WALCorruptError reports mid-log corruption (not a torn tail).
-	WALCorruptError = wal.CorruptError
-
-	// SyncMode selects the fsync policy for appends.
-	SyncMode = wal.SyncMode
-)
+// SyncMode selects the fsync policy for appends.
+type SyncMode = wal.SyncMode
 
 // Fsync policies.
 const (
@@ -43,35 +25,15 @@ const (
 	SyncAlways = wal.SyncAlways
 )
 
-// Write-ahead log entry points.
-var (
-	// WALCreate creates a fresh log in an empty (or absent) directory.
-	WALCreate = wal.Create
-
-	// WALOpen replays an existing log and opens it for appending.
-	WALOpen = wal.Open
-
-	// WALReplay reads a log without opening it for writes.
-	WALReplay = wal.Replay
-)
-
 // Engine checkpointing: durable journals of core.Run executions.
 type (
 	// CheckpointOptions tunes WithCheckpointing (snapshot cadence, fsync
 	// policy, segment size).
 	CheckpointOptions = core.CheckpointOptions
 
-	// Snapshotter is implemented by algorithms whose state can be captured
-	// and restored, letting Resume skip the replay prefix.
-	Snapshotter = core.Snapshotter
-
 	// HaltError reports a run suspended by WithHaltAfterRound; Resume
 	// continues it.
 	HaltError = core.HaltError
-
-	// DivergenceError reports a resumed oracle failing to reproduce the
-	// journaled prefix.
-	DivergenceError = core.DivergenceError
 )
 
 var (
@@ -86,47 +48,16 @@ var (
 	// Resume reconstructs a journaled execution and continues it to
 	// completion, verifying the oracle reproduces the logged prefix.
 	Resume = core.Resume
-
-	// RegisterCheckpointValue registers a non-basic input/decision value
-	// type for checkpoint encoding.
-	RegisterCheckpointValue = core.RegisterCheckpointValue
 )
 
 // Crash-recovery round protocol: processes journal to durable logs, crash,
 // restart under a supervisor, and re-enter the round structure via
 // suspicion.
-type (
-	// RecoveryJournal is a process's durable round journal (emits are
-	// write-through; views are volatile until Flush).
-	RecoveryJournal = recovery.Journal
 
-	// MemJournal is an in-memory RecoveryJournal with an explicit
-	// durable/volatile split (the amnesia window).
-	MemJournal = recovery.MemJournal
-
-	// DiskJournal is a WAL-backed RecoveryJournal.
-	DiskJournal = recovery.DiskJournal
-
-	// RecoveryState is what a journal reconstructs after a crash.
-	RecoveryState = recovery.State
-
-	// RecoveryConfig shapes a crash-recovery execution.
-	RecoveryConfig = recovery.Config
-
-	// RecoveryOutcome is the result of a crash-recovery execution.
-	RecoveryOutcome = recovery.Outcome
-
-	// RecoveryAuditError is one audited safety violation.
-	RecoveryAuditError = recovery.AuditError
-)
+// RecoveryConfig shapes a crash-recovery execution.
+type RecoveryConfig = recovery.Config
 
 var (
-	// NewMemJournal returns an empty in-memory journal.
-	NewMemJournal = recovery.NewMemJournal
-
-	// OpenDiskJournal opens (or creates) a WAL-backed journal.
-	OpenDiskJournal = recovery.OpenDiskJournal
-
 	// RecoveryRun executes the crash-recovery round protocol.
 	RecoveryRun = recovery.RunRounds
 
@@ -136,14 +67,8 @@ var (
 	RecoveryAudit = recovery.Audit
 )
 
-// Crash-and-recover chaos campaign.
-type (
-	// RecoverChaosConfig shapes a crash-and-recover chaos campaign.
-	RecoverChaosConfig = chaos.RecoverConfig
-
-	// RecoverChaosSummary aggregates a campaign's runs and violations.
-	RecoverChaosSummary = chaos.RecoverSummary
-)
+// RecoverChaosConfig shapes a crash-and-recover chaos campaign.
+type RecoverChaosConfig = chaos.RecoverConfig
 
 // RecoverChaosRun executes a crash-and-recover campaign: many seeded
 // executions, each with at least one crash (and usually a supervised

@@ -37,9 +37,6 @@ type (
 	// Trace records an execution's suspect sets for validation.
 	Trace = core.Trace
 
-	// RoundRecord is one round of a Trace.
-	RoundRecord = core.RoundRecord
-
 	// Result is the outcome of an execution.
 	Result = core.Result
 
@@ -65,20 +62,7 @@ var (
 
 	// WithoutTrace disables trace recording.
 	WithoutTrace = core.WithoutTrace
-
-	// WithRunToRound keeps the engine running past unanimous decision.
-	WithRunToRound = core.WithRunToRound
-
-	// WithMaxWallTime bounds an execution's wall-clock duration; exceeding
-	// it returns a *TimeoutError carrying the partial trace.
-	WithMaxWallTime = core.WithMaxWallTime
-
-	// ErrMaxRounds reports an execution hitting its round limit.
-	ErrMaxRounds = core.ErrMaxRounds
 )
-
-// TimeoutError reports a WithMaxWallTime budget exhausted mid-execution.
-type TimeoutError = core.TimeoutError
 
 // Set constructors.
 var (
@@ -97,6 +81,3 @@ var (
 	// IntersectAll returns the intersection of the given sets.
 	IntersectAll = core.IntersectAll
 )
-
-// NewTrace returns an empty trace for n processes.
-var NewTrace = core.NewTrace

@@ -2,7 +2,6 @@ package rrfd
 
 import (
 	"repro/internal/adoptcommit"
-	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/msgnet"
 	"repro/internal/semisync"
@@ -21,9 +20,6 @@ type (
 	// step budget).
 	SharedConfig = swmr.Config
 
-	// SharedOutcome reports a shared-memory execution.
-	SharedOutcome = swmr.Outcome
-
 	// SharedChooser is the shared-memory scheduling adversary.
 	SharedChooser = swmr.Chooser
 )
@@ -39,32 +35,14 @@ var (
 	// SeededChooser is a deterministic pseudo-random scheduler.
 	SeededChooser = swmr.Seeded
 
-	// RoundRobinChooser is the fair cyclic scheduler.
-	RoundRobinChooser = swmr.RoundRobin
-
 	// PriorityGroups schedules earlier groups to completion first.
 	PriorityGroups = swmr.PriorityGroups
 
 	// ErrCrashed reports an operation by a crashed process.
 	ErrCrashed = swmr.ErrCrashed
-
-	// Bottom is the initial register value (⊥).
-	Bottom = swmr.Bottom
 )
 
 // ---- Atomic snapshots (§2 item 5 substrate) ----
-
-type (
-	// Snapshot is a process's handle to a wait-free atomic snapshot
-	// object.
-	Snapshot = snapshot.Object
-
-	// SnapshotCell is one component of the object.
-	SnapshotCell = snapshot.Cell
-
-	// SnapshotRoundOutcome reports a snapshot round-protocol run.
-	SnapshotRoundOutcome = core.RoundOutcome
-)
 
 var (
 	// NewSnapshot returns a handle to a named snapshot object.
@@ -77,19 +55,12 @@ var (
 
 // ---- Adopt-commit (§4.2) ----
 
-type (
-	// AdoptCommitOutcome is a process's graded output.
-	AdoptCommitOutcome = adoptcommit.Outcome
+// AdoptCommitOutcome is a process's graded output.
+type AdoptCommitOutcome = adoptcommit.Outcome
 
-	// AdoptCommitGrade is Adopt or Commit.
-	AdoptCommitGrade = adoptcommit.Grade
-)
-
-// Adopt-commit grades.
-const (
-	Adopt  = adoptcommit.Adopt
-	Commit = adoptcommit.Commit
-)
+// Commit is the grade of a value that may be decided: every other process
+// holds the same value, committed or adopted.
+const Commit = adoptcommit.Commit
 
 // AdoptCommit runs the wait-free §4.2 protocol instance name with proposal
 // v for process p.
@@ -97,42 +68,10 @@ var AdoptCommit = adoptcommit.Run
 
 // ---- Asynchronous message passing (§2 item 3 substrate) ----
 
-type (
-	// NetNode is one process's handle to the network.
-	NetNode = msgnet.Node
-
-	// NetConfig tunes a network execution.
-	NetConfig = msgnet.Config
-
-	// NetOutcome reports a network execution.
-	NetOutcome = msgnet.Outcome
-
-	// NetEnvelope is a delivered message.
-	NetEnvelope = msgnet.Envelope
-
-	// NetRoundOutcome reports a round-protocol run.
-	NetRoundOutcome = core.RoundOutcome
-
-	// Substrate is the node-facing surface every message-passing
-	// substrate implements — the virtual-clock scheduler with steps, the
-	// TCP mesh with milliseconds. Protocol bodies written against it run
-	// unchanged on either.
-	Substrate = msgnet.Substrate
-
-	// RoundEmit produces one process's round-r payload from what it
-	// heard (and suspected) in round r−1.
-	RoundEmit = core.RoundEmit
-
-	// RoundStall records one watchdog firing: who gave up which round,
-	// missing whom.
-	RoundStall = msgnet.Stall
-)
+// NetConfig tunes a network execution.
+type NetConfig = msgnet.Config
 
 var (
-	// RunNetwork executes a protocol body at every process over the
-	// asynchronous network under a controlled delivery adversary.
-	RunNetwork = msgnet.Run
-
 	// RunNetworkRounds runs the §2 item 3 round-enforced protocol
 	// (buffer early, discard late, wait for n−f) and returns its RRFD
 	// trace.
@@ -148,19 +87,8 @@ var (
 
 // ---- Semi-synchronous DDS model (§5) ----
 
-type (
-	// SemiConfig tunes a semi-synchronous execution.
-	SemiConfig = semisync.Config
-
-	// SemiOutcome reports a semi-synchronous execution.
-	SemiOutcome = semisync.Outcome
-
-	// SemiStepper is one DDS process driven by atomic steps.
-	SemiStepper = semisync.Stepper
-
-	// TwoStepOutcome reports a two-step protocol execution.
-	TwoStepOutcome = semisync.TwoStepOutcome
-)
+// SemiConfig tunes a semi-synchronous execution.
+type SemiConfig = semisync.Config
 
 var (
 	// RunSemiSync executes steppers in the DDS model.
@@ -169,9 +97,6 @@ var (
 	// RunTwoStep runs §5's 2-step-per-round eq. (5) protocol (consensus
 	// decided after 2 steps) and returns its RRFD trace.
 	RunTwoStep = semisync.RunTwoStep
-
-	// TwoStepFactory builds the 2-step protocol processes.
-	TwoStepFactory = semisync.TwoStepFactory
 
 	// RelayFactory builds the 2n-step baseline processes.
 	RelayFactory = semisync.RelayFactory
@@ -184,11 +109,6 @@ var (
 )
 
 // ---- Simulations (§4, §2 constructions) ----
-
-type (
-	// CrashSyncResult reports a Theorem 4.3 simulation.
-	CrashSyncResult = simulate.CrashSyncResult
-)
 
 var (
 	// TwoRoundsToSharedMemory derives a shared-memory execution from two
@@ -208,11 +128,6 @@ var (
 )
 
 // ---- Classical failure detectors (§2 item 6) ----
-
-type (
-	// DetectorHistory is a classical failure-detector history.
-	DetectorHistory = detector.History
-)
 
 var (
 	// DetectorFromTrace reads an RRFD execution as a classical history.

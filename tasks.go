@@ -4,18 +4,8 @@ import (
 	"repro/internal/task"
 )
 
-// Task formalizes the paper's solvability definition: an input/output
-// relation with a decidable checker.
-type Task = task.Task
-
 // TaskAssignment is one execution's input/output pair.
 type TaskAssignment = task.Assignment
-
-// TaskReport summarizes a Solves run.
-type TaskReport = task.Report
-
-// TaskOracleGen produces per-seed adversaries for Solves.
-type TaskOracleGen = task.OracleGen
 
 // GradedValue is an adopt-commit task output.
 type GradedValue = task.GradedValue

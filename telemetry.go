@@ -18,19 +18,6 @@ type (
 	// behind one handle shared by observers, meters and the endpoint.
 	Telemetry = obs.Telemetry
 
-	// TelemetryServer is a live telemetry endpoint; Close releases it.
-	TelemetryServer = obs.TelemetryServer
-
-	// Histogram is a concurrency-safe log-bucketed latency/size histogram.
-	Histogram = hist.Histogram
-
-	// HistRegistry is a named collection of histograms.
-	HistRegistry = hist.Registry
-
-	// HistSnapshot is a point-in-time copy of one histogram, with
-	// count/sum/max and p50..p999 quantile estimates.
-	HistSnapshot = hist.Snap
-
 	// Tracer is an Observer assembling the causal span trace of an
 	// execution (run → round → phase spans, Emit→Deliver message flows,
 	// suspicion/crash/decide instants) on the virtual step clock, exported
@@ -40,10 +27,6 @@ type (
 	// PoolMeter is the par worker pool's task-latency / queue-depth
 	// instrumentation.
 	PoolMeter = par.Meter
-
-	// ChaosViolation is one chaos-campaign safety violation, carrying the
-	// scheduler seed, crash set and minimized fault plan that replay it.
-	ChaosViolation = chaos.Violation
 )
 
 var (
@@ -55,15 +38,8 @@ var (
 	// /snapshot and /debug/pprof in the background.
 	ServeTelemetry = obs.ServeTelemetry
 
-	// WritePrometheus renders a MetricsSnapshot in the Prometheus text
-	// exposition format.
-	WritePrometheus = obs.WritePrometheus
-
 	// NewHistogram returns an empty standalone histogram.
 	NewHistogram = hist.New
-
-	// NewHistRegistry returns an empty histogram registry.
-	NewHistRegistry = hist.NewRegistry
 
 	// NewTracer returns an empty Tracer.
 	NewTracer = trace.New
@@ -77,7 +53,7 @@ var (
 // Attaching a Tracer renders the counterexample as a causal Perfetto
 // trace. Only harness errors are returned; the replayed run's outputs are
 // judged by the observer, not here.
-func ChaosReplay(cfg ChaosConfig, v ChaosViolation) error {
+func ChaosReplay(cfg ChaosConfig, v chaos.Violation) error {
 	_, _, _, err := chaos.Execute(cfg, v.SchedSeed, v.MinPlan, v.Crashes)
 	return err
 }
