@@ -14,7 +14,7 @@ GO ?= go
 BENCH_PKGS := ./internal/core ./internal/agreement ./internal/msgnet ./internal/swmr ./internal/reliablelink ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal ./internal/hoalg ./internal/predicate ./internal/adversary ./internal/snapshot ./internal/semisync
 BENCH_PAT  ?= .
 
-.PHONY: build test race vet ci bench bench-build bench-check baton-race readers-race net-short cover chaos
+.PHONY: build test race vet ci bench bench-build bench-check baton-race readers-race net-short cover unlinked chaos
 
 build:
 	$(GO) build ./...
@@ -37,7 +37,7 @@ vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .) && test -z "$$out" || { echo "gofmt -l . lists:"; echo "$$out"; exit 1; }
 
-ci: vet build bench-build race baton-race readers-race net-short cover
+ci: vet build bench-build race baton-race readers-race net-short cover unlinked
 
 # bench/ is a nested module (repro/bench) that `go build ./...` and
 # `go vet ./...` never reach: vet and compile it here, so an API move
@@ -73,6 +73,66 @@ cover:
 		for (p in floor) if (c["repro/internal/" p] + 0 < floor[p]) { \
 			print "internal/" p " coverage " c["repro/internal/" p] "% below " floor[p] "% floor"; bad = 1 } \
 		exit bad }'
+
+# A function in a non-test file of internal/ stays only if something that
+# ships links it (DESIGN §4 "What stays"). No tier-1 test can assert that:
+# it needs every main linked — the 6 cmd/ mains, the 5 examples, bench/ and
+# the root test binary (the facade's readers) — which is what this target
+# does, without inlining so a call is a symbol. Declared = `go tool nm` over
+# the `go list -export` archives, restricted to names the source declares
+# (nm also lists pointer-receiver twins, interface thunks and init); linked
+# = `go tool nm` over the binaries; closures and generic instantiations fold
+# into their function. The difference must equal UNLINKED_KEPT exactly: the
+# first column of the failure output is a function nothing links, the second
+# an entry below that something now links (or that is gone).
+#
+# One line per kept function, then who uses it to judge what ships.
+define UNLINKED_KEPT
+repro/internal/chaos.CrossValidate                    oracle: TestCrossValidateQuorumBug, TestCrossValidateHonestRuleClean
+repro/internal/chaos.(*CrossVerdict).String           under CrossValidate
+repro/internal/chaos.SplitBrainPlan                   under CrossValidate
+repro/internal/chaos.kindSet                          under CrossValidate
+repro/internal/chaos.ExecuteNet                       under CrossValidate: the plan run over real sockets
+repro/internal/chaos.NetConfig.withDefaults           under ExecuteNet
+repro/internal/netsub.WrapListener                    harness: the chaos proxy under ExecuteNet; TestProxyPartitionCrossValidatesFaultnet
+repro/internal/netsub.WrapAll                         chaos proxy
+repro/internal/netsub.(*ChaosListener).Accept         chaos proxy
+repro/internal/netsub.(*pump).backward                chaos proxy
+repro/internal/netsub.(*pump).event                   chaos proxy
+repro/internal/netsub.(*pump).forward                 chaos proxy
+repro/internal/netsub.(*pump).write                   chaos proxy
+repro/internal/fleet.Audit                            oracle: TestFleetDeterministicAcrossShardsAndWorkers
+repro/internal/detector.(*History).CheckStrongCompleteness  oracle: TestStrongCompleteness
+repro/internal/core.(*Trace).ValidateFailStop         oracle: TestTraceValidate, TestCrashRecoverRejoin
+repro/internal/hoalg.(*Expr).Equal                    oracle: TestStringParseRoundTrip, FuzzParseExpr
+repro/internal/simulate.RunTwoForOne                  oracle: TestGoldenRunTwoForOne (the §2 items 3-4 construction)
+repro/internal/simulate.(*twoForOne).Deliver          under RunTwoForOne
+repro/internal/simulate.(*twoForOne).Emit             under RunTwoForOne
+repro/internal/simulate.(*twoForOne).assemble         under RunTwoForOne
+repro/internal/wal.(*Group).SyncedSeq                 oracle: TestGroupConcurrentAppends (an append returns inside the horizon)
+repro/internal/core.(*SetBank).Clear                  benchmark subject: BenchmarkSetBankSweep
+repro/internal/core.(*SetBank).Row                    benchmark subject: BenchmarkSetBankSweep
+repro/internal/core.(*Arena).Reset                    TestArenaReuseAfterReset; the arena's fate is ROADMAP item 6's (needs bench/)
+endef
+export UNLINKED_KEPT
+
+unlinked:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/bin"; \
+	syms() { awk '$$2 ~ /^[Tt]$$/ && $$3 ~ /^repro\/internal\// { print $$3 }' \
+		| sed -e 's/\[.*//' -e 's/\.func[0-9].*$$//' -e 's/\.gowrap[0-9]*$$//' -e 's/\.deferwrap[0-9]*$$//' -e 's/-fm$$//' | sort -u; }; \
+	flags='-gcflags=repro/...=-l'; \
+	for m in ./cmd/* ./examples/*; do $(GO) build $$flags -o "$$tmp/bin/$$(basename $$m)" $$m; done; \
+	$(GO) build -C bench $$flags -o "$$tmp/bin/bench" .; \
+	$(GO) test -c $$flags -o "$$tmp/bin/root.test" .; \
+	for b in "$$tmp"/bin/*; do $(GO) tool nm "$$b"; done | syms > "$$tmp/linked"; \
+	$(GO) list -export $$flags -f '{{.Export}}' ./internal/... | while read a; do $(GO) tool nm "$$a"; done | syms > "$$tmp/compiled"; \
+	find internal -name '*.go' ! -name '*_test.go' | xargs grep -HE '^func ' | sed -E \
+		-e 's|^(internal/.*)/[^/]*\.go:func \(([A-Za-z_0-9]+ )?\*([A-Za-z_0-9]+)(\[[^]]*\])?\) ([A-Za-z_0-9]+).*|repro/\1.(*\3).\5|' \
+		-e 's|^(internal/.*)/[^/]*\.go:func \(([A-Za-z_0-9]+ )?([A-Za-z_0-9]+)(\[[^]]*\])?\) ([A-Za-z_0-9]+).*|repro/\1.\3.\5|' \
+		-e 's|^(internal/.*)/[^/]*\.go:func ([A-Za-z_0-9]+).*|repro/\1.\2|' | sort -u > "$$tmp/source"; \
+	comm -12 "$$tmp/compiled" "$$tmp/source" | comm -23 - "$$tmp/linked" > "$$tmp/unlinked"; \
+	printf '%s\n' "$$UNLINKED_KEPT" | awk 'NF { print $$1 }' | sort -u > "$$tmp/kept"; \
+	out=$$(comm -3 "$$tmp/unlinked" "$$tmp/kept"); test -z "$$out" || { echo "$$out"; exit 1; }
 
 # The larger sweep: every fault class, more seeds, more runs.
 chaos:

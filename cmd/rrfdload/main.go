@@ -16,16 +16,18 @@
 //
 // -local N skips the network setup and starts an in-process loopback
 // cluster of N nodes (journals in a temp directory) — the one-command
-// smoke test. Otherwise -addrs lists the client-facing addresses of an
-// already-running rrfdserve mesh.
+// smoke test; an -f the cluster cannot tolerate (f >= N) is clamped to
+// (N-1)/2 before k = f+1 is derived from it. Otherwise -addrs lists the
+// client-facing addresses of an already-running rrfdserve mesh, and -f must
+// be below their number.
 //
 // Scale mode: -conns bounds the real connection pool, multiplexing the
 // -clients simulated clients over that many worker goroutines — the way
 // to point 10⁵ virtual clients at a cluster without 10⁵ TCP
 // connections. Each virtual client's request stream stays deterministic
 // (drawn from -seed exactly as in the unpooled mode); only the carrier
-// changes. Decide latencies additionally feed a mergeable obs/hist
-// histogram, reported as p50/p95/p99.
+// changes. Decide latencies additionally feed an obs/hist histogram,
+// reported as p50/p95/p99.
 //
 // Usage:
 //
@@ -42,7 +44,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	rrfd "repro"
@@ -82,14 +83,6 @@ func main() {
 	}
 }
 
-type outcome struct {
-	inst, req   string
-	status      rrfd.ServiceStatus
-	val         int
-	latency     time.Duration
-	unreachable bool
-}
-
 func run(cfg config, w io.Writer) error {
 	if (cfg.local > 0) == (cfg.addrs != "") {
 		return fmt.Errorf("pick exactly one of -local N and -addrs")
@@ -100,20 +93,33 @@ func run(cfg config, w io.Writer) error {
 	if cfg.conns < 0 {
 		return fmt.Errorf("-conns must be >= 0")
 	}
+
+	// Settle f before k = f+1 is derived from it: a local cluster clamps an
+	// f it cannot tolerate to (n-1)/2, a running mesh cannot have one.
+	var addrs []string
+	if cfg.local > 0 {
+		if cfg.f >= cfg.local {
+			cfg.f = (cfg.local - 1) / 2
+		}
+	} else {
+		addrs = strings.Split(cfg.addrs, ",")
+		if cfg.f >= len(addrs) {
+			return fmt.Errorf("-f %d with %d addresses: a mesh of n tolerates f < n", cfg.f, len(addrs))
+		}
+	}
+	if cfg.f < 0 {
+		return fmt.Errorf("-f must be >= 0")
+	}
 	if cfg.k == 0 {
 		cfg.k = cfg.f + 1
 	}
 
-	var addrs []string
 	if cfg.local > 0 {
 		dir, err := os.MkdirTemp("", "rrfdload")
 		if err != nil {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		if cfg.f >= cfg.local {
-			cfg.f = (cfg.local - 1) / 2
-		}
 		cl, err := rrfd.StartServiceCluster(rrfd.ServiceClusterConfig{
 			N: cfg.local, F: cfg.f, K: cfg.k,
 			Dir:            dir,
@@ -127,133 +133,37 @@ func run(cfg config, w io.Writer) error {
 		defer cl.Close()
 		addrs = cl.ClientAddrs()
 		fmt.Fprintf(w, "local cluster: %d nodes (f=%d) on %s\n", cfg.local, cfg.f, strings.Join(addrs, ","))
-	} else {
-		addrs = strings.Split(cfg.addrs, ",")
 	}
 
-	// The whole load is planted before any goroutine starts.
-	rng := rand.New(rand.NewSource(cfg.seed))
-	type spec struct {
-		client, server int
-		inst, req      string
-		val            int
-	}
-	specs := make([]spec, 0, cfg.clients*cfg.requests)
-	submitted := map[string]map[int]bool{}
-	for ci := 0; ci < cfg.clients; ci++ {
-		crng := rand.New(rand.NewSource(rng.Int63()))
-		for ri := 0; ri < cfg.requests; ri++ {
-			sp := spec{
-				client: ci, server: crng.Intn(len(addrs)),
-				inst: fmt.Sprintf("i%d", crng.Intn(cfg.instances)),
-				req:  fmt.Sprintf("c%d-%d", ci, ri),
-				val:  crng.Intn(1000),
-			}
-			specs = append(specs, sp)
-			if submitted[sp.inst] == nil {
-				submitted[sp.inst] = map[int]bool{}
-			}
-			submitted[sp.inst][sp.val] = true
-		}
-	}
-
-	// Worker pool: one goroutine (with its own connections) per simulated
-	// client, unless -conns bounds the pool — then the virtual clients are
-	// multiplexed over that many carriers. A virtual client's requests
-	// always ride the same worker, so its stream stays ordered.
+	// One goroutine (with its own connections) per simulated client, unless
+	// -conns bounds the pool — then the virtual clients are multiplexed over
+	// that many carriers.
 	workers := cfg.clients
 	if cfg.conns > 0 && cfg.conns < workers {
 		workers = cfg.conns
 	}
-	perWorker := make([][]int, workers)
-	for si, sp := range specs {
-		w := sp.client % workers
-		perWorker[w] = append(perWorker[w], si)
-	}
-
-	outs := make([]outcome, len(specs))
-	hDecide := rrfd.NewHistogram()
-	var retries int64
-	var retryMu sync.Mutex
+	load := rrfd.PlantServiceLoad(rand.New(rand.NewSource(cfg.seed)), cfg.clients, cfg.requests, cfg.instances, len(addrs))
 	startAll := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			conns := map[int]*rrfd.ServiceClient{}
-			defer func() {
-				for _, cc := range conns {
-					cc.Close()
-				}
-			}()
-			for _, si := range perWorker[w] {
-				sp := specs[si]
-				cc := conns[sp.server]
-				if cc == nil {
-					cc = rrfd.NewServiceClient(rrfd.ServiceClientConfig{
-						Addr:        addrs[sp.server],
-						Timeout:     cfg.timeout,
-						MaxAttempts: cfg.attempts,
-						Seed:        cfg.seed + int64(100*w+sp.server),
-					})
-					conns[sp.server] = cc
-				}
-				start := time.Now()
-				resp, err := cc.Submit(sp.inst, sp.req, sp.val)
-				oc := outcome{inst: sp.inst, req: sp.req, latency: time.Since(start)}
-				if err != nil {
-					oc.unreachable = true
-				} else {
-					oc.status, oc.val = resp.Status, resp.Val
-					if resp.Status == rrfd.ServiceDecided {
-						hDecide.Record(oc.latency.Nanoseconds())
-					}
-				}
-				outs[si] = oc
-			}
-			retryMu.Lock()
-			for _, cc := range conns {
-				retries += cc.Retries
-			}
-			retryMu.Unlock()
-		}(w)
-	}
-	wg.Wait()
+	outs, retries := load.Drive(addrs, workers, rrfd.ServiceClientConfig{
+		Timeout:     cfg.timeout,
+		MaxAttempts: cfg.attempts,
+		Seed:        cfg.seed,
+	})
 	elapsed := time.Since(startAll)
 
-	// Tally and audit.
-	var decided, abstained, overloaded, unreachable int
-	var lat []time.Duration
 	audit := rrfd.NewServiceAuditor()
-	for _, oc := range outs {
-		lat = append(lat, oc.latency)
-		switch {
-		case oc.unreachable:
-			unreachable++
-		case oc.status == rrfd.ServiceDecided:
-			decided++
-			audit.Note(oc.inst, oc.req, oc.val)
-		case oc.status == rrfd.ServiceAbstain:
-			abstained++
-		case oc.status == rrfd.ServiceOverload:
-			overloaded++
-		}
-	}
-	var violations []string
-	for _, v := range audit.Violations(submitted, cfg.k) {
-		switch v.Kind {
-		case "idempotency":
-			violations = append(violations, fmt.Sprintf("idempotency: request %s decided %d distinct values", v.Req, len(v.Values)))
-		case "k-agreement":
-			violations = append(violations, fmt.Sprintf("k-agreement: instance %s decided %d distinct values > k=%d", v.Inst, len(v.Values), cfg.k))
-		case "validity":
-			violations = append(violations, fmt.Sprintf("validity: instance %s decided %d, never submitted", v.Inst, v.Values[0]))
-		}
-	}
+	tally := load.Tally(audit, outs)
+	violations := audit.Violations(load.Submitted(), cfg.k)
 	instances, distinctMax := audit.Decided()
-	sort.Strings(violations)
 
+	hDecide := rrfd.NewHistogram()
+	lat := make([]time.Duration, len(outs))
+	for i, oc := range outs {
+		lat[i] = oc.Latency
+		if oc.Status == rrfd.ServiceDecided {
+			hDecide.Record(oc.Latency.Nanoseconds())
+		}
+	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	q := func(p float64) time.Duration {
 		if len(lat) == 0 {
@@ -263,13 +173,13 @@ func run(cfg config, w io.Writer) error {
 		return lat[i]
 	}
 	fmt.Fprintf(w, "rrfdload: %d requests by %d clients in %v (%.0f req/s, %d retries)\n",
-		len(specs), cfg.clients, elapsed.Round(time.Millisecond),
-		float64(len(specs))/elapsed.Seconds(), retries)
+		len(outs), cfg.clients, elapsed.Round(time.Millisecond),
+		float64(len(outs))/elapsed.Seconds(), retries)
 	if workers < cfg.clients {
 		fmt.Fprintf(w, "scale: %d virtual clients multiplexed over %d connections\n", cfg.clients, workers)
 	}
 	fmt.Fprintf(w, "outcomes: %d decided, %d abstained, %d overloaded, %d unreachable\n",
-		decided, abstained, overloaded, unreachable)
+		tally.Decided, tally.Abstained, tally.Overloaded, tally.Unreachable)
 	fmt.Fprintf(w, "latency: p50 %v, p95 %v, max %v\n",
 		q(0.50).Round(time.Microsecond), q(0.95).Round(time.Microsecond), q(1.0).Round(time.Microsecond))
 	if hDecide.Count() > 0 {
@@ -281,7 +191,7 @@ func run(cfg config, w io.Writer) error {
 	fmt.Fprintf(w, "agreement: %d instances decided, widest %d distinct values (k=%d)\n",
 		instances, distinctMax, cfg.k)
 	for _, v := range violations {
-		fmt.Fprintf(w, "VIOLATION %s\n", v)
+		fmt.Fprintf(w, "VIOLATION %s: %s\n", v.Kind, v.Detail(cfg.k))
 	}
 	if len(violations) > 0 {
 		return fmt.Errorf("rrfdload: %d violation(s)", len(violations))

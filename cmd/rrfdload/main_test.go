@@ -18,6 +18,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(config{local: 2, clients: 0}, &buf); err == nil {
 		t.Fatalf("accepted zero clients")
 	}
+	// A running mesh of n cannot have f >= n: nothing may be dialed.
+	err := run(config{addrs: "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3", f: 3, clients: 1, requests: 1, instances: 1}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "-f 3 with 3 addresses") {
+		t.Fatalf("-addrs with f >= n: got %v", err)
+	}
 }
 
 // TestLocalLoadSmoke is the one-command smoke test the CI target runs: a
@@ -40,6 +45,19 @@ func TestLocalLoadSmoke(t *testing.T) {
 	}
 	if !strings.Contains(out, "32 requests by 4 clients") {
 		t.Fatalf("request accounting off:\n%s", out)
+	}
+
+	// An -f the cluster cannot tolerate is clamped before k is derived from
+	// it: -local 3 -f 5 runs and audits f=1, k=2 — not a vacuous k=6.
+	cfg.f = 5
+	buf.Reset()
+	if err := run(cfg, &buf); err != nil {
+		t.Fatalf("run -f 5: %v\n%s", err, buf.String())
+	}
+	for _, want := range []string{"(f=1)", "(k=2)", "2-agreement hold"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("-local 3 -f 5: output missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 

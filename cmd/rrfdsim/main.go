@@ -96,7 +96,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -270,72 +269,24 @@ func run(cfg config, w io.Writer) error {
 		return runChaosServe(cfg, tel, w)
 	}
 
-	var (
-		oracle rrfd.Oracle
-		pred   rrfd.Predicate
-	)
-	n, f, k, seed := cfg.n, cfg.f, cfg.k, cfg.seed
-	if cfg.model != "" {
-		// A model expression replaces the bespoke system pair: the compiled
-		// seeded oracle samples one path the model allows, and the compiled
-		// predicate is the same membership check the -system families get.
-		expr, err := rrfd.ResolveModel(cfg.model, rrfd.ModelParams{N: n, F: f, K: k, Stab: modelStab})
-		if err != nil {
-			return err
-		}
-		if oracle, err = expr.Oracle(n, seed); err != nil {
-			return err
-		}
-		pred = expr.Compile()
-	} else {
-		switch cfg.system {
-		case "omission":
-			oracle, pred = rrfd.Omission(n, f, 0.7, seed), rrfd.SendOmission(f)
-		case "crash":
-			oracle, pred = rrfd.Crash(n, f, seed), rrfd.SyncCrash(f)
-		case "chain":
-			oracle, pred = rrfd.ChainCrash(n, f, k), rrfd.SyncCrash(f)
-		case "async":
-			oracle, pred = rrfd.AsyncBudget(n, f, true, seed), rrfd.PerRoundBudget(f)
-		case "sharedmem":
-			oracle, pred = rrfd.SharedMemAdversary(n, f, seed), rrfd.SharedMemory(f)
-		case "snapshot":
-			oracle, pred = rrfd.SnapshotChain(n, f, seed), rrfd.AtomicSnapshot(f)
-		case "kset":
-			oracle, pred = rrfd.KSetUncertainty(n, k, seed), rrfd.KSetDetector(k)
-		case "identical":
-			oracle, pred = rrfd.Identical(n, seed), rrfd.IdenticalSuspects()
-		case "s":
-			oracle, pred = rrfd.SpareNeverSuspected(n, rrfd.PID(seed)%rrfd.PID(n), seed), rrfd.NeverSuspectedExists()
-		case "benign":
-			oracle, pred = rrfd.Benign(n), rrfd.SendOmission(0)
-		default:
-			return fmt.Errorf("unknown system %q", cfg.system)
-		}
-	}
-
 	// Observability wiring: metrics, the JSONL event sink and the causal
 	// tracer all hang off the same observer fan-out.
-	var metrics *rrfd.Metrics
-	var events *rrfd.EventLog
-	var eventsBuf *bufio.Writer
+	snk, err := openSinks(cfg, tel)
+	if err != nil {
+		return err
+	}
+	defer snk.closeFile()
 	var tracer *rrfd.Tracer
-	if tel != nil {
-		metrics = tel.Metrics
-	}
-	if cfg.eventsFile != "" {
-		file, err := os.Create(cfg.eventsFile)
-		if err != nil {
-			return fmt.Errorf("create events file: %w", err)
-		}
-		defer file.Close()
-		eventsBuf = bufio.NewWriter(file)
-		events = rrfd.NewEventLog(eventsBuf)
-	}
 	if cfg.perfetto != "" {
 		tracer = rrfd.NewTracer()
 	}
-	observer := rrfd.MultiObserver(metrics, events, tracer)
+	observer := snk.observer(tracer)
+
+	m, err := resolve(cfg, observer)
+	if err != nil {
+		return err
+	}
+	n, f, k, seed := cfg.n, cfg.f, cfg.k, cfg.seed
 
 	var opts []rrfd.Option
 	if observer != nil {
@@ -361,21 +312,8 @@ func run(cfg config, w io.Writer) error {
 		if err := writeTrace(w, cfg.outFile, tr); err != nil {
 			return err
 		}
-		if events != nil {
-			if err := eventsBuf.Flush(); err != nil {
-				return fmt.Errorf("flush events: %w", err)
-			}
-			if err := events.Err(); err != nil {
-				return fmt.Errorf("write events: %w", err)
-			}
-			fmt.Fprintf(w, "%d events written to %s\n", events.Lines(), cfg.eventsFile)
-		}
-		if metrics != nil && cfg.metrics {
-			b, err := metrics.Snapshot().JSON()
-			if err != nil {
-				return fmt.Errorf("encode metrics: %w", err)
-			}
-			fmt.Fprintf(w, "metrics:\n%s\n", b)
+		if err := snk.finish(w); err != nil {
+			return err
 		}
 		if tracer != nil {
 			if err := tracer.ExportFile(cfg.perfetto); err != nil {
@@ -384,7 +322,7 @@ func run(cfg config, w io.Writer) error {
 			fmt.Fprintf(w, "perfetto trace written to %s\n", cfg.perfetto)
 		}
 		if tr != nil {
-			return report(w, pred, tr)
+			return report(w, m.pred, tr)
 		}
 		return nil
 	}
@@ -394,50 +332,33 @@ func run(cfg config, w io.Writer) error {
 		inputs[i] = i
 	}
 
-	rounds := cfg.rounds
-	var factory rrfd.Factory
-	bound := 0
-	switch cfg.alg {
-	case "kset":
-		bound = k
-		if observer != nil {
-			factory = rrfd.OneRoundKSetObserved(observer)
-		} else {
-			factory = rrfd.OneRoundKSet()
+	// failed reports why a run ended in error: a sampled model that ran out
+	// of plans says so itself, and says it better than the engine rejecting
+	// the plan it could not produce.
+	failed := func(err error) error {
+		if ferr := m.failed(); ferr != nil {
+			return fmt.Errorf("%s: %w", sourceLabel(cfg), ferr)
 		}
-	case "floodmin":
-		r := f/k + 1
-		if rounds > 0 {
-			r = rounds
-		}
-		factory, bound = rrfd.FloodMin(r), k
-	case "floodset":
-		factory, bound = rrfd.FloodSet(f), 1
-	case "coordinator":
-		factory, bound = rrfd.RotatingCoordinator(), 1
-	case "none":
-		if rounds <= 0 {
-			rounds = 5
-		}
-		tr, err := rrfd.CollectTrace(n, rounds, oracle, opts...)
+		return err
+	}
+
+	if m.factory == nil {
+		tr, err := rrfd.CollectTrace(n, m.rounds, m.oracle, opts...)
 		if err != nil {
-			return err
+			return failed(err)
 		}
 		fmt.Fprintf(w, "collected %d rounds from %s\n", tr.Len(), sourceLabel(cfg))
 		if cfg.dumpTrace {
 			fmt.Fprint(w, tr.String())
 		}
 		return finish(tr)
-	default:
-		return fmt.Errorf("unknown algorithm %q", cfg.alg)
 	}
 
 	var res *rrfd.Result
-	var err error
 	if cfg.resumeDir != "" {
-		res, err = rrfd.Resume(cfg.resumeDir, factory, oracle, opts...)
+		res, err = rrfd.Resume(cfg.resumeDir, m.factory, m.oracle, opts...)
 	} else {
-		res, err = rrfd.Run(n, inputs, factory, oracle, opts...)
+		res, err = rrfd.Run(n, inputs, m.factory, m.oracle, opts...)
 	}
 	var halt *rrfd.HaltError
 	if errors.As(err, &halt) {
@@ -448,7 +369,7 @@ func run(cfg config, w io.Writer) error {
 		return finish(res.Trace)
 	}
 	if err != nil {
-		return err
+		return failed(err)
 	}
 	if cfg.resumeDir != "" {
 		fmt.Fprintf(w, "resumed from %s\n", cfg.resumeDir)
@@ -467,10 +388,10 @@ func run(cfg config, w io.Writer) error {
 			fmt.Fprintf(w, "  p%-3d → (no decision)\n", p)
 		}
 	}
-	if err := rrfd.ValidateAgreement(res, inputs, bound, 0); err != nil {
+	if err := rrfd.ValidateAgreement(res, inputs, m.bound, 0); err != nil {
 		fmt.Fprintf(w, "agreement check: %v\n", err)
 	} else {
-		fmt.Fprintf(w, "agreement check: %d-set agreement holds\n", bound)
+		fmt.Fprintf(w, "agreement check: %d-set agreement holds\n", m.bound)
 	}
 	if cfg.dumpTrace {
 		fmt.Fprint(w, res.Trace.String())
@@ -482,21 +403,11 @@ func run(cfg config, w io.Writer) error {
 // per-violation reports and the final summary to w. A campaign with safety
 // violations is an error, so CI fails loudly.
 func runChaos(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
-	var metrics *rrfd.Metrics
-	var events *rrfd.EventLog
-	var eventsBuf *bufio.Writer
-	if tel != nil {
-		metrics = tel.Metrics
+	snk, err := openSinks(cfg, tel)
+	if err != nil {
+		return err
 	}
-	if cfg.eventsFile != "" {
-		file, err := os.Create(cfg.eventsFile)
-		if err != nil {
-			return fmt.Errorf("create events file: %w", err)
-		}
-		defer file.Close()
-		eventsBuf = bufio.NewWriter(file)
-		events = rrfd.NewEventLog(eventsBuf)
-	}
+	defer snk.closeFile()
 
 	ccfg := chaosConfig(cfg)
 	if cfg.model != "" {
@@ -519,28 +430,15 @@ func runChaos(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 		// (negated) the model by construction rather than by scheduler luck.
 		ccfg.SyncRounds = true
 	}
-	ccfg.Observer = rrfd.MultiObserver(metrics, events)
+	ccfg.Observer = snk.observer()
 	ccfg.Out = w
 	if tel != nil {
 		ccfg.Telemetry = tel.Hist
 	}
 	sum := rrfd.ChaosRun(ccfg)
 
-	if events != nil {
-		if err := eventsBuf.Flush(); err != nil {
-			return fmt.Errorf("flush events: %w", err)
-		}
-		if err := events.Err(); err != nil {
-			return fmt.Errorf("write events: %w", err)
-		}
-		fmt.Fprintf(w, "%d events written to %s\n", events.Lines(), cfg.eventsFile)
-	}
-	if metrics != nil && cfg.metrics {
-		b, err := metrics.Snapshot().JSON()
-		if err != nil {
-			return fmt.Errorf("encode metrics: %w", err)
-		}
-		fmt.Fprintf(w, "metrics:\n%s\n", b)
+	if err := snk.finish(w); err != nil {
+		return err
 	}
 	if cfg.perfetto != "" {
 		if len(sum.Violations) == 0 {
@@ -593,21 +491,11 @@ func chaosConfig(cfg config) rrfd.ChaosConfig {
 // crashes at least one process, usually restarts it from its durable
 // journal, and audits the outcome's safety.
 func runChaosRecover(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
-	var metrics *rrfd.Metrics
-	var events *rrfd.EventLog
-	var eventsBuf *bufio.Writer
-	if tel != nil {
-		metrics = tel.Metrics
+	snk, err := openSinks(cfg, tel)
+	if err != nil {
+		return err
 	}
-	if cfg.eventsFile != "" {
-		file, err := os.Create(cfg.eventsFile)
-		if err != nil {
-			return fmt.Errorf("create events file: %w", err)
-		}
-		defer file.Close()
-		eventsBuf = bufio.NewWriter(file)
-		events = rrfd.NewEventLog(eventsBuf)
-	}
+	defer snk.closeFile()
 
 	rcfg := rrfd.RecoverChaosConfig{
 		N: cfg.n, F: cfg.f,
@@ -620,7 +508,7 @@ func runChaosRecover(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 		WatchdogSteps: cfg.watchdog,
 		AmnesiaBug:    cfg.bug,
 		Workers:       cfg.workers,
-		Observer:      rrfd.MultiObserver(metrics, events),
+		Observer:      snk.observer(),
 		Out:           w,
 	}
 	if tel != nil {
@@ -628,21 +516,8 @@ func runChaosRecover(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 	}
 	sum := rrfd.RecoverChaosRun(rcfg)
 
-	if events != nil {
-		if err := eventsBuf.Flush(); err != nil {
-			return fmt.Errorf("flush events: %w", err)
-		}
-		if err := events.Err(); err != nil {
-			return fmt.Errorf("write events: %w", err)
-		}
-		fmt.Fprintf(w, "%d events written to %s\n", events.Lines(), cfg.eventsFile)
-	}
-	if metrics != nil && cfg.metrics {
-		b, err := metrics.Snapshot().JSON()
-		if err != nil {
-			return fmt.Errorf("encode metrics: %w", err)
-		}
-		fmt.Fprintf(w, "metrics:\n%s\n", b)
+	if err := snk.finish(w); err != nil {
+		return err
 	}
 	if !sum.Ok() {
 		return fmt.Errorf("chaos-recover: %d safety violation(s) in %d runs", len(sum.Violations), sum.Runs)
@@ -655,26 +530,26 @@ func runChaosRecover(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 // planted acknowledgement count, its journal audited, a restart, and a
 // full idempotent replay of the load.
 func runChaosServe(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
+	snk, err := openSinks(cfg, tel) // validate refused -events: metrics only
+	if err != nil {
+		return err
+	}
 	scfg := rrfd.ServeChaosConfig{
 		N: cfg.n, F: cfg.f, K: cfg.k,
-		Seed: cfg.seed,
-		Bug:  cfg.bug,
-		Out:  w,
+		Seed:     cfg.seed,
+		Bug:      cfg.bug,
+		Observer: snk.observer(),
+		Out:      w,
 	}
 	if tel != nil {
-		scfg.Observer = tel.Metrics
 		scfg.Telemetry = tel.Hist
 	}
 	sum, err := rrfd.RunServeChaos(scfg)
 	if err != nil {
 		return err
 	}
-	if tel != nil && cfg.metrics {
-		b, err := tel.Metrics.Snapshot().JSON()
-		if err != nil {
-			return fmt.Errorf("encode metrics: %w", err)
-		}
-		fmt.Fprintf(w, "metrics:\n%s\n", b)
+	if err := snk.finish(w); err != nil {
+		return err
 	}
 	if !sum.Ok() {
 		return fmt.Errorf("chaos-serve: %d service violation(s)", len(sum.Violations))

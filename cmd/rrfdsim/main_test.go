@@ -57,39 +57,50 @@ func TestValidateRejectsBadN(t *testing.T) {
 	}
 }
 
-// TestRunMCRejectsUnsatisfiableModel: a model expression that admits no
-// plan is an input error like a bad -n — one line naming the branch, the
-// round and the state, at every -workers count and on replay — where it
-// used to be a panic out of the adversary.
+// TestRunMCRejectsUnsatisfiableModel: a model expression that admits no plan
+// is an input error like a bad -n — one line naming the model (under -mc
+// the branch), the round and the state, in a plain run as under -mc at every
+// -workers count and on replay — where -mc used to panic out of the
+// adversary and a plain run used to blame the model's own oracle for
+// violating the model.
 func TestRunMCRejectsUnsatisfiableModel(t *testing.T) {
 	for _, c := range []struct {
 		model  string
 		round  int
 		replay string
+		plain  bool
 	}{
 		{model: "perround(0) & !perround(0)", round: 1},
+		{model: "perround(0) & !perround(0)", round: 1, plain: true},
 		{model: "identical & !identical", round: 1},
 		{model: "identical & !identical", round: 1, replay: "c1:0"},
 		{model: "eventually(1, perround(0) & !perround(0))", round: 2},
+		{model: "eventually(1, perround(0) & !perround(0))", round: 2, plain: true},
 	} {
 		for _, workers := range []int{1, 4, 8} {
 			cfg := modelConfig(c.model)
 			cfg.mc, cfg.alg, cfg.rounds = true, "floodmin", 2
 			cfg.workers, cfg.mcReplay = workers, c.replay
+			if c.plain {
+				if workers > 1 {
+					continue // -workers parallelizes campaigns only
+				}
+				cfg.mc, cfg.alg = false, "none"
+			}
 			var buf bytes.Buffer
 			err := run(cfg, &buf)
 			var empty *rrfd.EmptyFamilyError
 			if !errors.As(err, &empty) || empty.Round != c.round {
-				t.Fatalf("-model %q -workers %d -mc-replay %q: err = %v, want an empty plan family in round %d\n%s",
-					c.model, workers, c.replay, err, c.round, buf.String())
+				t.Fatalf("-model %q -mc=%v -workers %d -mc-replay %q: err = %v, want an empty plan family in round %d\n%s",
+					c.model, cfg.mc, workers, c.replay, err, c.round, buf.String())
 			}
 			text := err.Error()
 			if strings.Contains(text, "\n") || !strings.Contains(text, c.model) ||
 				!strings.Contains(text, fmt.Sprintf("no plan in round %d (active={0,1,2}", c.round)) {
-				t.Fatalf("-model %q: error should be one line naming the branch, the round and the state: %q", c.model, text)
+				t.Fatalf("-model %q: error should be one line naming the model, the round and the state: %q", c.model, text)
 			}
-			if strings.Contains(buf.String(), "violation") {
-				t.Fatalf("-model %q: an unsatisfiable model reported as a violation:\n%s", c.model, buf.String())
+			if strings.Contains(buf.String(), "violation") || strings.Contains(buf.String(), "collected") {
+				t.Fatalf("-model %q: an unsatisfiable model reported as a run:\n%s", c.model, buf.String())
 			}
 		}
 	}

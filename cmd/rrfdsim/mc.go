@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	rrfd "repro"
@@ -22,89 +20,25 @@ import (
 // one recorded schedule.
 func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 	n, f, k := cfg.n, cfg.f, cfg.k
-
-	// Each exploration is one enumerator: the bespoke -system families are
-	// single-branch; a compiled -model contributes one per disjunct.
-	type exploration struct {
-		label string
-		enum  rrfd.AdversaryEnum
+	m, err := resolve(cfg, nil)
+	if err != nil {
+		return err
 	}
-	var (
-		exps      []exploration
-		modelPred rrfd.Predicate
-	)
-	if cfg.model != "" {
-		expr, err := rrfd.ResolveModel(cfg.model, rrfd.ModelParams{N: n, F: f, K: k, Stab: modelStab})
-		if err != nil {
-			return err
-		}
-		branches, err := expr.EnumBranches(n)
-		if err != nil {
-			return err
-		}
-		modelPred = expr.Compile()
-		for _, b := range branches {
-			exps = append(exps, exploration{label: b.Expr.String(), enum: b.Enum})
-		}
-	} else {
-		var (
-			enum rrfd.AdversaryEnum
-			err  error
-		)
-		switch cfg.system {
-		case "async":
-			enum, err = rrfd.EnumPerRoundBudget(n, f)
-		case "kset":
-			enum, err = rrfd.EnumKSet(n, k)
-		case "omission":
-			enum, err = rrfd.EnumSendOmission(n, f)
-		case "crash":
-			enum, err = rrfd.EnumSyncCrash(n, f)
-		default:
-			return fmt.Errorf("-mc enumerates systems async|kset|omission|crash, got %q", cfg.system)
-		}
-		if err != nil {
-			return err
-		}
-		exps = []exploration{{label: cfg.system, enum: enum}}
+	if cfg.bug && cfg.alg != "qkset" {
+		return fmt.Errorf("-bug plants the wrong-quorum decision rule: use -alg qkset")
 	}
+	exps, bound := m.branches, m.bound
 
 	inputs := make([]rrfd.Value, n)
 	for i := range inputs {
 		inputs[i] = i
 	}
 
-	var factory rrfd.Factory
-	bound := k
-	switch cfg.alg {
-	case "qkset":
-		// Quorum-gated k-set decides among at most f+1 distinct minima.
-		bound = f + 1
-		if cfg.bug {
-			factory = rrfd.QuorumKSetBuggy(f)
-		} else {
-			factory = rrfd.QuorumKSet(f)
-		}
-	case "kset":
-		factory = rrfd.OneRoundKSet()
-	case "floodmin":
-		r := f/k + 1
-		if cfg.rounds > 0 {
-			r = cfg.rounds
-		}
-		factory = rrfd.FloodMin(r)
-	default:
-		return fmt.Errorf("-mc supports algorithms qkset|kset|floodmin, got %q", cfg.alg)
-	}
-	if cfg.bug && cfg.alg != "qkset" {
-		return fmt.Errorf("-bug plants the wrong-quorum decision rule: use -alg qkset")
-	}
-
-	makeSpec := func(e exploration, tracer *rrfd.Tracer) rrfd.MCRunSpec {
+	makeSpec := func(e branch, tracer *rrfd.Tracer) rrfd.MCRunSpec {
 		spec := rrfd.MCRunSpec{
 			N:       n,
 			Inputs:  inputs,
-			Factory: factory,
+			Factory: m.factory,
 			Oracle: func(ctx *rrfd.MCCtx) rrfd.Oracle {
 				return rrfd.EnumeratedAdversary(ctx, n, e.enum)
 			},
@@ -117,7 +51,7 @@ func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 			Mark: cfg.model == "",
 		}
 		if cfg.model != "" {
-			spec.Model = &modelPred
+			spec.Model = &m.pred
 		}
 		if tracer != nil {
 			spec.Observer = tracer
@@ -161,21 +95,11 @@ func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 		return nil
 	}
 
-	var metrics *rrfd.Metrics
-	var events *rrfd.EventLog
-	var eventsBuf *bufio.Writer
-	if tel != nil {
-		metrics = tel.Metrics
+	snk, err := openSinks(cfg, tel)
+	if err != nil {
+		return err
 	}
-	if cfg.eventsFile != "" {
-		file, err := os.Create(cfg.eventsFile)
-		if err != nil {
-			return fmt.Errorf("create events file: %w", err)
-		}
-		defer file.Close()
-		eventsBuf = bufio.NewWriter(file)
-		events = rrfd.NewEventLog(eventsBuf)
-	}
+	defer snk.closeFile()
 
 	opts := rrfd.MCOptions{
 		MaxSchedules: cfg.mcMax,
@@ -184,7 +108,7 @@ func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 		Seed:         cfg.seed,
 		Workers:      cfg.workers,
 	}
-	if observer := rrfd.MultiObserver(metrics, events); observer != nil {
+	if observer := snk.observer(); observer != nil {
 		opts.Observer = observer
 	}
 
@@ -233,21 +157,8 @@ func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 		}
 	}
 
-	if events != nil {
-		if err := eventsBuf.Flush(); err != nil {
-			return fmt.Errorf("flush events: %w", err)
-		}
-		if err := events.Err(); err != nil {
-			return fmt.Errorf("write events: %w", err)
-		}
-		fmt.Fprintf(w, "%d events written to %s\n", events.Lines(), cfg.eventsFile)
-	}
-	if metrics != nil && cfg.metrics {
-		b, err := metrics.Snapshot().JSON()
-		if err != nil {
-			return fmt.Errorf("encode metrics: %w", err)
-		}
-		fmt.Fprintf(w, "metrics:\n%s\n", b)
+	if err := snk.finish(w); err != nil {
+		return err
 	}
 
 	switch {

@@ -19,8 +19,7 @@ import (
 // The enumerators themselves are compiled from hoalg model expressions
 // (one source of truth for checker, enumerator and chaos plan); the four
 // constructors below keep their historical signatures as thin wrappers and
-// are held to byte-identical plan lists by the reference implementations
-// in enum_reference_test.go.
+// are held to byte-identical plan lists by planListGolden in enum_test.go.
 
 // EnumState is what an Enum may condition on; see hoalg.EnumState.
 type EnumState = hoalg.EnumState
@@ -29,87 +28,33 @@ type EnumState = hoalg.EnumState
 // hoalg.Enum.
 type Enum = hoalg.Enum
 
-// Enumerated drives an Enum as a core.Oracle for one explored schedule:
-// each round it enumerates the allowed plans and asks ctx to pick one,
-// labeling options with a plan hash so mc's symmetry reduction collapses
-// duplicate plans. It tracks the suspicion history EnumState exposes and
-// implements mc.Fingerprinter over it, so RunSpec.Mark-based pruning can
-// include the adversary's state.
-//
-// The state handed to enum aliases the oracle's own history (nothing is
-// cloned per round) and the chosen plan is enum's own: a compiled Enum
-// memoises its lists (hoalg.Enum), so one enum shared by every schedule of
-// an exploration expands each state once. A state the model admits no plan
-// from fails the exploration with an *EmptyFamilyError (mc.Ctx.Fail).
+// Enumerated drives an Enum as a core.Oracle for one explored schedule: a
+// hoalg.Walk whose picker is ctx, with options labeled by a plan hash so
+// mc's symmetry reduction collapses duplicate plans. The walk implements
+// mc.Fingerprinter over its suspicion history, so RunSpec.Mark-based pruning
+// can include the adversary's state. A state the model admits no plan from
+// fails the exploration with the walk's *hoalg.EmptyFamilyError
+// (mc.Ctx.Fail).
 func Enumerated(ctx *mc.Ctx, n int, enum Enum) core.Oracle {
-	return &enumerated{ctx: ctx, n: n, enum: enum,
-		suspected: core.NewSet(n), prevUnion: core.NewSet(n)}
+	return &explored{Walk: hoalg.NewWalk(n, enum), ctx: ctx}
 }
 
-type enumerated struct {
-	ctx       *mc.Ctx
-	n         int
-	enum      Enum
-	suspected core.Set
-	prevUnion core.Set
-	unions    []core.Set
+type explored struct {
+	hoalg.Walk
+	ctx *mc.Ctx
 }
 
-// EmptyFamilyError reports that an enumerator listed no plan at all: the
-// model is unsatisfiable from State, so there is no schedule to explore
-// past Round. It reaches the caller as mc.Explore's (or mc.Replay's) error.
-type EmptyFamilyError struct {
-	Round int
-	State EnumState
-}
-
-// Error implements error.
-func (e *EmptyFamilyError) Error() string {
-	return fmt.Sprintf("adversary: the model admits no plan in round %d (active=%s suspected=%s prev-round=%s)",
-		e.Round, e.State.Active, e.State.Suspected, e.State.PrevUnion)
-}
-
-func (e *enumerated) Plan(r int, active core.Set) core.RoundPlan {
-	st := EnumState{R: r, Active: active, Suspected: e.suspected,
-		PrevUnion: e.prevUnion, Unions: e.unions}
-	plans := e.enum(st)
+func (e *explored) Plan(r int, active core.Set) core.RoundPlan {
+	plans := e.Plans(r, active)
 	if len(plans) == 0 {
-		// The error outlives the round: detach it from the engine's live
-		// set and from the history this oracle updates in place.
-		st.Active, st.Suspected = active.Clone(), e.suspected.Clone()
-		e.ctx.Fail(&EmptyFamilyError{Round: r, State: st})
-		// No plan to return: the engine rejects the zero plan and the
-		// schedule ends here.
+		e.ctx.Fail(e.Err())
 		return core.RoundPlan{}
 	}
 	labels := make([]uint64, len(plans))
 	for i := range plans {
 		labels[i] = planHash(&plans[i])
 	}
-	plan := plans[e.ctx.ChooseLabeled(labels)]
-
-	u := core.NewSet(e.n)
-	for _, d := range plan.Suspects {
-		u.UnionInto(d)
-	}
-	e.prevUnion = u
-	e.suspected.UnionInto(u)
-	e.unions = append(e.unions, u)
-	return plan
-}
-
-// Fingerprint implements mc.Fingerprinter over the state future plans
-// depend on. It covers the cumulative and previous-round unions — enough
-// for the window-free model families explored with Mark-based pruning
-// (windowed "eventually" expressions are path properties and must be
-// explored with Mark off anyway).
-func (e *enumerated) Fingerprint() uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
-	e.suspected.ForEach(func(p core.PID) { mix(uint64(p) + 1) })
-	mix(0xabcd)
-	e.prevUnion.ForEach(func(p core.PID) { mix(uint64(p) + 1) })
-	return h
+	return e.Follow(plans[e.ctx.ChooseLabeled(labels)])
 }
 
 // planHash fingerprints a round plan for the symmetry reduction: two

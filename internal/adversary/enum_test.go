@@ -203,7 +203,7 @@ func TestEmptyFamilyIsAnExploreError(t *testing.T) {
 		var texts []string
 		for _, workers := range []int{1, 1, 4, 8} {
 			res, err := mc.Explore(mc.Options{Workers: workers}, sweepRun(c.expr, enum))
-			var empty *adversary.EmptyFamilyError
+			var empty *hoalg.EmptyFamilyError
 			if !errors.As(err, &empty) {
 				t.Fatalf("%s workers=%d: Explore returned (%+v, %v), want an *EmptyFamilyError", c.expr, workers, res, err)
 			}

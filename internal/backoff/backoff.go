@@ -53,27 +53,6 @@ func (p Policy) jitter() float64 {
 	}
 }
 
-// Interval returns the exact (un-jittered) interval preceding retry
-// attempt n (0-based): Initial*Factor^n, capped. Negative n is treated
-// as 0.
-func (p Policy) Interval(n int) int {
-	iv := p.initial()
-	for i := 0; i < n; i++ {
-		next := iv * p.factor()
-		if p.Cap > 0 && next >= p.Cap {
-			return p.Cap
-		}
-		if next < iv { // overflow: saturate
-			return maxInt
-		}
-		iv = next
-	}
-	if p.Cap > 0 && iv > p.Cap {
-		return p.Cap
-	}
-	return iv
-}
-
 const maxInt = int(^uint(0) >> 1)
 
 // Seq walks a policy's ladder statefully: each Next returns the current
@@ -99,7 +78,7 @@ func (p Policy) Seeded(seed int64) *Seq {
 
 // Next returns the interval to wait before the next retry and advances
 // the ladder. Without jitter the returned values are exactly
-// Policy.Interval(0), Interval(1), ...
+// Initial, Initial*Factor, Initial*Factor², ... capped.
 func (s *Seq) Next() int {
 	iv := s.current
 	next := iv * s.p.factor()

@@ -16,9 +16,6 @@ func TestReliablelinkLadder(t *testing.T) {
 		if got := s.Next(); got != w {
 			t.Fatalf("Next()[%d] = %d, want %d", i, got, w)
 		}
-		if got := p.Interval(i); got != w {
-			t.Errorf("Interval(%d) = %d, want %d", i, got, w)
-		}
 	}
 }
 
@@ -30,9 +27,6 @@ func TestDefaults(t *testing.T) {
 		if got := s.Next(); got != w {
 			t.Fatalf("zero policy Next()[%d] = %d, want %d", i, got, w)
 		}
-	}
-	if got := p.Interval(-3); got != 1 {
-		t.Errorf("Interval(-3) = %d, want 1", got)
 	}
 }
 
@@ -53,9 +47,6 @@ func TestOverflowSaturates(t *testing.T) {
 	if got := s.Next(); got != maxInt {
 		t.Fatalf("overflowed interval = %d, want maxInt", got)
 	}
-	if got := p.Interval(4); got != maxInt {
-		t.Fatalf("Interval(4) = %d, want maxInt", got)
-	}
 }
 
 // TestSeededJitter checks determinism (same seed, same intervals), spread
@@ -63,10 +54,10 @@ func TestOverflowSaturates(t *testing.T) {
 func TestSeededJitter(t *testing.T) {
 	p := Policy{Initial: 100, Cap: 1600, Jitter: 0.2}
 	a, b := p.Seeded(7), p.Seeded(7)
-	other := p.Seeded(8)
+	other, ladder := p.Seeded(8), p.Sequence()
 	diverged := false
 	for i := 0; i < 20; i++ {
-		exact := p.Interval(i)
+		exact := ladder.Next()
 		av, bv := a.Next(), b.Next()
 		if av != bv {
 			t.Fatalf("same seed diverged at %d: %d vs %d", i, av, bv)
@@ -88,8 +79,8 @@ func TestSeededJitter(t *testing.T) {
 func TestUnseededIgnoresJitter(t *testing.T) {
 	p := Policy{Initial: 10, Cap: 80, Jitter: 0.5}
 	s := p.Sequence()
-	for i := 0; i < 6; i++ {
-		if got, want := s.Next(), p.Interval(i); got != want {
+	for i, want := range []int{10, 20, 40, 80, 80, 80} {
+		if got := s.Next(); got != want {
 			t.Fatalf("unseeded Next()[%d] = %d, want exact %d", i, got, want)
 		}
 	}

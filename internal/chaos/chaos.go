@@ -68,12 +68,9 @@ type Config struct {
 	// MaxCrashes bounds the crash failures injected per run; clamped to F.
 	MaxCrashes int
 
-	// WatchdogSteps and LingerSteps tune the reliable round protocol;
+	// WatchdogSteps and lingerSteps tune the reliable round protocol;
 	// 0 means 1200 and 400.
-	WatchdogSteps, LingerSteps int
-
-	// MaxSteps bounds each execution's scheduler steps; 0 means 1<<18.
-	MaxSteps int
+	WatchdogSteps, lingerSteps int
 
 	// FixedPlan, when non-nil, replaces the per-run randomized fault plan:
 	// every run injects exactly this plan, while scheduler seeds and crash
@@ -163,14 +160,14 @@ func (c Config) withDefaults() Config {
 	if c.WatchdogSteps <= 0 {
 		c.WatchdogSteps = 1200
 	}
-	if c.LingerSteps <= 0 {
-		c.LingerSteps = 400
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 1 << 18
+	if c.lingerSteps <= 0 {
+		c.lingerSteps = 400
 	}
 	return c
 }
+
+// maxSteps bounds each execution's scheduler steps, in every campaign.
+const maxSteps = 1 << 18
 
 // Violation is one safety-invariant breach, with everything needed to
 // replay it: the scheduler seed, the full fault plan, the crash pattern,
@@ -364,13 +361,13 @@ func Execute(cfg Config, schedSeed int64, plan faultnet.Plan, crashes map[core.P
 		Net: msgnet.Config{
 			Chooser:  msgnet.Seeded(schedSeed),
 			Crash:    crashes,
-			MaxSteps: cfg.MaxSteps,
+			MaxSteps: maxSteps,
 			Faults:   plan.Injector(),
 			Observer: cfg.Observer,
 		},
 		Link:          reliablelink.Config{Observer: cfg.Observer},
 		WatchdogSteps: cfg.WatchdogSteps,
-		LingerSteps:   cfg.LingerSteps,
+		LingerSteps:   cfg.lingerSteps,
 	}, proposal)
 
 	return out, rep, decide(cfg, out), err

@@ -72,7 +72,7 @@ func executeOn(cfg Config, sched int64, plan faultnet.Plan, crashes map[core.PID
 	out, err := msgnet.Run(cfg.N, msgnet.Config{
 		Chooser:  msgnet.Seeded(sched),
 		Crash:    crashes,
-		MaxSteps: cfg.MaxSteps,
+		MaxSteps: maxSteps,
 		Faults:   plan.Injector(),
 	}, func(nd *msgnet.Node) (core.Value, error) {
 		if nd.Me == 0 {
@@ -81,7 +81,7 @@ func executeOn(cfg Config, sched int64, plan faultnet.Plan, crashes map[core.PID
 		l := reliablelink.New(under(nd), reliablelink.Config{})
 		links[nd.Me] = l
 		var err error
-		recs[nd.Me], stalls[nd.Me], err = msgnet.RunSubstrateRounds(counted{l, &calls[nd.Me]}, cfg.F, cfg.Rounds, cfg.WatchdogSteps, cfg.LingerSteps, proposal, nil)
+		recs[nd.Me], stalls[nd.Me], err = msgnet.RunSubstrateRounds(counted{l, &calls[nd.Me]}, cfg.F, cfg.Rounds, cfg.WatchdogSteps, cfg.lingerSteps, proposal, nil)
 		return nil, err
 	})
 	t := tally{rep: reliablelink.RunReport{PerProc: make([]reliablelink.Stats, cfg.N), Steps: out.Steps, Crashed: out.Crashed, Errs: out.Errs}}
@@ -114,7 +114,7 @@ func TestCampaignSliceUnderBothDrivers(t *testing.T) {
 		for name, under := range map[string]func(*msgnet.Node) msgnet.Substrate{"holder": native, "loop": hidden} {
 			got, tl, err := executeOn(cfg, sched, plan, crashes, under)
 			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(&tl.rep, wantRep) || !reflect.DeepEqual(err, wantErr) {
-				t.Fatalf("run %d, %s:\n got %+v\n     %s\n     %v\nwant %+v\n     %s\n     %v", run, name, got, &tl.rep, err, want, wantRep, wantErr)
+				t.Fatalf("run %d, %s:\n got %+v\n     %+v\n     %v\nwant %+v\n     %+v\n     %v", run, name, got, tl.rep, err, want, *wantRep, wantErr)
 			}
 		}
 	})

@@ -55,13 +55,13 @@ func TestLockStepEqualsSubstrate(t *testing.T) {
 				t.Fatalf("%s: engine: %v", name, err)
 			}
 			if rep.Stalled() || rep.Steps != 0 || rep.Retransmissions != 0 {
-				t.Fatalf("%s: a lock-step run reports substrate work: %s", name, rep)
+				t.Fatalf("%s: a lock-step run reports substrate work: %+v", name, *rep)
 			}
 			for sched := int64(1); sched <= 4; sched++ {
 				want, _, err := reliablelink.RunRounds(cfg.N, 0, cfg.Rounds, reliablelink.RoundsConfig{
-					Net:           msgnet.Config{Chooser: msgnet.Seeded(sched), MaxSteps: cfg.MaxSteps, Faults: plan.Injector()},
+					Net:           msgnet.Config{Chooser: msgnet.Seeded(sched), MaxSteps: maxSteps, Faults: plan.Injector()},
 					WatchdogSteps: cfg.WatchdogSteps,
-					LingerSteps:   cfg.LingerSteps,
+					LingerSteps:   cfg.lingerSteps,
 				}, proposal)
 				if err != nil {
 					t.Fatalf("%s sched=%d: substrate: %v", name, sched, err)

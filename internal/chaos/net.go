@@ -12,33 +12,20 @@ import (
 
 // NetConfig tunes the networked (real-socket) execution path.
 type NetConfig struct {
-	// Watchdog and Linger are the wall-clock analogues of WatchdogSteps
-	// and LingerSteps; 0 means 500ms and 100ms — generous for loopback,
+	// watchdog and linger are the wall-clock analogues of WatchdogSteps
+	// and lingerSteps; 0 means 500ms and 100ms — generous for loopback,
 	// tight enough that partitioned rounds degrade quickly.
-	Watchdog, Linger time.Duration
-
-	// StepMillis maps one faultnet delay step to wall milliseconds in
-	// the socket proxy; 0 means 2ms.
-	StepMillis int
-
-	// ResetEvery, when positive, additionally resets every N-th data
-	// frame's connection (a fault the virtual substrate cannot express,
-	// so cross-validation ignores it).
-	ResetEvery int
+	watchdog, linger time.Duration
 }
 
-func (c NetConfig) watchdog() time.Duration {
-	if c.Watchdog <= 0 {
-		return 500 * time.Millisecond
+func (c NetConfig) withDefaults() NetConfig {
+	if c.watchdog <= 0 {
+		c.watchdog = 500 * time.Millisecond
 	}
-	return c.Watchdog
-}
-
-func (c NetConfig) linger() time.Duration {
-	if c.Linger <= 0 {
-		return 100 * time.Millisecond
+	if c.linger <= 0 {
+		c.linger = 100 * time.Millisecond
 	}
-	return c.Linger
+	return c
 }
 
 // ExecuteNet runs one k-set-agreement execution over real TCP sockets
@@ -49,12 +36,8 @@ func (c NetConfig) linger() time.Duration {
 // expressible here (processes are goroutine-local, not scheduler-owned);
 // the multi-process rrfdsim harness covers real process death.
 func ExecuteNet(cfg Config, plan faultnet.Plan, ncfg NetConfig) (*core.RoundOutcome, *netsub.RunReport, map[core.PID]core.Value, error) {
-	cfg = cfg.withDefaults()
-	lns, err := netsub.WrapAll(cfg.N, plan, netsub.ChaosConfig{
-		StepMillis: ncfg.StepMillis,
-		ResetEvery: ncfg.ResetEvery,
-		Observer:   cfg.Observer,
-	})
+	cfg, ncfg = cfg.withDefaults(), ncfg.withDefaults()
+	lns, err := netsub.WrapAll(cfg.N, plan, netsub.ChaosConfig{Observer: cfg.Observer})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("chaos: wrap listeners: %w", err)
 	}
@@ -62,8 +45,8 @@ func ExecuteNet(cfg Config, plan faultnet.Plan, ncfg NetConfig) (*core.RoundOutc
 	out, rep, err := netsub.RunRounds(cfg.N, cfg.F, cfg.Rounds, netsub.RoundsConfig{
 		Node:      node,
 		Listeners: lns,
-		Watchdog:  ncfg.watchdog(),
-		Linger:    ncfg.linger(),
+		Watchdog:  ncfg.watchdog,
+		Linger:    ncfg.linger,
 	}, func(me core.PID, r int, _ map[core.PID]core.Value, _ core.Set) core.Value {
 		return int(me) // the proposal, re-broadcast every round
 	})

@@ -9,11 +9,11 @@ import (
 // 1-resilient, 2-set agreement under a never-healing three-way split.
 func crossCfg(quorumBug bool) Config {
 	return Config{N: 4, F: 1, K: 2, Rounds: 2, QuorumBug: quorumBug,
-		WatchdogSteps: 600, LingerSteps: 200}
+		WatchdogSteps: 600, lingerSteps: 200}
 }
 
 func crossNet() NetConfig {
-	return NetConfig{Watchdog: 300 * time.Millisecond, Linger: 50 * time.Millisecond}
+	return NetConfig{watchdog: 300 * time.Millisecond, linger: 50 * time.Millisecond}
 }
 
 // TestCrossValidateQuorumBug is the acceptance scenario: the same

@@ -114,7 +114,7 @@ func amnesiaCampaign(workers int) (string, string) {
 		Runs:          19,
 		Seed:          11,
 		MaxCrashes:    3,
-		RestartChance: 1,
+		restartChance: 1,
 		AmnesiaBug:    true,
 		Workers:       workers,
 		Out:           &out,

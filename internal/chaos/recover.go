@@ -37,27 +37,16 @@ type RecoverConfig struct {
 	// 0 means F.
 	MaxCrashes int
 
-	// RestartChance is the probability a crashed process gets a supervisor
+	// restartChance is the probability a crashed process gets a supervisor
 	// restart (the rest stay down — plain fail-stop); 0 means 0.8.
-	RestartChance float64
-
-	// MaxRestartDelay bounds the supervisor's restart latency in scheduler
-	// steps; 0 means 300.
-	MaxRestartDelay int
+	restartChance float64
 
 	// DropRate and DelayRate bound per-message link-fault probabilities
 	// randomized per run; 0 disables (crash-recovery is the subject here).
 	DropRate, DelayRate float64
 
-	// FlushEvery is the view-flush cadence — larger values widen the
-	// amnesia window recovery must survive; 0 means 3.
-	FlushEvery int
-
 	// WatchdogSteps is the per-round receive deadline; 0 means 512.
 	WatchdogSteps int
-
-	// MaxSteps bounds each execution; 0 means 1<<18.
-	MaxSteps int
 
 	// AmnesiaBug plants the recovery bug (decide from pre-crash un-flushed
 	// state) in every restarted process, to demonstrate the audit catches
@@ -105,23 +94,22 @@ func (c RecoverConfig) withDefaults() RecoverConfig {
 	if c.MaxCrashes <= 0 || c.MaxCrashes > c.F {
 		c.MaxCrashes = c.F
 	}
-	if c.RestartChance == 0 {
-		c.RestartChance = 0.8
-	}
-	if c.MaxRestartDelay <= 0 {
-		c.MaxRestartDelay = 300
-	}
-	if c.FlushEvery <= 0 {
-		c.FlushEvery = 3
+	if c.restartChance == 0 {
+		c.restartChance = 0.8
 	}
 	if c.WatchdogSteps <= 0 {
 		c.WatchdogSteps = 512
 	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 1 << 18
-	}
 	return c
 }
+
+// maxRestartDelay bounds the supervisor's restart latency in scheduler
+// steps; flushEvery is the view-flush cadence — the amnesia window recovery
+// must survive is flushEvery-1 rounds wide.
+const (
+	maxRestartDelay = 300
+	flushEvery      = 3
+)
 
 // RecoverScenario is one execution's full randomized input — everything
 // needed to replay it exactly.
@@ -198,8 +186,8 @@ func RandomRecoverScenario(cfg RecoverConfig, seed int64) RecoverScenario {
 	count := 1 + r.Intn(cfg.MaxCrashes) // at least one crash per run: recovery is the subject
 	for _, p := range pickPIDs(r, cfg.N, count) {
 		s.Crashes[p] = 1 + r.Intn(40)
-		if r.Float() < cfg.RestartChance {
-			s.Restarts[p] = 1 + r.Intn(cfg.MaxRestartDelay)
+		if r.Float() < cfg.restartChance {
+			s.Restarts[p] = 1 + r.Intn(maxRestartDelay)
 		}
 	}
 	s.Proposals = make([]int, cfg.N)
@@ -228,11 +216,11 @@ func ExecuteRecover(cfg RecoverConfig, s RecoverScenario) (*recovery.Outcome, er
 			Chooser:  msgnet.Seeded(s.SchedSeed),
 			Crash:    s.Crashes,
 			Restart:  s.Restarts,
-			MaxSteps: cfg.MaxSteps,
+			MaxSteps: maxSteps,
 			Faults:   s.Plan.Injector(),
 			Observer: cfg.Observer,
 		},
-		FlushEvery:    cfg.FlushEvery,
+		FlushEvery:    flushEvery,
 		WatchdogSteps: cfg.WatchdogSteps,
 		Proposals:     s.Proposals,
 		AmnesiaBug:    cfg.AmnesiaBug,

@@ -26,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -41,30 +40,16 @@ type ServeConfig struct {
 	// audited across clients; 0 means F+1.
 	N, F, K int
 
-	// Clients is the number of concurrent client goroutines; Requests
-	// the submits each makes per batch; Instances the id space they
-	// draw from. 0 means 6, 12, 8.
-	Clients, Requests, Instances int
-
 	// Seed drives everything planted: per-client load, server pins,
 	// values, and the kill point. 0 means 1.
 	Seed int64
-
-	// CrashAfterAcks is the victim's deterministic kill point: it halts
-	// right after this many decisions have been acknowledged to its
-	// clients. 0 draws 2–4 from the seed.
-	CrashAfterAcks int
 
 	// Bug plants the ack-before-journal inversion on the victim; the
 	// campaign must then report a lost-ack violation.
 	Bug bool
 
-	// RequestTimeout bounds one client attempt (and the server-side
-	// deadline); 0 means 750ms.
-	RequestTimeout time.Duration
-
-	// Dir is the WAL root; "" uses a temp directory, removed afterwards.
-	Dir string
+	// dir is the WAL root; "" uses a temp directory, removed afterwards.
+	dir string
 
 	// Observer and Telemetry, when non-nil, meter the cluster.
 	Observer  obs.Observer
@@ -85,28 +70,27 @@ func (c *ServeConfig) withDefaults() ServeConfig {
 	if out.K == 0 {
 		out.K = out.F + 1
 	}
-	if out.Clients == 0 {
-		out.Clients = 6
-	}
-	if out.Requests == 0 {
-		out.Requests = 12
-	}
-	if out.Instances == 0 {
-		out.Instances = 8
-	}
 	if out.Seed == 0 {
 		out.Seed = 1
-	}
-	if out.RequestTimeout == 0 {
-		out.RequestTimeout = 750 * time.Millisecond
 	}
 	return out
 }
 
+// The campaign's load: serveClients concurrent clients make serveRequests
+// submits each per batch, over an id space of serveInstances;
+// serveRequestTimeout bounds one client attempt and is the server-side
+// deadline.
+const (
+	serveClients        = 6
+	serveRequests       = 12
+	serveInstances      = 8
+	serveRequestTimeout = 750 * time.Millisecond
+)
+
 // ServeViolation is one broken service promise.
 type ServeViolation struct {
 	// Kind is "lost-ack" | "divergent-recovery" | "duplicate-journal" |
-	// "conflicting-retry" | "validity" | "k-agreement" | "incarnation" |
+	// "idempotency" | "validity" | "k-agreement" | "incarnation" |
 	// "recovery-mismatch".
 	Kind   string
 	Detail string
@@ -119,11 +103,11 @@ func (v ServeViolation) String() string {
 
 // ServeSummary aggregates one campaign.
 type ServeSummary struct {
-	N, F, K                      int
-	Clients, Requests, Instances int
-	Seed                         int64
+	N, F, K int
+	Seed    int64
 
-	// CrashAfterAcks is the planted kill point; CrashFired whether the
+	// CrashAfterAcks is the planted kill point, 2–4 acknowledged decisions
+	// drawn from the seed; CrashFired whether the
 	// victim reached it mid-batch (else it was killed at batch end).
 	CrashAfterAcks int
 	CrashFired     bool
@@ -156,7 +140,7 @@ func (s *ServeSummary) Ok() bool { return len(s.Violations) == 0 }
 func (s *ServeSummary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "serve-chaos: n=%d f=%d k=%d clients=%d×%d seed=%d: %d acked, %d abstained, %d overloaded, %d unreachable, %d retries; victim acked %d pre-kill (crash@%d fired=%v), %d durable, incarnation %d, distinct<=%d; %d violations",
-		s.N, s.F, s.K, s.Clients, s.Requests, s.Seed,
+		s.N, s.F, s.K, serveClients, serveRequests, s.Seed,
 		s.Acked, s.Abstains, s.Overloads, s.Unreachable, s.Retries,
 		s.VictimAckedPreKill, s.CrashAfterAcks, s.CrashFired,
 		s.DurableDecisions, s.VictimIncarnation, s.DistinctMax, len(s.Violations))
@@ -166,38 +150,14 @@ func (s *ServeSummary) String() string {
 	return b.String()
 }
 
-// reqSpec is one planted request: everything about it is drawn from the
-// seed before any goroutine starts, so batch B can replay the identical
-// load (same request IDs, same pins) against the restarted victim.
-type reqSpec struct {
-	client, idx int
-	inst, req   string
-	val         int
-	server      int
-}
-
-// reqOutcome is what one attempt batch observed for a spec.
-type reqOutcome struct {
-	status      serve.Status
-	val         int
-	unreachable bool
-}
-
 // RunServe runs one kill-and-recover service campaign.
 func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 	c := cfg.withDefaults()
-	sum := &ServeSummary{
-		N: c.N, F: c.F, K: c.K,
-		Clients: c.Clients, Requests: c.Requests, Instances: c.Instances,
-		Seed: c.Seed,
-	}
+	sum := &ServeSummary{N: c.N, F: c.F, K: c.K, Seed: c.Seed}
 	rng := rand.New(rand.NewSource(c.Seed))
-	sum.CrashAfterAcks = c.CrashAfterAcks
-	if sum.CrashAfterAcks == 0 {
-		sum.CrashAfterAcks = 2 + rng.Intn(3)
-	}
+	sum.CrashAfterAcks = 2 + rng.Intn(3)
 
-	dir := c.Dir
+	dir := c.dir
 	if dir == "" {
 		var err error
 		dir, err = os.MkdirTemp("", "serve-chaos")
@@ -212,8 +172,8 @@ func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 		N: c.N, F: c.F, K: c.K,
 		Dir:            dir,
 		Sync:           wal.SyncAlways,
-		RequestTimeout: c.RequestTimeout,
-		InstanceTTL:    4 * c.RequestTimeout,
+		RequestTimeout: serveRequestTimeout,
+		InstanceTTL:    4 * serveRequestTimeout,
 		Seed:           c.Seed,
 		Observer:       c.Observer,
 		Hist:           c.Telemetry,
@@ -236,34 +196,10 @@ func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 	// CrashAfterAcks counter provably reaches the kill point mid-batch —
 	// shared instances are often decided at the victim off its peers'
 	// proposals first, and the resulting idempotent acks don't count.
-	exclusive := sum.CrashAfterAcks + 2
-	if exclusive > c.Requests {
-		exclusive = c.Requests
-	}
-	specs := make([]reqSpec, 0, c.Clients*c.Requests)
-	for ci := 0; ci < c.Clients; ci++ {
-		crng := rand.New(rand.NewSource(rng.Int63()))
-		for ri := 0; ri < c.Requests; ri++ {
-			sp := reqSpec{
-				client: ci, idx: ri,
-				inst:   fmt.Sprintf("i%d", crng.Intn(c.Instances)),
-				req:    fmt.Sprintf("c%d-%d", ci, ri),
-				val:    crng.Intn(1000),
-				server: crng.Intn(c.N),
-			}
-			if ci == 0 && ri < exclusive {
-				sp.inst = fmt.Sprintf("v%d", ri)
-				sp.server = victim
-			}
-			specs = append(specs, sp)
-		}
-	}
-	submitted := map[string]map[int]bool{} // inst → submitted values
-	for _, sp := range specs {
-		if submitted[sp.inst] == nil {
-			submitted[sp.inst] = map[int]bool{}
-		}
-		submitted[sp.inst][sp.val] = true
+	load := serve.PlantLoad(rng, serveClients, serveRequests, serveInstances, c.N)
+	for ri := 0; ri < min(sum.CrashAfterAcks+2, serveRequests); ri++ {
+		load.Requests[ri].Inst = fmt.Sprintf("v%d", ri)
+		load.Requests[ri].Server = victim
 	}
 
 	progress := func(format string, args ...any) {
@@ -272,49 +208,16 @@ func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 		}
 	}
 	progress("serve-chaos: n=%d f=%d cluster up, victim p%d crash@%d acks (bug=%v), driving %d clients × %d requests",
-		c.N, c.F, victim, sum.CrashAfterAcks, c.Bug, c.Clients, c.Requests)
+		c.N, c.F, victim, sum.CrashAfterAcks, c.Bug, serveClients, serveRequests)
 
-	runBatch := func(batch int, attempts int) []reqOutcome {
-		outs := make([]reqOutcome, len(specs))
-		var wg sync.WaitGroup
-		for ci := 0; ci < c.Clients; ci++ {
-			wg.Add(1)
-			go func(ci int) {
-				defer wg.Done()
-				conns := map[int]*serve.Client{}
-				defer func() {
-					for _, cc := range conns {
-						cc.Close()
-					}
-				}()
-				for si, sp := range specs {
-					if sp.client != ci {
-						continue
-					}
-					cc := conns[sp.server]
-					if cc == nil {
-						cc = serve.NewClient(serve.ClientConfig{
-							Addr:        addrs[sp.server],
-							Timeout:     c.RequestTimeout,
-							MaxAttempts: attempts,
-							RetryUnit:   2 * time.Millisecond,
-							Seed:        c.Seed + int64(1000*batch+100*ci+sp.server),
-						})
-						conns[sp.server] = cc
-					}
-					resp, err := cc.Submit(sp.inst, sp.req, sp.val)
-					if err != nil {
-						outs[si] = reqOutcome{unreachable: true}
-						continue
-					}
-					outs[si] = reqOutcome{status: resp.Status, val: resp.Val}
-				}
-				for _, cc := range conns {
-					sum.noteRetries(cc.Retries)
-				}
-			}(ci)
-		}
-		wg.Wait()
+	runBatch := func(batch int, attempts int) []serve.LoadOutcome {
+		outs, retries := load.Drive(addrs, serveClients, serve.ClientConfig{
+			Timeout:     serveRequestTimeout,
+			MaxAttempts: attempts,
+			RetryUnit:   2 * time.Millisecond,
+			Seed:        c.Seed + int64(1000*batch),
+		})
+		sum.Retries += retries
 		return outs
 	}
 
@@ -342,19 +245,19 @@ func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 	for _, inst := range js.DuplicateDecisions {
 		sum.violate("duplicate-journal", fmt.Sprintf("victim journal decided instance %s more than once", inst))
 	}
-	for si, sp := range specs {
-		if sp.server != victim || batchA[si].status != serve.StatusDecided {
+	for i, rq := range load.Requests {
+		if rq.Server != victim || batchA[i].Status != serve.StatusDecided {
 			continue
 		}
 		sum.VictimAckedPreKill++
-		durable, ok := js.Decisions[sp.inst]
+		durable, ok := js.Decisions[rq.Inst]
 		if !ok {
 			sum.violate("lost-ack", fmt.Sprintf(
 				"victim acknowledged %s=%d to request %s, journal has no decision for it",
-				sp.inst, batchA[si].val, sp.req))
-		} else if durable != batchA[si].val {
+				rq.Inst, batchA[i].Val, rq.Req))
+		} else if durable != batchA[i].Val {
 			sum.violate("divergent-recovery", fmt.Sprintf(
-				"victim acknowledged %s=%d, journal holds %d", sp.inst, batchA[si].val, durable))
+				"victim acknowledged %s=%d, journal holds %d", rq.Inst, batchA[i].Val, durable))
 		}
 	}
 
@@ -380,37 +283,19 @@ func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 
 	// Cross-batch audits.
 	audit := serve.NewAuditor()
-	for _, outs := range [][]reqOutcome{batchA, batchB} {
-		for si, oc := range outs {
-			switch {
-			case oc.unreachable:
-				sum.Unreachable++
-			case oc.status == serve.StatusDecided:
-				sum.Acked++
-				audit.Note(specs[si].inst, specs[si].req, oc.val)
-			case oc.status == serve.StatusAbstain:
-				sum.Abstains++
-			case oc.status == serve.StatusOverload:
-				sum.Overloads++
-			}
-		}
+	for _, outs := range [][]serve.LoadOutcome{batchA, batchB} {
+		t := load.Tally(audit, outs)
+		sum.Acked += t.Decided
+		sum.Abstains += t.Abstained
+		sum.Overloads += t.Overloaded
+		sum.Unreachable += t.Unreachable
 	}
 	for inst, val := range js.Decisions {
 		audit.Note(inst, "", val)
 	}
 	_, sum.DistinctMax = audit.Decided()
-	for _, v := range audit.Violations(submitted, c.K) {
-		switch v.Kind {
-		case "idempotency":
-			sum.violate("conflicting-retry", fmt.Sprintf(
-				"request %s received %d distinct decided values %v across retries", v.Req, len(v.Values), v.Values))
-		case "k-agreement":
-			sum.violate("k-agreement", fmt.Sprintf(
-				"instance %s decided %d distinct values %v > k=%d", v.Inst, len(v.Values), v.Values, c.K))
-		case "validity":
-			sum.violate("validity", fmt.Sprintf(
-				"instance %s decided %d, which no client submitted", v.Inst, v.Values[0]))
-		}
+	for _, v := range audit.Violations(load.Submitted(), c.K) {
+		sum.violate(v.Kind, v.Detail(c.K))
 	}
 
 	if c.Out != nil {
@@ -418,14 +303,6 @@ func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 		fmt.Fprintf(c.Out, "%s\n", sum)
 	}
 	return sum, nil
-}
-
-var retryMu sync.Mutex
-
-func (s *ServeSummary) noteRetries(n int64) {
-	retryMu.Lock()
-	s.Retries += n
-	retryMu.Unlock()
 }
 
 func (s *ServeSummary) violate(kind, detail string) {

@@ -11,7 +11,7 @@ import (
 // restarts, and every service promise must hold.
 func TestRunServeHonest(t *testing.T) {
 	var out bytes.Buffer
-	sum, err := RunServe(ServeConfig{Seed: 7, Dir: t.TempDir(), Out: &out})
+	sum, err := RunServe(ServeConfig{Seed: 7, dir: t.TempDir(), Out: &out})
 	if err != nil {
 		t.Fatalf("RunServe: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestRunServeHonest(t *testing.T) {
 // campaign at the same seed must report the acknowledged decision the
 // victim's journal lost.
 func TestRunServeCatchesAckBeforeJournalBug(t *testing.T) {
-	sum, err := RunServe(ServeConfig{Seed: 7, Bug: true, Dir: t.TempDir()})
+	sum, err := RunServe(ServeConfig{Seed: 7, Bug: true, dir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("RunServe: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/wal"
 )
@@ -56,13 +55,10 @@ type CheckpointOptions struct {
 	// Sync is the WAL fsync policy for round records. Snapshots are always
 	// fsynced — they are the durability points.
 	Sync wal.SyncMode
-
-	// SegmentBytes is the WAL segment rotation threshold (0 = wal default).
-	SegmentBytes int
 }
 
 func (co CheckpointOptions) walOptions() wal.Options {
-	return wal.Options{SegmentBytes: co.SegmentBytes, Sync: co.Sync}
+	return wal.Options{Sync: co.Sync}
 }
 
 // WithCheckpointing makes Run journal the execution to a WAL in dir so a
@@ -121,8 +117,7 @@ type ckSnapshot struct {
 
 func init() {
 	// Decision and input values travel through gob as interfaces; register
-	// the concrete types the repo's algorithms use. Exotic value types can
-	// be added with RegisterCheckpointValue.
+	// the concrete types the repo's algorithms use.
 	gob.Register(int(0))
 	gob.Register(int64(0))
 	gob.Register(float64(0))
@@ -130,11 +125,6 @@ func init() {
 	gob.Register(false)
 	gob.Register([]int(nil))
 }
-
-// RegisterCheckpointValue registers a concrete input/decision value type for
-// checkpoint encoding (a thin wrapper over gob.Register). Needed only for
-// algorithms whose Value types are not basic Go types.
-func RegisterCheckpointValue(v any) { gob.Register(v) }
 
 // checkpointer journals one execution.
 type checkpointer struct {
@@ -258,10 +248,7 @@ func snapshotStates(procs []Algorithm) ([][]byte, bool) {
 // continuation keeps journaling to the same log, so Resume is itself
 // killable and resumable.
 func Resume(dir string, factory Factory, oracle Oracle, opts ...Option) (res *Result, err error) {
-	o := engineOptions{maxRounds: 10000, trace: true}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := foldOptions(opts)
 	if o.ckDir != "" && o.ckDir != dir {
 		return nil, fmt.Errorf("core: resume dir %s conflicts with WithCheckpointing dir %s", dir, o.ckDir)
 	}
@@ -278,38 +265,11 @@ func Resume(dir string, factory Factory, oracle Oracle, opts ...Option) (res *Re
 	}
 	n := meta.N
 
-	ob := o.observer
-	if ob == nil {
-		ob = DefaultObserver()
-	}
-	now := o.clock
-	if now == nil {
-		now = time.Now
-	}
-	if ob != nil {
-		ob.RunStart(n)
-		defer func() {
-			rounds, decided := 0, 0
-			if res != nil {
-				rounds, decided = res.Rounds, len(res.DecidedAt)
-			}
-			ob.RunEnd(rounds, decided, err)
-		}()
-	}
-
-	procs := make([]Algorithm, n)
-	for i := range procs {
-		procs[i] = factory(PID(i), n, meta.Inputs[i])
-	}
-
-	rebuilt := &Result{
-		Outputs:   make(map[PID]Value, n),
-		DecidedAt: make(map[PID]int, n),
-		Crashed:   NewSet(n),
-	}
-	if o.trace {
-		rebuilt.Trace = NewTrace(n)
-	}
+	var e execution
+	e.begin(n, meta.Inputs, factory, oracle, o)
+	defer func() { e.end(res, err) }()
+	e.ck = &checkpointer{log: l, every: o.ckOpts.Every}
+	procs, rebuilt, ob := e.procs, e.res, e.ob
 
 	// Restore from the latest snapshot when possible; otherwise replay the
 	// whole journaled prefix through the fresh algorithms.
@@ -404,20 +364,9 @@ func Resume(dir string, factory Factory, oracle Oracle, opts ...Option) (res *Re
 		})
 	}
 
-	e := &execution{
-		n:      n,
-		o:      o,
-		ob:     ob,
-		now:    now,
-		oracle: oracle,
-		procs:  procs,
-		res:    rebuilt,
-		active: activeBefore,
-		full:   FullSet(n),
-		ck:     &checkpointer{log: l, every: o.ckOpts.Every},
-	}
+	e.active = activeBefore
 
-	if ended || (len(rounds) > 0 && allDecided(activeBefore, rebuilt.DecidedAt) && len(rounds) >= o.extraRound) {
+	if ended || (len(rounds) > 0 && allDecided(activeBefore, rebuilt.DecidedAt)) {
 		// The journaled run already finished (possibly killed between the
 		// last round and the end marker): settle the log and hand back the
 		// reconstructed result.

@@ -56,16 +56,13 @@ func (r *Result) MaxDecisionRound() int {
 }
 
 type engineOptions struct {
-	maxRounds  int
-	maxWall    time.Duration
-	trace      bool
-	stopOnce   bool
-	extraRound int
-	observer   obs.Observer
-	clock      func() time.Time
-	ckDir      string
-	ckOpts     CheckpointOptions
-	haltAfter  int
+	maxRounds int
+	trace     bool
+	observer  obs.Observer
+	clock     func() time.Time
+	ckDir     string
+	ckOpts    CheckpointOptions
+	haltAfter int
 }
 
 // Option configures Run.
@@ -80,43 +77,6 @@ func WithMaxRounds(n int) Option {
 // WithoutTrace disables trace recording (useful in benchmarks).
 func WithoutTrace() Option {
 	return func(o *engineOptions) { o.trace = false }
-}
-
-// WithMaxWallTime bounds the execution's wall-clock duration: when a round
-// boundary finds the budget exhausted, Run stops and returns a
-// *TimeoutError carrying the partial result's trace, rather than spinning
-// until WithMaxRounds. The budget is checked between rounds only — a single
-// Emit or Deliver call that never returns cannot be interrupted. The clock
-// is time.Now unless WithClock overrides it.
-func WithMaxWallTime(d time.Duration) Option {
-	return func(o *engineOptions) { o.maxWall = d }
-}
-
-// TimeoutError reports a WithMaxWallTime budget exhausted mid-execution,
-// with the partial trace recorded up to the point of interruption.
-type TimeoutError struct {
-	// Limit is the configured budget; Elapsed what the execution had
-	// consumed when the round boundary noticed.
-	Limit   time.Duration
-	Elapsed time.Duration
-
-	// Rounds is how many rounds completed before the interruption.
-	Rounds int
-
-	// Trace is the partial execution trace (nil under WithoutTrace).
-	Trace *Trace
-}
-
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("core: wall-time budget %v exhausted after %v (%d rounds completed)",
-		e.Limit, e.Elapsed, e.Rounds)
-}
-
-// WithRunToRound keeps the engine running for extra rounds after every live
-// process has decided (full-information executions often need the trailing
-// structure). n is the absolute round number to run through.
-func WithRunToRound(n int) Option {
-	return func(o *engineOptions) { o.extraRound = n }
 }
 
 // Run executes the algorithm produced by factory under the given adversary in
@@ -135,54 +95,11 @@ func Run(n int, inputs []Value, factory Factory, oracle Oracle, opts ...Option) 
 	if len(inputs) != n {
 		return nil, fmt.Errorf("core: %d inputs for %d processes", len(inputs), n)
 	}
-	o := engineOptions{maxRounds: 10000, trace: true}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	ob := o.observer
-	if ob == nil {
-		ob = DefaultObserver()
-	}
-	now := o.clock
-	if now == nil {
-		now = time.Now
-	}
-	if ob != nil {
-		ob.RunStart(n)
-		defer func() {
-			rounds, decided := 0, 0
-			if res != nil {
-				rounds, decided = res.Rounds, len(res.DecidedAt)
-			}
-			ob.RunEnd(rounds, decided, err)
-		}()
-	}
-
-	procs := make([]Algorithm, n)
-	for i := range procs {
-		procs[i] = factory(PID(i), n, inputs[i])
-	}
-
-	e := &execution{
-		n:      n,
-		o:      o,
-		ob:     ob,
-		now:    now,
-		oracle: oracle,
-		procs:  procs,
-		active: FullSet(n),
-		full:   FullSet(n),
-		res: &Result{
-			Outputs:   make(map[PID]Value, n),
-			DecidedAt: make(map[PID]int, n),
-			Crashed:   NewSet(n),
-		},
-	}
-	if o.trace {
-		e.res.Trace = NewTrace(n)
-	}
-	if o.ckDir != "" {
-		ck, err := newCheckpointer(o.ckDir, o.ckOpts, n, inputs)
+	var e execution
+	e.begin(n, inputs, factory, oracle, foldOptions(opts))
+	defer func() { e.end(res, err) }()
+	if e.o.ckDir != "" {
+		ck, err := newCheckpointer(e.o.ckDir, e.o.ckOpts, n, inputs)
 		if err != nil {
 			return nil, err
 		}
@@ -206,9 +123,67 @@ type execution struct {
 	ck     *checkpointer
 }
 
+// foldOptions applies opts over the engine defaults.
+func foldOptions(opts []Option) engineOptions {
+	o := engineOptions{maxRounds: 10000, trace: true}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
+// begin is the prelude Run and Resume share: it defaults the observer and
+// the clock, opens the observer's run (the caller defers end), builds the n
+// processes from their inputs and starts from an empty Result with everyone
+// active.
+func (e *execution) begin(n int, inputs []Value, factory Factory, oracle Oracle, o engineOptions) {
+	*e = execution{
+		n:      n,
+		o:      o,
+		ob:     o.observer,
+		now:    o.clock,
+		oracle: oracle,
+		procs:  make([]Algorithm, n),
+		active: FullSet(n),
+		full:   FullSet(n),
+		res: &Result{
+			Outputs:   make(map[PID]Value, n),
+			DecidedAt: make(map[PID]int, n),
+			Crashed:   NewSet(n),
+		},
+	}
+	if e.ob == nil {
+		e.ob = DefaultObserver()
+	}
+	if e.now == nil {
+		e.now = time.Now
+	}
+	if e.ob != nil {
+		e.ob.RunStart(n)
+	}
+	for i := range e.procs {
+		e.procs[i] = factory(PID(i), n, inputs[i])
+	}
+	if o.trace {
+		e.res.Trace = NewTrace(n)
+	}
+}
+
+// end closes the observer's run begin opened.
+func (e *execution) end(res *Result, err error) {
+	if e.ob == nil {
+		return
+	}
+	rounds, decided := 0, 0
+	if res != nil {
+		rounds, decided = res.Rounds, len(res.DecidedAt)
+	}
+	e.ob.RunEnd(rounds, decided, err)
+}
+
 // run executes rounds startRound..maxRounds and settles the checkpoint log:
-// a clean finish gets an end-of-log marker, every other exit (halt, timeout,
-// plan error) leaves the log resumable.
+// a clean finish gets an end-of-log marker, every other exit (halt, plan
+// error) leaves the log resumable.
 func (e *execution) run(startRound int) (*Result, error) {
 	res, err := e.loop(startRound)
 	if e.ck != nil {
@@ -237,11 +212,6 @@ func (e *execution) loop(startRound int) (*Result, error) {
 	o, ob, now, res := e.o, e.ob, e.now, e.res
 	n, full := e.n, e.full
 
-	var wallStart time.Time
-	if o.maxWall > 0 {
-		wallStart = now()
-	}
-
 	// Phase timings cost two clock reads per phase; skip them when the
 	// attached observer declares it never consumes them (obs.Base and
 	// anything embedding it without overriding Phase). Phase hooks still
@@ -258,11 +228,6 @@ func (e *execution) loop(startRound int) (*Result, error) {
 
 	record := o.trace || e.ck != nil
 	for r := startRound; r <= o.maxRounds; r++ {
-		if o.maxWall > 0 {
-			if elapsed := now().Sub(wallStart); elapsed > o.maxWall {
-				return res, &TimeoutError{Limit: o.maxWall, Elapsed: elapsed, Rounds: res.Rounds, Trace: res.Trace}
-			}
-		}
 		var phaseStart time.Time
 		if ob != nil {
 			ob.RoundStart(r, e.active.Count())
@@ -390,7 +355,7 @@ func (e *execution) loop(startRound int) (*Result, error) {
 		if o.haltAfter > 0 && r >= o.haltAfter {
 			return res, &HaltError{Round: r, Dir: o.ckDir}
 		}
-		if allDecided(e.active, res.DecidedAt) && r >= o.extraRound {
+		if allDecided(e.active, res.DecidedAt) {
 			return res, nil
 		}
 	}

@@ -219,21 +219,6 @@ func (o *overlapProbe) Deliver(r int, msgs map[PID]Message, suspects Set) (Value
 	return got && suspects.Has(1), true
 }
 
-func TestRunToRound(t *testing.T) {
-	res, err := Run(3, inputsOf(1, 2, 3), newEchoFactory(1), benignOracle(3), WithRunToRound(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 5 {
-		t.Fatalf("Rounds = %d, want 5", res.Rounds)
-	}
-	for p := range res.DecidedAt {
-		if res.DecidedAt[p] != 1 {
-			t.Fatalf("first decision round for %d = %d, want 1", p, res.DecidedAt[p])
-		}
-	}
-}
-
 func TestRunWithoutTrace(t *testing.T) {
 	res, err := Run(3, inputsOf(1, 2, 3), newEchoFactory(2), benignOracle(3), WithoutTrace())
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // recordingAlg never decides and records the suspect set handed to it each
@@ -102,49 +101,5 @@ func TestCollectTraceSingleProcess(t *testing.T) {
 	}
 	if tr.Len() != 2 {
 		t.Fatalf("rounds = %d, want 2", tr.Len())
-	}
-}
-
-// TestWithMaxWallTime drives the engine with a fake clock that advances one
-// second per reading: the wall budget must interrupt the execution at a
-// round boundary and hand back the partial trace.
-func TestWithMaxWallTime(t *testing.T) {
-	base := time.Unix(0, 0)
-	tick := 0
-	clock := func() time.Time {
-		tick++
-		return base.Add(time.Duration(tick) * time.Second)
-	}
-	_, err := Run(3, inputsOf(0, 1, 2), func(me PID, n int, input Value) Algorithm {
-		return nopAlgorithm{} // never decides: only the wall budget can stop this
-	}, benignOracle(3), WithMaxWallTime(3*time.Second), WithClock(clock))
-	var te *TimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %T %v, want *TimeoutError", err, err)
-	}
-	if te.Limit != 3*time.Second {
-		t.Fatalf("limit = %v", te.Limit)
-	}
-	if te.Elapsed <= te.Limit {
-		t.Fatalf("elapsed %v not beyond limit %v", te.Elapsed, te.Limit)
-	}
-	if te.Rounds == 0 {
-		t.Fatal("no round completed before the interruption")
-	}
-	if te.Trace == nil || te.Trace.Len() != te.Rounds {
-		t.Fatalf("partial trace has %v rounds, reported %d", te.Trace, te.Rounds)
-	}
-}
-
-// TestWithMaxWallTimeUntriggered: a generous budget must not perturb a
-// normal run.
-func TestWithMaxWallTimeUntriggered(t *testing.T) {
-	res, err := Run(3, inputsOf(0, 1, 2), newEchoFactory(2), benignOracle(3),
-		WithMaxWallTime(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 2 {
-		t.Fatalf("rounds = %d, want 2", res.Rounds)
 	}
 }

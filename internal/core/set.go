@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -242,17 +241,6 @@ func (s Set) ForEach(fn func(PID)) {
 	}
 }
 
-// Min returns the smallest member and true, or 0 and false if the set is
-// empty.
-func (s Set) Min() (PID, bool) {
-	for wi, w := range s.words {
-		if w != 0 {
-			return PID(wi*64 + bits.TrailingZeros64(w)), true
-		}
-	}
-	return 0, false
-}
-
 // String renders the set as "{a,b,c}".
 func (s Set) String() string {
 	var b strings.Builder
@@ -286,9 +274,4 @@ func IntersectAll(n int, sets []Set) Set {
 		u = u.Intersect(s)
 	}
 	return u
-}
-
-// SortPIDs sorts a slice of process IDs in increasing order.
-func SortPIDs(ps []PID) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
 }

@@ -119,12 +119,6 @@ func TestSetMembersAndForEach(t *testing.T) {
 			t.Fatalf("Members = %v, want %v", got, want)
 		}
 	}
-	if p, ok := s.Min(); !ok || p != 0 {
-		t.Fatalf("Min = %d,%v; want 0,true", p, ok)
-	}
-	if _, ok := NewSet(5).Min(); ok {
-		t.Fatal("Min on empty set should report false")
-	}
 }
 
 func TestUnionAllIntersectAll(t *testing.T) {
@@ -222,14 +216,6 @@ func TestSetQuickComplementInvolution(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSortPIDs(t *testing.T) {
-	ps := []PID{5, 1, 3}
-	SortPIDs(ps)
-	if ps[0] != 1 || ps[1] != 3 || ps[2] != 5 {
-		t.Fatalf("SortPIDs = %v", ps)
 	}
 }
 

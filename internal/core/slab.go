@@ -15,12 +15,11 @@ package core
 
 // SetBank is `count` sets over a universe of n processes packed into one
 // word slab. Row i occupies words [i*W, (i+1)*W) where W = (n+63)/64.
-// The zero value is an empty bank; use NewSetBank or NewSetBankIn.
+// The zero value is an empty bank; use NewSetBank.
 type SetBank struct {
 	words []uint64
 	n     int // universe size
 	w     int // words per row
-	count int
 }
 
 // NewSetBank returns a bank of count empty sets over a universe of n
@@ -28,13 +27,6 @@ type SetBank struct {
 func NewSetBank(n, count int) *SetBank {
 	b := &SetBank{}
 	b.Init(make([]uint64, wordsPerSet(n)*count), n, count)
-	return b
-}
-
-// NewSetBankIn is NewSetBank with the slab carved from an Arena.
-func NewSetBankIn(a *Arena, n, count int) *SetBank {
-	b := &SetBank{}
-	b.Init(a.Uint64s(wordsPerSet(n)*count), n, count)
 	return b
 }
 
@@ -49,13 +41,9 @@ func (b *SetBank) Init(words []uint64, n, count int) {
 	if len(words) < need {
 		panic("core: SetBank storage too small")
 	}
-	b.words, b.n, b.w, b.count = words[:need], n, w, count
+	b.words, b.n, b.w = words[:need], n, w
 	clear(b.words)
 }
-
-// Count returns the number of rows; Universe the process-universe size.
-func (b *SetBank) Count() int    { return b.count }
-func (b *SetBank) Universe() int { return b.n }
 
 // Row returns row i as a Set aliasing the slab words: mutations through
 // the view mutate the bank, and no allocation happens. The view stays
@@ -85,11 +73,6 @@ func (b *SetBank) Clear(i int) {
 	clear(b.words[i*b.w : (i+1)*b.w])
 }
 
-// ClearRange empties rows [from, to).
-func (b *SetBank) ClearRange(from, to int) {
-	clear(b.words[from*b.w : to*b.w])
-}
-
 // Arena is a bump allocator for flat working storage. Allocations come
 // from geometrically growing blocks; Reset makes every block available
 // again without freeing, so a steady-state consumer (one fleet shard,
@@ -99,7 +82,6 @@ type Arena struct {
 	blocks  [][]uint64 // all blocks ever allocated, in allocation order
 	current int        // index into blocks of the block being bumped
 	used    int        // words consumed from the current block
-	total   int        // words handed out since the last Reset
 }
 
 // arenaMinBlock is the smallest block an Arena allocates, in words.
@@ -114,7 +96,6 @@ func (a *Arena) Uint64s(n int) []uint64 {
 		if blk := a.blocks[a.current]; len(blk)-a.used >= n {
 			out := blk[a.used : a.used+n : a.used+n]
 			a.used += n
-			a.total += n
 			clear(out)
 			return out
 		}
@@ -132,15 +113,11 @@ func (a *Arena) Uint64s(n int) []uint64 {
 	a.current = len(a.blocks) - 1
 	out := a.blocks[a.current][:n:n]
 	a.used = n
-	a.total += n
 	return out
 }
 
 // Reset reclaims everything the arena has handed out. Previously
 // returned slices must no longer be used.
 func (a *Arena) Reset() {
-	a.current, a.used, a.total = 0, 0, 0
+	a.current, a.used = 0, 0
 }
-
-// Allocated reports the words handed out since the last Reset.
-func (a *Arena) Allocated() int { return a.total }

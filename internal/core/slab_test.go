@@ -5,9 +5,6 @@ import "testing"
 func TestSetBankRowsAreIndependent(t *testing.T) {
 	const n, count = 70, 5 // two words per row
 	b := NewSetBank(n, count)
-	if b.Count() != count || b.Universe() != n {
-		t.Fatalf("bank shape: count %d universe %d", b.Count(), b.Universe())
-	}
 	b.Add(0, 0)
 	b.Add(0, 69)
 	b.Add(3, 64)
@@ -58,10 +55,6 @@ func TestSetBankClear(t *testing.T) {
 	if !b.Row(2).Empty() || b.Row(1).Empty() || b.Row(3).Empty() {
 		t.Fatalf("Clear(2) cleared the wrong rows")
 	}
-	b.ClearRange(3, 5)
-	if !b.Row(3).Empty() || !b.Row(4).Empty() || b.Row(5).Empty() {
-		t.Fatalf("ClearRange(3,5) cleared the wrong rows")
-	}
 }
 
 func TestIntersectInto(t *testing.T) {
@@ -86,13 +79,7 @@ func TestArenaReuseAfterReset(t *testing.T) {
 		t.Fatalf("lengths: %d %d", len(first), len(second))
 	}
 	first[0], second[0] = 7, 9
-	if a.Allocated() != 300 {
-		t.Fatalf("Allocated = %d, want 300", a.Allocated())
-	}
 	a.Reset()
-	if a.Allocated() != 0 {
-		t.Fatalf("Allocated after Reset = %d", a.Allocated())
-	}
 	// The same request pattern after Reset reuses the same blocks — and
 	// hands back zeroed memory even though the block bytes were dirtied.
 	again := a.Uint64s(100)
@@ -132,17 +119,5 @@ func TestArenaSteadyStateAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, warm)
 	if allocs != 0 {
 		t.Fatalf("steady-state arena cycle allocates %v times", allocs)
-	}
-}
-
-func TestNewSetBankInUsesArena(t *testing.T) {
-	var a Arena
-	b := NewSetBankIn(&a, 64, 10)
-	if a.Allocated() != 10 {
-		t.Fatalf("bank of 10 single-word rows should consume 10 words, got %d", a.Allocated())
-	}
-	b.Add(9, 63)
-	if !b.Has(9, 63) {
-		t.Fatalf("arena-backed bank lost a member")
 	}
 }

@@ -100,7 +100,7 @@ func TestVerdictAndSeeds(t *testing.T) {
 func TestExploreModelReturnsAnEmptyFamily(t *testing.T) {
 	e := hoalg.And(hoalg.Identical(), hoalg.Not(hoalg.Identical()))
 	schedules, err := exploreModel(e, 3, 1)
-	var empty *adversary.EmptyFamilyError
+	var empty *hoalg.EmptyFamilyError
 	if !errors.As(err, &empty) || empty.Round != 1 || schedules != 0 {
 		t.Fatalf("exploreModel = (%d, %v), want an empty plan family in round 1", schedules, err)
 	}

@@ -59,7 +59,7 @@ func BenchmarkFleetRoundsOnly(b *testing.B) {
 		b.Fatal(err)
 	}
 	f.scatterInputs()
-	warm, err := f.run(1)
+	warm, err := f.run()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func BenchmarkFleetRoundsOnly(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.scatterInputs()
-		if _, err := f.run(1); err != nil {
+		if _, err := f.run(); err != nil {
 			b.Fatal(err)
 		}
 	}

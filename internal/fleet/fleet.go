@@ -49,13 +49,10 @@
 // All randomness (inputs, slow sets, round counts, suspicions) is
 // stateless hashing of (seed, instance, round, receiver, sender) — never
 // of anything shard- or schedule-dependent — so a fixed seed produces
-// byte-identical results at every Shards × Workers combination, and a
-// checkpoint taken at a round boundary resumes on a differently-sharded
-// fleet without a byte of drift.
+// identical results at every Shards × Workers combination.
 package fleet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -94,14 +91,10 @@ type Config struct {
 	// shard and worker count.
 	Seed int64
 
-	// HaltAfterRound, when > 0, stops the run after that global round
-	// and returns a resumable (not Done) Result — the crash/resume hook.
-	HaltAfterRound int
-
-	// Hist, when non-nil, receives per-shard per-round occupancy
+	// hist, when non-nil, receives per-shard per-round occupancy
 	// ("fleet_shard_occupancy": live process slots per shard) and batch
 	// size ("fleet_batch_recs": records per cross-shard handoff).
-	Hist *hist.Registry
+	hist *hist.Registry
 }
 
 func (c Config) validate() error {
@@ -146,7 +139,7 @@ func mix(x uint64) uint64 {
 }
 
 // hash4 hashes (seed, tag, a, b, c) into a uniform word. Stateless: the
-// same key gives the same answer on every shard, worker, and resume.
+// same key gives the same answer on every shard and worker.
 func hash4(seed uint64, tag, a, b, c uint64) uint64 {
 	x := seed ^ tag*0x9e3779b97f4a7c15
 	x = mix(x ^ a)
@@ -294,13 +287,6 @@ func newFleet(cfg Config) (*fleet, error) {
 	return f, nil
 }
 
-// SlowSet returns B(inst) — exposed for tests and audits.
-func (f *fleet) SlowSet(inst int) core.Set {
-	s := core.NewSet(f.n)
-	s.CopyFrom(f.slow.Row(inst))
-	return s
-}
-
 // scatterInputs seeds every slot with its hashed proposal.
 func (f *fleet) scatterInputs() {
 	for d := range f.shards {
@@ -310,21 +296,6 @@ func (f *fleet) scatterInputs() {
 			slot := int(f.pos[i])
 			for j, p := range sh.owned {
 				sh.vals[slot*cd+j] = uint64(Input(f.cfg, i, int(p)))
-			}
-		}
-	}
-}
-
-// scatterValues loads checkpointed values (canonical [inst*n+p] order)
-// into whatever sharding this fleet uses.
-func (f *fleet) scatterValues(vals []int64) {
-	for d := range f.shards {
-		sh := &f.shards[d]
-		cd := len(sh.owned)
-		for i := 0; i < f.cfg.Instances; i++ {
-			slot := int(f.pos[i])
-			for j, p := range sh.owned {
-				sh.vals[slot*cd+j] = uint64(vals[i*f.n+int(p)])
 			}
 		}
 	}
@@ -363,9 +334,9 @@ func (f *fleet) emit(d, r int) {
 		}
 	}
 	batch := sh.emitBuf[:idx]
-	if f.cfg.Hist != nil {
-		f.cfg.Hist.Observe("fleet_batch_recs", int64(idx/2))
-		f.cfg.Hist.Observe("fleet_shard_occupancy", int64(nAct*cd))
+	if f.cfg.hist != nil {
+		f.cfg.hist.Observe("fleet_batch_recs", int64(idx/2))
+		f.cfg.hist.Observe("fleet_shard_occupancy", int64(nAct*cd))
 	}
 	for dst := 0; dst < f.S; dst++ {
 		f.route[d][dst] <- batch
@@ -431,36 +402,25 @@ func (f *fleet) deliver(d, r int) {
 	}
 }
 
-// run executes rounds start..maxR (or up to HaltAfterRound) and returns
-// the result. Each round is two barriers: every shard emits, then every
-// shard delivers. Fusing them would deadlock with fewer workers than
-// shards (a delivering shard would wait on a shard not yet scheduled).
-func (f *fleet) run(start int) (*Result, error) {
+// run executes rounds 1..maxR and returns the result. Each round is two
+// barriers: every shard emits, then every shard delivers. Fusing them
+// would deadlock with fewer workers than shards (a delivering shard would
+// wait on a shard not yet scheduled).
+func (f *fleet) run() (*Result, error) {
 	W := f.cfg.Workers
-	r := start
-	for ; r <= f.maxR; r++ {
-		if f.cnt[r] == 0 {
-			break
-		}
+	for r := 1; r <= f.maxR && f.cnt[r] > 0; r++ {
 		if _, err := par.Map(W, f.S, func(d int) struct{} { f.emit(d, r); return struct{}{} }); err != nil {
 			return nil, err
 		}
 		if _, err := par.Map(W, f.S, func(d int) struct{} { f.deliver(d, r); return struct{}{} }); err != nil {
 			return nil, err
 		}
-		if f.cfg.HaltAfterRound == r {
-			r++
-			break
-		}
 	}
-	done := r > f.maxR || f.cnt[r] == 0
 	rds := make([]int32, len(f.rds))
 	copy(rds, f.rds)
 	return &Result{
 		Instances: f.cfg.Instances,
 		Procs:     f.n,
-		NextRound: r,
-		Done:      done,
 		Rounds:    rds,
 		Values:    f.gather(),
 	}, nil
@@ -473,33 +433,14 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	f.scatterInputs()
-	return f.run(1)
+	return f.run()
 }
 
-// Resume continues a halted fleet from a Checkpoint. cfg must agree with
-// the original on everything that shapes results (instances, procs, F,
-// rounds, seed); Shards and Workers are free — resuming on a
-// differently-sharded fleet yields byte-identical results.
-func Resume(cfg Config, checkpoint []byte) (*Result, error) {
-	next, vals, err := decodeCheckpoint(cfg, checkpoint)
-	if err != nil {
-		return nil, err
-	}
-	f, err := newFleet(cfg)
-	if err != nil {
-		return nil, err
-	}
-	f.scatterValues(vals)
-	return f.run(next)
-}
-
-// Result is a fleet's outcome: the canonical per-process values (final
-// decisions when Done; in-flight state when halted) plus the schedule.
+// Result is a fleet's outcome: the canonical per-process decisions plus
+// the schedule.
 type Result struct {
 	Instances int
 	Procs     int
-	NextRound int  // first round not yet run
-	Done      bool // every instance decided
 	Rounds    []int32
 	Values    []int64 // [inst*Procs + p]
 }
@@ -514,103 +455,14 @@ func (r *Result) InstanceRounds() int64 {
 	return t
 }
 
-const (
-	resultMagic     uint32 = 0x52464C54 // "RFLT"
-	checkpointMagic uint32 = 0x52464C43 // "RFLC"
-)
-
-// Bytes is the canonical serialization — identical for identical
-// outcomes regardless of sharding, the object the determinism tests
-// compare.
-func (r *Result) Bytes() []byte {
-	out := make([]byte, 0, 24+4*len(r.Rounds)+8*len(r.Values))
-	out = binary.LittleEndian.AppendUint32(out, resultMagic)
-	out = binary.LittleEndian.AppendUint32(out, uint32(r.Instances))
-	out = binary.LittleEndian.AppendUint32(out, uint32(r.Procs))
-	out = binary.LittleEndian.AppendUint32(out, uint32(r.NextRound))
-	if r.Done {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	for _, rr := range r.Rounds {
-		out = binary.LittleEndian.AppendUint32(out, uint32(rr))
-	}
-	for _, v := range r.Values {
-		out = binary.LittleEndian.AppendUint64(out, uint64(v))
-	}
-	return out
-}
-
-// Checksum is FNV-1a over Bytes — the one-word fingerprint the
-// determinism suite compares across shard/worker grids.
-func (r *Result) Checksum() uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range r.Bytes() {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// Checkpoint serializes a halted result for Resume. The header carries a
-// fingerprint of everything that shapes results, so a mismatched resume
-// config is rejected instead of silently diverging.
-func (r *Result) Checkpoint(cfg Config) []byte {
-	out := make([]byte, 0, 40+8*len(r.Values))
-	out = binary.LittleEndian.AppendUint32(out, checkpointMagic)
-	out = binary.LittleEndian.AppendUint64(out, uint64(cfg.Seed))
-	out = binary.LittleEndian.AppendUint32(out, uint32(cfg.Instances))
-	out = binary.LittleEndian.AppendUint32(out, uint32(cfg.Procs))
-	out = binary.LittleEndian.AppendUint32(out, uint32(cfg.F))
-	out = binary.LittleEndian.AppendUint32(out, uint32(cfg.BaseRounds))
-	out = binary.LittleEndian.AppendUint32(out, uint32(cfg.RoundSpread))
-	out = binary.LittleEndian.AppendUint32(out, uint32(r.NextRound))
-	for _, v := range r.Values {
-		out = binary.LittleEndian.AppendUint64(out, uint64(v))
-	}
-	return out
-}
-
-func decodeCheckpoint(cfg Config, b []byte) (next int, vals []int64, err error) {
-	if len(b) < 32 {
-		return 0, nil, fmt.Errorf("fleet: checkpoint too short (%d bytes)", len(b))
-	}
-	if binary.LittleEndian.Uint32(b[0:4]) != checkpointMagic {
-		return 0, nil, fmt.Errorf("fleet: bad checkpoint magic")
-	}
-	seed := int64(binary.LittleEndian.Uint64(b[4:12]))
-	inst := int(binary.LittleEndian.Uint32(b[12:16]))
-	procs := int(binary.LittleEndian.Uint32(b[16:20]))
-	ff := int(binary.LittleEndian.Uint32(b[20:24]))
-	base := int(binary.LittleEndian.Uint32(b[24:28]))
-	spread := int(binary.LittleEndian.Uint32(b[28:32]))
-	if seed != cfg.Seed || inst != cfg.Instances || procs != cfg.Procs ||
-		ff != cfg.F || base != cfg.BaseRounds || spread != cfg.RoundSpread {
-		return 0, nil, fmt.Errorf("fleet: checkpoint from a different run (seed/shape mismatch)")
-	}
-	if len(b) != 36+8*inst*procs {
-		return 0, nil, fmt.Errorf("fleet: checkpoint length %d, want %d", len(b), 36+8*inst*procs)
-	}
-	next = int(binary.LittleEndian.Uint32(b[32:36]))
-	vals = make([]int64, inst*procs)
-	for i := range vals {
-		vals[i] = int64(binary.LittleEndian.Uint64(b[36+8*i:]))
-	}
-	return next, vals, nil
-}
-
 // Audit re-derives the hashed inputs and slow sets and checks the
 // protocol's three guarantees on a finished result: (f+1)-set agreement
 // per instance, validity (every decision is some process's input, and no
-// process decides above its own input), and termination (Done with the
-// derived schedule). It is the test harness's ground truth.
+// process decides above its own input), and termination (every instance
+// ran its derived schedule). It is the test harness's ground truth.
 func Audit(cfg Config, res *Result) error {
 	if err := cfg.validate(); err != nil {
 		return err
-	}
-	if !res.Done {
-		return fmt.Errorf("fleet: audit of unfinished result (next round %d)", res.NextRound)
 	}
 	if res.Instances != cfg.Instances || res.Procs != cfg.Procs {
 		return fmt.Errorf("fleet: result shape %dx%d does not match config %dx%d",

@@ -53,24 +53,6 @@ func KAgreement(k int) Property {
 	}}
 }
 
-// DecideWithin holds when every process the adversary did not crash has
-// decided by round r (agreement-within-rounds; the liveness half of a
-// bounded-round claim).
-func DecideWithin(r int) Property {
-	return Property{Name: fmt.Sprintf("decide-within(%d)", r), Check: func(res *core.Result) error {
-		n := res.Crashed.Universe()
-		if late := tasks.KSet(n, nil, n, tasks.ByPID(res.Outputs), tasks.In(res.Crashed)).Undecided; len(late) > 0 {
-			return fmt.Errorf("process %d never decided", late[0])
-		}
-		for p := 0; p < n; p++ {
-			if rd := res.DecidedAt[core.PID(p)]; rd > r && !res.Crashed.Has(core.PID(p)) {
-				return fmt.Errorf("process %d decided in round %d, want <= %d", p, rd, r)
-			}
-		}
-		return nil
-	}}
-}
-
 // TraceSatisfies lifts a model predicate (eq. (1)–(4), k-set, ...) to a
 // Property over the recorded trace — useful to assert that an enumerated
 // adversary stays inside its model, or to explore one model while

@@ -47,7 +47,7 @@ func (p *panicAt) OnSend(int, core.PID, core.PID) FaultAction {
 	if p.calls++; p.calls == p.at {
 		panic("boom")
 	}
-	return DeliverNow()
+	return deliverNow
 }
 
 func (p *panicAt) Event(kind string, _, _ int, _ map[string]any) {

@@ -25,7 +25,7 @@ func (d *dropFirst) OnSend(step int, from, to core.PID) FaultAction {
 		d.k--
 		return FaultAction{Reason: "drop"}
 	}
-	return DeliverNow()
+	return deliverNow
 }
 
 type fixedAction struct{ act FaultAction }

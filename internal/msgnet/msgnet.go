@@ -158,10 +158,6 @@ type FaultAction struct {
 // deliverNow is shared by every fault-free send; nothing writes to it.
 var deliverNow = FaultAction{Deliveries: []int{0}}
 
-// DeliverNow is the fault-free action: one immediate copy. The result is
-// shared and must not be modified.
-func DeliverNow() FaultAction { return deliverNow }
-
 // FaultInjector decides the fate of each sent message. The scheduler calls
 // OnSend exactly once per send operation, in execution order, and never for
 // the loopback link (from == to). Implementations must be deterministic for

@@ -63,7 +63,7 @@ func TestSameBodyBothSubstrates(t *testing.T) {
 		t.Fatalf("netsub run: %v", err)
 	}
 	if rep.Stalled() {
-		t.Fatalf("netsub run stalled: %s", rep)
+		t.Fatalf("netsub run stalled: %+v", *rep)
 	}
 
 	// A link whose node is hidden from msgnet.Drive runs its drives as plain

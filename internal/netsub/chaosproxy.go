@@ -40,27 +40,19 @@ type ChaosListener struct {
 
 // ChaosConfig tunes the shim.
 type ChaosConfig struct {
-	// StepMillis maps one faultnet delay step to wall milliseconds;
-	// 0 means 2ms.
-	StepMillis int
-
-	// ResetEvery, when positive, tears the underlying connection down
-	// after every ResetEvery-th data frame — the "resets" fault the
+	// resetEvery, when positive, tears the underlying connection down
+	// after every resetEvery-th data frame — the "resets" fault the
 	// virtual substrate cannot express. The dialer's pool redials with
 	// backoff and the stream resumes.
-	ResetEvery int
+	resetEvery int
 
 	// Observer, when non-nil, receives "sockchaos.drop", ".delay",
 	// ".duplicate" and ".reset" events (round -1, pid = owner).
 	Observer obs.Observer
 }
 
-func (c ChaosConfig) stepMillis() time.Duration {
-	if c.StepMillis <= 0 {
-		return 2 * time.Millisecond
-	}
-	return time.Duration(c.StepMillis) * time.Millisecond
-}
+// delayStep is the wall time of one faultnet delay step.
+const delayStep = 2 * time.Millisecond
 
 // WrapListener interposes the chaos shim on ln, which fronts the node
 // owner. Connections accepted through the returned listener have plan
@@ -156,12 +148,12 @@ func (p *pump) forward() {
 			p.event("sockchaos.delay", map[string]any{"from": int(from), "frame": step - 1, "steps": d})
 			p.timers.Add(1)
 			delayed := buf
-			time.AfterFunc(time.Duration(d)*p.cl.cfg.stepMillis(), func() {
+			time.AfterFunc(time.Duration(d)*delayStep, func() {
 				defer p.timers.Done()
 				p.write(delayed)
 			})
 		}
-		if re := p.cl.cfg.ResetEvery; re > 0 {
+		if re := p.cl.cfg.resetEvery; re > 0 {
 			if sinceReset++; sinceReset >= re {
 				p.event("sockchaos.reset", map[string]any{"from": int(from), "frame": step - 1})
 				return

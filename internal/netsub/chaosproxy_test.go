@@ -33,7 +33,7 @@ func TestProxyPassThrough(t *testing.T) {
 		t.Fatalf("RunRounds: %v", err)
 	}
 	if rep.Stalled() {
-		t.Fatalf("fault-free proxy run stalled: %s", rep)
+		t.Fatalf("fault-free proxy run stalled: %+v", *rep)
 	}
 	if out.Trace.Len() != rounds {
 		t.Fatalf("trace length %d, want %d", out.Trace.Len(), rounds)
@@ -138,7 +138,7 @@ func TestProxyResetRedials(t *testing.T) {
 	// redial path mid-protocol; queued frames survive in the bounded
 	// queue and flush after reconnect, so the rounds still complete.
 	const n, f, rounds = 2, 1, 4
-	cfg := proxiedConfig(t, n, faultnet.Plan{Seed: 5}, ChaosConfig{ResetEvery: 2})
+	cfg := proxiedConfig(t, n, faultnet.Plan{Seed: 5}, ChaosConfig{resetEvery: 2})
 	cfg.Node.RedialUnit = 2 * time.Millisecond
 	out, rep, err := RunRounds(n, f, rounds, cfg, emitPID)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestProxyResetRedials(t *testing.T) {
 		t.Fatalf("trace length %d, want %d", out.Trace.Len(), rounds)
 	}
 	if rep.Reconnects == 0 {
-		t.Fatalf("resets produced no reconnects: %s", rep)
+		t.Fatalf("resets produced no reconnects: %+v", *rep)
 	}
 }
 

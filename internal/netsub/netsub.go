@@ -21,7 +21,7 @@
 //     long a dead connection can linger: an inbound conn silent for
 //     several heartbeat intervals is torn down;
 //   - a per-peer flow monitor watches drain rate and evicts a peer whose
-//     queue stays backed up with nothing draining for EvictAfter
+//     queue stays backed up with nothing draining for evictAfter
 //     consecutive windows — a persistently slow peer is cut off
 //     (*PeerEvictedError) instead of dragging the mesh down.
 //
@@ -77,9 +77,9 @@ type Config struct {
 	// listen on Addrs[Me].
 	Listener net.Listener
 
-	// Dial, when non-nil, replaces the default TCP dialer — the hook the
-	// socket chaos shim and the tests use.
-	Dial func(addr string) (net.Conn, error)
+	// dial, when non-nil, replaces the default TCP dialer — the hook the
+	// tests use to make a peer unreachable or slow.
+	dial func(addr string) (net.Conn, error)
 
 	// SendQueue is the per-peer in-flight cap: the bounded frame queue
 	// between Send and the peer's writer. A full queue sheds with a
@@ -105,13 +105,13 @@ type Config struct {
 	// Seed derives each peer's jitter stream; 0 means 1.
 	Seed int64
 
-	// FlowWindow is the flow monitor's sampling period. 0 means 500ms.
-	FlowWindow time.Duration
+	// flowWindow is the flow monitor's sampling period. 0 means 500ms.
+	flowWindow time.Duration
 
-	// EvictAfter is how many consecutive windows a peer's queue may sit
+	// evictAfter is how many consecutive windows a peer's queue may sit
 	// non-empty with nothing drained before the peer is evicted. 0 means
 	// 4; negative disables eviction.
-	EvictAfter int
+	evictAfter int
 
 	// Observer, when non-nil, receives "netsub.*" events: conn_open,
 	// conn_close, reconnect, dial_fail, hello, backpressure, evict,
@@ -155,15 +155,15 @@ func (c *Config) fill() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.FlowWindow <= 0 {
-		c.FlowWindow = 500 * time.Millisecond
+	if c.flowWindow <= 0 {
+		c.flowWindow = 500 * time.Millisecond
 	}
-	if c.EvictAfter == 0 {
-		c.EvictAfter = 4
+	if c.evictAfter == 0 {
+		c.evictAfter = 4
 	}
-	if c.Dial == nil {
+	if c.dial == nil {
 		timeout := c.DialTimeout
-		c.Dial = func(addr string) (net.Conn, error) {
+		c.dial = func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
@@ -294,14 +294,6 @@ func (nd *Node) Stats() Stats {
 		Evictions:      nd.evictions.Load(),
 		HellosAccepted: nd.hellos.Load(),
 	}
-}
-
-// Evicted reports whether the flow monitor has cut peer p off.
-func (nd *Node) Evicted(p core.PID) bool {
-	if p < 0 || int(p) >= nd.n || nd.peers[p] == nil {
-		return false
-	}
-	return nd.peers[p].evicted.Load()
 }
 
 // Send implements msgnet.Substrate: it frames the payload and hands it

@@ -21,7 +21,7 @@ func testConfig() Config {
 		WriteTimeout:   500 * time.Millisecond,
 		DialTimeout:    500 * time.Millisecond,
 		RedialUnit:     2 * time.Millisecond,
-		FlowWindow:     25 * time.Millisecond,
+		flowWindow:     25 * time.Millisecond,
 	}
 }
 
@@ -102,9 +102,9 @@ func TestBackpressureSheds(t *testing.T) {
 	// with a structured BackpressureError rather than block or buffer.
 	nodes := startMesh(t, 2, func(i int, c *Config) {
 		c.SendQueue = 4
-		c.EvictAfter = -1 // isolate backpressure from eviction
+		c.evictAfter = -1 // isolate backpressure from eviction
 		if i == 0 {
-			c.Dial = func(string) (net.Conn, error) { return nil, errors.New("unreachable") }
+			c.dial = func(string) (net.Conn, error) { return nil, errors.New("unreachable") }
 		}
 	})
 	for k := 0; k < 4; k++ {
@@ -132,16 +132,16 @@ func TestBackpressureSheds(t *testing.T) {
 func TestSlowPeerEviction(t *testing.T) {
 	nodes := startMesh(t, 2, func(i int, c *Config) {
 		c.SendQueue = 2
-		c.EvictAfter = 3
-		c.FlowWindow = 10 * time.Millisecond
+		c.evictAfter = 3
+		c.flowWindow = 10 * time.Millisecond
 		if i == 0 {
-			c.Dial = func(string) (net.Conn, error) { return nil, errors.New("unreachable") }
+			c.dial = func(string) (net.Conn, error) { return nil, errors.New("unreachable") }
 		}
 	})
 	nodes[0].Send(1, "stuck-a")
 	nodes[0].Send(1, "stuck-b")
 	deadline := time.Now().Add(3 * time.Second)
-	for !nodes[0].Evicted(1) {
+	for !nodes[0].peers[1].evicted.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("flow monitor never evicted the stalled peer")
 		}
@@ -164,15 +164,15 @@ func TestHealthyPeerNotEvicted(t *testing.T) {
 	// A draining queue must never accumulate strikes, no matter how many
 	// windows pass.
 	nodes := startMesh(t, 2, func(i int, c *Config) {
-		c.FlowWindow = 5 * time.Millisecond
-		c.EvictAfter = 2
+		c.flowWindow = 5 * time.Millisecond
+		c.evictAfter = 2
 	})
 	stop := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(stop) {
 		nodes[0].Send(1, "tick")
 		recvFrom(t, nodes[1], 0, time.Second)
 	}
-	if nodes[0].Evicted(1) {
+	if nodes[0].peers[1].evicted.Load() {
 		t.Fatal("healthy peer was evicted")
 	}
 }
@@ -345,7 +345,7 @@ func TestWriterCoalescesQueuedFrames(t *testing.T) {
 	nodes := startMesh(t, 2, func(i int, c *Config) {
 		c.HeartbeatEvery = -1 // every Write past the hello is a data write
 		if i == 0 {
-			c.Dial = func(addr string) (net.Conn, error) {
+			c.dial = func(addr string) (net.Conn, error) {
 				conn, err := net.Dial("tcp", addr)
 				sc.Conn = conn
 				return sc, err

@@ -13,7 +13,7 @@ import (
 // TestSustainedOverloadEscalation drives a sender at a peer that accepts
 // connections but never drains a byte, and pins the defense ladder in
 // order: the bounded queue fills and sheds with BackpressureError first;
-// only after the flow monitor has watched EvictAfter windows of zero
+// only after the flow monitor has watched evictAfter windows of zero
 // progress does the peer escalate to PeerEvictedError — and from then on
 // every send sheds immediately. The queue-depth histogram must show the
 // saturation the sheds imply.
@@ -32,15 +32,15 @@ func TestSustainedOverloadEscalation(t *testing.T) {
 	const sendQueue = 4
 	nodes := startMesh(t, 2, func(i int, c *Config) {
 		c.SendQueue = sendQueue
-		c.EvictAfter = 3
-		c.FlowWindow = 10 * time.Millisecond
+		c.evictAfter = 3
+		c.flowWindow = 10 * time.Millisecond
 		c.WriteTimeout = 20 * time.Millisecond
 		if i == 0 {
 			c.Hist = reg
 			// A synchronous pipe nobody reads: every write blocks until
 			// the WriteTimeout, so the queue never truly drains — the
 			// sustained-overload shape, without kernel-buffer slack.
-			c.Dial = func(string) (net.Conn, error) {
+			c.dial = func(string) (net.Conn, error) {
 				client, server := net.Pipe()
 				blackMu.Lock()
 				blackholes = append(blackholes, server)
@@ -81,8 +81,8 @@ func TestSustainedOverloadEscalation(t *testing.T) {
 	if !errors.As(err, &ev) || ev.To != 1 || ev.Strikes < 3 {
 		t.Fatalf("post-eviction send: %v (%+v)", err, ev)
 	}
-	if !nodes[0].Evicted(1) {
-		t.Fatal("Evicted(1) false after PeerEvictedError")
+	if !nodes[0].peers[1].evicted.Load() {
+		t.Fatal("peer 1 not marked evicted after PeerEvictedError")
 	}
 
 	st := nodes[0].Stats()

@@ -137,7 +137,7 @@ func (p *peer) run() {
 
 // dial opens the connection and sends the hello identifying this node.
 func (p *peer) dial() (net.Conn, error) {
-	conn, err := p.nd.cfg.Dial(p.addr)
+	conn, err := p.nd.cfg.dial(p.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -251,15 +251,15 @@ func (p *peer) readAcks(conn net.Conn) {
 	}
 }
 
-// flowMonitor samples the queue every FlowWindow: a window in which the
-// queue sat non-empty but nothing drained is a strike; EvictAfter
+// flowMonitor samples the queue every flowWindow: a window in which the
+// queue sat non-empty but nothing drained is a strike; evictAfter
 // consecutive strikes evict the peer permanently.
 func (p *peer) flowMonitor() {
 	defer p.nd.wg.Done()
-	if p.nd.cfg.EvictAfter < 0 {
+	if p.nd.cfg.evictAfter < 0 {
 		return
 	}
-	t := time.NewTicker(p.nd.cfg.FlowWindow)
+	t := time.NewTicker(p.nd.cfg.flowWindow)
 	defer t.Stop()
 	for {
 		select {
@@ -271,7 +271,7 @@ func (p *peer) flowMonitor() {
 			return
 		}
 		if len(p.q) > 0 && p.drained.Swap(0) == 0 {
-			if s := p.strikes.Add(1); int(s) >= p.nd.cfg.EvictAfter {
+			if s := p.strikes.Add(1); int(s) >= p.nd.cfg.evictAfter {
 				p.evict(int(s))
 				return
 			}

@@ -3,7 +3,6 @@ package netsub
 import (
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -74,17 +73,6 @@ type RunReport struct {
 
 // Stalled reports whether any round stalled anywhere.
 func (r *RunReport) Stalled() bool { return len(r.Stalls) > 0 }
-
-// String renders a multi-line diagnostic summary.
-func (r *RunReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "netsub: %dms, %d sheds, %d reconnects, %d evictions",
-		r.Millis, r.Sheds, r.Reconnects, r.Evictions)
-	for _, s := range r.Stalls {
-		fmt.Fprintf(&b, "\n  %s", s)
-	}
-	return b.String()
-}
 
 // RunRounds is the in-process harness: it brings up n loopback nodes
 // (or adopts cfg.Listeners, typically chaos-wrapped), runs

@@ -39,7 +39,7 @@ func TestRunRoundsFaultFree(t *testing.T) {
 		t.Fatalf("RunRounds: %v", err)
 	}
 	if rep.Stalled() {
-		t.Fatalf("fault-free run stalled: %s", rep)
+		t.Fatalf("fault-free run stalled: %+v", *rep)
 	}
 	if out.Trace.Len() != rounds {
 		t.Fatalf("trace length %d, want %d", out.Trace.Len(), rounds)

@@ -1,4 +1,4 @@
-// Package hist provides mergeable log-bucketed (HDR-style) latency and
+// Package hist provides log-bucketed (HDR-style) latency and
 // size histograms with sharded atomic recording and quantile queries.
 //
 // Values are non-negative int64s (nanoseconds, message counts, queue
@@ -13,18 +13,12 @@
 // atomic adds, and a shard is picked per call from a cheap per-goroutine
 // random source. Readers (Snapshot, Count) sum across shards; they see
 // every completed Record but take no lock and stop no writer.
-//
-// Histograms are mergeable at two levels: Histogram.Add folds another
-// live histogram in, and Snap.Merge combines frozen snapshots — both are
-// exact (bucket-wise addition), so per-worker histograms can be combined
-// without precision loss.
 package hist
 
 import (
 	"encoding/json"
 	"math/bits"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -128,34 +122,6 @@ func (h *Histogram) Count() int64 {
 	return c
 }
 
-// Add folds every observation of o into h (bucket-wise, exact). o keeps
-// its contents. Concurrent recording into either histogram during an Add
-// may or may not be included; the result is still internally consistent
-// per bucket.
-func (h *Histogram) Add(o *Histogram) {
-	if o == nil {
-		return
-	}
-	dst := &h.shards[0]
-	for i := range o.shards {
-		s := &o.shards[i]
-		for b := range s.counts {
-			if n := s.counts[b].Load(); n != 0 {
-				dst.counts[b].Add(n)
-			}
-		}
-		dst.count.Add(s.count.Load())
-		dst.sum.Add(s.sum.Load())
-		m := s.max.Load()
-		for {
-			cur := dst.max.Load()
-			if m <= cur || dst.max.CompareAndSwap(cur, m) {
-				break
-			}
-		}
-	}
-}
-
 // Snapshot freezes the current contents into a Snap.
 func (h *Histogram) Snapshot() Snap {
 	s := Snap{counts: make([]int64, nBuckets)}
@@ -219,20 +185,6 @@ func (s Snap) Quantile(q float64) int64 {
 		}
 	}
 	return s.Max
-}
-
-// Merge returns the exact bucket-wise combination of s and o.
-func (s Snap) Merge(o Snap) Snap {
-	out := Snap{Count: s.Count + o.Count, Sum: s.Sum + o.Sum, Max: s.Max}
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	out.counts = make([]int64, nBuckets)
-	copy(out.counts, s.counts)
-	for b, n := range o.counts {
-		out.counts[b] += n
-	}
-	return out
 }
 
 // snapJSON is the exported wire shape of a Snap.
@@ -299,18 +251,6 @@ func (r *Registry) Get(name string) *Histogram {
 // Observe records v into the named histogram. Convenience for cold paths;
 // hot paths should cache Get's pointer.
 func (r *Registry) Observe(name string, v int64) { r.Get(name).Record(v) }
-
-// Names returns the registered names in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.m))
-	for k := range r.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Snapshot freezes every non-empty histogram. Empty histograms (created
 // but never recorded into) are elided so exports stay noise-free.

@@ -99,36 +99,6 @@ func TestQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestMergeExact(t *testing.T) {
-	a, b := New(), New()
-	var g lcg = 3
-	var sum int64
-	for i := 0; i < 5000; i++ {
-		v := int64(g.next() % 100000)
-		sum += v
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-	}
-	merged := a.Snapshot().Merge(b.Snapshot())
-	if merged.Count != 5000 || merged.Sum != sum {
-		t.Fatalf("snap merge count=%d sum=%d, want 5000/%d", merged.Count, merged.Sum, sum)
-	}
-	a.Add(b)
-	live := a.Snapshot()
-	if live.Count != merged.Count || live.Sum != merged.Sum || live.Max != merged.Max {
-		t.Fatalf("live Add disagrees with Snap.Merge: %+v vs %+v", live, merged)
-	}
-	for q := 1; q <= 100; q++ {
-		p := float64(q) / 100
-		if live.Quantile(p) != merged.Quantile(p) {
-			t.Fatalf("q=%v: live %d, merged %d", p, live.Quantile(p), merged.Quantile(p))
-		}
-	}
-}
-
 func TestConcurrentRecord(t *testing.T) {
 	h := New()
 	const goroutines, per = 16, 2000
@@ -156,10 +126,6 @@ func TestRegistry(t *testing.T) {
 	r.Get("never_recorded")
 	if h := r.Get("round_ns"); h.Count() != 2 {
 		t.Fatalf("count %d, want 2", h.Count())
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "never_recorded" || names[1] != "round_ns" {
-		t.Fatalf("names %v", names)
 	}
 	snaps := r.Snapshot()
 	if _, ok := snaps["never_recorded"]; ok {

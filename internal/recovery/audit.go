@@ -71,11 +71,7 @@ func Audit(out *Outcome, n, f, rounds int) error {
 		if !decided {
 			continue
 		}
-		st, err := out.Journals[p].Recover()
-		if err != nil {
-			return &AuditError{Kind: "durability", Proc: p,
-				Detail: fmt.Sprintf("journal unreadable: %v", err)}
-		}
+		st := out.Journals[p].Recover()
 		justified, quorate := agreement.QuorumMin(st.LastView, n-f)
 		switch {
 		case st.LastViewRound != rounds:

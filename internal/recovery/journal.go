@@ -6,7 +6,7 @@
 //
 // The package splits into two halves:
 //
-//   - Journal — per-process durable round state. The write discipline is
+//   - MemJournal — per-process durable round state. The write discipline is
 //     the classic one: the round-r emit record is flushed BEFORE the
 //     round-r broadcast, so a recovered process never re-emits a round
 //     with a different value than the one the network may already have
@@ -47,36 +47,6 @@ type State struct {
 	Entries int
 }
 
-// Journal is one process's durable round log with two durability classes:
-// emit records are write-through (durable when LogEmit returns — they sit on
-// the no-equivocation critical path, so they must hit stable storage before
-// the broadcast), while view records buffer until Flush (they are bulk state
-// batched for throughput — and they are the amnesia window). Implementations
-// are used by one process incarnation at a time and need not be
-// concurrency-safe.
-type Journal interface {
-	// LogEmit durably records the round-r estimate about to be broadcast.
-	LogEmit(r, est int) error
-
-	// LogView records round r's completed quorum view and suspect set; it
-	// may remain volatile until the next Flush.
-	LogView(r int, view map[core.PID]int, d core.Set) error
-
-	// Flush makes every buffered view record durable.
-	Flush() error
-
-	// Crash models the process's crash: whatever was not flushed is lost.
-	Crash() error
-
-	// Recover returns the durable state — what an honest restart sees.
-	Recover() (State, error)
-
-	// Unflushed returns the state including the un-flushed tail: the state
-	// a crash destroyed. Honest recoveries must not use it; the planted
-	// amnesia bug does, and the chaos harness proves that gets caught.
-	Unflushed() (State, error)
-}
-
 // entry is one journal record.
 type entry struct {
 	Round int
@@ -101,9 +71,15 @@ func stateOf(entries []entry) State {
 	return st
 }
 
-// MemJournal is an in-memory Journal with an explicit durable/volatile
-// split: Flush moves the volatile tail to the durable half, Crash discards
-// it — the in-process model of a power loss destroying the page cache.
+// MemJournal is one process's durable round log, in memory, with two
+// durability classes: emit records are write-through (durable when LogEmit
+// returns — they sit on the no-equivocation critical path, so they must hit
+// stable storage before the broadcast), while view records buffer until
+// Flush (they are bulk state batched for throughput — and they are the
+// amnesia window). Flush moves the volatile tail to the durable half, Crash
+// discards it — the in-process model of a power loss destroying the page
+// cache. A journal is used by one process incarnation at a time and is not
+// concurrency-safe. The zero value is an empty journal.
 type MemJournal struct {
 	durable  []entry
 	volatile []entry
@@ -112,48 +88,42 @@ type MemJournal struct {
 	Lost int
 }
 
-// NewMemJournal returns an empty in-memory journal.
-func NewMemJournal() *MemJournal { return &MemJournal{} }
-
-// LogEmit implements Journal: emit records are write-through durable.
-func (j *MemJournal) LogEmit(r, est int) error {
+// LogEmit durably records the round-r estimate about to be broadcast.
+func (j *MemJournal) LogEmit(r, est int) {
 	j.durable = append(j.durable, entry{Round: r, Emit: true, Est: est})
-	return nil
 }
 
-// LogView implements Journal.
-func (j *MemJournal) LogView(r int, view map[core.PID]int, d core.Set) error {
+// LogView records round r's completed quorum view and suspect set; it
+// stays volatile until the next Flush.
+func (j *MemJournal) LogView(r int, view map[core.PID]int, d core.Set) {
 	cp := make(map[core.PID]int, len(view))
 	for p, v := range view {
 		cp[p] = v
 	}
 	j.volatile = append(j.volatile, entry{Round: r, View: cp, D: d.Clone()})
-	return nil
 }
 
-// Flush implements Journal.
-func (j *MemJournal) Flush() error {
+// Flush makes every buffered view record durable.
+func (j *MemJournal) Flush() {
 	j.durable = append(j.durable, j.volatile...)
 	j.volatile = nil
-	return nil
 }
 
-// Crash implements Journal.
-func (j *MemJournal) Crash() error {
+// Crash models the process's crash: whatever was not flushed is lost.
+func (j *MemJournal) Crash() {
 	j.Lost += len(j.volatile)
 	j.volatile = nil
-	return nil
 }
 
-// Recover implements Journal.
-func (j *MemJournal) Recover() (State, error) {
-	return stateOf(j.durable), nil
+// Recover returns the durable state — what an honest restart sees.
+func (j *MemJournal) Recover() State {
+	return stateOf(j.durable)
 }
 
-// Unflushed implements Journal.
-func (j *MemJournal) Unflushed() (State, error) {
+// Unflushed returns the state including the un-flushed tail: the state a
+// crash destroyed. Honest recoveries must not use it; the planted amnesia
+// bug does, and the chaos harness proves that gets caught.
+func (j *MemJournal) Unflushed() State {
 	all := append(append([]entry(nil), j.durable...), j.volatile...)
-	return stateOf(all), nil
+	return stateOf(all)
 }
-
-var _ Journal = (*MemJournal)(nil)

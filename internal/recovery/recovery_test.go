@@ -10,42 +10,25 @@ import (
 )
 
 func TestMemJournalDurabilityClasses(t *testing.T) {
-	j := NewMemJournal()
+	var j MemJournal
 	v1 := map[core.PID]int{0: 3, 1: 1}
-	if err := j.LogEmit(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.LogView(1, v1, core.SetOf(3, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.LogEmit(2, 1); err != nil {
-		t.Fatal(err)
-	}
+	j.LogEmit(1, 3)
+	j.LogView(1, v1, core.SetOf(3, 2))
+	j.LogEmit(2, 1)
 
 	// Emits are write-through; the view is still volatile.
-	st, err := j.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := j.Recover()
 	if st.Round != 2 || !st.HasEst || st.Est != 1 || st.LastView != nil {
 		t.Fatalf("durable state before flush: %+v", st)
 	}
-	un, err := j.Unflushed()
-	if err != nil {
-		t.Fatal(err)
-	}
+	un := j.Unflushed()
 	if un.LastViewRound != 1 || len(un.LastView) != 2 {
 		t.Fatalf("unflushed state missing the view: %+v", un)
 	}
 
 	// A crash destroys the volatile view; a flush would have saved it.
-	if err := j.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = j.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
+	j.Crash()
+	st = j.Recover()
 	if st.LastView != nil || st.Round != 2 || st.Est != 1 {
 		t.Fatalf("post-crash state: %+v", st)
 	}
@@ -53,19 +36,10 @@ func TestMemJournalDurabilityClasses(t *testing.T) {
 		t.Fatalf("lost %d records, want 1", j.Lost)
 	}
 
-	if err := j.LogView(2, v1, core.SetOf(3, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = j.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
+	j.LogView(2, v1, core.SetOf(3, 2))
+	j.Flush()
+	j.Crash()
+	st = j.Recover()
 	if st.LastViewRound != 2 {
 		t.Fatalf("flushed view lost: %+v", st)
 	}

@@ -16,9 +16,6 @@ type Config struct {
 	// that many steps later and takes the recovery path.
 	Net msgnet.Config
 
-	// Journals supplies one Journal per process; nil means fresh MemJournals.
-	Journals []Journal
-
 	// FlushEvery flushes buffered view records every k completed rounds
 	// (0 means 1 — flush after every round, no amnesia window). The view of
 	// the final round is always flushed before a decision, whatever k is.
@@ -60,7 +57,7 @@ type Outcome struct {
 	Replayed, Lost map[core.PID]int
 
 	// Journals are the per-process journals after the run, for audit.
-	Journals []Journal
+	Journals []*MemJournal
 
 	// Proposals echoes the initial estimates (for validity checks).
 	Proposals []int
@@ -119,15 +116,9 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 	if err := core.CheckShape(n, f, rounds); err != nil {
 		return nil, err
 	}
-	journals := cfg.Journals
-	if journals == nil {
-		journals = make([]Journal, n)
-		for i := range journals {
-			journals[i] = NewMemJournal()
-		}
-	}
-	if len(journals) != n {
-		return nil, fmt.Errorf("recovery: %d journals for %d processes", len(journals), n)
+	journals := make([]*MemJournal, n)
+	for i := range journals {
+		journals[i] = &MemJournal{}
 	}
 	proposals := cfg.Proposals
 	if proposals == nil {
@@ -167,23 +158,11 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 			// volatile tail is gone before we look. The planted bug peeks at
 			// the un-flushed state first and trusts it.
 			if cfg.AmnesiaBug {
-				stale, err := j.Unflushed()
-				if err != nil {
-					return nil, err
-				}
-				bugView = stale.LastView
+				bugView = j.Unflushed().LastView
 			}
-			before, err := j.Unflushed()
-			if err != nil {
-				return nil, err
-			}
-			if err := j.Crash(); err != nil {
-				return nil, err
-			}
-			st, err := j.Recover()
-			if err != nil {
-				return nil, err
-			}
+			before := j.Unflushed()
+			j.Crash()
+			st := j.Recover()
 			me.recovered = true
 			me.replayed = st.Round
 			me.lost = before.Entries - st.Entries
@@ -203,9 +182,7 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 		for r <= rounds {
 			// Durable emit before broadcast: a later incarnation resumes
 			// after this round and can never contradict this message.
-			if err := j.LogEmit(r, est); err != nil {
-				return nil, err
-			}
+			j.LogEmit(r, est)
 			if err := nd.Broadcast(msgnet.RoundMsg{Round: r, Value: est}); err != nil {
 				return nil, err
 			}
@@ -225,16 +202,12 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 				view[p] = v.(int) // only this body broadcasts here, and only ints
 			}
 			d := msgnet.Unheard(n, got)
-			if err := j.LogView(r, view, d); err != nil {
-				return nil, err
-			}
+			j.LogView(r, view, d)
 			sinceFlush++
 			// The final view must be durable before the decision it
 			// justifies — crash-recovery's log-before-act rule.
 			if sinceFlush >= flushEvery || r == rounds {
-				if err := j.Flush(); err != nil {
-					return nil, err
-				}
+				j.Flush()
 				sinceFlush = 0
 			}
 			me.rec.Complete(r, got, d)

@@ -98,7 +98,7 @@ func TestGoldensUnderBothDrivers(t *testing.T) {
 			if first.out == nil {
 				first.out, first.rep = out, rep
 			} else if !reflect.DeepEqual(out, first.out) || !reflect.DeepEqual(rep, first.rep) {
-				t.Errorf("%s: the drivers disagree\n%+v\n%+v\n%s\n%s", c.name, out, first.out, rep, first.rep)
+				t.Errorf("%s: the drivers disagree\n%+v\n%+v\n%+v\n%+v", c.name, out, first.out, *rep, *first.rep)
 			}
 		}
 	}
@@ -145,7 +145,7 @@ func (d dropTo) OnSend(_ int, _, to core.PID) msgnet.FaultAction {
 			return msgnet.FaultAction{Reason: "drop"}
 		}
 	}
-	return msgnet.DeliverNow()
+	return msgnet.FaultAction{Deliveries: []int{0}}
 }
 
 // crashingSub is a four-process scriptedSub whose sends fail from the

@@ -2,6 +2,7 @@ package reliablelink
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -185,10 +186,10 @@ func TestRunRoundsSurvivesHeavyLoss(t *testing.T) {
 		Link: Config{RetransmitAfter: 4},
 	}, nil)
 	if err != nil {
-		t.Fatalf("err = %v\nreport: %s", err, rep)
+		t.Fatalf("err = %v\nreport: %+v", err, *rep)
 	}
 	if rep.Stalled() {
-		t.Fatalf("stalled despite retransmission: %s", rep)
+		t.Fatalf("stalled despite retransmission: %+v", *rep)
 	}
 	if rep.Retransmissions == 0 {
 		t.Fatal("30% loss but zero retransmissions")
@@ -215,7 +216,7 @@ func TestRunRoundsWatchdogConvertsPartitionToSuspicion(t *testing.T) {
 		LingerSteps:   100,
 	}, nil)
 	if err != nil {
-		t.Fatalf("partition must degrade, not error: %v\n%s", err, rep)
+		t.Fatalf("partition must degrade, not error: %v\n%+v", err, *rep)
 	}
 	if !rep.Stalled() {
 		t.Fatal("isolated p3 never stalled — watchdog did not fire")
@@ -249,7 +250,7 @@ func TestRunRoundsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out.Trace.String() + "|" + rep.String()
+		return fmt.Sprintf("%s|%+v", out.Trace, *rep)
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same seeds diverged:\n%s\nvs\n%s", a, b)

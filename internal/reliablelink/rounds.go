@@ -1,9 +1,6 @@
 package reliablelink
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/core"
 	"repro/internal/msgnet"
 )
@@ -69,20 +66,6 @@ type RunReport struct {
 
 // Stalled reports whether any round stalled anywhere.
 func (r *RunReport) Stalled() bool { return len(r.Stalls) > 0 }
-
-// String renders a multi-line diagnostic summary.
-func (r *RunReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "reliablelink: %d steps, %d retransmissions, %d give-ups, %d duplicate frames",
-		r.Steps, r.Retransmissions, r.GiveUps, r.DupFramesReceived)
-	if r.Crashed.Count() > 0 {
-		fmt.Fprintf(&b, ", crashed %s", r.Crashed)
-	}
-	for _, s := range r.Stalls {
-		fmt.Fprintf(&b, "\n  %s", s)
-	}
-	return b.String()
-}
 
 // RunRounds executes the round-based f-resilient asynchronous protocol of
 // §2 item 3 over reliable links on a lossy substrate: every process runs

@@ -85,13 +85,13 @@ type Config struct {
 	// Chooser plays the asynchrony adversary; nil means Seeded(1).
 	Chooser Chooser
 
-	// Crash maps a process to the number of steps it takes before
+	// crash maps a process to the number of steps it takes before
 	// crashing (0 = it never takes a step). Crashes are clean: a crashed
 	// process broadcasts nothing, consistent with atomic steps.
-	Crash map[core.PID]int
+	crash map[core.PID]int
 
-	// MaxSteps bounds the global step count; 0 means 1<<20.
-	MaxSteps int
+	// maxSteps bounds the global step count; 0 means 1<<20.
+	maxSteps int
 }
 
 // Outcome reports a finished execution.
@@ -136,7 +136,7 @@ func Run(n int, cfg Config, factory Factory, inputs []core.Value) (*Outcome, err
 	if chooser == nil {
 		chooser = Seeded(1)
 	}
-	maxSteps := cfg.MaxSteps
+	maxSteps := cfg.maxSteps
 	if maxSteps == 0 {
 		maxSteps = 1 << 20
 	}
@@ -172,7 +172,7 @@ func Run(n int, cfg Config, factory Factory, inputs []core.Value) (*Outcome, err
 		}
 		p := ready[idx]
 
-		if limit, ok := cfg.Crash[p]; ok && out.StepsByProc[p] >= limit {
+		if limit, ok := cfg.crash[p]; ok && out.StepsByProc[p] >= limit {
 			out.Crashed.Add(p)
 			buffers[p] = nil
 			continue
@@ -218,7 +218,7 @@ func Run(n int, cfg Config, factory Factory, inputs []core.Value) (*Outcome, err
 // live process halted, naming the live processes still undecided — the
 // diagnosis an opaque sentinel could not carry.
 type StepBudgetError struct {
-	// Budget is the exhausted MaxSteps value.
+	// Budget is the exhausted maxSteps value.
 	Budget int
 
 	// Undecided lists live processes that had not decided at exhaustion.

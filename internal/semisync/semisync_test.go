@@ -78,7 +78,7 @@ func TestTwoStepWithCrashes(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		out, err := RunTwoStep(n, 2, Config{
 			Chooser: Seeded(seed),
-			Crash:   map[core.PID]int{0: 1, 3: 0},
+			crash:   map[core.PID]int{0: 1, 3: 0},
 		}, inputs)
 		if err != nil {
 			t.Fatal(err)
@@ -251,7 +251,7 @@ func TestStepBudget(t *testing.T) {
 	// A stepper that never halts must trip the budget, and the error must
 	// name the budget and every still-undecided live process.
 	factory := func(me core.PID, n int, input core.Value) Stepper { return spinStepper{} }
-	_, err := Run(2, Config{MaxSteps: 50}, factory, identityInputs(2))
+	_, err := Run(2, Config{maxSteps: 50}, factory, identityInputs(2))
 	if err == nil {
 		t.Fatal("expected step budget error")
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/task"
@@ -11,7 +12,7 @@ import (
 // promises: a request ID never sees two values (idempotency), an instance
 // never decides more than k values (k-agreement), and every decided value
 // was submitted to its instance (validity). The load generator and the
-// kill-and-recover campaign both feed one and word its findings their way.
+// kill-and-recover campaign both feed one through Load.Tally.
 type Auditor struct {
 	byReq, byInst map[string]map[int]bool
 }
@@ -52,6 +53,19 @@ type AuditViolation struct {
 	Kind      string
 	Inst, Req string
 	Values    []int
+}
+
+// Detail words the violation, without its Kind, against the bound k that
+// Violations judged it by.
+func (v AuditViolation) Detail(k int) string {
+	switch v.Kind {
+	case "idempotency":
+		return fmt.Sprintf("request %s received %d distinct decided values %v across retries", v.Req, len(v.Values), v.Values)
+	case "k-agreement":
+		return fmt.Sprintf("instance %s decided %d distinct values %v > k=%d", v.Inst, len(v.Values), v.Values, k)
+	default:
+		return fmt.Sprintf("instance %s decided %d, which no client submitted", v.Inst, v.Values[0])
+	}
 }
 
 // Violations audits everything noted so far against the values submitted

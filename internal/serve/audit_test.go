@@ -50,6 +50,9 @@ func TestAuditor(t *testing.T) {
 	if got := a.Violations(submitted, 1); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Violations(k=1)\n got %+v\nwant %+v", got, want)
 	}
+	if got, want := want[2].Detail(1), "instance b decided 2 distinct values [7 8] > k=1"; got != want {
+		t.Fatalf("Detail = %q, want %q", got, want)
+	}
 	if got := NewAuditor().Violations(submitted, 1); got != nil {
 		t.Fatalf("an empty auditor reported %+v", got)
 	}

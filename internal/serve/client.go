@@ -28,12 +28,8 @@ type ClientConfig struct {
 	// MaxAttempts bounds submit retries (first try included). 0 means 8.
 	MaxAttempts int
 
-	// Retry is the backoff ladder between attempts, in units of
-	// RetryUnit; the zero policy means {Initial: 1, Cap: 64, Jitter:
-	// 0.2} — RetryUnit doubling to 64×RetryUnit with ±20% seeded jitter.
-	Retry backoff.Policy
-
-	// RetryUnit scales Retry intervals. 0 means 5ms.
+	// RetryUnit is the first backoff interval between attempts; it
+	// doubles to 64×RetryUnit with ±20% seeded jitter. 0 means 5ms.
 	RetryUnit time.Duration
 
 	// Seed derives the jitter stream; equal seeds retry on equal
@@ -47,9 +43,6 @@ func (c *ClientConfig) fill() {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 8
-	}
-	if c.Retry == (backoff.Policy{}) {
-		c.Retry = backoff.Policy{Initial: 1, Cap: 64, Jitter: 0.2}
 	}
 	if c.RetryUnit <= 0 {
 		c.RetryUnit = 5 * time.Millisecond
@@ -77,7 +70,7 @@ type Client struct {
 // a dead server costs retries, never a construction error.
 func NewClient(cfg ClientConfig) *Client {
 	cfg.fill()
-	return &Client{cfg: cfg, seq: cfg.Retry.Seeded(cfg.Seed)}
+	return &Client{cfg: cfg, seq: backoff.Policy{Initial: 1, Cap: 64, Jitter: 0.2}.Seeded(cfg.Seed)}
 }
 
 // Submit proposes val for instance inst under request ID req, retrying

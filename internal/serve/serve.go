@@ -34,8 +34,8 @@
 //     Config.AckBeforeJournalBug plants the classic inversion — the
 //     turn's acks leave before its append — for the chaos campaign to catch.
 //   - Admission control: the in-flight instance table is bounded; a
-//     submit that would exceed it is shed with a structured
-//     *OverloadError (StatusOverload on the wire) instead of queued.
+//     submit that would exceed it is shed with a StatusOverload response
+//     (in-flight count and bound attached) instead of queued.
 //   - Deadlines: every request carries a deadline; when it expires before
 //     a quorum view forms the server answers abstain-and-report
 //     (StatusAbstain with view progress) instead of hanging, and an
@@ -112,7 +112,7 @@ type Config struct {
 
 	// MaxInflight bounds the undecided-instance table across all shards;
 	// a submit that would open an instance beyond it is shed with
-	// *OverloadError. 0 means 1024.
+	// StatusOverload. 0 means 1024.
 	MaxInflight int
 
 	// RequestTimeout is the default per-request deadline (a request may
@@ -603,14 +603,13 @@ func (s *Server) onSubmit(t *shardTable, ev submitEv) {
 		// Admission control: opening one more instance past the global
 		// bound sheds the request instead of queueing it.
 		if n := s.inflightN.Load(); n >= int64(s.cfg.MaxInflight) {
-			oe := &OverloadError{Inflight: int(n), Max: s.cfg.MaxInflight}
 			s.ctr.overloads.Add(1)
 			if s.cfg.Observer != nil {
-				s.event("serve.shed", map[string]any{"inflight": oe.Inflight})
+				s.event("serve.shed", map[string]any{"inflight": int(n)})
 			}
 			t.respond(ev.cc, ev.start, Response{
 				Req: req, Inst: id, Status: StatusOverload,
-				Inflight: oe.Inflight, Max: oe.Max, Incarnation: s.incarnation,
+				Inflight: int(n), Max: s.cfg.MaxInflight, Incarnation: s.incarnation,
 			})
 			return
 		}

@@ -69,9 +69,6 @@ func TestWireRoundTrips(t *testing.T) {
 			t.Fatalf("decodePeerMsg(%v) accepted garbage", bad)
 		}
 	}
-	if inc, err := decodeBoot(encodeBoot(7)); err != nil || inc != 7 {
-		t.Fatalf("boot round trip: got (%d,%v)", inc, err)
-	}
 }
 
 func TestSingleNodeDecideAndIdempotentRetry(t *testing.T) {

@@ -138,15 +138,6 @@ func encodeBoot(incarnation int) []byte {
 	return binary.AppendUvarint(nil, uint64(incarnation))
 }
 
-// decodeBoot parses a recBoot payload.
-func decodeBoot(b []byte) (int, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, fmt.Errorf("serve: bad boot record")
-	}
-	return int(v), nil
-}
-
 // encodeInstVal builds a recProposal/recDecision payload.
 func encodeInstVal(inst string, val int) []byte {
 	return appendInstVal(make([]byte, 0, 1+len(inst)+binary.MaxVarintLen64), inst, val)
@@ -227,19 +218,6 @@ type Response struct {
 	// Incarnation is the serving process's WAL-derived incarnation.
 	Incarnation int    `json:"incarnation,omitempty"`
 	Err         string `json:"err,omitempty"`
-}
-
-// OverloadError is the structured form of a StatusOverload response: the
-// bounded in-flight instance table was full and the request was shed
-// instead of queued. Retryable after backoff.
-type OverloadError struct {
-	Inflight int // instances in flight when the request was shed
-	Max      int // the table bound
-}
-
-// Error implements error.
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("serve: overloaded: %d/%d instances in flight", e.Inflight, e.Max)
 }
 
 // UnreachableError reports that every attempt at a server failed at the

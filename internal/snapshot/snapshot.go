@@ -9,8 +9,6 @@
 package snapshot
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/swmr"
 )
@@ -124,43 +122,4 @@ func cloneView(view []Cell, n int) []Cell {
 	out := make([]Cell, n)
 	copy(out, view)
 	return out
-}
-
-// SeqVector extracts the per-process sequence numbers of a scan; two
-// linearizable scans must have component-wise comparable vectors, which is
-// what the tests check.
-func SeqVector(view []Cell) []int {
-	out := make([]int, len(view))
-	for i, c := range view {
-		out[i] = c.Seq
-	}
-	return out
-}
-
-// CompareSeqVectors returns -1, 0, or +1 when a ≤ b, a = b, or a ≥ b
-// component-wise, and an error if the vectors are incomparable (which would
-// disprove linearizability).
-func CompareSeqVectors(a, b []int) (int, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("snapshot: vector lengths %d vs %d", len(a), len(b))
-	}
-	le, ge := true, true
-	for i := range a {
-		if a[i] > b[i] {
-			le = false
-		}
-		if a[i] < b[i] {
-			ge = false
-		}
-	}
-	switch {
-	case le && ge:
-		return 0, nil
-	case le:
-		return -1, nil
-	case ge:
-		return 1, nil
-	default:
-		return 0, fmt.Errorf("snapshot: incomparable scans %v and %v", a, b)
-	}
 }

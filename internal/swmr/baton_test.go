@@ -129,7 +129,7 @@ func TestAbortPathsAreUnchanged(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"step limit", Config{MaxSteps: 7, Crash: map[core.PID]int{1: 1}},
+		{"step limit", Config{maxSteps: 7, Crash: map[core.PID]int{1: 1}},
 			"err=swmr: step budget exhausted steps=10 crashed={1} values=map[] errs=map[0:swmr: process crashed 1:swmr: process crashed 2:swmr: process crashed]"},
 		{"bad chooser", Config{Chooser: func(step int, runnable []core.PID) int {
 			if calls++; calls == 5 {

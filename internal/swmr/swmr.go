@@ -44,15 +44,6 @@ var Bottom core.Value = nil
 // depend on goroutine identity (t.FailNow, runtime.LockOSThread).
 type Chooser func(step int, runnable []core.PID) int
 
-// RoundRobin returns a chooser that cycles fairly through pending processes.
-func RoundRobin() Chooser {
-	next := 0
-	return func(step int, runnable []core.PID) int {
-		next++
-		return next % len(runnable)
-	}
-}
-
 // Seeded returns a deterministic pseudo-random chooser.
 func Seeded(seed int64) Chooser {
 	// xorshift64* keeps the chooser allocation-free and reproducible.
@@ -107,8 +98,8 @@ type Config struct {
 	// operation. Processes not present never crash.
 	Crash map[core.PID]int
 
-	// MaxSteps bounds total scheduled operations; 0 means 1<<20.
-	MaxSteps int
+	// maxSteps bounds total scheduled operations; 0 means 1<<20.
+	maxSteps int
 }
 
 // Outcome reports a finished execution.
@@ -126,16 +117,6 @@ type Outcome struct {
 
 	// Crashed is the set of processes crashed by the scheduler.
 	Crashed core.Set
-}
-
-// Decided returns the set of processes that returned a value.
-func (o *Outcome) Decided() core.Set {
-	n := o.Crashed.Universe()
-	s := core.NewSet(n)
-	for p := range o.Values {
-		s.Add(p)
-	}
-	return s
 }
 
 type regKey struct {
@@ -244,7 +225,7 @@ func (p *Proc) do(apply func(m *memory) core.Value) (core.Value, error) {
 // baton holder to the next (internal/baton), and only the holder touches it
 // — but for a process posting into its own pending[pid].
 type sched struct {
-	cfg   Config // Chooser and MaxSteps defaulted
+	cfg   Config // Chooser and maxSteps defaulted
 	baton *baton.Baton
 	mem   memory
 	out   *Outcome
@@ -286,8 +267,8 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	if s.cfg.Chooser == nil {
 		s.cfg.Chooser = Seeded(1)
 	}
-	if s.cfg.MaxSteps == 0 {
-		s.cfg.MaxSteps = 1 << 20
+	if s.cfg.maxSteps == 0 {
+		s.cfg.maxSteps = 1 << 20
 	}
 	for i := range s.crashAt {
 		s.crashAt[i] = -1
@@ -345,7 +326,7 @@ func (s *sched) run(abort error) (core.PID, bool) {
 		}
 		s.pending[pick] = nil
 		s.step++
-		if s.step > s.cfg.MaxSteps && s.abort == nil {
+		if s.step > s.cfg.maxSteps && s.abort == nil {
 			s.abort = ErrMaxSteps
 		}
 		return pick, false

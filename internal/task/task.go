@@ -10,7 +10,7 @@
 // order. Every audit in the repository words KSet's verdict its own way
 // and adds its own clauses: the Tasks below (and Solves, which quantifies
 // them over seeded adversaries), agreement.Validate, the mc properties
-// Validity, KAgreement and DecideWithin, chaos's check, recovery.Audit,
+// Validity and KAgreement, chaos's check, recovery.Audit,
 // serve.Auditor.Violations, fleet.Audit and the rrfdsim TCP parent.
 package task
 

@@ -57,18 +57,6 @@ func (v *View) Knows(q core.PID) bool {
 	return found
 }
 
-// InputOf returns q's input if the view contains it.
-func (v *View) InputOf(q core.PID) (core.Value, bool) {
-	var val core.Value
-	found := false
-	v.walk(func(sub *View) {
-		if !found && sub.Owner == q {
-			val, found = sub.Input, true
-		}
-	})
-	return val, found
-}
-
 // KnownSet returns every process whose input the view contains.
 func (v *View) KnownSet(n int) core.Set {
 	s := core.NewSet(n)

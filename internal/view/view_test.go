@@ -32,12 +32,11 @@ func TestFullInfoBenign(t *testing.T) {
 		if !v.KnownSet(n).Equal(core.FullSet(n)) {
 			t.Fatalf("p%d does not know everyone after a benign round", p)
 		}
-		for q := core.PID(0); int(q) < n; q++ {
-			val, ok := v.InputOf(q)
-			if !ok || val != int(q)*100 {
-				t.Fatalf("p%d: InputOf(%d) = %v,%v", p, q, val, ok)
+		v.walk(func(sub *View) {
+			if sub.Input != int(sub.Owner)*100 {
+				t.Fatalf("p%d holds input %v for p%d", p, sub.Input, sub.Owner)
 			}
-		}
+		})
 	}
 }
 

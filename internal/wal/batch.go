@@ -92,13 +92,10 @@ var ErrGroupClosed = errors.New("wal: group writer closed")
 
 // GroupOptions tunes a Group.
 type GroupOptions struct {
-	// MaxBatch bounds how many records the committer gathers into one
+	// maxBatch bounds how many records the committer gathers into one
 	// commit; a single request's records are never split, so a commit
 	// may exceed it by that request's tail. 0 means 256.
-	MaxBatch int
-
-	// Queue bounds the pending-append channel. 0 means 1024.
-	Queue int
+	maxBatch int
 
 	// BatchHist, when non-nil, records each commit's batch size — the
 	// observability hook the serve layer wires to "serve_wal_batch".
@@ -144,13 +141,12 @@ type groupRes struct {
 // call l.Append/AppendBatch directly while the group is open — the
 // committer is the log's single writer.
 func NewGroup(l *Log, opts GroupOptions) *Group {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 256
+	if opts.maxBatch <= 0 {
+		opts.maxBatch = 256
 	}
-	if opts.Queue <= 0 {
-		opts.Queue = 1024
-	}
-	g := &Group{log: l, opts: opts, req: make(chan groupReq, opts.Queue)}
+	// Up to 1024 appends wait in the channel; past that a submitter blocks
+	// until the committer drains it.
+	g := &Group{log: l, opts: opts, req: make(chan groupReq, 1024)}
 	g.wg.Add(1)
 	go g.commit()
 	return g
@@ -213,12 +209,12 @@ func (g *Group) Close() error {
 }
 
 // commit is the committer loop: one blocking receive starts a batch,
-// a non-blocking drain (until MaxBatch records are gathered) fills it,
+// a non-blocking drain (until maxBatch records are gathered) fills it,
 // one AppendBatch makes it durable, and every waiter learns its fate.
 func (g *Group) commit() {
 	defer g.wg.Done()
-	batch := make([]BatchEntry, 0, g.opts.MaxBatch)
-	waiters := make([]groupReq, 0, g.opts.MaxBatch)
+	batch := make([]BatchEntry, 0, g.opts.maxBatch)
+	waiters := make([]groupReq, 0, g.opts.maxBatch)
 	for {
 		r, ok := <-g.req
 		if !ok {
@@ -228,7 +224,7 @@ func (g *Group) commit() {
 		batch = append(batch, r.entries...)
 		waiters = append(waiters, r)
 	drain:
-		for len(batch) < g.opts.MaxBatch {
+		for len(batch) < g.opts.maxBatch {
 			select {
 			case r2, ok2 := <-g.req:
 				if !ok2 {

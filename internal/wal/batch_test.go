@@ -32,14 +32,14 @@ func TestAppendBatchNumbersAndReplay(t *testing.T) {
 	if first != 2 {
 		t.Fatalf("batch first seq = %d, want 2", first)
 	}
-	if l.NextSeq() != 5 {
-		t.Fatalf("NextSeq after batch = %d, want 5", l.NextSeq())
+	if l.nextSeq != 5 {
+		t.Fatalf("NextSeq after batch = %d, want 5", l.nextSeq)
 	}
 	if _, err := l.AppendBatch(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if l.NextSeq() != 5 {
-		t.Fatalf("empty batch advanced NextSeq to %d", l.NextSeq())
+	if l.nextSeq != 5 {
+		t.Fatalf("empty batch advanced NextSeq to %d", l.nextSeq)
 	}
 	if _, err := l.Append(4, []byte("tail")); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestAppendBatchSyncNeverHorizon(t *testing.T) {
 // rotation afterwards, keeping segments bounded.
 func TestAppendBatchRotates(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Create(dir, Options{SegmentBytes: 256})
+	l, err := Create(dir, Options{segBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestGroupConcurrentAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := hist.New()
-	g := NewGroup(l, GroupOptions{MaxBatch: 32, BatchHist: h})
+	g := NewGroup(l, GroupOptions{maxBatch: 32, BatchHist: h})
 	const goroutines, perG = 8, 50
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -277,7 +277,7 @@ func BenchmarkAppendBatch(b *testing.B) {
 	for _, size := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			dir := b.TempDir()
-			l, err := Create(dir, Options{Sync: SyncAlways, SegmentBytes: 1 << 30})
+			l, err := Create(dir, Options{Sync: SyncAlways, segBytes: 1 << 30})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -304,7 +304,7 @@ func BenchmarkAppendBatch(b *testing.B) {
 func BenchmarkGroupAppend(b *testing.B) {
 	for _, recs := range []int{1, 2} {
 		b.Run(fmt.Sprintf("records=%d", recs), func(b *testing.B) {
-			l, err := Create(b.TempDir(), Options{SegmentBytes: 1 << 30})
+			l, err := Create(b.TempDir(), Options{segBytes: 1 << 30})
 			if err != nil {
 				b.Fatal(err)
 			}

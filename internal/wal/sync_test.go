@@ -63,8 +63,8 @@ func TestSyncNeverCanLoseTheTail(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	if l.SyncedSeq() != 3 || l.NextSeq() != 6 {
-		t.Fatalf("horizon %d next %d: the unsynced tail must sit above the horizon", l.SyncedSeq(), l.NextSeq())
+	if l.SyncedSeq() != 3 || l.nextSeq != 6 {
+		t.Fatalf("horizon %d next %d: the unsynced tail must sit above the horizon", l.SyncedSeq(), l.nextSeq)
 	}
 	// No Close (Close would sync): the power cut takes the tail.
 	powerLoss(t, seg, durable)
@@ -82,8 +82,8 @@ func TestSyncNeverCanLoseTheTail(t *testing.T) {
 		t.Fatalf("open after power loss: %v", err)
 	}
 	defer l2.Close()
-	if len(recs2) != 3 || l2.NextSeq() != 4 || l2.SyncedSeq() != 3 {
-		t.Fatalf("reopened: %d records, next %d, horizon %d", len(recs2), l2.NextSeq(), l2.SyncedSeq())
+	if len(recs2) != 3 || l2.nextSeq != 4 || l2.SyncedSeq() != 3 {
+		t.Fatalf("reopened: %d records, next %d, horizon %d", len(recs2), l2.nextSeq, l2.SyncedSeq())
 	}
 }
 

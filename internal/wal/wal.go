@@ -92,9 +92,9 @@ const (
 
 // Options tunes a log.
 type Options struct {
-	// SegmentBytes is the rotation threshold: a segment that reaches this
+	// segBytes is the rotation threshold: a segment that reaches this
 	// size is closed and a fresh one started. 0 means 1 MiB.
-	SegmentBytes int
+	segBytes int
 
 	// Sync is the fsync policy for Append; see SyncMode for the
 	// crash-class tradeoff. The zero value is SyncNever — fast, but an
@@ -104,10 +104,10 @@ type Options struct {
 }
 
 func (o Options) segmentBytes() int {
-	if o.SegmentBytes <= 0 {
+	if o.segBytes <= 0 {
 		return 1 << 20
 	}
-	return o.SegmentBytes
+	return o.segBytes
 }
 
 // Record is one replayed log entry.
@@ -289,8 +289,8 @@ func (l *Log) Sync() error {
 // SyncedSeq returns the durability horizon: the highest sequence number
 // guaranteed to survive power loss. Under SyncAlways it tracks every
 // Append; under SyncNever it advances only on explicit Sync, segment
-// rotation, and Close — the gap up to NextSeq()-1 is exactly the tail a
-// power loss may take back.
+// rotation, and Close — the gap up to the last appended sequence number is
+// exactly the tail a power loss may take back.
 func (l *Log) SyncedSeq() uint64 { return l.syncedSeq }
 
 // Close syncs and closes the log. Further appends fail.
@@ -306,12 +306,6 @@ func (l *Log) Close() error {
 	l.syncedSeq = l.nextSeq - 1
 	return l.f.Close()
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
-// NextSeq returns the sequence number the next Append will use.
-func (l *Log) NextSeq() uint64 { return l.nextSeq }
 
 // rotate closes the open segment (if any) and starts the next one.
 func (l *Log) rotate() error {

@@ -71,7 +71,7 @@ func TestEmptyAndMissing(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Create(dir, Options{SegmentBytes: 64})
+	l, err := Create(dir, Options{segBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestCorruptTailTreatedAsTorn(t *testing.T) {
 
 func TestCorruptionInRotatedSegmentIsAnError(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Create(dir, Options{SegmentBytes: 64})
+	l, err := Create(dir, Options{segBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

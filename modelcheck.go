@@ -3,6 +3,7 @@ package rrfd
 import (
 	"repro/internal/adversary"
 	"repro/internal/agreement"
+	"repro/internal/hoalg"
 	"repro/internal/mc"
 )
 
@@ -35,9 +36,9 @@ type (
 	// AdversaryEnum lists every round plan a model allows from a state.
 	AdversaryEnum = adversary.Enum
 
-	// EmptyFamilyError is MCExplore's (and MCReplay's) error when an
-	// enumeration lists no plan: the model is unsatisfiable from that state.
-	EmptyFamilyError = adversary.EmptyFamilyError
+	// EmptyFamilyError is the error of a run or an exploration whose model
+	// lists no plan: the model is unsatisfiable from that state.
+	EmptyFamilyError = hoalg.EmptyFamilyError
 )
 
 var (

@@ -9,6 +9,10 @@ import (
 // Observability layer, re-exported from internal/obs (see the package doc
 // there for the observer contract and the JSONL event schema).
 type (
+	// Observer receives the hooks of an execution: rounds, phases,
+	// suspicions, deliveries, decisions and named events.
+	Observer = obs.Observer
+
 	// Metrics is a concurrency-safe Observer aggregating counters and
 	// histograms with a JSON-serializable Snapshot.
 	Metrics = obs.Metrics

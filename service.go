@@ -23,13 +23,6 @@ type (
 	// per-attempt timeout, seeded backoff ladder.
 	ServiceClientConfig = serve.ClientConfig
 
-	// ServiceClient submits requests with idempotent request IDs and
-	// seeded-jitter retries, so a retry can never double-decide.
-	ServiceClient = serve.Client
-
-	// ServiceStatus enumerates response outcomes.
-	ServiceStatus = serve.Status
-
 	// ServiceClusterConfig shapes an in-process loopback cluster for
 	// tests, load tools and campaigns.
 	ServiceClusterConfig = serve.ClusterConfig
@@ -38,12 +31,8 @@ type (
 	ServeChaosConfig = chaos.ServeConfig
 )
 
-// Service response statuses.
-const (
-	ServiceDecided  = serve.StatusDecided
-	ServiceAbstain  = serve.StatusAbstain
-	ServiceOverload = serve.StatusOverload
-)
+// ServiceDecided is the response status of a decided instance.
+const ServiceDecided = serve.StatusDecided
 
 var (
 	// StartService brings one serving node up (replaying its WAL first).
@@ -59,6 +48,12 @@ var (
 	// NewServiceAuditor returns an empty auditor of reported decisions
 	// against the service's promises: idempotency, k-agreement, validity.
 	NewServiceAuditor = serve.NewAuditor
+
+	// PlantServiceLoad draws a whole seeded client load — every client's
+	// instances, values, server pins and request IDs — which its Drive
+	// submits over a worker pool of retrying clients and its Tally feeds
+	// to an auditor.
+	PlantServiceLoad = serve.PlantLoad
 
 	// RunServeChaos runs one kill-and-recover service campaign: seeded
 	// client load, a mid-batch victim kill, a journal audit, a restart,
