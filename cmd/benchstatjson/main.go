@@ -12,9 +12,10 @@
 // stdin is diffed against the checked-in baseline JSON, and any benchmark
 // whose ns/op or allocs/op regressed beyond the thresholds fails the
 // invocation (exit 1). ns/op comparisons use the per-name minimum — the
-// least noisy statistic a short CI run produces. New and vanished benchmarks
-// are reported but do not fail the gate; refresh the baseline (make bench)
-// when coverage changes.
+// least noisy statistic a short CI run produces. A row is graded only
+// against a baseline row at the same GOMAXPROCS; a mismatch, a new and a
+// vanished benchmark are reported but do not fail the gate. Refresh the
+// baseline (make bench) when coverage changes.
 //
 // Usage:
 //
@@ -41,6 +42,10 @@ type Result struct {
 	// Name is the benchmark name without the "Benchmark" prefix or the
 	// -GOMAXPROCS suffix (e.g. "EngineRounds/n=16").
 	Name string `json:"name"`
+
+	// Procs is the GOMAXPROCS the row ran at: the line's -N suffix, or 1
+	// where go test prints none. A baseline row without it counts as 1.
+	Procs int `json:"procs"`
 
 	// Runs is how many times the benchmark line appeared (go test -count).
 	Runs int `json:"runs"`
@@ -71,7 +76,7 @@ type File struct {
 // benchLine matches one result line:
 //
 //	BenchmarkEngineRounds/n=16-8   5647   110880 ns/op   10.00 rounds/run
-var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op(.*)$`)
+var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-(\d+))?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op(.*)$`)
 
 // extraStat matches trailing "<value> <unit>" pairs (B/op, allocs/op,
 // custom metrics).
@@ -133,10 +138,28 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchstatjson: %d benchmarks → %s\n", len(results), *out)
 }
 
+// rowKey identifies a row: one benchmark at one GOMAXPROCS.
+type rowKey struct {
+	name  string
+	procs int
+}
+
+// procs is the row's GOMAXPROCS; a row written before rows carried it ran
+// at 1.
+func (r Result) procs() int { return max(r.Procs, 1) }
+
+// label is the row as go test names it: with the -N suffix unless N is 1.
+func (r Result) label() string {
+	if r.Procs > 1 {
+		return fmt.Sprintf("%s-%d", r.Name, r.Procs)
+	}
+	return r.Name
+}
+
 // parse reads benchmark output from r, echoing every line to echo, and
-// returns the aggregated results sorted by name.
+// returns the aggregated results sorted by name, then procs.
 func parse(r io.Reader, echo io.Writer) ([]Result, error) {
-	byName := make(map[string]*Result)
+	byKey := make(map[rowKey]*Result)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -147,13 +170,17 @@ func parse(r io.Reader, echo io.Writer) ([]Result, error) {
 		if m == nil {
 			continue
 		}
-		name := m[1]
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		nsPerOp, _ := strconv.ParseFloat(m[3], 64)
-		res := byName[name]
+		procs := 1
+		if m[2] != "" {
+			procs, _ = strconv.Atoi(m[2])
+		}
+		iters, _ := strconv.ParseInt(m[3], 10, 64)
+		nsPerOp, _ := strconv.ParseFloat(m[4], 64)
+		k := rowKey{m[1], procs}
+		res := byKey[k]
 		if res == nil {
-			res = &Result{Name: name, NsPerOpMin: nsPerOp}
-			byName[name] = res
+			res = &Result{Name: k.name, Procs: procs, NsPerOpMin: nsPerOp}
+			byKey[k] = res
 		}
 		res.Runs++
 		res.Iterations = iters
@@ -161,7 +188,7 @@ func parse(r io.Reader, echo io.Writer) ([]Result, error) {
 		if nsPerOp < res.NsPerOpMin {
 			res.NsPerOpMin = nsPerOp
 		}
-		for _, stat := range extraStat.FindAllStringSubmatch(m[4], -1) {
+		for _, stat := range extraStat.FindAllStringSubmatch(m[5], -1) {
 			v, _ := strconv.ParseFloat(stat[1], 64)
 			switch unit := stat[2]; unit {
 			case "B/op":
@@ -181,36 +208,45 @@ func parse(r io.Reader, echo io.Writer) ([]Result, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("benchstatjson: read: %w", err)
 	}
-	names := make([]string, 0, len(byName))
-	for name := range byName {
-		names = append(names, name)
+	out := make([]Result, 0, len(byKey))
+	for _, res := range byKey {
+		out = append(out, *res)
 	}
-	sort.Strings(names)
-	out := make([]Result, 0, len(names))
-	for _, name := range names {
-		out = append(out, *byName[name])
-	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Name != out[j].Name {
+			return out[i].Name < out[j].Name
+		}
+		return out[i].Procs < out[j].Procs
+	})
 	return out, nil
 }
 
 // compare diffs the fresh results against the baseline and writes one line
-// per benchmark to w. It returns the number of regressions: benchmarks
-// present in both whose ns/op minimum or allocs/op exceeded the baseline by
-// more than the given fractional thresholds. Benchmarks only in the fresh
-// run ("new") or only in the baseline ("vanished") are reported but never
-// counted — coverage changes are baseline refreshes, not regressions.
+// per row to w. It returns the number of regressions: rows present in both
+// at the same GOMAXPROCS whose ns/op minimum or allocs/op exceeded the
+// baseline by more than the given fractional thresholds. A benchmark the
+// baseline holds only at other GOMAXPROCS ("mismatch"), one only in the
+// fresh run ("new") and one only in the baseline ("vanished") are reported
+// but never counted — none is a like-for-like measurement.
 func compare(fresh []Result, baseline File, nsThresh, allocThresh float64, w io.Writer) int {
-	base := make(map[string]Result, len(baseline.Results))
+	base := make(map[rowKey]Result, len(baseline.Results))
+	baseProcs := make(map[string][]int)
 	for _, r := range baseline.Results {
-		base[r.Name] = r
+		base[rowKey{r.Name, r.procs()}] = r
+		baseProcs[r.Name] = append(baseProcs[r.Name], r.procs())
 	}
 	regressions := 0
 	seen := make(map[string]bool, len(fresh))
 	for _, f := range fresh {
 		seen[f.Name] = true
-		b, ok := base[f.Name]
+		b, ok := base[rowKey{f.Name, f.procs()}]
+		if !ok && baseProcs[f.Name] != nil {
+			fmt.Fprintf(w, "  mismatch  %s: ran at GOMAXPROCS %d, baseline at %v (not graded)\n",
+				f.Name, f.procs(), baseProcs[f.Name])
+			continue
+		}
 		if !ok {
-			fmt.Fprintf(w, "  new       %s: %.0f ns/op (no baseline)\n", f.Name, f.NsPerOpMin)
+			fmt.Fprintf(w, "  new       %s: %.0f ns/op (no baseline)\n", f.label(), f.NsPerOpMin)
 			continue
 		}
 		status := "ok"
@@ -220,7 +256,7 @@ func compare(fresh []Result, baseline File, nsThresh, allocThresh float64, w io.
 				regressions++
 			}
 			fmt.Fprintf(w, "  %-9s %s: ns/op %.0f → %.0f (%+.1f%%, limit +%.0f%%)\n",
-				status, f.Name, b.NsPerOpMin, f.NsPerOpMin,
+				status, f.label(), b.NsPerOpMin, f.NsPerOpMin,
 				100*(f.NsPerOpMin-b.NsPerOpMin)/b.NsPerOpMin, 100*nsThresh)
 		}
 		if b.AllocsPerOp != nil && f.AllocsPerOp != nil {
@@ -228,13 +264,13 @@ func compare(fresh []Result, baseline File, nsThresh, allocThresh float64, w io.
 			if float64(fa) > float64(ba)*(1+allocThresh) {
 				regressions++
 				fmt.Fprintf(w, "  REGRESSED %s: allocs/op %d → %d (limit +%.0f%%)\n",
-					f.Name, ba, fa, 100*allocThresh)
+					f.label(), ba, fa, 100*allocThresh)
 			}
 		}
 	}
 	for _, b := range baseline.Results {
 		if !seen[b.Name] {
-			fmt.Fprintf(w, "  vanished  %s: in baseline but not in this run\n", b.Name)
+			fmt.Fprintf(w, "  vanished  %s: in baseline but not in this run\n", b.label())
 		}
 	}
 	return regressions

@@ -139,13 +139,56 @@ func TestCompareCleanRun(t *testing.T) {
 func TestParseStripsGomaxprocsSuffixOnly(t *testing.T) {
 	// A name ending in a dash-number that is part of a sub-benchmark label
 	// (before the whitespace) must keep everything except the final
-	// -GOMAXPROCS suffix.
-	in := "BenchmarkX/f=3-16 \t 100 \t 2500 ns/op\n"
+	// -GOMAXPROCS suffix, which becomes the row's procs. go test prints no
+	// suffix at GOMAXPROCS 1, and -cpu 1,4 makes two rows, not one.
+	in := "BenchmarkX/f=3-16 \t 100 \t 2500 ns/op\n" +
+		"BenchmarkY-4 \t 100 \t 900 ns/op\n" +
+		"BenchmarkY \t 100 \t 1000 ns/op\n"
 	results, err := parse(strings.NewReader(in), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 || results[0].Name != "X/f=3" {
+	want := []struct {
+		name  string
+		procs int
+		ns    float64
+	}{{"X/f=3", 16, 2500}, {"Y", 1, 1000}, {"Y", 4, 900}}
+	if len(results) != len(want) {
 		t.Fatalf("results = %+v", results)
+	}
+	for i, w := range want {
+		if r := results[i]; r.Name != w.name || r.Procs != w.procs || r.NsPerOpMin != w.ns || r.Runs != 1 {
+			t.Fatalf("row %d = %+v, want %s at procs %d", i, r, w.name, w.procs)
+		}
+	}
+}
+
+// TestCompareGradesOnlyLikeProcs: a row is graded against the baseline row
+// at its own GOMAXPROCS — a baseline row without procs counts as 1 — and a
+// benchmark the baseline has only at other GOMAXPROCS is reported as a
+// mismatch, not graded.
+func TestCompareGradesOnlyLikeProcs(t *testing.T) {
+	baseline := File{Results: []Result{
+		{Name: "A", NsPerOpMin: 1000},           // written before rows carried procs
+		{Name: "B", Procs: 1, NsPerOpMin: 1000}, // only at GOMAXPROCS 1
+		{Name: "C", Procs: 4, NsPerOpMin: 1000},
+	}}
+	fresh := []Result{
+		{Name: "A", Procs: 1, NsPerOpMin: 1500}, // graded: regressed
+		{Name: "B", Procs: 4, NsPerOpMin: 9000}, // other procs: not graded
+		{Name: "C", Procs: 4, NsPerOpMin: 1100}, // graded: ok
+	}
+	var buf bytes.Buffer
+	if got := compare(fresh, baseline, 0.20, 0.20, &buf); got != 1 {
+		t.Fatalf("regressions = %d, want 1 (A):\n%s", got, buf.String())
+	}
+	out := buf.String()
+	for _, want := range []string{"REGRESSED A:", "mismatch  B: ran at GOMAXPROCS 4, baseline at [1]", "ok        C-4:"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "vanished") {
+		t.Fatalf("a mismatched benchmark reported as vanished:\n%s", out)
 	}
 }

@@ -123,7 +123,6 @@ type config struct {
 
 	// crash-recovery flags
 	ckptDir      string
-	snapEvery    int
 	killAfter    int
 	resumeDir    string
 	chaosRecover bool
@@ -177,7 +176,6 @@ func main() {
 	flag.StringVar(&cfg.perfetto, "perfetto", "", "write the execution as Chrome/Perfetto trace-event JSON to this file (with -chaos: the first violation's replay; with -mc: requires -mc-replay)")
 	flag.StringVar(&cfg.telemetry, "telemetry", "", "serve /metrics, /snapshot and /debug/pprof on this address (e.g. localhost:6060)")
 	flag.StringVar(&cfg.ckptDir, "checkpoint", "", "journal the execution to a WAL in this directory (resumable with -resume)")
-	flag.IntVar(&cfg.snapEvery, "snap-every", 2, "checkpoint: snapshot cadence in rounds (0 = round log only, resume replays)")
 	flag.IntVar(&cfg.killAfter, "kill-after", 0, "kill the run after this round completes and is journaled (requires -checkpoint)")
 	flag.StringVar(&cfg.resumeDir, "resume", "", "resume a journaled run from this directory (pass the original system/alg flags)")
 	flag.BoolVar(&cfg.chaosRecover, "chaos-recover", false, "run the crash-and-recover chaos campaign (crashes + supervised restarts + safety audit)")
@@ -301,8 +299,7 @@ func run(cfg config, w io.Writer) error {
 		if dir == "" {
 			dir = cfg.resumeDir
 		}
-		opts = append(opts, rrfd.WithCheckpointing(dir,
-			rrfd.CheckpointOptions{Every: cfg.snapEvery, Sync: rrfd.SyncAlways}))
+		opts = append(opts, rrfd.WithCheckpointing(dir, rrfd.CheckpointOptions{Sync: rrfd.SyncAlways}))
 	}
 	if cfg.killAfter > 0 {
 		opts = append(opts, rrfd.WithHaltAfterRound(cfg.killAfter))

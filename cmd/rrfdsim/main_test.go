@@ -343,7 +343,7 @@ func TestValidateRejectsChaosWithTrace(t *testing.T) {
 // uninterrupted run with the same flags.
 func TestRunKillResumeIdenticalTrace(t *testing.T) {
 	dir := t.TempDir()
-	base := config{system: "crash", alg: "floodmin", n: 8, f: 3, k: 2, seed: 5, snapEvery: 2}
+	base := config{system: "crash", alg: "floodmin", n: 8, f: 3, k: 2, seed: 5}
 
 	full := base
 	full.outFile = filepath.Join(dir, "full.json")
@@ -385,6 +385,53 @@ func TestRunKillResumeIdenticalTrace(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("resumed trace differs from uninterrupted trace:\n%s\nvs\n%s", a, b)
 	}
+}
+
+// TestRunResumePastKillPoint: -resume with a -kill-after at or below the
+// journaled rounds halts at the end of the replay — no new round, the log
+// byte-identical — instead of running and journaling one more round.
+func TestRunResumePastKillPoint(t *testing.T) {
+	base := config{system: "crash", alg: "floodmin", n: 8, f: 3, k: 1, seed: 5} // decides in round 4
+	killed := base
+	killed.ckptDir = filepath.Join(t.TempDir(), "ck")
+	killed.killAfter = 2
+	var out bytes.Buffer
+	if err := run(killed, &out); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, killed.ckptDir)
+
+	resumed := base
+	resumed.resumeDir = killed.ckptDir
+	resumed.killAfter = 1
+	out.Reset()
+	if err := run(resumed, &out); err != nil {
+		t.Fatalf("resume: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "halted after round 2") {
+		t.Fatalf("resume past the kill point:\n%s", out.String())
+	}
+	if !bytes.Equal(dirBytes(t, killed.ckptDir), before) {
+		t.Fatal("a resume halted inside its replay changed the log")
+	}
+}
+
+// dirBytes concatenates the files of a directory in name order.
+func dirBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no files in %s: %v", dir, err)
+	}
+	var all []byte
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, b...)
+	}
+	return all
 }
 
 func TestValidateRecoveryFlagCombos(t *testing.T) {

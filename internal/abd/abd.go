@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/msgnet"
-	"repro/internal/obs"
 )
 
 type msgKind int
@@ -72,9 +71,8 @@ type Op struct {
 type Register struct {
 	nd       *msgnet.Node
 	f        int
-	obs      obs.Observer // nil unless built by RunObserved
-	seq      int          // writer's sequence counter
-	curSeq   int          // replica state
+	seq      int // writer's sequence counter
+	curSeq   int // replica state
 	curVal   core.Value
 	opCount  int
 	doneSeen core.Set
@@ -82,23 +80,8 @@ type Register struct {
 }
 
 // newRegister returns the handle; callers use Run.
-func newRegister(nd *msgnet.Node, f int, o obs.Observer) *Register {
-	return &Register{nd: nd, f: f, obs: o, doneSeen: core.NewSet(nd.N)}
-}
-
-// event reports a completed register operation when an observer is
-// attached: kind is "abd.write" or "abd.read", and the fields carry the
-// operation's sequence number, the quorum size it waited for (n−f), and the
-// logical-time span of the operation in scheduler steps.
-func (r *Register) event(kind string, op Op) {
-	if r.obs == nil {
-		return
-	}
-	r.obs.Event(kind, -1, int(op.Proc), map[string]any{
-		"seq":    op.Seq,
-		"quorum": r.quorum(),
-		"steps":  op.End - op.Start,
-	})
+func newRegister(nd *msgnet.Node, f int) *Register {
+	return &Register{nd: nd, f: f, doneSeen: core.NewSet(nd.N)}
 }
 
 // Writer reports whether this process is the register's (single) writer.
@@ -118,12 +101,10 @@ func (r *Register) Write(v core.Value) error {
 	if err := r.store(r.seq, v, r.opCount); err != nil {
 		return err
 	}
-	op := Op{
+	r.log = append(r.log, Op{
 		Proc: r.nd.Me, Kind: "write", Seq: r.seq, Val: v,
 		Start: start, End: r.nd.Clock(),
-	}
-	r.log = append(r.log, op)
-	r.event("abd.write", op)
+	})
 	return nil
 }
 
@@ -159,12 +140,10 @@ func (r *Register) Read() (core.Value, error) {
 	if err := r.store(bestSeq, bestVal, r.opCount); err != nil {
 		return nil, err
 	}
-	rec := Op{
+	r.log = append(r.log, Op{
 		Proc: r.nd.Me, Kind: "read", Seq: bestSeq, Val: bestVal,
 		Start: start, End: r.nd.Clock(),
-	}
-	r.log = append(r.log, rec)
-	r.event("abd.read", rec)
+	})
 	return bestVal, nil
 }
 
@@ -236,15 +215,6 @@ type Outcome struct {
 // barrier among the processes the configuration does not crash. The
 // configuration may crash at most f processes.
 func Run(n, f int, cfg msgnet.Config, script Script) (*Outcome, error) {
-	return RunObserved(n, f, cfg, script, nil)
-}
-
-// RunObserved is Run with protocol-level observability: every completed
-// register operation is reported through o as an "abd.write" / "abd.read"
-// event carrying its sequence number, quorum size and logical duration.
-// Network-level events additionally flow if cfg.Observer is set; the two
-// layers are independent. A nil observer degrades to Run.
-func RunObserved(n, f int, cfg msgnet.Config, script Script, o obs.Observer) (*Outcome, error) {
 	if 2*f >= n {
 		return nil, fmt.Errorf("abd: need 2f < n, got n=%d f=%d", n, f)
 	}
@@ -260,7 +230,7 @@ func RunObserved(n, f int, cfg msgnet.Config, script Script, o obs.Observer) (*O
 
 	regs := make([]*Register, n)
 	out, err := msgnet.Run(n, cfg, func(nd *msgnet.Node) (core.Value, error) {
-		r := newRegister(nd, f, o)
+		r := newRegister(nd, f)
 		regs[nd.Me] = r
 		if err := script(r); err != nil {
 			return nil, err

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/swmr"
 )
 
@@ -75,35 +74,12 @@ func c2(name string) string { return "ac2:" + name }
 //	else if "commit v" ∈ S then return adopt v
 //	else return adopt v_i
 func Run(p *swmr.Proc, name string, v core.Value) (Outcome, error) {
-	return RunObserved(p, name, v, nil)
-}
-
-// RunObserved is Run with protocol-level observability: the process's final
-// grade is reported through o as an "adoptcommit.outcome" event whose
-// fields carry the instance name, the grade ("adopt" or "commit") and
-// whether the phase-1 collect was unanimous. A nil observer degrades to
-// Run.
-func RunObserved(p *swmr.Proc, name string, v core.Value, o obs.Observer) (Outcome, error) {
-	out, unanimous, err := run(p, name, v)
-	if err == nil && o != nil {
-		o.Event("adoptcommit.outcome", -1, int(p.Me), map[string]any{
-			"name":      name,
-			"grade":     out.Grade.String(),
-			"unanimous": unanimous,
-		})
-	}
-	return out, err
-}
-
-// run is the protocol body; it additionally reports whether phase 1 saw a
-// unanimous proposal set.
-func run(p *swmr.Proc, name string, v core.Value) (Outcome, bool, error) {
 	if err := p.Write(c1(name), v); err != nil {
-		return Outcome{}, false, err
+		return Outcome{}, err
 	}
 	seen, err := p.Collect(c1(name))
 	if err != nil {
-		return Outcome{}, false, err
+		return Outcome{}, err
 	}
 	singleton := true
 	for _, s := range seen {
@@ -113,11 +89,11 @@ func run(p *swmr.Proc, name string, v core.Value) (Outcome, bool, error) {
 		}
 	}
 	if err := p.Write(c2(name), phase2Cell{commit: singleton, value: v}); err != nil {
-		return Outcome{}, singleton, err
+		return Outcome{}, err
 	}
 	seen2, err := p.Collect(c2(name))
 	if err != nil {
-		return Outcome{}, singleton, err
+		return Outcome{}, err
 	}
 	allCommitSame := true
 	var commitVal core.Value
@@ -128,13 +104,13 @@ func run(p *swmr.Proc, name string, v core.Value) (Outcome, bool, error) {
 		}
 		cell, ok := s.(phase2Cell)
 		if !ok {
-			return Outcome{}, singleton, fmt.Errorf("adoptcommit: foreign value in %s: %T", c2(name), s)
+			return Outcome{}, fmt.Errorf("adoptcommit: foreign value in %s: %T", c2(name), s)
 		}
 		if cell.commit {
 			if sawCommit && commitVal != cell.value {
 				// Impossible by the phase-1 argument; a hit here in
 				// model checking would disprove the protocol.
-				return Outcome{}, singleton, fmt.Errorf("adoptcommit: two distinct committed values %v and %v",
+				return Outcome{}, fmt.Errorf("adoptcommit: two distinct committed values %v and %v",
 					commitVal, cell.value)
 			}
 			sawCommit = true
@@ -145,11 +121,11 @@ func run(p *swmr.Proc, name string, v core.Value) (Outcome, bool, error) {
 	}
 	switch {
 	case sawCommit && allCommitSame:
-		return Outcome{Grade: Commit, Value: commitVal}, singleton, nil
+		return Outcome{Grade: Commit, Value: commitVal}, nil
 	case sawCommit:
-		return Outcome{Grade: Adopt, Value: commitVal}, singleton, nil
+		return Outcome{Grade: Adopt, Value: commitVal}, nil
 	default:
-		return Outcome{Grade: Adopt, Value: v}, singleton, nil
+		return Outcome{Grade: Adopt, Value: v}, nil
 	}
 }
 

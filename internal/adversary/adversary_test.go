@@ -112,12 +112,8 @@ func TestAsyncBudgetSatisfiesEq3(t *testing.T) {
 func TestAsyncBudgetCanViolateSharedMemory(t *testing.T) {
 	// §2 item 4: eq. (3) alone does not give eq. (4). Find a round where
 	// everyone is suspected by someone.
-	_, err := predicate.Separates(func(seed int64) *core.Trace {
-		tr, err := core.CollectTrace(6, 10, AsyncBudget(6, 5, true, seed))
-		if err != nil {
-			panic(err)
-		}
-		return tr
+	_, err := predicate.Separates(func(seed int64) (*core.Trace, error) {
+		return core.CollectTrace(6, 10, AsyncBudget(6, 5, true, seed))
 	}, predicate.PerRoundBudget(5), predicate.SomeoneSeenByAll(), 200)
 	if err != nil {
 		t.Fatalf("expected separation between eq3 and eq4: %v", err)
@@ -139,12 +135,8 @@ func TestSnapshotChainSatisfiesItem5(t *testing.T) {
 func TestSnapshotImpliesSharedMemory(t *testing.T) {
 	// §2 item 5 ⊑ item 4 (for the same f, when f < n−1 the suffix
 	// structure leaves the first writer unsuspected).
-	gen := func(seed int64) *core.Trace {
-		tr, err := core.CollectTrace(8, 8, SnapshotChain(8, 3, seed))
-		if err != nil {
-			panic(err)
-		}
-		return tr
+	gen := func(seed int64) (*core.Trace, error) {
+		return core.CollectTrace(8, 8, SnapshotChain(8, 3, seed))
 	}
 	if err := predicate.Implies(gen, predicate.AtomicSnapshot(3), predicate.SharedMemory(3), 100); err != nil {
 		t.Fatal(err)
@@ -162,12 +154,8 @@ func TestBSystemViolatesEq3(t *testing.T) {
 	// B is strictly weaker than A = eq. (3) with budget f: some process
 	// should exceed the f budget at some round.
 	n, f, tt := 9, 2, 4
-	_, err := predicate.Separates(func(seed int64) *core.Trace {
-		tr, err := core.CollectTrace(n, 10, BSystemOracle(n, f, tt, seed))
-		if err != nil {
-			panic(err)
-		}
-		return tr
+	_, err := predicate.Separates(func(seed int64) (*core.Trace, error) {
+		return core.CollectTrace(n, 10, BSystemOracle(n, f, tt, seed))
 	}, predicate.BSystem(f, tt), predicate.PerRoundBudget(f), 200)
 	if err != nil {
 		t.Fatalf("expected B to break eq3's f budget: %v", err)
@@ -186,12 +174,8 @@ func TestNoMutualMissCanViolateEq4(t *testing.T) {
 	// The paper's cycle observation: no-mutual-miss does not imply
 	// eq. (4).
 	n, f := 7, 3
-	gen := func(seed int64) *core.Trace {
-		tr, err := core.CollectTrace(n, 8, NoMutualMissOracle(n, f, seed))
-		if err != nil {
-			panic(err)
-		}
-		return tr
+	gen := func(seed int64) (*core.Trace, error) {
+		return core.CollectTrace(n, 8, NoMutualMissOracle(n, f, seed))
 	}
 	if _, err := predicate.Separates(gen, predicate.NoMutualMiss(), predicate.SomeoneSeenByAll(), 200); err != nil {
 		t.Fatalf("expected a cycle execution violating eq4: %v", err)
@@ -214,12 +198,8 @@ func TestIdenticalSatisfiesEq5(t *testing.T) {
 
 func TestIdenticalImpliesK1Detector(t *testing.T) {
 	// §5: eq. (5) is the k=1 instance of the §3 detector.
-	gen := func(seed int64) *core.Trace {
-		tr, err := core.CollectTrace(8, 8, Identical(8, seed))
-		if err != nil {
-			panic(err)
-		}
-		return tr
+	gen := func(seed int64) (*core.Trace, error) {
+		return core.CollectTrace(8, 8, Identical(8, seed))
 	}
 	if err := predicate.Implies(gen, predicate.IdenticalSuspects(), predicate.KSetDetector(1), 100); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@
 package agreement
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -131,30 +130,6 @@ func (a *floodMin) Deliver(r int, msgs map[core.PID]core.Message, suspects core.
 	}
 	return nil, false
 }
-
-// floodMinState is floodMin's checkpoint wire form.
-type floodMinState struct {
-	Est    int `json:"est"`
-	Rounds int `json:"rounds"`
-}
-
-// Snapshot implements core.Snapshotter, making FloodMin processes
-// checkpointable by the engine's crash-recovery layer.
-func (a *floodMin) Snapshot() ([]byte, error) {
-	return json.Marshal(floodMinState{Est: a.est, Rounds: a.rounds})
-}
-
-// Restore implements core.Snapshotter.
-func (a *floodMin) Restore(snapshot []byte) error {
-	var s floodMinState
-	if err := json.Unmarshal(snapshot, &s); err != nil {
-		return err
-	}
-	a.est, a.rounds = s.Est, s.Rounds
-	return nil
-}
-
-var _ core.Snapshotter = (*floodMin)(nil)
 
 // rotatingCoordinator is the consensus algorithm for the failure-detector-S
 // RRFD: in round r the coordinator is process (r−1) mod n; every process

@@ -73,12 +73,8 @@ func TestSnapshotPredicateImpliesKSetDetector(t *testing.T) {
 	// The predicate-level content of Corollary 3.2: item 5 with f = k−1
 	// implies the §3 detector predicate.
 	for _, k := range []int{1, 2, 3} {
-		gen := func(seed int64) *core.Trace {
-			tr, err := core.CollectTrace(8, 6, adversary.SnapshotChain(8, k-1, seed))
-			if err != nil {
-				panic(err)
-			}
-			return tr
+		gen := func(seed int64) (*core.Trace, error) {
+			return core.CollectTrace(8, 6, adversary.SnapshotChain(8, k-1, seed))
 		}
 		if err := predicate.Implies(gen, predicate.AtomicSnapshot(k-1), predicate.KSetDetector(k), 80); err != nil {
 			t.Fatalf("k=%d: %v", k, err)

@@ -27,34 +27,6 @@ func TestOneRoundKSetObservedEmitsChoices(t *testing.T) {
 	}
 }
 
-func TestPhasedConsensusObservedEmitsPhaseEvents(t *testing.T) {
-	n := 5
-	m := obs.NewMetrics()
-	inputs := identityInputs(n)
-	res, err := core.Run(n, inputs, PhasedConsensusObserved(m), adversary.Benign(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(res, inputs, 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	ev := m.Snapshot().Events
-	// Benign phase 0: every process adopts p0's estimate, grades commit,
-	// and commits (deciding) in round 3.
-	if ev["agreement.adopt_coord"] != int64(n) {
-		t.Fatalf("adopt_coord = %d, want %d (events %v)", ev["agreement.adopt_coord"], n, ev)
-	}
-	if ev["agreement.grade"] != int64(n) {
-		t.Fatalf("grade = %d, want %d", ev["agreement.grade"], n)
-	}
-	if ev["agreement.commit"] != int64(n) {
-		t.Fatalf("commit = %d, want %d", ev["agreement.commit"], n)
-	}
-	if ev["agreement.adopt"] != 0 {
-		t.Fatalf("adopt = %d, want 0 in a benign run", ev["agreement.adopt"])
-	}
-}
-
 // TestObservedVariantsMatchUnobserved replays the same adversary against
 // the observed and unobserved factories and requires identical decisions:
 // observation must not change algorithm behaviour.

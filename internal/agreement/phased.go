@@ -1,9 +1,6 @@
 package agreement
 
-import (
-	"repro/internal/core"
-	"repro/internal/obs"
-)
+import "repro/internal/core"
 
 // This file implements the structured, adopt-commit-based consensus of
 // Yang, Neiger and Gafni (the paper's reference [16], used in §4.2) at the
@@ -32,10 +29,8 @@ import (
 // once the rotation reaches a never-again-suspected coordinator, every
 // process adopts its estimate and the next adopt-commit commits it.
 type phasedConsensus struct {
-	me  core.PID
 	n   int
 	est core.Value
-	obs obs.Observer // nil unless built by PhasedConsensusObserved
 
 	graded  bool // grade computed in phase 1, emitted in phase 2
 	decided bool
@@ -55,26 +50,8 @@ type phaseMsg struct {
 // process keeps participating after deciding, so laggards catch up one
 // phase later.
 func PhasedConsensus() core.Factory {
-	return PhasedConsensusObserved(nil)
-}
-
-// PhasedConsensusObserved is PhasedConsensus with protocol-level
-// observability: each process reports its phase transitions through o as
-// obs events — "agreement.adopt_coord" when a coordinator estimate is
-// adopted, "agreement.grade" with the adopt-commit phase-1 outcome, and
-// "agreement.commit" / "agreement.adopt" for the phase-2 resolution
-// ("agreement.commit" carries decided=true the first time it fires). A nil
-// observer degrades to the unobserved algorithm.
-func PhasedConsensusObserved(o obs.Observer) core.Factory {
 	return func(me core.PID, n int, input core.Value) core.Algorithm {
-		return &phasedConsensus{me: me, n: n, est: input, obs: o}
-	}
-}
-
-// event forwards a protocol event when an observer is attached.
-func (a *phasedConsensus) event(kind string, r int, fields map[string]any) {
-	if a.obs != nil {
-		a.obs.Event(kind, r, int(a.me), fields)
+		return &phasedConsensus{n: n, est: input}
 	}
 }
 
@@ -92,7 +69,6 @@ func (a *phasedConsensus) Deliver(r int, msgs map[core.PID]core.Message, suspect
 		coord := core.PID(phase % a.n)
 		if m, ok := msgs[coord]; ok && !suspects.Has(coord) {
 			a.est = m.(phaseMsg).value
-			a.event("agreement.adopt_coord", r, map[string]any{"phase": phase, "coord": int(coord)})
 		}
 	case 1: // adopt-commit phase 1
 		unanimous := true
@@ -113,7 +89,6 @@ func (a *phasedConsensus) Deliver(r int, msgs map[core.PID]core.Message, suspect
 		} else {
 			a.graded = false
 		}
-		a.event("agreement.grade", r, map[string]any{"phase": phase, "commit": a.graded})
 	default: // adopt-commit phase 2
 		sawCommit, allCommit := false, true
 		var commitVal core.Value
@@ -129,14 +104,11 @@ func (a *phasedConsensus) Deliver(r int, msgs map[core.PID]core.Message, suspect
 		switch {
 		case sawCommit && allCommit:
 			a.est = commitVal
-			first := !a.decided
-			if first {
+			if !a.decided {
 				a.decided, a.out = true, commitVal
 			}
-			a.event("agreement.commit", r, map[string]any{"phase": phase, "decided": first})
 		case sawCommit:
 			a.est = commitVal
-			a.event("agreement.adopt", r, map[string]any{"phase": phase})
 		}
 	}
 	if a.decided {

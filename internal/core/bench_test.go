@@ -180,27 +180,19 @@ func BenchmarkRun(b *testing.B) {
 func BenchmarkCheckpointedRun(b *testing.B) {
 	const n, rounds = 8, 10
 	inputs := benchInputs(n)
-	for _, cfg := range []struct {
-		name string
-		co   CheckpointOptions
-	}{
-		{"rounds-only", CheckpointOptions{}},
-		{"snapshot-every-round", CheckpointOptions{Every: 1}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			root := b.TempDir()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dir := fmt.Sprintf("%s/ck-%d", root, i)
-				if _, err := Run(n, inputs, ckFactory(rounds), ckOracle(n), WithoutTrace(),
-					WithCheckpointing(dir, cfg.co)); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("rounds-only", func(b *testing.B) {
+		root := b.TempDir()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dir := fmt.Sprintf("%s/ck-%d", root, i)
+			if _, err := Run(n, inputs, ckFactory(rounds), ckOracle(n), WithoutTrace(),
+				WithCheckpointing(dir, CheckpointOptions{})); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(rounds), "rounds/run")
-		})
-	}
+		}
+		b.ReportMetric(float64(rounds), "rounds/run")
+	})
 }
 
 func benchInputs(n int) []Value {

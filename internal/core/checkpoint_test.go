@@ -1,16 +1,22 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
-// ckTestAlg is a deterministic min-flooding algorithm with snapshot support
-// and a count of Deliver calls made on this instance (to observe whether
-// Resume replayed rounds or skipped them via a snapshot).
+// ckTestAlg is a deterministic min-flooding algorithm with a count of the
+// Deliver calls made on this instance (to observe that Resume re-executes
+// the journaled rounds).
 type ckTestAlg struct {
 	est      int
 	rounds   int
@@ -36,19 +42,6 @@ func (a *ckTestAlg) Deliver(r int, msgs map[PID]Message, suspects Set) (Value, b
 		return a.est, true
 	}
 	return nil, false
-}
-
-func (a *ckTestAlg) Snapshot() ([]byte, error) {
-	return json.Marshal(map[string]int{"est": a.est, "rounds": a.rounds})
-}
-
-func (a *ckTestAlg) Restore(b []byte) error {
-	var s map[string]int
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	a.est, a.rounds = s["est"], s["rounds"]
-	return nil
 }
 
 // ckOracle is a deterministic adversary: it crashes process 0 at round 1 and
@@ -137,55 +130,15 @@ func TestKillAndResumeIdenticalTrace(t *testing.T) {
 	}
 }
 
-func TestResumeFromSnapshotSkipsReplay(t *testing.T) {
-	const n, rounds = 4, 5
-	inputs := ckInputs(n)
-	dir := filepath.Join(t.TempDir(), "ck")
-
-	_, err := Run(n, inputs, ckFactory(rounds), ckOracle(n),
-		WithCheckpointing(dir, CheckpointOptions{Every: 1}),
-		WithHaltAfterRound(3))
-	var he *HaltError
-	if !errors.As(err, &he) {
-		t.Fatalf("got %v, want *HaltError", err)
-	}
-
-	var algs []*ckTestAlg
-	countingFactory := func(me PID, n int, input Value) Algorithm {
-		a := &ckTestAlg{est: input.(int), rounds: rounds}
-		algs = append(algs, a)
-		return a
-	}
-	got, err := Resume(dir, countingFactory, ckOracle(n),
-		WithCheckpointing(dir, CheckpointOptions{Every: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(n, inputs, ckFactory(rounds), ckOracle(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, want, got)
-
-	// The snapshot at round 3 means the resumed instances only ran rounds
-	// 4 and 5 — no replay of rounds 1..3.
-	for i, a := range algs {
-		if PID(i) == 0 {
-			continue // crashed at round 1: no delivers at all
-		}
-		if a.delivers != 2 {
-			t.Fatalf("p%d saw %d delivers after snapshot resume, want 2", i, a.delivers)
-		}
-	}
-}
-
+// TestResumeWithoutSnapshotReplaysAll: there is no snapshot to start from,
+// so every resumed instance re-executes each journaled round.
 func TestResumeWithoutSnapshotReplaysAll(t *testing.T) {
 	const n, rounds = 4, 5
 	inputs := ckInputs(n)
 	dir := filepath.Join(t.TempDir(), "ck")
 
 	_, err := Run(n, inputs, ckFactory(rounds), ckOracle(n),
-		WithCheckpointing(dir, CheckpointOptions{}), // Every=0: no snapshots
+		WithCheckpointing(dir, CheckpointOptions{}),
 		WithHaltAfterRound(3))
 	var he *HaltError
 	if !errors.As(err, &he) {
@@ -271,7 +224,10 @@ func TestResumeDivergentOracle(t *testing.T) {
 		t.Fatalf("got %v, want *HaltError", err)
 	}
 
-	// A benign oracle (no crash at round 1) does not reproduce the journal.
+	before := logBytes(t, dir)
+
+	// A benign oracle (no crash at round 1) does not reproduce the journal;
+	// one that suspects p1 in round 2 parts from it after a replayed round.
 	benign := OracleFunc(func(r int, active Set) RoundPlan {
 		sus := make([]Set, n)
 		for i := range sus {
@@ -279,10 +235,155 @@ func TestResumeDivergentOracle(t *testing.T) {
 		}
 		return RoundPlan{Suspects: sus}
 	})
-	_, err = Resume(dir, ckFactory(rounds), benign)
-	var de *DivergenceError
-	if !errors.As(err, &de) {
-		t.Fatalf("got %v, want *DivergenceError", err)
+	late := OracleFunc(func(r int, active Set) RoundPlan {
+		plan := ckOracle(n).Plan(r, active)
+		if r == 2 {
+			for i := range plan.Suspects {
+				plan.Suspects[i].Add(1)
+			}
+		}
+		return plan
+	})
+	for _, tc := range []struct {
+		oracle Oracle
+		round  int
+	}{{benign, 1}, {late, 2}} {
+		_, err = Resume(dir, ckFactory(rounds), tc.oracle)
+		var de *DivergenceError
+		if !errors.As(err, &de) || de.Round != tc.round {
+			t.Fatalf("got %v, want *DivergenceError at round %d", err, tc.round)
+		}
+		if !bytes.Equal(logBytes(t, dir), before) {
+			t.Fatalf("a divergent resume (round %d) changed the log", tc.round)
+		}
+	}
+}
+
+// logBytes concatenates a checkpoint log's segment files.
+func logBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no log files in %s: %v", dir, err)
+	}
+	var all []byte
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, b...)
+	}
+	return all
+}
+
+// TestResumePastKillPoint resumes a log journaled through round 2 with a
+// kill point at round 1: the run halts at the end of the replay, with no
+// new round and the log unchanged. A completed log ignores the kill point
+// and resumes to its final Result.
+func TestResumePastKillPoint(t *testing.T) {
+	const n, rounds = 5, 4
+	inputs := ckInputs(n)
+	want, err := Run(n, inputs, ckFactory(rounds), ckOracle(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := filepath.Join(t.TempDir(), "ck")
+	_, err = Run(n, inputs, ckFactory(rounds), ckOracle(n),
+		WithCheckpointing(dir, CheckpointOptions{}), WithHaltAfterRound(2))
+	var he *HaltError
+	if !errors.As(err, &he) || he.Round != 2 {
+		t.Fatalf("got %v, want *HaltError after round 2", err)
+	}
+	before := logBytes(t, dir)
+	_, err = Resume(dir, ckFactory(rounds), ckOracle(n), WithHaltAfterRound(1))
+	if !errors.As(err, &he) || he.Round != 2 {
+		t.Fatalf("got %v, want *HaltError after round 2", err)
+	}
+	if !bytes.Equal(logBytes(t, dir), before) {
+		t.Fatal("a resume halted inside its replay changed the log")
+	}
+	got, err := Resume(dir, ckFactory(rounds), ckOracle(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, want, got)
+
+	done := logBytes(t, dir)
+	got, err = Resume(dir, ckFactory(rounds), ckOracle(n), WithHaltAfterRound(1))
+	if err != nil {
+		t.Fatalf("resume of a completed log with a kill point: %v", err)
+	}
+	sameResult(t, want, got)
+	if !bytes.Equal(logBytes(t, dir), done) {
+		t.Fatal("resuming a completed log changed it")
+	}
+}
+
+// TestResumeHookStreamEqualsUninterrupted pins what an observer of a
+// resumed run sees: the run is executed, not restored, so the engine hooks
+// of the replayed rounds arrive like any others. With phase durations
+// zeroed by a frozen clock, the resumed stream is the uninterrupted one
+// plus a single recovery.resume event before round 1.
+func TestResumeHookStreamEqualsUninterrupted(t *testing.T) {
+	const n, rounds = 5, 4
+	inputs := ckInputs(n)
+	frozen := WithClock(func() time.Time { return time.Unix(0, 0) })
+	stream := func(run func(o Option) error) []string {
+		var buf bytes.Buffer
+		log := obs.NewEventLog(&buf)
+		if err := run(WithObserver(log)); err != nil {
+			t.Fatal(err)
+		}
+		return strings.SplitAfter(buf.String(), "\n")
+	}
+	want := stream(func(o Option) error {
+		_, err := Run(n, inputs, ckFactory(rounds), ckOracle(n), o, frozen)
+		return err
+	})
+	for halt := 1; halt < rounds; halt++ {
+		dir := filepath.Join(t.TempDir(), "ck")
+		if _, err := Run(n, inputs, ckFactory(rounds), ckOracle(n),
+			WithCheckpointing(dir, CheckpointOptions{}), WithHaltAfterRound(halt)); err == nil {
+			t.Fatal("want a halt")
+		}
+		got := stream(func(o Option) error {
+			_, err := Resume(dir, ckFactory(rounds), ckOracle(n), o, frozen)
+			return err
+		})
+		if len(got) != len(want)+1 || !strings.Contains(got[1], `"kind":"recovery.resume"`) {
+			t.Fatalf("halt %d: want run_start, one recovery.resume, then the run; got\n%s", halt, strings.Join(got[:min(3, len(got))], ""))
+		}
+		got = append(got[:1], got[2:]...)
+		if strings.Join(got, "") != strings.Join(want, "") {
+			t.Fatalf("halt %d: resumed hook stream differs:\n%s\nvs uninterrupted\n%s", halt, strings.Join(got, ""), strings.Join(want, ""))
+		}
+	}
+}
+
+// TestCheckpointMetaRoundTrip: every supported input type comes back with
+// its Go type, and an unsupported one is refused before a log is created.
+func TestCheckpointMetaRoundTrip(t *testing.T) {
+	in := []Value{3, int64(4), 2.5, "x", true, []int{1, 2}}
+	b, err := encodeMeta(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := decodeMeta(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("meta round trip: %#v → %#v", in, out)
+	}
+	dir := filepath.Join(t.TempDir(), "ck")
+	nop := func(PID, int, Value) Algorithm { return nopAlgorithm{} }
+	if _, err := Run(1, []Value{struct{}{}}, nop, ckOracle(1), WithCheckpointing(dir, CheckpointOptions{})); err == nil {
+		t.Fatal("a struct input was checkpointed")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a refused checkpoint left %s behind (%v)", dir, err)
 	}
 }
 

@@ -99,13 +99,13 @@ func Run(n int, inputs []Value, factory Factory, oracle Oracle, opts ...Option) 
 	e.begin(n, inputs, factory, oracle, foldOptions(opts))
 	defer func() { e.end(res, err) }()
 	if e.o.ckDir != "" {
-		ck, err := newCheckpointer(e.o.ckDir, e.o.ckOpts, n, inputs)
+		ck, err := newCheckpointer(e.o.ckDir, e.o.ckOpts, inputs)
 		if err != nil {
 			return nil, err
 		}
 		e.ck = ck
 	}
-	return e.run(1)
+	return e.run()
 }
 
 // execution is one engine run in flight: the loop state shared by Run and
@@ -121,6 +121,7 @@ type execution struct {
 	active Set
 	full   Set
 	ck     *checkpointer
+	replay int // rounds 1..replay re-execute a checkpoint log (Resume): not journaled again
 }
 
 // foldOptions applies opts over the engine defaults.
@@ -181,18 +182,18 @@ func (e *execution) end(res *Result, err error) {
 	e.ob.RunEnd(rounds, decided, err)
 }
 
-// run executes rounds startRound..maxRounds and settles the checkpoint log:
-// a clean finish gets an end-of-log marker, every other exit (halt, plan
-// error) leaves the log resumable.
-func (e *execution) run(startRound int) (*Result, error) {
-	res, err := e.loop(startRound)
+// run executes rounds 1..maxRounds and settles the checkpoint log: a clean
+// finish gets an end-of-log marker, every other exit (halt, plan error)
+// leaves the log resumable.
+func (e *execution) run() (*Result, error) {
+	res, err := e.loop()
 	if e.ck != nil {
 		if err == nil {
 			if werr := e.ck.writeEnd(); werr != nil {
 				err = werr
 			}
 		}
-		if cerr := e.ck.close(); cerr != nil && err == nil {
+		if cerr := e.ck.log.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
@@ -208,7 +209,7 @@ func (e *execution) run(startRound int) (*Result, error) {
 // only into RoundRecord, and only when recording (trace or checkpoint) is
 // on, so an untraced run's round cost is dominated by the algorithm and the
 // oracle, not the engine.
-func (e *execution) loop(startRound int) (*Result, error) {
+func (e *execution) loop() (*Result, error) {
 	o, ob, now, res := e.o, e.ob, e.now, e.res
 	n, full := e.n, e.full
 
@@ -227,7 +228,7 @@ func (e *execution) loop(startRound int) (*Result, error) {
 	)
 
 	record := o.trace || e.ck != nil
-	for r := startRound; r <= o.maxRounds; r++ {
+	for r := 1; r <= o.maxRounds; r++ {
 		var phaseStart time.Time
 		if ob != nil {
 			ob.RoundStart(r, e.active.Count())
@@ -345,14 +346,14 @@ func (e *execution) loop(startRound int) (*Result, error) {
 				res.Trace.Append(rec)
 			}
 		}
-		if e.ck != nil {
-			if err := e.ck.endOfRound(e, &rec); err != nil {
+		if e.ck != nil && r > e.replay {
+			if err := e.ck.endOfRound(&rec); err != nil {
 				return res, err
 			}
 		}
 
 		res.Rounds = r
-		if o.haltAfter > 0 && r >= o.haltAfter {
+		if o.haltAfter > 0 && e.halts(r) {
 			return res, &HaltError{Round: r, Dir: o.ckDir}
 		}
 		if allDecided(e.active, res.DecidedAt) {

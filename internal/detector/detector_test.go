@@ -116,12 +116,8 @@ func TestPredicateEquivalenceItem6(t *testing.T) {
 	// is the same as |⋃⋃D| < n. Check both implications over hostile
 	// generators.
 	n := 6
-	gen := func(seed int64) *core.Trace {
-		tr, err := core.CollectTrace(n, 8, adversary.SpareNeverSuspected(n, core.PID(seed%int64(n)), seed))
-		if err != nil {
-			panic(err)
-		}
-		return tr
+	gen := func(seed int64) (*core.Trace, error) {
+		return core.CollectTrace(n, 8, adversary.SpareNeverSuspected(n, core.PID(seed%int64(n)), seed))
 	}
 	if err := predicate.Implies(gen, predicate.NeverSuspectedExists(), predicate.TotalSuspectBudget(n-1), 60); err != nil {
 		t.Fatal(err)

@@ -16,9 +16,7 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/par"
-	"repro/internal/predicate"
 )
 
 // Table is one experiment's output.
@@ -136,26 +134,6 @@ func verdict(ok bool) string {
 		return "ok"
 	}
 	return "VIOLATED"
-}
-
-// captureGen adapts a fallible trace generator to the infallible
-// predicate.TraceGen signature without panicking: the first generation error
-// is captured in the returned pointer, and subsequent calls yield an empty
-// n-process trace (which every predicate passes vacuously, so the sweep
-// finishes cleanly). Callers must check the captured error after the sweep
-// and propagate it — the experiment's table is meaningless if it is set.
-func captureGen(n int, gen func(seed int64) (*core.Trace, error)) (predicate.TraceGen, *error) {
-	genErr := new(error)
-	return func(seed int64) *core.Trace {
-		tr, err := gen(seed)
-		if err != nil {
-			if *genErr == nil {
-				*genErr = err
-			}
-			return core.NewTrace(n)
-		}
-		return tr
-	}, genErr
 }
 
 // seedsFor returns the sweep width for the mode.

@@ -72,13 +72,10 @@ func E02CrashSubmodel(quick bool) (*Table, error) {
 		// Separation: an omission schedule whose suspicions do not
 		// propagate (a victim suspected in one round, trusted in the
 		// next).
-		gen, genErr := captureGen(tc.n, func(seed int64) (*core.Trace, error) {
+		gen := func(seed int64) (*core.Trace, error) {
 			return core.CollectTrace(tc.n, 12, adversary.Omission(tc.n, tc.f, 0.6, seed))
-		})
-		_, sepErr := predicate.Separates(gen, predicate.SendOmission(tc.f), predicate.SuspicionPropagates(), 100)
-		if *genErr != nil {
-			return nil, *genErr
 		}
+		_, sepErr := predicate.Separates(gen, predicate.SendOmission(tc.f), predicate.SuspicionPropagates(), 100)
 		t.AddRow(tc.n, tc.f, seeds, verdict(crashOK), verdict(omitOK), verdict(sepErr == nil))
 	}
 	t.AddNote("every crash execution is an omission execution; the converse fails — the submodel relation is strict")
@@ -171,17 +168,14 @@ func E04SharedMemory(quick bool) (*Table, error) {
 	}
 
 	// Part 2: the partition behaviour when 2f ≥ n.
-	gen, genErr := captureGen(2, func(seed int64) (*core.Trace, error) {
+	gen := func(seed int64) (*core.Trace, error) {
 		out, err := msgnet.RunRounds(2, 1, 3, msgnet.Config{Chooser: msgnet.Seeded(seed)}, nil)
 		if err != nil {
 			return nil, err
 		}
 		return out.Trace, nil
-	})
-	_, sepErr := predicate.Separates(gen, predicate.PerRoundBudget(1), predicate.SomeoneSeenByAll(), 100)
-	if *genErr != nil {
-		return nil, *genErr
 	}
+	_, sepErr := predicate.Separates(gen, predicate.PerRoundBudget(1), predicate.SomeoneSeenByAll(), 100)
 	t.AddRow("partition when 2f ≥ n", 2, 1, 100, verdict(sepErr == nil), "-")
 
 	// Part 3: the cycle conjecture under the no-mutual-miss predicate.

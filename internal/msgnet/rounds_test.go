@@ -76,12 +76,12 @@ func TestRunRoundsPartitionWhen2fGeN(t *testing.T) {
 	// With n = 2, f = 1 a process can complete a round on its own
 	// message alone.
 	n, f := 2, 1
-	gen := func(seed int64) *core.Trace {
+	gen := func(seed int64) (*core.Trace, error) {
 		out, err := RunRounds(n, f, 3, Config{Chooser: Seeded(seed)}, nil)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		return out.Trace
+		return out.Trace, nil
 	}
 	if _, err := predicate.Separates(gen, predicate.PerRoundBudget(f), predicate.SomeoneSeenByAll(), 100); err != nil {
 		t.Fatalf("no partition execution found: %v", err)

@@ -102,18 +102,10 @@ type RecoverySnapshot struct {
 	ReplayedRounds int64 `json:"replayed_rounds"`
 	LostRecords    int64 `json:"lost_records"`
 
-	// Checkpoints, CheckpointBytes and CheckpointNanos count engine
-	// snapshots and their cumulative size and latency.
-	Checkpoints     int64 `json:"checkpoints"`
-	CheckpointBytes int64 `json:"checkpoint_bytes"`
-	CheckpointNanos int64 `json:"checkpoint_ns"`
-
-	// Resumes counts WAL-backed engine resumptions; SnapshotResumes the
-	// subset that restored from a snapshot instead of replaying;
-	// ResumeReplayedRounds the rounds replayed; TruncatedBytes the torn
-	// WAL tail bytes discarded across resumes.
+	// Resumes counts WAL-backed engine resumptions; ResumeReplayedRounds
+	// the journaled rounds they re-executed; TruncatedBytes the torn WAL
+	// tail bytes discarded across resumes.
 	Resumes              int64 `json:"resumes"`
-	SnapshotResumes      int64 `json:"snapshot_resumes"`
 	ResumeReplayedRounds int64 `json:"resume_replayed_rounds"`
 	TruncatedBytes       int64 `json:"truncated_bytes"`
 }
@@ -427,17 +419,10 @@ func (m *Metrics) Event(kind string, r, p int, fields map[string]any) {
 		if d := asInt64(fields["max_depth"]); d > m.mc.MaxDepth {
 			m.mc.MaxDepth = d
 		}
-	case "recovery.checkpoint":
-		m.recovery.Checkpoints++
-		m.recovery.CheckpointBytes += asInt64(fields["bytes"])
-		m.recovery.CheckpointNanos += asInt64(fields["nanos"])
 	case "recovery.resume":
 		m.recovery.Resumes++
 		m.recovery.ResumeReplayedRounds += asInt64(fields["replayed_rounds"])
 		m.recovery.TruncatedBytes += asInt64(fields["truncated_bytes"])
-		if asInt64(fields["from_snapshot"]) > 0 {
-			m.recovery.SnapshotResumes++
-		}
 	case "netsub.conn_open":
 		m.net.ConnsOpened++
 	case "netsub.conn_close":

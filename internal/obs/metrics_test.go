@@ -185,9 +185,7 @@ func TestMetricsRecoveryCounters(t *testing.T) {
 	m.Event("msgnet.restart", -1, 0, map[string]any{"step": 42, "incarnation": 2})
 	m.Event("recovery.recover", 2, 0, map[string]any{"replayed_rounds": 2, "lost_records": 3, "resume_round": 3})
 	m.Event("recovery.rejoin", 5, 0, map[string]any{"round": 5})
-	m.Event("recovery.checkpoint", 1, -1, map[string]any{"bytes": 128, "nanos": int64(5000)})
-	m.Event("recovery.checkpoint", 2, -1, map[string]any{"bytes": 130, "nanos": int64(7000)})
-	m.Event("recovery.resume", 3, -1, map[string]any{"replayed_rounds": 3, "truncated_bytes": int64(17), "from_snapshot": 2})
+	m.Event("recovery.resume", 3, -1, map[string]any{"replayed_rounds": 3, "truncated_bytes": int64(17)})
 
 	r := m.Snapshot().Recovery
 	if r == nil {
@@ -196,8 +194,7 @@ func TestMetricsRecoveryCounters(t *testing.T) {
 	want := RecoverySnapshot{
 		Restarts: 1, Recoveries: 1, Rejoins: 1,
 		ReplayedRounds: 2, LostRecords: 3,
-		Checkpoints: 2, CheckpointBytes: 258, CheckpointNanos: 12000,
-		Resumes: 1, SnapshotResumes: 1, ResumeReplayedRounds: 3, TruncatedBytes: 17,
+		Resumes: 1, ResumeReplayedRounds: 3, TruncatedBytes: 17,
 	}
 	if *r != want {
 		t.Fatalf("recovery = %+v, want %+v", *r, want)
@@ -207,7 +204,7 @@ func TestMetricsRecoveryCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), `"recovery"`) || !strings.Contains(string(b), `"checkpoint_bytes": 258`) {
+	if !strings.Contains(string(b), `"recovery"`) || !strings.Contains(string(b), `"resume_replayed_rounds": 3`) {
 		t.Fatalf("JSON lacks recovery counters:\n%s", b)
 	}
 

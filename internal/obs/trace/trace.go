@@ -222,8 +222,8 @@ func (t *Tracer) RunEnd(rounds, decided int, err error) {
 
 // Event implements obs.Observer: substrate events become instants on the
 // owning process's track, carrying their fields — including the scheduler
-// "step" clock — as args. Wall-clock fields ("nanos") are dropped so the
-// export stays deterministic.
+// "step" clock — as args. No event carries wall-clock time, so the export
+// stays deterministic.
 //
 // Network connection lifecycles are special-cased into spans: a
 // netsub.conn_open opens a slice on the owning node's track that the
@@ -258,20 +258,14 @@ func (t *Tracer) Event(kind string, r, p int, fields map[string]any) {
 		// A close without a recorded open falls through as an instant.
 	}
 	var args map[string]any
-	for k, v := range fields {
-		if k == "nanos" {
-			continue
+	if len(fields) > 0 || r >= 0 {
+		args = make(map[string]any, len(fields)+1)
+		for k, v := range fields {
+			args[k] = v
 		}
-		if args == nil {
-			args = make(map[string]any, len(fields))
+		if r >= 0 {
+			args["round"] = r
 		}
-		args[k] = v
-	}
-	if r >= 0 {
-		if args == nil {
-			args = make(map[string]any, 1)
-		}
-		args["round"] = r
 	}
 	t.instant(kind, tid, args)
 }

@@ -13,9 +13,8 @@
 //     workers=1 is the exact sequential loop (same goroutine, no channels).
 //   - Per-task panic capture: a panicking task is caught in its worker and
 //     surfaced as a *PanicError carrying the task index, panic value and
-//     stack, like captureGen turns generator panics into returned errors.
-//     The lowest-index panic wins, matching what a sequential loop would
-//     have hit first.
+//     stack. The lowest-index panic wins, matching what a sequential loop
+//     would have hit first.
 //   - No shared state: par owns nothing but the work counter and an
 //     optional Meter (task latency / queue depth histograms — sharded
 //     atomics, order-free). Tasks must bring their own RNG and observer

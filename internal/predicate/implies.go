@@ -6,22 +6,26 @@ import (
 	"repro/internal/core"
 )
 
-// TraceGen produces an execution trace from a seed. Generators are expected
-// to emit traces satisfying some source predicate; Implies checks that
-// claim and the implication together.
-type TraceGen func(seed int64) *core.Trace
+// TraceGen produces an execution trace from a seed, or the error that kept
+// it from producing one. Generators are expected to emit traces satisfying
+// some source predicate; Implies checks that claim and the implication
+// together.
+type TraceGen func(seed int64) (*core.Trace, error)
 
 // Implies empirically checks the submodel relation A ⇒ B of §2: every
 // generated trace must satisfy a (otherwise the generator is broken and an
 // error says so) and must then satisfy b. It runs trials seeds and returns
-// the first counterexample.
+// the first counterexample, or the first generator error.
 //
 // This is a semi-decision procedure: passing does not prove the implication,
 // but a failure is a concrete counterexample trace. The lattice experiment
 // (E15) combines it with exhaustive small-universe generators.
 func Implies(gen TraceGen, a, b P, trials int) error {
 	for seed := int64(0); seed < int64(trials); seed++ {
-		t := gen(seed)
+		t, err := gen(seed)
+		if err != nil {
+			return fmt.Errorf("trace generator failed at seed %d: %w", seed, err)
+		}
 		if err := a.Check(t); err != nil {
 			return fmt.Errorf("generator broke source predicate at seed %d: %w", seed, err)
 		}
@@ -142,10 +146,13 @@ func ExhaustiveWitnesses(n, rounds int, a, b P) (checked, witnesses int, err err
 
 // Separates empirically checks that A does NOT imply B by finding a witness
 // trace that satisfies a but violates b. It returns the witness seed, or an
-// error if no witness was found within trials seeds.
+// error if no witness was found within trials seeds or a generator failed.
 func Separates(gen TraceGen, a, b P, trials int) (int64, error) {
 	for seed := int64(0); seed < int64(trials); seed++ {
-		t := gen(seed)
+		t, err := gen(seed)
+		if err != nil {
+			return 0, fmt.Errorf("trace generator failed at seed %d: %w", seed, err)
+		}
 		if err := a.Check(t); err != nil {
 			return 0, fmt.Errorf("generator broke source predicate at seed %d: %w", seed, err)
 		}

@@ -222,9 +222,9 @@ func TestEventuallyNeverSuspectedDirect(t *testing.T) {
 }
 
 func TestImpliesAndSeparatesLocal(t *testing.T) {
-	gen := func(seed int64) *core.Trace {
+	gen := func(seed int64) (*core.Trace, error) {
 		// All traces: D(i) = {2} for i in {0,1}, empty for p2.
-		return mkTrace(3, [][]core.PID{pids(2), pids(2), pids()})
+		return mkTrace(3, [][]core.PID{pids(2), pids(2), pids()}), nil
 	}
 	if err := Implies(gen, PerRoundBudget(1), SomeoneSeenByAll(), 5); err != nil {
 		t.Fatal(err)
@@ -236,8 +236,8 @@ func TestImpliesAndSeparatesLocal(t *testing.T) {
 	if _, err := Separates(gen, PerRoundBudget(1), SomeoneSeenByAll(), 5); err == nil {
 		t.Fatal("no witness exists; Separates must say so")
 	}
-	cycleGen := func(seed int64) *core.Trace {
-		return mkTrace(3, [][]core.PID{pids(1), pids(2), pids(0)})
+	cycleGen := func(seed int64) (*core.Trace, error) {
+		return mkTrace(3, [][]core.PID{pids(1), pids(2), pids(0)}), nil
 	}
 	seed, err := Separates(cycleGen, PerRoundBudget(1), SomeoneSeenByAll(), 5)
 	if err != nil {
@@ -245,6 +245,20 @@ func TestImpliesAndSeparatesLocal(t *testing.T) {
 	}
 	if seed != 0 {
 		t.Fatalf("witness seed = %d", seed)
+	}
+	// A generator's own failure is returned, not checked as a trace.
+	boom := errors.New("boom")
+	failing := func(seed int64) (*core.Trace, error) {
+		if seed == 2 {
+			return nil, boom
+		}
+		return gen(seed)
+	}
+	if err := Implies(failing, PerRoundBudget(1), SomeoneSeenByAll(), 5); !errors.Is(err, boom) || !strings.Contains(err.Error(), "seed 2") {
+		t.Fatalf("Implies over a failing generator: %v", err)
+	}
+	if _, err := Separates(failing, PerRoundBudget(1), SomeoneSeenByAll(), 5); !errors.Is(err, boom) {
+		t.Fatalf("Separates over a failing generator: %v", err)
 	}
 }
 

@@ -27,8 +27,7 @@ const (
 
 // Engine checkpointing: durable journals of core.Run executions.
 type (
-	// CheckpointOptions tunes WithCheckpointing (snapshot cadence, fsync
-	// policy, segment size).
+	// CheckpointOptions tunes WithCheckpointing (the fsync policy).
 	CheckpointOptions = core.CheckpointOptions
 
 	// HaltError reports a run suspended by WithHaltAfterRound; Resume
@@ -45,8 +44,8 @@ var (
 	// boundary.
 	WithHaltAfterRound = core.WithHaltAfterRound
 
-	// Resume reconstructs a journaled execution and continues it to
-	// completion, verifying the oracle reproduces the logged prefix.
+	// Resume re-executes a journaled execution and continues it to
+	// completion, verifying the oracle re-plans every logged round.
 	Resume = core.Resume
 )
 

@@ -241,12 +241,8 @@ func TestPublicAPIExperiments(t *testing.T) {
 }
 
 func TestPublicAPIImplication(t *testing.T) {
-	gen := func(seed int64) *rrfd.Trace {
-		tr, err := rrfd.CollectTrace(6, 6, rrfd.Crash(6, 2, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
+	gen := func(seed int64) (*rrfd.Trace, error) {
+		return rrfd.CollectTrace(6, 6, rrfd.Crash(6, 2, seed))
 	}
 	if err := rrfd.Implies(gen, rrfd.SyncCrash(2), rrfd.SendOmission(2), 20); err != nil {
 		t.Fatal(err)
