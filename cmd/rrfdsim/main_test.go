@@ -276,8 +276,8 @@ func TestRunChaosMetricsAndEvents(t *testing.T) {
 	if err := run(cfg, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), `"faults"`) || !strings.Contains(out.String(), `"retransmissions"`) {
-		t.Fatalf("metrics lack fault counters:\n%s", out.String())
+	if events := metricsEvents(t, out.String()); events["rlink.retransmit"] == 0 {
+		t.Fatalf("metrics count no rlink.retransmit events:\n%s", out.String())
 	}
 	data, err := os.ReadFile(eventsPath)
 	if err != nil {
@@ -501,10 +501,8 @@ func TestRunChaosRecoverMetrics(t *testing.T) {
 	if err := run(cfg, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"recovery"`, `"restarts"`, `"rejoins"`} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("metrics lack %q:\n%s", want, out.String())
-		}
+	if events := metricsEvents(t, out.String()); events["recovery.rejoin"] == 0 {
+		t.Fatalf("metrics count no recovery.rejoin events:\n%s", out.String())
 	}
 }
 
@@ -615,22 +613,26 @@ func TestRunMCMetrics(t *testing.T) {
 	if err := run(cfg, &buf); err != nil {
 		t.Fatalf("run: %v\n%s", err, buf.String())
 	}
-	out := buf.String()
+	if events := metricsEvents(t, buf.String()); events["mc.schedule"] != 27 {
+		t.Fatalf("%d mc.schedule events, want 27:\n%s", events["mc.schedule"], buf.String())
+	}
+}
+
+// metricsEvents decodes the -metrics snapshot that ends out and returns its
+// per-kind event counts.
+func metricsEvents(t *testing.T, out string) map[string]int64 {
+	t.Helper()
 	idx := strings.Index(out, "metrics:\n")
 	if idx < 0 {
 		t.Fatalf("no metrics snapshot:\n%s", out)
 	}
-	var snap map[string]any
+	var snap struct {
+		Events map[string]int64 `json:"events"`
+	}
 	if err := json.Unmarshal([]byte(out[idx+len("metrics:\n"):strings.LastIndex(out, "}")+1]), &snap); err != nil {
 		t.Fatalf("metrics JSON: %v", err)
 	}
-	mcSnap, ok := snap["mc"].(map[string]any)
-	if !ok {
-		t.Fatalf("metrics lack the mc section:\n%s", out)
-	}
-	if mcSnap["schedules"].(float64) != 27 {
-		t.Fatalf("mc.schedules = %v, want 27", mcSnap["schedules"])
-	}
+	return snap.Events
 }
 
 func TestValidateMCFlagCombos(t *testing.T) {

@@ -1,11 +1,14 @@
 package rrfd_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -324,5 +327,81 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	}
 	if len(stale) > 0 {
 		t.Errorf("kept lists fields that are gone or that a caller now sets:\n  %s", strings.Join(stale, "\n  "))
+	}
+}
+
+// TestObsNamesNoSubsystem keeps the sinks generic: no non-test file of
+// internal/obs or internal/obs/trace spells an event kind ("serve.shed",
+// "rlink.retransmit"), so no sink counts, splits or draws one subsystem's
+// events apart from the rest. What a kind's fields mean, and its counts,
+// stay in the package that emits it.
+func TestObsNamesNoSubsystem(t *testing.T) {
+	kind := regexp.MustCompile(`^[a-z]+\.[a-z_]+$`)
+	fset := token.NewFileSet()
+	named := map[string]bool{}
+	for _, dir := range []string{"internal/obs", "internal/obs/trace"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if s, err := strconv.Unquote(lit.Value); err == nil && kind.MatchString(s) {
+						named[s] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(named) > 0 {
+		names := make([]string, 0, len(named))
+		for s := range named {
+			names = append(names, s)
+		}
+		sort.Strings(names)
+		t.Errorf("internal/obs names %d event kinds:\n  %s", len(names), strings.Join(names, "\n  "))
+	}
+}
+
+// TestChangesEntriesArePointers keeps CHANGES.md an index: an entry
+// ("- PR n: …", up to the next entry or blank line) is one paragraph of at
+// most 1 000 bytes pointing at its commit, which holds the full account.
+func TestChangesEntriesArePointers(t *testing.T) {
+	data, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := regexp.MustCompile(`^- PR (\d+):`)
+	var long []string
+	id, size := "", 0
+	check := func() {
+		if id != "" && size > 1000 {
+			long = append(long, fmt.Sprintf("PR %s: %d bytes", id, size))
+		}
+		id, size = "", 0
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		switch m := entry.FindStringSubmatch(line); {
+		case m != nil:
+			check()
+			id, size = m[1], len(line)
+		case line == "" || strings.HasPrefix(line, "- "):
+			check()
+		case id != "":
+			size += 1 + len(line)
+		}
+	}
+	check()
+	if len(long) > 0 {
+		t.Errorf("%d CHANGES.md entries over 1 000 bytes:\n  %s", len(long), strings.Join(long, "\n  "))
 	}
 }

@@ -109,14 +109,15 @@ func TestRunObserverFakeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
-	// Every phase spans exactly one clock advance of 1µs under the fake.
+	// Every phase spans exactly one clock advance of 1µs under the fake,
+	// and each round sums its three.
 	for _, phase := range []string{"plan", "emit", "deliver"} {
 		if s.PhaseMeanNanos[phase] != 1000 {
 			t.Fatalf("phase %s mean %v ns, want 1000 (fake clock)", phase, s.PhaseMeanNanos[phase])
 		}
 	}
-	if s.OraclePlanMeanNanos != 1000 {
-		t.Fatalf("plan latency %v", s.OraclePlanMeanNanos)
+	if s.PhaseMeanNanos["round"] != 3000 {
+		t.Fatalf("round mean %v ns, want 3000 (fake clock)", s.PhaseMeanNanos["round"])
 	}
 }
 

@@ -38,7 +38,8 @@
 //
 // Exploration is exhaustive for terminating systems within MaxSchedules;
 // Result reports schedules run, subtrees pruned, and the deepest path, and
-// the same counters flow to obs.Metrics under the "mc" key.
+// is the one place those counts live: obs.Metrics counts an observer's
+// mc.* events by kind only.
 package mc
 
 import "fmt"

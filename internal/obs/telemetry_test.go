@@ -40,7 +40,7 @@ func feedMetrics(t *testing.T, m *obs.Metrics) {
 		core.WithMaxRounds(4), core.WithObserver(m)); err != nil {
 		t.Fatal(err)
 	}
-	m.Event("rlink.retransmit", -1, 0, map[string]any{"to": 1, "seq": 0, "attempt": 1, "interval": 8})
+	m.Event("rlink.retransmit", -1, 0, nil)
 }
 
 type decideAt2 struct{ v core.Value }
@@ -113,7 +113,7 @@ func TestWritePrometheus(t *testing.T) {
 		"rrfd_runs_total", "rrfd_rounds_total", "rrfd_suspicions_total",
 		"rrfd_phase_ns_total", "rrfd_events_total",
 		"rrfd_deliver_fanin", "rrfd_deliver_fanin_sum", "rrfd_deliver_fanin_count",
-		"rrfd_round_ns", "rrfd_rlink_backoff_steps",
+		"rrfd_round_ns",
 	} {
 		if !seen[want] {
 			t.Fatalf("exposition lacks %s:\n%s", want, b.String())

@@ -50,8 +50,6 @@ type Tracer struct {
 
 	emitted   []bool  // sender emitted in the current round
 	suspected [][]int // per-process D(p,r) of the current round, set by Suspect
-
-	connOpen map[string]int64 // open netsub connection → open tick
 }
 
 // New returns an empty Tracer.
@@ -224,38 +222,12 @@ func (t *Tracer) RunEnd(rounds, decided int, err error) {
 // owning process's track, carrying their fields — including the scheduler
 // "step" clock — as args. No event carries wall-clock time, so the export
 // stays deterministic.
-//
-// Network connection lifecycles are special-cased into spans: a
-// netsub.conn_open opens a slice on the owning node's track that the
-// matching netsub.conn_close ends, so a trace of a networked run shows
-// each outbound connection's lifetime — and each redial gap — as
-// geometry rather than paired instants.
 func (t *Tracer) Event(kind string, r, p int, fields map[string]any) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	tid := 0
 	if p >= 0 {
 		tid = 1 + p
-	}
-	if kind == "netsub.conn_open" || kind == "netsub.conn_close" {
-		key := connKey(p, fields)
-		if kind == "netsub.conn_open" {
-			if t.connOpen == nil {
-				t.connOpen = make(map[string]int64)
-			}
-			t.connOpen[key] = t.tick()
-			return
-		}
-		if start, ok := t.connOpen[key]; ok {
-			delete(t.connOpen, key)
-			args := map[string]any{"peer": fields["peer"], "dir": fields["dir"]}
-			if reason, has := fields["reason"]; has {
-				args["reason"] = reason
-			}
-			t.span("conn "+connName(p, fields), tid, start, t.tick()+1, args)
-			return
-		}
-		// A close without a recorded open falls through as an instant.
 	}
 	var args map[string]any
 	if len(fields) > 0 || r >= 0 {
@@ -311,29 +283,7 @@ func (t *Tracer) Reset() {
 	t.run = -1
 	t.flowNext = 0
 	t.roundOpen = false
-	t.connOpen = nil
 }
 
 // procName renders a process track name ("p0", "p1", ...).
 func procName(p int) string { return "p" + strconv.Itoa(p) }
-
-// connKey identifies one node's connection to a peer in a direction.
-func connKey(p int, fields map[string]any) string {
-	return strconv.Itoa(p) + "/" + connName(p, fields)
-}
-
-// connName renders a connection span name ("p0→p2 out").
-func connName(p int, fields map[string]any) string {
-	peer := -1
-	switch q := fields["peer"].(type) {
-	case int:
-		peer = q
-	case int64:
-		peer = int(q)
-	}
-	dir, _ := fields["dir"].(string)
-	if dir == "" {
-		dir = "out"
-	}
-	return procName(p) + "→" + procName(peer) + " " + dir
-}

@@ -238,80 +238,3 @@ func TestTracerReset(t *testing.T) {
 		t.Fatal("trace after Reset differs from a fresh tracer's")
 	}
 }
-
-// TestTracerConnSpans checks that paired netsub conn_open/conn_close
-// events become lifecycle spans on the owning node's track while an
-// unmatched close degrades into a plain instant, and that the result
-// still validates as Perfetto JSON.
-func TestTracerConnSpans(t *testing.T) {
-	tr := trace.New()
-	tr.RunStart(3)
-	tr.Event("netsub.conn_open", -1, 0, map[string]any{"peer": 1, "dir": "out"})
-	tr.Event("netsub.conn_open", -1, 1, map[string]any{"peer": 0, "dir": "in"})
-	tr.Event("netsub.hello", -1, 1, map[string]any{"peer": 0, "incarnation": 1})
-	tr.Event("netsub.conn_close", -1, 0, map[string]any{"peer": 1, "dir": "out", "reason": "eof"})
-	// Close for a connection never opened: must not panic, renders as instant.
-	tr.Event("netsub.conn_close", -1, 2, map[string]any{"peer": 0, "dir": "in", "reason": "eof"})
-	tr.RunEnd(1, 3, nil)
-
-	data, err := tr.Perfetto()
-	if err != nil {
-		t.Fatal(err)
-	}
-	validatePerfetto(t, data)
-
-	var f struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
-	}
-	spans := map[string]map[string]any{}
-	instants := map[string]int{}
-	for _, ev := range f.TraceEvents {
-		name, _ := ev["name"].(string)
-		switch ev["ph"] {
-		case "X":
-			spans[name] = ev
-		case "i":
-			instants[name]++
-		}
-	}
-	conn, ok := spans["conn p0→p1 out"]
-	if !ok {
-		t.Fatalf("missing outbound conn span; spans: %v", spans)
-	}
-	if tid, _ := conn["tid"].(float64); tid != 1 {
-		t.Fatalf("conn span on tid %v, want owning process track 1", conn["tid"])
-	}
-	args, _ := conn["args"].(map[string]any)
-	if args["reason"] != "eof" || args["dir"] != "out" {
-		t.Fatalf("conn span args = %v", args)
-	}
-	if dur, _ := conn["dur"].(float64); dur < 1 {
-		t.Fatalf("conn span without duration: %v", conn)
-	}
-	if instants["netsub.conn_close"] != 1 {
-		t.Fatalf("unmatched close should render as exactly one instant, got %d", instants["netsub.conn_close"])
-	}
-	if instants["netsub.conn_open"] != 0 {
-		t.Fatal("matched opens must not also render as instants")
-	}
-
-	// The inbound connection on p1 stays open through RunEnd: no span,
-	// and Reset must forget it.
-	if _, ok := spans["conn p1→p0 in"]; ok {
-		t.Fatal("still-open connection must not emit a span")
-	}
-	tr.Reset()
-	tr.RunStart(3)
-	tr.Event("netsub.conn_close", -1, 1, map[string]any{"peer": 0, "dir": "in", "reason": "eof"})
-	tr.RunEnd(0, 0, nil)
-	data, err = tr.Perfetto()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(data, []byte(`"conn p1→p0 in"`)) {
-		t.Fatal("Reset leaked an open-connection record across runs")
-	}
-}

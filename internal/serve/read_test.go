@@ -83,6 +83,42 @@ func TestDecisionReadableOnlyOnceFlushed(t *testing.T) {
 	}
 }
 
+// TestPeerProposalShedAtFullTable drives one shard's handlers by hand, as
+// above, with room for one instance and a quorum no single peer completes:
+// a peer's proposal for a second instance is shed. It counts as a peer
+// shed, not as a client overload, and opens, journals and answers nothing.
+func TestPeerProposalShedAtFullTable(t *testing.T) {
+	s, err := Start(Config{
+		Me: 0, N: 3, F: 0,
+		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
+		WALDir:      t.TempDir(),
+		Shards:      1,
+		MaxInflight: 1,
+		InstanceTTL: time.Hour,
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer s.Close()
+	tb := &s.sh[0]
+
+	s.handle(tb, peerEv{from: 1, kind: pmPropose, inst: "a", val: 5}) // opens a: 2 of n−f = 3 proposals
+	recs, sent := len(tb.recs), len(tb.out[2])
+	s.handle(tb, peerEv{from: 2, kind: pmPropose, inst: "b", val: 6})
+
+	if st := s.Stats(); st.PeerSheds != 1 || st.Overloads != 0 || st.PeerProposes != 2 {
+		t.Fatalf("stats %+v, want 1 peer shed, 0 overloads, 2 peer proposals", st)
+	}
+	if _, open := tb.inflight["b"]; open || len(tb.inflight) != 1 {
+		t.Fatalf("the shed proposal opened an instance: %d in flight", len(tb.inflight))
+	}
+	if _, known := tb.proposals["b"]; known || len(tb.recs) != recs || len(tb.out[2]) != sent {
+		t.Fatalf("the shed proposal left effects: proposal %v, %d journal records (was %d), %d messages to its sender (was %d)",
+			known, len(tb.recs), recs, len(tb.out[2]), sent)
+	}
+}
+
 // TestUnobservedDecideBuildsNoEventFields drives one shard's handlers by
 // hand, as above: each peer proposal for a fresh instance opens it and
 // decides it (n−f = 2: the proposal and our own). With no Observer the
