@@ -26,7 +26,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print an engine metrics summary after each experiment")
 	workers := flag.Int("workers", 0, "workers for experiment seed sweeps (0 = one per CPU, 1 = sequential)")
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /snapshot and /debug/pprof on this address (e.g. localhost:6060)")
-	pprofAddr := flag.String("pprof", "", "alias for -telemetry (the endpoint includes /debug/pprof)")
 	flag.Parse()
 
 	if *workers < 0 {
@@ -35,11 +34,7 @@ func main() {
 	}
 	rrfd.SetExperimentWorkers(*workers)
 
-	addr := *telemetryAddr
-	if addr == "" {
-		addr = *pprofAddr
-	}
-	if err := run(*quick, *only, *metrics, addr); err != nil {
+	if err := run(*quick, *only, *metrics, *telemetryAddr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -25,14 +25,9 @@ import (
 func main() {
 	rounds := flag.Int("rounds", 1, "rounds per trace (1 or 2; 2 covers temporal predicates)")
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /snapshot and /debug/pprof on this address (the exhaustive sweeps are CPU-bound; e.g. localhost:6060)")
-	pprofAddr := flag.String("pprof", "", "alias for -telemetry (the endpoint includes /debug/pprof)")
 	flag.Parse()
-	addr := *telemetryAddr
-	if addr == "" {
-		addr = *pprofAddr
-	}
-	if addr != "" {
-		srv, err := rrfd.ServeTelemetry(addr, rrfd.NewTelemetry())
+	if *telemetryAddr != "" {
+		srv, err := rrfd.ServeTelemetry(*telemetryAddr, rrfd.NewTelemetry())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "telemetry listener: %v\n", err)
 			os.Exit(1)

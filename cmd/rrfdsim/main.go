@@ -11,7 +11,7 @@
 // decide instants — with -chaos it traces the first violation's minimized
 // replay, with -mc-replay the replayed schedule), and -telemetry ADDR
 // serves /metrics (Prometheus text), /snapshot (JSON) and /debug/pprof
-// live while the process runs (-pprof is an alias).
+// live while the process runs.
 //
 // Robustness: -chaos switches to the randomized fault-injection campaign —
 // N seeded executions of async k-set agreement over reliable links on a
@@ -203,12 +203,7 @@ func main() {
 	flag.IntVar(&cfg.crashes, "crashes", 0, "chaos modes: max crash failures per run (clamped to f)")
 	flag.IntVar(&cfg.watchdog, "watchdog", 0, "chaos modes: round watchdog in steps (0 = default)")
 	flag.BoolVar(&cfg.bug, "bug", false, "plant a bug the harness catches: sub-quorum decision (-chaos) or amnesia (-chaos-recover)")
-	pprofAddr := flag.String("pprof", "", "alias for -telemetry (the endpoint includes /debug/pprof)")
 	flag.Parse()
-
-	if cfg.telemetry == "" {
-		cfg.telemetry = *pprofAddr
-	}
 
 	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)

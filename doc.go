@@ -30,10 +30,10 @@
 //     consensus for the detector-S model;
 //   - operational substrates, each validated against the predicate the
 //     paper assigns it: an asynchronous message-passing network
-//     (RunNetworkRounds), SWMR shared memory with a model-checking
-//     scheduler (RunShared, Explore), wait-free atomic snapshots
-//     (NewSnapshot, RunSnapshotRounds), the adopt-commit protocol of §4.2
-//     (AdoptCommit), and the semi-synchronous DDS model of §5
+//     (RunNetworkRounds), SWMR shared memory under a pluggable
+//     scheduler (RunShared, explored by MCExplore), wait-free atomic
+//     snapshots (NewSnapshot, RunSnapshotRounds), the adopt-commit protocol
+//     of §4.2 (AdoptCommit), and the semi-synchronous DDS model of §5
 //     (RunTwoStep, RelayFactory);
 //   - the paper's simulations: two message-passing rounds to one
 //     shared-memory round, the B-system reduction, Theorem 4.1's

@@ -24,6 +24,21 @@ import (
 	rrfd "repro"
 )
 
+// explore model-checks run over every shared-memory schedule, one at a
+// time (the runs below record what they saw), and fails on a violation.
+func explore(what string, run func(ch rrfd.SharedChooser) error) int {
+	res, err := rrfd.MCExplore(rrfd.MCOptions{MaxSchedules: 100000, Workers: 1}, func(ctx *rrfd.MCCtx) error {
+		return run(func(_ int, runnable []rrfd.PID) int { return ctx.Choose(len(runnable)) })
+	})
+	if err == nil && res.Counterexample != nil {
+		err = res.Counterexample.Err
+	}
+	if err != nil {
+		log.Fatalf("%s: %v", what, err)
+	}
+	return res.Schedules
+}
+
 func main() {
 	inputs := []rrfd.Value{"left", "right"}
 
@@ -60,7 +75,7 @@ func main() {
 		if crashAt >= 0 {
 			crash = map[rrfd.PID]int{0: crashAt}
 		}
-		count, err := rrfd.Explore(100000, func(ch rrfd.SharedChooser) error {
+		totalSchedules += explore(fmt.Sprintf("crashAt=%d", crashAt), func(ch rrfd.SharedChooser) error {
 			outs, err := runOnce(ch, crash)
 			if err != nil {
 				return err
@@ -86,17 +101,13 @@ func main() {
 			}
 			return nil
 		})
-		if err != nil {
-			log.Fatalf("crashAt=%d: %v", crashAt, err)
-		}
-		totalSchedules += count
 	}
 	fmt.Printf("verified adopt-commit over %d schedules (8 crash patterns × all interleavings)\n", totalSchedules)
 	fmt.Printf("both grades reachable: commit=%v adopt=%v — the relation, not a function\n", sawCommit, sawAdopt)
 
 	// The same machinery proves convergence: unanimous proposals commit
 	// in EVERY schedule.
-	count, err := rrfd.Explore(100000, func(ch rrfd.SharedChooser) error {
+	count := explore("unanimity", func(ch rrfd.SharedChooser) error {
 		res, err := rrfd.RunShared(2, rrfd.SharedConfig{Chooser: ch},
 			func(p *rrfd.SharedProc) (rrfd.Value, error) {
 				o, err := rrfd.AdoptCommit(p, "u", "same")
@@ -115,9 +126,6 @@ func main() {
 		}
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("convergence proven over %d unanimous-input schedules: all commit\n", count)
 
 	// Act two: the generalized explorer over adversary schedules. Every

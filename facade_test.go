@@ -405,3 +405,19 @@ func TestChangesEntriesArePointers(t *testing.T) {
 		t.Errorf("%d CHANGES.md entries over 1 000 bytes:\n  %s", len(long), strings.Join(long, "\n  "))
 	}
 }
+
+// designBudget caps DESIGN.md: the design document describes the code as
+// it stands, so a section about a removed mechanism or a past state is
+// cut, not kept beside its replacement.
+const designBudget = 95000
+
+// TestDesignFitsBudget fails when DESIGN.md outgrows designBudget bytes.
+func TestDesignFitsBudget(t *testing.T) {
+	info, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() > designBudget {
+		t.Errorf("DESIGN.md is %d bytes, over its %d-byte budget: cut text about removed mechanisms or past states", info.Size(), designBudget)
+	}
+}

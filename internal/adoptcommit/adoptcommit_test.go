@@ -7,8 +7,25 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/mc"
 	"repro/internal/swmr"
 )
+
+// exploreAll model-checks run over every schedule and fails the test on
+// a violation or an un-exhausted space.
+func exploreAll(t *testing.T, what string, run func(ch swmr.Chooser) error) int {
+	t.Helper()
+	res, err := mc.Explore(mc.Options{MaxSchedules: 100000}, func(ctx *mc.Ctx) error {
+		return run(func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) })
+	})
+	if err == nil && res.Counterexample != nil {
+		err = res.Counterexample.Err
+	}
+	if err != nil || !res.Exhausted {
+		t.Fatalf("%s after %d schedules (exhausted %v): %v", what, res.Schedules, res.Exhausted, err)
+	}
+	return res.Schedules
+}
 
 // runInstance executes one adopt-commit instance with the given inputs and
 // returns the per-process outcomes of the processes that finished.
@@ -133,16 +150,13 @@ func TestExhaustiveTwoProcs(t *testing.T) {
 	// Model-check every schedule of a 2-process instance with differing
 	// proposals: 6 ops each → C(12,6) = 924 interleavings.
 	inputs := vals(1, 2)
-	count, err := swmr.Explore(100000, func(ch swmr.Chooser) error {
+	count := exploreAll(t, "two procs", func(ch swmr.Chooser) error {
 		outs, err := runInstanceErr(inputs, swmr.Config{Chooser: ch})
 		if err != nil {
 			return err
 		}
 		return checkProperties(inputs, outs)
 	})
-	if err != nil {
-		t.Fatalf("after %d schedules: %v", count, err)
-	}
 	if count != 924 {
 		t.Fatalf("explored %d schedules, want 924", count)
 	}
@@ -155,7 +169,7 @@ func TestExhaustiveTwoProcsWithCrash(t *testing.T) {
 	inputs := vals(1, 2)
 	for crashAt := 0; crashAt <= 6; crashAt++ {
 		cfg := swmr.Config{Crash: map[core.PID]int{0: crashAt}}
-		count, err := swmr.Explore(100000, func(ch swmr.Chooser) error {
+		exploreAll(t, fmt.Sprintf("crashAt=%d", crashAt), func(ch swmr.Chooser) error {
 			cfg := cfg
 			cfg.Chooser = ch
 			outs, err := runInstanceErr(inputs, cfg)
@@ -167,9 +181,6 @@ func TestExhaustiveTwoProcsWithCrash(t *testing.T) {
 			}
 			return checkProperties(inputs, outs)
 		})
-		if err != nil {
-			t.Fatalf("crashAt=%d after %d schedules: %v", crashAt, count, err)
-		}
 	}
 }
 

@@ -1,11 +1,11 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/mc"
 	"repro/internal/predicate"
 	"repro/internal/swmr"
 	"repro/internal/task"
@@ -40,8 +40,10 @@ func X04Ablations(quick bool) (*Table, error) {
 	// its own 2.
 	onePhase := func() (ablStat, error) {
 		violations := 0
-		count, err := swmr.Explore(100000, func(ch swmr.Chooser) error {
+		// Workers: 1 — the run counts into violations.
+		ex, err := mc.Explore(mc.Options{MaxSchedules: 100000, Workers: 1}, func(ctx *mc.Ctx) error {
 			inputs := []core.Value{1, 2}
+			ch := func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) }
 			res, err := swmr.Run(2, swmr.Config{Chooser: ch}, func(p *swmr.Proc) (core.Value, error) {
 				return onePhaseAdoptCommit(p, inputs[p.Me])
 			})
@@ -66,16 +68,14 @@ func X04Ablations(quick bool) (*Table, error) {
 			}
 			return nil
 		})
-		var limit *swmr.ExploreLimitError
-		switch {
-		case errors.As(err, &limit):
-			// The structured limit error carries the schedules that ran,
-			// so a truncated search still reports its explored space.
-			count = limit.Schedules
-		case err != nil:
+		if err == nil && ex.Counterexample != nil {
+			err = ex.Counterexample.Err
+		}
+		if err != nil {
 			return ablStat{}, err
 		}
-		return ablStat{space: count, hits: violations}, nil
+		// A truncated search still reports the schedules that did run.
+		return ablStat{space: ex.Schedules, hits: violations}, nil
 	}
 
 	// 2. Theorem 3.1's bound is tight: under detector budget k+1 the

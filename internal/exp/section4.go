@@ -7,6 +7,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/mc"
 	"repro/internal/predicate"
 	"repro/internal/simulate"
 	"repro/internal/swmr"
@@ -108,17 +109,17 @@ func E11AdoptCommit(quick bool) (*Table, error) {
 		if crashAt >= 0 {
 			cfg.Crash = map[core.PID]int{0: crashAt}
 		}
-		count, err := swmr.Explore(200000, func(ch swmr.Chooser) error {
+		// The eight explorations already fan out: each runs sequentially.
+		res, err := mc.Explore(mc.Options{MaxSchedules: 200000, Workers: 1}, func(ctx *mc.Ctx) error {
 			c := cfg
-			c.Chooser = ch
+			c.Chooser = func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) }
 			return check(inputs, c)
 		})
-		var limit *swmr.ExploreLimitError
-		if errors.As(err, &limit) {
-			// Truncated searches report the schedules that did run.
-			return exploreStat{count: limit.Schedules}, nil
+		if err != nil {
+			return exploreStat{}, err
 		}
-		return exploreStat{count: count, violated: err != nil}, nil
+		// A truncated search reports the schedules that did run.
+		return exploreStat{count: res.Schedules, violated: res.Counterexample != nil}, nil
 	})
 	if err != nil {
 		return nil, err

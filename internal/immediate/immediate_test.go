@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/mc"
 	"repro/internal/predicate"
 	"repro/internal/swmr"
 )
@@ -114,9 +115,10 @@ func TestExploreOneShotSmall(t *testing.T) {
 	// snapshot: the DFS frontier of the schedule tree (each Participate
 	// is ~20 register operations, so full exhaustion is out of reach;
 	// 20k distinct schedules still cover every early divergence).
-	count, err := swmr.Explore(20_000, func(ch swmr.Chooser) error {
+	res, err := mc.Explore(mc.Options{MaxSchedules: 20_000}, func(ctx *mc.Ctx) error {
 		var mu sync.Mutex
 		views := make(map[core.PID]*View)
+		ch := func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) }
 		_, err := swmr.Run(2, swmr.Config{Chooser: ch}, func(p *swmr.Proc) (core.Value, error) {
 			v, err := New(p, "x").Participate(int(p.Me))
 			if err != nil {
@@ -132,10 +134,13 @@ func TestExploreOneShotSmall(t *testing.T) {
 		}
 		return CheckViews(2, views)
 	})
-	if err != nil && !errors.Is(err, swmr.ErrExploreLimit) {
-		t.Fatalf("after %d schedules: %v", count, err)
+	if err == nil && res.Counterexample != nil {
+		err = res.Counterexample.Err
 	}
-	t.Logf("explored %d schedules", count)
+	if err != nil {
+		t.Fatalf("after %d schedules: %v", res.Schedules, err)
+	}
+	t.Logf("explored %d schedules (limit hit: %v)", res.Schedules, res.LimitHit)
 }
 
 func TestRunRoundsSatisfiesImmediatePredicate(t *testing.T) {

@@ -598,15 +598,11 @@ func aggregate(o Options, run func(*Ctx) error, trs []taskResult) (*Result, erro
 	return res, nil
 }
 
-// finish attaches (and unless disabled, shrinks) a counterexample.
+// finish attaches a counterexample, shrunk.
 func finish(o Options, run func(*Ctx) error, res *Result, cx []int, cxErr error) (*Result, error) {
 	res.Exhausted = false
-	c := &Counterexample{FirstFound: append([]int(nil), cx...), Err: cxErr}
-	if o.NoShrink {
-		c.Choices = c.FirstFound
-	} else {
-		c.Choices, c.Err = shrink(run, cx, cxErr)
-	}
+	c := &Counterexample{FirstFound: append([]int(nil), cx...)}
+	c.Choices, c.Err = shrink(run, cx, cxErr)
 	res.Counterexample = c
 	if o.Observer != nil {
 		o.Observer.Event("mc.violation", -1, -1, map[string]any{

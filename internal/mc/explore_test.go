@@ -110,7 +110,7 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestExploreLimit(t *testing.T) {
+func TestExploreMaxSchedules(t *testing.T) {
 	res, err := Explore(Options{MaxSchedules: 3}, tree(3, 2, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestSampledViolationIsReplayable(t *testing.T) {
 	// tail must still replay it.
 	violate := func(c []int) bool { return c[4] == 1 }
 	run := tree(5, 2, violate)
-	res, err := Explore(Options{MaxDepth: 2, Samples: 4, NoShrink: true}, run)
+	res, err := Explore(Options{MaxDepth: 2, Samples: 4}, run)
 	if err != nil {
 		t.Fatal(err)
 	}

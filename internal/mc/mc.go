@@ -107,10 +107,6 @@ type Options struct {
 	// (useful to measure the reduction, or when fingerprints may collide).
 	NoPrune bool
 
-	// NoShrink keeps the first violating choice sequence as found instead
-	// of shrinking it to a locally minimal one.
-	NoShrink bool
-
 	// Observer, when non-nil, receives mc.* events (one "mc.schedule" per
 	// schedule, "mc.prune" per cut subtree, "mc.sample" per random
 	// completion, "mc.violation" per counterexample, and a final "mc.done"
@@ -175,13 +171,13 @@ func (s *Stats) add(t Stats) {
 // Counterexample is a violating schedule, pinned down to its choices.
 type Counterexample struct {
 	// Choices replays the violation through Replay (or any run driven by
-	// the same decisions). When shrinking ran, this is the shrunk,
-	// locally minimal sequence: no single choice can be lowered and no
-	// tail dropped without losing the violation.
+	// the same decisions). It is the shrunk, locally minimal sequence: no
+	// single choice can be lowered and no tail dropped without losing the
+	// violation.
 	Choices []int
 
 	// FirstFound is the violating sequence as the search first hit it,
-	// before shrinking (equal to Choices under Options.NoShrink).
+	// before shrinking.
 	FirstFound []int
 
 	// Err is what the run function returned when replaying Choices.

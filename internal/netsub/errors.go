@@ -14,9 +14,6 @@ var ErrClosed = errors.New("netsub: node closed")
 // *BackpressureError.
 var ErrBackpressure = errors.New("netsub: peer send queue full")
 
-// ErrEvicted is the sentinel matched (via errors.Is) by *PeerEvictedError.
-var ErrEvicted = errors.New("netsub: peer evicted")
-
 // BackpressureError reports a shed send: the peer's bounded send queue
 // was at its in-flight cap, and the substrate sheds rather than buffer
 // without bound. On a real network a shed is indistinguishable from a
@@ -26,45 +23,24 @@ type BackpressureError struct {
 	// To is the congested peer.
 	To core.PID
 
-	// Queued is the queue depth at the shed (equal to Cap).
-	Queued int
-
-	// Cap is the peer's configured in-flight cap.
+	// Cap is the peer's configured in-flight cap, all of it in use.
 	Cap int
 }
 
 // Error implements error.
 func (e *BackpressureError) Error() string {
-	return fmt.Sprintf("netsub: send to p%d shed: %d/%d frames in flight", e.To, e.Queued, e.Cap)
+	return fmt.Sprintf("netsub: send to p%d shed: %d/%d frames in flight", e.To, e.Cap, e.Cap)
 }
 
 // Is reports that a BackpressureError is an ErrBackpressure.
 func (e *BackpressureError) Is(target error) bool { return target == ErrBackpressure }
 
-// PeerEvictedError reports a send to a peer the flow monitor has evicted
-// for persistent slowness; the pool no longer queues or dials for it.
-type PeerEvictedError struct {
-	// To is the evicted peer.
-	To core.PID
-
-	// Strikes is how many consecutive stalled flow windows evicted it.
-	Strikes int
-}
-
-// Error implements error.
-func (e *PeerEvictedError) Error() string {
-	return fmt.Sprintf("netsub: p%d evicted after %d stalled flow windows", e.To, e.Strikes)
-}
-
-// Is reports that a PeerEvictedError is an ErrEvicted.
-func (e *PeerEvictedError) Is(target error) bool { return target == ErrEvicted }
-
 // shed reports whether err is a loss the substrate already accounts for
-// (backpressure or eviction) rather than a failure of the caller's
-// operation: the message won't arrive, and suspicion — not an error
-// return — is how the round layer learns that.
+// (backpressure) rather than a failure of the caller's operation: the
+// message won't arrive, and suspicion — not an error return — is how the
+// round layer learns that.
 func shed(err error) bool {
-	return errors.Is(err, ErrBackpressure) || errors.Is(err, ErrEvicted)
+	return errors.Is(err, ErrBackpressure)
 }
 
 // TruncatedFrameError reports a frame cut short: fewer bytes were

@@ -20,10 +20,10 @@
 //     exponential backoff (internal/backoff), and heartbeats bound how
 //     long a dead connection can linger: an inbound conn silent for
 //     several heartbeat intervals is torn down;
-//   - a per-peer flow monitor watches drain rate and evicts a peer whose
-//     queue stays backed up with nothing draining for evictAfter
-//     consecutive windows — a persistently slow peer is cut off
-//     (*PeerEvictedError) instead of dragging the mesh down.
+//   - an outbound lane is connected or redialing, never given up on: a
+//     peer that is down or never reads costs its bounded queue, one
+//     blocked write per WriteTimeout and at most one dial per capped
+//     redial step, and a restarted peer's hello wakes the lane at once.
 //
 // The substrate clock is milliseconds since node start; RecvTimeout
 // deadlines are absolute ticks on it, exactly as msgnet deadlines are
@@ -105,16 +105,8 @@ type Config struct {
 	// Seed derives each peer's jitter stream; 0 means 1.
 	Seed int64
 
-	// flowWindow is the flow monitor's sampling period. 0 means 500ms.
-	flowWindow time.Duration
-
-	// evictAfter is how many consecutive windows a peer's queue may sit
-	// non-empty with nothing drained before the peer is evicted. 0 means
-	// 4; negative disables eviction.
-	evictAfter int
-
 	// Observer, when non-nil, receives "netsub.*" events: conn_open,
-	// conn_close, reconnect, dial_fail, hello, backpressure, evict,
+	// conn_close, reconnect, dial_fail, hello, backpressure,
 	// frame_error. Substrate events use round -1.
 	Observer obs.Observer
 
@@ -155,12 +147,6 @@ func (c *Config) fill() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.flowWindow <= 0 {
-		c.flowWindow = 500 * time.Millisecond
-	}
-	if c.evictAfter == 0 {
-		c.evictAfter = 4
-	}
 	if c.dial == nil {
 		timeout := c.DialTimeout
 		c.dial = func(addr string) (net.Conn, error) {
@@ -176,16 +162,13 @@ type Stats struct {
 	// FramesReceived counts data frames delivered to the recv queue.
 	FramesSent, FramesReceived int64
 
-	// Sheds counts sends dropped by backpressure or eviction.
+	// Sheds counts sends dropped by backpressure.
 	Sheds int64
 
 	// Dials, DialFailures and Reconnects count outbound connection work;
 	// a reconnect is a successful dial after an established connection
 	// broke.
 	Dials, DialFailures, Reconnects int64
-
-	// Evictions counts peers the flow monitor cut off.
-	Evictions int64
 
 	// HellosAccepted counts inbound connections that completed the
 	// handshake.
@@ -214,9 +197,8 @@ type Node struct {
 
 	hRTT, hQueue *hist.Histogram
 
-	framesSent, framesRecv, sheds atomic.Int64
-	dials, dialFails, reconnects  atomic.Int64
-	evictions, hellos             atomic.Int64
+	framesSent, framesRecv, sheds        atomic.Int64
+	dials, dialFails, reconnects, hellos atomic.Int64
 }
 
 var _ msgnet.Substrate = (*Node)(nil)
@@ -260,9 +242,8 @@ func Start(cfg Config) (*Node, error) {
 		}
 		p := newPeer(nd, core.PID(i), cfg.Addrs[i])
 		nd.peers[i] = p
-		nd.wg.Add(2)
+		nd.wg.Add(1)
 		go p.run()
-		go p.flowMonitor()
 	}
 	return nd, nil
 }
@@ -291,16 +272,15 @@ func (nd *Node) Stats() Stats {
 		Dials:          nd.dials.Load(),
 		DialFailures:   nd.dialFails.Load(),
 		Reconnects:     nd.reconnects.Load(),
-		Evictions:      nd.evictions.Load(),
 		HellosAccepted: nd.hellos.Load(),
 	}
 }
 
 // Send implements msgnet.Substrate: it frames the payload and hands it
 // to the peer's bounded queue. A full queue sheds with a
-// *BackpressureError; an evicted peer sheds with a *PeerEvictedError. A
-// shed message is a lost message, not a broken node — callers at the
-// round layer treat it like any other loss the watchdog will surface.
+// *BackpressureError. A shed message is a lost message, not a broken
+// node — callers at the round layer treat it like any other loss the
+// watchdog will surface.
 func (nd *Node) Send(to core.PID, payload core.Value) error {
 	if to < 0 || int(to) >= nd.n {
 		return fmt.Errorf("netsub: send to invalid process %d", to)
@@ -321,7 +301,7 @@ func (nd *Node) Send(to core.PID, payload core.Value) error {
 			return ErrClosed
 		default:
 			nd.sheds.Add(1)
-			return &BackpressureError{To: to, Queued: cap(nd.recvQ), Cap: cap(nd.recvQ)}
+			return &BackpressureError{To: to, Cap: cap(nd.recvQ)}
 		}
 	}
 	body, err := AppendValue(nil, payload)
@@ -336,10 +316,10 @@ func (nd *Node) Send(to core.PID, payload core.Value) error {
 }
 
 // Broadcast implements msgnet.Substrate: it sends payload to every
-// process including the sender. Sheds (backpressure, eviction) do not
-// abort the broadcast — on a real network a partial broadcast is the
-// normal failure mode, and the missing receivers surface as suspicions —
-// but closed-node and encoding errors do.
+// process including the sender. Backpressure sheds do not abort the
+// broadcast — on a real network a partial broadcast is the normal failure
+// mode, and the missing receivers surface as suspicions — but closed-node
+// and encoding errors do.
 func (nd *Node) Broadcast(payload core.Value) error {
 	for i := 0; i < nd.n; i++ {
 		if err := nd.Send(core.PID(i), payload); err != nil && !shed(err) {
@@ -395,7 +375,7 @@ func (nd *Node) Close() error {
 		nd.ln.Close()
 		for _, p := range nd.peers {
 			if p != nil {
-				p.closeConn("node closed")
+				p.closeConn()
 			}
 		}
 		nd.inMu.Lock()

@@ -21,7 +21,6 @@ func testConfig() Config {
 		WriteTimeout:   500 * time.Millisecond,
 		DialTimeout:    500 * time.Millisecond,
 		RedialUnit:     2 * time.Millisecond,
-		flowWindow:     25 * time.Millisecond,
 	}
 }
 
@@ -53,6 +52,39 @@ func startMesh(t *testing.T, n int, tweak func(i int, c *Config)) []*Node {
 		t.Cleanup(func() { nd.Close() })
 	}
 	return nodes
+}
+
+// restartPeer starts pid again on its old address as incarnation inc,
+// retrying while the port lingers.
+func restartPeer(t *testing.T, pid core.PID, addrs []string, inc int, tweak func(c *Config)) *Node {
+	t.Helper()
+	var nd *Node
+	var err error
+	for attempt := 0; attempt < 50; attempt++ {
+		cfg := testConfig()
+		cfg.Me, cfg.N, cfg.Addrs, cfg.Incarnation = pid, len(addrs), addrs, inc
+		if tweak != nil {
+			tweak(&cfg)
+		}
+		if nd, err = Start(cfg); err == nil {
+			t.Cleanup(func() { nd.Close() })
+			return nd
+		}
+		time.Sleep(20 * time.Millisecond) // port may linger briefly
+	}
+	t.Fatalf("restart p%d on %s: %v", pid, addrs[pid], err)
+	return nil
+}
+
+// waitHellos waits until nd has accepted want handshakes.
+func waitHellos(t *testing.T, nd *Node, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); nd.Stats().HellosAccepted < want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("p%d accepted %d hellos, want %d", nd.me, nd.Stats().HellosAccepted, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // recvFrom drains until a message from the wanted sender arrives.
@@ -102,7 +134,6 @@ func TestBackpressureSheds(t *testing.T) {
 	// with a structured BackpressureError rather than block or buffer.
 	nodes := startMesh(t, 2, func(i int, c *Config) {
 		c.SendQueue = 4
-		c.evictAfter = -1 // isolate backpressure from eviction
 		if i == 0 {
 			c.dial = func(string) (net.Conn, error) { return nil, errors.New("unreachable") }
 		}
@@ -129,54 +160,6 @@ func TestBackpressureSheds(t *testing.T) {
 	}
 }
 
-func TestSlowPeerEviction(t *testing.T) {
-	nodes := startMesh(t, 2, func(i int, c *Config) {
-		c.SendQueue = 2
-		c.evictAfter = 3
-		c.flowWindow = 10 * time.Millisecond
-		if i == 0 {
-			c.dial = func(string) (net.Conn, error) { return nil, errors.New("unreachable") }
-		}
-	})
-	nodes[0].Send(1, "stuck-a")
-	nodes[0].Send(1, "stuck-b")
-	deadline := time.Now().Add(3 * time.Second)
-	for !nodes[0].peers[1].evicted.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("flow monitor never evicted the stalled peer")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	err := nodes[0].Send(1, "post-eviction")
-	var ev *PeerEvictedError
-	if !errors.As(err, &ev) || !errors.Is(err, ErrEvicted) {
-		t.Fatalf("want PeerEvictedError, got %v", err)
-	}
-	if ev.Strikes < 3 {
-		t.Fatalf("evicted after %d strikes, want >= 3", ev.Strikes)
-	}
-	if nodes[0].Stats().Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", nodes[0].Stats().Evictions)
-	}
-}
-
-func TestHealthyPeerNotEvicted(t *testing.T) {
-	// A draining queue must never accumulate strikes, no matter how many
-	// windows pass.
-	nodes := startMesh(t, 2, func(i int, c *Config) {
-		c.flowWindow = 5 * time.Millisecond
-		c.evictAfter = 2
-	})
-	stop := time.Now().Add(200 * time.Millisecond)
-	for time.Now().Before(stop) {
-		nodes[0].Send(1, "tick")
-		recvFrom(t, nodes[1], 0, time.Second)
-	}
-	if nodes[0].peers[1].evicted.Load() {
-		t.Fatal("healthy peer was evicted")
-	}
-}
-
 func TestRestartedPeerReconnects(t *testing.T) {
 	nodes := startMesh(t, 2, nil)
 	nodes[0].Send(1, "before")
@@ -184,25 +167,9 @@ func TestRestartedPeerReconnects(t *testing.T) {
 
 	// Kill p1 and restart it on the same address with a new incarnation:
 	// p0's pool must redial and the stream must resume.
-	addr := nodes[1].Addr()
-	addrs := []string{nodes[0].Addr(), addr}
+	addrs := []string{nodes[0].Addr(), nodes[1].Addr()}
 	nodes[1].Close()
-
-	var restarted *Node
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		cfg := testConfig()
-		cfg.Me, cfg.N, cfg.Addrs, cfg.Incarnation = 1, 2, addrs, 2
-		restarted, err = Start(cfg)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond) // port may linger briefly
-	}
-	if err != nil {
-		t.Fatalf("restart on %s: %v", addr, err)
-	}
-	defer restarted.Close()
+	restarted := restartPeer(t, 1, addrs, 2, nil)
 
 	// Keep sending until a frame lands on the restarted node.
 	deadline := time.Now().Add(5 * time.Second)
@@ -280,36 +247,13 @@ func TestFirstSendAfterPeerRestartArrives(t *testing.T) {
 	nodes := startMesh(t, 2, func(i int, c *Config) { c.HeartbeatEvery = -1 })
 	nodes[0].Send(1, "before")
 	recvFrom(t, nodes[1], 0, 2*time.Second)
-	// p0 must have met incarnation 1 to recognise 2 as a restart.
-	hellos := func(want int64) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); nodes[0].Stats().HellosAccepted < want; {
-			if time.Now().After(deadline) {
-				t.Fatalf("p0 accepted %d hellos, want %d", nodes[0].Stats().HellosAccepted, want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	hellos(1)
+	waitHellos(t, nodes[0], 1) // p0 must have met incarnation 1 to recognise 2 as a restart
 
 	addrs := []string{nodes[0].Addr(), nodes[1].Addr()}
 	nodes[1].Close()
-	var restarted *Node
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		cfg := testConfig()
-		cfg.Me, cfg.N, cfg.Addrs, cfg.Incarnation, cfg.HeartbeatEvery = 1, 2, addrs, 2, -1
-		if restarted, err = Start(cfg); err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond) // port may linger briefly
-	}
-	if err != nil {
-		t.Fatalf("restart on %s: %v", addrs[1], err)
-	}
-	defer restarted.Close()
+	restarted := restartPeer(t, 1, addrs, 2, func(c *Config) { c.HeartbeatEvery = -1 })
 
-	hellos(2) // counted only after the outbound lane was told
+	waitHellos(t, nodes[0], 2) // counted only after the outbound lane was told
 	if err := nodes[0].Send(1, "after"); err != nil {
 		t.Fatalf("send after restart: %v", err)
 	}
@@ -318,6 +262,40 @@ func TestFirstSendAfterPeerRestartArrives(t *testing.T) {
 	}
 	if st := nodes[0].Stats(); st.Reconnects != 1 {
 		t.Fatalf("reconnects = %d, want exactly 1 (no redial loop): %+v", st.Reconnects, st)
+	}
+}
+
+// TestDownPeerIsRedialedAfterRestart: a peer that is down while sends
+// keep queueing for it costs its bounded queue and a redial now and then,
+// and is never given up on — its next incarnation hears the node.
+func TestDownPeerIsRedialedAfterRestart(t *testing.T) {
+	nodes := startMesh(t, 2, nil)
+	nodes[0].Send(1, "before")
+	recvFrom(t, nodes[1], 0, 2*time.Second)
+	waitHellos(t, nodes[0], 1)
+
+	addrs := []string{nodes[0].Addr(), nodes[1].Addr()}
+	nodes[1].Close()
+	for i := 0; i < 30; i++ {
+		if err := nodes[0].Send(1, i); err != nil && !errors.Is(err, ErrBackpressure) {
+			t.Fatalf("send %d to a down peer: %v", i, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	restarted := restartPeer(t, 1, addrs, 2, nil)
+	waitHellos(t, nodes[0], 2)
+
+	if err := nodes[0].Send(1, "after"); err != nil {
+		t.Fatalf("send after restart: %v", err)
+	}
+	// Frames queued during the outage reach the new incarnation first.
+	for {
+		if env := recvFrom(t, restarted, 0, 2*time.Second); env.Payload == "after" {
+			break
+		}
+	}
+	if st := nodes[0].Stats(); st.Reconnects == 0 {
+		t.Fatalf("no reconnect recorded: %+v", st)
 	}
 }
 

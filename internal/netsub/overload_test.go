@@ -11,12 +11,10 @@ import (
 )
 
 // TestSustainedOverloadEscalation drives a sender at a peer that accepts
-// connections but never drains a byte, and pins the defense ladder in
-// order: the bounded queue fills and sheds with BackpressureError first;
-// only after the flow monitor has watched evictAfter windows of zero
-// progress does the peer escalate to PeerEvictedError — and from then on
-// every send sheds immediately. The queue-depth histogram must show the
-// saturation the sheds imply.
+// connections but never drains a byte. The bounded queue fills and sheds
+// with BackpressureError, and that is the whole defense: every send sees
+// nil or backpressure, never a verdict on the peer, and the queue-depth
+// histogram shows the saturation the sheds imply.
 func TestSustainedOverloadEscalation(t *testing.T) {
 	reg := hist.NewRegistry()
 	var blackMu sync.Mutex
@@ -32,8 +30,6 @@ func TestSustainedOverloadEscalation(t *testing.T) {
 	const sendQueue = 4
 	nodes := startMesh(t, 2, func(i int, c *Config) {
 		c.SendQueue = sendQueue
-		c.evictAfter = 3
-		c.flowWindow = 10 * time.Millisecond
 		c.WriteTimeout = 20 * time.Millisecond
 		if i == 0 {
 			c.Hist = reg
@@ -50,47 +46,22 @@ func TestSustainedOverloadEscalation(t *testing.T) {
 		}
 	})
 
-	var sawBackpressure, sawEvicted bool
-	deadline := time.Now().Add(10 * time.Second)
-	for !sawEvicted {
-		if time.Now().After(deadline) {
-			t.Fatalf("flow monitor never evicted the stalled peer (backpressure seen: %v)", sawBackpressure)
-		}
-		err := nodes[0].Send(1, "overload")
-		switch {
+	var sheds int
+	for stop := time.Now().Add(200 * time.Millisecond); time.Now().Before(stop); {
+		switch err := nodes[0].Send(1, "overload"); {
 		case err == nil:
 		case errors.Is(err, ErrBackpressure):
-			if sawEvicted {
-				t.Fatal("backpressure after eviction: the ladder must not de-escalate")
-			}
-			sawBackpressure = true
-		case errors.Is(err, ErrEvicted):
-			if !sawBackpressure {
-				t.Fatal("evicted before a single backpressure shed: eviction must be the escalation, not the first response")
-			}
-			sawEvicted = true
+			sheds++
 		default:
-			t.Fatalf("unexpected send error %v", err)
+			t.Fatalf("send to a black hole: %v, want nil or backpressure", err)
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-
-	// Post-eviction: structured error, permanently.
-	err := nodes[0].Send(1, "after")
-	var ev *PeerEvictedError
-	if !errors.As(err, &ev) || ev.To != 1 || ev.Strikes < 3 {
-		t.Fatalf("post-eviction send: %v (%+v)", err, ev)
+	if sheds == 0 {
+		t.Fatal("no send was shed by a peer that never drains")
 	}
-	if !nodes[0].peers[1].evicted.Load() {
-		t.Fatal("peer 1 not marked evicted after PeerEvictedError")
-	}
-
-	st := nodes[0].Stats()
-	if st.Sheds == 0 {
-		t.Fatalf("no sheds counted under sustained overload: %+v", st)
-	}
-	if st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want exactly 1", st.Evictions)
+	if st := nodes[0].Stats(); st.Sheds != int64(sheds) {
+		t.Fatalf("Stats().Sheds = %d, want the %d sheds the sender saw", st.Sheds, sheds)
 	}
 
 	// The depth histogram must reflect saturation: the enqueue that fills

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -17,8 +16,10 @@ import (
 const maxWriteBytes = 64 << 10
 
 // peer is one outbound lane of the pool: a bounded queue of encoded
-// frames, a writer goroutine that owns dialing and the connection, and a
-// flow monitor that evicts the peer if the queue stops draining.
+// frames and a writer goroutine that owns dialing and the connection. The
+// lane is connected or redialing; a peer that is down or never reads
+// costs its bounded queue, one write per WriteTimeout and one dial per
+// redial step, and is heard again as soon as it is back.
 type peer struct {
 	nd   *Node
 	to   core.PID
@@ -39,15 +40,9 @@ type peer struct {
 	wn   int
 
 	// connMu guards conn, the writer's current connection; closeConn uses
-	// it to unblock the writer from outside (eviction, node close).
+	// it to unblock the writer on node close.
 	connMu sync.Mutex
 	conn   net.Conn
-
-	evicted atomic.Bool
-	strikes atomic.Int32
-
-	// drained counts frames written since the flow monitor last looked.
-	drained atomic.Int64
 }
 
 func newPeer(nd *Node, to core.PID, addr string) *peer {
@@ -72,10 +67,6 @@ func (p *peer) noteRestart() {
 
 // send enqueues one encoded frame, shedding instead of blocking.
 func (p *peer) send(buf []byte) error {
-	if p.evicted.Load() {
-		p.nd.sheds.Add(1)
-		return &PeerEvictedError{To: p.to, Strikes: int(p.strikes.Load())}
-	}
 	select {
 	case p.q <- buf:
 		if p.nd.hQueue != nil {
@@ -85,13 +76,13 @@ func (p *peer) send(buf []byte) error {
 	default:
 		p.nd.sheds.Add(1)
 		p.nd.event("netsub.backpressure", map[string]any{"peer": int(p.to), "cap": cap(p.q)})
-		return &BackpressureError{To: p.to, Queued: cap(p.q), Cap: cap(p.q)}
+		return &BackpressureError{To: p.to, Cap: cap(p.q)}
 	}
 }
 
 // run is the writer loop: dial with capped seeded-jitter backoff, then
 // serve the queue until the connection breaks, then dial again. It exits
-// on node close or eviction.
+// on node close.
 func (p *peer) run() {
 	defer p.nd.wg.Done()
 	// Each (node, peer) pair gets its own deterministic jitter stream so
@@ -99,7 +90,7 @@ func (p *peer) run() {
 	bo := redial.Seeded(p.nd.cfg.Seed ^ (int64(p.nd.me)<<16 | int64(p.to)))
 	hadConn := false
 	for {
-		if p.nd.closed() || p.evicted.Load() {
+		if p.nd.closed() {
 			return
 		}
 		conn, err := p.dial()
@@ -177,9 +168,6 @@ func (p *peer) serve(conn net.Conn) string {
 			case buf := <-p.q:
 				p.gather(buf)
 			case <-hb:
-				if p.evicted.Load() {
-					return "evicted"
-				}
 				if !p.write(conn, p.nd.encodeHeartbeat()) {
 					return "write"
 				}
@@ -201,7 +189,6 @@ func (p *peer) serve(conn net.Conn) string {
 			return "write"
 		}
 		p.nd.framesSent.Add(n)
-		p.drained.Add(n)
 	}
 }
 
@@ -251,45 +238,6 @@ func (p *peer) readAcks(conn net.Conn) {
 	}
 }
 
-// flowMonitor samples the queue every flowWindow: a window in which the
-// queue sat non-empty but nothing drained is a strike; evictAfter
-// consecutive strikes evict the peer permanently.
-func (p *peer) flowMonitor() {
-	defer p.nd.wg.Done()
-	if p.nd.cfg.evictAfter < 0 {
-		return
-	}
-	t := time.NewTicker(p.nd.cfg.flowWindow)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.nd.done:
-			return
-		case <-t.C:
-		}
-		if p.evicted.Load() {
-			return
-		}
-		if len(p.q) > 0 && p.drained.Swap(0) == 0 {
-			if s := p.strikes.Add(1); int(s) >= p.nd.cfg.evictAfter {
-				p.evict(int(s))
-				return
-			}
-		} else {
-			p.strikes.Store(0)
-		}
-	}
-}
-
-// evict cuts the peer off: no more queuing, no more dialing. The writer
-// is unblocked by closing its connection.
-func (p *peer) evict(strikes int) {
-	p.evicted.Store(true)
-	p.nd.evictions.Add(1)
-	p.nd.event("netsub.evict", map[string]any{"peer": int(p.to), "strikes": strikes})
-	p.closeConn("evicted")
-}
-
 // setConn publishes the writer's current connection for closeConn.
 func (p *peer) setConn(c net.Conn) {
 	p.connMu.Lock()
@@ -299,7 +247,7 @@ func (p *peer) setConn(c net.Conn) {
 
 // closeConn closes the writer's current connection, if any, unblocking a
 // stuck write or dial wait from outside the writer goroutine.
-func (p *peer) closeConn(string) {
+func (p *peer) closeConn() {
 	p.connMu.Lock()
 	if p.conn != nil {
 		p.conn.Close()
@@ -308,8 +256,8 @@ func (p *peer) closeConn(string) {
 }
 
 // sleep waits d, or until the remote restarts (its listener is back: no
-// point sitting out the backoff), the node closes or the peer is evicted,
-// reporting whether the writer should continue.
+// point sitting out the backoff) or the node closes, reporting whether the
+// writer should continue.
 func (p *peer) sleep(d time.Duration) bool {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
@@ -319,5 +267,5 @@ func (p *peer) sleep(d time.Duration) bool {
 	case <-p.restarted:
 	case <-timer.C:
 	}
-	return !p.evicted.Load()
+	return true
 }

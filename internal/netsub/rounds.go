@@ -60,8 +60,8 @@ type RunReport struct {
 	// PerProc holds each node's transport statistics.
 	PerProc []Stats
 
-	// Sheds, Reconnects and Evictions aggregate PerProc.
-	Sheds, Reconnects, Evictions int64
+	// Sheds and Reconnects aggregate PerProc.
+	Sheds, Reconnects int64
 
 	// Millis is the slowest node's clock at the end of the run — the
 	// wall-clock analogue of the scheduler step count.
@@ -153,7 +153,6 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit core.RoundEmit) (*core.R
 		nd.Close()
 		rep.Sheds += rep.PerProc[i].Sheds
 		rep.Reconnects += rep.PerProc[i].Reconnects
-		rep.Evictions += rep.PerProc[i].Evictions
 		rep.Stalls = append(rep.Stalls, stalls[i]...)
 		if errs[i] == nil {
 			continue

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/mc"
 	"repro/internal/predicate"
-	"repro/internal/swmr"
 )
 
 func identityInputs(n int) []core.Value {
@@ -172,13 +172,14 @@ func TestRelayVersusTwoStepShape(t *testing.T) {
 
 func TestTwoStepExhaustiveProof(t *testing.T) {
 	// PROOF of Theorem 5.1 for small systems: enumerate EVERY schedule of
-	// atomic steps (the swmr DFS explorer drives any chooser of this
-	// shape) and require eq. (5), unanimity, and 2-step decisions in each.
+	// atomic steps (mc's explorer drives any chooser) and require eq. (5),
+	// unanimity, and 2-step decisions in each.
 	// n=3, one round = 6 steps → at most 3^6 schedules; n=4 → 4^8.
 	for _, n := range []int{2, 3, 4} {
 		inputs := identityInputs(n)
-		count, err := swmr.Explore(200000, func(ch swmr.Chooser) error {
-			out, err := RunTwoStep(n, 1, Config{Chooser: Chooser(ch)}, inputs)
+		res, err := mc.Explore(mc.Options{MaxSchedules: 200000}, func(ctx *mc.Ctx) error {
+			ch := func(_ int, ready []core.PID) int { return ctx.Choose(len(ready)) }
+			out, err := RunTwoStep(n, 1, Config{Chooser: ch}, inputs)
 			if err != nil {
 				return err
 			}
@@ -199,10 +200,13 @@ func TestTwoStepExhaustiveProof(t *testing.T) {
 			}
 			return nil
 		})
-		if err != nil {
-			t.Fatalf("n=%d after %d schedules: %v", n, count, err)
+		if err == nil && res.Counterexample != nil {
+			err = res.Counterexample.Err
 		}
-		t.Logf("n=%d: Theorem 5.1 verified over all %d schedules", n, count)
+		if err != nil || !res.Exhausted {
+			t.Fatalf("n=%d after %d schedules (exhausted %v): %v", n, res.Schedules, res.Exhausted, err)
+		}
+		t.Logf("n=%d: Theorem 5.1 verified over all %d schedules", n, res.Schedules)
 	}
 }
 

@@ -235,6 +235,38 @@ func TestFirstSubmitAfterRestartDecidesPromptly(t *testing.T) {
 	}
 }
 
+// TestRestartAfterOutageUnderLoadDecides: a node that was down for
+// seconds while its peers kept proposing to it is heard again once it is
+// back — its peers' lanes redial it rather than give it up, so its own
+// fresh instances gather a quorum.
+func TestRestartAfterOutageUnderLoadDecides(t *testing.T) {
+	cl := fastCluster(t, nil)
+	c0 := clientOf(cl, 0)
+	defer c0.Close()
+	warm(t, cl, c0)
+
+	cl.Servers[2].Kill()
+	for i, start := 0, time.Now(); time.Since(start) < 2500*time.Millisecond; i++ {
+		inst := fmt.Sprintf("load%d", i)
+		mustDecide(t, c0, inst, inst, i) // nodes 0 and 1 are a quorum
+		time.Sleep(20 * time.Millisecond)
+	}
+	if _, err := cl.Restart(2, nil); err != nil {
+		t.Fatalf("Restart: %v", err)
+	}
+	c2 := NewClient(ClientConfig{Addr: cl.ClientAddrs()[2], Timeout: time.Second, MaxAttempts: 1, Seed: 2})
+	defer c2.Close()
+	var resp Response
+	var err error
+	for attempt := 1; attempt <= 3; attempt++ {
+		inst := fmt.Sprintf("after%d", attempt)
+		if resp, err = c2.Submit(inst, inst, attempt); err == nil && resp.Status == StatusDecided {
+			return
+		}
+	}
+	t.Fatalf("restarted node decided none of 3 fresh instances: last %+v, %v", resp, err)
+}
+
 // TestStoppedServerLeavesNothingBehind: after Close or Kill, with
 // instances still open and waiters still attached, no goroutine of the
 // server survives the TTL.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mc"
 	"repro/internal/swmr"
 )
 
@@ -156,9 +157,10 @@ func TestExploreSmallSnapshotLinearizable(t *testing.T) {
 	// update, p1 scans twice concurrently. In every schedule all scans
 	// must be comparable, p0's own update must be visible to its embedded
 	// machinery, and p1's observed seq must be monotone across its scans.
-	count, err := swmr.Explore(500_000, func(ch swmr.Chooser) error {
+	res, err := mc.Explore(mc.Options{MaxSchedules: 500_000}, func(ctx *mc.Ctx) error {
 		var mu sync.Mutex
 		var vectors [][]int
+		ch := func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) }
 		_, err := swmr.Run(2, swmr.Config{Chooser: ch}, func(p *swmr.Proc) (core.Value, error) {
 			obj := New(p, "obj")
 			if p.Me == 0 {
@@ -192,13 +194,16 @@ func TestExploreSmallSnapshotLinearizable(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatalf("after %d schedules: %v", count, err)
+	if err == nil && res.Counterexample != nil {
+		err = res.Counterexample.Err
 	}
-	if count < 100 {
-		t.Fatalf("suspiciously few schedules explored: %d", count)
+	if err != nil || !res.Exhausted {
+		t.Fatalf("after %d schedules (exhausted %v): %v", res.Schedules, res.Exhausted, err)
 	}
-	t.Logf("explored %d schedules exhaustively", count)
+	if res.Schedules < 100 {
+		t.Fatalf("suspiciously few schedules explored: %d", res.Schedules)
+	}
+	t.Logf("explored %d schedules exhaustively", res.Schedules)
 }
 
 func TestCompareSeqVectors(t *testing.T) {

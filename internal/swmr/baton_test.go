@@ -158,7 +158,7 @@ func TestAbortPathsAreUnchanged(t *testing.T) {
 // TestOutcomeIndependentOfGOMAXPROCS: with bodies that compute for a varying
 // while before their first operation — so that start-up arrivals, and who
 // ends up holding the baton first, really differ from run to run — the same
-// seed gives the same Outcome, and Explore the same schedule count, at 1, 2
+// seed gives the same Outcome, and mc.Explore the same schedule count, at 1, 2
 // and 4 processors.
 func TestOutcomeIndependentOfGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -177,18 +177,14 @@ func TestOutcomeIndependentOfGOMAXPROCS(t *testing.T) {
 	run := func(seed int64, salt int) (*Outcome, error) {
 		return Run(4, Config{Chooser: Seeded(seed), Crash: map[core.PID]int{2: 3}}, body(salt+int(seed)))
 	}
-	explore := func(salt int) int {
-		count, err := Explore(0, func(ch Chooser) error {
+	schedules := func(salt int) int {
+		return explore(t, func(ch Chooser) error {
 			_, err := Run(2, Config{Chooser: ch}, body(salt))
 			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return count
+		}).Schedules
 	}
 	runtime.GOMAXPROCS(1)
-	wantCount := explore(0)
+	wantCount := schedules(0)
 	for seed := int64(1); seed <= 20; seed++ {
 		runtime.GOMAXPROCS(1)
 		want, wantErr := run(seed, 0)
@@ -199,8 +195,8 @@ func TestOutcomeIndependentOfGOMAXPROCS(t *testing.T) {
 				t.Fatalf("seed %d at GOMAXPROCS %d: %+v, %v; want %+v, %v", seed, procs, got, err, want, wantErr)
 			}
 			if seed == 1 {
-				if got := explore(salt); got != wantCount {
-					t.Fatalf("GOMAXPROCS %d: Explore ran %d schedules, want %d", procs, got, wantCount)
+				if got := schedules(salt); got != wantCount {
+					t.Fatalf("GOMAXPROCS %d: mc.Explore ran %d schedules, want %d", procs, got, wantCount)
 				}
 			}
 		}

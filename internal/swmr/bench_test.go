@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mc"
 )
 
 // BenchmarkRegisterOps measures scheduler-mediated register throughput.
@@ -55,7 +56,8 @@ func BenchmarkCollect(b *testing.B) {
 func BenchmarkExplore(b *testing.B) {
 	schedules := 0
 	for i := 0; i < b.N; i++ {
-		count, err := Explore(10000, func(ch Chooser) error {
+		res, err := mc.Explore(mc.Options{MaxSchedules: 10000, Workers: 1}, func(ctx *mc.Ctx) error {
+			ch := func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) }
 			_, err := Run(2, Config{Chooser: ch}, func(p *Proc) (core.Value, error) {
 				if err := p.Write("a", 1); err != nil {
 					return nil, err
@@ -67,7 +69,7 @@ func BenchmarkExplore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		schedules += count
+		schedules += res.Schedules
 	}
 	b.ReportMetric(float64(schedules)/float64(b.N), "schedules/op")
 }

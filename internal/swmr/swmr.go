@@ -40,7 +40,7 @@ var Bottom core.Value = nil
 //
 // Calls are serialized and ordered by happens-before, but arrive on
 // whichever process goroutine holds the scheduler: a Chooser may keep
-// unsynchronized state (Seeded, RoundRobin and Explore's do) but may not
+// unsynchronized state (Seeded, RoundRobin and mc.Explore's do) but may not
 // depend on goroutine identity (t.FailNow, runtime.LockOSThread).
 type Chooser func(step int, runnable []core.PID) int
 

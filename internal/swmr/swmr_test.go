@@ -9,7 +9,24 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mc"
 )
+
+// explore runs mc.Explore over every schedule of run, one schedule per
+// choice sequence, and fails the test on a violation.
+func explore(t *testing.T, run func(ch Chooser) error) *mc.Result {
+	t.Helper()
+	res, err := mc.Explore(mc.Options{Workers: 1}, func(ctx *mc.Ctx) error {
+		return run(func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counterexample != nil {
+		t.Fatal(res.Counterexample)
+	}
+	return res
+}
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	out, err := Run(2, Config{}, func(p *Proc) (core.Value, error) {
@@ -228,7 +245,7 @@ func TestSchedulerActuallyInterleaves(t *testing.T) {
 func TestExploreCountsInterleavings(t *testing.T) {
 	// Two processes, two ops each: the schedule tree has C(4,2) = 6
 	// leaves (interleavings of two length-2 sequences).
-	count, err := Explore(1000, func(ch Chooser) error {
+	res := explore(t, func(ch Chooser) error {
 		_, err := Run(2, Config{Chooser: ch}, func(p *Proc) (core.Value, error) {
 			if err := p.Write("a", 1); err != nil {
 				return nil, err
@@ -240,11 +257,8 @@ func TestExploreCountsInterleavings(t *testing.T) {
 		})
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 6 {
-		t.Fatalf("Explore found %d schedules, want 6", count)
+	if res.Schedules != 6 || !res.Exhausted {
+		t.Fatalf("explored %d schedules (exhausted %v), want all 6", res.Schedules, res.Exhausted)
 	}
 }
 
@@ -253,7 +267,7 @@ func TestExploreFindsRace(t *testing.T) {
 	// owned by p0 then p0 writes. Exploration must find a schedule where
 	// p1 reads Bottom and one where it reads the written value.
 	sawBottom, sawValue := false, false
-	_, err := Explore(1000, func(ch Chooser) error {
+	explore(t, func(ch Chooser) error {
 		out, err := Run(2, Config{Chooser: ch}, func(p *Proc) (core.Value, error) {
 			if p.Me == 0 {
 				return nil, p.Write("c", 7)
@@ -270,23 +284,8 @@ func TestExploreFindsRace(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !sawBottom || !sawValue {
 		t.Fatalf("exploration incomplete: bottom=%v value=%v", sawBottom, sawValue)
-	}
-}
-
-func TestExploreLimit(t *testing.T) {
-	_, err := Explore(2, func(ch Chooser) error {
-		_, err := Run(3, Config{Chooser: ch}, func(p *Proc) (core.Value, error) {
-			return nil, p.Write("x", 1)
-		})
-		return err
-	})
-	if !errors.Is(err, ErrExploreLimit) {
-		t.Fatalf("err = %v, want ErrExploreLimit", err)
 	}
 }
 
@@ -387,52 +386,6 @@ func TestAtomicKSetObject(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(0, Config{}, func(p *Proc) (core.Value, error) { return nil, nil }); err == nil {
 		t.Fatal("expected error for n=0")
-	}
-}
-
-// TestExploreNondeterministicReplay: a run whose choice tree is not a
-// function of the scheduler's choices must surface a structured error, not a
-// panic, so callers can report which prefix diverged.
-func TestExploreNondeterministicReplay(t *testing.T) {
-	pids := []core.PID{0, 1, 2}
-	invocation := 0
-	_, err := Explore(100, func(ch Chooser) error {
-		invocation++
-		opts := 2
-		if invocation > 1 {
-			opts = 3 // the runnable set grew between replays
-		}
-		ch(0, pids[:opts])
-		return nil
-	})
-	var nde *NondeterministicReplayError
-	if !errors.As(err, &nde) {
-		t.Fatalf("err = %v, want NondeterministicReplayError", err)
-	}
-	if nde.Depth != 0 || nde.Want != 2 || nde.Got != 3 {
-		t.Fatalf("divergence %+v, want depth 0 with 2 recorded vs 3 observed", nde)
-	}
-}
-
-// TestExploreLimitCarriesCount: the structured *ExploreLimitError reports
-// how many schedules ran before the limit, so callers that only keep the
-// error lose no information.
-func TestExploreLimitCarriesCount(t *testing.T) {
-	count, err := Explore(2, func(ch Chooser) error {
-		_, err := Run(3, Config{Chooser: ch}, func(p *Proc) (core.Value, error) {
-			return nil, p.Write("x", 1)
-		})
-		return err
-	})
-	var limit *ExploreLimitError
-	if !errors.As(err, &limit) {
-		t.Fatalf("err = %v, want *ExploreLimitError", err)
-	}
-	if limit.Schedules != count || limit.Schedules == 0 {
-		t.Fatalf("limit.Schedules = %d, return value %d; want equal and nonzero", limit.Schedules, count)
-	}
-	if !strings.Contains(limit.Error(), "schedules run") {
-		t.Fatalf("error text lacks the count: %q", limit.Error())
 	}
 }
 

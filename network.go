@@ -7,7 +7,7 @@ import (
 // ---- Real-network substrate (internal/netsub) ----
 
 // TCPConfig shapes one TCP node: peer addresses, queue bounds,
-// heartbeat cadence, redial backoff, flow-monitor eviction.
+// heartbeat cadence, redial backoff.
 type TCPConfig = netsub.Config
 
 // StartTCPNode brings one mesh endpoint up.

@@ -144,18 +144,19 @@ func TestPublicAPISnapshotObject(t *testing.T) {
 }
 
 func TestPublicAPIExplore(t *testing.T) {
-	count, err := rrfd.Explore(1000, func(ch rrfd.SharedChooser) error {
+	res, err := rrfd.MCExplore(rrfd.MCOptions{}, func(ctx *rrfd.MCCtx) error {
+		ch := func(_ int, runnable []rrfd.PID) int { return ctx.Choose(len(runnable)) }
 		_, err := rrfd.RunShared(2, rrfd.SharedConfig{Chooser: ch},
 			func(p *rrfd.SharedProc) (rrfd.Value, error) {
 				return nil, p.Write("x", 1)
 			})
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || res.Counterexample != nil {
+		t.Fatal(err, res.Counterexample)
 	}
-	if count != 2 {
-		t.Fatalf("two single-op processes have 2 interleavings, got %d", count)
+	if res.Schedules != 2 {
+		t.Fatalf("two single-op processes have 2 interleavings, got %d", res.Schedules)
 	}
 }
 

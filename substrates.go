@@ -29,9 +29,6 @@ var (
 	// linearizable SWMR registers under a controlled scheduler.
 	RunShared = swmr.Run
 
-	// Explore model-checks a shared-memory system over every schedule.
-	Explore = swmr.Explore
-
 	// SeededChooser is a deterministic pseudo-random scheduler.
 	SeededChooser = swmr.Seeded
 
