@@ -202,7 +202,7 @@ func main() {
 	flag.Float64Var(&cfg.partition, "partition", 0, "chaos: per-run probability of a healing partition")
 	flag.IntVar(&cfg.crashes, "crashes", 0, "chaos modes: max crash failures per run (clamped to f)")
 	flag.IntVar(&cfg.watchdog, "watchdog", 0, "chaos modes: round watchdog in steps (0 = default)")
-	flag.BoolVar(&cfg.bug, "bug", false, "plant a bug the harness catches: sub-quorum decision (-chaos) or amnesia (-chaos-recover)")
+	flag.BoolVar(&cfg.bug, "bug", false, "plant a bug the campaign catches: sub-quorum decision (-chaos), amnesia (-chaos-recover), ack-before-journal (-chaos-serve) or the wrong quorum rule (-mc -alg qkset)")
 	flag.Parse()
 
 	if err := run(cfg, os.Stdout); err != nil {
@@ -594,6 +594,9 @@ func validate(cfg config) error {
 	}
 	if cfg.workers > 1 && !cfg.chaos && !cfg.chaosRecover && !cfg.mc {
 		return fmt.Errorf("-workers parallelizes campaign runs: add -chaos, -chaos-recover or -mc")
+	}
+	if cfg.bug && !cfg.chaos && !cfg.chaosRecover && !cfg.chaosServe && !cfg.mc {
+		return fmt.Errorf("-bug plants a bug for a campaign to catch: add -chaos, -chaos-recover, -chaos-serve or -mc")
 	}
 	if cfg.mc && (cfg.chaos || cfg.chaosRecover || cfg.chaosServe) {
 		return fmt.Errorf("-mc is its own mode: drop -chaos/-chaos-recover/-chaos-serve")

@@ -462,6 +462,10 @@ func TestValidateRecoveryFlagCombos(t *testing.T) {
 	if err := validate(cfg); err == nil {
 		t.Fatal("validate accepted -chaos-recover with -trace")
 	}
+	cfg = config{system: "crash", alg: "floodmin", n: 4, f: 1, k: 2, seed: 1, bug: true}
+	if err := validate(cfg); err == nil {
+		t.Fatal("validate accepted -bug in a plain run, which plants nothing")
+	}
 }
 
 func TestRunChaosRecoverClean(t *testing.T) {
@@ -714,6 +718,11 @@ func TestValidateSubstrate(t *testing.T) {
 	cfg.metrics = true
 	if err := validate(cfg); err == nil {
 		t.Fatal("validate accepted -substrate tcp with -metrics")
+	}
+	cfg = tcp()
+	cfg.bug = true
+	if err := validate(cfg); err == nil {
+		t.Fatal("validate accepted -substrate tcp with -bug, which plants nothing there")
 	}
 }
 

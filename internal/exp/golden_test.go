@@ -3,7 +3,10 @@ package exp
 import (
 	"bytes"
 	"crypto/sha256"
+	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -44,9 +47,13 @@ func TestDetectorFromKSetWithCrash(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/quick_tables.golden from the current tables")
+
 // TestGoldenQuickTables pins the rendered text of every experiment table
 // in quick mode, so a change that moves any fixed-seed experiment output
-// fails `go test ./...` and not only the end-to-end benchmark's audit.
+// fails `go test ./...` and not only the end-to-end benchmark's audit, and
+// says which lines moved. Regenerate with
+// `go test ./internal/exp -run TestGoldenQuickTables -update`.
 func TestGoldenQuickTables(t *testing.T) {
 	var b bytes.Buffer
 	for _, r := range All() {
@@ -56,9 +63,36 @@ func TestGoldenQuickTables(t *testing.T) {
 		}
 		table.Fprint(&b)
 	}
-	got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))
-	const want = "2f63668b2d2aafe2e1feb93e25eaaa5031b5b3f45cabf6ee4db22fb8a903d428"
-	if got != want {
-		t.Fatalf("got  %s\nwant %s\n%s", got, want, b.String())
+	const path = "testdata/quick_tables.golden"
+	if *update {
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Fatalf("quick tables differ from %s (rerun with -update to accept):\n%s", path, firstDiff(want, b.Bytes()))
+	}
+}
+
+// firstDiff renders the first five lines where got departs from want.
+func firstDiff(want, got []byte) string {
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	line := func(ls []string, i int) string {
+		if i < len(ls) {
+			return ls[i]
+		}
+		return "(end of file)"
+	}
+	var sb strings.Builder
+	for i, n := 0, 0; n < 5 && (i < len(w) || i < len(g)); i++ {
+		if a, b := line(w, i), line(g, i); a != b {
+			fmt.Fprintf(&sb, "line %d\n  want %s\n  got  %s\n", i+1, a, b)
+			n++
+		}
+	}
+	return sb.String()
 }

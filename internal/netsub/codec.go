@@ -104,30 +104,41 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < headerSize {
 		return Frame{}, 0, &TruncatedFrameError{Need: headerSize, Got: len(b)}
 	}
-	if m := binary.BigEndian.Uint16(b); m != frameMagic {
-		return Frame{}, 0, &CorruptFrameError{Field: "magic", Detail: fmt.Sprintf("0x%04X", m)}
+	kind, length, err := checkHeader(b)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	kind := FrameKind(b[2])
-	if kind < FrameHello || kind > FrameData {
-		return Frame{}, 0, &CorruptFrameError{Field: "kind", Detail: kind.String()}
-	}
-	if b[3] != 0 {
-		return Frame{}, 0, &CorruptFrameError{Field: "flags", Detail: fmt.Sprintf("0x%02X", b[3])}
-	}
-	length := binary.BigEndian.Uint32(b[4:])
-	if length > MaxFramePayload {
-		return Frame{}, 0, &OversizeFrameError{Length: int(length), Max: MaxFramePayload}
-	}
-	total := headerSize + int(length) + trailerSize
+	total := headerSize + length + trailerSize
 	if len(b) < total {
 		return Frame{}, 0, &TruncatedFrameError{Need: total, Got: len(b)}
 	}
-	body := b[2 : headerSize+int(length)]
-	want := binary.BigEndian.Uint32(b[headerSize+int(length):])
+	body := b[2 : headerSize+length]
+	want := binary.BigEndian.Uint32(b[headerSize+length:])
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return Frame{}, 0, &CorruptFrameError{Field: "crc", Detail: fmt.Sprintf("computed 0x%08X, stored 0x%08X", got, want)}
 	}
-	return Frame{Kind: kind, Payload: b[headerSize : headerSize+int(length)]}, total, nil
+	return Frame{Kind: kind, Payload: b[headerSize : headerSize+length]}, total, nil
+}
+
+// checkHeader validates the headerSize bytes at the front of b — magic,
+// kind, flags and a length within MaxFramePayload — and returns the kind
+// and the payload length. No length is trusted before it passes here.
+func checkHeader(b []byte) (FrameKind, int, error) {
+	if m := binary.BigEndian.Uint16(b); m != frameMagic {
+		return 0, 0, &CorruptFrameError{Field: "magic", Detail: fmt.Sprintf("0x%04X", m)}
+	}
+	kind := FrameKind(b[2])
+	if kind < FrameHello || kind > FrameData {
+		return 0, 0, &CorruptFrameError{Field: "kind", Detail: kind.String()}
+	}
+	if b[3] != 0 {
+		return 0, 0, &CorruptFrameError{Field: "flags", Detail: fmt.Sprintf("0x%02X", b[3])}
+	}
+	length := binary.BigEndian.Uint32(b[4:])
+	if length > MaxFramePayload {
+		return 0, 0, &OversizeFrameError{Length: int(length), Max: MaxFramePayload}
+	}
+	return kind, int(length), nil
 }
 
 // ReadFrame reads exactly one frame from a buffered stream. The returned
@@ -141,20 +152,11 @@ func ReadFrame(br *bufio.Reader, scratch *[]byte) (Frame, error) {
 	}
 	// Validate everything the header can tell us before trusting the
 	// length field to drive a blocking read.
-	if m := binary.BigEndian.Uint16(header); m != frameMagic {
-		return Frame{}, &CorruptFrameError{Field: "magic", Detail: fmt.Sprintf("0x%04X", m)}
+	_, length, err := checkHeader(header)
+	if err != nil {
+		return Frame{}, err
 	}
-	if k := FrameKind(header[2]); k < FrameHello || k > FrameData {
-		return Frame{}, &CorruptFrameError{Field: "kind", Detail: k.String()}
-	}
-	if header[3] != 0 {
-		return Frame{}, &CorruptFrameError{Field: "flags", Detail: fmt.Sprintf("0x%02X", header[3])}
-	}
-	length := binary.BigEndian.Uint32(header[4:])
-	total := headerSize + int(length) + trailerSize
-	if length > MaxFramePayload {
-		return Frame{}, &OversizeFrameError{Length: int(length), Max: MaxFramePayload}
-	}
+	total := headerSize + length + trailerSize
 	if cap(*scratch) < total {
 		*scratch = make([]byte, total)
 	}

@@ -35,11 +35,20 @@ func ReadJournal(dir string) (*JournalState, error) {
 	if err != nil {
 		return nil, err
 	}
-	js := &JournalState{
-		Decisions:      make(map[string]int),
-		Proposals:      make(map[string]int),
-		TruncatedBytes: rep.TruncatedBytes,
+	js, err := fold(recs)
+	if err != nil {
+		return nil, err
 	}
+	js.TruncatedBytes = rep.TruncatedBytes
+	return js, nil
+}
+
+// fold is the one reading of a server's journal records: ReadJournal
+// folds what wal.Replay returns and Start what wal.Open returns, so a
+// record the audit refuses (undecodable, or of a kind no server writes)
+// refuses the restart too.
+func fold(recs []wal.Record) (*JournalState, error) {
+	js := &JournalState{Decisions: make(map[string]int), Proposals: make(map[string]int)}
 	for _, r := range recs {
 		switch r.Kind {
 		case recBoot:

@@ -39,8 +39,8 @@
 //   - Deadlines: every request carries a deadline; when it expires before
 //     a quorum view forms the server answers abstain-and-report
 //     (StatusAbstain with view progress) instead of hanging, and an
-//     undecided instance is evicted after a TTL — one deadline queue and
-//     one timer per shard — so the table stays bounded under churn.
+//     undecided instance is evicted after a TTL — both deadlines in one
+//     heap and one timer per shard — so the table stays bounded.
 //
 // Throughput comes from sharding: the instance table is split across
 // Config.Shards independent loops, each owning the instances that hash to
@@ -60,8 +60,11 @@ package serve
 
 import (
 	"bufio"
+	"container/heap"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,31 +212,28 @@ type Stats struct {
 	Abstains  int64
 	Evictions int64
 
-	// PeerProposes and PeerDecides count mesh messages handled;
-	// PeerSheds counts peer proposals dropped because the instance
-	// table was full.
+	// PeerProposes counts peer proposals handled; PeerSheds those
+	// dropped because the instance table was full.
 	PeerProposes int64
-	PeerDecides  int64
 	PeerSheds    int64
 
 	// Queries counts query requests.
 	Queries int64
 
-	// RecoveredDecisions and RecoveredProposals count journal records
-	// replayed at start; Incarnation is boots+1.
+	// RecoveredDecisions counts the decisions replayed from the journal
+	// at start; Incarnation is boots+1.
 	RecoveredDecisions int64
-	RecoveredProposals int64
 	Incarnation        int
 }
 
 // counters is the lock-free internal form of Stats: every field is an
 // atomic so no shard loop ever takes a server-wide mutex to count.
 type counters struct {
-	submits, idempotentHits              atomic.Int64
-	decisions, adopted, ackedDecisions   atomic.Int64
-	overloads, abstains, evictions       atomic.Int64
-	peerProposes, peerDecides, peerSheds atomic.Int64
-	queries                              atomic.Int64
+	submits, idempotentHits            atomic.Int64
+	decisions, adopted, ackedDecisions atomic.Int64
+	overloads, abstains, evictions     atomic.Int64
+	peerProposes, peerSheds            atomic.Int64
+	queries                            atomic.Int64
 }
 
 // instance is one in-flight agreement instance.
@@ -243,7 +243,12 @@ type instance struct {
 	got      map[core.PID]int // pid → proposal heard (includes self)
 	waiters  []*waiter
 	start    time.Time // it expires InstanceTTL later
-	settled  bool      // decided or evicted: its deadline-queue entry is dead
+	settled  bool      // decided or evicted: its deadline entries are dead
+}
+
+// waiting returns the index of the first waiter for request req, or -1.
+func (ins *instance) waiting(req string) int {
+	return slices.IndexFunc(ins.waiters, func(w *waiter) bool { return w.req == req })
 }
 
 // waiter is one client request attached to an instance.
@@ -251,7 +256,6 @@ type waiter struct {
 	req   string
 	cc    *clientConn
 	start time.Time
-	timer *time.Timer
 }
 
 // event is the closed set of inputs a shard loop consumes.
@@ -267,26 +271,18 @@ type (
 		inst string
 		val  int
 	}
-	reqExpireEv struct {
-		inst string
-		req  string
-	}
 )
 
 // shardTable is the state of one shard: the instances that hash to it, and
 // the effects of the turn in progress. Only the owning loop touches it,
 // except that connection readers read decided, under mu (turn.go).
 type shardTable struct {
-	shard     int // index of the owning loop
 	inflight  map[string]*instance
 	proposals map[string]int // first-wins proposal per instance, journaled
 	mu        sync.Mutex
 	decided   map[string]int // durable decisions only: flush adds a turn's
 
-	// ttl queues the opened instances in deadline order, which is the
-	// order they were opened in (InstanceTTL is one constant); the
-	// loop's single timer sleeps until the head's deadline.
-	ttl []*instance
+	due deadlines // every TTL and request deadline of the shard (turn.go)
 
 	turn // what this turn's handlers want externalized
 }
@@ -325,8 +321,7 @@ type Server struct {
 	// frozen — the durability audit's ground truth.
 	recovered map[string]int
 
-	recoveredProposals int64
-	incarnation        int
+	incarnation int
 
 	hReq         *hist.Histogram
 	hDecide      *hist.Histogram
@@ -346,50 +341,37 @@ func Start(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: open journal: %w", err)
 	}
+	js, err := fold(recs)
+	if err != nil {
+		log.Close()
+		return nil, err
+	}
 	s := &Server{
-		cfg:       cfg,
-		log:       log,
-		ev:        make([]chan any, cfg.Shards),
-		done:      make(chan struct{}),
-		crashed:   make(chan struct{}),
-		conns:     make(map[*clientConn]struct{}),
-		sh:        make([]shardTable, cfg.Shards),
-		recovered: make(map[string]int),
+		cfg:         cfg,
+		log:         log,
+		ev:          make([]chan any, cfg.Shards),
+		done:        make(chan struct{}),
+		crashed:     make(chan struct{}),
+		conns:       make(map[*clientConn]struct{}),
+		sh:          make([]shardTable, cfg.Shards),
+		recovered:   js.Decisions,
+		incarnation: js.Boots + 1,
 	}
 	for i := range s.sh {
 		s.ev[i] = make(chan any, 1024)
 		s.sh[i] = shardTable{
-			shard:     i,
 			inflight:  make(map[string]*instance),
 			proposals: make(map[string]int),
 			decided:   make(map[string]int),
 			turn:      turn{fresh: make(map[string]int), out: make([][][]byte, cfg.N)},
 		}
 	}
-	boots := 0
-	for _, r := range recs {
-		switch r.Kind {
-		case recBoot:
-			boots++
-		case recProposal:
-			inst, val, err := decodeInstValRecord(r.Payload)
-			if err != nil {
-				log.Close()
-				return nil, fmt.Errorf("serve: journal seq %d: %w", r.Seq, err)
-			}
-			s.sh[s.shardOf(inst)].proposals[inst] = val
-			s.recoveredProposals++
-		case recDecision:
-			inst, val, err := decodeInstValRecord(r.Payload)
-			if err != nil {
-				log.Close()
-				return nil, fmt.Errorf("serve: journal seq %d: %w", r.Seq, err)
-			}
-			s.sh[s.shardOf(inst)].decided[inst] = val
-			s.recovered[inst] = val
-		}
+	for inst, val := range js.Proposals {
+		s.sh[s.shardOf(inst)].proposals[inst] = val
 	}
-	s.incarnation = boots + 1
+	for inst, val := range js.Decisions {
+		s.sh[s.shardOf(inst)].decided[inst] = val
+	}
 	if _, err := log.Append(recBoot, encodeBoot(s.incarnation)); err != nil {
 		log.Close()
 		return nil, err
@@ -437,11 +419,11 @@ func Start(cfg Config) (*Server, error) {
 	}
 	s.cln = cln
 
-	if boots > 0 {
+	if js.Boots > 0 {
 		s.event("serve.recover", map[string]any{
 			"incarnation": s.incarnation,
 			"decisions":   len(s.recovered),
-			"proposals":   s.recoveredProposals,
+			"proposals":   len(js.Proposals),
 		})
 	}
 
@@ -480,13 +462,7 @@ func (s *Server) Crashed() <-chan struct{} { return s.crashed }
 // replayed from the WAL at Start, before any new traffic — what this
 // incarnation durably remembers from its predecessors. The chaos
 // campaign audits acknowledged decisions against exactly this.
-func (s *Server) RecoveredDecisions() map[string]int {
-	out := make(map[string]int, len(s.recovered))
-	for k, v := range s.recovered {
-		out[k] = v
-	}
-	return out
-}
+func (s *Server) RecoveredDecisions() map[string]int { return maps.Clone(s.recovered) }
 
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats {
@@ -500,11 +476,9 @@ func (s *Server) Stats() Stats {
 		Abstains:           s.ctr.abstains.Load(),
 		Evictions:          s.ctr.evictions.Load(),
 		PeerProposes:       s.ctr.peerProposes.Load(),
-		PeerDecides:        s.ctr.peerDecides.Load(),
 		PeerSheds:          s.ctr.peerSheds.Load(),
 		Queries:            s.ctr.queries.Load(),
 		RecoveredDecisions: int64(len(s.recovered)),
-		RecoveredProposals: s.recoveredProposals,
 		Incarnation:        s.incarnation,
 	}
 }
@@ -582,8 +556,6 @@ func (s *Server) handle(t *shardTable, e any) {
 		s.onSubmit(t, ev)
 	case peerEv:
 		s.onPeer(t, ev)
-	case reqExpireEv:
-		s.onReqExpire(t, ev)
 	}
 }
 
@@ -625,9 +597,8 @@ func (s *Server) onSubmit(t *shardTable, ev submitEv) {
 	if ev.req.TimeoutMS > 0 {
 		d = time.Duration(ev.req.TimeoutMS) * time.Millisecond
 	}
-	w := &waiter{req: req, cc: ev.cc, start: ev.start}
-	w.timer = time.AfterFunc(d, func() { s.post(t.shard, reqExpireEv{inst: id, req: req}) })
-	ins.waiters = append(ins.waiters, w)
+	ins.waiters = append(ins.waiters, &waiter{req: req, cc: ev.cc, start: ev.start})
+	t.schedule(deadline{at: ev.start.Add(d), ins: ins, req: req})
 
 	s.maybeDecide(t, ins)
 }
@@ -661,7 +632,7 @@ func (s *Server) openInstance(t *shardTable, id string, val int) *instance {
 		start:    time.Now(),
 	}
 	t.inflight[id] = ins
-	t.ttl = append(trimSettled(t.ttl), ins)
+	t.schedule(deadline{at: ins.start.Add(s.cfg.InstanceTTL), ins: ins})
 	if n := s.inflightN.Add(1); s.hInflight != nil {
 		s.hInflight.Record(n)
 	}
@@ -674,18 +645,6 @@ func (s *Server) settle(t *shardTable, ins *instance) {
 	delete(t.inflight, ins.id)
 	ins.settled = true
 	s.inflightN.Add(-1)
-}
-
-// trimSettled drops the head entries of a deadline queue whose instances
-// have decided or been evicted since; in steady state instances settle
-// in roughly the order they opened, so the queue stays about as long as
-// the in-flight table.
-func trimSettled(q []*instance) []*instance {
-	for len(q) > 0 && q[0].settled {
-		q[0] = nil
-		q = q[1:]
-	}
-	return q
 }
 
 // dup counts and builds the answer to a submit for a decided instance.
@@ -729,7 +688,6 @@ func (s *Server) onPeer(t *shardTable, ev peerEv) {
 		}
 		s.maybeDecide(t, ins)
 	case pmDecide:
-		s.ctr.peerDecides.Add(1)
 		if _, ok := t.lookup(ev.inst); ok {
 			return
 		}
@@ -771,7 +729,6 @@ func (s *Server) commitDecision(t *shardTable, id string, val int) {
 	}
 	s.settle(t, ins)
 	for _, w := range ins.waiters {
-		w.timer.Stop()
 		t.respond(w.cc, w.start, Response{
 			Req: w.req, Inst: id, Status: StatusDecided, Val: val, Incarnation: s.incarnation,
 		})
@@ -800,47 +757,33 @@ func (s *Server) abstain(t *shardTable, ins *instance, w *waiter) {
 	})
 }
 
-func (s *Server) onReqExpire(t *shardTable, ev reqExpireEv) {
-	ins, ok := t.inflight[ev.inst]
-	if !ok {
-		return
-	}
-	for i, w := range ins.waiters {
-		if w.req != ev.req {
-			continue
-		}
-		ins.waiters = append(ins.waiters[:i], ins.waiters[i+1:]...)
-		if s.cfg.Observer != nil {
-			s.event("serve.abstain", map[string]any{"gathered": len(ins.got), "need": s.cfg.N - s.cfg.F})
-		}
-		s.abstain(t, ins, w)
-		return
-	}
-}
-
-// expireInstances evicts every instance whose TTL has passed, abstaining
-// the waiters still attached, and returns how long the shard's timer
-// should sleep: until the next live deadline, or a full TTL when nothing
-// is queued (anything opened later expires later still).
-func (s *Server) expireInstances(t *shardTable, now time.Time) time.Duration {
-	for {
-		t.ttl = trimSettled(t.ttl)
-		if len(t.ttl) == 0 {
-			return s.cfg.InstanceTTL
-		}
-		ins := t.ttl[0]
-		if d := ins.start.Add(s.cfg.InstanceTTL).Sub(now); d > 0 {
-			return d
-		}
-		for _, w := range ins.waiters {
-			w.timer.Stop()
+// expire serves the shard's deadlines due by now, earliest first. A
+// request's deadline abstains the first waiter still attached under its
+// ID; an instance's TTL evicts the instance, abstaining every waiter still
+// attached. Entries that died meanwhile are dropped.
+func (s *Server) expire(t *shardTable, now time.Time) {
+	for len(t.due) > 0 && !t.due[0].at.After(now) {
+		d := heap.Pop(&t.due).(deadline)
+		ins, i := d.ins, d.ins.waiting(d.req)
+		switch {
+		case ins.settled: // dead: decided or evicted meanwhile
+		case d.req == "":
+			for _, w := range ins.waiters {
+				s.abstain(t, ins, w)
+			}
+			ins.waiters = nil
+			s.settle(t, ins)
+			s.ctr.evictions.Add(1)
+			if s.cfg.Observer != nil {
+				s.event("serve.evict_instance", map[string]any{"gathered": len(ins.got)})
+			}
+		case i >= 0:
+			w := ins.waiters[i]
+			ins.waiters = append(ins.waiters[:i], ins.waiters[i+1:]...)
+			if s.cfg.Observer != nil {
+				s.event("serve.abstain", map[string]any{"gathered": len(ins.got), "need": s.cfg.N - s.cfg.F})
+			}
 			s.abstain(t, ins, w)
-		}
-		ins.waiters = nil
-		s.settle(t, ins)
-		s.ctr.evictions.Add(1)
-		if s.cfg.Observer != nil {
-			s.event("serve.evict_instance", map[string]any{"gathered": len(ins.got)})
 		}
 	}
 }

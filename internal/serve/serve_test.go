@@ -200,6 +200,97 @@ func TestOverloadDeadlineAndTTL(t *testing.T) {
 	}
 }
 
+// TestMixedDeadlinesAbstainInOrder: two requests wait on one instance that
+// cannot decide, the later one with the earlier deadline — serve.Client
+// forwards its own Timeout, so deadlines are not FIFO. Each abstains at
+// its own deadline, the shorter first, and the instance is evicted only at
+// its TTL.
+func TestMixedDeadlinesAbstainInOrder(t *testing.T) {
+	const ttl = 1500 * time.Millisecond
+	s, err := Start(Config{
+		Me: 0, N: 2, F: 0,
+		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1"}, // peer 1 never listens
+		WALDir:      t.TempDir(),
+		InstanceTTL: ttl,
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer s.Close()
+
+	type answer struct {
+		req  string
+		resp Response
+		err  error
+		took time.Duration // from the submit to its answer
+	}
+	answers := make(chan answer, 2)
+	submit := func(req string, timeout time.Duration) {
+		c := NewClient(ClientConfig{Addr: s.ClientAddr(), Timeout: timeout, MaxAttempts: 1, Seed: 1})
+		defer c.Close()
+		t0 := time.Now()
+		resp, err := c.Submit("x", req, 1)
+		answers <- answer{req, resp, err, time.Since(t0)}
+	}
+	opened := time.Now()
+	go submit("long", 600*time.Millisecond)
+	waitFor(t, "the first request to attach", func() bool { return s.Stats().Submits == 1 })
+	go submit("short", 100*time.Millisecond)
+
+	for _, want := range []struct {
+		req      string
+		deadline time.Duration
+	}{{"short", 100 * time.Millisecond}, {"long", 600 * time.Millisecond}} {
+		a := <-answers
+		if a.err != nil || a.req != want.req || a.resp.Status != StatusAbstain || a.resp.Gathered != 1 || a.resp.Need != 2 {
+			t.Fatalf("next answer: %s %+v %v; want %s to abstain with 1 of 2 gathered", a.req, a.resp, a.err, want.req)
+		}
+		if a.took < want.deadline {
+			t.Fatalf("%s abstained after %v, before its %v deadline", a.req, a.took, want.deadline)
+		}
+	}
+	if st := s.Stats(); st.Abstains != 2 || st.Evictions != 0 {
+		t.Fatalf("after both deadlines: %d abstains, %d evictions; want 2 and 0", st.Abstains, st.Evictions)
+	}
+	waitFor(t, "the TTL eviction", func() bool { return s.Stats().Evictions == 1 })
+	if d := time.Since(opened); d < ttl {
+		t.Fatalf("instance evicted %v after its first submit, before its %v TTL", d, ttl)
+	}
+}
+
+// TestStartRefusesWhatReadJournalRefuses: Start and ReadJournal read a
+// journal through one fold, so a record kind no server writes stops a
+// restart with the audit's own error instead of being skipped.
+func TestStartRefusesWhatReadJournalRefuses(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Create(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(recBoot, encodeBoot(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(9, []byte("?")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, want := ReadJournal(dir)
+	if want == nil {
+		t.Fatal("ReadJournal accepted a record of kind 9")
+	}
+	s, err := Start(Config{Me: 0, N: 1, MeshAddrs: []string{"127.0.0.1:0"}, WALDir: dir, Seed: 1})
+	if err == nil {
+		s.Close()
+		t.Fatalf("Start accepted the journal ReadJournal refuses with %q", want)
+	}
+	if err.Error() != want.Error() {
+		t.Fatalf("Start refused with %q, ReadJournal with %q", err, want)
+	}
+}
+
 func TestKillRestartKeepsAcknowledgedDecisions(t *testing.T) {
 	cl := testCluster(t, 1, 0, nil)
 	c := NewClient(ClientConfig{Addr: cl.ClientAddrs()[0], Timeout: 2 * time.Second, Seed: 1})

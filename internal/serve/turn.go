@@ -5,6 +5,8 @@
 package serve
 
 import (
+	"container/heap"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -74,18 +76,59 @@ func (t *shardTable) read(inst string) (int, bool) {
 	return val, ok
 }
 
+// deadline is one entry of a shard's deadline heap: instance ins's TTL,
+// or, when req is set, the deadline of its waiter for request req (a
+// submit always names its request, so "" is free to mean the TTL). It is
+// dead once ins has settled, or no waiter for req is attached any more.
+type deadline struct {
+	at  time.Time
+	ins *instance
+	req string
+}
+
+// deadlines is a container/heap min-heap by at; not FIFO, since a request
+// names its own timeout. A dead entry stays until expire pops it or
+// schedule sweeps it.
+type deadlines []deadline
+
+func (q deadlines) Len() int           { return len(q) }
+func (q deadlines) Less(i, j int) bool { return q[i].at.Before(q[j].at) }
+func (q deadlines) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *deadlines) Push(x any)        { *q = append(*q, x.(deadline)) }
+func (q *deadlines) Pop() any {
+	old := *q
+	d := old[len(old)-1]
+	old[len(old)-1] = deadline{}
+	*q = old[:len(old)-1]
+	return d
+}
+
+// schedule queues d. A full heap first sweeps out its dead entries, and
+// keeps room for as many again as survive: instances that decide long
+// before their TTL would otherwise hold it at throughput × TTL entries.
+func (t *shardTable) schedule(d deadline) {
+	if len(t.due) == cap(t.due) {
+		t.due = slices.DeleteFunc(t.due, func(e deadline) bool {
+			return e.ins.settled || e.req != "" && e.ins.waiting(e.req) < 0
+		})
+		heap.Init(&t.due)
+		t.due = slices.Grow(t.due, len(t.due))
+	}
+	heap.Push(&t.due, d)
+}
+
 // loop is one shard's event loop: it exclusively owns the instances that
 // hash to shard i and is the only writer of its table. It runs in turns: take
-// whatever is queued (at most maxTurnEvents), let the handlers update the
-// table and record what they want journaled, acknowledged and sent, then
-// flush once. One timer per shard covers every instance's TTL.
+// whatever is queued (at most maxTurnEvents) or due, let the handlers update
+// the table and record what they want journaled, acknowledged and sent, then
+// flush once. One timer, armed for the deadline heap's head, is its clock.
 func (s *Server) loop(i int) {
 	defer s.wg.Done()
 	t := &s.sh[i]
-	// Always armed: with nothing queued it wakes once per InstanceTTL,
-	// and whatever opened since expires later than that.
-	ttl := time.NewTimer(s.cfg.InstanceTTL)
-	defer ttl.Stop()
+	// A wake with nothing due expires nothing and re-arms.
+	clock := time.NewTimer(s.cfg.InstanceTTL)
+	defer clock.Stop()
+	var armed time.Time // the deadline clock is set for
 	for {
 		select {
 		case <-s.done:
@@ -96,8 +139,9 @@ func (s *Server) loop(i int) {
 		select {
 		case <-s.done:
 			return
-		case now := <-ttl.C:
-			ttl.Reset(s.expireInstances(t, now))
+		case now := <-clock.C:
+			armed = time.Time{}
+			s.expire(t, now)
 		case e := <-s.ev[i]:
 			s.handle(t, e)
 		drain:
@@ -115,6 +159,10 @@ func (s *Server) loop(i int) {
 		}
 		if s.flush(t) {
 			return // crashed, or the journal refused: the loop dies mid-stride
+		}
+		if len(t.due) > 0 && !t.due[0].at.Equal(armed) {
+			armed = t.due[0].at
+			clock.Reset(time.Until(armed))
 		}
 	}
 }
