@@ -98,10 +98,10 @@ repro/internal/fleet.Audit                            oracle: TestFleetDetermini
 repro/internal/detector.(*History).CheckStrongCompleteness  oracle: TestStrongCompleteness
 repro/internal/core.(*Trace).ValidateFailStop         oracle: TestTraceValidate, TestCrashRecoverRejoin
 repro/internal/hoalg.(*Expr).Equal                    oracle: TestStringParseRoundTrip, FuzzParseExpr
-repro/internal/simulate.RunTwoForOne                  oracle: TestGoldenRunTwoForOne (the §2 items 3-4 construction)
-repro/internal/simulate.(*twoForOne).Deliver          under RunTwoForOne
-repro/internal/simulate.(*twoForOne).Emit             under RunTwoForOne
-repro/internal/simulate.(*twoForOne).assemble         under RunTwoForOne
+repro/internal/simulate.RunTwoForOne                  oracle: TestRunTwoForOneMatchesTraceDerivation (the §2 items 3-4 construction)
+repro/internal/simulate.(*twoForOne).Deliver          under RunTwoForOne: TestRunTwoForOneMatchesTraceDerivation
+repro/internal/simulate.(*twoForOne).Emit             under RunTwoForOne: TestRunTwoForOneMatchesTraceDerivation
+repro/internal/simulate.(*twoForOne).assemble         under RunTwoForOne: TestRunTwoForOneMatchesTraceDerivation
 repro/internal/wal.(*Group).SyncedSeq                 oracle: TestGroupConcurrentAppends (an append returns inside the horizon)
 repro/internal/core.(*SetBank).Clear                  benchmark subject: BenchmarkSetBankSweep
 repro/internal/core.(*SetBank).Row                    benchmark subject: BenchmarkSetBankSweep

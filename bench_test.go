@@ -56,7 +56,7 @@ func BenchmarkE03AsyncRounds(b *testing.B) {
 	pred := rrfd.PerRoundBudget(f)
 	steps := 0
 	for i := 0; i < b.N; i++ {
-		out, err := rrfd.RunNetworkRounds(n, f, rounds, rrfd.NetConfig{Chooser: rrfd.NetSeeded(int64(i))}, nil)
+		out, err := rrfd.RunNetworkRounds(n, f, rounds, rrfd.NetConfig{Chooser: rrfd.Seeded(int64(i))}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func BenchmarkE04SharedMemory(b *testing.B) {
 	n, f := 7, 3
 	pred := rrfd.SharedMemory(f)
 	for i := 0; i < b.N; i++ {
-		out, err := rrfd.RunNetworkRounds(n, f, 6, rrfd.NetConfig{Chooser: rrfd.NetSeeded(int64(i))}, nil)
+		out, err := rrfd.RunNetworkRounds(n, f, 6, rrfd.NetConfig{Chooser: rrfd.Seeded(int64(i))}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,12 +276,12 @@ func BenchmarkE14SemiSync(b *testing.B) {
 	inputs := identityInputs(n)
 	fastSteps, slowSteps := 0, 0
 	for i := 0; i < b.N; i++ {
-		fast, err := rrfd.RunTwoStep(n, 1, rrfd.SemiConfig{Chooser: rrfd.SemiSeeded(int64(i))}, inputs)
+		fast, err := rrfd.RunTwoStep(n, 1, rrfd.SemiConfig{Chooser: rrfd.Seeded(int64(i))}, inputs)
 		if err != nil {
 			b.Fatal(err)
 		}
 		fastSteps += fast.Outcome.MaxDecisionSteps()
-		slow, err := rrfd.RunSemiSync(n, rrfd.SemiConfig{Chooser: rrfd.SemiRoundRobin()},
+		slow, err := rrfd.RunSemiSync(n, rrfd.SemiConfig{Chooser: rrfd.RoundRobin()},
 			rrfd.RelayFactory(), inputs)
 		if err != nil {
 			b.Fatal(err)

@@ -74,12 +74,12 @@ func ExampleRunTwoStep() {
 	for i := range inputs {
 		inputs[i] = i
 	}
-	fast, err := rrfd.RunTwoStep(n, 1, rrfd.SemiConfig{Chooser: rrfd.SemiSeeded(1)}, inputs)
+	fast, err := rrfd.RunTwoStep(n, 1, rrfd.SemiConfig{Chooser: rrfd.Seeded(1)}, inputs)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	slow, err := rrfd.RunSemiSync(n, rrfd.SemiConfig{Chooser: rrfd.SemiRoundRobin()},
+	slow, err := rrfd.RunSemiSync(n, rrfd.SemiConfig{Chooser: rrfd.RoundRobin()},
 		rrfd.RelayFactory(), inputs)
 	if err != nil {
 		fmt.Println(err)

@@ -26,9 +26,9 @@ import (
 
 // explore model-checks run over every shared-memory schedule, one at a
 // time (the runs below record what they saw), and fails on a violation.
-func explore(what string, run func(ch rrfd.SharedChooser) error) int {
+func explore(what string, run func(ch rrfd.Chooser) error) int {
 	res, err := rrfd.MCExplore(rrfd.MCOptions{MaxSchedules: 100000, Workers: 1}, func(ctx *rrfd.MCCtx) error {
-		return run(func(_ int, runnable []rrfd.PID) int { return ctx.Choose(len(runnable)) })
+		return run(ctx.Pick)
 	})
 	if err == nil && res.Counterexample != nil {
 		err = res.Counterexample.Err
@@ -42,7 +42,7 @@ func explore(what string, run func(ch rrfd.SharedChooser) error) int {
 func main() {
 	inputs := []rrfd.Value{"left", "right"}
 
-	runOnce := func(ch rrfd.SharedChooser, crash map[rrfd.PID]int) (map[rrfd.PID]rrfd.AdoptCommitOutcome, error) {
+	runOnce := func(ch rrfd.Chooser, crash map[rrfd.PID]int) (map[rrfd.PID]rrfd.AdoptCommitOutcome, error) {
 		res, err := rrfd.RunShared(len(inputs), rrfd.SharedConfig{Chooser: ch, Crash: crash},
 			func(p *rrfd.SharedProc) (rrfd.Value, error) {
 				o, err := rrfd.AdoptCommit(p, "mc", inputs[p.Me])
@@ -75,7 +75,7 @@ func main() {
 		if crashAt >= 0 {
 			crash = map[rrfd.PID]int{0: crashAt}
 		}
-		totalSchedules += explore(fmt.Sprintf("crashAt=%d", crashAt), func(ch rrfd.SharedChooser) error {
+		totalSchedules += explore(fmt.Sprintf("crashAt=%d", crashAt), func(ch rrfd.Chooser) error {
 			outs, err := runOnce(ch, crash)
 			if err != nil {
 				return err
@@ -107,7 +107,7 @@ func main() {
 
 	// The same machinery proves convergence: unanimous proposals commit
 	// in EVERY schedule.
-	count := explore("unanimity", func(ch rrfd.SharedChooser) error {
+	count := explore("unanimity", func(ch rrfd.Chooser) error {
 		res, err := rrfd.RunShared(2, rrfd.SharedConfig{Chooser: ch},
 			func(p *rrfd.SharedProc) (rrfd.Value, error) {
 				o, err := rrfd.AdoptCommit(p, "u", "same")

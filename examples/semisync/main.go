@@ -27,7 +27,7 @@ func main() {
 			inputs[i] = fmt.Sprintf("v%d", i)
 		}
 
-		fast, err := rrfd.RunTwoStep(n, 1, rrfd.SemiConfig{Chooser: rrfd.SemiSeeded(int64(n))}, inputs)
+		fast, err := rrfd.RunTwoStep(n, 1, rrfd.SemiConfig{Chooser: rrfd.Seeded(int64(n))}, inputs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func main() {
 			log.Fatalf("n=%d: disagreement: %v", n, fast.Outcome.Values)
 		}
 
-		slow, err := rrfd.RunSemiSync(n, rrfd.SemiConfig{Chooser: rrfd.SemiRoundRobin()},
+		slow, err := rrfd.RunSemiSync(n, rrfd.SemiConfig{Chooser: rrfd.RoundRobin()},
 			rrfd.RelayFactory(), inputs)
 		if err != nil {
 			log.Fatal(err)

@@ -78,7 +78,7 @@ func TestPublicAPIImmediateSnapshot(t *testing.T) {
 }
 
 func TestPublicAPIABDRegister(t *testing.T) {
-	out, err := rrfd.RunABD(3, 1, rrfd.NetConfig{Chooser: rrfd.NetSeeded(4)},
+	out, err := rrfd.RunABD(3, 1, rrfd.NetConfig{Chooser: rrfd.Seeded(4)},
 		func(r *rrfd.ABDRegister) error {
 			if r.Writer() {
 				return r.Write("v1")

@@ -374,6 +374,94 @@ func TestObsNamesNoSubsystem(t *testing.T) {
 	}
 }
 
+// TestOneSchedulingAdversary keeps the scheduling adversary in one place:
+// no non-test file outside internal/core declares a chooser type
+// (func(step int, options []PID) int) or writes an xorshift step (three
+// consecutive `x ^= x << a` / `>> b` shifts). Substrates take core.Chooser
+// and draw from core.Rand. The one exception is named with its reason.
+func TestOneSchedulingAdversary(t *testing.T) {
+	kept := map[string]string{
+		"internal/mc/explore.go": "the frontier-sampling stream: another xorshift variant, which fixes every sampled `rrfdsim mc -depth` schedule",
+	}
+	isInt := func(e ast.Expr) bool { id, ok := e.(*ast.Ident); return ok && id.Name == "int" }
+	isPIDs := func(e ast.Expr) bool {
+		at, ok := e.(*ast.ArrayType)
+		if !ok || at.Len != nil {
+			return false
+		}
+		switch el := at.Elt.(type) {
+		case *ast.Ident:
+			return el.Name == "PID"
+		case *ast.SelectorExpr:
+			return el.Sel.Name == "PID"
+		}
+		return false
+	}
+	// shift reports whether s is `x ^= x << k` or `x ^= x >> k`.
+	shift := func(s ast.Stmt) bool {
+		as, ok := s.(*ast.AssignStmt)
+		if !ok || as.Tok != token.XOR_ASSIGN || len(as.Rhs) != 1 {
+			return false
+		}
+		be, ok := as.Rhs[0].(*ast.BinaryExpr)
+		return ok && (be.Op == token.SHL || be.Op == token.SHR)
+	}
+	fset := token.NewFileSet()
+	var bad []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() {
+			if path == "internal/core" || path == ".git" || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || kept[path] != "" {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				ft, ok := n.Type.(*ast.FuncType)
+				if ok && ft.Results != nil && len(ft.Results.List) == 1 && isInt(ft.Results.List[0].Type) {
+					var params []ast.Expr
+					for _, p := range ft.Params.List {
+						for range max(1, len(p.Names)) {
+							params = append(params, p.Type)
+						}
+					}
+					if len(params) == 2 && isInt(params[0]) && isPIDs(params[1]) {
+						bad = append(bad, fmt.Sprintf("%s: chooser type %s", fset.Position(n.Pos()), n.Name.Name))
+					}
+				}
+			case *ast.BlockStmt:
+				for i := 0; i+2 < len(n.List); i++ {
+					if shift(n.List[i]) && shift(n.List[i+1]) && shift(n.List[i+2]) {
+						bad = append(bad, fmt.Sprintf("%s: xorshift step", fset.Position(n.List[i].Pos())))
+						break
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) > 0 {
+		t.Errorf("the scheduling adversary is spelled outside internal/core (use core.Chooser, core.Rand):\n  %s",
+			strings.Join(bad, "\n  "))
+	}
+}
+
 // TestChangesEntriesArePointers keeps CHANGES.md an index: an entry
 // ("- PR n: …", up to the next entry or blank line) is one paragraph of at
 // most 1 000 bytes pointing at its commit, which holds the full account.

@@ -33,7 +33,7 @@ func workload(writes, reads int) Script {
 func TestAtomicRegisterFailureFree(t *testing.T) {
 	n, f := 5, 2
 	for seed := int64(0); seed < 30; seed++ {
-		out, err := Run(n, f, msgnet.Config{Chooser: msgnet.Seeded(seed)}, workload(4, 3))
+		out, err := Run(n, f, msgnet.Config{Chooser: core.Seeded(seed)}, workload(4, 3))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -51,7 +51,7 @@ func TestAtomicRegisterWithCrashes(t *testing.T) {
 	n, f := 5, 2
 	for seed := int64(0); seed < 20; seed++ {
 		cfg := msgnet.Config{
-			Chooser: msgnet.Seeded(seed),
+			Chooser: core.Seeded(seed),
 			Crash:   map[core.PID]int{3: 25, 4: int(seed%40) + 5},
 		}
 		out, err := Run(n, f, cfg, workload(3, 3))
@@ -71,7 +71,7 @@ func TestReadSeesCompletedWrite(t *testing.T) {
 	// Sequential: write everything, then read — the read must return the
 	// last write.
 	n, f := 3, 1
-	out, err := Run(n, f, msgnet.Config{Chooser: msgnet.Seeded(7)}, func(r *Register) error {
+	out, err := Run(n, f, msgnet.Config{Chooser: core.Seeded(7)}, func(r *Register) error {
 		if r.Writer() {
 			for k := 1; k <= 3; k++ {
 				if err := r.Write(k); err != nil {
@@ -89,7 +89,7 @@ func TestReadSeesCompletedWrite(t *testing.T) {
 	}
 	// Second phase in a fresh run: reads concurrent with nothing must
 	// still be mutually consistent (monotone seqs per reader).
-	out2, err := Run(n, f, msgnet.Config{Chooser: msgnet.Seeded(8)}, workload(2, 4))
+	out2, err := Run(n, f, msgnet.Config{Chooser: core.Seeded(8)}, workload(2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestReadSeesCompletedWrite(t *testing.T) {
 
 func TestInitialReadReturnsBottom(t *testing.T) {
 	n, f := 3, 1
-	out, err := Run(n, f, msgnet.Config{Chooser: msgnet.Seeded(1)}, func(r *Register) error {
+	out, err := Run(n, f, msgnet.Config{Chooser: core.Seeded(1)}, func(r *Register) error {
 		if r.Writer() {
 			return nil
 		}
@@ -124,7 +124,7 @@ func TestInitialReadReturnsBottom(t *testing.T) {
 }
 
 func TestNonWriterCannotWrite(t *testing.T) {
-	_, err := Run(3, 1, msgnet.Config{Chooser: msgnet.Seeded(2)}, func(r *Register) error {
+	_, err := Run(3, 1, msgnet.Config{Chooser: core.Seeded(2)}, func(r *Register) error {
 		if !r.Writer() {
 			if err := r.Write(1); err == nil {
 				return fmt.Errorf("non-writer write accepted")

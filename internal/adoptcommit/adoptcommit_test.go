@@ -13,10 +13,10 @@ import (
 
 // exploreAll model-checks run over every schedule and fails the test on
 // a violation or an un-exhausted space.
-func exploreAll(t *testing.T, what string, run func(ch swmr.Chooser) error) int {
+func exploreAll(t *testing.T, what string, run func(ch core.Chooser) error) int {
 	t.Helper()
 	res, err := mc.Explore(mc.Options{MaxSchedules: 100000}, func(ctx *mc.Ctx) error {
-		return run(func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) })
+		return run(ctx.Pick)
 	})
 	if err == nil && res.Counterexample != nil {
 		err = res.Counterexample.Err
@@ -150,7 +150,7 @@ func TestExhaustiveTwoProcs(t *testing.T) {
 	// Model-check every schedule of a 2-process instance with differing
 	// proposals: 6 ops each → C(12,6) = 924 interleavings.
 	inputs := vals(1, 2)
-	count := exploreAll(t, "two procs", func(ch swmr.Chooser) error {
+	count := exploreAll(t, "two procs", func(ch core.Chooser) error {
 		outs, err := runInstanceErr(inputs, swmr.Config{Chooser: ch})
 		if err != nil {
 			return err
@@ -169,7 +169,7 @@ func TestExhaustiveTwoProcsWithCrash(t *testing.T) {
 	inputs := vals(1, 2)
 	for crashAt := 0; crashAt <= 6; crashAt++ {
 		cfg := swmr.Config{Crash: map[core.PID]int{0: crashAt}}
-		exploreAll(t, fmt.Sprintf("crashAt=%d", crashAt), func(ch swmr.Chooser) error {
+		exploreAll(t, fmt.Sprintf("crashAt=%d", crashAt), func(ch core.Chooser) error {
 			cfg := cfg
 			cfg.Chooser = ch
 			outs, err := runInstanceErr(inputs, cfg)

@@ -7,7 +7,11 @@
 // from global randomness, so executions replay exactly.
 package backoff
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/core"
+)
 
 // Policy describes a capped exponential ladder: Initial, Initial*Factor,
 // Initial*Factor², ... bounded above by Cap.
@@ -61,7 +65,7 @@ const maxInt = int(^uint(0) >> 1)
 type Seq struct {
 	p       Policy
 	current int
-	rng     uint64 // 0 when unseeded: no jitter
+	rng     core.Rand // zero when unseeded: no jitter
 }
 
 // Sequence starts an exact (jitter-free) walk of the ladder.
@@ -70,10 +74,10 @@ func (p Policy) Sequence() *Seq {
 }
 
 // Seeded starts a deterministic jittered walk: each interval is spread by
-// Policy.Jitter using a private xorshift stream derived from seed, so two
+// Policy.Jitter using a private core.Rand derived from seed, so two
 // sequences with the same seed produce identical intervals.
 func (p Policy) Seeded(seed int64) *Seq {
-	return &Seq{p: p, current: p.initial(), rng: uint64(seed)*0x9E3779B97F4A7C15 | 1}
+	return &Seq{p: p, current: p.initial(), rng: core.RandState(uint64(seed)*0x9E3779B97F4A7C15 | 1)}
 }
 
 // Next returns the interval to wait before the next retry and advances
@@ -89,14 +93,9 @@ func (s *Seq) Next() int {
 		}
 	}
 	s.current = next
-	if j := s.p.jitter(); j > 0 && s.rng != 0 {
-		// xorshift64*; the top 53 bits give a uniform float in [0, 1).
-		s.rng ^= s.rng >> 12
-		s.rng ^= s.rng << 25
-		s.rng ^= s.rng >> 27
-		u := float64(s.rng*2685821657736338717>>11) / (1 << 53)
+	if j := s.p.jitter(); j > 0 && s.rng != (core.Rand{}) {
 		spread := float64(iv) * j
-		iv = int(float64(iv) - spread + 2*spread*u)
+		iv = int(float64(iv) - spread + 2*spread*s.rng.Float())
 		if iv < 1 {
 			iv = 1
 		}

@@ -224,7 +224,7 @@ func (s *Summary) String() string {
 // determined by seed.
 func RandomPlan(cfg Config, seed int64) faultnet.Plan {
 	cfg = cfg.withDefaults()
-	r := faultnet.NewRNG(seed ^ 0x5ca1ab1e)
+	r := core.NewRand(seed ^ 0x5ca1ab1e)
 	p := faultnet.Plan{Seed: seed}
 	if cfg.DropRate > 0 {
 		p.Components = append(p.Components, faultnet.Component{
@@ -245,11 +245,11 @@ func RandomPlan(cfg Config, seed int64) faultnet.Plan {
 		count := 1 + r.Intn(cfg.F)
 		p.Components = append(p.Components, faultnet.Component{
 			Kind: faultnet.SendOmission, Rate: cfg.OmitRate * r.Float(),
-			Senders: pickPIDs(r, cfg.N, count),
+			Senders: pickPIDs(&r, cfg.N, count),
 		})
 	}
 	if cfg.PartitionRate > 0 && cfg.F > 0 && r.Float() < cfg.PartitionRate {
-		island := pickPIDs(r, cfg.N, 1+r.Intn(cfg.F))
+		island := pickPIDs(&r, cfg.N, 1+r.Intn(cfg.F))
 		mainland := complementPIDs(island, cfg.N)
 		from := r.Intn(500)
 		p.Components = append(p.Components, faultnet.Component{
@@ -269,31 +269,21 @@ func randomCrashes(cfg Config, seed int64) map[core.PID]int {
 	if cfg.MaxCrashes <= 0 {
 		return nil
 	}
-	r := faultnet.NewRNG(seed ^ 0x0c4a54ed)
+	r := core.NewRand(seed ^ 0x0c4a54ed)
 	count := r.Intn(cfg.MaxCrashes + 1)
 	if count == 0 {
 		return nil
 	}
 	out := make(map[core.PID]int, count)
-	for _, p := range pickPIDs(r, cfg.N, count) {
+	for _, p := range pickPIDs(&r, cfg.N, count) {
 		out[p] = 1 + r.Intn(30)
 	}
 	return out
 }
 
-func pickPIDs(r *faultnet.RNG, n, count int) []core.PID {
-	perm := make([]core.PID, n)
-	for i := range perm {
-		perm[i] = core.PID(i)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	if count > n {
-		count = n
-	}
-	out := append([]core.PID(nil), perm[:count]...)
+// pickPIDs draws count distinct pids (at most n), ascending.
+func pickPIDs(r *core.Rand, n, count int) []core.PID {
+	out := r.Perm(n)[:min(count, n)]
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -358,7 +348,7 @@ func Execute(cfg Config, schedSeed int64, plan faultnet.Plan, crashes map[core.P
 	}
 	out, rep, err := reliablelink.RunRounds(cfg.N, cfg.F, cfg.Rounds, reliablelink.RoundsConfig{
 		Net: msgnet.Config{
-			Chooser:  msgnet.Seeded(schedSeed),
+			Chooser:  core.Seeded(schedSeed),
 			Crash:    crashes,
 			MaxSteps: maxSteps,
 			Faults:   plan.Injector(),
@@ -520,7 +510,7 @@ type campaignSpec struct {
 func runCampaign[C any, V fmt.Stringer](c campaignSpec, sum fmt.Stringer,
 	one func(run int, sched, scen int64, timed func(execute func())) C, fold func(C) []V) {
 	type seeds struct{ sched, scen int64 }
-	rng := faultnet.NewRNG(c.seed)
+	rng := core.NewRand(c.seed)
 	draws := make([]seeds, c.runs)
 	for i := range draws {
 		draws[i].sched = int64(rng.Intn(1<<30)) + 1

@@ -27,7 +27,7 @@ var goldenCampaign = Config{
 // Run do, and hands it to one.
 func eachRun(cfg Config, one func(run int, sched int64, plan faultnet.Plan, crashes map[core.PID]int)) {
 	cfg = cfg.withDefaults()
-	rng := faultnet.NewRNG(cfg.Seed)
+	rng := core.NewRand(cfg.Seed)
 	for run := 0; run < cfg.Runs; run++ {
 		sched := int64(rng.Intn(1<<30)) + 1
 		scen := int64(rng.Intn(1<<30)) + 1
@@ -70,7 +70,7 @@ func executeOn(cfg Config, sched int64, plan faultnet.Plan, crashes map[core.PID
 	calls := make([]int, cfg.N)
 	var p0 *msgnet.Node
 	out, err := msgnet.Run(cfg.N, msgnet.Config{
-		Chooser:  msgnet.Seeded(sched),
+		Chooser:  core.Seeded(sched),
 		Crash:    crashes,
 		MaxSteps: maxSteps,
 		Faults:   plan.Injector(),

@@ -59,7 +59,7 @@ func TestLockStepEqualsSubstrate(t *testing.T) {
 			}
 			for sched := int64(1); sched <= 4; sched++ {
 				want, _, err := reliablelink.RunRounds(cfg.N, 0, cfg.Rounds, reliablelink.RoundsConfig{
-					Net:           msgnet.Config{Chooser: msgnet.Seeded(sched), MaxSteps: maxSteps, Faults: plan.Injector()},
+					Net:           msgnet.Config{Chooser: core.Seeded(sched), MaxSteps: maxSteps, Faults: plan.Injector()},
 					WatchdogSteps: cfg.WatchdogSteps,
 					LingerSteps:   cfg.lingerSteps,
 				}, proposal)

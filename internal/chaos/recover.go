@@ -178,13 +178,13 @@ func (s *RecoverSummary) String() string {
 // restarts and how late, the proposals, and any link-fault plan.
 func RandomRecoverScenario(cfg RecoverConfig, seed int64) RecoverScenario {
 	cfg = cfg.withDefaults()
-	r := faultnet.NewRNG(seed ^ 0x4ec04e4d)
+	r := core.NewRand(seed ^ 0x4ec04e4d)
 	s := RecoverScenario{
 		Crashes:  make(map[core.PID]int),
 		Restarts: make(map[core.PID]int),
 	}
 	count := 1 + r.Intn(cfg.MaxCrashes) // at least one crash per run: recovery is the subject
-	for _, p := range pickPIDs(r, cfg.N, count) {
+	for _, p := range pickPIDs(&r, cfg.N, count) {
 		s.Crashes[p] = 1 + r.Intn(40)
 		if r.Float() < cfg.restartChance {
 			s.Restarts[p] = 1 + r.Intn(maxRestartDelay)
@@ -213,7 +213,7 @@ func ExecuteRecover(cfg RecoverConfig, s RecoverScenario) (*recovery.Outcome, er
 	cfg = cfg.withDefaults()
 	return recovery.RunRounds(cfg.N, cfg.F, cfg.Rounds, recovery.Config{
 		Net: msgnet.Config{
-			Chooser:  msgnet.Seeded(s.SchedSeed),
+			Chooser:  core.Seeded(s.SchedSeed),
 			Crash:    s.Crashes,
 			Restart:  s.Restarts,
 			MaxSteps: maxSteps,

@@ -43,8 +43,7 @@ func X04Ablations(quick bool) (*Table, error) {
 		// Workers: 1 — the run counts into violations.
 		ex, err := mc.Explore(mc.Options{MaxSchedules: 100000, Workers: 1}, func(ctx *mc.Ctx) error {
 			inputs := []core.Value{1, 2}
-			ch := func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) }
-			res, err := swmr.Run(2, swmr.Config{Chooser: ch}, func(p *swmr.Proc) (core.Value, error) {
+			res, err := swmr.Run(2, swmr.Config{Chooser: ctx.Pick}, func(p *swmr.Proc) (core.Value, error) {
 				return onePhaseAdoptCommit(p, inputs[p.Me])
 			})
 			if err != nil {

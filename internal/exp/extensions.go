@@ -173,7 +173,7 @@ func X03ABDRegister(quick bool) (*Table, error) {
 			ops int
 		}
 		rs, err := sweep(seeds, func(seed int) (abdStat, error) {
-			cfg := msgnet.Config{Chooser: msgnet.Seeded(int64(seed))}
+			cfg := msgnet.Config{Chooser: core.Seeded(int64(seed))}
 			if tc.crashes > 0 {
 				cfg.Crash = map[core.PID]int{}
 				for c := 0; c < tc.crashes; c++ {

@@ -97,7 +97,7 @@ func E03AsyncRounds(quick bool) (*Table, error) {
 		ok := true
 		var steps int
 		for seed := 0; seed < seeds; seed++ {
-			out, err := msgnet.RunRounds(tc.n, tc.f, 6, msgnet.Config{Chooser: msgnet.Seeded(int64(seed))}, nil)
+			out, err := msgnet.RunRounds(tc.n, tc.f, 6, msgnet.Config{Chooser: core.Seeded(int64(seed))}, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -152,7 +152,7 @@ func E04SharedMemory(quick bool) (*Table, error) {
 	for _, tc := range []struct{ n, f int }{{5, 2}, {7, 3}, {9, 4}} {
 		ok := true
 		for seed := 0; seed < seeds; seed++ {
-			out, err := msgnet.RunRounds(tc.n, tc.f, 6, msgnet.Config{Chooser: msgnet.Seeded(int64(seed))}, nil)
+			out, err := msgnet.RunRounds(tc.n, tc.f, 6, msgnet.Config{Chooser: core.Seeded(int64(seed))}, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -169,7 +169,7 @@ func E04SharedMemory(quick bool) (*Table, error) {
 
 	// Part 2: the partition behaviour when 2f ≥ n.
 	gen := func(seed int64) (*core.Trace, error) {
-		out, err := msgnet.RunRounds(2, 1, 3, msgnet.Config{Chooser: msgnet.Seeded(seed)}, nil)
+		out, err := msgnet.RunRounds(2, 1, 3, msgnet.Config{Chooser: core.Seeded(seed)}, nil)
 		if err != nil {
 			return nil, err
 		}

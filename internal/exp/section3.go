@@ -308,7 +308,7 @@ func E09DetectorFromKSet(quick bool) (*Table, error) {
 		for i := 0; i < tc.n; i++ {
 			groups[i] = []core.PID{core.PID(i)}
 		}
-		tr, err := DetectorFromKSet(tc.n, tc.k, 1, swmr.Config{Chooser: swmr.PriorityGroups(groups...)})
+		tr, err := DetectorFromKSet(tc.n, tc.k, 1, swmr.Config{Chooser: core.PriorityGroups(groups...)})
 		if err != nil {
 			return nil, err
 		}

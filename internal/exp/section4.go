@@ -105,15 +105,13 @@ func E11AdoptCommit(quick bool) (*Table, error) {
 	}
 	exps, err := sweep(8, func(i int) (exploreStat, error) {
 		crashAt := i - 1
-		cfg := swmr.Config{}
+		var crash map[core.PID]int
 		if crashAt >= 0 {
-			cfg.Crash = map[core.PID]int{0: crashAt}
+			crash = map[core.PID]int{0: crashAt}
 		}
 		// The eight explorations already fan out: each runs sequentially.
 		res, err := mc.Explore(mc.Options{MaxSchedules: 200000, Workers: 1}, func(ctx *mc.Ctx) error {
-			c := cfg
-			c.Chooser = func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) }
-			return check(inputs, c)
+			return check(inputs, swmr.Config{Chooser: ctx.Pick, Crash: crash})
 		})
 		if err != nil {
 			return exploreStat{}, err
@@ -249,7 +247,7 @@ func E13LowerBound(quick bool) (*Table, error) {
 
 	// The asynchronous witness through Theorem 4.3 (no real crashes).
 	n, f, k := 4, 2, 2
-	chooser := swmr.PriorityGroups([]core.PID{2, 3}, []core.PID{1}, []core.PID{0})
+	chooser := core.PriorityGroups([]core.PID{2, 3}, []core.PID{1}, []core.PID{0})
 	res, err := simulate.CrashSync(n, f, k, f/k, swmr.Config{Chooser: chooser},
 		agreement.FloodMin(f/k), identityInputs(n))
 	if err != nil {

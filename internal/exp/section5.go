@@ -33,7 +33,7 @@ func E14SemiSync(quick bool) (*Table, error) {
 		eq5OK := true
 		fastSteps := 0
 		for seed := 0; seed < seeds; seed++ {
-			out, err := semisync.RunTwoStep(n, 2, semisync.Config{Chooser: semisync.Seeded(int64(seed))}, inputs)
+			out, err := semisync.RunTwoStep(n, 2, semisync.Config{Chooser: core.Seeded(int64(seed))}, inputs)
 			if err != nil {
 				return nil, err
 			}
@@ -44,7 +44,7 @@ func E14SemiSync(quick bool) (*Table, error) {
 				fastSteps = s
 			}
 		}
-		slow, err := semisync.Run(n, semisync.Config{Chooser: semisync.RoundRobin()},
+		slow, err := semisync.Run(n, semisync.Config{Chooser: core.RoundRobin()},
 			semisync.RelayFactory(), inputs)
 		if err != nil {
 			return nil, err
@@ -131,7 +131,7 @@ func E15Lattice(quick bool) (*Table, error) {
 		{
 			name: "async-mp(f) ⇏ shared-memory (2f ≥ n partitions)",
 			gen: func(seed int64) (*core.Trace, error) {
-				out, err := msgnet.RunRounds(2, 1, 3, msgnet.Config{Chooser: msgnet.Seeded(seed)}, nil)
+				out, err := msgnet.RunRounds(2, 1, 3, msgnet.Config{Chooser: core.Seeded(seed)}, nil)
 				if err != nil {
 					return nil, err
 				}

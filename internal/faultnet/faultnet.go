@@ -161,12 +161,12 @@ func (p Plan) WithoutComponent(i int) Plan {
 func (p Plan) Injector() msgnet.FaultInjector {
 	inj := &injector{
 		comps:   p.Components,
-		rngs:    make([]rng, len(p.Components)),
+		rngs:    make([]core.Rand, len(p.Components)),
 		groupOf: make([][]int, len(p.Components)),
 	}
 	copies := 1 // the most copies one send can become: sizes the scratch
 	for i, c := range p.Components {
-		inj.rngs[i] = *newRNG(p.Seed + int64(i+1)*0x9E3779B9)
+		inj.rngs[i] = core.NewRand(p.Seed + int64(i+1)*0x9E3779B9)
 		if c.Kind == Duplicate {
 			copies += max(1, c.Copies)
 		}
@@ -228,7 +228,7 @@ const noGroup = -1
 
 type injector struct {
 	comps   []Component
-	rngs    []rng
+	rngs    []core.Rand
 	groupOf [][]int // per partition component: pid → side, or noGroup
 	delays  []int   // the Deliveries scratch, sized for the plan's most copies
 }
@@ -251,7 +251,7 @@ func (in *injector) OnSend(step int, from, to core.PID) msgnet.FaultAction {
 		c := &in.comps[i]
 		switch c.Kind {
 		case SendOmission:
-			if containsPID(c.Senders, from) && in.rngs[i].chance(c.Rate) {
+			if containsPID(c.Senders, from) && chance(&in.rngs[i], c.Rate) {
 				return msgnet.FaultAction{Reason: "omission"}
 			}
 		case Partition:
@@ -262,19 +262,19 @@ func (in *injector) OnSend(step int, from, to core.PID) msgnet.FaultAction {
 				}
 			}
 		case Drop:
-			if in.rngs[i].chance(c.Rate) {
+			if chance(&in.rngs[i], c.Rate) {
 				return msgnet.FaultAction{Reason: "drop"}
 			}
 		case Duplicate:
-			if in.rngs[i].chance(c.Rate) {
+			if chance(&in.rngs[i], c.Rate) {
 				for extra := max(1, c.Copies); extra > 0; extra-- {
 					delays = append(delays, 0)
 				}
 			}
 		case Delay:
 			for j := range delays {
-				if in.rngs[i].chance(c.Rate) {
-					delays[j] += 1 + in.rngs[i].intn(max(1, c.MaxDelay))
+				if chance(&in.rngs[i], c.Rate) {
+					delays[j] += 1 + in.rngs[i].Intn(max(1, c.MaxDelay))
 				}
 			}
 		}
@@ -291,32 +291,5 @@ func containsPID(s []core.PID, p core.PID) bool {
 	return false
 }
 
-// rng is the xorshift generator the substrates use, wrapped with the float
-// and bounded-int draws fault components need.
-type rng struct{ s uint64 }
-
-// NewRNG returns a deterministic generator; exported for the chaos harness
-// so plan randomization shares the substrate's generator family.
-func NewRNG(seed int64) *RNG { return &RNG{rng{uint64(seed)*0x9E3779B97F4A7C15 + 1}} }
-
-// RNG is the exported face of the package's deterministic generator.
-type RNG struct{ rng }
-
-func newRNG(seed int64) *rng { return &rng{uint64(seed)*0x9E3779B97F4A7C15 + 1} }
-
-func (r *rng) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 2685821657736338717
-}
-
-// Float returns a uniform draw in [0, 1).
-func (r *rng) Float() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// Intn returns a uniform draw in [0, n).
-func (r *rng) Intn(n int) int { return int(r.next() % uint64(n)) }
-
-func (r *rng) chance(rate float64) bool { return rate > 0 && r.Float() < rate }
-
-func (r *rng) intn(n int) int { return r.Intn(n) }
+// chance draws a trial of probability rate from r; a zero rate draws nothing.
+func chance(r *core.Rand, rate float64) bool { return rate > 0 && r.Float() < rate }

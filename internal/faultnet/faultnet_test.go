@@ -106,7 +106,7 @@ func TestInjectorDeterministic(t *testing.T) {
 }
 
 func TestRNGUniformish(t *testing.T) {
-	r := NewRNG(123)
+	r := core.NewRand(123)
 	var sum float64
 	for i := 0; i < 10000; i++ {
 		f := r.Float()

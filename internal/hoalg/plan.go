@@ -33,7 +33,7 @@ func (e *Expr) CompilePlan(n int, seed int64) (faultnet.Plan, error) {
 	if n < 2 {
 		return faultnet.Plan{}, fmt.Errorf("hoalg: fault plans need n >= 2, got n=%d", n)
 	}
-	r := faultnet.NewRNG(seed)
+	r := core.NewRand(seed)
 	p := faultnet.Plan{Seed: seed}
 	// Benign noise first: short delays (well under any watchdog) and
 	// duplicate deliveries. Neither can induce a suspicion on its own.
@@ -50,7 +50,7 @@ func (e *Expr) CompilePlan(n int, seed int64) (faultnet.Plan, error) {
 		}
 		p.Components = append(p.Components, faultnet.Component{
 			Kind: faultnet.SendOmission, Rate: 1.0,
-			Senders: pickPIDs(r, n, count), Name: "breaker"})
+			Senders: r.Perm(n)[:count], Name: "breaker"})
 		return p, nil
 	}
 	allow, err := honestAllowance(e, n)
@@ -64,7 +64,7 @@ func (e *Expr) CompilePlan(n int, seed int64) (faultnet.Plan, error) {
 		count := 1 + r.Intn(allow)
 		p.Components = append(p.Components, faultnet.Component{
 			Kind: faultnet.SendOmission, Rate: 1.0,
-			Senders: pickPIDs(r, n, count), Name: "honest-omission"})
+			Senders: r.Perm(n)[:count], Name: "honest-omission"})
 	}
 	return p, nil
 }
@@ -224,17 +224,4 @@ func needSenders(count, n int, e *Expr) (int, error) {
 		return 0, fmt.Errorf("hoalg: violating %q needs %d omitting senders but n=%d", e, count, n)
 	}
 	return count, nil
-}
-
-// pickPIDs draws count distinct pids via a seeded Fisher–Yates shuffle.
-func pickPIDs(r *faultnet.RNG, n, count int) []core.PID {
-	pids := make([]core.PID, n)
-	for i := range pids {
-		pids[i] = core.PID(i)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		pids[i], pids[j] = pids[j], pids[i]
-	}
-	return pids[:count]
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/faultnet"
 )
 
 // Walk is one path through a model's per-round plan family: each round
@@ -98,7 +97,7 @@ func (w *Walk) Fingerprint() uint64 {
 // Sampled is a Walk as a core.Oracle whose picker is a seeded RNG.
 type Sampled struct {
 	Walk
-	rng *faultnet.RNG
+	rng core.Rand
 }
 
 // Plan implements core.Oracle.
@@ -120,7 +119,7 @@ func (e *Expr) Oracle(n int, seed int64) (*Sampled, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := faultnet.NewRNG(seed)
+	rng := core.NewRand(seed)
 	b := branches[rng.Intn(len(branches))]
 	return &Sampled{Walk: NewWalk(n, b.Enum), rng: rng}, nil
 }

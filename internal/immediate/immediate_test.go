@@ -94,7 +94,7 @@ func TestOneShotSoloTerminatesAtLevelOne(t *testing.T) {
 	// A process running entirely alone must exit with the singleton view.
 	n := 3
 	views := participateAll(t, n, swmr.Config{
-		Chooser: swmr.PriorityGroups([]core.PID{0}, []core.PID{1}, []core.PID{2}),
+		Chooser: core.PriorityGroups([]core.PID{0}, []core.PID{1}, []core.PID{2}),
 	})
 	if got := views[0].Members; !got.Equal(core.SetOf(n, 0)) {
 		t.Fatalf("solo view = %s, want {0}", got)
@@ -118,7 +118,7 @@ func TestExploreOneShotSmall(t *testing.T) {
 	res, err := mc.Explore(mc.Options{MaxSchedules: 20_000}, func(ctx *mc.Ctx) error {
 		var mu sync.Mutex
 		views := make(map[core.PID]*View)
-		ch := func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) }
+		ch := ctx.Pick
 		_, err := swmr.Run(2, swmr.Config{Chooser: ch}, func(p *swmr.Proc) (core.Value, error) {
 			v, err := New(p, "x").Participate(int(p.Me))
 			if err != nil {

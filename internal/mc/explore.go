@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"repro/internal/core"
 	"repro/internal/par"
 )
 
@@ -26,6 +27,12 @@ type Ctx struct {
 // decision, and panics.
 func (c *Ctx) Choose(options int) int {
 	return c.choose(options, nil)
+}
+
+// Pick is Choose over a scheduler's option list, so ctx.Pick is a
+// core.Chooser: a substrate run under it explores every schedule.
+func (c *Ctx) Pick(_ int, options []core.PID) int {
+	return c.Choose(len(options))
 }
 
 // ChooseLabeled is Choose with a stable label per option, enabling the

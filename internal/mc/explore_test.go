@@ -125,7 +125,8 @@ func TestExploreMaxSchedules(t *testing.T) {
 
 func TestExploreDivergence(t *testing.T) {
 	invocation := 0
-	res, err := Explore(Options{}, func(ctx *Ctx) error {
+	// Workers: 1 — the run counts into invocation.
+	res, err := Explore(Options{Workers: 1}, func(ctx *Ctx) error {
 		invocation++
 		opts := 2
 		if invocation > 1 {
@@ -148,7 +149,8 @@ func TestExploreDivergence(t *testing.T) {
 
 func TestExploreLabelDivergence(t *testing.T) {
 	invocation := 0
-	_, err := Explore(Options{}, func(ctx *Ctx) error {
+	// Workers: 1 — the run counts into invocation.
+	_, err := Explore(Options{Workers: 1}, func(ctx *Ctx) error {
 		invocation++
 		labels := []uint64{10, 20}
 		if invocation > 1 {

@@ -163,7 +163,7 @@ func chatter(nd *Node) (core.Value, error) {
 // case aborts with two restarts pending, which are then spawned at once and
 // unwound: the one step where several bodies start beside the baton holder.
 func TestAbortPathsAreUnchanged(t *testing.T) {
-	badAt := func(k int) Chooser {
+	badAt := func(k int) core.Chooser {
 		calls := 0
 		return func(step int, options []core.PID) int {
 			if calls++; calls == k {

@@ -117,29 +117,8 @@ type Envelope struct {
 	Payload core.Value
 }
 
-// Chooser picks among scheduling options: it is called with the global step
-// number and a sorted option list (process IDs when picking who steps,
-// sender IDs when picking which queued message a receive returns) and
-// returns an index into the list. The list is the scheduler's scratch: it
-// is valid only during the call and must not be retained or modified.
-//
-// Calls are serialized and ordered by happens-before, but arrive on
-// whichever process goroutine holds the scheduler: a Chooser may keep
-// unsynchronized state (Seeded does) but may not depend on goroutine
-// identity (t.FailNow, runtime.LockOSThread). The same holds for a
-// FaultInjector and for Config.Observer.
-type Chooser func(step int, options []core.PID) int
-
-// Seeded returns a deterministic pseudo-random chooser.
-func Seeded(seed int64) Chooser {
-	s := uint64(seed)*0x9E3779B97F4A7C15 + 1
-	return func(step int, options []core.PID) int {
-		s ^= s >> 12
-		s ^= s << 25
-		s ^= s >> 27
-		return int((s * 2685821657736338717 >> 33) % uint64(len(options)))
-	}
-}
+// Seeded is core.Seeded under the name the benchmark module reads.
+var Seeded = core.Seeded
 
 // FaultAction describes what the network does with one sent message: one
 // copy is queued per entry of Deliveries, each held back that many scheduler
@@ -162,7 +141,7 @@ var deliverNow = FaultAction{Deliveries: []int{0}}
 // OnSend exactly once per send operation, in execution order, and never for
 // the loopback link (from == to). Implementations must be deterministic for
 // a fixed seed so executions replay exactly. Calls are serialized but come
-// from varying goroutines (see Chooser).
+// from varying goroutines (see core.Chooser).
 type FaultInjector interface {
 	OnSend(step int, from, to core.PID) FaultAction
 }
@@ -172,8 +151,8 @@ type Body func(nd *Node) (core.Value, error)
 
 // Config tunes an execution.
 type Config struct {
-	// Chooser plays the asynchrony adversary; nil means Seeded(1).
-	Chooser Chooser
+	// Chooser plays the asynchrony adversary; nil means core.Seeded(1).
+	Chooser core.Chooser
 
 	// Crash maps a process to the number of network operations it
 	// completes before crashing.
@@ -205,7 +184,7 @@ type Config struct {
 	// per abnormal stop ("msgnet.deadlock", "msgnet.maxsteps") and a final
 	// "msgnet.done". Substrate events use round -1: the asynchronous
 	// network has steps, not rounds. Calls are serialized but come from
-	// varying goroutines (see Chooser).
+	// varying goroutines (see core.Chooser).
 	Observer obs.Observer
 }
 
@@ -440,7 +419,7 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	}
 	s := &sched{cfg: cfg, body: body}
 	if s.cfg.Chooser == nil {
-		s.cfg.Chooser = Seeded(1)
+		s.cfg.Chooser = core.Seeded(1)
 	}
 	if s.cfg.MaxSteps == 0 {
 		s.cfg.MaxSteps = 1 << 20

@@ -119,7 +119,7 @@ func TestProxyPartitionCrossValidatesFaultnet(t *testing.T) {
 		}
 
 		vout, vrep, err := reliablelink.RunRounds(tc.n, tc.f, rounds, reliablelink.RoundsConfig{
-			Net:           msgnet.Config{Chooser: msgnet.Seeded(11), Faults: plan.Injector()},
+			Net:           msgnet.Config{Chooser: core.Seeded(11), Faults: plan.Injector()},
 			Link:          reliablelink.Config{RetransmitAfter: 4, RetransmitCap: 8, MaxAttempts: 2},
 			WatchdogSteps: 600,
 			LingerSteps:   200,

@@ -21,7 +21,7 @@ func TestGoldenRunRounds(t *testing.T) {
 	}}
 	out, err := RunRounds(5, 1, 6, Config{
 		Net: msgnet.Config{
-			Chooser: msgnet.Seeded(9),
+			Chooser: core.Seeded(9),
 			Crash:   map[core.PID]int{1: 14, 3: 25},
 			Restart: map[core.PID]int{1: 60},
 			Faults:  plan.Injector(),

@@ -3,6 +3,7 @@ package reliablelink
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/msgnet"
 )
@@ -23,7 +24,7 @@ func BenchmarkLinkRounds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		plan := faultnet.Plan{Seed: int64(i), Components: []faultnet.Component{{Kind: faultnet.Drop, Rate: 0.3}}}
 		_, rep, err := runRounds(n, f, rounds, RoundsConfig{
-			Net: msgnet.Config{Chooser: msgnet.Seeded(int64(i)), Faults: plan.Injector()},
+			Net: msgnet.Config{Chooser: core.Seeded(int64(i)), Faults: plan.Injector()},
 		}, nil, under)
 		if err != nil {
 			b.Fatal(err)

@@ -51,7 +51,7 @@ func TestGoldensUnderBothDrivers(t *testing.T) {
 			}}},
 			func(inj msgnet.FaultInjector, log obs.Observer) RoundsConfig {
 				return RoundsConfig{
-					Net:           msgnet.Config{Chooser: msgnet.Seeded(11), Faults: inj, Observer: log},
+					Net:           msgnet.Config{Chooser: core.Seeded(11), Faults: inj, Observer: log},
 					Link:          Config{RetransmitAfter: 4, RetransmitCap: 8, MaxAttempts: 2, Observer: log},
 					WatchdogSteps: 600,
 					LingerSteps:   200,
@@ -67,7 +67,7 @@ func TestGoldensUnderBothDrivers(t *testing.T) {
 			func(inj msgnet.FaultInjector, log obs.Observer) RoundsConfig {
 				return RoundsConfig{
 					Net: msgnet.Config{
-						Chooser:  msgnet.Seeded(9),
+						Chooser:  core.Seeded(9),
 						Crash:    map[core.PID]int{3: 7},
 						Restart:  map[core.PID]int{3: 20},
 						Faults:   inj,
@@ -122,7 +122,7 @@ func TestStepBudgetMidDriveIsUnchanged(t *testing.T) {
 		for _, d := range drivers {
 			plan := faultnet.Plan{Seed: 5, Components: []faultnet.Component{{Kind: faultnet.Drop, Rate: 0.3}}}
 			_, rep, err := runRounds(4, 1, 3, RoundsConfig{
-				Net:  msgnet.Config{Chooser: msgnet.Seeded(9), MaxSteps: c.max, Faults: plan.Injector()},
+				Net:  msgnet.Config{Chooser: core.Seeded(9), MaxSteps: c.max, Faults: plan.Injector()},
 				Link: Config{RetransmitAfter: 2, RetransmitCap: 4},
 			}, nil, d.under)
 			var limit *msgnet.StepLimitError
@@ -200,7 +200,7 @@ func TestFailedRetransmissionKeepsTheFramesBehindIt(t *testing.T) {
 	for _, d := range drivers {
 		var l *Link
 		var got []error
-		_, err := msgnet.Run(4, msgnet.Config{Chooser: msgnet.Seeded(2), Faults: dropTo{2, 3}, Crash: map[core.PID]int{0: 7}}, func(nd *msgnet.Node) (core.Value, error) {
+		_, err := msgnet.Run(4, msgnet.Config{Chooser: core.Seeded(2), Faults: dropTo{2, 3}, Crash: map[core.PID]int{0: 7}}, func(nd *msgnet.Node) (core.Value, error) {
 			if nd.Me != 0 {
 				return nil, linger(New(d.under(nd), Config{}), 40)
 			}

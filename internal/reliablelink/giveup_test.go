@@ -24,7 +24,7 @@ func TestGiveUpDegradesIntoSuspicion(t *testing.T) {
 		Name:   "island-p1",
 	}}}
 	out, rep, err := RunRounds(n, f, rounds, RoundsConfig{
-		Net: msgnet.Config{Chooser: msgnet.Seeded(11), Faults: plan.Injector()},
+		Net: msgnet.Config{Chooser: core.Seeded(11), Faults: plan.Injector()},
 		// A tight budget so frames are given up well before the watchdog.
 		Link:          Config{RetransmitAfter: 4, RetransmitCap: 8, MaxAttempts: 2},
 		WatchdogSteps: 600,
@@ -80,7 +80,7 @@ func TestUnlimitedAttemptsNeverGiveUp(t *testing.T) {
 		Groups: [][]core.PID{{0, 2}, {1}},
 	}}}
 	_, rep, err := RunRounds(3, 1, 1, RoundsConfig{
-		Net:           msgnet.Config{Chooser: msgnet.Seeded(11), Faults: plan.Injector()},
+		Net:           msgnet.Config{Chooser: core.Seeded(11), Faults: plan.Injector()},
 		Link:          Config{RetransmitAfter: 4, RetransmitCap: 8, MaxAttempts: -1},
 		WatchdogSteps: 400,
 		LingerSteps:   100,

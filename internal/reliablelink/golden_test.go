@@ -27,7 +27,7 @@ func TestGoldenStalledEventStream(t *testing.T) {
 	var buf bytes.Buffer
 	log := obs.NewEventLog(&buf)
 	_, rep, err := RunRounds(3, 1, 2, RoundsConfig{
-		Net:           msgnet.Config{Chooser: msgnet.Seeded(11), Faults: plan.Injector(), Observer: log},
+		Net:           msgnet.Config{Chooser: core.Seeded(11), Faults: plan.Injector(), Observer: log},
 		Link:          Config{RetransmitAfter: 4, RetransmitCap: 8, MaxAttempts: 2, Observer: log},
 		WatchdogSteps: 600,
 		LingerSteps:   200,
@@ -61,7 +61,7 @@ func TestGoldenFaultyRestartEventStream(t *testing.T) {
 	log := obs.NewEventLog(&buf)
 	_, rep, err := RunRounds(4, 1, 3, RoundsConfig{
 		Net: msgnet.Config{
-			Chooser:  msgnet.Seeded(9),
+			Chooser:  core.Seeded(9),
 			Crash:    map[core.PID]int{3: 7},
 			Restart:  map[core.PID]int{3: 20},
 			Faults:   plan.Injector(),

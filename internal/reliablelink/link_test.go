@@ -154,7 +154,7 @@ func TestRunRoundsFaultFreeMatchesSubstrate(t *testing.T) {
 	// Without faults the reliable round protocol induces an eq.(3) trace
 	// just like msgnet.RunRounds.
 	out, rep, err := RunRounds(4, 1, 3, RoundsConfig{
-		Net: msgnet.Config{Chooser: msgnet.Seeded(7)},
+		Net: msgnet.Config{Chooser: core.Seeded(7)},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestRunRoundsSurvivesHeavyLoss(t *testing.T) {
 	// quorum with no stalls and no deadlock.
 	plan := faultnet.Plan{Seed: 99, Components: []faultnet.Component{{Kind: faultnet.Drop, Rate: 0.3}}}
 	out, rep, err := RunRounds(4, 1, 3, RoundsConfig{
-		Net:  msgnet.Config{Chooser: msgnet.Seeded(5), Faults: plan.Injector()},
+		Net:  msgnet.Config{Chooser: core.Seeded(5), Faults: plan.Injector()},
 		Link: Config{RetransmitAfter: 4},
 	}, nil)
 	if err != nil {
@@ -210,7 +210,7 @@ func TestRunRoundsWatchdogConvertsPartitionToSuspicion(t *testing.T) {
 		Name:   "island",
 	}}}
 	out, rep, err := RunRounds(4, 1, 2, RoundsConfig{
-		Net:           msgnet.Config{Chooser: msgnet.Seeded(2), Faults: plan.Injector()},
+		Net:           msgnet.Config{Chooser: core.Seeded(2), Faults: plan.Injector()},
 		Link:          Config{RetransmitAfter: 4, MaxAttempts: 4},
 		WatchdogSteps: 400,
 		LingerSteps:   100,
@@ -244,7 +244,7 @@ func TestRunRoundsDeterministic(t *testing.T) {
 			{Kind: faultnet.Delay, Rate: 0.3, MaxDelay: 6},
 		}}
 		out, rep, err := RunRounds(4, 1, 3, RoundsConfig{
-			Net:  msgnet.Config{Chooser: msgnet.Seeded(8), Faults: plan.Injector()},
+			Net:  msgnet.Config{Chooser: core.Seeded(8), Faults: plan.Injector()},
 			Link: Config{RetransmitAfter: 4},
 		}, nil)
 		if err != nil {

@@ -3,6 +3,8 @@ package semisync
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // BenchmarkTwoStep measures the 2-step consensus across system sizes — the
@@ -13,7 +15,7 @@ func BenchmarkTwoStep(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			inputs := identityInputs(n)
 			for i := 0; i < b.N; i++ {
-				out, err := RunTwoStep(n, 1, Config{Chooser: Seeded(int64(i))}, inputs)
+				out, err := RunTwoStep(n, 1, Config{Chooser: core.Seeded(int64(i))}, inputs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -34,7 +36,7 @@ func BenchmarkRelay(b *testing.B) {
 			inputs := identityInputs(n)
 			steps := 0
 			for i := 0; i < b.N; i++ {
-				out, err := Run(n, Config{Chooser: RoundRobin()}, RelayFactory(), inputs)
+				out, err := Run(n, Config{Chooser: core.RoundRobin()}, RelayFactory(), inputs)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -19,9 +19,9 @@ func TestGoldenRunTwoStep(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"fault-free", Config{Chooser: Seeded(7)},
+		{"fault-free", Config{Chooser: core.Seeded(7)},
 			"decisions=map[0:2 1:2 2:2 3:2 4:2] crashed={} trace=54ddb6024a5c1e75807fee843fe353a254325638c8bbd98250b3a8897f2beba4"},
-		{"crash", Config{Chooser: Seeded(7), crash: map[core.PID]int{1: 3}},
+		{"crash", Config{Chooser: core.Seeded(7), crash: map[core.PID]int{1: 3}},
 			"decisions=map[0:2 1:2 2:2 3:2 4:2] crashed={1} trace=3a54cd9d6250c598b620082f01b53494dc7045f85da407709ea6d65ec042e250"},
 	} {
 		out, err := RunTwoStep(5, 3, tc.cfg, identityInputs(5))

@@ -9,7 +9,7 @@
 //     processes before any process takes another step.
 //
 // The kernel here is a deterministic state-machine simulator: an adversary
-// Chooser picks which process takes the next atomic step. On top of it,
+// core.Chooser picks which process takes the next atomic step. On top of it,
 // twostep.go implements the paper's 2-step-per-round realization of the
 // eq. (5) detector (all processes get identical suspect sets) and the
 // resulting 2-step consensus (Theorem 5.1 + Theorem 3.1 with k = 1), and
@@ -57,33 +57,10 @@ type Stepper interface {
 // Factory builds the per-process Stepper.
 type Factory func(me core.PID, n int, input core.Value) Stepper
 
-// Chooser picks which ready process takes the next step.
-type Chooser func(step int, ready []core.PID) int
-
-// Seeded returns a deterministic pseudo-random chooser.
-func Seeded(seed int64) Chooser {
-	s := uint64(seed)*0x9E3779B97F4A7C15 + 1
-	return func(step int, ready []core.PID) int {
-		s ^= s >> 12
-		s ^= s << 25
-		s ^= s >> 27
-		return int((s * 2685821657736338717 >> 33) % uint64(len(ready)))
-	}
-}
-
-// RoundRobin returns the fair cyclic chooser.
-func RoundRobin() Chooser {
-	next := 0
-	return func(step int, ready []core.PID) int {
-		next++
-		return next % len(ready)
-	}
-}
-
 // Config tunes an execution.
 type Config struct {
-	// Chooser plays the asynchrony adversary; nil means Seeded(1).
-	Chooser Chooser
+	// Chooser plays the asynchrony adversary; nil means core.Seeded(1).
+	Chooser core.Chooser
 
 	// crash maps a process to the number of steps it takes before
 	// crashing (0 = it never takes a step). Crashes are clean: a crashed
@@ -134,7 +111,7 @@ func Run(n int, cfg Config, factory Factory, inputs []core.Value) (*Outcome, err
 	}
 	chooser := cfg.Chooser
 	if chooser == nil {
-		chooser = Seeded(1)
+		chooser = core.Seeded(1)
 	}
 	maxSteps := cfg.maxSteps
 	if maxSteps == 0 {

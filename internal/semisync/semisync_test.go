@@ -25,7 +25,7 @@ func TestTwoStepSatisfiesEq5(t *testing.T) {
 	// the same suspect set in every round.
 	n, rounds := 6, 4
 	for seed := int64(0); seed < 40; seed++ {
-		out, err := RunTwoStep(n, rounds, Config{Chooser: Seeded(seed)}, identityInputs(n))
+		out, err := RunTwoStep(n, rounds, Config{Chooser: core.Seeded(seed)}, identityInputs(n))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -47,7 +47,7 @@ func TestTwoStepConsensusInTwoSteps(t *testing.T) {
 	n := 8
 	inputs := identityInputs(n)
 	for seed := int64(0); seed < 60; seed++ {
-		out, err := RunTwoStep(n, 1, Config{Chooser: Seeded(seed)}, inputs)
+		out, err := RunTwoStep(n, 1, Config{Chooser: core.Seeded(seed)}, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestTwoStepWithCrashes(t *testing.T) {
 	inputs := identityInputs(n)
 	for seed := int64(0); seed < 30; seed++ {
 		out, err := RunTwoStep(n, 2, Config{
-			Chooser: Seeded(seed),
+			Chooser: core.Seeded(seed),
 			crash:   map[core.PID]int{0: 1, 3: 0},
 		}, inputs)
 		if err != nil {
@@ -100,7 +100,7 @@ func TestTwoStepExactlyOneBroadcasterPerRound(t *testing.T) {
 	// In the strict delivery-before-next-step model the first process to
 	// open a round is the only broadcaster: D(·,r) = S minus one process.
 	n, rounds := 5, 3
-	out, err := RunTwoStep(n, rounds, Config{Chooser: Seeded(9)}, identityInputs(n))
+	out, err := RunTwoStep(n, rounds, Config{Chooser: core.Seeded(9)}, identityInputs(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestRelayBaselineConsensus(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 16} {
 		inputs := identityInputs(n)
 		for seed := int64(0); seed < 10; seed++ {
-			out, err := Run(n, Config{Chooser: Seeded(seed)}, RelayFactory(), inputs)
+			out, err := Run(n, Config{Chooser: core.Seeded(seed)}, RelayFactory(), inputs)
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}
@@ -149,11 +149,11 @@ func TestRelayVersusTwoStepShape(t *testing.T) {
 	// grows linearly with n.
 	for _, n := range []int{4, 8, 16, 32} {
 		inputs := identityInputs(n)
-		fast, err := RunTwoStep(n, 1, Config{Chooser: RoundRobin()}, inputs)
+		fast, err := RunTwoStep(n, 1, Config{Chooser: core.RoundRobin()}, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := Run(n, Config{Chooser: RoundRobin()}, RelayFactory(), inputs)
+		slow, err := Run(n, Config{Chooser: core.RoundRobin()}, RelayFactory(), inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestTwoStepExhaustiveProof(t *testing.T) {
 	for _, n := range []int{2, 3, 4} {
 		inputs := identityInputs(n)
 		res, err := mc.Explore(mc.Options{MaxSchedules: 200000}, func(ctx *mc.Ctx) error {
-			ch := func(_ int, ready []core.PID) int { return ctx.Choose(len(ready)) }
+			ch := ctx.Pick
 			out, err := RunTwoStep(n, 1, Config{Chooser: ch}, inputs)
 			if err != nil {
 				return err
@@ -216,7 +216,7 @@ func TestQuickTwoStepProperties(t *testing.T) {
 	// count.
 	prop := func(rawN uint8, seed int64) bool {
 		n := int(rawN%7) + 2
-		out, err := RunTwoStep(n, 2, Config{Chooser: Seeded(seed)}, identityInputs(n))
+		out, err := RunTwoStep(n, 2, Config{Chooser: core.Seeded(seed)}, identityInputs(n))
 		if err != nil {
 			return false
 		}

@@ -94,7 +94,7 @@ func TestCrashSyncLowerBoundWitness(t *testing.T) {
 	// breaking 2-set agreement without a single real crash.
 	n, f, k := 4, 2, 2
 	rounds := f / k // 1
-	chooser := swmr.PriorityGroups(
+	chooser := core.PriorityGroups(
 		[]core.PID{2, 3},
 		[]core.PID{1},
 		[]core.PID{0},

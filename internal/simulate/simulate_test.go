@@ -39,7 +39,7 @@ func TestTwoRoundsToSharedMemoryOnRealNetwork(t *testing.T) {
 	// substrate rather than an abstract adversary.
 	n, f := 5, 2
 	for seed := int64(0); seed < 15; seed++ {
-		out, err := msgnet.RunRounds(n, f, 6, msgnet.Config{Chooser: msgnet.Seeded(seed)}, nil)
+		out, err := msgnet.RunRounds(n, f, 6, msgnet.Config{Chooser: core.Seeded(seed)}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

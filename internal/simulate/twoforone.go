@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/core"
 )
@@ -74,56 +75,43 @@ func (a *twoForOne) Deliver(r int, msgs map[core.PID]core.Message, suspects core
 	return a.inner.Deliver(rho, simMsgs, simD)
 }
 
+// assemble builds simulated round ρ from the relays, sources in pid order:
+// ModeUnion merges every view; ModeAdopt takes BToA's rule, the largest view
+// within the budget, the lowest pid on a tie.
 func (a *twoForOne) assemble(relays map[core.PID]core.Message) (map[core.PID]core.Message, core.Set, error) {
-	switch a.mode {
-	case ModeUnion:
-		sim := make(map[core.PID]core.Message)
-		for _, m := range relays {
-			rel, ok := m.(relay)
-			if !ok {
-				return nil, core.Set{}, fmt.Errorf("foreign relay %T", m)
-			}
-			for j, v := range rel.views {
-				sim[j] = v
-			}
-		}
-		d := core.FullSet(a.n)
-		for j := range sim {
-			d.Remove(j)
-		}
-		if d.Count() == a.n {
-			return nil, core.Set{}, fmt.Errorf("empty simulated view")
-		}
-		return sim, d, nil
-	case ModeAdopt:
-		var best map[core.PID]core.Message
-		for _, m := range relays {
-			rel, ok := m.(relay)
-			if !ok {
-				return nil, core.Set{}, fmt.Errorf("foreign relay %T", m)
-			}
-			if a.n-len(rel.views) > a.budget {
-				continue // source exceeded the target budget
-			}
-			if best == nil || len(rel.views) > len(best) {
-				best = rel.views
-			}
-		}
-		if best == nil {
-			return nil, core.Set{}, fmt.Errorf("no source within budget f=%d", a.budget)
-		}
-		sim := make(map[core.PID]core.Message, len(best))
-		for j, v := range best {
-			sim[j] = v
-		}
-		d := core.FullSet(a.n)
-		for j := range sim {
-			d.Remove(j)
-		}
-		return sim, d, nil
-	default:
+	if a.mode != ModeUnion && a.mode != ModeAdopt {
 		return nil, core.Set{}, fmt.Errorf("unknown mode %d", a.mode)
 	}
+	sim := make(map[core.PID]core.Message)
+	var best map[core.PID]core.Message
+	for p := core.PID(0); int(p) < a.n; p++ {
+		m, ok := relays[p]
+		if !ok {
+			continue
+		}
+		rel, ok := m.(relay)
+		switch {
+		case !ok:
+			return nil, core.Set{}, fmt.Errorf("foreign relay %T", m)
+		case a.mode == ModeUnion:
+			maps.Copy(sim, rel.views)
+		case a.n-len(rel.views) <= a.budget && (best == nil || len(rel.views) > len(best)):
+			best = rel.views
+		}
+	}
+	switch {
+	case a.mode == ModeAdopt && best == nil:
+		return nil, core.Set{}, fmt.Errorf("no source within budget f=%d", a.budget)
+	case a.mode == ModeAdopt:
+		maps.Copy(sim, best)
+	case len(sim) == 0:
+		return nil, core.Set{}, fmt.Errorf("empty simulated view")
+	}
+	d := core.FullSet(a.n)
+	for j := range sim {
+		d.Remove(j)
+	}
+	return sim, d, nil
 }
 
 // TwoForOneResult reports an executable two-for-one simulation.

@@ -119,3 +119,59 @@ func TestRunTwoForOneRejectsBudgetViolation(t *testing.T) {
 		t.Fatal("expected a no-compliant-source error")
 	}
 }
+
+// TestRunTwoForOneMatchesTraceDerivation holds the executable construction
+// to its trace-level oracle: every simulated round's Active set and every
+// D(i,ρ) equal what TwoRoundsToSharedMemory (ModeUnion) or BToA (ModeAdopt)
+// derive from the same oracle's base trace, collected over the rounds the
+// run consumed. The Crashed marking differs by design (TestGoldenRunTwoForOne).
+func TestRunTwoForOneMatchesTraceDerivation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mode   TwoForOneMode
+		n, f   int
+		base   func(seed int64) core.Oracle
+		derive func(*core.Trace) (*core.Trace, error)
+	}{
+		{"union/async", ModeUnion, 7, 3,
+			func(seed int64) core.Oracle { return adversary.AsyncBudget(7, 3, false, seed) }, TwoRoundsToSharedMemory},
+		{"union/crash", ModeUnion, 7, 3,
+			func(seed int64) core.Oracle { return adversary.Crash(7, 3, seed) }, TwoRoundsToSharedMemory},
+		{"adopt/b-system", ModeAdopt, 9, 2,
+			func(seed int64) core.Oracle { return adversary.BSystemOracle(9, 2, 4, seed) },
+			func(base *core.Trace) (*core.Trace, error) { return BToA(base, 2) }},
+	} {
+		for seed := int64(0); seed < 200; seed++ {
+			var probes []*probe
+			res, err := RunTwoForOne(tc.n, make([]core.Value, tc.n), probeFactory(3, &probes),
+				tc.base(seed), tc.mode, tc.f, 10)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+			}
+			base, err := core.CollectTrace(tc.n, res.BaseRounds, tc.base(seed))
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+			}
+			want, err := tc.derive(base)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+			}
+			got := res.Result.Trace
+			if got.Len() != want.Len() {
+				t.Fatalf("%s seed %d: %d simulated rounds, derivation has %d", tc.name, seed, got.Len(), want.Len())
+			}
+			for rho := 1; rho <= want.Len(); rho++ {
+				g, w := got.Round(rho), want.Round(rho)
+				if !g.Active.Equal(w.Active) {
+					t.Fatalf("%s seed %d round %d: Active %s, derivation %s", tc.name, seed, rho, g.Active, w.Active)
+				}
+				for i := range w.Suspects {
+					if !g.Suspects[i].Equal(w.Suspects[i]) {
+						t.Fatalf("%s seed %d round %d: D(%d) = %s, derivation %s",
+							tc.name, seed, rho, i, g.Suspects[i], w.Suspects[i])
+					}
+				}
+			}
+		}
+	}
+}

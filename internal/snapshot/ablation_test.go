@@ -45,7 +45,7 @@ func (o *Object) scanNoHelp(maxCollects int) ([]Cell, int, error) {
 // full Update (about seven register operations at n = 2) between any two of
 // the scanner's operations — the worst case for a double collect, which
 // then never sees two quiet consecutive collects until the writer runs dry.
-func interferingChooser() swmr.Chooser {
+func interferingChooser() core.Chooser {
 	turn := 0
 	return func(step int, runnable []core.PID) int {
 		turn++

@@ -160,7 +160,7 @@ func TestExploreSmallSnapshotLinearizable(t *testing.T) {
 	res, err := mc.Explore(mc.Options{MaxSchedules: 500_000}, func(ctx *mc.Ctx) error {
 		var mu sync.Mutex
 		var vectors [][]int
-		ch := func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) }
+		ch := ctx.Pick
 		_, err := swmr.Run(2, swmr.Config{Chooser: ch}, func(p *swmr.Proc) (core.Value, error) {
 			obj := New(p, "obj")
 			if p.Me == 0 {

@@ -54,7 +54,7 @@ func TestPanicUnwindsEveryBody(t *testing.T) {
 		}
 	}
 	cases := map[string]struct {
-		chooser Chooser
+		chooser core.Chooser
 		body    Body
 	}{
 		"chooser": {
@@ -178,7 +178,7 @@ func TestOutcomeIndependentOfGOMAXPROCS(t *testing.T) {
 		return Run(4, Config{Chooser: Seeded(seed), Crash: map[core.PID]int{2: 3}}, body(salt+int(seed)))
 	}
 	schedules := func(salt int) int {
-		return explore(t, func(ch Chooser) error {
+		return explore(t, func(ch core.Chooser) error {
 			_, err := Run(2, Config{Chooser: ch}, body(salt))
 			return err
 		}).Schedules

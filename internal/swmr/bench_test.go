@@ -57,7 +57,7 @@ func BenchmarkExplore(b *testing.B) {
 	schedules := 0
 	for i := 0; i < b.N; i++ {
 		res, err := mc.Explore(mc.Options{MaxSchedules: 10000, Workers: 1}, func(ctx *mc.Ctx) error {
-			ch := func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) }
+			ch := ctx.Pick
 			_, err := Run(2, Config{Chooser: ch}, func(p *Proc) (core.Value, error) {
 				if err := p.Write("a", 1); err != nil {
 					return nil, err

@@ -5,7 +5,7 @@
 //
 // Each process runs as its own goroutine and accesses memory only through
 // Proc.Read / Proc.Write. A cooperative scheduler serializes the operations:
-// every register operation is one atomic step, and an explicit Chooser
+// every register operation is one atomic step, and an explicit core.Chooser
 // decides which pending operation executes next. This yields linearizable
 // registers by construction, full control over interleavings (seeded random,
 // round-robin, or exhaustive exploration for model checking), and precise
@@ -32,55 +32,10 @@ var ErrMaxSteps = errors.New("swmr: step budget exhausted")
 // Bottom is the initial value of every register (the paper's ⊥).
 var Bottom core.Value = nil
 
-// Chooser picks which pending operation runs next: it receives the global
-// step number and the sorted PIDs with a pending operation, and returns an
-// index into that slice. Choosers are the scheduling adversary. The slice is
-// the scheduler's scratch: it is valid only during the call and must not be
-// retained or modified.
-//
-// Calls are serialized and ordered by happens-before, but arrive on
-// whichever process goroutine holds the scheduler: a Chooser may keep
-// unsynchronized state (Seeded, RoundRobin and mc.Explore's do) but may not
-// depend on goroutine identity (t.FailNow, runtime.LockOSThread).
-type Chooser func(step int, runnable []core.PID) int
-
-// Seeded returns a deterministic pseudo-random chooser.
-func Seeded(seed int64) Chooser {
-	// xorshift64* keeps the chooser allocation-free and reproducible.
-	s := uint64(seed)*2685821657736338717 + 1
-	return func(step int, runnable []core.PID) int {
-		s ^= s >> 12
-		s ^= s << 25
-		s ^= s >> 27
-		return int((s * 2685821657736338717 >> 33) % uint64(len(runnable)))
-	}
-}
-
-// PriorityGroups returns a chooser that always schedules within the
-// earliest listed group that has a runnable process, rotating round-robin
-// inside the group; runnable processes in no group run last. This expresses
-// "run these to completion before those" adversaries — e.g. the schedule
-// that witnesses the Corollary 4.4 lower bound.
-func PriorityGroups(groups ...[]core.PID) Chooser {
-	counter := 0
-	return func(step int, runnable []core.PID) int {
-		for _, g := range groups {
-			var idxs []int
-			for i, p := range runnable {
-				for _, q := range g {
-					if p == q {
-						idxs = append(idxs, i)
-						break
-					}
-				}
-			}
-			if len(idxs) > 0 {
-				counter++
-				return idxs[counter%len(idxs)]
-			}
-		}
-		return 0
-	}
+// Seeded returns core.Rand's chooser at this package's pinned seeding.
+func Seeded(seed int64) core.Chooser {
+	r := core.RandState(uint64(seed)*2685821657736338717 + 1)
+	return r.Choose
 }
 
 // Body is the protocol code one process runs. It must access shared state
@@ -91,7 +46,7 @@ type Body func(p *Proc) (core.Value, error)
 // Config tunes an execution.
 type Config struct {
 	// Chooser decides scheduling; nil means Seeded(1).
-	Chooser Chooser
+	Chooser core.Chooser
 
 	// Crash maps a process to the number of register operations it
 	// completes before crashing: Crash[p] = 0 crashes p's first

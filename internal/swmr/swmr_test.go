@@ -14,10 +14,10 @@ import (
 
 // explore runs mc.Explore over every schedule of run, one schedule per
 // choice sequence, and fails the test on a violation.
-func explore(t *testing.T, run func(ch Chooser) error) *mc.Result {
+func explore(t *testing.T, run func(ch core.Chooser) error) *mc.Result {
 	t.Helper()
 	res, err := mc.Explore(mc.Options{Workers: 1}, func(ctx *mc.Ctx) error {
-		return run(func(_ int, runnable []core.PID) int { return ctx.Choose(len(runnable)) })
+		return run(ctx.Pick)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestSchedulerActuallyInterleaves(t *testing.T) {
 func TestExploreCountsInterleavings(t *testing.T) {
 	// Two processes, two ops each: the schedule tree has C(4,2) = 6
 	// leaves (interleavings of two length-2 sequences).
-	res := explore(t, func(ch Chooser) error {
+	res := explore(t, func(ch core.Chooser) error {
 		_, err := Run(2, Config{Chooser: ch}, func(p *Proc) (core.Value, error) {
 			if err := p.Write("a", 1); err != nil {
 				return nil, err
@@ -267,7 +267,7 @@ func TestExploreFindsRace(t *testing.T) {
 	// owned by p0 then p0 writes. Exploration must find a schedule where
 	// p1 reads Bottom and one where it reads the written value.
 	sawBottom, sawValue := false, false
-	explore(t, func(ch Chooser) error {
+	explore(t, func(ch core.Chooser) error {
 		out, err := Run(2, Config{Chooser: ch}, func(p *Proc) (core.Value, error) {
 			if p.Me == 0 {
 				return nil, p.Write("c", 7)
@@ -293,7 +293,7 @@ func TestPriorityGroupsOrdering(t *testing.T) {
 	// With strict priority p2 > p1 > p0 and single-op bodies, the write
 	// order must be exactly 2, 1, 0.
 	var order []core.PID
-	_, err := Run(3, Config{Chooser: PriorityGroups([]core.PID{2}, []core.PID{1}, []core.PID{0})},
+	_, err := Run(3, Config{Chooser: core.PriorityGroups([]core.PID{2}, []core.PID{1}, []core.PID{0})},
 		func(p *Proc) (core.Value, error) {
 			_, err := p.Atomic("log", func(state core.Value) (core.Value, core.Value) {
 				order = append(order, p.Me)
@@ -311,7 +311,7 @@ func TestPriorityGroupsOrdering(t *testing.T) {
 
 func TestPriorityGroupsUngroupedRunLast(t *testing.T) {
 	var order []core.PID
-	_, err := Run(3, Config{Chooser: PriorityGroups([]core.PID{1})},
+	_, err := Run(3, Config{Chooser: core.PriorityGroups([]core.PID{1})},
 		func(p *Proc) (core.Value, error) {
 			_, err := p.Atomic("log", func(state core.Value) (core.Value, core.Value) {
 				order = append(order, p.Me)

@@ -145,7 +145,7 @@ func TestPublicAPISnapshotObject(t *testing.T) {
 
 func TestPublicAPIExplore(t *testing.T) {
 	res, err := rrfd.MCExplore(rrfd.MCOptions{}, func(ctx *rrfd.MCCtx) error {
-		ch := func(_ int, runnable []rrfd.PID) int { return ctx.Choose(len(runnable)) }
+		ch := ctx.Pick
 		_, err := rrfd.RunShared(2, rrfd.SharedConfig{Chooser: ch},
 			func(p *rrfd.SharedProc) (rrfd.Value, error) {
 				return nil, p.Write("x", 1)
@@ -161,7 +161,7 @@ func TestPublicAPIExplore(t *testing.T) {
 }
 
 func TestPublicAPINetwork(t *testing.T) {
-	out, err := rrfd.RunNetworkRounds(4, 1, 3, rrfd.NetConfig{Chooser: rrfd.NetSeeded(5)}, nil)
+	out, err := rrfd.RunNetworkRounds(4, 1, 3, rrfd.NetConfig{Chooser: rrfd.Seeded(5)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPublicAPINetwork(t *testing.T) {
 
 func TestPublicAPISemiSync(t *testing.T) {
 	inputs := identityInputs(6)
-	out, err := rrfd.RunTwoStep(6, 1, rrfd.SemiConfig{Chooser: rrfd.SemiSeeded(3)}, inputs)
+	out, err := rrfd.RunTwoStep(6, 1, rrfd.SemiConfig{Chooser: rrfd.Seeded(3)}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,29 @@ package rrfd
 
 import (
 	"repro/internal/adoptcommit"
+	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/msgnet"
 	"repro/internal/semisync"
 	"repro/internal/simulate"
 	"repro/internal/snapshot"
 	"repro/internal/swmr"
+)
+
+// ---- The scheduling adversary of every virtual substrate ----
+
+// Chooser is the scheduler of SharedConfig, NetConfig and SemiConfig.
+type Chooser = core.Chooser
+
+var (
+	// Seeded is the pseudo-random adversary of NetConfig and SemiConfig.
+	Seeded = core.Seeded
+
+	// RoundRobin is the fair cyclic adversary.
+	RoundRobin = core.RoundRobin
+
+	// PriorityGroups schedules earlier groups to completion first.
+	PriorityGroups = core.PriorityGroups
 )
 
 // ---- SWMR shared memory (§2 item 4 substrate) ----
@@ -19,9 +36,6 @@ type (
 	// SharedConfig tunes a shared-memory execution (scheduler, crashes,
 	// step budget).
 	SharedConfig = swmr.Config
-
-	// SharedChooser is the shared-memory scheduling adversary.
-	SharedChooser = swmr.Chooser
 )
 
 var (
@@ -29,11 +43,8 @@ var (
 	// linearizable SWMR registers under a controlled scheduler.
 	RunShared = swmr.Run
 
-	// SeededChooser is a deterministic pseudo-random scheduler.
+	// SeededChooser is Seeded at the shared-memory substrate's seeding.
 	SeededChooser = swmr.Seeded
-
-	// PriorityGroups schedules earlier groups to completion first.
-	PriorityGroups = swmr.PriorityGroups
 
 	// ErrCrashed reports an operation by a crashed process.
 	ErrCrashed = swmr.ErrCrashed
@@ -77,9 +88,6 @@ var (
 	// RunSubstrateRounds is the one §2 item 3 round loop — broadcast,
 	// gather n−f, watchdog stragglers into D(i,r) — on any Substrate.
 	RunSubstrateRounds = msgnet.RunSubstrateRounds
-
-	// NetSeeded is a deterministic pseudo-random network adversary.
-	NetSeeded = msgnet.Seeded
 )
 
 // ---- Semi-synchronous DDS model (§5) ----
@@ -97,12 +105,6 @@ var (
 
 	// RelayFactory builds the 2n-step baseline processes.
 	RelayFactory = semisync.RelayFactory
-
-	// SemiSeeded is a deterministic pseudo-random step adversary.
-	SemiSeeded = semisync.Seeded
-
-	// SemiRoundRobin is the fair cyclic step scheduler.
-	SemiRoundRobin = semisync.RoundRobin
 )
 
 // ---- Simulations (§4, §2 constructions) ----
