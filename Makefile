@@ -47,9 +47,11 @@ bench-build:
 
 # The substrates' scheduler runs on whichever process goroutine stopped
 # computing last (internal/baton), so the packages built on it are raced at
-# one and at four processors whatever the runner has.
+# one and at four processors whatever the runner has; so are the campaigns
+# whose par.Map workers share msgnet's and reliablelink's pooled state.
 baton-race:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/baton/ ./internal/msgnet/ ./internal/swmr/ ./internal/reliablelink/
+	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|Golden|Hygiene' ./internal/chaos/
 
 # Connection readers answer reads from the decided table while the shard
 # loops publish into it: the concurrent-reader tests ten times over.

@@ -152,7 +152,7 @@ func chatter(nd *Node) (core.Value, error) {
 	}
 	for {
 		if _, err := nd.Recv(); err != nil {
-			return nd.Incarnation, err
+			return nd.Incarnation(), err
 		}
 	}
 }
@@ -226,7 +226,7 @@ func TestOutcomeIndependentOfGOMAXPROCS(t *testing.T) {
 					return nil, err
 				}
 				if !ok {
-					return sum*10 + nd.Incarnation, nil
+					return sum*10 + nd.Incarnation(), nil
 				}
 				sum += env.Payload.(int)
 			}

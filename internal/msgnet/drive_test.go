@@ -67,7 +67,7 @@ func TestDriversAgree(t *testing.T) {
 		}, func(nd *Node) (core.Value, error) {
 			r := &relay{sub: under(nd), sends: 12}
 			_, err := r.run()
-			return r.sum*10 + nd.Incarnation, err
+			return r.sum*10 + nd.Incarnation(), err
 		})
 		return render(out, err) + "\n" + buf.String()
 	}

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/baton"
 	"repro/internal/core"
@@ -161,7 +162,7 @@ type Config struct {
 	// Restart maps a crashed process to the number of scheduler steps
 	// after its crash at which a fresh incarnation is spawned (values < 1
 	// are treated as 1). The new incarnation runs the same Body with
-	// Node.Incarnation = 2 and the same process identity — the fresh node
+	// Node.Incarnation() = 2 and the same process identity — the fresh node
 	// is bound to the old pid, as a supervised restart re-binds a process
 	// to its address. Its operation counter restarts from zero and it is
 	// not crashed again. Messages queued for the process while it was down
@@ -211,14 +212,15 @@ type Node struct {
 	// N is the number of processes.
 	N int
 
-	// Incarnation is 1 for the original process and 2 for the fresh
-	// incarnation spawned by Config.Restart. Bodies use it to tell a
-	// recovery path from a boot path.
-	Incarnation int
-
+	inc   int // see Incarnation
 	sched *sched
 	req   request // the one outstanding operation, refilled per operation
 }
+
+// Incarnation is 1 for the original process and 2 for the fresh
+// incarnation spawned by Config.Restart. Bodies use it to tell a recovery
+// path from a boot path.
+func (nd *Node) Incarnation() int { return nd.inc }
 
 // Clock returns the global scheduler step at which the node's most recent
 // operation executed — a logical timestamp usable for linearizability
@@ -318,6 +320,12 @@ type link struct {
 	head int
 }
 
+// reset discards the queued payloads and keeps the capacity.
+func (l *link) reset() {
+	clear(l.q)
+	l.q, l.head = l.q[:0], 0
+}
+
 // mailbox holds one receiver's undelivered payloads: links[from] is the
 // FIFO of the link from→receiver and mail counts the payloads across all
 // of them, so "has mail" is a compare.
@@ -356,7 +364,9 @@ func (m *mailbox) pop(from core.PID) core.Value {
 
 // clear discards every queued payload.
 func (m *mailbox) clear() {
-	clear(m.links)
+	for i := range m.links {
+		m.links[i].reset()
+	}
 	m.mail = 0
 }
 
@@ -389,15 +399,51 @@ type sched struct {
 	body  Body
 	baton *baton.Baton
 	out   *Outcome
+	*scratch
+	step  int
+	abort error // once set, all further ops fail so bodies unwind
+}
 
+// scratch is the part of a run's state that only grows: the link queues,
+// the per-pid state, the delayed and restart queues and the chooser's
+// option lists. A run takes it from scratches and puts it back cleared, so
+// the runs of a campaign regrow none of it; two live runs never share one.
+type scratch struct {
+	links    []link // receiver-major: procs[i].box.links is links[i*n : (i+1)*n]
 	procs    []proc
 	delayed  []delayedMsg // ordered by (release, send order)
 	restarts []restartEvent
-	runnable []core.PID // scratch: the chooser's option lists
+	runnable []core.PID // the chooser's option lists
 	senders  []core.PID
 	spawning []core.PID // restarts made ready, spawned at the end of the step
-	step     int
-	abort    error // once set, all further ops fail so bodies unwind
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// lay sizes the scratch for n processes, none crashing yet.
+func (sc *scratch) lay(n int) {
+	if cap(sc.links) < n*n {
+		sc.links = make([]link, n*n)
+	}
+	if cap(sc.procs) < n {
+		sc.procs = make([]proc, n)
+	}
+	sc.links, sc.procs = sc.links[:n*n], sc.procs[:n]
+	for i := range sc.procs {
+		sc.procs[i] = proc{box: mailbox{links: sc.links[i*n : (i+1)*n]}, crashAt: -1}
+	}
+}
+
+// release empties every queue, keeping its capacity; what a run left in
+// them must not reach the next run, nor stay reachable after this one.
+func (sc *scratch) release() {
+	for i := range sc.links {
+		sc.links[i].reset()
+	}
+	clear(sc.procs)
+	clear(sc.delayed)
+	sc.delayed = sc.delayed[:0] // the other queues end every run empty
+	scratches.Put(sc)
 }
 
 // Run executes body at every process under the configured adversary and
@@ -410,14 +456,16 @@ type sched struct {
 // There is no scheduler goroutine: Run spawns the bodies and waits, and the
 // process that was the last to stop computing takes the scheduler's steps
 // (internal/baton). A step does O(n) work over per-pid slices and allocates
-// nothing once the queues have grown to their working size. What it must
-// preserve, because fixed-seed executions are pinned to the step, is
-// listed in DESIGN §11 ("The virtual substrate step").
+// nothing once the queues have grown to their working size, which they keep
+// from one run to the next: a run that returns, with an error or without,
+// hands its emptied queues to the next Run; one that raises a panic drops
+// them. What a step must preserve, because fixed-seed executions are pinned
+// to the step, is listed in DESIGN §11 ("The virtual substrate step").
 func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("msgnet: invalid process count %d", n)
 	}
-	s := &sched{cfg: cfg, body: body}
+	s := &sched{cfg: cfg, body: body, scratch: scratches.Get().(*scratch)}
 	if s.cfg.Chooser == nil {
 		s.cfg.Chooser = core.Seeded(1)
 	}
@@ -425,19 +473,12 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 		s.cfg.MaxSteps = 1 << 20
 	}
 	s.out = &Outcome{Crashed: core.NewSet(n), Restarted: core.NewSet(n)}
-	links := make([]link, n*n)
-	s.procs = make([]proc, n)
-	for i := range s.procs {
-		s.procs[i].box.links = links[i*n : (i+1)*n]
-		s.procs[i].crashAt = -1
-	}
+	s.lay(n)
 	for pid, limit := range cfg.Crash {
 		if pid >= 0 && int(pid) < n {
 			s.procs[pid].crashAt = max(limit, 0)
 		}
 	}
-	s.runnable = make([]core.PID, 0, n)
-	s.senders = make([]core.PID, 0, n)
 
 	s.baton = baton.New(n, s.run)
 	for i := 0; i < n; i++ {
@@ -445,6 +486,8 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	}
 	s.out.Values, s.out.Errs = s.baton.Wait()
 	s.out.Steps = s.step
+	s.release()
+	s.scratch = nil // a node used after its run fails on nil, not on the next run's queues
 	if ob := cfg.Observer; ob != nil {
 		switch {
 		case errors.Is(s.abort, ErrDeadlock):
@@ -458,7 +501,7 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 }
 
 func (s *sched) spawn(pid core.PID, incarnation int) {
-	nd := &Node{Me: pid, N: len(s.procs), Incarnation: incarnation, sched: s}
+	nd := &Node{Me: pid, N: len(s.procs), inc: incarnation, sched: s}
 	s.baton.Go(pid, func() (core.Value, error) { return s.body(nd) })
 }
 
@@ -526,6 +569,7 @@ func (s *sched) run(abort error) (core.PID, bool) {
 				runnable = append(runnable, core.PID(pid))
 			}
 		}
+		s.runnable = runnable
 		if len(runnable) == 0 {
 			// Nobody can act now; fast-forward virtual time to the next
 			// delayed release, receive deadline, or scheduled restart.

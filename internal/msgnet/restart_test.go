@@ -17,7 +17,7 @@ func TestRestartFreshIncarnation(t *testing.T) {
 		Crash:   map[core.PID]int{0: 2},
 		Restart: map[core.PID]int{0: 5},
 	}, func(nd *Node) (core.Value, error) {
-		if nd.Me == 0 && nd.Incarnation == 1 {
+		if nd.Me == 0 && nd.Incarnation() == 1 {
 			// Burn operations until the crash fires.
 			for {
 				if err := nd.Send(1, "from-first-life"); err != nil {
@@ -69,7 +69,7 @@ func TestRestartMailboxCleared(t *testing.T) {
 			}
 			return "sender-done", nil
 		}
-		if nd.Incarnation == 1 {
+		if nd.Incarnation() == 1 {
 			// First life: the very first operation crashes.
 			_, err := nd.Recv()
 			return nil, err
@@ -108,7 +108,7 @@ func TestRestartReceivesPostRestartTraffic(t *testing.T) {
 			}
 			return "sender-done", nil
 		}
-		if nd.Incarnation == 1 {
+		if nd.Incarnation() == 1 {
 			_, err := nd.Recv()
 			return nil, err
 		}

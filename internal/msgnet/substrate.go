@@ -26,6 +26,10 @@ type Substrate interface {
 	// Clock is the substrate's monotonic tick counter.
 	Clock() int
 
+	// Incarnation counts this process's starts, from 1: a restarted
+	// process runs as a higher incarnation under the same PID.
+	Incarnation() int
+
 	// Send queues a message to process to.
 	Send(to core.PID, payload core.Value) error
 

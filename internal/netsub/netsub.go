@@ -257,6 +257,9 @@ func (nd *Node) PID() core.PID { return nd.me }
 // Size implements msgnet.Substrate.
 func (nd *Node) Size() int { return nd.n }
 
+// Incarnation implements msgnet.Substrate: the incarnation its hellos announce.
+func (nd *Node) Incarnation() int { return nd.cfg.Incarnation }
+
 // Clock implements msgnet.Substrate: milliseconds since node start.
 func (nd *Node) Clock() int { return int(time.Since(nd.start) / time.Millisecond) }
 

@@ -153,7 +153,7 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 		var bugView map[core.PID]int
 		var final map[core.PID]core.Value // the last round's view, once assembled
 
-		if nd.Incarnation > 1 {
+		if nd.Incarnation() > 1 {
 			// Recovery path. The honest order is crash-then-recover: the
 			// volatile tail is gone before we look. The planted bug peeks at
 			// the un-flushed state first and trusts it.

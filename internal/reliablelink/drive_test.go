@@ -35,8 +35,7 @@ func wakes(nd *msgnet.Node) int {
 // TestGoldensUnderBothDrivers reruns the two executions golden_test.go pins
 // — same configurations, same committed hashes — with the links' drives
 // taken by the baton holders and by the loop: the event stream, the report
-// and the induced trace are equal, and equal to what was recorded before
-// either driver existed.
+// and the induced trace are equal, and equal to golden_test.go's.
 func TestGoldensUnderBothDrivers(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -78,7 +77,7 @@ func TestGoldensUnderBothDrivers(t *testing.T) {
 					LingerSteps:   100,
 				}
 			},
-			"steps=657 lines=1169 stream=eab8c3ca290b9abcf8f27eeb7ec25b815c0af8e148401f2b6cb837efbd8dae17"},
+			"steps=657 lines=1168 stream=38148d1fe4b2502d8d6a0dee0f3717a68a7ddf465f42814d61973bad4c3e52d1"},
 	}
 	for _, c := range cases {
 		var first struct {
@@ -184,7 +183,7 @@ func TestFailedRetransmissionKeepsTheFramesBehindIt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sub.next = &msgnet.Envelope{From: 2, To: 0, Payload: frame{Seq: 0, Ack: true}}
+	sub.next = &msgnet.Envelope{From: 2, To: 0, Payload: frame{Seq: 0, Inc: 1, Ack: true}}
 	// The ack settles p2's frame at tick 8, as the timers expire: the walk
 	// after it retransmits to p1, drops p2's entry and fails on p3.
 	if _, _, err := l.RecvTimeout(100); !errors.Is(err, msgnet.ErrCrashed) {

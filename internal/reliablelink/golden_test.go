@@ -48,9 +48,9 @@ func TestGoldenStalledEventStream(t *testing.T) {
 
 // TestGoldenFaultyRestartEventStream pins the JSONL event stream of a run
 // under drop + duplicate + delay with one crash-and-restart, recorded
-// before the scheduler step and the Link's bookkeeping went map-free: any
-// change to the order of chooser calls, OnSend calls, delayed releases or
-// retransmissions moves the hash.
+// once frames carried their sender's incarnation, so that p3's restarted
+// link is heard: any change to the order of chooser calls, OnSend calls,
+// delayed releases or retransmissions moves the hash.
 func TestGoldenFaultyRestartEventStream(t *testing.T) {
 	plan := faultnet.Plan{Seed: 5, Components: []faultnet.Component{
 		{Kind: faultnet.Drop, Rate: 0.3},
@@ -79,7 +79,7 @@ func TestGoldenFaultyRestartEventStream(t *testing.T) {
 		kinds += fmt.Sprintf(" %s=%d", k, strings.Count(buf.String(), `"kind":"`+k+`"`))
 	}
 	got := fmt.Sprintf("steps=%d lines=%d%s stream=%x", rep.Steps, log.Lines(), kinds, sha256.Sum256(buf.Bytes()))
-	const want = "steps=657 lines=1169 msgnet.restart=1 faultnet.drop=71 faultnet.dup=57 faultnet.delay=120 rlink.retransmit=110 rlink.giveup=34 rlink.dup_rx=118 stream=eab8c3ca290b9abcf8f27eeb7ec25b815c0af8e148401f2b6cb837efbd8dae17"
+	const want = "steps=657 lines=1168 msgnet.restart=1 faultnet.drop=71 faultnet.dup=57 faultnet.delay=120 rlink.retransmit=110 rlink.giveup=35 rlink.dup_rx=116 stream=38148d1fe4b2502d8d6a0dee0f3717a68a7ddf465f42814d61973bad4c3e52d1"
 	if got != want {
 		t.Fatalf("got  %s\nwant %s", got, want)
 	}

@@ -14,6 +14,7 @@ package reliablelink
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/backoff"
 	"repro/internal/core"
@@ -91,10 +92,12 @@ type Stats struct {
 }
 
 // frame is the wire format: a data frame (Ack false) carries the
-// application payload under a per-link sequence number; an ack frame echoes
-// the sequence number back.
+// application payload under a per-link sequence number and its sender's
+// incarnation; an ack frame echoes both back. (An int32 incarnation keeps a
+// frame in 32 bytes.)
 type frame struct {
 	Seq int
+	Inc int32
 	Ack bool
 	App core.Value
 }
@@ -114,20 +117,44 @@ type pendingFrame struct {
 }
 
 // peer is a link's state towards one process. Sequence numbers on a
-// directed link are consecutive from 0, so both tables are indexed by
-// them; they grow by one entry per frame for the life of the link, which
-// is one bounded run.
+// directed link are consecutive from 0, within an incarnation of its
+// sender, so the tables are indexed by them; they grow by one entry per
+// frame for the life of the link, which is one bounded run.
 type peer struct {
 	nextSeq int
 	frames  []pendingFrame // by sequence number of the frames sent
-	seen    []bool         // by sequence number of the data frames delivered
+	inc     int32          // the peer's newest incarnation a data frame came from
+	seen    []bool         // by sequence number of inc's data frames delivered
+	acks    []core.Value   // by sequence number: the ack of inc's data frame, boxed once
 }
 
+// ack returns the ack of the peer's data frame seq, boxed at its first use.
+func (p *peer) ack(seq int) core.Value {
+	for len(p.acks) <= seq {
+		p.acks = append(p.acks, nil)
+	}
+	if p.acks[seq] == nil {
+		p.acks[seq] = frame{Seq: seq, Inc: p.inc, Ack: true}
+	}
+	return p.acks[seq]
+}
+
+// tables is what a Link grows as its run sends and receives: the per-peer
+// tables and the retransmission scan order. RunRounds hands a link's tables,
+// emptied, to the next New once it has read the link's Stats, so the runs
+// of a campaign regrow none of them; two live links never share one.
+type tables struct {
+	peers []peer   // by pid; the loopback entry only counts sequence numbers
+	order []ackKey // frames awaiting an ack, in send order: the retransmission scan
+}
+
+var tableSets = sync.Pool{New: func() any { return new(tables) }}
+
 // Link is one process's reliable endpoint: a decorator over the lossy
-// Substrate it embeds (whose PID, Size and Clock it keeps). Acks, duplicate
-// suppression and due retransmissions all happen under Recv/RecvTimeout,
-// so a body that keeps receiving — as the round loop's linger does — keeps
-// serving its peers. It is not safe for concurrent use; like Node, it
+// Substrate it embeds (whose PID, Size, Clock and Incarnation it keeps).
+// Acks, duplicate suppression and due retransmissions all happen under
+// Recv/RecvTimeout, so a body that keeps receiving — as the round loop's
+// linger does — keeps serving its peers. It is not safe for concurrent use; like Node, it
 // belongs to the single goroutine running the process.
 //
 // Every call is one msgnet.Drive with the link as the Handler. Over a
@@ -138,9 +165,9 @@ type peer struct {
 // retransmission.
 type Link struct {
 	msgnet.Substrate
-	cfg   Config
-	peers []peer   // by pid; the loopback entry only counts sequence numbers
-	order []ackKey // frames awaiting an ack, in send order: the retransmission scan
+	cfg Config
+	inc int32 // the incarnation of the process, stamped in its data frames
+	*tables
 	stats Stats
 	pump  pump
 }
@@ -163,6 +190,7 @@ type Link struct {
 //	          ├─ nothing, deadline reached ─────────────────────────────▶ done: false
 //	          ├─ not a frame ───────────────────────────────────────────▶ done: error
 //	          ├─ an ack: settle the frame it names ─────────────────────▶ rescan
+//	          ├─ a data frame of a gone incarnation of its sender ──────▶ rescan
 //	          ├─ a data frame off the loopback link ────────────────────▶ deliver
 //	          └─ a data frame from a peer ──send its ack── acking ──────▶ deliver
 //	                                   (always: the previous ack may be lost)
@@ -174,6 +202,7 @@ type pump struct {
 	timer    int        // scanning: the earliest timer among order[:kept]
 	deadline int        // of the RecvTimeout being served
 	app      core.Value // the application payload being broadcast, or delivered
+	wire     core.Value // sending, broadcasting: the frame stamped last
 }
 
 type pumpState uint8
@@ -188,9 +217,30 @@ const (
 
 var _ msgnet.Substrate = (*Link)(nil)
 
-// New wraps a substrate endpoint in a reliable link.
+// New wraps a substrate endpoint in a reliable link, whose frames carry
+// the endpoint's incarnation.
 func New(sub msgnet.Substrate, cfg Config) *Link {
-	return &Link{Substrate: sub, cfg: cfg, peers: make([]peer, sub.Size())}
+	t, n := tableSets.Get().(*tables), sub.Size()
+	if cap(t.peers) < n {
+		t.peers = make([]peer, n)
+	}
+	t.peers = t.peers[:n]
+	return &Link{Substrate: sub, cfg: cfg, inc: int32(sub.Incarnation()), tables: t}
+}
+
+// release empties the link's tables, keeping their capacity, for the next
+// New; the link is unusable afterwards.
+func (l *Link) release() {
+	t := l.tables
+	for i := range t.peers {
+		p := &t.peers[i]
+		clear(p.frames)
+		clear(p.acks)
+		*p = peer{frames: p.frames[:0], seen: p.seen[:0], acks: p.acks[:0]}
+	}
+	t.order = t.order[:0]
+	l.tables = nil
+	tableSets.Put(t)
 }
 
 // Stats returns the link's recovery counters so far.
@@ -203,14 +253,14 @@ func (l *Link) Send(to core.PID, payload core.Value) error {
 	if to < 0 || int(to) >= len(l.peers) {
 		return fmt.Errorf("reliablelink: send to invalid process %d", to)
 	}
-	l.pump.state = sending
+	l.pump.state, l.pump.wire = sending, nil
 	_, err := msgnet.Drive(l.Substrate, l.stamp(to, payload), (*handler)(l))
 	return err
 }
 
 // Broadcast sends payload reliably to every process including the sender.
 func (l *Link) Broadcast(payload core.Value) error {
-	l.pump.state, l.pump.app = broadcasting, payload
+	l.pump.state, l.pump.app, l.pump.wire = broadcasting, payload, nil
 	_, err := msgnet.Drive(l.Substrate, l.stamp(0, payload), (*handler)(l))
 	return err
 }
@@ -282,14 +332,20 @@ func (h *handler) Handle(last msgnet.Result) (msgnet.Op, bool) {
 }
 
 // stamp puts payload under the next sequence number of the link to peer to.
+// A broadcast reaches its peers at the same number unless a Send came in
+// between, so a peer's frame shares the box of the frame stamped before it
+// whenever the numbers agree.
 func (l *Link) stamp(to core.PID, payload core.Value) msgnet.Op {
-	p := &l.peers[to]
+	p, pm := &l.peers[to], &l.pump
+	if pm.wire == nil || pm.wire.(frame).Seq != p.nextSeq {
+		pm.wire = frame{Seq: p.nextSeq, Inc: l.inc, App: payload}
+	}
 	p.nextSeq++
-	return msgnet.Op{Send: true, To: to, Payload: frame{Seq: p.nextSeq - 1, App: payload}}
+	return msgnet.Op{Send: true, To: to, Payload: pm.wire}
 }
 
-// book tracks the data frame just sent — boxed once, in stamp, for every
-// transmission — until it is acknowledged or given up.
+// book tracks the data frame just sent — boxed at most once, in stamp, for
+// every transmission — until it is acknowledged or given up.
 func (l *Link) book(sent msgnet.Envelope) {
 	l.stats.Sent++
 	if sent.To == l.PID() {
@@ -346,7 +402,9 @@ func (l *Link) keep(k ackKey, nextAt int) {
 
 // received sorts what the receive after a walk returned: nothing, an ack
 // or a data frame, which a peer is always sent an ack for — the previous
-// one may have been lost — before the duplicate check.
+// one may have been lost — before the duplicate check. A data frame of an
+// incarnation older than one already heard from its sender is neither: that
+// sender is gone and waits for no ack.
 func (l *Link) received(res msgnet.Result) (msgnet.Op, bool) {
 	f, isFrame := res.Env.Payload.(frame)
 	switch from := res.Env.From; {
@@ -358,17 +416,25 @@ func (l *Link) received(res msgnet.Result) (msgnet.Op, bool) {
 		// An ack for a frame this link never sent (a restarted process
 		// can be handed one meant for its previous incarnation) or has
 		// already settled is ignored.
-		if p := &l.peers[from]; f.Seq < len(p.frames) {
+		if p := &l.peers[from]; f.Inc == l.inc && f.Seq < len(p.frames) {
 			p.frames[f.Seq] = pendingFrame{}
 		}
 		l.stats.AcksReceived++
 		return l.rescan(), true
-	case from == l.PID():
-		l.pump.app = f.App
-		return l.deliver(from, f.Seq)
+	case f.Inc < l.peers[from].inc:
+		return l.rescan(), true
 	default:
-		l.pump.state, l.pump.app = acking, f.App
-		return msgnet.Op{Send: true, To: from, Payload: frame{Seq: f.Seq, Ack: true}}, true
+		p := &l.peers[from]
+		if f.Inc > p.inc { // a restarted sender numbers its frames from 0 again
+			clear(p.acks)
+			p.inc, p.seen, p.acks = f.Inc, p.seen[:0], p.acks[:0]
+		}
+		l.pump.app = f.App
+		if from == l.PID() {
+			return l.deliver(from, f.Seq)
+		}
+		l.pump.state = acking
+		return msgnet.Op{Send: true, To: from, Payload: p.ack(f.Seq)}, true
 	}
 }
 

@@ -3,6 +3,7 @@ package reliablelink
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -254,5 +255,59 @@ func TestRunRoundsDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same seeds diverged:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// lateSecond holds back a second copy of p0's second send for 40 steps.
+type lateSecond struct{ sends int }
+
+func (l *lateSecond) OnSend(_ int, from, _ core.PID) msgnet.FaultAction {
+	if from == 0 {
+		if l.sends++; l.sends == 2 {
+			return msgnet.FaultAction{Deliveries: []int{0, 40}}
+		}
+	}
+	return msgnet.FaultAction{Deliveries: []int{0}}
+}
+
+// TestRestartedSenderIsHeardAgain: p0 sends a0 and a1, crashes, restarts
+// and sends b, whose sequence number restarts from 0. p1 must deliver b —
+// it is not a duplicate of a0 — and must not deliver the late copy of a1,
+// which arrives after b from an incarnation that is gone.
+func TestRestartedSenderIsHeardAgain(t *testing.T) {
+	boots := 0 // p0's incarnations run one after the other
+	var delivered []core.Value
+	_, err := msgnet.Run(2, msgnet.Config{
+		Crash:   map[core.PID]int{0: 2},
+		Restart: map[core.PID]int{0: 3},
+		Faults:  &lateSecond{},
+	}, func(nd *msgnet.Node) (core.Value, error) {
+		l := New(nd, Config{})
+		if nd.Me == 1 {
+			for {
+				env, ok, err := l.RecvTimeout(300)
+				if err != nil || !ok {
+					return nil, err
+				}
+				delivered = append(delivered, env.Payload)
+			}
+		}
+		boots++
+		sends := []core.Value{"a0", "a1"}
+		if boots > 1 {
+			sends = []core.Value{"b"}
+		}
+		for _, v := range sends {
+			if err := l.Send(1, v); err != nil {
+				return nil, err
+			}
+		}
+		return nil, linger(l, 300)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []core.Value{"a0", "a1", "b"}; !reflect.DeepEqual(delivered, want) {
+		t.Fatalf("p1 delivered %v, want %v", delivered, want)
 	}
 }

@@ -118,6 +118,7 @@ func runRounds(n, f, rounds int, cfg RoundsConfig, emit core.RoundEmit, under fu
 			rep.Retransmissions += st.Retransmissions
 			rep.GiveUps += st.GiveUps
 			rep.DupFramesReceived += st.DupFramesReceived
+			links[i].release()
 		}
 		rep.Stalls = append(rep.Stalls, stalls[i]...)
 	}
