@@ -160,6 +160,71 @@ func TestUnobservedDecideBuildsNoEventFields(t *testing.T) {
 	}
 }
 
+// TestDecidedProposerIsNotAnswered drives one shard's handlers by hand,
+// as above. An origin's first proposal asks; a peer that opens an instance
+// and decides it in the same turn says so in its proposal to both other
+// nodes. A node that has decided answers a proposer that has not with the
+// decision, and one that has with nothing; an undecided node resends its
+// proposal to a repeated plain proposal only.
+func TestDecidedProposerIsNotAnswered(t *testing.T) {
+	shard := func(n, f int) (*Server, *shardTable) {
+		addrs := []string{"127.0.0.1:0"}
+		for len(addrs) < n {
+			addrs = append(addrs, "127.0.0.1:1") // no peer listens
+		}
+		s, err := Start(Config{
+			Me: 0, N: n, F: f, MeshAddrs: addrs,
+			WALDir: t.TempDir(), Shards: 1, InstanceTTL: time.Hour, Seed: 1,
+		})
+		if err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s, &s.sh[0]
+	}
+	// sent checks the messages recorded for peer to since it held from.
+	sent := func(tb *shardTable, to, from int, want ...byte) {
+		t.Helper()
+		msgs := tb.out[to][from:]
+		if len(msgs) != len(want) {
+			t.Fatalf("%d messages to node %d, want %d", len(msgs), to, len(want))
+		}
+		for i, m := range msgs {
+			if kind, _, _, err := decodePeerMsg(m); err != nil || kind != want[i] {
+				t.Fatalf("message %d to node %d is kind %d (%v), want %d", i, to, kind, err, want[i])
+			}
+		}
+	}
+
+	s, tb := shard(3, 1)
+	cc := &clientConn{out: make(chan Response, 1)}
+	s.handle(tb, submitEv{req: Request{Op: "submit", Inst: "x", Req: "r", Val: 7}, cc: cc, start: time.Now()})
+	sent(tb, 1, 0, pmPropose)
+	sent(tb, 2, 0, pmPropose)
+
+	s.handle(tb, peerEv{from: 1, kind: pmPropose, inst: "y", val: 3}) // opens y and decides it: n−f = 2
+	sent(tb, 1, 1, pmProposeDecided)
+	sent(tb, 2, 1, pmProposeDecided)
+	s.handle(tb, peerEv{from: 2, kind: pmProposeDecided, inst: "y", val: 4})
+	sent(tb, 2, 1, pmProposeDecided)
+	s.handle(tb, peerEv{from: 2, kind: pmPropose, inst: "y", val: 4})
+	sent(tb, 2, 1, pmProposeDecided, pmDecide)
+	if _, _, val, _ := decodePeerMsg(tb.out[2][2]); val != 3 {
+		t.Fatalf("the undecided proposer is told %d, want the decision 3", val)
+	}
+
+	s, tb = shard(4, 1)
+	s.handle(tb, peerEv{from: 1, kind: pmProposeDecided, inst: "z", val: 5}) // opens z: 2 of n−f = 3
+	sent(tb, 1, 0, pmPropose)
+	s.handle(tb, peerEv{from: 1, kind: pmProposeDecided, inst: "z", val: 5})
+	sent(tb, 1, 0, pmPropose)
+	s.handle(tb, peerEv{from: 1, kind: pmPropose, inst: "z", val: 5})
+	sent(tb, 1, 0, pmPropose, pmPropose)
+	if st := s.Stats(); st.Decisions != 0 || st.PeerProposes != 3 {
+		t.Fatalf("stats %+v, want no decision and 3 peer proposals", st)
+	}
+}
+
 // TestReadYourWrites: once a client holds the ack for an instance, a
 // query to the same node — on that connection or any other — answers
 // decided, never unknown: flush publishes before it acknowledges.

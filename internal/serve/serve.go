@@ -14,8 +14,9 @@
 // instance. Every node that hears of an instance proposes, so with n−f
 // live nodes every live node fills its own view: a decision is not
 // announced. It is sent only in reply, to a peer that proposes for an
-// instance already decided here (a straggler, a restarted node, an origin
-// resubmitting); adopting it merges decision sets and never widens them.
+// instance already decided here and says it has not decided (a straggler,
+// a restarted node, an origin resubmitting); adopting it merges decision
+// sets and never widens them.
 //
 // A shard loop works in turns — drain the event queue, compute, emit
 // once. Handlers touch only the shard's table and record their effects in
@@ -588,11 +589,6 @@ func (s *Server) onSubmit(t *shardTable, ev submitEv) {
 			return
 		}
 		ins = s.openInstance(t, id, ev.req.Val)
-	} else {
-		// A re-submission while in flight re-sends our proposal: cheap,
-		// it re-seeds peers that restarted mid-instance, and a peer that
-		// has decided meanwhile answers it with the decision.
-		s.toPeers(t, encodePeerMsg(pmPropose, id, ins.proposal))
 	}
 
 	d := s.cfg.RequestTimeout
@@ -603,23 +599,43 @@ func (s *Server) onSubmit(t *shardTable, ev submitEv) {
 	t.schedule(deadline{at: ev.start.Add(d), ins: ins, req: req})
 
 	s.maybeDecide(t, ins)
+	// Proposed once the instance could decide. A re-submission while in
+	// flight re-sends our proposal: cheap, it re-seeds peers that
+	// restarted mid-instance, and a peer that has decided meanwhile
+	// answers it with the decision.
+	s.propose(t, ins, allPeers)
 }
 
-// toPeers records msg for every other node.
-func (s *Server) toPeers(t *shardTable, msg []byte) {
-	for to := range t.out {
-		if core.PID(to) != s.cfg.Me {
-			t.send(core.PID(to), msg)
+// allPeers addresses propose to every other node.
+const allPeers core.PID = -1
+
+// propose records this node's proposal for ins for peer to, or for every
+// other node. Once the instance is decided here, in this turn or earlier,
+// it goes as pmProposeDecided: the node has nothing left to learn, so no
+// peer answers it.
+func (s *Server) propose(t *shardTable, ins *instance, to core.PID) {
+	kind := pmPropose
+	if _, done := t.lookup(ins.id); done {
+		kind = pmProposeDecided
+	}
+	msg := encodePeerMsg(kind, ins.id, ins.proposal)
+	if to != allPeers {
+		t.send(to, msg)
+		return
+	}
+	for p := range t.out {
+		if core.PID(p) != s.cfg.Me {
+			t.send(core.PID(p), msg)
 		}
 	}
 }
 
 // openInstance creates the in-flight entry for id, journaling the
-// first-wins proposal and sending it to every peer. The proposal journal
-// entry is what keeps this node's proposal stable across
-// kill-and-restart: a resubmission after recovery proposes the same
-// value, so the min-of-view decision rule keeps drawing from the same
-// closed set.
+// first-wins proposal; its caller proposes it once the instance has had
+// its chance to decide. The proposal journal entry is what keeps this
+// node's proposal stable across kill-and-restart: a resubmission after
+// recovery proposes the same value, so the min-of-view decision rule
+// keeps drawing from the same closed set.
 func (s *Server) openInstance(t *shardTable, id string, val int) *instance {
 	prop, known := t.proposals[id]
 	if !known {
@@ -638,7 +654,6 @@ func (s *Server) openInstance(t *shardTable, id string, val int) *instance {
 	if n := s.inflightN.Add(1); s.hInflight != nil {
 		s.hInflight.Record(n)
 	}
-	s.toPeers(t, encodePeerMsg(pmPropose, id, prop))
 	return ins
 }
 
@@ -658,14 +673,17 @@ func (s *Server) dup(req, inst string, val int) Response {
 
 func (s *Server) onPeer(t *shardTable, ev peerEv) {
 	switch ev.kind {
-	case pmPropose:
+	case pmPropose, pmProposeDecided:
 		s.ctr.peerProposes.Add(1)
+		asks := ev.kind == pmPropose // a decided proposer is never answered
 		if val, ok := t.lookup(ev.inst); ok {
 			// The one place a decision is announced: to a peer still
-			// proposing for an instance this node has decided — a
-			// straggler, a restarted peer, or one resubmitting because
-			// its own view never filled.
-			t.send(ev.from, encodePeerMsg(pmDecide, ev.inst, val))
+			// undecided and proposing for an instance this node has
+			// decided — a straggler, a restarted peer, or one resubmitting
+			// because its own view never filled.
+			if asks {
+				t.send(ev.from, encodePeerMsg(pmDecide, ev.inst, val))
+			}
 			return
 		}
 		ins, open := t.inflight[ev.inst]
@@ -681,14 +699,19 @@ func (s *Server) onPeer(t *shardTable, ev peerEv) {
 			}
 			ins = s.openInstance(t, ev.inst, ev.val)
 		}
-		if _, seen := ins.got[ev.from]; !seen {
+		_, seen := ins.got[ev.from]
+		if !seen {
 			ins.got[ev.from] = ev.val
-		} else {
-			// A repeated proposal is a peer that lost our answer (or a
-			// restart): resend ours directly rather than re-flooding.
-			t.send(ev.from, encodePeerMsg(pmPropose, ev.inst, ins.proposal))
 		}
 		s.maybeDecide(t, ins)
+		switch {
+		case !open:
+			s.propose(t, ins, allPeers)
+		case seen && asks:
+			// A repeated proposal is a peer that lost our answer (or a
+			// restart): resend ours directly rather than re-flooding.
+			s.propose(t, ins, ev.from)
+		}
 	case pmDecide:
 		if _, ok := t.lookup(ev.inst); ok {
 			return

@@ -6,9 +6,11 @@
 // Peer messages ride the existing netsub frame codec as opaque byte
 // slices, so the mesh transport needs no knowledge of the service layer:
 //
-//	kind     uint8          // pmPropose or pmDecide
+//	kind     uint8          // pmPropose, pmProposeDecided or pmDecide
 //	instance uvarint-len + bytes
 //	value    zigzag varint
+//
+// The kinds carry no version: every node of a cluster runs the same build.
 //
 // Journal records use the same instance/value encoding under three WAL
 // record kinds; recBoot carries only the incarnation number.
@@ -21,9 +23,10 @@ import (
 
 // Peer message kinds.
 const (
-	pmPropose byte = 1 // "my proposal for instance X is v"
-	pmDecide  byte = 2 // "I decided v for instance X", in reply to a proposal for X
-	pmBatch   byte = 3 // coalesced frame: uvarint count, then length-prefixed messages
+	pmPropose        byte = 1 // "my proposal for instance X is v"
+	pmDecide         byte = 2 // "I decided v for instance X", in reply to a pmPropose for X
+	pmBatch          byte = 3 // coalesced frame: uvarint count, then length-prefixed messages
+	pmProposeDecided byte = 4 // "my proposal for X is v, and I have decided X": not answered
 )
 
 // maxBatchMsgs bounds one pmBatch frame on the decode side; a frame
@@ -55,13 +58,13 @@ func decodePeerBatch(b []byte, fn func(msg []byte)) error {
 	}
 	b = b[1:]
 	cnt, n := binary.Uvarint(b)
-	if n <= 0 || cnt > maxBatchMsgs {
+	if n <= 0 || overlong(b, n) || cnt > maxBatchMsgs {
 		return fmt.Errorf("serve: bad batch count")
 	}
 	b = b[n:]
 	for i := uint64(0); i < cnt; i++ {
 		ln, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < ln {
+		if n <= 0 || overlong(b, n) || uint64(len(b)-n) < ln {
 			return fmt.Errorf("serve: truncated batch message %d", i)
 		}
 		fn(b[n : n+int(ln)])
@@ -72,6 +75,11 @@ func decodePeerBatch(b []byte, fn func(msg []byte)) error {
 	}
 	return nil
 }
+
+// overlong reports whether the n-byte varint at the head of b is longer
+// than the binary.Append(U)varint spelling of its value (a zero final
+// byte): refused, so a message or record has one encoding.
+func overlong(b []byte, n int) bool { return n > 1 && b[n-1] == 0 }
 
 // WAL record kinds. A server's journal is a sequence of these; replaying
 // them rebuilds the proposal and decision maps and counts incarnations.
@@ -95,13 +103,13 @@ func appendInstVal(b []byte, inst string, val int) []byte {
 // decodeInstVal reads the shared instance+value encoding from b.
 func decodeInstVal(b []byte) (inst string, val int, rest []byte, err error) {
 	ln, n := binary.Uvarint(b)
-	if n <= 0 || ln > maxInstanceID || uint64(len(b)-n) < ln {
+	if n <= 0 || overlong(b, n) || ln > maxInstanceID || uint64(len(b)-n) < ln {
 		return "", 0, nil, fmt.Errorf("serve: bad instance id length")
 	}
 	inst = string(b[n : n+int(ln)])
 	b = b[n+int(ln):]
 	v, n := binary.Varint(b)
-	if n <= 0 {
+	if n <= 0 || overlong(b, n) {
 		return "", 0, nil, fmt.Errorf("serve: bad value varint")
 	}
 	return inst, int(v), b[n:], nil
@@ -120,7 +128,7 @@ func decodePeerMsg(b []byte) (kind byte, inst string, val int, err error) {
 		return 0, "", 0, fmt.Errorf("serve: empty peer message")
 	}
 	kind = b[0]
-	if kind != pmPropose && kind != pmDecide {
+	if kind != pmPropose && kind != pmDecide && kind != pmProposeDecided {
 		return 0, "", 0, fmt.Errorf("serve: unknown peer message kind %d", kind)
 	}
 	inst, val, rest, err := decodeInstVal(b[1:])
