@@ -29,10 +29,10 @@ type EnumState = hoalg.EnumState
 type Enum = hoalg.Enum
 
 // Enumerated drives an Enum as a core.Oracle for one explored schedule: a
-// hoalg.Walk whose picker is ctx, with options labeled by a plan hash so
-// mc's symmetry reduction collapses duplicate plans. The walk implements
-// mc.Fingerprinter over its suspicion history, so RunSpec.Mark-based pruning
-// can include the adversary's state. A state the model admits no plan from
+// hoalg.Walk whose picker is ctx, with options labeled by the family's
+// plan hashes so mc's symmetry reduction collapses duplicate plans. The
+// walk implements mc.Fingerprinter over its suspicion history, so
+// RunSpec.Mark-based pruning can include the adversary's state. A state the model admits no plan from
 // fails the exploration with the walk's *hoalg.EmptyFamilyError
 // (mc.Ctx.Fail).
 func Enumerated(ctx *mc.Ctx, n int, enum Enum) core.Oracle {
@@ -45,34 +45,12 @@ type explored struct {
 }
 
 func (e *explored) Plan(r int, active core.Set) core.RoundPlan {
-	plans := e.Plans(r, active)
-	if len(plans) == 0 {
+	fam := e.Plans(r, active)
+	if len(fam.Plans) == 0 {
 		e.ctx.Fail(e.Err())
 		return core.RoundPlan{}
 	}
-	labels := make([]uint64, len(plans))
-	for i := range plans {
-		labels[i] = planHash(&plans[i])
-	}
-	return e.Follow(plans[e.ctx.ChooseLabeled(labels)])
-}
-
-// planHash fingerprints a round plan for the symmetry reduction: two
-// options with equal hashes at one node are the same plan.
-func planHash(pl *core.RoundPlan) uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
-	for i, d := range pl.Suspects {
-		mix(uint64(i) + 0x100)
-		d.ForEach(func(p core.PID) { mix(uint64(p) + 1) })
-	}
-	mix(0x200)
-	pl.Crashes.ForEach(func(p core.PID) { mix(uint64(p) + 1) })
-	for i, d := range pl.Deliver {
-		mix(uint64(i) + 0x300)
-		d.ForEach(func(p core.PID) { mix(uint64(p) + 1) })
-	}
-	return h
+	return e.Follow(fam.Plans[e.ctx.ChooseLabeled(fam.Labels)])
 }
 
 // enumGuard bounds the states a per-round enumeration may generate:

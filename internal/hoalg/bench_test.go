@@ -10,8 +10,8 @@ import (
 )
 
 var (
-	sinkErr   error
-	sinkPlans []core.RoundPlan
+	sinkErr    error
+	sinkFamily *hoalg.Family
 )
 
 // BenchmarkCheck times one Check of the bench ladder's trace (n=16, f=5,
@@ -69,7 +69,7 @@ func BenchmarkEnumRound(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkPlans = enum(st)
+				sinkFamily = enum(st)
 			}
 		})
 	}

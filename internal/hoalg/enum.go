@@ -38,10 +38,21 @@ type EnumState struct {
 // list must be non-empty for satisfiable models, deterministic, and in a
 // stable order — the mc choice tree is built from its indices.
 //
-// A compiled Enum is a memoised function of the state: the list is computed
-// on the first call for a state and that same slice is returned on every
-// later one, to any goroutine. Callers must not mutate the returned plans.
-type Enum func(st EnumState) []core.RoundPlan
+// A compiled Enum is a memoised function of the state: the family is
+// computed on the first call for a state and the same one is returned on
+// every later one, to any goroutine. Callers must not mutate it.
+type Enum func(st EnumState) *Family
+
+// Family is what an Enum lists for one state: the admitted plans and, for
+// each, its symmetry label (planHash) — mc's symmetry reduction explores
+// only the first of the options at a node that share a label.
+type Family struct {
+	Plans  []core.RoundPlan
+	Labels []uint64
+}
+
+// gen is a generator before memoise: the plan list alone, computed afresh.
+type gen func(st EnumState) []core.RoundPlan
 
 // Branch pairs one top-level disjunct of an expression with its compiled
 // enumerator (see EnumBranches).
@@ -103,31 +114,53 @@ func (e *Expr) CompileEnum(n int) (Enum, error) {
 	return memoise(n, compileProductEnum(conjs, n)), nil
 }
 
-// memoise makes gen pay for each distinct state once. A plan family is a
-// function of the suspicion history alone, and an exhaustive exploration
-// replays every schedule from round 1, so it asks for the same few states
-// thousands of times over. The table is unbounded: CompileEnum's n <= 4
-// guard bounds the states reachable in the handful of rounds a sweep runs
-// (DESIGN §11, Exhaustive sweeps, has the measured sizes). The lock is held
-// across gen, so concurrent explorers of one Enum compute a state once and
-// all see the same slice.
-func memoise(n int, gen Enum) Enum {
+// memoise makes gen pay for each distinct state once, labels included. A
+// plan family is a function of the suspicion history alone, and an
+// exhaustive exploration replays every schedule from round 1, so it asks
+// for the same few states thousands of times over. The table is unbounded:
+// CompileEnum's n <= 4 guard bounds the states reachable in the handful of
+// rounds a sweep runs (DESIGN §11, Exhaustive sweeps, has the measured
+// sizes). The lock is held across gen, so concurrent explorers of one Enum
+// compute a state once and all see the same family.
+func memoise(n int, gen gen) Enum {
 	var (
-		mu    sync.Mutex
-		plans = make(map[string][]core.RoundPlan)
+		mu       sync.Mutex
+		families = make(map[string]*Family)
 	)
-	return func(st EnumState) []core.RoundPlan {
+	return func(st EnumState) *Family {
 		var buf [32]byte
 		key := st.appendKey(buf[:0], n)
 		mu.Lock()
 		defer mu.Unlock()
-		out, ok := plans[string(key)]
+		fam, ok := families[string(key)]
 		if !ok {
-			out = gen(st)
-			plans[string(key)] = out
+			fam = &Family{Plans: gen(st)}
+			fam.Labels = make([]uint64, len(fam.Plans))
+			for i := range fam.Plans {
+				fam.Labels[i] = planHash(&fam.Plans[i])
+			}
+			families[string(key)] = fam
 		}
-		return out
+		return fam
 	}
+}
+
+// planHash fingerprints a round plan for the symmetry reduction: two
+// options with equal hashes at one node are the same plan.
+func planHash(pl *core.RoundPlan) uint64 {
+	h := uint64(1469598103934665603)
+	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	for i, d := range pl.Suspects {
+		mix(uint64(i) + 0x100)
+		d.ForEach(func(p core.PID) { mix(uint64(p) + 1) })
+	}
+	mix(0x200)
+	pl.Crashes.ForEach(func(p core.PID) { mix(uint64(p) + 1) })
+	for i, d := range pl.Deliver {
+		mix(uint64(i) + 0x300)
+		d.ForEach(func(p core.PID) { mix(uint64(p) + 1) })
+	}
+	return h
 }
 
 // appendKey encodes everything the state carries, and so everything a
@@ -247,7 +280,7 @@ func perProcCap(conjs []conjunct, st EnumState) int {
 	return c
 }
 
-func compileProductEnum(conjs []conjunct, n int) Enum {
+func compileProductEnum(conjs []conjunct, n int) gen {
 	return func(st EnumState) []core.RoundPlan {
 		per := make(map[core.PID][]core.Set)
 		bound := perProcCap(conjs, st)
@@ -263,7 +296,7 @@ func compileProductEnum(conjs []conjunct, n int) Enum {
 // live process carries the cumulative suspicions plus the crashes, and the
 // adversary spends what remains of the atmost budget on fresh suspicions.
 // The remaining conjuncts act as a plan filter.
-func compileCrashEnum(conjs []conjunct, prop conjunct, n int) (Enum, error) {
+func compileCrashEnum(conjs []conjunct, prop conjunct, n int) (gen, error) {
 	if prop.stab != 0 {
 		return nil, fmt.Errorf("hoalg: cannot enumerate a windowed propagates (crash dynamics must hold from round 1)")
 	}

@@ -81,7 +81,7 @@ func TestCompileEnumWindowSemantics(t *testing.T) {
 	}
 	st := EnumState{R: 1, Active: core.FullSet(n),
 		Suspected: core.NewSet(n), PrevUnion: core.NewSet(n)}
-	round1 := enum(st)
+	round1 := enum(st).Plans
 	nonEmpty := 0
 	for _, plan := range round1 {
 		for _, d := range plan.Suspects {
@@ -95,7 +95,7 @@ func TestCompileEnumWindowSemantics(t *testing.T) {
 		t.Fatal("round 1 is inside the window and should allow suspicions")
 	}
 	st.R = 2
-	for _, plan := range enum(st) {
+	for _, plan := range enum(st).Plans {
 		for _, d := range plan.Suspects {
 			if !d.Empty() {
 				t.Fatalf("round 2 is past stab=1; atmost(0) must forbid suspicions, got %v", plan.Suspects)
@@ -113,7 +113,7 @@ func TestCompileEnumNegatedAtom(t *testing.T) {
 		t.Fatal(err)
 	}
 	plans := enum(EnumState{R: 1, Active: core.FullSet(n),
-		Suspected: core.NewSet(n), PrevUnion: core.NewSet(n)})
+		Suspected: core.NewSet(n), PrevUnion: core.NewSet(n)}).Plans
 	if len(plans) == 0 {
 		t.Fatal("negated perround(0) admits no plans")
 	}
@@ -140,7 +140,7 @@ func walkEnum(n, rounds int, enum Enum, visit func(*core.Trace)) {
 			visit(&core.Trace{N: n, Rounds: recs})
 			return
 		}
-		for _, plan := range enum(st) {
+		for _, plan := range enum(st).Plans {
 			live := st.Active.Diff(plan.Crashes)
 			u := core.UnionAll(n, plan.Suspects)
 			walk(EnumState{R: st.R + 1, Active: live,

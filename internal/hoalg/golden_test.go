@@ -84,7 +84,7 @@ func hashVerdicts(h hash.Hash, ps []predicate.P, tr *core.Trace) {
 			fmt.Fprintf(h, "%s: non-violation %v\n", p.Name, err)
 			continue
 		}
-		fmt.Fprintf(h, "%s|%d|%d|%s|%v\n", v.Predicate, v.Round, v.Proc, v.Detail, err)
+		fmt.Fprintf(h, "%s|%d|%d|%s|%v\n", v.Predicate, v.Round, v.Proc, v.Detail(), err)
 	}
 }
 

@@ -25,7 +25,8 @@ func next(n int, st EnumState, plan core.RoundPlan) EnumState {
 // TestCompiledEnumMemoIsInvisible: for every catalog model at n=3 and every
 // state a 2-round walk reaches (3 rounds for the windowed models), the list
 // a long-lived compiled Enum returns — on its first call for the state, its
-// second and its tenth — is the list a freshly compiled Enum computes.
+// second and its tenth — is the list a freshly compiled Enum computes, and
+// so are its labels.
 func TestCompiledEnumMemoIsInvisible(t *testing.T) {
 	const n = 3
 	p := Params{N: n, F: 1, K: 2, Stab: 1}
@@ -57,11 +58,11 @@ func TestCompiledEnumMemoIsInvisible(t *testing.T) {
 				for call := 1; call <= 10; call++ {
 					if got := branch.Enum(st); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s branch %q, state %s, call %d: %d plans, a fresh compile lists %d (or their contents differ)",
-							m.Name, branch.Expr, stateID(st), call, len(got), len(want))
+							m.Name, branch.Expr, stateID(st), call, len(got.Plans), len(want.Plans))
 					}
 				}
 				if st.R < rounds {
-					for _, plan := range want {
+					for _, plan := range want.Plans {
 						walk(next(n, st, plan))
 					}
 				}
@@ -107,8 +108,8 @@ func TestCompiledEnumKeysOnUnions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lists[c.name] = enum(c.st)
-			if want := fresh(c.st); !reflect.DeepEqual(lists[c.name], want) {
+			lists[c.name] = enum(c.st).Plans
+			if want := fresh(c.st).Plans; !reflect.DeepEqual(lists[c.name], want) {
 				t.Fatalf("%s visit, Unions %s: %d plans, a fresh compile lists %d", visit, c.name, len(lists[c.name]), len(want))
 			}
 		}

@@ -46,21 +46,22 @@ func (e *EmptyFamilyError) Error() string {
 		e.Round, e.State.Active, e.State.Suspected, e.State.PrevUnion)
 }
 
-// Plans lists the round-r plans the model admits, which the caller must not
-// modify. An empty list means the model is unsatisfiable from here: the walk
-// records an *EmptyFamilyError (see Err) and an oracle should return the
-// zero core.RoundPlan, which the engine rejects, ending the run.
-func (w *Walk) Plans(r int, active core.Set) []core.RoundPlan {
+// Plans lists the round-r plans the model admits and their labels, which
+// the caller must not modify. An empty family means the model is
+// unsatisfiable from here: the walk records an *EmptyFamilyError (see Err)
+// and an oracle should return the zero core.RoundPlan, which the engine
+// rejects, ending the run.
+func (w *Walk) Plans(r int, active core.Set) *Family {
 	st := EnumState{R: r, Active: active, Suspected: w.suspected,
 		PrevUnion: w.prevUnion, Unions: w.unions}
-	plans := w.enum(st)
-	if len(plans) == 0 {
+	fam := w.enum(st)
+	if len(fam.Plans) == 0 {
 		// The error outlives the round: detach it from the engine's live
 		// set and from the history this walk updates in place.
 		st.Active, st.Suspected = active.Clone(), w.suspected.Clone()
 		w.err = &EmptyFamilyError{Round: r, State: st}
 	}
-	return plans
+	return fam
 }
 
 // Follow takes plan, one of the last Plans, as the round's: it folds the
@@ -102,7 +103,7 @@ type Sampled struct {
 
 // Plan implements core.Oracle.
 func (s *Sampled) Plan(r int, active core.Set) core.RoundPlan {
-	plans := s.Plans(r, active)
+	plans := s.Plans(r, active).Plans
 	if len(plans) == 0 {
 		return core.RoundPlan{}
 	}

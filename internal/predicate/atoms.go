@@ -67,14 +67,19 @@ const (
 
 // atomDef is one row of the atom table. eval returns a witness — ok, the
 // offending process and a second process when the clause relates two (−1
-// where there is none) — without allocating it; detail renders the witness
-// for a Violation.
+// where there is none) — without allocating it. keep detaches from the
+// round the sets detail will quote, once eval has failed: a set the clause
+// computed fresh, or a clone of D(p) / D(q), since the trace may be
+// rewritten before anyone reads the text (nil: the text quotes nothing
+// but the round and the process). detail renders a Violation from its
+// witness, and runs only when the text is read.
 type atomDef struct {
 	name   string // expression syntax
 	arity  int
 	scope  scope
 	eval   func(args []int, rd Round) (ok bool, p, q core.PID)
-	detail func(args []int, rd Round, p, q core.PID) string
+	keep   func(args []int, rd Round, p, q core.PID) (a, b core.Set)
+	detail func(v *Violation) string
 }
 
 var atoms = [...]atomDef{
@@ -83,16 +88,16 @@ var atoms = [...]atomDef{
 		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
 			return firstProc(rd, func(p core.PID) bool { return rd.D[p].Has(p) })
 		},
-		detail: func([]int, Round, core.PID, core.PID) string { return "process suspects itself" },
+		detail: func(*Violation) string { return "process suspects itself" },
 	},
 	AtomAtMost: {
 		name: "atmost", arity: 1, scope: wholeTrace,
 		eval: func(args []int, rd Round) (bool, core.PID, core.PID) {
 			return windowUnion(rd).Count() <= args[0], -1, -1
 		},
-		detail: func(args []int, rd Round, _, _ core.PID) string {
-			u := windowUnion(rd)
-			return fmt.Sprintf("%d distinct processes suspected (%s), budget %d", u.Count(), u, args[0])
+		keep: func(_ []int, rd Round, _, _ core.PID) (core.Set, core.Set) { return windowUnion(rd), core.Set{} },
+		detail: func(v *Violation) string {
+			return fmt.Sprintf("%d distinct processes suspected (%s), budget %d", v.w.sets[0].Count(), v.w.sets[0], v.w.args[0])
 		},
 	},
 	AtomPerRound: {
@@ -100,8 +105,9 @@ var atoms = [...]atomDef{
 		eval: func(args []int, rd Round) (bool, core.PID, core.PID) {
 			return firstProc(rd, func(p core.PID) bool { return rd.D[p].Count() > args[0] })
 		},
-		detail: func(args []int, rd Round, p, _ core.PID) string {
-			return fmt.Sprintf("|D|=%d > f=%d (%s)", rd.D[p].Count(), args[0], rd.D[p])
+		keep: keepD,
+		detail: func(v *Violation) string {
+			return fmt.Sprintf("|D|=%d > f=%d (%s)", v.w.sets[0].Count(), v.w.args[0], v.w.sets[0])
 		},
 	},
 	AtomKSet: {
@@ -109,9 +115,9 @@ var atoms = [...]atomDef{
 		eval: func(args []int, rd Round) (bool, core.PID, core.PID) {
 			return uncertainty(rd).Count() < args[0], -1, -1
 		},
-		detail: func(args []int, rd Round, _, _ core.PID) string {
-			unc := uncertainty(rd)
-			return fmt.Sprintf("uncertainty %s has size %d ≥ k=%d", unc, unc.Count(), args[0])
+		keep: func(_ []int, rd Round, _, _ core.PID) (core.Set, core.Set) { return uncertainty(rd), core.Set{} },
+		detail: func(v *Violation) string {
+			return fmt.Sprintf("uncertainty %s has size %d ≥ k=%d", v.w.sets[0], v.w.sets[0].Count(), v.w.args[0])
 		},
 	},
 	AtomNoMutualMiss: {
@@ -119,8 +125,9 @@ var atoms = [...]atomDef{
 		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
 			return firstPair(rd, func(i, j core.PID) bool { return rd.D[i].Has(j) && rd.D[j].Has(i) })
 		},
-		detail: func(_ []int, _ Round, i, j core.PID) string {
-			return fmt.Sprintf("processes %d and %d suspect each other", i, j)
+		keep: keepNone,
+		detail: func(v *Violation) string {
+			return fmt.Sprintf("processes %d and %d suspect each other", v.Proc, v.w.q)
 		},
 	},
 	AtomSomeoneSeen: {
@@ -128,7 +135,7 @@ var atoms = [...]atomDef{
 		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
 			return roundUnion(rd).Count() < rd.N, -1, -1
 		},
-		detail: func([]int, Round, core.PID, core.PID) string { return "every process is suspected by someone" },
+		detail: func(*Violation) string { return "every process is suspected by someone" },
 	},
 	AtomIdentical: {
 		name: "identical",
@@ -142,8 +149,9 @@ var atoms = [...]atomDef{
 			})
 			return ok, p, first
 		},
-		detail: func(_ []int, rd Round, p, first core.PID) string {
-			return fmt.Sprintf("D(%d)=%s differs from %s", p, rd.D[p], rd.D[first])
+		keep: keepD,
+		detail: func(v *Violation) string {
+			return fmt.Sprintf("D(%d)=%s differs from %s", v.Proc, v.w.sets[0], v.w.sets[1])
 		},
 	},
 	AtomChain: {
@@ -153,8 +161,9 @@ var atoms = [...]atomDef{
 				return i < j && !rd.D[i].IsSubset(rd.D[j]) && !rd.D[j].IsSubset(rd.D[i])
 			})
 		},
-		detail: func(_ []int, rd Round, i, j core.PID) string {
-			return fmt.Sprintf("D(%d)=%s and D(%d)=%s incomparable", i, rd.D[i], j, rd.D[j])
+		keep: keepD,
+		detail: func(v *Violation) string {
+			return fmt.Sprintf("D(%d)=%s and D(%d)=%s incomparable", v.Proc, v.w.sets[0], v.w.q, v.w.sets[1])
 		},
 	},
 	AtomImmediacy: {
@@ -164,8 +173,9 @@ var atoms = [...]atomDef{
 				return !rd.D[i].Has(j) && !rd.D[i].IsSubset(rd.D[j])
 			})
 		},
-		detail: func(_ []int, rd Round, i, j core.PID) string {
-			return fmt.Sprintf("hears %d but D(%d)=%s ⊄ D(%d)=%s", j, i, rd.D[i], j, rd.D[j])
+		keep: keepD,
+		detail: func(v *Violation) string {
+			return fmt.Sprintf("hears %d but D(%d)=%s ⊄ D(%d)=%s", v.w.q, v.Proc, v.w.sets[0], v.w.q, v.w.sets[1])
 		},
 	},
 	AtomPropagates: {
@@ -173,9 +183,12 @@ var atoms = [...]atomDef{
 		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
 			return firstProc(rd, func(k core.PID) bool { return !rd.Prev.IsSubset(rd.D[k]) })
 		},
-		detail: func(_ []int, rd Round, k, _ core.PID) string {
+		// Prev is the checker's own fresh union, never rewritten after a
+		// failure; only D(k) belongs to the trace.
+		keep: func(_ []int, rd Round, k, _ core.PID) (core.Set, core.Set) { return rd.D[k].Clone(), rd.Prev },
+		detail: func(v *Violation) string {
 			return fmt.Sprintf("D(%d,%d)=%s does not contain round-%d union %s",
-				k, rd.R, rd.D[k], rd.R-1, rd.Prev)
+				v.Proc, v.Round, v.w.sets[0], v.Round-1, v.w.sets[1])
 		},
 	},
 	AtomNeverSusp: {
@@ -183,9 +196,10 @@ var atoms = [...]atomDef{
 		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
 			return windowUnion(rd).Count() < rd.N, -1, -1
 		},
-		detail: func(_ []int, rd Round, _, _ core.PID) string {
-			if rd.From > 1 {
-				return fmt.Sprintf("every process suspected after round %d", rd.From-1)
+		keep: keepNone,
+		detail: func(v *Violation) string {
+			if v.w.from > 1 {
+				return fmt.Sprintf("every process suspected after round %d", v.w.from-1)
 			}
 			return "every process was suspected at some round"
 		},
@@ -193,20 +207,40 @@ var atoms = [...]atomDef{
 	AtomBSys: {
 		// Q, the processes over the f budget, must have at most t members,
 		// each within the t budget. The reported offender is the highest
-		// pid over t.
+		// pid over t; without one the witness is Q.
 		name: "bsys", arity: 2,
 		eval: func(args []int, rd Round) (bool, core.PID, core.PID) {
 			bad, q := overBudget(args, rd)
 			return bad < 0 && q <= args[1], bad, -1
 		},
-		detail: func(args []int, rd Round, bad, _ core.PID) string {
+		keep: func(args []int, rd Round, bad, _ core.PID) (core.Set, core.Set) {
 			if bad >= 0 {
-				return fmt.Sprintf("|D|=%d exceeds even the t=%d budget", rd.D[bad].Count(), args[1])
+				return rd.D[bad].Clone(), core.Set{}
 			}
-			_, q := overBudget(args, rd)
-			return fmt.Sprintf("%d processes exceed the f budget, allowed ≤ t=%d", q, args[1])
+			q := core.NewSet(rd.N)
+			rd.Active.ForEach(func(p core.PID) {
+				if rd.D[p].Count() > args[0] {
+					q.Add(p)
+				}
+			})
+			return q, core.Set{}
+		},
+		detail: func(v *Violation) string {
+			if v.Proc >= 0 {
+				return fmt.Sprintf("|D|=%d exceeds even the t=%d budget", v.w.sets[0].Count(), v.w.args[1])
+			}
+			return fmt.Sprintf("%d processes exceed the f budget, allowed ≤ t=%d", v.w.sets[0].Count(), v.w.args[1])
 		},
 	},
+}
+
+// keepD detaches D(p) and, when the clause relates two processes, D(q).
+func keepD(_ []int, rd Round, p, q core.PID) (a, b core.Set) {
+	a = rd.D[p].Clone()
+	if q >= 0 {
+		b = rd.D[q].Clone()
+	}
+	return a, b
 }
 
 // firstProc finds the lowest active pid that bad holds of.
@@ -317,7 +351,7 @@ func (k AtomKind) Checker(name string, from int, args ...int) P {
 				continue
 			}
 			if ok, p, q := a.eval(args, rd); !ok {
-				return &Violation{Predicate: name, Round: rd.R, Proc: p, Detail: a.detail(args, rd, p, q)}
+				return a.violation(name, args, rd, p, q)
 			}
 			if a.scope == prevRound {
 				rd.Prev = roundUnion(rd)
@@ -325,10 +359,44 @@ func (k AtomKind) Checker(name string, from int, args ...int) P {
 		}
 		if a.scope == wholeTrace {
 			rd.R, rd.Active, rd.D = 0, core.Set{}, nil
-			if ok, p, q := a.eval(args, rd); !ok {
-				return &Violation{Predicate: name, Proc: -1, Detail: a.detail(args, rd, p, q)}
+			if ok, _, q := a.eval(args, rd); !ok {
+				return a.violation(name, args, rd, -1, q)
 			}
 		}
 		return nil
 	}}
 }
+
+// violation records the witness of a failed eval: the round, the pair, the
+// clause's args and window start and what keep detaches, in one
+// allocation. Nothing is rendered here.
+func (a *atomDef) violation(name string, args []int, rd Round, p, q core.PID) *Violation {
+	v := Violation{Predicate: name, Round: rd.R, Proc: p, def: a}
+	if a.keep == nil {
+		out := v
+		return &out
+	}
+	w := &witnessed{Violation: v, witness: witness{args: args, from: rd.From, q: q}}
+	w.sets[0], w.sets[1] = a.keep(args, rd, p, q)
+	w.Violation.w = &w.witness
+	return &w.Violation
+}
+
+// witness is what a clause's text quotes beyond the Violation's own fields:
+// the clause's args and window start, the second process and at most two
+// sets.
+type witness struct {
+	args []int
+	from int
+	q    core.PID
+	sets [2]core.Set
+}
+
+// witnessed is a Violation allocated together with its witness.
+type witnessed struct {
+	Violation
+	witness
+}
+
+// keepNone is keep for a clause whose text quotes no set.
+func keepNone([]int, Round, core.PID, core.PID) (a, b core.Set) { return a, b }

@@ -1,6 +1,10 @@
 package predicate
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/core"
+)
 
 var sinkChecked int
 
@@ -17,5 +21,26 @@ func BenchmarkExhaustiveImplies(b *testing.B) {
 			b.Fatalf("checked %d traces, err %v", checked, err)
 		}
 		sinkChecked = checked
+	}
+}
+
+// BenchmarkExhaustiveKSetProof times E07's largest proof row's filter: every
+// one of the 15^4 one-round traces at n=4 against KSetDetector(2), which
+// most of them violate — the failure path, tested only against nil.
+func BenchmarkExhaustiveKSetProof(b *testing.B) {
+	kset := KSetDetector(2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		satisfying := 0
+		err := ExhaustiveTraces(4, 1, func(tr *core.Trace) error {
+			if kset.Check(tr) == nil {
+				satisfying++
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkChecked = satisfying
 	}
 }

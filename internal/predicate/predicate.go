@@ -19,13 +19,23 @@ import (
 	"repro/internal/core"
 )
 
-// Violation reports where and how a trace broke a predicate.
+// Violation reports where and how a trace broke a predicate. Beside where,
+// it keeps only the witness the check found — the clause, its args, the
+// second process it relates and at most two sets detached from the trace —
+// and renders the text from it on demand (Detail, Error): a failure that is
+// merely tested against nil formats nothing. The witness is a copy, so the
+// text stays right after the trace is rewritten.
 type Violation struct {
 	Predicate string
 	Round     int // 0 when the violation is a whole-trace property
 	Proc      core.PID
-	Detail    string
+
+	def *atomDef // the failed clause's row, or a negation's own
+	w   *witness // nil when the text quotes nothing beyond the fields above
 }
+
+// Detail describes the violation in the clause's words.
+func (v *Violation) Detail() string { return v.def.detail(v) }
 
 // Error implements error.
 func (v *Violation) Error() string {
@@ -36,7 +46,7 @@ func (v *Violation) Error() string {
 	if v.Proc >= 0 {
 		where += fmt.Sprintf(", process %d", v.Proc)
 	}
-	return fmt.Sprintf("predicate %q violated (%s): %s", v.Predicate, where, v.Detail)
+	return fmt.Sprintf("predicate %q violated (%s): %s", v.Predicate, where, v.Detail())
 }
 
 // P is a checkable RRFD predicate.
@@ -49,10 +59,10 @@ type P struct {
 }
 
 // wrapped is the failure of a compound predicate: the violation of one of
-// its parts under the compound's name. The text is rendered only when asked
-// for, so a failure that is merely tested against nil — a premise rejected
-// by ExhaustiveImplies, a short-circuited disjunct — formats nothing beyond
-// the part's own Detail.
+// its parts under the compound's name. Like the Violation it wraps, it
+// renders its text only when asked, so a failure that is merely tested
+// against nil — a premise rejected by ExhaustiveImplies, a short-circuited
+// disjunct — formats nothing at all.
 type wrapped struct {
 	name string
 	or   bool // every disjunct failed; err is the first one's failure
@@ -117,14 +127,16 @@ func Or(name string, preds ...P) P {
 // satisfies it iff p is violated. The reported violation is whole-trace
 // (there is no single offending round when a property holds everywhere).
 func Not(name string, p P) P {
+	neg := &atomDef{detail: func(*Violation) string {
+		return fmt.Sprintf("negated predicate %q holds on the trace", p.Name)
+	}}
 	return P{
 		Name: name,
 		Check: func(t *core.Trace) error {
 			if err := p.Check(t); err != nil {
 				return nil
 			}
-			return &Violation{Predicate: name, Proc: -1,
-				Detail: fmt.Sprintf("negated predicate %q holds on the trace", p.Name)}
+			return &Violation{Predicate: name, Proc: -1, def: neg}
 		},
 	}
 }

@@ -301,9 +301,9 @@ func TestCompoundErrorsWrapTheViolation(t *testing.T) {
 
 // TestExhaustiveWalkAllocations pins the two halves of the exhaustive sweep:
 // the walk rewrites one trace in place, so all 343 one-round traces cost only
-// ExhaustiveTraces' set-up; and a premise that fails is only compared with
-// nil, so it costs its Violation, its Detail and one wrapper per compound —
-// no rendered text.
+// ExhaustiveTraces' set-up; and a check that fails is only compared with
+// nil, so it costs its Violation, the sets its witness detaches and one
+// wrapper per compound — no rendered text.
 func TestExhaustiveWalkAllocations(t *testing.T) {
 	visit := func(*core.Trace) error { return nil }
 	walk := testing.AllocsPerRun(5, func() {
@@ -323,20 +323,90 @@ func TestExhaustiveWalkAllocations(t *testing.T) {
 			t.Fatalf("checked %d, err %v", checked, err)
 		}
 	})
-	// Measured 3.25 a trace; rendering the discarded text is 6 more.
+	// Measured 3.14 a trace; rendering the discarded text is 6 more.
 	if perTrace := implies / traces; perTrace > 4.1 {
 		t.Fatalf("ExhaustiveImplies(3, 2, sync-crash, send-omission) allocated %.2f times per trace, want <= 4.1", perTrace)
+	}
+
+	// E07's proof rows: most of the 15^4 one-round traces violate the
+	// k-set detector, and the sweep only compares the failure with nil.
+	kset := KSetDetector(2)
+	const ksetTraces = 50625
+	proof := testing.AllocsPerRun(1, func() {
+		if err := ExhaustiveTraces(4, 1, func(tr *core.Trace) error {
+			kset.Check(tr)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured 4.98: eval's uncertainty (2), keep's (2) and the Violation.
+	// Rendering the text eagerly was 8.53.
+	if perTrace := proof / ksetTraces; perTrace > 5 {
+		t.Fatalf("ExhaustiveTraces(4, 1) under k-set-detector(k=2) allocated %.2f times per trace, want <= 5", perTrace)
 	}
 }
 
 func TestViolationErrorFormat(t *testing.T) {
-	v := &Violation{Predicate: "p", Round: 3, Proc: 1, Detail: "boom"}
-	if got := v.Error(); !strings.Contains(got, "round 3") || !strings.Contains(got, "process 1") {
-		t.Fatalf("Error() = %q", got)
+	tr := mkTrace(3,
+		[][]core.PID{pids(), pids(), pids()},
+		[][]core.PID{pids(), pids(), pids()},
+		[][]core.PID{pids(), pids(1), pids()},
+	)
+	err := SelfTrusting().Check(tr)
+	if err == nil || !strings.Contains(err.Error(), "round 3") || !strings.Contains(err.Error(), "process 1") {
+		t.Fatalf("Error() = %v", err)
 	}
-	whole := &Violation{Predicate: "p", Proc: -1, Detail: "boom"}
-	if got := whole.Error(); !strings.Contains(got, "whole trace") {
-		t.Fatalf("Error() = %q", got)
+	whole := TotalSuspectBudget(0).Check(tr)
+	if whole == nil || !strings.Contains(whole.Error(), "whole trace") {
+		t.Fatalf("Error() = %v", whole)
+	}
+	var v *Violation
+	if !errors.As(whole, &v) || v.Detail() != "1 distinct processes suspected ({1}), budget 0" {
+		t.Fatalf("Detail() of %v", whole)
+	}
+}
+
+// TestViolationOutlivesTheWalk: a violation taken inside an ExhaustiveTraces
+// callback renders, after the walk has rewritten the trace many times over,
+// the text it had when it was taken — its witness is a copy, not a view of
+// the trace. Every atom, a negation and the compounds are sampled.
+func TestViolationOutlivesTheWalk(t *testing.T) {
+	preds := []P{
+		SelfTrusting(), TotalSuspectBudget(1), PerRoundBudget(1), KSetDetector(2),
+		NoMutualMiss(), SomeoneSeenByAll(), IdenticalSuspects(), ContainmentChain(),
+		Immediacy(), SuspicionPropagates(), NeverSuspectedExists(),
+		EventuallyNeverSuspected(1), BSystem(0, 1), BSystem(1, 2),
+		Not("not-budget", PerRoundBudget(2)), SyncCrash(1),
+		Or("either", SharedMemory(1), AtomicSnapshot(1)),
+	}
+	type kept struct {
+		err  error
+		text string
+	}
+	var saved []kept
+	visits := 0
+	if err := ExhaustiveTraces(3, 2, func(tr *core.Trace) error {
+		visits++
+		if visits%211 != 0 {
+			return nil
+		}
+		for _, p := range preds {
+			if err := p.Check(tr); err != nil {
+				saved = append(saved, kept{err, err.Error()})
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(saved) < 1000 {
+		t.Fatalf("sampled only %d violations", len(saved))
+	}
+	for _, k := range saved {
+		if got := k.err.Error(); got != k.text {
+			t.Fatalf("after the walk moved on\n got %s\nwant %s", got, k.text)
+		}
 	}
 }
 

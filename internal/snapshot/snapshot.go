@@ -31,16 +31,13 @@ type Cell struct {
 // processes sharing a swmr execution and a name operate on the same object.
 type Object struct {
 	proc *swmr.Proc
-	name string
+	reg  string // the register holding the caller's cell: "snap:"+name
 }
 
 // New returns process p's handle to the snapshot object called name.
 func New(p *swmr.Proc, name string) *Object {
-	return &Object{proc: p, name: name}
+	return &Object{proc: p, reg: "snap:" + name}
 }
-
-// reg is the register name holding this object's cell.
-func (o *Object) reg() string { return "snap:" + o.name }
 
 // Update atomically (in the linearization sense) replaces the caller's
 // component with v. It embeds a fresh scan into the written cell so that
@@ -50,7 +47,7 @@ func (o *Object) Update(v core.Value) error {
 	if err != nil {
 		return err
 	}
-	cur, err := o.proc.Read(o.proc.Me, o.reg())
+	cur, err := o.proc.Read(o.proc.Me, o.reg)
 	if err != nil {
 		return err
 	}
@@ -58,7 +55,7 @@ func (o *Object) Update(v core.Value) error {
 	if c, ok := cur.(Cell); ok {
 		seq = c.Seq
 	}
-	return o.proc.Write(o.reg(), Cell{Value: v, Seq: seq + 1, View: view})
+	return o.proc.Write(o.reg, Cell{Value: v, Seq: seq + 1, View: view})
 }
 
 // Scan returns a linearizable snapshot of all n components. Components never
@@ -105,7 +102,7 @@ func (o *Object) Scan() ([]Cell, error) {
 
 // collect reads every component once (n register operations).
 func (o *Object) collect() ([]Cell, error) {
-	raw, err := o.proc.Collect(o.reg())
+	raw, err := o.proc.Collect(o.reg)
 	if err != nil {
 		return nil, err
 	}

@@ -74,31 +74,73 @@ type Outcome struct {
 	Crashed core.Set
 }
 
-type regKey struct {
-	owner core.PID
-	name  string
-}
-
+// memory is the shared state: every register in one slice, row by row — a
+// register name gets its row on first use, and cells[row*n+owner] is
+// owner's register — and the Atomic objects by name.
 type memory struct {
-	cells   map[regKey]core.Value
+	n       int
+	names   []string // names[row]: a protocol uses a handful, so no map
+	cells   []core.Value
 	objects map[string]core.Value
 }
 
-func (m *memory) read(k regKey) core.Value { return m.cells[k] }
+// cell returns owner's register name, adding a row for a new name. Rows
+// are searched newest first: protocols that name registers per round or
+// per instance keep using the ones they made last.
+func (m *memory) cell(owner core.PID, name string) *core.Value {
+	row := len(m.names) - 1
+	for row >= 0 && m.names[row] != name {
+		row--
+	}
+	if row < 0 {
+		row = len(m.names)
+		m.names = append(m.names, name)
+		m.cells = append(m.cells, make([]core.Value, m.n)...)
+	}
+	return &m.cells[row*m.n+int(owner)]
+}
 
-func (m *memory) write(k regKey, v core.Value) { m.cells[k] = v }
+// opKind is the register operation a request asks for.
+type opKind uint8
 
-// request is a process's one outstanding operation. It lives inside its
-// Proc and is refilled per operation: the process writes it before posting
-// it and yielding, and the baton holder that applies it writes res before
-// waking the process.
+const (
+	opRead opKind = iota
+	opWrite
+	opAtomic
+)
+
+// request is a process's one outstanding operation, as data. It lives
+// inside its Proc and is refilled per operation: the process writes it
+// before posting it and yielding, and the baton holder that applies it
+// writes res before waking the process.
 //
-// apply closures — Atomic's fn among them — run, like the Chooser, on
-// whichever process goroutine holds the scheduler: serialized and ordered,
-// so they may keep unsynchronized state, but not tied to a goroutine.
+// Atomic's fn runs, like the Chooser, on whichever process goroutine holds
+// the scheduler: serialized and ordered, so it may keep unsynchronized
+// state, but not tied to a goroutine.
 type request struct {
-	apply func(m *memory) core.Value
+	kind  opKind
+	owner core.PID   // opRead: whose register; opWrite: the caller
+	name  string     // the register, or the Atomic object
+	v     core.Value // opWrite's value
+	fn    func(state core.Value) (newState, result core.Value)
 	res   result
+}
+
+// apply performs the request on m and returns its result value.
+func (r *request) apply(m *memory) core.Value {
+	switch r.kind {
+	case opWrite:
+		*m.cell(r.owner, r.name) = r.v
+		return nil
+	case opAtomic:
+		if m.objects == nil {
+			m.objects = make(map[string]core.Value)
+		}
+		next, res := r.fn(m.objects[r.name])
+		m.objects[r.name] = next
+		return res
+	}
+	return *m.cell(r.owner, r.name)
 }
 
 type result struct {
@@ -121,19 +163,16 @@ type Proc struct {
 // Write sets the caller's register name. Only the owner may write a
 // register; Write always writes p.Me's register.
 func (p *Proc) Write(name string, v core.Value) error {
-	k := regKey{owner: p.Me, name: name}
-	_, err := p.do(func(m *memory) core.Value {
-		m.write(k, v)
-		return nil
-	})
+	p.req.kind, p.req.owner, p.req.name, p.req.v = opWrite, p.Me, name, v
+	_, err := p.do()
 	return err
 }
 
 // Read returns the current value of owner's register name (Bottom if never
 // written).
 func (p *Proc) Read(owner core.PID, name string) (core.Value, error) {
-	k := regKey{owner: owner, name: name}
-	return p.do(func(m *memory) core.Value { return m.read(k) })
+	p.req.kind, p.req.owner, p.req.name = opRead, owner, name
+	return p.do()
 }
 
 // Atomic applies fn to the named auxiliary object's state in one scheduler
@@ -143,14 +182,8 @@ func (p *Proc) Read(owner core.PID, name string) (core.Value, error) {
 // impossibility is the very content of §3/§4). fn must be deterministic and,
 // like a Chooser, not tied to a goroutine; the initial state is Bottom.
 func (p *Proc) Atomic(name string, fn func(state core.Value) (newState, result core.Value)) (core.Value, error) {
-	return p.do(func(m *memory) core.Value {
-		if m.objects == nil {
-			m.objects = make(map[string]core.Value)
-		}
-		next, res := fn(m.objects[name])
-		m.objects[name] = next
-		return res
-	})
+	p.req.kind, p.req.name, p.req.fn = opAtomic, name, fn
+	return p.do()
 }
 
 // Collect reads register name of every process, one register operation per
@@ -169,8 +202,8 @@ func (p *Proc) Collect(name string) ([]core.Value, error) {
 	return out, nil
 }
 
-func (p *Proc) do(apply func(m *memory) core.Value) (core.Value, error) {
-	p.req.apply = apply
+// do posts the request the caller has filled in and waits for its result.
+func (p *Proc) do() (core.Value, error) {
 	p.sched.pending[p.Me] = &p.req
 	p.sched.baton.Yield(p.Me)
 	return p.req.res.v, p.req.res.err
@@ -212,7 +245,7 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	}
 	s := &sched{
 		cfg:      cfg,
-		mem:      memory{cells: make(map[regKey]core.Value)},
+		mem:      memory{n: n},
 		out:      &Outcome{Crashed: core.NewSet(n)},
 		pending:  make([]*request, n),
 		opsDone:  make([]int, n),
