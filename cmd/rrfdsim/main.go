@@ -653,6 +653,9 @@ func validate(cfg config) error {
 	if cfg.f < 0 {
 		return fmt.Errorf("invalid fault budget %d: -f must be >= 0", cfg.f)
 	}
+	if cfg.f == 0 && strings.HasPrefix(cfg.mode, "chaos") {
+		return fmt.Errorf("%s exists to inject faults, and -f 0 allows none: use -f >= 1", cfg.mode)
+	}
 	if cfg.k < 1 {
 		return fmt.Errorf("invalid agreement parameter %d: -k must be >= 1", cfg.k)
 	}

@@ -49,11 +49,22 @@ func TestValidateRejectsBadN(t *testing.T) {
 		{"n=0", func(c *config) { c.n = 0 }},
 		{"f=-1", func(c *config) { c.f = -1 }},
 		{"k=0", func(c *config) { c.k = 0 }},
+		{"chaos f=0", func(c *config) { c.mode, c.f = "chaos", 0 }},
+		{"chaos-recover f=0", func(c *config) { c.mode, c.f = "chaos-recover", 0 }},
+		{"chaos-serve f=0", func(c *config) { c.mode, c.f = "chaos-serve", 0 }},
 	} {
 		cfg := baseConfig()
 		c.set(&cfg)
 		if err := validate(cfg); err == nil {
 			t.Fatalf("validate accepted %s", c.what)
+		}
+	}
+	// A plain run and mc may run fault-free.
+	for _, mode := range []string{"", "mc"} {
+		cfg := baseConfig()
+		cfg.mode, cfg.f = mode, 0
+		if err := validate(cfg); err != nil {
+			t.Fatalf("validate rejected f=0 in mode %q: %v", mode, err)
 		}
 	}
 }

@@ -91,3 +91,30 @@ func ExampleRunTwoStep() {
 	// two-step: 2 steps
 	// baseline: 32 steps
 }
+
+// decisionCounter is an Observer counting first decisions.
+type decisionCounter struct{ n int }
+
+func (c *decisionCounter) Observe(e rrfd.Event) {
+	if e.Kind == "decide" {
+		c.n++
+	}
+}
+
+// An Observer has one method over one event type: the engine reports each
+// process's first decision as a "decide" event, among the rest of a run.
+func ExampleObserver() {
+	const n, k = 8, 2
+	inputs := make([]rrfd.Value, n)
+	for i := range inputs {
+		inputs[i] = i
+	}
+	var c decisionCounter
+	if _, err := rrfd.Run(n, inputs, rrfd.OneRoundKSet(), rrfd.KSetUncertainty(n, k, 7), rrfd.WithObserver(&c)); err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println("decisions:", c.n)
+	// Output:
+	// decisions: 8
+}

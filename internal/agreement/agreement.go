@@ -94,7 +94,7 @@ func (a *oneRoundKSet) Deliver(r int, msgs map[core.PID]core.Message, suspects c
 		return nil, false
 	}
 	if a.obs != nil {
-		a.obs.Event("agreement.kset_choose", r, int(a.me), map[string]any{"from": int(best)})
+		a.obs.Observe(obs.Event{Kind: "agreement.kset_choose", R: r, P: int(a.me), Fields: map[string]any{"from": int(best)}})
 	}
 	return msgs[best], true
 }

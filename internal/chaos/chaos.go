@@ -94,7 +94,7 @@ type Config struct {
 	// on the substrate induces (TestLockStepEqualsSubstrate). A crash draw
 	// or a component that depends on step timing is a *LockStepError (a
 	// "run-error"). The summary counts no stalls, retransmissions, give-ups
-	// or steps; the Observer gets the engine's hooks on a clock standing still.
+	// or steps; the Observer gets the engine's events on a clock standing still.
 	SyncRounds bool
 
 	// QuorumBug deliberately breaks the decision rule — processes decide
@@ -341,9 +341,9 @@ func Execute(cfg Config, schedSeed int64, plan faultnet.Plan, crashes map[core.P
 	}
 	if cfg.Observer != nil {
 		for _, c := range plan.Partitions() {
-			cfg.Observer.Event("faultnet.partition_span", -1, -1, map[string]any{
+			cfg.Observer.Observe(obs.Event{Kind: "faultnet.partition_span", R: -1, P: -1, Fields: map[string]any{
 				"from": c.From, "until": c.Until, "name": c.Name,
-			})
+			}})
 		}
 	}
 	out, rep, err := reliablelink.RunRounds(cfg.N, cfg.F, cfg.Rounds, reliablelink.RoundsConfig{

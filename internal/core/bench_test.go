@@ -119,7 +119,7 @@ func BenchmarkEngineRoundsObserved(b *testing.B) {
 
 // BenchmarkObservedRun prices the observer kinds on one fixed workload
 // (n=16, 10 rounds of the echo algorithm under a benign oracle): no
-// observer at all (must stay at BenchmarkEngineRounds speed — the hooks
+// observer at all (must stay at BenchmarkEngineRounds speed — the events
 // are behind one nil check), the Metrics aggregator (atomic counters plus
 // sharded histograms), and the causal Tracer (span + flow assembly, a
 // fresh tracer per run as the CLIs use it).

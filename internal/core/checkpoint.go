@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -194,7 +195,7 @@ func (ck *checkpointer) writeEnd() error {
 // journal on, the continuation journals to the same log, so Resume is
 // itself killable and resumable; a log whose run completed resumes to the
 // same final Result. An observer sees one "recovery.resume" event, then
-// every round's engine hooks, the replayed ones included.
+// every round's engine events, the replayed ones included.
 func Resume(dir string, factory Factory, oracle Oracle, opts ...Option) (res *Result, err error) {
 	o := foldOptions(opts)
 	if o.ckDir != "" && o.ckDir != dir {
@@ -219,10 +220,10 @@ func Resume(dir string, factory Factory, oracle Oracle, opts ...Option) (res *Re
 	e.ck = &checkpointer{log: l, ended: ended}
 	e.replay = len(rounds)
 	if e.ob != nil {
-		e.ob.Event("recovery.resume", len(rounds), -1, map[string]any{
+		e.ob.Observe(obs.Event{Kind: "recovery.resume", R: len(rounds), P: -1, Fields: map[string]any{
 			"replayed_rounds": len(rounds),
 			"truncated_bytes": rep.TruncatedBytes,
-		})
+		}})
 	}
 	res, err = e.run()
 	if jo.err != nil {

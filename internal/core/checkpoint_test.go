@@ -322,7 +322,7 @@ func TestResumePastKillPoint(t *testing.T) {
 }
 
 // TestResumeHookStreamEqualsUninterrupted pins what an observer of a
-// resumed run sees: the run is executed, not restored, so the engine hooks
+// resumed run sees: the run is executed, not restored, so the engine events
 // of the replayed rounds arrive like any others. With phase durations
 // zeroed by a frozen clock, the resumed stream is the uninterrupted one
 // plus a single recovery.resume event before round 1.

@@ -160,7 +160,7 @@ func (e *execution) begin(n int, inputs []Value, factory Factory, oracle Oracle,
 		e.now = time.Now
 	}
 	if e.ob != nil {
-		e.ob.RunStart(n)
+		e.ob.Observe(obs.Event{Kind: obs.RunStart, R: -1, P: -1, N: n})
 	}
 	for i := range e.procs {
 		e.procs[i] = factory(PID(i), n, inputs[i])
@@ -179,7 +179,15 @@ func (e *execution) end(res *Result, err error) {
 	if res != nil {
 		rounds, decided = res.Rounds, len(res.DecidedAt)
 	}
-	e.ob.RunEnd(rounds, decided, err)
+	e.ob.Observe(obs.Event{Kind: obs.RunEnd, R: -1, P: -1, N: rounds, M: decided, Err: err})
+}
+
+// phase reports round r's phase that began at start, timed on the
+// engine's clock, and returns its duration.
+func (e *execution) phase(r int, name string, start time.Time) time.Duration {
+	d := e.now().Sub(start)
+	e.ob.Observe(obs.Event{Kind: obs.Phase, R: r, P: -1, Phase: name, Dur: d})
+	return d
 }
 
 // run executes rounds 1..maxRounds and settles the checkpoint log: a clean
@@ -213,12 +221,6 @@ func (e *execution) loop() (*Result, error) {
 	o, ob, now, res := e.o, e.ob, e.now, e.res
 	n, full := e.n, e.full
 
-	// Phase timings cost two clock reads per phase; skip them when the
-	// attached observer declares it never consumes them (obs.Base and
-	// anything embedding it without overriding Phase). Phase hooks still
-	// fire, with a zero duration.
-	timed := ob != nil && obs.NeedsPhaseTimings(ob)
-
 	var (
 		msgs    = make([]Message, n)       // round-r emissions, indexed by PID
 		in      = make(map[PID]Message, n) // delivery map passed to Deliver
@@ -231,20 +233,13 @@ func (e *execution) loop() (*Result, error) {
 	for r := 1; r <= o.maxRounds; r++ {
 		var phaseStart time.Time
 		if ob != nil {
-			ob.RoundStart(r, e.active.Count())
-			if timed {
-				phaseStart = now()
-			}
+			ob.Observe(obs.Event{Kind: obs.RoundStart, R: r, P: -1, N: e.active.Count()})
+			phaseStart = now()
 		}
 		var roundDur time.Duration // Σ of the three timed phases, no extra clock reads
 		plan := e.oracle.Plan(r, e.active)
 		if ob != nil {
-			var d time.Duration
-			if timed {
-				d = now().Sub(phaseStart)
-			}
-			roundDur += d
-			ob.Phase(r, "plan", d)
+			roundDur += e.phase(r, "plan", phaseStart)
 		}
 		if err := validatePlanIn(n, r, e.active, &plan, vs); err != nil {
 			return nil, err
@@ -252,33 +247,26 @@ func (e *execution) loop() (*Result, error) {
 		e.active.DiffInto(plan.Crashes)
 		res.Crashed.UnionInto(plan.Crashes)
 		if ob != nil && !plan.Crashes.Empty() {
-			ob.Crash(r, observerInts(plan.Crashes))
+			ob.Observe(obs.Event{Kind: obs.Crash, R: r, P: -1, Members: observerInts(plan.Crashes)})
 		}
 		if e.active.Empty() {
 			res.Rounds = r
 			return res, fmt.Errorf("core: all processes crashed at round %d", r)
 		}
 
-		if timed {
+		if ob != nil {
 			phaseStart = now()
 		}
 		clear(msgs)
 		e.active.ForEach(func(p PID) {
 			msgs[p] = e.procs[p].Emit(r)
 			if ob != nil {
-				ob.Emit(r, int(p))
+				ob.Observe(obs.Event{Kind: obs.Emit, R: r, P: int(p)})
 			}
 		})
 		if ob != nil {
-			var d time.Duration
-			if timed {
-				d = now().Sub(phaseStart)
-			}
-			roundDur += d
-			ob.Phase(r, "emit", d)
-			if timed {
-				phaseStart = now()
-			}
+			roundDur += e.phase(r, "emit", phaseStart)
+			phaseStart = now()
 		}
 
 		var rec RoundRecord
@@ -304,15 +292,15 @@ func (e *execution) loop() (*Result, error) {
 			susp.CopyFrom(plan.Suspects[p])
 			out, decided := e.procs[p].Deliver(r, in, susp)
 			if ob != nil {
-				ob.Suspect(r, int(p), observerInts(plan.Suspects[p]))
-				ob.Deliver(r, int(p), deliver.Count(), plan.Suspects[p].Count())
+				ob.Observe(obs.Event{Kind: obs.Suspect, R: r, P: int(p), Members: observerInts(plan.Suspects[p])})
+				ob.Observe(obs.Event{Kind: obs.Deliver, R: r, P: int(p), N: deliver.Count(), M: plan.Suspects[p].Count()})
 			}
 			if decided {
 				if _, done := res.DecidedAt[p]; !done {
 					res.Outputs[p] = out
 					res.DecidedAt[p] = r
 					if ob != nil {
-						ob.Decide(r, int(p))
+						ob.Observe(obs.Event{Kind: obs.Decide, R: r, P: int(p)})
 					}
 				}
 			}
@@ -322,15 +310,10 @@ func (e *execution) loop() (*Result, error) {
 			}
 		})
 		if ob != nil {
-			var d time.Duration
-			if timed {
-				d = now().Sub(phaseStart)
-			}
-			roundDur += d
-			ob.Phase(r, "deliver", d)
+			roundDur += e.phase(r, "deliver", phaseStart)
 			// The synthetic whole-round phase is the sum of the three
 			// timed phases — deliberately no extra clock reads.
-			ob.Phase(r, "round", roundDur)
+			ob.Observe(obs.Event{Kind: obs.Phase, R: r, P: -1, Phase: "round", Dur: roundDur})
 		}
 		if deliverErr != nil {
 			return nil, deliverErr

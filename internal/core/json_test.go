@@ -10,7 +10,9 @@ import (
 
 // countingObserver is a minimal observer used to prove observation leaves
 // traces untouched.
-type countingObserver struct{ obs.Base }
+type countingObserver struct{}
+
+func (countingObserver) Observe(obs.Event) {}
 
 func TestSetJSONRoundTrip(t *testing.T) {
 	orig := SetOf(70, 0, 63, 64, 69)

@@ -7,8 +7,9 @@ import (
 	"repro/internal/obs"
 )
 
-// WithObserver attaches an observer to the execution: the engine calls its
-// hooks at run/round/emit/deliver/decide boundaries and times each phase.
+// WithObserver attaches an observer to the execution: the engine reports an
+// event at every run/round/emit/deliver/decide boundary and times each
+// phase.
 // With no observer attached (and no default observer installed) the hot
 // path pays only a nil check per site.
 func WithObserver(o obs.Observer) Option {

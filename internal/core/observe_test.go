@@ -181,3 +181,30 @@ func TestCollectTraceWithObserver(t *testing.T) {
 		t.Fatalf("observer rounds %d", got)
 	}
 }
+
+// TestObservingAllocatesNothingPerEvent: on BenchmarkObservedRun's workload
+// (n=16, 10 rounds of the echo algorithm, benign oracle) a run observed by
+// Metrics allocates at most 2 more than an unobserved one — an event that
+// escaped to the heap would cost one per event, hundreds per run.
+func TestObservingAllocatesNothingPerEvent(t *testing.T) {
+	const n, rounds = 16, 10
+	inputs := make([]Value, n)
+	oracle := OracleFunc(func(r int, active Set) RoundPlan {
+		sus := make([]Set, n)
+		for i := range sus {
+			sus[i] = NewSet(n)
+		}
+		return RoundPlan{Suspects: sus}
+	})
+	allocs := func(opts ...Option) float64 {
+		opts = append([]Option{WithoutTrace()}, opts...)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(n, inputs, newEchoFactory(rounds), oracle, opts...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if off, on := allocs(), allocs(WithObserver(obs.NewMetrics())); on > off+2 {
+		t.Fatalf("%.0f allocations observed, %.0f unobserved: want at most 2 more", on, off)
+	}
+}

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -273,7 +274,7 @@ func (t *task) push(options int, labels []uint64) {
 			f.pruned = true
 			t.stats.Pruned++
 			if o := t.opts.Observer; o != nil {
-				o.Event("mc.prune", -1, -1, map[string]any{"depth": t.depth})
+				o.Observe(obs.Event{Kind: "mc.prune", R: -1, P: -1, Fields: map[string]any{"depth": t.depth}})
 			}
 		}
 	}
@@ -444,11 +445,11 @@ func (t *task) explore() taskResult {
 		if t.sampling {
 			t.stats.Sampled++
 			if o := t.opts.Observer; o != nil {
-				o.Event("mc.sample", -1, -1, map[string]any{"depth": t.pathLen})
+				o.Observe(obs.Event{Kind: "mc.sample", R: -1, P: -1, Fields: map[string]any{"depth": t.pathLen}})
 			}
 		}
 		if o := t.opts.Observer; o != nil {
-			o.Event("mc.schedule", -1, -1, map[string]any{"depth": t.pathLen})
+			o.Observe(obs.Event{Kind: "mc.schedule", R: -1, P: -1, Fields: map[string]any{"depth": t.pathLen}})
 		}
 		if !t.backtrack() {
 			return taskResult{stats: t.stats, exhausted: !t.sawSampling}
@@ -596,11 +597,11 @@ func aggregate(o Options, run func(*Ctx) error, trs []taskResult) (*Result, erro
 		res.Exhausted = res.Exhausted && tr.exhausted && !tr.limitHit
 	}
 	if o.Observer != nil {
-		o.Observer.Event("mc.done", -1, -1, map[string]any{
+		o.Observer.Observe(obs.Event{Kind: "mc.done", R: -1, P: -1, Fields: map[string]any{
 			"schedules": res.Schedules, "pruned": res.Pruned,
 			"sampled": res.Sampled, "max_depth": res.Stats.MaxDepth,
 			"symmetry_skips": res.SymmetrySkips, "sleep_skips": res.SleepSkips,
-		})
+		}})
 	}
 	return res, nil
 }
@@ -612,14 +613,14 @@ func finish(o Options, run func(*Ctx) error, res *Result, cx []int, cxErr error)
 	c.Choices, c.Err = shrink(run, cx, cxErr)
 	res.Counterexample = c
 	if o.Observer != nil {
-		o.Observer.Event("mc.violation", -1, -1, map[string]any{
+		o.Observer.Observe(obs.Event{Kind: "mc.violation", R: -1, P: -1, Fields: map[string]any{
 			"choices": FormatChoices(c.Choices), "len": len(c.Choices),
-		})
-		o.Observer.Event("mc.done", -1, -1, map[string]any{
+		}})
+		o.Observer.Observe(obs.Event{Kind: "mc.done", R: -1, P: -1, Fields: map[string]any{
 			"schedules": res.Schedules, "pruned": res.Pruned,
 			"sampled": res.Sampled, "max_depth": res.Stats.MaxDepth,
 			"symmetry_skips": res.SymmetrySkips, "sleep_skips": res.SleepSkips,
-		})
+		}})
 	}
 	return res, nil
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // binaryTree returns a run making depth choices of width options each.
@@ -389,15 +391,15 @@ func TestChooseNoOptionsPanics(t *testing.T) {
 	})
 }
 
-// eventRecorder captures mc.* events through the Options.Observer hook.
+// eventRecorder captures mc.* events through Options.Observer.
 type eventRecorder struct {
 	kinds  []string
 	fields []map[string]any
 }
 
-func (e *eventRecorder) Event(kind string, r, p int, fields map[string]any) {
-	e.kinds = append(e.kinds, kind)
-	e.fields = append(e.fields, fields)
+func (e *eventRecorder) Observe(ev obs.Event) {
+	e.kinds = append(e.kinds, ev.Kind)
+	e.fields = append(e.fields, ev.Fields)
 }
 
 func TestObserverEvents(t *testing.T) {
@@ -428,7 +430,7 @@ func TestObserverEvents(t *testing.T) {
 // discardEvents is an observer that keeps nothing.
 type discardEvents struct{}
 
-func (discardEvents) Event(string, int, int, map[string]any) {}
+func (discardEvents) Observe(obs.Event) {}
 
 // TestUnobservedExploreBuildsNoEventFields: with no Observer an explored
 // schedule builds no field map for the mc.schedule event nobody receives, so

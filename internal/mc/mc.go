@@ -42,7 +42,11 @@
 // mc.* events by kind only.
 package mc
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/obs"
+)
 
 // DivergenceError reports that replaying a choice prefix presented a
 // different option set than the recorded tree — i.e. the run function is
@@ -111,13 +115,7 @@ type Options struct {
 	// schedule, "mc.prune" per cut subtree, "mc.sample" per random
 	// completion, "mc.violation" per counterexample, and a final "mc.done"
 	// carrying the deepest path). Forces Workers to 1.
-	Observer observerLike
-}
-
-// observerLike is the slice of obs.Observer this package needs; declared
-// structurally so mc stays importable from anywhere below obs.
-type observerLike interface {
-	Event(kind string, r, p int, fields map[string]any)
+	Observer obs.Observer
 }
 
 func (o Options) withDefaults() Options {

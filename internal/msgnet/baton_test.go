@@ -38,7 +38,6 @@ func caught(fn func()) (v any) {
 // panicAt panics on its at-th send as an injector, and on the at-th event of
 // its kind (any kind if empty) as an observer.
 type panicAt struct {
-	obs.Base
 	kind      string
 	calls, at int
 }
@@ -50,8 +49,8 @@ func (p *panicAt) OnSend(int, core.PID, core.PID) FaultAction {
 	return deliverNow
 }
 
-func (p *panicAt) Event(kind string, _, _ int, _ map[string]any) {
-	if p.kind != "" && kind != p.kind {
+func (p *panicAt) Observe(e obs.Event) {
+	if p.kind != "" && e.Kind != p.kind {
 		return
 	}
 	if p.calls++; p.calls == p.at {

@@ -491,11 +491,11 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	if ob := cfg.Observer; ob != nil {
 		switch {
 		case errors.Is(s.abort, ErrDeadlock):
-			ob.Event("msgnet.deadlock", -1, -1, map[string]any{"step": s.step})
+			ob.Observe(obs.Event{Kind: "msgnet.deadlock", R: -1, P: -1, Fields: map[string]any{"step": s.step}})
 		case errors.Is(s.abort, ErrMaxSteps):
-			ob.Event("msgnet.maxsteps", -1, -1, map[string]any{"step": s.step})
+			ob.Observe(obs.Event{Kind: "msgnet.maxsteps", R: -1, P: -1, Fields: map[string]any{"step": s.step}})
 		}
-		ob.Event("msgnet.done", -1, -1, map[string]any{"steps": s.step, "crashed": s.out.Crashed.Count()})
+		ob.Observe(obs.Event{Kind: "msgnet.done", R: -1, P: -1, Fields: map[string]any{"steps": s.step, "crashed": s.out.Crashed.Count()}})
 	}
 	return s.out, s.abort
 }
@@ -541,7 +541,7 @@ func (s *sched) run(abort error) (core.PID, bool) {
 				continue
 			}
 			if ob != nil {
-				ob.Event("msgnet.restart", -1, int(rs.pid), map[string]any{"step": step, "incarnation": 2})
+				ob.Observe(obs.Event{Kind: "msgnet.restart", R: -1, P: int(rs.pid), Fields: map[string]any{"step": step, "incarnation": 2}})
 			}
 			s.restarts = slices.Delete(s.restarts, i, i+1)
 			procs[rs.pid].box.clear()
@@ -589,7 +589,7 @@ func (s *sched) run(abort error) (core.PID, bool) {
 			}
 			if next > step {
 				if ob != nil {
-					ob.Event("msgnet.advance", -1, -1, map[string]any{"from": step, "to": next})
+					ob.Observe(obs.Event{Kind: "msgnet.advance", R: -1, P: -1, Fields: map[string]any{"from": step, "to": next}})
 				}
 				s.step = next
 				if next > s.cfg.MaxSteps {
@@ -618,7 +618,7 @@ func (s *sched) run(abort error) (core.PID, bool) {
 			if s.abort == nil {
 				s.out.Crashed.Add(pick)
 				if ob != nil {
-					ob.Event("msgnet.crash", -1, int(pick), map[string]any{"ops": p.opsDone, "step": step})
+					ob.Observe(obs.Event{Kind: "msgnet.crash", R: -1, P: int(pick), Fields: map[string]any{"ops": p.opsDone, "step": step}})
 				}
 				if delay, ok := s.cfg.Restart[pick]; ok {
 					s.restarts = append(s.restarts, restartEvent{at: step + max(delay, 1), pid: pick})
@@ -634,7 +634,7 @@ func (s *sched) run(abort error) (core.PID, bool) {
 			}
 			p.opsDone++
 			if ob != nil {
-				ob.Event("msgnet.send", -1, int(pick), map[string]any{"to": int(env.To), "step": step})
+				ob.Observe(obs.Event{Kind: "msgnet.send", R: -1, P: int(pick), Fields: map[string]any{"to": int(env.To), "step": step}})
 			}
 			if len(act.Deliveries) == 0 {
 				if ob != nil {
@@ -642,7 +642,7 @@ func (s *sched) run(abort error) (core.PID, bool) {
 					if reason == "" {
 						reason = "drop"
 					}
-					ob.Event("faultnet.drop", -1, int(pick), map[string]any{"to": int(env.To), "reason": reason, "step": step})
+					ob.Observe(obs.Event{Kind: "faultnet.drop", R: -1, P: int(pick), Fields: map[string]any{"to": int(env.To), "reason": reason, "step": step}})
 				}
 			} else {
 				maxDelay := 0
@@ -656,10 +656,10 @@ func (s *sched) run(abort error) (core.PID, bool) {
 				}
 				if ob != nil {
 					if len(act.Deliveries) > 1 {
-						ob.Event("faultnet.dup", -1, int(pick), map[string]any{"to": int(env.To), "copies": len(act.Deliveries), "step": step})
+						ob.Observe(obs.Event{Kind: "faultnet.dup", R: -1, P: int(pick), Fields: map[string]any{"to": int(env.To), "copies": len(act.Deliveries), "step": step}})
 					}
 					if maxDelay > 0 {
-						ob.Event("faultnet.delay", -1, int(pick), map[string]any{"to": int(env.To), "delay": maxDelay, "step": step})
+						ob.Observe(obs.Event{Kind: "faultnet.delay", R: -1, P: int(pick), Fields: map[string]any{"to": int(env.To), "delay": maxDelay, "step": step}})
 					}
 				}
 			}
@@ -669,7 +669,7 @@ func (s *sched) run(abort error) (core.PID, bool) {
 			// mailbox: the deadline fires.
 			p.opsDone++
 			if ob != nil {
-				ob.Event("msgnet.timeout", -1, int(pick), map[string]any{"deadline": req.op.Deadline, "step": step})
+				ob.Observe(obs.Event{Kind: "msgnet.timeout", R: -1, P: int(pick), Fields: map[string]any{"deadline": req.op.Deadline, "step": step}})
 			}
 			req.res = Result{}
 		default: // a receive with mail
@@ -684,7 +684,7 @@ func (s *sched) run(abort error) (core.PID, bool) {
 			payload := p.box.pop(from)
 			p.opsDone++
 			if ob != nil {
-				ob.Event("msgnet.recv", -1, int(pick), map[string]any{"from": int(from), "step": step})
+				ob.Observe(obs.Event{Kind: "msgnet.recv", R: -1, P: int(pick), Fields: map[string]any{"from": int(from), "step": step}})
 			}
 			req.res = Result{Env: Envelope{From: from, To: pick, Payload: payload}, Got: true}
 		}

@@ -509,7 +509,7 @@ func (nd *Node) serveInbound(c net.Conn) {
 // event emits one substrate observer event (round -1, this node's pid).
 func (nd *Node) event(kind string, fields map[string]any) {
 	if nd.cfg.Observer != nil {
-		nd.cfg.Observer.Event(kind, -1, int(nd.me), fields)
+		nd.cfg.Observer.Observe(obs.Event{Kind: kind, R: -1, P: int(nd.me), Fields: fields})
 	}
 }
 

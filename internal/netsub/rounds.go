@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/msgnet"
+	"repro/internal/obs"
 )
 
 // RoundsConfig tunes a round-protocol execution over the network
@@ -127,7 +128,7 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit core.RoundEmit) (*core.R
 	var onStall func(msgnet.Stall)
 	if o := cfg.Node.Observer; o != nil {
 		onStall = func(s msgnet.Stall) {
-			o.Event("netsub.watchdog", s.Round, int(s.P), map[string]any{"missing": len(s.Missing), "tick": s.Step})
+			o.Observe(obs.Event{Kind: "netsub.watchdog", R: s.Round, P: int(s.P), Fields: map[string]any{"missing": len(s.Missing), "tick": s.Step}})
 		}
 	}
 	recs := make([]*core.RoundRec, n)

@@ -4,10 +4,9 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"time"
 )
 
-// EventLog is an Observer that streams every hook as one JSON object per
+// EventLog is an Observer that streams every event as one JSON object per
 // line (JSONL) to a writer. Lines are self-describing: every record has an
 // "ev" discriminator, and carries "r" (round) and "p" (process) when they
 // apply. The stream complements core.Trace — the trace is the complete
@@ -25,7 +24,7 @@ import (
 //	{"ev":"deliver","r":1,"p":0,"s":7,"d":1}
 //	{"ev":"decide","r":1,"p":0}
 //	{"ev":"run_end","rounds":2,"decided":8}          (+"error" on failure)
-//	{"ev":"event","kind":"msgnet.send","r":-1,"p":0,...fields}
+//	{"ev":"event","kind":"msgnet.send","r":-1,"p":0,"fields":{"step":3,"to":1}}
 //
 // All methods are safe for concurrent use. Write errors are sticky: the
 // first one is kept, later writes are dropped, and Err reports it.
@@ -69,111 +68,79 @@ func (l *EventLog) write(v any) {
 	l.lines++
 }
 
-// RunStart implements Observer.
-func (l *EventLog) RunStart(n int) {
-	l.write(struct {
-		Ev string `json:"ev"`
-		N  int    `json:"n"`
-	}{"run_start", n})
-}
-
-// RoundStart implements Observer.
-func (l *EventLog) RoundStart(r, active int) {
-	l.write(struct {
-		Ev     string `json:"ev"`
-		R      int    `json:"r"`
-		Active int    `json:"active"`
-	}{"round_start", r, active})
-}
-
-// Emit implements Observer.
-func (l *EventLog) Emit(r, p int) {
-	l.write(struct {
-		Ev string `json:"ev"`
-		R  int    `json:"r"`
-		P  int    `json:"p"`
-	}{"emit", r, p})
-}
-
-// Deliver implements Observer.
-func (l *EventLog) Deliver(r, p, delivered, suspected int) {
-	l.write(struct {
-		Ev string `json:"ev"`
-		R  int    `json:"r"`
-		P  int    `json:"p"`
-		S  int    `json:"s"`
-		D  int    `json:"d"`
-	}{"deliver", r, p, delivered, suspected})
-}
-
-// Suspect implements Observer.
-func (l *EventLog) Suspect(r, p int, suspects []int) {
-	if len(suspects) == 0 {
-		return // benign rounds dominate; elide empty D sets
+// Observe implements Observer: one line per event, shaped by its kind.
+func (l *EventLog) Observe(e Event) {
+	var line any
+	switch e.Kind {
+	case RunStart:
+		line = struct {
+			Ev string `json:"ev"`
+			N  int    `json:"n"`
+		}{e.Kind, e.N}
+	case RoundStart:
+		line = struct {
+			Ev     string `json:"ev"`
+			R      int    `json:"r"`
+			Active int    `json:"active"`
+		}{e.Kind, e.R, e.N}
+	case Emit, Decide:
+		line = struct {
+			Ev string `json:"ev"`
+			R  int    `json:"r"`
+			P  int    `json:"p"`
+		}{e.Kind, e.R, e.P}
+	case Deliver:
+		line = struct {
+			Ev string `json:"ev"`
+			R  int    `json:"r"`
+			P  int    `json:"p"`
+			S  int    `json:"s"`
+			D  int    `json:"d"`
+		}{e.Kind, e.R, e.P, e.N, e.M}
+	case Suspect:
+		if len(e.Members) == 0 {
+			return // benign rounds dominate; elide empty D sets
+		}
+		line = struct {
+			Ev       string `json:"ev"`
+			R        int    `json:"r"`
+			P        int    `json:"p"`
+			Suspects []int  `json:"suspects"`
+		}{e.Kind, e.R, e.P, e.Members}
+	case Crash:
+		line = struct {
+			Ev      string `json:"ev"`
+			R       int    `json:"r"`
+			Crashed []int  `json:"crashed"`
+		}{e.Kind, e.R, e.Members}
+	case RunEnd:
+		msg := ""
+		if e.Err != nil {
+			msg = e.Err.Error()
+		}
+		line = struct {
+			Ev      string `json:"ev"`
+			Rounds  int    `json:"rounds"`
+			Decided int    `json:"decided"`
+			Error   string `json:"error,omitempty"`
+		}{e.Kind, e.N, e.M, msg}
+	case Phase:
+		line = struct {
+			Ev    string `json:"ev"`
+			R     int    `json:"r"`
+			Phase string `json:"phase"`
+			NS    int64  `json:"ns"`
+		}{e.Kind, e.R, e.Phase, int64(e.Dur)}
+	default:
+		line = struct {
+			Ev     string         `json:"ev"`
+			Kind   string         `json:"kind"`
+			R      int            `json:"r"`
+			P      int            `json:"p"`
+			Fields map[string]any `json:"fields,omitempty"`
+		}{"event", e.Kind, e.R, e.P, e.Fields}
 	}
-	l.write(struct {
-		Ev       string `json:"ev"`
-		R        int    `json:"r"`
-		P        int    `json:"p"`
-		Suspects []int  `json:"suspects"`
-	}{"suspect", r, p, suspects})
-}
-
-// Crash implements Observer.
-func (l *EventLog) Crash(r int, crashed []int) {
-	l.write(struct {
-		Ev      string `json:"ev"`
-		R       int    `json:"r"`
-		Crashed []int  `json:"crashed"`
-	}{"crash", r, crashed})
-}
-
-// Decide implements Observer.
-func (l *EventLog) Decide(r, p int) {
-	l.write(struct {
-		Ev string `json:"ev"`
-		R  int    `json:"r"`
-		P  int    `json:"p"`
-	}{"decide", r, p})
-}
-
-// RunEnd implements Observer.
-func (l *EventLog) RunEnd(rounds, decided int, err error) {
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-	}
-	l.write(struct {
-		Ev      string `json:"ev"`
-		Rounds  int    `json:"rounds"`
-		Decided int    `json:"decided"`
-		Error   string `json:"error,omitempty"`
-	}{"run_end", rounds, decided, msg})
-}
-
-// Phase implements Observer.
-func (l *EventLog) Phase(r int, phase string, d time.Duration) {
-	l.write(struct {
-		Ev    string `json:"ev"`
-		R     int    `json:"r"`
-		Phase string `json:"phase"`
-		NS    int64  `json:"ns"`
-	}{"phase", r, phase, int64(d)})
-}
-
-// NeedsPhaseTimings implements PhaseTimer: phase lines carry real
-// nanosecond durations.
-func (l *EventLog) NeedsPhaseTimings() bool { return true }
-
-// Event implements Observer.
-func (l *EventLog) Event(kind string, r, p int, fields map[string]any) {
-	l.write(struct {
-		Ev     string         `json:"ev"`
-		Kind   string         `json:"kind"`
-		R      int            `json:"r"`
-		P      int            `json:"p"`
-		Fields map[string]any `json:"fields,omitempty"`
-	}{"event", kind, r, p, fields})
+	l.write(line)
 }
 
 var _ Observer = (*EventLog)(nil)

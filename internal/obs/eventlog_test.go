@@ -13,17 +13,17 @@ import (
 func TestEventLogJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewEventLog(&buf)
-	l.RunStart(4)
-	l.RoundStart(1, 4)
-	l.Phase(1, "plan", 1500*time.Nanosecond)
-	l.Crash(1, []int{3})
-	l.Emit(1, 0)
-	l.Suspect(1, 0, []int{3})
-	l.Suspect(1, 1, nil) // empty D set: elided
-	l.Deliver(1, 0, 3, 1)
-	l.Decide(1, 0)
-	l.Event("msgnet.send", -1, 2, map[string]any{"to": 1})
-	l.RunEnd(1, 1, nil)
+	l.Observe(Event{Kind: RunStart, R: -1, P: -1, N: 4})
+	l.Observe(Event{Kind: RoundStart, R: 1, P: -1, N: 4})
+	l.Observe(Event{Kind: Phase, R: 1, P: -1, Phase: "plan", Dur: 1500 * time.Nanosecond})
+	l.Observe(Event{Kind: Crash, R: 1, P: -1, Members: []int{3}})
+	l.Observe(Event{Kind: Emit, R: 1, P: 0})
+	l.Observe(Event{Kind: Suspect, R: 1, P: 0, Members: []int{3}})
+	l.Observe(Event{Kind: Suspect, R: 1, P: 1}) // empty D set: elided
+	l.Observe(Event{Kind: Deliver, R: 1, P: 0, N: 3, M: 1})
+	l.Observe(Event{Kind: Decide, R: 1, P: 0})
+	l.Observe(Event{Kind: "msgnet.send", R: -1, P: 2, Fields: map[string]any{"to": 1}})
+	l.Observe(Event{Kind: RunEnd, R: -1, P: -1, N: 1, M: 1})
 
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) != 10 {
@@ -56,7 +56,7 @@ func TestEventLogJSONL(t *testing.T) {
 func TestEventLogRunEndError(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewEventLog(&buf)
-	l.RunEnd(3, 0, errors.New("round limit"))
+	l.Observe(Event{Kind: RunEnd, R: -1, P: -1, N: 3, Err: errors.New("round limit")})
 	if !strings.Contains(buf.String(), `"error":"round limit"`) {
 		t.Fatalf("missing error field: %s", buf.String())
 	}
@@ -72,9 +72,9 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func TestEventLogStickyError(t *testing.T) {
 	w := &failWriter{}
 	l := NewEventLog(w)
-	l.Emit(1, 0)
-	l.Emit(1, 1)
-	l.Emit(1, 2)
+	l.Observe(Event{Kind: Emit, R: 1, P: 0})
+	l.Observe(Event{Kind: Emit, R: 1, P: 1})
+	l.Observe(Event{Kind: Emit, R: 1, P: 2})
 	if l.Err() == nil {
 		t.Fatal("write error not surfaced")
 	}
@@ -95,7 +95,7 @@ func TestEventLogConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				l.Deliver(i, w, 3, 1)
+				l.Observe(Event{Kind: Deliver, R: i, P: w, N: 3, M: 1})
 			}
 		}(w)
 	}

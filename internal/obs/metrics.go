@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"sync"
-	"time"
 
 	"repro/internal/obs/hist"
 )
@@ -94,97 +93,60 @@ func (m *Metrics) Reset() {
 	m.reset()
 }
 
-// RunStart implements Observer.
-func (m *Metrics) RunStart(n int) {
-	m.mu.Lock()
-	m.runs++
-	m.mu.Unlock()
-}
-
-// RoundStart implements Observer.
-func (m *Metrics) RoundStart(r, active int) {
-	m.mu.Lock()
-	m.rounds++
-	m.mu.Unlock()
-}
-
-// Emit implements Observer.
-func (m *Metrics) Emit(r, p int) {
-	m.mu.Lock()
-	m.emits++
-	m.mu.Unlock()
-}
-
-// Deliver implements Observer.
-func (m *Metrics) Deliver(r, p, delivered, suspected int) {
-	m.mu.Lock()
-	m.delivered += int64(delivered)
-	m.suspicions += int64(suspected)
-	m.dsetSizes[suspected]++
-	m.suspicionsPerRound[r] += int64(suspected)
-	m.mu.Unlock()
-	m.hFanin.Record(int64(delivered))
-}
-
-// Suspect implements Observer. Cardinality accounting happens in Deliver
-// (which carries |D(p,r)| without the slice); Suspect records what only
-// the member list can tell: which processes are being suspected, counted
-// per target across every (observer, round) pair.
-func (m *Metrics) Suspect(r, p int, suspects []int) {
-	if len(suspects) == 0 {
-		return
-	}
-	m.mu.Lock()
-	for _, q := range suspects {
-		m.suspectedCounts[q]++
-	}
-	m.mu.Unlock()
-}
-
-// Crash implements Observer.
-func (m *Metrics) Crash(r int, crashed []int) {
-	m.mu.Lock()
-	m.crashes += int64(len(crashed))
-	m.mu.Unlock()
-}
-
-// Decide implements Observer.
-func (m *Metrics) Decide(r, p int) {
-	m.mu.Lock()
-	m.decisions++
-	m.roundsToDecision[r]++
-	m.mu.Unlock()
-}
-
-// RunEnd implements Observer.
-func (m *Metrics) RunEnd(rounds, decided int, err error) {
-	if err == nil {
-		return
-	}
-	m.mu.Lock()
-	m.runErrors++
-	m.mu.Unlock()
-}
-
-// Phase implements Observer: the duration feeds the phase's histogram,
+// Observe implements Observer. A phase's duration feeds its histogram,
 // zero included, so a phase's count is the number of times it ran.
-func (m *Metrics) Phase(r int, phase string, d time.Duration) {
-	for i, ph := range phaseHists {
-		if ph.phase == phase {
-			m.hPhase[i].Record(int64(d))
+// Deliver carries |D(p,r)| for the cardinality counts; Suspect records
+// what only the member list can tell: which processes are suspected,
+// counted per target across every (observer, round) pair. A substrate
+// event is counted by kind, and no field of it is read.
+func (m *Metrics) Observe(e Event) {
+	switch e.Kind {
+	case Phase:
+		for i, ph := range phaseHists {
+			if ph.phase == e.Phase {
+				m.hPhase[i].Record(int64(e.Dur))
+				return
+			}
+		}
+		return
+	case Suspect:
+		if len(e.Members) == 0 {
 			return
 		}
+	case RunEnd:
+		if e.Err == nil {
+			return
+		}
+	case Deliver:
+		m.hFanin.Record(int64(e.N))
 	}
-}
-
-// NeedsPhaseTimings implements PhaseTimer: the phase histograms are real
-// durations.
-func (m *Metrics) NeedsPhaseTimings() bool { return true }
-
-// Event implements Observer: it counts the kind and reads no field.
-func (m *Metrics) Event(kind string, r, p int, fields map[string]any) {
 	m.mu.Lock()
-	m.events[kind]++
+	switch e.Kind {
+	case RunStart:
+		m.runs++
+	case RoundStart:
+		m.rounds++
+	case Emit:
+		m.emits++
+	case Deliver:
+		m.delivered += int64(e.N)
+		m.suspicions += int64(e.M)
+		m.dsetSizes[e.M]++
+		m.suspicionsPerRound[e.R] += int64(e.M)
+	case Suspect:
+		for _, q := range e.Members {
+			m.suspectedCounts[q]++
+		}
+	case Crash:
+		m.crashes += int64(len(e.Members))
+	case Decide:
+		m.decisions++
+		m.roundsToDecision[e.R]++
+	case RunEnd:
+		m.runErrors++
+	default:
+		m.events[e.Kind]++
+	}
 	m.mu.Unlock()
 }
 
@@ -202,7 +164,7 @@ type Snapshot struct {
 	// Rounds is the total rounds executed across runs.
 	Rounds int64 `json:"rounds"`
 
-	// Emits and MessagesDelivered count Emit calls and Σ|S(i,r)|.
+	// Emits and MessagesDelivered count emit events and Σ|S(i,r)|.
 	Emits             int64 `json:"emits"`
 	MessagesDelivered int64 `json:"messages_delivered"`
 

@@ -11,23 +11,23 @@ import (
 
 func TestMetricsAggregates(t *testing.T) {
 	m := NewMetrics()
-	m.RunStart(4)
-	m.RoundStart(1, 4)
+	m.Observe(Event{Kind: RunStart, R: -1, P: -1, N: 4})
+	m.Observe(Event{Kind: RoundStart, R: 1, P: -1, N: 4})
 	for p := 0; p < 4; p++ {
-		m.Emit(1, p)
+		m.Observe(Event{Kind: Emit, R: 1, P: p})
 	}
-	m.Deliver(1, 0, 3, 1)
-	m.Deliver(1, 1, 4, 0)
-	m.Deliver(1, 2, 3, 1)
-	m.Deliver(1, 3, 3, 1)
-	m.Crash(1, []int{3})
-	m.Decide(1, 0)
-	m.Decide(1, 1)
-	m.Phase(1, "plan", 100*time.Nanosecond)
-	m.Phase(1, "plan", 300*time.Nanosecond)
-	m.Phase(1, "emit", 0)
-	m.Event("agreement.kset_choose", 1, 0, nil)
-	m.RunEnd(1, 2, nil)
+	m.Observe(Event{Kind: Deliver, R: 1, P: 0, N: 3, M: 1})
+	m.Observe(Event{Kind: Deliver, R: 1, P: 1, N: 4, M: 0})
+	m.Observe(Event{Kind: Deliver, R: 1, P: 2, N: 3, M: 1})
+	m.Observe(Event{Kind: Deliver, R: 1, P: 3, N: 3, M: 1})
+	m.Observe(Event{Kind: Crash, R: 1, P: -1, Members: []int{3}})
+	m.Observe(Event{Kind: Decide, R: 1, P: 0})
+	m.Observe(Event{Kind: Decide, R: 1, P: 1})
+	m.Observe(Event{Kind: Phase, R: 1, P: -1, Phase: "plan", Dur: 100 * time.Nanosecond})
+	m.Observe(Event{Kind: Phase, R: 1, P: -1, Phase: "plan", Dur: 300 * time.Nanosecond})
+	m.Observe(Event{Kind: Phase, R: 1, P: -1, Phase: "emit"})
+	m.Observe(Event{Kind: "agreement.kset_choose", R: 1, P: 0})
+	m.Observe(Event{Kind: RunEnd, R: -1, P: -1, N: 1, M: 2})
 
 	s := m.Snapshot()
 	if s.Runs != 1 || s.Rounds != 1 || s.Emits != 4 {
@@ -63,7 +63,7 @@ func TestMetricsAggregates(t *testing.T) {
 		t.Fatalf("events: %v", s.Events)
 	}
 
-	m.RunEnd(1, 0, errors.New("boom"))
+	m.Observe(Event{Kind: RunEnd, R: -1, P: -1, N: 1, Err: errors.New("boom")})
 	if got := m.Snapshot().RunErrors; got != 1 {
 		t.Fatalf("run_errors = %d", got)
 	}
@@ -76,10 +76,10 @@ func TestMetricsAggregates(t *testing.T) {
 
 func TestMetricsSnapshotJSON(t *testing.T) {
 	m := NewMetrics()
-	m.RunStart(3)
-	m.RoundStart(1, 3)
-	m.Deliver(1, 0, 2, 1)
-	m.Decide(2, 0)
+	m.Observe(Event{Kind: RunStart, R: -1, P: -1, N: 3})
+	m.Observe(Event{Kind: RoundStart, R: 1, P: -1, N: 3})
+	m.Observe(Event{Kind: Deliver, R: 1, P: 0, N: 2, M: 1})
+	m.Observe(Event{Kind: Decide, R: 2, P: 0})
 	b, err := m.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 	}
 }
 
-// TestMetricsConcurrent hammers every hook from many goroutines; run with
+// TestMetricsConcurrent hammers every kind from many goroutines; run with
 // -race this is the data-race check for the whole Metrics implementation.
 func TestMetricsConcurrent(t *testing.T) {
 	m := NewMetrics()
@@ -107,16 +107,16 @@ func TestMetricsConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				m.RunStart(4)
-				m.RoundStart(i, 4)
-				m.Emit(i, w)
-				m.Deliver(i, w, 3, 1)
-				m.Suspect(i, w, []int{0})
-				m.Crash(i, []int{1, 2})
-				m.Decide(i, w)
-				m.Phase(i, "plan", time.Nanosecond)
-				m.Event("k", i, w, nil)
-				m.RunEnd(i, 1, nil)
+				m.Observe(Event{Kind: RunStart, R: -1, P: -1, N: 4})
+				m.Observe(Event{Kind: RoundStart, R: i, P: -1, N: 4})
+				m.Observe(Event{Kind: Emit, R: i, P: w})
+				m.Observe(Event{Kind: Deliver, R: i, P: w, N: 3, M: 1})
+				m.Observe(Event{Kind: Suspect, R: i, P: w, Members: []int{0}})
+				m.Observe(Event{Kind: Crash, R: i, P: -1, Members: []int{1, 2}})
+				m.Observe(Event{Kind: Decide, R: i, P: w})
+				m.Observe(Event{Kind: Phase, R: i, P: -1, Phase: "plan", Dur: time.Nanosecond})
+				m.Observe(Event{Kind: "k", R: i, P: w})
+				m.Observe(Event{Kind: RunEnd, R: -1, P: -1, N: i, M: 1})
 				if i%50 == 0 {
 					_ = m.Snapshot()
 				}
@@ -139,11 +139,11 @@ func TestMetricsConcurrent(t *testing.T) {
 // events feed neither a histogram nor anything but Events.
 func TestMetricsCountsEventKinds(t *testing.T) {
 	m := NewMetrics()
-	m.Event("faultnet.drop", -1, 0, map[string]any{"reason": "omission"})
-	m.Event("faultnet.drop", -1, 1, map[string]any{"reason": "partition"})
-	m.Event("rlink.retransmit", -1, 0, map[string]any{"interval": 8})
-	m.Event("serve.shed", -1, 1, map[string]any{"inflight": 64, "peer": true})
-	m.Event("mc.done", -1, -1, map[string]any{"max_depth": 4})
+	m.Observe(Event{Kind: "faultnet.drop", R: -1, P: 0, Fields: map[string]any{"reason": "omission"}})
+	m.Observe(Event{Kind: "faultnet.drop", R: -1, P: 1, Fields: map[string]any{"reason": "partition"}})
+	m.Observe(Event{Kind: "rlink.retransmit", R: -1, P: 0, Fields: map[string]any{"interval": 8}})
+	m.Observe(Event{Kind: "serve.shed", R: -1, P: 1, Fields: map[string]any{"inflight": 64, "peer": true}})
+	m.Observe(Event{Kind: "mc.done", R: -1, P: -1, Fields: map[string]any{"max_depth": 4}})
 
 	s := m.Snapshot()
 	want := map[string]int64{"faultnet.drop": 2, "rlink.retransmit": 1, "serve.shed": 1, "mc.done": 1}

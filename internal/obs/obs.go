@@ -4,20 +4,21 @@
 //
 // The design splits observation into three pieces:
 //
-//   - Observer — the hook interface the engine (core.Run via
-//     core.WithObserver) and the substrates (msgnet, agreement, adoptcommit,
-//     abd) call at every interesting point of an execution. The engine pays
-//     nothing when no observer is attached: every hook site is guarded by a
-//     single nil check.
+//   - Observer — the one hook, Observe(Event), that the engine (core.Run
+//     via core.WithObserver) and the substrates (msgnet, reliablelink,
+//     netsub, serve, mc, agreement, chaos, recovery) call at every
+//     interesting point of an execution. The engine pays nothing when no
+//     observer is attached: every call site is guarded by a single nil
+//     check.
 //   - Metrics — a concurrency-safe Observer aggregating counters and
 //     histograms (rounds to decision, suspicions per round, D-set sizes,
 //     per-phase wall time, protocol events) with a JSON-serializable
 //     Snapshot.
-//   - EventLog — an Observer streaming every hook as one JSON object per
+//   - EventLog — an Observer streaming every event as one JSON object per
 //     line (JSONL), so full executions can be archived, replayed and diffed
 //     alongside the in-memory core.Trace.
 //
-// Observers deliberately speak in primitive types (ints, slices) rather
+// Events deliberately speak in primitive types (ints, slices) rather
 // than core.Set / core.PID so that core can depend on obs without a cycle.
 // Process identifiers are plain ints; -1 means "no process" and round -1
 // means "no round" (used by the asynchronous substrates, which have steps
@@ -32,126 +33,69 @@ import (
 // Observer receives structured events from an execution. Implementations
 // must be safe for use from a single engine goroutine; Metrics and EventLog
 // are additionally safe for concurrent use from many executions at once.
-//
-// Embed Base to implement only the hooks you care about.
 type Observer interface {
-	// RunStart announces a new engine execution over n processes.
-	RunStart(n int)
-
-	// RoundStart announces round r; active is the number of processes
-	// that survived into the round (before any round-r crashes).
-	RoundStart(r, active int)
-
-	// Emit reports that process p emitted its round-r message.
-	Emit(r, p int)
-
-	// Deliver reports the end of process p's round r: it received
-	// delivered messages (|S(p,r)|) and was told suspected suspicions
-	// (|D(p,r)|).
-	Deliver(r, p, delivered, suspected int)
-
-	// Suspect reports D(p,r) by member list. The slice is owned by the
-	// caller; observers must copy it if they retain it.
-	Suspect(r, p int, suspects []int)
-
-	// Crash reports the processes crashed by the adversary at the start
-	// of round r. The slice is owned by the caller.
-	Crash(r int, crashed []int)
-
-	// Decide reports that process p first committed to an output in
-	// round r.
-	Decide(r, p int)
-
-	// RunEnd closes the execution opened by RunStart: rounds executed,
-	// processes decided, and the engine error (nil on success).
-	RunEnd(rounds, decided int, err error)
-
-	// Phase reports the wall time of one engine phase ("plan", "emit",
-	// "deliver") of round r, measured with the engine's injected clock,
-	// plus a synthetic whole-round "round" phase whose duration is the
-	// sum of the three (no extra clock reads).
-	Phase(r int, phase string, d time.Duration)
-
-	// Event is the extension point for protocol-level events outside the
-	// engine's fixed vocabulary (message-passing steps, adopt-commit
-	// outcomes, register quorums, ...). kind is dot-namespaced
-	// ("msgnet.send", "adoptcommit.outcome"); r and p are -1 when not
-	// applicable; fields hold event-specific data and may be nil. The
-	// map is owned by the caller.
-	Event(kind string, r, p int, fields map[string]any)
+	// Observe reports one event. The event and everything it points to
+	// are owned by the caller; an observer copies what it retains.
+	Observe(e Event)
 }
 
-// PhaseTimer is an optional Observer extension letting the engine skip its
-// per-phase clock reads. An observer whose NeedsPhaseTimings returns false
-// still has Phase called at every phase boundary, but with a zero duration
-// and no time.Now cost on the engine's hot path. Observers that do not
-// implement PhaseTimer are conservatively assumed to consume timings.
-type PhaseTimer interface {
-	NeedsPhaseTimings() bool
-}
+// The engine's event kinds, spelled as EventLog's "ev" values. Any other
+// Kind is a substrate's dot-namespaced kind ("msgnet.send", "mc.done").
+const (
+	RunStart   = "run_start"
+	RoundStart = "round_start"
+	Emit       = "emit"
+	Deliver    = "deliver"
+	Suspect    = "suspect"
+	Crash      = "crash"
+	Decide     = "decide"
+	RunEnd     = "run_end"
+	Phase      = "phase"
+)
 
-// NeedsPhaseTimings reports whether o wants real durations in its Phase
-// hook: false for nil and for observers that opt out via PhaseTimer, true
-// for everything else.
-func NeedsPhaseTimings(o Observer) bool {
-	if isNil(o) {
-		return false
-	}
-	if pt, ok := o.(PhaseTimer); ok {
-		return pt.NeedsPhaseTimings()
-	}
-	return true
-}
-
-// Base is an Observer with every hook a no-op. Embed it to implement only
-// a subset of the interface.
+// Event is one observation. Kind says which fields it sets; R and P are
+// -1 where the table has none, and unlisted fields are zero:
 //
-// Base opts out of phase timings (a no-op consumes nothing), and embedders
-// inherit that: a type embedding Base whose Phase override does consume its
-// duration must also override NeedsPhaseTimings to return true.
-type Base struct{}
+//	Kind         R  P  N          M          other
+//	run_start    -  -  processes
+//	round_start  r  -  active                          (survivors entering r)
+//	emit         r  p
+//	deliver      r  p  |S(p,r)|   |D(p,r)|
+//	suspect      r  p                        Members   D(p,r)
+//	crash        r  -                        Members   crashed at r's start
+//	decide       r  p                                  (p's first decision)
+//	run_end      -  -  rounds     decided    Err       (nil on success)
+//	phase        r  -                        Phase, Dur
+//	substrate    r  p                        Fields    (r, p may be -1)
+//
+// A phase is "plan", "emit" or "deliver", timed on the engine's injected
+// clock, or the synthetic "round" whose duration is the sum of the three
+// (no extra clock reads).
+type Event struct {
+	Kind string
+	R, P int
 
-// RunStart implements Observer.
-func (Base) RunStart(int) {}
+	// N and M are the kind's two counts.
+	N, M int
 
-// RoundStart implements Observer.
-func (Base) RoundStart(int, int) {}
+	// Members lists the processes of a suspect or crash event.
+	Members []int
 
-// Emit implements Observer.
-func (Base) Emit(int, int) {}
+	// Phase names an engine phase; Dur is its wall time.
+	Phase string
+	Dur   time.Duration
 
-// Deliver implements Observer.
-func (Base) Deliver(int, int, int, int) {}
+	// Err is the engine error a run ended with.
+	Err error
 
-// Suspect implements Observer.
-func (Base) Suspect(int, int, []int) {}
+	// Fields hold a substrate event's data and may be nil.
+	Fields map[string]any
+}
 
-// Crash implements Observer.
-func (Base) Crash(int, []int) {}
-
-// Decide implements Observer.
-func (Base) Decide(int, int) {}
-
-// RunEnd implements Observer.
-func (Base) RunEnd(int, int, error) {}
-
-// Phase implements Observer.
-func (Base) Phase(int, string, time.Duration) {}
-
-// Event implements Observer.
-func (Base) Event(string, int, int, map[string]any) {}
-
-// NeedsPhaseTimings implements PhaseTimer: a pure no-op never consumes
-// phase durations.
-func (Base) NeedsPhaseTimings() bool { return false }
-
-var _ Observer = Base{}
-var _ PhaseTimer = Base{}
-
-// multi fans every hook out to several observers in order.
+// multi fans every event out to several observers in order.
 type multi []Observer
 
-// Multi combines observers into one that forwards every hook to each, in
+// Multi combines observers into one that forwards every event to each, in
 // argument order. Nil entries — including typed nils such as a
 // (*Metrics)(nil) passed through the interface — are skipped; with zero
 // non-nil observers it returns nil, so the caller's "is anything
@@ -188,83 +132,9 @@ func isNil(o Observer) bool {
 	return false
 }
 
-// RunStart implements Observer.
-func (m multi) RunStart(n int) {
+// Observe implements Observer.
+func (m multi) Observe(e Event) {
 	for _, o := range m {
-		o.RunStart(n)
+		o.Observe(e)
 	}
-}
-
-// RoundStart implements Observer.
-func (m multi) RoundStart(r, active int) {
-	for _, o := range m {
-		o.RoundStart(r, active)
-	}
-}
-
-// Emit implements Observer.
-func (m multi) Emit(r, p int) {
-	for _, o := range m {
-		o.Emit(r, p)
-	}
-}
-
-// Deliver implements Observer.
-func (m multi) Deliver(r, p, delivered, suspected int) {
-	for _, o := range m {
-		o.Deliver(r, p, delivered, suspected)
-	}
-}
-
-// Suspect implements Observer.
-func (m multi) Suspect(r, p int, suspects []int) {
-	for _, o := range m {
-		o.Suspect(r, p, suspects)
-	}
-}
-
-// Crash implements Observer.
-func (m multi) Crash(r int, crashed []int) {
-	for _, o := range m {
-		o.Crash(r, crashed)
-	}
-}
-
-// Decide implements Observer.
-func (m multi) Decide(r, p int) {
-	for _, o := range m {
-		o.Decide(r, p)
-	}
-}
-
-// RunEnd implements Observer.
-func (m multi) RunEnd(rounds, decided int, err error) {
-	for _, o := range m {
-		o.RunEnd(rounds, decided, err)
-	}
-}
-
-// Phase implements Observer.
-func (m multi) Phase(r int, phase string, d time.Duration) {
-	for _, o := range m {
-		o.Phase(r, phase, d)
-	}
-}
-
-// Event implements Observer.
-func (m multi) Event(kind string, r, p int, fields map[string]any) {
-	for _, o := range m {
-		o.Event(kind, r, p, fields)
-	}
-}
-
-// NeedsPhaseTimings implements PhaseTimer: a fan-out wants timings if any
-// member does.
-func (m multi) NeedsPhaseTimings() bool {
-	for _, o := range m {
-		if NeedsPhaseTimings(o) {
-			return true
-		}
-	}
-	return false
 }

@@ -1,19 +1,39 @@
 package obs
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 )
 
-// recorder appends hook names in call order.
+// recorder appends the kinds of round, decide and phase events in call
+// order.
 type recorder struct {
-	Base
 	calls []string
 }
 
-func (r *recorder) RoundStart(int, int)              { r.calls = append(r.calls, "round") }
-func (r *recorder) Decide(int, int)                  { r.calls = append(r.calls, "decide") }
-func (r *recorder) Phase(int, string, time.Duration) { r.calls = append(r.calls, "phase") }
+func (r *recorder) Observe(e Event) {
+	switch e.Kind {
+	case RoundStart, Decide, Phase:
+		r.calls = append(r.calls, e.Kind)
+	}
+}
+
+// everyKind is one event of each engine kind and one substrate event, each
+// with the least payload it may carry.
+var everyKind = []Event{
+	{Kind: RunStart, R: -1, P: -1, N: 3},
+	{Kind: RoundStart, R: 1, P: -1, N: 3},
+	{Kind: Emit, R: 1, P: 0},
+	{Kind: Deliver, R: 1, P: 0, N: 2, M: 1},
+	{Kind: Suspect, R: 1, P: 0, Members: []int{2}},
+	{Kind: Crash, R: 1, P: -1, Members: []int{2}},
+	{Kind: Decide, R: 1, P: 0},
+	{Kind: Phase, R: 1, P: -1, Phase: "plan", Dur: time.Nanosecond},
+	{Kind: "k", R: 1, P: 0},
+	{Kind: RunEnd, R: -1, P: -1, N: 1, M: 1},
+}
 
 func TestMultiNilHandling(t *testing.T) {
 	if Multi() != nil {
@@ -42,23 +62,16 @@ func TestMultiDropsTypedNils(t *testing.T) {
 	if combined != Observer(r) {
 		t.Fatal("typed nils should be filtered, leaving the live observer unwrapped")
 	}
-	combined.RunStart(1) // must not panic
+	combined.Observe(Event{Kind: RunStart, R: -1, P: -1, N: 1}) // must not panic
 }
 
 func TestMultiFansOut(t *testing.T) {
 	a, b := &recorder{}, &recorder{}
 	m := Multi(a, nil, b)
-	m.RunStart(3)
-	m.RoundStart(1, 3)
-	m.Emit(1, 0)
-	m.Deliver(1, 0, 2, 1)
-	m.Suspect(1, 0, []int{2})
-	m.Crash(1, []int{2})
-	m.Decide(1, 0)
-	m.Phase(1, "plan", time.Nanosecond)
-	m.Event("k", 1, 0, nil)
-	m.RunEnd(1, 1, nil)
-	want := []string{"round", "decide", "phase"}
+	for _, e := range everyKind {
+		m.Observe(e)
+	}
+	want := []string{RoundStart, Decide, Phase}
 	for _, rec := range []*recorder{a, b} {
 		if len(rec.calls) != len(want) {
 			t.Fatalf("calls = %v", rec.calls)
@@ -71,17 +84,15 @@ func TestMultiFansOut(t *testing.T) {
 	}
 }
 
-func TestBaseIsObserver(t *testing.T) {
-	var o Observer = Base{}
-	// Every hook must be callable without panicking.
-	o.RunStart(1)
-	o.RoundStart(1, 1)
-	o.Emit(1, 0)
-	o.Deliver(1, 0, 1, 0)
-	o.Suspect(1, 0, nil)
-	o.Crash(1, nil)
-	o.Decide(1, 0)
-	o.Phase(1, "plan", 0)
-	o.Event("k", -1, -1, nil)
-	o.RunEnd(1, 1, nil)
+// TestEverySinkObservesEveryKind: Metrics and EventLog take every kind
+// without panicking, and the log writes one line for each.
+func TestEverySinkObservesEveryKind(t *testing.T) {
+	var buf bytes.Buffer
+	o := Multi(NewMetrics(), NewEventLog(&buf))
+	for _, e := range everyKind {
+		o.Observe(e)
+	}
+	if got := strings.Count(buf.String(), "\n"); got != len(everyKind) {
+		t.Fatalf("%d lines for %d events:\n%s", got, len(everyKind), buf.String())
+	}
 }

@@ -33,24 +33,24 @@ func TestMultiConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			suspects := []int{n - 1}
 			for run := 0; run < runs; run++ {
-				multi.RunStart(n)
+				multi.Observe(obs.Event{Kind: obs.RunStart, R: -1, P: -1, N: n})
 				for r := 1; r <= 3; r++ {
-					multi.RoundStart(r, n)
-					multi.Crash(r, nil)
+					multi.Observe(obs.Event{Kind: obs.RoundStart, R: r, P: -1, N: n})
+					multi.Observe(obs.Event{Kind: obs.Crash, R: r, P: -1})
 					for p := 0; p < n; p++ {
-						multi.Emit(r, p)
+						multi.Observe(obs.Event{Kind: obs.Emit, R: r, P: p})
 					}
-					multi.Phase(r, "emit", time.Microsecond)
+					multi.Observe(obs.Event{Kind: obs.Phase, R: r, P: -1, Phase: "emit", Dur: time.Microsecond})
 					for p := 0; p < n; p++ {
-						multi.Suspect(r, p, suspects)
-						multi.Deliver(r, p, n-1, 1)
-						multi.Event("msgnet.send", r, p, map[string]any{"to": (p + 1) % n, "step": r})
+						multi.Observe(obs.Event{Kind: obs.Suspect, R: r, P: p, Members: suspects})
+						multi.Observe(obs.Event{Kind: obs.Deliver, R: r, P: p, N: n - 1, M: 1})
+						multi.Observe(obs.Event{Kind: "msgnet.send", R: r, P: p, Fields: map[string]any{"to": (p + 1) % n, "step": r}})
 					}
-					multi.Phase(r, "deliver", time.Microsecond)
-					multi.Phase(r, "round", 2*time.Microsecond)
+					multi.Observe(obs.Event{Kind: obs.Phase, R: r, P: -1, Phase: "deliver", Dur: time.Microsecond})
+					multi.Observe(obs.Event{Kind: obs.Phase, R: r, P: -1, Phase: "round", Dur: 2 * time.Microsecond})
 				}
-				multi.Decide(3, 0)
-				multi.RunEnd(3, 1, nil)
+				multi.Observe(obs.Event{Kind: obs.Decide, R: 3, P: 0})
+				multi.Observe(obs.Event{Kind: obs.RunEnd, R: -1, P: -1, N: 3, M: 1})
 				wall.Record(int64(g*runs + run + 1))
 			}
 		}(g)

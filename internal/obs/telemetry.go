@@ -12,11 +12,11 @@ import (
 // Telemetry bundles the process-wide measurement state — a Metrics
 // observer and its histogram registry — behind one handle that exporters,
 // CLIs and campaign drivers share. Attach Metrics wherever an Observer
-// goes, hand Hist to whatever meters outside the observer hooks (chaos
+// goes, hand Hist to whatever meters outside the observer (chaos
 // per-run wall time, par task latency), and serve both with
 // ServeTelemetry.
 type Telemetry struct {
-	// Metrics aggregates observer hooks; attach it via core.WithObserver,
+	// Metrics aggregates observed events; attach it via core.WithObserver,
 	// Multi, or SetDefaultObserver.
 	Metrics *Metrics
 

@@ -40,7 +40,7 @@ func feedMetrics(t *testing.T, m *obs.Metrics) {
 		core.WithMaxRounds(4), core.WithObserver(m)); err != nil {
 		t.Fatal(err)
 	}
-	m.Event("rlink.retransmit", -1, 0, nil)
+	m.Observe(obs.Event{Kind: "rlink.retransmit", R: -1, P: 0})
 }
 
 type decideAt2 struct{ v core.Value }

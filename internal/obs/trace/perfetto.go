@@ -9,12 +9,11 @@ import (
 )
 
 var _ obs.Observer = (*Tracer)(nil)
-var _ obs.PhaseTimer = (*Tracer)(nil)
 
 // event is one Chrome/Perfetto trace event. Field order is fixed so the
 // export is byte-stable; args maps serialize with sorted keys
 // (encoding/json), so the whole file is a deterministic function of the
-// recorded hook sequence.
+// recorded event sequence.
 type event struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`

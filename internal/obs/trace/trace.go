@@ -1,6 +1,6 @@
 // Package trace renders executions as causal span traces: an obs.Observer
-// that turns the engine's hook stream into run → round → phase spans,
-// message flows linking each Emit to the Delivers that heard it, and
+// that turns the engine's event stream into run → round → phase spans,
+// message flows linking each emit to the delivers that heard it, and
 // suspicion/crash/decide instants, exported as Chrome/Perfetto
 // trace-event JSON (chrome://tracing, https://ui.perfetto.dev).
 //
@@ -9,25 +9,26 @@
 // into process p's round-r "deliver" slice are exactly S(p,r) — the
 // senders p heard — while the missing arrows are D(p,r), the suspects.
 //
-// Timestamps are logical, not wall-clock: every hook advances a virtual
+// Timestamps are logical, not wall-clock: every event advances a virtual
 // tick, and substrate events carry the scheduler's step clock in their
 // args. A trace is therefore a pure function of the schedule — replaying
 // the same chaos seed or mc choice string produces byte-identical output
-// — and wall-time never leaks into the export (the Phase hook's duration
-// is deliberately ignored; Tracer opts out of phase timings entirely).
+// — and wall-time never leaks into the export (a phase event's duration
+// is deliberately ignored).
 package trace
 
 import (
 	"strconv"
 	"sync"
-	"time"
+
+	"repro/internal/obs"
 )
 
 // Tracer is an Observer recording an execution (or a sequence of
 // executions) as trace events. Each observed run becomes one Perfetto
 // "process" (pid = run index) whose tracks are the engine (tid 0) and the
 // n protocol processes (tid 1+p). Safe for concurrent use, though the
-// engine delivers hooks from a single goroutine per run; campaigns
+// engine delivers events from a single goroutine per run; campaigns
 // observing with a Tracer serialize to one worker like any observer.
 //
 // The zero value is not usable; call New.
@@ -36,7 +37,7 @@ type Tracer struct {
 	evs []event
 
 	ts  int64 // virtual tick, monotonic across runs
-	run int   // pid of the current run; -1 before the first RunStart
+	run int   // pid of the current run; -1 before the first run_start
 	n   int
 
 	runStart   int64
@@ -49,7 +50,7 @@ type Tracer struct {
 	flowBase int64 // flow id of sender 0 in the current round
 
 	emitted   []bool  // sender emitted in the current round
-	suspected [][]int // per-process D(p,r) of the current round, set by Suspect
+	suspected [][]int // per-process D(p,r) of the current round, set by suspect events
 }
 
 // New returns an empty Tracer.
@@ -72,10 +73,70 @@ func (t *Tracer) meta(kind string, tid int, name string) {
 	})
 }
 
-// RunStart implements obs.Observer.
-func (t *Tracer) RunStart(n int) {
+// Observe implements obs.Observer: one case per engine kind, and substrate
+// events as instants.
+func (t *Tracer) Observe(e obs.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	switch e.Kind {
+	case obs.RunStart:
+		t.openRun(e.N)
+	case obs.RoundStart:
+		t.openRound(e.R, e.N)
+	case obs.Emit:
+		// A one-tick slice on p's track opening the message flow other
+		// processes' delivers terminate.
+		ts := t.tick()
+		t.span("emit", 1+e.P, ts, ts+1, nil)
+		t.flow("s", "", t.flowBase+int64(e.P), ts, 1+e.P)
+		if e.P >= 0 && e.P < len(t.emitted) {
+			t.emitted[e.P] = true
+		}
+	case obs.Suspect:
+		// D(p,r) is recorded both as an instant on p's track and
+		// internally, so the following deliver can draw flows from exactly
+		// the senders p heard (emitted minus suspected).
+		if len(e.Members) > 0 {
+			t.instant("suspect", 1+e.P, map[string]any{"suspects": append([]int(nil), e.Members...)})
+		}
+		if e.P >= 0 && e.P < len(t.suspected) {
+			t.suspected[e.P] = append(t.suspected[e.P][:0], e.Members...)
+		}
+	case obs.Deliver:
+		t.deliver(e.P, e.N, e.M)
+	case obs.Crash:
+		for _, p := range e.Members {
+			t.instant("crash", 1+p, map[string]any{"round": e.R})
+		}
+	case obs.Decide:
+		t.instant("decide", 1+e.P, map[string]any{"round": e.R})
+	case obs.Phase:
+		// The phase span covers the events observed since the previous
+		// phase boundary. The wall-clock duration is ignored — trace
+		// output must stay a pure function of the schedule — and the
+		// synthetic whole-round "round" phase is skipped (the round span
+		// already covers it).
+		if e.Phase == "round" {
+			return
+		}
+		end := t.tick() + 1
+		t.span("phase:"+e.Phase, 0, t.phaseStart, end, nil)
+		t.phaseStart = t.ts
+	case obs.RunEnd:
+		t.closeRound()
+		args := map[string]any{"rounds": e.N, "decided": e.M}
+		if e.Err != nil {
+			args["error"] = e.Err.Error()
+		}
+		end := t.tick() + 1
+		t.span("run", 0, t.runStart, end, args)
+	default:
+		t.substrate(e)
+	}
+}
+
+// openRun opens run n's process and tracks.
+func (t *Tracer) openRun(n int) {
 	t.run++
 	t.n = n
 	t.meta("process_name", 0, "run")
@@ -98,10 +159,8 @@ func (t *Tracer) closeRound() {
 	t.roundOpen = false
 }
 
-// RoundStart implements obs.Observer.
-func (t *Tracer) RoundStart(r, active int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// openRound closes the previous round and opens round r.
+func (t *Tracer) openRound(r, active int) {
 	t.closeRound()
 	t.curRound = r
 	t.roundOpen = true
@@ -116,38 +175,9 @@ func (t *Tracer) RoundStart(r, active int) {
 	t.instant("round_start", 0, map[string]any{"round": r, "active": active})
 }
 
-// Emit implements obs.Observer: a one-tick slice on p's track opening the
-// message flow other processes' Delivers terminate.
-func (t *Tracer) Emit(r, p int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ts := t.tick()
-	t.span("emit", 1+p, ts, ts+1, nil)
-	t.flow("s", "", t.flowBase+int64(p), ts, 1+p)
-	if p >= 0 && p < len(t.emitted) {
-		t.emitted[p] = true
-	}
-}
-
-// Suspect implements obs.Observer: records D(p,r) — both as an instant on
-// p's track and internally, so the following Deliver can draw flows from
-// exactly the senders p heard (emitted minus suspected).
-func (t *Tracer) Suspect(r, p int, suspects []int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(suspects) > 0 {
-		t.instant("suspect", 1+p, map[string]any{"suspects": append([]int(nil), suspects...)})
-	}
-	if p >= 0 && p < len(t.suspected) {
-		t.suspected[p] = append(t.suspected[p][:0], suspects...)
-	}
-}
-
-// Deliver implements obs.Observer: a one-tick slice on p's track
-// terminating one flow per heard sender.
-func (t *Tracer) Deliver(r, p, delivered, suspected int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// deliver is a one-tick slice on p's track terminating one flow per heard
+// sender.
+func (t *Tracer) deliver(p, delivered, suspected int) {
 	ts := t.tick()
 	t.span("deliver", 1+p, ts, ts+1, map[string]any{
 		"delivered": delivered, "suspected": suspected,
@@ -169,77 +199,26 @@ func (t *Tracer) Deliver(r, p, delivered, suspected int) {
 	}
 }
 
-// Crash implements obs.Observer.
-func (t *Tracer) Crash(r int, crashed []int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, p := range crashed {
-		t.instant("crash", 1+p, map[string]any{"round": r})
-	}
-}
-
-// Decide implements obs.Observer.
-func (t *Tracer) Decide(r, p int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.instant("decide", 1+p, map[string]any{"round": r})
-}
-
-// Phase implements obs.Observer: the phase span covers the hooks observed
-// since the previous phase boundary. The wall-clock duration is ignored —
-// trace output must stay a pure function of the schedule — and the
-// synthetic whole-round "round" phase is skipped (the round span already
-// covers it).
-func (t *Tracer) Phase(r int, phase string, d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if phase == "round" {
-		return
-	}
-	end := t.tick() + 1
-	t.span("phase:"+phase, 0, t.phaseStart, end, nil)
-	t.phaseStart = t.ts
-}
-
-// NeedsPhaseTimings implements obs.PhaseTimer: logical spans only, no
-// engine clock reads on the Tracer's account.
-func (t *Tracer) NeedsPhaseTimings() bool { return false }
-
-// RunEnd implements obs.Observer.
-func (t *Tracer) RunEnd(rounds, decided int, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.closeRound()
-	args := map[string]any{"rounds": rounds, "decided": decided}
-	if err != nil {
-		args["error"] = err.Error()
-	}
-	end := t.tick() + 1
-	t.span("run", 0, t.runStart, end, args)
-}
-
-// Event implements obs.Observer: substrate events become instants on the
-// owning process's track, carrying their fields — including the scheduler
-// "step" clock — as args. No event carries wall-clock time, so the export
-// stays deterministic.
-func (t *Tracer) Event(kind string, r, p int, fields map[string]any) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// substrate records a substrate event as an instant on the owning
+// process's track, carrying its fields — including the scheduler "step"
+// clock — as args. No event carries wall-clock time, so the export stays
+// deterministic.
+func (t *Tracer) substrate(e obs.Event) {
 	tid := 0
-	if p >= 0 {
-		tid = 1 + p
+	if e.P >= 0 {
+		tid = 1 + e.P
 	}
 	var args map[string]any
-	if len(fields) > 0 || r >= 0 {
-		args = make(map[string]any, len(fields)+1)
-		for k, v := range fields {
+	if len(e.Fields) > 0 || e.R >= 0 {
+		args = make(map[string]any, len(e.Fields)+1)
+		for k, v := range e.Fields {
 			args[k] = v
 		}
-		if r >= 0 {
-			args["round"] = r
+		if e.R >= 0 {
+			args["round"] = e.R
 		}
 	}
-	t.instant(kind, tid, args)
+	t.instant(e.Kind, tid, args)
 }
 
 // span appends a complete ("X") event covering [start, end).

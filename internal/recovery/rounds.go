@@ -138,10 +138,7 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 	if watchdog < 1 {
 		watchdog = 2048
 	}
-	var ob obs.Observer = obs.Base{}
-	if o := obs.Multi(cfg.Net.Observer); o != nil {
-		ob = o
-	}
+	ob := cfg.Net.Observer
 
 	procs := make([]procState, n)
 
@@ -170,11 +167,13 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 				est = st.Est
 			}
 			r = st.Round + 1
-			ob.Event("recovery.recover", st.Round, int(nd.Me), map[string]any{
-				"replayed_rounds": st.Round,
-				"lost_records":    me.lost,
-				"resume_round":    r,
-			})
+			if ob != nil {
+				ob.Observe(obs.Event{Kind: "recovery.recover", R: st.Round, P: int(nd.Me), Fields: map[string]any{
+					"replayed_rounds": st.Round,
+					"lost_records":    me.lost,
+					"resume_round":    r,
+				}})
+			}
 		}
 
 		g := msgnet.NewGather(floodTap{nd, &est}, n-f)
@@ -216,9 +215,9 @@ func RunRounds(n, f, rounds int, cfg Config) (*Outcome, error) {
 			}
 			if me.recovered && !me.rejoined {
 				me.rejoined = true
-				ob.Event("recovery.rejoin", r, int(nd.Me), map[string]any{
-					"round": r,
-				})
+				if ob != nil {
+					ob.Observe(obs.Event{Kind: "recovery.rejoin", R: r, P: int(nd.Me), Fields: map[string]any{"round": r}})
+				}
 			}
 			r++
 		}

@@ -459,5 +459,5 @@ func (l *Link) deliver(from core.PID, seq int) (msgnet.Op, bool) {
 // event reports to the observer; callers check cfg.Observer first, so the
 // field map is only built when somebody listens.
 func (l *Link) event(kind string, fields map[string]any) {
-	l.cfg.Observer.Event(kind, -1, int(l.PID()), fields)
+	l.cfg.Observer.Observe(obs.Event{Kind: kind, R: -1, P: int(l.PID()), Fields: fields})
 }

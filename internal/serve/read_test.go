@@ -119,6 +119,11 @@ func TestPeerProposalShedAtFullTable(t *testing.T) {
 	}
 }
 
+// discard is an observer that keeps nothing.
+type discard struct{}
+
+func (discard) Observe(obs.Event) {}
+
 // TestUnobservedDecideBuildsNoEventFields drives one shard's handlers by
 // hand, as above: each peer proposal for a fresh instance opens it and
 // decides it (n−f = 2: the proposal and our own). With no Observer the
@@ -154,7 +159,7 @@ func TestUnobservedDecideBuildsNoEventFields(t *testing.T) {
 		}
 		return allocs
 	}
-	if unobserved, observed := perDecide(nil), perDecide(obs.Base{}); unobserved >= observed {
+	if unobserved, observed := perDecide(nil), perDecide(discard{}); unobserved >= observed {
 		t.Fatalf("%.0f allocations per unobserved decide, %.0f per observed one: the field map is built for nobody",
 			unobserved, observed)
 	}

@@ -548,7 +548,7 @@ func (s *Server) post(shard int, e any) {
 // event emits one serve.* observer event.
 func (s *Server) event(kind string, fields map[string]any) {
 	if s.cfg.Observer != nil {
-		s.cfg.Observer.Event(kind, -1, int(s.cfg.Me), fields)
+		s.cfg.Observer.Observe(obs.Event{Kind: kind, R: -1, P: int(s.cfg.Me), Fields: fields})
 	}
 }
 

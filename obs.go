@@ -9,9 +9,14 @@ import (
 // Observability layer, re-exported from internal/obs (see the package doc
 // there for the observer contract and the JSONL event schema).
 type (
-	// Observer receives the hooks of an execution: rounds, phases,
-	// suspicions, deliveries, decisions and named events.
+	// Observer receives the events of an execution through its one
+	// method, Observe(Event).
 	Observer = obs.Observer
+
+	// Event is one observation: an engine kind (rounds, phases,
+	// suspicions, deliveries, decisions) or a substrate's named event.
+	// Its Kind says which fields are set.
+	Event = obs.Event
 
 	// Metrics is a concurrency-safe Observer aggregating counters and
 	// histograms with a JSON-serializable Snapshot.
@@ -20,7 +25,7 @@ type (
 	// MetricsSnapshot is a point-in-time copy of a Metrics.
 	MetricsSnapshot = obs.Snapshot
 
-	// EventLog is an Observer streaming every hook as JSONL.
+	// EventLog is an Observer streaming every event as JSONL.
 	EventLog = obs.EventLog
 )
 
@@ -28,7 +33,7 @@ var (
 	// NewEventLog returns an EventLog writing JSONL to a writer.
 	NewEventLog = obs.NewEventLog
 
-	// MultiObserver fans hooks out to several observers.
+	// MultiObserver fans events out to several observers.
 	MultiObserver = obs.Multi
 
 	// WithObserver attaches an observer to one engine execution.
