@@ -81,7 +81,7 @@ cover:
 # A function in a non-test file of internal/ stays only if something that
 # ships links it (DESIGN §4 "What stays"). No tier-1 test can assert that:
 # it needs every main linked — the 6 cmd/ mains, the 5 examples, bench/ and
-# the root test binary (the facade's readers) — which is what this target
+# the root test binary (the cross-package integration tests) — which is what this target
 # does, without inlining so a call is a symbol. Declared = `go tool nm` over
 # the `go list -export` archives, restricted to names the source declares
 # (nm also lists pointer-receiver twins, interface thunks and init); linked
@@ -109,7 +109,7 @@ repro/internal/simulate.(*twoForOne).assemble         under RunTwoForOne: TestRu
 repro/internal/wal.(*Group).SyncedSeq                 oracle: TestGroupConcurrentAppends (an append returns inside the horizon)
 repro/internal/core.(*SetBank).Clear                  benchmark subject: BenchmarkSetBankSweep
 repro/internal/core.(*SetBank).Row                    benchmark subject: BenchmarkSetBankSweep
-repro/internal/core.(*Arena).Reset                    TestArenaReuseAfterReset; the arena's fate is ROADMAP item 6's (needs bench/)
+repro/internal/core.(*Arena).Reset                    TestArenaReuseAfterReset; the arena's fate is ROADMAP item 1's (needs bench/)
 endef
 export UNLINKED_KEPT
 

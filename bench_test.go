@@ -8,12 +8,21 @@ package rrfd_test
 import (
 	"testing"
 
-	rrfd "repro"
+	"repro/internal/adoptcommit"
+	"repro/internal/adversary"
+	"repro/internal/agreement"
+	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/msgnet"
+	"repro/internal/predicate"
+	"repro/internal/semisync"
+	"repro/internal/simulate"
+	"repro/internal/snapshot"
+	"repro/internal/swmr"
 )
 
-func identityInputs(n int) []rrfd.Value {
-	inputs := make([]rrfd.Value, n)
+func identityInputs(n int) []core.Value {
+	inputs := make([]core.Value, n)
 	for i := range inputs {
 		inputs[i] = i
 	}
@@ -22,9 +31,9 @@ func identityInputs(n int) []rrfd.Value {
 
 func BenchmarkE01SyncOmission(b *testing.B) {
 	n, f := 8, 3
-	pred := rrfd.SendOmission(f)
+	pred := predicate.SendOmission(f)
 	for i := 0; i < b.N; i++ {
-		tr, err := rrfd.CollectTrace(n, 10, rrfd.Omission(n, f, 0.8, int64(i)))
+		tr, err := core.CollectTrace(n, 10, adversary.Omission(n, f, 0.8, int64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -36,9 +45,9 @@ func BenchmarkE01SyncOmission(b *testing.B) {
 
 func BenchmarkE02CrashSubmodel(b *testing.B) {
 	n, f := 8, 3
-	crash, omission := rrfd.SyncCrash(f), rrfd.SendOmission(f)
+	crash, omission := predicate.SyncCrash(f), predicate.SendOmission(f)
 	for i := 0; i < b.N; i++ {
-		tr, err := rrfd.CollectTrace(n, 12, rrfd.Crash(n, f, int64(i)))
+		tr, err := core.CollectTrace(n, 12, adversary.Crash(n, f, int64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,10 +62,10 @@ func BenchmarkE02CrashSubmodel(b *testing.B) {
 
 func BenchmarkE03AsyncRounds(b *testing.B) {
 	n, f, rounds := 6, 2, 6
-	pred := rrfd.PerRoundBudget(f)
+	pred := predicate.PerRoundBudget(f)
 	steps := 0
 	for i := 0; i < b.N; i++ {
-		out, err := rrfd.RunNetworkRounds(n, f, rounds, rrfd.NetConfig{Chooser: rrfd.Seeded(int64(i))}, nil)
+		out, err := msgnet.RunRounds(n, f, rounds, msgnet.Config{Chooser: core.Seeded(int64(i))}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,13 +79,13 @@ func BenchmarkE03AsyncRounds(b *testing.B) {
 
 func BenchmarkE04SharedMemory(b *testing.B) {
 	n, f := 7, 3
-	pred := rrfd.SharedMemory(f)
+	pred := predicate.SharedMemory(f)
 	for i := 0; i < b.N; i++ {
-		out, err := rrfd.RunNetworkRounds(n, f, 6, rrfd.NetConfig{Chooser: rrfd.Seeded(int64(i))}, nil)
+		out, err := msgnet.RunRounds(n, f, 6, msgnet.Config{Chooser: core.Seeded(int64(i))}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim, err := rrfd.TwoRoundsToSharedMemory(out.Trace)
+		sim, err := simulate.TwoRoundsToSharedMemory(out.Trace)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,9 +97,9 @@ func BenchmarkE04SharedMemory(b *testing.B) {
 
 func BenchmarkE05Snapshot(b *testing.B) {
 	n, f, rounds := 5, 2, 4
-	pred := rrfd.AtomicSnapshot(f)
+	pred := predicate.AtomicSnapshot(f)
 	for i := 0; i < b.N; i++ {
-		out, err := rrfd.RunSnapshotRounds(n, f, rounds, rrfd.SharedConfig{Chooser: rrfd.SeededChooser(int64(i))}, nil)
+		out, err := snapshot.RunRounds(n, f, rounds, swmr.Config{Chooser: swmr.Seeded(int64(i))}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,12 +114,12 @@ func BenchmarkE06ConsensusS(b *testing.B) {
 	inputs := identityInputs(n)
 	rounds := 0
 	for i := 0; i < b.N; i++ {
-		res, err := rrfd.Run(n, inputs, rrfd.RotatingCoordinator(),
-			rrfd.SpareNeverSuspected(n, rrfd.PID(i%n), int64(i)), rrfd.WithoutTrace())
+		res, err := core.Run(n, inputs, agreement.RotatingCoordinator(),
+			adversary.SpareNeverSuspected(n, core.PID(i%n), int64(i)), core.WithoutTrace())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := rrfd.ValidateAgreement(res, inputs, 1, n); err != nil {
+		if err := agreement.Validate(res, inputs, 1, n); err != nil {
 			b.Fatal(err)
 		}
 		rounds += res.Rounds
@@ -123,12 +132,12 @@ func BenchmarkE07OneRoundKSet(b *testing.B) {
 	inputs := identityInputs(n)
 	distinct := 0
 	for i := 0; i < b.N; i++ {
-		res, err := rrfd.Run(n, inputs, rrfd.OneRoundKSet(),
-			rrfd.KSetUncertainty(n, k, int64(i)), rrfd.WithoutTrace())
+		res, err := core.Run(n, inputs, agreement.OneRoundKSet(),
+			adversary.KSetUncertainty(n, k, int64(i)), core.WithoutTrace())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := rrfd.ValidateAgreement(res, inputs, k, 1); err != nil {
+		if err := agreement.Validate(res, inputs, k, 1); err != nil {
 			b.Fatal(err)
 		}
 		distinct += res.DistinctOutputs()
@@ -140,23 +149,23 @@ func BenchmarkE07OneRoundKSet(b *testing.B) {
 func BenchmarkE08KSetSharedMem(b *testing.B) {
 	n, k := 6, 2
 	for i := 0; i < b.N; i++ {
-		emit := func(me rrfd.PID, r int, _ map[rrfd.PID]rrfd.Value, _ rrfd.Set) rrfd.Value {
+		emit := func(me core.PID, r int, _ map[core.PID]core.Value, _ core.Set) core.Value {
 			return int(me)
 		}
-		cfg := rrfd.SharedConfig{
-			Chooser: rrfd.SeededChooser(int64(i)),
-			Crash:   map[rrfd.PID]int{rrfd.PID(n - 1): i % 30},
+		cfg := swmr.Config{
+			Chooser: swmr.Seeded(int64(i)),
+			Crash:   map[core.PID]int{core.PID(n - 1): i % 30},
 		}
-		out, err := rrfd.RunSnapshotRounds(n, k-1, 1, cfg, emit)
+		out, err := snapshot.RunRounds(n, k-1, 1, cfg, emit)
 		if err != nil {
 			b.Fatal(err)
 		}
-		distinct := make(map[rrfd.Value]bool)
+		distinct := make(map[core.Value]bool)
 		for _, views := range out.Views {
 			if len(views) < 1 {
 				continue
 			}
-			best := rrfd.PID(-1)
+			best := core.PID(-1)
 			for from := range views[0] {
 				if best < 0 || from < best {
 					best = from
@@ -172,9 +181,9 @@ func BenchmarkE08KSetSharedMem(b *testing.B) {
 
 func BenchmarkE09DetectorFromKSet(b *testing.B) {
 	n, k := 5, 2
-	pred := rrfd.KSetDetector(k)
+	pred := predicate.KSetDetector(k)
 	for i := 0; i < b.N; i++ {
-		tr, err := exp.DetectorFromKSet(n, k, 3, rrfd.SharedConfig{Chooser: rrfd.SeededChooser(int64(i))})
+		tr, err := exp.DetectorFromKSet(n, k, 3, swmr.Config{Chooser: swmr.Seeded(int64(i))})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,13 +195,13 @@ func BenchmarkE09DetectorFromKSet(b *testing.B) {
 
 func BenchmarkE10OmissionSim(b *testing.B) {
 	n, f, k := 8, 4, 2
-	pred := rrfd.SendOmission(f)
+	pred := predicate.SendOmission(f)
 	for i := 0; i < b.N; i++ {
-		base, err := rrfd.CollectTrace(n, f/k+2, rrfd.SnapshotChain(n, k, int64(i)))
+		base, err := core.CollectTrace(n, f/k+2, adversary.SnapshotChain(n, k, int64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim, err := rrfd.OmissionPrefix(base, f, k)
+		sim, err := simulate.OmissionPrefix(base, f, k)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,9 +214,9 @@ func BenchmarkE10OmissionSim(b *testing.B) {
 func BenchmarkE11AdoptCommit(b *testing.B) {
 	n := 4
 	for i := 0; i < b.N; i++ {
-		out, err := rrfd.RunShared(n, rrfd.SharedConfig{Chooser: rrfd.SeededChooser(int64(i))},
-			func(p *rrfd.SharedProc) (rrfd.Value, error) {
-				o, err := rrfd.AdoptCommit(p, "b", int(p.Me)%2)
+		out, err := swmr.Run(n, swmr.Config{Chooser: swmr.Seeded(int64(i))},
+			func(p *swmr.Proc) (core.Value, error) {
+				o, err := adoptcommit.Run(p, "b", int(p.Me)%2)
 				if err != nil {
 					return nil, err
 				}
@@ -216,10 +225,10 @@ func BenchmarkE11AdoptCommit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var committed rrfd.Value
+		var committed core.Value
 		for _, v := range out.Values {
-			o := v.(rrfd.AdoptCommitOutcome)
-			if o.Grade == rrfd.Commit {
+			o := v.(adoptcommit.Outcome)
+			if o.Grade == adoptcommit.Commit {
 				if committed != nil && committed != o.Value {
 					b.Fatal("two committed values")
 				}
@@ -234,12 +243,12 @@ func BenchmarkE12CrashSim(b *testing.B) {
 	n, f, k := 6, 4, 2
 	rounds := f / k
 	inputs := identityInputs(n)
-	pred := rrfd.SyncCrash(f)
+	pred := predicate.SyncCrash(f)
 	steps := 0
 	for i := 0; i < b.N; i++ {
-		res, err := rrfd.CrashSync(n, f, k, rounds,
-			rrfd.SharedConfig{Chooser: rrfd.SeededChooser(int64(i))},
-			rrfd.FloodMin(rounds), inputs)
+		res, err := simulate.CrashSync(n, f, k, rounds,
+			swmr.Config{Chooser: swmr.Seeded(int64(i))},
+			agreement.FloodMin(rounds), inputs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,12 +265,12 @@ func BenchmarkE13LowerBound(b *testing.B) {
 	inputs := identityInputs(n)
 	full, trunc := 0, 0
 	for i := 0; i < b.N; i++ {
-		res, err := rrfd.Run(n, inputs, rrfd.FloodMin(f/k+1), rrfd.ChainCrash(n, f, k), rrfd.WithoutTrace())
+		res, err := core.Run(n, inputs, agreement.FloodMin(f/k+1), adversary.ChainCrash(n, f, k), core.WithoutTrace())
 		if err != nil {
 			b.Fatal(err)
 		}
 		full += res.DistinctOutputs()
-		res, err = rrfd.Run(n, inputs, rrfd.FloodMin(f/k), rrfd.ChainCrash(n, f, k), rrfd.WithoutTrace())
+		res, err = core.Run(n, inputs, agreement.FloodMin(f/k), adversary.ChainCrash(n, f, k), core.WithoutTrace())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,13 +285,13 @@ func BenchmarkE14SemiSync(b *testing.B) {
 	inputs := identityInputs(n)
 	fastSteps, slowSteps := 0, 0
 	for i := 0; i < b.N; i++ {
-		fast, err := rrfd.RunTwoStep(n, 1, rrfd.SemiConfig{Chooser: rrfd.Seeded(int64(i))}, inputs)
+		fast, err := semisync.RunTwoStep(n, 1, semisync.Config{Chooser: core.Seeded(int64(i))}, inputs)
 		if err != nil {
 			b.Fatal(err)
 		}
 		fastSteps += fast.Outcome.MaxDecisionSteps()
-		slow, err := rrfd.RunSemiSync(n, rrfd.SemiConfig{Chooser: rrfd.RoundRobin()},
-			rrfd.RelayFactory(), inputs)
+		slow, err := semisync.Run(n, semisync.Config{Chooser: core.RoundRobin()},
+			semisync.RelayFactory(), inputs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -294,9 +303,9 @@ func BenchmarkE14SemiSync(b *testing.B) {
 
 func BenchmarkE15Lattice(b *testing.B) {
 	n := 8
-	snap, shared := rrfd.AtomicSnapshot(3), rrfd.SharedMemory(3)
+	snap, shared := predicate.AtomicSnapshot(3), predicate.SharedMemory(3)
 	for i := 0; i < b.N; i++ {
-		tr, err := rrfd.CollectTrace(n, 8, rrfd.SnapshotChain(n, 3, int64(i)))
+		tr, err := core.CollectTrace(n, 8, adversary.SnapshotChain(n, 3, int64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,7 +17,10 @@ import (
 	"strings"
 	"time"
 
-	rrfd "repro"
+	"repro/internal/core"
+	"repro/internal/exp"
+	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 func main() {
@@ -32,7 +35,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "invalid -workers %d\n", *workers)
 		os.Exit(1)
 	}
-	rrfd.SetExperimentWorkers(*workers)
+	exp.SetWorkers(*workers)
 
 	if err := run(*quick, *only, *metrics, *telemetryAddr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -52,21 +55,21 @@ func run(quick bool, only string, metrics bool, telemetryAddr string) error {
 	// experiment reports to one shared Metrics via the process-wide default
 	// observer — no experiment needs to know it is being measured — and the
 	// seed-sweep worker pool meters task latency into the same registry.
-	var m *rrfd.Metrics
+	var m *obs.Metrics
 	if metrics || telemetryAddr != "" {
-		tel := rrfd.NewTelemetry()
-		rrfd.SetDefaultObserver(tel.Metrics)
-		defer rrfd.SetDefaultObserver(nil)
-		rrfd.SetPoolMeter(&rrfd.PoolMeter{
+		tel := obs.NewTelemetry()
+		core.SetDefaultObserver(tel.Metrics)
+		defer core.SetDefaultObserver(nil)
+		par.SetMeter(&par.Meter{
 			TaskNS:     tel.Hist.Get("par_task_ns"),
 			QueueDepth: tel.Hist.Get("par_queue_depth"),
 		})
-		defer rrfd.SetPoolMeter(nil)
+		defer par.SetMeter(nil)
 		if metrics {
 			m = tel.Metrics
 		}
 		if telemetryAddr != "" {
-			srv, err := rrfd.ServeTelemetry(telemetryAddr, tel)
+			srv, err := obs.ServeTelemetry(telemetryAddr, tel)
 			if err != nil {
 				return fmt.Errorf("telemetry listener: %w", err)
 			}
@@ -76,7 +79,7 @@ func run(quick bool, only string, metrics bool, telemetryAddr string) error {
 	}
 
 	ran := 0
-	for _, e := range rrfd.Experiments() {
+	for _, e := range exp.All() {
 		if only != "" && !strings.EqualFold(e.ID, only) {
 			continue
 		}
@@ -103,7 +106,7 @@ func run(quick bool, only string, metrics bool, telemetryAddr string) error {
 // printSummary renders one experiment's engine-level metrics as a single
 // compact line: how many executions it drove, their shape, and where the
 // engine spent its time.
-func printSummary(id string, s rrfd.MetricsSnapshot) {
+func printSummary(id string, s obs.Snapshot) {
 	if s.Runs == 0 {
 		fmt.Printf("  %s metrics: no engine executions (substrate-level experiment)\n", id)
 		return

@@ -19,7 +19,9 @@ import (
 	"fmt"
 	"os"
 
-	rrfd "repro"
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/predicate"
 )
 
 func main() {
@@ -27,7 +29,7 @@ func main() {
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /snapshot and /debug/pprof on this address (the exhaustive sweeps are CPU-bound; e.g. localhost:6060)")
 	flag.Parse()
 	if *telemetryAddr != "" {
-		srv, err := rrfd.ServeTelemetry(*telemetryAddr, rrfd.NewTelemetry())
+		srv, err := obs.ServeTelemetry(*telemetryAddr, obs.NewTelemetry())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "telemetry listener: %v\n", err)
 			os.Exit(1)
@@ -45,20 +47,20 @@ func run(rounds int) error {
 	const n = 3
 	type entry struct {
 		name string
-		p    rrfd.Predicate
+		p    predicate.P
 	}
 	preds := []entry{
-		{"omission(1)", rrfd.SendOmission(1)},
-		{"crash(1)", rrfd.SyncCrash(1)},
-		{"async(1)", rrfd.PerRoundBudget(1)},
-		{"shmem(1)", rrfd.SharedMemory(1)},
-		{"snap(1)", rrfd.AtomicSnapshot(1)},
-		{"iis", rrfd.ImmediateSnapshot(n)},
-		{"kset(1)", rrfd.KSetDetector(1)},
-		{"kset(2)", rrfd.KSetDetector(2)},
-		{"eq5", rrfd.IdenticalSuspects()},
-		{"S", rrfd.NeverSuspectedExists()},
-		{"nomutual", rrfd.NoMutualMiss()},
+		{"omission(1)", predicate.SendOmission(1)},
+		{"crash(1)", predicate.SyncCrash(1)},
+		{"async(1)", predicate.PerRoundBudget(1)},
+		{"shmem(1)", predicate.SharedMemory(1)},
+		{"snap(1)", predicate.AtomicSnapshot(1)},
+		{"iis", predicate.ImmediateSnapshot(n)},
+		{"kset(1)", predicate.KSetDetector(1)},
+		{"kset(2)", predicate.KSetDetector(2)},
+		{"eq5", predicate.IdenticalSuspects()},
+		{"S", predicate.NeverSuspectedExists()},
+		{"nomutual", predicate.NoMutualMiss()},
 	}
 
 	fmt.Printf("RRFD submodel lattice over the exhaustive n=%d, %d-round universe\n", n, rounds)
@@ -87,8 +89,8 @@ func run(rounds int) error {
 	return nil
 }
 
-func classify(n, rounds int, a, b rrfd.Predicate) (string, error) {
-	checked, witnesses, err := rrfd.ExhaustiveWitnesses(n, rounds, a, b)
+func classify(n, rounds int, a, b predicate.P) (string, error) {
+	checked, witnesses, err := predicate.ExhaustiveWitnesses(n, rounds, a, b)
 	if err != nil {
 		return "", err
 	}
@@ -98,7 +100,7 @@ func classify(n, rounds int, a, b rrfd.Predicate) (string, error) {
 	}
 	// Distinguish a real implication from a vacuous premise.
 	satisfying := 0
-	err = rrfd.ExhaustiveTraces(n, rounds, func(t *rrfd.Trace) error {
+	err = predicate.ExhaustiveTraces(n, rounds, func(t *core.Trace) error {
 		if a.Check(t) == nil {
 			satisfying++
 		}

@@ -46,7 +46,9 @@ import (
 	"strings"
 	"time"
 
-	rrfd "repro"
+	"repro/internal/obs/hist"
+	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
 type config struct {
@@ -120,10 +122,10 @@ func run(cfg config, w io.Writer) error {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		cl, err := rrfd.StartServiceCluster(rrfd.ServiceClusterConfig{
+		cl, err := serve.StartCluster(serve.ClusterConfig{
 			N: cfg.local, F: cfg.f, K: cfg.k,
 			Dir:            dir,
-			Sync:           rrfd.SyncAlways,
+			Sync:           wal.SyncAlways,
 			RequestTimeout: cfg.timeout,
 			Seed:           cfg.seed,
 		})
@@ -142,25 +144,25 @@ func run(cfg config, w io.Writer) error {
 	if cfg.conns > 0 && cfg.conns < workers {
 		workers = cfg.conns
 	}
-	load := rrfd.PlantServiceLoad(rand.New(rand.NewSource(cfg.seed)), cfg.clients, cfg.requests, cfg.instances, len(addrs))
+	load := serve.PlantLoad(rand.New(rand.NewSource(cfg.seed)), cfg.clients, cfg.requests, cfg.instances, len(addrs))
 	startAll := time.Now()
-	outs, retries := load.Drive(addrs, workers, rrfd.ServiceClientConfig{
+	outs, retries := load.Drive(addrs, workers, serve.ClientConfig{
 		Timeout:     cfg.timeout,
 		MaxAttempts: cfg.attempts,
 		Seed:        cfg.seed,
 	})
 	elapsed := time.Since(startAll)
 
-	audit := rrfd.NewServiceAuditor()
+	audit := serve.NewAuditor()
 	tally := load.Tally(audit, outs)
 	violations := audit.Violations(load.Submitted(), cfg.k)
 	instances, distinctMax := audit.Decided()
 
-	hDecide := rrfd.NewHistogram()
+	hDecide := hist.New()
 	lat := make([]time.Duration, len(outs))
 	for i, oc := range outs {
 		lat[i] = oc.Latency
-		if oc.Status == rrfd.ServiceDecided {
+		if oc.Status == serve.StatusDecided {
 			hDecide.Record(oc.Latency.Nanoseconds())
 		}
 	}

@@ -36,7 +36,10 @@ import (
 	"syscall"
 	"time"
 
-	rrfd "repro"
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
 type config struct {
@@ -87,7 +90,7 @@ func main() {
 
 // start validates flags and brings the node up; main only adds signal
 // handling, so tests drive the whole surface through here.
-func start(cfg config, w io.Writer) (*rrfd.ServiceServer, func(), error) {
+func start(cfg config, w io.Writer) (*serve.Server, func(), error) {
 	nop := func() {}
 	if cfg.walDir == "" {
 		return nil, nop, fmt.Errorf("-wal DIR is required: the journal is what makes acknowledgements durable")
@@ -108,19 +111,19 @@ func start(cfg config, w io.Writer) (*rrfd.ServiceServer, func(), error) {
 	if cfg.f < 0 || cfg.f >= cfg.n {
 		return nil, nop, fmt.Errorf("-f %d out of range [0,%d)", cfg.f, cfg.n)
 	}
-	var sync rrfd.SyncMode
+	var sync wal.SyncMode
 	switch cfg.sync {
 	case "always":
-		sync = rrfd.SyncAlways
+		sync = wal.SyncAlways
 	case "never":
-		sync = rrfd.SyncNever
+		sync = wal.SyncNever
 	default:
 		return nil, nop, fmt.Errorf("unknown -sync %q: always or never", cfg.sync)
 	}
 
-	var tel *rrfd.Telemetry
-	scfg := rrfd.ServiceConfig{
-		Me: rrfd.PID(cfg.me), N: cfg.n, F: cfg.f,
+	var tel *obs.Telemetry
+	scfg := serve.Config{
+		Me: core.PID(cfg.me), N: cfg.n, F: cfg.f,
 		MeshAddrs:      addrs,
 		ClientAddr:     cfg.listen,
 		WALDir:         cfg.walDir,
@@ -131,17 +134,17 @@ func start(cfg config, w io.Writer) (*rrfd.ServiceServer, func(), error) {
 		Seed:           cfg.seed,
 	}
 	if cfg.telemetry != "" {
-		tel = rrfd.NewTelemetry()
+		tel = obs.NewTelemetry()
 		scfg.Observer = tel.Metrics
 		scfg.Hist = tel.Hist
 	}
-	srv, err := rrfd.StartService(scfg)
+	srv, err := serve.Start(scfg)
 	if err != nil {
 		return nil, nop, err
 	}
 	cleanup := nop
 	if cfg.telemetry != "" {
-		ts, err := rrfd.ServeTelemetry(cfg.telemetry, tel)
+		ts, err := obs.ServeTelemetry(cfg.telemetry, tel)
 		if err != nil {
 			srv.Close()
 			return nil, nop, fmt.Errorf("telemetry listener: %w", err)

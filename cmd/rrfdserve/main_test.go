@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	rrfd "repro"
+	"repro/internal/serve"
 )
 
 func TestStartRejectsBadFlags(t *testing.T) {
@@ -44,9 +44,9 @@ func TestSingleNodeServeAndRecover(t *testing.T) {
 		t.Fatalf("start: %v", err)
 	}
 	defer cleanup()
-	c := rrfd.NewServiceClient(rrfd.ServiceClientConfig{Addr: srv.ClientAddr(), Timeout: 2 * time.Second, Seed: 1})
+	c := serve.NewClient(serve.ClientConfig{Addr: srv.ClientAddr(), Timeout: 2 * time.Second, Seed: 1})
 	resp, err := c.Submit("job", "r1", 7)
-	if err != nil || resp.Status != rrfd.ServiceDecided || resp.Val != 7 {
+	if err != nil || resp.Status != serve.StatusDecided || resp.Val != 7 {
 		t.Fatalf("submit: %+v, %v", resp, err)
 	}
 	c.Close()

@@ -106,7 +106,15 @@ import (
 	"os"
 	"strings"
 
-	rrfd "repro"
+	"repro/internal/agreement"
+	"repro/internal/chaos"
+	"repro/internal/core"
+	"repro/internal/hoalg"
+	"repro/internal/obs"
+	"repro/internal/obs/trace"
+	"repro/internal/par"
+	"repro/internal/predicate"
+	"repro/internal/wal"
 )
 
 // config is one parsed invocation, so run is unit-testable without a flag
@@ -299,17 +307,17 @@ func run(cfg config, w io.Writer) error {
 	// chain, its histogram registry receives the non-observer meters
 	// (chaos per-run wall time, par task latency / queue depth, mc
 	// schedule rate), and the optional endpoint serves both live.
-	var tel *rrfd.Telemetry
+	var tel *obs.Telemetry
 	if cfg.metrics || cfg.telemetry != "" {
-		tel = rrfd.NewTelemetry()
-		rrfd.SetPoolMeter(&rrfd.PoolMeter{
+		tel = obs.NewTelemetry()
+		par.SetMeter(&par.Meter{
 			TaskNS:     tel.Hist.Get("par_task_ns"),
 			QueueDepth: tel.Hist.Get("par_queue_depth"),
 		})
-		defer rrfd.SetPoolMeter(nil)
+		defer par.SetMeter(nil)
 	}
 	if cfg.telemetry != "" {
-		srv, err := rrfd.ServeTelemetry(cfg.telemetry, tel)
+		srv, err := obs.ServeTelemetry(cfg.telemetry, tel)
 		if err != nil {
 			return fmt.Errorf("telemetry listener: %w", err)
 		}
@@ -339,9 +347,9 @@ func run(cfg config, w io.Writer) error {
 		return err
 	}
 	defer snk.closeFile()
-	var tracer *rrfd.Tracer
+	var tracer *trace.Tracer
 	if cfg.perfetto != "" {
-		tracer = rrfd.NewTracer()
+		tracer = trace.New()
 	}
 	observer := snk.observer(tracer)
 
@@ -351,12 +359,12 @@ func run(cfg config, w io.Writer) error {
 	}
 	n, f, k, seed := cfg.n, cfg.f, cfg.k, cfg.seed
 
-	var opts []rrfd.Option
+	var opts []core.Option
 	if observer != nil {
-		opts = append(opts, rrfd.WithObserver(observer))
+		opts = append(opts, core.WithObserver(observer))
 	}
 	if cfg.noTrace {
-		opts = append(opts, rrfd.WithoutTrace())
+		opts = append(opts, core.WithoutTrace())
 	}
 	if dir := cfg.ckptDir; dir != "" || cfg.resumeDir != "" {
 		// On resume, pass the same checkpoint options so the continuation
@@ -364,13 +372,13 @@ func run(cfg config, w io.Writer) error {
 		if dir == "" {
 			dir = cfg.resumeDir
 		}
-		opts = append(opts, rrfd.WithCheckpointing(dir, rrfd.CheckpointOptions{Sync: rrfd.SyncAlways}))
+		opts = append(opts, core.WithCheckpointing(dir, core.CheckpointOptions{Sync: wal.SyncAlways}))
 	}
 	if cfg.killAfter > 0 {
-		opts = append(opts, rrfd.WithHaltAfterRound(cfg.killAfter))
+		opts = append(opts, core.WithHaltAfterRound(cfg.killAfter))
 	}
 
-	finish := func(tr *rrfd.Trace) error {
+	finish := func(tr *core.Trace) error {
 		if err := writeTrace(w, cfg.outFile, tr); err != nil {
 			return err
 		}
@@ -389,7 +397,7 @@ func run(cfg config, w io.Writer) error {
 		return nil
 	}
 
-	inputs := make([]rrfd.Value, n)
+	inputs := make([]core.Value, n)
 	for i := range inputs {
 		inputs[i] = i
 	}
@@ -405,7 +413,7 @@ func run(cfg config, w io.Writer) error {
 	}
 
 	if m.factory == nil {
-		tr, err := rrfd.CollectTrace(n, m.rounds, m.oracle, opts...)
+		tr, err := core.CollectTrace(n, m.rounds, m.oracle, opts...)
 		if err != nil {
 			return failed(err)
 		}
@@ -416,13 +424,13 @@ func run(cfg config, w io.Writer) error {
 		return finish(tr)
 	}
 
-	var res *rrfd.Result
+	var res *core.Result
 	if cfg.resumeDir != "" {
-		res, err = rrfd.Resume(cfg.resumeDir, m.factory, m.oracle, opts...)
+		res, err = core.Resume(cfg.resumeDir, m.factory, m.oracle, opts...)
 	} else {
-		res, err = rrfd.Run(n, inputs, m.factory, m.oracle, opts...)
+		res, err = core.Run(n, inputs, m.factory, m.oracle, opts...)
 	}
-	var halt *rrfd.HaltError
+	var halt *core.HaltError
 	if errors.As(err, &halt) {
 		// A deliberate kill at a round boundary: the journal is settled and
 		// the run is suspended, not failed.
@@ -443,14 +451,14 @@ func run(cfg config, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "rounds: %d, crashed: %s\n", res.Rounds, res.Crashed)
 	fmt.Fprintf(w, "decisions (%d distinct):\n", res.DistinctOutputs())
-	for p := rrfd.PID(0); int(p) < n; p++ {
+	for p := core.PID(0); int(p) < n; p++ {
 		if v, ok := res.Outputs[p]; ok {
 			fmt.Fprintf(w, "  p%-3d → %-6v (round %d)\n", p, v, res.DecidedAt[p])
 		} else {
 			fmt.Fprintf(w, "  p%-3d → (no decision)\n", p)
 		}
 	}
-	if err := rrfd.ValidateAgreement(res, inputs, m.bound, 0); err != nil {
+	if err := agreement.Validate(res, inputs, m.bound, 0); err != nil {
 		fmt.Fprintf(w, "agreement check: %v\n", err)
 	} else {
 		fmt.Fprintf(w, "agreement check: %d-set agreement holds\n", m.bound)
@@ -464,7 +472,7 @@ func run(cfg config, w io.Writer) error {
 // runChaos executes the randomized fault-injection campaign, streaming the
 // per-violation reports and the final summary to w. A campaign with safety
 // violations is an error, so CI fails loudly.
-func runChaos(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
+func runChaos(cfg config, tel *obs.Telemetry, w io.Writer) error {
 	snk, err := openSinks(cfg, tel)
 	if err != nil {
 		return err
@@ -476,7 +484,7 @@ func runChaos(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 		// A model expression pins the campaign to its compiled fault plan
 		// (every run, same plan, varying schedules) and swaps the stock
 		// eq. (3) trace check for the compiled model predicate.
-		expr, err := rrfd.ResolveModel(cfg.model, rrfd.ModelParams{N: cfg.n, F: cfg.f, K: cfg.k, Stab: modelStab})
+		expr, err := hoalg.Resolve(cfg.model, hoalg.Params{N: cfg.n, F: cfg.f, K: cfg.k, Stab: modelStab})
 		if err != nil {
 			return err
 		}
@@ -497,7 +505,7 @@ func runChaos(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 	if tel != nil {
 		ccfg.Telemetry = tel.Hist
 	}
-	sum := rrfd.ChaosRun(ccfg)
+	sum := chaos.Run(ccfg)
 
 	if err := snk.finish(w); err != nil {
 		return err
@@ -510,10 +518,10 @@ func runChaos(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 			// under a tracer: the Perfetto file shows the counterexample
 			// as a causal diagram, byte-identical across reruns.
 			v := sum.Violations[0]
-			tracer := rrfd.NewTracer()
+			tracer := trace.New()
 			replay := ccfg
 			replay.Observer = tracer
-			if err := rrfd.ChaosReplay(replay, v); err != nil {
+			if _, _, _, err := chaos.Execute(replay, v.SchedSeed, v.MinPlan, v.Crashes); err != nil {
 				return fmt.Errorf("replay violation: %w", err)
 			}
 			if err := tracer.ExportFile(cfg.perfetto); err != nil {
@@ -530,8 +538,8 @@ func runChaos(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 
 // chaosConfig maps the chaos flags onto a campaign config; the caller
 // fills in the sinks (Observer, Out, Telemetry).
-func chaosConfig(cfg config) rrfd.ChaosConfig {
-	return rrfd.ChaosConfig{
+func chaosConfig(cfg config) chaos.Config {
+	return chaos.Config{
 		N: cfg.n, F: cfg.f, K: cfg.k,
 		Rounds:        cfg.rounds,
 		Runs:          cfg.runs,
@@ -552,14 +560,14 @@ func chaosConfig(cfg config) rrfd.ChaosConfig {
 // runChaosRecover executes the crash-and-recover campaign: every run
 // crashes at least one process, usually restarts it from its durable
 // journal, and audits the outcome's safety.
-func runChaosRecover(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
+func runChaosRecover(cfg config, tel *obs.Telemetry, w io.Writer) error {
 	snk, err := openSinks(cfg, tel)
 	if err != nil {
 		return err
 	}
 	defer snk.closeFile()
 
-	rcfg := rrfd.RecoverChaosConfig{
+	rcfg := chaos.RecoverConfig{
 		N: cfg.n, F: cfg.f,
 		Rounds:        cfg.rounds,
 		Runs:          cfg.runs,
@@ -576,7 +584,7 @@ func runChaosRecover(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 	if tel != nil {
 		rcfg.Telemetry = tel.Hist
 	}
-	sum := rrfd.RecoverChaosRun(rcfg)
+	sum := chaos.RunRecover(rcfg)
 
 	if err := snk.finish(w); err != nil {
 		return err
@@ -591,12 +599,12 @@ func runChaosRecover(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 // seeded client load over a loopback cluster, one node killed at a
 // planted acknowledgement count, its journal audited, a restart, and a
 // full idempotent replay of the load.
-func runChaosServe(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
+func runChaosServe(cfg config, tel *obs.Telemetry, w io.Writer) error {
 	snk, err := openSinks(cfg, tel) // chaos-serve has no -events: metrics only
 	if err != nil {
 		return err
 	}
-	scfg := rrfd.ServeChaosConfig{
+	scfg := chaos.ServeConfig{
 		N: cfg.n, F: cfg.f, K: cfg.k,
 		Seed:     cfg.seed,
 		Bug:      cfg.bug,
@@ -606,7 +614,7 @@ func runChaosServe(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 	if tel != nil {
 		scfg.Telemetry = tel.Hist
 	}
-	sum, err := rrfd.RunServeChaos(scfg)
+	sum, err := chaos.RunServe(scfg)
 	if err != nil {
 		return err
 	}
@@ -671,7 +679,7 @@ func sourceLabel(cfg config) string {
 	return fmt.Sprintf("system %q", cfg.system)
 }
 
-func report(w io.Writer, pred rrfd.Predicate, tr *rrfd.Trace) error {
+func report(w io.Writer, pred predicate.P, tr *core.Trace) error {
 	if err := pred.Check(tr); err != nil {
 		return fmt.Errorf("model predicate: %w", err)
 	}
@@ -679,7 +687,7 @@ func report(w io.Writer, pred rrfd.Predicate, tr *rrfd.Trace) error {
 	return nil
 }
 
-func writeTrace(w io.Writer, path string, tr *rrfd.Trace) error {
+func writeTrace(w io.Writer, path string, tr *core.Trace) error {
 	if path == "" {
 		return nil
 	}

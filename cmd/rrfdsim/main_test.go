@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	rrfd "repro"
+	"repro/internal/hoalg"
 )
 
 func baseConfig() config {
@@ -101,7 +101,7 @@ func TestRunMCRejectsUnsatisfiableModel(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			err := run(cfg, &buf)
-			var empty *rrfd.EmptyFamilyError
+			var empty *hoalg.EmptyFamilyError
 			if !errors.As(err, &empty) || empty.Round != c.round {
 				t.Fatalf("mode %q -model %q -workers %d -replay %q: err = %v, want an empty plan family in round %d\n%s",
 					cfg.mode, c.model, workers, c.replay, err, c.round, buf.String())

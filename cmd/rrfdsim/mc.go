@@ -6,7 +6,12 @@ import (
 	"io"
 	"time"
 
-	rrfd "repro"
+	"repro/internal/adversary"
+	"repro/internal/core"
+	"repro/internal/hoalg"
+	"repro/internal/mc"
+	"repro/internal/obs"
+	"repro/internal/obs/trace"
 )
 
 // runMC executes the systematic model checker: exhaustive (or bounded)
@@ -18,7 +23,7 @@ import (
 // could satisfy neither disjunct). A violation prints a shrunk,
 // replayable counterexample and exits non-zero; -replay re-executes one
 // recorded schedule.
-func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
+func runMC(cfg config, tel *obs.Telemetry, w io.Writer) error {
 	n, f, k := cfg.n, cfg.f, cfg.k
 	m, err := resolve(cfg, nil)
 	if err != nil {
@@ -29,22 +34,22 @@ func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 	}
 	exps, bound := m.branches, m.bound
 
-	inputs := make([]rrfd.Value, n)
+	inputs := make([]core.Value, n)
 	for i := range inputs {
 		inputs[i] = i
 	}
 
-	makeSpec := func(e branch, tracer *rrfd.Tracer) rrfd.MCRunSpec {
-		spec := rrfd.MCRunSpec{
+	makeSpec := func(e branch, tracer *trace.Tracer) mc.RunSpec {
+		spec := mc.RunSpec{
 			N:       n,
 			Inputs:  inputs,
 			Factory: m.factory,
-			Oracle: func(ctx *rrfd.MCCtx) rrfd.Oracle {
-				return rrfd.EnumeratedAdversary(ctx, n, e.enum)
+			Oracle: func(ctx *mc.Ctx) core.Oracle {
+				return adversary.Enumerated(ctx, n, e.enum)
 			},
-			Props: []rrfd.MCProperty{
-				rrfd.MCValidity(inputs),
-				rrfd.MCKAgreement(bound),
+			Props: []mc.Property{
+				mc.Validity(inputs),
+				mc.KAgreement(bound),
 			},
 			// The compiled membership check is a path property, which makes
 			// state-hash pruning unsound: -model explorations run unpruned.
@@ -66,17 +71,17 @@ func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 		// A replayed counterexample is a single deterministic execution, so
 		// it can carry a causal tracer; validate() rejects -perfetto for the
 		// exploration itself (thousands of interleaved schedules).
-		var tracer *rrfd.Tracer
+		var tracer *trace.Tracer
 		if cfg.perfetto != "" {
-			tracer = rrfd.NewTracer()
+			tracer = trace.New()
 		}
-		run := rrfd.MCCheckRun(makeSpec(exps[0], tracer))
-		choices, err := rrfd.ParseChoices(cfg.mcReplay)
+		run := mc.CheckRun(makeSpec(exps[0], tracer))
+		choices, err := mc.ParseChoices(cfg.mcReplay)
 		if err != nil {
 			return err
 		}
-		rerr := rrfd.MCReplay(choices, run)
-		var empty *rrfd.EmptyFamilyError
+		rerr := mc.Replay(choices, run)
+		var empty *hoalg.EmptyFamilyError
 		if errors.As(rerr, &empty) {
 			// Not a reproduced violation: there is no schedule to replay.
 			return fmt.Errorf("mc: replaying %q: %w", exps[0].label, rerr)
@@ -101,7 +106,7 @@ func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 	}
 	defer snk.closeFile()
 
-	opts := rrfd.MCOptions{
+	opts := mc.Options{
 		MaxSchedules: cfg.mcMax,
 		MaxDepth:     cfg.mcDepth,
 		Samples:      cfg.mcSamples,
@@ -123,13 +128,13 @@ func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 	start := time.Now()
 	var (
 		schedules int
-		cx        *rrfd.MCCounterexample
+		cx        *mc.Counterexample
 		cxLabel   string
 		exhausted = true
 		limitHit  bool
 	)
 	for _, e := range exps {
-		res, err := rrfd.MCExplore(opts, rrfd.MCCheckRun(makeSpec(e, nil)))
+		res, err := mc.Explore(opts, mc.CheckRun(makeSpec(e, nil)))
 		if err != nil {
 			return fmt.Errorf("mc: exploring %q: %w", e.label, err)
 		}
@@ -164,7 +169,7 @@ func runMC(cfg config, tel *rrfd.Telemetry, w io.Writer) error {
 	switch {
 	case cx != nil:
 		fmt.Fprintf(w, "violation: %v\n", cx.Err)
-		replay := rrfd.FormatChoices(cx.Choices)
+		replay := mc.FormatChoices(cx.Choices)
 		fmt.Fprintf(w, "counterexample (%d choices, shrunk from %d): %s\n",
 			len(cx.Choices), len(cx.FirstFound), replay)
 		if cfg.model != "" {

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	rrfd "repro"
+	"repro/internal/hoalg"
 )
 
 func modelConfig(model string) config {
@@ -19,7 +19,7 @@ func modelConfig(model string) config {
 // accepts, and the report must name the model. n=3 keeps the kset-bearing
 // models inside the enumeration support so the same size works everywhere.
 func TestRunModelPlainAllCatalog(t *testing.T) {
-	names := rrfd.ModelNames()
+	names := hoalg.Names()
 	if len(names) < 8 {
 		t.Fatalf("catalog lists %d models, want >= 8", len(names))
 	}

@@ -22,7 +22,10 @@ import (
 	"sync"
 	"time"
 
-	rrfd "repro"
+	"repro/internal/core"
+	"repro/internal/msgnet"
+	"repro/internal/netsub"
+	"repro/internal/task"
 )
 
 // netResult is the one JSON line each child prints before exiting.
@@ -73,8 +76,8 @@ func runNetChild(cfg config, w io.Writer) error {
 		return fmt.Errorf("tcp-child: adopt listener: %w", err)
 	}
 
-	node, err := rrfd.StartTCPNode(rrfd.TCPConfig{
-		Me: rrfd.PID(cfg.netMe), N: n, Addrs: addrs,
+	node, err := netsub.Start(netsub.Config{
+		Me: core.PID(cfg.netMe), N: n, Addrs: addrs,
 		Incarnation: cfg.netIncarnation,
 		Listener:    ln,
 		Seed:        cfg.seed,
@@ -87,15 +90,15 @@ func runNetChild(cfg config, w io.Writer) error {
 	fmt.Fprintln(w, "ready")
 
 	min := cfg.netMe
-	fold := func(view map[rrfd.PID]rrfd.Value) {
+	fold := func(view map[core.PID]core.Value) {
 		for _, v := range view {
 			if x, ok := v.(int); ok && x < min {
 				min = x
 			}
 		}
 	}
-	rec, stalls, err := rrfd.RunSubstrateRounds(node, f, rounds, watchdogMS, lingerMS,
-		func(_ rrfd.PID, _ int, prev map[rrfd.PID]rrfd.Value, _ rrfd.Set) rrfd.Value {
+	rec, stalls, err := msgnet.RunSubstrateRounds(node, f, rounds, watchdogMS, lingerMS,
+		func(_ core.PID, _ int, prev map[core.PID]core.Value, _ core.Set) core.Value {
 			fold(prev)
 			return min
 		}, nil)
@@ -340,7 +343,7 @@ func runNetParent(cfg config, w io.Writer) error {
 	for i := range results {
 		inputs[i] = true // process i proposed i
 	}
-	vd := rrfd.KSetVerdict(k, func(v int) bool { return inputs[v] }, n,
+	vd := task.KSet(k, func(v int) bool { return inputs[v] }, n,
 		func(i int) (int, bool) { return results[i].Decision, true }, nil)
 	stalls, reconnects := 0, int64(0)
 	for _, res := range results {

@@ -6,22 +6,27 @@ import (
 	"io"
 	"os"
 
-	rrfd "repro"
+	"repro/internal/adversary"
+	"repro/internal/agreement"
+	"repro/internal/core"
+	"repro/internal/hoalg"
+	"repro/internal/obs"
+	"repro/internal/predicate"
 )
 
 // sinks is the observability wiring every mode shares: the process-wide
 // Metrics (under -metrics or -telemetry) and the -events JSONL log.
 type sinks struct {
 	cfg     config
-	metrics *rrfd.Metrics
-	events  *rrfd.EventLog
+	metrics *obs.Metrics
+	events  *obs.EventLog
 	buf     *bufio.Writer
 	file    *os.File
 }
 
 // openSinks creates the -events file, if asked for. The caller defers
 // closeFile and calls finish once the mode's executions are over.
-func openSinks(cfg config, tel *rrfd.Telemetry) (*sinks, error) {
+func openSinks(cfg config, tel *obs.Telemetry) (*sinks, error) {
 	s := &sinks{cfg: cfg}
 	if tel != nil {
 		s.metrics = tel.Metrics
@@ -32,15 +37,15 @@ func openSinks(cfg config, tel *rrfd.Telemetry) (*sinks, error) {
 			return nil, fmt.Errorf("create events file: %w", err)
 		}
 		s.file, s.buf = file, bufio.NewWriter(file)
-		s.events = rrfd.NewEventLog(s.buf)
+		s.events = obs.NewEventLog(s.buf)
 	}
 	return s, nil
 }
 
 // observer fans out to the sinks and to more (a tracer, say); nil when
 // nothing listens.
-func (s *sinks) observer(more ...rrfd.Observer) rrfd.Observer {
-	return rrfd.MultiObserver(append([]rrfd.Observer{s.metrics, s.events}, more...)...)
+func (s *sinks) observer(more ...obs.Observer) obs.Observer {
+	return obs.Multi(append([]obs.Observer{s.metrics, s.events}, more...)...)
 }
 
 // finish flushes the event log and reports what the sinks hold: the event
@@ -75,17 +80,17 @@ func (s *sinks) closeFile() {
 // families have one, a compiled -model one per disjunct.
 type branch struct {
 	label string
-	enum  rrfd.AdversaryEnum
+	enum  hoalg.Enum
 }
 
 // resolved is what the -system/-model and -alg flags name.
 type resolved struct {
 	// pred is the model's membership check over a trace.
-	pred rrfd.Predicate
+	pred predicate.P
 
 	// oracle samples one path of the model from -seed (plain runs). For a
 	// -model it can run out of plans: failed then returns why.
-	oracle rrfd.Oracle
+	oracle core.Oracle
 	failed func() error
 
 	// branches are the model's enumerators (mc).
@@ -94,7 +99,7 @@ type resolved struct {
 	// factory is the algorithm, nil for -alg none; bound is the k its
 	// decisions are audited against; rounds the trace length -alg none
 	// collects.
-	factory rrfd.Factory
+	factory core.Factory
 	bound   int
 	rounds  int
 }
@@ -103,7 +108,7 @@ type resolved struct {
 // the seeded oracle, an mc run the enumerators: building the other would
 // refuse systems (or sizes) that mode never uses. observer, when non-nil,
 // also hears the algorithm's own events.
-func resolve(cfg config, observer rrfd.Observer) (*resolved, error) {
+func resolve(cfg config, observer obs.Observer) (*resolved, error) {
 	n, f, k, seed := cfg.n, cfg.f, cfg.k, cfg.seed
 	res := &resolved{failed: func() error { return nil }, rounds: cfg.rounds}
 
@@ -114,7 +119,7 @@ func resolve(cfg config, observer rrfd.Observer) (*resolved, error) {
 		// mixing branches per round could satisfy neither disjunct), and
 		// the compiled predicate is the same membership check the -system
 		// families get.
-		expr, err := rrfd.ResolveModel(cfg.model, rrfd.ModelParams{N: n, F: f, K: k, Stab: modelStab})
+		expr, err := hoalg.Resolve(cfg.model, hoalg.Params{N: n, F: f, K: k, Stab: modelStab})
 		if err != nil {
 			return nil, err
 		}
@@ -136,44 +141,44 @@ func resolve(cfg config, observer rrfd.Observer) (*resolved, error) {
 		}
 	} else {
 		var (
-			sample func() rrfd.Oracle
-			enum   func() (rrfd.AdversaryEnum, error) // nil: the family has no enumerator
+			sample func() core.Oracle
+			enum   func() (hoalg.Enum, error) // nil: the family has no enumerator
 		)
 		switch cfg.system {
 		case "omission":
-			res.pred = rrfd.SendOmission(f)
-			sample = func() rrfd.Oracle { return rrfd.Omission(n, f, 0.7, seed) }
-			enum = func() (rrfd.AdversaryEnum, error) { return rrfd.EnumSendOmission(n, f) }
+			res.pred = predicate.SendOmission(f)
+			sample = func() core.Oracle { return adversary.Omission(n, f, 0.7, seed) }
+			enum = func() (hoalg.Enum, error) { return adversary.EnumSendOmission(n, f) }
 		case "crash":
-			res.pred = rrfd.SyncCrash(f)
-			sample = func() rrfd.Oracle { return rrfd.Crash(n, f, seed) }
-			enum = func() (rrfd.AdversaryEnum, error) { return rrfd.EnumSyncCrash(n, f) }
+			res.pred = predicate.SyncCrash(f)
+			sample = func() core.Oracle { return adversary.Crash(n, f, seed) }
+			enum = func() (hoalg.Enum, error) { return adversary.EnumSyncCrash(n, f) }
 		case "chain":
-			res.pred = rrfd.SyncCrash(f)
-			sample = func() rrfd.Oracle { return rrfd.ChainCrash(n, f, k) }
+			res.pred = predicate.SyncCrash(f)
+			sample = func() core.Oracle { return adversary.ChainCrash(n, f, k) }
 		case "async":
-			res.pred = rrfd.PerRoundBudget(f)
-			sample = func() rrfd.Oracle { return rrfd.AsyncBudget(n, f, true, seed) }
-			enum = func() (rrfd.AdversaryEnum, error) { return rrfd.EnumPerRoundBudget(n, f) }
+			res.pred = predicate.PerRoundBudget(f)
+			sample = func() core.Oracle { return adversary.AsyncBudget(n, f, true, seed) }
+			enum = func() (hoalg.Enum, error) { return adversary.EnumPerRoundBudget(n, f) }
 		case "sharedmem":
-			res.pred = rrfd.SharedMemory(f)
-			sample = func() rrfd.Oracle { return rrfd.SharedMemAdversary(n, f, seed) }
+			res.pred = predicate.SharedMemory(f)
+			sample = func() core.Oracle { return adversary.SharedMem(n, f, seed) }
 		case "snapshot":
-			res.pred = rrfd.AtomicSnapshot(f)
-			sample = func() rrfd.Oracle { return rrfd.SnapshotChain(n, f, seed) }
+			res.pred = predicate.AtomicSnapshot(f)
+			sample = func() core.Oracle { return adversary.SnapshotChain(n, f, seed) }
 		case "kset":
-			res.pred = rrfd.KSetDetector(k)
-			sample = func() rrfd.Oracle { return rrfd.KSetUncertainty(n, k, seed) }
-			enum = func() (rrfd.AdversaryEnum, error) { return rrfd.EnumKSet(n, k) }
+			res.pred = predicate.KSetDetector(k)
+			sample = func() core.Oracle { return adversary.KSetUncertainty(n, k, seed) }
+			enum = func() (hoalg.Enum, error) { return adversary.EnumKSet(n, k) }
 		case "identical":
-			res.pred = rrfd.IdenticalSuspects()
-			sample = func() rrfd.Oracle { return rrfd.Identical(n, seed) }
+			res.pred = predicate.IdenticalSuspects()
+			sample = func() core.Oracle { return adversary.Identical(n, seed) }
 		case "s":
-			res.pred = rrfd.NeverSuspectedExists()
-			sample = func() rrfd.Oracle { return rrfd.SpareNeverSuspected(n, rrfd.PID(seed)%rrfd.PID(n), seed) }
+			res.pred = predicate.NeverSuspectedExists()
+			sample = func() core.Oracle { return adversary.SpareNeverSuspected(n, core.PID(seed)%core.PID(n), seed) }
 		case "benign":
-			res.pred = rrfd.SendOmission(0)
-			sample = func() rrfd.Oracle { return rrfd.Benign(n) }
+			res.pred = predicate.SendOmission(0)
+			sample = func() core.Oracle { return adversary.Benign(n) }
 		}
 		switch {
 		case cfg.mode == "mc" && enum == nil:
@@ -200,17 +205,17 @@ func resolve(cfg config, observer rrfd.Observer) (*resolved, error) {
 		mcAlg, plainAlg = true, false
 		res.bound = f + 1
 		if cfg.bug {
-			res.factory = rrfd.QuorumKSetBuggy(f)
+			res.factory = agreement.QuorumKSetBuggy(f)
 		} else {
-			res.factory = rrfd.QuorumKSet(f)
+			res.factory = agreement.QuorumKSet(f)
 		}
 	case "kset":
 		mcAlg = true
 		res.bound = k
 		if observer != nil {
-			res.factory = rrfd.OneRoundKSetObserved(observer)
+			res.factory = agreement.OneRoundKSetObserved(observer)
 		} else {
-			res.factory = rrfd.OneRoundKSet()
+			res.factory = agreement.OneRoundKSet()
 		}
 	case "floodmin":
 		mcAlg = true
@@ -218,11 +223,11 @@ func resolve(cfg config, observer rrfd.Observer) (*resolved, error) {
 		if cfg.rounds > 0 {
 			r = cfg.rounds
 		}
-		res.factory, res.bound = rrfd.FloodMin(r), k
+		res.factory, res.bound = agreement.FloodMin(r), k
 	case "floodset":
-		res.factory, res.bound = rrfd.FloodSet(f), 1
+		res.factory, res.bound = agreement.FloodMin(f+1), 1
 	case "coordinator":
-		res.factory, res.bound = rrfd.RotatingCoordinator(), 1
+		res.factory, res.bound = agreement.RotatingCoordinator(), 1
 	case "none":
 		if res.rounds <= 0 {
 			res.rounds = 5

@@ -14,12 +14,14 @@ import (
 	"fmt"
 	"log"
 
-	rrfd "repro"
+	"repro/internal/adversary"
+	"repro/internal/agreement"
+	"repro/internal/core"
 )
 
 func main() {
 	const n = 12
-	inputs := make([]rrfd.Value, n)
+	inputs := make([]core.Value, n)
 	for i := range inputs {
 		inputs[i] = i * 11 // anything distinct
 	}
@@ -30,11 +32,11 @@ func main() {
 		worst, rounds := 0, 0
 		const runs = 300
 		for seed := int64(0); seed < runs; seed++ {
-			res, err := rrfd.Run(n, inputs, rrfd.OneRoundKSet(), rrfd.KSetUncertainty(n, k, seed))
+			res, err := core.Run(n, inputs, agreement.OneRoundKSet(), adversary.KSetUncertainty(n, k, seed))
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := rrfd.ValidateAgreement(res, inputs, k, 1); err != nil {
+			if err := agreement.Validate(res, inputs, k, 1); err != nil {
 				log.Fatalf("k=%d seed=%d: %v", k, seed, err)
 			}
 			if d := res.DistinctOutputs(); d > worst {
@@ -52,11 +54,11 @@ func main() {
 	// the snapshot adversary.
 	fmt.Println("\nCorollary 3.2: snapshot RRFD with f = k−1 solves k-set agreement:")
 	for _, k := range []int{2, 4} {
-		res, err := rrfd.Run(n, inputs, rrfd.OneRoundKSet(), rrfd.SnapshotChain(n, k-1, 7))
+		res, err := core.Run(n, inputs, agreement.OneRoundKSet(), adversary.SnapshotChain(n, k-1, 7))
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := rrfd.ValidateAgreement(res, inputs, k, 1); err != nil {
+		if err := agreement.Validate(res, inputs, k, 1); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  k=%d: %d distinct decision(s) in %d round\n", k, res.DistinctOutputs(), res.Rounds)
@@ -66,19 +68,19 @@ func main() {
 	// FloodMin for the same guarantee.
 	f, k := 6, 2
 	need := f/k + 1
-	res, err := rrfd.Run(n, idInputs(n), rrfd.FloodMin(need), rrfd.ChainCrash(n, f, k))
+	res, err := core.Run(n, idInputs(n), agreement.FloodMin(need), adversary.ChainCrash(n, f, k))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := rrfd.ValidateAgreement(res, idInputs(n), k, need); err != nil {
+	if err := agreement.Validate(res, idInputs(n), k, need); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsynchronous route (f=%d, k=%d): FloodMin needed %d rounds — the detector collapses it to 1\n",
 		f, k, need)
 }
 
-func idInputs(n int) []rrfd.Value {
-	inputs := make([]rrfd.Value, n)
+func idInputs(n int) []core.Value {
+	inputs := make([]core.Value, n)
 	for i := range inputs {
 		inputs[i] = i
 	}

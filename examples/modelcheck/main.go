@@ -21,13 +21,18 @@ import (
 	"fmt"
 	"log"
 
-	rrfd "repro"
+	"repro/internal/adoptcommit"
+	"repro/internal/adversary"
+	"repro/internal/agreement"
+	"repro/internal/core"
+	"repro/internal/mc"
+	"repro/internal/swmr"
 )
 
 // explore model-checks run over every shared-memory schedule, one at a
 // time (the runs below record what they saw), and fails on a violation.
-func explore(what string, run func(ch rrfd.Chooser) error) int {
-	res, err := rrfd.MCExplore(rrfd.MCOptions{MaxSchedules: 100000, Workers: 1}, func(ctx *rrfd.MCCtx) error {
+func explore(what string, run func(ch core.Chooser) error) int {
+	res, err := mc.Explore(mc.Options{MaxSchedules: 100000, Workers: 1}, func(ctx *mc.Ctx) error {
 		return run(ctx.Pick)
 	})
 	if err == nil && res.Counterexample != nil {
@@ -40,12 +45,12 @@ func explore(what string, run func(ch rrfd.Chooser) error) int {
 }
 
 func main() {
-	inputs := []rrfd.Value{"left", "right"}
+	inputs := []core.Value{"left", "right"}
 
-	runOnce := func(ch rrfd.Chooser, crash map[rrfd.PID]int) (map[rrfd.PID]rrfd.AdoptCommitOutcome, error) {
-		res, err := rrfd.RunShared(len(inputs), rrfd.SharedConfig{Chooser: ch, Crash: crash},
-			func(p *rrfd.SharedProc) (rrfd.Value, error) {
-				o, err := rrfd.AdoptCommit(p, "mc", inputs[p.Me])
+	runOnce := func(ch core.Chooser, crash map[core.PID]int) (map[core.PID]adoptcommit.Outcome, error) {
+		res, err := swmr.Run(len(inputs), swmr.Config{Chooser: ch, Crash: crash},
+			func(p *swmr.Proc) (core.Value, error) {
+				o, err := adoptcommit.Run(p, "mc", inputs[p.Me])
 				if err != nil {
 					return nil, err
 				}
@@ -54,12 +59,12 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		outs := make(map[rrfd.PID]rrfd.AdoptCommitOutcome)
+		outs := make(map[core.PID]adoptcommit.Outcome)
 		for pid, v := range res.Values {
-			outs[pid] = v.(rrfd.AdoptCommitOutcome)
+			outs[pid] = v.(adoptcommit.Outcome)
 		}
 		for pid, e := range res.Errs {
-			if !errors.Is(e, rrfd.ErrCrashed) {
+			if !errors.Is(e, swmr.ErrCrashed) {
 				return nil, fmt.Errorf("process %d: %w", pid, e)
 			}
 		}
@@ -71,18 +76,18 @@ func main() {
 	totalSchedules := 0
 	sawCommit, sawAdopt := false, false
 	for crashAt := -1; crashAt <= 6; crashAt++ {
-		var crash map[rrfd.PID]int
+		var crash map[core.PID]int
 		if crashAt >= 0 {
-			crash = map[rrfd.PID]int{0: crashAt}
+			crash = map[core.PID]int{0: crashAt}
 		}
-		totalSchedules += explore(fmt.Sprintf("crashAt=%d", crashAt), func(ch rrfd.Chooser) error {
+		totalSchedules += explore(fmt.Sprintf("crashAt=%d", crashAt), func(ch core.Chooser) error {
 			outs, err := runOnce(ch, crash)
 			if err != nil {
 				return err
 			}
 			// Property 2: a commit forces every output value.
 			for p, o := range outs {
-				if o.Grade != rrfd.Commit {
+				if o.Grade != adoptcommit.Commit {
 					sawAdopt = true
 					continue
 				}
@@ -107,10 +112,10 @@ func main() {
 
 	// The same machinery proves convergence: unanimous proposals commit
 	// in EVERY schedule.
-	count := explore("unanimity", func(ch rrfd.Chooser) error {
-		res, err := rrfd.RunShared(2, rrfd.SharedConfig{Chooser: ch},
-			func(p *rrfd.SharedProc) (rrfd.Value, error) {
-				o, err := rrfd.AdoptCommit(p, "u", "same")
+	count := explore("unanimity", func(ch core.Chooser) error {
+		res, err := swmr.Run(2, swmr.Config{Chooser: ch},
+			func(p *swmr.Proc) (core.Value, error) {
+				o, err := adoptcommit.Run(p, "u", "same")
 				if err != nil {
 					return nil, err
 				}
@@ -120,7 +125,7 @@ func main() {
 			return err
 		}
 		for pid, v := range res.Values {
-			if o := v.(rrfd.AdoptCommitOutcome); o.Grade != rrfd.Commit || o.Value != "same" {
+			if o := v.(adoptcommit.Outcome); o.Grade != adoptcommit.Commit || o.Value != "same" {
 				return fmt.Errorf("p%d: %+v under unanimity", pid, o)
 			}
 		}
@@ -134,33 +139,33 @@ func main() {
 	// whose full system state (algorithms + adversary) was already
 	// exhausted.
 	n, f := 3, 1
-	enum, err := rrfd.EnumPerRoundBudget(n, f)
+	enum, err := adversary.EnumPerRoundBudget(n, f)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mcInputs := []rrfd.Value{0, 1, 2}
-	spec := func(factory rrfd.Factory) rrfd.MCRunSpec {
-		return rrfd.MCRunSpec{
+	mcInputs := []core.Value{0, 1, 2}
+	spec := func(factory core.Factory) mc.RunSpec {
+		return mc.RunSpec{
 			N: n, Inputs: mcInputs, Factory: factory,
-			Oracle: func(ctx *rrfd.MCCtx) rrfd.Oracle {
-				return rrfd.EnumeratedAdversary(ctx, n, enum)
+			Oracle: func(ctx *mc.Ctx) core.Oracle {
+				return adversary.Enumerated(ctx, n, enum)
 			},
-			Props: []rrfd.MCProperty{
-				rrfd.MCValidity(mcInputs),
-				rrfd.MCKAgreement(f + 1),
+			Props: []mc.Property{
+				mc.Validity(mcInputs),
+				mc.KAgreement(f + 1),
 			},
 			Mark: true,
 		}
 	}
 
-	res, err := rrfd.MCExplore(rrfd.MCOptions{}, rrfd.MCCheckRun(spec(rrfd.QuorumKSet(f))))
+	res, err := mc.Explore(mc.Options{}, mc.CheckRun(spec(agreement.QuorumKSet(f))))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nquorum k-set verified under eq. (3): %d adversary schedules, exhausted=%v\n",
 		res.Schedules, res.Exhausted)
 
-	res, err = rrfd.MCExplore(rrfd.MCOptions{}, rrfd.MCCheckRun(spec(rrfd.QuorumKSetBuggy(f))))
+	res, err = mc.Explore(mc.Options{}, mc.CheckRun(spec(agreement.QuorumKSetBuggy(f))))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -168,16 +173,16 @@ func main() {
 	if cx == nil {
 		log.Fatal("planted wrong-quorum bug not found")
 	}
-	replay := rrfd.FormatChoices(cx.Choices)
+	replay := mc.FormatChoices(cx.Choices)
 	fmt.Printf("planted wrong-quorum bug caught after %d schedules: %v\n", res.Schedules, cx.Err)
 	fmt.Printf("minimal counterexample (%d choice): %s\n", len(cx.Choices), replay)
 
 	// The choice string is the portable reproducer: parse and re-run it.
-	choices, err := rrfd.ParseChoices(replay)
+	choices, err := mc.ParseChoices(replay)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := rrfd.MCReplay(choices, rrfd.MCCheckRun(spec(rrfd.QuorumKSetBuggy(f)))); err != nil {
+	if err := mc.Replay(choices, mc.CheckRun(spec(agreement.QuorumKSetBuggy(f)))); err != nil {
 		fmt.Printf("replayed %s: violation reproduced\n", replay)
 	} else {
 		log.Fatal("counterexample did not replay")

@@ -13,36 +13,39 @@ import (
 	"fmt"
 	"log"
 
-	rrfd "repro"
+	"repro/internal/adversary"
+	"repro/internal/agreement"
+	"repro/internal/core"
+	"repro/internal/predicate"
 )
 
 func main() {
 	const n = 5
-	inputs := []rrfd.Value{"red", "green", "blue", "cyan", "plum"}
+	inputs := []core.Value{"red", "green", "blue", "cyan", "plum"}
 
 	// The adversary: suspect anyone except process 3, as hostilely as the
 	// model allows.
-	oracle := rrfd.SpareNeverSuspected(n, 3, 42 /* seed */)
+	oracle := adversary.SpareNeverSuspected(n, 3, 42 /* seed */)
 
-	res, err := rrfd.Run(n, inputs, rrfd.RotatingCoordinator(), oracle)
+	res, err := core.Run(n, inputs, agreement.RotatingCoordinator(), oracle)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("decisions:")
-	for p := rrfd.PID(0); p < n; p++ {
+	for p := core.PID(0); p < n; p++ {
 		fmt.Printf("  process %d decided %v at round %d\n", p, res.Outputs[p], res.DecidedAt[p])
 	}
 
 	// The trace is the adversary's behaviour; check it really was the
 	// detector-S model, i.e. some process was never suspected.
-	if err := rrfd.NeverSuspectedExists().Check(res.Trace); err != nil {
+	if err := predicate.NeverSuspectedExists().Check(res.Trace); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("never suspected: %s (the hidden 'accurate' process)\n", res.Trace.NeverSuspected())
 
 	// And validate the consensus conditions mechanically.
-	if err := rrfd.ValidateAgreement(res, inputs, 1, n); err != nil {
+	if err := agreement.Validate(res, inputs, 1, n); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("consensus: agreement, validity and termination all hold")

@@ -15,37 +15,40 @@ import (
 	"fmt"
 	"log"
 
-	rrfd "repro"
+	"repro/internal/core"
+	"repro/internal/predicate"
+	"repro/internal/semisync"
+	"repro/internal/task"
 )
 
 func main() {
 	fmt.Println("steps per process until consensus decision:")
 	fmt.Println("   n   2-step algorithm   2n-step baseline   speedup")
 	for _, n := range []int{2, 4, 8, 16, 32, 64} {
-		inputs := make([]rrfd.Value, n)
+		inputs := make([]core.Value, n)
 		for i := range inputs {
 			inputs[i] = fmt.Sprintf("v%d", i)
 		}
 
-		fast, err := rrfd.RunTwoStep(n, 1, rrfd.SemiConfig{Chooser: rrfd.Seeded(int64(n))}, inputs)
+		fast, err := semisync.RunTwoStep(n, 1, semisync.Config{Chooser: core.Seeded(int64(n))}, inputs)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// Every process must agree, and the trace must satisfy eq. (5).
-		if err := rrfd.IdenticalSuspects().Check(fast.Trace); err != nil {
+		if err := predicate.IdenticalSuspects().Check(fast.Trace); err != nil {
 			log.Fatal(err)
 		}
-		decided := func(i int) (rrfd.Value, bool) {
-			v, ok := fast.Outcome.Values[rrfd.PID(i)]
+		decided := func(i int) (core.Value, bool) {
+			v, ok := fast.Outcome.Values[core.PID(i)]
 			return v, ok
 		}
 		nobody := func(int) bool { return false } // no crashes: all must decide
-		if vd := rrfd.KSetVerdict(1, nil, n, decided, nobody); vd.Excess || len(vd.Undecided) > 0 {
+		if vd := task.KSet(1, nil, n, decided, nobody); vd.Excess || len(vd.Undecided) > 0 {
 			log.Fatalf("n=%d: disagreement: %v", n, fast.Outcome.Values)
 		}
 
-		slow, err := rrfd.RunSemiSync(n, rrfd.SemiConfig{Chooser: rrfd.RoundRobin()},
-			rrfd.RelayFactory(), inputs)
+		slow, err := semisync.Run(n, semisync.Config{Chooser: core.RoundRobin()},
+			semisync.RelayFactory(), inputs)
 		if err != nil {
 			log.Fatal(err)
 		}

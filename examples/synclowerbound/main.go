@@ -24,23 +24,28 @@ import (
 	"fmt"
 	"log"
 
-	rrfd "repro"
+	"repro/internal/adversary"
+	"repro/internal/agreement"
+	"repro/internal/core"
+	"repro/internal/predicate"
+	"repro/internal/simulate"
+	"repro/internal/swmr"
 )
 
 func main() {
 	n, f, k := 10, 4, 2
-	inputs := make([]rrfd.Value, n)
+	inputs := make([]core.Value, n)
 	for i := range inputs {
 		inputs[i] = i
 	}
 	need := f/k + 1
 
 	// 1. Tightness at ⌊f/k⌋+1 rounds.
-	res, err := rrfd.Run(n, inputs, rrfd.FloodMin(need), rrfd.ChainCrash(n, f, k))
+	res, err := core.Run(n, inputs, agreement.FloodMin(need), adversary.ChainCrash(n, f, k))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := rrfd.ValidateAgreement(res, inputs, k, need); err != nil {
+	if err := agreement.Validate(res, inputs, k, need); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("FloodMin, %d rounds (=⌊f/k⌋+1): %d distinct decision(s) — %d-set agreement holds\n",
@@ -48,7 +53,7 @@ func main() {
 
 	// 2. One round less: the chain adversary hides values 0..k−1 at k
 	// distinct survivors while everyone else holds k.
-	trunc, err := rrfd.Run(n, inputs, rrfd.FloodMin(need-1), rrfd.ChainCrash(n, f, k))
+	trunc, err := core.Run(n, inputs, agreement.FloodMin(need-1), adversary.ChainCrash(n, f, k))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,15 +63,15 @@ func main() {
 	// 3. The reduction: same violation through the full Theorem 4.3
 	// machinery (snapshot + adopt-commit), no real crashes at all.
 	sn, sf, sk := 4, 2, 2
-	sim, err := rrfd.CrashSync(sn, sf, sk, sf/sk,
-		rrfd.SharedConfig{Chooser: rrfd.PriorityGroups(
-			[]rrfd.PID{2, 3}, []rrfd.PID{1}, []rrfd.PID{0},
+	sim, err := simulate.CrashSync(sn, sf, sk, sf/sk,
+		swmr.Config{Chooser: core.PriorityGroups(
+			[]core.PID{2, 3}, []core.PID{1}, []core.PID{0},
 		)},
-		rrfd.FloodMin(sf/sk), inputs[:sn])
+		agreement.FloodMin(sf/sk), inputs[:sn])
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := rrfd.SyncCrash(sf).Check(sim.Result.Trace); err != nil {
+	if err := predicate.SyncCrash(sf).Check(sim.Result.Trace); err != nil {
 		log.Fatal(err) // the simulated execution must still be legal
 	}
 	fmt.Printf("\nTheorem 4.3 simulation (n=%d, f=%d, k=%d, %d round, staircase schedule):\n",

@@ -9,7 +9,7 @@ import (
 )
 
 // This file wires adversary enumeration into the model checker: instead of
-// sampling one hostile plan per round from a seed, an Enum lists *every*
+// sampling one hostile plan per round from a seed, a hoalg.Enum lists *every*
 // plan the model predicate allows in the current state, and Enumerated
 // turns the list into a core.Oracle that lets mc explore each alternative.
 // Shimi–Hurault–Queinnec's round-based characterization (PAPERS.md) is
@@ -21,21 +21,14 @@ import (
 // constructors below keep their historical signatures as thin wrappers and
 // are held to byte-identical plan lists by planListGolden in enum_test.go.
 
-// EnumState is what an Enum may condition on; see hoalg.EnumState.
-type EnumState = hoalg.EnumState
-
-// Enum lists every round plan the model allows from the given state; see
-// hoalg.Enum.
-type Enum = hoalg.Enum
-
-// Enumerated drives an Enum as a core.Oracle for one explored schedule: a
+// Enumerated drives a hoalg.Enum as a core.Oracle for one explored schedule: a
 // hoalg.Walk whose picker is ctx, with options labeled by the family's
 // plan hashes so mc's symmetry reduction collapses duplicate plans. The
 // walk implements mc.Fingerprinter over its suspicion history, so
 // RunSpec.Mark-based pruning can include the adversary's state. A state the model admits no plan from
 // fails the exploration with the walk's *hoalg.EmptyFamilyError
 // (mc.Ctx.Fail).
-func Enumerated(ctx *mc.Ctx, n int, enum Enum) core.Oracle {
+func Enumerated(ctx *mc.Ctx, n int, enum hoalg.Enum) core.Oracle {
 	return &explored{Walk: hoalg.NewWalk(n, enum), ctx: ctx}
 }
 
@@ -66,7 +59,7 @@ func enumGuard(kind string, n, max int) error {
 // compiled lowers a model expression to its enumerator, panicking on
 // compile errors: the four wrapped expressions below are enumerable by
 // construction once the n guard has passed.
-func compiled(e *hoalg.Expr, n int) Enum {
+func compiled(e *hoalg.Expr, n int) hoalg.Enum {
 	en, err := e.CompileEnum(n)
 	if err != nil {
 		panic(fmt.Sprintf("adversary: %v", err))
@@ -78,7 +71,7 @@ func compiled(e *hoalg.Expr, n int) Enum {
 // message-passing model with at most f crash failures: every process
 // independently misses up to f round messages, |D(i,r)| <= f, nobody
 // really crashes. n is capped at 4 to keep the per-round family small.
-func EnumPerRoundBudget(n, f int) (Enum, error) {
+func EnumPerRoundBudget(n, f int) (hoalg.Enum, error) {
 	if err := enumGuard("per-round-budget", n, 4); err != nil {
 		return nil, err
 	}
@@ -88,7 +81,7 @@ func EnumPerRoundBudget(n, f int) (Enum, error) {
 // EnumKSet enumerates the k-set detector family: per round, the
 // suspicion uncertainty is bounded by |⋃_i D(i,r) \ ⋂_i D(i,r)| < k.
 // n is capped at 3: the family is a filtered n-fold product of subsets.
-func EnumKSet(n, k int) (Enum, error) {
+func EnumKSet(n, k int) (hoalg.Enum, error) {
 	if err := enumGuard("k-set", n, 3); err != nil {
 		return nil, err
 	}
@@ -98,7 +91,7 @@ func EnumKSet(n, k int) (Enum, error) {
 // EnumSendOmission enumerates eq. (1) — the synchronous model with at
 // most f send-omission faults: self-trusting suspicions whose cumulative
 // union stays within f distinct processes. n is capped at 4.
-func EnumSendOmission(n, f int) (Enum, error) {
+func EnumSendOmission(n, f int) (hoalg.Enum, error) {
 	if err := enumGuard("send-omission", n, 4); err != nil {
 		return nil, err
 	}
@@ -111,7 +104,7 @@ func EnumSendOmission(n, f int) (Enum, error) {
 // D(i,r+1) holds via the engine's crashed-⊆-D rule), and in round r each
 // live process independently either received its last message or not.
 // n is capped at 4.
-func EnumSyncCrash(n, f int) (Enum, error) {
+func EnumSyncCrash(n, f int) (hoalg.Enum, error) {
 	if err := enumGuard("sync-crash", n, 4); err != nil {
 		return nil, err
 	}

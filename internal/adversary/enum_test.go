@@ -19,7 +19,7 @@ import (
 // explored runs an exhaustive exploration of FloodMin(rounds) under the
 // given enumeration, checking that every explored trace satisfies the
 // model predicate the enumeration claims to implement.
-func explored(t *testing.T, n, rounds int, enum adversary.Enum, p predicate.P) *mc.Result {
+func explored(t *testing.T, n, rounds int, enum hoalg.Enum, p predicate.P) *mc.Result {
 	t.Helper()
 	inputs := make([]core.Value, n)
 	for i := range inputs {
@@ -114,7 +114,7 @@ func TestEnumSyncCrashProducesCrashes(t *testing.T) {
 	prev.Add(0)
 	sus := core.NewSet(3)
 	sus.Add(0)
-	plans := enum(adversary.EnumState{R: 2, Active: active, Suspected: sus, PrevUnion: prev}).Plans
+	plans := enum(hoalg.EnumState{R: 2, Active: active, Suspected: sus, PrevUnion: prev}).Plans
 	if len(plans) == 0 {
 		t.Fatal("no plans for a round with a pending crash")
 	}
@@ -135,7 +135,7 @@ func TestEnumSyncCrashProducesCrashes(t *testing.T) {
 // sweepRun is the run function X05 explores: FloodMin(2) at n=3 under one
 // long-lived enumerator of expr, with validity and expr's compiled checker
 // judged on every schedule.
-func sweepRun(expr *hoalg.Expr, enum adversary.Enum) func(*mc.Ctx) error {
+func sweepRun(expr *hoalg.Expr, enum hoalg.Enum) func(*mc.Ctx) error {
 	const n = 3
 	pred := expr.Compile()
 	inputs := []core.Value{0, 1, 2}
@@ -308,7 +308,7 @@ func renderSet(b *strings.Builder, s core.Set) { fmt.Fprintf(b, "%d%s", s.Univer
 // suspicion history advances exactly as adversary.Enumerated records it) and
 // recurses: three successors bound the branching while still exercising
 // crashing and non-crashing ones.
-func walkStates(b *strings.Builder, n int, enum adversary.Enum, st adversary.EnumState, depth int) {
+func walkStates(b *strings.Builder, n int, enum hoalg.Enum, st hoalg.EnumState, depth int) {
 	plans := enum(st).Plans
 	fmt.Fprintf(b, "r%d ", st.R)
 	for _, s := range append([]core.Set{st.Active, st.Suspected, st.PrevUnion}, st.Unions...) {
@@ -342,7 +342,7 @@ func walkStates(b *strings.Builder, n int, enum adversary.Enum, st adversary.Enu
 				u = u.Union(d)
 			}
 		}
-		walkStates(b, n, enum, adversary.EnumState{
+		walkStates(b, n, enum, hoalg.EnumState{
 			R:         st.R + 1,
 			Active:    st.Active.Diff(plans[idx].Crashes),
 			Suspected: st.Suspected.Union(u),
@@ -354,7 +354,7 @@ func walkStates(b *strings.Builder, n int, enum adversary.Enum, st adversary.Enu
 
 func TestCompiledEnumsMatchReferencePlanLists(t *testing.T) {
 	families := map[string]struct {
-		enum  func(n, param int) (adversary.Enum, error)
+		enum  func(n, param int) (hoalg.Enum, error)
 		depth int // rounds walked
 	}{
 		"per-round-budget": {adversary.EnumPerRoundBudget, 2},
@@ -365,7 +365,7 @@ func TestCompiledEnumsMatchReferencePlanLists(t *testing.T) {
 	for _, g := range planListGolden {
 		fam := families[g.ctor]
 		var b strings.Builder
-		walkStates(&b, g.n, must(t)(fam.enum(g.n, g.param)), adversary.EnumState{
+		walkStates(&b, g.n, must(t)(fam.enum(g.n, g.param)), hoalg.EnumState{
 			R:         1,
 			Active:    core.FullSet(g.n),
 			Suspected: core.NewSet(g.n),
@@ -377,8 +377,8 @@ func TestCompiledEnumsMatchReferencePlanLists(t *testing.T) {
 	}
 }
 
-func must(t *testing.T) func(adversary.Enum, error) adversary.Enum {
-	return func(e adversary.Enum, err error) adversary.Enum {
+func must(t *testing.T) func(hoalg.Enum, error) hoalg.Enum {
+	return func(e hoalg.Enum, err error) hoalg.Enum {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
@@ -389,7 +389,7 @@ func must(t *testing.T) func(adversary.Enum, error) adversary.Enum {
 
 // exploreWith runs the standard qkset exploration under the given
 // enumeration and returns the result.
-func exploreWith(t *testing.T, n, f int, factory core.Factory, enum adversary.Enum) *mc.Result {
+func exploreWith(t *testing.T, n, f int, factory core.Factory, enum hoalg.Enum) *mc.Result {
 	t.Helper()
 	inputs := make([]core.Value, n)
 	for i := range inputs {
@@ -422,7 +422,7 @@ func TestCompiledEnumsMatchReferenceInMC(t *testing.T) {
 	const n, f, k = 3, 1, 2
 	cases := []struct {
 		name      string
-		enum      adversary.Enum
+		enum      hoalg.Enum
 		schedules int
 	}{
 		{"per-round-budget", must(t)(adversary.EnumPerRoundBudget(n, f)), 27},

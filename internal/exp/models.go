@@ -105,7 +105,7 @@ func exploreModel(e *hoalg.Expr, n, f int) (int, error) {
 			// here validity plus the compiled trace property suffice.
 			Factory: agreement.FloodMin(f + 1),
 			Oracle: func(ctx *mc.Ctx) core.Oracle {
-				return adversary.Enumerated(ctx, n, adversary.Enum(enum))
+				return adversary.Enumerated(ctx, n, enum)
 			},
 			Props: []mc.Property{mc.Validity(inputs)},
 			Model: &pred,

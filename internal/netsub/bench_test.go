@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/msgnet"
 )
 
 // BenchmarkNetsubRoundTrip measures one request/response exchange
@@ -69,7 +70,7 @@ func BenchmarkNetsubRoundTrip(b *testing.B) {
 		b.Fatalf("warm-up recv: %v", err)
 	}
 
-	msg := RoundMsg{Round: 1, Value: "bench-payload"}
+	msg := msgnet.RoundMsg{Round: 1, Value: "bench-payload"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for a.Send(1, msg) != nil {

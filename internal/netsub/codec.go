@@ -197,12 +197,13 @@ const (
 	tagRoundMsg = 0x05 // uvarint round + nested value
 )
 
-// RoundMsg is the round protocol's payload, msgnet.RoundMsg, under the
-// name it had when this package owned the type.
+// RoundMsg is msgnet.RoundMsg. This package spells it msgnet.RoundMsg; the
+// alias stays only because bench/ladder.go names it, and goes with the next
+// change to bench/.
 type RoundMsg = msgnet.RoundMsg
 
 // AppendValue appends the wire encoding of v to dst. Supported types:
-// nil, int, string, []byte, bool, RoundMsg. Anything else is a caller
+// nil, int, string, []byte, bool, msgnet.RoundMsg. Anything else is a caller
 // bug and is reported as an *UnsupportedTypeError.
 func AppendValue(dst []byte, v core.Value) ([]byte, error) {
 	switch x := v.(type) {
@@ -225,7 +226,7 @@ func AppendValue(dst []byte, v core.Value) ([]byte, error) {
 			b = 1
 		}
 		return append(dst, tagBool, b), nil
-	case RoundMsg:
+	case msgnet.RoundMsg:
 		dst = append(dst, tagRoundMsg)
 		dst = binary.AppendUvarint(dst, uint64(x.Round))
 		return AppendValue(dst, x.Value)
@@ -235,7 +236,8 @@ func AppendValue(dst []byte, v core.Value) ([]byte, error) {
 }
 
 // DecodeValue decodes one value from the front of b, returning it and
-// the bytes consumed. Malformed bodies yield a *CorruptFrameError.
+// the bytes consumed. Malformed bodies, overlong varints included, yield a
+// *CorruptFrameError: a value has one encoding, AppendValue's.
 func DecodeValue(b []byte) (core.Value, int, error) {
 	if len(b) == 0 {
 		return nil, 0, &CorruptFrameError{Field: "value", Detail: "empty"}
@@ -245,7 +247,7 @@ func DecodeValue(b []byte) (core.Value, int, error) {
 		return nil, 1, nil
 	case tagInt:
 		v, n := binary.Varint(b[1:])
-		if n <= 0 {
+		if n <= 0 || overlong(b[1:], n) {
 			return nil, 0, &CorruptFrameError{Field: "value", Detail: "bad varint"}
 		}
 		return int(v), 1 + n, nil
@@ -268,14 +270,14 @@ func DecodeValue(b []byte) (core.Value, int, error) {
 		return b[1] == 1, 2, nil
 	case tagRoundMsg:
 		r, n := binary.Uvarint(b[1:])
-		if n <= 0 || r > uint64(MaxFramePayload) {
+		if n <= 0 || overlong(b[1:], n) || r > uint64(MaxFramePayload) {
 			return nil, 0, &CorruptFrameError{Field: "value", Detail: "bad round"}
 		}
 		inner, m, err := DecodeValue(b[1+n:])
 		if err != nil {
 			return nil, 0, err
 		}
-		return RoundMsg{Round: int(r), Value: inner}, 1 + n + m, nil
+		return msgnet.RoundMsg{Round: int(r), Value: inner}, 1 + n + m, nil
 	default:
 		return nil, 0, &CorruptFrameError{Field: "value", Detail: fmt.Sprintf("unknown tag 0x%02X", b[0])}
 	}
@@ -283,11 +285,16 @@ func DecodeValue(b []byte) (core.Value, int, error) {
 
 func decodeBlob(b []byte, what string) ([]byte, int, error) {
 	l, n := binary.Uvarint(b)
-	if n <= 0 || l > uint64(MaxFramePayload) || uint64(len(b)-n) < l {
+	if n <= 0 || overlong(b, n) || l > uint64(MaxFramePayload) || uint64(len(b)-n) < l {
 		return nil, 0, &CorruptFrameError{Field: "value", Detail: "bad " + what + " length"}
 	}
 	return b[n : n+int(l)], n + int(l), nil
 }
+
+// overlong reports whether the n-byte varint at the head of b is longer
+// than the binary.Append(U)varint spelling of its value (a zero final
+// byte).
+func overlong(b []byte, n int) bool { return n > 1 && b[n-1] == 0 }
 
 // hello is the handshake payload.
 type hello struct {
@@ -305,6 +312,8 @@ func appendHello(dst []byte, h hello) []byte {
 	return binary.AppendUvarint(dst, uint64(h.incarnation))
 }
 
+// decodeHello parses a hello payload, refusing overlong fields and trailing
+// bytes: a hello has one encoding, appendHello's.
 func decodeHello(b []byte) (hello, error) {
 	if len(b) == 0 || b[0] != helloVersion {
 		return hello{}, &CorruptFrameError{Field: "hello", Detail: "bad version"}
@@ -313,11 +322,14 @@ func decodeHello(b []byte) (hello, error) {
 	var vals [3]uint64
 	for i := range vals {
 		v, n := binary.Uvarint(rest)
-		if n <= 0 || v > 1<<20 {
+		if n <= 0 || overlong(rest, n) || v > 1<<20 {
 			return hello{}, &CorruptFrameError{Field: "hello", Detail: "bad field"}
 		}
 		vals[i] = v
 		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		return hello{}, &CorruptFrameError{Field: "hello", Detail: fmt.Sprintf("%d trailing bytes", len(rest))}
 	}
 	return hello{pid: core.PID(vals[0]), n: int(vals[1]), incarnation: int(vals[2])}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/msgnet"
 )
 
 func mustFrame(t *testing.T, kind FrameKind, payload []byte) []byte {
@@ -146,8 +147,8 @@ func TestValueRoundTrip(t *testing.T) {
 		[]byte{0, 1, 2},
 		true,
 		false,
-		RoundMsg{Round: 12, Value: "payload"},
-		RoundMsg{Round: 1, Value: RoundMsg{Round: 2, Value: 99}},
+		msgnet.RoundMsg{Round: 12, Value: "payload"},
+		msgnet.RoundMsg{Round: 1, Value: msgnet.RoundMsg{Round: 2, Value: 99}},
 	}
 	for _, v := range values {
 		buf, err := AppendValue(nil, v)
@@ -187,6 +188,44 @@ func TestDecodeValueErrors(t *testing.T) {
 	for _, b := range bad {
 		if _, _, err := DecodeValue(b); !errors.As(err, &corrupt) {
 			t.Fatalf("DecodeValue(% X): %v", b, err)
+		}
+	}
+}
+
+// TestDecodersRefuseNonCanonical holds every decoder to one spelling per
+// value: a varint with a zero final byte past its first (the overlong form
+// of a shorter one) and a hello with bytes after its last field are
+// corrupt, not a second encoding of what AppendValue or appendHello write.
+func TestDecodersRefuseNonCanonical(t *testing.T) {
+	var corrupt *CorruptFrameError
+	values := []struct {
+		name string
+		b    []byte
+	}{
+		{"overlong int 0", []byte{tagInt, 0x80, 0x00}},
+		{"overlong int -1", []byte{tagInt, 0x81, 0x80, 0x00}},
+		{"overlong string length", []byte{tagString, 0x81, 0x00, 'a'}},
+		{"overlong bytes length", []byte{tagBytes, 0x80, 0x00}},
+		{"overlong round", []byte{tagRoundMsg, 0x82, 0x00, tagNil}},
+		{"overlong inner int", []byte{tagRoundMsg, 2, tagInt, 0x84, 0x80, 0x00}},
+	}
+	for _, c := range values {
+		if v, _, err := DecodeValue(c.b); !errors.As(err, &corrupt) {
+			t.Errorf("DecodeValue(%s: % X) = %#v, %v; want a *CorruptFrameError", c.name, c.b, v, err)
+		}
+	}
+	hellos := []struct {
+		name string
+		b    []byte
+	}{
+		{"overlong pid", []byte{helloVersion, 0x81, 0x00, 3, 1}},
+		{"overlong n", []byte{helloVersion, 1, 0x83, 0x80, 0x00, 1}},
+		{"overlong incarnation", []byte{helloVersion, 1, 3, 0x81, 0x00}},
+		{"trailing byte", append(appendHello(nil, hello{pid: 1, n: 3, incarnation: 1}), 0)},
+	}
+	for _, c := range hellos {
+		if h, err := decodeHello(c.b); !errors.As(err, &corrupt) {
+			t.Errorf("decodeHello(%s: % X) = %+v, %v; want a *CorruptFrameError", c.name, c.b, h, err)
 		}
 	}
 }

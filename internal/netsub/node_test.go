@@ -107,7 +107,7 @@ func recvFrom(t *testing.T, nd *Node, from core.PID, within time.Duration) msgne
 
 func TestSendRecvAcrossTCP(t *testing.T) {
 	nodes := startMesh(t, 2, nil)
-	values := []core.Value{42, "hi", []byte{1, 2}, true, nil, RoundMsg{Round: 3, Value: -7}}
+	values := []core.Value{42, "hi", []byte{1, 2}, true, nil, msgnet.RoundMsg{Round: 3, Value: -7}}
 	for _, v := range values {
 		if err := nodes[0].Send(1, v); err != nil {
 			t.Fatalf("send %v: %v", v, err)

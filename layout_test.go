@@ -15,120 +15,36 @@ import (
 	"testing"
 )
 
-// TestFacadeHasNoOrphans keeps the facade pruned: every exported top-level
-// name of the root package must be referenced, as a selector on the root
-// import, by a cmd/ main, an example or a root test. A name nothing reads is
-// deleted, not kept for a caller that might come.
-func TestFacadeHasNoOrphans(t *testing.T) {
-	fset := token.NewFileSet()
-	exported := map[string]string{} // name -> declaring file
-	used := map[string]bool{}
-
-	// uses records every <root import>.<Name> selector of one file.
-	uses := func(f *ast.File) {
-		local := ""
-		for _, imp := range f.Imports {
-			if path, _ := strconv.Unquote(imp.Path.Value); path == "repro" {
-				local = "rrfd" // the package's own name, absent a rename
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-			}
-		}
-		if local == "" {
-			return
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
-					used[sel.Sel.Name] = true
-				}
-			}
-			return true
-		})
-	}
-
-	// declares records every exported top-level name of one root file.
-	declares := func(file string, f *ast.File) {
-		add := func(id *ast.Ident) {
-			if id.IsExported() {
-				exported[id.Name] = file
-			}
-		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					add(d.Name)
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						add(s.Name)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							add(id)
-						}
-					}
-				}
-			}
-		}
-	}
-
-	parse := func(path string) *ast.File {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-
-	root, err := filepath.Glob("*.go")
+// TestRootHoldsOnlyTests keeps the module root free of a package: the
+// commands, the examples and bench/ import the internal packages they call,
+// so a non-test .go file at the root would be a second name for something
+// internal/ already names.
+func TestRootHoldsOnlyTests(t *testing.T) {
+	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, file := range root {
-		if strings.HasSuffix(file, "_test.go") {
-			uses(parse(file))
-		} else {
-			declares(file, parse(file))
+	var code []string
+	for _, file := range files {
+		if !strings.HasSuffix(file, "_test.go") {
+			code = append(code, file)
 		}
 	}
-	for _, dir := range []string{"cmd", "examples"} {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
-				uses(parse(path))
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var orphans []string
-	for name, file := range exported {
-		if !used[name] {
-			orphans = append(orphans, file+": "+name)
-		}
-	}
-	sort.Strings(orphans)
-	if len(orphans) > 0 {
-		t.Errorf("%d of %d exported facade names are referenced by no cmd/, examples/ or root test file:\n  %s",
-			len(orphans), len(exported), strings.Join(orphans, "\n  "))
+	if len(code) > 0 {
+		t.Errorf("the module root holds %d non-test Go files; move their code into the internal package it belongs to:\n  %s",
+			len(code), strings.Join(code, "\n  "))
 	}
 }
 
 // TestConfigFieldsHaveSetters keeps the options pruned: an exported field of
 // an internal/* struct named …Config or …Options must be set — as a keyed
 // literal field or by assignment — by a non-test file outside the declaring
-// package (cmd/, examples/, bench/, the facade or another internal package).
-// A field only its own package's tests set is unexported; one nothing sets
-// is a constant. Types are resolved from syntax alone: pkg.Type{…} through
-// the file's imports, rrfd.Alias{…} through the facade's aliases, and an
-// assignment x.F = … counts for every such type with a field F that the file
-// can name. kept lists the exceptions, each with who sets it instead.
+// package (cmd/, examples/, bench/ or another internal package). A field
+// only its own package's tests set is unexported; one nothing sets is a
+// constant. Types are resolved from syntax alone: pkg.Type{…} through the
+// file's imports, and an assignment x.F = … counts for every such type with
+// a field F that the file can name. kept lists the exceptions, each with who
+// sets it instead.
 func TestConfigFieldsHaveSetters(t *testing.T) {
 	kept := map[string]string{
 		"internal/serve.Config.ClientListener":         "serve.StartCluster, from ClusterConfig",
@@ -144,19 +60,19 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 		"internal/reliablelink.Config.RetransmitAfter": "another package's test: netsub/chaosproxy_test.go",
 		"internal/reliablelink.Config.RetransmitCap":   "another package's test: netsub/chaosproxy_test.go",
 		"internal/mc.Options.NoPrune":                  "the external test package mc_test (plantedbug_test.go)",
-		"internal/mc.Options.Independent":              "ROADMAP item 1 names it as its reader",
+		"internal/mc.Options.Independent":              "ROADMAP items 2 and 5 name it as their reader",
 	}
 
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{} // non-test files by slash path
-	for _, dir := range []string{".", "cmd", "examples", "bench", "internal"} {
+	for _, dir := range []string{"cmd", "examples", "bench", "internal"} {
 		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
 			if d.IsDir() {
-				if dir == "." && path != "." || dir == "bench" && path != "bench" {
-					return filepath.SkipDir // root and bench/: the files directly inside
+				if dir == "bench" && path != "bench" {
+					return filepath.SkipDir // bench/: the files directly inside
 				}
 				return nil
 			}
@@ -173,25 +89,17 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dirOf := func(path string) string {
-		if i := strings.LastIndex(path, "/"); i >= 0 {
-			return path[:i]
-		}
-		return "."
-	}
+	dirOf := func(path string) string { return path[:strings.LastIndex(path, "/")] }
 	// imports maps a file's local package names to module directories.
 	imports := func(f *ast.File) map[string]string {
 		m := map[string]string{}
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
-			if p != "repro" && !strings.HasPrefix(p, "repro/") {
+			if !strings.HasPrefix(p, "repro/") {
 				continue
 			}
-			dir, name := ".", "rrfd"
-			if p != "repro" {
-				dir = strings.TrimPrefix(p, "repro/")
-				name = dir[strings.LastIndex(dir, "/")+1:]
-			}
+			dir := strings.TrimPrefix(p, "repro/")
+			name := dir[strings.LastIndex(dir, "/")+1:]
 			if imp.Name != nil {
 				name = imp.Name.Name
 			}
@@ -203,10 +111,8 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	type typ struct{ dir, name string }
 	fields := map[typ][]string{} // option struct -> exported fields
 	byField := map[string][]typ{}
-	alias := map[string]typ{} // facade alias -> option struct
 	for path, f := range files {
 		dir := dirOf(path)
-		imps := imports(f)
 		for _, d := range f.Decls {
 			gd, ok := d.(*ast.GenDecl)
 			if !ok {
@@ -216,11 +122,6 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 				ts, ok := s.(*ast.TypeSpec)
 				if !ok {
 					continue
-				}
-				if sel, ok := ts.Type.(*ast.SelectorExpr); ok && dir == "." && ts.Assign.IsValid() {
-					if x, ok := sel.X.(*ast.Ident); ok && imps[x.Name] != "" {
-						alias[ts.Name.Name] = typ{imps[x.Name], sel.Sel.Name}
-					}
 				}
 				st, ok := ts.Type.(*ast.StructType)
 				if !ok || !strings.HasPrefix(dir, "internal/") ||
@@ -253,10 +154,6 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 			if !ok || imps[x.Name] == "" {
 				return typ{}, false
 			}
-			if imps[x.Name] == "." {
-				k, ok := alias[sel.Sel.Name]
-				return k, ok
-			}
 			return typ{imps[x.Name], sel.Sel.Name}, true
 		}
 		// names reports whether this file can write the type k down.
@@ -264,13 +161,6 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 			for _, d := range imps {
 				if d == k.dir {
 					return true
-				}
-				if d == "." {
-					for _, a := range alias {
-						if a == k {
-							return true
-						}
-					}
 				}
 			}
 			return false

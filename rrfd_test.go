@@ -1,26 +1,40 @@
 package rrfd_test
 
-// Integration tests of the public API: every facade entry point is
-// exercised the way README.md documents it.
+// Integration tests across packages: the engine, predicates, adversaries,
+// algorithms and substrates, used together the way README.md documents them.
 
 import (
 	"errors"
 	"testing"
 
-	rrfd "repro"
+	"repro/internal/adoptcommit"
+	"repro/internal/adversary"
+	"repro/internal/agreement"
+	"repro/internal/core"
+	"repro/internal/detector"
+	"repro/internal/exp"
+	"repro/internal/mc"
+	"repro/internal/msgnet"
+	"repro/internal/predicate"
+	"repro/internal/recovery"
+	"repro/internal/semisync"
+	"repro/internal/simulate"
+	"repro/internal/snapshot"
+	"repro/internal/swmr"
+	"repro/internal/wal"
 )
 
 func TestPublicAPIConsensusUnderS(t *testing.T) {
 	n := 5
-	inputs := []rrfd.Value{"a", "b", "c", "d", "e"}
-	res, err := rrfd.Run(n, inputs, rrfd.RotatingCoordinator(), rrfd.SpareNeverSuspected(n, 2, 7))
+	inputs := []core.Value{"a", "b", "c", "d", "e"}
+	res, err := core.Run(n, inputs, agreement.RotatingCoordinator(), adversary.SpareNeverSuspected(n, 2, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rrfd.ValidateAgreement(res, inputs, 1, n); err != nil {
+	if err := agreement.Validate(res, inputs, 1, n); err != nil {
 		t.Fatal(err)
 	}
-	if err := rrfd.NeverSuspectedExists().Check(res.Trace); err != nil {
+	if err := predicate.NeverSuspectedExists().Check(res.Trace); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -28,50 +42,50 @@ func TestPublicAPIConsensusUnderS(t *testing.T) {
 func TestPublicAPIOneRoundKSet(t *testing.T) {
 	n, k := 10, 3
 	inputs := identityInputs(n)
-	res, err := rrfd.Run(n, inputs, rrfd.OneRoundKSet(), rrfd.KSetUncertainty(n, k, 3))
+	res, err := core.Run(n, inputs, agreement.OneRoundKSet(), adversary.KSetUncertainty(n, k, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rrfd.ValidateAgreement(res, inputs, k, 1); err != nil {
+	if err := agreement.Validate(res, inputs, k, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPublicAPISetAlgebra(t *testing.T) {
-	s := rrfd.SetOf(8, 1, 3, 5)
+	s := core.SetOf(8, 1, 3, 5)
 	if s.Count() != 3 || !s.Has(3) || s.Has(2) {
-		t.Fatal("set basics broken through facade")
+		t.Fatal("set basics broken")
 	}
-	if !rrfd.FullSet(8).Diff(s).Equal(s.Complement()) {
+	if !core.FullSet(8).Diff(s).Equal(s.Complement()) {
 		t.Fatal("complement identity broken")
 	}
-	u := rrfd.UnionAll(8, []rrfd.Set{s, rrfd.SetOf(8, 2)})
+	u := core.UnionAll(8, []core.Set{s, core.SetOf(8, 2)})
 	if u.Count() != 4 {
 		t.Fatal("UnionAll broken")
 	}
-	if !rrfd.IntersectAll(8, nil).Equal(rrfd.FullSet(8)) {
+	if !core.IntersectAll(8, nil).Equal(core.FullSet(8)) {
 		t.Fatal("IntersectAll broken")
 	}
 }
 
 func TestPublicAPICustomAlgorithmAndOracle(t *testing.T) {
 	// A user-defined algorithm (max-flooding) under a user-defined
-	// oracle, straight through the facade.
+	// oracle.
 	n := 4
 	type maxAlg struct {
 		est int
 	}
-	factory := func(me rrfd.PID, n int, input rrfd.Value) rrfd.Algorithm {
+	factory := func(me core.PID, n int, input core.Value) core.Algorithm {
 		return &maxFlood{est: input.(int)}
 	}
-	oracle := rrfd.OracleFunc(func(r int, active rrfd.Set) rrfd.RoundPlan {
-		sus := make([]rrfd.Set, n)
+	oracle := core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
+		sus := make([]core.Set, n)
 		for i := range sus {
-			sus[i] = rrfd.NewSet(n)
+			sus[i] = core.NewSet(n)
 		}
-		return rrfd.RoundPlan{Suspects: sus}
+		return core.RoundPlan{Suspects: sus}
 	})
-	res, err := rrfd.Run(n, identityInputs(n), factory, oracle)
+	res, err := core.Run(n, identityInputs(n), factory, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +101,9 @@ type maxFlood struct {
 	est int
 }
 
-func (a *maxFlood) Emit(r int) rrfd.Message { return a.est }
+func (a *maxFlood) Emit(r int) core.Message { return a.est }
 
-func (a *maxFlood) Deliver(r int, msgs map[rrfd.PID]rrfd.Message, suspects rrfd.Set) (rrfd.Value, bool) {
+func (a *maxFlood) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
 	for _, m := range msgs {
 		if v := m.(int); v > a.est {
 			a.est = v
@@ -100,9 +114,9 @@ func (a *maxFlood) Deliver(r int, msgs map[rrfd.PID]rrfd.Message, suspects rrfd.
 
 func TestPublicAPISharedMemoryAndAdoptCommit(t *testing.T) {
 	n := 3
-	out, err := rrfd.RunShared(n, rrfd.SharedConfig{Chooser: rrfd.SeededChooser(4)},
-		func(p *rrfd.SharedProc) (rrfd.Value, error) {
-			o, err := rrfd.AdoptCommit(p, "it", "same")
+	out, err := swmr.Run(n, swmr.Config{Chooser: swmr.Seeded(4)},
+		func(p *swmr.Proc) (core.Value, error) {
+			o, err := adoptcommit.Run(p, "it", "same")
 			if err != nil {
 				return nil, err
 			}
@@ -112,8 +126,8 @@ func TestPublicAPISharedMemoryAndAdoptCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pid, v := range out.Values {
-		o := v.(rrfd.AdoptCommitOutcome)
-		if o.Grade != rrfd.Commit || o.Value != "same" {
+		o := v.(adoptcommit.Outcome)
+		if o.Grade != adoptcommit.Commit || o.Value != "same" {
 			t.Fatalf("process %d: %+v", pid, o)
 		}
 	}
@@ -121,9 +135,9 @@ func TestPublicAPISharedMemoryAndAdoptCommit(t *testing.T) {
 
 func TestPublicAPISnapshotObject(t *testing.T) {
 	n := 3
-	out, err := rrfd.RunShared(n, rrfd.SharedConfig{Chooser: rrfd.SeededChooser(2)},
-		func(p *rrfd.SharedProc) (rrfd.Value, error) {
-			obj := rrfd.NewSnapshot(p, "o")
+	out, err := swmr.Run(n, swmr.Config{Chooser: swmr.Seeded(2)},
+		func(p *swmr.Proc) (core.Value, error) {
+			obj := snapshot.New(p, "o")
 			if err := obj.Update(int(p.Me)); err != nil {
 				return nil, err
 			}
@@ -144,10 +158,10 @@ func TestPublicAPISnapshotObject(t *testing.T) {
 }
 
 func TestPublicAPIExplore(t *testing.T) {
-	res, err := rrfd.MCExplore(rrfd.MCOptions{}, func(ctx *rrfd.MCCtx) error {
+	res, err := mc.Explore(mc.Options{}, func(ctx *mc.Ctx) error {
 		ch := ctx.Pick
-		_, err := rrfd.RunShared(2, rrfd.SharedConfig{Chooser: ch},
-			func(p *rrfd.SharedProc) (rrfd.Value, error) {
+		_, err := swmr.Run(2, swmr.Config{Chooser: ch},
+			func(p *swmr.Proc) (core.Value, error) {
 				return nil, p.Write("x", 1)
 			})
 		return err
@@ -161,74 +175,74 @@ func TestPublicAPIExplore(t *testing.T) {
 }
 
 func TestPublicAPINetwork(t *testing.T) {
-	out, err := rrfd.RunNetworkRounds(4, 1, 3, rrfd.NetConfig{Chooser: rrfd.Seeded(5)}, nil)
+	out, err := msgnet.RunRounds(4, 1, 3, msgnet.Config{Chooser: core.Seeded(5)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rrfd.PerRoundBudget(1).Check(out.Trace); err != nil {
+	if err := predicate.PerRoundBudget(1).Check(out.Trace); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPublicAPISemiSync(t *testing.T) {
 	inputs := identityInputs(6)
-	out, err := rrfd.RunTwoStep(6, 1, rrfd.SemiConfig{Chooser: rrfd.Seeded(3)}, inputs)
+	out, err := semisync.RunTwoStep(6, 1, semisync.Config{Chooser: core.Seeded(3)}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := out.Outcome.MaxDecisionSteps(); got != 2 {
 		t.Fatalf("decision after %d steps, want 2", got)
 	}
-	if err := rrfd.IdenticalSuspects().Check(out.Trace); err != nil {
+	if err := predicate.IdenticalSuspects().Check(out.Trace); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPublicAPISimulations(t *testing.T) {
-	base, err := rrfd.CollectTrace(7, 6, rrfd.AsyncBudget(7, 3, false, 9))
+	base, err := core.CollectTrace(7, 6, adversary.AsyncBudget(7, 3, false, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := rrfd.TwoRoundsToSharedMemory(base)
+	sim, err := simulate.TwoRoundsToSharedMemory(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rrfd.SharedMemory(3).Check(sim); err != nil {
+	if err := predicate.SharedMemory(3).Check(sim); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := rrfd.CollectTrace(8, 4, rrfd.SnapshotChain(8, 2, 9))
+	snap, err := core.CollectTrace(8, 4, adversary.SnapshotChain(8, 2, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := rrfd.OmissionPrefix(snap, 4, 2)
+	pre, err := simulate.OmissionPrefix(snap, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rrfd.SendOmission(4).Check(pre); err != nil {
+	if err := predicate.SendOmission(4).Check(pre); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPublicAPIDetector(t *testing.T) {
-	tr, err := rrfd.CollectTrace(5, 6, rrfd.SpareNeverSuspected(5, 1, 8))
+	tr, err := core.CollectTrace(5, 6, adversary.SpareNeverSuspected(5, 1, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := rrfd.DetectorFromTrace(tr)
+	h := detector.FromTrace(tr)
 	if err := h.CheckWeakAccuracy(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := rrfd.Run(5, identityInputs(5), rrfd.RotatingCoordinator(), rrfd.DetectorOracle(h))
+	res, err := core.Run(5, identityInputs(5), agreement.RotatingCoordinator(), detector.Oracle(h))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rrfd.ValidateAgreement(res, identityInputs(5), 1, 5); err != nil {
+	if err := agreement.Validate(res, identityInputs(5), 1, 5); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPublicAPIExperiments(t *testing.T) {
-	exps := rrfd.Experiments()
+	exps := exp.All()
 	if len(exps) != 20 { // E01–E15 plus the X01–X05 extensions
 		t.Fatalf("got %d experiments, want 20", len(exps))
 	}
@@ -242,41 +256,41 @@ func TestPublicAPIExperiments(t *testing.T) {
 }
 
 func TestPublicAPIImplication(t *testing.T) {
-	gen := func(seed int64) (*rrfd.Trace, error) {
-		return rrfd.CollectTrace(6, 6, rrfd.Crash(6, 2, seed))
+	gen := func(seed int64) (*core.Trace, error) {
+		return core.CollectTrace(6, 6, adversary.Crash(6, 2, seed))
 	}
-	if err := rrfd.Implies(gen, rrfd.SyncCrash(2), rrfd.SendOmission(2), 20); err != nil {
+	if err := predicate.Implies(gen, predicate.SyncCrash(2), predicate.SendOmission(2), 20); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPublicAPIRecovery(t *testing.T) {
-	// Crash-recovery round protocol + audit through the facade.
-	out, err := rrfd.RecoveryRun(5, 1, 4, rrfd.RecoveryConfig{})
+	// Crash-recovery round protocol + audit.
+	out, err := recovery.RunRounds(5, 1, 4, recovery.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rrfd.RecoveryAudit(out, 5, 1, 4); err != nil {
+	if err := recovery.Audit(out, 5, 1, 4); err != nil {
 		t.Fatal(err)
 	}
 
 	// Checkpointed engine run: kill at a round boundary, resume, finish.
 	dir := t.TempDir() + "/ck"
 	n := 5
-	inputs := []rrfd.Value{"a", "b", "c", "d", "e"}
-	oracle := func() rrfd.Oracle { return rrfd.SpareNeverSuspected(n, 2, 7) }
-	_, err = rrfd.Run(n, inputs, rrfd.RotatingCoordinator(), oracle(),
-		rrfd.WithCheckpointing(dir, rrfd.CheckpointOptions{Sync: rrfd.SyncAlways}),
-		rrfd.WithHaltAfterRound(1))
-	var halt *rrfd.HaltError
+	inputs := []core.Value{"a", "b", "c", "d", "e"}
+	oracle := func() core.Oracle { return adversary.SpareNeverSuspected(n, 2, 7) }
+	_, err = core.Run(n, inputs, agreement.RotatingCoordinator(), oracle(),
+		core.WithCheckpointing(dir, core.CheckpointOptions{Sync: wal.SyncAlways}),
+		core.WithHaltAfterRound(1))
+	var halt *core.HaltError
 	if !errors.As(err, &halt) {
 		t.Fatalf("want *HaltError, got %v", err)
 	}
-	res, err := rrfd.Resume(dir, rrfd.RotatingCoordinator(), oracle())
+	res, err := core.Resume(dir, agreement.RotatingCoordinator(), oracle())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rrfd.ValidateAgreement(res, inputs, 1, n); err != nil {
+	if err := agreement.Validate(res, inputs, 1, n); err != nil {
 		t.Fatal(err)
 	}
 }
