@@ -13,8 +13,8 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/hoalg"
 	"repro/internal/msgnet"
-	"repro/internal/predicate"
 	"repro/internal/semisync"
 	"repro/internal/simulate"
 	"repro/internal/snapshot"
@@ -31,7 +31,7 @@ func identityInputs(n int) []core.Value {
 
 func BenchmarkE01SyncOmission(b *testing.B) {
 	n, f := 8, 3
-	pred := predicate.SendOmission(f)
+	pred := hoalg.SendOmission(f).Compile()
 	for i := 0; i < b.N; i++ {
 		tr, err := core.CollectTrace(n, 10, adversary.Omission(n, f, 0.8, int64(i)))
 		if err != nil {
@@ -45,7 +45,7 @@ func BenchmarkE01SyncOmission(b *testing.B) {
 
 func BenchmarkE02CrashSubmodel(b *testing.B) {
 	n, f := 8, 3
-	crash, omission := predicate.SyncCrash(f), predicate.SendOmission(f)
+	crash, omission := hoalg.SyncCrash(f).Compile(), hoalg.SendOmission(f).Compile()
 	for i := 0; i < b.N; i++ {
 		tr, err := core.CollectTrace(n, 12, adversary.Crash(n, f, int64(i)))
 		if err != nil {
@@ -62,7 +62,7 @@ func BenchmarkE02CrashSubmodel(b *testing.B) {
 
 func BenchmarkE03AsyncRounds(b *testing.B) {
 	n, f, rounds := 6, 2, 6
-	pred := predicate.PerRoundBudget(f)
+	pred := hoalg.PerRound(f).Compile()
 	steps := 0
 	for i := 0; i < b.N; i++ {
 		out, err := msgnet.RunRounds(n, f, rounds, msgnet.Config{Chooser: core.Seeded(int64(i))}, nil)
@@ -79,7 +79,7 @@ func BenchmarkE03AsyncRounds(b *testing.B) {
 
 func BenchmarkE04SharedMemory(b *testing.B) {
 	n, f := 7, 3
-	pred := predicate.SharedMemory(f)
+	pred := hoalg.SharedMemory(f).Compile()
 	for i := 0; i < b.N; i++ {
 		out, err := msgnet.RunRounds(n, f, 6, msgnet.Config{Chooser: core.Seeded(int64(i))}, nil)
 		if err != nil {
@@ -97,7 +97,7 @@ func BenchmarkE04SharedMemory(b *testing.B) {
 
 func BenchmarkE05Snapshot(b *testing.B) {
 	n, f, rounds := 5, 2, 4
-	pred := predicate.AtomicSnapshot(f)
+	pred := hoalg.AtomicSnapshot(f).Compile()
 	for i := 0; i < b.N; i++ {
 		out, err := snapshot.RunRounds(n, f, rounds, swmr.Config{Chooser: swmr.Seeded(int64(i))}, nil)
 		if err != nil {
@@ -181,7 +181,7 @@ func BenchmarkE08KSetSharedMem(b *testing.B) {
 
 func BenchmarkE09DetectorFromKSet(b *testing.B) {
 	n, k := 5, 2
-	pred := predicate.KSetDetector(k)
+	pred := hoalg.KSetEq3(k).Compile()
 	for i := 0; i < b.N; i++ {
 		tr, err := exp.DetectorFromKSet(n, k, 3, swmr.Config{Chooser: swmr.Seeded(int64(i))})
 		if err != nil {
@@ -195,7 +195,7 @@ func BenchmarkE09DetectorFromKSet(b *testing.B) {
 
 func BenchmarkE10OmissionSim(b *testing.B) {
 	n, f, k := 8, 4, 2
-	pred := predicate.SendOmission(f)
+	pred := hoalg.SendOmission(f).Compile()
 	for i := 0; i < b.N; i++ {
 		base, err := core.CollectTrace(n, f/k+2, adversary.SnapshotChain(n, k, int64(i)))
 		if err != nil {
@@ -243,7 +243,7 @@ func BenchmarkE12CrashSim(b *testing.B) {
 	n, f, k := 6, 4, 2
 	rounds := f / k
 	inputs := identityInputs(n)
-	pred := predicate.SyncCrash(f)
+	pred := hoalg.SyncCrash(f).Compile()
 	steps := 0
 	for i := 0; i < b.N; i++ {
 		res, err := simulate.CrashSync(n, f, k, rounds,
@@ -303,7 +303,7 @@ func BenchmarkE14SemiSync(b *testing.B) {
 
 func BenchmarkE15Lattice(b *testing.B) {
 	n := 8
-	snap, shared := predicate.AtomicSnapshot(3), predicate.SharedMemory(3)
+	snap, shared := hoalg.AtomicSnapshot(3).Compile(), hoalg.SharedMemory(3).Compile()
 	for i := 0; i < b.N; i++ {
 		tr, err := core.CollectTrace(n, 8, adversary.SnapshotChain(n, 3, int64(i)))
 		if err != nil {

@@ -42,8 +42,8 @@
 // plants the ack-before-journal inversion the audit must catch.
 //
 // Model checking: mc runs the systematic explorer — every adversary
-// schedule an enumerable model (async, kset, omission, crash) allows over
-// a small system (n ≤ 4) is executed and checked against validity and
+// schedule the -system or -model expression allows over a small system
+// (n ≤ 4, 3 with kset) is executed and checked against validity and
 // k-agreement, with state-hash pruning and symmetry/sleep-set reduction.
 // -depth bounds enumeration with seeded random frontier sampling; a
 // violation prints a shrunk counterexample replayable with -replay, and

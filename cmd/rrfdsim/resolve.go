@@ -76,11 +76,33 @@ func (s *sinks) closeFile() {
 	}
 }
 
-// branch is one enumerator of an mc exploration: the bespoke -system
-// families have one, a compiled -model one per disjunct.
+// branch is one enumerator of an mc exploration: one per top-level
+// disjunct of the model.
 type branch struct {
 	label string
 	enum  hoalg.Enum
+}
+
+// systems maps each -system name to its model, as a catalog name or
+// expression hoalg.Resolve reads, and to the hand-written adversary that
+// samples it in a plain run. The samplers stay because they run at any n;
+// the compiled oracle and enumerators stop at n = 4.
+var systems = map[string]struct {
+	model  string
+	sample func(n, f, k int, seed int64) core.Oracle
+}{
+	"omission":  {"sync-omission", func(n, f, _ int, seed int64) core.Oracle { return adversary.Omission(n, f, 0.7, seed) }},
+	"crash":     {"sync-crash", func(n, f, _ int, seed int64) core.Oracle { return adversary.Crash(n, f, seed) }},
+	"chain":     {"sync-crash", func(n, f, k int, _ int64) core.Oracle { return adversary.ChainCrash(n, f, k) }},
+	"async":     {"async", func(n, f, _ int, seed int64) core.Oracle { return adversary.AsyncBudget(n, f, true, seed) }},
+	"sharedmem": {"shared-memory", func(n, f, _ int, seed int64) core.Oracle { return adversary.SharedMem(n, f, seed) }},
+	"snapshot":  {"atomic-snapshot", func(n, f, _ int, seed int64) core.Oracle { return adversary.SnapshotChain(n, f, seed) }},
+	"kset":      {"kset-detector", func(n, _, k int, seed int64) core.Oracle { return adversary.KSetUncertainty(n, k, seed) }},
+	"identical": {"identical", func(n, _, _ int, seed int64) core.Oracle { return adversary.Identical(n, seed) }},
+	"s": {"neversusp", func(n, _, _ int, seed int64) core.Oracle {
+		return adversary.SpareNeverSuspected(n, core.PID(seed)%core.PID(n), seed)
+	}},
+	"benign": {"selftrust & atmost(0)", func(n, _, _ int, _ int64) core.Oracle { return adversary.Benign(n) }},
 }
 
 // resolved is what the -system/-model and -alg flags name.
@@ -104,96 +126,49 @@ type resolved struct {
 	rounds  int
 }
 
-// resolve is the one reading of -system/-model and -alg. A plain run gets
-// the seeded oracle, an mc run the enumerators: building the other would
-// refuse systems (or sizes) that mode never uses. observer, when non-nil,
-// also hears the algorithm's own events.
+// resolve is the one reading of -system/-model and -alg. Either flag names
+// a model expression, whose compiled predicate is the membership check and
+// whose compiled enumerators mc explores (a disjunction branch by branch —
+// mixing branches per round could satisfy neither disjunct). A plain run
+// samples a -system with its hand-written adversary and a -model with the
+// compiled seeded oracle. Each mode builds only what it uses, so a size one
+// mode cannot serve does not refuse the other. observer, when non-nil, also
+// hears the algorithm's own events.
 func resolve(cfg config, observer obs.Observer) (*resolved, error) {
 	n, f, k, seed := cfg.n, cfg.f, cfg.k, cfg.seed
 	res := &resolved{failed: func() error { return nil }, rounds: cfg.rounds}
 
-	if cfg.model != "" {
-		// A model expression replaces the bespoke system pair: the compiled
-		// seeded oracle samples one path the model allows, the compiled
-		// enumerators list them all (a disjunction branch by branch —
-		// mixing branches per round could satisfy neither disjunct), and
-		// the compiled predicate is the same membership check the -system
-		// families get.
-		expr, err := hoalg.Resolve(cfg.model, hoalg.Params{N: n, F: f, K: k, Stab: modelStab})
+	model := cfg.model
+	var sample func(n, f, k int, seed int64) core.Oracle
+	if model == "" {
+		sys, ok := systems[cfg.system]
+		if !ok {
+			return nil, fmt.Errorf("unknown system %q", cfg.system)
+		}
+		model, sample = sys.model, sys.sample
+	}
+	expr, err := hoalg.Resolve(model, hoalg.Params{N: n, F: f, K: k, Stab: modelStab})
+	if err != nil {
+		return nil, err
+	}
+	res.pred = expr.Compile()
+	switch {
+	case cfg.mode == "mc":
+		bs, err := expr.EnumBranches(n)
 		if err != nil {
 			return nil, err
 		}
-		res.pred = expr.Compile()
-		if cfg.mode == "mc" {
-			bs, err := expr.EnumBranches(n)
-			if err != nil {
-				return nil, err
-			}
-			for _, b := range bs {
-				res.branches = append(res.branches, branch{label: b.Expr.String(), enum: b.Enum})
-			}
-		} else {
-			walk, err := expr.Oracle(n, seed)
-			if err != nil {
-				return nil, err
-			}
-			res.oracle, res.failed = walk, walk.Err
+		for _, b := range bs {
+			res.branches = append(res.branches, branch{label: b.Expr.String(), enum: b.Enum})
 		}
-	} else {
-		var (
-			sample func() core.Oracle
-			enum   func() (hoalg.Enum, error) // nil: the family has no enumerator
-		)
-		switch cfg.system {
-		case "omission":
-			res.pred = predicate.SendOmission(f)
-			sample = func() core.Oracle { return adversary.Omission(n, f, 0.7, seed) }
-			enum = func() (hoalg.Enum, error) { return adversary.EnumSendOmission(n, f) }
-		case "crash":
-			res.pred = predicate.SyncCrash(f)
-			sample = func() core.Oracle { return adversary.Crash(n, f, seed) }
-			enum = func() (hoalg.Enum, error) { return adversary.EnumSyncCrash(n, f) }
-		case "chain":
-			res.pred = predicate.SyncCrash(f)
-			sample = func() core.Oracle { return adversary.ChainCrash(n, f, k) }
-		case "async":
-			res.pred = predicate.PerRoundBudget(f)
-			sample = func() core.Oracle { return adversary.AsyncBudget(n, f, true, seed) }
-			enum = func() (hoalg.Enum, error) { return adversary.EnumPerRoundBudget(n, f) }
-		case "sharedmem":
-			res.pred = predicate.SharedMemory(f)
-			sample = func() core.Oracle { return adversary.SharedMem(n, f, seed) }
-		case "snapshot":
-			res.pred = predicate.AtomicSnapshot(f)
-			sample = func() core.Oracle { return adversary.SnapshotChain(n, f, seed) }
-		case "kset":
-			res.pred = predicate.KSetDetector(k)
-			sample = func() core.Oracle { return adversary.KSetUncertainty(n, k, seed) }
-			enum = func() (hoalg.Enum, error) { return adversary.EnumKSet(n, k) }
-		case "identical":
-			res.pred = predicate.IdenticalSuspects()
-			sample = func() core.Oracle { return adversary.Identical(n, seed) }
-		case "s":
-			res.pred = predicate.NeverSuspectedExists()
-			sample = func() core.Oracle { return adversary.SpareNeverSuspected(n, core.PID(seed)%core.PID(n), seed) }
-		case "benign":
-			res.pred = predicate.SendOmission(0)
-			sample = func() core.Oracle { return adversary.Benign(n) }
+	case sample != nil:
+		res.oracle = sample(n, f, k, seed)
+	default:
+		walk, err := expr.Oracle(n, seed)
+		if err != nil {
+			return nil, err
 		}
-		switch {
-		case cfg.mode == "mc" && enum == nil:
-			return nil, fmt.Errorf("mc enumerates systems async|kset|omission|crash, got %q", cfg.system)
-		case cfg.mode == "mc":
-			e, err := enum()
-			if err != nil {
-				return nil, err
-			}
-			res.branches = []branch{{label: cfg.system, enum: e}}
-		case sample == nil:
-			return nil, fmt.Errorf("unknown system %q", cfg.system)
-		default:
-			res.oracle = sample()
-		}
+		res.oracle, res.failed = walk, walk.Err
 	}
 
 	// Which mode runs which algorithm: the quorum rule exists to be model

@@ -25,6 +25,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/mc"
 	"repro/internal/swmr"
 )
@@ -139,7 +140,7 @@ func main() {
 	// whose full system state (algorithms + adversary) was already
 	// exhausted.
 	n, f := 3, 1
-	enum, err := adversary.EnumPerRoundBudget(n, f)
+	enum, err := hoalg.PerRound(f).CompileEnum(n)
 	if err != nil {
 		log.Fatal(err)
 	}

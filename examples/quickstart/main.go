@@ -16,7 +16,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/agreement"
 	"repro/internal/core"
-	"repro/internal/predicate"
+	"repro/internal/hoalg"
 )
 
 func main() {
@@ -39,7 +39,7 @@ func main() {
 
 	// The trace is the adversary's behaviour; check it really was the
 	// detector-S model, i.e. some process was never suspected.
-	if err := predicate.NeverSuspectedExists().Check(res.Trace); err != nil {
+	if err := hoalg.NeverSuspected().Compile().Check(res.Trace); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("never suspected: %s (the hidden 'accurate' process)\n", res.Trace.NeverSuspected())

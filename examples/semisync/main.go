@@ -16,7 +16,7 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/predicate"
+	"repro/internal/hoalg"
 	"repro/internal/semisync"
 	"repro/internal/task"
 )
@@ -35,7 +35,7 @@ func main() {
 			log.Fatal(err)
 		}
 		// Every process must agree, and the trace must satisfy eq. (5).
-		if err := predicate.IdenticalSuspects().Check(fast.Trace); err != nil {
+		if err := hoalg.Identical().Compile().Check(fast.Trace); err != nil {
 			log.Fatal(err)
 		}
 		decided := func(i int) (core.Value, bool) {

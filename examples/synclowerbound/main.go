@@ -27,7 +27,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/agreement"
 	"repro/internal/core"
-	"repro/internal/predicate"
+	"repro/internal/hoalg"
 	"repro/internal/simulate"
 	"repro/internal/swmr"
 )
@@ -71,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := predicate.SyncCrash(sf).Check(sim.Result.Trace); err != nil {
+	if err := hoalg.SyncCrash(sf).Compile().Check(sim.Result.Trace); err != nil {
 		log.Fatal(err) // the simulated execution must still be legal
 	}
 	fmt.Printf("\nTheorem 4.3 simulation (n=%d, f=%d, k=%d, %d round, staircase schedule):\n",

@@ -10,6 +10,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/immediate"
 	"repro/internal/msgnet"
 	"repro/internal/predicate"
@@ -56,14 +57,14 @@ func TestPublicAPIImmediateSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.ImmediateSnapshot(n).Check(out.Trace); err != nil {
+	if err := hoalg.ImmediateSnapshot(n).Compile().Check(out.Trace); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := core.CollectTrace(n, 3, adversary.OrderedBlocks(n, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.Immediacy().Check(tr); err != nil {
+	if err := hoalg.Immediacy().Compile().Check(tr); err != nil {
 		t.Fatal(err)
 	}
 	// The one-shot object.
@@ -107,7 +108,7 @@ func TestPublicAPIABDRegister(t *testing.T) {
 func TestPublicAPITasks(t *testing.T) {
 	n, k := 8, 2
 	rep, err := task.Solves(task.KSetAgreement(k), n, identityInputs(n), agreement.OneRoundKSet(),
-		predicate.KSetDetector(k),
+		hoalg.KSetEq3(k).Compile(),
 		func(seed int64) core.Oracle { return adversary.KSetUncertainty(n, k, seed) }, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -140,20 +141,20 @@ func TestPublicAPIPhasedConsensus(t *testing.T) {
 	if err := agreement.Validate(res, identityInputs(n), 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.EventuallyNeverSuspected(stab).Check(res.Trace); err != nil {
+	if err := hoalg.Eventually(stab, hoalg.NeverSuspected()).Compile().Check(res.Trace); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPublicAPIExhaustive(t *testing.T) {
-	checked, satisfying, err := predicate.ExhaustiveImplies(3, 1, predicate.IdenticalSuspects(), predicate.KSetDetector(1))
+	checked, satisfying, err := predicate.ExhaustiveImplies(3, 1, hoalg.Identical().Compile(), hoalg.KSetEq3(1).Compile())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if checked != 343 || satisfying == 0 {
 		t.Fatalf("checked=%d satisfying=%d", checked, satisfying)
 	}
-	_, witnesses, err := predicate.ExhaustiveWitnesses(3, 1, predicate.PerRoundBudget(1), predicate.SomeoneSeenByAll())
+	_, witnesses, err := predicate.ExhaustiveWitnesses(3, 1, hoalg.PerRound(1).Compile(), hoalg.SomeoneSeen().Compile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestPublicAPITraceOracleAndCrashSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.SyncCrash(f).Check(res.Result.Trace); err != nil {
+	if err := hoalg.SyncCrash(f).Compile().Check(res.Result.Trace); err != nil {
 		t.Fatal(err)
 	}
 	// Replay the simulated trace through the engine.
@@ -198,7 +199,7 @@ func TestPublicAPIBToA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.PerRoundBudget(2).Check(sim); err != nil {
+	if err := hoalg.PerRound(2).Compile().Check(sim); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/predicate"
 )
 
@@ -28,14 +29,14 @@ func TestBenignSatisfiesEverything(t *testing.T) {
 	n := 6
 	oracle := Benign(n)
 	for _, p := range []predicate.P{
-		predicate.SendOmission(0),
-		predicate.SyncCrash(0),
-		predicate.PerRoundBudget(0),
-		predicate.SharedMemory(0),
-		predicate.AtomicSnapshot(0),
-		predicate.NeverSuspectedExists(),
-		predicate.KSetDetector(1),
-		predicate.IdenticalSuspects(),
+		hoalg.SendOmission(0).Compile(),
+		hoalg.SyncCrash(0).Compile(),
+		hoalg.PerRound(0).Compile(),
+		hoalg.SharedMemory(0).Compile(),
+		hoalg.AtomicSnapshot(0).Compile(),
+		hoalg.NeverSuspected().Compile(),
+		hoalg.KSetEq3(1).Compile(),
+		hoalg.Identical().Compile(),
 	} {
 		checkAdversary(t, n, 5, oracle, p)
 	}
@@ -43,13 +44,13 @@ func TestBenignSatisfiesEverything(t *testing.T) {
 
 func TestOmissionSatisfiesEq1(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		checkAdversary(t, 8, 10, Omission(8, 3, 0.7, seed), predicate.SendOmission(3))
+		checkAdversary(t, 8, 10, Omission(8, 3, 0.7, seed), hoalg.SendOmission(3).Compile())
 	}
 }
 
 func TestOmissionIsHostile(t *testing.T) {
 	// With rate 1 and f ≥ 1 some suspicion must actually occur.
-	tr := checkAdversary(t, 6, 6, Omission(6, 2, 1.0, 1), predicate.SendOmission(2))
+	tr := checkAdversary(t, 6, 6, Omission(6, 2, 1.0, 1), hoalg.SendOmission(2).Compile())
 	if tr.CumulativeSuspects(tr.Len()).Empty() {
 		t.Fatal("fully hostile omission adversary never suspected anyone")
 	}
@@ -57,20 +58,20 @@ func TestOmissionIsHostile(t *testing.T) {
 
 func TestCrashSatisfiesSyncCrash(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		checkAdversary(t, 8, 12, Crash(8, 3, seed), predicate.SyncCrash(3))
+		checkAdversary(t, 8, 12, Crash(8, 3, seed), hoalg.SyncCrash(3).Compile())
 	}
 }
 
 func TestCrashIsSubmodelOfOmission(t *testing.T) {
 	// §2 item 2: the crash model predicate implies the omission predicate.
 	for seed := int64(0); seed < 20; seed++ {
-		checkAdversary(t, 8, 12, Crash(8, 3, seed), predicate.SendOmission(3))
+		checkAdversary(t, 8, 12, Crash(8, 3, seed), hoalg.SendOmission(3).Compile())
 	}
 }
 
 func TestChainCrashSatisfiesSyncCrash(t *testing.T) {
 	n, f, k := 10, 4, 2 // m = 2, chains need k·(m+1)+1 = 7 ≤ n
-	checkAdversary(t, n, f/k+2, ChainCrash(n, f, k), predicate.SyncCrash(f))
+	checkAdversary(t, n, f/k+2, ChainCrash(n, f, k), hoalg.SyncCrash(f).Compile())
 }
 
 func TestChainCrashHidesValues(t *testing.T) {
@@ -105,7 +106,7 @@ func TestChainCrashHidesValues(t *testing.T) {
 
 func TestAsyncBudgetSatisfiesEq3(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		checkAdversary(t, 8, 10, AsyncBudget(8, 3, true, seed), predicate.PerRoundBudget(3))
+		checkAdversary(t, 8, 10, AsyncBudget(8, 3, true, seed), hoalg.PerRound(3).Compile())
 	}
 }
 
@@ -114,7 +115,7 @@ func TestAsyncBudgetCanViolateSharedMemory(t *testing.T) {
 	// everyone is suspected by someone.
 	_, err := predicate.Separates(func(seed int64) (*core.Trace, error) {
 		return core.CollectTrace(6, 10, AsyncBudget(6, 5, true, seed))
-	}, predicate.PerRoundBudget(5), predicate.SomeoneSeenByAll(), 200)
+	}, hoalg.PerRound(5).Compile(), hoalg.SomeoneSeen().Compile(), 200)
 	if err != nil {
 		t.Fatalf("expected separation between eq3 and eq4: %v", err)
 	}
@@ -122,13 +123,13 @@ func TestAsyncBudgetCanViolateSharedMemory(t *testing.T) {
 
 func TestSharedMemSatisfiesEq3And4(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		checkAdversary(t, 8, 10, SharedMem(8, 5, seed), predicate.SharedMemory(5))
+		checkAdversary(t, 8, 10, SharedMem(8, 5, seed), hoalg.SharedMemory(5).Compile())
 	}
 }
 
 func TestSnapshotChainSatisfiesItem5(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		checkAdversary(t, 8, 10, SnapshotChain(8, 3, seed), predicate.AtomicSnapshot(3))
+		checkAdversary(t, 8, 10, SnapshotChain(8, 3, seed), hoalg.AtomicSnapshot(3).Compile())
 	}
 }
 
@@ -138,7 +139,7 @@ func TestSnapshotImpliesSharedMemory(t *testing.T) {
 	gen := func(seed int64) (*core.Trace, error) {
 		return core.CollectTrace(8, 8, SnapshotChain(8, 3, seed))
 	}
-	if err := predicate.Implies(gen, predicate.AtomicSnapshot(3), predicate.SharedMemory(3), 100); err != nil {
+	if err := predicate.Implies(gen, hoalg.AtomicSnapshot(3).Compile(), hoalg.SharedMemory(3).Compile(), 100); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,7 +147,7 @@ func TestSnapshotImpliesSharedMemory(t *testing.T) {
 func TestBSystemOracleSatisfiesItsPredicate(t *testing.T) {
 	n, f, tt := 9, 2, 4 // f < t, 2t < n
 	for seed := int64(0); seed < 20; seed++ {
-		checkAdversary(t, n, 10, BSystemOracle(n, f, tt, seed), predicate.BSystem(f, tt))
+		checkAdversary(t, n, 10, BSystemOracle(n, f, tt, seed), hoalg.BSys(f, tt).Compile())
 	}
 }
 
@@ -156,7 +157,7 @@ func TestBSystemViolatesEq3(t *testing.T) {
 	n, f, tt := 9, 2, 4
 	_, err := predicate.Separates(func(seed int64) (*core.Trace, error) {
 		return core.CollectTrace(n, 10, BSystemOracle(n, f, tt, seed))
-	}, predicate.BSystem(f, tt), predicate.PerRoundBudget(f), 200)
+	}, hoalg.BSys(f, tt).Compile(), hoalg.PerRound(f).Compile(), 200)
 	if err != nil {
 		t.Fatalf("expected B to break eq3's f budget: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestNoMutualMissOracle(t *testing.T) {
 	n, f := 7, 3
 	for seed := int64(0); seed < 20; seed++ {
 		checkAdversary(t, n, 8, NoMutualMissOracle(n, f, seed),
-			predicate.And("no-mutual-miss-system", predicate.PerRoundBudget(f), predicate.NoMutualMiss()))
+			hoalg.And(hoalg.PerRound(f), hoalg.NoMutualMiss()).Compile())
 	}
 }
 
@@ -177,7 +178,7 @@ func TestNoMutualMissCanViolateEq4(t *testing.T) {
 	gen := func(seed int64) (*core.Trace, error) {
 		return core.CollectTrace(n, 8, NoMutualMissOracle(n, f, seed))
 	}
-	if _, err := predicate.Separates(gen, predicate.NoMutualMiss(), predicate.SomeoneSeenByAll(), 200); err != nil {
+	if _, err := predicate.Separates(gen, hoalg.NoMutualMiss().Compile(), hoalg.SomeoneSeen().Compile(), 200); err != nil {
 		t.Fatalf("expected a cycle execution violating eq4: %v", err)
 	}
 }
@@ -185,14 +186,14 @@ func TestNoMutualMissCanViolateEq4(t *testing.T) {
 func TestKSetUncertaintySatisfiesDetector(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 5} {
 		for seed := int64(0); seed < 10; seed++ {
-			checkAdversary(t, 10, 8, KSetUncertainty(10, k, seed), predicate.KSetDetector(k))
+			checkAdversary(t, 10, 8, KSetUncertainty(10, k, seed), hoalg.KSetEq3(k).Compile())
 		}
 	}
 }
 
 func TestIdenticalSatisfiesEq5(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		checkAdversary(t, 8, 10, Identical(8, seed), predicate.IdenticalSuspects())
+		checkAdversary(t, 8, 10, Identical(8, seed), hoalg.Identical().Compile())
 	}
 }
 
@@ -201,14 +202,14 @@ func TestIdenticalImpliesK1Detector(t *testing.T) {
 	gen := func(seed int64) (*core.Trace, error) {
 		return core.CollectTrace(8, 8, Identical(8, seed))
 	}
-	if err := predicate.Implies(gen, predicate.IdenticalSuspects(), predicate.KSetDetector(1), 100); err != nil {
+	if err := predicate.Implies(gen, hoalg.Identical().Compile(), hoalg.KSetEq3(1).Compile(), 100); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSpareNeverSuspected(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		tr := checkAdversary(t, 8, 10, SpareNeverSuspected(8, 5, seed), predicate.NeverSuspectedExists())
+		tr := checkAdversary(t, 8, 10, SpareNeverSuspected(8, 5, seed), hoalg.NeverSuspected().Compile())
 		if !tr.NeverSuspected().Has(5) {
 			t.Fatalf("spare process 5 was suspected: never-suspected = %s", tr.NeverSuspected())
 		}
@@ -218,8 +219,7 @@ func TestSpareNeverSuspected(t *testing.T) {
 func TestOrderedBlocksSatisfiesIISClauses(t *testing.T) {
 	n := 7
 	for seed := int64(0); seed < 20; seed++ {
-		checkAdversary(t, n, 6, OrderedBlocks(n, seed), predicate.And("iis-clauses",
-			predicate.SelfIncluded(), predicate.ContainmentChain(), predicate.NoMutualMiss()))
+		checkAdversary(t, n, 6, OrderedBlocks(n, seed), hoalg.And(hoalg.SelfTrusting(), hoalg.Chain(), hoalg.NoMutualMiss()).Compile())
 	}
 }
 
@@ -227,7 +227,7 @@ func TestEventuallySpareContract(t *testing.T) {
 	n, f, stab := 6, 2, 4
 	for seed := int64(0); seed < 20; seed++ {
 		tr := checkAdversary(t, n, 10, EventuallySpare(n, f, stab, 3, seed),
-			predicate.PerRoundBudget(f))
+			hoalg.PerRound(f).Compile())
 		// After stabilization the spare is clean...
 		for r := stab + 1; r <= tr.Len(); r++ {
 			if tr.SuspectUnion(r).Has(3) {

@@ -1,8 +1,6 @@
 package adversary
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/hoalg"
 	"repro/internal/mc"
@@ -17,9 +15,9 @@ import (
 // enumerable per round.
 //
 // The enumerators themselves are compiled from hoalg model expressions
-// (one source of truth for checker, enumerator and chaos plan); the four
-// constructors below keep their historical signatures as thin wrappers and
-// are held to byte-identical plan lists by planListGolden in enum_test.go.
+// (Expr.CompileEnum: one source of truth for checker, enumerator and chaos
+// plan); planListGolden in enum_test.go holds them to the plan lists of the
+// hand-written generators they replaced.
 
 // Enumerated drives a hoalg.Enum as a core.Oracle for one explored schedule: a
 // hoalg.Walk whose picker is ctx, with options labeled by the family's
@@ -46,67 +44,12 @@ func (e *explored) Plan(r int, active core.Set) core.RoundPlan {
 	return e.Follow(fam.Plans[e.ctx.ChooseLabeled(fam.Labels)])
 }
 
-// enumGuard bounds the states a per-round enumeration may generate:
-// exhaustive exploration is only tractable for the small systems the
-// paper's separations need.
-func enumGuard(kind string, n, max int) error {
-	if n < 1 || n > max {
-		return fmt.Errorf("adversary: %s enumeration supports 1 <= n <= %d, got n=%d", kind, max, n)
-	}
-	return nil
-}
-
-// compiled lowers a model expression to its enumerator, panicking on
-// compile errors: the four wrapped expressions below are enumerable by
-// construction once the n guard has passed.
-func compiled(e *hoalg.Expr, n int) hoalg.Enum {
-	en, err := e.CompileEnum(n)
-	if err != nil {
-		panic(fmt.Sprintf("adversary: %v", err))
-	}
-	return en
-}
-
-// EnumPerRoundBudget enumerates eq. (3) — the asynchronous
-// message-passing model with at most f crash failures: every process
-// independently misses up to f round messages, |D(i,r)| <= f, nobody
-// really crashes. n is capped at 4 to keep the per-round family small.
-func EnumPerRoundBudget(n, f int) (hoalg.Enum, error) {
-	if err := enumGuard("per-round-budget", n, 4); err != nil {
-		return nil, err
-	}
-	return compiled(hoalg.PerRound(f), n), nil
-}
-
-// EnumKSet enumerates the k-set detector family: per round, the
-// suspicion uncertainty is bounded by |⋃_i D(i,r) \ ⋂_i D(i,r)| < k.
-// n is capped at 3: the family is a filtered n-fold product of subsets.
-func EnumKSet(n, k int) (hoalg.Enum, error) {
-	if err := enumGuard("k-set", n, 3); err != nil {
-		return nil, err
-	}
-	return compiled(hoalg.KSetEq3(k), n), nil
-}
-
-// EnumSendOmission enumerates eq. (1) — the synchronous model with at
-// most f send-omission faults: self-trusting suspicions whose cumulative
-// union stays within f distinct processes. n is capped at 4.
-func EnumSendOmission(n, f int) (hoalg.Enum, error) {
-	if err := enumGuard("send-omission", n, 4); err != nil {
-		return nil, err
-	}
-	return compiled(hoalg.SendOmission(f), n), nil
-}
-
 // EnumSyncCrash enumerates eqs. (1)+(2) — the synchronous model with at
-// most f crash faults. A process suspected by anyone in round r crashed
-// mid-send: it really crashes at round r+1 (so propagation ⋃D(·,r) ⊆
-// D(i,r+1) holds via the engine's crashed-⊆-D rule), and in round r each
-// live process independently either received its last message or not.
-// n is capped at 4.
+// most f crash faults — for n ≤ 4 processes: hoalg.SyncCrash(f) compiled by
+// CompileEnum. A process suspected by anyone in round r crashed mid-send: it
+// really crashes at round r+1 (so propagation ⋃D(·,r) ⊆ D(i,r+1) holds via
+// the engine's crashed-⊆-D rule), and in round r each live process
+// independently either received its last message or not.
 func EnumSyncCrash(n, f int) (hoalg.Enum, error) {
-	if err := enumGuard("sync-crash", n, 4); err != nil {
-		return nil, err
-	}
-	return compiled(hoalg.SyncCrash(f), n), nil
+	return hoalg.SyncCrash(f).CompileEnum(n)
 }

@@ -47,7 +47,7 @@ func explored(t *testing.T, n, rounds int, enum hoalg.Enum, p predicate.P) *mc.R
 }
 
 func TestEnumPerRoundBudgetInModel(t *testing.T) {
-	enum, err := adversary.EnumPerRoundBudget(3, 1)
+	enum, err := hoalg.PerRound(1).CompileEnum(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestEnumPerRoundBudgetInModel(t *testing.T) {
 }
 
 func TestEnumSendOmissionInModel(t *testing.T) {
-	enum, err := adversary.EnumSendOmission(3, 1)
+	enum, err := hoalg.SendOmission(1).CompileEnum(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	explored(t, 3, 2, enum, predicate.SendOmission(1))
+	explored(t, 3, 2, enum, hoalg.SendOmission(1).Compile())
 }
 
 func TestEnumSyncCrashInModel(t *testing.T) {
@@ -72,25 +72,26 @@ func TestEnumSyncCrashInModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explored(t, 3, 2, enum, predicate.SyncCrash(1))
+	explored(t, 3, 2, enum, hoalg.SyncCrash(1).Compile())
 }
 
 func TestEnumKSetInModel(t *testing.T) {
-	enum, err := adversary.EnumKSet(3, 2)
+	enum, err := hoalg.KSetEq3(2).CompileEnum(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	explored(t, 3, 1, enum, predicate.KSetDetector(2))
+	explored(t, 3, 1, enum, hoalg.KSetEq3(2).Compile())
 }
 
+// TestEnumGuards: CompileEnum caps n at 4, or 3 with kset.
 func TestEnumGuards(t *testing.T) {
-	if _, err := adversary.EnumPerRoundBudget(5, 1); err == nil {
+	if _, err := hoalg.PerRound(1).CompileEnum(5); err == nil {
 		t.Fatal("per-round-budget n=5 should be rejected")
 	}
-	if _, err := adversary.EnumKSet(4, 2); err == nil {
+	if _, err := hoalg.KSetEq3(2).CompileEnum(4); err == nil {
 		t.Fatal("k-set n=4 should be rejected")
 	}
-	if _, err := adversary.EnumSendOmission(0, 1); err == nil {
+	if _, err := hoalg.SendOmission(1).CompileEnum(0); err == nil {
 		t.Fatal("n=0 should be rejected")
 	}
 	if _, err := adversary.EnumSyncCrash(5, 1); err == nil {
@@ -354,18 +355,18 @@ func walkStates(b *strings.Builder, n int, enum hoalg.Enum, st hoalg.EnumState, 
 
 func TestCompiledEnumsMatchReferencePlanLists(t *testing.T) {
 	families := map[string]struct {
-		enum  func(n, param int) (hoalg.Enum, error)
+		expr  func(param int) *hoalg.Expr
 		depth int // rounds walked
 	}{
-		"per-round-budget": {adversary.EnumPerRoundBudget, 2},
-		"send-omission":    {adversary.EnumSendOmission, 2},
-		"sync-crash":       {adversary.EnumSyncCrash, 3},
-		"k-set":            {adversary.EnumKSet, 2},
+		"per-round-budget": {hoalg.PerRound, 2},
+		"send-omission":    {hoalg.SendOmission, 2},
+		"sync-crash":       {hoalg.SyncCrash, 3},
+		"k-set":            {hoalg.KSetEq3, 2},
 	}
 	for _, g := range planListGolden {
 		fam := families[g.ctor]
 		var b strings.Builder
-		walkStates(&b, g.n, must(t)(fam.enum(g.n, g.param)), hoalg.EnumState{
+		walkStates(&b, g.n, must(t)(fam.expr(g.param).CompileEnum(g.n)), hoalg.EnumState{
 			R:         1,
 			Active:    core.FullSet(g.n),
 			Suspected: core.NewSet(g.n),
@@ -425,9 +426,9 @@ func TestCompiledEnumsMatchReferenceInMC(t *testing.T) {
 		enum      hoalg.Enum
 		schedules int
 	}{
-		{"per-round-budget", must(t)(adversary.EnumPerRoundBudget(n, f)), 27},
-		{"k-set", must(t)(adversary.EnumKSet(n, k)), 10},
-		{"send-omission", must(t)(adversary.EnumSendOmission(n, f)), 10},
+		{"per-round-budget", must(t)(hoalg.PerRound(f).CompileEnum(n)), 27},
+		{"k-set", must(t)(hoalg.KSetEq3(k).CompileEnum(n)), 10},
+		{"send-omission", must(t)(hoalg.SendOmission(f).CompileEnum(n)), 10},
 		{"sync-crash", must(t)(adversary.EnumSyncCrash(n, f)), 10},
 	}
 	for _, tc := range cases {
@@ -447,7 +448,7 @@ func TestCompiledEnumsMatchReferenceInMC(t *testing.T) {
 // keep the bespoke 729.
 func TestCompiledEnumPerRoundScheduleCount(t *testing.T) {
 	inputs := []core.Value{0, 1, 2}
-	enum := must(t)(adversary.EnumPerRoundBudget(3, 1))
+	enum := must(t)(hoalg.PerRound(1).CompileEnum(3))
 	res, err := mc.Explore(mc.Options{}, mc.CheckRun(mc.RunSpec{
 		N: 3, Inputs: inputs, Factory: agreement.FloodMin(2),
 		Oracle: func(ctx *mc.Ctx) core.Oracle {
@@ -468,7 +469,7 @@ func TestCompiledEnumPerRoundScheduleCount(t *testing.T) {
 // enumeration gave.
 func TestCompiledEnumBuggyShrinksSame(t *testing.T) {
 	const n, f = 3, 1
-	res := exploreWith(t, n, f, agreement.QuorumKSetBuggy(f), must(t)(adversary.EnumPerRoundBudget(n, f)))
+	res := exploreWith(t, n, f, agreement.QuorumKSetBuggy(f), must(t)(hoalg.PerRound(f).CompileEnum(n)))
 	if res.Counterexample == nil {
 		t.Fatal("planted bug not caught")
 	}

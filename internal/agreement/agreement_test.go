@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/predicate"
 )
 
@@ -76,7 +77,7 @@ func TestSnapshotPredicateImpliesKSetDetector(t *testing.T) {
 		gen := func(seed int64) (*core.Trace, error) {
 			return core.CollectTrace(8, 6, adversary.SnapshotChain(8, k-1, seed))
 		}
-		if err := predicate.Implies(gen, predicate.AtomicSnapshot(k-1), predicate.KSetDetector(k), 80); err != nil {
+		if err := predicate.Implies(gen, hoalg.AtomicSnapshot(k-1).Compile(), hoalg.KSetEq3(k).Compile(), 80); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 	}
@@ -90,7 +91,7 @@ func TestOneRoundKSetExhaustiveProof(t *testing.T) {
 		{3, 1}, {3, 2}, {4, 1}, {4, 2}, {4, 3},
 	}
 	for _, tc := range cases {
-		pred := predicate.KSetDetector(tc.k)
+		pred := hoalg.KSetEq3(tc.k).Compile()
 		checked, satisfying := 0, 0
 		err := predicate.ExhaustiveTraces(tc.n, 1, func(tr *core.Trace) error {
 			checked++
@@ -228,16 +229,16 @@ func TestOstracismSubtlety(t *testing.T) {
 
 	// (a) Illegal as a crash execution, for exactly the self-trust
 	// reason.
-	err = predicate.SyncCrash(f).Check(res.Trace)
+	err = hoalg.SyncCrash(f).Compile().Check(res.Trace)
 	if err == nil {
 		t.Fatal("ostracism with a live victim must violate the crash predicate")
 	}
-	if !strings.Contains(err.Error(), "suspicion-propagates") {
+	if !strings.Contains(err.Error(), `predicate "propagates" violated`) {
 		t.Fatalf("violation should be the propagation clause: %v", err)
 	}
 
 	// (b) Legal as an omission execution, with the expected split.
-	if err := predicate.SendOmission(f).Check(res.Trace); err != nil {
+	if err := hoalg.SendOmission(f).Compile().Check(res.Trace); err != nil {
 		t.Fatalf("the trace is a legal send-omission execution: %v", err)
 	}
 	if got := res.DistinctOutputs(); got != 2 {
@@ -283,7 +284,7 @@ func TestOstracismSubtlety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.SyncCrash(f).Check(res2.Trace); err != nil {
+	if err := hoalg.SyncCrash(f).Compile().Check(res2.Trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := Validate(res2, identityInputs(n), 1, f+1); err != nil {

@@ -45,8 +45,8 @@ type phaseMsg struct {
 }
 
 // PhasedConsensus returns the factory for adopt-commit-based consensus
-// under the eventual-accuracy RRFD (predicate.PerRoundBudget(f) with
-// 2f < n, plus predicate.EventuallyNeverSuspected for termination). A
+// under the eventual-accuracy RRFD (perround(f) with 2f < n, plus
+// eventually(stab, neversusp) for termination). A
 // process keeps participating after deciding, so laggards catch up one
 // phase later.
 func PhasedConsensus() core.Factory {

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
-	"repro/internal/predicate"
+	"repro/internal/hoalg"
 )
 
 func TestPhasedConsensusUnderEventualAccuracy(t *testing.T) {
@@ -27,7 +27,7 @@ func TestPhasedConsensusUnderEventualAccuracy(t *testing.T) {
 			if err := Validate(res, inputs, 1, 0); err != nil {
 				t.Fatalf("stab=%d seed=%d: %v", stab, seed, err)
 			}
-			if err := predicate.EventuallyNeverSuspected(stab).Check(res.Trace); err != nil {
+			if err := hoalg.Eventually(stab, hoalg.NeverSuspected()).Compile().Check(res.Trace); err != nil {
 				t.Fatalf("stab=%d seed=%d: adversary broke its own contract: %v", stab, seed, err)
 			}
 		}
@@ -111,7 +111,7 @@ func TestEventuallyNeverSuspectedPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.EventuallyNeverSuspected(4).Check(tr); err != nil {
+	if err := hoalg.Eventually(4, hoalg.NeverSuspected()).Compile().Check(tr); err != nil {
 		t.Fatal(err)
 	}
 	// With stab=0 the same trace generally fails (the spare was fair game
@@ -122,7 +122,7 @@ func TestEventuallyNeverSuspectedPredicate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if predicate.EventuallyNeverSuspected(0).Check(tr) != nil {
+		if hoalg.Eventually(0, hoalg.NeverSuspected()).Compile().Check(tr) != nil {
 			failed = true
 		}
 	}
@@ -134,7 +134,7 @@ func TestEventuallyNeverSuspectedPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.EventuallyNeverSuspected(5).Check(short); err != nil {
+	if err := hoalg.Eventually(5, hoalg.NeverSuspected()).Compile().Check(short); err != nil {
 		t.Fatal(err)
 	}
 }

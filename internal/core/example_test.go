@@ -6,7 +6,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/agreement"
 	"repro/internal/core"
-	"repro/internal/predicate"
+	"repro/internal/hoalg"
 )
 
 // Consensus under the detector-S RRFD of §2 item 6: up to n−1 processes may
@@ -24,7 +24,7 @@ func Example() {
 	}
 	fmt.Println("distinct decisions:", res.DistinctOutputs())
 	fmt.Println("never suspected:", res.Trace.NeverSuspected())
-	fmt.Println("predicate:", predicate.NeverSuspectedExists().Check(res.Trace))
+	fmt.Println("predicate:", hoalg.NeverSuspected().Compile().Check(res.Trace))
 	// Output:
 	// distinct decisions: 1
 	// never suspected: {3}

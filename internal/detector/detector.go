@@ -57,7 +57,7 @@ func (h *History) EverSuspected() core.Set {
 
 // CheckWeakAccuracy verifies S's accuracy property over the history: some
 // process is never suspected by anyone. (In the RRFD reading this is
-// exactly predicate.NeverSuspectedExists.)
+// exactly the neversusp clause, hoalg.NeverSuspected.)
 func (h *History) CheckWeakAccuracy() error {
 	if ever := h.EverSuspected(); ever.Count() >= h.N {
 		return fmt.Errorf("detector: weak accuracy violated: every process suspected (%s)", ever)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/predicate"
 )
 
@@ -102,10 +103,10 @@ func TestOracleRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := predicate.NeverSuspectedExists().Check(tr); err != nil {
+		if err := hoalg.NeverSuspected().Compile().Check(tr); err != nil {
 			t.Fatalf("spare %d: %v", spare, err)
 		}
-		if err := predicate.TotalSuspectBudget(n - 1).Check(tr); err != nil {
+		if err := hoalg.AtMostSuspected(n - 1).Compile().Check(tr); err != nil {
 			t.Fatalf("spare %d: %v", spare, err)
 		}
 	}
@@ -119,10 +120,10 @@ func TestPredicateEquivalenceItem6(t *testing.T) {
 	gen := func(seed int64) (*core.Trace, error) {
 		return core.CollectTrace(n, 8, adversary.SpareNeverSuspected(n, core.PID(seed%int64(n)), seed))
 	}
-	if err := predicate.Implies(gen, predicate.NeverSuspectedExists(), predicate.TotalSuspectBudget(n-1), 60); err != nil {
+	if err := predicate.Implies(gen, hoalg.NeverSuspected().Compile(), hoalg.AtMostSuspected(n-1).Compile(), 60); err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.Implies(gen, predicate.TotalSuspectBudget(n-1), predicate.NeverSuspectedExists(), 60); err != nil {
+	if err := predicate.Implies(gen, hoalg.AtMostSuspected(n-1).Compile(), hoalg.NeverSuspected().Compile(), 60); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/mc"
 	"repro/internal/predicate"
 	"repro/internal/swmr"
@@ -82,8 +83,8 @@ func X04Ablations(quick bool) (*Table, error) {
 	// KSetDetector(2) trace with 2 distinct outputs (> k = 1).
 	looseDetector := func() (ablStat, error) {
 		n, k := 3, 1
-		loose := predicate.KSetDetector(k + 1)
-		strict := predicate.KSetDetector(k)
+		loose := hoalg.KSetEq3(k + 1).Compile()
+		strict := hoalg.KSetEq3(k).Compile()
 		witnesses := 0
 		err := predicate.ExhaustiveTraces(n, 1, func(tr *core.Trace) error {
 			if loose.Check(tr) != nil || strict.Check(tr) == nil {

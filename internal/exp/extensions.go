@@ -4,6 +4,7 @@ import (
 	"repro/internal/abd"
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/immediate"
 	"repro/internal/msgnet"
 	"repro/internal/predicate"
@@ -119,12 +120,13 @@ func X02ImmediateSnapshot(quick bool) (*Table, error) {
 	seeds := seedsFor(quick, 20)
 
 	for _, n := range []int{3, 5, 8} {
+		iis := hoalg.ImmediateSnapshot(n).Compile()
 		rs, err := sweep(seeds, func(seed int) (bool, error) {
 			out, err := immediate.RunRounds(n, 3, swmr.Config{Chooser: swmr.Seeded(int64(seed))}, nil)
 			if err != nil {
 				return false, err
 			}
-			return predicate.ImmediateSnapshot(n).Check(out.Trace) == nil, nil
+			return iis.Check(out.Trace) == nil, nil
 		})
 		if err != nil {
 			return nil, err
@@ -138,13 +140,13 @@ func X02ImmediateSnapshot(quick bool) (*Table, error) {
 
 	// Lattice position, proven exhaustively for n=3.
 	_, satisfying, err := predicate.ExhaustiveImplies(3, 1,
-		predicate.ImmediateSnapshot(3), predicate.AtomicSnapshot(2))
+		hoalg.ImmediateSnapshot(3).Compile(), hoalg.AtomicSnapshot(2).Compile())
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("IIS ⇒ snapshot [proof]", 3, 343, verdict(satisfying > 0))
 	_, witnesses, err := predicate.ExhaustiveWitnesses(3, 1,
-		predicate.AtomicSnapshot(2), predicate.Immediacy())
+		hoalg.AtomicSnapshot(2).Compile(), hoalg.Immediacy().Compile())
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/msgnet"
 	"repro/internal/predicate"
 	"repro/internal/simulate"
@@ -25,12 +26,13 @@ func E01SyncOmission(quick bool) (*Table, error) {
 	seeds := seedsFor(quick, 40)
 	for _, tc := range []struct{ n, f int }{{4, 1}, {8, 3}, {8, 7}, {16, 8}} {
 		maxCum, ok := 0, true
+		eq1 := hoalg.SendOmission(tc.f).Compile()
 		for seed := 0; seed < seeds; seed++ {
 			tr, err := core.CollectTrace(tc.n, 10, adversary.Omission(tc.n, tc.f, 0.8, int64(seed)))
 			if err != nil {
 				return nil, err
 			}
-			if predicate.SendOmission(tc.f).Check(tr) != nil {
+			if eq1.Check(tr) != nil {
 				ok = false
 			}
 			if c := tr.CumulativeSuspects(tr.Len()).Count(); c > maxCum {
@@ -57,15 +59,16 @@ func E02CrashSubmodel(quick bool) (*Table, error) {
 	seeds := seedsFor(quick, 40)
 	for _, tc := range []struct{ n, f int }{{6, 2}, {8, 3}, {12, 5}} {
 		crashOK, omitOK := true, true
+		crash, omission := hoalg.SyncCrash(tc.f).Compile(), hoalg.SendOmission(tc.f).Compile()
 		for seed := 0; seed < seeds; seed++ {
 			tr, err := core.CollectTrace(tc.n, 12, adversary.Crash(tc.n, tc.f, int64(seed)))
 			if err != nil {
 				return nil, err
 			}
-			if predicate.SyncCrash(tc.f).Check(tr) != nil {
+			if crash.Check(tr) != nil {
 				crashOK = false
 			}
-			if predicate.SendOmission(tc.f).Check(tr) != nil {
+			if omission.Check(tr) != nil {
 				omitOK = false
 			}
 		}
@@ -75,7 +78,7 @@ func E02CrashSubmodel(quick bool) (*Table, error) {
 		gen := func(seed int64) (*core.Trace, error) {
 			return core.CollectTrace(tc.n, 12, adversary.Omission(tc.n, tc.f, 0.6, seed))
 		}
-		_, sepErr := predicate.Separates(gen, predicate.SendOmission(tc.f), predicate.SuspicionPropagates(), 100)
+		_, sepErr := predicate.Separates(gen, omission, hoalg.Propagates().Compile(), 100)
 		t.AddRow(tc.n, tc.f, seeds, verdict(crashOK), verdict(omitOK), verdict(sepErr == nil))
 	}
 	t.AddNote("every crash execution is an omission execution; the converse fails — the submodel relation is strict")
@@ -96,12 +99,13 @@ func E03AsyncRounds(quick bool) (*Table, error) {
 	for _, tc := range []struct{ n, f int }{{4, 1}, {6, 2}, {8, 3}} {
 		ok := true
 		var steps int
+		eq3 := hoalg.PerRound(tc.f).Compile()
 		for seed := 0; seed < seeds; seed++ {
 			out, err := msgnet.RunRounds(tc.n, tc.f, 6, msgnet.Config{Chooser: core.Seeded(int64(seed))}, nil)
 			if err != nil {
 				return nil, err
 			}
-			if predicate.PerRoundBudget(tc.f).Check(out.Trace) != nil {
+			if eq3.Check(out.Trace) != nil {
 				ok = false
 			}
 			steps += out.Steps
@@ -111,6 +115,7 @@ func E03AsyncRounds(quick bool) (*Table, error) {
 	// The B system: f < t, 2t < n.
 	for _, tc := range []struct{ n, f, tt int }{{9, 2, 4}, {11, 3, 5}} {
 		simOK, sepFound := true, false
+		eq3 := hoalg.PerRound(tc.f).Compile()
 		for seed := 0; seed < seeds; seed++ {
 			base, err := core.CollectTrace(tc.n, 8, adversary.BSystemOracle(tc.n, tc.f, tc.tt, int64(seed)))
 			if err != nil {
@@ -120,10 +125,10 @@ func E03AsyncRounds(quick bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if predicate.PerRoundBudget(tc.f).Check(sim) != nil {
+			if eq3.Check(sim) != nil {
 				simOK = false
 			}
-			if predicate.PerRoundBudget(tc.f).Check(base) != nil {
+			if eq3.Check(base) != nil {
 				sepFound = true
 			}
 		}
@@ -151,6 +156,7 @@ func E04SharedMemory(quick bool) (*Table, error) {
 	// Part 1: 2 message-passing rounds implement 1 shared-memory round.
 	for _, tc := range []struct{ n, f int }{{5, 2}, {7, 3}, {9, 4}} {
 		ok := true
+		sm := hoalg.SharedMemory(tc.f).Compile()
 		for seed := 0; seed < seeds; seed++ {
 			out, err := msgnet.RunRounds(tc.n, tc.f, 6, msgnet.Config{Chooser: core.Seeded(int64(seed))}, nil)
 			if err != nil {
@@ -160,7 +166,7 @@ func E04SharedMemory(quick bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if predicate.SharedMemory(tc.f).Check(sim) != nil {
+			if sm.Check(sim) != nil {
 				ok = false
 			}
 		}
@@ -175,7 +181,7 @@ func E04SharedMemory(quick bool) (*Table, error) {
 		}
 		return out.Trace, nil
 	}
-	_, sepErr := predicate.Separates(gen, predicate.PerRoundBudget(1), predicate.SomeoneSeenByAll(), 100)
+	_, sepErr := predicate.Separates(gen, hoalg.PerRound(1).Compile(), hoalg.SomeoneSeen().Compile(), 100)
 	t.AddRow("partition when 2f ≥ n", 2, 1, 100, verdict(sepErr == nil), "-")
 
 	// Part 3: the cycle conjecture under the no-mutual-miss predicate.
@@ -247,6 +253,7 @@ func E05Snapshot(quick bool) (*Table, error) {
 	seeds := seedsFor(quick, 15)
 	for _, tc := range []struct{ n, f, crashes int }{{4, 1, 0}, {5, 2, 1}, {8, 3, 2}} {
 		ok := true
+		item5 := hoalg.AtomicSnapshot(tc.f).Compile()
 		for seed := 0; seed < seeds; seed++ {
 			cfg := swmr.Config{Chooser: swmr.Seeded(int64(seed))}
 			if tc.crashes > 0 {
@@ -259,7 +266,7 @@ func E05Snapshot(quick bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if predicate.AtomicSnapshot(tc.f).Check(out.Trace) != nil {
+			if item5.Check(out.Trace) != nil {
 				ok = false
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/detector"
+	"repro/internal/hoalg"
 	"repro/internal/predicate"
 	"repro/internal/snapshot"
 	"repro/internal/swmr"
@@ -177,7 +178,7 @@ func E07OneRoundKSet(quick bool) (*Table, error) {
 	// each.
 	proofCases := []struct{ n, k int }{{3, 1}, {3, 2}, {4, 2}}
 	for _, pc := range proofCases {
-		pred := predicate.KSetDetector(pc.k)
+		pred := hoalg.KSetEq3(pc.k).Compile()
 		satisfying := 0
 		err := predicate.ExhaustiveTraces(pc.n, 1, func(tr *core.Trace) error {
 			if pred.Check(tr) != nil {
@@ -271,6 +272,7 @@ func E09DetectorFromKSet(quick bool) (*Table, error) {
 	}
 	seeds := seedsFor(quick, 25)
 	for _, tc := range []struct{ n, k int }{{4, 1}, {5, 2}, {7, 3}} {
+		detector := hoalg.KSetEq3(tc.k).Compile()
 		type uncStat struct {
 			ok     bool
 			maxUnc int
@@ -280,7 +282,7 @@ func E09DetectorFromKSet(quick bool) (*Table, error) {
 			if err != nil {
 				return uncStat{}, err
 			}
-			s := uncStat{ok: predicate.KSetDetector(tc.k).Check(tr) == nil}
+			s := uncStat{ok: detector.Check(tr) == nil}
 			for r := 1; r <= tr.Len(); r++ {
 				if unc := tr.SuspectUnion(r).Diff(tr.SuspectIntersection(r)).Count(); unc > s.maxUnc {
 					s.maxUnc = unc
@@ -312,7 +314,7 @@ func E09DetectorFromKSet(quick bool) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := predicate.KSetDetector(tc.k).Check(tr); err != nil {
+		if err := hoalg.KSetEq3(tc.k).Compile().Check(tr); err != nil {
 			return nil, err
 		}
 		unc := tr.SuspectUnion(1).Diff(tr.SuspectIntersection(1)).Count()

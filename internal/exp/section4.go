@@ -7,8 +7,8 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/mc"
-	"repro/internal/predicate"
 	"repro/internal/simulate"
 	"repro/internal/swmr"
 	"repro/internal/task"
@@ -29,6 +29,7 @@ func E10OmissionSim(quick bool) (*Table, error) {
 		{6, 3, 1}, {8, 4, 2}, {8, 5, 2}, {10, 6, 3}, {12, 9, 3},
 	} {
 		rounds := tc.f / tc.k
+		eq1 := hoalg.SendOmission(tc.f).Compile()
 		type simStat struct {
 			ok  bool
 			cum int
@@ -43,7 +44,7 @@ func E10OmissionSim(quick bool) (*Table, error) {
 				return simStat{}, err
 			}
 			return simStat{
-				ok:  predicate.SendOmission(tc.f).Check(sim) == nil,
+				ok:  eq1.Check(sim) == nil,
 				cum: sim.CumulativeSuspects(sim.Len()).Count(),
 			}, nil
 		})
@@ -171,6 +172,7 @@ func E12CrashSim(quick bool) (*Table, error) {
 		{5, 2, 2, 0}, {6, 4, 2, 0}, {6, 4, 2, 1}, {7, 3, 3, 2},
 	} {
 		rounds := tc.f / tc.k
+		crash := hoalg.SyncCrash(tc.f).Compile()
 		type crashStat struct {
 			traceOK, agreeOK bool
 			steps            int
@@ -189,7 +191,7 @@ func E12CrashSim(quick bool) (*Table, error) {
 				return crashStat{}, err
 			}
 			return crashStat{
-				traceOK: predicate.SyncCrash(tc.f).Check(res.Result.Trace) == nil,
+				traceOK: crash.Check(res.Result.Trace) == nil,
 				agreeOK: agreement.Validate(res.Result, identityInputs(tc.n), tc.k+1, rounds) == nil,
 				steps:   res.Steps,
 			}, nil

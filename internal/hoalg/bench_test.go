@@ -15,10 +15,11 @@ var (
 )
 
 // BenchmarkCheck times one Check of the bench ladder's trace (n=16, f=5,
-// 8 eq. (3) rounds, seed 1) under a legacy name and under the expression
-// that names the same clauses. The trace satisfies eq. (3) and kset(16), so
-// those walk all eight rounds; sync-crash and atomic-snapshot reject it and
-// include building the violation.
+// 8 eq. (3) rounds, seed 1) under compiled expressions, and under
+// predicate.PerRoundBudget, the one model predicate still names. The trace
+// satisfies eq. (3) and kset(16), so those walk all eight rounds;
+// sync-crash and atomic-snapshot reject it and include building the
+// violation.
 func BenchmarkCheck(b *testing.B) {
 	const n, f, rounds = 16, 5, 8
 	tr, err := core.CollectTrace(n, rounds, adversary.AsyncBudget(n, f, false, 1))
@@ -30,9 +31,6 @@ func BenchmarkCheck(b *testing.B) {
 		p    predicate.P
 	}{
 		{"named/eq3", predicate.PerRoundBudget(f)},
-		{"named/sync-crash", predicate.SyncCrash(f)},
-		{"named/atomic-snapshot", predicate.AtomicSnapshot(f)},
-		{"named/kset", predicate.KSetDetector(n)},
 		{"compiled/eq3", hoalg.PerRound(f).Compile()},
 		{"compiled/sync-crash", hoalg.SyncCrash(f).Compile()},
 		{"compiled/atomic-snapshot", hoalg.AtomicSnapshot(f).Compile()},

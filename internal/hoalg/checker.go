@@ -9,10 +9,9 @@ import (
 
 // Compile lowers the expression to a runtime trace checker: the operators
 // become predicate's And/Or/Not combinators and every atom becomes
-// predicate's trace-checker driver over that atom's table entry — the same
-// entry the legacy-named constructors of internal/predicate bind, so a
-// compiled checker and its named twin differ in Violation.Predicate only
-// (diff_test.go and golden_test.go hold them to that).
+// predicate's trace-checker driver over that atom's table entry
+// (AtomKind.Checker). Every checker is named by its expression's canonical
+// string; golden_test.go pins the verdicts.
 func (e *Expr) Compile() predicate.P {
 	return compileAt(e, 1)
 }

@@ -9,11 +9,12 @@ import (
 	"repro/internal/predicate"
 )
 
-// This file differentially tests the checker compiler: for every ported
-// predicate, the compiled checker and the hand-written internal/predicate
-// twin must agree on the verdict of every trace — and, when both reject,
-// on the Violation's round and process attribution (the predicate names
-// differ by design: compiled checkers are named by their expression).
+// This file differentially tests the checker compiler's window driver:
+// eventually(stab, e) is compiled as a wrapper that raises the window start
+// of e's checker, and the reference is the atom's checker called with that
+// window start directly. Both must agree on the verdict of every trace —
+// and, when both reject, on the Violation's round and process attribution
+// (the predicate names differ by design).
 
 type diffPair struct {
 	name string
@@ -21,50 +22,12 @@ type diffPair struct {
 	ref  predicate.P
 }
 
-// diffPairs is every pair for universes of n processes: atomPairs, then
-// composedPairs.
-func diffPairs(n int) []diffPair {
-	return append(atomPairs(), composedPairs(n)...)
-}
-
-// atomPairs are the pairs whose compiled and named checkers are the same
-// AtomKind.Checker call with the same window start, differing only in name
-// (forever(e) compiles to e's checker). Swept exhaustively they would
-// compare a function with itself, so only the random sweep runs them.
-func atomPairs() []diffPair {
+// composedPairs are the pairs whose two sides are built differently: a
+// compiled window wrapper against a shifted atom.
+func composedPairs() []diffPair {
 	return []diffPair{
-		{"selftrust", SelfTrusting(), predicate.SelfTrusting()},
-		{"atmost0", AtMostSuspected(0), predicate.TotalSuspectBudget(0)},
-		{"atmost1", AtMostSuspected(1), predicate.TotalSuspectBudget(1)},
-		{"atmost2", AtMostSuspected(2), predicate.TotalSuspectBudget(2)},
-		{"perround1", PerRound(1), predicate.PerRoundBudget(1)},
-		{"perround2", PerRound(2), predicate.PerRoundBudget(2)},
-		{"kset1", KSetEq3(1), predicate.KSetDetector(1)},
-		{"kset2", KSetEq3(2), predicate.KSetDetector(2)},
-		{"nomutualmiss", NoMutualMiss(), predicate.NoMutualMiss()},
-		{"someoneseen", SomeoneSeen(), predicate.SomeoneSeenByAll()},
-		{"identical", Identical(), predicate.IdenticalSuspects()},
-		{"chain", Chain(), predicate.ContainmentChain()},
-		{"immediacy", Immediacy(), predicate.Immediacy()},
-		{"propagates", Propagates(), predicate.SuspicionPropagates()},
-		{"neversusp", NeverSuspected(), predicate.NeverSuspectedExists()},
-		{"bsys12", BSys(1, 2), predicate.BSystem(1, 2)},
-		{"forever-perround", Forever(PerRound(1)), predicate.PerRoundBudget(1)},
-	}
-}
-
-// composedPairs are the pairs whose two sides are built differently: the
-// composites (a compiled And of atoms against a named conjunction) and the
-// eventually windows (a compiled window wrapper against a shifted atom).
-func composedPairs(n int) []diffPair {
-	return []diffPair{
-		{"send-omission", SendOmission(1), predicate.SendOmission(1)},
-		{"sync-crash", SyncCrash(1), predicate.SyncCrash(1)},
-		{"shared-memory", SharedMemory(1), predicate.SharedMemory(1)},
-		{"atomic-snapshot", AtomicSnapshot(1), predicate.AtomicSnapshot(1)},
-		{"eventually-neversusp1", Eventually(1, NeverSuspected()), predicate.EventuallyNeverSuspected(1)},
-		{"eventually-neversusp2", Eventually(2, NeverSuspected()), predicate.EventuallyNeverSuspected(2)},
-		{"immediate-snapshot", ImmediateSnapshot(n), predicate.ImmediateSnapshot(n)},
+		{"eventually-neversusp1", Eventually(1, NeverSuspected()), predicate.AtomNeverSusp.Checker("eventually-neversusp1", 2)},
+		{"eventually-neversusp2", Eventually(2, NeverSuspected()), predicate.AtomNeverSusp.Checker("eventually-neversusp2", 3)},
 	}
 }
 
@@ -92,13 +55,12 @@ func sameVerdict(t *testing.T, pair diffPair, tr *core.Trace) {
 }
 
 // TestCompiledCheckersMatchExhaustive sweeps every crash-free trace over a
-// tiny universe (7^6 ≈ 1.2e5 traces at n=3, rounds=2) through every pair
-// whose two sides are built differently.
+// tiny universe (7^6 ≈ 1.2e5 traces at n=3, rounds=2) through every pair.
 func TestCompiledCheckersMatchExhaustive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive differential sweep")
 	}
-	pairs := composedPairs(3)
+	pairs := composedPairs()
 	if err := predicate.ExhaustiveTraces(3, 2, func(tr *core.Trace) error {
 		for _, pair := range pairs {
 			sameVerdict(t, pair, tr)
@@ -157,7 +119,7 @@ func randomTrace(rng *rand.Rand, n, rounds int) *core.Trace {
 // through every pair.
 func TestCompiledCheckersMatchRandom(t *testing.T) {
 	const n, rounds, seeds = 5, 4, 2000
-	pairs := diffPairs(n)
+	pairs := composedPairs()
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		tr := randomTrace(rng, n, rounds)
@@ -177,7 +139,7 @@ func TestCompiledCheckerShortTraceWindows(t *testing.T) {
 		pair := diffPair{
 			name: "eventually-short",
 			expr: Eventually(stab, NeverSuspected()),
-			ref:  predicate.EventuallyNeverSuspected(stab),
+			ref:  predicate.AtomNeverSusp.Checker("eventually-short", stab+1),
 		}
 		sameVerdict(t, pair, tr)
 		if err := pair.expr.Compile().Check(tr); err != nil {
@@ -186,17 +148,16 @@ func TestCompiledCheckerShortTraceWindows(t *testing.T) {
 	}
 }
 
-// TestCompiledCheckerOrSemantics exercises the Or combinator the reference
-// package gained for the compiler: a disjunction passes iff some disjunct
-// does.
+// TestCompiledCheckerOrSemantics exercises the Or combinator: a
+// disjunction passes iff some disjunct does.
 func TestCompiledCheckerOrSemantics(t *testing.T) {
 	expr := Or(KSetEq3(1), PerRound(1))
-	comp := expr.Compile()
+	comp, kset, perround := expr.Compile(), KSetEq3(1).Compile(), PerRound(1).Compile()
 	count := 0
 	if err := predicate.ExhaustiveTraces(3, 1, func(tr *core.Trace) error {
 		got := comp.Check(tr)
-		a := predicate.KSetDetector(1).Check(tr)
-		b := predicate.PerRoundBudget(1).Check(tr)
+		a := kset.Check(tr)
+		b := perround.Check(tr)
 		want := a == nil || b == nil
 		if (got == nil) != want {
 			t.Fatalf("or verdict diverges on\n%s\n  compiled %v, kset %v, perround %v", tr, got, a, b)
@@ -214,10 +175,10 @@ func TestCompiledCheckerOrSemantics(t *testing.T) {
 // TestCompiledCheckerNotSemantics: a negation passes iff the body fails.
 func TestCompiledCheckerNotSemantics(t *testing.T) {
 	expr := Not(PerRound(0))
-	comp := expr.Compile()
+	comp, inner := expr.Compile(), PerRound(0).Compile()
 	if err := predicate.ExhaustiveTraces(3, 1, func(tr *core.Trace) error {
 		got := comp.Check(tr)
-		body := predicate.PerRoundBudget(0).Check(tr)
+		body := inner.Check(tr)
 		if (got == nil) != (body != nil) {
 			t.Fatalf("not verdict diverges on\n%s\n  compiled %v, body %v", tr, got, body)
 		}

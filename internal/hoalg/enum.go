@@ -68,17 +68,17 @@ type Branch struct {
 //   - a conjunction containing propagates (eq. (2)) compiles to the
 //     crash-style generator: previously suspected processes really crash,
 //     their suspicion is carried by every live process, and fresh
-//     suspicions spend the atmost budget — the same family EnumSyncCrash
-//     produced by hand;
+//     suspicions spend the atmost budget — the family the hand-written
+//     sync-crash enumerator produced;
 //   - any other conjunction compiles to a filtered product: per process,
 //     every subset of the other active processes up to the tightest
 //     per-round cap the conjuncts imply, filtered by the per-round
 //     semantics of each conjunct.
 //
-// The compiled enumerators reproduce the four bespoke internal/adversary
-// families byte for byte (plan lists in identical order) on the reachable
-// states the mc explorer visits; the cross-validation tests in
-// internal/adversary hold them to that.
+// The compiled enumerators reproduce the four hand-written families they
+// replaced (per-round budget, send-omission, sync-crash, k-set) byte for
+// byte (plan lists in identical order) on the reachable states the mc
+// explorer visits; planListGolden in internal/adversary holds them to that.
 //
 // A top-level disjunction is rejected: one per-round plan family cannot
 // soundly enumerate an Or (plans could mix branches across rounds and the

@@ -5,11 +5,10 @@
 // suspect sets of an execution; this package makes those predicates
 // first-class expressions with a canonical string form and three compilers:
 //
-//   - Compile() — a runtime trace checker (predicate.P, driven by the same
-//     atom-table entries as the named constructors of internal/predicate);
+//   - Compile() — a runtime trace checker (predicate.P, driven by the
+//     atom-table entries of internal/predicate);
 //   - CompileEnum(n) — an exhaustive round-plan enumerator for the
-//     internal/mc explorer (the four bespoke enumerators that used to live
-//     in internal/adversary are now thin wrappers over this);
+//     internal/mc explorer;
 //   - CompilePlan(n, seed) — a seeded chaos fault plan for
 //     internal/faultnet whose injected executions satisfy the expression
 //     (honest) or violate it (under a top-level negation).

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/mc"
 	"repro/internal/predicate"
 	"repro/internal/swmr"
@@ -153,7 +154,7 @@ func TestRunRoundsSatisfiesImmediatePredicate(t *testing.T) {
 		if out.Trace.Len() != rounds {
 			t.Fatalf("seed %d: %d rounds", seed, out.Trace.Len())
 		}
-		if err := predicate.ImmediateSnapshot(n).Check(out.Trace); err != nil {
+		if err := hoalg.ImmediateSnapshot(n).Compile().Check(out.Trace); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, out.Trace)
 		}
 	}
@@ -168,7 +169,7 @@ func TestOrderedBlocksAdversaryMatchesIIS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := predicate.ImmediateSnapshot(n).Check(tr); err != nil {
+		if err := hoalg.ImmediateSnapshot(n).Compile().Check(tr); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -179,7 +180,7 @@ func TestIISIsStrictSubmodelOfSnapshot(t *testing.T) {
 	// proven exhaustively for n=3; strictness: a snapshot trace violating
 	// immediacy exists.
 	_, satisfying, err := predicate.ExhaustiveImplies(3, 1,
-		predicate.ImmediateSnapshot(3), predicate.AtomicSnapshot(2))
+		hoalg.ImmediateSnapshot(3).Compile(), hoalg.AtomicSnapshot(2).Compile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestIISIsStrictSubmodelOfSnapshot(t *testing.T) {
 		t.Fatal("vacuous")
 	}
 	_, witnesses, err := predicate.ExhaustiveWitnesses(3, 1,
-		predicate.AtomicSnapshot(2), predicate.Immediacy())
+		hoalg.AtomicSnapshot(2).Compile(), hoalg.Immediacy().Compile())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,15 +8,15 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/mc"
-	"repro/internal/predicate"
 )
 
 // kSetSpec binds the quorum-gated k-set algorithm over the eq. (3)
 // per-round-budget adversary for a 3-process, f=1 (k=2) instance.
 func kSetSpec(t *testing.T, factory core.Factory) mc.RunSpec {
 	t.Helper()
-	enum, err := adversary.EnumPerRoundBudget(3, 1)
+	enum, err := hoalg.PerRound(1).CompileEnum(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestShrinkIsMinimal(t *testing.T) {
 // fingerprint-based pruning fires (suspicion patterns converge) without
 // changing the verdict.
 func TestFloodMinUnderSendOmission(t *testing.T) {
-	enum, err := adversary.EnumSendOmission(3, 1)
+	enum, err := hoalg.SendOmission(1).CompileEnum(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestFloodMinUnderSendOmission(t *testing.T) {
 func TestEnumeratedStaysInModel(t *testing.T) {
 	spec := kSetSpec(t, agreement.QuorumKSet(1))
 	spec.Mark = false // trace predicates are path-dependent: no pruning
-	spec.Props = append(spec.Props, mc.TraceSatisfies(predicate.PerRoundBudget(1)))
+	spec.Props = append(spec.Props, mc.TraceSatisfies(hoalg.PerRound(1).Compile()))
 	res, err := mc.Explore(mc.Options{}, mc.CheckRun(spec))
 	if err != nil {
 		t.Fatal(err)

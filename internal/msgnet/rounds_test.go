@@ -83,7 +83,7 @@ func TestRunRoundsPartitionWhen2fGeN(t *testing.T) {
 		}
 		return out.Trace, nil
 	}
-	if _, err := predicate.Separates(gen, predicate.PerRoundBudget(f), predicate.SomeoneSeenByAll(), 100); err != nil {
+	if _, err := predicate.Separates(gen, predicate.PerRoundBudget(f), predicate.AtomSomeoneSeen.Checker("someoneseen", 1), 100); err != nil {
 		t.Fatalf("no partition execution found: %v", err)
 	}
 }

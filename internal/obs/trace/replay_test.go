@@ -8,6 +8,7 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/mc"
 	"repro/internal/obs/trace"
 )
@@ -58,7 +59,7 @@ func TestChaosViolationReplayTrace(t *testing.T) {
 // shrunk counterexample, then replays its choice string under a Tracer
 // twice: valid Perfetto JSON, byte-identical across reruns.
 func TestMCCounterexampleReplayTrace(t *testing.T) {
-	enum, err := adversary.EnumPerRoundBudget(3, 1)
+	enum, err := hoalg.PerRound(1).CompileEnum(3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // AtomKind names one elementary clause over the suspect sets D(i,r). The
-// atom table below is the single place each clause is defined: the named
-// constructors of this package, hoalg's Compile and hoalg's plan enumerator
-// are all drivers over its entries (DESIGN §17).
+// atom table below is the single place each clause is defined: Checker,
+// hoalg's Compile and hoalg's plan enumerator are all drivers over its
+// entries (DESIGN §17).
 type AtomKind int
 
 const (

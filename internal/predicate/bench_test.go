@@ -9,11 +9,11 @@ import (
 var sinkChecked int
 
 // BenchmarkExhaustiveImplies times one exhaustive proof of a lattice edge,
-// SyncCrash(2) ⇒ SendOmission(2) over all 117 649 traces at n=3, r=2: the
+// sync-crash(2) ⇒ send-omission(2) over all 117 649 traces at n=3, r=2: the
 // trace walk, a premise that mostly fails (its violation is discarded) and
 // the consequent on the 2 000-odd traces that pass it — E15's inner loop.
 func BenchmarkExhaustiveImplies(b *testing.B) {
-	premise, consequent := SyncCrash(2), SendOmission(2)
+	premise, consequent := syncCrash(2), sendOmission(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		checked, _, err := ExhaustiveImplies(3, 2, premise, consequent)
@@ -25,10 +25,10 @@ func BenchmarkExhaustiveImplies(b *testing.B) {
 }
 
 // BenchmarkExhaustiveKSetProof times E07's largest proof row's filter: every
-// one of the 15^4 one-round traces at n=4 against KSetDetector(2), which
+// one of the 15^4 one-round traces at n=4 against kset(2), which
 // most of them violate — the failure path, tested only against nil.
 func BenchmarkExhaustiveKSetProof(b *testing.B) {
-	kset := KSetDetector(2)
+	kset := atom(AtomKSet, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		satisfying := 0

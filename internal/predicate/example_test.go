@@ -5,21 +5,23 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/predicate"
 )
 
-// Predicates are first-class: check a recorded execution against a model,
-// or prove implications exhaustively over tiny universes.
+// A model is a hoalg expression compiled to a predicate: check a recorded
+// execution against it, or prove implications exhaustively over tiny
+// universes.
 func ExampleP() {
 	tr, err := core.CollectTrace(6, 8, adversary.SnapshotChain(6, 2, 3))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println("item 5:", predicate.AtomicSnapshot(2).Check(tr))
+	fmt.Println("item 5:", hoalg.AtomicSnapshot(2).Compile().Check(tr))
 
 	checked, satisfying, err := predicate.ExhaustiveImplies(3, 1,
-		predicate.IdenticalSuspects(), predicate.KSetDetector(1))
+		hoalg.Identical().Compile(), hoalg.KSetEq3(1).Compile())
 	fmt.Printf("eq5 ⇒ kset(1): %v over %d traces (%d satisfy eq5)\n", err == nil, checked, satisfying)
 	// Output:
 	// item 5: <nil>

@@ -131,17 +131,21 @@ func ExhaustiveImplies(n, rounds int, a, b P) (checked, satisfying int, err erro
 }
 
 // ExhaustiveWitnesses counts, over the full trace space of the given tiny
-// universe, how many traces satisfy a but violate b — an exact separation
-// census.
-func ExhaustiveWitnesses(n, rounds int, a, b P) (checked, witnesses int, err error) {
+// universe, the traces satisfying a and, among them, the witnesses that
+// violate b — an exact separation census. satisfying == 0 means a is
+// vacuous there; witnesses == 0 < satisfying, that a ⇒ b holds there.
+func ExhaustiveWitnesses(n, rounds int, a, b P) (satisfying, witnesses int, err error) {
 	err = ExhaustiveTraces(n, rounds, func(t *core.Trace) error {
-		checked++
-		if a.Check(t) == nil && b.Check(t) != nil {
+		if a.Check(t) != nil {
+			return nil
+		}
+		satisfying++
+		if b.Check(t) != nil {
 			witnesses++
 		}
 		return nil
 	})
-	return checked, witnesses, err
+	return satisfying, witnesses, err
 }
 
 // Separates empirically checks that A does NOT imply B by finding a witness

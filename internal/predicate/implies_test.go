@@ -51,11 +51,11 @@ func TestExhaustiveImpliesProvesLattice(t *testing.T) {
 		name string
 		a, b P
 	}{
-		{"snapshot(1) ⇒ shared-memory(1)", AtomicSnapshot(1), SharedMemory(1)},
-		{"shared-memory(1) ⇒ async-mp(1)", SharedMemory(1), PerRoundBudget(1)},
-		{"eq5 ⇒ kset(1)", IdenticalSuspects(), KSetDetector(1)},
-		{"snapshot(1) ⇒ kset(2)", AtomicSnapshot(1), KSetDetector(2)},
-		{"kset(1) ⇒ kset(2)", KSetDetector(1), KSetDetector(2)},
+		{"snapshot(1) ⇒ shared-memory(1)", atomicSnapshot(1), sharedMemory(1)},
+		{"shared-memory(1) ⇒ async-mp(1)", sharedMemory(1), PerRoundBudget(1)},
+		{"eq5 ⇒ kset(1)", atom(AtomIdentical), atom(AtomKSet, 1)},
+		{"snapshot(1) ⇒ kset(2)", atomicSnapshot(1), atom(AtomKSet, 2)},
+		{"kset(1) ⇒ kset(2)", atom(AtomKSet, 1), atom(AtomKSet, 2)},
 	}
 	for _, tc := range cases {
 		checked, satisfying, err := ExhaustiveImplies(3, 1, tc.a, tc.b)
@@ -74,7 +74,7 @@ func TestExhaustiveImpliesProvesLattice(t *testing.T) {
 func TestExhaustiveImpliesTwoRounds(t *testing.T) {
 	// Two-round proof: the crash predicate implies the omission predicate
 	// over the full n=3, 2-round space (117649 traces).
-	checked, satisfying, err := ExhaustiveImplies(3, 2, SyncCrash(2), SendOmission(2))
+	checked, satisfying, err := ExhaustiveImplies(3, 2, syncCrash(2), sendOmission(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestExhaustiveImpliesTwoRounds(t *testing.T) {
 func TestExhaustiveImpliesFindsCounterexample(t *testing.T) {
 	// async-mp(1) does NOT imply shared-memory: the cycle traces violate
 	// eq. (4).
-	_, _, err := ExhaustiveImplies(3, 1, PerRoundBudget(1), SomeoneSeenByAll())
+	_, _, err := ExhaustiveImplies(3, 1, PerRoundBudget(1), atom(AtomSomeoneSeen))
 	if err == nil {
 		t.Fatal("expected a counterexample")
 	}
-	if !strings.Contains(err.Error(), "someone-seen-by-all") {
+	if !strings.Contains(err.Error(), "someoneseen") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
@@ -103,13 +103,14 @@ func TestExhaustiveWitnessCensus(t *testing.T) {
 	// no-mutual-miss + eq3(1) but violating eq. (4) over n=3, 1 round.
 	// The 3-cycles are the only shape: D(0)={1},D(1)={2},D(2)={0} and the
 	// reverse orientation — exactly 2 witnesses.
-	checked, witnesses, err := ExhaustiveWitnesses(3, 1,
-		And("nmm+eq3", PerRoundBudget(1), NoMutualMiss()), SomeoneSeenByAll())
+	satisfying, witnesses, err := ExhaustiveWitnesses(3, 1,
+		and(atom(AtomPerRound, 1), atom(AtomNoMutualMiss)), atom(AtomSomeoneSeen))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if checked != 343 {
-		t.Fatalf("checked %d", checked)
+	// Of the 4^3 traces with |D(i)| ≤ 1, the 18 with no mutual miss.
+	if satisfying != 18 {
+		t.Fatalf("%d traces satisfy the premise, want 18", satisfying)
 	}
 	if witnesses != 2 {
 		t.Fatalf("witness census = %d, want exactly the 2 orientations of the 3-cycle", witnesses)
@@ -119,7 +120,7 @@ func TestExhaustiveWitnessCensus(t *testing.T) {
 func TestExhaustiveImpliesSendOmissionNotCrash(t *testing.T) {
 	// Strictness of the §2 item 2 submodel relation, proven by census:
 	// there exist 2-round omission traces that are not crash traces.
-	_, witnesses, err := ExhaustiveWitnesses(3, 2, SendOmission(2), SuspicionPropagates())
+	_, witnesses, err := ExhaustiveWitnesses(3, 2, sendOmission(2), atom(AtomPropagates))
 	if err != nil {
 		t.Fatal(err)
 	}

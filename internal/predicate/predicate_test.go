@@ -2,6 +2,8 @@ package predicate
 
 import (
 	"errors"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -32,13 +34,59 @@ func mkTrace(n int, rounds ...[][]core.PID) *core.Trace {
 
 func pids(ps ...core.PID) []core.PID { return ps }
 
+// atom is k's checker under the name hoalg gives the atom, "atmost(2)" say.
+// The models below are spelled the way hoalg compiles them: this package's
+// tests cannot import hoalg, which imports it.
+func atom(k AtomKind, args ...int) P {
+	name := k.Name()
+	if len(args) > 0 {
+		strs := make([]string, len(args))
+		for i, a := range args {
+			strs[i] = strconv.Itoa(a)
+		}
+		name += "(" + strings.Join(strs, ", ") + ")"
+	}
+	return k.Checker(name, 1, args...)
+}
+
+// and conjoins ps under the name hoalg gives the conjunction, "a & b".
+func and(ps ...P) P {
+	names := make([]string, len(ps))
+	for i, p := range ps {
+		names[i] = p.Name
+	}
+	return And(strings.Join(names, " & "), ps...)
+}
+
+func sendOmission(f int) P { return and(atom(AtomSelfTrust), atom(AtomAtMost, f)) }
+
+func syncCrash(f int) P {
+	return and(atom(AtomSelfTrust), atom(AtomAtMost, f), atom(AtomPropagates))
+}
+
+func sharedMemory(f int) P { return and(atom(AtomPerRound, f), atom(AtomSomeoneSeen)) }
+
+func atomicSnapshot(f int) P {
+	return and(atom(AtomPerRound, f), atom(AtomSelfTrust), atom(AtomChain))
+}
+
+func immediateSnapshot(n int) P {
+	return and(atom(AtomSelfTrust), atom(AtomChain), atom(AtomImmediacy), atom(AtomPerRound, n-1))
+}
+
+// eventually is eventually(stab, neversusp): the atom judged from round
+// stab+1 on.
+func eventually(stab int) P {
+	return AtomNeverSusp.Checker(fmt.Sprintf("eventually(%d, neversusp)", stab), stab+1)
+}
+
 func TestSelfTrusting(t *testing.T) {
 	good := mkTrace(3, [][]core.PID{pids(1), pids(), pids(0)})
-	if err := SelfTrusting().Check(good); err != nil {
+	if err := atom(AtomSelfTrust).Check(good); err != nil {
 		t.Fatal(err)
 	}
 	bad := mkTrace(3, [][]core.PID{pids(0), pids(), pids()})
-	err := SelfTrusting().Check(bad)
+	err := atom(AtomSelfTrust).Check(bad)
 	if err == nil {
 		t.Fatal("expected self-suspicion violation")
 	}
@@ -52,10 +100,10 @@ func TestTotalSuspectBudget(t *testing.T) {
 		[][]core.PID{pids(1), pids(), pids(1), pids()},
 		[][]core.PID{pids(2), pids(2), pids(), pids()},
 	)
-	if err := TotalSuspectBudget(2).Check(tr); err != nil {
+	if err := atom(AtomAtMost, 2).Check(tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := TotalSuspectBudget(1).Check(tr); err == nil {
+	if err := atom(AtomAtMost, 1).Check(tr); err == nil {
 		t.Fatal("budget 1 should fail: two distinct processes suspected")
 	}
 }
@@ -65,14 +113,14 @@ func TestSuspicionPropagates(t *testing.T) {
 		[][]core.PID{pids(2), pids(), pids()},
 		[][]core.PID{pids(2), pids(2), pids(2)},
 	)
-	if err := SuspicionPropagates().Check(good); err != nil {
+	if err := atom(AtomPropagates).Check(good); err != nil {
 		t.Fatal(err)
 	}
 	bad := mkTrace(3,
 		[][]core.PID{pids(2), pids(), pids()},
 		[][]core.PID{pids(2), pids(), pids(2)}, // p1 forgot the suspicion
 	)
-	if err := SuspicionPropagates().Check(bad); err == nil {
+	if err := atom(AtomPropagates).Check(bad); err == nil {
 		t.Fatal("expected propagation violation")
 	}
 }
@@ -89,12 +137,12 @@ func TestPerRoundBudget(t *testing.T) {
 
 func TestSomeoneSeenByAll(t *testing.T) {
 	good := mkTrace(3, [][]core.PID{pids(1), pids(2), pids(1)})
-	if err := SomeoneSeenByAll().Check(good); err != nil {
+	if err := atom(AtomSomeoneSeen).Check(good); err != nil {
 		t.Fatal(err)
 	}
 	// 0 suspects 1, 1 suspects 2, 2 suspects 0: everyone suspected.
 	bad := mkTrace(3, [][]core.PID{pids(1), pids(2), pids(0)})
-	if err := SomeoneSeenByAll().Check(bad); err == nil {
+	if err := atom(AtomSomeoneSeen).Check(bad); err == nil {
 		t.Fatal("cycle should violate eq4")
 	}
 }
@@ -103,25 +151,25 @@ func TestNoMutualMissAndCycleSeparation(t *testing.T) {
 	// The paper's point: a miss-cycle satisfies no-mutual-miss but
 	// violates eq. (4).
 	cycle := mkTrace(3, [][]core.PID{pids(1), pids(2), pids(0)})
-	if err := NoMutualMiss().Check(cycle); err != nil {
+	if err := atom(AtomNoMutualMiss).Check(cycle); err != nil {
 		t.Fatalf("cycle should satisfy no-mutual-miss: %v", err)
 	}
-	if err := SomeoneSeenByAll().Check(cycle); err == nil {
+	if err := atom(AtomSomeoneSeen).Check(cycle); err == nil {
 		t.Fatal("cycle must violate eq4 — this is the paper's separation example")
 	}
 	mutual := mkTrace(3, [][]core.PID{pids(1), pids(0), pids()})
-	if err := NoMutualMiss().Check(mutual); err == nil {
+	if err := atom(AtomNoMutualMiss).Check(mutual); err == nil {
 		t.Fatal("mutual miss should violate the predicate")
 	}
 }
 
 func TestContainmentChain(t *testing.T) {
 	good := mkTrace(4, [][]core.PID{pids(3), pids(2, 3), pids(3), pids()})
-	if err := ContainmentChain().Check(good); err != nil {
+	if err := atom(AtomChain).Check(good); err != nil {
 		t.Fatal(err)
 	}
 	bad := mkTrace(4, [][]core.PID{pids(1), pids(2), pids(), pids()})
-	if err := ContainmentChain().Check(bad); err == nil {
+	if err := atom(AtomChain).Check(bad); err == nil {
 		t.Fatal("incomparable suspect sets should fail the chain predicate")
 	}
 }
@@ -131,14 +179,14 @@ func TestNeverSuspectedExists(t *testing.T) {
 		[][]core.PID{pids(1), pids(1), pids(1)},
 		[][]core.PID{pids(2), pids(2), pids()},
 	)
-	if err := NeverSuspectedExists().Check(good); err != nil {
+	if err := atom(AtomNeverSusp).Check(good); err != nil {
 		t.Fatal(err)
 	}
 	bad := mkTrace(3,
 		[][]core.PID{pids(1), pids(0), pids()},
 		[][]core.PID{pids(2), pids(), pids()},
 	)
-	if err := NeverSuspectedExists().Check(bad); err == nil {
+	if err := atom(AtomNeverSusp).Check(bad); err == nil {
 		t.Fatal("all processes suspected at some point — predicate must fail")
 	}
 }
@@ -146,26 +194,26 @@ func TestNeverSuspectedExists(t *testing.T) {
 func TestKSetDetector(t *testing.T) {
 	// Everyone agrees on {2}, disagreement only on {1}: uncertainty 1.
 	tr := mkTrace(4, [][]core.PID{pids(2), pids(1, 2), pids(2), pids(1, 2)})
-	if err := KSetDetector(2).Check(tr); err != nil {
+	if err := atom(AtomKSet, 2).Check(tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := KSetDetector(1).Check(tr); err == nil {
+	if err := atom(AtomKSet, 1).Check(tr); err == nil {
 		t.Fatal("uncertainty 1 must violate k=1 detector")
 	}
 	// Perfect agreement: k=1 holds.
 	agree := mkTrace(4, [][]core.PID{pids(3), pids(3), pids(3), pids(3)})
-	if err := KSetDetector(1).Check(agree); err != nil {
+	if err := atom(AtomKSet, 1).Check(agree); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestIdenticalSuspects(t *testing.T) {
 	good := mkTrace(3, [][]core.PID{pids(2), pids(2), pids(2)})
-	if err := IdenticalSuspects().Check(good); err != nil {
+	if err := atom(AtomIdentical).Check(good); err != nil {
 		t.Fatal(err)
 	}
 	bad := mkTrace(3, [][]core.PID{pids(2), pids(1), pids(2)})
-	if err := IdenticalSuspects().Check(bad); err == nil {
+	if err := atom(AtomIdentical).Check(bad); err == nil {
 		t.Fatal("differing suspect sets must violate eq5")
 	}
 }
@@ -173,17 +221,17 @@ func TestIdenticalSuspects(t *testing.T) {
 func TestBSystemPredicate(t *testing.T) {
 	// n=5, f=1, t=2: two processes (0,1) may miss up to 2; rest ≤ 1.
 	good := mkTrace(5, [][]core.PID{pids(2, 3), pids(3, 4), pids(0), pids(), pids(1)})
-	if err := BSystem(1, 2).Check(good); err != nil {
+	if err := atom(AtomBSys, 1, 2).Check(good); err != nil {
 		t.Fatal(err)
 	}
 	// Three processes exceed the f budget: |Q| > t.
 	bad := mkTrace(5, [][]core.PID{pids(2, 3), pids(3, 4), pids(0, 1), pids(), pids()})
-	if err := BSystem(1, 2).Check(bad); err == nil {
+	if err := atom(AtomBSys, 1, 2).Check(bad); err == nil {
 		t.Fatal("three over-budget processes must violate B with t=2")
 	}
 	// One process exceeds even the t budget.
 	bad2 := mkTrace(5, [][]core.PID{pids(1, 2, 3), pids(), pids(), pids(), pids()})
-	if err := BSystem(1, 2).Check(bad2); err == nil {
+	if err := atom(AtomBSys, 1, 2).Check(bad2); err == nil {
 		t.Fatal("exceeding the t budget must violate B")
 	}
 }
@@ -191,15 +239,15 @@ func TestBSystemPredicate(t *testing.T) {
 func TestImmediacyPredicate(t *testing.T) {
 	// Ordered-block views: V0 = {0}, V1 = V2 = {0,1,2} — immediacy holds.
 	good := mkTrace(3, [][]core.PID{pids(1, 2), pids(), pids()})
-	if err := Immediacy().Check(good); err != nil {
+	if err := atom(AtomImmediacy).Check(good); err != nil {
 		t.Fatal(err)
 	}
 	// p1 hears p0 but p0's suspect set is not contained in p1's.
 	bad := mkTrace(3, [][]core.PID{pids(2), pids(), pids()})
-	if err := Immediacy().Check(bad); err == nil {
+	if err := atom(AtomImmediacy).Check(bad); err == nil {
 		t.Fatal("expected immediacy violation: p1 hears p0 but D(0)⊄D(1)")
 	}
-	if err := ImmediateSnapshot(3).Check(good); err != nil {
+	if err := immediateSnapshot(3).Check(good); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -209,14 +257,14 @@ func TestEventuallyNeverSuspectedDirect(t *testing.T) {
 		[][]core.PID{pids(1, 2), pids(0), pids(0)}, // everyone dirty early
 		[][]core.PID{pids(1), pids(), pids(1)},     // p0 and p2 clean late
 	)
-	if err := EventuallyNeverSuspected(1).Check(tr); err != nil {
+	if err := eventually(1).Check(tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := EventuallyNeverSuspected(0).Check(tr); err == nil {
+	if err := eventually(0).Check(tr); err == nil {
 		t.Fatal("stab=0 must fail: everyone suspected somewhere")
 	}
 	// Vacuous beyond the horizon.
-	if err := EventuallyNeverSuspected(5).Check(tr); err != nil {
+	if err := eventually(5).Check(tr); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -226,20 +274,20 @@ func TestImpliesAndSeparatesLocal(t *testing.T) {
 		// All traces: D(i) = {2} for i in {0,1}, empty for p2.
 		return mkTrace(3, [][]core.PID{pids(2), pids(2), pids()}), nil
 	}
-	if err := Implies(gen, PerRoundBudget(1), SomeoneSeenByAll(), 5); err != nil {
+	if err := Implies(gen, PerRoundBudget(1), atom(AtomSomeoneSeen), 5); err != nil {
 		t.Fatal(err)
 	}
 	// Broken generator reported as such.
-	if err := Implies(gen, IdenticalSuspects(), SomeoneSeenByAll(), 5); err == nil {
+	if err := Implies(gen, atom(AtomIdentical), atom(AtomSomeoneSeen), 5); err == nil {
 		t.Fatal("generator violating the source predicate must be reported")
 	}
-	if _, err := Separates(gen, PerRoundBudget(1), SomeoneSeenByAll(), 5); err == nil {
+	if _, err := Separates(gen, PerRoundBudget(1), atom(AtomSomeoneSeen), 5); err == nil {
 		t.Fatal("no witness exists; Separates must say so")
 	}
 	cycleGen := func(seed int64) (*core.Trace, error) {
 		return mkTrace(3, [][]core.PID{pids(1), pids(2), pids(0)}), nil
 	}
-	seed, err := Separates(cycleGen, PerRoundBudget(1), SomeoneSeenByAll(), 5)
+	seed, err := Separates(cycleGen, PerRoundBudget(1), atom(AtomSomeoneSeen), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,21 +302,21 @@ func TestImpliesAndSeparatesLocal(t *testing.T) {
 		}
 		return gen(seed)
 	}
-	if err := Implies(failing, PerRoundBudget(1), SomeoneSeenByAll(), 5); !errors.Is(err, boom) || !strings.Contains(err.Error(), "seed 2") {
+	if err := Implies(failing, PerRoundBudget(1), atom(AtomSomeoneSeen), 5); !errors.Is(err, boom) || !strings.Contains(err.Error(), "seed 2") {
 		t.Fatalf("Implies over a failing generator: %v", err)
 	}
-	if _, err := Separates(failing, PerRoundBudget(1), SomeoneSeenByAll(), 5); !errors.Is(err, boom) {
+	if _, err := Separates(failing, PerRoundBudget(1), atom(AtomSomeoneSeen), 5); !errors.Is(err, boom) {
 		t.Fatalf("Separates over a failing generator: %v", err)
 	}
 }
 
 func TestAndShortCircuitsWithContext(t *testing.T) {
 	tr := mkTrace(3, [][]core.PID{pids(0), pids(), pids()}) // self-suspicion
-	err := SendOmission(2).Check(tr)
+	err := sendOmission(2).Check(tr)
 	if err == nil {
 		t.Fatal("expected failure")
 	}
-	if !strings.Contains(err.Error(), "sync-send-omission") {
+	if !strings.Contains(err.Error(), "selftrust & atmost(2): ") {
 		t.Fatalf("conjunction name missing from error: %v", err)
 	}
 }
@@ -280,10 +328,10 @@ func TestCompoundErrorsWrapTheViolation(t *testing.T) {
 	tr := mkTrace(3, [][]core.PID{pids(0), pids(), pids()}) // p0 suspects itself
 	p := And("outer",
 		PerRoundBudget(2),
-		Or("either", SyncCrash(2), IdenticalSuspects()))
+		Or("either", syncCrash(2), atom(AtomIdentical)))
 	err := p.Check(tr)
-	const want = `outer: either: every disjunct fails, first: sync-crash(f=2): sync-send-omission(f=2): ` +
-		`predicate "self-trusting" violated (round 1, process 0): process suspects itself`
+	const want = `outer: either: every disjunct fails, first: selftrust & atmost(2) & propagates: ` +
+		`predicate "selftrust" violated (round 1, process 0): process suspects itself`
 	if err == nil || err.Error() != want {
 		t.Fatalf("error text\n got %v\nwant %s", err, want)
 	}
@@ -291,8 +339,8 @@ func TestCompoundErrorsWrapTheViolation(t *testing.T) {
 	if !errors.As(err, &v) {
 		t.Fatalf("errors.As found no *Violation in %#v", err)
 	}
-	if v.Predicate != "self-trusting" || v.Round != 1 || v.Proc != 0 {
-		t.Fatalf("unwrapped to %+v, want the self-trusting violation at round 1, process 0", v)
+	if v.Predicate != "selftrust" || v.Round != 1 || v.Proc != 0 {
+		t.Fatalf("unwrapped to %+v, want the selftrust violation at round 1, process 0", v)
 	}
 	if inner := errors.Unwrap(err); inner == nil || "outer: "+inner.Error() != want {
 		t.Fatalf("Unwrap gives %v, want the disjunction's failure", inner)
@@ -316,7 +364,7 @@ func TestExhaustiveWalkAllocations(t *testing.T) {
 		t.Fatalf("ExhaustiveTraces(3, 1) allocated %.0f times over 343 traces, want <= 45 (set-up only)", walk)
 	}
 
-	premise, consequent := SyncCrash(2), SendOmission(2)
+	premise, consequent := syncCrash(2), sendOmission(2)
 	const traces = 117649
 	implies := testing.AllocsPerRun(1, func() {
 		if checked, _, err := ExhaustiveImplies(3, 2, premise, consequent); err != nil || checked != traces {
@@ -330,7 +378,7 @@ func TestExhaustiveWalkAllocations(t *testing.T) {
 
 	// E07's proof rows: most of the 15^4 one-round traces violate the
 	// k-set detector, and the sweep only compares the failure with nil.
-	kset := KSetDetector(2)
+	kset := atom(AtomKSet, 2)
 	const ksetTraces = 50625
 	proof := testing.AllocsPerRun(1, func() {
 		if err := ExhaustiveTraces(4, 1, func(tr *core.Trace) error {
@@ -353,11 +401,11 @@ func TestViolationErrorFormat(t *testing.T) {
 		[][]core.PID{pids(), pids(), pids()},
 		[][]core.PID{pids(), pids(1), pids()},
 	)
-	err := SelfTrusting().Check(tr)
+	err := atom(AtomSelfTrust).Check(tr)
 	if err == nil || !strings.Contains(err.Error(), "round 3") || !strings.Contains(err.Error(), "process 1") {
 		t.Fatalf("Error() = %v", err)
 	}
-	whole := TotalSuspectBudget(0).Check(tr)
+	whole := atom(AtomAtMost, 0).Check(tr)
 	if whole == nil || !strings.Contains(whole.Error(), "whole trace") {
 		t.Fatalf("Error() = %v", whole)
 	}
@@ -373,12 +421,12 @@ func TestViolationErrorFormat(t *testing.T) {
 // the trace. Every atom, a negation and the compounds are sampled.
 func TestViolationOutlivesTheWalk(t *testing.T) {
 	preds := []P{
-		SelfTrusting(), TotalSuspectBudget(1), PerRoundBudget(1), KSetDetector(2),
-		NoMutualMiss(), SomeoneSeenByAll(), IdenticalSuspects(), ContainmentChain(),
-		Immediacy(), SuspicionPropagates(), NeverSuspectedExists(),
-		EventuallyNeverSuspected(1), BSystem(0, 1), BSystem(1, 2),
-		Not("not-budget", PerRoundBudget(2)), SyncCrash(1),
-		Or("either", SharedMemory(1), AtomicSnapshot(1)),
+		atom(AtomSelfTrust), atom(AtomAtMost, 1), PerRoundBudget(1), atom(AtomKSet, 2),
+		atom(AtomNoMutualMiss), atom(AtomSomeoneSeen), atom(AtomIdentical), atom(AtomChain),
+		atom(AtomImmediacy), atom(AtomPropagates), atom(AtomNeverSusp),
+		eventually(1), atom(AtomBSys, 0, 1), atom(AtomBSys, 1, 2),
+		Not("not-budget", PerRoundBudget(2)), syncCrash(1),
+		Or("either", sharedMemory(1), atomicSnapshot(1)),
 	}
 	type kept struct {
 		err  error
@@ -418,10 +466,10 @@ func TestPrefixForTheorem41(t *testing.T) {
 		[][]core.PID{pids(2), pids(), pids(), pids()},
 		[][]core.PID{pids(3), pids(), pids(), pids()},
 	)
-	if err := TotalSuspectBudget(2).Check(tr.Prefix(2)); err != nil {
+	if err := atom(AtomAtMost, 2).Check(tr.Prefix(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := TotalSuspectBudget(2).Check(tr); err == nil {
+	if err := atom(AtomAtMost, 2).Check(tr); err == nil {
 		t.Fatal("full trace must exceed the budget")
 	}
 }

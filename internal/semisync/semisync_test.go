@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/mc"
-	"repro/internal/predicate"
 )
 
 func identityInputs(n int) []core.Value {
@@ -32,10 +32,10 @@ func TestTwoStepSatisfiesEq5(t *testing.T) {
 		if out.Trace.Len() != rounds {
 			t.Fatalf("seed %d: trace has %d rounds", seed, out.Trace.Len())
 		}
-		if err := predicate.IdenticalSuspects().Check(out.Trace); err != nil {
+		if err := hoalg.Identical().Compile().Check(out.Trace); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, out.Trace)
 		}
-		if err := predicate.KSetDetector(1).Check(out.Trace); err != nil {
+		if err := hoalg.KSetEq3(1).Compile().Check(out.Trace); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -83,7 +83,7 @@ func TestTwoStepWithCrashes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := predicate.IdenticalSuspects().Check(out.Trace); err != nil {
+		if err := hoalg.Identical().Compile().Check(out.Trace); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, out.Trace)
 		}
 		distinct := make(map[core.Value]bool)
@@ -183,7 +183,7 @@ func TestTwoStepExhaustiveProof(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := predicate.IdenticalSuspects().Check(out.Trace); err != nil {
+			if err := hoalg.Identical().Compile().Check(out.Trace); err != nil {
 				return err
 			}
 			distinct := make(map[core.Value]bool)
@@ -220,7 +220,7 @@ func TestQuickTwoStepProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if predicate.IdenticalSuspects().Check(out.Trace) != nil {
+		if hoalg.Identical().Compile().Check(out.Trace) != nil {
 			return false
 		}
 		distinct := make(map[core.Value]bool)

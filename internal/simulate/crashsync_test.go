@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/core"
-	"repro/internal/predicate"
+	"repro/internal/hoalg"
 	"repro/internal/swmr"
 )
 
@@ -28,7 +28,7 @@ func TestCrashSyncTraceSatisfiesSyncCrash(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := predicate.SyncCrash(f).Check(res.Result.Trace); err != nil {
+		if err := hoalg.SyncCrash(f).Compile().Check(res.Result.Trace); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, res.Result.Trace)
 		}
 	}
@@ -45,7 +45,7 @@ func TestCrashSyncWithRealCrashes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := predicate.SyncCrash(f).Check(res.Result.Trace); err != nil {
+		if err := hoalg.SyncCrash(f).Compile().Check(res.Result.Trace); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, res.Result.Trace)
 		}
 		if !res.RealCrashes.Equal(core.SetOf(n, 4, 5)) {
@@ -105,7 +105,7 @@ func TestCrashSyncLowerBoundWitness(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The simulation itself must still be sound...
-	if err := predicate.SyncCrash(f).Check(res.Result.Trace); err != nil {
+	if err := hoalg.SyncCrash(f).Compile().Check(res.Result.Trace); err != nil {
 		t.Fatalf("witness trace is not a legal sync-crash execution: %v\n%s", err, res.Result.Trace)
 	}
 	if !res.RealCrashes.Empty() {

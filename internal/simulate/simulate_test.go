@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/hoalg"
 	"repro/internal/msgnet"
-	"repro/internal/predicate"
 )
 
 func TestTwoRoundsToSharedMemory(t *testing.T) {
@@ -18,7 +18,7 @@ func TestTwoRoundsToSharedMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := predicate.PerRoundBudget(f).Check(base); err != nil {
+		if err := hoalg.PerRound(f).Compile().Check(base); err != nil {
 			t.Fatalf("base trace broken: %v", err)
 		}
 		sim, err := TwoRoundsToSharedMemory(base)
@@ -28,7 +28,7 @@ func TestTwoRoundsToSharedMemory(t *testing.T) {
 		if sim.Len() != 4 {
 			t.Fatalf("simulated %d rounds, want 4", sim.Len())
 		}
-		if err := predicate.SharedMemory(f).Check(sim); err != nil {
+		if err := hoalg.SharedMemory(f).Compile().Check(sim); err != nil {
 			t.Fatalf("seed %d: %v\nbase:\n%s\nsim:\n%s", seed, err, base, sim)
 		}
 	}
@@ -47,7 +47,7 @@ func TestTwoRoundsToSharedMemoryOnRealNetwork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := predicate.SharedMemory(f).Check(sim); err != nil {
+		if err := hoalg.SharedMemory(f).Compile().Check(sim); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestBToA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := predicate.PerRoundBudget(f).Check(sim); err != nil {
+		if err := hoalg.PerRound(f).Compile().Check(sim); err != nil {
 			t.Fatalf("seed %d: simulated trace breaks eq3: %v", seed, err)
 		}
 	}
@@ -92,7 +92,7 @@ func TestBToAIsStrict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if predicate.PerRoundBudget(f).Check(base) != nil {
+		if hoalg.PerRound(f).Compile().Check(base) != nil {
 			broken++
 		}
 	}
@@ -125,7 +125,7 @@ func TestOmissionPrefixTheorem41(t *testing.T) {
 			if sim.Len() != tc.f/tc.k {
 				t.Fatalf("prefix has %d rounds, want %d", sim.Len(), tc.f/tc.k)
 			}
-			if err := predicate.SendOmission(tc.f).Check(sim); err != nil {
+			if err := hoalg.SendOmission(tc.f).Compile().Check(sim); err != nil {
 				t.Fatalf("%+v seed %d: %v", tc, seed, err)
 			}
 		}

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
-	"repro/internal/predicate"
+	"repro/internal/hoalg"
 )
 
 // probe is a target-system algorithm that checks every delivered message is
@@ -57,7 +57,7 @@ func TestRunTwoForOneUnionImplementsSharedMemory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := predicate.SharedMemory(f).Check(res.Result.Trace); err != nil {
+		if err := hoalg.SharedMemory(f).Compile().Check(res.Result.Trace); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if res.BaseRounds != 6 {
@@ -90,7 +90,7 @@ func TestRunTwoForOneAdoptImplementsA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := predicate.PerRoundBudget(f).Check(res.Result.Trace); err != nil {
+		if err := hoalg.PerRound(f).Compile().Check(res.Result.Trace); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, p := range probes {

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/predicate"
+	"repro/internal/hoalg"
 	"repro/internal/swmr"
 )
 
@@ -20,7 +20,7 @@ func TestRunRoundsSatisfiesItem5Predicate(t *testing.T) {
 		if out.Trace.Len() != rounds {
 			t.Fatalf("seed %d: trace has %d rounds", seed, out.Trace.Len())
 		}
-		if err := predicate.AtomicSnapshot(f).Check(out.Trace); err != nil {
+		if err := hoalg.AtomicSnapshot(f).Compile().Check(out.Trace); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, out.Trace)
 		}
 	}
@@ -62,7 +62,7 @@ func TestRunRoundsWithCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.AtomicSnapshot(f).Check(out.Trace); err != nil {
+	if err := hoalg.AtomicSnapshot(f).Compile().Check(out.Trace); err != nil {
 		t.Fatalf("%v\n%s", err, out.Trace)
 	}
 	last := out.Trace.Round(rounds)

@@ -7,7 +7,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/agreement"
 	"repro/internal/core"
-	"repro/internal/predicate"
+	"repro/internal/hoalg"
 	. "repro/internal/task"
 )
 
@@ -104,7 +104,7 @@ func TestSolvesTheoremThreeOne(t *testing.T) {
 	// solvability statement, machine-checked end to end.
 	n, k := 9, 3
 	rep, err := Solves(KSetAgreement(k), n, identityInputs(n), agreement.OneRoundKSet(),
-		predicate.KSetDetector(k),
+		hoalg.KSetEq3(k).Compile(),
 		func(seed int64) core.Oracle { return adversary.KSetUncertainty(n, k, seed) },
 		40)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestSolvesTheoremThreeOne(t *testing.T) {
 func TestSolvesConsensusUnderS(t *testing.T) {
 	n := 6
 	rep, err := Solves(Consensus(), n, identityInputs(n), agreement.RotatingCoordinator(),
-		predicate.NeverSuspectedExists(),
+		hoalg.NeverSuspected().Compile(),
 		func(seed int64) core.Oracle {
 			return adversary.SpareNeverSuspected(n, core.PID(seed%int64(n)), seed)
 		},
@@ -136,7 +136,7 @@ func TestSolvesRejectsWrongAlgorithm(t *testing.T) {
 	// in the crash system — Solves must say so.
 	n, f, k := 10, 4, 2
 	_, err := Solves(KSetAgreement(k), n, identityInputs(n), agreement.FloodMin(f/k),
-		predicate.SyncCrash(f),
+		hoalg.SyncCrash(f).Compile(),
 		func(seed int64) core.Oracle { return adversary.ChainCrash(n, f, k) },
 		1)
 	if err == nil {
@@ -151,7 +151,7 @@ func TestSolvesRejectsBrokenGenerator(t *testing.T) {
 	// A generator outside the declared system must be reported as such.
 	n := 5
 	_, err := Solves(Consensus(), n, identityInputs(n), agreement.RotatingCoordinator(),
-		predicate.IdenticalSuspects(), // the adversary below violates eq5
+		hoalg.Identical().Compile(), // the adversary below violates eq5
 		func(seed int64) core.Oracle {
 			return adversary.SpareNeverSuspected(n, 0, seed)
 		},

@@ -352,6 +352,81 @@ func TestOneSchedulingAdversary(t *testing.T) {
 	}
 }
 
+// TestOneModelVocabulary keeps hoalg expressions the one way to name a
+// model: outside internal/hoalg, no non-test file declares an exported
+// function that returns a predicate.P — write hoalg.SyncCrash(f).Compile(),
+// not a second constructor for the same clauses. predicate's combinators
+// and its atom driver build checkers rather than name models.
+func TestOneModelVocabulary(t *testing.T) {
+	kept := map[string]string{
+		"internal/predicate.And":              "combinator",
+		"internal/predicate.Or":               "combinator",
+		"internal/predicate.Not":              "combinator",
+		"internal/predicate.AtomKind.Checker": "the atom table's trace driver",
+		"internal/predicate.PerRoundBudget":   "bench/ pins its name async-mp(f=…) in the chaos goldens (ROADMAP item 1)",
+	}
+	// returnsP reports whether a result type is predicate.P (P inside
+	// internal/predicate).
+	returnsP := func(pkg string, e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return pkg == "internal/predicate" && e.Name == "P"
+		case *ast.SelectorExpr:
+			x, ok := e.X.(*ast.Ident)
+			return ok && x.Name == "predicate" && e.Sel.Name == "P"
+		}
+		return false
+	}
+	fset := token.NewFileSet()
+	var bad []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() {
+			if path == "internal/hoalg" || path == ".git" || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.ToSlash(filepath.Dir(path))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() || fn.Type.Results == nil {
+				continue
+			}
+			name := pkg + "." + fn.Name.Name
+			if fn.Recv != nil && len(fn.Recv.List) == 1 {
+				if recv, ok := fn.Recv.List[0].Type.(*ast.Ident); ok {
+					name = pkg + "." + recv.Name + "." + fn.Name.Name
+				}
+			}
+			for _, res := range fn.Type.Results.List {
+				if returnsP(pkg, res.Type) && kept[name] == "" {
+					bad = append(bad, fmt.Sprintf("%s: %s", fset.Position(fn.Pos()), name))
+					break
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) > 0 {
+		t.Errorf("a model is named outside internal/hoalg (write it as a hoalg expression and Compile it):\n  %s",
+			strings.Join(bad, "\n  "))
+	}
+}
+
 // TestChangesEntriesArePointers keeps CHANGES.md an index: an entry
 // ("- PR n: …", up to the next entry or blank line) is one paragraph of at
 // most 1 000 bytes pointing at its commit, which holds the full account.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/exp"
+	"repro/internal/hoalg"
 	"repro/internal/mc"
 	"repro/internal/msgnet"
 	"repro/internal/predicate"
@@ -34,7 +35,7 @@ func TestPublicAPIConsensusUnderS(t *testing.T) {
 	if err := agreement.Validate(res, inputs, 1, n); err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.NeverSuspectedExists().Check(res.Trace); err != nil {
+	if err := hoalg.NeverSuspected().Compile().Check(res.Trace); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -179,7 +180,7 @@ func TestPublicAPINetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.PerRoundBudget(1).Check(out.Trace); err != nil {
+	if err := hoalg.PerRound(1).Compile().Check(out.Trace); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -193,7 +194,7 @@ func TestPublicAPISemiSync(t *testing.T) {
 	if got := out.Outcome.MaxDecisionSteps(); got != 2 {
 		t.Fatalf("decision after %d steps, want 2", got)
 	}
-	if err := predicate.IdenticalSuspects().Check(out.Trace); err != nil {
+	if err := hoalg.Identical().Compile().Check(out.Trace); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -207,7 +208,7 @@ func TestPublicAPISimulations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.SharedMemory(3).Check(sim); err != nil {
+	if err := hoalg.SharedMemory(3).Compile().Check(sim); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := core.CollectTrace(8, 4, adversary.SnapshotChain(8, 2, 9))
@@ -218,7 +219,7 @@ func TestPublicAPISimulations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := predicate.SendOmission(4).Check(pre); err != nil {
+	if err := hoalg.SendOmission(4).Compile().Check(pre); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -259,7 +260,7 @@ func TestPublicAPIImplication(t *testing.T) {
 	gen := func(seed int64) (*core.Trace, error) {
 		return core.CollectTrace(6, 6, adversary.Crash(6, 2, seed))
 	}
-	if err := predicate.Implies(gen, predicate.SyncCrash(2), predicate.SendOmission(2), 20); err != nil {
+	if err := predicate.Implies(gen, hoalg.SyncCrash(2).Compile(), hoalg.SendOmission(2).Compile(), 20); err != nil {
 		t.Fatal(err)
 	}
 }
