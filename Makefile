@@ -67,14 +67,18 @@ net-short:
 # Coverage floors for the packages that judge every other package's safety:
 # the model-checking engine and the model-algebra compiler stay >= 85%
 # covered, the task relation every audit evaluates (task.KSet) and the atom
-# table every model is judged by (internal/predicate) >= 90%.
+# table every model is judged by (internal/predicate) >= 90%. Two audits
+# built on task.KSet are floored with them: agreement.Validate, which judges
+# every engine result (internal/agreement >= 90%), and recovery.Audit
+# (internal/recovery >= 85%).
 # The observer sinks are one switch over every event kind each, so a kind
 # no test renders shows here: internal/obs stays >= 90%, its Tracer >= 85%.
 cover:
-	$(GO) test -cover ./internal/mc/ ./internal/task/ ./internal/hoalg/ ./internal/predicate/ ./internal/obs/ ./internal/obs/trace/ | awk '{ \
+	$(GO) test -cover ./internal/mc/ ./internal/task/ ./internal/hoalg/ ./internal/predicate/ ./internal/obs/ ./internal/obs/trace/ ./internal/agreement/ ./internal/recovery/ | awk '{ \
 		for (i = 1; i <= NF; i++) if ($$i == "coverage:") c[$$2] = substr($$(i+1), 1, length($$(i+1))-1); \
 		print } END { \
 		floor["mc"] = 85; floor["task"] = 90; floor["hoalg"] = 85; floor["predicate"] = 90; floor["obs"] = 90; floor["obs/trace"] = 85; \
+		floor["agreement"] = 90; floor["recovery"] = 85; \
 		for (p in floor) if (c["repro/internal/" p] + 0 < floor[p]) { \
 			print "internal/" p " coverage " c["repro/internal/" p] "% below " floor[p] "% floor"; bad = 1 } \
 		exit bad }'

@@ -95,6 +95,9 @@ func run(cfg config, w io.Writer) error {
 	if cfg.conns < 0 {
 		return fmt.Errorf("-conns must be >= 0")
 	}
+	if cfg.k < 0 {
+		return fmt.Errorf("-k must be >= 0 (0 = f+1)")
+	}
 
 	// Settle f before k = f+1 is derived from it: a local cluster clamps an
 	// f it cannot tolerate to (n-1)/2, a running mesh cannot have one.
@@ -193,7 +196,7 @@ func run(cfg config, w io.Writer) error {
 	fmt.Fprintf(w, "agreement: %d instances decided, widest %d distinct values (k=%d)\n",
 		instances, distinctMax, cfg.k)
 	for _, v := range violations {
-		fmt.Fprintf(w, "VIOLATION %s: %s\n", v.Kind, v.Detail(cfg.k))
+		fmt.Fprintf(w, "VIOLATION %s: %s\n", v.Kind, v.Detail())
 	}
 	if len(violations) > 0 {
 		return fmt.Errorf("rrfdload: %d violation(s)", len(violations))

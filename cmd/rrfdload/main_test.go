@@ -18,6 +18,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(config{local: 2, clients: 0}, &buf); err == nil {
 		t.Fatalf("accepted zero clients")
 	}
+	if err := run(config{local: 3, clients: 2, requests: 3, instances: 1, k: -1}, &buf); err == nil || !strings.Contains(err.Error(), "-k") {
+		t.Fatalf("-k -1: got %v", err)
+	}
 	// A running mesh of n cannot have f >= n: nothing may be dialed.
 	err := run(config{addrs: "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3", f: 3, clients: 1, requests: 1, instances: 1}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "-f 3 with 3 addresses") {

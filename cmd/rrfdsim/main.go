@@ -664,6 +664,9 @@ func validate(cfg config) error {
 	if cfg.f == 0 && strings.HasPrefix(cfg.mode, "chaos") {
 		return fmt.Errorf("%s exists to inject faults, and -f 0 allows none: use -f >= 1", cfg.mode)
 	}
+	if cfg.f >= cfg.n && strings.HasPrefix(cfg.mode, "chaos") {
+		return fmt.Errorf("%s tolerates f < n faults, and -f %d with -n %d leaves no process to survive them", cfg.mode, cfg.f, cfg.n)
+	}
 	if cfg.k < 1 {
 		return fmt.Errorf("invalid agreement parameter %d: -k must be >= 1", cfg.k)
 	}

@@ -52,6 +52,8 @@ func TestValidateRejectsBadN(t *testing.T) {
 		{"chaos f=0", func(c *config) { c.mode, c.f = "chaos", 0 }},
 		{"chaos-recover f=0", func(c *config) { c.mode, c.f = "chaos-recover", 0 }},
 		{"chaos-serve f=0", func(c *config) { c.mode, c.f = "chaos-serve", 0 }},
+		{"chaos-recover n=1 f=1", func(c *config) { c.mode, c.n, c.f = "chaos-recover", 1, 1 }},
+		{"chaos n=2 f=2", func(c *config) { c.mode, c.n, c.f = "chaos", 2, 2 }},
 	} {
 		cfg := baseConfig()
 		c.set(&cfg)
@@ -539,8 +541,8 @@ func TestRunMCFindsPlantedBug(t *testing.T) {
 	if !strings.Contains(out, "c1:4") {
 		t.Fatalf("output lacks the replay string:\n%s", out)
 	}
-	// Wording recorded before mc.KAgreement moved onto internal/task.
-	if want := "violation: property 2-agreement violated: 3 distinct decisions, want <= 2\n"; !strings.Contains(out, want) {
+	// mc.KAgreement's error is the task verdict's own sentence.
+	if want := "violation: property 2-agreement violated: 3 distinct decisions [0 1 2] exceed k=2\n"; !strings.Contains(out, want) {
 		t.Fatalf("counterexample line changed, want %q in:\n%s", want, out)
 	}
 }

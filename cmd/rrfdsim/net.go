@@ -352,16 +352,16 @@ func runNetParent(cfg config, w io.Writer) error {
 		stalls += res.Stalls
 		reconnects += res.Reconnects
 	}
-	if bad := vd.Invalid; len(bad) > 0 {
-		return fmt.Errorf("validity violated: p%d decided %d, not any process's input", results[bad[0].Index].PID, bad[0].Value)
+	if v, ok := vd.Err().(*task.Violation); ok {
+		if v.Index < 0 {
+			return fmt.Errorf("%s violated: %w", v.Clause, v)
+		}
+		return fmt.Errorf("%s violated: p%d %w", v.Clause, results[v.Index].PID, v)
 	}
 	if results[victim].Incarnation != 2 {
 		return fmt.Errorf("p%d's result came from incarnation %d, want the restart", victim, results[victim].Incarnation)
 	}
 	fmt.Fprintf(w, "stalls: %d, reconnects: %d\n", stalls, reconnects)
-	if vd.Excess {
-		return fmt.Errorf("k-agreement violated: %d distinct decisions > k=%d", len(vd.Distinct), k)
-	}
 	fmt.Fprintf(w, "agreement check: %d distinct decision(s) ≤ k=%d; restarted process re-entered and terminated\n", len(vd.Distinct), k)
 	return nil
 }

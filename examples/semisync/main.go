@@ -43,7 +43,7 @@ func main() {
 			return v, ok
 		}
 		nobody := func(int) bool { return false } // no crashes: all must decide
-		if vd := task.KSet(1, nil, n, decided, nobody); vd.Excess || len(vd.Undecided) > 0 {
+		if task.KSet(1, nil, n, decided, nobody).Err() != nil {
 			log.Fatalf("n=%d: disagreement: %v", n, fast.Outcome.Values)
 		}
 

@@ -107,7 +107,7 @@ func TestPublicAPIABDRegister(t *testing.T) {
 
 func TestPublicAPITasks(t *testing.T) {
 	n, k := 8, 2
-	rep, err := task.Solves(task.KSetAgreement(k), n, identityInputs(n), agreement.OneRoundKSet(),
+	rep, err := task.Solves(k, n, identityInputs(n), agreement.OneRoundKSet(),
 		hoalg.KSetEq3(k).Compile(),
 		func(seed int64) core.Oracle { return adversary.KSetUncertainty(n, k, seed) }, 10)
 	if err != nil {
@@ -116,10 +116,7 @@ func TestPublicAPITasks(t *testing.T) {
 	if rep.MaxRounds != 1 {
 		t.Fatalf("MaxRounds = %d", rep.MaxRounds)
 	}
-	if task.Consensus().Name() != "consensus" {
-		t.Fatal("task naming broken")
-	}
-	if err := task.AdoptCommit().Check(task.Assignment{
+	if err := task.AdoptCommit(task.Assignment{
 		Inputs: identityInputs(2),
 		Outputs: map[core.PID]core.Value{
 			0: task.GradedValue{Commit: false, Value: 0},

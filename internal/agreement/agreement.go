@@ -24,18 +24,16 @@ import (
 )
 
 // Validate checks the standard k-set agreement conditions on an execution
-// result: k-agreement (at most k distinct outputs), validity (every output
-// is some process's input), and termination of every process that did not
-// crash. maxRound, when positive, additionally bounds the latest decision
-// round.
+// result — validity (every output is some process's input), k-agreement
+// (at most k distinct outputs) and termination of every process that did
+// not crash — and reports the first one broken. maxRound, when positive,
+// additionally bounds the latest decision round.
 func Validate(res *core.Result, inputs []core.Value, k, maxRound int) error {
-	switch vd := task.KSet(k, task.Inputs(inputs), len(inputs), task.ByPID(res.Outputs), task.In(res.Crashed)); {
-	case vd.Excess:
-		return fmt.Errorf("agreement: %d distinct outputs, want ≤ %d (outputs %v)", len(vd.Distinct), k, res.Outputs)
-	case len(vd.Invalid) > 0:
-		return fmt.Errorf("agreement: process %d decided %v, not an input", vd.Invalid[0].Index, vd.Invalid[0].Value)
-	case len(vd.Undecided) > 0:
-		return fmt.Errorf("agreement: live process %d never decided", vd.Undecided[0])
+	if v, ok := task.KSet(k, task.Inputs(inputs), len(inputs), task.ByPID(res.Outputs), task.In(res.Crashed)).Err().(*task.Violation); ok {
+		if v.Index < 0 {
+			return fmt.Errorf("agreement: %w", v)
+		}
+		return fmt.Errorf("agreement: process %d %w", v.Index, v)
 	}
 	if maxRound > 0 {
 		if got := res.MaxDecisionRound(); got > maxRound {

@@ -169,7 +169,7 @@ func TestFloodMinTruncatedViolatesKAgreement(t *testing.T) {
 	if err == nil {
 		t.Fatalf("truncated FloodMin unexpectedly solved %d-set agreement: %v", k, res.Outputs)
 	}
-	if !strings.Contains(err.Error(), "distinct outputs") {
+	if !strings.Contains(err.Error(), "distinct decisions") {
 		t.Fatalf("violation should be k-agreement, got: %v", err)
 	}
 	if got := res.DistinctOutputs(); got != k+1 {
@@ -363,8 +363,8 @@ func TestValidateCatchesBadOutputs(t *testing.T) {
 	}
 }
 
-// TestValidateWording pins Validate's error strings, recorded before the
-// relation moved onto internal/task.
+// TestValidateWording pins Validate's error strings: its prefix and process
+// around the verdict's sentence, and its own round bound.
 func TestValidateWording(t *testing.T) {
 	in := identityInputs(3)
 	round1 := map[core.PID]int{0: 1, 1: 1, 2: 1}
@@ -374,11 +374,13 @@ func TestValidateWording(t *testing.T) {
 		want     string
 	}{
 		{core.Result{Outputs: map[core.PID]core.Value{0: 0, 1: 1, 2: 2}, DecidedAt: round1}, 0,
-			"agreement: 3 distinct outputs, want ≤ 2 (outputs map[0:0 1:1 2:2])"},
+			"agreement: 3 distinct decisions [0 1 2] exceed k=2"},
 		{core.Result{Outputs: map[core.PID]core.Value{0: 0, 1: 7, 2: 0}, DecidedAt: round1}, 0,
 			"agreement: process 1 decided 7, not an input"},
+		{core.Result{Outputs: map[core.PID]core.Value{0: 0, 1: 7, 2: 8}, DecidedAt: round1}, 0,
+			"agreement: process 1 decided 7, not an input"},
 		{core.Result{Outputs: map[core.PID]core.Value{0: 0, 1: 0}, DecidedAt: map[core.PID]int{0: 1, 1: 1}}, 0,
-			"agreement: live process 2 never decided"},
+			"agreement: process 2 did not decide"},
 		{core.Result{Outputs: map[core.PID]core.Value{0: 0, 1: 0, 2: 0}, DecidedAt: map[core.PID]int{0: 1, 1: 3, 2: 1}}, 2,
 			"agreement: decision at round 3, want ≤ 2"},
 	} {

@@ -421,24 +421,17 @@ func check(cfg Config, res runResult) []Violation {
 	}
 
 	// Validity and k-agreement: the shared relation over the proposals
-	// 0..N-1, every offender reported.
+	// 0..N-1, the first clause broken reported.
 	proposals := make([]core.Value, cfg.N)
 	for i := range proposals {
 		proposals[i] = i
 	}
-	vd := task.KSet(cfg.K, task.Inputs(proposals), cfg.N, task.ByPID(res.decisions), nil)
-	for _, o := range vd.Invalid {
-		add("validity", "p%d decided %v, which no process proposed", o.Index, o.Value)
-	}
-	if vd.Excess {
-		vals := make([]int, 0, len(vd.Distinct))
-		for _, v := range vd.Distinct {
-			if n, ok := v.(int); ok {
-				vals = append(vals, n)
-			}
+	if v, ok := task.KSet(cfg.K, task.Inputs(proposals), cfg.N, task.ByPID(res.decisions), nil).Err().(*task.Violation); ok {
+		if v.Index < 0 {
+			add(v.Clause, "%v", v)
+		} else {
+			add(v.Clause, "p%d %v", v.Index, v)
 		}
-		sort.Ints(vals)
-		add("k-agreement", "%d distinct decisions %v exceed k=%d", len(vd.Distinct), vals, cfg.K)
 	}
 
 	// Predicate conformance. With a TracePred the compiled model predicate

@@ -74,9 +74,9 @@ run 18: durability violation: recovery audit: durability violation at p0: decide
 }
 
 // TestGoldenQuorumBugCampaign pins the full violating text of the
-// planted-bug campaign cmd/rrfdsim's TestRunChaosPerfetto runs, recorded
-// before check moved onto internal/task: the clean goldens above say nothing
-// about wording.
+// planted-bug campaign cmd/rrfdsim's TestRunChaosPerfetto runs: the clean
+// goldens above say nothing about wording. The distinct values print in
+// task.KSet's first-seen order, by ascending PID.
 func TestGoldenQuorumBugCampaign(t *testing.T) {
 	const want = `chaos: 60 runs, 8 violations, 360 decided, 0 undecided, 167 stalls, 23908 retransmissions, 0 give-ups, 66708 steps
 run 3: k-agreement violation: 4 distinct decisions [0 1 2 5] exceed k=3
@@ -94,7 +94,7 @@ run 11: k-agreement violation: 4 distinct decisions [0 1 2 4] exceed k=3
 run 12: k-agreement violation: 6 distinct decisions [0 1 2 3 4 5] exceed k=3
   replay: sched-seed=313449949 crashes=none plan: seed=759079615 drop(99%) omission([0 3]@26%) split{0,3,4,5|1,2}@[243,1755)
   minimized: seed=759079615 drop(99%)
-run 26: k-agreement violation: 4 distinct decisions [0 1 2 3] exceed k=3
+run 26: k-agreement violation: 4 distinct decisions [0 1 3 2] exceed k=3
   replay: sched-seed=16070665 crashes=none plan: seed=1065356850 drop(95%) omission([4]@68%) split{0,1,3,4,5|2}@[294,2319)
   minimized: seed=1065356850 drop(95%)
 run 42: k-agreement violation: 5 distinct decisions [0 2 3 4 5] exceed k=3

@@ -183,7 +183,10 @@ func RandomRecoverScenario(cfg RecoverConfig, seed int64) RecoverScenario {
 		Crashes:  make(map[core.PID]int),
 		Restarts: make(map[core.PID]int),
 	}
-	count := 1 + r.Intn(cfg.MaxCrashes) // at least one crash per run: recovery is the subject
+	count := 0 // a lone process (F clamped to 0) has no crash to survive
+	if cfg.MaxCrashes > 0 {
+		count = 1 + r.Intn(cfg.MaxCrashes) // at least one crash per run: recovery is the subject
+	}
 	for _, p := range pickPIDs(&r, cfg.N, count) {
 		s.Crashes[p] = 1 + r.Intn(40)
 		if r.Float() < cfg.restartChance {

@@ -27,6 +27,16 @@ func TestRecoverCampaignClean(t *testing.T) {
 	}
 }
 
+// TestRecoverCampaignOfOneProcess: a lone process clamps F to 0, so the
+// campaign draws no crash — it runs and returns instead of asking the
+// generator for a crash count below zero.
+func TestRecoverCampaignOfOneProcess(t *testing.T) {
+	sum := RunRecover(RecoverConfig{N: 1, Runs: 1})
+	if !sum.Ok() || sum.Crashes != 0 || sum.Decided != 1 {
+		t.Fatalf("one-process campaign: %s", sum)
+	}
+}
+
 // TestRecoverCampaignUnderLinkFaults layers message drops and delays on top
 // of crash-and-recover: still zero safety violations (abstention is the
 // permitted degradation).

@@ -295,7 +295,7 @@ func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 	}
 	_, sum.DistinctMax = audit.Decided()
 	for _, v := range audit.Violations(load.Submitted(), c.K) {
-		sum.violate(v.Kind, v.Detail(c.K))
+		sum.violate(v.Kind, v.Detail())
 	}
 
 	if c.Out != nil {

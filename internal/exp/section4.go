@@ -93,7 +93,7 @@ func E11AdoptCommit(quick bool) (*Table, error) {
 			o := v.(adoptcommit.Outcome)
 			a.Outputs[pid] = task.GradedValue{Commit: o.Grade == adoptcommit.Commit, Value: o.Value}
 		}
-		return task.AdoptCommit().Check(a)
+		return task.AdoptCommit(a)
 	}
 
 	// Exhaustive, two processes, contested inputs, every crash point. The

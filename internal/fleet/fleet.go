@@ -479,18 +479,17 @@ func Audit(cfg Config, res *Result) error {
 			inputs[Input(cfg, i, p)] = true
 		}
 		values := res.Values[i*n : (i+1)*n]
-		vd := task.KSet(cfg.F+1, func(v int64) bool { return inputs[v] }, n,
-			func(p int) (int64, bool) { return values[p], true }, nil)
-		if bad := vd.Invalid; len(bad) > 0 {
-			return fmt.Errorf("fleet: instance %d process %d decided %d, not any input", i, bad[0].Index, bad[0].Value)
+		if v, ok := task.KSet(cfg.F+1, func(v int64) bool { return inputs[v] }, n,
+			func(p int) (int64, bool) { return values[p], true }, nil).Err().(*task.Violation); ok {
+			if v.Index < 0 {
+				return fmt.Errorf("fleet: instance %d: %w", i, v)
+			}
+			return fmt.Errorf("fleet: instance %d process %d %w", i, v.Index, v)
 		}
 		for p, v := range values {
 			if own := Input(cfg, i, p); v > own {
 				return fmt.Errorf("fleet: instance %d process %d decided %d above own input %d", i, p, v, own)
 			}
-		}
-		if vd.Excess {
-			return fmt.Errorf("fleet: instance %d decided %d distinct values, k-set bound is %d", i, len(vd.Distinct), cfg.F+1)
 		}
 	}
 	return nil

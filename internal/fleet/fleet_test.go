@@ -78,7 +78,7 @@ func TestFleetProtocolNonTrivial(t *testing.T) {
 
 // TestFleetAuditCatchesCorruption: the audit must reject a result whose
 // values violate validity or the k-set bound, naming the lowest offender
-// in words recorded before the audit moved onto internal/task.
+// around the task verdict's sentence.
 func TestFleetAuditCatchesCorruption(t *testing.T) {
 	cfg := testConfig()
 	n := cfg.Procs
@@ -88,12 +88,12 @@ func TestFleetAuditCatchesCorruption(t *testing.T) {
 		want    string
 	}{
 		{"not an input", func(res *Result) { res.Values[3]-- },
-			"fleet: instance 0 process 3 decided 2138247551862347290, not any input"},
+			"fleet: instance 0 process 3 decided 2138247551862347290, not an input"},
 		{"F+2 distinct", func(res *Result) {
 			for p := 0; p < n; p++ {
 				res.Values[7*n+p] = Input(cfg, 7, p)
 			}
-		}, "fleet: instance 7 decided 5 distinct values, k-set bound is 3"},
+		}, "fleet: instance 7: 5 distinct decisions [2463003259222485249 -5767424501385091358 5205173353877084396 -5739087872025977654 1215805553469872868] exceed k=3"},
 		{"above own input", func(res *Result) { res.Values[7*n] = Input(cfg, 7, 2) },
 			"fleet: instance 7 process 0 decided 5205173353877084396 above own input 2463003259222485249"},
 	} {

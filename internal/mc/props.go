@@ -36,8 +36,8 @@ func (e *PropertyError) Unwrap() error { return e.Err }
 func Validity(inputs []core.Value) Property {
 	n, input := len(inputs), tasks.Inputs(inputs)
 	return Property{Name: "validity", Check: func(res *core.Result) error {
-		if bad := tasks.KSet(n, input, n, tasks.ByPID(res.Outputs), nil).Invalid; len(bad) > 0 {
-			return fmt.Errorf("process %d decided %v, not any input", bad[0].Index, bad[0].Value)
+		if v, ok := tasks.KSet(n, input, n, tasks.ByPID(res.Outputs), nil).Err().(*tasks.Violation); ok {
+			return fmt.Errorf("process %d %w", v.Index, v)
 		}
 		return nil
 	}}
@@ -46,10 +46,7 @@ func Validity(inputs []core.Value) Property {
 // KAgreement holds when at most k distinct values are decided.
 func KAgreement(k int) Property {
 	return Property{Name: fmt.Sprintf("%d-agreement", k), Check: func(res *core.Result) error {
-		if vd := tasks.KSet(k, nil, res.Crashed.Universe(), tasks.ByPID(res.Outputs), nil); vd.Excess {
-			return fmt.Errorf("%d distinct decisions, want <= %d", len(vd.Distinct), k)
-		}
-		return nil
+		return tasks.KSet(k, nil, res.Crashed.Universe(), tasks.ByPID(res.Outputs), nil).Err()
 	}}
 }
 

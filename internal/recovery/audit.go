@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/agreement"
 	"repro/internal/core"
@@ -54,15 +53,8 @@ func Audit(out *Outcome, n, f, rounds int) error {
 		return &AuditError{Kind: "budget", Proc: -1, Detail: err.Error()}
 	}
 
-	vd := task.KSet(f+1, task.Inputs(out.Proposals), n, task.ByPID(out.Decisions), nil)
-	if len(vd.Invalid) > 0 {
-		return &AuditError{Kind: "validity", Proc: core.PID(vd.Invalid[0].Index),
-			Detail: fmt.Sprintf("decided %d, not a proposal", vd.Invalid[0].Value)}
-	}
-	if vd.Excess {
-		slices.Sort(vd.Distinct)
-		return &AuditError{Kind: "k-agreement", Proc: -1,
-			Detail: fmt.Sprintf("%d distinct decisions %v exceed k=f+1=%d", len(vd.Distinct), vd.Distinct, f+1)}
+	if v, ok := task.KSet(f+1, task.Inputs(out.Proposals), n, task.ByPID(out.Decisions), nil).Err().(*task.Violation); ok {
+		return &AuditError{Kind: v.Clause, Proc: core.PID(v.Index), Detail: v.Error()}
 	}
 
 	for i := 0; i < n; i++ {

@@ -46,30 +46,28 @@ func (a *Auditor) Decided() (instances, widest int) {
 	return len(a.byInst), widest
 }
 
-// AuditViolation is one broken promise: "idempotency" (Req saw Values),
-// "k-agreement" (Inst decided Values, more than k of them) or "validity"
-// (Inst decided Values[0], which nobody submitted). Values ascend.
+// AuditViolation is one broken promise: "idempotency" (Req saw Values,
+// ascending), or the first k-set clause instance Inst broke, named by Kind
+// and worded by Err. An instance's verdict runs over its decided values
+// ascending, so Err names values, never processes.
 type AuditViolation struct {
 	Kind      string
 	Inst, Req string
 	Values    []int
+	Err       error
 }
 
-// Detail words the violation, without its Kind, against the bound k that
-// Violations judged it by.
-func (v AuditViolation) Detail(k int) string {
-	switch v.Kind {
-	case "idempotency":
+// Detail words the violation without its Kind.
+func (v AuditViolation) Detail() string {
+	if v.Kind == "idempotency" {
 		return fmt.Sprintf("request %s received %d distinct decided values %v across retries", v.Req, len(v.Values), v.Values)
-	case "k-agreement":
-		return fmt.Sprintf("instance %s decided %d distinct values %v > k=%d", v.Inst, len(v.Values), v.Values, k)
-	default:
-		return fmt.Sprintf("instance %s decided %d, which no client submitted", v.Inst, v.Values[0])
 	}
+	return fmt.Sprintf("instance %s: %v", v.Inst, v.Err)
 }
 
 // Violations audits everything noted so far against the values submitted
-// per instance and the bound k, ordered by request, then by instance.
+// per instance and the bound k, ordered by request, then by instance, one
+// violation — the first clause broken — per instance.
 func (a *Auditor) Violations(submitted map[string]map[int]bool, k int) []AuditViolation {
 	var out []AuditViolation
 	for _, req := range sortedKeys(a.byReq) {
@@ -79,13 +77,9 @@ func (a *Auditor) Violations(submitted map[string]map[int]bool, k int) []AuditVi
 	}
 	for _, inst := range sortedKeys(a.byInst) {
 		vals, valid := sortedKeys(a.byInst[inst]), submitted[inst]
-		vd := task.KSet(k, func(v int) bool { return valid[v] }, len(vals),
-			func(i int) (int, bool) { return vals[i], true }, nil)
-		if vd.Excess {
-			out = append(out, AuditViolation{Kind: "k-agreement", Inst: inst, Values: vals})
-		}
-		for _, o := range vd.Invalid {
-			out = append(out, AuditViolation{Kind: "validity", Inst: inst, Values: []int{o.Value}})
+		if v, ok := task.KSet(k, func(v int) bool { return valid[v] }, len(vals),
+			func(i int) (int, bool) { return vals[i], true }, nil).Err().(*task.Violation); ok {
+			out = append(out, AuditViolation{Kind: v.Clause, Inst: inst, Err: v})
 		}
 	}
 	return out

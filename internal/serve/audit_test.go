@@ -23,35 +23,36 @@ func TestAuditor(t *testing.T) {
 	if inst, widest := a.Decided(); inst != 3 || widest != 3 {
 		t.Fatalf("Decided = (%d, %d), want (3, 3)", inst, widest)
 	}
-	want := []AuditViolation{
-		{Kind: "idempotency", Req: "r3", Values: []int{7, 8}},
-		{Kind: "k-agreement", Inst: "a", Values: []int{1, 2, 3}},
-		{Kind: "validity", Inst: "b", Values: []int{8}},
+	// One violation per instance, the first clause broken; the values of
+	// a k-set clause ascend.
+	type finding struct{ kind, detail string }
+	findings := func(k int) []finding {
+		var out []finding
+		for _, v := range a.Violations(submitted, k) {
+			out = append(out, finding{v.Kind, v.Detail()})
+		}
+		return out
 	}
-	if got := a.Violations(submitted, 2); !reflect.DeepEqual(got, want) {
+	want := []finding{
+		{"idempotency", "request r3 received 2 distinct decided values [7 8] across retries"},
+		{"k-agreement", "instance a: 3 distinct decisions [1 2 3] exceed k=2"},
+		{"validity", "instance b: decided 8, not an input"},
+	}
+	if got := findings(2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Violations(k=2)\n got %+v\nwant %+v", got, want)
 	}
 	// With k = 3 instance a is within bounds; the rest stands.
-	if got := a.Violations(submitted, 3); !reflect.DeepEqual(got, append(want[:1:1], want[2])) {
+	if got := findings(3); !reflect.DeepEqual(got, []finding{want[0], want[2]}) {
 		t.Fatalf("Violations(k=3) = %+v", got)
 	}
-	// With k = 1 instance b breaks both promises: k-agreement leads, then
-	// every value nobody submitted, ascending.
-	a.Note("d", "r5", 9) // an instance nobody submitted to
+	// With k = 1 instance b breaks both promises and validity leads; an
+	// instance nobody submitted to is reported at its lowest value.
+	a.Note("d", "r5", 9)
 	a.Note("d", "r6", 4)
-	want = []AuditViolation{
-		want[0], want[1],
-		{Kind: "k-agreement", Inst: "b", Values: []int{7, 8}},
-		want[2],
-		{Kind: "k-agreement", Inst: "d", Values: []int{4, 9}},
-		{Kind: "validity", Inst: "d", Values: []int{4}},
-		{Kind: "validity", Inst: "d", Values: []int{9}},
-	}
-	if got := a.Violations(submitted, 1); !reflect.DeepEqual(got, want) {
+	want[1].detail = "instance a: 3 distinct decisions [1 2 3] exceed k=1"
+	want = append(want, finding{"validity", "instance d: decided 4, not an input"})
+	if got := findings(1); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Violations(k=1)\n got %+v\nwant %+v", got, want)
-	}
-	if got, want := want[2].Detail(1), "instance b decided 2 distinct values [7 8] > k=1"; got != want {
-		t.Fatalf("Detail = %q, want %q", got, want)
 	}
 	if got := NewAuditor().Violations(submitted, 1); got != nil {
 		t.Fatalf("an empty auditor reported %+v", got)

@@ -22,6 +22,17 @@ func all[V any](vals []V) func(int) (V, bool) {
 	return func(i int) (V, bool) { return vals[i], true }
 }
 
+// violation returns a verdict's clause and offender index, or "" and 0
+// when it holds.
+func violation[V comparable](vd Verdict[V]) (string, int) {
+	err := vd.Err()
+	if err == nil {
+		return "", 0
+	}
+	v := err.(*Violation)
+	return v.Clause, v.Index
+}
+
 // ksetCases runs the relation's corner cases at one value type; of maps
 // small integers into it.
 func ksetCases[V comparable](t *testing.T, of func(int) V) {
@@ -33,42 +44,54 @@ func ksetCases[V comparable](t *testing.T, of func(int) V) {
 		return out
 	}
 	none := func(int) bool { return false }
+	expect := func(t *testing.T, vd Verdict[V], clause string, index int) {
+		t.Helper()
+		if c, i := violation(vd); c != clause || i != index {
+			t.Fatalf("verdict %+v: violation (%q, %d), want (%q, %d)", vd, c, i, clause, index)
+		}
+	}
 
 	t.Run("empty decided set", func(t *testing.T) {
 		nobody := func(int) (V, bool) { return of(0), false }
 		vd := KSet(1, Inputs(vals(0, 1, 2)), 3, nobody, func(i int) bool { return i == 1 })
-		want := Verdict[V]{Undecided: []int{0, 2}}
-		if !reflect.DeepEqual(vd, want) {
-			t.Fatalf("verdict %+v, want %+v", vd, want)
+		expect(t, vd, "termination", 0)
+		if len(vd.Distinct) != 0 || vd.Excess {
+			t.Fatalf("nobody decided, got %+v", vd)
 		}
-		if vd := KSet(1, Inputs(vals(0, 1, 2)), 3, nobody, nil); !reflect.DeepEqual(vd, Verdict[V]{}) {
-			t.Fatalf("no termination clause asked, got %+v", vd)
+		if vd := KSet(1, Inputs(vals(0, 1, 2)), 3, nobody, nil); vd.Err() != nil {
+			t.Fatalf("no termination clause asked, got %v", vd.Err())
 		}
 	})
 	t.Run("k >= n never binds", func(t *testing.T) {
 		decided := vals(2, 0, 1)
 		for k := 3; k <= 5; k++ {
 			vd := KSet(k, Inputs(vals(0, 1, 2)), 3, all(decided), none)
-			if vd.Excess || len(vd.Invalid) > 0 || len(vd.Undecided) > 0 {
+			if vd.Excess || vd.Err() != nil {
 				t.Fatalf("k=%d: %+v", k, vd)
 			}
 			if !reflect.DeepEqual(vd.Distinct, decided) {
 				t.Fatalf("Distinct %v, want first-seen order %v", vd.Distinct, decided)
 			}
 		}
-		if vd := KSet(2, nil, 3, all(decided), nil); !vd.Excess || len(vd.Distinct) != 3 {
+		vd := KSet(2, nil, 3, all(decided), nil)
+		if !vd.Excess || len(vd.Distinct) != 3 {
 			t.Fatalf("k=2 over three values: %+v", vd)
 		}
+		expect(t, vd, "k-agreement", -1)
 	})
 	t.Run("duplicate inputs", func(t *testing.T) {
 		vd := KSet(1, Inputs(vals(7, 7, 7, 7)), 4, all(vals(7, 7, 7, 7)), none)
-		if !reflect.DeepEqual(vd, Verdict[V]{Distinct: vals(7)}) {
+		if vd.Err() != nil || !reflect.DeepEqual(vd.Distinct, vals(7)) {
 			t.Fatalf("unanimous execution: %+v", vd)
 		}
+		// Validity leads k-agreement, and names the lowest offender.
 		vd = KSet(1, Inputs(vals(7, 7, 7, 7)), 4, all(vals(7, 8, 7, 9)), none)
-		want := Verdict[V]{Invalid: []Offender[V]{{1, of(8)}, {3, of(9)}}, Distinct: vals(7, 8, 9), Excess: true}
-		if !reflect.DeepEqual(vd, want) {
-			t.Fatalf("verdict %+v, want %+v", vd, want)
+		if !vd.Excess || !reflect.DeepEqual(vd.Distinct, vals(7, 8, 9)) {
+			t.Fatalf("verdict %+v", vd)
+		}
+		expect(t, vd, "validity", 1)
+		if got, want := vd.Err().Error(), fmt.Sprintf("decided %v, not an input", of(8)); got != want {
+			t.Fatalf("Error() = %q, want %q", got, want)
 		}
 	})
 	t.Run("valid in one instance only", func(t *testing.T) {
@@ -76,22 +99,18 @@ func ksetCases[V comparable](t *testing.T, of func(int) V) {
 		// against that instance's submissions.
 		submitted := map[string][]V{"a": vals(1, 2), "b": vals(2, 3)}
 		decided := vals(1, 2)
-		if vd := KSet(2, Inputs(submitted["a"]), 2, all(decided), nil); len(vd.Invalid) != 0 {
-			t.Fatalf("instance a: %+v", vd)
+		if vd := KSet(2, Inputs(submitted["a"]), 2, all(decided), nil); vd.Err() != nil {
+			t.Fatalf("instance a: %v", vd.Err())
 		}
-		vd := KSet(2, Inputs(submitted["b"]), 2, all(decided), nil)
-		if want := []Offender[V]{{0, of(1)}}; !reflect.DeepEqual(vd.Invalid, want) {
-			t.Fatalf("instance b: Invalid %+v, want %+v", vd.Invalid, want)
-		}
-		if vd := KSet(2, Inputs(submitted["c"]), 2, all(decided), nil); len(vd.Invalid) != 2 {
-			t.Fatalf("an instance nobody submitted to has no valid value: %+v", vd)
-		}
+		expect(t, KSet(2, Inputs(submitted["b"]), 2, all(decided), nil), "validity", 0)
+		expect(t, KSet(2, Inputs(submitted["c"]), 2, all(decided), nil), "validity", 0)
 	})
 	t.Run("crashed exempt from termination", func(t *testing.T) {
 		decided := func(i int) (V, bool) { return of(0), i == 0 }
 		vd := KSet(1, Inputs(vals(0, 1, 2, 3)), 4, decided, In(core.SetOf(4, 1, 3)))
-		if want := []int{2}; !reflect.DeepEqual(vd.Undecided, want) {
-			t.Fatalf("Undecided %v, want %v", vd.Undecided, want)
+		expect(t, vd, "termination", 2)
+		if got := vd.Err().Error(); got != "did not decide" {
+			t.Fatalf("Error() = %q", got)
 		}
 	})
 }
@@ -118,7 +137,7 @@ func TestAuditsAgreeOnOneRoundKSet(t *testing.T) {
 			}
 			traces++
 			byValidate := agreement.Validate(res, inputs, k, 0) == nil
-			byTask := KSetAgreement(k).Check(Assignment{Inputs: inputs, Outputs: res.Outputs, Crashed: res.Crashed}) == nil
+			byTask := KSet(k, Inputs(inputs), n, ByPID(res.Outputs), In(res.Crashed)).Err() == nil
 			byMC := true
 			for _, p := range props {
 				byMC = byMC && p.Check(res) == nil
@@ -141,14 +160,16 @@ func TestAuditsAgreeOnOneRoundKSet(t *testing.T) {
 }
 
 // TestAuditsNameTheLowestOffender: every auditor, handed an execution with
-// two invalid deciders or with k+2 distinct values, names the lowest
-// process and lists values ascending — every time, not whichever a map
-// yields first.
+// two invalid deciders or with k+2 distinct values, carries the verdict's
+// one sentence — the lowest offender's value, the distinct values first
+// seen first — and a Violation whose Index is the lowest offender, every
+// time, not whichever a map yields first.
 func TestAuditsNameTheLowestOffender(t *testing.T) {
 	const n, f, k = 5, 1, 2
 	inputs := identityInputs(n)
 	twoInvalid := map[core.PID]core.Value{0: 0, 1: 0, 2: 77, 3: 0, 4: 88}
 	tooMany := map[core.PID]core.Value{0: 3, 1: 2, 2: 1, 3: 0, 4: 0}
+	const invalid, excess = "decided 77, not an input", "4 distinct decisions [3 2 1 0] exceed k=2"
 	result := func(out map[core.PID]core.Value) *core.Result {
 		at := make(map[core.PID]int, n)
 		for p := range out {
@@ -178,50 +199,60 @@ func TestAuditsNameTheLowestOffender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleetRes.Values[2*n+2]-- // instance 2: processes 2 and 4 hold no input
-	fleetRes.Values[2*n+4]--
+	fleetRes.Values[2*n+2] = 77 // instance 2: processes 2 and 4 hold no input
+	fleetRes.Values[2*n+4] = 88
 	auditor := serve.NewAuditor()
-	for _, v := range []int{9, 3, 7, 5} {
+	for _, v := range []int{88, 0, 77} {
 		auditor.Note("i", "", v)
+	}
+	served := func() error {
+		vs := auditor.Violations(map[string]map[int]bool{"i": {0: true}}, n)
+		if len(vs) != 1 {
+			return fmt.Errorf("%d violations %+v, want one", len(vs), vs)
+		}
+		return vs[0].Err
 	}
 
 	for _, tc := range []struct {
 		name  string
 		audit func() error
 		want  string
+		index int // the lowest offender: a process, or serve's value rank
 	}{
-		{"task.KSetAgreement validity", func() error {
-			return KSetAgreement(k).Check(Assignment{Inputs: inputs, Outputs: twoInvalid, Crashed: core.NewSet(n)})
-		}, "task 2-set agreement: process 2 decided 77, not an input"},
 		{"task.AdoptCommit validity", func() error {
-			return AdoptCommit().Check(Assignment{Inputs: inputs, Outputs: graded(twoInvalid), Crashed: core.NewSet(n)})
-		}, "adopt-commit: process 2 carries non-input 77"},
-		{"agreement.Validate validity", func() error { return agreement.Validate(result(twoInvalid), inputs, n, 0) },
-			"agreement: process 2 decided 77, not an input"},
-		{"agreement.Validate k-agreement", func() error { return agreement.Validate(result(tooMany), inputs, k, 0) },
-			"agreement: 4 distinct outputs, want ≤ 2 (outputs map[0:3 1:2 2:1 3:0 4:0])"},
-		{"mc.Validity", func() error { return mc.Validity(inputs).Check(result(twoInvalid)) },
-			"process 2 decided 77, not any input"},
-		{"mc.KAgreement", func() error { return mc.KAgreement(k).Check(result(tooMany)) },
-			"4 distinct decisions, want <= 2"},
-		{"recovery.Audit validity", func() error { return recovery.Audit(recovered(twoInvalid), n, f, 2) },
-			"recovery audit: validity violation at p2: decided 77, not a proposal"},
-		{"recovery.Audit k-agreement", func() error { return recovery.Audit(recovered(tooMany), n, f, 2) },
-			"recovery audit: k-agreement violation: 4 distinct decisions [0 1 2 3] exceed k=f+1=2"},
-		{"fleet.Audit validity", func() error { return fleet.Audit(fleetCfg, fleetRes) },
-			fmt.Sprintf("fleet: instance 2 process 2 decided %d, not any input", fleetRes.Values[2*n+2])},
-		{"serve.Auditor", func() error {
-			return errors.New(fmt.Sprint(auditor.Violations(map[string]map[int]bool{"i": {5: true}}, k)))
-		}, "[{k-agreement i  [3 5 7 9]} {validity i  [3]} {validity i  [7]} {validity i  [9]}]"},
+			return AdoptCommit(Assignment{Inputs: inputs, Outputs: graded(twoInvalid), Crashed: core.NewSet(n)})
+		}, invalid, 2},
+		{"agreement.Validate validity", func() error { return agreement.Validate(result(twoInvalid), inputs, k, 0) }, invalid, 2},
+		{"agreement.Validate k-agreement", func() error { return agreement.Validate(result(tooMany), inputs, k, 0) }, excess, -1},
+		{"mc.Validity", func() error { return mc.Validity(inputs).Check(result(twoInvalid)) }, invalid, 2},
+		{"mc.KAgreement", func() error { return mc.KAgreement(k).Check(result(tooMany)) }, excess, -1},
+		{"recovery.Audit validity", func() error { return recovery.Audit(recovered(twoInvalid), n, f, 2) }, invalid, 2},
+		{"recovery.Audit k-agreement", func() error { return recovery.Audit(recovered(tooMany), n, f, 2) }, excess, -1},
+		{"fleet.Audit validity", func() error { return fleet.Audit(fleetCfg, fleetRes) }, invalid, 2},
+		{"serve.Auditor validity", served, invalid, 1},
 	} {
 		for i := 0; i < 50; i++ {
-			if err := tc.audit(); err == nil || err.Error() != tc.want {
-				t.Errorf("%s, iteration %d:\n got %v\nwant %s", tc.name, i, err, tc.want)
+			err := tc.audit()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, iteration %d:\n got %v\nwant it to contain %s", tc.name, i, err, tc.want)
+				break
+			}
+			var v *Violation
+			var ae *recovery.AuditError
+			switch {
+			case errors.As(err, &v):
+			case errors.As(err, &ae):
+				v = &Violation{Index: int(ae.Proc)}
+			default:
+				t.Fatalf("%s: %T carries no offender index", tc.name, err)
+			}
+			if v.Index != tc.index {
+				t.Errorf("%s, iteration %d: Index %d, want %d", tc.name, i, v.Index, tc.index)
 				break
 			}
 		}
 	}
-	if err := AdoptCommit().Check(Assignment{Inputs: inputs, Outputs: map[core.PID]core.Value{3: 1}, Crashed: core.NewSet(n)}); err == nil ||
+	if err := AdoptCommit(Assignment{Inputs: inputs, Outputs: map[core.PID]core.Value{3: 1}, Crashed: core.NewSet(n)}); err == nil ||
 		!strings.Contains(err.Error(), "process 3 output int") {
 		t.Errorf("adopt-commit must reject an ungraded output, got %v", err)
 	}

@@ -7,11 +7,9 @@
 // KSet is the one place the k-set agreement input/output relation is
 // evaluated — validity, k-agreement, termination — always by ascending
 // index, so a verdict is a function of the execution and never of map
-// order. Every audit in the repository words KSet's verdict its own way
-// and adds its own clauses: the Tasks below (and Solves, which quantifies
-// them over seeded adversaries), agreement.Validate, the mc properties
-// Validity and KAgreement, chaos's check, recovery.Audit,
-// serve.Auditor.Violations, fleet.Audit and the rrfdsim TCP parent.
+// order. Its Violation is the one place a broken clause is put into words:
+// an auditor adds only its own context (which instance, which process) and
+// the clauses that are its own.
 package task
 
 import (
@@ -22,27 +20,17 @@ import (
 	"repro/internal/predicate"
 )
 
-// Offender is an index whose decided value is not an input.
-type Offender[V comparable] struct {
-	Index int
-	Value V
-}
-
 // Verdict is the k-set agreement relation evaluated on one execution.
-// KSet formats nothing: callers word the clauses they asked for.
 type Verdict[V comparable] struct {
-	// Invalid lists, by ascending index, the deciders of a value outside
-	// the inputs (validity).
-	Invalid []Offender[V]
-
 	// Distinct is the decided values, each once, first seen first; Excess
 	// says there are more than k of them (k-agreement).
 	Distinct []V
 	Excess   bool
 
-	// Undecided lists, ascending, the non-exempt indices that did not
-	// decide (termination).
-	Undecided []int
+	k       int
+	invalid int // 1 + the lowest index that decided a non-input; 0 for none
+	value   V   // what that index decided
+	idle    int // 1 + the lowest non-exempt index that did not decide; 0 for none
 }
 
 // KSet evaluates k-set agreement over indices 0..n-1, in that order:
@@ -51,23 +39,71 @@ type Verdict[V comparable] struct {
 // termination clause, and k = n for no bound: n indices decide at most n
 // values.
 func KSet[V comparable](k int, input func(V) bool, n int, decided func(i int) (V, bool), exempt func(i int) bool) Verdict[V] {
-	var vd Verdict[V]
+	vd := Verdict[V]{k: k}
 	for i := 0; i < n; i++ {
 		v, ok := decided(i)
 		switch {
 		case ok:
-			if input != nil && !input(v) {
-				vd.Invalid = append(vd.Invalid, Offender[V]{i, v})
+			if vd.invalid == 0 && input != nil && !input(v) {
+				vd.invalid, vd.value = i+1, v
 			}
 			if !slices.Contains(vd.Distinct, v) {
 				vd.Distinct = append(vd.Distinct, v)
 			}
-		case exempt != nil && !exempt(i):
-			vd.Undecided = append(vd.Undecided, i)
+		case vd.idle == 0 && exempt != nil && !exempt(i):
+			vd.idle = i + 1
 		}
 	}
 	vd.Excess = len(vd.Distinct) > k
 	return vd
+}
+
+// Err returns nil when the verdict holds, and otherwise a *Violation
+// naming the first clause broken, in KSet's order: validity, k-agreement,
+// termination.
+func (vd Verdict[V]) Err() error {
+	switch {
+	case vd.invalid > 0:
+		return &Violation{Clause: "validity", Index: vd.invalid - 1, value: vd.value}
+	case vd.Excess:
+		return &Violation{Clause: "k-agreement", Index: -1, value: vd.Distinct, n: len(vd.Distinct), k: vd.k}
+	case vd.idle > 0:
+		return &Violation{Clause: "termination", Index: vd.idle - 1}
+	}
+	return nil
+}
+
+// Violation is a broken k-set clause. Its sentence names values, never
+// indices: an auditor whose indices are processes names the process from
+// Index. The sentence is rendered only by Error.
+type Violation struct {
+	// Clause is "validity", "k-agreement" or "termination".
+	Clause string
+
+	// Index is the lowest offending index, or -1 for k-agreement.
+	Index int
+
+	value any // validity: the decided value; k-agreement: the distinct values
+	n, k  int // k-agreement: how many distinct values, and the bound
+}
+
+func (v *Violation) Error() string {
+	switch v.Clause {
+	case "validity":
+		return fmt.Sprintf("decided %v, not an input", v.value)
+	case "k-agreement":
+		return fmt.Sprintf("%d distinct decisions %v exceed k=%d", v.n, v.value, v.k)
+	}
+	return "did not decide"
+}
+
+// byProcess wraps a violation of a verdict whose indices are processes,
+// naming the process.
+func byProcess(prefix string, err error) error {
+	if i := err.(*Violation).Index; i >= 0 {
+		return fmt.Errorf("%s: process %d %w", prefix, i, err)
+	}
+	return fmt.Errorf("%s: %w", prefix, err)
 }
 
 // Inputs returns the membership test of an input vector.
@@ -101,67 +137,18 @@ type Assignment struct {
 	Crashed core.Set
 }
 
-// Task is a distributed task: a relation between input and output vectors.
-type Task interface {
-	// Name identifies the task.
-	Name() string
-
-	// Check returns nil iff the assignment satisfies the task's
-	// input/output relation (including termination of non-crashed
-	// processes).
-	Check(a Assignment) error
-}
-
-// kSet is k-set agreement (§3): outputs are inputs, and at most k distinct
-// values are chosen. k = 1 is consensus.
-type kSet struct {
-	k int
-}
-
-// KSetAgreement returns the k-set agreement task; Consensus returns its
-// k = 1 instance.
-func KSetAgreement(k int) Task { return kSet{k: k} }
-
-// Consensus returns the consensus task.
-func Consensus() Task { return kSet{k: 1} }
-
-func (t kSet) Name() string {
-	if t.k == 1 {
-		return "consensus"
-	}
-	return fmt.Sprintf("%d-set agreement", t.k)
-}
-
-func (t kSet) Check(a Assignment) error {
-	switch vd := KSet(t.k, Inputs(a.Inputs), len(a.Inputs), ByPID(a.Outputs), In(a.Crashed)); {
-	case len(vd.Invalid) > 0:
-		return fmt.Errorf("task %s: process %d decided %v, not an input", t.Name(), vd.Invalid[0].Index, vd.Invalid[0].Value)
-	case vd.Excess:
-		return fmt.Errorf("task %s: %d distinct outputs", t.Name(), len(vd.Distinct))
-	case len(vd.Undecided) > 0:
-		return fmt.Errorf("task %s: live process %d did not decide", t.Name(), vd.Undecided[0])
-	}
-	return nil
-}
-
-// graded is the adopt-commit task of §4.2, viewed as a task over outputs of
-// the form GradedValue.
-type graded struct{}
-
 // GradedValue is an adopt-commit task output.
 type GradedValue struct {
 	Commit bool
 	Value  core.Value
 }
 
-// AdoptCommit returns the adopt-commit task: validity (output values are
-// inputs), convergence (unanimous input forces unanimous commit), and
-// agreement (a commit forces every output value).
-func AdoptCommit() Task { return graded{} }
-
-func (graded) Name() string { return "adopt-commit" }
-
-func (graded) Check(a Assignment) error {
+// AdoptCommit checks the adopt-commit task of §4.2 over outputs of the form
+// GradedValue: validity (output values are inputs) and termination, which
+// are k-set agreement's on the carried values, then convergence (unanimous
+// input forces unanimous commit) and agreement (a commit forces every
+// output value).
+func AdoptCommit(a Assignment) error {
 	n := len(a.Inputs)
 	at := func(i int) (GradedValue, bool) {
 		g, ok := a.Outputs[core.PID(i)].(GradedValue)
@@ -174,13 +161,11 @@ func (graded) Check(a Assignment) error {
 			}
 		}
 	}
-	// Validity and termination are k-set agreement's, on the carried values.
-	vd := KSet(n, Inputs(a.Inputs), n, func(i int) (core.Value, bool) {
+	if err := KSet(n, Inputs(a.Inputs), n, func(i int) (core.Value, bool) {
 		g, ok := at(i)
 		return g.Value, ok
-	}, In(a.Crashed))
-	if len(vd.Invalid) > 0 {
-		return fmt.Errorf("adopt-commit: process %d carries non-input %v", vd.Invalid[0].Index, vd.Invalid[0].Value)
+	}, In(a.Crashed)).Err(); err != nil {
+		return byProcess("adopt-commit", err)
 	}
 	unanimous := true
 	for _, v := range a.Inputs {
@@ -203,9 +188,6 @@ func (graded) Check(a Assignment) error {
 			}
 		}
 	}
-	if len(vd.Undecided) > 0 {
-		return fmt.Errorf("adopt-commit: live process %d did not decide", vd.Undecided[0])
-	}
 	return nil
 }
 
@@ -215,7 +197,6 @@ type OracleGen func(seed int64) core.Oracle
 
 // Report summarizes a Solves run.
 type Report struct {
-	Task      string
 	Predicate string
 	Trials    int
 
@@ -224,22 +205,24 @@ type Report struct {
 }
 
 // Solves checks, over trials seeded adversaries, that the algorithm solves
-// the task in the system defined by the predicate: every adversary's trace
-// must satisfy the predicate (otherwise the generator is at fault and the
-// error says so), and every execution's outputs must satisfy the task.
-func Solves(t Task, n int, inputs []core.Value, factory core.Factory,
+// k-set agreement (k = 1: consensus) in the system defined by the
+// predicate: every adversary's trace must satisfy the predicate (otherwise
+// the generator is at fault and the error says so), and every execution's
+// outputs must satisfy the task, crashed processes exempt from termination.
+func Solves(k, n int, inputs []core.Value, factory core.Factory,
 	p predicate.P, gen OracleGen, trials int, opts ...core.Option) (*Report, error) {
-	rep := &Report{Task: t.Name(), Predicate: p.Name, Trials: trials}
+	rep := &Report{Predicate: p.Name, Trials: trials}
+	input := Inputs(inputs)
 	for seed := int64(0); seed < int64(trials); seed++ {
 		res, err := core.Run(n, inputs, factory, gen(seed), opts...)
 		if err != nil {
-			return nil, fmt.Errorf("task %s seed %d: %w", t.Name(), seed, err)
+			return nil, fmt.Errorf("seed %d: %w", seed, err)
 		}
 		if err := p.Check(res.Trace); err != nil {
-			return nil, fmt.Errorf("task %s seed %d: adversary outside the system: %w", t.Name(), seed, err)
+			return nil, fmt.Errorf("seed %d: adversary outside the system: %w", seed, err)
 		}
-		if err := t.Check(Assignment{Inputs: inputs, Outputs: res.Outputs, Crashed: res.Crashed}); err != nil {
-			return nil, fmt.Errorf("seed %d: %w", seed, err)
+		if err := KSet(k, input, len(inputs), ByPID(res.Outputs), In(res.Crashed)).Err(); err != nil {
+			return nil, byProcess(fmt.Sprintf("seed %d: %d-set agreement", seed, k), err)
 		}
 		if r := res.MaxDecisionRound(); r > rep.MaxRounds {
 			rep.MaxRounds = r

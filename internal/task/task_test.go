@@ -20,47 +20,29 @@ func identityInputs(n int) []core.Value {
 }
 
 func TestKSetCheck(t *testing.T) {
-	task := KSetAgreement(2)
 	inputs := identityInputs(4)
-	good := Assignment{
-		Inputs:  inputs,
-		Outputs: map[core.PID]core.Value{0: 1, 1: 1, 2: 3, 3: 3},
-		Crashed: core.NewSet(4),
+	check := func(out map[core.PID]core.Value, crashed core.Set) error {
+		return KSet(2, Inputs(inputs), len(inputs), ByPID(out), In(crashed)).Err()
 	}
-	if err := task.Check(good); err != nil {
+	if err := check(map[core.PID]core.Value{0: 1, 1: 1, 2: 3, 3: 3}, core.NewSet(4)); err != nil {
 		t.Fatal(err)
 	}
-	tooMany := Assignment{
-		Inputs:  inputs,
-		Outputs: map[core.PID]core.Value{0: 0, 1: 1, 2: 2, 3: 2},
-		Crashed: core.NewSet(4),
-	}
-	if err := task.Check(tooMany); err == nil || !strings.Contains(err.Error(), "distinct") {
-		t.Fatalf("err = %v", err)
-	}
-	invalid := Assignment{
-		Inputs:  inputs,
-		Outputs: map[core.PID]core.Value{0: 99, 1: 99, 2: 99, 3: 99},
-		Crashed: core.NewSet(4),
-	}
-	if err := task.Check(invalid); err == nil || !strings.Contains(err.Error(), "not an input") {
-		t.Fatalf("err = %v", err)
-	}
-	missing := Assignment{
-		Inputs:  inputs,
-		Outputs: map[core.PID]core.Value{0: 0},
-		Crashed: core.SetOf(4, 1, 2),
-	}
-	if err := task.Check(missing); err == nil || !strings.Contains(err.Error(), "did not decide") {
-		t.Fatalf("err = %v", err)
-	}
-	if Consensus().Name() != "consensus" || KSetAgreement(3).Name() != "3-set agreement" {
-		t.Fatal("names broken")
+	for _, c := range []struct {
+		out     map[core.PID]core.Value
+		crashed core.Set
+		want    string
+	}{
+		{map[core.PID]core.Value{0: 0, 1: 1, 2: 2, 3: 2}, core.NewSet(4), "3 distinct decisions [0 1 2] exceed k=2"},
+		{map[core.PID]core.Value{0: 99, 1: 99, 2: 99, 3: 99}, core.NewSet(4), "decided 99, not an input"},
+		{map[core.PID]core.Value{0: 0}, core.SetOf(4, 1, 2), "did not decide"},
+	} {
+		if err := check(c.out, c.crashed); err == nil || err.Error() != c.want {
+			t.Fatalf("outputs %v: err = %v, want %s", c.out, err, c.want)
+		}
 	}
 }
 
 func TestAdoptCommitCheck(t *testing.T) {
-	task := AdoptCommit()
 	inputs := []core.Value{7, 7}
 	good := Assignment{
 		Inputs: inputs,
@@ -70,7 +52,7 @@ func TestAdoptCommitCheck(t *testing.T) {
 		},
 		Crashed: core.NewSet(2),
 	}
-	if err := task.Check(good); err != nil {
+	if err := AdoptCommit(good); err != nil {
 		t.Fatal(err)
 	}
 	// Unanimous input but an adopt output: convergence violated.
@@ -82,7 +64,7 @@ func TestAdoptCommitCheck(t *testing.T) {
 		},
 		Crashed: core.NewSet(2),
 	}
-	if err := task.Check(lazy); err == nil {
+	if err := AdoptCommit(lazy); err == nil {
 		t.Fatal("convergence violation undetected")
 	}
 	// Commit with a dissenting value: agreement violated.
@@ -94,7 +76,7 @@ func TestAdoptCommitCheck(t *testing.T) {
 		},
 		Crashed: core.NewSet(2),
 	}
-	if err := task.Check(mixed); err == nil {
+	if err := AdoptCommit(mixed); err == nil {
 		t.Fatal("agreement violation undetected")
 	}
 }
@@ -103,7 +85,7 @@ func TestSolvesTheoremThreeOne(t *testing.T) {
 	// "The k-set-detector system solves k-set agreement" — the paper's
 	// solvability statement, machine-checked end to end.
 	n, k := 9, 3
-	rep, err := Solves(KSetAgreement(k), n, identityInputs(n), agreement.OneRoundKSet(),
+	rep, err := Solves(k, n, identityInputs(n), agreement.OneRoundKSet(),
 		hoalg.KSetEq3(k).Compile(),
 		func(seed int64) core.Oracle { return adversary.KSetUncertainty(n, k, seed) },
 		40)
@@ -117,7 +99,7 @@ func TestSolvesTheoremThreeOne(t *testing.T) {
 
 func TestSolvesConsensusUnderS(t *testing.T) {
 	n := 6
-	rep, err := Solves(Consensus(), n, identityInputs(n), agreement.RotatingCoordinator(),
+	rep, err := Solves(1, n, identityInputs(n), agreement.RotatingCoordinator(),
 		hoalg.NeverSuspected().Compile(),
 		func(seed int64) core.Oracle {
 			return adversary.SpareNeverSuspected(n, core.PID(seed%int64(n)), seed)
@@ -135,7 +117,7 @@ func TestSolvesRejectsWrongAlgorithm(t *testing.T) {
 	// FloodMin truncated below the bound does NOT solve k-set agreement
 	// in the crash system — Solves must say so.
 	n, f, k := 10, 4, 2
-	_, err := Solves(KSetAgreement(k), n, identityInputs(n), agreement.FloodMin(f/k),
+	_, err := Solves(k, n, identityInputs(n), agreement.FloodMin(f/k),
 		hoalg.SyncCrash(f).Compile(),
 		func(seed int64) core.Oracle { return adversary.ChainCrash(n, f, k) },
 		1)
@@ -150,7 +132,7 @@ func TestSolvesRejectsWrongAlgorithm(t *testing.T) {
 func TestSolvesRejectsBrokenGenerator(t *testing.T) {
 	// A generator outside the declared system must be reported as such.
 	n := 5
-	_, err := Solves(Consensus(), n, identityInputs(n), agreement.RotatingCoordinator(),
+	_, err := Solves(1, n, identityInputs(n), agreement.RotatingCoordinator(),
 		hoalg.Identical().Compile(), // the adversary below violates eq5
 		func(seed int64) core.Oracle {
 			return adversary.SpareNeverSuspected(n, 0, seed)
