@@ -54,9 +54,12 @@ baton-race:
 	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|Golden|Hygiene' ./internal/chaos/
 
 # Connection readers answer reads from the decided table while the shard
-# loops publish into it: the concurrent-reader tests ten times over.
+# loops publish into it: the concurrent-reader tests ten times over. The
+# shard loops also write the journal themselves, whichever finds no commit
+# in flight: the group-commit tests as often, at one P and at four.
 readers-race:
 	$(GO) test -race -count 10 -run 'TestConcurrentReaders|TestReadYourWrites' ./internal/serve/
+	$(GO) test -race -count 10 -cpu 1,4 -run TestGroup ./internal/wal/
 
 # The multi-process run, which no test spawns: one OS process per pid over
 # inherited loopback listeners, the highest pid killed and restarted

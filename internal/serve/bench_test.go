@@ -35,7 +35,7 @@ func benchCluster(b *testing.B, maxInflight int) *Cluster {
 // serial is one client round-tripping one instance at a time — pure
 // latency. throughput is many concurrent clients over disjoint
 // instances, the shape the sharded instance table, the WAL group
-// committer, and the multi-event turn exist for; it reports
+// commit, and the multi-event turn exist for; it reports
 // decides/sec and is tracked against serial in BENCH_core.json.
 func BenchmarkServeDecide(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {

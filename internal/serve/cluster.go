@@ -7,9 +7,11 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -153,15 +155,49 @@ func (cl *Cluster) ClientAddrs() []string {
 // the restart is honest (no planted bug, no crash hook carries over).
 func (cl *Cluster) Restart(i int, tune func(cfg *Config)) (*Server, error) {
 	cfg := cl.nodeConfig(i)
+	ml, err := rebind(cl.meshAddrs[i])
+	if err != nil {
+		return nil, fmt.Errorf("serve: restart node %d: mesh: %w", i, err)
+	}
+	cln, err := rebind(cl.clientAddrs[i])
+	if err != nil {
+		ml.Close()
+		return nil, fmt.Errorf("serve: restart node %d: client: %w", i, err)
+	}
+	cfg.MeshListener, cfg.ClientListener = ml, cln
 	if tune != nil {
 		tune(&cfg)
 	}
 	s, err := Start(cfg)
 	if err != nil {
+		closeAll([]net.Listener{ml}, []net.Listener{cln})
 		return nil, fmt.Errorf("serve: restart node %d: %w", i, err)
 	}
 	cl.Servers[i] = s
 	return s, nil
+}
+
+// rebindTries bounds rebind: its waits grow from 1 ms to 100 ms and sum
+// to about a second.
+const rebindTries = 16
+
+// rebind binds a dead node's address again. Its port is back in the
+// ephemeral range, where any outbound connection on the host may take it
+// as its local port until the connection closes, so a bind that finds the
+// port in use is retried with bounded backoff.
+func rebind(addr string) (net.Listener, error) {
+	wait := time.Millisecond
+	for try := 1; ; try++ {
+		ln, err := net.Listen("tcp", addr)
+		if !errors.Is(err, syscall.EADDRINUSE) {
+			return ln, err
+		}
+		if try == rebindTries {
+			return nil, fmt.Errorf("port of %s still in use after %d binds: %w", addr, try, err)
+		}
+		time.Sleep(wait)
+		wait = min(2*wait, 100*time.Millisecond)
+	}
 }
 
 // Close kills every still-running server cleanly.

@@ -166,11 +166,13 @@ func TestUnobservedDecideBuildsNoEventFields(t *testing.T) {
 }
 
 // TestDecidedProposerIsNotAnswered drives one shard's handlers by hand,
-// as above. An origin's first proposal asks; a peer that opens an instance
-// and decides it in the same turn says so in its proposal to both other
-// nodes. A node that has decided answers a proposer that has not with the
-// decision, and one that has with nothing; an undecided node resends its
-// proposal to a repeated plain proposal only.
+// as above. A proposal goes only where it can still count. An origin's
+// first proposal asks everyone. A node that opens an instance on a peer's
+// proposal and decides it in the same turn answers only that peer, and
+// only if it asked; one still undecided proposes to every node but a
+// proposer that said it had decided. A node that has decided answers a
+// proposer that has not with the decision, and one that has with nothing;
+// an undecided node resends its proposal to a repeated plain proposal only.
 func TestDecidedProposerIsNotAnswered(t *testing.T) {
 	shard := func(n, f int) (*Server, *shardTable) {
 		addrs := []string{"127.0.0.1:0"}
@@ -209,24 +211,36 @@ func TestDecidedProposerIsNotAnswered(t *testing.T) {
 
 	s.handle(tb, peerEv{from: 1, kind: pmPropose, inst: "y", val: 3}) // opens y and decides it: n−f = 2
 	sent(tb, 1, 1, pmProposeDecided)
-	sent(tb, 2, 1, pmProposeDecided)
+	sent(tb, 2, 1)
 	s.handle(tb, peerEv{from: 2, kind: pmProposeDecided, inst: "y", val: 4})
-	sent(tb, 2, 1, pmProposeDecided)
+	sent(tb, 2, 1)
 	s.handle(tb, peerEv{from: 2, kind: pmPropose, inst: "y", val: 4})
-	sent(tb, 2, 1, pmProposeDecided, pmDecide)
-	if _, _, val, _ := decodePeerMsg(tb.out[2][2]); val != 3 {
+	sent(tb, 2, 1, pmDecide)
+	if _, _, val, _ := decodePeerMsg(tb.out[2][1]); val != 3 {
 		t.Fatalf("the undecided proposer is told %d, want the decision 3", val)
+	}
+	s.handle(tb, peerEv{from: 1, kind: pmProposeDecided, inst: "w", val: 6}) // opens w and decides it
+	sent(tb, 1, 1, pmProposeDecided)
+	sent(tb, 2, 1, pmDecide)
+	if st := s.Stats(); st.Decisions != 2 {
+		t.Fatalf("%d decisions, want y and w", st.Decisions)
 	}
 
 	s, tb = shard(4, 1)
 	s.handle(tb, peerEv{from: 1, kind: pmProposeDecided, inst: "z", val: 5}) // opens z: 2 of n−f = 3
-	sent(tb, 1, 0, pmPropose)
+	sent(tb, 1, 0)
+	sent(tb, 2, 0, pmPropose)
+	sent(tb, 3, 0, pmPropose)
 	s.handle(tb, peerEv{from: 1, kind: pmProposeDecided, inst: "z", val: 5})
-	sent(tb, 1, 0, pmPropose)
+	sent(tb, 1, 0)
 	s.handle(tb, peerEv{from: 1, kind: pmPropose, inst: "z", val: 5})
-	sent(tb, 1, 0, pmPropose, pmPropose)
-	if st := s.Stats(); st.Decisions != 0 || st.PeerProposes != 3 {
-		t.Fatalf("stats %+v, want no decision and 3 peer proposals", st)
+	sent(tb, 1, 0, pmPropose)
+	s.handle(tb, peerEv{from: 2, kind: pmPropose, inst: "v", val: 8}) // opens v undecided: asks everyone
+	sent(tb, 1, 1, pmPropose)
+	sent(tb, 2, 1, pmPropose)
+	sent(tb, 3, 1, pmPropose)
+	if st := s.Stats(); st.Decisions != 0 || st.PeerProposes != 4 {
+		t.Fatalf("stats %+v, want no decision and 4 peer proposals", st)
 	}
 }
 

@@ -7,16 +7,22 @@
 // The protocol per instance is the quorum form of §2 item 3, one
 // communication-closed round: each server adopts the first value it hears
 // for an instance (its own client's, or a peer's) as its proposal, sends
-// it to every peer, and decides the minimum of the first n−f proposals it
-// gathers. Views that contain n−f of the n proposals overlap enough that
-// at most f+1 distinct minima exist, so k-agreement holds for k ≥ f+1 —
-// the same eq. (3) argument the simulation stack checks, here per
-// instance. Every node that hears of an instance proposes, so with n−f
-// live nodes every live node fills its own view: a decision is not
+// it to the peers where it can still count, and decides the minimum of
+// the first n−f proposals it gathers. Views that contain n−f of the n
+// proposals overlap enough that at most f+1 distinct minima exist, so
+// k-agreement holds for k ≥ f+1 — the same eq. (3) argument the
+// simulation stack checks, here per instance. A node still undecided
+// when it opens an instance proposes to every peer but one that said it
+// had decided; a node that decides in the turn it opens an instance on a
+// peer's proposal answers only that peer, and only if it asked. So the
+// node a client asked has proposed to all, every live peer answers it,
+// and with n−f live nodes it fills its own view: a decision is not
 // announced. It is sent only in reply, to a peer that proposes for an
 // instance already decided here and says it has not decided (a straggler,
 // a restarted node, an origin resubmitting); adopting it merges decision
-// sets and never widens them.
+// sets and never widens them. A node that never hears the origin (its
+// frame shed, or the origin dead mid-send) learns the instance that way
+// too, once a client asks it, as a restarted node does.
 //
 // A shard loop works in turns — drain the event queue, compute, emit
 // once. Handlers touch only the shard's table and record their effects in
@@ -390,9 +396,9 @@ func Start(cfg Config) (*Server, error) {
 		s.hTurnJournal = cfg.Hist.Get("serve_turn_journal_ns")
 		walBatchHist = cfg.Hist.Get("serve_wal_batch")
 	}
-	// From here on the group committer is the journal's single writer:
-	// every shard loop appends its turn's records through it, one fsync
-	// per commit.
+	// From here on the group is the journal's only way in: every shard
+	// loop appends its turn's records through it, and whichever finds no
+	// commit in flight writes them, one fsync per commit.
 	s.group = wal.NewGroup(log, wal.GroupOptions{BatchHist: walBatchHist})
 
 	mesh := cfg.Mesh
@@ -486,14 +492,14 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// JournalStats exposes the group committer's coalescing counters.
+// JournalStats exposes the group commit's coalescing counters.
 func (s *Server) JournalStats() wal.GroupStats { return s.group.Stats() }
 
 // Mesh exposes the underlying transport node (for its Stats).
 func (s *Server) Mesh() *netsub.Node { return s.node }
 
 // Close shuts the server down cleanly: stops serving, waits for the
-// goroutines, drains the journal committer, syncs and closes the journal.
+// goroutines, drains the journal group, syncs and closes the journal.
 func (s *Server) Close() error {
 	s.Kill()
 	return s.log.Close()
@@ -603,29 +609,30 @@ func (s *Server) onSubmit(t *shardTable, ev submitEv) {
 	// flight re-sends our proposal: cheap, it re-seeds peers that
 	// restarted mid-instance, and a peer that has decided meanwhile
 	// answers it with the decision.
-	s.propose(t, ins, allPeers)
+	s.proposeAll(t, ins, nobody)
 }
 
-// allPeers addresses propose to every other node.
-const allPeers core.PID = -1
+// nobody is a proposeAll skip that skips no peer.
+const nobody core.PID = -1
 
-// propose records this node's proposal for ins for peer to, or for every
-// other node. Once the instance is decided here, in this turn or earlier,
-// it goes as pmProposeDecided: the node has nothing left to learn, so no
-// peer answers it.
-func (s *Server) propose(t *shardTable, ins *instance, to core.PID) {
+// proposal encodes this node's proposal for ins. Once the instance is
+// decided here, in this turn or earlier, it goes as pmProposeDecided: the
+// node has nothing left to learn, so no peer answers it.
+func (t *shardTable) proposal(ins *instance) []byte {
 	kind := pmPropose
 	if _, done := t.lookup(ins.id); done {
 		kind = pmProposeDecided
 	}
-	msg := encodePeerMsg(kind, ins.id, ins.proposal)
-	if to != allPeers {
-		t.send(to, msg)
-		return
-	}
+	return encodePeerMsg(kind, ins.id, ins.proposal)
+}
+
+// proposeAll records this node's proposal for ins for every other node
+// but skip.
+func (s *Server) proposeAll(t *shardTable, ins *instance, skip core.PID) {
+	msg := t.proposal(ins)
 	for p := range t.out {
-		if core.PID(p) != s.cfg.Me {
-			t.send(core.PID(p), msg)
+		if to := core.PID(p); to != s.cfg.Me && to != skip {
+			t.send(to, msg)
 		}
 	}
 }
@@ -703,14 +710,27 @@ func (s *Server) onPeer(t *shardTable, ev peerEv) {
 		if !seen {
 			ins.got[ev.from] = ev.val
 		}
-		s.maybeDecide(t, ins)
+		decided := s.maybeDecide(t, ins)
 		switch {
+		case !open && decided:
+			// Closed in the turn it opened: our proposal can still count
+			// only at the proposer, and only if it has not decided. A
+			// sibling peer has heard the proposer too, or learns the
+			// instance when a client asks it (a plain pmPropose answered
+			// with pmDecide), as a restarted node does.
+			if asks {
+				t.send(ev.from, t.proposal(ins))
+			}
 		case !open:
-			s.propose(t, ins, allPeers)
+			skip := nobody
+			if !asks {
+				skip = ev.from // it has decided: our proposal would go unread
+			}
+			s.proposeAll(t, ins, skip)
 		case seen && asks:
 			// A repeated proposal is a peer that lost our answer (or a
 			// restart): resend ours directly rather than re-flooding.
-			s.propose(t, ins, ev.from)
+			t.send(ev.from, t.proposal(ins))
 		}
 	case pmDecide:
 		if _, ok := t.lookup(ev.inst); ok {
@@ -725,10 +745,12 @@ func (s *Server) onPeer(t *shardTable, ev peerEv) {
 	}
 }
 
-func (s *Server) maybeDecide(t *shardTable, ins *instance) {
+// maybeDecide decides ins once its view holds n−f proposals, and reports
+// whether it did.
+func (s *Server) maybeDecide(t *shardTable, ins *instance) bool {
 	min, ok := agreement.QuorumMin(ins.got, s.cfg.N-s.cfg.F)
 	if !ok {
-		return
+		return false
 	}
 	s.ctr.decisions.Add(1)
 	if s.cfg.Observer != nil {
@@ -738,6 +760,7 @@ func (s *Server) maybeDecide(t *shardTable, ins *instance) {
 		s.hDecide.Record(time.Since(ins.start).Nanoseconds())
 	}
 	s.commitDecision(t, ins.id, min)
+	return true
 }
 
 // commitDecision records a decision in the turn: the journal record, the

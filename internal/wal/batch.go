@@ -3,20 +3,21 @@
 // records durable under ONE write + ONE fsync. Group is the concurrent
 // front-end the sharded service uses: any number of goroutines call
 // Group.AppendBatch — each with everything it has to journal, one record
-// or many — a single committer goroutine drains whatever has accumulated
-// into one Log.AppendBatch, and every caller returns only once its
-// records are durable per the log's SyncMode — so the journal-before-ack
-// contract survives concurrency while the fsyncs are paid once per
-// commit, not once per record.
+// or many — and every caller returns only once its records are durable
+// per the log's SyncMode, so the journal-before-ack contract survives
+// concurrency while the fsyncs are paid once per commit, not once per
+// record.
 //
-// The batching is greedy and windowless: when the committer is free it
-// commits a single request immediately (no added latency at low load);
-// when a commit is in flight, everything that arrives meanwhile forms
-// the next batch (fsyncs amortize exactly as fast as load grows). This
-// is the classic group-commit self-tuning behaviour. A caller that
-// already holds several records — a serve shard loop at the end of a
-// turn — coalesces before the committer ever sees them: its records
-// share a commit even when nobody else is appending.
+// A caller that finds no commit in flight writes its entries itself, on
+// its own goroutine (no hand-off and no added latency at low load).
+// Callers that arrive while a commit is in flight append their entries
+// to the next batch and wait; when the commit ends, whichever of them
+// runs first writes that batch for all, and each returns its own offset
+// into the one shared result (fsyncs amortize exactly as fast as load
+// grows). This is the classic group-commit self-tuning behaviour. A
+// caller that already holds several records — a serve shard loop at the
+// end of a turn — coalesces before it ever calls: its records share a
+// commit even when nobody else is appending.
 package wal
 
 import (
@@ -92,11 +93,6 @@ var ErrGroupClosed = errors.New("wal: group writer closed")
 
 // GroupOptions tunes a Group.
 type GroupOptions struct {
-	// maxBatch bounds how many records the committer gathers into one
-	// commit; a single request's records are never split, so a commit
-	// may exceed it by that request's tail. 0 means 256.
-	maxBatch int
-
 	// BatchHist, when non-nil, records each commit's batch size — the
 	// observability hook the serve layer wires to "serve_wal_batch".
 	BatchHist *hist.Histogram
@@ -116,10 +112,12 @@ type GroupStats struct {
 type Group struct {
 	log  *Log
 	opts GroupOptions
-	req  chan groupReq
-	wg   sync.WaitGroup
 
-	mu     sync.RWMutex
+	mu     sync.Mutex
+	idle   sync.Cond // broadcast when a commit ends
+	busy   bool      // a caller is writing a batch, mu released
+	next   *pending  // entries that arrived during the commit in flight
+	spare  []BatchEntry
 	closed bool
 
 	appends atomic.Int64
@@ -127,28 +125,21 @@ type Group struct {
 	synced  atomic.Uint64
 }
 
-type groupReq struct {
+// pending is the next batch: its callers' entries in arrival order and,
+// once written, the one result they share.
+type pending struct {
 	entries []BatchEntry
-	res     chan groupRes
+	first   uint64
+	err     error
+	written bool
 }
 
-type groupRes struct {
-	seq uint64
-	err error
-}
-
-// NewGroup starts the committer goroutine over l. The caller must not
-// call l.Append/AppendBatch directly while the group is open — the
-// committer is the log's single writer.
+// NewGroup returns a Group over l. The caller must not call
+// l.Append/AppendBatch directly while the group is open — whichever
+// caller is committing is the log's single writer.
 func NewGroup(l *Log, opts GroupOptions) *Group {
-	if opts.maxBatch <= 0 {
-		opts.maxBatch = 256
-	}
-	// Up to 1024 appends wait in the channel; past that a submitter blocks
-	// until the committer drains it.
-	g := &Group{log: l, opts: opts, req: make(chan groupReq, 1024)}
-	g.wg.Add(1)
-	go g.commit()
+	g := &Group{log: l, opts: opts}
+	g.idle.L = &g.mu
 	return g
 }
 
@@ -168,16 +159,62 @@ func (g *Group) AppendBatch(entries []BatchEntry) (uint64, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	r := groupReq{entries: entries, res: make(chan groupRes, 1)}
-	g.mu.RLock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.closed {
-		g.mu.RUnlock()
 		return 0, ErrGroupClosed
 	}
-	g.req <- r
-	g.mu.RUnlock()
-	res := <-r.res
-	return res.seq, res.err
+	if !g.busy && g.next == nil {
+		return g.write(entries)
+	}
+	b := g.next
+	if b == nil {
+		b = &pending{entries: g.spare}
+		g.spare, g.next = nil, b
+	}
+	off := uint64(len(b.entries))
+	b.entries = append(b.entries, entries...)
+	for !b.written {
+		g.step()
+	}
+	if b.err != nil {
+		return 0, b.err
+	}
+	return b.first + off, nil
+}
+
+// step waits out the commit in flight, or, when none is, writes the next
+// batch for every caller in it. Called with mu held.
+func (g *Group) step() {
+	if g.busy {
+		g.idle.Wait()
+		return
+	}
+	b := g.next
+	g.next = nil
+	b.first, b.err = g.write(b.entries)
+	b.written = true
+	clear(b.entries)
+	g.spare = b.entries[:0]
+}
+
+// write commits entries as one Log.AppendBatch. It is called with mu held
+// and no commit in flight, and releases mu for the write itself, so the
+// callers that arrive meanwhile gather into the next batch.
+func (g *Group) write(entries []BatchEntry) (uint64, error) {
+	g.busy = true
+	g.mu.Unlock()
+	first, err := g.log.AppendBatch(entries)
+	g.appends.Add(int64(len(entries)))
+	g.batches.Add(1)
+	g.synced.Store(g.log.SyncedSeq())
+	if g.opts.BatchHist != nil {
+		g.opts.BatchHist.Record(int64(len(entries)))
+	}
+	g.mu.Lock()
+	g.busy = false
+	g.idle.Broadcast()
+	return first, err
 }
 
 // Stats returns the group's counters.
@@ -187,69 +224,18 @@ func (g *Group) Stats() GroupStats {
 
 // SyncedSeq is the concurrent-safe view of the log's durability horizon:
 // the highest sequence number known durable as of the last commit. Unlike
-// Log.SyncedSeq it may be read while the committer runs.
+// Log.SyncedSeq it may be read while a commit runs.
 func (g *Group) SyncedSeq() uint64 { return g.synced.Load() }
 
-// Close stops accepting appends, waits for every pending one to commit,
-// and stops the committer. It does not close the underlying Log.
+// Close stops accepting appends and returns once every accepted one is
+// written — the batch in flight, and the next one even if none of its
+// callers has woken to write it yet. It does not close the underlying Log.
 func (g *Group) Close() error {
 	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil
-	}
+	defer g.mu.Unlock()
 	g.closed = true
-	g.mu.Unlock()
-	// No Append can be mid-send past this point (they hold the read lock
-	// across the send), so closing the channel is safe; the committer
-	// drains what is queued and exits.
-	close(g.req)
-	g.wg.Wait()
-	return nil
-}
-
-// commit is the committer loop: one blocking receive starts a batch,
-// a non-blocking drain (until maxBatch records are gathered) fills it,
-// one AppendBatch makes it durable, and every waiter learns its fate.
-func (g *Group) commit() {
-	defer g.wg.Done()
-	batch := make([]BatchEntry, 0, g.opts.maxBatch)
-	waiters := make([]groupReq, 0, g.opts.maxBatch)
-	for {
-		r, ok := <-g.req
-		if !ok {
-			return
-		}
-		batch, waiters = batch[:0], waiters[:0]
-		batch = append(batch, r.entries...)
-		waiters = append(waiters, r)
-	drain:
-		for len(batch) < g.opts.maxBatch {
-			select {
-			case r2, ok2 := <-g.req:
-				if !ok2 {
-					break drain
-				}
-				batch = append(batch, r2.entries...)
-				waiters = append(waiters, r2)
-			default:
-				break drain
-			}
-		}
-		first, err := g.log.AppendBatch(batch)
-		g.appends.Add(int64(len(batch)))
-		g.batches.Add(1)
-		g.synced.Store(g.log.SyncedSeq())
-		if g.opts.BatchHist != nil {
-			g.opts.BatchHist.Record(int64(len(batch)))
-		}
-		for _, w := range waiters {
-			if err != nil {
-				w.res <- groupRes{err: err}
-			} else {
-				w.res <- groupRes{seq: first}
-			}
-			first += uint64(len(w.entries))
-		}
+	for g.busy || g.next != nil {
+		g.step()
 	}
+	return nil
 }

@@ -39,11 +39,6 @@ func FuzzReplay(f *testing.F) {
 			if r.Seq != uint64(i+1) {
 				t.Fatalf("accepted record %d with seq %d", i, r.Seq)
 			}
-			if frameCRC(r.Seq, r.Kind, r.Payload) == 0 && len(r.Payload) > 0 {
-				// frameCRC of real data is vanishingly unlikely to be zero;
-				// nothing to assert beyond it being recomputable.
-				_ = r
-			}
 		}
 		if rep.Records != len(recs) {
 			t.Fatalf("report says %d records, replay returned %d", rep.Records, len(recs))

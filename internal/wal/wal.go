@@ -424,7 +424,7 @@ func scanSegment(b []byte, name string, prevSeq uint64) (int, []Record, *Corrupt
 			return off, recs, &CorruptError{Segment: name, Offset: int64(off), Reason: "short frame payload"}
 		}
 		payload := b[off+frameSize : off+frameSize+int(length)]
-		if frameCRC(fseq, kind, payload) != crc {
+		if frameCRC(b[off:], payload) != crc {
 			return off, recs, &CorruptError{Segment: name, Offset: int64(off), Reason: "checksum mismatch"}
 		}
 		if fseq != seq+1 {
@@ -440,22 +440,19 @@ func scanSegment(b []byte, name string, prevSeq uint64) (int, []Record, *Corrupt
 // appendFrame appends one encoded frame to buf and returns the extended
 // slice — the single frame-encoding path shared by Append and AppendBatch.
 func appendFrame(buf []byte, seq uint64, kind uint8, payload []byte) []byte {
-	var hdr [frameSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], seq)
-	hdr[8] = kind
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[13:17], frameCRC(seq, kind, payload))
-	buf = append(buf, hdr[:]...)
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = append(buf, kind)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, frameCRC(buf[start:], payload))
 	return append(buf, payload...)
 }
 
-func frameCRC(seq uint64, kind uint8, payload []byte) uint32 {
-	var hdr [13]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], seq)
-	hdr[8] = kind
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	crc := crc32.Update(0, castagnoli, hdr[:])
-	return crc32.Update(crc, castagnoli, payload)
+// frameCRC is the CRC-32C over a frame's seq ‖ kind ‖ length header (the
+// first 13 bytes of hdr) and its payload. The header is read in place:
+// a local copy would escape into crc32 and cost an allocation per frame.
+func frameCRC(hdr, payload []byte) uint32 {
+	return crc32.Update(crc32.Update(0, castagnoli, hdr[:13]), castagnoli, payload)
 }
 
 type segment struct {

@@ -318,7 +318,7 @@ func writeFrame(b []byte, seq uint64, kind uint8, payload []byte) {
 	putUint64(b[0:8], seq)
 	b[8] = kind
 	putUint32(b[9:13], uint32(len(payload)))
-	putUint32(b[13:17], frameCRC(seq, kind, payload))
+	putUint32(b[13:17], frameCRC(b, payload))
 	copy(b[frameSize:], payload)
 }
 
