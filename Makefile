@@ -45,13 +45,16 @@ ci: vet build bench-build race baton-race readers-race net-short cover unlinked
 bench-build:
 	$(GO) vet -C bench . && $(GO) build -C bench -o /dev/null .
 
-# The substrates' scheduler runs on whichever process goroutine stopped
-# computing last (internal/baton), so the packages built on it are raced at
+# The substrates' scheduler runs on the driver or on whichever body's
+# coroutine posted last, and a finished body's coroutine is pooled for the
+# next execution (internal/baton), so the packages built on it are raced at
 # one and at four processors whatever the runner has; so are the campaigns
-# whose par.Map workers share msgnet's and reliablelink's pooled state.
+# whose par.Map workers share msgnet's and reliablelink's pooled state, and
+# the experiment sweeps, where a worker resumes coroutines another created.
 baton-race:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/baton/ ./internal/msgnet/ ./internal/swmr/ ./internal/reliablelink/
 	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|Golden|Hygiene' ./internal/chaos/
+	$(GO) test -race -count=1 -cpu 1,4 -run TestSweepWorkersByteIdentical ./internal/exp/
 
 # Connection readers answer reads from the decided table while the shard
 # loops publish into it: the concurrent-reader tests ten times over. The

@@ -1,136 +1,153 @@
+//go:build go1.23
+
+// The constraint raises this file's language version to the one iter needs.
+// The module's go line stays at 1.22 while bench/go.mod, a module that
+// requires this one, does: go refuses a dependency newer than its main
+// module.
+
 // Package baton is the hand-over skeleton of the two virtual substrates
-// (internal/msgnet, internal/swmr): a cooperative scheduler whose state no
-// goroutine owns. Each process body runs on its own goroutine; the one that
-// was the last to stop computing — by posting an operation or by returning
-// from its body — holds the baton and takes the scheduler's steps itself.
-// When a step picks the holder's own operation it carries on; otherwise it
-// wakes the picked process and parks: one goroutine switch per operation,
-// none on a self-pick.
+// (internal/msgnet, internal/swmr): a cooperative scheduler with one driver.
+// Wait's caller drives the execution, and each process body runs on a
+// coroutine (iter.Pull), so the driver and the bodies run one at a time. A
+// body that posts an operation takes the scheduler's step itself, in place:
+// when the step picks the body's own operation it carries on; otherwise it
+// switches to the driver, naming the picked process, and the driver resumes
+// that one. A body that returns switches to the driver, which takes the next
+// step. A hand-over is two coroutine switches; a self-pick is none.
 //
-// The counters are the only state touched concurrently (bodies compute in
-// parallel before their first operation, and one step can spawn several
-// restarts). Everything else goes from holder to holder, ordered by them.
+// A step runs only with every live body parked on a posted operation: a body
+// spawned with Go runs first when the driver starts it, and a body that
+// posts while a spawned one has not yet started switches to the driver
+// instead of stepping.
+//
+// Coroutines are pooled. A finished body's coroutine goes back on a free
+// list and the next Go reuses it, its stack already grown, so the list never
+// holds more coroutines than the most bodies that were live at once. A
+// pooled coroutine is a goroutine created by the execution that first needed
+// it, and keeps that goroutine's pprof labels whoever resumes it later.
 package baton
 
 import (
 	"errors"
-	"sync/atomic"
+	"iter"
+	"sync"
 
 	"repro/internal/core"
 )
 
 var errPanicked = errors.New("baton: a process body or a scheduler callback panicked")
 
-// Baton runs one execution of n processes. Its creator holds it first.
+// Baton runs one execution of n processes.
 type Baton struct {
-	step      func(abort error) (core.PID, bool)
-	seats     []chan struct{} // by pid, capacity 1: waking a process never waits for it
-	returns   []result        // by pid; the latest incarnation's return wins
-	done      chan struct{}
-	wakes     int                 // hand-overs that woke a parked process; the holder's, read by tests
-	computing atomic.Int32        // goroutines running body code, plus one for the holder
-	live      atomic.Int32        // bodies started and not yet returned
-	panicked  atomic.Pointer[any] // the first panic, for Wait to raise again
+	step     func(abort error) (core.PID, bool)
+	seats    []seat     // by pid
+	fresh    []core.PID // spawned and not yet started, in spawn order
+	live     int        // bodies spawned and not yet returned
+	wakes    int        // hand-overs that resumed a parked process, read by tests
+	over     bool       // step has reported done
+	panicked any        // the first panic, for Wait to raise again
 }
 
-type result struct {
-	out core.Value
+// seat is one pid's coroutine and return.
+type seat struct {
+	co  *coroutine // running the current incarnation's body; nil once it returned
+	out core.Value // the latest incarnation's return
 	err error
 }
 
-// New returns a baton held by the caller. step is the scheduler: called by
-// one goroutine at a time, each call ordered after the one before, with every
-// live process parked on a posted operation. It takes scheduler steps until
-// it has applied the operation of one of them, whose pid it returns; or until
-// it has spawned bodies with Go — which it does last, touching no state
-// afterwards — and returns a negative pid; or until the execution is over
+// New returns a baton for n processes: its creator spawns the first bodies
+// with Go, then calls Wait. step is the scheduler: called on the driver or on
+// a body's coroutine, one call at a time, with every live process parked on
+// a posted operation. It takes scheduler steps until it has applied the
+// operation of one of them, whose pid it returns; or until it has spawned
+// bodies with Go and returns a negative pid; or until the execution is over
 // (done). abort is nil until a body or step itself has panicked: from then
 // on step must fail every posted and later operation and call nothing of its
 // caller's again, and a panic must leave every posted operation posted.
 func New(n int, step func(abort error) (next core.PID, done bool)) *Baton {
-	b := &Baton{step: step, seats: make([]chan struct{}, n), returns: make([]result, n), done: make(chan struct{})}
-	for i := range b.seats {
-		b.seats[i] = make(chan struct{}, 1)
-	}
-	b.computing.Store(1)
-	return b
+	return &Baton{step: step, seats: make([]seat, n), fresh: make([]core.PID, 0, n)}
 }
 
-// Go runs a body of process pid on a new goroutine. Only the holder may call
-// it: the creator before Wait, or step.
+// Go spawns a body of process pid, to start before the next step. Only the
+// creator before Wait, or step, may call it.
 func (b *Baton) Go(pid core.PID, body func() (core.Value, error)) {
-	b.computing.Add(1)
-	b.live.Add(1)
-	go func() {
-		func() {
-			defer b.relay()
-			out, err := body()
-			b.returns[pid] = result{out, err}
-		}()
-		b.live.Add(-1)
-		b.arrive(-1)
-	}()
+	c := get()
+	c.b, c.pid, c.body = b, pid, body
+	b.seats[pid].co = c
+	b.fresh = append(b.fresh, pid)
+	b.live++
 }
 
-// Live is the number of bodies started and not yet returned, for step.
-func (b *Baton) Live() int { return int(b.live.Load()) }
+// Live is the number of bodies spawned and not yet returned, for step.
+func (b *Baton) Live() int { return b.live }
 
-// Yield is called by process pid once it has posted an operation, and returns
-// once the operation has been applied.
+// Yield is called by process pid's body once it has posted an operation, and
+// returns once the operation has been applied.
 func (b *Baton) Yield(pid core.PID) {
-	if !b.arrive(pid) {
-		<-b.seats[pid]
+	c := b.seats[pid].co
+	next := core.PID(-1)
+	for next < 0 && len(b.fresh) == 0 && !b.over {
+		next, b.over = b.hold()
 	}
+	if next == pid {
+		return
+	}
+	if next >= 0 {
+		b.wakes++
+	}
+	c.yield(next)
 }
 
-// Wait lets go of the creator's hold and waits until step reports done. It
-// raises the first panic of the execution, if any, on the caller; otherwise
-// it returns what each process's body returned.
+// Wait drives the execution until step reports done. It raises the first
+// panic of the execution, if any, on the caller; otherwise it returns what
+// each process's body returned.
 func (b *Baton) Wait() (map[core.PID]core.Value, map[core.PID]error) {
-	b.arrive(-1)
-	<-b.done
-	if v := b.panicked.Load(); v != nil {
-		panic(*v)
+	for next := core.PID(-1); next >= 0 || len(b.fresh) > 0 || !b.over; {
+		switch {
+		case next >= 0:
+			next = b.resume(next)
+		case len(b.fresh) > 0:
+			pid := b.fresh[0]
+			b.fresh = append(b.fresh[:0], b.fresh[1:]...)
+			next = b.resume(pid)
+		default:
+			if next, b.over = b.hold(); next >= 0 {
+				b.wakes++
+			}
+		}
 	}
-	values, errs := make(map[core.PID]core.Value, len(b.returns)), make(map[core.PID]error)
-	for pid, r := range b.returns {
-		if r.err != nil {
-			errs[core.PID(pid)] = r.err
+	if b.panicked != nil {
+		panic(b.panicked)
+	}
+	values, errs := make(map[core.PID]core.Value, len(b.seats)), make(map[core.PID]error)
+	for pid, s := range b.seats {
+		if s.err != nil {
+			errs[core.PID(pid)] = s.err
 		} else {
-			values[core.PID(pid)] = r.out
+			values[core.PID(pid)] = s.out
 		}
 	}
 	return values, errs
 }
 
-// arrive is called by a goroutine that stopped computing (me < 0: not a
-// process with an operation posted). The last one in holds the baton: it
-// steps until its own operation is picked (true) or it has handed over —
-// woken the picked process, closed done, or left the baton to the last of
-// the bodies it spawned.
-func (b *Baton) arrive(me core.PID) bool {
-	for b.computing.Add(-1) == 0 {
-		b.computing.Store(1) // the holder; passed on to whoever it wakes
-		switch next, done := b.hold(); {
-		case done:
-			close(b.done)
-			return false
-		case next < 0:
-		case next == me:
-			return true
-		default:
-			b.wakes++
-			b.seats[next] <- struct{}{}
-			return false
-		}
+// resume switches to pid's coroutine until it switches back, and returns the
+// pid it names (negative: none). A coroutine whose body has returned goes
+// back on the free list.
+func (b *Baton) resume(pid core.PID) core.PID {
+	c := b.seats[pid].co
+	next, _ := c.resume()
+	if c.body == nil {
+		b.seats[pid].co = nil
+		b.live--
+		put(c)
 	}
-	return false
+	return next
 }
 
 func (b *Baton) hold() (next core.PID, done bool) {
 	next = -1
 	defer b.relay()
-	if b.panicked.Load() != nil {
+	if b.panicked != nil {
 		return b.step(errPanicked)
 	}
 	return b.step(nil)
@@ -138,10 +155,62 @@ func (b *Baton) hold() (next core.PID, done bool) {
 
 // relay, deferred around the caller's code, turns a panic into an abort: the
 // first value is kept for Wait and the execution unwinds like any aborted
-// one, so that no goroutine is left parked.
+// one, so that no body is left parked.
 func (b *Baton) relay() {
-	if v := recover(); v != nil {
-		first := v // a copy: taking v's own address would allocate on every call
-		b.panicked.CompareAndSwap(nil, &first)
+	if v := recover(); v != nil && b.panicked == nil {
+		b.panicked = v
 	}
+}
+
+// coroutine runs one body after another, each to its return, switching to
+// the driver in between.
+type coroutine struct {
+	resume func() (core.PID, bool) // from the driver: run until the next switch back
+	yield  func(core.PID) bool     // from the body: switch back, naming the pid to resume
+	b      *Baton
+	pid    core.PID
+	body   func() (core.Value, error) // nil once it has returned
+}
+
+func (c *coroutine) loop(yield func(core.PID) bool) {
+	c.yield = yield
+	for {
+		c.run()
+		c.body = nil
+		yield(-1)
+	}
+}
+
+func (c *coroutine) run() {
+	defer c.b.relay()
+	out, err := c.body()
+	c.b.seats[c.pid].out, c.b.seats[c.pid].err = out, err
+}
+
+// free holds the idle coroutines, each parked between two bodies. It is not
+// a sync.Pool: a coroutine the pool dropped would stay parked for good.
+var free struct {
+	sync.Mutex
+	list []*coroutine
+}
+
+func get() *coroutine {
+	free.Lock()
+	if k := len(free.list) - 1; k >= 0 {
+		c := free.list[k]
+		free.list = free.list[:k]
+		free.Unlock()
+		return c
+	}
+	free.Unlock()
+	c := new(coroutine)
+	c.resume, _ = iter.Pull(c.loop)
+	return c
+}
+
+func put(c *coroutine) {
+	c.b = nil
+	free.Lock()
+	free.list = append(free.list, c)
+	free.Unlock()
 }

@@ -3,35 +3,35 @@ package baton
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
 
 // relayRace is the smallest scheduler: every body posts ops operations, a
 // step applies the lowest posted one, and when the first generation has
-// returned a second one is spawned all at once — the step during which
-// bodies compute beside the holder.
+// returned a second one is spawned all at once, from inside a step.
 type relayRace struct {
-	b       *Baton
-	n, ops  int
-	posted  []bool
-	applied []int
-	gens    int
-	aborted bool
-	panicAt int // panic in the step that would apply this operation, 0: never
-	steps   int
+	b         *Baton
+	n, ops    int
+	posted    []bool
+	applied   []int
+	gens      int
+	computing int // bodies started and neither parked nor returned
+	aborted   bool
+	panicAt   int // panic in the step that would apply this operation, 0: never
+	steps     int
 }
 
-func (s *relayRace) body(pid core.PID, spin int) func() (core.Value, error) {
+func (s *relayRace) body(pid core.PID) func() (core.Value, error) {
 	return func() (core.Value, error) {
-		for i := 0; i < spin; i++ {
-			runtime.Gosched()
-		}
+		s.computing++
 		for k := 0; k < s.ops && !s.aborted; k++ {
 			s.posted[pid] = true
+			s.computing--
 			s.b.Yield(pid)
+			s.computing++
 		}
+		s.computing--
 		return s.gens, nil
 	}
 }
@@ -39,11 +39,14 @@ func (s *relayRace) body(pid core.PID, spin int) func() (core.Value, error) {
 func (s *relayRace) spawnAll() {
 	s.gens++
 	for pid := 0; pid < s.n; pid++ {
-		s.b.Go(core.PID(pid), s.body(core.PID(pid), (pid*3+s.gens)%4))
+		s.b.Go(core.PID(pid), s.body(core.PID(pid)))
 	}
 }
 
 func (s *relayRace) step(abort error) (core.PID, bool) {
+	if s.computing != 0 {
+		panic("a step beside a computing body")
+	}
 	s.aborted = abort != nil
 	if s.b.Live() == 0 {
 		if s.gens == 2 || s.aborted {
@@ -76,12 +79,13 @@ func run(n, ops, panicAt int) (s *relayRace, values map[core.PID]core.Value, pan
 	return s, values, nil
 }
 
-// TestLastOneInHolds: whatever the order of arrival, every posted operation
-// is applied exactly once, by a step that ran alone (the race detector is
-// the judge of "alone": relayRace's state is unsynchronized), across a
-// start-up of n bodies and a spawn of n more from inside a step.
-func TestLastOneInHolds(t *testing.T) {
-	base := runtime.NumGoroutine()
+// TestStepRunsWithEveryBodyParked: every posted operation is applied exactly
+// once, by a step that ran with no body computing beside it (the step
+// panics otherwise, and the race detector judges "beside": relayRace's state
+// is unsynchronized), across a start-up of n bodies and a spawn of n more
+// from inside a step; and the run leaves no goroutine but idle coroutines.
+func TestStepRunsWithEveryBodyParked(t *testing.T) {
+	base := busy()
 	for round := 0; round < 50; round++ {
 		s, values, panicked := run(5, 20, 0)
 		if panicked != nil {
@@ -93,26 +97,51 @@ func TestLastOneInHolds(t *testing.T) {
 			}
 		}
 	}
-	waitFor(t, base)
+	settle(t, base)
 }
 
 // TestPanicInStepIsRelayed: a panic out of Step aborts the execution, every
 // body still returns, and Wait raises the value on its caller.
 func TestPanicInStepIsRelayed(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := busy()
 	if _, _, panicked := run(5, 20, 33); panicked != "boom" {
 		t.Fatalf("Wait panicked with %v, want boom", panicked)
 	}
-	waitFor(t, base)
+	settle(t, base)
 }
 
-func waitFor(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines, %d before", runtime.NumGoroutine(), base)
+// TestPoolReusesCoroutines: a warm execution creates no goroutine, and
+// allocates at most once a body — its closure — besides what does not grow
+// with n. A run spawns two generations: 2n bodies.
+func TestPoolReusesCoroutines(t *testing.T) {
+	allocs := func(n int) float64 {
+		run(n, 3, 0)
+		base := runtime.NumGoroutine()
+		a := testing.AllocsPerRun(20, func() { run(n, 3, 0) })
+		if got := runtime.NumGoroutine(); got > base {
+			t.Fatalf("n=%d: %d goroutines after warm runs, %d before", n, got, base)
 		}
-		time.Sleep(time.Millisecond)
+		return a
+	}
+	small, large := allocs(4), allocs(8)
+	if perBody := (large - small) / (2*8 - 2*4); perBody > 1 {
+		t.Fatalf("%.0f allocations at n=4, %.0f at n=8: %.2f a body, want at most its closure", small, large, perBody)
+	}
+}
+
+// busy counts the goroutines other than the idle pooled coroutines.
+func busy() int {
+	free.Lock()
+	defer free.Unlock()
+	return runtime.NumGoroutine() - len(free.list)
+}
+
+// settle checks that the runs since base left no goroutine behind but idle
+// coroutines: a body's is back on the free list by the time Wait returns,
+// so there is nothing to wait for.
+func settle(t *testing.T, base int) {
+	t.Helper()
+	if got := busy(); got > base {
+		t.Fatalf("%d goroutines besides idle coroutines, %d before", got, base)
 	}
 }

@@ -124,9 +124,9 @@ func TestCampaignSliceUnderBothDrivers(t *testing.T) {
 // for. Over the golden campaign — the same 343 652 steps and 91 723
 // retransmissions — a process is woken at most once per call its round loop
 // makes into its link (and a body that starts may be handed the baton once):
-// 16 460 or so hand-overs, where every operation that did not pick its own
-// holder used to be one, 237 087 of them. The count moves by one or two per
-// run with the order in which bodies arrive at start-up; the bound does not.
+// 16 450 hand-overs, where every operation that did not pick its own
+// holder used to be one, 237 087 of them. Bodies start in spawn order, so
+// the count no longer varies from run to run; the bound is what is pinned.
 func TestBodiesAreWokenOnlyForWhatTheyAskedFor(t *testing.T) {
 	var steps, retransmissions, calls, wakes int
 	eachRun(goldenCampaign, func(run int, sched int64, plan faultnet.Plan, crashes map[core.PID]int) {

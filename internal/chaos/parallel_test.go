@@ -46,9 +46,9 @@ func TestRunParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCampaignIndependentOfGOMAXPROCS: the substrate's scheduler runs on
-// whichever process goroutine stopped computing last, so which goroutine
-// takes a step depends on the processor count — the campaign may not.
+// TestCampaignIndependentOfGOMAXPROCS: the substrate's coroutines run on
+// whichever par worker resumes them, on as many processors as there are —
+// the campaign may not depend on either.
 func TestCampaignIndependentOfGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(1)

@@ -5,10 +5,11 @@ package core
 // receive may take a message from), it returns an index into the list. The
 // list is the scheduler's scratch, valid only during the call.
 //
-// Calls are serialized and ordered by happens-before but arrive on
-// whichever process goroutine holds the scheduler: a Chooser may keep
-// unsynchronized state (Seeded, RoundRobin and mc.Ctx.Pick do) but may not
-// depend on goroutine identity (t.FailNow, runtime.LockOSThread). The same
+// Calls are serialized and ordered by happens-before but arrive on the
+// substrate's driver or on whichever process's coroutine took the step: a
+// Chooser may keep unsynchronized state (Seeded, RoundRobin and mc.Ctx.Pick
+// do) but may not depend on goroutine identity (t.FailNow,
+// runtime.LockOSThread). The same
 // holds for msgnet's FaultInjector and Observer.
 type Chooser func(step int, options []PID) int
 

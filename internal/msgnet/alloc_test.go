@@ -3,13 +3,14 @@ package msgnet
 import "testing"
 
 // TestRunRoundsAllocsPerStep pins the scheduler step as allocation-free in
-// steady state: what a run still allocates is per process (node, goroutine,
-// reply channel) and per round (the boxed round message, views, D sets);
-// the link queues and the per-pid state keep their working size from one
-// run to the next — 1.15 allocations a step here, 1.40 while each run grew
-// its own queues, 15.85 for the map-and-sort step. The ceiling is that
-// figure plus a quarter; a request allocated per operation, a slice per
-// pending receiver per step, or queues regrown per run break it.
+// steady state: what a run still allocates is per process (node, body
+// closure) and per round (the boxed round message, views, D sets); the link
+// queues and the per-pid state keep their working size from one run to the
+// next — 1.10 allocations a step here, 1.15 with a goroutine and a channel
+// per process, 1.40 while each run grew its own queues, 15.85 for the
+// map-and-sort step. The ceiling is 1.15 plus a quarter; a request
+// allocated per operation, a slice per pending receiver per step, or queues
+// regrown per run break it.
 func TestRunRoundsAllocsPerStep(t *testing.T) {
 	steps := 0
 	allocs := testing.AllocsPerRun(20, func() {

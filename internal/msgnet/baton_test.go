@@ -14,9 +14,19 @@ import (
 	"repro/internal/par"
 )
 
-// settle waits for the goroutine count to come back to base: Run returns
-// when the last body has handed in its result, a moment before that
-// goroutine is gone.
+// warmBase runs n bodies that return at once, so that baton's pool holds
+// the coroutines a run of n processes takes, and returns the goroutine
+// count after it: the idle coroutines are in the base, and a run with at
+// most n bodies live at once leaves it where it was.
+func warmBase(n int) int {
+	Run(n, Config{}, func(*Node) (core.Value, error) { return nil, nil })
+	return runtime.NumGoroutine()
+}
+
+// settle waits for the goroutine count to come back to base, taken by
+// warmBase (a par.Map worker exits a moment after Map returns), and finds
+// no body parked in an operation: idle coroutines left over by earlier
+// tests would hide one from the count.
 func settle(t *testing.T, base int, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -25,6 +35,10 @@ func settle(t *testing.T, base int, what string) {
 			t.Fatalf("%s: %d goroutines, %d before the run", what, runtime.NumGoroutine(), base)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	buf := make([]byte, 1<<20)
+	if k := strings.Count(string(buf[:runtime.Stack(buf, true)]), "baton.(*Baton).Yield("); k > 0 {
+		t.Fatalf("%s: %d bodies parked in an operation after the run", what, k)
 	}
 }
 
@@ -87,8 +101,8 @@ func TestPanicUnwindsEveryBody(t *testing.T) {
 			return r
 		}},
 	}
+	base := warmBase(4)
 	for name, c := range cases {
-		base := runtime.NumGoroutine()
 		if v := caught(func() { RunRounds(4, 1, 3, c.cfg, c.emit) }); v != "boom" {
 			t.Fatalf("%s: Run panicked with %v, want boom", name, v)
 		}
@@ -100,7 +114,7 @@ func TestPanicUnwindsEveryBody(t *testing.T) {
 // has a panicking body, yield a *par.PanicError for that index and results
 // for the rest — the panic surfaces on the goroutine that called Run.
 func TestParMapCapturesBodyPanic(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := warmBase(2 * 3) // two workers, three bodies a run
 	steps, err := par.Map(2, 4, func(i int) int {
 		out, err := Run(3, Config{Chooser: Seeded(int64(i))}, func(nd *Node) (core.Value, error) {
 			if err := nd.Broadcast(i); err != nil {
@@ -160,7 +174,7 @@ func chatter(nd *Node) (core.Value, error) {
 // whole Outcome, recorded at the parent commit, where a scheduler goroutine
 // produced them — and checks that each leaves no goroutine behind. The last
 // case aborts with two restarts pending, which are then spawned at once and
-// unwound: the one step where several bodies start beside the baton holder.
+// unwound: the one step that spawns several bodies.
 func TestAbortPathsAreUnchanged(t *testing.T) {
 	badAt := func(k int) core.Chooser {
 		calls := 0
@@ -187,8 +201,8 @@ func TestAbortPathsAreUnchanged(t *testing.T) {
 		{"two restarts pending", Config{MaxSteps: 9, Crash: map[core.PID]int{0: 1, 1: 2}, Restart: map[core.PID]int{0: 40, 1: 50}},
 			"err=msgnet: step budget 9 exhausted with processes [2] still pending steps=48 crashed={0,1} restarted={0,1} p0!msgnet: process crashed p1!msgnet: process crashed p2!msgnet: process crashed"},
 	}
+	base := warmBase(3)
 	for _, c := range cases {
-		base := runtime.NumGoroutine()
 		got := render(Run(3, c.cfg, chatter))
 		if got != c.want {
 			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
@@ -197,9 +211,43 @@ func TestAbortPathsAreUnchanged(t *testing.T) {
 	}
 }
 
+// TestPooledRunsLeaveNoGoroutine: a hundred runs of five processes — two
+// crashes and a restart in each, a panicking body in every fifth — leave the
+// goroutine count where one warm run of five left it: every body's
+// coroutine, a crashed incarnation's and a panicking body's included, is
+// back in baton's pool, and none is parked.
+func TestPooledRunsLeaveNoGoroutine(t *testing.T) {
+	base := warmBase(5)
+	for i := 0; i < 100; i++ {
+		cfg := Config{Chooser: Seeded(int64(i)), Crash: map[core.PID]int{1: i%4 + 1, 3: i%6 + 2}, Restart: map[core.PID]int{1: 2}}
+		v := caught(func() {
+			Run(5, cfg, func(nd *Node) (core.Value, error) {
+				if err := nd.Broadcast(int(nd.Me)); err != nil {
+					return nil, err
+				}
+				if i%5 == 0 && nd.Me == 4 {
+					panic("boom")
+				}
+				for {
+					if _, ok, err := nd.RecvTimeout(nd.Clock() + 10); err != nil || !ok {
+						return nd.Incarnation(), err
+					}
+				}
+			})
+		})
+		want := any(nil)
+		if i%5 == 0 {
+			want = "boom"
+		}
+		if v != want {
+			t.Fatalf("run %d: Run panicked with %v, want %v", i, v, want)
+		}
+	}
+	settle(t, base, "100 runs")
+}
+
 // TestOutcomeIndependentOfGOMAXPROCS: with bodies that compute for a varying
-// while before their first operation — so that start-up arrivals, and who
-// ends up holding the baton first, really differ from run to run — the same
+// while before their first operation, and may be preempted there, the same
 // seed gives the same Outcome at 1, 2 and 4 processors, faults, crashes and
 // a restart included.
 func TestOutcomeIndependentOfGOMAXPROCS(t *testing.T) {

@@ -3,7 +3,6 @@ package msgnet
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -115,8 +114,8 @@ func TestHandlerAsksForInvalidSend(t *testing.T) {
 // recovered on the holder it ran on, every body unwound, the original value
 // raised on Run's caller, no goroutine left parked.
 func TestPanicInHandlerUnwindsEveryBody(t *testing.T) {
+	base := warmBase(4)
 	for name, under := range drivers {
-		base := runtime.NumGoroutine()
 		v := caught(func() {
 			Run(4, Config{Chooser: Seeded(3)}, func(nd *Node) (core.Value, error) {
 				r := &relay{sub: under(nd), sends: 8, fail: func() (Op, bool) { panic("boom") }}

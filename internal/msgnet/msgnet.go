@@ -2,7 +2,7 @@
 // system model of §2 item 3 (and the base of the §2 item 4 emulation of
 // shared memory by message passing when 2f < n).
 //
-// Each process runs as a goroutine and interacts with the network only
+// Each process runs as a coroutine and interacts with the network only
 // through Node.Send / Node.Broadcast / Node.Recv / Node.RecvTimeout. A
 // cooperative scheduler serializes the steps and plays the asynchrony
 // adversary: it chooses which process steps next and, on a receive, which
@@ -391,9 +391,9 @@ type restartEvent struct {
 	pid core.PID
 }
 
-// sched is the scheduler state. No goroutine owns it: it is handed from one
-// baton holder to the next (internal/baton), and only the holder touches it
-// — but for a node posting into its own procs[pid].pending.
+// sched is the scheduler state. Only the baton's holder — the driver, or the
+// body whose coroutine is running (internal/baton) — touches it, and a body
+// only to post into its own procs[pid].pending.
 type sched struct {
 	cfg   Config // Chooser and MaxSteps defaulted; Observer dropped after a panic
 	body  Body
@@ -415,7 +415,6 @@ type scratch struct {
 	restarts []restartEvent
 	runnable []core.PID // the chooser's option lists
 	senders  []core.PID
-	spawning []core.PID // restarts made ready, spawned at the end of the step
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
@@ -453,14 +452,15 @@ func (sc *scratch) release() {
 // subsequent operation is failed with ErrCrashed so bodies unwind, and Run
 // waits for them all; a panic is then raised again on Run's caller.
 //
-// There is no scheduler goroutine: Run spawns the bodies and waits, and the
-// process that was the last to stop computing takes the scheduler's steps
-// (internal/baton). A step does O(n) work over per-pid slices and allocates
-// nothing once the queues have grown to their working size, which they keep
-// from one run to the next: a run that returns, with an error or without,
-// hands its emptied queues to the next Run; one that raises a panic drops
-// them. What a step must preserve, because fixed-seed executions are pinned
-// to the step, is listed in DESIGN §11 ("The virtual substrate step").
+// There is no scheduler goroutine: Run spawns the bodies and drives them,
+// each on a coroutine, and a body that posts an operation takes the
+// scheduler's step itself (internal/baton). A step does O(n) work over
+// per-pid slices and allocates nothing once the queues have grown to their
+// working size, which they keep from one run to the next: a run that
+// returns, with an error or without, hands its emptied queues to the next
+// Run; one that raises a panic drops them. What a step must preserve,
+// because fixed-seed executions are pinned to the step, is listed in DESIGN
+// §11 ("The virtual substrate step").
 func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("msgnet: invalid process count %d", n)
@@ -532,8 +532,8 @@ func (s *sched) run(abort error) (core.PID, bool) {
 		// Spawn due restarts (all of them when aborting, so every body
 		// unwinds and the run terminates). The dead incarnation's queued
 		// mail is discarded: messages addressed to a down process are lost.
-		// The goroutines start last: from then on the new incarnations
-		// compute beside this one, which gives up the baton.
+		// The new incarnations start before the next step.
+		spawned := false
 		for i := 0; i < len(s.restarts); {
 			rs := s.restarts[i]
 			if s.abort == nil && rs.at > step {
@@ -547,13 +547,10 @@ func (s *sched) run(abort error) (core.PID, bool) {
 			procs[rs.pid].box.clear()
 			procs[rs.pid].opsDone = 0
 			s.out.Restarted.Add(rs.pid)
-			s.spawning = append(s.spawning, rs.pid)
+			s.spawn(rs.pid, 2)
+			spawned = true
 		}
-		if due := s.spawning; len(due) > 0 {
-			s.spawning = due[:0]
-			for _, pid := range due {
-				s.spawn(pid, 2)
-			}
+		if spawned {
 			return -1, false
 		}
 

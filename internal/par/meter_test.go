@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"runtime/pprof"
 	"strings"
 	"testing"
@@ -64,4 +65,28 @@ func TestWorkerLabels(t *testing.T) {
 	if !strings.Contains(buf.String(), `"par_worker"`) {
 		t.Fatalf("goroutine profile lacks par_worker labels:\n%s", buf.String())
 	}
+}
+
+// TestSerialMapKeepsCallerLabels: workers=1 runs the tasks on the caller's
+// goroutine as it is, pprof labels included, and leaves them in place.
+func TestSerialMapKeepsCallerLabels(t *testing.T) {
+	labeled := func() bool {
+		var buf strings.Builder
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Contains(buf.String(), `"outer":"x"`)
+	}
+	pprof.Do(context.Background(), pprof.Labels("outer", "x"), func(context.Context) {
+		if !labeled() {
+			t.Fatal("no outer label before Map")
+		}
+		var during bool
+		if _, err := Map(1, 1, func(int) struct{} { during = labeled(); return struct{}{} }); err != nil {
+			t.Fatal(err)
+		}
+		if !during || !labeled() {
+			t.Fatalf("outer label during the task: %v, after Map: %v; want both", during, labeled())
+		}
+	})
 }

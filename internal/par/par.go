@@ -10,7 +10,8 @@
 //
 //   - Order-preserving collection: results land in a slice indexed by task
 //     index, so aggregation order never depends on goroutine scheduling.
-//     workers=1 is the exact sequential loop (same goroutine, no channels).
+//     workers=1 is the exact sequential loop (same goroutine, same pprof
+//     labels, no channels).
 //   - Per-task panic capture: a panicking task is caught in its worker and
 //     surfaced as a *PanicError carrying the task index, panic value and
 //     stack. The lowest-index panic wins, matching what a sequential loop
@@ -63,8 +64,10 @@ var meter atomic.Pointer[Meter]
 // installed at its start.
 func SetMeter(m *Meter) { meter.Store(m) }
 
-// labeled runs body on the current goroutine under a par_worker pprof
-// label, so CPU profiles of campaigns attribute samples to pool workers.
+// labeled runs body on a worker goroutine under a par_worker pprof label,
+// so CPU profiles of campaigns attribute samples to pool workers. The
+// serial path is not labeled: pprof.Do would leave the caller's goroutine
+// with no labels at all on return.
 func labeled(w int, body func()) {
 	pprof.Do(context.Background(), pprof.Labels("par_worker", strconv.Itoa(w)),
 		func(context.Context) { body() })
@@ -115,11 +118,9 @@ func Map[T any](workers, n int, task func(i int) T) ([]T, error) {
 		workers = n
 	}
 	if workers <= 1 {
-		labeled(0, func() {
-			for i := 0; i < n; i++ {
-				call(i)
-			}
-		})
+		for i := 0; i < n; i++ {
+			call(i)
+		}
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,9 +13,19 @@ import (
 	"repro/internal/par"
 )
 
-// settle waits for the goroutine count to come back to base: Run returns
-// when the last body has handed in its result, a moment before that
-// goroutine is gone.
+// warmBase runs n bodies that return at once, so that baton's pool holds
+// the coroutines a run of n processes takes, and returns the goroutine
+// count after it: the idle coroutines are in the base, and a run with at
+// most n bodies live at once leaves it where it was.
+func warmBase(n int) int {
+	Run(n, Config{}, func(*Proc) (core.Value, error) { return nil, nil })
+	return runtime.NumGoroutine()
+}
+
+// settle waits for the goroutine count to come back to base, taken by
+// warmBase (a par.Map worker exits a moment after Map returns), and finds
+// no body parked in an operation: idle coroutines left over by earlier
+// tests would hide one from the count.
 func settle(t *testing.T, base int, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -23,6 +34,10 @@ func settle(t *testing.T, base int, what string) {
 			t.Fatalf("%s: %d goroutines, %d before the run", what, runtime.NumGoroutine(), base)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	buf := make([]byte, 1<<20)
+	if k := strings.Count(string(buf[:runtime.Stack(buf, true)]), "baton.(*Baton).Yield("); k > 0 {
+		t.Fatalf("%s: %d bodies parked in an operation after the run", what, k)
 	}
 }
 
@@ -77,8 +92,8 @@ func TestPanicUnwindsEveryBody(t *testing.T) {
 			return counter(p, 0)
 		}},
 	}
+	base := warmBase(4)
 	for name, c := range cases {
-		base := runtime.NumGoroutine()
 		if v := caught(func() { Run(4, Config{Chooser: c.chooser}, c.body) }); v != "boom" {
 			t.Fatalf("%s: Run panicked with %v, want boom", name, v)
 		}
@@ -90,7 +105,7 @@ func TestPanicUnwindsEveryBody(t *testing.T) {
 // has a panicking body, yield a *par.PanicError for that index and results
 // for the rest — the panic surfaces on the goroutine that called Run.
 func TestParMapCapturesBodyPanic(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := warmBase(2 * 3) // two workers, three bodies a run
 	steps, err := par.Map(2, 4, func(i int) int {
 		out, err := Run(3, Config{Chooser: Seeded(int64(i))}, func(p *Proc) (core.Value, error) {
 			if err := p.Write("r", i); err != nil {
@@ -138,8 +153,8 @@ func TestAbortPathsAreUnchanged(t *testing.T) {
 			return step % len(runnable)
 		}}, "err=swmr: chooser returned -1 for 3 runnable steps=7 crashed={} values=map[] errs=map[0:swmr: process crashed 1:swmr: process crashed 2:swmr: process crashed]"},
 	}
+	base := warmBase(3)
 	for _, c := range cases {
-		base := runtime.NumGoroutine()
 		out, err := Run(3, c.cfg, func(p *Proc) (core.Value, error) {
 			for k := 0; ; k++ {
 				if err := p.Write("r", k); err != nil {
@@ -156,10 +171,9 @@ func TestAbortPathsAreUnchanged(t *testing.T) {
 }
 
 // TestOutcomeIndependentOfGOMAXPROCS: with bodies that compute for a varying
-// while before their first operation — so that start-up arrivals, and who
-// ends up holding the baton first, really differ from run to run — the same
-// seed gives the same Outcome, and mc.Explore the same schedule count, at 1, 2
-// and 4 processors.
+// while before their first operation, and may be preempted there, the same
+// seed gives the same Outcome, and mc.Explore the same schedule count, at 1,
+// 2 and 4 processors.
 func TestOutcomeIndependentOfGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	body := func(salt int) Body {

@@ -3,7 +3,7 @@
 // for the atomic-snapshot object (§2 item 5), the adopt-commit protocol
 // (§4.2), and Theorem 3.3's detector construction.
 //
-// Each process runs as its own goroutine and accesses memory only through
+// Each process runs as its own coroutine and accesses memory only through
 // Proc.Read / Proc.Write. A cooperative scheduler serializes the operations:
 // every register operation is one atomic step, and an explicit core.Chooser
 // decides which pending operation executes next. This yields linearizable
@@ -114,9 +114,9 @@ const (
 // before posting it and yielding, and the baton holder that applies it
 // writes res before waking the process.
 //
-// Atomic's fn runs, like the Chooser, on whichever process goroutine holds
-// the scheduler: serialized and ordered, so it may keep unsynchronized
-// state, but not tied to a goroutine.
+// Atomic's fn runs, like the Chooser, wherever the step runs — on the driver
+// or on a body's coroutine: serialized and ordered, so it may keep
+// unsynchronized state, but not tied to a goroutine.
 type request struct {
 	kind  opKind
 	owner core.PID   // opRead: whose register; opWrite: the caller
@@ -209,9 +209,9 @@ func (p *Proc) do() (core.Value, error) {
 	return p.req.res.v, p.req.res.err
 }
 
-// sched is the scheduler state. No goroutine owns it: it is handed from one
-// baton holder to the next (internal/baton), and only the holder touches it
-// — but for a process posting into its own pending[pid].
+// sched is the scheduler state. Only the baton's holder — the driver, or the
+// body whose coroutine is running (internal/baton) — touches it, and a body
+// only to post into its own pending[pid].
 type sched struct {
 	cfg   Config // Chooser and maxSteps defaulted
 	baton *baton.Baton
@@ -236,9 +236,9 @@ type sched struct {
 // well-formed bodies unwind promptly, and Run waits for all of them; a panic
 // is then raised again on Run's caller.
 //
-// There is no scheduler goroutine: Run spawns the bodies and waits, and the
-// process that was the last to stop computing takes the scheduler's steps
-// (internal/baton).
+// There is no scheduler goroutine: Run spawns the bodies and drives them,
+// each on a coroutine, and a body that posts an operation takes the
+// scheduler's step itself (internal/baton).
 func Run(n int, cfg Config, body Body) (*Outcome, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("swmr: invalid process count %d", n)
