@@ -73,19 +73,16 @@ func OneRoundKSetObserved(o obs.Observer) core.Factory {
 
 func (a *oneRoundKSet) Emit(r int) core.Message { return a.input }
 
-func (a *oneRoundKSet) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
+func (a *oneRoundKSet) Deliver(r int, msgs core.Inbox, suspects core.Set) (core.Value, bool) {
 	if r != 1 {
 		return nil, false // decision already made in round 1
 	}
-	best := core.PID(-1)
-	for p := range msgs {
-		if suspects.Has(p) {
-			continue
+	best, chosen := core.PID(-1), core.Message(nil)
+	msgs.ForEach(func(p core.PID, m core.Message) { // ascending: the first unsuspected is the lowest
+		if best < 0 && !suspects.Has(p) {
+			best, chosen = p, m
 		}
-		if best < 0 || p < best {
-			best = p
-		}
-	}
+	})
 	if best < 0 {
 		// Unreachable in a valid system: S(i,r) ∪ D(i,r) = S and
 		// D(i,r) ≠ S guarantee an unsuspected received message.
@@ -94,7 +91,7 @@ func (a *oneRoundKSet) Deliver(r int, msgs map[core.PID]core.Message, suspects c
 	if a.obs != nil {
 		a.obs.Observe(obs.Event{Kind: "agreement.kset_choose", R: r, P: int(a.me), Fields: map[string]any{"from": int(best)}})
 	}
-	return msgs[best], true
+	return chosen, true
 }
 
 // floodMin is min-flooding: maintain the minimum value seen, broadcast it
@@ -117,12 +114,12 @@ func FloodMin(rounds int) core.Factory {
 
 func (a *floodMin) Emit(r int) core.Message { return a.est }
 
-func (a *floodMin) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
-	for _, m := range msgs {
+func (a *floodMin) Deliver(r int, msgs core.Inbox, suspects core.Set) (core.Value, bool) {
+	msgs.ForEach(func(_ core.PID, m core.Message) {
 		if v := m.(int); v < a.est {
 			a.est = v
 		}
-	}
+	})
 	if r >= a.rounds {
 		return a.est, true
 	}
@@ -149,9 +146,9 @@ func RotatingCoordinator() core.Factory {
 
 func (a *rotatingCoordinator) Emit(r int) core.Message { return a.est }
 
-func (a *rotatingCoordinator) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
+func (a *rotatingCoordinator) Deliver(r int, msgs core.Inbox, suspects core.Set) (core.Value, bool) {
 	coord := core.PID((r - 1) % a.n)
-	if m, ok := msgs[coord]; ok && !suspects.Has(coord) {
+	if m, ok := msgs.Get(coord); ok && !suspects.Has(coord) {
 		a.est = m
 	}
 	if r >= a.n {

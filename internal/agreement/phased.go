@@ -62,27 +62,24 @@ func (a *phasedConsensus) Emit(r int) core.Message {
 	return phaseMsg{value: a.est}
 }
 
-func (a *phasedConsensus) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
+func (a *phasedConsensus) Deliver(r int, msgs core.Inbox, suspects core.Set) (core.Value, bool) {
 	phase := (r - 1) / 3
 	switch (r - 1) % 3 {
 	case 0: // coordinator round
 		coord := core.PID(phase % a.n)
-		if m, ok := msgs[coord]; ok && !suspects.Has(coord) {
+		if m, ok := msgs.Get(coord); ok && !suspects.Has(coord) {
 			a.est = m.(phaseMsg).value
 		}
 	case 1: // adopt-commit phase 1
-		unanimous := true
+		unanimous, first := true, true
 		var common core.Value
-		first := true
-		for _, m := range msgs {
-			v := m.(phaseMsg).value
-			if first {
+		msgs.ForEach(func(_ core.PID, m core.Message) {
+			if v := m.(phaseMsg).value; first {
 				common, first = v, false
-			} else if v != common {
+			} else if unanimous && v != common {
 				unanimous = false
-				break
 			}
-		}
+		})
 		if unanimous && !first {
 			a.est = common
 			a.graded = true
@@ -92,15 +89,14 @@ func (a *phasedConsensus) Deliver(r int, msgs map[core.PID]core.Message, suspect
 	default: // adopt-commit phase 2
 		sawCommit, allCommit := false, true
 		var commitVal core.Value
-		for _, m := range msgs {
-			pm := m.(phaseMsg)
-			if pm.commit {
+		msgs.ForEach(func(_ core.PID, m core.Message) {
+			if pm := m.(phaseMsg); pm.commit {
 				sawCommit = true
 				commitVal = pm.value
 			} else {
 				allCommit = false
 			}
-		}
+		})
 		switch {
 		case sawCommit && allCommit:
 			a.est = commitVal

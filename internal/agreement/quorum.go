@@ -12,16 +12,37 @@ import (
 // planted bugs are its callers' deliberate misuse: a wrong quorum
 // (QuorumKSetBuggy, chaos QuorumBug) or a view not durably held (recovery
 // AmnesiaBug).
-func QuorumMin[V any](view map[core.PID]V, quorum int) (min int, ok bool) {
-	if len(view) < quorum {
-		return 0, false
-	}
-	for _, v := range view {
-		if x, isInt := any(v).(int); isInt && (!ok || x < min) {
+func QuorumMin[V View](view V, quorum int) (min int, ok bool) {
+	take := func(_ core.PID, m core.Message) {
+		if x, isInt := m.(int); isInt && (!ok || x < min) {
 			min, ok = x, true
 		}
 	}
+	switch v := any(view).(type) {
+	case core.Inbox:
+		if v.Len() >= quorum {
+			v.ForEach(take)
+		}
+	case map[core.PID]core.Value:
+		if len(v) >= quorum {
+			for p, m := range v {
+				take(p, m)
+			}
+		}
+	case map[core.PID]int:
+		if len(v) >= quorum {
+			for p, x := range v {
+				take(p, x)
+			}
+		}
+	}
 	return min, ok
+}
+
+// View is a round view QuorumMin folds: the engine's Inbox, or a pid-keyed
+// map as the service, the chaos harness and the recovery journal hold it.
+type View interface {
+	core.Inbox | map[core.PID]core.Value | map[core.PID]int
 }
 
 // quorumKSet is the quorum-gated k-set algorithm the chaos harness and the
@@ -61,7 +82,7 @@ func QuorumKSetBuggy(f int) core.Factory {
 
 func (a *quorumKSet) Emit(r int) core.Message { return a.input }
 
-func (a *quorumKSet) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
+func (a *quorumKSet) Deliver(r int, msgs core.Inbox, suspects core.Set) (core.Value, bool) {
 	if a.decided {
 		return a.out, true
 	}

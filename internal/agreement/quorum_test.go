@@ -133,4 +133,21 @@ func TestQuorumMin(t *testing.T) {
 	if _, ok := QuorumMin(map[core.PID]int{}, 0); ok {
 		t.Error("an empty view decided under quorum 0")
 	}
+	// The engine's Inbox too: only S(i,r) counts toward the quorum and the
+	// minimum, however small an emission outside it.
+	emitted := []core.Message{5, "x", 20, nil}
+	for _, c := range []struct {
+		name string
+		from core.Set
+		min  int
+		ok   bool
+	}{
+		{"inbox at n−f−1", core.SetOf(4, 0, 2), 0, false},
+		{"inbox at n−f", core.SetOf(4, 0, 2, 3), 5, true},
+		{"inbox with non-int values", core.SetOf(4, 1, 2, 3), 20, true},
+	} {
+		if min, ok := QuorumMin(core.NewInbox(c.from, emitted), quorum); min != c.min || ok != c.ok {
+			t.Errorf("%s: QuorumMin = (%d, %v), want (%d, %v)", c.name, min, ok, c.min, c.ok)
+		}
+	}
 }

@@ -246,7 +246,7 @@ type journalOracle struct {
 // Plan implements Oracle.
 func (jo *journalOracle) Plan(r int, active Set) RoundPlan {
 	plan := jo.Oracle.Plan(r, active)
-	if r > len(jo.rounds) || validatePlan(active.n, r, active, &plan) != nil {
+	if r > len(jo.rounds) || validatePlan(r, active, &plan, FullSet(active.n), NewSet(active.n), NewSet(active.n)) != nil {
 		return plan // live, or invalid: the engine reports it
 	}
 	if jo.err = diverges(&jo.rounds[r-1], &plan, active); jo.err != nil {
@@ -261,11 +261,12 @@ func diverges(rec *RoundRecord, plan *RoundPlan, active Set) *DivergenceError {
 	if !now.Equal(rec.Active) {
 		return &DivergenceError{Round: rec.R, Reason: fmt.Sprintf("journal has active=%s, oracle re-planned %s", rec.Active, now)}
 	}
+	got := NewSet(now.n)
 	for _, p := range now.Members() {
 		if !plan.Suspects[p].Equal(rec.Suspects[p]) {
 			return &DivergenceError{Round: rec.R, Reason: fmt.Sprintf("p%d journal D=%s, oracle D=%s", p, rec.Suspects[p], plan.Suspects[p])}
 		}
-		if got := plan.deliverSet(p, now); !got.Equal(rec.Deliver[p]) {
+		if plan.deliverSetInto(&got, p, now); !got.Equal(rec.Deliver[p]) {
 			return &DivergenceError{Round: rec.R, Reason: fmt.Sprintf("p%d journal S=%s, oracle S=%s", p, rec.Deliver[p], got)}
 		}
 	}

@@ -31,13 +31,13 @@ func ckFactory(rounds int) Factory {
 
 func (a *ckTestAlg) Emit(r int) Message { return a.est }
 
-func (a *ckTestAlg) Deliver(r int, msgs map[PID]Message, suspects Set) (Value, bool) {
+func (a *ckTestAlg) Deliver(r int, msgs Inbox, suspects Set) (Value, bool) {
 	a.delivers++
-	for _, m := range msgs {
+	msgs.ForEach(func(_ PID, m Message) {
 		if v := m.(int); v < a.est {
 			a.est = v
 		}
-	}
+	})
 	if r >= a.rounds {
 		return a.est, true
 	}

@@ -51,19 +51,49 @@ type Algorithm interface {
 	// Emit returns the process's message for round r (r starts at 1).
 	Emit(r int) Message
 
-	// Deliver hands the process everything it ends round r with: msgs maps
-	// each p_j ∈ S(i,r) to m_{j,r}, and suspects is D(i,r). The engine
-	// guarantees S(i,r) ∪ D(i,r) = S (the sets may overlap: a suspected
-	// process's message may still arrive). It returns the decision value
-	// and true once the process commits to an output.
+	// Deliver hands the process everything it ends round r with: msgs is
+	// S(i,r) with each member's m_{j,r}, and suspects is D(i,r). The
+	// engine guarantees S(i,r) ∪ D(i,r) = S (the sets may overlap: a
+	// suspected process's message may still arrive). It returns the
+	// decision value and true once the process commits to an output.
 	//
-	// msgs and suspects are engine-owned scratch, valid only for the
-	// duration of the call: the engine reuses both across processes and
-	// rounds. An implementation that retains either past its return must
-	// copy (clone the set, copy the map) — reading them during the call,
-	// including mutating suspects, is fine.
-	Deliver(r int, msgs map[PID]Message, suspects Set) (out Value, decided bool)
+	// msgs and suspects are engine-owned, read by reference and valid only
+	// during the call (mutating suspects is fine): an implementation that
+	// retains either past its return must copy what it keeps.
+	Deliver(r int, msgs Inbox, suspects Set) (out Value, decided bool)
 }
+
+// Inbox is what a process holds at the end of a round: the set S(i,r) of
+// processes it heard from, over the round's emission vector. The zero
+// Inbox is empty.
+type Inbox struct {
+	from Set
+	msgs []Message
+}
+
+// NewInbox returns the inbox of the members of from, msgs[p] being p's
+// message: msgs is indexed by pid and read by reference.
+func NewInbox(from Set, msgs []Message) Inbox { return Inbox{from, msgs} }
+
+// Get returns p's message and whether p ∈ S(i,r).
+func (in Inbox) Get(p PID) (Message, bool) {
+	if !in.from.Has(p) {
+		return nil, false
+	}
+	return in.msgs[p], true
+}
+
+// ForEach calls fn for every member of S(i,r) and its message, in
+// increasing pid order.
+func (in Inbox) ForEach(fn func(PID, Message)) {
+	in.from.ForEach(func(p PID) { fn(p, in.msgs[p]) })
+}
+
+// Len returns |S(i,r)|.
+func (in Inbox) Len() int { return in.from.Count() }
+
+// From returns S(i,r). Like the inbox it is only valid during Deliver.
+func (in Inbox) From() Set { return in.from }
 
 // Factory creates the process-local Algorithm instance for process me of n
 // with the given task input.

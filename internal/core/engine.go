@@ -122,6 +122,8 @@ type execution struct {
 	full   Set
 	ck     *checkpointer
 	replay int // rounds 1..replay re-execute a checkpoint log (Resume): not journaled again
+	// validatePlan's scratch, and S(p,r) and the D(p,r) copy Deliver gets
+	live, dead, deliver, susp Set
 }
 
 // foldOptions applies opts over the engine defaults.
@@ -136,23 +138,31 @@ func foldOptions(opts []Option) engineOptions {
 // begin is the prelude Run and Resume share: it defaults the observer and
 // the clock, opens the observer's run (the caller defers end), builds the n
 // processes from their inputs and starts from an empty Result with everyone
-// active.
+// active. The run's working sets are rows of one word slab.
 func (e *execution) begin(n int, inputs []Value, factory Factory, oracle Oracle, o engineOptions) {
+	var ws [7]Set
+	carve(n, ws[:])
 	*e = execution{
-		n:      n,
-		o:      o,
-		ob:     o.observer,
-		now:    o.clock,
-		oracle: oracle,
-		procs:  make([]Algorithm, n),
-		active: FullSet(n),
-		full:   FullSet(n),
+		n:       n,
+		o:       o,
+		ob:      o.observer,
+		now:     o.clock,
+		oracle:  oracle,
+		procs:   make([]Algorithm, n),
+		active:  ws[0],
+		full:    ws[1],
+		live:    ws[3],
+		dead:    ws[4],
+		deliver: ws[5],
+		susp:    ws[6],
 		res: &Result{
 			Outputs:   make(map[PID]Value, n),
 			DecidedAt: make(map[PID]int, n),
-			Crashed:   NewSet(n),
+			Crashed:   ws[2],
 		},
 	}
+	e.full.fill()
+	e.active.fill()
 	if e.ob == nil {
 		e.ob = DefaultObserver()
 	}
@@ -210,24 +220,16 @@ func (e *execution) run() (*Result, error) {
 
 // loop is the lock-step round loop.
 //
-// The loop allocates per-execution scratch once and reuses it every round:
-// the emitted-message slice, the delivery map and suspect set handed to
-// Algorithm.Deliver (both engine-owned — see the Algorithm contract), the
-// deliver working set, and the plan-validation sets. Fresh sets are cloned
-// only into RoundRecord, and only when recording (trace or checkpoint) is
-// on, so an untraced run's round cost is dominated by the algorithm and the
-// oracle, not the engine.
+// A round builds nothing per process: each Deliver reads the round's
+// emission vector through an Inbox over the S(p,r) scratch set, and when
+// recording (trace or checkpoint) the round's 2n+2 sets are copied into
+// the rows of one word slab. An untraced round allocates nothing, so its
+// cost is the algorithm's and the oracle's, not the engine's.
 func (e *execution) loop() (*Result, error) {
 	o, ob, now, res := e.o, e.ob, e.now, e.res
-	n, full := e.n, e.full
-
-	var (
-		msgs    = make([]Message, n)       // round-r emissions, indexed by PID
-		in      = make(map[PID]Message, n) // delivery map passed to Deliver
-		deliver = NewSet(n)                // S(p,r) working set
-		susp    = NewSet(n)                // D(p,r) copy passed to Deliver
-		vs      = newPlanScratch(n)        // validatePlan working sets
-	)
+	n := e.n
+	deliver, susp := e.deliver, e.susp
+	msgs := make([]Message, n) // round-r emissions, indexed by PID
 
 	record := o.trace || e.ck != nil
 	for r := 1; r <= o.maxRounds; r++ {
@@ -241,7 +243,7 @@ func (e *execution) loop() (*Result, error) {
 		if ob != nil {
 			roundDur += e.phase(r, "plan", phaseStart)
 		}
-		if err := validatePlanIn(n, r, e.active, &plan, vs); err != nil {
+		if err := validatePlan(r, e.active, &plan, e.full, e.live, e.dead); err != nil {
 			return nil, err
 		}
 		e.active.DiffInto(plan.Crashes)
@@ -271,26 +273,15 @@ func (e *execution) loop() (*Result, error) {
 
 		var rec RoundRecord
 		if record {
-			rec = RoundRecord{
-				R:        r,
-				Suspects: make([]Set, n),
-				Deliver:  make([]Set, n),
-				Active:   e.active.Clone(),
-				Crashed:  full.Diff(e.active),
-			}
+			rec = NewRoundRecord(r, n)
+			rec.Active.CopyFrom(e.active)
+			rec.Crashed.fill()
+			rec.Crashed.DiffInto(e.active)
 		}
-
-		var deliverErr error
 		e.active.ForEach(func(p PID) {
 			plan.deliverSetInto(&deliver, p, e.active)
-			if !deliver.UnionEquals(plan.Suspects[p], full) {
-				deliverErr = &PlanError{Round: r, Proc: p, Reason: "S(i,r) ∪ D(i,r) ≠ S"}
-				return
-			}
-			clear(in)
-			deliver.ForEach(func(q PID) { in[q] = msgs[q] })
 			susp.CopyFrom(plan.Suspects[p])
-			out, decided := e.procs[p].Deliver(r, in, susp)
+			out, decided := e.procs[p].Deliver(r, Inbox{deliver, msgs}, susp)
 			if ob != nil {
 				ob.Observe(obs.Event{Kind: obs.Suspect, R: r, P: int(p), Members: observerInts(plan.Suspects[p])})
 				ob.Observe(obs.Event{Kind: obs.Deliver, R: r, P: int(p), N: deliver.Count(), M: plan.Suspects[p].Count()})
@@ -305,8 +296,8 @@ func (e *execution) loop() (*Result, error) {
 				}
 			}
 			if record {
-				rec.Suspects[p] = plan.Suspects[p].Clone()
-				rec.Deliver[p] = deliver.Clone()
+				rec.Suspects[p].CopyFrom(plan.Suspects[p])
+				rec.Deliver[p].CopyFrom(deliver)
 			}
 		})
 		if ob != nil {
@@ -315,19 +306,8 @@ func (e *execution) loop() (*Result, error) {
 			// timed phases — deliberately no extra clock reads.
 			ob.Observe(obs.Event{Kind: obs.Phase, R: r, P: -1, Phase: "round", Dur: roundDur})
 		}
-		if deliverErr != nil {
-			return nil, deliverErr
-		}
-		if record {
-			for i := 0; i < n; i++ {
-				if rec.Suspects[i].words == nil {
-					rec.Suspects[i] = NewSet(n)
-					rec.Deliver[i] = NewSet(n)
-				}
-			}
-			if o.trace {
-				res.Trace.Append(rec)
-			}
+		if o.trace {
+			res.Trace.Append(rec)
 		}
 		if e.ck != nil && r > e.replay {
 			if err := e.ck.endOfRound(&rec); err != nil {
@@ -346,6 +326,15 @@ func (e *execution) loop() (*Result, error) {
 	return res, ErrMaxRounds
 }
 
+// NewRoundRecord returns round r's record over n processes with every set
+// empty: its 2n+2 sets are the rows of one word slab.
+func NewRoundRecord(r, n int) RoundRecord {
+	var ac [2]Set
+	rows := make([]Set, 2*n)
+	carve(n, rows, ac[:])
+	return RoundRecord{R: r, Suspects: rows[:n:n], Deliver: rows[n:], Active: ac[0], Crashed: ac[1]}
+}
+
 // TraceOracle replays a recorded trace as an adversary: round r's plan is
 // the trace's round-r record (suspect sets, plus crashes inferred from the
 // Active transitions). Rounds beyond the trace replay its final record.
@@ -358,20 +347,15 @@ func TraceOracle(t *Trace) Oracle {
 		}
 		rec := t.Round(r)
 		if rec == nil {
-			// Empty trace: behave benignly.
-			sus := make([]Set, t.N)
-			for i := range sus {
-				sus[i] = NewSet(t.N)
-			}
-			return RoundPlan{Suspects: sus}
+			rec = &RoundRecord{Suspects: make([]Set, t.N), Active: active} // empty trace: behave benignly
 		}
 		sus := make([]Set, t.N)
 		for i := range sus {
-			sus[i] = rec.Suspects[i].Clone()
+			sus[i] = NewSet(t.N)
+			sus[i].CopyFrom(rec.Suspects[i])
 		}
 		// Crash whoever the trace stops running.
-		crashes := active.Diff(rec.Active)
-		return RoundPlan{Suspects: sus, Crashes: crashes}
+		return RoundPlan{Suspects: sus, Crashes: active.Diff(rec.Active)}
 	})
 }
 
@@ -395,21 +379,12 @@ type nopAlgorithm struct{}
 
 func (nopAlgorithm) Emit(r int) Message { return nil }
 
-func (nopAlgorithm) Deliver(r int, msgs map[PID]Message, suspects Set) (Value, bool) {
+func (nopAlgorithm) Deliver(r int, msgs Inbox, suspects Set) (Value, bool) {
 	return nil, false
 }
 
-// deliverSet computes S(p,r) for this plan: the explicit override when given,
-// otherwise every active process not suspected by p.
-func (pl *RoundPlan) deliverSet(p PID, active Set) Set {
-	if pl.Deliver != nil && pl.Deliver[p].words != nil {
-		return pl.Deliver[p].Clone()
-	}
-	return active.Diff(pl.Suspects[p])
-}
-
-// deliverSetInto is deliverSet into caller-owned storage: it overwrites dst
-// with S(p,r) without allocating.
+// deliverSetInto overwrites dst with S(p,r) for this plan: the explicit
+// override when given, otherwise every active process not suspected by p.
 func (pl *RoundPlan) deliverSetInto(dst *Set, p PID, active Set) {
 	if pl.Deliver != nil && pl.Deliver[p].words != nil {
 		dst.CopyFrom(pl.Deliver[p])
@@ -419,35 +394,17 @@ func (pl *RoundPlan) deliverSetInto(dst *Set, p PID, active Set) {
 	dst.DiffInto(pl.Suspects[p])
 }
 
-// planScratch is the working storage validatePlanIn reuses across rounds.
-// empty is handed out as the normalized Crashes set of plans that carry
-// none, so it must never be mutated.
-type planScratch struct {
-	full, live, dead, empty Set
-}
-
-func newPlanScratch(n int) *planScratch {
-	return &planScratch{full: FullSet(n), live: NewSet(n), dead: NewSet(n), empty: NewSet(n)}
-}
-
-// validatePlan checks and normalizes one round plan with fresh working
-// sets; the engine loop uses validatePlanIn with per-execution scratch.
-func validatePlan(n, r int, active Set, plan *RoundPlan) error {
-	return validatePlanIn(n, r, active, plan, newPlanScratch(n))
-}
-
-func validatePlanIn(n, r int, active Set, plan *RoundPlan, vs *planScratch) error {
+// validatePlan checks one round plan over the universe of full, stopping at
+// the first offending process; live and dead are scratch it overwrites
+// with the round's emitters and everyone else.
+func validatePlan(r int, active Set, plan *RoundPlan, full, live, dead Set) error {
+	n := full.n
 	if len(plan.Suspects) != n {
 		return &PlanError{Round: r, Proc: -1, Reason: fmt.Sprintf("plan has %d suspect sets, want %d", len(plan.Suspects), n)}
 	}
-	if plan.Crashes.words == nil {
-		plan.Crashes = vs.empty
-	}
-	live := vs.live
 	live.CopyFrom(active)
 	live.DiffInto(plan.Crashes)
-	dead := vs.dead
-	dead.CopyFrom(vs.full)
+	dead.CopyFrom(full)
 	dead.DiffInto(live)
 	var err error
 	live.ForEach(func(p PID) {
@@ -467,15 +424,18 @@ func validatePlanIn(n, r int, active Set, plan *RoundPlan, vs *planScratch) erro
 			err = &PlanError{Round: r, Proc: p, Reason: fmt.Sprintf("crashed processes %s not all suspected (D=%s)", dead, d)}
 			return
 		}
-		if plan.Deliver != nil {
-			s := plan.Deliver[p]
-			if s.words == nil {
-				return // engine falls back to active \ D for this process
-			}
-			if !s.IsSubset(live) {
-				err = &PlanError{Round: r, Proc: p, Reason: "delivery from a process that did not emit"}
-				return
-			}
+		// Without an override S(i,r) = live \ D(i,r), which covers S
+		// once dead ⊆ D(i,r) over the same universe.
+		s := live
+		if plan.Deliver != nil && plan.Deliver[p].words != nil {
+			s = plan.Deliver[p]
+		}
+		if !s.IsSubset(live) {
+			err = &PlanError{Round: r, Proc: p, Reason: "delivery from a process that did not emit"}
+			return
+		}
+		if !s.UnionEquals(d, full) {
+			err = &PlanError{Round: r, Proc: p, Reason: "S(i,r) ∪ D(i,r) ≠ S"}
 		}
 	})
 	return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -24,7 +25,7 @@ func newEchoFactory(target int) Factory {
 
 func (a *echoAlg) Emit(r int) Message { return a.input }
 
-func (a *echoAlg) Deliver(r int, msgs map[PID]Message, suspects Set) (Value, bool) {
+func (a *echoAlg) Deliver(r int, msgs Inbox, suspects Set) (Value, bool) {
 	a.rounds++
 	a.seen = a.seen.Union(suspects)
 	if a.rounds >= a.target {
@@ -183,6 +184,129 @@ func TestRunRejectsDeliveryFromNonEmitter(t *testing.T) {
 	}
 }
 
+// countingAlg counts the Emit and Deliver calls its process receives.
+type countingAlg struct{ emits, delivers *int }
+
+func (a countingAlg) Emit(r int) Message { *a.emits++; return nil }
+
+func (a countingAlg) Deliver(r int, msgs Inbox, suspects Set) (Value, bool) {
+	*a.delivers++
+	return nil, false
+}
+
+// TestUncoveredPlanDeliversToNobody: a Deliver override that leaves S(i,r)
+// ∪ D(i,r) short of S is rejected before anybody emits, naming the first
+// offending process.
+func TestUncoveredPlanDeliversToNobody(t *testing.T) {
+	n := 3
+	oracle := OracleFunc(func(r int, active Set) RoundPlan {
+		sus := []Set{NewSet(n), NewSet(n), NewSet(n)}
+		return RoundPlan{Suspects: sus, Deliver: []Set{SetOf(n, 0), SetOf(n, 1), {}}}
+	})
+	emits, delivers := make([]int, n), make([]int, n)
+	_, err := Run(n, inputsOf(1, 2, 3), func(me PID, n int, input Value) Algorithm {
+		return countingAlg{&emits[me], &delivers[me]}
+	}, oracle)
+	var pe *PlanError
+	if !errors.As(err, &pe) || pe.Proc != 0 || pe.Reason != "S(i,r) ∪ D(i,r) ≠ S" {
+		t.Fatalf("err = %v, want process 0's S(i,r) ∪ D(i,r) ≠ S", err)
+	}
+	for p := range emits {
+		if emits[p] != 0 || delivers[p] != 0 {
+			t.Errorf("p%d: %d emits, %d delivers under a rejected plan", p, emits[p], delivers[p])
+		}
+	}
+}
+
+// inboxProbe records what its process's inbox held in round 1.
+type inboxProbe struct {
+	me    PID
+	order []PID
+	got   map[PID]bool
+	len   int
+	from  Set
+}
+
+func (a *inboxProbe) Emit(r int) Message { return int(a.me) * 10 }
+
+func (a *inboxProbe) Deliver(r int, msgs Inbox, suspects Set) (Value, bool) {
+	msgs.ForEach(func(p PID, m Message) {
+		if m != int(p)*10 {
+			a.order = append(a.order, -1) // a foreign message fails the order check
+		}
+		a.order = append(a.order, p)
+	})
+	for p := PID(0); p < 5; p++ {
+		_, a.got[p] = msgs.Get(p)
+	}
+	a.len, a.from = msgs.Len(), msgs.From().Clone()
+	return nil, true
+}
+
+// TestInboxIsTheDeliverOverride pins the Inbox contract: a process that
+// emitted but lies outside the plan's Deliver override is not in the
+// inbox, and ForEach ascends with each member's own message.
+func TestInboxIsTheDeliverOverride(t *testing.T) {
+	n := 5
+	oracle := OracleFunc(func(r int, active Set) RoundPlan {
+		sus := make([]Set, n)
+		for i := range sus {
+			sus[i] = NewSet(n)
+		}
+		sus[0] = SetOf(n, 1, 3)
+		return RoundPlan{Suspects: sus, Deliver: []Set{SetOf(n, 4, 2, 0), {}, {}, {}, {}}}
+	})
+	probes := make([]*inboxProbe, n)
+	if _, err := Run(n, make([]Value, n), func(me PID, n int, input Value) Algorithm {
+		probes[me] = &inboxProbe{me: me, got: map[PID]bool{}}
+		return probes[me]
+	}, oracle); err != nil {
+		t.Fatal(err)
+	}
+	p0 := probes[0]
+	if !reflect.DeepEqual(p0.order, []PID{0, 2, 4}) || p0.len != 3 || !p0.from.Equal(SetOf(n, 0, 2, 4)) {
+		t.Fatalf("p0's inbox: ForEach %v, Len %d, From %s; want [0 2 4], 3, {0,2,4}", p0.order, p0.len, p0.from)
+	}
+	if p0.got[1] || p0.got[3] || !p0.got[0] || !p0.got[2] || !p0.got[4] {
+		t.Fatalf("p0's Get = %v, want exactly 0, 2, 4", p0.got)
+	}
+	if !reflect.DeepEqual(probes[1].order, []PID{0, 1, 2, 3, 4}) {
+		t.Fatalf("p1 (no override) heard %v, want everyone in order", probes[1].order)
+	}
+}
+
+// TestEngineRoundAllocsPerRun pins what a round costs the engine itself,
+// under an allocation-free algorithm and one prebuilt plan: nothing
+// untraced, and a recorded round's two slabs (its word rows and their
+// headers) plus the trace's amortized growth, whatever n is.
+func TestEngineRoundAllocsPerRun(t *testing.T) {
+	for _, n := range []int{4, 16, 64} {
+		plan := RoundPlan{Suspects: make([]Set, n)}
+		for i := range plan.Suspects {
+			plan.Suspects[i] = NewSet(n)
+		}
+		oracle := OracleFunc(func(int, Set) RoundPlan { return plan })
+		nop := func(PID, int, Value) Algorithm { return nopAlgorithm{} }
+		inputs := make([]Value, n)
+		perRound := func(opts ...Option) float64 {
+			run := func(rounds int) float64 {
+				return testing.AllocsPerRun(10, func() {
+					if _, err := Run(n, inputs, nop, oracle, append(opts, WithMaxRounds(rounds))...); !errors.Is(err, ErrMaxRounds) {
+						t.Fatal(err)
+					}
+				})
+			}
+			return (run(20) - run(10)) / 10
+		}
+		if got := perRound(WithoutTrace()); got != 0 {
+			t.Errorf("n=%d: an untraced round allocates %.1f objects, want 0", n, got)
+		}
+		if got := perRound(); got > 3 {
+			t.Errorf("n=%d: a traced round allocates %.1f objects, want ≤ 3", n, got)
+		}
+	}
+}
+
 func TestRunOverlapDeliverAndSuspect(t *testing.T) {
 	// The model allows receiving a message from a suspected process:
 	// suspect p1 everywhere but still deliver its message.
@@ -214,8 +338,8 @@ type overlapProbe struct{ n int }
 
 func (o *overlapProbe) Emit(r int) Message { return "m" }
 
-func (o *overlapProbe) Deliver(r int, msgs map[PID]Message, suspects Set) (Value, bool) {
-	_, got := msgs[1]
+func (o *overlapProbe) Deliver(r int, msgs Inbox, suspects Set) (Value, bool) {
+	_, got := msgs.Get(1)
 	return got && suspects.Has(1), true
 }
 

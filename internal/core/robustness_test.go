@@ -13,7 +13,7 @@ type recordingAlg struct {
 
 func (a recordingAlg) Emit(r int) Message { return nil }
 
-func (a recordingAlg) Deliver(r int, msgs map[PID]Message, suspects Set) (Value, bool) {
+func (a recordingAlg) Deliver(r int, msgs Inbox, suspects Set) (Value, bool) {
 	*a.sus = append(*a.sus, suspects.Clone()) // suspects is engine-owned scratch
 	return nil, false
 }

@@ -119,11 +119,9 @@ type roundProc struct {
 
 func (p *roundProc) Emit(r int) Message { return p.emit(p.me, r, p.view, p.d) }
 
-func (p *roundProc) Deliver(r int, msgs map[PID]Message, d Set) (Value, bool) {
-	p.view, p.d = make(map[PID]Value, len(msgs)), d.Clone()
-	for q, m := range msgs {
-		p.view[q] = m
-	}
+func (p *roundProc) Deliver(r int, msgs Inbox, d Set) (Value, bool) {
+	p.view, p.d = make(map[PID]Value, msgs.Len()), d.Clone()
+	msgs.ForEach(func(q PID, m Message) { p.view[q] = m })
 	p.rec.Complete(r, p.view, p.d)
 	return nil, false
 }
@@ -146,10 +144,10 @@ func RunLockStep(n, rounds int, emit RoundEmit, oracle Oracle, opts ...Option) (
 
 // InducedTrace builds the RRFD trace an execution induces from its
 // per-process round records: Active at round r is every process that
-// completed r, Suspects[i] is its D(i,r), Deliver[i] the complement, and
-// a process without the round is marked Crashed when it is in crashed.
-// The trace runs to the last round anybody completed. Nil entries of recs
-// are treated as empty records.
+// completed r, Suspects[i] is a copy of its D(i,r), Deliver[i] the
+// complement, and a process without the round is marked Crashed when it is
+// in crashed. The trace runs to the last round anybody completed. Nil
+// entries of recs are treated as empty records.
 func InducedTrace(n int, recs []*RoundRec, crashed Set) *Trace {
 	rounds := 0
 	for _, rec := range recs {
@@ -159,25 +157,16 @@ func InducedTrace(n int, recs []*RoundRec, crashed Set) *Trace {
 	}
 	t := NewTrace(n)
 	for r := 1; r <= rounds; r++ {
-		rr := RoundRecord{
-			R:        r,
-			Suspects: make([]Set, n),
-			Deliver:  make([]Set, n),
-			Active:   NewSet(n),
-			Crashed:  NewSet(n),
-		}
+		rr := NewRoundRecord(r, n)
 		for i := 0; i < n; i++ {
 			pid := PID(i)
 			if recs[i].completed(r) {
 				rr.Active.Add(pid)
-				rr.Suspects[i] = recs[i].Dsets[r-1]
-				rr.Deliver[i] = recs[i].Dsets[r-1].Complement()
-			} else {
-				rr.Suspects[i] = NewSet(n)
-				rr.Deliver[i] = NewSet(n)
-				if crashed.Has(pid) {
-					rr.Crashed.Add(pid)
-				}
+				rr.Suspects[i].CopyFrom(recs[i].Dsets[r-1])
+				rr.Deliver[i].fill()
+				rr.Deliver[i].DiffInto(rr.Suspects[i])
+			} else if crashed.Has(pid) {
+				rr.Crashed.Add(pid)
 			}
 		}
 		t.Append(rr)

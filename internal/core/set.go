@@ -36,13 +36,33 @@ func SetOf(n int, members ...PID) Set {
 // FullSet returns the set containing every process in a universe of size n.
 func FullSet(n int) Set {
 	s := NewSet(n)
+	s.fill()
+	return s
+}
+
+// fill makes s its whole universe in place.
+func (s *Set) fill() {
 	for i := range s.words {
 		s.words[i] = ^uint64(0)
 	}
-	if rem := n % 64; rem != 0 && len(s.words) > 0 {
+	if rem := s.n % 64; rem != 0 && len(s.words) > 0 {
 		s.words[len(s.words)-1] = (uint64(1) << rem) - 1
 	}
-	return s
+}
+
+// carve points every set of every group at its own row of one fresh word
+// slab, empty over n processes.
+func carve(n int, groups ...[]Set) {
+	w, rows := wordsPerSet(n), 0
+	for _, g := range groups {
+		rows += len(g)
+	}
+	slab := make([]uint64, w*rows)
+	for _, g := range groups {
+		for i := range g {
+			g[i], slab = Set{words: slab[:w:w], n: n}, slab[w:]
+		}
+	}
 }
 
 // Universe returns the size n of the universe the set draws from.

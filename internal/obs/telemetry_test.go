@@ -46,7 +46,7 @@ func feedMetrics(t *testing.T, m *obs.Metrics) {
 type decideAt2 struct{ v core.Value }
 
 func (a decideAt2) Emit(r int) core.Message { return a.v }
-func (a decideAt2) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
+func (a decideAt2) Deliver(r int, msgs core.Inbox, suspects core.Set) (core.Value, bool) {
 	return a.v, r >= 2
 }
 

@@ -20,12 +20,12 @@ func minFactory(me core.PID, n int, input core.Value) core.Algorithm {
 
 func (a *minAlg) Emit(r int) core.Message { return a.min }
 
-func (a *minAlg) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
-	for _, m := range msgs {
+func (a *minAlg) Deliver(r int, msgs core.Inbox, suspects core.Set) (core.Value, bool) {
+	msgs.ForEach(func(_ core.PID, m core.Message) {
 		if v := m.(int); v < a.min.(int) {
 			a.min = v
 		}
-	}
+	})
 	if r >= 2 {
 		return a.min, true
 	}

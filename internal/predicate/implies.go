@@ -70,16 +70,10 @@ func ExhaustiveTraces(n, rounds int, fn func(*core.Trace) error) error {
 	t := core.NewTrace(n)
 	full := core.FullSet(n)
 	for r := 0; r < rounds; r++ {
-		rec := core.RoundRecord{
-			R:        r + 1,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   full,
-			Crashed:  core.NewSet(n),
-		}
+		rec := core.NewRoundRecord(r+1, n)
+		rec.Active.CopyFrom(full)
 		for i := 0; i < n; i++ {
-			rec.Suspects[i] = suspects[0].Clone()
-			rec.Deliver[i] = heard[0].Clone()
+			rec.Deliver[i].CopyFrom(heard[0])
 		}
 		t.Append(rec)
 	}

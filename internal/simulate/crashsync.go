@@ -146,7 +146,7 @@ func CrashSync(n, f, k, rounds int, cfg swmr.Config, factory core.Factory, input
 			// One adopt-commit per process; the instance name binds the
 			// simulated round so instances never collide.
 			committed := core.NewSet(n)
-			msgs := make(map[core.PID]core.Message, n)
+			msgs := make([]core.Message, n)
 			for j := 0; j < n; j++ {
 				pj := core.PID(j)
 				name := fmt.Sprintf("sim:r%d:j%d", r, j)
@@ -191,7 +191,7 @@ func CrashSync(n, f, k, rounds int, cfg swmr.Config, factory core.Factory, input
 			}
 			rec.sim.Complete(r, nil, committed)
 			if !decided {
-				out, dec := alg.Deliver(r, msgs, committed)
+				out, dec := alg.Deliver(r, core.NewInbox(committed.Complement(), msgs), committed)
 				if dec {
 					decided = true
 					rec.out, rec.decidedAt = out, r

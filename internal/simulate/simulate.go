@@ -63,18 +63,12 @@ func twoRoundsToOne(t *core.Trace, derive func(i, rho int, first, second *core.R
 	for rho := 1; rho <= t.Len()/2; rho++ {
 		first := t.Round(2*rho - 1)
 		second := t.Round(2 * rho)
-		rec := core.RoundRecord{
-			R:        rho,
-			Suspects: make([]core.Set, n),
-			Deliver:  make([]core.Set, n),
-			Active:   first.Active.Clone(),
-			Crashed:  first.Crashed.Clone(),
-		}
+		rec := core.NewRoundRecord(rho, n)
+		rec.Active.CopyFrom(first.Active)
+		rec.Crashed.CopyFrom(first.Crashed)
 		for i := 0; i < n; i++ {
 			pid := core.PID(i)
 			if !first.Active.Has(pid) || !second.Active.Has(pid) {
-				rec.Suspects[i] = core.NewSet(n)
-				rec.Deliver[i] = core.NewSet(n)
 				rec.Active.Remove(pid)
 				continue
 			}

@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"fmt"
-	"maps"
 
 	"repro/internal/core"
 )
@@ -53,14 +52,12 @@ func (a *twoForOne) Emit(r int) core.Message {
 	return relay{views: a.got}
 }
 
-func (a *twoForOne) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
+func (a *twoForOne) Deliver(r int, msgs core.Inbox, suspects core.Set) (core.Value, bool) {
 	if r%2 == 1 {
-		// msgs is engine-owned scratch; a.got is relayed next round, so
-		// it needs an owned copy.
-		a.got = make(map[core.PID]core.Message, len(msgs))
-		for p, m := range msgs {
-			a.got[p] = m
-		}
+		// msgs is engine-owned; a.got is relayed next round, so it needs
+		// an owned copy.
+		a.got = make(map[core.PID]core.Message, msgs.Len())
+		msgs.ForEach(func(p core.PID, m core.Message) { a.got[p] = m })
 		return nil, false
 	}
 	rho := r / 2
@@ -78,40 +75,42 @@ func (a *twoForOne) Deliver(r int, msgs map[core.PID]core.Message, suspects core
 // assemble builds simulated round ρ from the relays, sources in pid order:
 // ModeUnion merges every view; ModeAdopt takes BToA's rule, the largest view
 // within the budget, the lowest pid on a tie.
-func (a *twoForOne) assemble(relays map[core.PID]core.Message) (map[core.PID]core.Message, core.Set, error) {
+func (a *twoForOne) assemble(relays core.Inbox) (core.Inbox, core.Set, error) {
 	if a.mode != ModeUnion && a.mode != ModeAdopt {
-		return nil, core.Set{}, fmt.Errorf("unknown mode %d", a.mode)
+		return core.Inbox{}, core.Set{}, fmt.Errorf("unknown mode %d", a.mode)
 	}
-	sim := make(map[core.PID]core.Message)
+	msgs, from := make([]core.Message, a.n), core.NewSet(a.n)
+	merge := func(views map[core.PID]core.Message) {
+		for j, m := range views {
+			msgs[j] = m
+			from.Add(j)
+		}
+	}
 	var best map[core.PID]core.Message
 	for p := core.PID(0); int(p) < a.n; p++ {
-		m, ok := relays[p]
+		m, ok := relays.Get(p)
 		if !ok {
 			continue
 		}
 		rel, ok := m.(relay)
 		switch {
 		case !ok:
-			return nil, core.Set{}, fmt.Errorf("foreign relay %T", m)
+			return core.Inbox{}, core.Set{}, fmt.Errorf("foreign relay %T", m)
 		case a.mode == ModeUnion:
-			maps.Copy(sim, rel.views)
+			merge(rel.views)
 		case a.n-len(rel.views) <= a.budget && (best == nil || len(rel.views) > len(best)):
 			best = rel.views
 		}
 	}
 	switch {
 	case a.mode == ModeAdopt && best == nil:
-		return nil, core.Set{}, fmt.Errorf("no source within budget f=%d", a.budget)
+		return core.Inbox{}, core.Set{}, fmt.Errorf("no source within budget f=%d", a.budget)
 	case a.mode == ModeAdopt:
-		maps.Copy(sim, best)
-	case len(sim) == 0:
-		return nil, core.Set{}, fmt.Errorf("empty simulated view")
+		merge(best)
+	case from.Empty():
+		return core.Inbox{}, core.Set{}, fmt.Errorf("empty simulated view")
 	}
-	d := core.FullSet(a.n)
-	for j := range sim {
-		d.Remove(j)
-	}
-	return sim, d, nil
+	return core.NewInbox(from, msgs), from.Complement(), nil
 }
 
 // TwoForOneResult reports an executable two-for-one simulation.

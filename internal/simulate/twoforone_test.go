@@ -29,14 +29,14 @@ func probeFactory(rounds int, sink *[]*probe) core.Factory {
 
 func (p *probe) Emit(r int) core.Message { return int(p.me)*1000 + r }
 
-func (p *probe) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
+func (p *probe) Deliver(r int, msgs core.Inbox, suspects core.Set) (core.Value, bool) {
 	p.seen++
-	for from, m := range msgs {
+	msgs.ForEach(func(from core.PID, m core.Message) {
 		if want := int(from)*1000 + r; m != want {
 			p.bad = append(p.bad, fmt.Sprintf("round %d from %d: %v ≠ %d", r, from, m, want))
 		}
-	}
-	if suspects.Count()+len(msgs) < suspects.Universe() {
+	})
+	if suspects.Count()+msgs.Len() < suspects.Universe() {
 		p.bad = append(p.bad, fmt.Sprintf("round %d: S ∪ D does not cover", r))
 	}
 	if r >= p.rounds {

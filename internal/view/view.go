@@ -140,18 +140,16 @@ func FullInfo(rounds int) core.Factory {
 
 func (a *fullInfo) Emit(r int) core.Message { return a.cur }
 
-func (a *fullInfo) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
+func (a *fullInfo) Deliver(r int, msgs core.Inbox, suspects core.Set) (core.Value, bool) {
 	next := &View{
 		Owner:     a.me,
 		Round:     r,
 		Input:     a.cur.Input,
 		Suspected: suspects.Clone(), // suspects is engine-owned scratch
-		Received:  make(map[core.PID]*View, len(msgs)),
+		Received:  make(map[core.PID]*View, msgs.Len()),
 		Prev:      a.cur,
 	}
-	for p, m := range msgs {
-		next.Received[p] = m.(*View)
-	}
+	msgs.ForEach(func(p core.PID, m core.Message) { next.Received[p] = m.(*View) })
 	a.cur = next
 	if r >= a.rounds {
 		return a.cur, true
@@ -204,7 +202,7 @@ type historyAlg struct {
 
 func (a *historyAlg) Emit(r int) core.Message { return a.inner.Emit(r) }
 
-func (a *historyAlg) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
+func (a *historyAlg) Deliver(r int, msgs core.Inbox, suspects core.Set) (core.Value, bool) {
 	out, done := a.inner.Deliver(r, msgs, suspects)
 	*a.sink = append(*a.sink, a.inner.cur)
 	return out, done

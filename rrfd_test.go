@@ -104,12 +104,12 @@ type maxFlood struct {
 
 func (a *maxFlood) Emit(r int) core.Message { return a.est }
 
-func (a *maxFlood) Deliver(r int, msgs map[core.PID]core.Message, suspects core.Set) (core.Value, bool) {
-	for _, m := range msgs {
+func (a *maxFlood) Deliver(r int, msgs core.Inbox, suspects core.Set) (core.Value, bool) {
+	msgs.ForEach(func(_ core.PID, m core.Message) {
 		if v := m.(int); v > a.est {
 			a.est = v
 		}
-	}
+	})
 	return a.est, r >= 2
 }
 
