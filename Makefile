@@ -51,8 +51,10 @@ bench-build:
 # one and at four processors whatever the runner has; so are the campaigns
 # whose par.Map workers share msgnet's and reliablelink's pooled state, and
 # the experiment sweeps, where a worker resumes coroutines another created.
+# A snapshot handle's scan buffers are touched from whichever goroutine
+# resumes its body's coroutine.
 baton-race:
-	$(GO) test -race -count=1 -cpu 1,4 ./internal/baton/ ./internal/msgnet/ ./internal/swmr/ ./internal/reliablelink/
+	$(GO) test -race -count=1 -cpu 1,4 ./internal/baton/ ./internal/msgnet/ ./internal/swmr/ ./internal/reliablelink/ ./internal/snapshot/
 	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|Golden|Hygiene' ./internal/chaos/
 	$(GO) test -race -count=1 -cpu 1,4 -run TestSweepWorkersByteIdentical ./internal/exp/
 

@@ -409,8 +409,9 @@ func decide(cfg Config, out *core.RoundOutcome) map[core.PID]core.Value {
 	return decisions
 }
 
-// check applies the safety invariants to one execution.
-func check(cfg Config, res runResult) []Violation {
+// check applies the safety invariants to one execution. eq3 is
+// predicate.PerRoundBudget(cfg.F), built once per campaign by the caller.
+func check(cfg Config, eq3 predicate.P, res runResult) []Violation {
 	var vs []Violation
 	add := func(kind, format string, args ...any) {
 		vs = append(vs, Violation{Kind: kind, Detail: fmt.Sprintf(format, args...)})
@@ -447,7 +448,7 @@ func check(cfg Config, res runResult) []Violation {
 			}
 		}
 	} else if !res.stalled && res.out != nil && res.err == nil {
-		if err := predicate.PerRoundBudget(cfg.F).Check(res.out.Trace); err != nil {
+		if err := eq3.Check(res.out.Trace); err != nil {
 			add("predicate", "stall-free trace escapes eq.(3): %v", err)
 		}
 	}
@@ -460,13 +461,14 @@ func check(cfg Config, res runResult) []Violation {
 func Minimize(cfg Config, schedSeed int64, plan faultnet.Plan, crashes map[core.PID]int) faultnet.Plan {
 	cfg = cfg.withDefaults()
 	cfg.Observer = nil // replays are unobserved
+	eq3 := predicate.PerRoundBudget(cfg.F)
 	cur := plan
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < len(cur.Components); i++ {
 			cand := cur.WithoutComponent(i)
 			out, rep, decisions, err := Execute(cfg, schedSeed, cand, crashes)
-			if len(check(cfg, runResult{out, rep.Stalled(), err, decisions})) > 0 {
+			if len(check(cfg, eq3, runResult{out, rep.Stalled(), err, decisions})) > 0 {
 				cur = cand
 				changed = true
 				break
@@ -548,6 +550,7 @@ func runCampaign[C any, V fmt.Stringer](c campaignSpec, sum fmt.Stringer,
 // runCampaign's contract: the result is independent of the worker count.
 func Run(cfg Config) *Summary {
 	cfg = cfg.withDefaults()
+	eq3 := predicate.PerRoundBudget(cfg.F)
 	sum := &Summary{Runs: cfg.Runs}
 	runCampaign(campaignSpec{cfg.Runs, cfg.Seed, cfg.Workers, cfg.Observer != nil, cfg.Telemetry, "chaos_run_wall_ns", cfg.Out}, sum,
 		func(run int, sched, seed int64, timed func(func())) Summary {
@@ -569,7 +572,7 @@ func Run(cfg Config) *Summary {
 				one.GiveUps = rep.GiveUps
 				one.Steps = rep.Steps
 			}
-			if one.Violations = check(cfg, res); len(one.Violations) > 0 {
+			if one.Violations = check(cfg, eq3, res); len(one.Violations) > 0 {
 				min := Minimize(cfg, sched, plan, crashes)
 				for i := range one.Violations {
 					v := &one.Violations[i]

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/predicate"
 )
 
 // TestLossyLinksPreserveSafety is the headline acceptance run: 200 seeded
@@ -78,7 +79,7 @@ func TestQuorumBugCaught(t *testing.T) {
 	replay := cfg
 	replay.Observer = nil
 	out, rep, decisions, err := Execute(replay, v.SchedSeed, v.MinPlan, v.Crashes)
-	if got := check(replay, runResult{out, rep.Stalled(), err, decisions}); len(got) == 0 {
+	if got := check(replay, predicate.PerRoundBudget(replay.F), runResult{out, rep.Stalled(), err, decisions}); len(got) == 0 {
 		t.Fatalf("minimized reproducer did not replay: %s", v)
 	}
 	if len(v.MinPlan.Components) > len(v.Plan.Components) {
@@ -111,7 +112,7 @@ func TestMinimizeReachesFixpoint(t *testing.T) {
 	for i := range v.MinPlan.Components {
 		cand := v.MinPlan.WithoutComponent(i)
 		out, rep, decisions, err := Execute(probe, v.SchedSeed, cand, v.Crashes)
-		if len(check(probe, runResult{out, rep.Stalled(), err, decisions})) > 0 {
+		if len(check(probe, predicate.PerRoundBudget(probe.F), runResult{out, rep.Stalled(), err, decisions})) > 0 {
 			t.Fatalf("component %d of the minimized plan is removable: %s", i, v.MinPlan)
 		}
 	}

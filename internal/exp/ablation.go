@@ -87,7 +87,7 @@ func X04Ablations(quick bool) (*Table, error) {
 		strict := hoalg.KSetEq3(k).Compile()
 		witnesses := 0
 		err := predicate.ExhaustiveTraces(n, 1, func(tr *core.Trace) error {
-			if loose.Check(tr) != nil || strict.Check(tr) == nil {
+			if !loose.Holds(tr) || strict.Holds(tr) {
 				return nil // outside the loosened-but-not-strict band
 			}
 			res, err := core.Run(n, identityInputs(n), agreement.OneRoundKSet(),

@@ -126,7 +126,7 @@ func X02ImmediateSnapshot(quick bool) (*Table, error) {
 			if err != nil {
 				return false, err
 			}
-			return iis.Check(out.Trace) == nil, nil
+			return iis.Holds(out.Trace), nil
 		})
 		if err != nil {
 			return nil, err

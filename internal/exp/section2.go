@@ -32,7 +32,7 @@ func E01SyncOmission(quick bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if eq1.Check(tr) != nil {
+			if !eq1.Holds(tr) {
 				ok = false
 			}
 			if c := tr.CumulativeSuspects(tr.Len()).Count(); c > maxCum {
@@ -65,10 +65,10 @@ func E02CrashSubmodel(quick bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if crash.Check(tr) != nil {
+			if !crash.Holds(tr) {
 				crashOK = false
 			}
-			if omission.Check(tr) != nil {
+			if !omission.Holds(tr) {
 				omitOK = false
 			}
 		}
@@ -105,7 +105,7 @@ func E03AsyncRounds(quick bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if eq3.Check(out.Trace) != nil {
+			if !eq3.Holds(out.Trace) {
 				ok = false
 			}
 			steps += out.Steps
@@ -125,10 +125,10 @@ func E03AsyncRounds(quick bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if eq3.Check(sim) != nil {
+			if !eq3.Holds(sim) {
 				simOK = false
 			}
-			if eq3.Check(base) != nil {
+			if !eq3.Holds(base) {
 				sepFound = true
 			}
 		}
@@ -166,7 +166,7 @@ func E04SharedMemory(quick bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if sm.Check(sim) != nil {
+			if !sm.Holds(sim) {
 				ok = false
 			}
 		}
@@ -266,7 +266,7 @@ func E05Snapshot(quick bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if item5.Check(out.Trace) != nil {
+			if !item5.Holds(out.Trace) {
 				ok = false
 			}
 		}

@@ -181,7 +181,7 @@ func E07OneRoundKSet(quick bool) (*Table, error) {
 		pred := hoalg.KSetEq3(pc.k).Compile()
 		satisfying := 0
 		err := predicate.ExhaustiveTraces(pc.n, 1, func(tr *core.Trace) error {
-			if pred.Check(tr) != nil {
+			if !pred.Holds(tr) {
 				return nil
 			}
 			satisfying++
@@ -282,7 +282,7 @@ func E09DetectorFromKSet(quick bool) (*Table, error) {
 			if err != nil {
 				return uncStat{}, err
 			}
-			s := uncStat{ok: detector.Check(tr) == nil}
+			s := uncStat{ok: detector.Holds(tr)}
 			for r := 1; r <= tr.Len(); r++ {
 				if unc := tr.SuspectUnion(r).Diff(tr.SuspectIntersection(r)).Count(); unc > s.maxUnc {
 					s.maxUnc = unc

@@ -44,7 +44,7 @@ func E10OmissionSim(quick bool) (*Table, error) {
 				return simStat{}, err
 			}
 			return simStat{
-				ok:  eq1.Check(sim) == nil,
+				ok:  eq1.Holds(sim),
 				cum: sim.CumulativeSuspects(sim.Len()).Count(),
 			}, nil
 		})
@@ -191,7 +191,7 @@ func E12CrashSim(quick bool) (*Table, error) {
 				return crashStat{}, err
 			}
 			return crashStat{
-				traceOK: crash.Check(res.Result.Trace) == nil,
+				traceOK: crash.Holds(res.Result.Trace),
 				agreeOK: agreement.Validate(res.Result, identityInputs(tc.n), tc.k+1, rounds) == nil,
 				steps:   res.Steps,
 			}, nil

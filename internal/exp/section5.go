@@ -39,7 +39,7 @@ func E14SemiSync(quick bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if eq5.Check(out.Trace) != nil {
+			if !eq5.Holds(out.Trace) {
 				eq5OK = false
 			}
 			if s := out.Outcome.MaxDecisionSteps(); s > fastSteps {

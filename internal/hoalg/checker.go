@@ -48,11 +48,11 @@ func compileAt(e *Expr, from int) predicate.P {
 			win = stab + 1
 		}
 		inner := compileAt(e.Kids[0], win)
-		return predicate.P{Name: name, Check: func(t *core.Trace) error {
+		return predicate.P{Name: name, Eval: func(t *core.Trace, witness bool) error {
 			if t.Len() <= stab {
 				return nil
 			}
-			return inner.Check(t)
+			return inner.Eval(t, witness)
 		}}
 	case OpAtom:
 		return e.Atom.Checker(name, from, e.Args...)

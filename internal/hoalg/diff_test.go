@@ -187,3 +187,39 @@ func TestCompiledCheckerNotSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHoldsAgreesWithCheck holds the witness-free verdict to the witnessed
+// one, Holds(t) == (Check(t) == nil), for every catalog model and a Not, two
+// Ors and an eventually over it: over every one-round trace at n = 3 and
+// 2 000 seeded two-round traces at n = 4.
+func TestHoldsAgreesWithCheck(t *testing.T) {
+	checkers := func(n int) []predicate.P {
+		var ps []predicate.P
+		for _, m := range Catalog() {
+			e := m.Build(Params{N: n, F: 1, K: 2, Stab: 1})
+			for _, c := range []*Expr{e, Not(e), Or(e, Identical()), Or(Not(e), KSetEq3(1)), Eventually(1, e)} {
+				ps = append(ps, c.Compile())
+			}
+		}
+		return ps
+	}
+	agree := func(ps []predicate.P, tr *core.Trace) {
+		t.Helper()
+		for _, p := range ps {
+			if holds, err := p.Holds(tr), p.Check(tr); holds != (err == nil) {
+				t.Fatalf("%s: Holds = %v but Check = %v on trace\n%s", p.Name, holds, err, tr)
+			}
+		}
+	}
+	ps := checkers(3)
+	if err := predicate.ExhaustiveTraces(3, 1, func(tr *core.Trace) error {
+		agree(ps, tr)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ps = checkers(4)
+	for seed := int64(0); seed < 2000; seed++ {
+		agree(ps, randomTrace(rand.New(rand.NewSource(seed)), 4, 2))
+	}
+}

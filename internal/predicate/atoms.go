@@ -68,11 +68,11 @@ const (
 // atomDef is one row of the atom table. eval returns a witness — ok, the
 // offending process and a second process when the clause relates two (−1
 // where there is none) — without allocating it. keep detaches from the
-// round the sets detail will quote, once eval has failed: a set the clause
-// computed fresh, or a clone of D(p) / D(q), since the trace may be
-// rewritten before anyone reads the text (nil: the text quotes nothing
-// but the round and the process). detail renders a Violation from its
-// witness, and runs only when the text is read.
+// round the sets detail will quote, once eval has failed under Check: a
+// set the clause computed fresh, or a clone of D(p) / D(q), since the
+// trace may be rewritten before anyone reads the text (nil: the text
+// quotes nothing but the round and the process). detail renders a
+// Violation from its witness, and runs only when the text is read.
 type atomDef struct {
 	name   string // expression syntax
 	arity  int
@@ -338,7 +338,7 @@ func (k AtomKind) Holds(args []int, rd Round) bool {
 // Cum, nothing on top — and reports Round 0, Proc −1.
 func (k AtomKind) Checker(name string, from int, args ...int) P {
 	a := &atoms[k]
-	return P{Name: name, Check: func(t *core.Trace) error {
+	return P{Name: name, Eval: func(t *core.Trace, witness bool) error {
 		rd := Round{N: t.N, From: from}
 		for i := range t.Rounds {
 			rec := &t.Rounds[i]
@@ -351,7 +351,7 @@ func (k AtomKind) Checker(name string, from int, args ...int) P {
 				continue
 			}
 			if ok, p, q := a.eval(args, rd); !ok {
-				return a.violation(name, args, rd, p, q)
+				return a.violation(witness, name, args, rd, p, q)
 			}
 			if a.scope == prevRound {
 				rd.Prev = roundUnion(rd)
@@ -360,17 +360,21 @@ func (k AtomKind) Checker(name string, from int, args ...int) P {
 		if a.scope == wholeTrace {
 			rd.R, rd.Active, rd.D = 0, core.Set{}, nil
 			if ok, _, q := a.eval(args, rd); !ok {
-				return a.violation(name, args, rd, -1, q)
+				return a.violation(witness, name, args, rd, -1, q)
 			}
 		}
 		return nil
 	}}
 }
 
-// violation records the witness of a failed eval: the round, the pair, the
-// clause's args and window start and what keep detaches, in one
-// allocation. Nothing is rendered here.
-func (a *atomDef) violation(name string, args []int, rd Round, p, q core.PID) *Violation {
+// violation records the witness of a failed eval, when one is wanted: the
+// round, the pair, the clause's args and window start and what keep
+// detaches, in one allocation. Nothing is rendered here. Unwanted, the
+// failure is the shared errFails.
+func (a *atomDef) violation(wanted bool, name string, args []int, rd Round, p, q core.PID) error {
+	if !wanted {
+		return errFails
+	}
 	v := Violation{Predicate: name, Round: rd.R, Proc: p, def: a}
 	if a.keep == nil {
 		out := v

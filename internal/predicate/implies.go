@@ -112,7 +112,7 @@ func ExhaustiveTraces(n, rounds int, fn func(*core.Trace) error) error {
 func ExhaustiveImplies(n, rounds int, a, b P) (checked, satisfying int, err error) {
 	err = ExhaustiveTraces(n, rounds, func(t *core.Trace) error {
 		checked++
-		if a.Check(t) != nil {
+		if !a.Holds(t) {
 			return nil
 		}
 		satisfying++
@@ -130,11 +130,11 @@ func ExhaustiveImplies(n, rounds int, a, b P) (checked, satisfying int, err erro
 // vacuous there; witnesses == 0 < satisfying, that a ⇒ b holds there.
 func ExhaustiveWitnesses(n, rounds int, a, b P) (satisfying, witnesses int, err error) {
 	err = ExhaustiveTraces(n, rounds, func(t *core.Trace) error {
-		if a.Check(t) != nil {
+		if !a.Holds(t) {
 			return nil
 		}
 		satisfying++
-		if b.Check(t) != nil {
+		if !b.Holds(t) {
 			witnesses++
 		}
 		return nil
@@ -154,7 +154,7 @@ func Separates(gen TraceGen, a, b P, trials int) (int64, error) {
 		if err := a.Check(t); err != nil {
 			return 0, fmt.Errorf("generator broke source predicate at seed %d: %w", seed, err)
 		}
-		if b.Check(t) != nil {
+		if !b.Holds(t) {
 			return seed, nil
 		}
 	}

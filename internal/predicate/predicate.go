@@ -8,12 +8,16 @@
 // to checkers and plan enumerators over the same rows; a package that
 // hoalg itself imports checks one clause with AtomKind.Checker.
 //
-// Predicates are checked post-hoc over a recorded core.Trace. A nil error
+// Predicates are checked post-hoc over a recorded core.Trace, by one
+// evaluator asked for a verdict or for a witness. Call Holds where only the
+// verdict counts — a sweep's filter, a census, a premise — since a failure
+// then builds nothing. Call Check where a failure is reported: a nil error
 // means the trace satisfies the predicate; otherwise the returned *Violation
 // pinpoints the first offending round/process.
 package predicate
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -22,9 +26,9 @@ import (
 // Violation reports where and how a trace broke a predicate. Beside where,
 // it keeps only the witness the check found — the clause, its args, the
 // second process it relates and at most two sets detached from the trace —
-// and renders the text from it on demand (Detail, Error): a failure that is
-// merely tested against nil formats nothing. The witness is a copy, so the
-// text stays right after the trace is rewritten.
+// and renders the text from it on demand (Detail, Error). Only Check builds
+// one. The witness is a copy, so the text stays right after the trace is
+// rewritten.
 type Violation struct {
 	Predicate string
 	Round     int // 0 when the violation is a whole-trace property
@@ -54,15 +58,26 @@ type P struct {
 	// Name identifies the predicate in reports.
 	Name string
 
-	// Check returns nil iff the trace satisfies the predicate.
-	Check func(t *core.Trace) error
+	// Eval returns nil iff the trace satisfies the predicate. With witness
+	// set a failure is what Check reports; without it a failure is one
+	// shared error and nothing is built.
+	Eval func(t *core.Trace, witness bool) error
 }
 
-// wrapped is the failure of a compound predicate: the violation of one of
-// its parts under the compound's name. Like the Violation it wraps, it
-// renders its text only when asked, so a failure that is merely tested
-// against nil — a premise rejected by ExhaustiveImplies, a short-circuited
-// disjunct — formats nothing at all.
+// Check returns nil iff the trace satisfies the predicate; otherwise a
+// *Violation, or a compound's wrapper of one, pinpoints the failure.
+func (p P) Check(t *core.Trace) error { return p.Eval(t, true) }
+
+// Holds reports whether the trace satisfies the predicate, building no
+// witness when it does not.
+func (p P) Holds(t *core.Trace) bool { return p.Eval(t, false) == nil }
+
+// errFails is every failure evaluated without a witness.
+var errFails = errors.New("predicate: violated")
+
+// wrapped is the failure of a compound predicate, as Check reports it: the
+// violation of one of its parts under the compound's name. Like the
+// Violation it wraps, it renders its text only when asked.
 type wrapped struct {
 	name string
 	or   bool // every disjunct failed; err is the first one's failure
@@ -86,9 +101,12 @@ func (w *wrapped) Unwrap() error { return w.err }
 func And(name string, preds ...P) P {
 	return P{
 		Name: name,
-		Check: func(t *core.Trace) error {
+		Eval: func(t *core.Trace, witness bool) error {
 			for _, p := range preds {
-				if err := p.Check(t); err != nil {
+				if err := p.Eval(t, witness); err != nil {
+					if !witness {
+						return err
+					}
 					return &wrapped{name: name, err: err}
 				}
 			}
@@ -104,21 +122,19 @@ func And(name string, preds ...P) P {
 func Or(name string, preds ...P) P {
 	return P{
 		Name: name,
-		Check: func(t *core.Trace) error {
-			var first error
-			for _, p := range preds {
-				err := p.Check(t)
-				if err == nil {
-					return nil
-				}
-				if first == nil {
-					first = err
-				}
-			}
-			if first == nil {
+		Eval: func(t *core.Trace, witness bool) error {
+			if len(preds) == 0 {
 				return nil
 			}
-			return &wrapped{name: name, or: true, err: first}
+			for _, p := range preds {
+				if p.Holds(t) {
+					return nil
+				}
+			}
+			if !witness {
+				return errFails
+			}
+			return &wrapped{name: name, or: true, err: preds[0].Check(t)}
 		},
 	}
 }
@@ -132,9 +148,12 @@ func Not(name string, p P) P {
 	}}
 	return P{
 		Name: name,
-		Check: func(t *core.Trace) error {
-			if err := p.Check(t); err != nil {
+		Eval: func(t *core.Trace, witness bool) error {
+			if !p.Holds(t) {
 				return nil
+			}
+			if !witness {
+				return errFails
 			}
 			return &Violation{Predicate: name, Proc: -1, def: neg}
 		},

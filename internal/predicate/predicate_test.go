@@ -349,9 +349,9 @@ func TestCompoundErrorsWrapTheViolation(t *testing.T) {
 
 // TestExhaustiveWalkAllocations pins the two halves of the exhaustive sweep:
 // the walk rewrites one trace in place, so all 343 one-round traces cost only
-// ExhaustiveTraces' set-up; and a check that fails is only compared with
-// nil, so it costs its Violation, the sets its witness detaches and one
-// wrapper per compound — no rendered text.
+// ExhaustiveTraces' set-up; and a verdict that is only compared with nil
+// goes through Holds, so a failure builds no Violation, detaches no witness
+// set and wraps nothing — only the sets the clause itself evaluates.
 func TestExhaustiveWalkAllocations(t *testing.T) {
 	visit := func(*core.Trace) error { return nil }
 	walk := testing.AllocsPerRun(5, func() {
@@ -371,27 +371,58 @@ func TestExhaustiveWalkAllocations(t *testing.T) {
 			t.Fatalf("checked %d, err %v", checked, err)
 		}
 	})
-	// Measured 3.14 a trace; rendering the discarded text is 6 more.
-	if perTrace := implies / traces; perTrace > 4.1 {
-		t.Fatalf("ExhaustiveImplies(3, 2, sync-crash, send-omission) allocated %.2f times per trace, want <= 4.1", perTrace)
+	// Measured 0.11 a trace: the window unions of the premises that pass
+	// self-trust. A witnessed premise (Check) is 3.14.
+	if perTrace := implies / traces; perTrace > 0.2 {
+		t.Fatalf("ExhaustiveImplies(3, 2, sync-crash, send-omission) allocated %.2f times per trace, want <= 0.2", perTrace)
 	}
 
 	// E07's proof rows: most of the 15^4 one-round traces violate the
-	// k-set detector, and the sweep only compares the failure with nil.
+	// k-set detector, and the sweep asks only whether it holds.
 	kset := atom(AtomKSet, 2)
 	const ksetTraces = 50625
-	proof := testing.AllocsPerRun(1, func() {
-		if err := ExhaustiveTraces(4, 1, func(tr *core.Trace) error {
-			kset.Check(tr)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+	sweep := func(visit func(*core.Trace) error) float64 {
+		return testing.AllocsPerRun(1, func() {
+			if err := ExhaustiveTraces(4, 1, visit); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	proof := sweep(func(tr *core.Trace) error {
+		kset.Holds(tr)
+		return nil
+	}) - sweep(visit)
+	// Measured exactly 2 beyond the walk's set-up, eval's own uncertainty
+	// sets (-race adds 6 in all). Check, which also detaches keep's two and
+	// builds the Violation, is ≈ 5.
+	if perTrace := proof / ksetTraces; perTrace > 2.001 {
+		t.Fatalf("ExhaustiveTraces(4, 1) under k-set-detector(k=2) allocated %.3f times per trace, want <= 2", perTrace)
+	}
+}
+
+// TestHoldsKeepsNothing pins the witness-free failure: every predicate,
+// atom or compound, fails Eval(t, false) with the one shared error — no
+// *Violation, no wrapper — while Check on the same trace still builds its
+// witness.
+func TestHoldsKeepsNothing(t *testing.T) {
+	tr := mkTrace(3, [][]core.PID{pids(0), pids(0, 1), pids()})
+	for _, p := range []P{
+		atom(AtomSelfTrust),
+		atom(AtomAtMost, 0),
+		syncCrash(1),
+		Or("either", atom(AtomSelfTrust), atom(AtomPerRound, 0)),
+		Not("not", atom(AtomChain)),
+	} {
+		if p.Holds(tr) {
+			t.Fatalf("%s holds on a trace it must reject", p.Name)
 		}
-	})
-	// Measured 4.98: eval's uncertainty (2), keep's (2) and the Violation.
-	// Rendering the text eagerly was 8.53.
-	if perTrace := proof / ksetTraces; perTrace > 5 {
-		t.Fatalf("ExhaustiveTraces(4, 1) under k-set-detector(k=2) allocated %.2f times per trace, want <= 5", perTrace)
+		if err := p.Eval(tr, false); err != errFails {
+			t.Fatalf("%s: Eval(t, false) = %#v, want the shared errFails", p.Name, err)
+		}
+		var v *Violation
+		if err := p.Check(tr); !errors.As(err, &v) {
+			t.Fatalf("%s: Check = %v, want a witnessed *Violation", p.Name, err)
+		}
 	}
 }
 

@@ -131,8 +131,9 @@ func Run(n int, cfg Config, factory Factory, inputs []core.Value) (*Outcome, err
 	}
 	halted := core.NewSet(n)
 
+	ready := make([]core.PID, 0, n) // the chooser's scratch, refilled each step
 	for step := 0; step < maxSteps; step++ {
-		ready := make([]core.PID, 0, n)
+		ready = ready[:0]
 		for i := 0; i < n; i++ {
 			p := core.PID(i)
 			if !halted.Has(p) && !out.Crashed.Has(p) {

@@ -274,3 +274,20 @@ func TestStepBudget(t *testing.T) {
 type spinStepper struct{}
 
 func (spinStepper) Step(received []Msg) StepResult { return StepResult{} }
+
+// TestRunAllocsPerStep pins the scheduler loop: a step whose stepper
+// allocates nothing allocates nothing either, since the chooser's option
+// list is one slice for the whole run.
+func TestRunAllocsPerStep(t *testing.T) {
+	factory := func(core.PID, int, core.Value) Stepper { return spinStepper{} }
+	inputs := identityInputs(4)
+	run := func(steps int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			Run(4, Config{Chooser: core.RoundRobin(), maxSteps: steps}, factory, inputs)
+		})
+	}
+	// Measured 0; a fresh option list per step was 1.
+	if perStep := (run(2000) - run(1000)) / 1000; perStep > 0.01 {
+		t.Fatalf("a step allocated %.3f times, want 0", perStep)
+	}
+}

@@ -15,28 +15,27 @@ import (
 )
 
 // scanNoHelp is the ablated scan: double collect without helping. It
-// returns the view and the number of collects it needed.
+// returns the view and the number of collects it needed. Like Scan, it
+// collects into the handle's buffers and allocates only the view.
 func (o *Object) scanNoHelp(maxCollects int) ([]Cell, int, error) {
-	prev, err := o.collect()
-	if err != nil {
+	if err := o.collect(o.prev); err != nil {
 		return nil, 1, err
 	}
 	for c := 2; c <= maxCollects; c++ {
-		cur, err := o.collect()
-		if err != nil {
+		if err := o.collect(o.cur); err != nil {
 			return nil, c, err
 		}
 		same := true
-		for j := range cur {
-			if cur[j].Seq != prev[j].Seq {
+		for j := range o.cur {
+			if o.cur[j].Seq != o.prev[j].Seq {
 				same = false
 				break
 			}
 		}
 		if same {
-			return cur, c, nil
+			return cloneView(o.cur, len(o.cur)), c, nil
 		}
-		prev = cur
+		o.prev, o.cur = o.cur, o.prev
 	}
 	return nil, maxCollects, fmt.Errorf("snapshot: no clean double collect within %d collects", maxCollects)
 }

@@ -29,14 +29,22 @@ type Cell struct {
 
 // Object is one process's handle to a named atomic snapshot object. All
 // processes sharing a swmr execution and a name operate on the same object.
+// A handle belongs to its process's body, like the *swmr.Proc it wraps.
 type Object struct {
 	proc *swmr.Proc
 	reg  string // the register holding the caller's cell: "snap:"+name
+
+	// Scan's scratch: the two collects it compares and how often each
+	// component moved since the scan began.
+	prev, cur []Cell
+	moved     []int
 }
 
 // New returns process p's handle to the snapshot object called name.
 func New(p *swmr.Proc, name string) *Object {
-	return &Object{proc: p, reg: "snap:" + name}
+	cells := make([]Cell, 2*p.N)
+	return &Object{proc: p, reg: "snap:" + name,
+		prev: cells[:p.N:p.N], cur: cells[p.N:], moved: make([]int, p.N)}
 }
 
 // Update atomically (in the linearization sense) replaces the caller's
@@ -67,52 +75,50 @@ func (o *Object) Update(v core.Value) error {
 // began must have completed an entire Update inside the scan, and its
 // embedded view (which is itself a valid snapshot taken inside our interval)
 // is returned. At most n+1 collects are needed, so Scan is wait-free.
+//
+// The two collects fill the handle's own buffers; only the returned view is
+// allocated, so it stays the caller's across later Scans and Updates.
 func (o *Object) Scan() ([]Cell, error) {
 	n := o.proc.N
-	baseline, err := o.collect()
-	if err != nil {
+	if err := o.collect(o.prev); err != nil {
 		return nil, err
 	}
-	prev := baseline
-	moved := make([]int, n)
+	clear(o.moved)
 	for {
-		cur, err := o.collect()
-		if err != nil {
+		if err := o.collect(o.cur); err != nil {
 			return nil, err
 		}
 		same := true
 		for j := 0; j < n; j++ {
-			if cur[j].Seq != prev[j].Seq {
+			if o.cur[j].Seq != o.prev[j].Seq {
 				same = false
-				moved[j]++
-				if moved[j] >= 2 {
+				o.moved[j]++
+				if o.moved[j] >= 2 {
 					// j completed a full Update strictly inside our
 					// scan; its embedded view is a snapshot
 					// linearizable within our interval.
-					return cloneView(cur[j].View, n), nil
+					return cloneView(o.cur[j].View, n), nil
 				}
 			}
 		}
 		if same {
-			return cur, nil
+			return cloneView(o.cur, n), nil
 		}
-		prev = cur
+		o.prev, o.cur = o.cur, o.prev
 	}
 }
 
-// collect reads every component once (n register operations).
-func (o *Object) collect() ([]Cell, error) {
-	raw, err := o.proc.Collect(o.reg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Cell, len(raw))
-	for i, v := range raw {
-		if c, ok := v.(Cell); ok {
-			out[i] = c
+// collect reads every component once, in pid order, into into (n register
+// operations).
+func (o *Object) collect(into []Cell) error {
+	for j := range into {
+		v, err := o.proc.Read(core.PID(j), o.reg)
+		if err != nil {
+			return err
 		}
+		into[j], _ = v.(Cell)
 	}
-	return out, nil
+	return nil
 }
 
 func cloneView(view []Cell, n int) []Cell {

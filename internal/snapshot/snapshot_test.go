@@ -267,3 +267,74 @@ func CompareSeqVectors(a, b []int) (int, error) {
 		return 0, fmt.Errorf("snapshot: incomparable scans %v and %v", a, b)
 	}
 }
+
+// TestScanViewOutlivesLaterOps holds Scan's result to be the caller's: its
+// two collects fill the handle's own buffers, so a view taken early reads
+// the same after the same handle scans and updates again, on both the
+// direct path and the helping path.
+func TestScanViewOutlivesLaterOps(t *testing.T) {
+	const n, updates = 3, 6
+	for seed := int64(0); seed < 20; seed++ {
+		out, err := swmr.Run(n, swmr.Config{Chooser: swmr.Seeded(seed)}, func(p *swmr.Proc) (core.Value, error) {
+			obj := New(p, "obj")
+			if err := obj.Update(int(p.Me)); err != nil {
+				return nil, err
+			}
+			view, err := obj.Scan()
+			if err != nil {
+				return nil, err
+			}
+			kept := append([]Cell(nil), view...)
+			for u := 1; u < updates; u++ {
+				if err := obj.Update(int(p.Me)*100 + u); err != nil {
+					return nil, err
+				}
+				if _, err := obj.Scan(); err != nil {
+					return nil, err
+				}
+			}
+			for j := range kept {
+				if view[j].Seq != kept[j].Seq || view[j].Value != kept[j].Value || len(view[j].View) != len(kept[j].View) {
+					return nil, fmt.Errorf("component %d of an earlier view changed from (seq %d, %v) to (seq %d, %v)",
+						j, kept[j].Seq, kept[j].Value, view[j].Seq, view[j].Value)
+				}
+			}
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for p, err := range out.Errs {
+			t.Fatalf("seed %d, p%d: %v", seed, p, err)
+		}
+	}
+}
+
+// TestScanAllocsPerScan pins Scan's cost to the view it returns: its
+// collects read registers into the handle's buffers, so a quiet scan of
+// two clean collects allocates one slice.
+func TestScanAllocsPerScan(t *testing.T) {
+	run := func(scans int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			_, err := swmr.Run(2, swmr.Config{Chooser: swmr.Seeded(1)}, func(p *swmr.Proc) (core.Value, error) {
+				if p.Me == 1 {
+					return nil, nil
+				}
+				obj := New(p, "obj")
+				for s := 0; s < scans; s++ {
+					if _, err := obj.Scan(); err != nil {
+						return nil, err
+					}
+				}
+				return nil, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Measured 1; a []core.Value and a []Cell per collect was 5.
+	if perScan := (run(200) - run(100)) / 100; perScan > 1 {
+		t.Fatalf("a Scan allocated %.2f times, want <= 1 (the returned view)", perScan)
+	}
+}
