@@ -1,10 +1,6 @@
 package adversary
 
-import (
-	"math/rand"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // AsyncBudget returns an adversary for the asynchronous message-passing model
 // of §2 item 3 (eq. (3)): every round, every process misses an arbitrary set
@@ -15,7 +11,7 @@ import (
 // allowSelf permits p_i ∈ D(i,r), which the model explicitly tolerates ("p_i
 // may be late to round r and learn that from the RRFD").
 func AsyncBudget(n, f int, allowSelf bool, seed int64) core.Oracle {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
 		sus := make([]core.Set, n)
 		active.ForEach(func(i core.PID) {
@@ -43,7 +39,7 @@ func AsyncBudget(n, f int, allowSelf bool, seed int64) core.Oracle {
 // "star" process is suspected by nobody — the paper's declarative reading of
 // the fact that the first writer of a round is read by everyone.
 func SharedMem(n, f int, seed int64) core.Oracle {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
 		star := core.PID(rng.Intn(n))
 		sus := make([]core.Set, n)
@@ -71,7 +67,7 @@ func SharedMem(n, f int, seed int64) core.Oracle {
 // scan — so all suspect sets are suffixes of one order, totally ordered by
 // containment.
 func SnapshotChain(n, f int, seed int64) core.Oracle {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
 		order := active.Members()
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -109,7 +105,7 @@ func SnapshotChain(n, f int, seed int64) core.Oracle {
 // structure of a one-shot immediate snapshot, so the induced suspect sets
 // satisfy self-inclusion, the containment chain, AND immediacy.
 func OrderedBlocks(n int, seed int64) core.Oracle {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
 		members := active.Members()
 		rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
@@ -144,7 +140,7 @@ func OrderedBlocks(n int, seed int64) core.Oracle {
 // adversary is biased toward building exactly such cycles, which is what
 // the E4 conjecture experiment needs.
 func NoMutualMissOracle(n, f int, seed int64) core.Oracle {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
 		sus := emptySuspects(n)
 		members := active.Members()
@@ -178,7 +174,7 @@ func NoMutualMissOracle(n, f int, seed int64) core.Oracle {
 // paper uses B to show eq. (3) is not the weakest RRFD equivalent to
 // f-resilient asynchronous message passing.
 func BSystemOracle(n, f, t int, seed int64) core.Oracle {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
 		q := pickK(rng, n, active, t)
 		sus := make([]core.Set, n)

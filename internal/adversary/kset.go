@@ -1,10 +1,6 @@
 package adversary
 
-import (
-	"math/rand"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // KSetUncertainty returns an adversary for the §3 detector predicate:
 // |⋃_i D(i,r) \ ⋂_i D(i,r)| < k in every round. It is built to probe
@@ -12,7 +8,7 @@ import (
 // core C of suspects shared by everyone plus an uncertainty pool U of exactly
 // k−1 processes about which observers disagree arbitrarily.
 func KSetUncertainty(n, k int, seed int64) core.Oracle {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
 		// Keep |C| + |U| < n so no process's D can become all of S.
 		maxCore := n - k
@@ -45,7 +41,7 @@ func KSetUncertainty(n, k int, seed int64) core.Oracle {
 // which the semi-synchronous model implements in 2 steps). The common set is
 // chosen at random each round, as large as n−1.
 func Identical(n int, seed int64) core.Oracle {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
 		pool := active.Clone()
 		// Leave at least one process unsuspected so D ≠ S.
@@ -66,7 +62,7 @@ func Identical(n int, seed int64) core.Oracle {
 // of anyone — including the spare — through round stab, and from round
 // stab+1 on the spare process is never suspected again.
 func EventuallySpare(n, f, stab int, spare core.PID, seed int64) core.Oracle {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
 		sus := make([]core.Set, n)
 		active.ForEach(func(i core.PID) {
@@ -92,7 +88,7 @@ func EventuallySpare(n, f, stab int, spare core.PID, seed int64) core.Oracle {
 // different ways at different observers, round after round. This is the
 // wait-free regime: up to n−1 processes may effectively never be heard from.
 func SpareNeverSuspected(n int, spare core.PID, seed int64) core.Oracle {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
 		sus := make([]core.Set, n)
 		active.ForEach(func(i core.PID) {

@@ -1,10 +1,6 @@
 package adversary
 
-import (
-	"math/rand"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Omission returns an adversary for the synchronous send-omission model of
 // §2 item 1 (predicate eq. (1)): it picks up to f victim processes whose
@@ -15,7 +11,7 @@ import (
 // rate in [0,1] tunes hostility: the probability that a victim's round
 // message is dropped at each receiver.
 func Omission(n, f int, rate float64, seed int64) core.Oracle {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	victims := pickK(rng, n, core.FullSet(n), f)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
 		sus := emptySuspects(n)
@@ -37,7 +33,7 @@ func Omission(n, f int, rate float64, seed int64) core.Oracle {
 // and it stops participating from round r+1 — so everything suspected at
 // round r is dead, hence suspected by everyone, at round r+1.
 func Crash(n, f int, seed int64) core.Oracle {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	victims := pickK(rng, n, core.FullSet(n), f).Members()
 	// Assign each victim a crash round in [1, 2f+2]; multiple victims may
 	// share a round.

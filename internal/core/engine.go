@@ -58,6 +58,7 @@ func (r *Result) MaxDecisionRound() int {
 type engineOptions struct {
 	maxRounds int
 	trace     bool
+	traceLen  int // rounds the run is known to last: the trace's capacity
 	observer  obs.Observer
 	clock     func() time.Time
 	ckDir     string
@@ -177,6 +178,9 @@ func (e *execution) begin(n int, inputs []Value, factory Factory, oracle Oracle,
 	}
 	if o.trace {
 		e.res.Trace = NewTrace(n)
+		if o.traceLen > 0 {
+			e.res.Trace.Rounds = make([]RoundRecord, 0, o.traceLen)
+		}
 	}
 }
 
@@ -368,7 +372,7 @@ func CollectTrace(n, rounds int, oracle Oracle, opts ...Option) (*Trace, error) 
 	inputs := make([]Value, n)
 	res, err := Run(n, inputs, func(me PID, n int, input Value) Algorithm {
 		return nopAlgorithm{}
-	}, oracle, append(append([]Option{}, opts...), WithMaxRounds(rounds))...)
+	}, oracle, append(append([]Option{}, opts...), WithMaxRounds(rounds), func(o *engineOptions) { o.traceLen = rounds })...)
 	if err != nil && !errors.Is(err, ErrMaxRounds) {
 		return nil, err
 	}

@@ -307,6 +307,31 @@ func TestEngineRoundAllocsPerRun(t *testing.T) {
 	}
 }
 
+// TestCollectTraceAllocsPerRun pins CollectTrace's trace to one Rounds
+// array sized for its known length: growing it by append instead costs
+// three more objects over ten rounds, and leaves capacity for seventeen.
+func TestCollectTraceAllocsPerRun(t *testing.T) {
+	const n, rounds = 16, 10
+	plan := RoundPlan{Suspects: make([]Set, n)}
+	for i := range plan.Suspects {
+		plan.Suspects[i] = NewSet(n)
+	}
+	oracle := OracleFunc(func(int, Set) RoundPlan { return plan })
+	var tr *Trace
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if tr, err = CollectTrace(n, rounds, oracle); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if tr.Len() != rounds || cap(tr.Rounds) != rounds {
+		t.Fatalf("trace holds %d rounds in capacity %d, want %d in %d", tr.Len(), cap(tr.Rounds), rounds, rounds)
+	}
+	if allocs > 39 {
+		t.Errorf("CollectTrace(%d, %d, …) allocates %.0f objects, want ≤ 39", n, rounds, allocs)
+	}
+}
+
 func TestRunOverlapDeliverAndSuspect(t *testing.T) {
 	// The model allows receiving a message from a suspected process:
 	// suspect p1 everywhere but still deliver its message.

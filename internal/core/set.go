@@ -163,6 +163,9 @@ func (s *Set) CopyFrom(t Set) {
 	}
 }
 
+// Clear empties s in place, keeping its universe and its storage.
+func (s *Set) Clear() { clear(s.words) }
+
 // UnionInto grows s in place to s ∪ t: the allocation-free counterpart of
 // s = s.Union(t).
 func (s *Set) UnionInto(t Set) {

@@ -54,6 +54,10 @@ type Round struct {
 	From int
 	Cum  core.Set
 	Prev core.Set
+
+	// u is the row a clause builds a union in: a Checker evaluation's own
+	// scratch, or absent (an enumerator's Holds), when each build allocates.
+	u core.Set
 }
 
 // scope says which rounds decide a clause, and so what a driver must fold.
@@ -69,14 +73,18 @@ const (
 // offending process and a second process when the clause relates two (−1
 // where there is none) — without allocating it. keep detaches from the
 // round the sets detail will quote, once eval has failed under Check: a
-// set the clause computed fresh, or a clone of D(p) / D(q), since the
+// set the clause built in the evaluation's scratch, which nothing rewrites
+// once the evaluation has failed, or a clone of D(p) / D(q), since the
 // trace may be rewritten before anyone reads the text (nil: the text
 // quotes nothing but the round and the process). detail renders a
-// Violation from its witness, and runs only when the text is read.
+// Violation from its witness, and runs only when the text is read. A
+// clause whose eval builds a set, or whose scope folds one, has sets set:
+// its Checker gives each evaluation one scratch row.
 type atomDef struct {
 	name   string // expression syntax
 	arity  int
 	scope  scope
+	sets   bool
 	eval   func(args []int, rd Round) (ok bool, p, q core.PID)
 	keep   func(args []int, rd Round, p, q core.PID) (a, b core.Set)
 	detail func(v *Violation) string
@@ -91,7 +99,7 @@ var atoms = [...]atomDef{
 		detail: func(*Violation) string { return "process suspects itself" },
 	},
 	AtomAtMost: {
-		name: "atmost", arity: 1, scope: wholeTrace,
+		name: "atmost", arity: 1, scope: wholeTrace, sets: true,
 		eval: func(args []int, rd Round) (bool, core.PID, core.PID) {
 			return windowUnion(rd).Count() <= args[0], -1, -1
 		},
@@ -111,9 +119,9 @@ var atoms = [...]atomDef{
 		},
 	},
 	AtomKSet: {
-		name: "kset", arity: 1,
+		name: "kset", arity: 1, sets: true,
 		eval: func(args []int, rd Round) (bool, core.PID, core.PID) {
-			return uncertainty(rd).Count() < args[0], -1, -1
+			return uncertain(rd) < args[0], -1, -1
 		},
 		keep: func(_ []int, rd Round, _, _ core.PID) (core.Set, core.Set) { return uncertainty(rd), core.Set{} },
 		detail: func(v *Violation) string {
@@ -131,7 +139,7 @@ var atoms = [...]atomDef{
 		},
 	},
 	AtomSomeoneSeen: {
-		name: "someoneseen",
+		name: "someoneseen", sets: true,
 		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
 			return roundUnion(rd).Count() < rd.N, -1, -1
 		},
@@ -179,11 +187,11 @@ var atoms = [...]atomDef{
 		},
 	},
 	AtomPropagates: {
-		name: "propagates", scope: prevRound,
+		name: "propagates", scope: prevRound, sets: true,
 		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
 			return firstProc(rd, func(k core.PID) bool { return !rd.Prev.IsSubset(rd.D[k]) })
 		},
-		// Prev is the checker's own fresh union, never rewritten after a
+		// Prev is the evaluation's own scratch, never rewritten after a
 		// failure; only D(k) belongs to the trace.
 		keep: func(_ []int, rd Round, k, _ core.PID) (core.Set, core.Set) { return rd.D[k].Clone(), rd.Prev },
 		detail: func(v *Violation) string {
@@ -192,7 +200,7 @@ var atoms = [...]atomDef{
 		},
 	},
 	AtomNeverSusp: {
-		name: "neversusp", scope: wholeTrace,
+		name: "neversusp", scope: wholeTrace, sets: true,
 		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
 			return windowUnion(rd).Count() < rd.N, -1, -1
 		},
@@ -269,21 +277,42 @@ func firstPair(rd Round, bad func(i, j core.PID) bool) (bool, core.PID, core.PID
 	return true, -1, -1
 }
 
-// roundUnion is ⋃_i D(i,R) over the active processes.
+// row returns the round's scratch row, or a fresh set when it has none.
+func row(rd Round) core.Set {
+	if rd.u.Universe() != rd.N {
+		return core.NewSet(rd.N)
+	}
+	return rd.u
+}
+
+// roundUnion is ⋃_i D(i,R) over the active processes, built in rd.u.
 func roundUnion(rd Round) core.Set {
-	u := core.NewSet(rd.N)
+	u := row(rd)
+	u.Clear()
 	rd.Active.ForEach(func(p core.PID) { u.UnionInto(rd.D[p]) })
 	return u
 }
 
-// windowUnion is the suspect union of rounds From..R.
+// windowUnion is the suspect union of rounds From..R, built in rd.u. Cum
+// is read before anything is written, so rd.u may be Cum's own row: the
+// Checker's whole-trace fold grows Cum in place.
 func windowUnion(rd Round) core.Set {
-	u := roundUnion(rd)
-	u.UnionInto(rd.Cum)
+	u := row(rd)
+	u.CopyFrom(rd.Cum)
+	rd.Active.ForEach(func(p core.PID) { u.UnionInto(rd.D[p]) })
 	return u
 }
 
-// uncertainty is ⋃_i D(i,R) \ ⋂_i D(i,R) over the active processes.
+// uncertain is |⋃_i D(i,R) \ ⋂_i D(i,R)| over the active processes. ⋂ ⊆ ⋃,
+// so it is |⋃| − |⋂|, and rd.u holds the union, then shrinks to ⋂.
+func uncertain(rd Round) int {
+	u := roundUnion(rd)
+	c := u.Count()
+	rd.Active.ForEach(func(p core.PID) { u.IntersectInto(rd.D[p]) })
+	return c - u.Count()
+}
+
+// uncertainty is the set uncertain counts, built fresh for a witness.
 func uncertainty(rd Round) core.Set {
 	u, in := core.NewSet(rd.N), core.FullSet(rd.N)
 	rd.Active.ForEach(func(p core.PID) {
@@ -335,11 +364,20 @@ func (k AtomKind) Holds(args []int, rd Round) bool {
 // that holds the clause to every round >= from (from = 1 is the whole
 // trace) and reports the first offending round and process. A whole-trace
 // clause is judged once, on the closed window — every round folded into
-// Cum, nothing on top — and reports Round 0, Proc −1.
+// Cum, nothing on top — and reports Round 0, Proc −1. An evaluation that
+// builds sets builds them in one row it owns, rd.u, which is also Cum for a
+// whole-trace clause and Prev for a prev-round one: a round's eval reads
+// Prev before roundUnion rewrites it.
 func (k AtomKind) Checker(name string, from int, args ...int) P {
 	a := &atoms[k]
 	return P{Name: name, Eval: func(t *core.Trace, witness bool) error {
 		rd := Round{N: t.N, From: from}
+		if a.sets {
+			rd.u = core.NewSet(t.N)
+			if a.scope == wholeTrace {
+				rd.Cum = rd.u
+			}
+		}
 		for i := range t.Rounds {
 			rec := &t.Rounds[i]
 			if rec.R < from {

@@ -45,24 +45,32 @@ func RunRounds(n, f, rounds int, cfg swmr.Config, emit core.RoundEmit) (*core.Ro
 			if err := obj.Update(roundCell{round: r, values: mine}); err != nil {
 				return nil, core.Set{}, err
 			}
+			// A scan that misses more than f round-r values is retried, so
+			// only the deciding one builds the suspect set and the messages.
 			for {
 				view, err := obj.Scan()
 				if err != nil {
 					return nil, core.Set{}, err
 				}
-				present := core.NewSet(n)
-				msgs := make(map[core.PID]core.Value, n)
-				for j, c := range view {
-					cell, ok := c.Value.(roundCell)
-					if !ok || cell.round < r {
-						continue
+				missing := n
+				for _, c := range view {
+					if cell, ok := c.Value.(roundCell); ok && cell.round >= r {
+						missing--
 					}
-					present.Add(core.PID(j))
-					msgs[core.PID(j)] = cell.values[r-1]
 				}
-				if n-present.Count() <= f {
-					return msgs, present.Complement(), nil
+				if missing > f {
+					continue
 				}
+				suspects := core.NewSet(n)
+				msgs := make(map[core.PID]core.Value, n-missing)
+				for j, c := range view {
+					if cell, ok := c.Value.(roundCell); ok && cell.round >= r {
+						msgs[core.PID(j)] = cell.values[r-1]
+					} else {
+						suspects.Add(core.PID(j))
+					}
+				}
+				return msgs, suspects, nil
 			}
 		})
 		recs[p.Me] = rec
