@@ -2,13 +2,13 @@ package adversary
 
 import "math/rand"
 
-// newRand returns rand.New(rand.NewSource(seed))'s exact stream, from a
-// source that seeds in O(1). Every sampled table and golden of the paper's
-// reproduction is fixed by that stream, so the stream cannot change; what
-// changes is when it is paid for. math/rand's Seed fills its whole 607-word
-// register up front, 1 881 chained Lehmer steps; this source keeps only the
-// normalized seed and computes each register word the first time a draw
-// reads it (DESIGN §11 "Seeded samplers").
+// newRand returns rand.New(rand.NewSource(seed))'s exact stream. Every
+// sampled table and golden of the paper's reproduction is fixed by that
+// stream, so the stream cannot change; what changes is what seeding costs.
+// math/rand's Seed fills its 607-word register by 1 881 chained Lehmer
+// steps, each with an int32 division; this source fills it in closed form,
+// each step an independent multiply by a precomputed power and a Mersenne
+// fold (DESIGN §11 "Seeded samplers").
 func newRand(seed int64) *rand.Rand {
 	s := new(source)
 	s.Seed(seed)
@@ -26,23 +26,17 @@ const (
 	seedSkip = 20 // Lehmer steps Seed discards before word 0
 )
 
-// source is a rand.Source64 with math/rand's stream. Draw k (from 1) adds
-// word 334−k (mod 607), the feed, and word 607−k, the tap, and stores the
-// sum at the feed. So draws 1…334 read every feed word before anything is
-// written there, and draws 1…273 read tap words 606…334, which nothing
-// writes before draws 335…607 read them as feeds; every other read sees a
-// sum this seeding wrote. Those 607 first reads are the words Seed would
-// have filled in, and fresh > 0 counts the draws that still make them.
+// source is a rand.Source64 with math/rand's stream: rngSource with a
+// closed-form Seed.
 type source struct {
 	vec       [regLen]uint64
 	tap, feed int
-	fresh     int
-	seed      uint64 // normalized: 1 ≤ seed < lehmerP
 }
 
-// lehmerPow[j] is 48271^(j+1) mod (2³¹−1), so the j-th Lehmer value after
-// a seed x is x·lehmerPow[j] mod (2³¹−1): word i takes j = 20+3i … 22+3i.
-var lehmerPow [seedSkip + 3*regLen]uint64
+// lehmerPow[i] holds 48271^(21+3i), 48271^(22+3i) and 48271^(23+3i) mod
+// 2³¹−1: word i's three Lehmer values are the seed times these, mod 2³¹−1
+// (Seed discards the first 20 steps).
+var lehmerPow [regLen][3]uint64
 
 // cooked is math/rand's table of per-word constants that Seed XORs into the
 // Lehmer bits. It is not copied: init reads it back out of the first 607
@@ -51,34 +45,40 @@ var cooked [regLen]uint64
 
 func init() {
 	x := uint64(1)
-	for j := range lehmerPow {
+	for range seedSkip {
 		x = mulMod(x, lehmerA)
-		lehmerPow[j] = x
+	}
+	for i := range lehmerPow {
+		for k := range lehmerPow[i] {
+			x = mulMod(x, lehmerA)
+			lehmerPow[i][k] = x
+		}
 	}
 	cooked = recoverCooked(rand.NewSource(1).(rand.Source64), 1)
 }
 
-// mulMod returns a·b mod 2³¹−1 for a, b < 2³¹ by the Mersenne reduction.
+// mulMod returns a·b mod 2³¹−1 for a, b in [1, 2³¹−2] by the Mersenne
+// reduction. Two folds leave a value in [0, 2³¹−1] congruent to a·b, and
+// neither end is possible: 2³¹−1 is prime, so a·b is not a multiple of it.
+// Every caller passes a normalized seed or a power of 48271.
 func mulMod(a, b uint64) uint64 {
 	v := a * b
 	v = v&lehmerP + v>>31
-	v = v&lehmerP + v>>31
-	if v >= lehmerP {
-		v -= lehmerP
-	}
-	return v
+	return v&lehmerP + v>>31
 }
 
-// lehmerBits returns word i of a register seeded with the normalized seed,
-// before the cooked constant is XORed in.
-func lehmerBits(seed uint64, i int) uint64 {
-	j := seedSkip + 3*i
-	return mulMod(seed, lehmerPow[j])<<40 ^ mulMod(seed, lehmerPow[j+1])<<20 ^ mulMod(seed, lehmerPow[j+2])
+// seedRegister sets v to the register seeded with the normalized seed: word
+// i is three consecutive Lehmer values, packed, XORed with mask[i] (cooked,
+// or a register whose cooked words are wanted).
+func seedRegister(v *[regLen]uint64, seed uint64, mask *[regLen]uint64) {
+	for i, p := range &lehmerPow {
+		v[i] = mulMod(seed, p[0])<<40 ^ mulMod(seed, p[1])<<20 ^ mulMod(seed, p[2]) ^ mask[i]
+	}
 }
 
 // recoverCooked inverts the first 607 draws of src, freshly seeded with the
-// normalized seed, into the seeded register w and returns w XOR the Lehmer
-// bits. With o_k the k-th draw:
+// normalized seed, into the seeded register w and returns w XOR the packed
+// Lehmer values. With o_k the k-th draw:
 //   - draws 274…334 add a feed word to the sum draw k−273 wrote: word
 //     334−k = o_k − o_{k−273}, words 0…60;
 //   - draws 335…607 do the same with feed words 606…334: word 941−k =
@@ -97,13 +97,12 @@ func recoverCooked(src rand.Source64, seed uint64) [regLen]uint64 {
 	for k := 1; k <= regTap; k++ {
 		w[regLen-regTap-k] = o[k] - w[regLen-k]
 	}
-	for i := range w {
-		w[i] ^= lehmerBits(seed, i)
-	}
-	return w
+	var c [regLen]uint64
+	seedRegister(&c, seed, &w)
+	return c
 }
 
-// Seed is rngSource.Seed's normalization without its register fill.
+// Seed is rngSource.Seed, its register filled in closed form.
 func (s *source) Seed(seed int64) {
 	seed %= lehmerP
 	if seed < 0 {
@@ -112,12 +111,11 @@ func (s *source) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	s.seed = uint64(seed)
+	seedRegister(&s.vec, uint64(seed), &cooked)
 	s.tap, s.feed = 0, regLen-regTap
-	s.fresh = regLen - regTap
 }
 
-// Uint64 is rngSource.Uint64, making the words a fresh draw reads first.
+// Uint64 is rngSource.Uint64.
 func (s *source) Uint64() uint64 {
 	s.tap--
 	if s.tap < 0 {
@@ -126,13 +124,6 @@ func (s *source) Uint64() uint64 {
 	s.feed--
 	if s.feed < 0 {
 		s.feed += regLen
-	}
-	if s.fresh > 0 {
-		s.fresh--
-		s.vec[s.feed] = lehmerBits(s.seed, s.feed) ^ cooked[s.feed]
-		if s.tap >= regLen-regTap { // draw k ≤ 273: tap word 607−k is unread
-			s.vec[s.tap] = lehmerBits(s.seed, s.tap) ^ cooked[s.tap]
-		}
 	}
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x

@@ -54,10 +54,6 @@ type Round struct {
 	From int
 	Cum  core.Set
 	Prev core.Set
-
-	// u is the row a clause builds a union in: a Checker evaluation's own
-	// scratch, or absent (an enumerator's Holds), when each build allocates.
-	u core.Set
 }
 
 // scope says which rounds decide a clause, and so what a driver must fold.
@@ -79,13 +75,14 @@ const (
 // quotes nothing but the round and the process). detail renders a
 // Violation from its witness, and runs only when the text is read. A
 // clause whose eval builds a set, or whose scope folds one, has sets set:
-// its Checker gives each evaluation one scratch row.
+// its Checker gives each evaluation one scratch row u to build it in (Holds
+// passes none, and each build allocates).
 type atomDef struct {
 	name   string // expression syntax
 	arity  int
 	scope  scope
 	sets   bool
-	eval   func(args []int, rd Round) (ok bool, p, q core.PID)
+	eval   func(args []int, rd Round, u core.Set) (ok bool, p, q core.PID)
 	keep   func(args []int, rd Round, p, q core.PID) (a, b core.Set)
 	detail func(v *Violation) string
 }
@@ -93,25 +90,27 @@ type atomDef struct {
 var atoms = [...]atomDef{
 	AtomSelfTrust: {
 		name: "selftrust",
-		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
-			return firstProc(rd, func(p core.PID) bool { return rd.D[p].Has(p) })
+		eval: func(_ []int, rd Round, _ core.Set) (bool, core.PID, core.PID) {
+			return firstProc(&rd, func(p core.PID) bool { return rd.D[p].Has(p) })
 		},
 		detail: func(*Violation) string { return "process suspects itself" },
 	},
 	AtomAtMost: {
 		name: "atmost", arity: 1, scope: wholeTrace, sets: true,
-		eval: func(args []int, rd Round) (bool, core.PID, core.PID) {
-			return windowUnion(rd).Count() <= args[0], -1, -1
+		eval: func(args []int, rd Round, u core.Set) (bool, core.PID, core.PID) {
+			return windowUnion(&rd, u).Count() <= args[0], -1, -1
 		},
-		keep: func(_ []int, rd Round, _, _ core.PID) (core.Set, core.Set) { return windowUnion(rd), core.Set{} },
+		// Judged on the closed window: Cum is the whole union, built in
+		// the evaluation's own row.
+		keep: func(_ []int, rd Round, _, _ core.PID) (core.Set, core.Set) { return rd.Cum, core.Set{} },
 		detail: func(v *Violation) string {
 			return fmt.Sprintf("%d distinct processes suspected (%s), budget %d", v.w.sets[0].Count(), v.w.sets[0], v.w.args[0])
 		},
 	},
 	AtomPerRound: {
 		name: "perround", arity: 1,
-		eval: func(args []int, rd Round) (bool, core.PID, core.PID) {
-			return firstProc(rd, func(p core.PID) bool { return rd.D[p].Count() > args[0] })
+		eval: func(args []int, rd Round, _ core.Set) (bool, core.PID, core.PID) {
+			return firstProc(&rd, func(p core.PID) bool { return rd.D[p].Count() > args[0] })
 		},
 		keep: keepD,
 		detail: func(v *Violation) string {
@@ -120,18 +119,18 @@ var atoms = [...]atomDef{
 	},
 	AtomKSet: {
 		name: "kset", arity: 1, sets: true,
-		eval: func(args []int, rd Round) (bool, core.PID, core.PID) {
-			return uncertain(rd) < args[0], -1, -1
+		eval: func(args []int, rd Round, u core.Set) (bool, core.PID, core.PID) {
+			return uncertain(&rd, u) < args[0], -1, -1
 		},
-		keep: func(_ []int, rd Round, _, _ core.PID) (core.Set, core.Set) { return uncertainty(rd), core.Set{} },
+		keep: func(_ []int, rd Round, _, _ core.PID) (core.Set, core.Set) { return uncertainty(&rd), core.Set{} },
 		detail: func(v *Violation) string {
 			return fmt.Sprintf("uncertainty %s has size %d ≥ k=%d", v.w.sets[0], v.w.sets[0].Count(), v.w.args[0])
 		},
 	},
 	AtomNoMutualMiss: {
 		name: "nomutualmiss",
-		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
-			return firstPair(rd, func(i, j core.PID) bool { return rd.D[i].Has(j) && rd.D[j].Has(i) })
+		eval: func(_ []int, rd Round, _ core.Set) (bool, core.PID, core.PID) {
+			return firstPair(&rd, func(i, j core.PID) bool { return rd.D[i].Has(j) && rd.D[j].Has(i) })
 		},
 		keep: keepNone,
 		detail: func(v *Violation) string {
@@ -140,16 +139,16 @@ var atoms = [...]atomDef{
 	},
 	AtomSomeoneSeen: {
 		name: "someoneseen", sets: true,
-		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
-			return roundUnion(rd).Count() < rd.N, -1, -1
+		eval: func(_ []int, rd Round, u core.Set) (bool, core.PID, core.PID) {
+			return roundUnion(&rd, u).Count() < rd.N, -1, -1
 		},
 		detail: func(*Violation) string { return "every process is suspected by someone" },
 	},
 	AtomIdentical: {
 		name: "identical",
-		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
+		eval: func(_ []int, rd Round, _ core.Set) (bool, core.PID, core.PID) {
 			first := core.PID(-1)
-			ok, p, _ := firstProc(rd, func(p core.PID) bool {
+			ok, p, _ := firstProc(&rd, func(p core.PID) bool {
 				if first < 0 {
 					first = p
 				}
@@ -164,8 +163,8 @@ var atoms = [...]atomDef{
 	},
 	AtomChain: {
 		name: "chain",
-		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
-			return firstPair(rd, func(i, j core.PID) bool {
+		eval: func(_ []int, rd Round, _ core.Set) (bool, core.PID, core.PID) {
+			return firstPair(&rd, func(i, j core.PID) bool {
 				return i < j && !rd.D[i].IsSubset(rd.D[j]) && !rd.D[j].IsSubset(rd.D[i])
 			})
 		},
@@ -176,8 +175,8 @@ var atoms = [...]atomDef{
 	},
 	AtomImmediacy: {
 		name: "immediacy",
-		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
-			return firstPair(rd, func(i, j core.PID) bool {
+		eval: func(_ []int, rd Round, _ core.Set) (bool, core.PID, core.PID) {
+			return firstPair(&rd, func(i, j core.PID) bool {
 				return !rd.D[i].Has(j) && !rd.D[i].IsSubset(rd.D[j])
 			})
 		},
@@ -188,8 +187,8 @@ var atoms = [...]atomDef{
 	},
 	AtomPropagates: {
 		name: "propagates", scope: prevRound, sets: true,
-		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
-			return firstProc(rd, func(k core.PID) bool { return !rd.Prev.IsSubset(rd.D[k]) })
+		eval: func(_ []int, rd Round, _ core.Set) (bool, core.PID, core.PID) {
+			return firstProc(&rd, func(k core.PID) bool { return !rd.Prev.IsSubset(rd.D[k]) })
 		},
 		// Prev is the evaluation's own scratch, never rewritten after a
 		// failure; only D(k) belongs to the trace.
@@ -201,8 +200,8 @@ var atoms = [...]atomDef{
 	},
 	AtomNeverSusp: {
 		name: "neversusp", scope: wholeTrace, sets: true,
-		eval: func(_ []int, rd Round) (bool, core.PID, core.PID) {
-			return windowUnion(rd).Count() < rd.N, -1, -1
+		eval: func(_ []int, rd Round, u core.Set) (bool, core.PID, core.PID) {
+			return windowUnion(&rd, u).Count() < rd.N, -1, -1
 		},
 		keep: keepNone,
 		detail: func(v *Violation) string {
@@ -217,8 +216,8 @@ var atoms = [...]atomDef{
 		// each within the t budget. The reported offender is the highest
 		// pid over t; without one the witness is Q.
 		name: "bsys", arity: 2,
-		eval: func(args []int, rd Round) (bool, core.PID, core.PID) {
-			bad, q := overBudget(args, rd)
+		eval: func(args []int, rd Round, _ core.Set) (bool, core.PID, core.PID) {
+			bad, q := overBudget(args, &rd)
 			return bad < 0 && q <= args[1], bad, -1
 		},
 		keep: func(args []int, rd Round, bad, _ core.PID) (core.Set, core.Set) {
@@ -252,7 +251,7 @@ func keepD(_ []int, rd Round, p, q core.PID) (a, b core.Set) {
 }
 
 // firstProc finds the lowest active pid that bad holds of.
-func firstProc(rd Round, bad func(p core.PID) bool) (bool, core.PID, core.PID) {
+func firstProc(rd *Round, bad func(p core.PID) bool) (bool, core.PID, core.PID) {
 	for p := core.PID(0); int(p) < rd.N; p++ {
 		if rd.Active.Has(p) && bad(p) {
 			return false, p, -1
@@ -263,7 +262,7 @@ func firstProc(rd Round, bad func(p core.PID) bool) (bool, core.PID, core.PID) {
 
 // firstPair finds the first ordered pair (i, j) of active pids — j may
 // equal i — that bad holds of: lowest i, then lowest j.
-func firstPair(rd Round, bad func(i, j core.PID) bool) (bool, core.PID, core.PID) {
+func firstPair(rd *Round, bad func(i, j core.PID) bool) (bool, core.PID, core.PID) {
 	for i := core.PID(0); int(i) < rd.N; i++ {
 		if !rd.Active.Has(i) {
 			continue
@@ -277,43 +276,45 @@ func firstPair(rd Round, bad func(i, j core.PID) bool) (bool, core.PID, core.PID
 	return true, -1, -1
 }
 
-// row returns the round's scratch row, or a fresh set when it has none.
-func row(rd Round) core.Set {
-	if rd.u.Universe() != rd.N {
-		return core.NewSet(rd.N)
+// row is u, emptied, or a fresh set when the caller gave no scratch row.
+func row(n int, u core.Set) core.Set {
+	if u.Universe() != n {
+		return core.NewSet(n)
 	}
-	return rd.u
+	u.Clear()
+	return u
 }
 
-// roundUnion is ⋃_i D(i,R) over the active processes, built in rd.u.
-func roundUnion(rd Round) core.Set {
-	u := row(rd)
-	u.Clear()
+// roundUnion is ⋃_i D(i,R) over the active processes, built in u.
+func roundUnion(rd *Round, u core.Set) core.Set {
+	u = row(rd.N, u)
 	rd.Active.ForEach(func(p core.PID) { u.UnionInto(rd.D[p]) })
 	return u
 }
 
-// windowUnion is the suspect union of rounds From..R, built in rd.u. Cum
-// is read before anything is written, so rd.u may be Cum's own row: the
+// windowUnion is the suspect union of rounds From..R, built in u. Cum is
+// read before anything is written, so u may be Cum's own row: the
 // Checker's whole-trace fold grows Cum in place.
-func windowUnion(rd Round) core.Set {
-	u := row(rd)
+func windowUnion(rd *Round, u core.Set) core.Set {
+	if u.Universe() != rd.N {
+		u = core.NewSet(rd.N)
+	}
 	u.CopyFrom(rd.Cum)
 	rd.Active.ForEach(func(p core.PID) { u.UnionInto(rd.D[p]) })
 	return u
 }
 
 // uncertain is |⋃_i D(i,R) \ ⋂_i D(i,R)| over the active processes. ⋂ ⊆ ⋃,
-// so it is |⋃| − |⋂|, and rd.u holds the union, then shrinks to ⋂.
-func uncertain(rd Round) int {
-	u := roundUnion(rd)
+// so it is |⋃| − |⋂|, and u holds the union, then shrinks to ⋂.
+func uncertain(rd *Round, u core.Set) int {
+	u = roundUnion(rd, u)
 	c := u.Count()
 	rd.Active.ForEach(func(p core.PID) { u.IntersectInto(rd.D[p]) })
 	return c - u.Count()
 }
 
 // uncertainty is the set uncertain counts, built fresh for a witness.
-func uncertainty(rd Round) core.Set {
+func uncertainty(rd *Round) core.Set {
 	u, in := core.NewSet(rd.N), core.FullSet(rd.N)
 	rd.Active.ForEach(func(p core.PID) {
 		u.UnionInto(rd.D[p])
@@ -325,7 +326,7 @@ func uncertainty(rd Round) core.Set {
 
 // overBudget returns system B's two counts for a round: the highest pid
 // whose suspect set exceeds t (−1 if none) and how many exceed f but not t.
-func overBudget(args []int, rd Round) (bad core.PID, q int) {
+func overBudget(args []int, rd *Round) (bad core.PID, q int) {
 	bad = -1
 	rd.Active.ForEach(func(p core.PID) {
 		if c := rd.D[p].Count(); c > args[1] {
@@ -356,7 +357,7 @@ func AtomByName(name string) (AtomKind, bool) {
 // Holds judges one round — a recorded one or a candidate plan — against the
 // clause. Plan enumerators filter with it.
 func (k AtomKind) Holds(args []int, rd Round) bool {
-	ok, _, _ := atoms[k].eval(args, rd)
+	ok, _, _ := atoms[k].eval(args, rd, core.Set{})
 	return ok
 }
 
@@ -365,17 +366,18 @@ func (k AtomKind) Holds(args []int, rd Round) bool {
 // trace) and reports the first offending round and process. A whole-trace
 // clause is judged once, on the closed window — every round folded into
 // Cum, nothing on top — and reports Round 0, Proc −1. An evaluation that
-// builds sets builds them in one row it owns, rd.u, which is also Cum for a
+// builds sets builds them in one row it owns, u, which is also Cum for a
 // whole-trace clause and Prev for a prev-round one: a round's eval reads
 // Prev before roundUnion rewrites it.
 func (k AtomKind) Checker(name string, from int, args ...int) P {
 	a := &atoms[k]
 	return P{Name: name, Eval: func(t *core.Trace, witness bool) error {
 		rd := Round{N: t.N, From: from}
+		var u core.Set
 		if a.sets {
-			rd.u = core.NewSet(t.N)
+			u = core.NewSet(t.N)
 			if a.scope == wholeTrace {
-				rd.Cum = rd.u
+				rd.Cum = u
 			}
 		}
 		for i := range t.Rounds {
@@ -385,19 +387,19 @@ func (k AtomKind) Checker(name string, from int, args ...int) P {
 			}
 			rd.R, rd.Active, rd.D = rec.R, rec.Active, rec.Suspects
 			if a.scope == wholeTrace {
-				rd.Cum = windowUnion(rd)
+				rd.Cum = windowUnion(&rd, u)
 				continue
 			}
-			if ok, p, q := a.eval(args, rd); !ok {
+			if ok, p, q := a.eval(args, rd, u); !ok {
 				return a.violation(witness, name, args, rd, p, q)
 			}
 			if a.scope == prevRound {
-				rd.Prev = roundUnion(rd)
+				rd.Prev = roundUnion(&rd, u)
 			}
 		}
 		if a.scope == wholeTrace {
 			rd.R, rd.Active, rd.D = 0, core.Set{}, nil
-			if ok, _, q := a.eval(args, rd); !ok {
+			if ok, _, q := a.eval(args, rd, u); !ok {
 				return a.violation(witness, name, args, rd, -1, q)
 			}
 		}
