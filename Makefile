@@ -83,13 +83,17 @@ net-short:
 # no test renders shows here: internal/obs stays >= 90%, its Tracer >= 85%.
 # The engine's plan validation judges every experiment: internal/core >= 85%.
 # Every sampled table rests on the seeded adversaries and their generator:
-# internal/adversary >= 90%.
+# internal/adversary >= 90%. Every fault campaign rests on the packages whose
+# fixed-seed goldens pin it: the virtual scheduler (internal/msgnet) and the
+# reliable links (internal/reliablelink) >= 90%, the fault injector
+# (internal/faultnet) >= 85%.
 cover:
-	$(GO) test -cover ./internal/mc/ ./internal/task/ ./internal/hoalg/ ./internal/predicate/ ./internal/obs/ ./internal/obs/trace/ ./internal/agreement/ ./internal/recovery/ ./internal/core/ ./internal/adversary/ | awk '{ \
+	$(GO) test -cover ./internal/mc/ ./internal/task/ ./internal/hoalg/ ./internal/predicate/ ./internal/obs/ ./internal/obs/trace/ ./internal/agreement/ ./internal/recovery/ ./internal/core/ ./internal/adversary/ ./internal/msgnet/ ./internal/reliablelink/ ./internal/faultnet/ | awk '{ \
 		for (i = 1; i <= NF; i++) if ($$i == "coverage:") c[$$2] = substr($$(i+1), 1, length($$(i+1))-1); \
 		print } END { \
 		floor["mc"] = 85; floor["task"] = 90; floor["hoalg"] = 85; floor["predicate"] = 90; floor["obs"] = 90; floor["obs/trace"] = 85; \
 		floor["agreement"] = 90; floor["recovery"] = 85; floor["core"] = 85; floor["adversary"] = 90; \
+		floor["msgnet"] = 90; floor["reliablelink"] = 90; floor["faultnet"] = 85; \
 		for (p in floor) if (c["repro/internal/" p] + 0 < floor[p]) { \
 			print "internal/" p " coverage " c["repro/internal/" p] "% below " floor[p] "% floor"; bad = 1 } \
 		exit bad }'

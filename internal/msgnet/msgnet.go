@@ -27,6 +27,7 @@ package msgnet
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -298,7 +299,7 @@ func (nd *Node) drive(first Op, h Handler) (Result, error) {
 		return Result{}, err
 	}
 	nd.req.op, nd.req.h, nd.req.err = first, h, nil
-	nd.sched.procs[nd.Me].pending = &nd.req
+	nd.sched.post(nd.Me, &nd.req)
 	nd.sched.baton.Yield(nd.Me)
 	if nd.req.err != nil {
 		return Result{}, nd.req.err
@@ -327,27 +328,29 @@ func (l *link) reset() {
 }
 
 // mailbox holds one receiver's undelivered payloads: links[from] is the
-// FIFO of the link from→receiver and mail counts the payloads across all
-// of them, so "has mail" is a compare.
+// FIFO of the link from→receiver, bit from of the word mask nonEmpty is
+// set while that FIFO holds mail, and mail counts the payloads across all
+// of them. The receiver's bit in the run's hasMail mask, *owner & bit, is
+// set while mail is not 0. A link whose bit is clear holds nothing, not
+// even a stale reference.
 type mailbox struct {
-	links []link
-	mail  int
+	links    []link
+	nonEmpty []uint64
+	mail     int
+	owner    *uint64
+	bit      uint64
 }
 
 func (m *mailbox) push(from core.PID, payload core.Value) {
 	m.links[from].q = append(m.links[from].q, payload)
+	m.nonEmpty[from>>6] |= 1 << (from & 63)
 	m.mail++
+	*m.owner |= m.bit
 }
 
 // senders appends the processes with queued mail to buf[:0], ascending.
 func (m *mailbox) senders(buf []core.PID) []core.PID {
-	buf = buf[:0]
-	for from := range m.links {
-		if l := &m.links[from]; l.head < len(l.q) {
-			buf = append(buf, core.PID(from))
-		}
-	}
-	return buf
+	return appendBits(buf[:0], m.nonEmpty)
 }
 
 func (m *mailbox) pop(from core.PID) core.Value {
@@ -357,17 +360,34 @@ func (m *mailbox) pop(from core.PID) core.Value {
 	l.head++
 	if l.head == len(l.q) {
 		l.q, l.head = l.q[:0], 0
+		m.nonEmpty[from>>6] &^= 1 << (from & 63)
 	}
-	m.mail--
+	if m.mail--; m.mail == 0 {
+		*m.owner &^= m.bit
+	}
 	return v
 }
 
 // clear discards every queued payload.
 func (m *mailbox) clear() {
-	for i := range m.links {
-		m.links[i].reset()
+	for wi, w := range m.nonEmpty {
+		for ; w != 0; w &= w - 1 {
+			m.links[wi<<6|bits.TrailingZeros64(w)].reset()
+		}
+		m.nonEmpty[wi] = 0
 	}
 	m.mail = 0
+	*m.owner &^= m.bit
+}
+
+// appendBits appends the index of every set bit of words to buf, ascending.
+func appendBits(buf []core.PID, words []uint64) []core.PID {
+	for wi, w := range words {
+		for ; w != 0; w &= w - 1 {
+			buf = append(buf, core.PID(wi<<6|bits.TrailingZeros64(w)))
+		}
+	}
+	return buf
 }
 
 // proc is the scheduler's state for one pid.
@@ -393,7 +413,7 @@ type restartEvent struct {
 
 // sched is the scheduler state. Only the baton's holder — the driver, or the
 // body whose coroutine is running (internal/baton) — touches it, and a body
-// only to post into its own procs[pid].pending.
+// only to post its own operation.
 type sched struct {
 	cfg   Config // Chooser and MaxSteps defaulted; Observer dropped after a panic
 	body  Body
@@ -405,12 +425,17 @@ type sched struct {
 }
 
 // scratch is the part of a run's state that only grows: the link queues,
-// the per-pid state, the delayed and restart queues and the chooser's
-// option lists. A run takes it from scratches and puts it back cleared, so
-// the runs of a campaign regrow none of it; two live runs never share one.
+// the per-pid state, the word masks, the delayed and restart queues and
+// the chooser's option lists. A run takes it from scratches and puts it
+// back cleared, so the runs of a campaign regrow none of it; two live runs
+// never share one.
 type scratch struct {
 	links    []link // receiver-major: procs[i].box.links is links[i*n : (i+1)*n]
 	procs    []proc
+	posted   []uint64     // bit pid set while procs[pid].pending is not nil
+	receive  []uint64     // the posted bits whose operation is a receive
+	hasMail  []uint64     // bit pid set while procs[pid].box holds mail
+	nonEmpty []uint64     // receiver-major: procs[i].box.nonEmpty is nonEmpty[i*w : (i+1)*w]
 	delayed  []delayedMsg // ordered by (release, send order)
 	restarts []restartEvent
 	runnable []core.PID // the chooser's option lists
@@ -419,29 +444,58 @@ type scratch struct {
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
-// lay sizes the scratch for n processes, none crashing yet.
+// lay sizes the scratch for n processes, none crashing yet. The masks are
+// all zero: a released scratch's are, and a new one's are new.
 func (sc *scratch) lay(n int) {
+	w := (n + 63) / 64
 	if cap(sc.links) < n*n {
 		sc.links = make([]link, n*n)
 	}
 	if cap(sc.procs) < n {
 		sc.procs = make([]proc, n)
 	}
+	if cap(sc.nonEmpty) < n*w {
+		sc.posted, sc.receive, sc.hasMail = make([]uint64, w), make([]uint64, w), make([]uint64, w)
+		sc.nonEmpty = make([]uint64, n*w)
+	}
 	sc.links, sc.procs = sc.links[:n*n], sc.procs[:n]
+	sc.posted, sc.receive, sc.hasMail, sc.nonEmpty = sc.posted[:w], sc.receive[:w], sc.hasMail[:w], sc.nonEmpty[:n*w]
 	for i := range sc.procs {
-		sc.procs[i] = proc{box: mailbox{links: sc.links[i*n : (i+1)*n]}, crashAt: -1}
+		box := mailbox{links: sc.links[i*n : (i+1)*n], nonEmpty: sc.nonEmpty[i*w : (i+1)*w], owner: &sc.hasMail[i>>6], bit: 1 << (i & 63)}
+		sc.procs[i] = proc{box: box, crashAt: -1}
 	}
 }
 
-// release empties every queue, keeping its capacity; what a run left in
-// them must not reach the next run, nor stay reachable after this one.
+// post makes req pid's outstanding operation.
+func (sc *scratch) post(pid core.PID, req *request) {
+	sc.procs[pid].pending = req
+	wi, bit := pid>>6, uint64(1)<<(pid&63)
+	sc.posted[wi] |= bit
+	if req.op.Send {
+		sc.receive[wi] &^= bit
+	} else {
+		sc.receive[wi] |= bit
+	}
+}
+
+// unpost withdraws pid's outstanding operation.
+func (sc *scratch) unpost(pid core.PID) {
+	sc.procs[pid].pending = nil
+	wi, bit := pid>>6, uint64(1)<<(pid&63)
+	sc.posted[wi] &^= bit
+	sc.receive[wi] &^= bit
+}
+
+// release empties every queue and mailbox mask, keeping their capacity;
+// what a run left in them must not reach the next run, nor stay reachable
+// after this one.
 func (sc *scratch) release() {
-	for i := range sc.links {
-		sc.links[i].reset()
+	for i := range sc.procs {
+		sc.procs[i].box.clear()
 	}
 	clear(sc.procs)
 	clear(sc.delayed)
-	sc.delayed = sc.delayed[:0] // the other queues end every run empty
+	sc.delayed = sc.delayed[:0] // the other queues, posted and receive, end every run empty
 	scratches.Put(sc)
 }
 
@@ -454,11 +508,13 @@ func (sc *scratch) release() {
 //
 // There is no scheduler goroutine: Run spawns the bodies and drives them,
 // each on a coroutine, and a body that posts an operation takes the
-// scheduler's step itself (internal/baton). A step does O(n) work over
-// per-pid slices and allocates nothing once the queues have grown to their
-// working size, which they keep from one run to the next: a run that
-// returns, with an error or without, hands its emptied queues to the next
-// Run; one that raises a panic drops them. What a step must preserve,
+// scheduler's step itself (internal/baton). A step reads who can step, and
+// which senders a receiver's mailbox holds, from word bitmasks — one bit a
+// pid, with no per-process scan — and allocates nothing once the queues
+// have grown to their working size, which they keep from one run to the
+// next: a run that returns, with an error or without, hands its emptied
+// queues and zeroed masks to the next Run; one that raises a panic drops
+// them. What a step must preserve,
 // because fixed-seed executions are pinned to the step, is listed in DESIGN
 // §11 ("The virtual substrate step").
 func Run(n int, cfg Config, body Body) (*Outcome, error) {
@@ -555,15 +611,21 @@ func (s *sched) run(abort error) (core.PID, bool) {
 		}
 
 		// Runnable, ascending: pending senders, pending receivers with
-		// mail, and timed receivers whose deadline has passed.
+		// mail, and timed receivers whose deadline has passed; only the
+		// last are looked at one by one. Aborting, every posted pid.
 		runnable := s.runnable[:0]
-		for pid := range procs {
-			req := procs[pid].pending
-			if req == nil {
-				continue
+		for wi, w := range s.posted {
+			if s.abort == nil {
+				idle := s.receive[wi] &^ s.hasMail[wi]
+				w &^= idle
+				for ; idle != 0; idle &= idle - 1 {
+					if b := bits.TrailingZeros64(idle); step >= procs[wi<<6|b].pending.op.Deadline {
+						w |= 1 << b
+					}
+				}
 			}
-			if s.abort != nil || req.op.Send || procs[pid].box.mail > 0 || step >= req.op.Deadline {
-				runnable = append(runnable, core.PID(pid))
+			for ; w != 0; w &= w - 1 {
+				runnable = append(runnable, core.PID(wi<<6|bits.TrailingZeros64(w)))
 			}
 		}
 		s.runnable = runnable
@@ -574,9 +636,11 @@ func (s *sched) run(abort error) (core.PID, bool) {
 			if len(s.delayed) > 0 {
 				next = s.delayed[0].release
 			}
-			for pid := range procs {
-				if req := procs[pid].pending; req != nil && req.op.Deadline != NoDeadline && (next < 0 || req.op.Deadline < next) {
-					next = req.op.Deadline
+			for wi, w := range s.posted {
+				for ; w != 0; w &= w - 1 {
+					if d := procs[wi<<6|bits.TrailingZeros64(w)].pending.op.Deadline; d != NoDeadline && (next < 0 || d < next) {
+						next = d
+					}
 				}
 			}
 			for _, rs := range s.restarts {
@@ -590,11 +654,11 @@ func (s *sched) run(abort error) (core.PID, bool) {
 				}
 				s.step = next
 				if next > s.cfg.MaxSteps {
-					s.abort = &StepLimitError{Steps: s.cfg.MaxSteps, Pending: pendingPIDs(procs)}
+					s.abort = &StepLimitError{Steps: s.cfg.MaxSteps, Pending: appendBits(nil, s.posted)}
 				}
 				continue
 			}
-			s.abort = newDeadlockError(step, procs)
+			s.abort = s.newDeadlockError(step)
 			continue
 		}
 
@@ -685,10 +749,10 @@ func (s *sched) run(abort error) (core.PID, bool) {
 			}
 			req.res = Result{Env: Envelope{From: from, To: pick, Payload: payload}, Got: true}
 		}
-		p.pending = nil
+		s.unpost(pick)
 		s.step++
 		if s.step > s.cfg.MaxSteps && s.abort == nil {
-			s.abort = &StepLimitError{Steps: s.cfg.MaxSteps, Pending: pendingPIDs(procs)}
+			s.abort = &StepLimitError{Steps: s.cfg.MaxSteps, Pending: appendBits(nil, s.posted)}
 		}
 		if req.err != nil {
 			return pick, false
@@ -700,15 +764,16 @@ func (s *sched) run(abort error) (core.PID, bool) {
 		// Mid-drive: the holder runs what the node would have run between
 		// this operation and its next, and posts that one for it. The node
 		// is parked throughout, so a panicking handler must find it posted.
-		p.pending = req
+		s.post(pick, req)
 		var more bool
 		if req.op, more = req.h.Handle(req.res); more {
 			req.err = req.op.check(len(procs))
 		}
 		if !more || req.err != nil {
-			p.pending = nil
+			s.unpost(pick)
 			return pick, false
 		}
+		s.post(pick, req) // again, for the kind of the operation h asked for
 	}
 	return -1, true
 }
@@ -723,21 +788,11 @@ func insertDelayed(q []delayedMsg, dm delayedMsg) []delayedMsg {
 	return slices.Insert(q, i, dm)
 }
 
-// pendingPIDs lists the processes with an outstanding request, ascending.
-func pendingPIDs(procs []proc) []core.PID {
-	var out []core.PID
-	for pid := range procs {
-		if procs[pid].pending != nil {
-			out = append(out, core.PID(pid))
-		}
-	}
-	return out
-}
-
 // newDeadlockError snapshots the blocked processes and the per-link
 // in-flight counts, by (From, To), at the moment of deadlock.
-func newDeadlockError(step int, procs []proc) *DeadlockError {
-	e := &DeadlockError{Step: step, Blocked: pendingPIDs(procs)}
+func (s *sched) newDeadlockError(step int) *DeadlockError {
+	procs := s.procs
+	e := &DeadlockError{Step: step, Blocked: appendBits(nil, s.posted)}
 	for from := range procs {
 		for to := range procs {
 			if l := procs[to].box.links[from]; l.head < len(l.q) {

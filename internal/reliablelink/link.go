@@ -176,9 +176,9 @@ type Link struct {
 // and what the handler needs to carry on from its result (DESIGN §11 "The
 // handler" has the contract). The machine:
 //
-//	RecvTimeout(deadline) ── rescan: now = Clock(), kept = 0, timer = ∞
-//	          │
-//	          ▼
+//	RecvTimeout(deadline) ── rescan: now = Clock(); now < timer ──────────▶ receiving
+//	          │                   (nothing is due: the walk waits for a later receive)
+//	          ▼ kept = 0, timer = ∞
 //	      scanning: walk order[i:] in send order
 //	          │   settled → drop · not due at now → keep, timer = min(timer, nextAt)
 //	          │   out of attempts → give up · due ──send the boxed frame──▶ Handle:
@@ -189,7 +189,7 @@ type Link struct {
 //	          ├─ nothing, Clock() < deadline (a timer fired) ───────────▶ rescan
 //	          ├─ nothing, deadline reached ─────────────────────────────▶ done: false
 //	          ├─ not a frame ───────────────────────────────────────────▶ done: error
-//	          ├─ an ack: settle the frame it names ─────────────────────▶ rescan
+//	          ├─ an ack: settle the frame it names (timer = 0 if earliest) ▶ rescan
 //	          ├─ a data frame of a gone incarnation of its sender ──────▶ rescan
 //	          ├─ a data frame off the loopback link ────────────────────▶ deliver
 //	          └─ a data frame from a peer ──send its ack── acking ──────▶ deliver
@@ -199,7 +199,7 @@ type pump struct {
 	state    pumpState
 	i, kept  int        // scanning: order[i] is being retransmitted, order[:kept] stays
 	now      int        // scanning: the clock when the walk began, which decides what is due
-	timer    int        // scanning: the earliest timer among order[:kept]
+	timer    int        // the earliest timer among order[:kept] while scanning, else among the live frames; 0: unknown
 	deadline int        // of the RecvTimeout being served
 	app      core.Value // the application payload being broadcast, or delivered
 	wire     core.Value // sending, broadcasting: the frame stamped last
@@ -356,13 +356,21 @@ func (l *Link) book(sent msgnet.Envelope) {
 	p := &l.peers[sent.To]
 	p.frames = append(p.frames, pendingFrame{live: true, wire: sent.Payload, nextAt: l.Clock() + wait, wait: wait, seq: bo})
 	l.order = append(l.order, ackKey{sent.To, sent.Payload.(frame).Seq})
+	l.pump.timer = min(l.pump.timer, l.Clock()+wait)
 }
 
 // rescan begins the walk every receive starts with: retransmit each unacked
 // frame whose timer has expired, in send order for determinism, then
-// receive until the caller's deadline or the earliest timer left.
+// receive until the caller's deadline or the earliest timer left. Before
+// the earliest timer nothing is due and the walk would only drop settled
+// frames, so it is left for a later receive.
 func (l *Link) rescan() msgnet.Op {
-	l.pump.kept, l.pump.now, l.pump.timer = 0, l.Clock(), msgnet.NoDeadline
+	pm, now := &l.pump, l.Clock()
+	if now < pm.timer {
+		pm.state = receiving
+		return msgnet.Op{Deadline: min(pm.deadline, pm.timer)}
+	}
+	pm.kept, pm.now, pm.timer = 0, now, msgnet.NoDeadline
 	return l.scan(0)
 }
 
@@ -417,6 +425,9 @@ func (l *Link) received(res msgnet.Result) (msgnet.Op, bool) {
 		// can be handed one meant for its previous incarnation) or has
 		// already settled is ignored.
 		if p := &l.peers[from]; f.Inc == l.inc && f.Seq < len(p.frames) {
+			if pf := &p.frames[f.Seq]; pf.live && pf.nextAt <= l.pump.timer {
+				l.pump.timer = 0 // it may have been the earliest
+			}
 			p.frames[f.Seq] = pendingFrame{}
 		}
 		l.stats.AcksReceived++
