@@ -61,10 +61,14 @@ baton-race:
 # Connection readers answer reads from the decided table while the shard
 # loops publish into it: the concurrent-reader tests ten times over. The
 # shard loops also write the journal themselves, whichever finds no commit
-# in flight: the group-commit tests as often, at one P and at four.
+# in flight: the group-commit tests as often, at one P and at four. And
+# every sender writes to a connection itself while its lane is idle, the
+# lane's writer only what a sender could not finish: the lane tests and
+# the shedding test as often, at one P and at four.
 readers-race:
 	$(GO) test -race -count 10 -run 'TestConcurrentReaders|TestReadYourWrites' ./internal/serve/
 	$(GO) test -race -count 10 -cpu 1,4 -run TestGroup ./internal/wal/
+	$(GO) test -race -count 10 -cpu 1,4 -run 'TestLane|TestBackpressureSheds' ./internal/netsub/
 
 # The multi-process run, which no test spawns: one OS process per pid over
 # inherited loopback listeners, the highest pid killed and restarted
@@ -86,14 +90,17 @@ net-short:
 # internal/adversary >= 90%. Every fault campaign rests on the packages whose
 # fixed-seed goldens pin it: the virtual scheduler (internal/msgnet) and the
 # reliable links (internal/reliablelink) >= 90%, the fault injector
-# (internal/faultnet) >= 85%.
+# (internal/faultnet) >= 85%. The real-network substrate, whose lanes
+# carry every mesh frame and client response (internal/netsub), stays
+# >= 85%, and the service built on it (internal/serve) >= 80%.
 cover:
-	$(GO) test -cover ./internal/mc/ ./internal/task/ ./internal/hoalg/ ./internal/predicate/ ./internal/obs/ ./internal/obs/trace/ ./internal/agreement/ ./internal/recovery/ ./internal/core/ ./internal/adversary/ ./internal/msgnet/ ./internal/reliablelink/ ./internal/faultnet/ | awk '{ \
+	$(GO) test -cover ./internal/mc/ ./internal/task/ ./internal/hoalg/ ./internal/predicate/ ./internal/obs/ ./internal/obs/trace/ ./internal/agreement/ ./internal/recovery/ ./internal/core/ ./internal/adversary/ ./internal/msgnet/ ./internal/reliablelink/ ./internal/faultnet/ ./internal/netsub/ ./internal/serve/ | awk '{ \
 		for (i = 1; i <= NF; i++) if ($$i == "coverage:") c[$$2] = substr($$(i+1), 1, length($$(i+1))-1); \
 		print } END { \
 		floor["mc"] = 85; floor["task"] = 90; floor["hoalg"] = 85; floor["predicate"] = 90; floor["obs"] = 90; floor["obs/trace"] = 85; \
 		floor["agreement"] = 90; floor["recovery"] = 85; floor["core"] = 85; floor["adversary"] = 90; \
 		floor["msgnet"] = 90; floor["reliablelink"] = 90; floor["faultnet"] = 85; \
+		floor["netsub"] = 85; floor["serve"] = 80; \
 		for (p in floor) if (c["repro/internal/" p] + 0 < floor[p]) { \
 			print "internal/" p " coverage " c["repro/internal/" p] "% below " floor[p] "% floor"; bad = 1 } \
 		exit bad }'

@@ -87,12 +87,32 @@ func AppendFrame(dst []byte, kind FrameKind, payload []byte) ([]byte, error) {
 		return dst, &OversizeFrameError{Length: len(payload), Max: MaxFramePayload}
 	}
 	off := len(dst)
-	dst = binary.BigEndian.AppendUint16(dst, frameMagic)
-	dst = append(dst, byte(kind), 0)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	crc := crc32.ChecksumIEEE(dst[off+2:])
-	return binary.BigEndian.AppendUint32(dst, crc), nil
+	dst = append(append(dst, make([]byte, headerSize)...), payload...)
+	return endFrame(dst, off, kind), nil
+}
+
+// appendValueFrame appends a FrameData frame carrying v, encoding v in
+// place: the frame costs no buffer of its own.
+func appendValueFrame(dst []byte, v core.Value) ([]byte, error) {
+	off := len(dst)
+	dst, err := AppendValue(append(dst, make([]byte, headerSize)...), v)
+	if err != nil {
+		return dst[:off], err
+	}
+	if n := len(dst) - off - headerSize; n > MaxFramePayload {
+		return dst[:off], &OversizeFrameError{Length: n, Max: MaxFramePayload}
+	}
+	return endFrame(dst, off, FrameData), nil
+}
+
+// endFrame fills in the header of the frame whose payload follows the
+// headerSize bytes at dst[off:], and appends its checksum.
+func endFrame(dst []byte, off int, kind FrameKind) []byte {
+	h := dst[off : off+headerSize]
+	binary.BigEndian.PutUint16(h, frameMagic)
+	h[2], h[3] = byte(kind), 0
+	binary.BigEndian.PutUint32(h[4:], uint32(len(dst)-off-headerSize))
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[off+2:]))
 }
 
 // DecodeFrame decodes one frame from the front of b, returning the frame

@@ -12,6 +12,11 @@
 //   - one outbound connection per peer carries this node's sends; one
 //     accepted inbound connection per peer carries its receives, so
 //     redial logic is strictly an outbound concern;
+//   - every write to a peer goes through its Lane: a sender whose lane is
+//     idle writes its frame itself, without blocking, and the peer's
+//     writer goroutine runs only for what such a write could not finish;
+//     on the way in, the connection's reader hands each data frame to
+//     Config.Deliver (by default the queue behind Recv);
 //   - per-peer bounded send queues are the in-flight cap: when a queue
 //     is full the send is shed with a *BackpressureError, never buffered
 //     without bound — on a network a shed is a lost message, and the
@@ -82,9 +87,15 @@ type Config struct {
 	dial func(addr string) (net.Conn, error)
 
 	// SendQueue is the per-peer in-flight cap: the bounded frame queue
-	// between Send and the peer's writer. A full queue sheds with a
-	// *BackpressureError. 0 means 64.
+	// of the peer's lane, which holds what Send could not write itself. A
+	// full queue sheds with a *BackpressureError. 0 means 64.
 	SendQueue int
+
+	// Deliver, when non-nil, receives every data frame, on the reader of
+	// the connection it arrived on (a send to self: on the sender's
+	// goroutine); a handler that blocks holds that connection back. nil
+	// means the receive queue behind Recv and RecvTimeout.
+	Deliver func(msgnet.Envelope)
 
 	// HeartbeatEvery is the outbound heartbeat cadence; an inbound
 	// connection silent for 4 of these intervals is declared dead. 0
@@ -158,8 +169,9 @@ func (c *Config) fill() error {
 
 // Stats counts one node's transport work. All fields are cumulative.
 type Stats struct {
-	// FramesSent counts data frames handed to peer writers and written;
-	// FramesReceived counts data frames delivered to the recv queue.
+	// FramesSent counts data frames written whole, by their sender or
+	// by the lane's writer; FramesReceived counts data frames handed to
+	// Deliver.
 	FramesSent, FramesReceived int64
 
 	// Sheds counts sends dropped by backpressure.
@@ -185,11 +197,12 @@ type Node struct {
 	start time.Time
 	ln    net.Listener
 
-	recvQ chan msgnet.Envelope
-	peers []*peer // indexed by pid; nil at Me
-	done  chan struct{}
-	wg    sync.WaitGroup
-	once  sync.Once
+	recvQ   chan msgnet.Envelope
+	deliver func(msgnet.Envelope) // Config.Deliver, or enqueue
+	peers   []*peer               // indexed by pid; nil at Me
+	done    chan struct{}
+	wg      sync.WaitGroup
+	once    sync.Once
 
 	inMu    sync.Mutex
 	inbound map[core.PID]net.Conn
@@ -230,6 +243,10 @@ func Start(cfg Config) (*Node, error) {
 		inbound: make(map[core.PID]net.Conn),
 		seenInc: make([]int, cfg.N),
 	}
+	nd.deliver = cfg.Deliver
+	if nd.deliver == nil {
+		nd.deliver = nd.enqueue
+	}
 	if cfg.Hist != nil {
 		nd.hRTT = cfg.Hist.Get("netsub_rtt_ns")
 		nd.hQueue = cfg.Hist.Get("netsub_queue_depth")
@@ -268,8 +285,14 @@ func (nd *Node) nanos() int64 { return time.Since(nd.start).Nanoseconds() }
 
 // Stats returns a snapshot of the node's transport counters.
 func (nd *Node) Stats() Stats {
+	sent := nd.framesSent.Load()
+	for _, p := range nd.peers {
+		if p != nil {
+			sent += p.lane.sent.Load()
+		}
+	}
 	return Stats{
-		FramesSent:     nd.framesSent.Load(),
+		FramesSent:     sent,
 		FramesReceived: nd.framesRecv.Load(),
 		Sheds:          nd.sheds.Load(),
 		Dials:          nd.dials.Load(),
@@ -279,8 +302,9 @@ func (nd *Node) Stats() Stats {
 	}
 }
 
-// Send implements msgnet.Substrate: it frames the payload and hands it
-// to the peer's bounded queue. A full queue sheds with a
+// Send implements msgnet.Substrate: it frames the payload into the
+// peer's lane, which writes it at once when the lane is idle and queues
+// it for the peer's writer otherwise. A full queue sheds with a
 // *BackpressureError. A shed message is a lost message, not a broken
 // node — callers at the round layer treat it like any other loss the
 // watchdog will surface.
@@ -295,6 +319,12 @@ func (nd *Node) Send(to core.PID, payload core.Value) error {
 	}
 	if to == nd.me {
 		env := msgnet.Envelope{From: nd.me, To: nd.me, Payload: payload}
+		if nd.cfg.Deliver != nil {
+			nd.cfg.Deliver(env)
+			nd.framesSent.Add(1)
+			nd.framesRecv.Add(1)
+			return nil
+		}
 		select {
 		case nd.recvQ <- env:
 			nd.framesSent.Add(1)
@@ -307,15 +337,7 @@ func (nd *Node) Send(to core.PID, payload core.Value) error {
 			return &BackpressureError{To: to, Cap: cap(nd.recvQ)}
 		}
 	}
-	body, err := AppendValue(nil, payload)
-	if err != nil {
-		return err
-	}
-	buf, err := AppendFrame(make([]byte, 0, headerSize+len(body)+trailerSize), FrameData, body)
-	if err != nil {
-		return err
-	}
-	return nd.peers[to].send(buf)
+	return nd.peers[to].send(payload)
 }
 
 // Broadcast implements msgnet.Substrate: it sends payload to every
@@ -369,6 +391,15 @@ func (nd *Node) RecvTimeout(deadline int) (msgnet.Envelope, bool, error) {
 	}
 }
 
+// enqueue is the default Deliver: the receive queue, which a full queue
+// backpressures onto the connection's reader.
+func (nd *Node) enqueue(env msgnet.Envelope) {
+	select {
+	case nd.recvQ <- env:
+	case <-nd.done:
+	}
+}
+
 // Close tears the node down: the listener, every connection and every
 // goroutine. It is idempotent and safe to call concurrently with any
 // operation; in-flight operations return ErrClosed.
@@ -417,8 +448,8 @@ func (nd *Node) acceptLoop() {
 	}
 }
 
-// serveInbound handshakes and then pumps one peer's frames into the recv
-// queue. The hello must arrive within DialTimeout; after that, a
+// serveInbound handshakes and then hands one peer's data frames to
+// Deliver. The hello must arrive within DialTimeout; after that, a
 // connection silent for 4 heartbeat intervals is declared dead.
 func (nd *Node) serveInbound(c net.Conn) {
 	defer nd.wg.Done()
@@ -441,8 +472,14 @@ func (nd *Node) serveInbound(c net.Conn) {
 	nd.event("netsub.conn_open", map[string]any{"peer": int(h.pid), "dir": "in"})
 
 	// Newest wins: a reconnecting or restarted peer replaces its old
-	// inbound connection, which is closed out from under its reader.
+	// inbound connection, which is closed out from under its reader. Once
+	// Close has swept the map nothing may join it: heartbeats would keep
+	// the connection, and Close's wait, alive for ever.
 	nd.inMu.Lock()
+	if nd.closed() {
+		nd.inMu.Unlock()
+		return
+	}
 	if old := nd.inbound[h.pid]; old != nil {
 		old.Close()
 	}
@@ -486,12 +523,8 @@ func (nd *Node) serveInbound(c net.Conn) {
 				nd.event("netsub.frame_error", map[string]any{"reason": err.Error()})
 				return
 			}
-			select {
-			case nd.recvQ <- msgnet.Envelope{From: h.pid, To: nd.me, Payload: v}:
-				nd.framesRecv.Add(1)
-			case <-nd.done:
-				return
-			}
+			nd.deliver(msgnet.Envelope{From: h.pid, To: nd.me, Payload: v})
+			nd.framesRecv.Add(1)
 		case FrameHeartbeat:
 			// Echo on the same connection so the sender can measure RTT
 			// without crossing into the outbound queue.
@@ -531,10 +564,10 @@ func closeReason(err error) string {
 	}
 }
 
-// encodeHeartbeat builds a heartbeat frame carrying the node's
+// appendHeartbeat appends a heartbeat frame carrying the node's
 // nanosecond clock.
-func (nd *Node) encodeHeartbeat() []byte {
-	body := binary.AppendUvarint(nil, uint64(nd.nanos()))
-	buf, _ := AppendFrame(nil, FrameHeartbeat, body)
-	return buf
+func (nd *Node) appendHeartbeat(dst []byte) []byte {
+	off := len(dst)
+	dst = binary.AppendUvarint(append(dst, make([]byte, headerSize)...), uint64(nd.nanos()))
+	return endFrame(dst, off, FrameHeartbeat)
 }

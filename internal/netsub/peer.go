@@ -10,34 +10,18 @@ import (
 	"repro/internal/core"
 )
 
-// maxWriteBytes bounds how many queued bytes the writer gathers into one
-// conn.Write: enough that a backlog of small frames costs one syscall,
-// small enough that one write stays well inside the write deadline.
-const maxWriteBytes = 64 << 10
-
-// peer is one outbound lane of the pool: a bounded queue of encoded
-// frames and a writer goroutine that owns dialing and the connection. The
-// lane is connected or redialing; a peer that is down or never reads
-// costs its bounded queue, one write per WriteTimeout and one dial per
-// redial step, and is heard again as soon as it is back.
+// peer is one outbound lane of the pool: the Lane every sender to the
+// peer writes through, and a goroutine that owns dialing, the heartbeat
+// and the connection, and writes the lane's queue when a sender could
+// not. The lane is connected or redialing; a peer that is down or never
+// reads costs its bounded queue, one write per WriteTimeout and one dial
+// per redial step, and is heard again as soon as it is back.
 type peer struct {
 	nd   *Node
 	to   core.PID
 	addr string
 
-	// q is the bounded in-flight queue; Send sheds when it is full.
-	q chan []byte
-
-	// restarted (buffered 1) tells the writer that the remote process
-	// came back as a newer incarnation: whatever connection or redial
-	// sleep the lane is in belongs to the dead one.
-	restarted chan struct{}
-
-	// wbuf holds the wn frames the writer has taken off q and not yet
-	// written — writer-owned; it outlives a connection only when a
-	// restart signal abandons that connection under it.
-	wbuf []byte
-	wn   int
+	lane *Lane
 
 	// connMu guards conn, the writer's current connection; closeConn uses
 	// it to unblock the writer on node close.
@@ -48,40 +32,41 @@ type peer struct {
 func newPeer(nd *Node, to core.PID, addr string) *peer {
 	return &peer{
 		nd: nd, to: to, addr: addr,
-		q:         make(chan []byte, nd.cfg.SendQueue),
-		restarted: make(chan struct{}, 1),
+		lane: NewLane(nil, nd.cfg.SendQueue),
 	}
 }
 
 // noteRestart is called by the inbound side when the remote announced a
-// newer incarnation than the last one seen. The lane cannot tell which
+// newer incarnation than the last one seen. The lane stops writing to its
+// connection at once; the writer then redials. The lane cannot tell which
 // incarnation its connection reached, so one that had already redialled
 // on its own (possible when the listener outlives the process, as under
 // `rrfdsim tcp`) pays a redundant reconnect.
-func (p *peer) noteRestart() {
-	select {
-	case p.restarted <- struct{}{}:
-	default:
-	}
-}
+func (p *peer) noteRestart() { p.lane.restart() }
 
-// send enqueues one encoded frame, shedding instead of blocking.
-func (p *peer) send(buf []byte) error {
-	select {
-	case p.q <- buf:
-		if p.nd.hQueue != nil {
-			p.nd.hQueue.Record(int64(len(p.q)))
-		}
-		return nil
-	default:
-		p.nd.sheds.Add(1)
-		p.nd.event("netsub.backpressure", map[string]any{"peer": int(p.to), "cap": cap(p.q)})
-		return &BackpressureError{To: p.to, Cap: cap(p.q)}
+// send frames payload into the lane, shedding instead of blocking.
+func (p *peer) send(payload core.Value) error {
+	b, err := appendValueFrame(p.lane.Buf(), payload)
+	if err != nil {
+		p.lane.unlock()
+		return err
 	}
+	depth, ok := p.lane.push(b, true)
+	if !ok {
+		p.nd.sheds.Add(1)
+		if p.nd.cfg.Observer != nil {
+			p.nd.event("netsub.backpressure", map[string]any{"peer": int(p.to), "cap": p.lane.max})
+		}
+		return &BackpressureError{To: p.to, Cap: p.lane.max}
+	}
+	if p.nd.hQueue != nil {
+		p.nd.hQueue.Record(int64(depth))
+	}
+	return nil
 }
 
 // run is the writer loop: dial with capped seeded-jitter backoff, then
-// serve the queue until the connection breaks, then dial again. It exits
+// serve the lane until the connection breaks, then dial again. It exits
 // on node close.
 func (p *peer) run() {
 	defer p.nd.wg.Done()
@@ -103,12 +88,6 @@ func (p *peer) run() {
 			continue
 		}
 		bo.Reset()
-		// A restart announced before this dial completed is answered by
-		// it: the connection reached the listener of the new process.
-		select {
-		case <-p.restarted:
-		default:
-		}
 		p.nd.dials.Add(1)
 		if hadConn {
 			p.nd.reconnects.Add(1)
@@ -118,6 +97,7 @@ func (p *peer) run() {
 		p.setConn(conn)
 		p.nd.event("netsub.conn_open", map[string]any{"peer": int(p.to), "dir": "out"})
 		reason := p.serve(conn)
+		p.lane.detach()
 		p.setConn(nil)
 		conn.Close()
 		if !p.nd.closed() {
@@ -139,13 +119,14 @@ func (p *peer) dial() (net.Conn, error) {
 		conn.Close()
 		return nil, err
 	}
+	conn.SetWriteDeadline(time.Time{}) // the lane's inline writes take none
 	return conn, nil
 }
 
-// serve drains the queue onto one live connection, interleaving
-// heartbeats, until the connection breaks, the remote restarts or the
-// node closes. Everything already queued when the writer wakes leaves in
-// one conn.Write. It returns a reason tag for the close event.
+// serve makes conn the lane's live connection and writes what senders
+// queue, interleaving heartbeats, until the connection breaks, the remote
+// restarts or the node closes. Everything queued when the writer wakes
+// leaves in one conn.Write. It returns a reason tag for the close event.
 func (p *peer) serve(conn net.Conn) string {
 	// The ack reader turns heartbeat echoes into RTT samples; it exits
 	// when the connection is closed (here or by the remote).
@@ -158,60 +139,26 @@ func (p *peer) serve(conn net.Conn) string {
 		defer t.Stop()
 		hb = t.C
 	}
+	// A restart announced before this point is answered by conn: it
+	// reached the listener of the new process.
+	p.lane.attach(conn)
 	for {
-		if p.wn == 0 {
-			select {
-			case <-p.nd.done:
-				return "closed"
-			case <-p.restarted:
-				return "restarted"
-			case buf := <-p.q:
-				p.gather(buf)
-			case <-hb:
-				if !p.write(conn, p.nd.encodeHeartbeat()) {
-					return "write"
-				}
-				continue
-			}
-			// select picks at random among ready cases: frames taken
-			// while a restart signal was pending wait in wbuf for the
-			// next connection rather than die on this one.
-			select {
-			case <-p.restarted:
-				return "restarted"
-			default:
-			}
-		}
-		n := int64(p.wn)
-		ok := p.write(conn, p.wbuf)
-		p.wbuf, p.wn = p.wbuf[:0], 0
-		if !ok {
-			return "write"
-		}
-		p.nd.framesSent.Add(n)
-	}
-}
-
-// gather moves first, and whatever else is already queued up to
-// maxWriteBytes, into wbuf.
-func (p *peer) gather(first []byte) {
-	p.wbuf, p.wn = append(p.wbuf, first...), 1
-	for len(p.wbuf) < maxWriteBytes {
+		// select picks at random among ready cases; a restart has
+		// detached the lane already, so frames queued meanwhile wait for
+		// the next connection rather than die on this one.
 		select {
-		case buf := <-p.q:
-			p.wbuf = append(p.wbuf, buf...)
-			p.wn++
-		default:
-			return
+		case <-p.nd.done:
+			return "closed"
+		case <-p.lane.restarted:
+			return "restarted"
+		case <-p.lane.Wake():
+			if p.lane.Flush(p.nd.cfg.WriteTimeout) != nil {
+				return "write"
+			}
+		case <-hb:
+			p.lane.push(p.nd.appendHeartbeat(p.lane.Buf()), false)
 		}
 	}
-}
-
-// write puts buf — whole frames — on the wire under the write deadline.
-func (p *peer) write(conn net.Conn, buf []byte) bool {
-	conn.SetWriteDeadline(time.Now().Add(p.nd.cfg.WriteTimeout))
-	_, err := conn.Write(buf)
-	return err == nil
 }
 
 // readAcks consumes the return direction of the outbound connection —
@@ -264,7 +211,7 @@ func (p *peer) sleep(d time.Duration) bool {
 	select {
 	case <-p.nd.done:
 		return false
-	case <-p.restarted:
+	case <-p.lane.restarted:
 	case <-timer.C:
 	}
 	return true

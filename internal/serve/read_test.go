@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -29,10 +31,8 @@ func TestDecisionReadableOnlyOnceFlushed(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	defer s.Close()
-	near, far := net.Pipe()
-	defer near.Close()
-	defer far.Close()
-	cc := &clientConn{c: near, out: make(chan Response, 8), dead: make(chan struct{})}
+	near, far := tcpPair(t)
+	cc := newClientConn(near)
 	tb := &s.sh[0]
 
 	submit := submitEv{req: Request{Op: "submit", Inst: "x", Req: "r1", Val: 7}, cc: cc, start: time.Now()}
@@ -76,11 +76,35 @@ func TestDecisionReadableOnlyOnceFlushed(t *testing.T) {
 	if js := s.JournalStats(); js.Appends != 2 {
 		t.Fatalf("%d journal records appended, want 2", js.Appends)
 	}
+	in := newLineScanner(far)
 	for _, req := range []string{"r1", "r2"} {
-		if r := <-cc.out; r.Req != req || r.Status != StatusDecided || r.Val != 5 {
-			t.Fatalf("response %+v, want %s decided 5", r, req)
+		var r Response
+		if !in.Scan() || parseResponse(in.Bytes(), &r) != nil || r.Req != req || r.Status != StatusDecided || r.Val != 5 {
+			t.Fatalf("response %+v (%v), want %s decided 5", r, in.Err(), req)
 		}
 	}
+}
+
+// tcpPair returns the two ends of one loopback TCP connection, which
+// close with the test.
+func tcpPair(t *testing.T) (near, far net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	if near, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if far, err = ln.Accept(); err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	t.Cleanup(func() {
+		near.Close()
+		far.Close()
+	})
+	return near, far
 }
 
 // TestPeerProposalShedAtFullTable drives one shard's handlers by hand, as
@@ -204,7 +228,7 @@ func TestDecidedProposerIsNotAnswered(t *testing.T) {
 	}
 
 	s, tb := shard(3, 1)
-	cc := &clientConn{out: make(chan Response, 1)}
+	cc := &clientConn{}
 	s.handle(tb, submitEv{req: Request{Op: "submit", Inst: "x", Req: "r", Val: 7}, cc: cc, start: time.Now()})
 	sent(tb, 1, 0, pmPropose)
 	sent(tb, 2, 0, pmPropose)
@@ -336,5 +360,49 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 	if got, want := st.Queries-before.Queries, int64(2*readers*3*fresh); got != want {
 		t.Errorf("queries %d, want %d", got, want)
+	}
+}
+
+// TestInlineResponseAllocatesNothing: a turn's response to an idle
+// client connection is coded into the connection's lane and written by
+// the shard loop itself, allocating nothing. The client end is read into
+// a buffer made beforehand: AllocsPerRun counts the process.
+func TestInlineResponseAllocatesNothing(t *testing.T) {
+	s, err := Start(Config{
+		Me: 0, N: 3, F: 1,
+		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
+		WALDir:      t.TempDir(),
+		Shards:      1,
+		InstanceTTL: time.Hour,
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer s.Close()
+	near, far := tcpPair(t)
+	cc := newClientConn(near)
+	tb := &s.sh[0]
+	resp := Response{Req: "r", Inst: "x", Status: StatusDecided, Val: 5, Incarnation: 1}
+	line := appendResponse(nil, &resp)
+	const runs = 1000 // AllocsPerRun responds once more, to warm up
+	got := make([]byte, (runs+1)*len(line))
+	read := make(chan error, 1)
+	go func() {
+		_, err := io.ReadFull(far, got)
+		read <- err
+	}()
+	if allocs := testing.AllocsPerRun(runs, func() {
+		tb.respond(cc, time.Now(), resp)
+		s.release(&tb.turn)
+		tb.reset()
+	}); allocs != 0 {
+		t.Fatalf("an inline response write allocates %.1f objects, want 0", allocs)
+	}
+	if err := <-read; err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if want := bytes.Repeat(line, runs+1); !bytes.Equal(got, want) {
+		t.Fatalf("the client read %q..., want %d copies of %q", got[:min(len(got), 2*len(line))], runs+1, line)
 	}
 }

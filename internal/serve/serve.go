@@ -78,6 +78,7 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/msgnet"
 	"repro/internal/netsub"
 	"repro/internal/obs"
 	"repro/internal/obs/hist"
@@ -137,8 +138,8 @@ type Config struct {
 	InstanceTTL time.Duration
 
 	// Mesh tunes the netsub transport (queue sizes, heartbeats, redial
-	// policy). Me/N/Addrs/Listener/Incarnation/Seed/Observer/Hist are
-	// overwritten from this Config.
+	// policy). Me/N/Addrs/Listener/Incarnation/Seed/Observer/Hist/Deliver
+	// are overwritten from this Config.
 	Mesh netsub.Config
 
 	// Seed derives the mesh redial jitter.
@@ -309,10 +310,9 @@ type Server struct {
 	haltOne  sync.Once
 	crashOne sync.Once
 	wg       sync.WaitGroup
-	wwg      sync.WaitGroup // connection writers, drained before conns close
+	wwg      sync.WaitGroup // connection writers: each flushes, then closes its conn
 
 	connMu sync.Mutex
-	conns  map[*clientConn]struct{}
 	halted bool // set under connMu; accepted conns arriving later are refused
 
 	// Shard state: sh[i] is touched only by loop i, bar sh[i].read.
@@ -359,7 +359,6 @@ func Start(cfg Config) (*Server, error) {
 		ev:          make([]chan any, cfg.Shards),
 		done:        make(chan struct{}),
 		crashed:     make(chan struct{}),
-		conns:       make(map[*clientConn]struct{}),
 		sh:          make([]shardTable, cfg.Shards),
 		recovered:   js.Decisions,
 		incarnation: js.Boots + 1,
@@ -408,6 +407,7 @@ func Start(cfg Config) (*Server, error) {
 	mesh.Seed = cfg.Seed
 	mesh.Observer = cfg.Observer
 	mesh.Hist = cfg.Hist
+	mesh.Deliver = s.deliver
 	node, err := netsub.Start(mesh)
 	if err != nil {
 		s.group.Close()
@@ -420,6 +420,7 @@ func Start(cfg Config) (*Server, error) {
 	if cln == nil {
 		cln, err = net.Listen("tcp", cfg.ClientAddr)
 		if err != nil {
+			close(s.done) // a mesh reader may be posting to a loop that never ran
 			node.Close()
 			s.group.Close()
 			log.Close()
@@ -436,12 +437,11 @@ func Start(cfg Config) (*Server, error) {
 		})
 	}
 
-	s.wg.Add(cfg.Shards + 2)
+	s.wg.Add(cfg.Shards + 1)
 	for i := 0; i < cfg.Shards; i++ {
 		go s.loop(i)
 	}
 	go s.acceptLoop()
-	go s.recvLoop()
 	return s, nil
 }
 
@@ -516,11 +516,11 @@ func (s *Server) Kill() {
 	s.group.Close()
 }
 
-// halt stops serving: closes done, both listeners and the mesh node,
-// waits for connection writers to flush what was already acknowledged
-// (an ack handed to a writer is an ack handed to the kernel — a real
-// SIGKILL would still deliver it), then closes every client connection.
-// Idempotent.
+// halt stops serving: closes done, both listeners and the mesh node, and
+// waits for the connection writers, each of which flushes what was
+// already acknowledged (an ack handed to a lane is an ack handed to the
+// kernel — a real SIGKILL would still deliver it) and then closes its
+// connection. Idempotent.
 func (s *Server) halt() {
 	s.haltOne.Do(func() {
 		close(s.done)
@@ -528,17 +528,9 @@ func (s *Server) halt() {
 		s.node.Close()
 		s.connMu.Lock()
 		s.halted = true
-		conns := make([]*clientConn, 0, len(s.conns))
-		for cc := range s.conns {
-			conns = append(conns, cc)
-		}
 		s.connMu.Unlock()
-		// No new writers can register past this point; wait for the
-		// existing ones to flush, then cut the connections.
+		// No new writers can register past this point.
 		s.wwg.Wait()
-		for _, cc := range conns {
-			cc.c.Close()
-		}
 	})
 }
 
@@ -839,29 +831,23 @@ func (s *Server) expire(t *shardTable, now time.Time) {
 	}
 }
 
-// recvLoop pumps mesh messages into the shard loops, unpacking batch
-// frames into their constituent messages.
-func (s *Server) recvLoop() {
-	defer s.wg.Done()
-	for {
-		env, err := s.node.Recv()
-		if err != nil {
-			return
-		}
-		b, ok := env.Payload.([]byte)
-		if !ok {
-			continue
-		}
-		if len(b) > 0 && b[0] == pmBatch {
-			if err := decodePeerBatch(b, func(m []byte) {
-				s.handlePeerMsg(env.From, m)
-			}); err != nil {
-				s.event("serve.bad_peer_msg", map[string]any{"err": err.Error()})
-			}
-			continue
-		}
-		s.handlePeerMsg(env.From, b)
+// deliver is the mesh's Deliver: on the reader of the connection a frame
+// arrived on, it posts the frame's messages, a batch's unpacked, to their
+// shard loops.
+func (s *Server) deliver(env msgnet.Envelope) {
+	b, ok := env.Payload.([]byte)
+	if !ok {
+		return
 	}
+	if len(b) > 0 && b[0] == pmBatch {
+		if err := decodePeerBatch(b, func(m []byte) {
+			s.handlePeerMsg(env.From, m)
+		}); err != nil {
+			s.event("serve.bad_peer_msg", map[string]any{"err": err.Error()})
+		}
+		return
+	}
+	s.handlePeerMsg(env.From, b)
 }
 
 // handlePeerMsg decodes one peer message and posts it to the owning
@@ -877,24 +863,34 @@ func (s *Server) handlePeerMsg(from core.PID, b []byte) {
 
 // clientConn is one accepted client connection: a reader goroutine
 // parses requests, answers reads and malformed lines itself and posts the
-// other submits to their shard loops; a writer goroutine drains the
-// bounded queue of the loops' responses. Each writes whole lines, so
-// responses may overtake each other but never interleave. A client that
-// stops reading blocks its reader and fills the queue, and is
+// other submits to their shard loops. Every response, the reader's and
+// the loops', goes out through the connection's netsub.Lane, written by
+// whoever sends it while the lane is idle and by a writer goroutine
+// otherwise, so responses may overtake each other but never interleave.
+// A client that stops reading fills the lane's bounded queue and is
 // disconnected — the mesh's backpressure discipline, client side.
 type clientConn struct {
 	c    net.Conn
-	out  chan Response
+	lane *netsub.Lane
 	dead chan struct{} // closed by the reader on its way out
 }
 
-// write sends r as one line, coded into the caller's reused buffer,
-// within the write deadline.
-func (cc *clientConn) write(buf *[]byte, r *Response) error {
-	*buf = appendResponse((*buf)[:0], r)
-	cc.c.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	_, err := cc.c.Write(*buf)
-	return err
+// clientQueue bounds the responses a connection's lane holds for its
+// writer; clientWriteTimeout bounds one of the writer's writes.
+const (
+	clientQueue        = 64
+	clientWriteTimeout = 5 * time.Second
+)
+
+func newClientConn(c net.Conn) *clientConn {
+	return &clientConn{c: c, lane: netsub.NewLane(c, clientQueue), dead: make(chan struct{})}
+}
+
+// write sends r as one line, coded into the lane, and reports whether the
+// lane took it.
+func (cc *clientConn) write(r *Response) bool {
+	_, ok := cc.lane.Push(appendResponse(cc.lane.Buf(), r))
+	return ok
 }
 
 func (s *Server) acceptLoop() {
@@ -904,14 +900,13 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		cc := &clientConn{c: c, out: make(chan Response, 64), dead: make(chan struct{})}
+		cc := newClientConn(c)
 		s.connMu.Lock()
 		if s.halted {
 			s.connMu.Unlock()
 			c.Close()
 			return
 		}
-		s.conns[cc] = struct{}{}
 		s.wg.Add(1)
 		s.wwg.Add(1)
 		s.connMu.Unlock()
@@ -922,15 +917,8 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) readConn(cc *clientConn) {
 	defer s.wg.Done()
-	defer func() {
-		close(cc.dead)
-		cc.c.Close()
-		s.connMu.Lock()
-		delete(s.conns, cc)
-		s.connMu.Unlock()
-	}()
+	defer close(cc.dead)
 	in := newLineScanner(cc.c)
-	var out []byte
 	for in.Scan() {
 		var req Request
 		if parseRequest(in.Bytes(), &req) != nil {
@@ -962,40 +950,35 @@ func (s *Server) readConn(cc *clientConn) {
 		default:
 			resp.Err = "unknown op " + req.Op
 		}
-		if cc.write(&out, &resp) != nil {
+		if !cc.write(&resp) {
 			return
 		}
 	}
 	if in.Err() == bufio.ErrTooLong {
-		cc.write(&out, &Response{Status: StatusError, Err: "line too long"})
+		cc.write(&Response{Status: StatusError, Err: "line too long"})
 	}
 }
 
-// writeConn writes the loops' responses; on shutdown it first writes what
-// is queued — "the loop acknowledged it" becomes "the client received it".
+// writeConn is the lane's writer: it writes what the senders could not,
+// and owns the connection's close. On shutdown, and once the reader has
+// gone, it first writes what is queued — "the loop acknowledged it"
+// becomes "the client received it", and an answer the reader gave on its
+// way out is not cut off.
 func (s *Server) writeConn(cc *clientConn) {
 	defer s.wwg.Done()
-	var buf []byte
-	for stopping := false; ; {
-		var r Response
+	defer cc.c.Close()
+	defer cc.lane.Close()
+	for {
 		select {
-		case r = <-cc.out:
-		default:
-			if stopping {
+		case <-cc.lane.Wake():
+			if cc.lane.Flush(clientWriteTimeout) != nil {
 				return
 			}
-			select {
-			case <-s.done:
-				stopping = true
-				continue
-			case <-cc.dead:
-				stopping = true
-				continue
-			case r = <-cc.out:
-			}
-		}
-		if cc.write(&buf, &r) != nil {
-			cc.c.Close()
+		case <-s.done:
+			cc.lane.Flush(clientWriteTimeout)
+			return
+		case <-cc.dead:
+			cc.lane.Flush(clientWriteTimeout)
 			return
 		}
 	}

@@ -237,9 +237,7 @@ func (s *Server) release(t *turn) bool {
 		if s.hReq != nil {
 			s.hReq.Record(time.Since(a.start).Nanoseconds())
 		}
-		select {
-		case a.cc.out <- a.resp:
-		default:
+		if !a.cc.write(&a.resp) {
 			a.cc.c.Close() // slow client: shed the connection, not the server
 		}
 	}
