@@ -60,6 +60,8 @@ baton-race:
 
 # Connection readers answer reads from the decided table while the shard
 # loops publish into it: the concurrent-reader tests ten times over. The
+# shard loops reserve room under one in-flight bound at once: the
+# admission test as often, at one P and at four. The
 # shard loops also write the journal themselves, whichever finds no commit
 # in flight: the group-commit tests as often, at one P and at four. And
 # every sender writes to a connection itself while its lane is idle, the
@@ -67,6 +69,7 @@ baton-race:
 # the shedding test as often, at one P and at four.
 readers-race:
 	$(GO) test -race -count 10 -run 'TestConcurrentReaders|TestReadYourWrites' ./internal/serve/
+	$(GO) test -race -count 10 -cpu 1,4 -run TestAdmissionNeverOvershoots ./internal/serve/
 	$(GO) test -race -count 10 -cpu 1,4 -run TestGroup ./internal/wal/
 	$(GO) test -race -count 10 -cpu 1,4 -run 'TestLane|TestBackpressureSheds' ./internal/netsub/
 

@@ -35,14 +35,31 @@ func QuorumMin[V View](view V, quorum int) (min int, ok bool) {
 				take(p, x)
 			}
 		}
+	case Row:
+		if v.Heard.Count() >= quorum {
+			v.Heard.ForEach(func(p core.PID) {
+				if x := v.Vals[p]; !ok || x < min {
+					min, ok = x, true
+				}
+			})
+		}
 	}
 	return min, ok
 }
 
-// View is a round view QuorumMin folds: the engine's Inbox, or a pid-keyed
-// map as the service, the chaos harness and the recovery journal hold it.
+// View is a round view QuorumMin folds: the engine's Inbox, a pid-keyed
+// map as the chaos harness and the recovery journal hold it, or a Row as
+// the service holds it.
 type View interface {
-	core.Inbox | map[core.PID]core.Value | map[core.PID]int
+	core.Inbox | map[core.PID]core.Value | map[core.PID]int | Row
+}
+
+// Row is an int view held flat, as one round's state is: the heard-of set
+// and an n-wide value row, Vals[p] being p's message when Heard has p.
+// Folding it boxes no value into a core.Message.
+type Row struct {
+	Heard core.Set
+	Vals  []int
 }
 
 // quorumKSet is the quorum-gated k-set algorithm the chaos harness and the

@@ -125,13 +125,31 @@ func TestQuorumMin(t *testing.T) {
 			t.Errorf("%s: QuorumMin = (%d, %v), want (%d, %v)", c.name, min, ok, c.min, c.ok)
 		}
 	}
-	// The typed views of the service and the journal go through the same
-	// rule, and a quorum of zero still never decides from nothing.
+	// The journal's int map goes through the same rule.
 	if min, ok := QuorumMin(map[core.PID]int{0: 9, 1: -3, 2: 4}, quorum); min != -3 || !ok {
 		t.Errorf("int view: QuorumMin = (%d, %v), want (-3, true)", min, ok)
 	}
+	// So does the service's row view: only the heard pids count toward the
+	// quorum and the minimum, whatever the value row holds elsewhere. A
+	// quorum of zero still never decides from nothing, and a fold boxes no
+	// value, not even an int past 255.
+	row := Row{Heard: core.SetOf(4, 0, 1, 2), Vals: []int{9, -3, 4, -100}}
+	if min, ok := QuorumMin(row, quorum); min != -3 || !ok {
+		t.Errorf("row view: QuorumMin = (%d, %v), want (-3, true)", min, ok)
+	}
+	row.Heard.Remove(2)
+	if _, ok := QuorumMin(row, quorum); ok {
+		t.Error("a row view one short of quorum decided")
+	}
 	if _, ok := QuorumMin(map[core.PID]int{}, 0); ok {
 		t.Error("an empty view decided under quorum 0")
+	}
+	if _, ok := QuorumMin(Row{Heard: core.NewSet(4), Vals: make([]int, 4)}, 0); ok {
+		t.Error("an empty row view decided under quorum 0")
+	}
+	row = Row{Heard: core.SetOf(4, 0, 1, 2), Vals: []int{900, 1000, 2000, 0}}
+	if allocs := testing.AllocsPerRun(100, func() { QuorumMin(row, quorum) }); allocs != 0 {
+		t.Errorf("a row view of ints past 255 folds with %.0f allocations, want 0", allocs)
 	}
 	// The engine's Inbox too: only S(i,r) counts toward the quorum and the
 	// minimum, however small an emission outside it.

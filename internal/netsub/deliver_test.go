@@ -1,0 +1,131 @@
+package netsub
+
+import (
+	"bytes"
+	"io"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+)
+
+// TestSendBytesInlineAllocatesNothing: SendBytes to an idle, connected
+// peer frames the bytes straight into the lane's scratch and writes them
+// from the caller's goroutine, allocating nothing. It puts on the wire
+// exactly the frame Send of the same []byte value does, and copies the
+// caller's bytes before it returns: the caller overwrites them between
+// sends, and every frame carries what it held at its send.
+func TestSendBytesInlineAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation pin: the race detector allocates")
+	}
+	nd, br := laneToTest(t, nil)
+	msg := []byte("a proposal-sized payload #0")
+	frame, _ := appendValueFrame(nil, append([]byte(nil), msg...))
+	const runs = 1000 // AllocsPerRun sends once more, to warm up
+	got := make([]byte, (runs+1)*len(frame))
+	read := make(chan error, 1)
+	go func() {
+		_, err := io.ReadFull(br, got)
+		read <- err
+	}()
+	sent := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		msg[len(msg)-1] = '0' + byte(sent%10)
+		if err := nd.SendBytes(1, msg); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		msg[len(msg)-1] = 'x' // the lane must not still be reading it
+		sent++
+	}); allocs != 0 {
+		t.Fatalf("an inline SendBytes allocates %.1f objects, want 0", allocs)
+	}
+	if err := <-read; err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	for i := 0; i <= runs; i++ {
+		f, n, err := DecodeFrame(got[i*len(frame):])
+		if err != nil || n != len(frame) || f.Kind != FrameData {
+			t.Fatalf("frame %d: %v, %d bytes, kind %v", i, err, n, f.Kind)
+		}
+		b, err := BytesPayload(f.Payload)
+		if want := "a proposal-sized payload #" + string(rune('0'+i%10)); err != nil || string(b) != want {
+			t.Fatalf("frame %d carries %q (%v), want %q", i, b, err, want)
+		}
+		if i == 0 && !bytes.Equal(got[:len(frame)], frame) {
+			t.Fatalf("SendBytes framed %x, Send frames %x", got[:len(frame)], frame)
+		}
+	}
+}
+
+// TestRecvPayloadSurvivesNextFrame: the queue behind Recv holds decoded
+// copies. Two frames of the same size arrive on one connection, whose
+// reader reads the second into the buffer the first was read into; the
+// first, still queued, is intact.
+func TestRecvPayloadSurvivesNextFrame(t *testing.T) {
+	nodes := startMesh(t, 2, nil)
+	first, second := []byte("first frame"), []byte("other bytes")
+	for _, b := range [][]byte{first, second} {
+		if err := nodes[0].SendBytes(1, b); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+	}
+	waitFor(t, "both frames read", func() bool { return nodes[1].Stats().FramesReceived == 2 })
+	for _, want := range [][]byte{first, second} {
+		if env := recvFrom(t, nodes[1], 0, time.Second); !bytes.Equal(env.Payload.([]byte), want) {
+			t.Fatalf("received %q, want %q", env.Payload, want)
+		}
+	}
+}
+
+// TestDeliverHandsRawPayload: with Config.Deliver set, a data frame's
+// payload goes to the handler as it arrived, AppendValue's encoding, from
+// the peer's connection and from a send to self alike; BytesPayload reads a
+// []byte value out of it, and refuses any other value.
+func TestDeliverHandsRawPayload(t *testing.T) {
+	type got struct {
+		from    core.PID
+		payload []byte
+	}
+	in := make(chan got, 4)
+	nodes := startMesh(t, 2, func(i int, c *Config) {
+		if i == 1 {
+			c.Deliver = func(from core.PID, payload []byte) {
+				in <- got{from, append([]byte(nil), payload...)} // valid only until we return
+			}
+		}
+	})
+	if err := nodes[0].SendBytes(1, []byte("over the wire")); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if err := nodes[1].SendBytes(1, []byte("to self")); err != nil {
+		t.Fatalf("self send: %v", err)
+	}
+	if err := nodes[0].Send(1, 42); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	want := map[core.PID][]string{0: {"over the wire", ""}, 1: {"to self"}}
+	for range 3 {
+		var g got
+		select {
+		case g = <-in:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a frame never reached Deliver")
+		}
+		if len(want[g.from]) == 0 {
+			t.Fatalf("an extra frame from p%d: %x", g.from, g.payload)
+		}
+		w := want[g.from][0]
+		want[g.from] = want[g.from][1:]
+		b, err := BytesPayload(g.payload)
+		if w == "" { // the int
+			if v, _, derr := DecodeValue(g.payload); err == nil || derr != nil || v != 42 {
+				t.Fatalf("the int arrived as %x: BytesPayload err %v, DecodeValue %v, %v", g.payload, err, v, derr)
+			}
+			continue
+		}
+		if err != nil || string(b) != w {
+			t.Fatalf("from p%d: %q (%v), want %q", g.from, b, err, w)
+		}
+	}
+}

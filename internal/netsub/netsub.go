@@ -91,11 +91,15 @@ type Config struct {
 	// full queue sheds with a *BackpressureError. 0 means 64.
 	SendQueue int
 
-	// Deliver, when non-nil, receives every data frame, on the reader of
-	// the connection it arrived on (a send to self: on the sender's
-	// goroutine); a handler that blocks holds that connection back. nil
-	// means the receive queue behind Recv and RecvTimeout.
-	Deliver func(msgnet.Envelope)
+	// Deliver, when non-nil, receives every data frame's payload — one
+	// value in AppendValue's encoding, which BytesPayload reads — on the
+	// reader of the connection it arrived on (a send to self: on the
+	// sender's goroutine); a handler that blocks holds that connection
+	// back. The payload aliases the reader's buffer and is valid only
+	// until the handler returns: nothing copies it, and a handler that
+	// keeps any of it copies that part. nil means the receive queue
+	// behind Recv and RecvTimeout, which decodes a copy.
+	Deliver func(from core.PID, payload []byte)
 
 	// HeartbeatEvery is the outbound heartbeat cadence; an inbound
 	// connection silent for 4 of these intervals is declared dead. 0
@@ -198,8 +202,8 @@ type Node struct {
 	ln    net.Listener
 
 	recvQ   chan msgnet.Envelope
-	deliver func(msgnet.Envelope) // Config.Deliver, or enqueue
-	peers   []*peer               // indexed by pid; nil at Me
+	deliver func(core.PID, []byte) error // Config.Deliver, or enqueue
+	peers   []*peer                      // indexed by pid; nil at Me
 	done    chan struct{}
 	wg      sync.WaitGroup
 	once    sync.Once
@@ -243,9 +247,12 @@ func Start(cfg Config) (*Node, error) {
 		inbound: make(map[core.PID]net.Conn),
 		seenInc: make([]int, cfg.N),
 	}
-	nd.deliver = cfg.Deliver
-	if nd.deliver == nil {
-		nd.deliver = nd.enqueue
+	nd.deliver = nd.enqueue
+	if d := cfg.Deliver; d != nil {
+		nd.deliver = func(from core.PID, payload []byte) error {
+			d(from, payload)
+			return nil
+		}
 	}
 	if cfg.Hist != nil {
 		nd.hRTT = cfg.Hist.Get("netsub_rtt_ns")
@@ -309,6 +316,42 @@ func (nd *Node) Stats() Stats {
 // node — callers at the round layer treat it like any other loss the
 // watchdog will surface.
 func (nd *Node) Send(to core.PID, payload core.Value) error {
+	if err := nd.check(to); err != nil {
+		return err
+	}
+	if to == nd.me {
+		return nd.sendSelf(payload)
+	}
+	p := nd.peers[to]
+	b, err := appendValueFrame(p.lane.Buf(), payload)
+	if err != nil {
+		p.lane.unlock()
+		return err
+	}
+	return p.push(b)
+}
+
+// SendBytes is Send of a []byte value, framed straight into the peer's
+// lane: the same bytes on the wire, without boxing b into a core.Value.
+// b is copied before SendBytes returns, so the caller may reuse it.
+func (nd *Node) SendBytes(to core.PID, b []byte) error {
+	if err := nd.check(to); err != nil {
+		return err
+	}
+	if to == nd.me {
+		return nd.sendSelf(append([]byte(nil), b...))
+	}
+	p := nd.peers[to]
+	f, err := appendBytesFrame(p.lane.Buf(), b)
+	if err != nil {
+		p.lane.unlock()
+		return err
+	}
+	return p.push(f)
+}
+
+// check vets a send's destination and the node's state.
+func (nd *Node) check(to core.PID) error {
 	if to < 0 || int(to) >= nd.n {
 		return fmt.Errorf("netsub: send to invalid process %d", to)
 	}
@@ -316,28 +359,34 @@ func (nd *Node) Send(to core.PID, payload core.Value) error {
 	case <-nd.done:
 		return ErrClosed
 	default:
+		return nil
 	}
-	if to == nd.me {
-		env := msgnet.Envelope{From: nd.me, To: nd.me, Payload: payload}
-		if nd.cfg.Deliver != nil {
-			nd.cfg.Deliver(env)
-			nd.framesSent.Add(1)
-			nd.framesRecv.Add(1)
-			return nil
+}
+
+// sendSelf hands payload to this node's own delivery, as a frame from
+// itself would arrive, without a connection.
+func (nd *Node) sendSelf(payload core.Value) error {
+	if nd.cfg.Deliver != nil {
+		b, err := AppendValue(nil, payload)
+		if err != nil {
+			return err
 		}
-		select {
-		case nd.recvQ <- env:
-			nd.framesSent.Add(1)
-			nd.framesRecv.Add(1)
-			return nil
-		case <-nd.done:
-			return ErrClosed
-		default:
-			nd.sheds.Add(1)
-			return &BackpressureError{To: to, Cap: cap(nd.recvQ)}
-		}
+		nd.cfg.Deliver(nd.me, b)
+		nd.framesSent.Add(1)
+		nd.framesRecv.Add(1)
+		return nil
 	}
-	return nd.peers[to].send(payload)
+	select {
+	case nd.recvQ <- msgnet.Envelope{From: nd.me, To: nd.me, Payload: payload}:
+		nd.framesSent.Add(1)
+		nd.framesRecv.Add(1)
+		return nil
+	case <-nd.done:
+		return ErrClosed
+	default:
+		nd.sheds.Add(1)
+		return &BackpressureError{To: nd.me, Cap: cap(nd.recvQ)}
+	}
 }
 
 // Broadcast implements msgnet.Substrate: it sends payload to every
@@ -391,13 +440,20 @@ func (nd *Node) RecvTimeout(deadline int) (msgnet.Envelope, bool, error) {
 	}
 }
 
-// enqueue is the default Deliver: the receive queue, which a full queue
-// backpressures onto the connection's reader.
-func (nd *Node) enqueue(env msgnet.Envelope) {
+// enqueue is the default Deliver: it decodes a copy of the payload into
+// the receive queue, which a full queue backpressures onto the
+// connection's reader. A payload that is no value tears the connection
+// down.
+func (nd *Node) enqueue(from core.PID, payload []byte) error {
+	v, _, err := DecodeValue(payload)
+	if err != nil {
+		return err
+	}
 	select {
-	case nd.recvQ <- env:
+	case nd.recvQ <- msgnet.Envelope{From: from, To: nd.me, Payload: v}:
 	case <-nd.done:
 	}
+	return nil
 }
 
 // Close tears the node down: the listener, every connection and every
@@ -518,12 +574,10 @@ func (nd *Node) serveInbound(c net.Conn) {
 		}
 		switch f.Kind {
 		case FrameData:
-			v, _, err := DecodeValue(f.Payload)
-			if err != nil {
+			if err := nd.deliver(h.pid, f.Payload); err != nil {
 				nd.event("netsub.frame_error", map[string]any{"reason": err.Error()})
 				return
 			}
-			nd.deliver(msgnet.Envelope{From: h.pid, To: nd.me, Payload: v})
 			nd.framesRecv.Add(1)
 		case FrameHeartbeat:
 			// Echo on the same connection so the sender can measure RTT

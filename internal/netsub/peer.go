@@ -44,13 +44,9 @@ func newPeer(nd *Node, to core.PID, addr string) *peer {
 // `rrfdsim tcp`) pays a redundant reconnect.
 func (p *peer) noteRestart() { p.lane.restart() }
 
-// send frames payload into the lane, shedding instead of blocking.
-func (p *peer) send(payload core.Value) error {
-	b, err := appendValueFrame(p.lane.Buf(), payload)
-	if err != nil {
-		p.lane.unlock()
-		return err
-	}
+// push sends the data frame b, built on the lane's Buf, shedding instead
+// of blocking.
+func (p *peer) push(b []byte) error {
 	depth, ok := p.lane.push(b, true)
 	if !ok {
 		p.nd.sheds.Add(1)

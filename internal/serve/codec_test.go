@@ -179,19 +179,19 @@ func FuzzResponseLine(f *testing.F) {
 // message or batch that decodes encodes back to the same bytes, so the
 // wire has one spelling per message.
 func FuzzPeerMsg(f *testing.F) {
-	f.Add(encodePeerMsg(pmPropose, "i0", 0))
-	f.Add(encodePeerMsg(pmProposeDecided, "x", -7))
-	f.Add(encodePeerMsg(pmDecide, "instance", 1<<40))
-	f.Add(encodePeerBatch([][]byte{encodePeerMsg(pmPropose, "a", 1), encodePeerMsg(pmDecide, "bb", -1)}))
+	f.Add(appendPeerMsg(nil, pmPropose, "i0", 0))
+	f.Add(appendPeerMsg(nil, pmProposeDecided, "x", -7))
+	f.Add(appendPeerMsg(nil, pmDecide, "instance", 1<<40))
+	f.Add(appendPeerBatch(nil, [][]byte{appendPeerMsg(nil, pmPropose, "a", 1), appendPeerMsg(nil, pmDecide, "bb", -1)}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if kind, inst, val, err := decodePeerMsg(b); err == nil {
-			if again := encodePeerMsg(kind, inst, val); !bytes.Equal(again, b) {
+			if again := appendPeerMsg(nil, kind, inst, val); !bytes.Equal(again, b) {
 				t.Fatalf("message %x decodes to (%d, %q, %d), which encodes to %x", b, kind, inst, val, again)
 			}
 		}
 		var msgs [][]byte
 		if decodePeerBatch(b, func(m []byte) { msgs = append(msgs, bytes.Clone(m)) }) == nil {
-			if again := encodePeerBatch(msgs); !bytes.Equal(again, b) {
+			if again := appendPeerBatch(nil, msgs); !bytes.Equal(again, b) {
 				t.Fatalf("batch %x decodes to %x, which encodes to %x", b, msgs, again)
 			}
 		}

@@ -35,9 +35,9 @@ func TestDecisionReadableOnlyOnceFlushed(t *testing.T) {
 	cc := newClientConn(near)
 	tb := &s.sh[0]
 
-	submit := submitEv{req: Request{Op: "submit", Inst: "x", Req: "r1", Val: 7}, cc: cc, start: time.Now()}
+	submit := event{inst: "x", req: "r1", val: 7, cc: cc, start: time.Now()}
 	s.handle(tb, submit)
-	s.handle(tb, peerEv{from: 1, kind: pmPropose, inst: "x", val: 5}) // the n−f = 2nd proposal: decides 5
+	s.handle(tb, event{from: 1, kind: pmPropose, inst: "x", val: 5}) // the n−f = 2nd proposal: decides 5
 	if val, ok := tb.lookup("x"); !ok || val != 5 {
 		t.Fatalf("the loop sees (%d, %v) for the instance it just decided, want (5, true)", val, ok)
 	}
@@ -45,10 +45,10 @@ func TestDecisionReadableOnlyOnceFlushed(t *testing.T) {
 		t.Fatalf("decision %d readable off the loop before its turn was flushed", val)
 	}
 
-	submit.req.Req = "r2"
+	submit.req = "r2"
 	s.handle(tb, submit)
-	s.handle(tb, peerEv{from: 2, kind: pmPropose, inst: "x", val: 9})
-	s.handle(tb, peerEv{from: 2, kind: pmDecide, inst: "x", val: 9})
+	s.handle(tb, event{from: 2, kind: pmPropose, inst: "x", val: 9})
+	s.handle(tb, event{from: 2, kind: pmDecide, inst: "x", val: 9})
 	if len(tb.inflight) != 0 {
 		t.Fatalf("%d instances open after the decision, want none", len(tb.inflight))
 	}
@@ -127,9 +127,9 @@ func TestPeerProposalShedAtFullTable(t *testing.T) {
 	defer s.Close()
 	tb := &s.sh[0]
 
-	s.handle(tb, peerEv{from: 1, kind: pmPropose, inst: "a", val: 5}) // opens a: 2 of n−f = 3 proposals
+	s.handle(tb, event{from: 1, kind: pmPropose, inst: "a", val: 5}) // opens a: 2 of n−f = 3 proposals
 	recs, sent := len(tb.recs), len(tb.out[2])
-	s.handle(tb, peerEv{from: 2, kind: pmPropose, inst: "b", val: 6})
+	s.handle(tb, event{from: 2, kind: pmPropose, inst: "b", val: 6})
 
 	if st := s.Stats(); st.PeerSheds != 1 || st.Overloads != 0 || st.PeerProposes != 2 {
 		t.Fatalf("stats %+v, want 1 peer shed, 0 overloads, 2 peer proposals", st)
@@ -175,7 +175,7 @@ func TestUnobservedDecideBuildsNoEventFields(t *testing.T) {
 		defer s.Close()
 		tb, next := &s.sh[0], 0
 		allocs := testing.AllocsPerRun(decides, func() {
-			s.handle(tb, peerEv{from: 1, kind: pmPropose, inst: insts[next], val: 5})
+			s.handle(tb, event{from: 1, kind: pmPropose, inst: insts[next], val: 5})
 			next++
 		})
 		if st := s.Stats(); st.Decisions != decides+1 {
@@ -229,21 +229,21 @@ func TestDecidedProposerIsNotAnswered(t *testing.T) {
 
 	s, tb := shard(3, 1)
 	cc := &clientConn{}
-	s.handle(tb, submitEv{req: Request{Op: "submit", Inst: "x", Req: "r", Val: 7}, cc: cc, start: time.Now()})
+	s.handle(tb, event{inst: "x", req: "r", val: 7, cc: cc, start: time.Now()})
 	sent(tb, 1, 0, pmPropose)
 	sent(tb, 2, 0, pmPropose)
 
-	s.handle(tb, peerEv{from: 1, kind: pmPropose, inst: "y", val: 3}) // opens y and decides it: n−f = 2
+	s.handle(tb, event{from: 1, kind: pmPropose, inst: "y", val: 3}) // opens y and decides it: n−f = 2
 	sent(tb, 1, 1, pmProposeDecided)
 	sent(tb, 2, 1)
-	s.handle(tb, peerEv{from: 2, kind: pmProposeDecided, inst: "y", val: 4})
+	s.handle(tb, event{from: 2, kind: pmProposeDecided, inst: "y", val: 4})
 	sent(tb, 2, 1)
-	s.handle(tb, peerEv{from: 2, kind: pmPropose, inst: "y", val: 4})
+	s.handle(tb, event{from: 2, kind: pmPropose, inst: "y", val: 4})
 	sent(tb, 2, 1, pmDecide)
 	if _, _, val, _ := decodePeerMsg(tb.out[2][1]); val != 3 {
 		t.Fatalf("the undecided proposer is told %d, want the decision 3", val)
 	}
-	s.handle(tb, peerEv{from: 1, kind: pmProposeDecided, inst: "w", val: 6}) // opens w and decides it
+	s.handle(tb, event{from: 1, kind: pmProposeDecided, inst: "w", val: 6}) // opens w and decides it
 	sent(tb, 1, 1, pmProposeDecided)
 	sent(tb, 2, 1, pmDecide)
 	if st := s.Stats(); st.Decisions != 2 {
@@ -251,15 +251,15 @@ func TestDecidedProposerIsNotAnswered(t *testing.T) {
 	}
 
 	s, tb = shard(4, 1)
-	s.handle(tb, peerEv{from: 1, kind: pmProposeDecided, inst: "z", val: 5}) // opens z: 2 of n−f = 3
+	s.handle(tb, event{from: 1, kind: pmProposeDecided, inst: "z", val: 5}) // opens z: 2 of n−f = 3
 	sent(tb, 1, 0)
 	sent(tb, 2, 0, pmPropose)
 	sent(tb, 3, 0, pmPropose)
-	s.handle(tb, peerEv{from: 1, kind: pmProposeDecided, inst: "z", val: 5})
+	s.handle(tb, event{from: 1, kind: pmProposeDecided, inst: "z", val: 5})
 	sent(tb, 1, 0)
-	s.handle(tb, peerEv{from: 1, kind: pmPropose, inst: "z", val: 5})
+	s.handle(tb, event{from: 1, kind: pmPropose, inst: "z", val: 5})
 	sent(tb, 1, 0, pmPropose)
-	s.handle(tb, peerEv{from: 2, kind: pmPropose, inst: "v", val: 8}) // opens v undecided: asks everyone
+	s.handle(tb, event{from: 2, kind: pmPropose, inst: "v", val: 8}) // opens v undecided: asks everyone
 	sent(tb, 1, 1, pmPropose)
 	sent(tb, 2, 1, pmPropose)
 	sent(tb, 3, 1, pmPropose)

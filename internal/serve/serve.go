@@ -67,7 +67,6 @@ package serve
 
 import (
 	"bufio"
-	"container/heap"
 	"fmt"
 	"maps"
 	"net"
@@ -78,7 +77,6 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/core"
-	"repro/internal/msgnet"
 	"repro/internal/netsub"
 	"repro/internal/obs"
 	"repro/internal/obs/hist"
@@ -244,19 +242,24 @@ type counters struct {
 	queries                            atomic.Int64
 }
 
-// instance is one in-flight agreement instance.
+// instance is one in-flight agreement instance: one round's state, held
+// in a record its shard recycles. A decided or evicted instance frees its
+// record onto the shard's free list, and the next instance the shard opens
+// takes it over, view and waiter buffers included.
 type instance struct {
 	id       string
 	proposal int
-	got      map[core.PID]int // pid → proposal heard (includes self)
-	waiters  []*waiter
+	view     agreement.Row // the proposals heard, by pid (includes self)
+	waiters  []waiter
 	start    time.Time // it expires InstanceTTL later
-	settled  bool      // decided or evicted: its deadline entries are dead
+	// gen counts the record's tenants: freeing the record starts the next
+	// tenancy, and a deadline scheduled under an older one is dead.
+	gen uint32
 }
 
 // waiting returns the index of the first waiter for request req, or -1.
 func (ins *instance) waiting(req string) int {
-	return slices.IndexFunc(ins.waiters, func(w *waiter) bool { return w.req == req })
+	return slices.IndexFunc(ins.waiters, func(w waiter) bool { return w.req == req })
 }
 
 // waiter is one client request attached to an instance.
@@ -266,26 +269,26 @@ type waiter struct {
 	start time.Time
 }
 
-// event is the closed set of inputs a shard loop consumes.
-type (
-	submitEv struct {
-		req   Request
-		cc    *clientConn
-		start time.Time
-	}
-	peerEv struct {
-		from core.PID
-		kind byte
-		inst string
-		val  int
-	}
-)
+// event is one input of a shard loop, queued by value: a client's submit
+// (kind 0) or a peer message.
+type event struct {
+	kind byte     // the peer message's kind; 0: a submit
+	from core.PID // the peer message's sender
+	inst string
+	val  int
+
+	req     string      // the submit's request ID
+	timeout int         // the submit's own deadline in ms; 0: RequestTimeout
+	cc      *clientConn // the submit's connection
+	start   time.Time   // when the submit arrived
+}
 
 // shardTable is the state of one shard: the instances that hash to it, and
 // the effects of the turn in progress. Only the owning loop touches it,
 // except that connection readers read decided, under mu (turn.go).
 type shardTable struct {
 	inflight  map[string]*instance
+	free      []*instance    // settled instances' records, for the next to open
 	proposals map[string]int // first-wins proposal per undecided instance, journaled
 	mu        sync.Mutex
 	decided   map[string]int // durable decisions only: flush adds a turn's
@@ -304,7 +307,7 @@ type Server struct {
 	log   *wal.Log
 	group *wal.Group
 
-	ev       []chan any // one event queue per shard loop
+	ev       []chan event // one event queue per shard loop
 	done     chan struct{}
 	crashed  chan struct{}
 	haltOne  sync.Once
@@ -353,33 +356,8 @@ func Start(cfg Config) (*Server, error) {
 		log.Close()
 		return nil, err
 	}
-	s := &Server{
-		cfg:         cfg,
-		log:         log,
-		ev:          make([]chan any, cfg.Shards),
-		done:        make(chan struct{}),
-		crashed:     make(chan struct{}),
-		sh:          make([]shardTable, cfg.Shards),
-		recovered:   js.Decisions,
-		incarnation: js.Boots + 1,
-	}
-	for i := range s.sh {
-		s.ev[i] = make(chan any, 1024)
-		s.sh[i] = shardTable{
-			inflight:  make(map[string]*instance),
-			proposals: make(map[string]int),
-			decided:   make(map[string]int),
-			turn:      turn{fresh: make(map[string]int), out: make([][][]byte, cfg.N)},
-		}
-	}
-	for inst, val := range js.Proposals {
-		if _, done := js.Decisions[inst]; !done {
-			s.sh[s.shardOf(inst)].proposals[inst] = val
-		}
-	}
-	for inst, val := range js.Decisions {
-		s.sh[s.shardOf(inst)].decided[inst] = val
-	}
+	s := newServer(cfg, js)
+	s.log = log
 	if _, err := log.Append(recBoot, encodeBoot(s.incarnation)); err != nil {
 		log.Close()
 		return nil, err
@@ -387,12 +365,6 @@ func Start(cfg Config) (*Server, error) {
 
 	var walBatchHist *hist.Histogram
 	if cfg.Hist != nil {
-		s.hReq = cfg.Hist.Get("serve_request_ns")
-		s.hDecide = cfg.Hist.Get("serve_decide_ns")
-		s.hInflight = cfg.Hist.Get("serve_inflight_depth")
-		s.hBcast = cfg.Hist.Get("serve_bcast_batch")
-		s.hTurnEvents = cfg.Hist.Get("serve_turn_events")
-		s.hTurnJournal = cfg.Hist.Get("serve_turn_journal_ns")
 		walBatchHist = cfg.Hist.Get("serve_wal_batch")
 	}
 	// From here on the group is the journal's only way in: every shard
@@ -443,6 +415,46 @@ func Start(cfg Config) (*Server, error) {
 	}
 	go s.acceptLoop()
 	return s, nil
+}
+
+// newServer builds the server's state from a filled cfg and the journal's
+// content: the shard tables and their queues, no loop, mesh or journal yet.
+func newServer(cfg Config, js *JournalState) *Server {
+	s := &Server{
+		cfg:         cfg,
+		ev:          make([]chan event, cfg.Shards),
+		done:        make(chan struct{}),
+		crashed:     make(chan struct{}),
+		sh:          make([]shardTable, cfg.Shards),
+		recovered:   js.Decisions,
+		incarnation: js.Boots + 1,
+	}
+	for i := range s.sh {
+		s.ev[i] = make(chan event, 1024)
+		s.sh[i] = shardTable{
+			inflight:  make(map[string]*instance),
+			proposals: make(map[string]int),
+			decided:   make(map[string]int),
+			turn:      turn{fresh: make(map[string]int), out: make([][][]byte, cfg.N)},
+		}
+	}
+	for inst, val := range js.Proposals {
+		if _, done := js.Decisions[inst]; !done {
+			s.sh[s.shardOf(inst)].proposals[inst] = val
+		}
+	}
+	for inst, val := range js.Decisions {
+		s.sh[s.shardOf(inst)].decided[inst] = val
+	}
+	if cfg.Hist != nil {
+		s.hReq = cfg.Hist.Get("serve_request_ns")
+		s.hDecide = cfg.Hist.Get("serve_decide_ns")
+		s.hInflight = cfg.Hist.Get("serve_inflight_depth")
+		s.hBcast = cfg.Hist.Get("serve_bcast_batch")
+		s.hTurnEvents = cfg.Hist.Get("serve_turn_events")
+		s.hTurnJournal = cfg.Hist.Get("serve_turn_journal_ns")
+	}
+	return s
 }
 
 // shardOf maps an instance id to its owning shard loop by 32-bit FNV-1a.
@@ -536,7 +548,7 @@ func (s *Server) halt() {
 
 // post delivers an event to the instance's shard loop unless the server
 // is halting.
-func (s *Server) post(shard int, e any) {
+func (s *Server) post(shard int, e event) {
 	select {
 	case s.ev[shard] <- e:
 	case <-s.done:
@@ -551,18 +563,17 @@ func (s *Server) event(kind string, fields map[string]any) {
 }
 
 // handle dispatches one event.
-func (s *Server) handle(t *shardTable, e any) {
-	switch ev := e.(type) {
-	case submitEv:
+func (s *Server) handle(t *shardTable, ev event) {
+	if ev.kind == 0 {
 		s.onSubmit(t, ev)
-	case peerEv:
+	} else {
 		s.onPeer(t, ev)
 	}
 }
 
-func (s *Server) onSubmit(t *shardTable, ev submitEv) {
+func (s *Server) onSubmit(t *shardTable, ev event) {
 	s.ctr.submits.Add(1)
-	id, req := ev.req.Inst, ev.req.Req
+	id, req := ev.inst, ev.req
 
 	// Idempotency: a decided instance answers every (re)submission that
 	// got past the connection's reader; nothing can decide twice.
@@ -575,7 +586,8 @@ func (s *Server) onSubmit(t *shardTable, ev submitEv) {
 	if !open {
 		// Admission control: opening one more instance past the global
 		// bound sheds the request instead of queueing it.
-		if n := s.inflightN.Load(); n >= int64(s.cfg.MaxInflight) {
+		n, ok := s.admit()
+		if !ok {
 			s.ctr.overloads.Add(1)
 			if s.cfg.Observer != nil {
 				s.event("serve.shed", map[string]any{"inflight": int(n)})
@@ -586,42 +598,62 @@ func (s *Server) onSubmit(t *shardTable, ev submitEv) {
 			})
 			return
 		}
-		ins = s.openInstance(t, id, ev.req.Val)
+		ins = s.openInstance(t, id, ev.val)
 	}
 
 	d := s.cfg.RequestTimeout
-	if ev.req.TimeoutMS > 0 {
-		d = time.Duration(ev.req.TimeoutMS) * time.Millisecond
+	if ev.timeout > 0 {
+		d = time.Duration(ev.timeout) * time.Millisecond
 	}
-	ins.waiters = append(ins.waiters, &waiter{req: req, cc: ev.cc, start: ev.start})
-	t.schedule(deadline{at: ev.start.Add(d), ins: ins, req: req})
+	ins.waiters = append(ins.waiters, waiter{req: req, cc: ev.cc, start: ev.start})
+	t.schedule(deadline{at: ev.start.Add(d), ins: ins, gen: ins.gen, req: req})
 
+	prop := ins.proposal
 	s.maybeDecide(t, ins)
 	// Proposed once the instance could decide. A re-submission while in
 	// flight re-sends our proposal: cheap, it re-seeds peers that
 	// restarted mid-instance, and a peer that has decided meanwhile
 	// answers it with the decision.
-	s.proposeAll(t, ins, nobody)
+	s.proposeAll(t, id, prop, nobody)
+}
+
+// admit reserves room for one more instance under the global in-flight
+// bound, in one atomic step, so that shard loops admitting at once cannot
+// together overshoot it. Past the bound it takes the reservation back and
+// reports false. It returns the in-flight count: with the new instance, or
+// the count that refused it.
+func (s *Server) admit() (int64, bool) {
+	n := s.inflightN.Add(1)
+	if n > int64(s.cfg.MaxInflight) {
+		s.inflightN.Add(-1)
+		return n - 1, false
+	}
+	if s.hInflight != nil {
+		s.hInflight.Record(n)
+	}
+	return n, true
 }
 
 // nobody is a proposeAll skip that skips no peer.
 const nobody core.PID = -1
 
-// proposal encodes this node's proposal for ins. Once the instance is
-// decided here, in this turn or earlier, it goes as pmProposeDecided: the
-// node has nothing left to learn, so no peer answers it.
-func (t *shardTable) proposal(ins *instance) []byte {
+// proposal encodes this node's proposal prop for instance id. Once the
+// instance is decided here, in this turn or earlier, it goes as
+// pmProposeDecided: the node has nothing left to learn, so no peer answers
+// it. It takes the id and proposal, not the instance: a decided instance's
+// record is already free.
+func (t *shardTable) proposal(id string, prop int) []byte {
 	kind := pmPropose
-	if _, done := t.lookup(ins.id); done {
+	if _, done := t.lookup(id); done {
 		kind = pmProposeDecided
 	}
-	return encodePeerMsg(kind, ins.id, ins.proposal)
+	return t.message(kind, id, prop)
 }
 
-// proposeAll records this node's proposal for ins for every other node
-// but skip.
-func (s *Server) proposeAll(t *shardTable, ins *instance, skip core.PID) {
-	msg := t.proposal(ins)
+// proposeAll records this node's proposal prop for instance id for every
+// other node but skip.
+func (s *Server) proposeAll(t *shardTable, id string, prop int, skip core.PID) {
+	msg := t.proposal(id, prop)
 	for p := range t.out {
 		if to := core.PID(p); to != s.cfg.Me && to != skip {
 			t.send(to, msg)
@@ -629,12 +661,12 @@ func (s *Server) proposeAll(t *shardTable, ins *instance, skip core.PID) {
 	}
 }
 
-// openInstance creates the in-flight entry for id, journaling the
-// first-wins proposal; its caller proposes it once the instance has had
-// its chance to decide. The proposal journal entry is what keeps this
-// node's proposal stable across kill-and-restart: a resubmission after
-// recovery proposes the same value, so the min-of-view decision rule
-// keeps drawing from the same closed set.
+// openInstance creates the in-flight entry for id, in room admit
+// reserved, journaling the first-wins proposal; its caller proposes it
+// once the instance has had its chance to decide. The proposal journal
+// entry is what keeps this node's proposal stable across kill-and-restart:
+// a resubmission after recovery proposes the same value, so the
+// min-of-view decision rule keeps drawing from the same closed set.
 func (s *Server) openInstance(t *shardTable, id string, val int) *instance {
 	prop, known := t.proposals[id]
 	if !known {
@@ -642,24 +674,31 @@ func (s *Server) openInstance(t *shardTable, id string, val int) *instance {
 		t.proposals[id] = prop
 		t.journal(recProposal, id, prop)
 	}
-	ins := &instance{
-		id:       id,
-		proposal: prop,
-		got:      map[core.PID]int{s.cfg.Me: prop},
-		start:    time.Now(),
+	var ins *instance
+	if k := len(t.free); k > 0 {
+		ins, t.free = t.free[k-1], t.free[:k-1]
+	} else {
+		ins = &instance{view: agreement.Row{Heard: core.NewSet(s.cfg.N), Vals: make([]int, s.cfg.N)}}
 	}
+	ins.id, ins.proposal, ins.start = id, prop, time.Now()
+	ins.view.Heard.Add(s.cfg.Me)
+	ins.view.Vals[s.cfg.Me] = prop
 	t.inflight[id] = ins
-	t.schedule(deadline{at: ins.start.Add(s.cfg.InstanceTTL), ins: ins})
-	if n := s.inflightN.Add(1); s.hInflight != nil {
-		s.hInflight.Record(n)
-	}
+	t.schedule(deadline{at: ins.start.Add(s.cfg.InstanceTTL), ins: ins, gen: ins.gen})
 	return ins
 }
 
-// settle removes ins from the in-flight table: decided or evicted.
+// settle removes ins from the in-flight table, decided or evicted, and
+// frees its record: its deadlines die, and the next instance the shard
+// opens may take it over. The caller is done with the waiters.
 func (s *Server) settle(t *shardTable, ins *instance) {
 	delete(t.inflight, ins.id)
-	ins.settled = true
+	ins.gen++
+	ins.id = ""
+	ins.view.Heard.Clear()
+	clear(ins.waiters)
+	ins.waiters = ins.waiters[:0]
+	t.free = append(t.free, ins)
 	s.inflightN.Add(-1)
 }
 
@@ -670,7 +709,7 @@ func (s *Server) dup(req, inst string, val int) Response {
 	return Response{Req: req, Inst: inst, Status: StatusDecided, Val: val, Incarnation: s.incarnation}
 }
 
-func (s *Server) onPeer(t *shardTable, ev peerEv) {
+func (s *Server) onPeer(t *shardTable, ev event) {
 	switch ev.kind {
 	case pmPropose, pmProposeDecided:
 		s.ctr.peerProposes.Add(1)
@@ -681,27 +720,29 @@ func (s *Server) onPeer(t *shardTable, ev peerEv) {
 			// decided — a straggler, a restarted peer, or one resubmitting
 			// because its own view never filled.
 			if asks {
-				t.send(ev.from, encodePeerMsg(pmDecide, ev.inst, val))
+				t.send(ev.from, t.message(pmDecide, ev.inst, val))
 			}
 			return
 		}
 		ins, open := t.inflight[ev.inst]
 		if !open {
-			if s.inflightN.Load() >= int64(s.cfg.MaxInflight) {
+			if n, ok := s.admit(); !ok {
 				// Peer-initiated instances obey the same admission bound;
 				// the origin's deadline degrades the loss into abstain.
 				s.ctr.peerSheds.Add(1)
 				if s.cfg.Observer != nil {
-					s.event("serve.shed", map[string]any{"inflight": int(s.inflightN.Load()), "peer": true})
+					s.event("serve.shed", map[string]any{"inflight": int(n), "peer": true})
 				}
 				return
 			}
 			ins = s.openInstance(t, ev.inst, ev.val)
 		}
-		_, seen := ins.got[ev.from]
+		seen := ins.view.Heard.Has(ev.from)
 		if !seen {
-			ins.got[ev.from] = ev.val
+			ins.view.Heard.Add(ev.from)
+			ins.view.Vals[ev.from] = ev.val
 		}
+		prop := ins.proposal
 		decided := s.maybeDecide(t, ins)
 		switch {
 		case !open && decided:
@@ -711,18 +752,18 @@ func (s *Server) onPeer(t *shardTable, ev peerEv) {
 			// instance when a client asks it (a plain pmPropose answered
 			// with pmDecide), as a restarted node does.
 			if asks {
-				t.send(ev.from, t.proposal(ins))
+				t.send(ev.from, t.proposal(ev.inst, prop))
 			}
 		case !open:
 			skip := nobody
 			if !asks {
 				skip = ev.from // it has decided: our proposal would go unread
 			}
-			s.proposeAll(t, ins, skip)
+			s.proposeAll(t, ev.inst, prop, skip)
 		case seen && asks:
 			// A repeated proposal is a peer that lost our answer (or a
 			// restart): resend ours directly rather than re-flooding.
-			t.send(ev.from, t.proposal(ins))
+			t.send(ev.from, t.proposal(ev.inst, prop))
 		}
 	case pmDecide:
 		if _, ok := t.lookup(ev.inst); ok {
@@ -740,13 +781,13 @@ func (s *Server) onPeer(t *shardTable, ev peerEv) {
 // maybeDecide decides ins once its view holds n−f proposals, and reports
 // whether it did.
 func (s *Server) maybeDecide(t *shardTable, ins *instance) bool {
-	min, ok := agreement.QuorumMin(ins.got, s.cfg.N-s.cfg.F)
+	min, ok := agreement.QuorumMin(ins.view, s.cfg.N-s.cfg.F)
 	if !ok {
 		return false
 	}
 	s.ctr.decisions.Add(1)
 	if s.cfg.Observer != nil {
-		s.event("serve.decide", map[string]any{"gathered": len(ins.got)})
+		s.event("serve.decide", map[string]any{"gathered": ins.view.Heard.Count()})
 	}
 	if s.hDecide != nil {
 		s.hDecide.Record(time.Since(ins.start).Nanoseconds())
@@ -761,7 +802,7 @@ func (s *Server) maybeDecide(t *shardTable, ins *instance) bool {
 // it proposes (onPeer). flush makes the record durable before the
 // decision can be read off the loop or any of the responses leave. The
 // instance's proposal goes: lookup answers a decided instance before
-// openInstance could read it again.
+// openInstance could read it again. So does its record.
 func (s *Server) commitDecision(t *shardTable, id string, val int) {
 	t.journal(recDecision, id, val)
 	t.fresh[id] = val
@@ -770,7 +811,6 @@ func (s *Server) commitDecision(t *shardTable, id string, val int) {
 	if ins == nil {
 		return
 	}
-	s.settle(t, ins)
 	for _, w := range ins.waiters {
 		t.respond(w.cc, w.start, Response{
 			Req: w.req, Inst: id, Status: StatusDecided, Val: val, Incarnation: s.incarnation,
@@ -779,7 +819,7 @@ func (s *Server) commitDecision(t *shardTable, id string, val int) {
 	if len(ins.waiters) > 0 {
 		t.acked++
 	}
-	ins.waiters = nil
+	s.settle(t, ins)
 }
 
 // crash is the abrupt internal halt: mark, stop serving, die mid-stride.
@@ -792,39 +832,42 @@ func (s *Server) crash() {
 // abstain answers one waiter abstain-and-report: the missing
 // n−f−gathered senders are exactly the processes D(i,r) would suspect
 // this round.
-func (s *Server) abstain(t *shardTable, ins *instance, w *waiter) {
+func (s *Server) abstain(t *shardTable, ins *instance, w waiter) {
 	s.ctr.abstains.Add(1)
 	t.respond(w.cc, w.start, Response{
 		Req: w.req, Inst: ins.id, Status: StatusAbstain,
-		Gathered: len(ins.got), Need: s.cfg.N - s.cfg.F, Incarnation: s.incarnation,
+		Gathered: ins.view.Heard.Count(), Need: s.cfg.N - s.cfg.F, Incarnation: s.incarnation,
 	})
 }
 
 // expire serves the shard's deadlines due by now, earliest first. A
 // request's deadline abstains the first waiter still attached under its
 // ID; an instance's TTL evicts the instance, abstaining every waiter still
-// attached. Entries that died meanwhile are dropped.
+// attached. Entries that died meanwhile are dropped: their instance's
+// record has been freed since, whoever holds it now.
 func (s *Server) expire(t *shardTable, now time.Time) {
 	for len(t.due) > 0 && !t.due[0].at.After(now) {
-		d := heap.Pop(&t.due).(deadline)
-		ins, i := d.ins, d.ins.waiting(d.req)
-		switch {
-		case ins.settled: // dead: decided or evicted meanwhile
-		case d.req == "":
+		d := t.due.pop()
+		ins := d.ins
+		if d.gen != ins.gen {
+			continue // dead: decided or evicted meanwhile
+		}
+		if d.req == "" {
+			if s.cfg.Observer != nil {
+				s.event("serve.evict_instance", map[string]any{"gathered": ins.view.Heard.Count()})
+			}
 			for _, w := range ins.waiters {
 				s.abstain(t, ins, w)
 			}
-			ins.waiters = nil
 			s.settle(t, ins)
 			s.ctr.evictions.Add(1)
-			if s.cfg.Observer != nil {
-				s.event("serve.evict_instance", map[string]any{"gathered": len(ins.got)})
-			}
-		case i >= 0:
+			continue
+		}
+		if i := ins.waiting(d.req); i >= 0 {
 			w := ins.waiters[i]
-			ins.waiters = append(ins.waiters[:i], ins.waiters[i+1:]...)
+			ins.waiters = slices.Delete(ins.waiters, i, i+1)
 			if s.cfg.Observer != nil {
-				s.event("serve.abstain", map[string]any{"gathered": len(ins.got), "need": s.cfg.N - s.cfg.F})
+				s.event("serve.abstain", map[string]any{"gathered": ins.view.Heard.Count(), "need": s.cfg.N - s.cfg.F})
 			}
 			s.abstain(t, ins, w)
 		}
@@ -833,21 +876,24 @@ func (s *Server) expire(t *shardTable, now time.Time) {
 
 // deliver is the mesh's Deliver: on the reader of the connection a frame
 // arrived on, it posts the frame's messages, a batch's unpacked, to their
-// shard loops.
-func (s *Server) deliver(env msgnet.Envelope) {
-	b, ok := env.Payload.([]byte)
-	if !ok {
+// shard loops. It reads the payload in place, which the reader reuses once
+// it returns: a posted event keeps only the instance id, which decoding
+// copies.
+func (s *Server) deliver(from core.PID, payload []byte) {
+	b, err := netsub.BytesPayload(payload)
+	if err != nil {
+		s.event("serve.bad_peer_msg", map[string]any{"err": err.Error()})
 		return
 	}
 	if len(b) > 0 && b[0] == pmBatch {
 		if err := decodePeerBatch(b, func(m []byte) {
-			s.handlePeerMsg(env.From, m)
+			s.handlePeerMsg(from, m)
 		}); err != nil {
 			s.event("serve.bad_peer_msg", map[string]any{"err": err.Error()})
 		}
 		return
 	}
-	s.handlePeerMsg(env.From, b)
+	s.handlePeerMsg(from, b)
 }
 
 // handlePeerMsg decodes one peer message and posts it to the owning
@@ -858,7 +904,7 @@ func (s *Server) handlePeerMsg(from core.PID, b []byte) {
 		s.event("serve.bad_peer_msg", map[string]any{"err": err.Error()})
 		return
 	}
-	s.post(s.shardOf(inst), peerEv{from: from, kind: kind, inst: inst, val: val})
+	s.post(s.shardOf(inst), event{kind: kind, from: from, inst: inst, val: val})
 }
 
 // clientConn is one accepted client connection: a reader goroutine
@@ -931,7 +977,7 @@ func (s *Server) readConn(cc *clientConn) {
 		case req.Op == "submit" && (req.Inst == "" || req.Req == ""):
 			resp.Err = "submit needs inst and req"
 		case req.Op == "submit" && !ok:
-			s.post(shard, submitEv{req: req, cc: cc, start: start})
+			s.post(shard, event{inst: req.Inst, val: req.Val, req: req.Req, timeout: req.TimeoutMS, cc: cc, start: start})
 			continue
 		case req.Op == "submit":
 			s.ctr.submits.Add(1)

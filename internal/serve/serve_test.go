@@ -51,7 +51,7 @@ func TestWireRoundTrips(t *testing.T) {
 		{pmPropose, "x", 1 << 40},
 		{pmProposeDecided, "decided-here", -1},
 	} {
-		b := encodePeerMsg(tc.kind, tc.inst, tc.val)
+		b := appendPeerMsg(nil, tc.kind, tc.inst, tc.val)
 		kind, inst, val, err := decodePeerMsg(b)
 		if err != nil {
 			t.Fatalf("decodePeerMsg(%v): %v", tc, err)
@@ -59,13 +59,13 @@ func TestWireRoundTrips(t *testing.T) {
 		if kind != tc.kind || inst != tc.inst || val != tc.val {
 			t.Fatalf("peer round trip: got (%d,%q,%d), want (%d,%q,%d)", kind, inst, val, tc.kind, tc.inst, tc.val)
 		}
-		p := encodeInstVal(tc.inst, tc.val)
+		p := appendInstVal(nil, tc.inst, tc.val)
 		inst, val, err = decodeInstValRecord(p)
 		if err != nil || inst != tc.inst || val != tc.val {
 			t.Fatalf("journal round trip: got (%q,%d,%v)", inst, val, err)
 		}
 	}
-	for _, bad := range [][]byte{nil, {}, {9, 1, 'x', 0}, {pmPropose}, append(encodePeerMsg(pmDecide, "i", 1), 0)} {
+	for _, bad := range [][]byte{nil, {}, {9, 1, 'x', 0}, {pmPropose}, append(appendPeerMsg(nil, pmDecide, "i", 1), 0)} {
 		if _, _, _, err := decodePeerMsg(bad); err == nil {
 			t.Fatalf("decodePeerMsg(%v) accepted garbage", bad)
 		}
@@ -413,11 +413,11 @@ func TestAckBeforeJournalBugLosesAck(t *testing.T) {
 // survive packing, garbage is rejected, and the count bound holds.
 func TestPeerBatchRoundTrip(t *testing.T) {
 	msgs := [][]byte{
-		encodePeerMsg(pmPropose, "a", 1),
-		encodePeerMsg(pmDecide, "bb", -7),
-		encodePeerMsg(pmPropose, "instance-3", 1<<33),
+		appendPeerMsg(nil, pmPropose, "a", 1),
+		appendPeerMsg(nil, pmDecide, "bb", -7),
+		appendPeerMsg(nil, pmPropose, "instance-3", 1<<33),
 	}
-	frame := encodePeerBatch(msgs)
+	frame := appendPeerBatch(nil, msgs)
 	if frame[0] != pmBatch {
 		t.Fatalf("frame kind %d, want pmBatch", frame[0])
 	}

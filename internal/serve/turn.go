@@ -5,7 +5,6 @@
 package serve
 
 import (
-	"container/heap"
 	"slices"
 	"time"
 
@@ -17,13 +16,20 @@ import (
 // flushes, so a deep backlog cannot hold the first event's ack hostage.
 const maxTurnEvents = 64
 
-// turn is what the handlers of one turn want externalized.
+// turn is what the handlers of one turn want externalized. The journal
+// payloads and the peer messages are slices of the turn's own buffers,
+// which reset keeps: wal.Group.AppendBatch and Node.SendBytes are done
+// with the bytes when they return, so flush leaves nothing that still
+// points into them.
 type turn struct {
 	recs  []wal.BatchEntry // journal records, in order
 	fresh map[string]int   // decisions among recs, not yet in the decided table
 	acks  []ack            // client responses
 	out   [][][]byte       // peer messages, indexed by destination pid
 	acked int              // decisions among acks that reached ≥1 waiter
+
+	jbuf, pbuf []byte // recs' payloads, out's messages
+	frame      []byte // a pmBatch frame flush is sending
 }
 
 // ack is one recorded client response.
@@ -34,7 +40,17 @@ type ack struct {
 }
 
 func (t *turn) journal(kind uint8, inst string, val int) {
-	t.recs = append(t.recs, wal.BatchEntry{Kind: kind, Payload: encodeInstVal(inst, val)})
+	off := len(t.jbuf)
+	t.jbuf = appendInstVal(t.jbuf, inst, val)
+	t.recs = append(t.recs, wal.BatchEntry{Kind: kind, Payload: t.jbuf[off:len(t.jbuf):len(t.jbuf)]})
+}
+
+// message encodes one peer message into the turn, for send. A buffer
+// grown past its capacity leaves earlier messages where they were.
+func (t *turn) message(kind byte, inst string, val int) []byte {
+	off := len(t.pbuf)
+	t.pbuf = appendPeerMsg(t.pbuf, kind, inst, val)
+	return t.pbuf[off:len(t.pbuf):len(t.pbuf)]
 }
 
 func (t *turn) respond(cc *clientConn, start time.Time, r Response) {
@@ -51,6 +67,7 @@ func (t *turn) reset() {
 	clear(t.fresh)
 	clear(t.acks)
 	t.recs, t.acks, t.acked = t.recs[:0], t.acks[:0], 0
+	t.jbuf, t.pbuf = t.jbuf[:0], t.pbuf[:0]
 	for to, msgs := range t.out {
 		clear(msgs)
 		t.out[to] = msgs[:0]
@@ -76,31 +93,71 @@ func (t *shardTable) read(inst string) (int, bool) {
 	return val, ok
 }
 
-// deadline is one entry of a shard's deadline heap: instance ins's TTL,
-// or, when req is set, the deadline of its waiter for request req (a
-// submit always names its request, so "" is free to mean the TTL). It is
-// dead once ins has settled, or no waiter for req is attached any more.
+// deadline is one entry of a shard's deadline heap: the TTL of the
+// instance in record ins during its tenancy gen, or, when req is set, the
+// deadline of its waiter for request req (a submit always names its
+// request, so "" is free to mean the TTL). It is dead once that instance
+// has settled — the record has moved on to a later tenancy — or no waiter
+// for req is attached any more.
 type deadline struct {
 	at  time.Time
 	ins *instance
+	gen uint32
 	req string
 }
 
-// deadlines is a container/heap min-heap by at; not FIFO, since a request
-// names its own timeout. A dead entry stays until expire pops it or
-// schedule sweeps it.
+func (d *deadline) dead() bool {
+	return d.gen != d.ins.gen || d.req != "" && d.ins.waiting(d.req) < 0
+}
+
+// deadlines is a binary min-heap by at; not FIFO, since a request names
+// its own timeout. A dead entry stays until expire pops it or schedule
+// sweeps it.
 type deadlines []deadline
 
-func (q deadlines) Len() int           { return len(q) }
-func (q deadlines) Less(i, j int) bool { return q[i].at.Before(q[j].at) }
-func (q deadlines) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *deadlines) Push(x any)        { *q = append(*q, x.(deadline)) }
-func (q *deadlines) Pop() any {
-	old := *q
-	d := old[len(old)-1]
-	old[len(old)-1] = deadline{}
-	*q = old[:len(old)-1]
+func (q deadlines) less(i, j int) bool { return q[i].at.Before(q[j].at) }
+
+// push adds d.
+func (q *deadlines) push(d deadline) {
+	*q = append(*q, d)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest entry; the heap must not be empty.
+func (q *deadlines) pop() deadline {
+	h := *q
+	d, last := h[0], len(h)-1
+	h[0] = h[last]
+	h[last] = deadline{}
+	*q = h[:last]
+	q.down(0)
 	return d
+}
+
+// down sifts entry i toward the leaves.
+func (q deadlines) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			return
+		}
+		if r := c + 1; r < len(q) && q.less(r, c) {
+			c = r
+		}
+		if !q.less(c, i) {
+			return
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
 }
 
 // schedule queues d. A full heap first sweeps out its dead entries, and
@@ -108,13 +165,13 @@ func (q *deadlines) Pop() any {
 // before their TTL would otherwise hold it at throughput × TTL entries.
 func (t *shardTable) schedule(d deadline) {
 	if len(t.due) == cap(t.due) {
-		t.due = slices.DeleteFunc(t.due, func(e deadline) bool {
-			return e.ins.settled || e.req != "" && e.ins.waiting(e.req) < 0
-		})
-		heap.Init(&t.due)
+		t.due = slices.DeleteFunc(t.due, func(e deadline) bool { return e.dead() })
+		for i := len(t.due)/2 - 1; i >= 0; i-- {
+			t.due.down(i)
+		}
 		t.due = slices.Grow(t.due, len(t.due))
 	}
-	heap.Push(&t.due, d)
+	t.due.push(d)
 }
 
 // loop is one shard's event loop: it exclusively owns the instances that
@@ -216,11 +273,12 @@ func (s *Server) flush(t *shardTable) bool {
 		}
 		frame := msgs[0]
 		if len(msgs) > 1 {
-			frame = encodePeerBatch(msgs)
+			t.frame = appendPeerBatch(t.frame[:0], msgs)
+			frame = t.frame
 		}
 		// A shed or a closing mesh is a lost message: the origin's
 		// deadline and resubmission cover it.
-		_ = s.node.Send(core.PID(to), frame)
+		_ = s.node.SendBytes(core.PID(to), frame)
 	}
 	if crash {
 		s.crash()

@@ -33,14 +33,9 @@ const (
 // claiming more is a protocol error rather than an allocation.
 const maxBatchMsgs = 4096
 
-// encodePeerBatch packs several peer messages into one pmBatch frame:
+// appendPeerBatch packs several peer messages into one pmBatch frame:
 // one mesh send carries everything a turn has for one peer.
-func encodePeerBatch(msgs [][]byte) []byte {
-	sz := 1 + binary.MaxVarintLen64
-	for _, m := range msgs {
-		sz += binary.MaxVarintLen64 + len(m)
-	}
-	b := make([]byte, 0, sz)
+func appendPeerBatch(b []byte, msgs [][]byte) []byte {
 	b = append(b, pmBatch)
 	b = binary.AppendUvarint(b, uint64(len(msgs)))
 	for _, m := range msgs {
@@ -115,11 +110,9 @@ func decodeInstVal(b []byte) (inst string, val int, rest []byte, err error) {
 	return inst, int(v), b[n:], nil
 }
 
-// encodePeerMsg builds one peer message payload.
-func encodePeerMsg(kind byte, inst string, val int) []byte {
-	b := make([]byte, 0, 2+len(inst)+binary.MaxVarintLen64)
-	b = append(b, kind)
-	return appendInstVal(b, inst, val)
+// appendPeerMsg appends one peer message payload.
+func appendPeerMsg(b []byte, kind byte, inst string, val int) []byte {
+	return appendInstVal(append(b, kind), inst, val)
 }
 
 // decodePeerMsg parses one peer message payload.
@@ -144,11 +137,6 @@ func decodePeerMsg(b []byte) (kind byte, inst string, val int, err error) {
 // encodeBoot builds a recBoot payload.
 func encodeBoot(incarnation int) []byte {
 	return binary.AppendUvarint(nil, uint64(incarnation))
-}
-
-// encodeInstVal builds a recProposal/recDecision payload.
-func encodeInstVal(inst string, val int) []byte {
-	return appendInstVal(make([]byte, 0, 1+len(inst)+binary.MaxVarintLen64), inst, val)
 }
 
 // decodeInstValRecord parses a recProposal/recDecision payload.

@@ -240,6 +240,77 @@ func TestGroupConcurrentAppends(t *testing.T) {
 	}
 }
 
+// TestGroupAppendBatchKeepsNoPayload: AppendBatch is done with the
+// entries' payloads when it returns, whether it wrote them itself or
+// waited for another caller's commit to carry them. Callers encode every
+// batch into one buffer they overwrite as soon as the call returns (as a
+// serve turn reuses its journal buffer), and every record replays as it
+// was appended.
+func TestGroupAppendBatchKeepsNoPayload(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Create(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGroup(l, GroupOptions{})
+	const goroutines, perG = 4, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	end := holdCommit(g) // the first batches queue behind a commit in flight
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < perG; i++ {
+				buf = fmt.Appendf(buf[:0], "w%d-%03d-a", w, i)
+				mid := len(buf)
+				buf = fmt.Appendf(buf, "w%d-%03d-b", w, i)
+				if _, err := g.AppendBatch([]BatchEntry{{Kind: 1, Payload: buf[:mid]}, {Kind: 1, Payload: buf[mid:]}}); err != nil {
+					errs <- err
+					return
+				}
+				for j := range buf {
+					buf[j] = '!'
+				}
+			}
+		}(w)
+	}
+	waitingEntries(t, g, 2*goroutines)
+	end(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool, len(recs))
+	for _, r := range recs {
+		seen[string(r.Payload)] = true
+	}
+	for w := 0; w < goroutines; w++ {
+		for i := 0; i < perG; i++ {
+			for _, half := range []string{"a", "b"} {
+				if p := fmt.Sprintf("w%d-%03d-%s", w, i, half); !seen[p] {
+					t.Fatalf("record %q missing from %d replayed", p, len(recs))
+				}
+			}
+		}
+	}
+	if len(recs) != 2*goroutines*perG {
+		t.Fatalf("replayed %d records, want %d", len(recs), 2*goroutines*perG)
+	}
+}
+
 // TestGroupCloseDrainsAndRejects: Close commits everything already
 // accepted, later Appends fail with ErrGroupClosed, and a second Close
 // is a no-op.
