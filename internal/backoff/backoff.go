@@ -13,17 +13,14 @@ import (
 	"repro/internal/core"
 )
 
-// Policy describes a capped exponential ladder: Initial, Initial*Factor,
-// Initial*Factor², ... bounded above by Cap.
+// Policy describes a capped doubling ladder: Initial, 2*Initial,
+// 4*Initial, ... bounded above by Cap.
 type Policy struct {
 	// Initial is the first interval; values < 1 are treated as 1.
 	Initial int
 
 	// Cap bounds the interval; 0 means no cap.
 	Cap int
-
-	// Factor is the per-step multiplier; values < 2 are treated as 2.
-	Factor int
 
 	// Jitter spreads each interval uniformly over
 	// [interval*(1-Jitter), interval*(1+Jitter)] when a sequence is
@@ -37,13 +34,6 @@ func (p Policy) initial() int {
 		return 1
 	}
 	return p.Initial
-}
-
-func (p Policy) factor() int {
-	if p.Factor < 2 {
-		return 2
-	}
-	return p.Factor
 }
 
 func (p Policy) jitter() float64 {
@@ -60,8 +50,8 @@ func (p Policy) jitter() float64 {
 const maxInt = int(^uint(0) >> 1)
 
 // Seq walks a policy's ladder statefully: each Next returns the current
-// interval and doubles (Factor-multiplies) it up to the cap. The zero
-// value is not usable; call Policy.Sequence or Policy.Seeded.
+// interval and doubles it up to the cap. The zero value is not usable;
+// call Policy.Sequence or Policy.Seeded.
 type Seq struct {
 	p       Policy
 	current int
@@ -82,10 +72,10 @@ func (p Policy) Seeded(seed int64) *Seq {
 
 // Next returns the interval to wait before the next retry and advances
 // the ladder. Without jitter the returned values are exactly
-// Initial, Initial*Factor, Initial*Factor², ... capped.
+// Initial, 2*Initial, 4*Initial, ... capped.
 func (s *Seq) Next() int {
 	iv := s.current
-	next := iv * s.p.factor()
+	next := iv * 2
 	if (s.p.Cap > 0 && next > s.p.Cap) || next < iv {
 		next = s.p.Cap
 		if next <= 0 || next < iv {

@@ -8,25 +8,25 @@ import (
 )
 
 // CompilePlan lowers the expression to a seeded chaos fault plan for n
-// processes.
+// processes: benign noise (short delays, duplicates) the reliable links
+// absorb, plus a rate-1.0 send-omission component. A permanently omitting
+// sender is exactly a send-omission-faulty process in the paper's eq. (1)
+// sense: everyone else times out on it each round and suspects it, it
+// keeps hearing everyone, so omission from a sender set S induces
+// D(i,r) = S ∖ {i} in every round. That is the plan's lock-step reading
+// (faultnet.Plan.LockStep), which a campaign sets chaos.Config.SyncRounds
+// to execute, on the engine; under n−f rounds arrival order, like a crash,
+// adds suspicions it never chose.
 //
-// For a negation-free expression the plan is honest: benign noise (short
-// delays, duplicates) the reliable links absorb, plus — when the expression
-// leaves room — a rate-1.0 send-omission component whose sender set is
-// small enough that the induced suspicions D(i,r) = senders \ {i} still
-// satisfy every conjunct. A permanently omitting sender is exactly a
-// send-omission-faulty process in the paper's eq. (1) sense: everyone else
-// times out on it each round and suspects it, it keeps hearing everyone.
-// That is the plan's lock-step reading (faultnet.Plan.LockStep), which a
-// campaign sets chaos.Config.SyncRounds to execute, on the engine; under
-// n−f rounds arrival order, like a crash, adds suspicions it never chose.
-//
-// For a top-level negation !e the plan is a breaker: the omitting sender
-// set is sized so the induced suspicions must violate e (e.g. f+1 senders
-// against a budget of f). Executions under the plan then violate e — and
-// satisfy !e — deterministically. Expressions only violable by
-// self-suspicion or non-uniform misses (selftrust, immediacy) are rejected,
-// as are nested negations.
+// The sender count is read off the compiled checker, never off the atoms:
+// Compile().Holds judges the lock-step trace of omission from s senders
+// (omissionProbe). An honest plan draws its count from 1..a, a ≤ n−1 the
+// largest count such that every count up to it satisfies the expression;
+// with a = 0 it is noise only, provided the fault-free trace satisfies the
+// expression. For a top-level negation !e the plan is a breaker: the
+// smallest count whose trace violates e, so executions under the plan
+// violate e — and satisfy !e — deterministically. An expression no count
+// satisfies (honest) or violates (breaker) is an error.
 //
 // The plan is a pure function of (expression, n, seed).
 func (e *Expr) CompilePlan(n int, seed int64) (faultnet.Plan, error) {
@@ -44,184 +44,80 @@ func (e *Expr) CompilePlan(n int, seed int64) (faultnet.Plan, error) {
 			Copies: 1 + r.Intn(2), Name: "noise-dup"},
 	)
 	if e.Op == OpNot {
-		count, err := breakerSenders(e.Kids[0], n)
-		if err != nil {
-			return faultnet.Plan{}, err
+		holds := omissionProbe(e.Kids[0], n)
+		for count := 1; count <= n; count++ {
+			if !holds(count) {
+				p.Components = append(p.Components, faultnet.Component{
+					Kind: faultnet.SendOmission, Rate: 1.0,
+					Senders: r.Perm(n)[:count], Name: "breaker"})
+				return p, nil
+			}
 		}
-		p.Components = append(p.Components, faultnet.Component{
-			Kind: faultnet.SendOmission, Rate: 1.0,
-			Senders: r.Perm(n)[:count], Name: "breaker"})
+		return faultnet.Plan{}, fmt.Errorf("hoalg: no rate-1.0 send omission violates %q at n=%d", e.Kids[0], n)
+	}
+	holds := omissionProbe(e, n)
+	allow := 0
+	for allow < n-1 && holds(allow+1) {
+		allow++
+	}
+	if allow == 0 {
+		if !holds(0) {
+			return faultnet.Plan{}, fmt.Errorf("hoalg: no rate-1.0 send omission satisfies %q at n=%d", e, n)
+		}
 		return p, nil
 	}
-	allow, err := honestAllowance(e, n)
-	if err != nil {
-		return faultnet.Plan{}, err
-	}
-	if allow > n-1 {
-		allow = n - 1
-	}
-	if allow > 0 {
-		count := 1 + r.Intn(allow)
-		p.Components = append(p.Components, faultnet.Component{
-			Kind: faultnet.SendOmission, Rate: 1.0,
-			Senders: r.Perm(n)[:count], Name: "honest-omission"})
-	}
+	count := 1 + r.Intn(allow)
+	p.Components = append(p.Components, faultnet.Component{
+		Kind: faultnet.SendOmission, Rate: 1.0,
+		Senders: r.Perm(n)[:count], Name: "honest-omission"})
 	return p, nil
 }
 
-// honestAllowance is the largest sender-set size s for which rate-1.0
-// omission from s processes — inducing D(i,r) = senders \ {i} every round —
-// still satisfies the expression. 0 means noise only.
-func honestAllowance(e *Expr, n int) (int, error) {
-	switch e.Op {
-	case OpAtom:
-		switch e.Atom {
-		case AtomSelfTrust, AtomImmediacy:
-			// Loopback is fault-free, so nobody self-suspects; missing
-			// the same senders keeps D(i) ⊆ D(j) whenever i hears j.
-			return n - 1, nil
-		case AtomAtMost, AtomPerRound:
-			return e.Args[0], nil
-		case AtomBSys:
-			return e.Args[0], nil
-		case AtomKSet:
-			// The uncertainty of D(i,r) = S \ {i} is exactly S.
-			return e.Args[0] - 1, nil
-		case AtomNoMutualMiss, AtomChain:
-			// Two omitting senders already suspect each other / produce
-			// incomparable sets S\{s1}, S\{s2}.
-			return 1, nil
-		case AtomSomeoneSeen, AtomNeverSusp:
-			return n - 1, nil
-		case AtomIdentical, AtomPropagates:
-			// Any sender s yields D(s)=S\{s} ≠ D(i)=S, and s (still
-			// live) never adopts its own suspicion.
-			return 0, nil
-		}
-	case OpAnd:
-		m := n - 1
-		for _, k := range e.Kids {
-			a, err := honestAllowance(k, n)
-			if err != nil {
-				return 0, err
-			}
-			if a < m {
-				m = a
-			}
-		}
-		return m, nil
-	case OpOr:
-		m := -1
-		for _, k := range e.Kids {
-			a, err := honestAllowance(k, n)
-			if err != nil {
-				return 0, err
-			}
-			if a > m {
-				m = a
-			}
-		}
-		return m, nil
-	case OpNot:
-		return 0, fmt.Errorf("hoalg: honest plans require a negation-free expression (a top-level ! compiles a violating plan instead): %s", e)
-	case OpForever, OpEventually:
-		return honestAllowance(e.Kids[0], n)
+// omissionProbe reports whether e holds of the lock-step trace of rate-1.0
+// omission from senders 0..s−1. The trace runs to e's largest eventually
+// stab plus two rounds, so every window holds a round and its successor;
+// the pattern is the same every round, so more rounds cannot change the
+// verdict.
+func omissionProbe(e *Expr, n int) func(s int) bool {
+	pred, rounds := e.Compile(), maxStab(e)+2
+	senders := make([]core.PID, n)
+	for i := range senders {
+		senders[i] = core.PID(i)
 	}
-	return 0, fmt.Errorf("hoalg: unknown op %d", e.Op)
+	return func(s int) bool { return pred.Holds(lockStepTrace(n, rounds, senders[:s])) }
 }
 
-// breakerSenders is the rate-1.0 omission sender count that forces every
-// execution to violate the expression. Violation is monotone in the sender
-// count for every supported atom (larger S keeps each listed witness), so
-// And takes the cheapest violable conjunct and Or the maximum over
-// branches.
-func breakerSenders(e *Expr, n int) (int, error) {
-	switch e.Op {
-	case OpAtom:
-		switch e.Atom {
-		case AtomSelfTrust:
-			return 0, fmt.Errorf("hoalg: cannot violate selftrust with message faults (loopback delivery is fault-free)")
-		case AtomImmediacy:
-			return 0, fmt.Errorf("hoalg: cannot violate immediacy with uniform omissions (shared sender sets preserve view containment)")
-		case AtomAtMost:
-			// |S| = f+1 distinct processes get suspected.
-			return needSenders(e.Args[0]+1, n, e)
-		case AtomPerRound:
-			// A process outside S sees |D| = |S| = f+1 > f.
-			f := e.Args[0]
-			if f+1 > n-1 {
-				return 0, fmt.Errorf("hoalg: violating %q needs %d omitting senders plus an observer, but n=%d", e, f+1, n)
-			}
-			return f + 1, nil
-		case AtomKSet:
-			// Uncertainty of D(i)=S\{i} is exactly S; |S| = k reaches it.
-			return needSenders(e.Args[0], n, e)
-		case AtomIdentical:
-			return 1, nil
-		case AtomPropagates:
-			// The suspected sender stays live and never suspects itself.
-			return 1, nil
-		case AtomChain, AtomNoMutualMiss:
-			return needSenders(2, n, e)
-		case AtomSomeoneSeen, AtomNeverSusp:
-			return n, nil
-		case AtomBSys:
-			f, t := e.Args[0], e.Args[1]
-			if t+1 <= n-1 {
-				// An observer outside S exceeds even the t budget.
-				return t + 1, nil
-			}
-			if n-1 > f && n > t {
-				// Everyone omits: all n processes exceed f, and n > t of
-				// them is too many.
-				return n, nil
-			}
-			return 0, fmt.Errorf("hoalg: cannot violate %q with omissions at n=%d", e, n)
-		}
-	case OpAnd:
-		best := -1
-		var firstErr error
-		for _, k := range e.Kids {
-			c, err := breakerSenders(k, n)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if best < 0 || c < best {
-				best = c
-			}
-		}
-		if best < 0 {
-			return 0, fmt.Errorf("hoalg: no conjunct of %q is violable by omissions: %w", e, firstErr)
-		}
-		return best, nil
-	case OpOr:
-		m := 0
-		for _, k := range e.Kids {
-			c, err := breakerSenders(k, n)
-			if err != nil {
-				return 0, err
-			}
-			if c > m {
-				m = c
-			}
-		}
-		return m, nil
-	case OpNot:
-		return 0, fmt.Errorf("hoalg: cannot compile a violating plan for a nested negation: %s", e)
-	case OpForever, OpEventually:
-		// The breaker violates in every round, so it violates the window
-		// too — provided the execution runs past stab rounds.
-		return breakerSenders(e.Kids[0], n)
+// lockStepTrace is the trace that the lock-step reading of rate-1.0
+// omission from senders induces over the given rounds. The oracle's round
+// plans go straight into core.InducedTrace: nothing runs on the engine, so
+// no default observer counts a probe as an execution.
+func lockStepTrace(n, rounds int, senders []core.PID) *core.Trace {
+	oracle, err := faultnet.Plan{Components: []faultnet.Component{
+		{Kind: faultnet.SendOmission, Rate: 1.0, Senders: senders}}}.LockStep(n, 0)
+	if err != nil {
+		panic(err) // rate-1.0 omission always has a lock-step reading
 	}
-	return 0, fmt.Errorf("hoalg: unknown op %d", e.Op)
+	recs := make([]*core.RoundRec, n)
+	for i := range recs {
+		recs[i] = new(core.RoundRec)
+	}
+	all := core.FullSet(n)
+	for r := 1; r <= rounds; r++ {
+		for i, d := range oracle.Plan(r, all).Suspects {
+			recs[i].Complete(r, nil, d)
+		}
+	}
+	return core.InducedTrace(n, recs, core.NewSet(n))
 }
 
-func needSenders(count, n int, e *Expr) (int, error) {
-	if count > n {
-		return 0, fmt.Errorf("hoalg: violating %q needs %d omitting senders but n=%d", e, count, n)
+// maxStab is the largest stab of any eventually node in e, 0 without one.
+func maxStab(e *Expr) int {
+	m := 0
+	if e.Op == OpEventually {
+		m = e.Args[0]
 	}
-	return count, nil
+	for _, k := range e.Kids {
+		m = max(m, maxStab(k))
+	}
+	return m
 }

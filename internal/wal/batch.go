@@ -38,9 +38,9 @@ type BatchEntry struct {
 // AppendBatch appends every entry and returns the sequence number of the
 // first (entries get contiguous numbers from it). The whole batch is
 // written with one Write call and, under SyncAlways, made durable with
-// one Sync — when AppendBatch returns, every entry enjoys the same
-// durability an individual Append would have had, at one fsync for the
-// lot. An empty batch is a no-op returning the next sequence number.
+// one Sync — when AppendBatch returns, every entry is durable per the
+// log's SyncMode, at one fsync for the lot. An empty batch is a no-op
+// returning the next sequence number.
 //
 // Like Append, AppendBatch must only be called from the log's single
 // writer; Group provides the concurrent front-end.
@@ -55,7 +55,7 @@ func (l *Log) AppendBatch(entries []BatchEntry) (uint64, error) {
 	size := 0
 	for _, e := range entries {
 		if len(e.Payload) > MaxPayload {
-			return 0, fmt.Errorf("wal: batch payload %d exceeds max %d", len(e.Payload), MaxPayload)
+			return 0, fmt.Errorf("wal: payload %d exceeds max %d", len(e.Payload), MaxPayload)
 		}
 		size += frameSize + len(e.Payload)
 	}
@@ -69,14 +69,14 @@ func (l *Log) AppendBatch(entries []BatchEntry) (uint64, error) {
 		seq++
 	}
 	if _, err := l.f.Write(buf); err != nil {
-		return 0, fmt.Errorf("wal: append batch: %w", err)
+		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.batchBuf = buf[:0]
 	l.segSize += size
 	l.nextSeq = seq
 	if l.opts.Sync == SyncAlways {
 		if err := l.f.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: sync batch: %w", err)
+			return 0, fmt.Errorf("wal: sync: %w", err)
 		}
 		l.syncedSeq = seq - 1
 	}

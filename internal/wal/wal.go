@@ -243,34 +243,10 @@ func Open(dir string, opts Options) (*Log, []Record, *ReplayReport, error) {
 	return l, recs, rep, nil
 }
 
-// Append writes one record and returns its sequence number. The record is
-// durable per the configured SyncMode.
+// Append writes one record and returns its sequence number: a one-entry
+// AppendBatch. The record is durable per the configured SyncMode.
 func (l *Log) Append(kind uint8, payload []byte) (uint64, error) {
-	if l.closed {
-		return 0, errors.New("wal: append to closed log")
-	}
-	if len(payload) > MaxPayload {
-		return 0, fmt.Errorf("wal: payload %d exceeds max %d", len(payload), MaxPayload)
-	}
-	seq := l.nextSeq
-	frame := appendFrame(nil, seq, kind, payload)
-	if _, err := l.f.Write(frame); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	l.segSize += len(frame)
-	l.nextSeq++
-	if l.opts.Sync == SyncAlways {
-		if err := l.f.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: sync: %w", err)
-		}
-		l.syncedSeq = seq
-	}
-	if l.segSize >= l.opts.segmentBytes() {
-		if err := l.rotate(); err != nil {
-			return 0, err
-		}
-	}
-	return seq, nil
+	return l.AppendBatch([]BatchEntry{{Kind: kind, Payload: payload}})
 }
 
 // Sync flushes the open segment to stable storage, advancing the

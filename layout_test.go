@@ -37,14 +37,14 @@ func TestRootHoldsOnlyTests(t *testing.T) {
 }
 
 // TestConfigFieldsHaveSetters keeps the options pruned: an exported field of
-// an internal/* struct named …Config or …Options must be set — as a keyed
-// literal field or by assignment — by a non-test file outside the declaring
-// package (cmd/, examples/, bench/ or another internal package). A field
-// only its own package's tests set is unexported; one nothing sets is a
-// constant. Types are resolved from syntax alone: pkg.Type{…} through the
-// file's imports, and an assignment x.F = … counts for every such type with
-// a field F that the file can name. kept lists the exceptions, each with who
-// sets it instead.
+// an internal/* struct named …Config, …Options or …Policy must be set — as
+// a keyed literal field or by assignment — by a non-test file outside the
+// declaring package (cmd/, examples/, bench/ or another internal package).
+// A field only its own package's tests set is unexported; one nothing sets
+// is a constant. Types are resolved from syntax alone: pkg.Type{…} through
+// the file's imports, and an assignment x.F = … counts for every such type
+// with a field F that the file can name. kept lists the exceptions, each
+// with who sets it instead.
 func TestConfigFieldsHaveSetters(t *testing.T) {
 	kept := map[string]string{
 		"internal/serve.Config.ClientListener":         "serve.StartCluster, from ClusterConfig",
@@ -125,7 +125,8 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 				}
 				st, ok := ts.Type.(*ast.StructType)
 				if !ok || !strings.HasPrefix(dir, "internal/") ||
-					!strings.HasSuffix(ts.Name.Name, "Config") && !strings.HasSuffix(ts.Name.Name, "Options") {
+					!strings.HasSuffix(ts.Name.Name, "Config") && !strings.HasSuffix(ts.Name.Name, "Options") &&
+						!strings.HasSuffix(ts.Name.Name, "Policy") {
 					continue
 				}
 				for _, fl := range st.Fields.List {
@@ -214,7 +215,7 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	sort.Strings(unset)
 	sort.Strings(stale)
 	if len(unset) > 0 {
-		t.Errorf("%d of %d exported Config/Options fields are set by no non-test file outside their package:\n  %s",
+		t.Errorf("%d of %d exported Config/Options/Policy fields are set by no non-test file outside their package:\n  %s",
 			len(unset), total, strings.Join(unset, "\n  "))
 	}
 	if len(stale) > 0 {
