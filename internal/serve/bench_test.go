@@ -33,7 +33,8 @@ func benchCluster(b *testing.B, maxInflight int) *Cluster {
 // write path itself is included.
 //
 // serial is one client round-tripping one instance at a time — pure
-// latency. throughput is many concurrent clients over disjoint
+// latency; it also reports the cluster's mesh frames (sheds counted) and
+// journal commits per decide. throughput is many concurrent clients over disjoint
 // instances, the shape the sharded instance table, the WAL group
 // commit, and the multi-event turn exist for; it reports
 // decides/sec and is tracked against serial in BENCH_core.json.
@@ -47,6 +48,7 @@ func BenchmarkServeDecide(b *testing.B) {
 		if _, err := c.Submit("warm", "warm", 0); err != nil {
 			b.Fatalf("warmup: %v", err)
 		}
+		frames, commits := meshAndJournal(cl)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -59,7 +61,11 @@ func BenchmarkServeDecide(b *testing.B) {
 				b.Fatalf("submit %d: status %s", i, resp.Status)
 			}
 		}
+		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decides/sec")
+		f, j := meshAndJournal(cl)
+		b.ReportMetric(float64(f-frames)/float64(b.N), "frames/decide")
+		b.ReportMetric(float64(j-commits)/float64(b.N), "commits/decide")
 	})
 
 	b.Run("throughput", func(b *testing.B) {
@@ -109,6 +115,17 @@ func BenchmarkServeDecide(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decides/sec")
 	})
+}
+
+// meshAndJournal sums the cluster's mesh frames, sheds counted, and its
+// journal commits.
+func meshAndJournal(cl *Cluster) (frames, commits int64) {
+	for _, s := range cl.Servers {
+		ms := s.Mesh().Stats()
+		frames += ms.FramesSent + ms.Sheds
+		commits += s.JournalStats().Batches
+	}
+	return frames, commits
 }
 
 // BenchmarkServeRead measures the read path the way ServeDecide/serial

@@ -180,7 +180,7 @@ func FuzzResponseLine(f *testing.F) {
 // wire has one spelling per message.
 func FuzzPeerMsg(f *testing.F) {
 	f.Add(appendPeerMsg(nil, pmPropose, "i0", 0))
-	f.Add(appendPeerMsg(nil, pmProposeDecided, "x", -7))
+	f.Add(appendPeerMsg(nil, pmProposeQuiet, "x", -7))
 	f.Add(appendPeerMsg(nil, pmDecide, "instance", 1<<40))
 	f.Add(appendPeerBatch(nil, [][]byte{appendPeerMsg(nil, pmPropose, "a", 1), appendPeerMsg(nil, pmDecide, "bb", -1)}))
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -191,20 +192,22 @@ func TestUnobservedDecideBuildsNoEventFields(t *testing.T) {
 
 // TestDecidedProposerIsNotAnswered drives one shard's handlers by hand,
 // as above. A proposal goes only where it can still count. An origin's
-// first proposal asks everyone. A node that opens an instance on a peer's
+// first proposal asks the n−f−1 peers after it in pid order and goes
+// quiet to the others. A node that opens an instance on a peer's
 // proposal and decides it in the same turn answers only that peer, and
 // only if it asked; one still undecided proposes to every node but a
-// proposer that said it had decided. A node that has decided answers a
-// proposer that has not with the decision, and one that has with nothing;
-// an undecided node resends its proposal to a repeated plain proposal only.
+// quiet proposer. A node that has decided answers a proposer that asks
+// with the decision, and a quiet one with nothing; an undecided node
+// resends its proposal to a repeated plain proposal only.
 func TestDecidedProposerIsNotAnswered(t *testing.T) {
-	shard := func(n, f int) (*Server, *shardTable) {
-		addrs := []string{"127.0.0.1:0"}
-		for len(addrs) < n {
-			addrs = append(addrs, "127.0.0.1:1") // no peer listens
+	shard := func(me, n, f int) (*Server, *shardTable) {
+		addrs := make([]string, n)
+		for i := range addrs {
+			addrs[i] = "127.0.0.1:1" // no peer listens
 		}
+		addrs[me] = "127.0.0.1:0"
 		s, err := Start(Config{
-			Me: 0, N: n, F: f, MeshAddrs: addrs,
+			Me: core.PID(me), N: n, F: f, MeshAddrs: addrs,
 			WALDir: t.TempDir(), Shards: 1, InstanceTTL: time.Hour, Seed: 1,
 		})
 		if err != nil {
@@ -213,58 +216,74 @@ func TestDecidedProposerIsNotAnswered(t *testing.T) {
 		t.Cleanup(func() { s.Close() })
 		return s, &s.sh[0]
 	}
-	// sent checks the messages recorded for peer to since it held from.
-	sent := func(tb *shardTable, to, from int, want ...byte) {
-		t.Helper()
-		msgs := tb.out[to][from:]
-		if len(msgs) != len(want) {
-			t.Fatalf("%d messages to node %d, want %d", len(msgs), to, len(want))
-		}
-		for i, m := range msgs {
-			if kind, _, _, err := decodePeerMsg(m); err != nil || kind != want[i] {
-				t.Fatalf("message %d to node %d is kind %d (%v), want %d", i, to, kind, err, want[i])
-			}
-		}
+	cc := &clientConn{}
+	submit := func(s *Server, tb *shardTable, inst string) {
+		s.handle(tb, event{inst: inst, req: "r", val: 7, cc: cc, start: time.Now()})
 	}
 
-	s, tb := shard(3, 1)
-	cc := &clientConn{}
-	s.handle(tb, event{inst: "x", req: "r", val: 7, cc: cc, start: time.Now()})
-	sent(tb, 1, 0, pmPropose)
-	sent(tb, 2, 0, pmPropose)
+	s, tb := shard(0, 3, 1)
+	submit(s, tb, "x") // asks n−f−1 = 1 peer
+	sentKinds(t, tb, 1, 0, pmPropose)
+	sentKinds(t, tb, 2, 0, pmProposeQuiet)
 
 	s.handle(tb, event{from: 1, kind: pmPropose, inst: "y", val: 3}) // opens y and decides it: n−f = 2
-	sent(tb, 1, 1, pmProposeDecided)
-	sent(tb, 2, 1)
-	s.handle(tb, event{from: 2, kind: pmProposeDecided, inst: "y", val: 4})
-	sent(tb, 2, 1)
+	sentKinds(t, tb, 1, 1, pmProposeQuiet)
+	sentKinds(t, tb, 2, 1)
+	s.handle(tb, event{from: 2, kind: pmProposeQuiet, inst: "y", val: 4})
+	sentKinds(t, tb, 2, 1)
 	s.handle(tb, event{from: 2, kind: pmPropose, inst: "y", val: 4})
-	sent(tb, 2, 1, pmDecide)
+	sentKinds(t, tb, 2, 1, pmDecide)
 	if _, _, val, _ := decodePeerMsg(tb.out[2][1]); val != 3 {
 		t.Fatalf("the undecided proposer is told %d, want the decision 3", val)
 	}
-	s.handle(tb, event{from: 1, kind: pmProposeDecided, inst: "w", val: 6}) // opens w and decides it
-	sent(tb, 1, 1, pmProposeDecided)
-	sent(tb, 2, 1, pmDecide)
+	s.handle(tb, event{from: 1, kind: pmProposeQuiet, inst: "w", val: 6}) // opens w and decides it
+	sentKinds(t, tb, 1, 1, pmProposeQuiet)
+	sentKinds(t, tb, 2, 1, pmDecide)
 	if st := s.Stats(); st.Decisions != 2 {
 		t.Fatalf("%d decisions, want y and w", st.Decisions)
 	}
 
-	s, tb = shard(4, 1)
-	s.handle(tb, event{from: 1, kind: pmProposeDecided, inst: "z", val: 5}) // opens z: 2 of n−f = 3
-	sent(tb, 1, 0)
-	sent(tb, 2, 0, pmPropose)
-	sent(tb, 3, 0, pmPropose)
-	s.handle(tb, event{from: 1, kind: pmProposeDecided, inst: "z", val: 5})
-	sent(tb, 1, 0)
+	s, tb = shard(0, 4, 1)
+	s.handle(tb, event{from: 1, kind: pmProposeQuiet, inst: "z", val: 5}) // opens z: 2 of n−f = 3
+	sentKinds(t, tb, 1, 0)
+	sentKinds(t, tb, 2, 0, pmPropose)
+	sentKinds(t, tb, 3, 0, pmPropose)
+	s.handle(tb, event{from: 1, kind: pmProposeQuiet, inst: "z", val: 5})
+	sentKinds(t, tb, 1, 0)
 	s.handle(tb, event{from: 1, kind: pmPropose, inst: "z", val: 5})
-	sent(tb, 1, 0, pmPropose)
+	sentKinds(t, tb, 1, 0, pmPropose)
 	s.handle(tb, event{from: 2, kind: pmPropose, inst: "v", val: 8}) // opens v undecided: asks everyone
-	sent(tb, 1, 1, pmPropose)
-	sent(tb, 2, 1, pmPropose)
-	sent(tb, 3, 1, pmPropose)
+	sentKinds(t, tb, 1, 1, pmPropose)
+	sentKinds(t, tb, 2, 1, pmPropose)
+	sentKinds(t, tb, 3, 1, pmPropose)
+	submit(s, tb, "u") // asks n−f−1 = 2 peers
+	sentKinds(t, tb, 1, 2, pmPropose)
+	sentKinds(t, tb, 2, 2, pmPropose)
+	sentKinds(t, tb, 3, 2, pmProposeQuiet)
 	if st := s.Stats(); st.Decisions != 0 || st.PeerProposes != 4 {
 		t.Fatalf("stats %+v, want no decision and 4 peer proposals", st)
+	}
+
+	s, tb = shard(2, 4, 1)
+	submit(s, tb, "t") // the peers after 2 in pid order: 3, then 0
+	sentKinds(t, tb, 3, 0, pmPropose)
+	sentKinds(t, tb, 0, 0, pmPropose)
+	sentKinds(t, tb, 1, 0, pmProposeQuiet)
+	sentKinds(t, tb, 2, 0)
+}
+
+// sentKinds checks the kinds of the messages the turn holds for peer to
+// since it held from.
+func sentKinds(t *testing.T, tb *shardTable, to, from int, want ...byte) {
+	t.Helper()
+	msgs := tb.out[to][from:]
+	if len(msgs) != len(want) {
+		t.Fatalf("%d messages to node %d, want %d", len(msgs), to, len(want))
+	}
+	for i, m := range msgs {
+		if kind, _, _, err := decodePeerMsg(m); err != nil || kind != want[i] {
+			t.Fatalf("message %d to node %d is kind %d (%v), want %d", i, to, kind, err, want[i])
+		}
 	}
 }
 

@@ -11,18 +11,24 @@
 // the first n−f proposals it gathers. Views that contain n−f of the n
 // proposals overlap enough that at most f+1 distinct minima exist, so
 // k-agreement holds for k ≥ f+1 — the same eq. (3) argument the
-// simulation stack checks, here per instance. A node still undecided
-// when it opens an instance proposes to every peer but one that said it
-// had decided; a node that decides in the turn it opens an instance on a
-// peer's proposal answers only that peer, and only if it asked. So the
-// node a client asked has proposed to all, every live peer answers it,
-// and with n−f live nodes it fills its own view: a decision is not
-// announced. It is sent only in reply, to a peer that proposes for an
-// instance already decided here and says it has not decided (a straggler,
-// a restarted node, an origin resubmitting); adopting it merges decision
-// sets and never widens them. A node that never hears the origin (its
-// frame shed, or the origin dead mid-send) learns the instance that way
-// too, once a client asks it, as a restarted node does.
+// simulation stack checks, here per instance. The node a client asks
+// (the origin) asks only the n−f−1 peers whose answers fill its view: the
+// first ones after it in pid order that its shard does not suspect. It
+// sends the f others a quiet proposal, which they open, journal and
+// decide but never answer. If the view has not filled at the instance's
+// hedge, a fixed fraction of the request's deadline, the origin suspects
+// the asked peers it has not heard and proposes to every peer again,
+// asking each; any message from a suspected peer clears its suspicion. A
+// node still undecided when it opens an instance on a peer's proposal
+// proposes to every peer but a quiet proposer; one that decides in that
+// turn answers only the proposer, and only if it asked. So with n−f live
+// nodes the origin fills its own view, at the latest after its hedge: a
+// decision is not announced. It is sent only in reply, to a peer that
+// proposes for an instance already decided here and asks (a straggler, a
+// restarted node, a hedging or resubmitting origin); adopting it merges
+// decision sets and never widens them. A node that never hears the origin
+// (its frame shed, or the origin dead mid-send) learns the instance that
+// way too, once a client asks it, as a restarted node does.
 //
 // A shard loop works in turns — drain the event queue, compute, emit
 // once. Handlers touch only the shard's table and record their effects in
@@ -226,6 +232,10 @@ type Stats struct {
 	// Queries counts query requests.
 	Queries int64
 
+	// Hedges counts fresh instances still undecided at their hedge, and
+	// so proposed again to every peer.
+	Hedges int64
+
 	// RecoveredDecisions counts the decisions replayed from the journal
 	// at start; Incarnation is boots+1.
 	RecoveredDecisions int64
@@ -239,7 +249,7 @@ type counters struct {
 	decisions, adopted, ackedDecisions atomic.Int64
 	overloads, abstains, evictions     atomic.Int64
 	peerProposes, peerSheds            atomic.Int64
-	queries                            atomic.Int64
+	queries, hedges                    atomic.Int64
 }
 
 // instance is one in-flight agreement instance: one round's state, held
@@ -250,6 +260,7 @@ type instance struct {
 	id       string
 	proposal int
 	view     agreement.Row // the proposals heard, by pid (includes self)
+	asked    core.Set      // the peers a fresh instance's first proposal asked
 	waiters  []waiter
 	start    time.Time // it expires InstanceTTL later
 	// gen counts the record's tenants: freeing the record starts the next
@@ -293,7 +304,11 @@ type shardTable struct {
 	mu        sync.Mutex
 	decided   map[string]int // durable decisions only: flush adds a turn's
 
-	due deadlines // every TTL and request deadline of the shard (turn.go)
+	due deadlines // every TTL, hedge and request deadline of the shard (turn.go)
+
+	// suspect holds the peers a hedge found silent, until they are heard
+	// from again; fresh instances ask them last.
+	suspect core.Set
 
 	turn // what this turn's handlers want externalized
 }
@@ -435,6 +450,7 @@ func newServer(cfg Config, js *JournalState) *Server {
 			inflight:  make(map[string]*instance),
 			proposals: make(map[string]int),
 			decided:   make(map[string]int),
+			suspect:   core.NewSet(cfg.N),
 			turn:      turn{fresh: make(map[string]int), out: make([][][]byte, cfg.N)},
 		}
 	}
@@ -499,6 +515,7 @@ func (s *Server) Stats() Stats {
 		PeerProposes:       s.ctr.peerProposes.Load(),
 		PeerSheds:          s.ctr.peerSheds.Load(),
 		Queries:            s.ctr.queries.Load(),
+		Hedges:             s.ctr.hedges.Load(),
 		RecoveredDecisions: int64(len(s.recovered)),
 		Incarnation:        s.incarnation,
 	}
@@ -608,13 +625,70 @@ func (s *Server) onSubmit(t *shardTable, ev event) {
 	ins.waiters = append(ins.waiters, waiter{req: req, cc: ev.cc, start: ev.start})
 	t.schedule(deadline{at: ev.start.Add(d), ins: ins, gen: ins.gen, req: req})
 
+	// Proposed once the instance could decide. A fresh instance still
+	// undecided asks only the quorum it needs, and hedges. A re-submission
+	// while in flight re-sends our proposal to every peer, as the hedge
+	// does: cheap, it re-seeds peers that restarted mid-instance, and a
+	// peer that has decided meanwhile answers it with the decision.
 	prop := ins.proposal
-	s.maybeDecide(t, ins)
-	// Proposed once the instance could decide. A re-submission while in
-	// flight re-sends our proposal: cheap, it re-seeds peers that
-	// restarted mid-instance, and a peer that has decided meanwhile
-	// answers it with the decision.
-	s.proposeAll(t, id, prop, nobody)
+	if s.maybeDecide(t, ins) || open {
+		s.proposeAll(t, id, prop, nobody)
+		return
+	}
+	s.ask(t, ins)
+	t.schedule(deadline{at: ev.start.Add(d / hedgeFraction), ins: ins, gen: ins.gen, hedge: true})
+}
+
+// hedgeFraction places a fresh instance's hedge at this fraction of its
+// request's deadline: 250 ms of the default 2 s.
+const hedgeFraction = 8
+
+// ask sends a fresh, undecided instance's first proposal: pmPropose to
+// the n−f−1 peers whose answers fill its view, pmProposeQuiet to the
+// others. The asked are the first unsuspected peers in pid order after
+// this node, then the first suspected ones if too few are unsuspected;
+// the instance keeps them for its hedge.
+func (s *Server) ask(t *shardTable, ins *instance) {
+	n, me, need := s.cfg.N, int(s.cfg.Me), s.cfg.N-s.cfg.F-1
+	for _, suspected := range []bool{false, true} {
+		for i := 1; i < n && need > 0; i++ {
+			if p := core.PID((me + i) % n); t.suspect.Has(p) == suspected {
+				ins.asked.Add(p)
+				need--
+			}
+		}
+	}
+	ask, quiet := t.message(pmPropose, ins.id, ins.proposal), t.message(pmProposeQuiet, ins.id, ins.proposal)
+	for p := range t.out {
+		switch to := core.PID(p); {
+		case to == s.cfg.Me:
+		case ins.asked.Has(to):
+			t.send(to, ask)
+		default:
+			t.send(to, quiet)
+		}
+	}
+}
+
+// hedge fires for a fresh instance still undecided: the asked peers not
+// heard from become suspected in this shard, and the proposal goes to
+// every peer again, asking each — which also resends one a full send
+// queue shed.
+func (s *Server) hedge(t *shardTable, ins *instance) {
+	s.ctr.hedges.Add(1)
+	var unanswered []int // for an observer only
+	for p := range t.out {
+		if to := core.PID(p); ins.asked.Has(to) && !ins.view.Heard.Has(to) {
+			t.suspect.Add(to)
+			if s.cfg.Observer != nil {
+				unanswered = append(unanswered, p)
+			}
+		}
+	}
+	if s.cfg.Observer != nil {
+		s.event("serve.hedge", map[string]any{"unanswered": unanswered})
+	}
+	s.proposeAll(t, ins.id, ins.proposal, nobody)
 }
 
 // admit reserves room for one more instance under the global in-flight
@@ -639,13 +713,13 @@ const nobody core.PID = -1
 
 // proposal encodes this node's proposal prop for instance id. Once the
 // instance is decided here, in this turn or earlier, it goes as
-// pmProposeDecided: the node has nothing left to learn, so no peer answers
+// pmProposeQuiet: the node has nothing left to learn, so no peer answers
 // it. It takes the id and proposal, not the instance: a decided instance's
 // record is already free.
 func (t *shardTable) proposal(id string, prop int) []byte {
 	kind := pmPropose
 	if _, done := t.lookup(id); done {
-		kind = pmProposeDecided
+		kind = pmProposeQuiet
 	}
 	return t.message(kind, id, prop)
 }
@@ -678,7 +752,10 @@ func (s *Server) openInstance(t *shardTable, id string, val int) *instance {
 	if k := len(t.free); k > 0 {
 		ins, t.free = t.free[k-1], t.free[:k-1]
 	} else {
-		ins = &instance{view: agreement.Row{Heard: core.NewSet(s.cfg.N), Vals: make([]int, s.cfg.N)}}
+		ins = &instance{
+			view:  agreement.Row{Heard: core.NewSet(s.cfg.N), Vals: make([]int, s.cfg.N)},
+			asked: core.NewSet(s.cfg.N),
+		}
 	}
 	ins.id, ins.proposal, ins.start = id, prop, time.Now()
 	ins.view.Heard.Add(s.cfg.Me)
@@ -696,6 +773,7 @@ func (s *Server) settle(t *shardTable, ins *instance) {
 	ins.gen++
 	ins.id = ""
 	ins.view.Heard.Clear()
+	ins.asked.Clear()
 	clear(ins.waiters)
 	ins.waiters = ins.waiters[:0]
 	t.free = append(t.free, ins)
@@ -710,10 +788,11 @@ func (s *Server) dup(req, inst string, val int) Response {
 }
 
 func (s *Server) onPeer(t *shardTable, ev event) {
+	t.suspect.Remove(ev.from) // heard from
 	switch ev.kind {
-	case pmPropose, pmProposeDecided:
+	case pmPropose, pmProposeQuiet:
 		s.ctr.peerProposes.Add(1)
-		asks := ev.kind == pmPropose // a decided proposer is never answered
+		asks := ev.kind == pmPropose // a quiet proposer is never answered
 		if val, ok := t.lookup(ev.inst); ok {
 			// The one place a decision is announced: to a peer still
 			// undecided and proposing for an instance this node has
@@ -747,7 +826,7 @@ func (s *Server) onPeer(t *shardTable, ev event) {
 		switch {
 		case !open && decided:
 			// Closed in the turn it opened: our proposal can still count
-			// only at the proposer, and only if it has not decided. A
+			// only at the proposer, and only if it asked. A
 			// sibling peer has heard the proposer too, or learns the
 			// instance when a client asks it (a plain pmPropose answered
 			// with pmDecide), as a restarted node does.
@@ -757,12 +836,12 @@ func (s *Server) onPeer(t *shardTable, ev event) {
 		case !open:
 			skip := nobody
 			if !asks {
-				skip = ev.from // it has decided: our proposal would go unread
+				skip = ev.from // it wants no answer: it has decided, or asked others
 			}
 			s.proposeAll(t, ev.inst, prop, skip)
 		case seen && asks:
-			// A repeated proposal is a peer that lost our answer (or a
-			// restart): resend ours directly rather than re-flooding.
+			// A repeated proposal is a peer that lost our answer (a
+			// hedge, a restart): resend ours directly, not to all.
 			t.send(ev.from, t.proposal(ev.inst, prop))
 		}
 	case pmDecide:
@@ -851,6 +930,10 @@ func (s *Server) expire(t *shardTable, now time.Time) {
 		ins := d.ins
 		if d.gen != ins.gen {
 			continue // dead: decided or evicted meanwhile
+		}
+		if d.hedge {
+			s.hedge(t, ins)
+			continue
 		}
 		if d.req == "" {
 			if s.cfg.Observer != nil {

@@ -49,7 +49,7 @@ func TestWireRoundTrips(t *testing.T) {
 		{pmPropose, "i0", 0},
 		{pmDecide, "instance-with-a-longer-name", -12345},
 		{pmPropose, "x", 1 << 40},
-		{pmProposeDecided, "decided-here", -1},
+		{pmProposeQuiet, "decided-here", -1},
 	} {
 		b := appendPeerMsg(nil, tc.kind, tc.inst, tc.val)
 		kind, inst, val, err := decodePeerMsg(b)

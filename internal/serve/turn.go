@@ -94,16 +94,17 @@ func (t *shardTable) read(inst string) (int, bool) {
 }
 
 // deadline is one entry of a shard's deadline heap: the TTL of the
-// instance in record ins during its tenancy gen, or, when req is set, the
-// deadline of its waiter for request req (a submit always names its
-// request, so "" is free to mean the TTL). It is dead once that instance
-// has settled — the record has moved on to a later tenancy — or no waiter
-// for req is attached any more.
+// instance in record ins during its tenancy gen; its hedge, when hedge is
+// set; or, when req is set, the deadline of its waiter for request req (a
+// submit always names its request, so "" is free to mean the TTL). It is
+// dead once that instance has settled — the record has moved on to a
+// later tenancy — or no waiter for req is attached any more.
 type deadline struct {
-	at  time.Time
-	ins *instance
-	gen uint32
-	req string
+	at    time.Time
+	ins   *instance
+	gen   uint32
+	hedge bool
+	req   string
 }
 
 func (d *deadline) dead() bool {

@@ -3,12 +3,16 @@ package serve
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/netsub"
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -73,23 +77,30 @@ func TestRefusedAppendExternalizesNothing(t *testing.T) {
 	warm(t, cl, c)
 
 	// The warm-up is over once every proposal has been handled — the
-	// origin's to each peer and each peer's answer — and the last frame
-	// has left.
+	// origin's plain one to node 1 and quiet one to node 2, and node 1's
+	// answer — and the last frame has left. Node 2 answers nothing.
 	s := cl.Servers[0]
 	waitFor(t, "the warm-up's proposals", func() bool {
-		var n int64
 		for _, sv := range cl.Servers {
-			n += sv.Stats().PeerProposes
+			if sv.Stats().PeerProposes != 1 {
+				return false
+			}
 		}
-		return n == 4
+		return true
 	})
-	frames := int64(-1)
+	var frames []int64 // by node
 	waitFor(t, "the warm-up's last frames", func() bool {
 		prev := frames
 		time.Sleep(20 * time.Millisecond)
-		frames = s.Mesh().Stats().FramesSent
-		return frames == prev
+		frames = nil
+		for _, sv := range cl.Servers {
+			frames = append(frames, sv.Mesh().Stats().FramesSent)
+		}
+		return slices.Equal(frames, prev)
 	})
+	if want := []int64{2, 1, 0}; !slices.Equal(frames, want) {
+		t.Fatalf("nodes sent %v frames in the warm-up, want %v", frames, want)
+	}
 	proposes := cl.Servers[1].Stats().PeerProposes + cl.Servers[2].Stats().PeerProposes
 	s.group.Close()
 
@@ -112,8 +123,9 @@ func TestRefusedAppendExternalizesNothing(t *testing.T) {
 		}
 	}()
 
-	// The turn that handles this submit records a proposal record and a
-	// proposal to each peer; the append is refused.
+	// The turn that handles this submit records a proposal record, a
+	// plain proposal to node 1 and a quiet one to node 2; the append is
+	// refused.
 	if resp, err := c.Submit("doomed", "r", 7); err == nil {
 		t.Fatalf("submit on a refused journal was answered: %+v", resp)
 	}
@@ -123,8 +135,8 @@ func TestRefusedAppendExternalizesNothing(t *testing.T) {
 		t.Fatal("server kept serving after its journal refused an append")
 	}
 	<-reads
-	if got := s.Mesh().Stats().FramesSent; got != frames {
-		t.Fatalf("refused turn sent %d frames", got-frames)
+	if got := s.Mesh().Stats().FramesSent; got != frames[0] {
+		t.Fatalf("refused turn sent %d frames", got-frames[0])
 	}
 	if got := cl.Servers[1].Stats().PeerProposes + cl.Servers[2].Stats().PeerProposes; got != proposes {
 		t.Fatalf("peers heard %d proposals of a refused turn", got-proposes)
@@ -136,12 +148,13 @@ func TestRefusedAppendExternalizesNothing(t *testing.T) {
 
 // TestFramesAndCommitsPerDecide pins what a serial fresh decide costs a
 // fault-free cluster with n−f = 2. On the mesh: the origin's proposal to
-// each peer, and one answer from each (a peer decides in the turn it opens
-// the instance, so its proposal can count only at the origin), with no
-// decision reply: 2(n−1) frames, sheds counted. In each journal: two
+// each peer, and one answer, from the n−f−1 = 1 peer it asked (a peer
+// decides in the turn it opens the instance, so its proposal can count
+// only at the origin; the f quiet peers answer nothing), with no decision
+// reply: (n−1)+(n−f−1) frames, sheds counted. In each journal: two
 // records for every instance the node heard of, the origin's in two
-// commits, a peer's in one. A frame the origin sheds is never resent, and
-// the peer that misses it never hears of that instance, so the records are
+// commits, a peer's in one. A peer that misses a frame the origin shed
+// hears of that instance only if the origin hedges, so the records are
 // checked node by node.
 func TestFramesAndCommitsPerDecide(t *testing.T) {
 	for _, shape := range []struct{ n, f int }{{3, 1}, {4, 2}} {
@@ -199,7 +212,7 @@ func framesAndCommitsPerDecide(t *testing.T, n, f int) {
 	if got := after.decisions - before.decisions; got != decides {
 		t.Fatalf("the origin decided %d of %d instances", got, decides)
 	}
-	if perDecide, want := float64(after.frames-before.frames)/decides, float64(2*(n-1)); perDecide > want {
+	if perDecide, want := float64(after.frames-before.frames)/decides, float64(n-1+n-f-1); perDecide > want {
 		t.Fatalf("%.2f mesh frames per decide, want <= %.0f", perDecide, want)
 	}
 	if perDecide, want := float64(after.commits-before.commits)/decides, float64(n+1); perDecide > want {
@@ -384,4 +397,140 @@ func TestStoppedServerLeavesNothingBehind(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
+}
+
+// TestHedgeOutlivesDeadAskedPeer: a 3-node origin asks one peer, the
+// next in pid order. With that peer dead, a fresh submit decides at the
+// origin's hedge, well inside its deadline: the hedge proposes to the
+// quiet peer too, which has decided and answers with the decision. The
+// dead peer is then suspected, so the next fresh submits ask the live one
+// and hedge no more. The restarted peer's first message clears the
+// suspicion, and the origin asks it again.
+func TestHedgeOutlivesDeadAskedPeer(t *testing.T) {
+	cl := fastCluster(t, func(cc *ClusterConfig) { cc.Shards = 1 }) // one suspect set a node
+	c0 := clientOf(cl, 0)
+	defer c0.Close()
+	warm(t, cl, c0)
+	s0 := cl.Servers[0]
+
+	cl.Servers[1].Kill()
+	start := time.Now()
+	mustDecide(t, c0, "dead-asked", "r", 1)
+	if took := time.Since(start); took > cl.cfg.RequestTimeout/2 {
+		t.Fatalf("a decide whose asked peer is dead took %v of a %v deadline", took, cl.cfg.RequestTimeout)
+	}
+	if st := s0.Stats(); st.Hedges != 1 || st.Adopted != 1 {
+		t.Fatalf("origin hedged %d and adopted %d, want 1 and 1: the quiet peer's decision", st.Hedges, st.Adopted)
+	}
+	for i := 0; i < 3; i++ {
+		inst := fmt.Sprintf("suspected%d", i)
+		mustDecide(t, c0, inst, inst, i)
+	}
+	if st := s0.Stats(); st.Hedges != 1 || st.Adopted != 1 {
+		t.Fatalf("origin hedged %d and adopted %d with node 1 suspected, want 1 and 1", st.Hedges, st.Adopted)
+	}
+
+	if _, err := cl.Restart(1, nil); err != nil {
+		t.Fatalf("Restart: %v", err)
+	}
+	c1 := clientOf(cl, 1)
+	defer c1.Close()
+	mustDecide(t, c1, "from-1", "r", 5) // node 1 asks node 2, and proposes quietly to node 0
+	waitFor(t, "node 0 to hear node 1", func() bool {
+		_, ok := s0.sh[0].read("from-1")
+		return ok
+	})
+	// A lane counts a frame once written whole, which may be after its
+	// receiver has handled it: node 2's answer to node 1 counts late.
+	quiet := int64(-1)
+	waitFor(t, "node 2's last frame", func() bool {
+		prev := quiet
+		time.Sleep(20 * time.Millisecond)
+		quiet = cl.Servers[2].Mesh().Stats().FramesSent
+		return quiet == prev
+	})
+	mustDecide(t, c0, "asks-1-again", "r", 6)
+	time.Sleep(20 * time.Millisecond) // room for a frame node 2 should not send
+	if got := cl.Servers[2].Mesh().Stats().FramesSent; got != quiet {
+		t.Fatalf("node 2 sent %d frames for a decide that should ask node 1", got-quiet)
+	}
+	if st := s0.Stats(); st.Hedges != 1 {
+		t.Fatalf("origin hedged %d times, want only the first", st.Hedges)
+	}
+}
+
+// hedgeLog keeps the unanswered pids of every serve.hedge event.
+type hedgeLog struct {
+	mu    sync.Mutex
+	hedge [][]int
+}
+
+func (h *hedgeLog) Observe(e obs.Event) {
+	if e.Kind == "serve.hedge" {
+		h.mu.Lock()
+		h.hedge = append(h.hedge, e.Fields["unanswered"].([]int))
+		h.mu.Unlock()
+	}
+}
+
+// TestHedgeResendsShedProposal drives one shard's handlers, flush and
+// deadlines by hand (its loop idles). No peer listens, so each lane holds
+// SendQueue = 1 frame and sheds the rest: the second fresh instance's
+// proposals are shed. At their hedges both instances are proposed to
+// every peer again, asking each, and the silent asked peer is suspected,
+// so the next fresh instance asks the other; a message from the suspect
+// clears it.
+func TestHedgeResendsShedProposal(t *testing.T) {
+	log := &hedgeLog{}
+	s, err := Start(Config{
+		Me: 0, N: 3, F: 1,
+		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
+		Mesh:        netsub.Config{SendQueue: 1},
+		WALDir:      t.TempDir(),
+		Shards:      1,
+		InstanceTTL: time.Hour,
+		Seed:        1,
+		Observer:    log,
+	})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer s.Close()
+	near, _ := tcpPair(t)
+	cc := newClientConn(near)
+	tb := &s.sh[0]
+	submit := func(inst string, start time.Time) {
+		s.handle(tb, event{inst: inst, req: inst, val: 7, cc: cc, start: start})
+	}
+
+	start := time.Now()
+	for _, inst := range []string{"a", "b"} {
+		submit(inst, start)
+		sentKinds(t, tb, 1, 0, pmPropose)
+		sentKinds(t, tb, 2, 0, pmProposeQuiet)
+		s.flush(tb)
+	}
+	if ms := s.Mesh().Stats(); ms.Sheds != 2 {
+		t.Fatalf("%d frames shed, want b's two", ms.Sheds)
+	}
+	s.expire(tb, start.Add(s.cfg.RequestTimeout/hedgeFraction))
+	if st := s.Stats(); st.Hedges != 2 {
+		t.Fatalf("%d hedges, want a's and b's", st.Hedges)
+	}
+	sentKinds(t, tb, 1, 0, pmPropose, pmPropose)
+	sentKinds(t, tb, 2, 0, pmPropose, pmPropose)
+	log.mu.Lock()
+	if want := [][]int{{1}, {1}}; !reflect.DeepEqual(log.hedge, want) {
+		t.Errorf("serve.hedge events name %v unanswered, want %v", log.hedge, want)
+	}
+	log.mu.Unlock()
+	s.flush(tb)
+
+	submit("c", time.Now()) // node 1 is suspected
+	sentKinds(t, tb, 1, 0, pmProposeQuiet)
+	sentKinds(t, tb, 2, 0, pmPropose)
+	s.handle(tb, event{from: 1, kind: pmProposeQuiet, inst: "a", val: 3}) // decides a; node 1 is heard
+	submit("d", time.Now())
+	sentKinds(t, tb, 1, 1, pmPropose)
+	sentKinds(t, tb, 2, 1, pmProposeQuiet)
 }

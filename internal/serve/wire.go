@@ -6,10 +6,13 @@
 // Peer messages ride the existing netsub frame codec as opaque byte
 // slices, so the mesh transport needs no knowledge of the service layer:
 //
-//	kind     uint8          // pmPropose, pmProposeDecided or pmDecide
+//	kind     uint8          // pmPropose, pmProposeQuiet or pmDecide
 //	instance uvarint-len + bytes
 //	value    zigzag varint
 //
+// The two proposal kinds differ only in whether the sender wants an
+// answer: a node that has decided, and an origin writing to the f peers
+// it does not ask, send pmProposeQuiet (byte 4), which nobody answers.
 // The kinds carry no version: every node of a cluster runs the same build.
 //
 // Journal records use the same instance/value encoding under three WAL
@@ -23,10 +26,10 @@ import (
 
 // Peer message kinds.
 const (
-	pmPropose        byte = 1 // "my proposal for instance X is v"
-	pmDecide         byte = 2 // "I decided v for instance X", in reply to a pmPropose for X
-	pmBatch          byte = 3 // coalesced frame: uvarint count, then length-prefixed messages
-	pmProposeDecided byte = 4 // "my proposal for X is v, and I have decided X": not answered
+	pmPropose      byte = 1 // "my proposal for instance X is v; answer me"
+	pmDecide       byte = 2 // "I decided v for instance X", in reply to a pmPropose for X
+	pmBatch        byte = 3 // coalesced frame: uvarint count, then length-prefixed messages
+	pmProposeQuiet byte = 4 // "my proposal for X is v; no answer wanted"
 )
 
 // maxBatchMsgs bounds one pmBatch frame on the decode side; a frame
@@ -121,7 +124,7 @@ func decodePeerMsg(b []byte) (kind byte, inst string, val int, err error) {
 		return 0, "", 0, fmt.Errorf("serve: empty peer message")
 	}
 	kind = b[0]
-	if kind != pmPropose && kind != pmDecide && kind != pmProposeDecided {
+	if kind != pmPropose && kind != pmDecide && kind != pmProposeQuiet {
 		return 0, "", 0, fmt.Errorf("serve: unknown peer message kind %d", kind)
 	}
 	inst, val, rest, err := decodeInstVal(b[1:])
