@@ -67,8 +67,8 @@ baton-race:
 # every sender writes to a connection itself while its lane is idle, the
 # lane's writer only what a sender could not finish: the lane tests and
 # the shedding test as often, at one P and at four. A shard's hedge
-# suspects peers its loop then asks last, while mesh readers post their
-# answers: the hedge tests as often, at one P and at four.
+# suspects peers its loop then asks beyond the quorum, while mesh readers
+# post their answers: the hedge tests as often, at one P and at four.
 readers-race:
 	$(GO) test -race -count 10 -run 'TestConcurrentReaders|TestReadYourWrites' ./internal/serve/
 	$(GO) test -race -count 10 -cpu 1,4 -run TestAdmissionNeverOvershoots ./internal/serve/

@@ -11,24 +11,11 @@
 // the first n−f proposals it gathers. Views that contain n−f of the n
 // proposals overlap enough that at most f+1 distinct minima exist, so
 // k-agreement holds for k ≥ f+1 — the same eq. (3) argument the
-// simulation stack checks, here per instance. The node a client asks
-// (the origin) asks only the n−f−1 peers whose answers fill its view: the
-// first ones after it in pid order that its shard does not suspect. It
-// sends the f others a quiet proposal, which they open, journal and
-// decide but never answer. If the view has not filled at the instance's
-// hedge, a fixed fraction of the request's deadline, the origin suspects
-// the asked peers it has not heard and proposes to every peer again,
-// asking each; any message from a suspected peer clears its suspicion. A
-// node still undecided when it opens an instance on a peer's proposal
-// proposes to every peer but a quiet proposer; one that decides in that
-// turn answers only the proposer, and only if it asked. So with n−f live
-// nodes the origin fills its own view, at the latest after its hedge: a
-// decision is not announced. It is sent only in reply, to a peer that
-// proposes for an instance already decided here and asks (a straggler, a
-// restarted node, a hedging or resubmitting origin); adopting it merges
-// decision sets and never widens them. A node that never hears the origin
-// (its frame shed, or the origin dead mid-send) learns the instance that
-// way too, once a client asks it, as a restarted node does.
+// simulation stack checks, here per instance. The node a client
+// contacts asks only the n−f−1 peers whose answers fill its view, and
+// hedges; a decision is sent only in reply, to a proposer that asks.
+// DESIGN §15 "Instance multiplexing" spells out who proposes to whom,
+// the hedge and the per-shard suspicion.
 //
 // A shard loop works in turns — drain the event queue, compute, emit
 // once. Handlers touch only the shard's table and record their effects in
@@ -307,7 +294,8 @@ type shardTable struct {
 	due deadlines // every TTL, hedge and request deadline of the shard (turn.go)
 
 	// suspect holds the peers a hedge found silent, until they are heard
-	// from again; fresh instances ask them last.
+	// from again; a fresh instance asks them too, beyond the n−f−1 peers
+	// it counts on, so that one back up answers and is cleared.
 	suspect core.Set
 
 	turn // what this turn's handlers want externalized
@@ -636,26 +624,28 @@ func (s *Server) onSubmit(t *shardTable, ev event) {
 		return
 	}
 	s.ask(t, ins)
-	t.schedule(deadline{at: ev.start.Add(d / hedgeFraction), ins: ins, gen: ins.gen, hedge: true})
+	t.schedule(deadline{at: ev.start.Add(s.cfg.RequestTimeout / hedgeFraction), ins: ins, gen: ins.gen, hedge: true})
 }
 
-// hedgeFraction places a fresh instance's hedge at this fraction of its
-// request's deadline: 250 ms of the default 2 s.
+// hedgeFraction places a fresh instance's hedge at this fraction of
+// Config.RequestTimeout, whatever deadline the request names: 250 ms of
+// the default 2 s.
 const hedgeFraction = 8
 
 // ask sends a fresh, undecided instance's first proposal: pmPropose to
-// the n−f−1 peers whose answers fill its view, pmProposeQuiet to the
-// others. The asked are the first unsuspected peers in pid order after
-// this node, then the first suspected ones if too few are unsuspected;
-// the instance keeps them for its hedge.
+// the n−f−1 first unsuspected peers in pid order after this node, whose
+// answers fill its view, and to every suspected peer, whose answer clears
+// its suspicion; pmProposeQuiet to the others. The instance keeps the
+// asked peers for its hedge.
 func (s *Server) ask(t *shardTable, ins *instance) {
 	n, me, need := s.cfg.N, int(s.cfg.Me), s.cfg.N-s.cfg.F-1
-	for _, suspected := range []bool{false, true} {
-		for i := 1; i < n && need > 0; i++ {
-			if p := core.PID((me + i) % n); t.suspect.Has(p) == suspected {
-				ins.asked.Add(p)
-				need--
-			}
+	for i := 1; i < n; i++ {
+		switch p := core.PID((me + i) % n); {
+		case t.suspect.Has(p):
+			ins.asked.Add(p)
+		case need > 0:
+			ins.asked.Add(p)
+			need--
 		}
 	}
 	ask, quiet := t.message(pmPropose, ins.id, ins.proposal), t.message(pmProposeQuiet, ins.id, ins.proposal)

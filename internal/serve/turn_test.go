@@ -403,9 +403,10 @@ func TestStoppedServerLeavesNothingBehind(t *testing.T) {
 // next in pid order. With that peer dead, a fresh submit decides at the
 // origin's hedge, well inside its deadline: the hedge proposes to the
 // quiet peer too, which has decided and answers with the decision. The
-// dead peer is then suspected, so the next fresh submits ask the live one
-// and hedge no more. The restarted peer's first message clears the
-// suspicion, and the origin asks it again.
+// dead peer is then suspected, so the next fresh submits count on the live
+// one and hedge no more. Restarted, the peer has no client of its own: the
+// origin's next decide asks it beyond the quorum, its answer clears the
+// suspicion, and the origin asks it alone again.
 func TestHedgeOutlivesDeadAskedPeer(t *testing.T) {
 	cl := fastCluster(t, func(cc *ClusterConfig) { cc.Shards = 1 }) // one suspect set a node
 	c0 := clientOf(cl, 0)
@@ -430,18 +431,17 @@ func TestHedgeOutlivesDeadAskedPeer(t *testing.T) {
 		t.Fatalf("origin hedged %d and adopted %d with node 1 suspected, want 1 and 1", st.Hedges, st.Adopted)
 	}
 
+	// From here node 2 answers node 0 at most once, for the probe; any
+	// further proposal node 0 hears is node 1's, an answer to the probe or
+	// to a frame node 0's lane held while node 1 was down.
+	heard := s0.Stats().PeerProposes
 	if _, err := cl.Restart(1, nil); err != nil {
 		t.Fatalf("Restart: %v", err)
 	}
-	c1 := clientOf(cl, 1)
-	defer c1.Close()
-	mustDecide(t, c1, "from-1", "r", 5) // node 1 asks node 2, and proposes quietly to node 0
-	waitFor(t, "node 0 to hear node 1", func() bool {
-		_, ok := s0.sh[0].read("from-1")
-		return ok
-	})
+	mustDecide(t, c0, "probe", "r", 5)
+	waitFor(t, "node 0 to hear node 1", func() bool { return s0.Stats().PeerProposes >= heard+2 })
 	// A lane counts a frame once written whole, which may be after its
-	// receiver has handled it: node 2's answer to node 1 counts late.
+	// receiver has handled it: node 2's answer to the probe counts late.
 	quiet := int64(-1)
 	waitFor(t, "node 2's last frame", func() bool {
 		prev := quiet
@@ -476,10 +476,11 @@ func (h *hedgeLog) Observe(e obs.Event) {
 // TestHedgeResendsShedProposal drives one shard's handlers, flush and
 // deadlines by hand (its loop idles). No peer listens, so each lane holds
 // SendQueue = 1 frame and sheds the rest: the second fresh instance's
-// proposals are shed. At their hedges both instances are proposed to
-// every peer again, asking each, and the silent asked peer is suspected,
-// so the next fresh instance asks the other; a message from the suspect
-// clears it.
+// proposals are shed. Its client names a 1 ms deadline, which abstains
+// but moves no hedge. At RequestTimeout/hedgeFraction both instances are
+// proposed to every peer again, asking each, and the silent asked peer is
+// suspected, so the next fresh instance counts on the other and asks the
+// suspect beyond it; a message from the suspect clears it.
 func TestHedgeResendsShedProposal(t *testing.T) {
 	log := &hedgeLog{}
 	s, err := Start(Config{
@@ -499,13 +500,13 @@ func TestHedgeResendsShedProposal(t *testing.T) {
 	near, _ := tcpPair(t)
 	cc := newClientConn(near)
 	tb := &s.sh[0]
-	submit := func(inst string, start time.Time) {
-		s.handle(tb, event{inst: inst, req: inst, val: 7, cc: cc, start: start})
+	submit := func(inst string, start time.Time, timeout int) {
+		s.handle(tb, event{inst: inst, req: inst, val: 7, timeout: timeout, cc: cc, start: start})
 	}
 
 	start := time.Now()
-	for _, inst := range []string{"a", "b"} {
-		submit(inst, start)
+	for i, inst := range []string{"a", "b"} {
+		submit(inst, start, i) // b's client names 1 ms
 		sentKinds(t, tb, 1, 0, pmPropose)
 		sentKinds(t, tb, 2, 0, pmProposeQuiet)
 		s.flush(tb)
@@ -513,7 +514,13 @@ func TestHedgeResendsShedProposal(t *testing.T) {
 	if ms := s.Mesh().Stats(); ms.Sheds != 2 {
 		t.Fatalf("%d frames shed, want b's two", ms.Sheds)
 	}
-	s.expire(tb, start.Add(s.cfg.RequestTimeout/hedgeFraction))
+	hedgeAt := start.Add(s.cfg.RequestTimeout / hedgeFraction)
+	s.expire(tb, hedgeAt.Add(-time.Millisecond))
+	if st := s.Stats(); st.Hedges != 0 || st.Abstains != 1 {
+		t.Fatalf("%d hedges and %d abstains before the hedge, want 0 and b's 1", st.Hedges, st.Abstains)
+	}
+	s.flush(tb)
+	s.expire(tb, hedgeAt)
 	if st := s.Stats(); st.Hedges != 2 {
 		t.Fatalf("%d hedges, want a's and b's", st.Hedges)
 	}
@@ -526,11 +533,11 @@ func TestHedgeResendsShedProposal(t *testing.T) {
 	log.mu.Unlock()
 	s.flush(tb)
 
-	submit("c", time.Now()) // node 1 is suspected
-	sentKinds(t, tb, 1, 0, pmProposeQuiet)
+	submit("c", time.Now(), 0) // node 1 is suspected: asked, but not counted on
+	sentKinds(t, tb, 1, 0, pmPropose)
 	sentKinds(t, tb, 2, 0, pmPropose)
 	s.handle(tb, event{from: 1, kind: pmProposeQuiet, inst: "a", val: 3}) // decides a; node 1 is heard
-	submit("d", time.Now())
+	submit("d", time.Now(), 0)
 	sentKinds(t, tb, 1, 1, pmPropose)
 	sentKinds(t, tb, 2, 1, pmProposeQuiet)
 }
