@@ -66,15 +66,16 @@ baton-race:
 # in flight: the group-commit tests as often, at one P and at four. And
 # every sender writes to a connection itself while its lane is idle, the
 # lane's writer only what a sender could not finish: the lane tests and
-# the shedding test as often, at one P and at four. A shard's hedge
-# suspects peers its loop then asks beyond the quorum, while mesh readers
-# post their answers: the hedge tests as often, at one P and at four.
+# the shedding test as often, at one P and at four. A shard loop asks the
+# peers its mesh hears, reading the inbound table while mesh readers
+# register and drop connections and post answers: the liveness and hedge
+# tests, and the table's own, as often, at one P and at four.
 readers-race:
 	$(GO) test -race -count 10 -run 'TestConcurrentReaders|TestReadYourWrites' ./internal/serve/
 	$(GO) test -race -count 10 -cpu 1,4 -run TestAdmissionNeverOvershoots ./internal/serve/
-	$(GO) test -race -count 10 -cpu 1,4 -run TestHedge ./internal/serve/
+	$(GO) test -race -count 10 -cpu 1,4 -run 'TestDeadPeerIsNotAsked|TestHedge' ./internal/serve/
 	$(GO) test -race -count 10 -cpu 1,4 -run TestGroup ./internal/wal/
-	$(GO) test -race -count 10 -cpu 1,4 -run 'TestLane|TestBackpressureSheds' ./internal/netsub/
+	$(GO) test -race -count 10 -cpu 1,4 -run 'TestLane|TestBackpressureSheds|TestHears' ./internal/netsub/
 
 # The multi-process run, which no test spawns: one OS process per pid over
 # inherited loopback listeners, the highest pid killed and restarted

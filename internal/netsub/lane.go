@@ -3,7 +3,6 @@ package netsub
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -51,16 +50,13 @@ type Lane struct {
 	// process came back as a newer incarnation: whatever connection or
 	// redial sleep the lane is in belongs to the dead one.
 	restarted chan struct{}
-
-	sent atomic.Int64 // counted frames written whole
 }
 
 // queued is one frame waiting for the writer: off of its bytes are on
 // the current connection already.
 type queued struct {
-	b     []byte
-	off   int
-	count bool
+	b   []byte
+	off int
 }
 
 // NewLane returns a lane over conn (nil: none live yet) that queues at
@@ -152,10 +148,7 @@ func (l *Lane) unlock() { l.mu.Unlock() }
 // was written whole, inline), or false when the queue already holds max
 // frames or the lane is closed: b is shed. Push never blocks on the
 // network.
-func (l *Lane) Push(b []byte) (int, bool) { return l.push(b, false) }
-
-// push is Push; a counted frame adds to sent once it is written whole.
-func (l *Lane) push(b []byte, count bool) (int, bool) {
+func (l *Lane) Push(b []byte) (int, bool) {
 	l.scratch = b
 	if l.closed || l.len() >= l.max {
 		l.mu.Unlock()
@@ -171,15 +164,12 @@ func (l *Lane) push(b []byte, count bool) (int, bool) {
 		}
 		if off == len(b) {
 			l.mu.Unlock()
-			if count {
-				l.sent.Add(1)
-			}
 			return 0, true
 		}
 		// A failed write leaves off at 0: the writer meets the same
 		// error and the frame goes whole on the next connection.
 	}
-	l.enqueue(queued{b: append([]byte(nil), b...), off: off, count: count})
+	l.enqueue(queued{b: append([]byte(nil), b...), off: off})
 	n := l.len()
 	l.mu.Unlock()
 	if n == 1 {
@@ -191,8 +181,8 @@ func (l *Lane) push(b []byte, count bool) (int, bool) {
 // Flush is the writer's part, and only the writer calls it: it writes
 // the queue, oldest frame first and up to maxWriteBytes a write, each
 // write within timeout, until the queue is empty or no connection is
-// live. A write that fails returns its error; the frames it finished
-// count as sent, and the one it cut short stays queued whole.
+// live. A write that fails returns its error; the frame it cut short stays
+// queued whole.
 func (l *Lane) Flush(timeout time.Duration) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -227,9 +217,6 @@ func (l *Lane) advance(n int, broken bool) {
 			break
 		} else {
 			n -= rest
-		}
-		if e.count {
-			l.sent.Add(1)
 		}
 		l.q[l.head] = queued{}
 		if l.head++; l.head == len(l.q) {

@@ -19,7 +19,7 @@ import (
 // writer, whose write then blocks. Send never blocks: it queues, and
 // sheds once SendQueue frames wait. When the reader drains, every
 // accepted frame arrives whole, CRC-valid and in send order, and
-// FramesSent counts exactly them.
+// FramesSent counts exactly them, from the moment each is accepted.
 func TestLaneStalledReader(t *testing.T) {
 	const sendQueue, frameBytes, sends = 8, 512 << 10, 32
 	dialed := make(chan *net.TCPConn, 1)
@@ -79,6 +79,9 @@ func TestLaneStalledReader(t *testing.T) {
 	if d := time.Since(start); d > 10*time.Second {
 		t.Fatalf("%d sends to a stalled reader took %v", sends, d)
 	}
+	if st := nd.Stats(); st.FramesSent != int64(len(accepted)) || st.Sheds != int64(sheds) {
+		t.Fatalf("before the drain FramesSent = %d and Sheds = %d, want %d and %d", st.FramesSent, st.Sheds, len(accepted), sheds)
+	}
 
 	// A send buffer this small against loopback's 64 KiB segments drains
 	// slowly; the stall is over.
@@ -98,11 +101,8 @@ func TestLaneStalledReader(t *testing.T) {
 			t.Fatalf("frame %d arrived where %d was due", got, want)
 		}
 	}
-	waitFor(t, "FramesSent to count every accepted frame", func() bool {
-		return nd.Stats().FramesSent == int64(len(accepted))
-	})
-	if st := nd.Stats(); st.Sheds != int64(sheds) {
-		t.Fatalf("Sheds = %d, want %d", st.Sheds, sheds)
+	if st := nd.Stats(); st.FramesSent != int64(len(accepted)) || st.Sheds != int64(sheds) {
+		t.Fatalf("after the drain FramesSent = %d and Sheds = %d, want %d and %d", st.FramesSent, st.Sheds, len(accepted), sheds)
 	}
 }
 

@@ -173,9 +173,9 @@ func (c *Config) fill() error {
 
 // Stats counts one node's transport work. All fields are cumulative.
 type Stats struct {
-	// FramesSent counts data frames written whole, by their sender or
-	// by the lane's writer; FramesReceived counts data frames handed to
-	// Deliver.
+	// FramesSent counts data frames accepted: written inline or queued;
+	// a shed frame is not counted. FramesReceived counts data frames
+	// handed to Deliver.
 	FramesSent, FramesReceived int64
 
 	// Sheds counts sends dropped by backpressure.
@@ -209,8 +209,8 @@ type Node struct {
 	once    sync.Once
 
 	inMu    sync.Mutex
-	inbound map[core.PID]net.Conn
-	seenInc []int // highest incarnation each pid has announced; 0 = none yet
+	inbound []net.Conn // each pid's registered inbound connection, by pid; nil = none
+	seenInc []int      // highest incarnation each pid has announced; 0 = none yet
 
 	hRTT, hQueue *hist.Histogram
 
@@ -244,7 +244,7 @@ func Start(cfg Config) (*Node, error) {
 		recvQ:   make(chan msgnet.Envelope, recvQueue),
 		peers:   make([]*peer, cfg.N),
 		done:    make(chan struct{}),
-		inbound: make(map[core.PID]net.Conn),
+		inbound: make([]net.Conn, cfg.N),
 		seenInc: make([]int, cfg.N),
 	}
 	nd.deliver = nd.enqueue
@@ -292,14 +292,8 @@ func (nd *Node) nanos() int64 { return time.Since(nd.start).Nanoseconds() }
 
 // Stats returns a snapshot of the node's transport counters.
 func (nd *Node) Stats() Stats {
-	sent := nd.framesSent.Load()
-	for _, p := range nd.peers {
-		if p != nil {
-			sent += p.lane.sent.Load()
-		}
-	}
 	return Stats{
-		FramesSent:     sent,
+		FramesSent:     nd.framesSent.Load(),
 		FramesReceived: nd.framesRecv.Load(),
 		Sheds:          nd.sheds.Load(),
 		Dials:          nd.dials.Load(),
@@ -470,7 +464,9 @@ func (nd *Node) Close() error {
 		}
 		nd.inMu.Lock()
 		for _, c := range nd.inbound {
-			c.Close()
+			if c != nil {
+				c.Close()
+			}
 		}
 		nd.inMu.Unlock()
 	})
@@ -529,7 +525,7 @@ func (nd *Node) serveInbound(c net.Conn) {
 
 	// Newest wins: a reconnecting or restarted peer replaces its old
 	// inbound connection, which is closed out from under its reader. Once
-	// Close has swept the map nothing may join it: heartbeats would keep
+	// Close has swept the table nothing may join it: heartbeats would keep
 	// the connection, and Close's wait, alive for ever.
 	nd.inMu.Lock()
 	if nd.closed() {
@@ -540,20 +536,21 @@ func (nd *Node) serveInbound(c net.Conn) {
 		old.Close()
 	}
 	nd.inbound[h.pid] = c
-	prevInc := nd.seenInc[h.pid]
-	nd.seenInc[h.pid] = max(prevInc, h.incarnation)
-	nd.inMu.Unlock()
 	// A newer incarnation means the process our outbound lane was
 	// talking to is gone: the kernel would still accept one write on that
-	// connection and lose it. At first contact nothing older exists.
-	if prevInc != 0 && h.incarnation > prevInc {
+	// connection and lose it. At first contact nothing older exists. The
+	// lane is told before the lock goes, so whoever Hears the peer sends
+	// to the new process.
+	if prevInc := nd.seenInc[h.pid]; prevInc != 0 && h.incarnation > prevInc {
 		nd.peers[h.pid].noteRestart()
 	}
+	nd.seenInc[h.pid] = max(nd.seenInc[h.pid], h.incarnation)
+	nd.inMu.Unlock()
 	nd.hellos.Add(1) // last: whoever reads the count knows the lane was told
 	defer func() {
 		nd.inMu.Lock()
 		if nd.inbound[h.pid] == c {
-			delete(nd.inbound, h.pid)
+			nd.inbound[h.pid] = nil
 		}
 		nd.inMu.Unlock()
 	}()
@@ -591,6 +588,15 @@ func (nd *Node) serveInbound(c net.Conn) {
 			// Duplicate hellos and stray acks are ignored.
 		}
 	}
+}
+
+// Hears reports whether p's inbound connection is registered: p has said
+// hello, and that connection has not broken or gone silent for 4
+// heartbeat intervals since. It is the connection p's frames arrive on.
+func (nd *Node) Hears(p core.PID) bool {
+	nd.inMu.Lock()
+	defer nd.inMu.Unlock()
+	return nd.inbound[p] != nil
 }
 
 // event emits one substrate observer event (round -1, this node's pid).

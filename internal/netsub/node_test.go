@@ -351,12 +351,62 @@ func TestWriterCoalescesQueuedFrames(t *testing.T) {
 	if w := sc.writes.Load() - 1; w >= k {
 		t.Fatalf("%d frames took %d data writes, want fewer", k, w)
 	}
-	// The writer counts a batch once its Write has returned, which may be
-	// after the receiver has read it.
-	for deadline := time.Now().Add(2 * time.Second); nodes[0].Stats().FramesSent != k; {
-		if time.Now().After(deadline) {
-			t.Fatalf("FramesSent = %d, want %d", nodes[0].Stats().FramesSent, k)
+	if got := nodes[0].Stats().FramesSent; got != k {
+		t.Fatalf("FramesSent = %d, want %d", got, k)
+	}
+}
+
+// TestHearsFollowsInboundConnection: p0 hears p1 while p1's inbound
+// connection is registered — not before p1's hello, not once p1 has
+// closed, again once p1 is back as incarnation 2 — and a connection that
+// says hello and then nothing is dropped at the silence bound, 4
+// heartbeat intervals, and not before.
+func TestHearsFollowsInboundConnection(t *testing.T) {
+	lns := make([]net.Listener, 2)
+	addrs := make([]string, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
 		}
-		time.Sleep(time.Millisecond)
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	start := func(pid core.PID) *Node {
+		cfg := testConfig()
+		cfg.Me, cfg.N, cfg.Addrs, cfg.Listener = pid, 2, addrs, lns[pid]
+		nd, err := Start(cfg)
+		if err != nil {
+			t.Fatalf("start p%d: %v", pid, err)
+		}
+		t.Cleanup(func() { nd.Close() })
+		return nd
+	}
+	p0 := start(0)
+	if p0.Hears(1) {
+		t.Fatal("p0 hears p1 before p1 has said hello")
+	}
+	p1 := start(1)
+	waitFor(t, "p0 to hear p1", func() bool { return p0.Hears(1) })
+	p1.Close()
+	waitFor(t, "p0 to stop hearing the closed p1", func() bool { return !p0.Hears(1) })
+	p1 = restartPeer(t, 1, addrs, 2, nil)
+	waitFor(t, "p0 to hear p1's incarnation 2", func() bool { return p0.Hears(1) })
+	p1.Close()
+	waitFor(t, "p0 to stop hearing incarnation 2", func() bool { return !p0.Hears(1) })
+
+	raw, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer raw.Close()
+	hi, _ := AppendFrame(nil, FrameHello, appendHello(nil, hello{pid: 1, n: 2, incarnation: 3}))
+	if _, err := raw.Write(hi); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	said := time.Now()
+	waitFor(t, "p0 to hear the raw connection's hello", func() bool { return p0.Hears(1) })
+	waitFor(t, "p0 to drop the silent connection", func() bool { return !p0.Hears(1) })
+	if silence, took := 4*p0.cfg.HeartbeatEvery, time.Since(said); took < silence {
+		t.Fatalf("a silent connection was dropped %v after its hello, inside the %v silence bound", took, silence)
 	}
 }

@@ -45,9 +45,9 @@ func newPeer(nd *Node, to core.PID, addr string) *peer {
 func (p *peer) noteRestart() { p.lane.restart() }
 
 // push sends the data frame b, built on the lane's Buf, shedding instead
-// of blocking.
+// of blocking. A frame the lane accepts counts as sent.
 func (p *peer) push(b []byte) error {
-	depth, ok := p.lane.push(b, true)
+	depth, ok := p.lane.Push(b)
 	if !ok {
 		p.nd.sheds.Add(1)
 		if p.nd.cfg.Observer != nil {
@@ -55,6 +55,7 @@ func (p *peer) push(b []byte) error {
 		}
 		return &BackpressureError{To: p.to, Cap: p.lane.max}
 	}
+	p.nd.framesSent.Add(1)
 	if p.nd.hQueue != nil {
 		p.nd.hQueue.Record(int64(depth))
 	}
@@ -152,7 +153,7 @@ func (p *peer) serve(conn net.Conn) string {
 				return "write"
 			}
 		case <-hb:
-			p.lane.push(p.nd.appendHeartbeat(p.lane.Buf()), false)
+			p.lane.Push(p.nd.appendHeartbeat(p.lane.Buf()))
 		}
 	}
 }

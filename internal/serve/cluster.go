@@ -69,7 +69,10 @@ type Cluster struct {
 	clientAddrs []string
 }
 
-// StartCluster binds 2n loopback listeners, then starts every server.
+// StartCluster binds 2n loopback listeners, then starts every server, and
+// returns once every node's mesh hears every peer: a fresh instance asks
+// the peers its node hears, so until then even a fault-free cluster asks
+// whichever peer dialled first.
 func StartCluster(cc ClusterConfig) (*Cluster, error) {
 	if cc.N <= 0 {
 		return nil, fmt.Errorf("serve: cluster needs n > 0, got %d", cc.N)
@@ -118,7 +121,26 @@ func StartCluster(cc ClusterConfig) (*Cluster, error) {
 		}
 		cl.Servers[i] = s
 	}
+	const wait = 5 * time.Second
+	for deadline := time.Now().Add(wait); !cl.connected(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			cl.Close()
+			return nil, fmt.Errorf("serve: cluster mesh not connected after %v", wait)
+		}
+	}
 	return cl, nil
+}
+
+// connected reports whether every node hears every peer.
+func (cl *Cluster) connected() bool {
+	for i, s := range cl.Servers {
+		for p := range cl.Servers {
+			if p != i && !s.node.Hears(core.PID(p)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // nodeConfig builds node i's base Config (no listeners attached).

@@ -14,8 +14,8 @@
 // simulation stack checks, here per instance. The node a client
 // contacts asks only the n−f−1 peers whose answers fill its view, and
 // hedges; a decision is sent only in reply, to a proposer that asks.
-// DESIGN §15 "Instance multiplexing" spells out who proposes to whom,
-// the hedge and the per-shard suspicion.
+// DESIGN §15 "Instance multiplexing" spells out who proposes to whom and
+// the hedge.
 //
 // A shard loop works in turns — drain the event queue, compute, emit
 // once. Handlers touch only the shard's table and record their effects in
@@ -247,7 +247,6 @@ type instance struct {
 	id       string
 	proposal int
 	view     agreement.Row // the proposals heard, by pid (includes self)
-	asked    core.Set      // the peers a fresh instance's first proposal asked
 	waiters  []waiter
 	start    time.Time // it expires InstanceTTL later
 	// gen counts the record's tenants: freeing the record starts the next
@@ -291,12 +290,8 @@ type shardTable struct {
 	mu        sync.Mutex
 	decided   map[string]int // durable decisions only: flush adds a turn's
 
-	due deadlines // every TTL, hedge and request deadline of the shard (turn.go)
-
-	// suspect holds the peers a hedge found silent, until they are heard
-	// from again; a fresh instance asks them too, beyond the n−f−1 peers
-	// it counts on, so that one back up answers and is cleared.
-	suspect core.Set
+	due   deadlines // every TTL, hedge and request deadline of the shard (turn.go)
+	heard core.Set  // ask's scratch: the peers the mesh hears
 
 	turn // what this turn's handlers want externalized
 }
@@ -438,7 +433,7 @@ func newServer(cfg Config, js *JournalState) *Server {
 			inflight:  make(map[string]*instance),
 			proposals: make(map[string]int),
 			decided:   make(map[string]int),
-			suspect:   core.NewSet(cfg.N),
+			heard:     core.NewSet(cfg.N),
 			turn:      turn{fresh: make(map[string]int), out: make([][][]byte, cfg.N)},
 		}
 	}
@@ -633,50 +628,40 @@ func (s *Server) onSubmit(t *shardTable, ev event) {
 const hedgeFraction = 8
 
 // ask sends a fresh, undecided instance's first proposal: pmPropose to
-// the n−f−1 first unsuspected peers in pid order after this node, whose
-// answers fill its view, and to every suspected peer, whose answer clears
-// its suspicion; pmProposeQuiet to the others. The instance keeps the
-// asked peers for its hedge.
+// the first n−f−1 peers in pid order after this node that the mesh hears,
+// whose answers fill its view, topped up from the unheard peers in the same
+// order when too few are heard; pmProposeQuiet to the others. It reads each
+// peer's liveness at most once, and none past the n−f−1 heard peers it
+// needs.
 func (s *Server) ask(t *shardTable, ins *instance) {
 	n, me, need := s.cfg.N, int(s.cfg.Me), s.cfg.N-s.cfg.F-1
-	for i := 1; i < n; i++ {
-		switch p := core.PID((me + i) % n); {
-		case t.suspect.Has(p):
-			ins.asked.Add(p)
-		case need > 0:
-			ins.asked.Add(p)
-			need--
+	t.heard.Clear()
+	for i, found := 1, 0; i < n && found < need; i++ {
+		if p := core.PID((me + i) % n); s.node.Hears(p) {
+			t.heard.Add(p)
+			found++
 		}
 	}
+	fill := need - t.heard.Count()
 	ask, quiet := t.message(pmPropose, ins.id, ins.proposal), t.message(pmProposeQuiet, ins.id, ins.proposal)
-	for p := range t.out {
-		switch to := core.PID(p); {
-		case to == s.cfg.Me:
-		case ins.asked.Has(to):
-			t.send(to, ask)
-		default:
-			t.send(to, quiet)
+	for i := 1; i < n; i++ {
+		p, msg := core.PID((me+i)%n), quiet
+		if t.heard.Has(p) {
+			msg = ask
+		} else if fill > 0 {
+			msg, fill = ask, fill-1
 		}
+		t.send(p, msg)
 	}
 }
 
-// hedge fires for a fresh instance still undecided: the asked peers not
-// heard from become suspected in this shard, and the proposal goes to
-// every peer again, asking each — which also resends one a full send
-// queue shed.
+// hedge fires for a fresh instance still undecided: the proposal goes to
+// every peer again, asking each, as an in-flight resubmission does — which
+// also resends one a full send queue shed.
 func (s *Server) hedge(t *shardTable, ins *instance) {
 	s.ctr.hedges.Add(1)
-	var unanswered []int // for an observer only
-	for p := range t.out {
-		if to := core.PID(p); ins.asked.Has(to) && !ins.view.Heard.Has(to) {
-			t.suspect.Add(to)
-			if s.cfg.Observer != nil {
-				unanswered = append(unanswered, p)
-			}
-		}
-	}
 	if s.cfg.Observer != nil {
-		s.event("serve.hedge", map[string]any{"unanswered": unanswered})
+		s.event("serve.hedge", map[string]any{"unheard": ins.view.Heard.Complement().Members()})
 	}
 	s.proposeAll(t, ins.id, ins.proposal, nobody)
 }
@@ -742,10 +727,7 @@ func (s *Server) openInstance(t *shardTable, id string, val int) *instance {
 	if k := len(t.free); k > 0 {
 		ins, t.free = t.free[k-1], t.free[:k-1]
 	} else {
-		ins = &instance{
-			view:  agreement.Row{Heard: core.NewSet(s.cfg.N), Vals: make([]int, s.cfg.N)},
-			asked: core.NewSet(s.cfg.N),
-		}
+		ins = &instance{view: agreement.Row{Heard: core.NewSet(s.cfg.N), Vals: make([]int, s.cfg.N)}}
 	}
 	ins.id, ins.proposal, ins.start = id, prop, time.Now()
 	ins.view.Heard.Add(s.cfg.Me)
@@ -763,7 +745,6 @@ func (s *Server) settle(t *shardTable, ins *instance) {
 	ins.gen++
 	ins.id = ""
 	ins.view.Heard.Clear()
-	ins.asked.Clear()
 	clear(ins.waiters)
 	ins.waiters = ins.waiters[:0]
 	t.free = append(t.free, ins)
@@ -778,7 +759,6 @@ func (s *Server) dup(req, inst string, val int) Response {
 }
 
 func (s *Server) onPeer(t *shardTable, ev event) {
-	t.suspect.Remove(ev.from) // heard from
 	switch ev.kind {
 	case pmPropose, pmProposeQuiet:
 		s.ctr.peerProposes.Add(1)
@@ -899,8 +879,7 @@ func (s *Server) crash() {
 }
 
 // abstain answers one waiter abstain-and-report: the missing
-// n−f−gathered senders are exactly the processes D(i,r) would suspect
-// this round.
+// n−f−gathered senders are the processes this round's D(i,r) would hold.
 func (s *Server) abstain(t *shardTable, ins *instance, w waiter) {
 	s.ctr.abstains.Add(1)
 	t.respond(w.cc, w.start, Response{

@@ -10,15 +10,33 @@ import (
 	"repro/internal/obs/hist"
 )
 
-// bareServer is a server's state with no loop, mesh or journal: a test
-// plays the shard loops by calling the handlers itself.
+// bareServer is a server's state with no loop or journal, and a mesh node
+// that reaches no peer, so it hears none: a test plays the shard loops by
+// calling the handlers itself.
 func bareServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	cfg.WALDir = "unused"
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	return newServer(cfg, &JournalState{Decisions: map[string]int{}, Proposals: map[string]int{}})
+	s := newServer(cfg, &JournalState{Decisions: map[string]int{}, Proposals: map[string]int{}})
+	addrs := make([]string, cfg.N)
+	for i := range addrs {
+		addrs[i] = "127.0.0.1:1" // no peer listens
+	}
+	addrs[cfg.Me] = "127.0.0.1:0"
+	nd, err := netsub.Start(netsub.Config{Me: cfg.Me, N: cfg.N, Addrs: addrs, RedialUnit: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nd.Close() })
+	// Each peer's first dial is refused, and the next waits an hour: from
+	// here the mesh hears nobody and does nothing.
+	for nd.Stats().DialFailures < int64(cfg.N-1) {
+		time.Sleep(time.Millisecond)
+	}
+	s.node = nd
+	return s
 }
 
 // idsOn returns count instance ids, each owned by shard i of s.

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/netsub"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -399,76 +400,54 @@ func TestStoppedServerLeavesNothingBehind(t *testing.T) {
 	}
 }
 
-// TestHedgeOutlivesDeadAskedPeer: a 3-node origin asks one peer, the
-// next in pid order. With that peer dead, a fresh submit decides at the
-// origin's hedge, well inside its deadline: the hedge proposes to the
-// quiet peer too, which has decided and answers with the decision. The
-// dead peer is then suspected, so the next fresh submits count on the live
-// one and hedge no more. Restarted, the peer has no client of its own: the
-// origin's next decide asks it beyond the quorum, its answer clears the
-// suspicion, and the origin asks it alone again.
-func TestHedgeOutlivesDeadAskedPeer(t *testing.T) {
-	cl := fastCluster(t, func(cc *ClusterConfig) { cc.Shards = 1 }) // one suspect set a node
+// TestDeadPeerIsNotAsked: a 3-node origin asks the first peer after it in
+// pid order that its mesh hears. With node 1 dead and its connection gone,
+// a fresh instance in each shard asks node 2 and decides without a hedge or
+// an adopted decision. Restarted with no client of its own, node 1 is heard
+// again, and the origin's next decide asks it: node 2, quiet, sends nothing.
+func TestDeadPeerIsNotAsked(t *testing.T) {
+	cl := fastCluster(t, nil)
 	c0 := clientOf(cl, 0)
 	defer c0.Close()
 	warm(t, cl, c0)
-	s0 := cl.Servers[0]
+	s0, s2 := cl.Servers[0], cl.Servers[2]
 
 	cl.Servers[1].Kill()
-	start := time.Now()
-	mustDecide(t, c0, "dead-asked", "r", 1)
-	if took := time.Since(start); took > cl.cfg.RequestTimeout/2 {
-		t.Fatalf("a decide whose asked peer is dead took %v of a %v deadline", took, cl.cfg.RequestTimeout)
+	waitFor(t, "node 0 to stop hearing node 1", func() bool { return !s0.Mesh().Hears(1) })
+	for shard := range s0.cfg.Shards {
+		inst := idsOn(s0, shard, 1)[0]
+		mustDecide(t, c0, inst, inst, shard)
 	}
-	if st := s0.Stats(); st.Hedges != 1 || st.Adopted != 1 {
-		t.Fatalf("origin hedged %d and adopted %d, want 1 and 1: the quiet peer's decision", st.Hedges, st.Adopted)
-	}
-	for i := 0; i < 3; i++ {
-		inst := fmt.Sprintf("suspected%d", i)
-		mustDecide(t, c0, inst, inst, i)
-	}
-	if st := s0.Stats(); st.Hedges != 1 || st.Adopted != 1 {
-		t.Fatalf("origin hedged %d and adopted %d with node 1 suspected, want 1 and 1", st.Hedges, st.Adopted)
+	if st := s0.Stats(); st.Hedges != 0 || st.Adopted != 0 {
+		t.Fatalf("with node 1 unheard the origin hedged %d and adopted %d, want 0 and 0", st.Hedges, st.Adopted)
 	}
 
-	// From here node 2 answers node 0 at most once, for the probe; any
-	// further proposal node 0 hears is node 1's, an answer to the probe or
-	// to a frame node 0's lane held while node 1 was down.
-	heard := s0.Stats().PeerProposes
 	if _, err := cl.Restart(1, nil); err != nil {
 		t.Fatalf("Restart: %v", err)
 	}
-	mustDecide(t, c0, "probe", "r", 5)
-	waitFor(t, "node 0 to hear node 1", func() bool { return s0.Stats().PeerProposes >= heard+2 })
-	// A lane counts a frame once written whole, which may be after its
-	// receiver has handled it: node 2's answer to the probe counts late.
-	quiet := int64(-1)
-	waitFor(t, "node 2's last frame", func() bool {
-		prev := quiet
-		time.Sleep(20 * time.Millisecond)
-		quiet = cl.Servers[2].Mesh().Stats().FramesSent
-		return quiet == prev
-	})
-	mustDecide(t, c0, "asks-1-again", "r", 6)
+	waitFor(t, "node 0 to hear node 1 again", func() bool { return s0.Mesh().Hears(1) })
+	sent, heard := s2.Mesh().Stats().FramesSent, s2.Stats().PeerProposes
+	mustDecide(t, c0, "asks-1", "r", 6)
+	waitFor(t, "node 2 to hear the quiet proposal", func() bool { return s2.Stats().PeerProposes > heard })
 	time.Sleep(20 * time.Millisecond) // room for a frame node 2 should not send
-	if got := cl.Servers[2].Mesh().Stats().FramesSent; got != quiet {
-		t.Fatalf("node 2 sent %d frames for a decide that should ask node 1", got-quiet)
+	if got := s2.Mesh().Stats().FramesSent; got != sent {
+		t.Fatalf("node 2 sent %d frames for a decide that should ask node 1", got-sent)
 	}
-	if st := s0.Stats(); st.Hedges != 1 {
-		t.Fatalf("origin hedged %d times, want only the first", st.Hedges)
+	if st := s0.Stats(); st.Hedges != 0 {
+		t.Fatalf("origin hedged %d times, want 0", st.Hedges)
 	}
 }
 
-// hedgeLog keeps the unanswered pids of every serve.hedge event.
+// hedgeLog keeps the unheard pids of every serve.hedge event.
 type hedgeLog struct {
 	mu    sync.Mutex
-	hedge [][]int
+	hedge [][]core.PID
 }
 
 func (h *hedgeLog) Observe(e obs.Event) {
 	if e.Kind == "serve.hedge" {
 		h.mu.Lock()
-		h.hedge = append(h.hedge, e.Fields["unanswered"].([]int))
+		h.hedge = append(h.hedge, e.Fields["unheard"].([]core.PID))
 		h.mu.Unlock()
 	}
 }
@@ -478,9 +457,7 @@ func (h *hedgeLog) Observe(e obs.Event) {
 // SendQueue = 1 frame and sheds the rest: the second fresh instance's
 // proposals are shed. Its client names a 1 ms deadline, which abstains
 // but moves no hedge. At RequestTimeout/hedgeFraction both instances are
-// proposed to every peer again, asking each, and the silent asked peer is
-// suspected, so the next fresh instance counts on the other and asks the
-// suspect beyond it; a message from the suspect clears it.
+// proposed to every peer again, asking each.
 func TestHedgeResendsShedProposal(t *testing.T) {
 	log := &hedgeLog{}
 	s, err := Start(Config{
@@ -527,17 +504,8 @@ func TestHedgeResendsShedProposal(t *testing.T) {
 	sentKinds(t, tb, 1, 0, pmPropose, pmPropose)
 	sentKinds(t, tb, 2, 0, pmPropose, pmPropose)
 	log.mu.Lock()
-	if want := [][]int{{1}, {1}}; !reflect.DeepEqual(log.hedge, want) {
-		t.Errorf("serve.hedge events name %v unanswered, want %v", log.hedge, want)
+	if want := [][]core.PID{{1, 2}, {1, 2}}; !reflect.DeepEqual(log.hedge, want) {
+		t.Errorf("serve.hedge events name %v unheard, want %v", log.hedge, want)
 	}
 	log.mu.Unlock()
-	s.flush(tb)
-
-	submit("c", time.Now(), 0) // node 1 is suspected: asked, but not counted on
-	sentKinds(t, tb, 1, 0, pmPropose)
-	sentKinds(t, tb, 2, 0, pmPropose)
-	s.handle(tb, event{from: 1, kind: pmProposeQuiet, inst: "a", val: 3}) // decides a; node 1 is heard
-	submit("d", time.Now(), 0)
-	sentKinds(t, tb, 1, 1, pmPropose)
-	sentKinds(t, tb, 2, 1, pmProposeQuiet)
 }
