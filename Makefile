@@ -141,9 +141,6 @@ repro/internal/simulate.(*twoForOne).Deliver          under RunTwoForOne: TestRu
 repro/internal/simulate.(*twoForOne).Emit             under RunTwoForOne: TestRunTwoForOneMatchesTraceDerivation
 repro/internal/simulate.(*twoForOne).assemble         under RunTwoForOne: TestRunTwoForOneMatchesTraceDerivation
 repro/internal/wal.(*Group).SyncedSeq                 oracle: TestGroupConcurrentAppends (an append returns inside the horizon)
-repro/internal/core.(*SetBank).Clear                  benchmark subject: BenchmarkSetBankSweep
-repro/internal/core.(*SetBank).Row                    benchmark subject: BenchmarkSetBankSweep
-repro/internal/core.(*Arena).Reset                    TestArenaReuseAfterReset; the arena's fate is ROADMAP item 1's (needs bench/)
 repro/internal/core.Inbox.From                        contract: TestInboxIsTheDeliverOverride (S(i,r) for an algorithm that keeps it)
 endef
 export UNLINKED_KEPT

@@ -154,7 +154,7 @@ func start(cfg config, w io.Writer) (*serve.Server, func(), error) {
 	}
 	fmt.Fprintf(w, "rrfdserve p%d/%d incarnation %d: mesh %s, clients %s, wal %s (sync=%s)\n",
 		cfg.me, cfg.n, srv.Incarnation(), srv.MeshAddr(), srv.ClientAddr(), cfg.walDir, cfg.sync)
-	if rec := len(srv.RecoveredDecisions()); rec > 0 {
+	if rec := srv.Stats().RecoveredDecisions; rec > 0 {
 		fmt.Fprintf(w, "recovered %d durable decisions from the journal\n", rec)
 	}
 	return srv, cleanup, nil

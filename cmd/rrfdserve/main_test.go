@@ -67,8 +67,10 @@ func TestSingleNodeServeAndRecover(t *testing.T) {
 	if srv2.Incarnation() != 2 {
 		t.Fatalf("incarnation %d, want 2", srv2.Incarnation())
 	}
-	if v, ok := srv2.RecoveredDecisions()["job"]; !ok || v != 7 {
-		t.Fatalf("journal did not recover job=7: %v %v", v, ok)
+	c = serve.NewClient(serve.ClientConfig{Addr: srv2.ClientAddr(), Timeout: 2 * time.Second, Seed: 1})
+	defer c.Close()
+	if resp, err := c.Query("job"); err != nil || resp.Status != serve.StatusDecided || resp.Val != 7 {
+		t.Fatalf("journal did not recover job=7: %+v, %v", resp, err)
 	}
 	if !strings.Contains(buf.String(), "recovered 1 durable decisions") {
 		t.Fatalf("banner missing recovery line:\n%s", buf.String())

@@ -4,14 +4,14 @@ import (
 	"repro/internal/core"
 )
 
-// QuorumMin is the honest one-round decision rule (internal/fleet folds
-// its packed slabs separately): holding at least quorum round messages, a
-// process decides the smallest int among them; with fewer it waits or
-// abstains. Under eq. (3) with quorum n−f each process misses at most the
-// f smallest inputs, so at most f+1 distinct minima are decided. The
-// planted bugs are its callers' deliberate misuse: a wrong quorum
-// (QuorumKSetBuggy, chaos QuorumBug) or a view not durably held (recovery
-// AmnesiaBug).
+// QuorumMin is the honest one-round decision rule: holding at least
+// quorum round messages, a process decides the smallest int among them;
+// with fewer it waits or abstains. Under eq. (3) with quorum n−f each
+// process misses at most the f smallest inputs, so at most f+1 distinct
+// minima are decided. The planted bugs are its callers' deliberate
+// misuse: a wrong quorum (QuorumKSetBuggy, chaos QuorumBug) or a view not
+// durably held (recovery AmnesiaBug). internal/fleet does not use it: its
+// fold is FloodMin's min-flood over packed slabs, with no quorum gate.
 func QuorumMin[V View](view V, quorum int) (min int, ok bool) {
 	take := func(_ core.PID, m core.Message) {
 		if x, isInt := m.(int); isInt && (!ok || x < min) {

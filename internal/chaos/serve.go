@@ -269,13 +269,13 @@ func RunServe(cfg ServeConfig) (*ServeSummary, error) {
 	if sum.VictimIncarnation < 2 {
 		sum.violate("incarnation", fmt.Sprintf("restarted victim reports incarnation %d, want >= 2", sum.VictimIncarnation))
 	}
-	rec := restarted.RecoveredDecisions()
-	if len(rec) != len(js.Decisions) {
+	rec := restarted.Stats().RecoveredDecisions
+	if rec != int64(len(js.Decisions)) {
 		sum.violate("recovery-mismatch", fmt.Sprintf(
-			"restart recovered %d decisions, journal held %d", len(rec), len(js.Decisions)))
+			"restart recovered %d decisions, journal held %d", rec, len(js.Decisions)))
 	}
 	progress("serve-chaos: victim restarted as incarnation %d with %d recovered decisions; replaying the full load",
-		sum.VictimIncarnation, len(rec))
+		sum.VictimIncarnation, rec)
 
 	// Batch B: the identical load again — every request ID reused, the
 	// restarted victim included.

@@ -35,25 +35,6 @@ func BenchmarkSetOps(b *testing.B) {
 	}
 }
 
-// BenchmarkSetBankSweep prices one fleet-shaped pass over a packed set
-// bank: clear a row, add members, pop a count — per row, allocation-free.
-func BenchmarkSetBankSweep(b *testing.B) {
-	const n, rows = 16, 1024
-	bank := NewSetBank(n, rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := i % rows
-		bank.Clear(r)
-		bank.Add(r, 0)
-		bank.Add(r, PID(n/2))
-		bank.Add(r, PID(n-1))
-		if bank.Row(r).Count() != 3 {
-			b.Fatal("impossible")
-		}
-	}
-}
-
 func BenchmarkSetForEach(b *testing.B) {
 	s := FullSet(256)
 	count := 0

@@ -50,6 +50,9 @@ func (s *Set) fill() {
 	}
 }
 
+// wordsPerSet returns the words one set over n processes occupies.
+func wordsPerSet(n int) int { return (n + 63) / 64 }
+
 // carve points every set of every group at its own row of one fresh word
 // slab, empty over n processes.
 func carve(n int, groups ...[]Set) {

@@ -287,3 +287,17 @@ func TestUnionEqualsMismatchedUniverse(t *testing.T) {
 		t.Fatal("mismatched universes reported equal")
 	}
 }
+
+func TestIntersectInto(t *testing.T) {
+	s := SetOf(100, 1, 50, 99)
+	s.IntersectInto(SetOf(100, 50, 99, 3))
+	if s.Count() != 2 || !s.Has(50) || !s.Has(99) {
+		t.Fatalf("IntersectInto: got %s", s)
+	}
+	// Shorter universe on the right zeroes the uncovered words.
+	w := SetOf(130, 1, 128)
+	w.IntersectInto(SetOf(64, 1))
+	if w.Count() != 1 || !w.Has(1) {
+		t.Fatalf("IntersectInto across widths: got %s", w)
+	}
+}

@@ -26,8 +26,8 @@
 //
 // State is flat: one word slab per shard holds the current values of the
 // shard's processes across ALL instances (struct-of-arrays — no
-// per-instance maps or slices on the hot path), carved from a per-shard
-// core.Arena; the per-instance slow sets live in one core.SetBank.
+// per-instance maps or slices on the hot path); the per-instance slow
+// sets are one flat member list.
 // Processes are partitioned across shards by pid (shard s owns the pids
 // p with p mod Shards == s), so every instance spans every shard and
 // every broadcast crosses shard boundaries — the interesting case for
@@ -55,9 +55,8 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 
-	"repro/internal/core"
-	"repro/internal/obs/hist"
 	"repro/internal/par"
 	"repro/internal/task"
 )
@@ -67,8 +66,7 @@ type Config struct {
 	// Instances is the number of concurrent agreement instances.
 	Instances int
 
-	// Procs is the per-instance process count n (2..64: value state is
-	// word-packed, one bitset word per instance).
+	// Procs is the per-instance process count n, 2..64.
 	Procs int
 
 	// F is the per-instance resilience: |B(i)| = F slow processes may be
@@ -90,11 +88,6 @@ type Config struct {
 	// Seed fixes every hashed choice. Same seed, same results — at any
 	// shard and worker count.
 	Seed int64
-
-	// hist, when non-nil, receives per-shard per-round occupancy
-	// ("fleet_shard_occupancy": live process slots per shard) and batch
-	// size ("fleet_batch_recs": records per cross-shard handoff).
-	hist *hist.Registry
 }
 
 func (c Config) validate() error {
@@ -169,12 +162,9 @@ func suspects(seed uint64, inst int32, r int, p, q int32) bool {
 	return hash4(seed, tagSuspect, uint64(inst), uint64(r), uint64(p)<<32|uint64(uint32(q)))&1 == 1
 }
 
-// shard is one partition of fleet state. All storage is carved from the
-// shard's own arena, so shards never share cache lines.
+// shard is one partition of fleet state, in arrays of its own.
 type shard struct {
 	owned []int32 // pids this shard owns (p with p % S == shard index)
-
-	arena core.Arena
 
 	// vals[slot*len(owned)+j] is the current value (int64 bits) of owned
 	// pid j in the instance at slot — the struct-of-arrays round state.
@@ -201,8 +191,7 @@ type fleet struct {
 	pos []int32 // instance -> slot
 	cnt []int32 // cnt[r] = instances with R(i) >= r; index 0..maxR+1
 
-	slow     *core.SetBank // per-instance slow set B(i), one row per instance
-	slowList []int32       // flat [inst*F+k] member list, hot-loop view of slow
+	slowList []int32 // slow set B(i) as the flat member list [inst*F+k]
 
 	shards []shard
 	route  [][]chan []uint64 // route[src][dst], capacity 1
@@ -245,22 +234,20 @@ func newFleet(cfg Config) (*fleet, error) {
 	}
 
 	// Slow sets: for each instance the F pids with the smallest slow-hash
-	// (ties to the lower pid), recorded in a SetBank row and flattened
-	// into slowList for the hot loop.
-	f.slow = core.NewSetBank(n, inst)
+	// (ties to the lower pid), in the order they are picked.
 	f.slowList = make([]int32, inst*cfg.F)
 	for i := 0; i < inst; i++ {
 		for k := 0; k < cfg.F; k++ {
+			picked := f.slowList[i*cfg.F : i*cfg.F+k]
 			best, bestH := int32(-1), uint64(math.MaxUint64)
-			for p := 0; p < n; p++ {
-				if f.slow.Has(i, core.PID(p)) {
+			for p := int32(0); p < int32(n); p++ {
+				if slices.Contains(picked, p) {
 					continue
 				}
 				if h := hash4(uint64(cfg.Seed), tagSlow, uint64(i), uint64(p), 0); h < bestH {
-					best, bestH = int32(p), h
+					best, bestH = p, h
 				}
 			}
-			f.slow.Add(i, core.PID(best))
 			f.slowList[i*cfg.F+k] = best
 		}
 	}
@@ -273,9 +260,9 @@ func newFleet(cfg Config) (*fleet, error) {
 			sh.owned = append(sh.owned, int32(p))
 		}
 		cd := len(sh.owned)
-		sh.vals = sh.arena.Uint64s(inst * cd)
-		sh.emitBuf = sh.arena.Uint64s(2 * inst * cd)
-		sh.scratch = sh.arena.Uint64s(inst * n)
+		sh.vals = make([]uint64, inst*cd)
+		sh.emitBuf = make([]uint64, 2*inst*cd)
+		sh.scratch = make([]uint64, inst*n)
 	}
 	f.route = make([][]chan []uint64, S)
 	for s := range f.route {
@@ -334,10 +321,6 @@ func (f *fleet) emit(d, r int) {
 		}
 	}
 	batch := sh.emitBuf[:idx]
-	if f.cfg.hist != nil {
-		f.cfg.hist.Observe("fleet_batch_recs", int64(idx/2))
-		f.cfg.hist.Observe("fleet_shard_occupancy", int64(nAct*cd))
-	}
 	for dst := 0; dst < f.S; dst++ {
 		f.route[d][dst] <- batch
 	}

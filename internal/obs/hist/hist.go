@@ -248,10 +248,6 @@ func (r *Registry) Get(name string) *Histogram {
 	return h
 }
 
-// Observe records v into the named histogram. Convenience for cold paths;
-// hot paths should cache Get's pointer.
-func (r *Registry) Observe(name string, v int64) { r.Get(name).Record(v) }
-
 // Snapshot freezes every non-empty histogram. Empty histograms (created
 // but never recorded into) are elided so exports stay noise-free.
 func (r *Registry) Snapshot() map[string]Snap {

@@ -121,8 +121,8 @@ func TestConcurrentRecord(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	r.Observe("round_ns", 100)
-	r.Observe("round_ns", 200)
+	r.Get("round_ns").Record(100)
+	r.Get("round_ns").Record(200)
 	r.Get("never_recorded")
 	if h := r.Get("round_ns"); h.Count() != 2 {
 		t.Fatalf("count %d, want 2", h.Count())

@@ -282,7 +282,8 @@ type event struct {
 
 // shardTable is the state of one shard: the instances that hash to it, and
 // the effects of the turn in progress. Only the owning loop touches it,
-// except that connection readers read decided, under mu (turn.go).
+// except that connection readers and RecoveredDecisions read decided,
+// under mu (turn.go).
 type shardTable struct {
 	inflight  map[string]*instance
 	free      []*instance    // settled instances' records, for the next to open
@@ -325,9 +326,7 @@ type Server struct {
 	acked     atomic.Int64 // decisions acked to ≥1 client (crash hook)
 	ctr       counters
 
-	// recovered is the decision map as replayed from the WAL at Start,
-	// frozen — the durability audit's ground truth.
-	recovered map[string]int
+	recovered int // decisions replayed from the WAL at Start
 
 	incarnation int
 
@@ -402,7 +401,7 @@ func Start(cfg Config) (*Server, error) {
 	if js.Boots > 0 {
 		s.event("serve.recover", map[string]any{
 			"incarnation": s.incarnation,
-			"decisions":   len(s.recovered),
+			"decisions":   s.recovered,
 			"proposals":   len(js.Proposals),
 		})
 	}
@@ -424,7 +423,7 @@ func newServer(cfg Config, js *JournalState) *Server {
 		done:        make(chan struct{}),
 		crashed:     make(chan struct{}),
 		sh:          make([]shardTable, cfg.Shards),
-		recovered:   js.Decisions,
+		recovered:   len(js.Decisions),
 		incarnation: js.Boots + 1,
 	}
 	for i := range s.sh {
@@ -478,11 +477,20 @@ func (s *Server) Incarnation() int { return s.incarnation }
 // Close or Kill.
 func (s *Server) Crashed() <-chan struct{} { return s.crashed }
 
-// RecoveredDecisions returns a copy of the decision map as it was
-// replayed from the WAL at Start, before any new traffic — what this
-// incarnation durably remembers from its predecessors. The chaos
-// campaign audits acknowledged decisions against exactly this.
-func (s *Server) RecoveredDecisions() map[string]int { return maps.Clone(s.recovered) }
+// RecoveredDecisions returns a copy of the durable decisions this server
+// holds: right after Start, what it replayed from the WAL; later, those
+// and every decision journaled since. bench/svc.go's recovery audit
+// checks acknowledged decisions against it.
+func (s *Server) RecoveredDecisions() map[string]int {
+	out := make(map[string]int)
+	for i := range s.sh {
+		t := &s.sh[i]
+		t.mu.Lock()
+		maps.Copy(out, t.decided)
+		t.mu.Unlock()
+	}
+	return out
+}
 
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats {
@@ -499,7 +507,7 @@ func (s *Server) Stats() Stats {
 		PeerSheds:          s.ctr.peerSheds.Load(),
 		Queries:            s.ctr.queries.Load(),
 		Hedges:             s.ctr.hedges.Load(),
-		RecoveredDecisions: int64(len(s.recovered)),
+		RecoveredDecisions: int64(s.recovered),
 		Incarnation:        s.incarnation,
 	}
 }

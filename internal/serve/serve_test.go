@@ -329,7 +329,7 @@ func TestDecidedInstanceKeepsNoProposal(t *testing.T) {
 
 	s = start()
 	s.Close()
-	if got := len(s.RecoveredDecisions()); got != k {
+	if got := s.Stats().RecoveredDecisions; got != k {
 		t.Fatalf("restart recovered %d decisions, want %d", got, k)
 	}
 	if n := kept(s); n != 0 {
@@ -355,19 +355,18 @@ func TestKillRestartKeepsAcknowledgedDecisions(t *testing.T) {
 	if s.Incarnation() != 2 {
 		t.Fatalf("incarnation %d after restart, want 2", s.Incarnation())
 	}
-	rec := s.RecoveredDecisions()
-	for inst, val := range acked {
-		got, ok := rec[inst]
-		if !ok {
-			t.Fatalf("acknowledged decision %s lost across kill-and-restart", inst)
-		}
-		if got != val {
-			t.Fatalf("decision %s recovered as %d, want %d", inst, got, val)
-		}
-	}
 	// The restarted incarnation must answer queries and retries from the
 	// journal, and a retried request ID still cannot re-decide.
 	c.dropConn()
+	for inst, val := range acked {
+		resp, err := c.Query(inst)
+		if err != nil || resp.Status != StatusDecided {
+			t.Fatalf("acknowledged decision %s lost across kill-and-restart: %+v, %v", inst, resp, err)
+		}
+		if resp.Val != val {
+			t.Fatalf("decision %s recovered as %d, want %d", inst, resp.Val, val)
+		}
+	}
 	for inst, val := range acked {
 		if resp := mustDecide(t, c, inst, "r-"+inst, -1); resp.Val != val {
 			t.Fatalf("retry after restart: %s decided %d, want %d", inst, resp.Val, val)
@@ -400,12 +399,12 @@ func TestAckBeforeJournalBugLosesAck(t *testing.T) {
 		t.Fatalf("crash hook never fired")
 	}
 	cl.Servers[0].Kill()
-	s, err := cl.Restart(0, nil)
-	if err != nil {
+	if _, err := cl.Restart(0, nil); err != nil {
 		t.Fatalf("Restart: %v", err)
 	}
-	if _, ok := s.RecoveredDecisions()["doomed"]; ok {
-		t.Fatalf("bug did not lose the acknowledged decision — the campaign would have nothing to catch")
+	c.dropConn()
+	if resp, err := c.Query("doomed"); err != nil || resp.Status != StatusUnknown {
+		t.Fatalf("bug did not lose the acknowledged decision — the campaign would have nothing to catch: %+v, %v", resp, err)
 	}
 }
 

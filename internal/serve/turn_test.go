@@ -241,11 +241,11 @@ func TestLateProposerIsAnsweredWithDecision(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restart: %v", err)
 	}
-	if _, ok := s2.RecoveredDecisions()["missed"]; ok {
-		t.Fatal("node 2 knows a decision taken while it was down")
-	}
 	c2 := clientOf(cl, 2)
 	defer c2.Close()
+	if resp, err := c2.Query("missed"); err != nil || resp.Status != StatusUnknown {
+		t.Fatalf("node 2 knows a decision taken while it was down: %+v, %v", resp, err)
+	}
 	if got := mustDecide(t, c2, "missed", "r2", 5).Val; got != want {
 		t.Fatalf("late proposer decided %d, its peers %d", got, want)
 	}
