@@ -69,13 +69,15 @@ baton-race:
 # the shedding test as often, at one P and at four. A shard loop asks the
 # peers its mesh hears, reading the inbound table while mesh readers
 # register and drop connections and post answers: the liveness and hedge
-# tests, and the table's own, as often, at one P and at four.
+# tests, and the table's own, as often, at one P and at four. A mesh
+# reader pushes heartbeat acks onto its node's lanes beside the shard
+# loops: the heartbeat tests as often, at one P and at four.
 readers-race:
 	$(GO) test -race -count 10 -run 'TestConcurrentReaders|TestReadYourWrites' ./internal/serve/
 	$(GO) test -race -count 10 -cpu 1,4 -run TestAdmissionNeverOvershoots ./internal/serve/
 	$(GO) test -race -count 10 -cpu 1,4 -run 'TestDeadPeerIsNotAsked|TestHedge' ./internal/serve/
 	$(GO) test -race -count 10 -cpu 1,4 -run TestGroup ./internal/wal/
-	$(GO) test -race -count 10 -cpu 1,4 -run 'TestLane|TestBackpressureSheds|TestHears' ./internal/netsub/
+	$(GO) test -race -count 10 -cpu 1,4 -run 'TestLane|TestBackpressureSheds|TestHears|TestHeartbeat|TestAcceptedConnectionIsOnlyRead' ./internal/netsub/
 
 # The multi-process run, which no test spawns: one OS process per pid over
 # inherited loopback listeners, the highest pid killed and restarted

@@ -6,7 +6,7 @@ import (
 )
 
 // TestReliablelinkLadder pins the exact interval sequence the reliable
-// link has always used (RetransmitAfter 8 doubling to RetransmitCap 128):
+// link has always used (retransmitAfter 8 doubling to retransmitCap 128):
 // extracting the logic into this package must not move a single step.
 func TestReliablelinkLadder(t *testing.T) {
 	p := Policy{Initial: 8, Cap: 128}

@@ -66,7 +66,7 @@ type Config struct {
 	// Instances is the number of concurrent agreement instances.
 	Instances int
 
-	// Procs is the per-instance process count n, 2..64.
+	// Procs is the per-instance process count n, at least 2.
 	Procs int
 
 	// F is the per-instance resilience: |B(i)| = F slow processes may be
@@ -94,8 +94,8 @@ func (c Config) validate() error {
 	switch {
 	case c.Instances < 1:
 		return fmt.Errorf("fleet: Instances %d < 1", c.Instances)
-	case c.Procs < 2 || c.Procs > 64:
-		return fmt.Errorf("fleet: Procs %d outside 2..64", c.Procs)
+	case c.Procs < 2:
+		return fmt.Errorf("fleet: Procs %d < 2", c.Procs)
 	case c.F < 0 || c.F >= c.Procs:
 		return fmt.Errorf("fleet: F %d outside 0..Procs-1", c.F)
 	case c.BaseRounds < 1:

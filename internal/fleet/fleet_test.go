@@ -21,27 +21,31 @@ func testConfig() Config {
 
 // TestFleetDeterministicAcrossShardsAndWorkers is the acceptance
 // property: a fixed seed yields identical results at every
-// shard × worker combination, and the result passes the protocol audit.
+// shard × worker combination, and the result passes the protocol audit —
+// at the test shape and at one wider than a 64-bit word.
 func TestFleetDeterministicAcrossShardsAndWorkers(t *testing.T) {
-	cfg := testConfig()
-	var want *Result
-	for _, shards := range []int{1, 4, 8} {
-		for _, workers := range []int{1, 4, 8} {
-			c := cfg
-			c.Shards, c.Workers = shards, workers
-			res, err := Run(c)
-			if err != nil {
-				t.Fatalf("S=%d W=%d: %v", shards, workers, err)
-			}
-			if err := Audit(c, res); err != nil {
-				t.Fatalf("S=%d W=%d audit: %v", shards, workers, err)
-			}
-			if want == nil {
-				want = res
-				continue
-			}
-			if !reflect.DeepEqual(res, want) {
-				t.Fatalf("S=%d W=%d: result diverges from S=1 W=1", shards, workers)
+	wide := testConfig()
+	wide.Instances, wide.Procs, wide.F = 64, 70, 20
+	for _, cfg := range []Config{testConfig(), wide} {
+		var want *Result
+		for _, shards := range []int{1, 4, 8} {
+			for _, workers := range []int{1, 4, 8} {
+				c := cfg
+				c.Shards, c.Workers = shards, workers
+				res, err := Run(c)
+				if err != nil {
+					t.Fatalf("n=%d S=%d W=%d: %v", c.Procs, shards, workers, err)
+				}
+				if err := Audit(c, res); err != nil {
+					t.Fatalf("n=%d S=%d W=%d audit: %v", c.Procs, shards, workers, err)
+				}
+				if want == nil {
+					want = res
+					continue
+				}
+				if !reflect.DeepEqual(res, want) {
+					t.Fatalf("n=%d S=%d W=%d: result diverges from S=1 W=1", c.Procs, shards, workers)
+				}
 			}
 		}
 	}
@@ -159,7 +163,6 @@ func TestFleetConfigValidation(t *testing.T) {
 	for _, mutate := range []func(*Config){
 		func(c *Config) { c.Instances = 0 },
 		func(c *Config) { c.Procs = 1 },
-		func(c *Config) { c.Procs = 65 },
 		func(c *Config) { c.F = -1 },
 		func(c *Config) { c.F = c.Procs },
 		func(c *Config) { c.BaseRounds = 0 },

@@ -51,13 +51,7 @@ func TestSameBodyBothSubstrates(t *testing.T) {
 	}
 
 	networked, rep, err := netsub.RunRounds(n, f, rounds, netsub.RoundsConfig{
-		Node: netsub.Config{
-			HeartbeatEvery: 20 * time.Millisecond,
-			WriteTimeout:   500 * time.Millisecond,
-			DialTimeout:    500 * time.Millisecond,
-			RedialUnit:     2 * time.Millisecond,
-		},
-		Watchdog: 2 * time.Second,
+		Node: netsub.Config{HeartbeatEvery: 20 * time.Millisecond},
 	}, emitMin)
 	if err != nil {
 		t.Fatalf("netsub run: %v", err)

@@ -2,6 +2,7 @@ package netsub
 
 import (
 	"bufio"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -25,8 +26,9 @@ import (
 // by frame count, not wall time; a window with Until 0 — never heals —
 // is therefore exactly reproducible, which is what the deterministic
 // cross-validation scenario uses.) Control frames (hello, heartbeats,
-// acks) always pass through: the shim attacks the protocol's messages,
-// not the pool's plumbing.
+// and the acks the owner's peers send back on their own connections)
+// always pass through: the shim attacks the protocol's messages, not the
+// pool's plumbing.
 type ChaosListener struct {
 	net.Listener
 
@@ -70,9 +72,9 @@ func (cl *ChaosListener) Accept() (net.Conn, error) {
 	return outer, nil
 }
 
-// pump carries one connection's two directions: forward parses and
-// perturbs sender→owner frames; backward relays owner→sender bytes
-// (heartbeat acks) untouched.
+// pump carries one connection: forward parses and perturbs sender→owner
+// frames; backward, as the owner writes nothing back, only carries the
+// owner's close to the sender.
 type pump struct {
 	cl    *ChaosListener
 	real  net.Conn // the sender's side
@@ -151,20 +153,10 @@ func (p *pump) forward() {
 	}
 }
 
-// backward relays the node's bytes (heartbeat acks) to the sender.
+// backward waits for the node to close its side, then closes the
+// sender's.
 func (p *pump) backward() {
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := p.inner.Read(buf)
-		if n > 0 {
-			if _, werr := p.real.Write(buf[:n]); werr != nil {
-				break
-			}
-		}
-		if err != nil {
-			break
-		}
-	}
+	io.Copy(io.Discard, p.inner)
 	p.real.Close()
 	p.inner.Close()
 }
@@ -181,7 +173,7 @@ func (p *pump) write(buf []byte) bool {
 }
 
 // WrapAll wraps n freshly bound loopback listeners with the shim, one
-// per process, ready for RoundsConfig.Listeners.
+// per process, ready for RoundsConfig's listeners hook.
 func WrapAll(n int, plan faultnet.Plan, cfg ChaosConfig) ([]net.Listener, error) {
 	lns := make([]net.Listener, n)
 	for i := range lns {

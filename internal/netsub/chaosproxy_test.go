@@ -18,8 +18,7 @@ func proxiedConfig(t *testing.T, n int, plan faultnet.Plan, ccfg ChaosConfig) Ro
 	}
 	return RoundsConfig{
 		Node:      testConfig(),
-		Listeners: lns,
-		Watchdog:  2 * time.Second,
+		listeners: lns,
 		Linger:    100 * time.Millisecond,
 	}
 }
@@ -49,7 +48,7 @@ func TestProxyDropAllSuspectsEveryone(t *testing.T) {
 	const n, f, rounds = 3, 1, 2
 	plan := faultnet.Plan{Seed: 3, Components: []faultnet.Component{{Kind: faultnet.Drop, Rate: 1}}}
 	cfg := proxiedConfig(t, n, plan, ChaosConfig{})
-	cfg.Watchdog = 300 * time.Millisecond
+	cfg.watchdog = 300 * time.Millisecond
 	out, rep, err := RunRounds(n, f, rounds, cfg, emitPID)
 	if err != nil {
 		t.Fatalf("RunRounds: %v", err)
@@ -120,7 +119,6 @@ func TestProxyPartitionCrossValidatesFaultnet(t *testing.T) {
 
 		vout, vrep, err := reliablelink.RunRounds(tc.n, tc.f, rounds, reliablelink.RoundsConfig{
 			Net:           msgnet.Config{Chooser: core.Seeded(11), Faults: plan.Injector()},
-			Link:          reliablelink.Config{RetransmitAfter: 4, RetransmitCap: 8, MaxAttempts: 2},
 			WatchdogSteps: 600,
 			LingerSteps:   200,
 		}, nil)
@@ -133,7 +131,7 @@ func TestProxyPartitionCrossValidatesFaultnet(t *testing.T) {
 		check("virtual", vout)
 
 		cfg := proxiedConfig(t, tc.n, plan, ChaosConfig{})
-		cfg.Watchdog = 400 * time.Millisecond
+		cfg.watchdog = 400 * time.Millisecond
 		nout, nrep, err := RunRounds(tc.n, tc.f, rounds, cfg, emitPID)
 		if err != nil {
 			t.Fatalf("%s tcp run: %v", tc.name, err)
@@ -151,7 +149,6 @@ func TestProxyResetRedials(t *testing.T) {
 	// queue and flush after reconnect, so the rounds still complete.
 	const n, f, rounds = 2, 1, 4
 	cfg := proxiedConfig(t, n, faultnet.Plan{Seed: 5}, ChaosConfig{resetEvery: 2})
-	cfg.Node.RedialUnit = 2 * time.Millisecond
 	out, rep, err := RunRounds(n, f, rounds, cfg, emitPID)
 	if err != nil {
 		t.Fatalf("RunRounds: %v", err)
@@ -174,7 +171,7 @@ func TestProxyDeterministicPerSeed(t *testing.T) {
 	plan := faultnet.Plan{Seed: 42, Components: []faultnet.Component{{Kind: faultnet.Drop, Rate: 1}}}
 	shape := func() string {
 		cfg := proxiedConfig(t, n, plan, ChaosConfig{})
-		cfg.Watchdog = 250 * time.Millisecond
+		cfg.watchdog = 250 * time.Millisecond
 		out, _, err := RunRounds(n, f, rounds, cfg, emitPID)
 		if err != nil {
 			t.Fatalf("RunRounds: %v", err)

@@ -42,15 +42,17 @@ type FrameKind uint8
 
 const (
 	// FrameHello opens a connection: version, sender pid, mesh size,
-	// incarnation. It is the first frame on every conn, both directions.
+	// incarnation. Only the dialer writes it, as the first frame on the
+	// connection; the accepting side writes nothing back.
 	FrameHello FrameKind = 1
 
-	// FrameHeartbeat carries the sender's millisecond clock; the
+	// FrameHeartbeat carries the sender's nanosecond clock; the
 	// receiver echoes it back in a FrameHeartbeatAck so the sender can
 	// histogram round-trip times.
 	FrameHeartbeat FrameKind = 2
 
-	// FrameHeartbeatAck echoes a heartbeat's timestamp.
+	// FrameHeartbeatAck echoes a heartbeat's timestamp. It travels on the
+	// reverse connection, the one the receiver dialed to the sender.
 	FrameHeartbeatAck FrameKind = 3
 
 	// FrameData carries one application value (see AppendValue).

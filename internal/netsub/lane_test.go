@@ -24,7 +24,7 @@ func TestLaneStalledReader(t *testing.T) {
 	const sendQueue, frameBytes, sends = 8, 512 << 10, 32
 	dialed := make(chan *net.TCPConn, 1)
 	nd, br := laneToTest(t, func(c *Config) {
-		c.SendQueue, c.WriteTimeout = sendQueue, time.Minute
+		c.SendQueue, c.writeTimeout = sendQueue, time.Minute
 		c.dial = func(addr string) (net.Conn, error) {
 			c, err := net.Dial("tcp", addr)
 			if err == nil {

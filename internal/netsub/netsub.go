@@ -9,9 +9,11 @@
 // chaos shim), peer slowness and process death. The peer-pool discipline
 // keeps every resource bounded and every failure structured:
 //
-//   - one outbound connection per peer carries this node's sends; one
-//     accepted inbound connection per peer carries its receives, so
-//     redial logic is strictly an outbound concern;
+//   - each connection is one directed link: the outbound one per peer
+//     carries this node's sends, heartbeats and heartbeat acks and is
+//     only written; the accepted inbound one per peer carries its
+//     receives and is only read, so redial logic is strictly an outbound
+//     concern;
 //   - every write to a peer goes through its Lane: a sender whose lane is
 //     idle writes its frame itself, without blocking, and the peer's
 //     writer goroutine runs only for what such a write could not finish;
@@ -27,7 +29,7 @@
 //     several heartbeat intervals is torn down;
 //   - an outbound lane is connected or redialing, never given up on: a
 //     peer that is down or never reads costs its bounded queue, one
-//     blocked write per WriteTimeout and at most one dial per capped
+//     blocked write per write timeout and at most one dial per capped
 //     redial step, and a restarted peer's hello wakes the lane at once.
 //
 // The substrate clock is milliseconds since node start; RecvTimeout
@@ -59,8 +61,15 @@ import (
 // kernel buffers and ultimately the senders.
 const recvQueue = 256
 
-// redial is the reconnect backoff ladder, in units of Config.RedialUnit.
+// redial is the reconnect backoff ladder, in units of redialUnit:
+// 25ms doubling to 1.6s with ±20% seeded jitter.
 var redial = backoff.Policy{Initial: 1, Cap: 64, Jitter: 0.2}
+
+const (
+	redialUnit = 25 * time.Millisecond
+	// dialTimeout bounds one dial and the inbound hello wait.
+	dialTimeout = 2 * time.Second
+)
 
 // Config shapes one node of the mesh. Me, N and Addrs are required;
 // every other field has a usable default.
@@ -106,16 +115,9 @@ type Config struct {
 	// means 500ms; negative disables heartbeats and the silence bound.
 	HeartbeatEvery time.Duration
 
-	// WriteTimeout bounds one frame write; a blocked write past it tears
-	// the connection down for redial. 0 means 2s.
-	WriteTimeout time.Duration
-
-	// DialTimeout bounds one dial and the inbound hello wait. 0 means 2s.
-	DialTimeout time.Duration
-
-	// RedialUnit scales the reconnect backoff ladder (redial); 0 means
-	// 25ms — 25ms doubling to 1.6s with ±20% seeded jitter.
-	RedialUnit time.Duration
+	// writeTimeout bounds one frame write; a blocked write past it tears
+	// the connection down for redial. 0 means 2s; the tests shorten it.
+	writeTimeout time.Duration
 
 	// Seed derives each peer's jitter stream; 0 means 1.
 	Seed int64
@@ -127,7 +129,10 @@ type Config struct {
 
 	// Hist, when non-nil, receives the per-peer queue-depth
 	// ("netsub_queue_depth") and heartbeat round-trip
-	// ("netsub_rtt_ns") distributions.
+	// ("netsub_rtt_ns") distributions. A round trip spans this node's
+	// lane to the peer, the peer's reader, the peer's lane back and this
+	// node's reader: the path a peer's answer takes, minus its shard
+	// loop. An ack can queue behind data frames or wait out a redial.
 	Hist *hist.Registry
 }
 
@@ -150,22 +155,15 @@ func (c *Config) fill() error {
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = 500 * time.Millisecond
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 2 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.RedialUnit <= 0 {
-		c.RedialUnit = 25 * time.Millisecond
+	if c.writeTimeout <= 0 {
+		c.writeTimeout = 2 * time.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.dial == nil {
-		timeout := c.DialTimeout
 		c.dial = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
+			return net.DialTimeout("tcp", addr, dialTimeout)
 		}
 	}
 	return nil
@@ -258,8 +256,6 @@ func Start(cfg Config) (*Node, error) {
 		nd.hRTT = cfg.Hist.Get("netsub_rtt_ns")
 		nd.hQueue = cfg.Hist.Get("netsub_queue_depth")
 	}
-	nd.wg.Add(1)
-	go nd.acceptLoop()
 	for i := 0; i < cfg.N; i++ {
 		if core.PID(i) == cfg.Me {
 			continue
@@ -269,6 +265,10 @@ func Start(cfg Config) (*Node, error) {
 		nd.wg.Add(1)
 		go p.run()
 	}
+	// Accept only once every peer exists: an inbound reader acks
+	// heartbeats on the sender's lane.
+	nd.wg.Add(1)
+	go nd.acceptLoop()
 	return nd, nil
 }
 
@@ -501,15 +501,16 @@ func (nd *Node) acceptLoop() {
 }
 
 // serveInbound handshakes and then hands one peer's data frames to
-// Deliver. The hello must arrive within DialTimeout; after that, a
-// connection silent for 4 heartbeat intervals is declared dead.
+// Deliver. It only reads: a heartbeat's ack goes back on this node's own
+// lane to the peer. The hello must arrive within dialTimeout; after
+// that, a connection silent for 4 heartbeat intervals is declared dead.
 func (nd *Node) serveInbound(c net.Conn) {
 	defer nd.wg.Done()
 	defer c.Close()
 	br := bufio.NewReaderSize(c, 32<<10)
 	var scratch []byte
 
-	c.SetReadDeadline(time.Now().Add(nd.cfg.DialTimeout))
+	c.SetReadDeadline(time.Now().Add(dialTimeout))
 	f, err := ReadFrame(br, &scratch)
 	if err != nil || f.Kind != FrameHello {
 		nd.event("netsub.frame_error", map[string]any{"reason": "bad handshake"})
@@ -577,15 +578,19 @@ func (nd *Node) serveInbound(c net.Conn) {
 			}
 			nd.framesRecv.Add(1)
 		case FrameHeartbeat:
-			// Echo on the same connection so the sender can measure RTT
-			// without crossing into the outbound queue.
-			ack, _ := AppendFrame(nil, FrameHeartbeatAck, f.Payload)
-			c.SetWriteDeadline(time.Now().Add(nd.cfg.WriteTimeout))
-			if _, err := c.Write(ack); err != nil {
-				return
+			// Like a heartbeat, the ack never blocks, sheds on a full
+			// queue and is no frame sent.
+			lane := nd.peers[h.pid].lane
+			ack, _ := AppendFrame(lane.Buf(), FrameHeartbeatAck, f.Payload)
+			lane.Push(ack)
+		case FrameHeartbeatAck:
+			if sent, n := binary.Uvarint(f.Payload); n > 0 && nd.hRTT != nil {
+				if rtt := nd.nanos() - int64(sent); rtt >= 0 {
+					nd.hRTT.Record(rtt)
+				}
 			}
 		default:
-			// Duplicate hellos and stray acks are ignored.
+			// Duplicate hellos are ignored.
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package netsub
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -14,13 +17,11 @@ import (
 )
 
 // testConfig is a Config tuned for fast tests: tight heartbeats and
-// redial so failure paths fire in milliseconds.
+// writes so failure paths fire in milliseconds.
 func testConfig() Config {
 	return Config{
 		HeartbeatEvery: 20 * time.Millisecond,
-		WriteTimeout:   500 * time.Millisecond,
-		DialTimeout:    500 * time.Millisecond,
-		RedialUnit:     2 * time.Millisecond,
+		writeTimeout:   500 * time.Millisecond,
 	}
 }
 
@@ -225,6 +226,111 @@ func TestHeartbeatRTTObserved(t *testing.T) {
 			t.Fatal("no RTT samples recorded")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// writeCounter is a listener whose accepted connections count the bytes
+// the node writes to them.
+type writeCounter struct {
+	net.Listener
+	written atomic.Int64
+}
+
+func (l *writeCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countedConn{Conn: c, written: &l.written}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	written *atomic.Int64
+}
+
+func (c *countedConn) Write(b []byte) (int, error) {
+	c.written.Add(int64(len(b)))
+	return c.Conn.Write(b)
+}
+
+// TestAcceptedConnectionIsOnlyRead: every connection is one directed
+// link. p1 acks p0's heartbeats, so p0 records round trips, yet p1 writes
+// nothing to the connection it accepted from p0: the acks go back on
+// p1's own lane.
+func TestAcceptedConnectionIsOnlyRead(t *testing.T) {
+	reg := hist.NewRegistry()
+	var counter *writeCounter
+	nodes := startMesh(t, 2, func(i int, c *Config) {
+		c.HeartbeatEvery = 5 * time.Millisecond
+		if i == 0 {
+			c.Hist = reg
+		} else {
+			counter = &writeCounter{Listener: c.Listener}
+			c.Listener = counter
+		}
+	})
+	waitFor(t, "p0's first round trip", func() bool { return reg.Get("netsub_rtt_ns").Count() > 0 })
+	time.Sleep(4 * nodes[0].cfg.HeartbeatEvery)
+	if w := counter.written.Load(); w != 0 {
+		t.Fatalf("p1 wrote %d bytes to the connection it accepted", w)
+	}
+}
+
+// TestHeartbeatAtStartIsAcked: p1 dials p0's listener before p0 starts
+// and sends its hello and a heartbeat at once. p0's reader acks it on p0's
+// lane to p1, which exists before p0 accepts anything, and the ack is the
+// heartbeat's payload.
+func TestHeartbeatAtStartIsAcked(t *testing.T) {
+	lns := make([]net.Listener, 2)
+	addrs := make([]string, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	in, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer in.Close()
+	hi, _ := AppendFrame(nil, FrameHello, appendHello(nil, hello{pid: 1, n: 2, incarnation: 1}))
+	stamp := binary.AppendUvarint(nil, 12345)
+	hb, _ := AppendFrame(hi, FrameHeartbeat, stamp)
+	if _, err := in.Write(hb); err != nil {
+		t.Fatalf("hello and heartbeat: %v", err)
+	}
+
+	cfg := testConfig()
+	cfg.HeartbeatEvery = time.Hour
+	cfg.Me, cfg.N, cfg.Addrs, cfg.Listener = 0, 2, addrs, lns[0]
+	p0, err := Start(cfg)
+	if err != nil {
+		t.Fatalf("start p0: %v", err)
+	}
+	defer p0.Close()
+	out, err := lns[1].Accept()
+	if err != nil {
+		t.Fatalf("accept p0's lane: %v", err)
+	}
+	defer out.Close()
+	out.SetReadDeadline(time.Now().Add(2 * time.Second))
+	br := bufio.NewReader(out)
+	var scratch []byte
+	for {
+		f, err := ReadFrame(br, &scratch)
+		if err != nil {
+			t.Fatalf("no ack on p0's lane: %v", err)
+		}
+		if f.Kind == FrameHeartbeatAck {
+			if !bytes.Equal(f.Payload, stamp) {
+				t.Fatalf("ack carries %x, want the heartbeat's %x", f.Payload, stamp)
+			}
+			return
+		}
 	}
 }
 

@@ -30,11 +30,11 @@ func TestSustainedOverloadEscalation(t *testing.T) {
 	const sendQueue = 4
 	nodes := startMesh(t, 2, func(i int, c *Config) {
 		c.SendQueue = sendQueue
-		c.WriteTimeout = 20 * time.Millisecond
+		c.writeTimeout = 20 * time.Millisecond
 		if i == 0 {
 			c.Hist = reg
 			// A synchronous pipe nobody reads: every write blocks until
-			// the WriteTimeout, so the queue never truly drains — the
+			// the write timeout, so the queue never truly drains — the
 			// sustained-overload shape, without kernel-buffer slack.
 			c.dial = func(string) (net.Conn, error) {
 				client, server := net.Pipe()

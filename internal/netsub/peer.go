@@ -1,8 +1,6 @@
 package netsub
 
 import (
-	"bufio"
-	"encoding/binary"
 	"net"
 	"sync"
 	"time"
@@ -14,7 +12,7 @@ import (
 // peer writes through, and a goroutine that owns dialing, the heartbeat
 // and the connection, and writes the lane's queue when a sender could
 // not. The lane is connected or redialing; a peer that is down or never
-// reads costs its bounded queue, one write per WriteTimeout and one dial
+// reads costs its bounded queue, one write per write timeout and one dial
 // per redial step, and is heard again as soon as it is back.
 type peer struct {
 	nd   *Node
@@ -79,7 +77,7 @@ func (p *peer) run() {
 		if err != nil {
 			p.nd.dialFails.Add(1)
 			p.nd.event("netsub.dial_fail", map[string]any{"peer": int(p.to), "err": err.Error()})
-			if !p.sleep(bo.NextDuration(p.nd.cfg.RedialUnit)) {
+			if !p.sleep(bo.NextDuration(redialUnit)) {
 				return
 			}
 			continue
@@ -111,7 +109,7 @@ func (p *peer) dial() (net.Conn, error) {
 	}
 	body := appendHello(nil, hello{pid: p.nd.me, n: p.nd.n, incarnation: p.nd.cfg.Incarnation})
 	buf, _ := AppendFrame(nil, FrameHello, body)
-	conn.SetWriteDeadline(time.Now().Add(p.nd.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(p.nd.cfg.writeTimeout))
 	if _, err := conn.Write(buf); err != nil {
 		conn.Close()
 		return nil, err
@@ -123,13 +121,10 @@ func (p *peer) dial() (net.Conn, error) {
 // serve makes conn the lane's live connection and writes what senders
 // queue, interleaving heartbeats, until the connection breaks, the remote
 // restarts or the node closes. Everything queued when the writer wakes
-// leaves in one conn.Write. It returns a reason tag for the close event.
+// leaves in one conn.Write. Nothing reads conn: a dead one is found by a
+// failed write or one blocked past the write timeout. It returns a
+// reason tag for the close event.
 func (p *peer) serve(conn net.Conn) string {
-	// The ack reader turns heartbeat echoes into RTT samples; it exits
-	// when the connection is closed (here or by the remote).
-	p.nd.wg.Add(1)
-	go p.readAcks(conn)
-
 	var hb <-chan time.Time
 	if p.nd.cfg.HeartbeatEvery > 0 {
 		t := time.NewTicker(p.nd.cfg.HeartbeatEvery)
@@ -149,35 +144,11 @@ func (p *peer) serve(conn net.Conn) string {
 		case <-p.lane.restarted:
 			return "restarted"
 		case <-p.lane.Wake():
-			if p.lane.Flush(p.nd.cfg.WriteTimeout) != nil {
+			if p.lane.Flush(p.nd.cfg.writeTimeout) != nil {
 				return "write"
 			}
 		case <-hb:
 			p.lane.Push(p.nd.appendHeartbeat(p.lane.Buf()))
-		}
-	}
-}
-
-// readAcks consumes the return direction of the outbound connection —
-// heartbeat acks only — and histograms round-trip times.
-func (p *peer) readAcks(conn net.Conn) {
-	defer p.nd.wg.Done()
-	br := bufio.NewReader(conn)
-	var scratch []byte
-	for {
-		f, err := ReadFrame(br, &scratch)
-		if err != nil {
-			return
-		}
-		if f.Kind != FrameHeartbeatAck {
-			continue
-		}
-		sent, n := binary.Uvarint(f.Payload)
-		if n <= 0 {
-			continue
-		}
-		if rtt := p.nd.nanos() - int64(sent); rtt >= 0 && p.nd.hRTT != nil {
-			p.nd.hRTT.Record(rtt)
 		}
 	}
 }

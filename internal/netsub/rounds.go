@@ -20,26 +20,20 @@ type RoundsConfig struct {
 	// nodes, which the obs layer supports.
 	Node Config
 
-	// Listeners, when non-nil, are the n pre-bound listeners to adopt —
-	// the hook the socket chaos shim uses to interpose on every
+	// listeners, when non-nil, are the n pre-bound listeners to adopt —
+	// the hook the tests' socket chaos shim uses to interpose on every
 	// connection. nil means bind n fresh loopback listeners.
-	Listeners []net.Listener
+	listeners []net.Listener
 
-	// Watchdog is how long a process waits within one round before it
+	// watchdog is how long a process waits within one round before it
 	// gives the round up and records every still-missing sender as
-	// suspected for the round (the D(i,r) entries). 0 means 2s.
-	Watchdog time.Duration
+	// suspected for the round (the D(i,r) entries). 0 means 2s; the
+	// tests shorten it.
+	watchdog time.Duration
 
 	// Linger is how long a finished process keeps its node up so slower
 	// peers can still hear its last round. 0 means 200ms.
 	Linger time.Duration
-}
-
-func (c RoundsConfig) watchdog() time.Duration {
-	if c.Watchdog <= 0 {
-		return 2 * time.Second
-	}
-	return c.Watchdog
 }
 
 func (c RoundsConfig) linger() time.Duration {
@@ -76,7 +70,7 @@ type RunReport struct {
 func (r *RunReport) Stalled() bool { return len(r.Stalls) > 0 }
 
 // RunRounds is the in-process harness: it brings up n loopback nodes
-// (or adopts cfg.Listeners, typically chaos-wrapped), runs
+// (or adopts the listeners hook's, typically chaos-wrapped), runs
 // msgnet.RunSubstrateRounds on each in its own goroutine, and assembles the
 // same RoundOutcome shape the virtual substrates produce — so predicate
 // checking and the chaos verdicts run unchanged on real sockets. The
@@ -87,7 +81,7 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit core.RoundEmit) (*core.R
 	}
 	rep := &RunReport{PerProc: make([]Stats, n)}
 
-	lns := cfg.Listeners
+	lns := cfg.listeners
 	if lns == nil {
 		lns = make([]net.Listener, n)
 		for i := range lns {
@@ -134,13 +128,17 @@ func RunRounds(n, f, rounds int, cfg RoundsConfig, emit core.RoundEmit) (*core.R
 	recs := make([]*core.RoundRec, n)
 	stalls := make([][]msgnet.Stall, n)
 	errs := make([]error, n)
+	watchdog := cfg.watchdog
+	if watchdog <= 0 {
+		watchdog = 2 * time.Second
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			recs[i], stalls[i], errs[i] = msgnet.RunSubstrateRounds(nodes[i], f, rounds,
-				int(cfg.watchdog()/time.Millisecond), int(cfg.linger()/time.Millisecond), emit, onStall)
+				int(watchdog/time.Millisecond), int(cfg.linger()/time.Millisecond), emit, onStall)
 		}(i)
 	}
 	wg.Wait()

@@ -31,9 +31,8 @@ func emitPID(me core.PID, r int, received map[core.PID]core.Value, _ core.Set) c
 func TestRunRoundsFaultFree(t *testing.T) {
 	const n, f, rounds = 4, 1, 3
 	out, rep, err := RunRounds(n, f, rounds, RoundsConfig{
-		Node:     testConfig(),
-		Watchdog: 2 * time.Second,
-		Linger:   100 * time.Millisecond,
+		Node:   testConfig(),
+		Linger: 100 * time.Millisecond,
 	}, emitPID)
 	if err != nil {
 		t.Fatalf("RunRounds: %v", err)
@@ -236,7 +235,7 @@ func TestRunRoundsReturnsLowestPidError(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		_, rep, err := RunRounds(n, f, rounds, RoundsConfig{
 			Node:     testConfig(),
-			Watchdog: 50 * time.Millisecond,
+			watchdog: 50 * time.Millisecond,
 			Linger:   10 * time.Millisecond,
 		}, func(me core.PID, _ int, _ map[core.PID]core.Value, _ core.Set) core.Value {
 			if me == 0 {

@@ -40,7 +40,7 @@ func (s *scriptedSub) RecvTimeout(deadline int) (msgnet.Envelope, bool, error) {
 // first copy): no field map is built for an event nobody receives.
 func TestUnobservedLinkBuildsNoEventFields(t *testing.T) {
 	sub := &scriptedSub{}
-	l := New(sub, Config{RetransmitAfter: 8, RetransmitCap: 8, MaxAttempts: -1})
+	l := New(sub, Config{retransmitAfter: 8, retransmitCap: 8, maxAttempts: -1})
 	if err := l.Send(1, "never acked"); err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestGoldensUnderBothDrivers(t *testing.T) {
 			func(inj msgnet.FaultInjector, log obs.Observer) RoundsConfig {
 				return RoundsConfig{
 					Net:           msgnet.Config{Chooser: core.Seeded(11), Faults: inj, Observer: log},
-					Link:          Config{RetransmitAfter: 4, RetransmitCap: 8, MaxAttempts: 2, Observer: log},
+					Link:          Config{retransmitAfter: 4, retransmitCap: 8, maxAttempts: 2, Observer: log},
 					WatchdogSteps: 600,
 					LingerSteps:   200,
 				}
@@ -72,7 +72,7 @@ func TestGoldensUnderBothDrivers(t *testing.T) {
 						Faults:   inj,
 						Observer: log,
 					},
-					Link:          Config{RetransmitAfter: 4, RetransmitCap: 16, MaxAttempts: 3, Observer: log},
+					Link:          Config{retransmitAfter: 4, retransmitCap: 16, maxAttempts: 3, Observer: log},
 					WatchdogSteps: 300,
 					LingerSteps:   100,
 				}
@@ -122,7 +122,7 @@ func TestStepBudgetMidDriveIsUnchanged(t *testing.T) {
 			plan := faultnet.Plan{Seed: 5, Components: []faultnet.Component{{Kind: faultnet.Drop, Rate: 0.3}}}
 			_, rep, err := runRounds(4, 1, 3, RoundsConfig{
 				Net:  msgnet.Config{Chooser: core.Seeded(9), MaxSteps: c.max, Faults: plan.Injector()},
-				Link: Config{RetransmitAfter: 2, RetransmitCap: 4},
+				Link: Config{retransmitAfter: 2, retransmitCap: 4},
 			}, nil, d.under)
 			var limit *msgnet.StepLimitError
 			if !errors.As(err, &limit) {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestGiveUpDegradesIntoSuspicion exercises the interaction the give-up
-// path (rlink.giveup) had no coverage for: when MaxAttempts exhausts the
+// path (rlink.giveup) had no coverage for: when maxAttempts exhausts the
 // retransmission budget toward an unreachable peer, the abandoned frames
 // must surface as a round-watchdog suspicion — a D(i,r) entry in the
 // trace — and the execution must terminate cleanly, not stall or
@@ -26,7 +26,7 @@ func TestGiveUpDegradesIntoSuspicion(t *testing.T) {
 	out, rep, err := RunRounds(n, f, rounds, RoundsConfig{
 		Net: msgnet.Config{Chooser: core.Seeded(11), Faults: plan.Injector()},
 		// A tight budget so frames are given up well before the watchdog.
-		Link:          Config{RetransmitAfter: 4, RetransmitCap: 8, MaxAttempts: 2},
+		Link:          Config{retransmitAfter: 4, retransmitCap: 8, maxAttempts: 2},
 		WatchdogSteps: 600,
 		LingerSteps:   200,
 	}, nil)
@@ -71,7 +71,7 @@ func TestGiveUpDegradesIntoSuspicion(t *testing.T) {
 	}
 }
 
-// TestUnlimitedAttemptsNeverGiveUp pins the documented MaxAttempts
+// TestUnlimitedAttemptsNeverGiveUp pins the documented maxAttempts
 // contract: negative means unlimited, so under the same partition the
 // sender keeps retransmitting until the run ends and GiveUps stays zero.
 func TestUnlimitedAttemptsNeverGiveUp(t *testing.T) {
@@ -81,7 +81,7 @@ func TestUnlimitedAttemptsNeverGiveUp(t *testing.T) {
 	}}}
 	_, rep, err := RunRounds(3, 1, 1, RoundsConfig{
 		Net:           msgnet.Config{Chooser: core.Seeded(11), Faults: plan.Injector()},
-		Link:          Config{RetransmitAfter: 4, RetransmitCap: 8, MaxAttempts: -1},
+		Link:          Config{retransmitAfter: 4, retransmitCap: 8, maxAttempts: -1},
 		WatchdogSteps: 400,
 		LingerSteps:   100,
 	}, nil)

@@ -28,7 +28,7 @@ func TestGoldenStalledEventStream(t *testing.T) {
 	log := obs.NewEventLog(&buf)
 	_, rep, err := RunRounds(3, 1, 2, RoundsConfig{
 		Net:           msgnet.Config{Chooser: core.Seeded(11), Faults: plan.Injector(), Observer: log},
-		Link:          Config{RetransmitAfter: 4, RetransmitCap: 8, MaxAttempts: 2, Observer: log},
+		Link:          Config{retransmitAfter: 4, retransmitCap: 8, maxAttempts: 2, Observer: log},
 		WatchdogSteps: 600,
 		LingerSteps:   200,
 	}, nil)
@@ -67,7 +67,7 @@ func TestGoldenFaultyRestartEventStream(t *testing.T) {
 			Faults:   plan.Injector(),
 			Observer: log,
 		},
-		Link:          Config{RetransmitAfter: 4, RetransmitCap: 16, MaxAttempts: 3, Observer: log},
+		Link:          Config{retransmitAfter: 4, retransmitCap: 16, maxAttempts: 3, Observer: log},
 		WatchdogSteps: 300,
 		LingerSteps:   100,
 	}, nil)

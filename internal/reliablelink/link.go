@@ -22,18 +22,20 @@ import (
 	"repro/internal/obs"
 )
 
-// Config tunes one process's reliable link.
+// Config tunes one process's reliable link. Its three retransmission
+// hooks are the package's tests': the event streams its goldens pin
+// depend on their values.
 type Config struct {
-	// RetransmitAfter is the step interval before the first retransmission
-	// of an unacknowledged frame; 0 means 8. Each further retransmission
-	// doubles the interval up to RetransmitCap.
-	RetransmitAfter int
+	// retransmitAfter is the step interval before the first
+	// retransmission of an unacknowledged frame; 0 means 8. Each further
+	// retransmission doubles the interval up to retransmitCap.
+	retransmitAfter int
 
-	// RetransmitCap bounds the backoff interval; 0 means 128.
-	RetransmitCap int
+	// retransmitCap bounds the backoff interval; 0 means 128.
+	retransmitCap int
 
-	// MaxAttempts bounds retransmissions per frame: once a frame has been
-	// retransmitted MaxAttempts times without an acknowledgement, the
+	// maxAttempts bounds retransmissions per frame: once a frame has been
+	// retransmitted maxAttempts times without an acknowledgement, the
 	// sender gives it up for lost ("rlink.giveup") and stops spending
 	// steps on it. 0 means 25. Any negative value means unlimited — the
 	// sender retransmits forever and the give-up path never fires, so an
@@ -41,35 +43,35 @@ type Config struct {
 	// above the link. A given-up frame is NOT redelivered later: if the
 	// receiver needed it, the round stalls and degrades into a D(i,r)
 	// suspicion (see RunRounds), never into a deadlock.
-	MaxAttempts int
+	maxAttempts int
 
 	// Observer, when non-nil, receives "rlink.retransmit", "rlink.giveup",
 	// "rlink.dup_rx" and "rlink.watchdog" events.
 	Observer obs.Observer
 }
 
-func (c Config) retransmitAfter() int {
-	if c.RetransmitAfter <= 0 {
+func (c Config) firstInterval() int {
+	if c.retransmitAfter <= 0 {
 		return 8
 	}
-	return c.RetransmitAfter
+	return c.retransmitAfter
 }
 
-func (c Config) retransmitCap() int {
-	if c.RetransmitCap <= 0 {
+func (c Config) intervalCap() int {
+	if c.retransmitCap <= 0 {
 		return 128
 	}
-	return c.RetransmitCap
+	return c.retransmitCap
 }
 
-func (c Config) maxAttempts() int {
+func (c Config) attemptLimit() int {
 	switch {
-	case c.MaxAttempts == 0:
+	case c.maxAttempts == 0:
 		return 25
-	case c.MaxAttempts < 0:
+	case c.maxAttempts < 0:
 		return int(^uint(0) >> 1)
 	default:
-		return c.MaxAttempts
+		return c.maxAttempts
 	}
 }
 
@@ -81,7 +83,7 @@ type Stats struct {
 	// Retransmissions counts repeated transmissions of unacked frames.
 	Retransmissions int
 
-	// GiveUps counts frames abandoned after MaxAttempts retransmissions.
+	// GiveUps counts frames abandoned after the retransmission limit.
 	GiveUps int
 
 	// AcksReceived counts acknowledgement frames consumed.
@@ -351,7 +353,7 @@ func (l *Link) book(sent msgnet.Envelope) {
 	if sent.To == l.PID() {
 		return
 	}
-	bo := *backoff.Policy{Initial: l.cfg.retransmitAfter(), Cap: l.cfg.retransmitCap()}.Sequence()
+	bo := *backoff.Policy{Initial: l.cfg.firstInterval(), Cap: l.cfg.intervalCap()}.Sequence()
 	wait := bo.Next()
 	p := &l.peers[sent.To]
 	p.frames = append(p.frames, pendingFrame{live: true, wire: sent.Payload, nextAt: l.Clock() + wait, wait: wait, seq: bo})
@@ -385,7 +387,7 @@ func (l *Link) scan(i int) msgnet.Op {
 		case !pf.live: // acked
 		case pf.nextAt > pm.now:
 			l.keep(k, pf.nextAt)
-		case pf.attempts >= l.cfg.maxAttempts():
+		case pf.attempts >= l.cfg.attemptLimit():
 			l.stats.GiveUps++
 			if l.cfg.Observer != nil {
 				l.event("rlink.giveup", map[string]any{"to": int(k.to), "seq": k.seq, "attempts": pf.attempts})

@@ -27,7 +27,7 @@ func TestLossyLinkRecoveredByRetransmission(t *testing.T) {
 	var delivered []core.Value
 	var sendStats Stats
 	_, err := msgnet.Run(2, msgnet.Config{Faults: plan.Injector()}, func(nd *msgnet.Node) (core.Value, error) {
-		l := New(nd, Config{RetransmitAfter: 4})
+		l := New(nd, Config{retransmitAfter: 4})
 		if nd.Me == 0 {
 			for i := 0; i < 20; i++ {
 				if err := l.Send(1, i); err != nil {
@@ -119,13 +119,13 @@ func TestDuplicateFramesSuppressed(t *testing.T) {
 
 func TestGiveUpAfterMaxAttempts(t *testing.T) {
 	// A total blackout link: the sender must give the frame up after
-	// MaxAttempts rather than retransmit forever.
+	// maxAttempts rather than retransmit forever.
 	plan := faultnet.Plan{Seed: 1, Components: []faultnet.Component{{Kind: faultnet.Drop, Rate: 1}}}
 	var st Stats
 	var buf bytes.Buffer
 	log := obs.NewEventLog(&buf)
 	_, err := msgnet.Run(2, msgnet.Config{Faults: plan.Injector()}, func(nd *msgnet.Node) (core.Value, error) {
-		l := New(nd, Config{RetransmitAfter: 2, MaxAttempts: 3, Observer: log})
+		l := New(nd, Config{retransmitAfter: 2, maxAttempts: 3, Observer: log})
 		if nd.Me == 0 {
 			if err := l.Send(1, "doomed"); err != nil {
 				return nil, err
@@ -144,7 +144,7 @@ func TestGiveUpAfterMaxAttempts(t *testing.T) {
 		t.Fatalf("give-ups = %d, want 1", st.GiveUps)
 	}
 	if st.Retransmissions != 3 {
-		t.Fatalf("retransmissions = %d, want MaxAttempts = 3", st.Retransmissions)
+		t.Fatalf("retransmissions = %d, want maxAttempts = 3", st.Retransmissions)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("rlink.giveup")) {
 		t.Fatal("no rlink.giveup event logged")
@@ -184,7 +184,7 @@ func TestRunRoundsSurvivesHeavyLoss(t *testing.T) {
 	plan := faultnet.Plan{Seed: 99, Components: []faultnet.Component{{Kind: faultnet.Drop, Rate: 0.3}}}
 	out, rep, err := RunRounds(4, 1, 3, RoundsConfig{
 		Net:  msgnet.Config{Chooser: core.Seeded(5), Faults: plan.Injector()},
-		Link: Config{RetransmitAfter: 4},
+		Link: Config{retransmitAfter: 4},
 	}, nil)
 	if err != nil {
 		t.Fatalf("err = %v\nreport: %+v", err, *rep)
@@ -212,7 +212,7 @@ func TestRunRoundsWatchdogConvertsPartitionToSuspicion(t *testing.T) {
 	}}}
 	out, rep, err := RunRounds(4, 1, 2, RoundsConfig{
 		Net:           msgnet.Config{Chooser: core.Seeded(2), Faults: plan.Injector()},
-		Link:          Config{RetransmitAfter: 4, MaxAttempts: 4},
+		Link:          Config{retransmitAfter: 4, maxAttempts: 4},
 		WatchdogSteps: 400,
 		LingerSteps:   100,
 	}, nil)
@@ -246,7 +246,7 @@ func TestRunRoundsDeterministic(t *testing.T) {
 		}}
 		out, rep, err := RunRounds(4, 1, 3, RoundsConfig{
 			Net:  msgnet.Config{Chooser: core.Seeded(8), Faults: plan.Injector()},
-			Link: Config{RetransmitAfter: 4},
+			Link: Config{retransmitAfter: 4},
 		}, nil)
 		if err != nil {
 			t.Fatal(err)

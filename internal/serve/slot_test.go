@@ -25,13 +25,13 @@ func bareServer(t *testing.T, cfg Config) *Server {
 		addrs[i] = "127.0.0.1:1" // no peer listens
 	}
 	addrs[cfg.Me] = "127.0.0.1:0"
-	nd, err := netsub.Start(netsub.Config{Me: cfg.Me, N: cfg.N, Addrs: addrs, RedialUnit: time.Hour})
+	nd, err := netsub.Start(netsub.Config{Me: cfg.Me, N: cfg.N, Addrs: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nd.Close() })
-	// Each peer's first dial is refused, and the next waits an hour: from
-	// here the mesh hears nobody and does nothing.
+	// Each peer's dial is refused, now and at every redial: the mesh
+	// hears nobody.
 	for nd.Stats().DialFailures < int64(cfg.N-1) {
 		time.Sleep(time.Millisecond)
 	}

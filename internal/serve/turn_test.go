@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultnet"
 	"repro/internal/netsub"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -435,6 +436,46 @@ func TestDeadPeerIsNotAsked(t *testing.T) {
 	}
 	if st := s0.Stats(); st.Hedges != 0 {
 		t.Fatalf("origin hedged %d times, want 0", st.Hedges)
+	}
+}
+
+// TestSlowPeerDelaysOnlyItsAskers: every data frame into node 1 waits
+// 2–10 ms in a chaos proxy that passes control frames untouched, so node 1
+// stays heard. Node 0 asks node 1 and waits for it; node 2 asks node 0,
+// and its median decide stays under the smallest injected delay. Every
+// decide is answered, and the answers pass the audit.
+func TestSlowPeerDelaysOnlyItsAskers(t *testing.T) {
+	plan := faultnet.Plan{Seed: 1, Components: []faultnet.Component{{Kind: faultnet.Delay, Rate: 1, MaxDelay: 5}}}
+	cl := fastCluster(t, func(cc *ClusterConfig) {
+		cc.Tune = func(i int, cfg *Config) {
+			if i == 1 {
+				cfg.MeshListener = netsub.WrapListener(cfg.MeshListener, plan, 1, netsub.ChaosConfig{})
+			}
+		}
+	})
+	audit, submitted := NewAuditor(), map[string]map[int]bool{}
+	p50 := func(origin int) time.Duration {
+		c := clientOf(cl, origin)
+		defer c.Close()
+		took := make([]time.Duration, 60)
+		for i := range took {
+			inst := fmt.Sprintf("slow-%d-%d", origin, i)
+			submitted[inst] = map[int]bool{i: true}
+			start := time.Now()
+			resp := mustDecide(t, c, inst, inst, i)
+			took[i] = time.Since(start)
+			audit.Note(inst, inst, resp.Val)
+		}
+		slices.Sort(took)
+		return took[len(took)/2]
+	}
+	asks, spared := p50(0), p50(2)
+	t.Logf("p50 of a fresh decide: node 0 (asks node 1) %v, node 2 (does not) %v", asks, spared)
+	if v := audit.Violations(submitted, 2); len(v) > 0 {
+		t.Fatalf("audit: %+v", v)
+	}
+	if spared >= 2*time.Millisecond {
+		t.Fatalf("node 2's p50 decide took %v, which waits on node 1's 2 ms delay", spared)
 	}
 }
 

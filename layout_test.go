@@ -47,20 +47,12 @@ func TestRootHoldsOnlyTests(t *testing.T) {
 // with who sets it instead.
 func TestConfigFieldsHaveSetters(t *testing.T) {
 	kept := map[string]string{
-		"internal/serve.Config.ClientListener":         "serve.StartCluster, from ClusterConfig",
-		"internal/serve.Config.Mesh":                   "serve.StartCluster, from ClusterConfig",
-		"internal/serve.Config.MeshListener":           "serve.StartCluster, from ClusterConfig",
-		"internal/serve.Config.Shards":                 "serve.StartCluster, from ClusterConfig",
-		"internal/netsub.Config.DialTimeout":           "another package's test: msgnet/samebody_test.go",
-		"internal/netsub.Config.RedialUnit":            "another package's test: msgnet/samebody_test.go",
-		"internal/netsub.Config.WriteTimeout":          "another package's test: msgnet/samebody_test.go",
-		"internal/netsub.RoundsConfig.Listeners":       "its own package's proxy tests: netsub/chaosproxy_test.go",
-		"internal/netsub.RoundsConfig.Watchdog":        "its own package's proxy tests, and another package's test: msgnet/samebody_test.go",
-		"internal/reliablelink.Config.MaxAttempts":     "another package's test: netsub/chaosproxy_test.go",
-		"internal/reliablelink.Config.RetransmitAfter": "another package's test: netsub/chaosproxy_test.go",
-		"internal/reliablelink.Config.RetransmitCap":   "another package's test: netsub/chaosproxy_test.go",
-		"internal/mc.Options.NoPrune":                  "the external test package mc_test (plantedbug_test.go)",
-		"internal/mc.Options.Independent":              "ROADMAP items 2 and 5 name it as their reader",
+		"internal/serve.Config.ClientListener": "serve.StartCluster, from ClusterConfig",
+		"internal/serve.Config.Mesh":           "serve.StartCluster, from ClusterConfig",
+		"internal/serve.Config.MeshListener":   "serve.StartCluster, from ClusterConfig",
+		"internal/serve.Config.Shards":         "serve.StartCluster, from ClusterConfig",
+		"internal/mc.Options.NoPrune":          "the external test package mc_test (plantedbug_test.go), external because adversary imports mc",
+		"internal/mc.Options.Independent":      "ROADMAP items 2 and 5 name it as their reader",
 	}
 
 	fset := token.NewFileSet()
