@@ -58,20 +58,21 @@ baton-race:
 	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|Golden|Hygiene' ./internal/chaos/
 	$(GO) test -race -count=1 -cpu 1,4 -run TestSweepWorkersByteIdentical ./internal/exp/
 
-# Connection readers answer reads from the decided table while the shard
-# loops publish into it: the concurrent-reader tests ten times over. The
-# shard loops reserve room under one in-flight bound at once: the
-# admission test as often, at one P and at four. The
-# shard loops also write the journal themselves, whichever finds no commit
-# in flight: the group-commit tests as often, at one P and at four. And
-# every sender writes to a connection itself while its lane is idle, the
-# lane's writer only what a sender could not finish: the lane tests and
-# the shedding test as often, at one P and at four. A shard loop asks the
-# peers its mesh hears, reading the inbound table while mesh readers
-# register and drop connections and post answers: the liveness and hedge
-# tests, and the table's own, as often, at one P and at four. A mesh
-# reader pushes heartbeat acks onto its node's lanes beside the shard
-# loops: the heartbeat tests as often, at one P and at four.
+# Connection readers answer reads from the decided table while the loop
+# publishes into it: the concurrent-reader tests ten times over. Readers
+# of many connections post fresh submits at once into the one loop, which
+# admits them under the in-flight bound: the admission test as often, at
+# one P and at four. The loop writes the journal itself, through a group
+# commit whichever caller finds idle writes: the group-commit tests as
+# often, at one P and at four. And every sender writes to a connection
+# itself while its lane is idle, the lane's writer only what a sender
+# could not finish: the lane tests and the shedding test as often, at one
+# P and at four. The loop asks the peers its mesh hears, reading the
+# inbound table while mesh readers register and drop connections and post
+# answers: the liveness and hedge tests, and the table's own, as often, at
+# one P and at four. A mesh reader pushes heartbeat acks onto its node's
+# lanes beside the loop: the heartbeat tests as often, at one P and at
+# four.
 readers-race:
 	$(GO) test -race -count 10 -run 'TestConcurrentReaders|TestReadYourWrites' ./internal/serve/
 	$(GO) test -race -count 10 -cpu 1,4 -run TestAdmissionNeverOvershoots ./internal/serve/

@@ -10,8 +10,8 @@ import (
 // Compile lowers the expression to a runtime trace checker: the operators
 // become predicate's And/Or/Not combinators and every atom becomes
 // predicate's trace-checker driver over that atom's table entry
-// (AtomKind.Checker). Every checker is named by its expression's canonical
-// string; golden_test.go pins the verdicts.
+// (predicate.AtomKind.Checker). Every checker is named by its
+// expression's canonical string; golden_test.go pins the verdicts.
 func (e *Expr) Compile() predicate.P {
 	return compileAt(e, 1)
 }

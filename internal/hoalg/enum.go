@@ -92,7 +92,7 @@ func (e *Expr) CompileEnum(n int) (Enum, error) {
 		return nil, fmt.Errorf("hoalg: cannot enumerate disjunction %q as one plan family (rounds could mix branches and satisfy neither); enumerate each branch via EnumBranches", e)
 	}
 	maxN := 4
-	if e.containsAtom(AtomKSet) {
+	if e.containsAtom(predicate.AtomKSet) {
 		maxN = 3
 	}
 	if n < 1 || n > maxN {
@@ -103,7 +103,7 @@ func (e *Expr) CompileEnum(n int) (Enum, error) {
 		return nil, err
 	}
 	for _, cj := range conjs {
-		if cj.atom.Atom == AtomPropagates && !cj.neg {
+		if cj.atom.Atom == predicate.AtomPropagates && !cj.neg {
 			gen, err := compileCrashEnum(conjs, cj, n)
 			if err != nil {
 				return nil, err
@@ -220,10 +220,10 @@ type conjunct struct {
 func collectConjuncts(e *Expr, neg bool, stab int, out []conjunct) ([]conjunct, error) {
 	switch e.Op {
 	case OpAtom:
-		if neg && e.Atom == AtomSelfTrust {
+		if neg && e.Atom == predicate.AtomSelfTrust {
 			return nil, fmt.Errorf("hoalg: cannot enumerate !selftrust (enumerated plans never self-suspect)")
 		}
-		if neg && e.Atom == AtomPropagates {
+		if neg && e.Atom == predicate.AtomPropagates {
 			return nil, fmt.Errorf("hoalg: cannot enumerate !propagates")
 		}
 		return append(out, conjunct{atom: e, neg: neg, stab: stab}), nil
@@ -271,9 +271,9 @@ func perProcCap(conjs []conjunct, st EnumState) int {
 			continue
 		}
 		switch cj.atom.Atom {
-		case AtomPerRound, AtomAtMost:
+		case predicate.AtomPerRound, predicate.AtomAtMost:
 			tighten(cj.atom.Args[0])
-		case AtomBSys:
+		case predicate.AtomBSys:
 			tighten(cj.atom.Args[1])
 		}
 	}
@@ -302,7 +302,7 @@ func compileCrashEnum(conjs []conjunct, prop conjunct, n int) (gen, error) {
 	}
 	f := -1
 	for _, cj := range conjs {
-		if !cj.neg && cj.stab == 0 && cj.atom.Atom == AtomAtMost {
+		if !cj.neg && cj.stab == 0 && cj.atom.Atom == predicate.AtomAtMost {
 			if b := cj.atom.Args[0]; f < 0 || b < f {
 				f = b
 			}

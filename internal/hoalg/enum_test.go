@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/predicate"
 )
 
 // TestOracleTracesSatisfyModel: sampled oracle runs are the plain-run
@@ -198,7 +199,7 @@ func TestEnumPathsMatchChecker(t *testing.T) {
 			}
 		}
 
-		if a.Op != OpAtom || a.Atom == AtomSelfTrust {
+		if a.Op != OpAtom || a.Atom == predicate.AtomSelfTrust {
 			continue // !selftrust and !propagates are not enumerable
 		}
 		enum, err := Not(a).CompileEnum(n)
@@ -206,7 +207,7 @@ func TestEnumPathsMatchChecker(t *testing.T) {
 			t.Fatalf("!%s: CompileEnum: %v", a, err)
 		}
 		check, paths := a.Compile(), 0
-		whole := a.Atom == AtomAtMost || a.Atom == AtomNeverSusp
+		whole := a.Atom == predicate.AtomAtMost || a.Atom == predicate.AtomNeverSusp
 		walkEnum(n, 2, enum, func(tr *core.Trace) {
 			paths++
 			for r := 1; r <= tr.Len(); r++ {

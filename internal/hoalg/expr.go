@@ -36,36 +36,16 @@ const (
 	OpEventually
 )
 
-// AtomKind enumerates the elementary predicates over D(i,r): the rows of
-// predicate's atom table, where each clause's name, arity, evaluator and
-// violation text are defined once (DESIGN §17 has the table).
-type AtomKind = predicate.AtomKind
-
-const (
-	AtomSelfTrust    = predicate.AtomSelfTrust
-	AtomAtMost       = predicate.AtomAtMost
-	AtomPerRound     = predicate.AtomPerRound
-	AtomKSet         = predicate.AtomKSet
-	AtomNoMutualMiss = predicate.AtomNoMutualMiss
-	AtomSomeoneSeen  = predicate.AtomSomeoneSeen
-	AtomIdentical    = predicate.AtomIdentical
-	AtomChain        = predicate.AtomChain
-	AtomImmediacy    = predicate.AtomImmediacy
-	AtomPropagates   = predicate.AtomPropagates
-	AtomNeverSusp    = predicate.AtomNeverSusp
-	AtomBSys         = predicate.AtomBSys
-)
-
 // Expr is a model expression. Leaves are atoms; inner nodes combine
 // sub-expressions. Expressions are immutable once built.
 type Expr struct {
 	Op   Op
-	Atom AtomKind // valid when Op == OpAtom
-	Args []int    // atom arguments, or [stab] for OpEventually
-	Kids []*Expr  // operands for And/Or/Not/Forever/Eventually
+	Atom predicate.AtomKind // valid when Op == OpAtom; DESIGN §17 has the table
+	Args []int              // atom arguments, or [stab] for OpEventually
+	Kids []*Expr            // operands for And/Or/Not/Forever/Eventually
 }
 
-func atom(k AtomKind, args ...int) *Expr {
+func atom(k predicate.AtomKind, args ...int) *Expr {
 	for i, a := range args {
 		if a < 0 {
 			args[i] = 0
@@ -75,45 +55,45 @@ func atom(k AtomKind, args ...int) *Expr {
 }
 
 // SelfTrusting is the "p ∉ D(p,r)" atom of eq. (1).
-func SelfTrusting() *Expr { return atom(AtomSelfTrust) }
+func SelfTrusting() *Expr { return atom(predicate.AtomSelfTrust) }
 
 // AtMostSuspected bounds the whole-run suspect union: |⋃⋃D(i,r)| ≤ f.
-func AtMostSuspected(f int) *Expr { return atom(AtomAtMost, f) }
+func AtMostSuspected(f int) *Expr { return atom(predicate.AtomAtMost, f) }
 
 // PerRound is eq. (3): |D(i,r)| ≤ f for every process and round.
-func PerRound(f int) *Expr { return atom(AtomPerRound, f) }
+func PerRound(f int) *Expr { return atom(predicate.AtomPerRound, f) }
 
 // KSetEq3 is the §3 k-set detector: per-round uncertainty below k.
 func KSetEq3(k int) *Expr {
 	if k < 1 {
 		k = 1
 	}
-	return atom(AtomKSet, k)
+	return atom(predicate.AtomKSet, k)
 }
 
 // NoMutualMiss forbids mutual suspicion within a round (§2 item 4).
-func NoMutualMiss() *Expr { return atom(AtomNoMutualMiss) }
+func NoMutualMiss() *Expr { return atom(predicate.AtomNoMutualMiss) }
 
 // SomeoneSeen is eq. (4): some process is suspected by nobody each round.
-func SomeoneSeen() *Expr { return atom(AtomSomeoneSeen) }
+func SomeoneSeen() *Expr { return atom(predicate.AtomSomeoneSeen) }
 
 // Identical is eq. (5): all processes share one suspect set per round.
-func Identical() *Expr { return atom(AtomIdentical) }
+func Identical() *Expr { return atom(predicate.AtomIdentical) }
 
 // Chain totally orders a round's suspect sets by containment (§2 item 5).
-func Chain() *Expr { return atom(AtomChain) }
+func Chain() *Expr { return atom(predicate.AtomChain) }
 
 // Immediacy is the immediate-snapshot clause: j ∉ D(i,r) ⇒ D(i,r) ⊆ D(j,r).
-func Immediacy() *Expr { return atom(AtomImmediacy) }
+func Immediacy() *Expr { return atom(predicate.AtomImmediacy) }
 
 // Propagates is eq. (2): round-r suspicions appear in every D(k,r+1).
-func Propagates() *Expr { return atom(AtomPropagates) }
+func Propagates() *Expr { return atom(predicate.AtomPropagates) }
 
 // NeverSuspected is §2 item 6: some process is never suspected by anyone.
-func NeverSuspected() *Expr { return atom(AtomNeverSusp) }
+func NeverSuspected() *Expr { return atom(predicate.AtomNeverSusp) }
 
 // BSys is the §2 item 3 counterexample system B(f,t).
-func BSys(f, t int) *Expr { return atom(AtomBSys, f, t) }
+func BSys(f, t int) *Expr { return atom(predicate.AtomBSys, f, t) }
 
 // SendOmission is eq. (1): selftrust & atmost(f).
 func SendOmission(f int) *Expr { return And(SelfTrusting(), AtMostSuspected(f)) }
@@ -279,7 +259,7 @@ func (e *Expr) Equal(o *Expr) bool {
 }
 
 // containsAtom reports whether any leaf of e is the given atom.
-func (e *Expr) containsAtom(k AtomKind) bool {
+func (e *Expr) containsAtom(k predicate.AtomKind) bool {
 	if e.Op == OpAtom {
 		return e.Atom == k
 	}

@@ -272,7 +272,7 @@ func (p *parser) call(depth int) (*Expr, error) {
 	if err := p.expect(')'); err != nil {
 		return nil, err
 	}
-	if kind == AtomKSet && args[0] < 1 {
+	if kind == predicate.AtomKSet && args[0] < 1 {
 		return nil, p.errf("kset requires k >= 1")
 	}
 	return atom(kind, args...), nil
@@ -281,7 +281,7 @@ func (p *parser) call(depth int) (*Expr, error) {
 // atomNames lists the atom vocabulary in a fixed order for error messages.
 func atomNames() string {
 	names := ""
-	for k := AtomSelfTrust; k <= AtomBSys; k++ {
+	for k := predicate.AtomSelfTrust; k <= predicate.AtomBSys; k++ {
 		if names != "" {
 			names += ", "
 		}

@@ -36,15 +36,11 @@ type ChaosListener struct {
 	// listener (the "to" side of every decision).
 	plan  faultnet.Plan
 	owner core.PID
-	cfg   ChaosConfig
-}
 
-// ChaosConfig tunes the shim.
-type ChaosConfig struct {
 	// resetEvery, when positive, tears the underlying connection down
 	// after every resetEvery-th data frame — the "resets" fault the
 	// virtual substrate cannot express. The dialer's pool redials with
-	// backoff and the stream resumes.
+	// backoff and the stream resumes. Only this package's tests set it.
 	resetEvery int
 }
 
@@ -54,8 +50,8 @@ const delayStep = 2 * time.Millisecond
 // WrapListener interposes the chaos shim on ln, which fronts the node
 // owner. Connections accepted through the returned listener have plan
 // applied to their inbound data frames.
-func WrapListener(ln net.Listener, plan faultnet.Plan, owner core.PID, cfg ChaosConfig) *ChaosListener {
-	return &ChaosListener{Listener: ln, plan: plan, owner: owner, cfg: cfg}
+func WrapListener(ln net.Listener, plan faultnet.Plan, owner core.PID) *ChaosListener {
+	return &ChaosListener{Listener: ln, plan: plan, owner: owner}
 }
 
 // Accept accepts a real connection and splices the chaos pump between it
@@ -145,7 +141,7 @@ func (p *pump) forward() {
 				p.write(delayed)
 			})
 		}
-		if re := p.cl.cfg.resetEvery; re > 0 {
+		if re := p.cl.resetEvery; re > 0 {
 			if sinceReset++; sinceReset >= re {
 				return
 			}
@@ -174,7 +170,7 @@ func (p *pump) write(buf []byte) bool {
 
 // WrapAll wraps n freshly bound loopback listeners with the shim, one
 // per process, ready for RoundsConfig's listeners hook.
-func WrapAll(n int, plan faultnet.Plan, cfg ChaosConfig) ([]net.Listener, error) {
+func WrapAll(n int, plan faultnet.Plan) ([]net.Listener, error) {
 	lns := make([]net.Listener, n)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -184,7 +180,7 @@ func WrapAll(n int, plan faultnet.Plan, cfg ChaosConfig) ([]net.Listener, error)
 			}
 			return nil, err
 		}
-		lns[i] = WrapListener(ln, plan, core.PID(i), cfg)
+		lns[i] = WrapListener(ln, plan, core.PID(i))
 	}
 	return lns, nil
 }

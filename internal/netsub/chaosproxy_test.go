@@ -10,9 +10,9 @@ import (
 	"repro/internal/reliablelink"
 )
 
-func proxiedConfig(t *testing.T, n int, plan faultnet.Plan, ccfg ChaosConfig) RoundsConfig {
+func proxiedConfig(t *testing.T, n int, plan faultnet.Plan) RoundsConfig {
 	t.Helper()
-	lns, err := WrapAll(n, plan, ccfg)
+	lns, err := WrapAll(n, plan)
 	if err != nil {
 		t.Fatalf("WrapAll: %v", err)
 	}
@@ -27,7 +27,7 @@ func TestProxyPassThrough(t *testing.T) {
 	// An empty plan must be invisible: the same fault-free guarantees as
 	// the raw substrate, through the full hello/heartbeat/data pipeline.
 	const n, f, rounds = 3, 1, 2
-	out, rep, err := RunRounds(n, f, rounds, proxiedConfig(t, n, faultnet.Plan{Seed: 1}, ChaosConfig{}), emitPID)
+	out, rep, err := RunRounds(n, f, rounds, proxiedConfig(t, n, faultnet.Plan{Seed: 1}), emitPID)
 	if err != nil {
 		t.Fatalf("RunRounds: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestProxyDropAllSuspectsEveryone(t *testing.T) {
 	// RRFD model says it must.
 	const n, f, rounds = 3, 1, 2
 	plan := faultnet.Plan{Seed: 3, Components: []faultnet.Component{{Kind: faultnet.Drop, Rate: 1}}}
-	cfg := proxiedConfig(t, n, plan, ChaosConfig{})
+	cfg := proxiedConfig(t, n, plan)
 	cfg.watchdog = 300 * time.Millisecond
 	out, rep, err := RunRounds(n, f, rounds, cfg, emitPID)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestProxyPartitionCrossValidatesFaultnet(t *testing.T) {
 		}
 		check("virtual", vout)
 
-		cfg := proxiedConfig(t, tc.n, plan, ChaosConfig{})
+		cfg := proxiedConfig(t, tc.n, plan)
 		cfg.watchdog = 400 * time.Millisecond
 		nout, nrep, err := RunRounds(tc.n, tc.f, rounds, cfg, emitPID)
 		if err != nil {
@@ -148,7 +148,10 @@ func TestProxyResetRedials(t *testing.T) {
 	// redial path mid-protocol; queued frames survive in the bounded
 	// queue and flush after reconnect, so the rounds still complete.
 	const n, f, rounds = 2, 1, 4
-	cfg := proxiedConfig(t, n, faultnet.Plan{Seed: 5}, ChaosConfig{resetEvery: 2})
+	cfg := proxiedConfig(t, n, faultnet.Plan{Seed: 5})
+	for _, ln := range cfg.listeners {
+		ln.(*ChaosListener).resetEvery = 2
+	}
 	out, rep, err := RunRounds(n, f, rounds, cfg, emitPID)
 	if err != nil {
 		t.Fatalf("RunRounds: %v", err)
@@ -170,7 +173,7 @@ func TestProxyDeterministicPerSeed(t *testing.T) {
 	const n, f, rounds = 2, 1, 3
 	plan := faultnet.Plan{Seed: 42, Components: []faultnet.Component{{Kind: faultnet.Drop, Rate: 1}}}
 	shape := func() string {
-		cfg := proxiedConfig(t, n, plan, ChaosConfig{})
+		cfg := proxiedConfig(t, n, plan)
 		cfg.watchdog = 250 * time.Millisecond
 		out, _, err := RunRounds(n, f, rounds, cfg, emitPID)
 		if err != nil {

@@ -365,8 +365,8 @@ func (nd *Node) sendSelf(payload core.Value) error {
 		if err != nil {
 			return err
 		}
+		nd.framesSent.Add(1) // before it can cause anything, as push counts
 		nd.cfg.Deliver(nd.me, b)
-		nd.framesSent.Add(1)
 		nd.framesRecv.Add(1)
 		return nil
 	}

@@ -43,17 +43,20 @@ func newPeer(nd *Node, to core.PID, addr string) *peer {
 func (p *peer) noteRestart() { p.lane.restart() }
 
 // push sends the data frame b, built on the lane's Buf, shedding instead
-// of blocking. A frame the lane accepts counts as sent.
+// of blocking. A frame the lane accepts counts as sent, and counts before
+// the lane may write it: whoever sees what the frame caused sees it
+// counted. A shed takes the count back.
 func (p *peer) push(b []byte) error {
+	p.nd.framesSent.Add(1)
 	depth, ok := p.lane.Push(b)
 	if !ok {
+		p.nd.framesSent.Add(-1)
 		p.nd.sheds.Add(1)
 		if p.nd.cfg.Observer != nil {
 			p.nd.event("netsub.backpressure", map[string]any{"peer": int(p.to), "cap": p.lane.max})
 		}
 		return &BackpressureError{To: p.to, Cap: p.lane.max}
 	}
-	p.nd.framesSent.Add(1)
 	if p.nd.hQueue != nil {
 		p.nd.hQueue.Record(int64(depth))
 	}

@@ -35,8 +35,9 @@ type ClusterConfig struct {
 	// Sync is each node's journal fsync policy.
 	Sync wal.SyncMode
 
-	// Shards forwards to each node's Config.Shards (0 means the node
-	// default).
+	// Shards is ignored: a node runs one event loop. The field stays only
+	// because bench/svc.go and bench/ladder.go set it, and goes with the
+	// next change to bench/.
 	Shards int
 
 	// MaxInflight, RequestTimeout and InstanceTTL forward to each
@@ -154,7 +155,6 @@ func (cl *Cluster) nodeConfig(i int) Config {
 		ClientAddr:     cl.clientAddrs[i],
 		WALDir:         filepath.Join(cc.Dir, fmt.Sprintf("n%d", i)),
 		Sync:           cc.Sync,
-		Shards:         cc.Shards,
 		MaxInflight:    cc.MaxInflight,
 		RequestTimeout: cc.RequestTimeout,
 		InstanceTTL:    cc.InstanceTTL,

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"net"
@@ -285,20 +284,5 @@ func TestOverlongResponseLine(t *testing.T) {
 	var ue *UnreachableError
 	if !errors.As(err, &ue) || !errors.Is(err, bufio.ErrTooLong) {
 		t.Fatalf("query answered by an endless line: %v", err)
-	}
-}
-
-// TestShardOfIsFNV1a pins shard assignment, and so every fixed-seed serve
-// and chaos golden, to hash/fnv.
-func TestShardOfIsFNV1a(t *testing.T) {
-	for _, shards := range []int{1, 4, 8, 1000003, 1 << 31} {
-		s := &Server{cfg: Config{Shards: shards}}
-		for _, inst := range []string{"", "a", "warm", "job-1", "bench-12345", "w3-i15", "é\xff\x00", strings.Repeat("long", 1000)} {
-			h := fnv.New32a()
-			h.Write([]byte(inst))
-			if got, want := s.shardOf(inst), int(h.Sum32()%uint32(shards)); got != want {
-				t.Errorf("shardOf(%.12q) of %d = %d, hash/fnv says %d", inst, shards, got, want)
-			}
-		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/obs"
 )
 
-// TestDecisionReadableOnlyOnceFlushed drives one shard's handlers and
+// TestDecisionReadableOnlyOnceFlushed drives the server's handlers and
 // flush by hand (its loop idles: no client, no live peer, no TTL in
 // reach): a decision taken in a turn is invisible off the loop until the
 // flush has journaled it, while everything later in the same turn — a
@@ -24,7 +24,6 @@ func TestDecisionReadableOnlyOnceFlushed(t *testing.T) {
 		Me: 0, N: 3, F: 1,
 		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
 		WALDir:      t.TempDir(),
-		Shards:      1,
 		InstanceTTL: time.Hour,
 		Seed:        1,
 	})
@@ -34,44 +33,43 @@ func TestDecisionReadableOnlyOnceFlushed(t *testing.T) {
 	defer s.Close()
 	near, far := tcpPair(t)
 	cc := newClientConn(near)
-	tb := &s.sh[0]
 
 	submit := event{inst: "x", req: "r1", val: 7, cc: cc, start: time.Now()}
-	s.handle(tb, submit)
-	s.handle(tb, event{from: 1, kind: pmPropose, inst: "x", val: 5}) // the n−f = 2nd proposal: decides 5
-	if val, ok := tb.lookup("x"); !ok || val != 5 {
+	s.handle(submit)
+	s.handle(event{from: 1, kind: pmPropose, inst: "x", val: 5}) // the n−f = 2nd proposal: decides 5
+	if val, ok := s.lookup("x"); !ok || val != 5 {
 		t.Fatalf("the loop sees (%d, %v) for the instance it just decided, want (5, true)", val, ok)
 	}
-	if val, ok := tb.read("x"); ok {
+	if val, ok := s.read("x"); ok {
 		t.Fatalf("decision %d readable off the loop before its turn was flushed", val)
 	}
 
 	submit.req = "r2"
-	s.handle(tb, submit)
-	s.handle(tb, event{from: 2, kind: pmPropose, inst: "x", val: 9})
-	s.handle(tb, event{from: 2, kind: pmDecide, inst: "x", val: 9})
-	if len(tb.inflight) != 0 {
-		t.Fatalf("%d instances open after the decision, want none", len(tb.inflight))
+	s.handle(submit)
+	s.handle(event{from: 2, kind: pmPropose, inst: "x", val: 9})
+	s.handle(event{from: 2, kind: pmDecide, inst: "x", val: 9})
+	if len(s.inflight) != 0 {
+		t.Fatalf("%d instances open after the decision, want none", len(s.inflight))
 	}
-	if len(tb.recs) != 2 {
-		t.Fatalf("the turn holds %d journal records, want the proposal and one decision", len(tb.recs))
+	if len(s.recs) != 2 {
+		t.Fatalf("the turn holds %d journal records, want the proposal and one decision", len(s.recs))
 	}
-	if len(tb.out[2]) != 2 {
-		t.Fatalf("%d messages for the late proposer, want our proposal and the one decision", len(tb.out[2]))
-	} else if kind, inst, val, err := decodePeerMsg(tb.out[2][1]); err != nil || kind != pmDecide || inst != "x" || val != 5 {
+	if len(s.out[2]) != 2 {
+		t.Fatalf("%d messages for the late proposer, want our proposal and the one decision", len(s.out[2]))
+	} else if kind, inst, val, err := decodePeerMsg(s.out[2][1]); err != nil || kind != pmDecide || inst != "x" || val != 5 {
 		t.Fatalf("late proposer is told (%d, %q, %d, %v), want the decision 5", kind, inst, val, err)
 	}
 	if st := s.Stats(); st.Decisions != 1 || st.Adopted != 0 || st.IdempotentHits != 1 || st.Submits != 2 {
 		t.Fatalf("stats after the turn: %+v", st)
 	}
-	if val, ok := tb.read("x"); ok {
+	if val, ok := s.read("x"); ok {
 		t.Fatalf("decision %d readable off the loop before its turn was flushed", val)
 	}
 
-	if s.flush(tb) {
+	if s.flush() {
 		t.Fatal("flush asked the loop to die")
 	}
-	if val, ok := tb.read("x"); !ok || val != 5 {
+	if val, ok := s.read("x"); !ok || val != 5 {
 		t.Fatalf("after the flush the instance reads (%d, %v), want (5, true)", val, ok)
 	}
 	if js := s.JournalStats(); js.Appends != 2 {
@@ -108,7 +106,7 @@ func tcpPair(t *testing.T) (near, far net.Conn) {
 	return near, far
 }
 
-// TestPeerProposalShedAtFullTable drives one shard's handlers by hand, as
+// TestPeerProposalShedAtFullTable drives the server's handlers by hand, as
 // above, with room for one instance and a quorum no single peer completes:
 // a peer's proposal for a second instance is shed. It counts as a peer
 // shed, not as a client overload, and opens, journals and answers nothing.
@@ -117,7 +115,6 @@ func TestPeerProposalShedAtFullTable(t *testing.T) {
 		Me: 0, N: 3, F: 0,
 		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
 		WALDir:      t.TempDir(),
-		Shards:      1,
 		MaxInflight: 1,
 		InstanceTTL: time.Hour,
 		Seed:        1,
@@ -126,21 +123,20 @@ func TestPeerProposalShedAtFullTable(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	defer s.Close()
-	tb := &s.sh[0]
 
-	s.handle(tb, event{from: 1, kind: pmPropose, inst: "a", val: 5}) // opens a: 2 of n−f = 3 proposals
-	recs, sent := len(tb.recs), len(tb.out[2])
-	s.handle(tb, event{from: 2, kind: pmPropose, inst: "b", val: 6})
+	s.handle(event{from: 1, kind: pmPropose, inst: "a", val: 5}) // opens a: 2 of n−f = 3 proposals
+	recs, sent := len(s.recs), len(s.out[2])
+	s.handle(event{from: 2, kind: pmPropose, inst: "b", val: 6})
 
 	if st := s.Stats(); st.PeerSheds != 1 || st.Overloads != 0 || st.PeerProposes != 2 {
 		t.Fatalf("stats %+v, want 1 peer shed, 0 overloads, 2 peer proposals", st)
 	}
-	if _, open := tb.inflight["b"]; open || len(tb.inflight) != 1 {
-		t.Fatalf("the shed proposal opened an instance: %d in flight", len(tb.inflight))
+	if _, open := s.inflight["b"]; open || len(s.inflight) != 1 {
+		t.Fatalf("the shed proposal opened an instance: %d in flight", len(s.inflight))
 	}
-	if _, known := tb.proposals["b"]; known || len(tb.recs) != recs || len(tb.out[2]) != sent {
+	if _, known := s.proposals["b"]; known || len(s.recs) != recs || len(s.out[2]) != sent {
 		t.Fatalf("the shed proposal left effects: proposal %v, %d journal records (was %d), %d messages to its sender (was %d)",
-			known, len(tb.recs), recs, len(tb.out[2]), sent)
+			known, len(s.recs), recs, len(s.out[2]), sent)
 	}
 }
 
@@ -149,7 +145,7 @@ type discard struct{}
 
 func (discard) Observe(obs.Event) {}
 
-// TestUnobservedDecideBuildsNoEventFields drives one shard's handlers by
+// TestUnobservedDecideBuildsNoEventFields drives the server's handlers by
 // hand, as above: each peer proposal for a fresh instance opens it and
 // decides it (n−f = 2: the proposal and our own). With no Observer the
 // decide builds no field map for the serve.decide event nobody receives, so
@@ -165,7 +161,6 @@ func TestUnobservedDecideBuildsNoEventFields(t *testing.T) {
 			Me: 0, N: 3, F: 1,
 			MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
 			WALDir:      t.TempDir(),
-			Shards:      1,
 			InstanceTTL: time.Hour,
 			Seed:        1,
 			Observer:    o,
@@ -174,9 +169,9 @@ func TestUnobservedDecideBuildsNoEventFields(t *testing.T) {
 			t.Fatalf("Start: %v", err)
 		}
 		defer s.Close()
-		tb, next := &s.sh[0], 0
+		next := 0
 		allocs := testing.AllocsPerRun(decides, func() {
-			s.handle(tb, event{from: 1, kind: pmPropose, inst: insts[next], val: 5})
+			s.handle(event{from: 1, kind: pmPropose, inst: insts[next], val: 5})
 			next++
 		})
 		if st := s.Stats(); st.Decisions != decides+1 {
@@ -190,7 +185,7 @@ func TestUnobservedDecideBuildsNoEventFields(t *testing.T) {
 	}
 }
 
-// TestDecidedProposerIsNotAnswered drives one shard's handlers by hand,
+// TestDecidedProposerIsNotAnswered drives the server's handlers by hand,
 // as above. A proposal goes only where it can still count. An origin's
 // first proposal asks the n−f−1 peers after it in pid order and goes
 // quiet to the others. A node that opens an instance on a peer's
@@ -200,7 +195,7 @@ func TestUnobservedDecideBuildsNoEventFields(t *testing.T) {
 // with the decision, and a quiet one with nothing; an undecided node
 // resends its proposal to a repeated plain proposal only.
 func TestDecidedProposerIsNotAnswered(t *testing.T) {
-	shard := func(me, n, f int) (*Server, *shardTable) {
+	node := func(me, n, f int) *Server {
 		addrs := make([]string, n)
 		for i := range addrs {
 			addrs[i] = "127.0.0.1:1" // no peer listens
@@ -208,75 +203,75 @@ func TestDecidedProposerIsNotAnswered(t *testing.T) {
 		addrs[me] = "127.0.0.1:0"
 		s, err := Start(Config{
 			Me: core.PID(me), N: n, F: f, MeshAddrs: addrs,
-			WALDir: t.TempDir(), Shards: 1, InstanceTTL: time.Hour, Seed: 1,
+			WALDir: t.TempDir(), InstanceTTL: time.Hour, Seed: 1,
 		})
 		if err != nil {
 			t.Fatalf("Start: %v", err)
 		}
 		t.Cleanup(func() { s.Close() })
-		return s, &s.sh[0]
+		return s
 	}
 	cc := &clientConn{}
-	submit := func(s *Server, tb *shardTable, inst string) {
-		s.handle(tb, event{inst: inst, req: "r", val: 7, cc: cc, start: time.Now()})
+	submit := func(s *Server, inst string) {
+		s.handle(event{inst: inst, req: "r", val: 7, cc: cc, start: time.Now()})
 	}
 
-	s, tb := shard(0, 3, 1)
-	submit(s, tb, "x") // asks n−f−1 = 1 peer
-	sentKinds(t, tb, 1, 0, pmPropose)
-	sentKinds(t, tb, 2, 0, pmProposeQuiet)
+	s := node(0, 3, 1)
+	submit(s, "x") // asks n−f−1 = 1 peer
+	sentKinds(t, s, 1, 0, pmPropose)
+	sentKinds(t, s, 2, 0, pmProposeQuiet)
 
-	s.handle(tb, event{from: 1, kind: pmPropose, inst: "y", val: 3}) // opens y and decides it: n−f = 2
-	sentKinds(t, tb, 1, 1, pmProposeQuiet)
-	sentKinds(t, tb, 2, 1)
-	s.handle(tb, event{from: 2, kind: pmProposeQuiet, inst: "y", val: 4})
-	sentKinds(t, tb, 2, 1)
-	s.handle(tb, event{from: 2, kind: pmPropose, inst: "y", val: 4})
-	sentKinds(t, tb, 2, 1, pmDecide)
-	if _, _, val, _ := decodePeerMsg(tb.out[2][1]); val != 3 {
+	s.handle(event{from: 1, kind: pmPropose, inst: "y", val: 3}) // opens y and decides it: n−f = 2
+	sentKinds(t, s, 1, 1, pmProposeQuiet)
+	sentKinds(t, s, 2, 1)
+	s.handle(event{from: 2, kind: pmProposeQuiet, inst: "y", val: 4})
+	sentKinds(t, s, 2, 1)
+	s.handle(event{from: 2, kind: pmPropose, inst: "y", val: 4})
+	sentKinds(t, s, 2, 1, pmDecide)
+	if _, _, val, _ := decodePeerMsg(s.out[2][1]); val != 3 {
 		t.Fatalf("the undecided proposer is told %d, want the decision 3", val)
 	}
-	s.handle(tb, event{from: 1, kind: pmProposeQuiet, inst: "w", val: 6}) // opens w and decides it
-	sentKinds(t, tb, 1, 1, pmProposeQuiet)
-	sentKinds(t, tb, 2, 1, pmDecide)
+	s.handle(event{from: 1, kind: pmProposeQuiet, inst: "w", val: 6}) // opens w and decides it
+	sentKinds(t, s, 1, 1, pmProposeQuiet)
+	sentKinds(t, s, 2, 1, pmDecide)
 	if st := s.Stats(); st.Decisions != 2 {
 		t.Fatalf("%d decisions, want y and w", st.Decisions)
 	}
 
-	s, tb = shard(0, 4, 1)
-	s.handle(tb, event{from: 1, kind: pmProposeQuiet, inst: "z", val: 5}) // opens z: 2 of n−f = 3
-	sentKinds(t, tb, 1, 0)
-	sentKinds(t, tb, 2, 0, pmPropose)
-	sentKinds(t, tb, 3, 0, pmPropose)
-	s.handle(tb, event{from: 1, kind: pmProposeQuiet, inst: "z", val: 5})
-	sentKinds(t, tb, 1, 0)
-	s.handle(tb, event{from: 1, kind: pmPropose, inst: "z", val: 5})
-	sentKinds(t, tb, 1, 0, pmPropose)
-	s.handle(tb, event{from: 2, kind: pmPropose, inst: "v", val: 8}) // opens v undecided: asks everyone
-	sentKinds(t, tb, 1, 1, pmPropose)
-	sentKinds(t, tb, 2, 1, pmPropose)
-	sentKinds(t, tb, 3, 1, pmPropose)
-	submit(s, tb, "u") // asks n−f−1 = 2 peers
-	sentKinds(t, tb, 1, 2, pmPropose)
-	sentKinds(t, tb, 2, 2, pmPropose)
-	sentKinds(t, tb, 3, 2, pmProposeQuiet)
+	s = node(0, 4, 1)
+	s.handle(event{from: 1, kind: pmProposeQuiet, inst: "z", val: 5}) // opens z: 2 of n−f = 3
+	sentKinds(t, s, 1, 0)
+	sentKinds(t, s, 2, 0, pmPropose)
+	sentKinds(t, s, 3, 0, pmPropose)
+	s.handle(event{from: 1, kind: pmProposeQuiet, inst: "z", val: 5})
+	sentKinds(t, s, 1, 0)
+	s.handle(event{from: 1, kind: pmPropose, inst: "z", val: 5})
+	sentKinds(t, s, 1, 0, pmPropose)
+	s.handle(event{from: 2, kind: pmPropose, inst: "v", val: 8}) // opens v undecided: asks everyone
+	sentKinds(t, s, 1, 1, pmPropose)
+	sentKinds(t, s, 2, 1, pmPropose)
+	sentKinds(t, s, 3, 1, pmPropose)
+	submit(s, "u") // asks n−f−1 = 2 peers
+	sentKinds(t, s, 1, 2, pmPropose)
+	sentKinds(t, s, 2, 2, pmPropose)
+	sentKinds(t, s, 3, 2, pmProposeQuiet)
 	if st := s.Stats(); st.Decisions != 0 || st.PeerProposes != 4 {
 		t.Fatalf("stats %+v, want no decision and 4 peer proposals", st)
 	}
 
-	s, tb = shard(2, 4, 1)
-	submit(s, tb, "t") // the peers after 2 in pid order: 3, then 0
-	sentKinds(t, tb, 3, 0, pmPropose)
-	sentKinds(t, tb, 0, 0, pmPropose)
-	sentKinds(t, tb, 1, 0, pmProposeQuiet)
-	sentKinds(t, tb, 2, 0)
+	s = node(2, 4, 1)
+	submit(s, "t") // the peers after 2 in pid order: 3, then 0
+	sentKinds(t, s, 3, 0, pmPropose)
+	sentKinds(t, s, 0, 0, pmPropose)
+	sentKinds(t, s, 1, 0, pmProposeQuiet)
+	sentKinds(t, s, 2, 0)
 }
 
 // sentKinds checks the kinds of the messages the turn holds for peer to
 // since it held from.
-func sentKinds(t *testing.T, tb *shardTable, to, from int, want ...byte) {
+func sentKinds(t *testing.T, s *Server, to, from int, want ...byte) {
 	t.Helper()
-	msgs := tb.out[to][from:]
+	msgs := s.out[to][from:]
 	if len(msgs) != len(want) {
 		t.Fatalf("%d messages to node %d, want %d", len(msgs), to, len(want))
 	}
@@ -308,8 +303,7 @@ func TestReadYourWrites(t *testing.T) {
 
 // TestConcurrentReaders: connections re-submitting and querying a hot set
 // of decided instances, and racing queries at instances other clients are
-// deciding right now in the same shards, only ever see the first decided
-// value. `make readers-race` runs it under -race -count=10.
+// deciding right now, only ever see the first decided value. `make readers-race` runs it under -race -count=10.
 func TestConcurrentReaders(t *testing.T) {
 	cl := fastCluster(t, nil)
 	seed := clientOf(cl, 0)
@@ -384,14 +378,13 @@ func TestConcurrentReaders(t *testing.T) {
 
 // TestInlineResponseAllocatesNothing: a turn's response to an idle
 // client connection is coded into the connection's lane and written by
-// the shard loop itself, allocating nothing. The client end is read into
+// the loop itself, allocating nothing. The client end is read into
 // a buffer made beforehand: AllocsPerRun counts the process.
 func TestInlineResponseAllocatesNothing(t *testing.T) {
 	s, err := Start(Config{
 		Me: 0, N: 3, F: 1,
 		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
 		WALDir:      t.TempDir(),
-		Shards:      1,
 		InstanceTTL: time.Hour,
 		Seed:        1,
 	})
@@ -401,7 +394,6 @@ func TestInlineResponseAllocatesNothing(t *testing.T) {
 	defer s.Close()
 	near, far := tcpPair(t)
 	cc := newClientConn(near)
-	tb := &s.sh[0]
 	resp := Response{Req: "r", Inst: "x", Status: StatusDecided, Val: 5, Incarnation: 1}
 	line := appendResponse(nil, &resp)
 	const runs = 1000 // AllocsPerRun responds once more, to warm up
@@ -412,9 +404,9 @@ func TestInlineResponseAllocatesNothing(t *testing.T) {
 		read <- err
 	}()
 	if allocs := testing.AllocsPerRun(runs, func() {
-		tb.respond(cc, time.Now(), resp)
-		s.release(&tb.turn)
-		tb.reset()
+		s.respond(cc, time.Now(), resp)
+		s.release()
+		s.turn.reset()
 	}); allocs != 0 {
 		t.Fatalf("an inline response write allocates %.1f objects, want 0", allocs)
 	}

@@ -17,9 +17,9 @@
 // DESIGN §15 "Instance multiplexing" spells out who proposes to whom and
 // the hedge.
 //
-// A shard loop works in turns — drain the event queue, compute, emit
-// once. Handlers touch only the shard's table and record their effects in
-// it; the flush at the end of the turn appends all of the turn's journal
+// The loop works in turns — drain the event queue, compute, emit once.
+// Handlers touch only the instance table and record their effects in the
+// turn; the flush at the end of the turn appends all of the turn's journal
 // records in one wal.Group commit, then makes the turn's decisions
 // readable, then releases the client responses, then sends each peer at
 // most one mesh frame (a message, or a pmBatch of them). A read — a query,
@@ -40,18 +40,17 @@
 //     a quorum view forms the server answers abstain-and-report
 //     (StatusAbstain with view progress) instead of hanging, and an
 //     undecided instance is evicted after a TTL — both deadlines in one
-//     heap and one timer per shard — so the table stays bounded.
+//     heap under one timer — so the table stays bounded.
 //
-// Throughput comes from sharding: the instance table is split across
-// Config.Shards independent loops, each owning the instances that hash to
-// it, so concurrent submits for different instances never serialize on
-// one loop. Cross-cutting state is three atomics (global in-flight count
-// for admission, acked-decision count for the crash hook, plus the stat
-// counters) — no server-wide mutex sits on the decide path. The journal
-// is shared through a wal.Group, which coalesces the shards' concurrent
-// turn appends into one write+fsync per commit. Batching is greedy
+// One event loop serves every instance. An instance is one
+// communication-closed round, so instances commute and one loop can
+// interleave them all: it owns the instance table, admission is the
+// table's size, and no lock sits on the decide path — only the decided
+// table, which connection readers read, has a mutex. Batching is greedy
 // everywhere: an idle server handles one event per turn and sends every
-// message immediately; under load the turn grows with the backlog.
+// message immediately; under load the turn grows with the backlog, and
+// the submits of one turn share its journal commit and its frame to each
+// peer.
 //
 // A request that times out, gets shed, or hits a dead server is safely
 // retried by Client with seeded-jitter backoff and the same request ID:
@@ -106,15 +105,8 @@ type Config struct {
 	// the chaos campaigns run wal.SyncAlways.
 	Sync wal.SyncMode
 
-	// Shards is the number of independent instance-table shards, each
-	// with its own event loop; instances hash to a shard. Sharding never
-	// changes results (an instance's events still serialize on its owning
-	// loop), only concurrency. 0 means 4.
-	Shards int
-
-	// MaxInflight bounds the undecided-instance table across all shards;
-	// a submit that would open an instance beyond it is shed with
-	// StatusOverload. 0 means 1024.
+	// MaxInflight bounds the undecided-instance table; a submit that would
+	// open an instance beyond it is shed with StatusOverload. 0 means 1024.
 	MaxInflight int
 
 	// RequestTimeout is the default per-request deadline (a request may
@@ -170,9 +162,6 @@ func (c *Config) fill() error {
 	}
 	if c.WALDir == "" {
 		return fmt.Errorf("serve: WALDir is required")
-	}
-	if c.Shards <= 0 {
-		c.Shards = 4
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 1024
@@ -230,7 +219,7 @@ type Stats struct {
 }
 
 // counters is the lock-free internal form of Stats: every field is an
-// atomic so no shard loop ever takes a server-wide mutex to count.
+// atomic, since connection readers count too and Stats reads them all.
 type counters struct {
 	submits, idempotentHits            atomic.Int64
 	decisions, adopted, ackedDecisions atomic.Int64
@@ -240,9 +229,9 @@ type counters struct {
 }
 
 // instance is one in-flight agreement instance: one round's state, held
-// in a record its shard recycles. A decided or evicted instance frees its
-// record onto the shard's free list, and the next instance the shard opens
-// takes it over, view and waiter buffers included.
+// in a record the loop recycles. A decided or evicted instance frees its
+// record onto the free list, and the next instance the loop opens takes it
+// over, view and waiter buffers included.
 type instance struct {
 	id       string
 	proposal int
@@ -266,7 +255,7 @@ type waiter struct {
 	start time.Time
 }
 
-// event is one input of a shard loop, queued by value: a client's submit
+// event is one input of the loop, queued by value: a client's submit
 // (kind 0) or a peer message.
 type event struct {
 	kind byte     // the peer message's kind; 0: a submit
@@ -280,33 +269,17 @@ type event struct {
 	start   time.Time   // when the submit arrived
 }
 
-// shardTable is the state of one shard: the instances that hash to it, and
-// the effects of the turn in progress. Only the owning loop touches it,
-// except that connection readers and RecoveredDecisions read decided,
-// under mu (turn.go).
-type shardTable struct {
-	inflight  map[string]*instance
-	free      []*instance    // settled instances' records, for the next to open
-	proposals map[string]int // first-wins proposal per undecided instance, journaled
-	mu        sync.Mutex
-	decided   map[string]int // durable decisions only: flush adds a turn's
-
-	due   deadlines // every TTL, hedge and request deadline of the shard (turn.go)
-	heard core.Set  // ask's scratch: the peers the mesh hears
-
-	turn // what this turn's handlers want externalized
-}
-
-// Server is one agreement-service node. Start it with Start; stop it
-// cleanly with Close, or abruptly (simulated kill) with Kill.
+// Server is one agreement-service node: one event loop over one instance
+// table. Start it with Start; stop it cleanly with Close, or abruptly
+// (simulated kill) with Kill.
 type Server struct {
 	cfg   Config
 	node  *netsub.Node
 	cln   net.Listener
 	log   *wal.Log
-	group *wal.Group
+	group *wal.Group // the journal's only way in once Start is done
 
-	ev       []chan event // one event queue per shard loop
+	ev       chan event // the loop's queue
 	done     chan struct{}
 	crashed  chan struct{}
 	haltOne  sync.Once
@@ -317,14 +290,19 @@ type Server struct {
 	connMu sync.Mutex
 	halted bool // set under connMu; accepted conns arriving later are refused
 
-	// Shard state: sh[i] is touched only by loop i, bar sh[i].read.
-	sh []shardTable
+	// The instance table and the turn in progress: only the loop touches
+	// them, except that connection readers and RecoveredDecisions read
+	// decided, under mu (turn.go).
+	inflight  map[string]*instance // its size is what admission bounds
+	free      []*instance          // settled instances' records, for the next to open
+	proposals map[string]int       // first-wins proposal per undecided instance, journaled
+	mu        sync.Mutex
+	decided   map[string]int // durable decisions only: flush adds a turn's
+	due       deadlines      // every TTL, hedge and request deadline (turn.go)
+	heard     core.Set       // ask's scratch: the peers the mesh hears
+	turn                     // what this turn's handlers want externalized
 
-	// Cross-shard state, all atomic — nothing on the decide path takes a
-	// server-wide lock.
-	inflightN atomic.Int64 // global admission counter
-	acked     atomic.Int64 // decisions acked to ≥1 client (crash hook)
-	ctr       counters
+	ctr counters
 
 	recovered int // decisions replayed from the WAL at Start
 
@@ -364,9 +342,8 @@ func Start(cfg Config) (*Server, error) {
 	if cfg.Hist != nil {
 		walBatchHist = cfg.Hist.Get("serve_wal_batch")
 	}
-	// From here on the group is the journal's only way in: every shard
-	// loop appends its turn's records through it, and whichever finds no
-	// commit in flight writes them, one fsync per commit.
+	// From here on the loop appends each turn's records through the group
+	// and writes them itself, one fsync per commit.
 	s.group = wal.NewGroup(log, wal.GroupOptions{BatchHist: walBatchHist})
 
 	mesh := cfg.Mesh
@@ -406,43 +383,33 @@ func Start(cfg Config) (*Server, error) {
 		})
 	}
 
-	s.wg.Add(cfg.Shards + 1)
-	for i := 0; i < cfg.Shards; i++ {
-		go s.loop(i)
-	}
+	s.wg.Add(2)
+	go s.loop()
 	go s.acceptLoop()
 	return s, nil
 }
 
 // newServer builds the server's state from a filled cfg and the journal's
-// content: the shard tables and their queues, no loop, mesh or journal yet.
+// content, whose Decisions it takes over as its decided table: the
+// instance table and the loop's queue, no loop, mesh or journal yet.
 func newServer(cfg Config, js *JournalState) *Server {
 	s := &Server{
 		cfg:         cfg,
-		ev:          make([]chan event, cfg.Shards),
+		ev:          make(chan event, 1024), // a backlog for the next turns; a full queue holds its posters back
 		done:        make(chan struct{}),
 		crashed:     make(chan struct{}),
-		sh:          make([]shardTable, cfg.Shards),
+		inflight:    make(map[string]*instance),
+		proposals:   make(map[string]int),
+		decided:     js.Decisions,
+		heard:       core.NewSet(cfg.N),
+		turn:        turn{fresh: make(map[string]int), out: make([][][]byte, cfg.N)},
 		recovered:   len(js.Decisions),
 		incarnation: js.Boots + 1,
 	}
-	for i := range s.sh {
-		s.ev[i] = make(chan event, 1024)
-		s.sh[i] = shardTable{
-			inflight:  make(map[string]*instance),
-			proposals: make(map[string]int),
-			decided:   make(map[string]int),
-			heard:     core.NewSet(cfg.N),
-			turn:      turn{fresh: make(map[string]int), out: make([][][]byte, cfg.N)},
-		}
-	}
 	for inst, val := range js.Proposals {
 		if _, done := js.Decisions[inst]; !done {
-			s.sh[s.shardOf(inst)].proposals[inst] = val
+			s.proposals[inst] = val
 		}
-	}
-	for inst, val := range js.Decisions {
-		s.sh[s.shardOf(inst)].decided[inst] = val
 	}
 	if cfg.Hist != nil {
 		s.hReq = cfg.Hist.Get("serve_request_ns")
@@ -453,15 +420,6 @@ func newServer(cfg Config, js *JournalState) *Server {
 		s.hTurnJournal = cfg.Hist.Get("serve_turn_journal_ns")
 	}
 	return s
-}
-
-// shardOf maps an instance id to its owning shard loop by 32-bit FNV-1a.
-func (s *Server) shardOf(inst string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(inst); i++ {
-		h = (h ^ uint32(inst[i])) * 16777619
-	}
-	return int(h % uint32(s.cfg.Shards))
 }
 
 // ClientAddr is the address clients dial.
@@ -482,14 +440,9 @@ func (s *Server) Crashed() <-chan struct{} { return s.crashed }
 // and every decision journaled since. bench/svc.go's recovery audit
 // checks acknowledged decisions against it.
 func (s *Server) RecoveredDecisions() map[string]int {
-	out := make(map[string]int)
-	for i := range s.sh {
-		t := &s.sh[i]
-		t.mu.Lock()
-		maps.Copy(out, t.decided)
-		t.mu.Unlock()
-	}
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.decided)
 }
 
 // Stats returns a snapshot of the server's counters.
@@ -554,11 +507,10 @@ func (s *Server) halt() {
 	})
 }
 
-// post delivers an event to the instance's shard loop unless the server
-// is halting.
-func (s *Server) post(shard int, e event) {
+// post delivers an event to the loop unless the server is halting.
+func (s *Server) post(e event) {
 	select {
-	case s.ev[shard] <- e:
+	case s.ev <- e:
 	case <-s.done:
 	}
 }
@@ -571,42 +523,41 @@ func (s *Server) event(kind string, fields map[string]any) {
 }
 
 // handle dispatches one event.
-func (s *Server) handle(t *shardTable, ev event) {
+func (s *Server) handle(ev event) {
 	if ev.kind == 0 {
-		s.onSubmit(t, ev)
+		s.onSubmit(ev)
 	} else {
-		s.onPeer(t, ev)
+		s.onPeer(ev)
 	}
 }
 
-func (s *Server) onSubmit(t *shardTable, ev event) {
+func (s *Server) onSubmit(ev event) {
 	s.ctr.submits.Add(1)
 	id, req := ev.inst, ev.req
 
 	// Idempotency: a decided instance answers every (re)submission that
 	// got past the connection's reader; nothing can decide twice.
-	if val, ok := t.lookup(id); ok {
-		t.respond(ev.cc, ev.start, s.dup(req, id, val))
+	if val, ok := s.lookup(id); ok {
+		s.respond(ev.cc, ev.start, s.dup(req, id, val))
 		return
 	}
 
-	ins, open := t.inflight[id]
+	ins, open := s.inflight[id]
 	if !open {
-		// Admission control: opening one more instance past the global
-		// bound sheds the request instead of queueing it.
-		n, ok := s.admit()
-		if !ok {
+		// Admission control: opening one more instance past the bound
+		// sheds the request instead of queueing it.
+		if !s.admit() {
 			s.ctr.overloads.Add(1)
 			if s.cfg.Observer != nil {
-				s.event("serve.shed", map[string]any{"inflight": int(n)})
+				s.event("serve.shed", map[string]any{"inflight": len(s.inflight)})
 			}
-			t.respond(ev.cc, ev.start, Response{
+			s.respond(ev.cc, ev.start, Response{
 				Req: req, Inst: id, Status: StatusOverload,
-				Inflight: int(n), Max: s.cfg.MaxInflight, Incarnation: s.incarnation,
+				Inflight: len(s.inflight), Max: s.cfg.MaxInflight, Incarnation: s.incarnation,
 			})
 			return
 		}
-		ins = s.openInstance(t, id, ev.val)
+		ins = s.openInstance(id, ev.val)
 	}
 
 	d := s.cfg.RequestTimeout
@@ -614,7 +565,7 @@ func (s *Server) onSubmit(t *shardTable, ev event) {
 		d = time.Duration(ev.timeout) * time.Millisecond
 	}
 	ins.waiters = append(ins.waiters, waiter{req: req, cc: ev.cc, start: ev.start})
-	t.schedule(deadline{at: ev.start.Add(d), ins: ins, gen: ins.gen, req: req})
+	s.schedule(deadline{at: ev.start.Add(d), ins: ins, gen: ins.gen, req: req})
 
 	// Proposed once the instance could decide. A fresh instance still
 	// undecided asks only the quorum it needs, and hedges. A re-submission
@@ -622,12 +573,12 @@ func (s *Server) onSubmit(t *shardTable, ev event) {
 	// does: cheap, it re-seeds peers that restarted mid-instance, and a
 	// peer that has decided meanwhile answers it with the decision.
 	prop := ins.proposal
-	if s.maybeDecide(t, ins) || open {
-		s.proposeAll(t, id, prop, nobody)
+	if s.maybeDecide(ins) || open {
+		s.proposeAll(id, prop, nobody)
 		return
 	}
-	s.ask(t, ins)
-	t.schedule(deadline{at: ev.start.Add(s.cfg.RequestTimeout / hedgeFraction), ins: ins, gen: ins.gen, hedge: true})
+	s.ask(ins)
+	s.schedule(deadline{at: ev.start.Add(s.cfg.RequestTimeout / hedgeFraction), ins: ins, gen: ins.gen, hedge: true})
 }
 
 // hedgeFraction places a fresh instance's hedge at this fraction of
@@ -641,54 +592,50 @@ const hedgeFraction = 8
 // order when too few are heard; pmProposeQuiet to the others. It reads each
 // peer's liveness at most once, and none past the n−f−1 heard peers it
 // needs.
-func (s *Server) ask(t *shardTable, ins *instance) {
+func (s *Server) ask(ins *instance) {
 	n, me, need := s.cfg.N, int(s.cfg.Me), s.cfg.N-s.cfg.F-1
-	t.heard.Clear()
+	s.heard.Clear()
 	for i, found := 1, 0; i < n && found < need; i++ {
 		if p := core.PID((me + i) % n); s.node.Hears(p) {
-			t.heard.Add(p)
+			s.heard.Add(p)
 			found++
 		}
 	}
-	fill := need - t.heard.Count()
-	ask, quiet := t.message(pmPropose, ins.id, ins.proposal), t.message(pmProposeQuiet, ins.id, ins.proposal)
+	fill := need - s.heard.Count()
+	ask, quiet := s.message(pmPropose, ins.id, ins.proposal), s.message(pmProposeQuiet, ins.id, ins.proposal)
 	for i := 1; i < n; i++ {
 		p, msg := core.PID((me+i)%n), quiet
-		if t.heard.Has(p) {
+		if s.heard.Has(p) {
 			msg = ask
 		} else if fill > 0 {
 			msg, fill = ask, fill-1
 		}
-		t.send(p, msg)
+		s.send(p, msg)
 	}
 }
 
 // hedge fires for a fresh instance still undecided: the proposal goes to
 // every peer again, asking each, as an in-flight resubmission does — which
 // also resends one a full send queue shed.
-func (s *Server) hedge(t *shardTable, ins *instance) {
+func (s *Server) hedge(ins *instance) {
 	s.ctr.hedges.Add(1)
 	if s.cfg.Observer != nil {
 		s.event("serve.hedge", map[string]any{"unheard": ins.view.Heard.Complement().Members()})
 	}
-	s.proposeAll(t, ins.id, ins.proposal, nobody)
+	s.proposeAll(ins.id, ins.proposal, nobody)
 }
 
-// admit reserves room for one more instance under the global in-flight
-// bound, in one atomic step, so that shard loops admitting at once cannot
-// together overshoot it. Past the bound it takes the reservation back and
-// reports false. It returns the in-flight count: with the new instance, or
-// the count that refused it.
-func (s *Server) admit() (int64, bool) {
-	n := s.inflightN.Add(1)
-	if n > int64(s.cfg.MaxInflight) {
-		s.inflightN.Add(-1)
-		return n - 1, false
+// admit reports whether one more instance fits under MaxInflight, and
+// records the depth it would bring the table to.
+func (s *Server) admit() bool {
+	n := len(s.inflight) + 1
+	if n > s.cfg.MaxInflight {
+		return false
 	}
 	if s.hInflight != nil {
-		s.hInflight.Record(n)
+		s.hInflight.Record(int64(n))
 	}
-	return n, true
+	return true
 }
 
 // nobody is a proposeAll skip that skips no peer.
@@ -699,64 +646,63 @@ const nobody core.PID = -1
 // pmProposeQuiet: the node has nothing left to learn, so no peer answers
 // it. It takes the id and proposal, not the instance: a decided instance's
 // record is already free.
-func (t *shardTable) proposal(id string, prop int) []byte {
+func (s *Server) proposal(id string, prop int) []byte {
 	kind := pmPropose
-	if _, done := t.lookup(id); done {
+	if _, done := s.lookup(id); done {
 		kind = pmProposeQuiet
 	}
-	return t.message(kind, id, prop)
+	return s.message(kind, id, prop)
 }
 
 // proposeAll records this node's proposal prop for instance id for every
 // other node but skip.
-func (s *Server) proposeAll(t *shardTable, id string, prop int, skip core.PID) {
-	msg := t.proposal(id, prop)
-	for p := range t.out {
+func (s *Server) proposeAll(id string, prop int, skip core.PID) {
+	msg := s.proposal(id, prop)
+	for p := range s.out {
 		if to := core.PID(p); to != s.cfg.Me && to != skip {
-			t.send(to, msg)
+			s.send(to, msg)
 		}
 	}
 }
 
-// openInstance creates the in-flight entry for id, in room admit
-// reserved, journaling the first-wins proposal; its caller proposes it
+// openInstance creates the in-flight entry for id, which admit let in,
+// journaling the first-wins proposal; its caller proposes it
 // once the instance has had its chance to decide. The proposal journal
 // entry is what keeps this node's proposal stable across kill-and-restart:
 // a resubmission after recovery proposes the same value, so the
 // min-of-view decision rule keeps drawing from the same closed set.
-func (s *Server) openInstance(t *shardTable, id string, val int) *instance {
-	prop, known := t.proposals[id]
+func (s *Server) openInstance(id string, val int) *instance {
+	prop, known := s.proposals[id]
 	if !known {
 		prop = val
-		t.proposals[id] = prop
-		t.journal(recProposal, id, prop)
+		s.proposals[id] = prop
+		s.journal(recProposal, id, prop)
 	}
 	var ins *instance
-	if k := len(t.free); k > 0 {
-		ins, t.free = t.free[k-1], t.free[:k-1]
+	if k := len(s.free); k > 0 {
+		ins, s.free = s.free[k-1], s.free[:k-1]
 	} else {
 		ins = &instance{view: agreement.Row{Heard: core.NewSet(s.cfg.N), Vals: make([]int, s.cfg.N)}}
 	}
 	ins.id, ins.proposal, ins.start = id, prop, time.Now()
 	ins.view.Heard.Add(s.cfg.Me)
 	ins.view.Vals[s.cfg.Me] = prop
-	t.inflight[id] = ins
-	t.schedule(deadline{at: ins.start.Add(s.cfg.InstanceTTL), ins: ins, gen: ins.gen})
+	s.inflight[id] = ins
+	s.schedule(deadline{at: ins.start.Add(s.cfg.InstanceTTL), ins: ins, gen: ins.gen})
 	return ins
 }
 
 // settle removes ins from the in-flight table, decided or evicted, and
-// frees its record: its deadlines die, and the next instance the shard
+// frees its record: its deadlines die, and the next instance the loop
 // opens may take it over. The caller is done with the waiters.
-func (s *Server) settle(t *shardTable, ins *instance) {
-	delete(t.inflight, ins.id)
+func (s *Server) settle(ins *instance) {
+	delete(s.inflight, ins.id)
 	ins.gen++
 	ins.id = ""
 	ins.view.Heard.Clear()
 	clear(ins.waiters)
 	ins.waiters = ins.waiters[:0]
-	t.free = append(t.free, ins)
-	s.inflightN.Add(-1)
+	s.free = append(s.free, ins)
 }
 
 // dup counts and builds the answer to a submit for a decided instance.
@@ -766,33 +712,33 @@ func (s *Server) dup(req, inst string, val int) Response {
 	return Response{Req: req, Inst: inst, Status: StatusDecided, Val: val, Incarnation: s.incarnation}
 }
 
-func (s *Server) onPeer(t *shardTable, ev event) {
+func (s *Server) onPeer(ev event) {
 	switch ev.kind {
 	case pmPropose, pmProposeQuiet:
 		s.ctr.peerProposes.Add(1)
 		asks := ev.kind == pmPropose // a quiet proposer is never answered
-		if val, ok := t.lookup(ev.inst); ok {
+		if val, ok := s.lookup(ev.inst); ok {
 			// The one place a decision is announced: to a peer still
 			// undecided and proposing for an instance this node has
 			// decided — a straggler, a restarted peer, or one resubmitting
 			// because its own view never filled.
 			if asks {
-				t.send(ev.from, t.message(pmDecide, ev.inst, val))
+				s.send(ev.from, s.message(pmDecide, ev.inst, val))
 			}
 			return
 		}
-		ins, open := t.inflight[ev.inst]
+		ins, open := s.inflight[ev.inst]
 		if !open {
-			if n, ok := s.admit(); !ok {
+			if !s.admit() {
 				// Peer-initiated instances obey the same admission bound;
 				// the origin's deadline degrades the loss into abstain.
 				s.ctr.peerSheds.Add(1)
 				if s.cfg.Observer != nil {
-					s.event("serve.shed", map[string]any{"inflight": int(n), "peer": true})
+					s.event("serve.shed", map[string]any{"inflight": len(s.inflight), "peer": true})
 				}
 				return
 			}
-			ins = s.openInstance(t, ev.inst, ev.val)
+			ins = s.openInstance(ev.inst, ev.val)
 		}
 		seen := ins.view.Heard.Has(ev.from)
 		if !seen {
@@ -800,7 +746,7 @@ func (s *Server) onPeer(t *shardTable, ev event) {
 			ins.view.Vals[ev.from] = ev.val
 		}
 		prop := ins.proposal
-		decided := s.maybeDecide(t, ins)
+		decided := s.maybeDecide(ins)
 		switch {
 		case !open && decided:
 			// Closed in the turn it opened: our proposal can still count
@@ -809,21 +755,21 @@ func (s *Server) onPeer(t *shardTable, ev event) {
 			// instance when a client asks it (a plain pmPropose answered
 			// with pmDecide), as a restarted node does.
 			if asks {
-				t.send(ev.from, t.proposal(ev.inst, prop))
+				s.send(ev.from, s.proposal(ev.inst, prop))
 			}
 		case !open:
 			skip := nobody
 			if !asks {
 				skip = ev.from // it wants no answer: it has decided, or asked others
 			}
-			s.proposeAll(t, ev.inst, prop, skip)
+			s.proposeAll(ev.inst, prop, skip)
 		case seen && asks:
 			// A repeated proposal is a peer that lost our answer (a
 			// hedge, a restart): resend ours directly, not to all.
-			t.send(ev.from, t.proposal(ev.inst, prop))
+			s.send(ev.from, s.proposal(ev.inst, prop))
 		}
 	case pmDecide:
-		if _, ok := t.lookup(ev.inst); ok {
+		if _, ok := s.lookup(ev.inst); ok {
 			return
 		}
 		// Adopting a peer's decision only merges decision sets — the
@@ -831,13 +777,13 @@ func (s *Server) onPeer(t *shardTable, ev event) {
 		// ≤ f+1 distinct-decisions bound is unchanged.
 		s.ctr.adopted.Add(1)
 		s.event("serve.adopt", nil)
-		s.commitDecision(t, ev.inst, ev.val)
+		s.commitDecision(ev.inst, ev.val)
 	}
 }
 
 // maybeDecide decides ins once its view holds n−f proposals, and reports
 // whether it did.
-func (s *Server) maybeDecide(t *shardTable, ins *instance) bool {
+func (s *Server) maybeDecide(ins *instance) bool {
 	min, ok := agreement.QuorumMin(ins.view, s.cfg.N-s.cfg.F)
 	if !ok {
 		return false
@@ -849,7 +795,7 @@ func (s *Server) maybeDecide(t *shardTable, ins *instance) bool {
 	if s.hDecide != nil {
 		s.hDecide.Record(time.Since(ins.start).Nanoseconds())
 	}
-	s.commitDecision(t, ins.id, min)
+	s.commitDecision(ins.id, min)
 	return true
 }
 
@@ -860,56 +806,56 @@ func (s *Server) maybeDecide(t *shardTable, ins *instance) bool {
 // decision can be read off the loop or any of the responses leave. The
 // instance's proposal goes: lookup answers a decided instance before
 // openInstance could read it again. So does its record.
-func (s *Server) commitDecision(t *shardTable, id string, val int) {
-	t.journal(recDecision, id, val)
-	t.fresh[id] = val
-	delete(t.proposals, id)
-	ins := t.inflight[id]
+func (s *Server) commitDecision(id string, val int) {
+	s.journal(recDecision, id, val)
+	s.fresh[id] = val
+	delete(s.proposals, id)
+	ins := s.inflight[id]
 	if ins == nil {
 		return
 	}
 	for _, w := range ins.waiters {
-		t.respond(w.cc, w.start, Response{
+		s.respond(w.cc, w.start, Response{
 			Req: w.req, Inst: id, Status: StatusDecided, Val: val, Incarnation: s.incarnation,
 		})
 	}
 	if len(ins.waiters) > 0 {
-		t.acked++
+		s.acked++
 	}
-	s.settle(t, ins)
+	s.settle(ins)
 }
 
 // crash is the abrupt internal halt: mark, stop serving, die mid-stride.
 func (s *Server) crash() {
 	s.crashOne.Do(func() { close(s.crashed) })
-	s.event("serve.crash", map[string]any{"acked": s.acked.Load()})
+	s.event("serve.crash", map[string]any{"acked": s.ctr.ackedDecisions.Load()})
 	s.halt()
 }
 
 // abstain answers one waiter abstain-and-report: the missing
 // n−f−gathered senders are the processes this round's D(i,r) would hold.
-func (s *Server) abstain(t *shardTable, ins *instance, w waiter) {
+func (s *Server) abstain(ins *instance, w waiter) {
 	s.ctr.abstains.Add(1)
-	t.respond(w.cc, w.start, Response{
+	s.respond(w.cc, w.start, Response{
 		Req: w.req, Inst: ins.id, Status: StatusAbstain,
 		Gathered: ins.view.Heard.Count(), Need: s.cfg.N - s.cfg.F, Incarnation: s.incarnation,
 	})
 }
 
-// expire serves the shard's deadlines due by now, earliest first. A
+// expire serves the deadlines due by now, earliest first. A
 // request's deadline abstains the first waiter still attached under its
 // ID; an instance's TTL evicts the instance, abstaining every waiter still
 // attached. Entries that died meanwhile are dropped: their instance's
 // record has been freed since, whoever holds it now.
-func (s *Server) expire(t *shardTable, now time.Time) {
-	for len(t.due) > 0 && !t.due[0].at.After(now) {
-		d := t.due.pop()
+func (s *Server) expire(now time.Time) {
+	for len(s.due) > 0 && !s.due[0].at.After(now) {
+		d := s.due.pop()
 		ins := d.ins
 		if d.gen != ins.gen {
 			continue // dead: decided or evicted meanwhile
 		}
 		if d.hedge {
-			s.hedge(t, ins)
+			s.hedge(ins)
 			continue
 		}
 		if d.req == "" {
@@ -917,9 +863,9 @@ func (s *Server) expire(t *shardTable, now time.Time) {
 				s.event("serve.evict_instance", map[string]any{"gathered": ins.view.Heard.Count()})
 			}
 			for _, w := range ins.waiters {
-				s.abstain(t, ins, w)
+				s.abstain(ins, w)
 			}
-			s.settle(t, ins)
+			s.settle(ins)
 			s.ctr.evictions.Add(1)
 			continue
 		}
@@ -929,14 +875,14 @@ func (s *Server) expire(t *shardTable, now time.Time) {
 			if s.cfg.Observer != nil {
 				s.event("serve.abstain", map[string]any{"gathered": ins.view.Heard.Count(), "need": s.cfg.N - s.cfg.F})
 			}
-			s.abstain(t, ins, w)
+			s.abstain(ins, w)
 		}
 	}
 }
 
 // deliver is the mesh's Deliver: on the reader of the connection a frame
-// arrived on, it posts the frame's messages, a batch's unpacked, to their
-// shard loops. It reads the payload in place, which the reader reuses once
+// arrived on, it posts the frame's messages, a batch's unpacked, to the
+// loop. It reads the payload in place, which the reader reuses once
 // it returns: a posted event keeps only the instance id, which decoding
 // copies.
 func (s *Server) deliver(from core.PID, payload []byte) {
@@ -956,21 +902,20 @@ func (s *Server) deliver(from core.PID, payload []byte) {
 	s.handlePeerMsg(from, b)
 }
 
-// handlePeerMsg decodes one peer message and posts it to the owning
-// shard loop.
+// handlePeerMsg decodes one peer message and posts it to the loop.
 func (s *Server) handlePeerMsg(from core.PID, b []byte) {
 	kind, inst, val, err := decodePeerMsg(b)
 	if err != nil {
 		s.event("serve.bad_peer_msg", map[string]any{"err": err.Error()})
 		return
 	}
-	s.post(s.shardOf(inst), event{kind: kind, from: from, inst: inst, val: val})
+	s.post(event{kind: kind, from: from, inst: inst, val: val})
 }
 
 // clientConn is one accepted client connection: a reader goroutine
 // parses requests, answers reads and malformed lines itself and posts the
-// other submits to their shard loops. Every response, the reader's and
-// the loops', goes out through the connection's netsub.Lane, written by
+// other submits to the loop. Every response, the reader's and the
+// loop's, goes out through the connection's netsub.Lane, written by
 // whoever sends it while the lane is idle and by a writer goroutine
 // otherwise, so responses may overtake each other but never interleave.
 // A client that stops reading fills the lane's bounded queue and is
@@ -1031,13 +976,13 @@ func (s *Server) readConn(cc *clientConn) {
 			return
 		}
 		resp := Response{Status: StatusError}
-		start, shard := time.Now(), s.shardOf(req.Inst)
-		val, ok := s.sh[shard].read(req.Inst)
+		start := time.Now()
+		val, ok := s.read(req.Inst)
 		switch {
 		case req.Op == "submit" && (req.Inst == "" || req.Req == ""):
 			resp.Err = "submit needs inst and req"
 		case req.Op == "submit" && !ok:
-			s.post(shard, event{inst: req.Inst, val: req.Val, req: req.Req, timeout: req.TimeoutMS, cc: cc, start: start})
+			s.post(event{inst: req.Inst, val: req.Val, req: req.Req, timeout: req.TimeoutMS, cc: cc, start: start})
 			continue
 		case req.Op == "submit":
 			s.ctr.submits.Add(1)

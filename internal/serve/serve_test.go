@@ -294,7 +294,7 @@ func TestStartRefusesWhatReadJournalRefuses(t *testing.T) {
 
 // TestDecidedInstanceKeepsNoProposal: a decided instance's first-wins
 // proposal is never read again — lookup answers the instance first — so
-// neither the shard that decided it nor a restart over its journal keeps
+// neither the loop that decided it nor a restart over its journal keeps
 // it, and the table stays bounded by the undecided instances. A one-node
 // server (n=1, f=0: a quorum of one) decides k instances alone.
 func TestDecidedInstanceKeepsNoProposal(t *testing.T) {
@@ -308,13 +308,6 @@ func TestDecidedInstanceKeepsNoProposal(t *testing.T) {
 		}
 		return s
 	}
-	// kept counts proposal entries; the server is closed, its loops gone.
-	kept := func(s *Server) (n int) {
-		for i := range s.sh {
-			n += len(s.sh[i].proposals)
-		}
-		return n
-	}
 
 	s := start()
 	c := NewClient(ClientConfig{Addr: s.ClientAddr(), Timeout: 2 * time.Second, Seed: 1})
@@ -322,8 +315,8 @@ func TestDecidedInstanceKeepsNoProposal(t *testing.T) {
 		mustDecide(t, c, fmt.Sprintf("i%d", i), "r", i)
 	}
 	c.Close()
-	s.Close()
-	if n := kept(s); n != 0 {
+	s.Close() // its loop gone, the table is the test's to read
+	if n := len(s.proposals); n != 0 {
 		t.Fatalf("%d proposal entries after deciding %d instances, want 0", n, k)
 	}
 
@@ -332,7 +325,7 @@ func TestDecidedInstanceKeepsNoProposal(t *testing.T) {
 	if got := s.Stats().RecoveredDecisions; got != k {
 		t.Fatalf("restart recovered %d decisions, want %d", got, k)
 	}
-	if n := kept(s); n != 0 {
+	if n := len(s.proposals); n != 0 {
 		t.Fatalf("%d proposal entries after a restart over %d decided instances, want 0", n, k)
 	}
 }
@@ -447,18 +440,17 @@ func TestPeerBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentSubmits drives a sharded cluster with many
-// concurrent clients over disjoint instances: every instance decides
-// exactly once cluster-wide on the submitted value, journal appends
-// coalesce into batches, and the broadcast batcher actually packed
-// multi-message frames under the contention.
-func TestShardedConcurrentSubmits(t *testing.T) {
+// TestConcurrentSubmits drives a cluster with many concurrent clients
+// over disjoint instances: every instance decides exactly once
+// cluster-wide on the submitted value, journal appends coalesce into
+// batches, and the broadcast batcher actually packed multi-message frames
+// under the contention.
+func TestConcurrentSubmits(t *testing.T) {
 	m := obs.NewMetrics()
 	cl, err := StartCluster(ClusterConfig{
 		N: 3, F: 1, K: 2,
 		Dir:            t.TempDir(),
 		Sync:           wal.SyncAlways,
-		Shards:         8,
 		RequestTimeout: 5 * time.Second,
 		Seed:           1,
 		Hist:           m.Hist(),
@@ -535,35 +527,6 @@ func TestShardedConcurrentSubmits(t *testing.T) {
 	}
 	if bc.Snapshot().Max < 2 {
 		t.Fatal("broadcast batcher never coalesced despite 128 concurrent instances")
-	}
-}
-
-// TestShardCountsAgree: the same workload decides identically at every
-// shard count — sharding is a concurrency knob, never a semantics knob.
-func TestShardCountsAgree(t *testing.T) {
-	for _, shards := range []int{1, 4, 8} {
-		cl, err := StartCluster(ClusterConfig{
-			N: 1, F: 0, K: 1,
-			Dir:            t.TempDir(),
-			Shards:         shards,
-			RequestTimeout: 2 * time.Second,
-			Seed:           1,
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		c := NewClient(ClientConfig{Addr: cl.ClientAddrs()[0], Timeout: 2 * time.Second, Seed: 1})
-		for i := 0; i < 32; i++ {
-			inst := fmt.Sprintf("i%d", i)
-			if resp := mustDecide(t, c, inst, "r", i); resp.Val != i {
-				t.Fatalf("shards=%d: %s decided %d, want %d", shards, inst, resp.Val, i)
-			}
-		}
-		if st := cl.Servers[0].Stats(); st.Decisions != 32 {
-			t.Fatalf("shards=%d: decisions %d, want 32", shards, st.Decisions)
-		}
-		c.Close()
-		cl.Close()
 	}
 }
 

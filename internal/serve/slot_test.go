@@ -8,11 +8,12 @@ import (
 
 	"repro/internal/netsub"
 	"repro/internal/obs/hist"
+	"repro/internal/wal"
 )
 
 // bareServer is a server's state with no loop or journal, and a mesh node
-// that reaches no peer, so it hears none: a test plays the shard loops by
-// calling the handlers itself.
+// that reaches no peer, so it hears none: a test plays the loop by calling
+// the handlers itself.
 func bareServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	cfg.WALDir = "unused"
@@ -39,62 +40,113 @@ func bareServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-// idsOn returns count instance ids, each owned by shard i of s.
-func idsOn(s *Server, i, count int) []string {
-	var ids []string
-	for k := 0; len(ids) < count; k++ {
-		if id := fmt.Sprintf("i%d", k); s.shardOf(id) == i {
-			ids = append(ids, id)
-		}
+// TestOneTurnOneCommitOneFramePerPeer: two fresh submits queued before the
+// loop's first turn are one turn. Their two proposal records leave in one
+// journal commit, and their proposals in one frame to each peer, whatever
+// their ids.
+func TestOneTurnOneCommitOneFramePerPeer(t *testing.T) {
+	reg := hist.NewRegistry()
+	s := bareServer(t, Config{Me: 0, N: 3, F: 1, InstanceTTL: time.Hour, Hist: reg})
+	log, _, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return ids
+	s.group = wal.NewGroup(log, wal.GroupOptions{})
+	near, _ := tcpPair(t)
+	cc := newClientConn(near)
+	for _, id := range []string{"a", "b"} {
+		s.ev <- event{inst: id, req: id, val: 1, cc: cc, start: time.Now()}
+	}
+	t.Cleanup(func() {
+		s.group.Close()
+		log.Close()
+	})
+	stop := sync.OnceFunc(func() {
+		close(s.done)
+		s.wg.Wait()
+	})
+	t.Cleanup(stop)
+	s.wg.Add(1)
+	go s.loop()
+
+	// The loop's first turn sends a frame to each peer last; stopped after
+	// it, the loop has taken no other turn.
+	waitFor(t, "the turn's frames", func() bool { ms := s.Mesh().Stats(); return ms.FramesSent+ms.Sheds >= 2 })
+	stop()
+	if js := s.JournalStats(); js.Appends != 2 || js.Batches != 1 {
+		t.Fatalf("%d records in %d journal commits, want 2 in 1", js.Appends, js.Batches)
+	}
+	if ms := s.Mesh().Stats(); ms.FramesSent != 2 || ms.Sheds != 0 {
+		t.Fatalf("%d frames sent and %d shed to 2 peers, want 2 and 0", ms.FramesSent, ms.Sheds)
+	}
+	if b := reg.Get("serve_bcast_batch").Snapshot(); b.Count != 2 || b.Sum != 4 {
+		t.Fatalf("%d frames carried %d messages, want 2 frames of 2", b.Count, b.Sum)
+	}
 }
 
-// TestAdmissionNeverOvershoots: shard loops that admit at once cannot
-// together pass the in-flight bound. One goroutine per shard plays its
-// loop, and in each round all of them submit a fresh instance at the same
-// instant under MaxInflight 1: exactly one opens, the others are shed, and
-// serve_inflight_depth never records more than 1. `make readers-race` runs
-// it at -cpu 1,4.
+// TestAdmissionNeverOvershoots: the in-flight bound is the size of the
+// loop's table. Clients on connections of their own, each read by its own
+// goroutine, submit fresh instances at once to a node that hears no peer,
+// so nothing decides and nothing admitted leaves before its TTL: exactly
+// MaxInflight instances open, their requests abstaining at their deadline,
+// every other submit is shed at the full table, and serve_inflight_depth
+// never records more than MaxInflight. `make readers-race` runs it at
+// -cpu 1,4.
 func TestAdmissionNeverOvershoots(t *testing.T) {
-	const shards, rounds = 4, 500
+	const max, clients = 4, 16
 	reg := hist.NewRegistry()
-	s := bareServer(t, Config{Me: 0, N: 3, F: 1, Shards: shards, MaxInflight: 1, InstanceTTL: time.Hour, Hist: reg})
-	ids := make([][]string, shards)
-	for i := range ids {
-		ids[i] = idsOn(s, i, rounds)
+	s, err := Start(Config{
+		Me: 0, N: 3, F: 1,
+		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
+		WALDir:      t.TempDir(),
+		MaxInflight: max,
+		InstanceTTL: time.Hour,
+		Seed:        1,
+		Hist:        reg,
+	})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
 	}
-	for r := 0; r < rounds; r++ {
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := 0; i < shards; i++ {
-			wg.Add(1)
-			go func(t *shardTable, id string) {
-				defer wg.Done()
-				<-start
-				s.handle(t, event{inst: id, req: "r", val: 1, start: time.Now()})
-			}(&s.sh[i], ids[i][r])
-		}
-		close(start)
-		wg.Wait()
-		open := 0
-		for i := range s.sh {
-			t := &s.sh[i]
-			for _, ins := range t.inflight {
-				s.settle(t, ins)
-				open++
+	defer s.Close()
+	answers := make(chan Response, clients)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewClient(ClientConfig{Addr: s.ClientAddr(), Timeout: 100 * time.Millisecond, MaxAttempts: 1, Seed: int64(i)})
+			defer c.Close()
+			<-start
+			resp, err := c.Submit(fmt.Sprintf("i%d", i), "r", i)
+			if err != nil {
+				t.Error(err)
 			}
-			t.reset()
-		}
-		if open != 1 || s.inflightN.Load() != 0 {
-			t.Fatalf("round %d: %d instances opened under MaxInflight 1 (%d still counted)", r, open, s.inflightN.Load())
+			answers <- resp
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(answers)
+	abstained, shed := 0, 0
+	for r := range answers {
+		switch {
+		case r.Status == StatusAbstain:
+			abstained++
+		case r.Status == StatusOverload && r.Inflight == max && r.Max == max:
+			shed++
+		default:
+			t.Errorf("answered %+v", r)
 		}
 	}
-	if d := reg.Get("serve_inflight_depth").Snapshot(); d.Max > 1 || d.Count != rounds {
-		t.Fatalf("serve_inflight_depth: max %d over %d opens, want at most 1 over %d", d.Max, d.Count, rounds)
+	if abstained != max || shed != clients-max {
+		t.Fatalf("%d submits admitted and %d shed under MaxInflight %d, want %d and %d", abstained, shed, max, max, clients-max)
 	}
-	if st := s.Stats(); st.Overloads != (shards-1)*rounds {
-		t.Fatalf("%d submits shed, want %d", st.Overloads, (shards-1)*rounds)
+	if d := reg.Get("serve_inflight_depth").Snapshot(); d.Max != max || d.Count != max {
+		t.Fatalf("serve_inflight_depth: max %d over %d opens, want %d over %d", d.Max, d.Count, max, max)
+	}
+	if st := s.Stats(); st.Overloads != clients-max {
+		t.Fatalf("%d submits counted shed, want %d", st.Overloads, clients-max)
 	}
 }
 
@@ -105,40 +157,39 @@ func TestAdmissionNeverOvershoots(t *testing.T) {
 // neither abstains its waiter nor evicts it.
 func TestStaleDeadlineSparesReusedSlot(t *testing.T) {
 	const ttl = 10 * time.Second
-	s := bareServer(t, Config{Me: 0, N: 3, F: 1, Shards: 1, InstanceTTL: ttl})
-	tb := &s.sh[0]
-	tb.due = make(deadlines, 0, 8) // room: no sweep drops the stale entries before they fall due
+	s := bareServer(t, Config{Me: 0, N: 3, F: 1, InstanceTTL: ttl})
+	s.due = make(deadlines, 0, 8) // room: no sweep drops the stale entries before they fall due
 
-	s.handle(tb, event{inst: "old", req: "r", val: 1, timeout: 50, start: time.Now()})
-	old := tb.inflight["old"]
+	s.handle(event{inst: "old", req: "r", val: 1, timeout: 50, start: time.Now()})
+	old := s.inflight["old"]
 	opened := old.start
-	s.handle(tb, event{kind: pmPropose, from: 1, inst: "old", val: 2}) // n−f = 2: decides
-	if _, ok := tb.lookup("old"); !ok || len(tb.inflight) != 0 {
+	s.handle(event{kind: pmPropose, from: 1, inst: "old", val: 2}) // n−f = 2: decides
+	if _, ok := s.lookup("old"); !ok || len(s.inflight) != 0 {
 		t.Fatal("the first instance did not decide")
 	}
-	tb.reset()
+	s.turn.reset()
 
 	time.Sleep(5 * time.Millisecond) // the new tenant's TTL falls due after the old one's
-	s.handle(tb, event{inst: "new", req: "r", val: 3, timeout: int(time.Hour / time.Millisecond), start: time.Now()})
-	ins := tb.inflight["new"]
+	s.handle(event{inst: "new", req: "r", val: 3, timeout: int(time.Hour / time.Millisecond), start: time.Now()})
+	ins := s.inflight["new"]
 	if ins != old {
 		t.Fatal("the new instance did not take over the freed record")
 	}
-	s.expire(tb, opened.Add(ttl+time.Millisecond))
-	if len(tb.acks) != 0 || s.Stats().Abstains != 0 || s.Stats().Evictions != 0 {
-		t.Fatalf("the old instance's deadlines touched the new tenant: %d responses, %+v", len(tb.acks), s.Stats())
+	s.expire(opened.Add(ttl + time.Millisecond))
+	if len(s.acks) != 0 || s.Stats().Abstains != 0 || s.Stats().Evictions != 0 {
+		t.Fatalf("the old instance's deadlines touched the new tenant: %d responses, %+v", len(s.acks), s.Stats())
 	}
-	if tb.inflight["new"] != ins || ins.waiting("r") < 0 {
+	if s.inflight["new"] != ins || ins.waiting("r") < 0 {
 		t.Fatal("the new tenant lost its instance or its waiter")
 	}
 	// Its own deadlines still hold: the TTL evicts it, abstaining the waiter.
-	s.expire(tb, ins.start.Add(ttl))
-	if len(tb.acks) != 1 || tb.acks[0].resp.Status != StatusAbstain || len(tb.inflight) != 0 {
-		t.Fatalf("at its own TTL: %d responses, %d instances open", len(tb.acks), len(tb.inflight))
+	s.expire(ins.start.Add(ttl))
+	if len(s.acks) != 1 || s.acks[0].resp.Status != StatusAbstain || len(s.inflight) != 0 {
+		t.Fatalf("at its own TTL: %d responses, %d instances open", len(s.acks), len(s.inflight))
 	}
 }
 
-// TestOpenInstanceAllocatesNothing: on a warm shard an instance's whole
+// TestOpenInstanceAllocatesNothing: on a warm server an instance's whole
 // life — a submit opens it (journaled proposal, waiter, two deadlines,
 // proposals to both peers), a peer's proposal decides it (journaled
 // decision, response), and the turn resets — allocates nothing: the record,
@@ -149,38 +200,40 @@ func TestOpenInstanceAllocatesNothing(t *testing.T) {
 		t.Skip("allocation pin: the race detector allocates")
 	}
 	const runs = 1000
-	s := bareServer(t, Config{Me: 0, N: 3, F: 1, Shards: 1, InstanceTTL: time.Hour})
-	tb := &s.sh[0]
-	ids := idsOn(s, 0, 2*runs+2) // AllocsPerRun runs once more, to warm up
+	s := bareServer(t, Config{Me: 0, N: 3, F: 1, InstanceTTL: time.Hour})
+	ids := make([]string, 2*runs+2) // AllocsPerRun runs once more, to warm up
+	for i := range ids {
+		ids[i] = fmt.Sprintf("i%d", i)
+	}
 	next := 0
 	cycle := func() {
 		id := ids[next]
 		next++
-		s.handle(tb, event{inst: id, req: id, val: 1000 + next, start: time.Now()})
-		s.handle(tb, event{kind: pmPropose, from: 1, inst: id, val: 2000})
-		tb.reset()
+		s.handle(event{inst: id, req: id, val: 1000 + next, start: time.Now()})
+		s.handle(event{kind: pmPropose, from: 1, inst: id, val: 2000})
+		s.turn.reset()
 	}
 	for range runs {
-		cycle() // warm the shard: the heap, the maps and the turn's buffers at size
+		cycle() // warm the table: the heap, the maps and the turn's buffers at size
 	}
 	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
-		t.Fatalf("an instance's life allocates %.1f objects on a warm shard, want 0", allocs)
+		t.Fatalf("an instance's life allocates %.1f objects on a warm server, want 0", allocs)
 	}
-	if st := s.Stats(); st.Decisions != int64(next) || len(tb.inflight) != 0 || len(tb.free) != 1 {
-		t.Fatalf("%d decisions over %d instances, %d open, %d records free", st.Decisions, next, len(tb.inflight), len(tb.free))
+	if st := s.Stats(); st.Decisions != int64(next) || len(s.inflight) != 0 || len(s.free) != 1 {
+		t.Fatalf("%d decisions over %d instances, %d open, %d records free", st.Decisions, next, len(s.inflight), len(s.free))
 	}
 }
 
 // TestDeliveredFrameAllocatesOnlyItsID: a mesh frame handed to deliver —
 // one message or a batch — is read where the reader holds it, and each
-// message reaches its shard's queue by value: the one allocation per
+// message reaches the loop's queue by value: the one allocation per
 // message is its instance id, which the event keeps.
 func TestDeliveredFrameAllocatesOnlyItsID(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation pin: the race detector allocates")
 	}
 	const runs = 200
-	s := bareServer(t, Config{Me: 0, N: 3, F: 1, Shards: 1})
+	s := bareServer(t, Config{Me: 0, N: 3, F: 1})
 	msg := appendPeerMsg(nil, pmPropose, "an-instance", 1000)
 	one, _ := netsub.AppendValue(nil, msg)
 	two, _ := netsub.AppendValue(nil, appendPeerBatch(nil, [][]byte{msg, msg}))
@@ -193,7 +246,7 @@ func TestDeliveredFrameAllocatesOnlyItsID(t *testing.T) {
 			t.Errorf("a delivered %s allocates %.1f objects, want at most %.0f (the ids)", c.name, allocs, c.msgs)
 		}
 		for range int(c.msgs) * (runs + 1) {
-			if ev := <-s.ev[0]; ev != (event{kind: pmPropose, from: 2, inst: "an-instance", val: 1000}) {
+			if ev := <-s.ev; ev != (event{kind: pmPropose, from: 2, inst: "an-instance", val: 1000}) {
 				t.Fatalf("posted %+v", ev)
 			}
 		}

@@ -1,10 +1,11 @@
-// The turn: how a shard loop externalizes. Handlers (serve.go) only update
-// the shard's table and record effects here; flush is the one place a
+// The turn: how the loop externalizes. Handlers (serve.go) only update the
+// instance table and record effects here; flush is the one place a
 // journal record, a readable decision, a client response or a mesh frame
 // leaves the loop, once per drained queue and always in that order.
 package serve
 
 import (
+	"maps"
 	"slices"
 	"time"
 
@@ -76,24 +77,24 @@ func (t *turn) reset() {
 
 // lookup is the loop's own look-up: the decided table, which the loop
 // alone writes and so reads without the lock, then this turn's decisions.
-func (t *shardTable) lookup(inst string) (int, bool) {
-	if val, ok := t.decided[inst]; ok {
+func (s *Server) lookup(inst string) (int, bool) {
+	if val, ok := s.decided[inst]; ok {
 		return val, true
 	}
-	val, ok := t.fresh[inst]
+	val, ok := s.fresh[inst]
 	return val, ok
 }
 
 // read is everybody else's look-up (a connection's reader): durable
 // decisions only.
-func (t *shardTable) read(inst string) (int, bool) {
-	t.mu.Lock()
-	val, ok := t.decided[inst]
-	t.mu.Unlock()
+func (s *Server) read(inst string) (int, bool) {
+	s.mu.Lock()
+	val, ok := s.decided[inst]
+	s.mu.Unlock()
 	return val, ok
 }
 
-// deadline is one entry of a shard's deadline heap: the TTL of the
+// deadline is one entry of the deadline heap: the TTL of the
 // instance in record ins during its tenancy gen; its hedge, when hedge is
 // set; or, when req is set, the deadline of its waiter for request req (a
 // submit always names its request, so "" is free to mean the TTL). It is
@@ -164,25 +165,24 @@ func (q deadlines) down(i int) {
 // schedule queues d. A full heap first sweeps out its dead entries, and
 // keeps room for as many again as survive: instances that decide long
 // before their TTL would otherwise hold it at throughput × TTL entries.
-func (t *shardTable) schedule(d deadline) {
-	if len(t.due) == cap(t.due) {
-		t.due = slices.DeleteFunc(t.due, func(e deadline) bool { return e.dead() })
-		for i := len(t.due)/2 - 1; i >= 0; i-- {
-			t.due.down(i)
+func (s *Server) schedule(d deadline) {
+	if len(s.due) == cap(s.due) {
+		s.due = slices.DeleteFunc(s.due, func(e deadline) bool { return e.dead() })
+		for i := len(s.due)/2 - 1; i >= 0; i-- {
+			s.due.down(i)
 		}
-		t.due = slices.Grow(t.due, len(t.due))
+		s.due = slices.Grow(s.due, len(s.due))
 	}
-	t.due.push(d)
+	s.due.push(d)
 }
 
-// loop is one shard's event loop: it exclusively owns the instances that
-// hash to shard i and is the only writer of its table. It runs in turns: take
-// whatever is queued (at most maxTurnEvents) or due, let the handlers update
-// the table and record what they want journaled, acknowledged and sent, then
-// flush once. One timer, armed for the deadline heap's head, is its clock.
-func (s *Server) loop(i int) {
+// loop is the server's event loop: it owns every instance and is the only
+// writer of the table. It runs in turns: take whatever is queued (at most
+// maxTurnEvents) or due, let the handlers update the table and record what
+// they want journaled, acknowledged and sent, then flush once. One timer,
+// armed for the deadline heap's head, is its clock.
+func (s *Server) loop() {
 	defer s.wg.Done()
-	t := &s.sh[i]
 	// A wake with nothing due expires nothing and re-arms.
 	clock := time.NewTimer(s.cfg.InstanceTTL)
 	defer clock.Stop()
@@ -199,14 +199,14 @@ func (s *Server) loop(i int) {
 			return
 		case now := <-clock.C:
 			armed = time.Time{}
-			s.expire(t, now)
-		case e := <-s.ev[i]:
-			s.handle(t, e)
+			s.expire(now)
+		case e := <-s.ev:
+			s.handle(e)
 		drain:
 			for ; n < maxTurnEvents; n++ {
 				select {
-				case e = <-s.ev[i]:
-					s.handle(t, e)
+				case e = <-s.ev:
+					s.handle(e)
 				default:
 					break drain
 				}
@@ -215,11 +215,11 @@ func (s *Server) loop(i int) {
 		if s.hTurnEvents != nil {
 			s.hTurnEvents.Record(int64(n))
 		}
-		if s.flush(t) {
+		if s.flush() {
 			return // crashed, or the journal refused: the loop dies mid-stride
 		}
-		if len(t.due) > 0 && !t.due[0].at.Equal(armed) {
-			armed = t.due[0].at
+		if len(s.due) > 0 && !s.due[0].at.Equal(armed) {
+			armed = s.due[0].at
 			clock.Reset(time.Until(armed))
 		}
 	}
@@ -236,20 +236,20 @@ func (s *Server) loop(i int) {
 // (which CrashAfterAcks plants deterministically) loses decisions a
 // client already holds — the violation the chaos campaign exists to
 // catch. Returns true when the loop must die.
-func (s *Server) flush(t *shardTable) bool {
-	defer t.reset()
+func (s *Server) flush() bool {
+	defer s.turn.reset()
 	bug := s.cfg.AckBeforeJournalBug
-	if bug && s.release(&t.turn) {
+	if bug && s.release() {
 		s.crash() // clients hold the acks, the journal never hears of them
 		return true
 	}
-	if len(t.recs) > 0 {
+	if len(s.recs) > 0 {
 		var t0 time.Time
 		if s.hTurnJournal != nil {
 			t0 = time.Now()
 		}
-		if _, err := s.group.AppendBatch(t.recs); err != nil {
-			s.event("serve.journal_refused", map[string]any{"err": err.Error(), "records": len(t.recs)})
+		if _, err := s.group.AppendBatch(s.recs); err != nil {
+			s.event("serve.journal_refused", map[string]any{"err": err.Error(), "records": len(s.recs)})
 			s.halt()
 			return true
 		}
@@ -257,15 +257,13 @@ func (s *Server) flush(t *shardTable) bool {
 			s.hTurnJournal.Record(time.Since(t0).Nanoseconds())
 		}
 	}
-	if len(t.fresh) > 0 {
-		t.mu.Lock()
-		for inst, val := range t.fresh {
-			t.decided[inst] = val
-		}
-		t.mu.Unlock()
+	if len(s.fresh) > 0 {
+		s.mu.Lock()
+		maps.Copy(s.decided, s.fresh)
+		s.mu.Unlock()
 	}
-	crash := !bug && s.release(&t.turn)
-	for to, msgs := range t.out {
+	crash := !bug && s.release()
+	for to, msgs := range s.out {
 		if len(msgs) == 0 {
 			continue
 		}
@@ -274,8 +272,8 @@ func (s *Server) flush(t *shardTable) bool {
 		}
 		frame := msgs[0]
 		if len(msgs) > 1 {
-			t.frame = appendPeerBatch(t.frame[:0], msgs)
-			frame = t.frame
+			s.frame = appendPeerBatch(s.frame[:0], msgs)
+			frame = s.frame
 		}
 		// A shed or a closing mesh is a lost message: the origin's
 		// deadline and resubmission cover it.
@@ -290,9 +288,9 @@ func (s *Server) flush(t *shardTable) bool {
 // release hands the turn's responses to their connections, counts the
 // decisions acknowledged to at least one client, and reports whether the
 // CrashAfterAcks hook fires on this turn.
-func (s *Server) release(t *turn) bool {
-	for i := range t.acks {
-		a := &t.acks[i]
+func (s *Server) release() bool {
+	for i := range s.acks {
+		a := &s.acks[i]
 		if s.hReq != nil {
 			s.hReq.Record(time.Since(a.start).Nanoseconds())
 		}
@@ -300,12 +298,11 @@ func (s *Server) release(t *turn) bool {
 			a.cc.c.Close() // slow client: shed the connection, not the server
 		}
 	}
-	if t.acked == 0 {
+	if s.acked == 0 {
 		return false
 	}
-	k := int64(t.acked)
-	n := s.acked.Add(k)
-	s.ctr.ackedDecisions.Add(k)
+	k := int64(s.acked)
+	n := s.ctr.ackedDecisions.Add(k)
 	at := int64(s.cfg.CrashAfterAcks)
 	return at > 0 && n-k < at && at <= n
 }

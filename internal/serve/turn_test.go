@@ -403,9 +403,11 @@ func TestStoppedServerLeavesNothingBehind(t *testing.T) {
 
 // TestDeadPeerIsNotAsked: a 3-node origin asks the first peer after it in
 // pid order that its mesh hears. With node 1 dead and its connection gone,
-// a fresh instance in each shard asks node 2 and decides without a hedge or
-// an adopted decision. Restarted with no client of its own, node 1 is heard
-// again, and the origin's next decide asks it: node 2, quiet, sends nothing.
+// four fresh instances ask node 2 and decide without a hedge or an adopted
+// decision. Restarted with no client of its own, node 1 is heard again, and
+// the origin's next decide asks it: node 2, quiet, sends nothing. Node 2's
+// frames count before they can reach a peer, so its answers to the first
+// four are counted before their decides return.
 func TestDeadPeerIsNotAsked(t *testing.T) {
 	cl := fastCluster(t, nil)
 	c0 := clientOf(cl, 0)
@@ -415,9 +417,9 @@ func TestDeadPeerIsNotAsked(t *testing.T) {
 
 	cl.Servers[1].Kill()
 	waitFor(t, "node 0 to stop hearing node 1", func() bool { return !s0.Mesh().Hears(1) })
-	for shard := range s0.cfg.Shards {
-		inst := idsOn(s0, shard, 1)[0]
-		mustDecide(t, c0, inst, inst, shard)
+	for i := range 4 {
+		inst := fmt.Sprintf("asks-2-%d", i)
+		mustDecide(t, c0, inst, inst, i)
 	}
 	if st := s0.Stats(); st.Hedges != 0 || st.Adopted != 0 {
 		t.Fatalf("with node 1 unheard the origin hedged %d and adopted %d, want 0 and 0", st.Hedges, st.Adopted)
@@ -449,7 +451,7 @@ func TestSlowPeerDelaysOnlyItsAskers(t *testing.T) {
 	cl := fastCluster(t, func(cc *ClusterConfig) {
 		cc.Tune = func(i int, cfg *Config) {
 			if i == 1 {
-				cfg.MeshListener = netsub.WrapListener(cfg.MeshListener, plan, 1, netsub.ChaosConfig{})
+				cfg.MeshListener = netsub.WrapListener(cfg.MeshListener, plan, 1)
 			}
 		}
 	})
@@ -493,7 +495,7 @@ func (h *hedgeLog) Observe(e obs.Event) {
 	}
 }
 
-// TestHedgeResendsShedProposal drives one shard's handlers, flush and
+// TestHedgeResendsShedProposal drives the server's handlers, flush and
 // deadlines by hand (its loop idles). No peer listens, so each lane holds
 // SendQueue = 1 frame and sheds the rest: the second fresh instance's
 // proposals are shed. Its client names a 1 ms deadline, which abstains
@@ -506,7 +508,6 @@ func TestHedgeResendsShedProposal(t *testing.T) {
 		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
 		Mesh:        netsub.Config{SendQueue: 1},
 		WALDir:      t.TempDir(),
-		Shards:      1,
 		InstanceTTL: time.Hour,
 		Seed:        1,
 		Observer:    log,
@@ -517,33 +518,32 @@ func TestHedgeResendsShedProposal(t *testing.T) {
 	defer s.Close()
 	near, _ := tcpPair(t)
 	cc := newClientConn(near)
-	tb := &s.sh[0]
 	submit := func(inst string, start time.Time, timeout int) {
-		s.handle(tb, event{inst: inst, req: inst, val: 7, timeout: timeout, cc: cc, start: start})
+		s.handle(event{inst: inst, req: inst, val: 7, timeout: timeout, cc: cc, start: start})
 	}
 
 	start := time.Now()
 	for i, inst := range []string{"a", "b"} {
 		submit(inst, start, i) // b's client names 1 ms
-		sentKinds(t, tb, 1, 0, pmPropose)
-		sentKinds(t, tb, 2, 0, pmProposeQuiet)
-		s.flush(tb)
+		sentKinds(t, s, 1, 0, pmPropose)
+		sentKinds(t, s, 2, 0, pmProposeQuiet)
+		s.flush()
 	}
 	if ms := s.Mesh().Stats(); ms.Sheds != 2 {
 		t.Fatalf("%d frames shed, want b's two", ms.Sheds)
 	}
 	hedgeAt := start.Add(s.cfg.RequestTimeout / hedgeFraction)
-	s.expire(tb, hedgeAt.Add(-time.Millisecond))
+	s.expire(hedgeAt.Add(-time.Millisecond))
 	if st := s.Stats(); st.Hedges != 0 || st.Abstains != 1 {
 		t.Fatalf("%d hedges and %d abstains before the hedge, want 0 and b's 1", st.Hedges, st.Abstains)
 	}
-	s.flush(tb)
-	s.expire(tb, hedgeAt)
+	s.flush()
+	s.expire(hedgeAt)
 	if st := s.Stats(); st.Hedges != 2 {
 		t.Fatalf("%d hedges, want a's and b's", st.Hedges)
 	}
-	sentKinds(t, tb, 1, 0, pmPropose, pmPropose)
-	sentKinds(t, tb, 2, 0, pmPropose, pmPropose)
+	sentKinds(t, s, 1, 0, pmPropose, pmPropose)
+	sentKinds(t, s, 2, 0, pmPropose, pmPropose)
 	log.mu.Lock()
 	if want := [][]core.PID{{1, 2}, {1, 2}}; !reflect.DeepEqual(log.hedge, want) {
 		t.Errorf("serve.hedge events name %v unheard, want %v", log.hedge, want)

@@ -1,7 +1,7 @@
 // Group commit: the fsync-coalescing layer of the write path. A Log is
 // single-writer; AppendBatch gives that writer a way to make many
 // records durable under ONE write + ONE fsync. Group is the concurrent
-// front-end the sharded service uses: any number of goroutines call
+// front-end of the write path: any number of goroutines call
 // Group.AppendBatch — each with everything it has to journal, one record
 // or many — and every caller returns only once its records are durable
 // per the log's SyncMode, so the journal-before-ack contract survives
@@ -15,8 +15,8 @@
 // runs first writes that batch for all, and each returns its own offset
 // into the one shared result (fsyncs amortize exactly as fast as load
 // grows). This is the classic group-commit self-tuning behaviour. A
-// caller that already holds several records — a serve shard loop at the
-// end of a turn — coalesces before it ever calls: its records share a
+// caller that already holds several records — a serve loop at the end of
+// a turn — coalesces before it ever calls: its records share a
 // commit even when nobody else is appending.
 package wal
 

@@ -50,7 +50,6 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 		"internal/serve.Config.ClientListener": "serve.StartCluster, from ClusterConfig",
 		"internal/serve.Config.Mesh":           "serve.StartCluster, from ClusterConfig",
 		"internal/serve.Config.MeshListener":   "serve.StartCluster, from ClusterConfig",
-		"internal/serve.Config.Shards":         "serve.StartCluster, from ClusterConfig",
 		"internal/mc.Options.NoPrune":          "the external test package mc_test (plantedbug_test.go), external because adversary imports mc",
 		"internal/mc.Options.Independent":      "ROADMAP items 2 and 5 name it as their reader",
 	}
