@@ -131,7 +131,7 @@ type Config struct {
 	// ("netsub_queue_depth") and heartbeat round-trip
 	// ("netsub_rtt_ns") distributions. A round trip spans this node's
 	// lane to the peer, the peer's reader, the peer's lane back and this
-	// node's reader: the path a peer's answer takes, minus its shard
+	// node's reader: the path a peer's answer takes, minus its event
 	// loop. An ack can queue behind data frames or wait out a redial.
 	Hist *hist.Registry
 }

@@ -465,14 +465,15 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// JournalStats exposes the group commit's coalescing counters.
+// JournalStats exposes the journal's counters: records appended and
+// commits, one per turn that had records.
 func (s *Server) JournalStats() wal.GroupStats { return s.group.Stats() }
 
 // Mesh exposes the underlying transport node (for its Stats).
 func (s *Server) Mesh() *netsub.Node { return s.node }
 
 // Close shuts the server down cleanly: stops serving, waits for the
-// goroutines, drains the journal group, syncs and closes the journal.
+// goroutines, closes the journal group, syncs and closes the journal.
 func (s *Server) Close() error {
 	s.Kill()
 	return s.log.Close()

@@ -512,7 +512,7 @@ func TestConcurrentSubmits(t *testing.T) {
 	if n != clients*perClient {
 		t.Fatalf("decided %d instances, want %d", n, clients*perClient)
 	}
-	// The journal went through the group commit…
+	// The journal went through the group…
 	js := cl.Servers[0].JournalStats()
 	if js.Appends == 0 || js.Batches == 0 || js.Batches > js.Appends {
 		t.Fatalf("journal stats out of shape: %+v", js)

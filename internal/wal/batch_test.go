@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs/hist"
 )
@@ -161,15 +160,14 @@ func TestAppendBatchRotates(t *testing.T) {
 	}
 }
 
-// TestGroupConcurrentAppends is the group's core durability test:
-// concurrent Group.Append callers each get a sequence number that is
-// already ≤ SyncedSeq the moment Append returns (SyncAlways), every
-// record replays, and the callers actually coalesced (fewer batches than
-// appends) under contention. Whether a commit overlaps another caller's
-// arrival is up to the scheduler — with one P and a fast fsync the
-// callers may well take turns — so every goroutine's first append
-// arrives while a stand-in commit is held, and those share one commit.
-func TestGroupConcurrentAppends(t *testing.T) {
+// TestGroupSerializesCallers: the group's mutex serializes callers, so
+// concurrent AppendBatch calls under SyncAlways each get their records
+// contiguous, unique sequence numbers, every call is one commit, and
+// AppendBatch is done with the payloads when it returns — each caller
+// encodes every batch into one buffer it overwrites as soon as the call
+// returns (as a serve turn reuses its journal buffer) — so every record
+// replays as it was appended.
+func TestGroupSerializesCallers(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Create(dir, Options{Sync: SyncAlways})
 	if err != nil {
@@ -178,85 +176,9 @@ func TestGroupConcurrentAppends(t *testing.T) {
 	h := hist.New()
 	g := NewGroup(l, GroupOptions{BatchHist: h})
 	const goroutines, perG = 8, 50
+	firsts := make([][perG]uint64, goroutines)
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
-	end := holdCommit(g)
-	for w := 0; w < goroutines; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				payload := []byte(fmt.Sprintf("w%d-%d", w, i))
-				seq, err := g.Append(1, payload)
-				if err != nil {
-					errs <- err
-					return
-				}
-				// The contract acks ride on: by the time Append returns,
-				// the record is inside the durability horizon.
-				if horizon := g.SyncedSeq(); seq > horizon {
-					errs <- fmt.Errorf("seq %d returned ahead of SyncedSeq %d", seq, horizon)
-					return
-				}
-			}
-		}(w)
-	}
-	waitingEntries(t, g, goroutines)
-	end(true)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := g.Stats()
-	if st.Appends != goroutines*perG {
-		t.Fatalf("Appends = %d, want %d", st.Appends, goroutines*perG)
-	}
-	if st.Batches <= 0 || st.Batches >= st.Appends {
-		t.Fatalf("Batches = %d for %d appends: no commit coalesced", st.Batches, st.Appends)
-	}
-	if h.Snapshot().Count != st.Batches {
-		t.Fatalf("hist recorded %d batches, stats say %d", h.Snapshot().Count, st.Batches)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, _, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != goroutines*perG {
-		t.Fatalf("replayed %d records, want %d", len(recs), goroutines*perG)
-	}
-	seen := make(map[string]bool, len(recs))
-	for _, r := range recs {
-		seen[string(r.Payload)] = true
-	}
-	if len(seen) != goroutines*perG {
-		t.Fatalf("replay lost records: %d distinct payloads", len(seen))
-	}
-}
-
-// TestGroupAppendBatchKeepsNoPayload: AppendBatch is done with the
-// entries' payloads when it returns, whether it wrote them itself or
-// waited for another caller's commit to carry them. Callers encode every
-// batch into one buffer they overwrite as soon as the call returns (as a
-// serve turn reuses its journal buffer), and every record replays as it
-// was appended.
-func TestGroupAppendBatchKeepsNoPayload(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Create(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGroup(l, GroupOptions{})
-	const goroutines, perG = 4, 50
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	end := holdCommit(g) // the first batches queue behind a commit in flight
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -266,18 +188,18 @@ func TestGroupAppendBatchKeepsNoPayload(t *testing.T) {
 				buf = fmt.Appendf(buf[:0], "w%d-%03d-a", w, i)
 				mid := len(buf)
 				buf = fmt.Appendf(buf, "w%d-%03d-b", w, i)
-				if _, err := g.AppendBatch([]BatchEntry{{Kind: 1, Payload: buf[:mid]}, {Kind: 1, Payload: buf[mid:]}}); err != nil {
+				first, err := g.AppendBatch([]BatchEntry{{Kind: 1, Payload: buf[:mid]}, {Kind: 1, Payload: buf[mid:]}})
+				if err != nil {
 					errs <- err
 					return
 				}
+				firsts[w][i] = first
 				for j := range buf {
 					buf[j] = '!'
 				}
 			}
 		}(w)
 	}
-	waitingEntries(t, g, 2*goroutines)
-	end(true)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -286,6 +208,24 @@ func TestGroupAppendBatchKeepsNoPayload(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if st := g.Stats(); st.Batches != goroutines*perG || st.Appends != 2*goroutines*perG {
+		t.Fatalf("stats %+v, want %d batches of 2", st, goroutines*perG)
+	}
+	if n := h.Snapshot().Count; n != goroutines*perG {
+		t.Fatalf("hist recorded %d batches, want %d", n, goroutines*perG)
+	}
+	want := make(map[uint64]string, 2*goroutines*perG)
+	for w := range firsts {
+		for i, first := range firsts[w] {
+			for k, half := range []string{"a", "b"} {
+				seq := first + uint64(k)
+				if prev, dup := want[seq]; dup {
+					t.Fatalf("seq %d given to w%d-%03d-%s and to %s", seq, w, i, half, prev)
+				}
+				want[seq] = fmt.Sprintf("w%d-%03d-%s", w, i, half)
+			}
+		}
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -293,21 +233,13 @@ func TestGroupAppendBatchKeepsNoPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[string]bool, len(recs))
-	for _, r := range recs {
-		seen[string(r.Payload)] = true
-	}
-	for w := 0; w < goroutines; w++ {
-		for i := 0; i < perG; i++ {
-			for _, half := range []string{"a", "b"} {
-				if p := fmt.Sprintf("w%d-%03d-%s", w, i, half); !seen[p] {
-					t.Fatalf("record %q missing from %d replayed", p, len(recs))
-				}
-			}
-		}
-	}
 	if len(recs) != 2*goroutines*perG {
 		t.Fatalf("replayed %d records, want %d", len(recs), 2*goroutines*perG)
+	}
+	for _, r := range recs {
+		if string(r.Payload) != want[r.Seq] {
+			t.Fatalf("record %d replayed %q, want %q", r.Seq, r.Payload, want[r.Seq])
+		}
 	}
 }
 
@@ -347,105 +279,9 @@ func TestGroupCloseDrainsAndRejects(t *testing.T) {
 	}
 }
 
-// holdCommit makes g behave as if another caller's commit were in
-// flight, so the callers that arrive gather into the next batch and wait.
-// The returned function ends the stand-in commit the way a real one ends
-// — no commit in flight, every waiter woken — or, with wake false, leaves
-// the waiters asleep.
-func holdCommit(g *Group) (end func(wake bool)) {
-	g.mu.Lock()
-	g.busy = true
-	g.mu.Unlock()
-	return func(wake bool) {
-		g.mu.Lock()
-		g.busy = false
-		if wake {
-			g.idle.Broadcast()
-		}
-		g.mu.Unlock()
-	}
-}
-
-// waitingEntries polls until n entries wait in g's next batch.
-func waitingEntries(t *testing.T, g *Group, n int) {
-	t.Helper()
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		g.mu.Lock()
-		got := 0
-		if g.next != nil {
-			got = len(g.next.entries)
-		}
-		g.mu.Unlock()
-		if got == n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d entries wait for the next commit, want %d", got, n)
-		}
-	}
-}
-
-type appendResult struct {
-	seq uint64
-	err error
-}
-
-// appendAsync starts g.Append(kind, payload) and returns where its result
-// will arrive.
-func appendAsync(g *Group, kind uint8, payload string) <-chan appendResult {
-	res := make(chan appendResult, 1)
-	go func() {
-		seq, err := g.Append(kind, []byte(payload))
-		res <- appendResult{seq, err}
-	}()
-	return res
-}
-
-// TestGroupCloseWritesBatchNobodyTook: when a commit ends, the next batch
-// is written by whichever of its callers runs first. Close must not
-// mistake "no commit in flight" for "nothing left to write": here the
-// batch's caller is still asleep, so Close writes the batch itself and
-// returns only once it is in the log.
-func TestGroupCloseWritesBatchNobodyTook(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Create(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGroup(l, GroupOptions{})
-	end := holdCommit(g)
-	res := appendAsync(g, 1, "waiting")
-	waitingEntries(t, g, 1)
-	end(false)
-
-	closed := make(chan struct{})
-	go func() {
-		g.Close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Close is waiting for a caller that was never woken")
-	}
-	if st := g.Stats(); st.Appends != 1 || st.Batches != 1 {
-		t.Fatalf("Close returned with %+v: the waiting batch was not written", st)
-	}
-	if r := <-res; r.err != nil || r.seq != 1 {
-		t.Fatalf("waiting caller got seq %d, %v; want 1", r.seq, r.err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if recs, _, err := Replay(dir); err != nil || len(recs) != 1 || string(recs[0].Payload) != "waiting" {
-		t.Fatalf("replayed %v, %v; want the one waiting record", recs, err)
-	}
-}
-
-// TestGroupRefusedBatchFailsOnlyItsCallers: every caller whose entries
-// shared a refused commit gets its error, and the callers of the next
-// commit get contiguous sequence numbers from where the log stood, as if
-// the refused batch had never been offered.
+// TestGroupRefusedBatchFailsOnlyItsCallers: a refused commit returns its
+// error to its caller, and the next call numbers its records from where
+// the log stood, as if the refused batch had never been offered.
 func TestGroupRefusedBatchFailsOnlyItsCallers(t *testing.T) {
 	l, err := Create(t.TempDir(), Options{})
 	if err != nil {
@@ -457,40 +293,21 @@ func TestGroupRefusedBatchFailsOnlyItsCallers(t *testing.T) {
 	if seq, err := g.Append(1, []byte("before")); err != nil || seq != 1 {
 		t.Fatalf("first append: seq %d, %v", seq, err)
 	}
-
-	// The log refuses the next write: it is closed under the group. No
-	// commit runs while the stand-in one is held, so nothing races.
-	end := holdCommit(g)
-	refused := []<-chan appendResult{appendAsync(g, 1, "b"), appendAsync(g, 1, "c")}
-	waitingEntries(t, g, 2)
-	l.closed = true
-	end(true)
-	for i, res := range refused {
-		if r := <-res; r.err == nil {
-			t.Fatalf("caller %d of the refused batch got seq %d and no error", i, r.seq)
-		}
+	l.closed = true // the log refuses the next write
+	if seq, err := g.AppendBatch([]BatchEntry{{Kind: 1, Payload: []byte("b")}, {Kind: 1, Payload: []byte("c")}}); err == nil {
+		t.Fatalf("refused batch got seq %d and no error", seq)
 	}
-
-	end = holdCommit(g)
 	l.closed = false
-	next := []<-chan appendResult{appendAsync(g, 1, "d")}
-	waitingEntries(t, g, 1)
-	next = append(next, appendAsync(g, 1, "e"))
-	waitingEntries(t, g, 2)
-	end(true)
-	for i, res := range next {
-		if r := <-res; r.err != nil || r.seq != uint64(2+i) {
-			t.Fatalf("caller %d of the next batch got seq %d, %v; want %d", i, r.seq, r.err, 2+i)
-		}
+	if seq, err := g.AppendBatch([]BatchEntry{{Kind: 1, Payload: []byte("d")}, {Kind: 1, Payload: []byte("e")}}); err != nil || seq != 2 {
+		t.Fatalf("next batch got seq %d, %v; want 2", seq, err)
 	}
 	if st := g.Stats(); st.Batches != 3 {
 		t.Fatalf("%d commits, want the first, the refused one and the next", st.Batches)
 	}
 }
 
-// TestGroupUncontendedAppendAllocs: a caller that finds no commit in
-// flight writes its own entries — no request, no result channel, no copy
-// into a shared batch.
+// TestGroupUncontendedAppendAllocs: a commit allocates nothing — the
+// caller's entries go straight to the log's reused frame buffer.
 func TestGroupUncontendedAppendAllocs(t *testing.T) {
 	l, err := Create(t.TempDir(), Options{segBytes: 1 << 30})
 	if err != nil {
@@ -538,10 +355,10 @@ func BenchmarkAppendBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupAppend prices one uncontended group commit — what a
-// serve turn's flush waits for — carrying one record and carrying two.
-// SyncNever keeps the disk out of the number: what is left is the
-// caller's own write call and the group's bookkeeping around it.
+// BenchmarkGroupAppend prices one commit — what a serve turn's flush
+// waits for — carrying one record and carrying two. SyncNever keeps the
+// disk out of the number: what is left is the write call and the
+// group's mutex and counters around it.
 func BenchmarkGroupAppend(b *testing.B) {
 	for _, recs := range []int{1, 2} {
 		b.Run(fmt.Sprintf("records=%d", recs), func(b *testing.B) {

@@ -1,7 +1,9 @@
 // Package wal is an append-only, checksummed, segmented write-ahead log —
-// the durable substrate of the crash-recovery layer. The engine checkpoints
-// per-round state through it (internal/core), and recovering processes
-// journal round views through it (internal/recovery).
+// the durable substrate of the crash-recovery layer. It has two writers:
+// the engine checkpoints per-round state through it (internal/core), and
+// a serve node's event loop journals each turn's records through a Group
+// (internal/serve). A Log has exactly one writer: nothing in it is safe
+// for concurrent use, and a Group's mutex only serializes callers.
 //
 // The format is deliberately simple and self-describing. A log is a
 // directory of segment files named seg-00000001.wal, seg-00000002.wal, ….

@@ -184,6 +184,11 @@ func TestCorruptionInRotatedSegmentIsAnError(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("mid-log corruption: got %v, want *CorruptError", err)
 	}
+	// The segment's third and last frame starts after the header and two
+	// 25-byte frames.
+	if want := "wal: corrupt log: checksum mismatch at seg-00000001.wal+58"; err.Error() != want {
+		t.Fatalf("mid-log corruption reads %q, want %q", err, want)
+	}
 }
 
 func TestOpenResumesAfterTornTail(t *testing.T) {
