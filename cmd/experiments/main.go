@@ -57,16 +57,16 @@ func run(quick bool, only string, metrics bool, telemetryAddr string) error {
 	// seed-sweep worker pool meters task latency into the same registry.
 	var m *obs.Metrics
 	if metrics || telemetryAddr != "" {
-		tel := obs.NewTelemetry()
-		core.SetDefaultObserver(tel.Metrics)
+		tel := obs.NewMetrics()
+		core.SetDefaultObserver(tel)
 		defer core.SetDefaultObserver(nil)
 		par.SetMeter(&par.Meter{
-			TaskNS:     tel.Hist.Get("par_task_ns"),
-			QueueDepth: tel.Hist.Get("par_queue_depth"),
+			TaskNS:     tel.Hist().Get("par_task_ns"),
+			QueueDepth: tel.Hist().Get("par_queue_depth"),
 		})
 		defer par.SetMeter(nil)
 		if metrics {
-			m = tel.Metrics
+			m = tel
 		}
 		if telemetryAddr != "" {
 			srv, err := obs.ServeTelemetry(telemetryAddr, tel)

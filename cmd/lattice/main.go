@@ -32,7 +32,7 @@ func main() {
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /snapshot and /debug/pprof on this address (the exhaustive sweeps are CPU-bound; e.g. localhost:6060)")
 	flag.Parse()
 	if *telemetryAddr != "" {
-		srv, err := obs.ServeTelemetry(*telemetryAddr, obs.NewTelemetry())
+		srv, err := obs.ServeTelemetry(*telemetryAddr, obs.NewMetrics())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "telemetry listener: %v\n", err)
 			os.Exit(1)

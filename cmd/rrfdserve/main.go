@@ -121,7 +121,7 @@ func start(cfg config, w io.Writer) (*serve.Server, func(), error) {
 		return nil, nop, fmt.Errorf("unknown -sync %q: always or never", cfg.sync)
 	}
 
-	var tel *obs.Telemetry
+	var tel *obs.Metrics
 	scfg := serve.Config{
 		Me: core.PID(cfg.me), N: cfg.n, F: cfg.f,
 		MeshAddrs:      addrs,
@@ -134,9 +134,9 @@ func start(cfg config, w io.Writer) (*serve.Server, func(), error) {
 		Seed:           cfg.seed,
 	}
 	if cfg.telemetry != "" {
-		tel = obs.NewTelemetry()
-		scfg.Observer = tel.Metrics
-		scfg.Hist = tel.Hist
+		tel = obs.NewMetrics()
+		scfg.Observer = tel
+		scfg.Hist = tel.Hist()
 	}
 	srv, err := serve.Start(scfg)
 	if err != nil {

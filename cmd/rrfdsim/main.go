@@ -307,12 +307,12 @@ func run(cfg config, w io.Writer) error {
 	// chain, its histogram registry receives the non-observer meters
 	// (chaos per-run wall time, par task latency / queue depth, mc
 	// schedule rate), and the optional endpoint serves both live.
-	var tel *obs.Telemetry
+	var tel *obs.Metrics
 	if cfg.metrics || cfg.telemetry != "" {
-		tel = obs.NewTelemetry()
+		tel = obs.NewMetrics()
 		par.SetMeter(&par.Meter{
-			TaskNS:     tel.Hist.Get("par_task_ns"),
-			QueueDepth: tel.Hist.Get("par_queue_depth"),
+			TaskNS:     tel.Hist().Get("par_task_ns"),
+			QueueDepth: tel.Hist().Get("par_queue_depth"),
 		})
 		defer par.SetMeter(nil)
 	}
@@ -472,7 +472,7 @@ func run(cfg config, w io.Writer) error {
 // runChaos executes the randomized fault-injection campaign, streaming the
 // per-violation reports and the final summary to w. A campaign with safety
 // violations is an error, so CI fails loudly.
-func runChaos(cfg config, tel *obs.Telemetry, w io.Writer) error {
+func runChaos(cfg config, tel *obs.Metrics, w io.Writer) error {
 	snk, err := openSinks(cfg, tel)
 	if err != nil {
 		return err
@@ -503,7 +503,7 @@ func runChaos(cfg config, tel *obs.Telemetry, w io.Writer) error {
 	ccfg.Observer = snk.observer()
 	ccfg.Out = w
 	if tel != nil {
-		ccfg.Telemetry = tel.Hist
+		ccfg.Telemetry = tel.Hist()
 	}
 	sum := chaos.Run(ccfg)
 
@@ -560,7 +560,7 @@ func chaosConfig(cfg config) chaos.Config {
 // runChaosRecover executes the crash-and-recover campaign: every run
 // crashes at least one process, usually restarts it from its durable
 // journal, and audits the outcome's safety.
-func runChaosRecover(cfg config, tel *obs.Telemetry, w io.Writer) error {
+func runChaosRecover(cfg config, tel *obs.Metrics, w io.Writer) error {
 	snk, err := openSinks(cfg, tel)
 	if err != nil {
 		return err
@@ -582,7 +582,7 @@ func runChaosRecover(cfg config, tel *obs.Telemetry, w io.Writer) error {
 		Out:           w,
 	}
 	if tel != nil {
-		rcfg.Telemetry = tel.Hist
+		rcfg.Telemetry = tel.Hist()
 	}
 	sum := chaos.RunRecover(rcfg)
 
@@ -599,7 +599,7 @@ func runChaosRecover(cfg config, tel *obs.Telemetry, w io.Writer) error {
 // seeded client load over a loopback cluster, one node killed at a
 // planted acknowledgement count, its journal audited, a restart, and a
 // full idempotent replay of the load.
-func runChaosServe(cfg config, tel *obs.Telemetry, w io.Writer) error {
+func runChaosServe(cfg config, tel *obs.Metrics, w io.Writer) error {
 	snk, err := openSinks(cfg, tel) // chaos-serve has no -events: metrics only
 	if err != nil {
 		return err
@@ -612,7 +612,7 @@ func runChaosServe(cfg config, tel *obs.Telemetry, w io.Writer) error {
 		Out:      w,
 	}
 	if tel != nil {
-		scfg.Telemetry = tel.Hist
+		scfg.Telemetry = tel.Hist()
 	}
 	sum, err := chaos.RunServe(scfg)
 	if err != nil {

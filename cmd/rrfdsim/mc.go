@@ -23,7 +23,7 @@ import (
 // could satisfy neither disjunct). A violation prints a shrunk,
 // replayable counterexample and exits non-zero; -replay re-executes one
 // recorded schedule.
-func runMC(cfg config, tel *obs.Telemetry, w io.Writer) error {
+func runMC(cfg config, tel *obs.Metrics, w io.Writer) error {
 	n, f, k := cfg.n, cfg.f, cfg.k
 	m, err := resolve(cfg, nil)
 	if err != nil {
@@ -158,7 +158,7 @@ func runMC(cfg config, tel *obs.Telemetry, w io.Writer) error {
 	// byte-identical output.
 	if tel != nil {
 		if secs := time.Since(start).Seconds(); secs > 0 {
-			tel.Hist.Get("mc_schedules_per_sec").Record(int64(float64(schedules) / secs))
+			tel.Hist().Get("mc_schedules_per_sec").Record(int64(float64(schedules) / secs))
 		}
 	}
 

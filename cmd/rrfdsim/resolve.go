@@ -26,11 +26,8 @@ type sinks struct {
 
 // openSinks creates the -events file, if asked for. The caller defers
 // closeFile and calls finish once the mode's executions are over.
-func openSinks(cfg config, tel *obs.Telemetry) (*sinks, error) {
-	s := &sinks{cfg: cfg}
-	if tel != nil {
-		s.metrics = tel.Metrics
-	}
+func openSinks(cfg config, tel *obs.Metrics) (*sinks, error) {
+	s := &sinks{cfg: cfg, metrics: tel}
 	if cfg.eventsFile != "" {
 		file, err := os.Create(cfg.eventsFile)
 		if err != nil {

@@ -55,7 +55,8 @@ const (
 	// reverse connection, the one the receiver dialed to the sender.
 	FrameHeartbeatAck FrameKind = 3
 
-	// FrameData carries one application value (see AppendValue).
+	// FrameData carries one application value (see AppendValue), or
+	// the bytes SendBytes was given.
 	FrameData FrameKind = 4
 )
 
@@ -101,19 +102,6 @@ func appendValueFrame(dst []byte, v core.Value) ([]byte, error) {
 	if err != nil {
 		return dst[:off], err
 	}
-	if n := len(dst) - off - headerSize; n > MaxFramePayload {
-		return dst[:off], &OversizeFrameError{Length: n, Max: MaxFramePayload}
-	}
-	return endFrame(dst, off, FrameData), nil
-}
-
-// appendBytesFrame is appendValueFrame of a []byte value, without boxing
-// it: the same bytes.
-func appendBytesFrame(dst, b []byte) ([]byte, error) {
-	off := len(dst)
-	dst = append(dst, make([]byte, headerSize)...)
-	dst = binary.AppendUvarint(append(dst, tagBytes), uint64(len(b)))
-	dst = append(dst, b...)
 	if n := len(dst) - off - headerSize; n > MaxFramePayload {
 		return dst[:off], &OversizeFrameError{Length: n, Max: MaxFramePayload}
 	}
@@ -316,18 +304,6 @@ func DecodeValue(b []byte) (core.Value, int, error) {
 	default:
 		return nil, 0, &CorruptFrameError{Field: "value", Detail: fmt.Sprintf("unknown tag 0x%02X", b[0])}
 	}
-}
-
-// BytesPayload reads a data frame's payload (as Config.Deliver receives
-// it) that carries a []byte value, and returns that value's bytes,
-// aliasing payload: what DecodeValue would return, uncopied. Any other
-// value, or a malformed one, is a *CorruptFrameError.
-func BytesPayload(payload []byte) ([]byte, error) {
-	if len(payload) == 0 || payload[0] != tagBytes {
-		return nil, &CorruptFrameError{Field: "value", Detail: "not bytes"}
-	}
-	b, _, err := decodeBlob(payload[1:], "bytes")
-	return b, err
 }
 
 func decodeBlob(b []byte, what string) ([]byte, int, error) {

@@ -11,17 +11,16 @@ import (
 
 // TestSendBytesInlineAllocatesNothing: SendBytes to an idle, connected
 // peer frames the bytes straight into the lane's scratch and writes them
-// from the caller's goroutine, allocating nothing. It puts on the wire
-// exactly the frame Send of the same []byte value does, and copies the
-// caller's bytes before it returns: the caller overwrites them between
-// sends, and every frame carries what it held at its send.
+// from the caller's goroutine, allocating nothing. It copies the caller's
+// bytes before it returns: the caller overwrites them between sends, and
+// every frame's payload is what they held at its send.
 func TestSendBytesInlineAllocatesNothing(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation pin: the race detector allocates")
 	}
 	nd, br := laneToTest(t, nil)
 	msg := []byte("a proposal-sized payload #0")
-	frame, _ := appendValueFrame(nil, append([]byte(nil), msg...))
+	frame, _ := AppendFrame(nil, FrameData, msg)
 	const runs = 1000 // AllocsPerRun sends once more, to warm up
 	got := make([]byte, (runs+1)*len(frame))
 	read := make(chan error, 1)
@@ -48,12 +47,8 @@ func TestSendBytesInlineAllocatesNothing(t *testing.T) {
 		if err != nil || n != len(frame) || f.Kind != FrameData {
 			t.Fatalf("frame %d: %v, %d bytes, kind %v", i, err, n, f.Kind)
 		}
-		b, err := BytesPayload(f.Payload)
-		if want := "a proposal-sized payload #" + string(rune('0'+i%10)); err != nil || string(b) != want {
-			t.Fatalf("frame %d carries %q (%v), want %q", i, b, err, want)
-		}
-		if i == 0 && !bytes.Equal(got[:len(frame)], frame) {
-			t.Fatalf("SendBytes framed %x, Send frames %x", got[:len(frame)], frame)
+		if want := "a proposal-sized payload #" + string(rune('0'+i%10)); string(f.Payload) != want {
+			t.Fatalf("frame %d carries %q, want %q", i, f.Payload, want)
 		}
 	}
 }
@@ -66,7 +61,7 @@ func TestRecvPayloadSurvivesNextFrame(t *testing.T) {
 	nodes := startMesh(t, 2, nil)
 	first, second := []byte("first frame"), []byte("other bytes")
 	for _, b := range [][]byte{first, second} {
-		if err := nodes[0].SendBytes(1, b); err != nil {
+		if err := nodes[0].Send(1, b); err != nil {
 			t.Fatalf("send: %v", err)
 		}
 	}
@@ -79,9 +74,9 @@ func TestRecvPayloadSurvivesNextFrame(t *testing.T) {
 }
 
 // TestDeliverHandsRawPayload: with Config.Deliver set, a data frame's
-// payload goes to the handler as it arrived, AppendValue's encoding, from
-// the peer's connection and from a send to self alike; BytesPayload reads a
-// []byte value out of it, and refuses any other value.
+// payload goes to the handler exactly as framed, from the peer's
+// connection and from a send to self alike: the bytes SendBytes was given,
+// and a Send's value in AppendValue's encoding.
 func TestDeliverHandsRawPayload(t *testing.T) {
 	type got struct {
 		from    core.PID
@@ -117,15 +112,14 @@ func TestDeliverHandsRawPayload(t *testing.T) {
 		}
 		w := want[g.from][0]
 		want[g.from] = want[g.from][1:]
-		b, err := BytesPayload(g.payload)
 		if w == "" { // the int
-			if v, _, derr := DecodeValue(g.payload); err == nil || derr != nil || v != 42 {
-				t.Fatalf("the int arrived as %x: BytesPayload err %v, DecodeValue %v, %v", g.payload, err, v, derr)
+			if v, n, err := DecodeValue(g.payload); err != nil || n != len(g.payload) || v != 42 {
+				t.Fatalf("the int arrived as %x: DecodeValue %v, %d bytes, %v", g.payload, v, n, err)
 			}
 			continue
 		}
-		if err != nil || string(b) != w {
-			t.Fatalf("from p%d: %q (%v), want %q", g.from, b, err, w)
+		if string(g.payload) != w {
+			t.Fatalf("from p%d: %q, want %q", g.from, g.payload, w)
 		}
 	}
 }

@@ -100,14 +100,15 @@ type Config struct {
 	// full queue sheds with a *BackpressureError. 0 means 64.
 	SendQueue int
 
-	// Deliver, when non-nil, receives every data frame's payload — one
-	// value in AppendValue's encoding, which BytesPayload reads — on the
-	// reader of the connection it arrived on (a send to self: on the
-	// sender's goroutine); a handler that blocks holds that connection
-	// back. The payload aliases the reader's buffer and is valid only
-	// until the handler returns: nothing copies it, and a handler that
-	// keeps any of it copies that part. nil means the receive queue
-	// behind Recv and RecvTimeout, which decodes a copy.
+	// Deliver, when non-nil, receives every data frame's payload
+	// exactly as framed — the bytes SendBytes was given; a Send's value
+	// in AppendValue's encoding — on the reader of the connection it
+	// arrived on (a send to self: on the sender's goroutine); a handler
+	// that blocks holds that connection back. A mesh whose nodes set
+	// Deliver is sent bytes. The payload aliases the reader's buffer and
+	// is valid only until the handler returns: nothing copies it, and a
+	// handler that keeps any of it copies that part. nil means the
+	// receive queue behind Recv and RecvTimeout, which decodes a copy.
 	Deliver func(from core.PID, payload []byte)
 
 	// HeartbeatEvery is the outbound heartbeat cadence; an inbound
@@ -325,18 +326,21 @@ func (nd *Node) Send(to core.PID, payload core.Value) error {
 	return p.push(b)
 }
 
-// SendBytes is Send of a []byte value, framed straight into the peer's
-// lane: the same bytes on the wire, without boxing b into a core.Value.
-// b is copied before SendBytes returns, so the caller may reuse it.
+// SendBytes sends b as one data frame's payload, framed straight into the
+// peer's lane, which hands it to the peer's Config.Deliver as it is. It
+// is for a mesh whose nodes set Deliver: the receive queue behind Recv
+// decodes a payload as a Send's value, and tears down the connection of
+// one that is not. b is copied before SendBytes returns, so the caller
+// may reuse it.
 func (nd *Node) SendBytes(to core.PID, b []byte) error {
 	if err := nd.check(to); err != nil {
 		return err
 	}
 	if to == nd.me {
-		return nd.sendSelf(append([]byte(nil), b...))
+		return nd.deliverSelf(b)
 	}
 	p := nd.peers[to]
-	f, err := appendBytesFrame(p.lane.Buf(), b)
+	f, err := AppendFrame(p.lane.Buf(), FrameData, b)
 	if err != nil {
 		p.lane.unlock()
 		return err
@@ -365,10 +369,7 @@ func (nd *Node) sendSelf(payload core.Value) error {
 		if err != nil {
 			return err
 		}
-		nd.framesSent.Add(1) // before it can cause anything, as push counts
-		nd.cfg.Deliver(nd.me, b)
-		nd.framesRecv.Add(1)
-		return nil
+		return nd.deliverSelf(b)
 	}
 	select {
 	case nd.recvQ <- msgnet.Envelope{From: nd.me, To: nd.me, Payload: payload}:
@@ -381,6 +382,17 @@ func (nd *Node) sendSelf(payload core.Value) error {
 		nd.sheds.Add(1)
 		return &BackpressureError{To: nd.me, Cap: cap(nd.recvQ)}
 	}
+}
+
+// deliverSelf hands a data frame's payload to this node's own delivery,
+// as the frame would arrive from itself, without a connection.
+func (nd *Node) deliverSelf(payload []byte) error {
+	nd.framesSent.Add(1) // before it can cause anything, as push counts
+	if err := nd.deliver(nd.me, payload); err != nil {
+		return err
+	}
+	nd.framesRecv.Add(1)
+	return nil
 }
 
 // Broadcast implements msgnet.Substrate: it sends payload to every

@@ -81,8 +81,8 @@ func (m *Metrics) reset() {
 	m.suspicionsPerRound = make(map[int]int64)
 	m.suspectedCounts = make(map[int]int64)
 	m.events = make(map[string]int64)
-	// The registry is cleared in place, never replaced: Telemetry handles
-	// and pool meters resolved against it stay live across Reset.
+	// The registry is cleared in place, never replaced: histograms that
+	// campaigns and pool meters resolved against it stay live across Reset.
 	m.hists.Reset()
 }
 

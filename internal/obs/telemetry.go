@@ -5,31 +5,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"time"
-
-	"repro/internal/obs/hist"
 )
-
-// Telemetry bundles the process-wide measurement state — a Metrics
-// observer and its histogram registry — behind one handle that exporters,
-// CLIs and campaign drivers share. Attach Metrics wherever an Observer
-// goes, hand Hist to whatever meters outside the observer (chaos
-// per-run wall time, par task latency), and serve both with
-// ServeTelemetry.
-type Telemetry struct {
-	// Metrics aggregates observed events; attach it via core.WithObserver,
-	// Multi, or SetDefaultObserver.
-	Metrics *Metrics
-
-	// Hist is Metrics.Hist(): the shared registry of latency/size
-	// histograms. Non-observer instrumentation records here directly.
-	Hist *hist.Registry
-}
-
-// NewTelemetry returns a fresh Telemetry around an empty Metrics.
-func NewTelemetry() *Telemetry {
-	m := NewMetrics()
-	return &Telemetry{Metrics: m, Hist: m.Hist()}
-}
 
 // TelemetryServer is a live telemetry endpoint started by ServeTelemetry.
 type TelemetryServer struct {
@@ -37,8 +13,10 @@ type TelemetryServer struct {
 	srv *http.Server
 }
 
-// ServeTelemetry binds addr and serves the telemetry endpoints in a
-// background goroutine:
+// ServeTelemetry binds addr and serves m — its counters and its
+// histogram registry, m.Hist(), which non-observer instrumentation (chaos
+// per-run wall time, par task latency) records into — in a background
+// goroutine:
 //
 //	/metrics        Prometheus text exposition (counters + quantiles)
 //	/snapshot       the full Metrics Snapshot as indented JSON
@@ -47,7 +25,7 @@ type TelemetryServer struct {
 // Unlike a bare `go http.ListenAndServe`, the bind happens synchronously:
 // a bad or occupied address is reported here, not logged from a goroutine
 // after the caller moved on. Close shuts the listener down.
-func ServeTelemetry(addr string, t *Telemetry) (*TelemetryServer, error) {
+func ServeTelemetry(addr string, m *Metrics) (*TelemetryServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -55,10 +33,10 @@ func ServeTelemetry(addr string, t *Telemetry) (*TelemetryServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, t.Metrics.Snapshot())
+		WritePrometheus(w, m.Snapshot())
 	})
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		data, err := t.Metrics.Snapshot().JSON()
+		data, err := m.Snapshot().JSON()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

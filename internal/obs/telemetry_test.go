@@ -104,10 +104,10 @@ func validatePrometheus(t *testing.T, r io.Reader) map[string]bool {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	tel := obs.NewTelemetry()
-	feedMetrics(t, tel.Metrics)
+	tel := obs.NewMetrics()
+	feedMetrics(t, tel)
 	var b strings.Builder
-	obs.WritePrometheus(&b, tel.Metrics.Snapshot())
+	obs.WritePrometheus(&b, tel.Snapshot())
 	seen := validatePrometheus(t, strings.NewReader(b.String()))
 	for _, want := range []string{
 		"rrfd_runs_total", "rrfd_rounds_total", "rrfd_suspicions_total",
@@ -122,8 +122,8 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestServeTelemetry(t *testing.T) {
-	tel := obs.NewTelemetry()
-	feedMetrics(t, tel.Metrics)
+	tel := obs.NewMetrics()
+	feedMetrics(t, tel)
 	srv, err := obs.ServeTelemetry("127.0.0.1:0", tel)
 	if err != nil {
 		t.Fatal(err)

@@ -174,25 +174,30 @@ func FuzzResponseLine(f *testing.F) {
 	})
 }
 
-// FuzzPeerMsg: whatever a peer sends, neither peer decoder panics, and a
-// message or batch that decodes encodes back to the same bytes, so the
-// wire has one spelling per message.
+// FuzzPeerMsg: whatever a peer sends as a mesh frame's payload, its
+// messages back to back, decoding it does not panic, and a payload that
+// decodes whole encodes back to the same bytes, so the wire has one
+// spelling per frame.
 func FuzzPeerMsg(f *testing.F) {
+	three := appendPeerMsg(nil, pmPropose, "a", 1)
+	three = appendPeerMsg(three, pmDecide, "bb", -1)
+	three = appendPeerMsg(three, pmProposeQuiet, "ccc", 1<<40)
 	f.Add(appendPeerMsg(nil, pmPropose, "i0", 0))
 	f.Add(appendPeerMsg(nil, pmProposeQuiet, "x", -7))
 	f.Add(appendPeerMsg(nil, pmDecide, "instance", 1<<40))
-	f.Add(appendPeerBatch(nil, [][]byte{appendPeerMsg(nil, pmPropose, "a", 1), appendPeerMsg(nil, pmDecide, "bb", -1)}))
+	f.Add(three)
+	f.Add(three[:len(three)-2]) // a cut tail
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if kind, inst, val, err := decodePeerMsg(b); err == nil {
-			if again := appendPeerMsg(nil, kind, inst, val); !bytes.Equal(again, b) {
-				t.Fatalf("message %x decodes to (%d, %q, %d), which encodes to %x", b, kind, inst, val, again)
-			}
+		msgs, err := decodeFrame(b)
+		if err != nil {
+			return
 		}
-		var msgs [][]byte
-		if decodePeerBatch(b, func(m []byte) { msgs = append(msgs, bytes.Clone(m)) }) == nil {
-			if again := appendPeerBatch(nil, msgs); !bytes.Equal(again, b) {
-				t.Fatalf("batch %x decodes to %x, which encodes to %x", b, msgs, again)
-			}
+		var again []byte
+		for _, m := range msgs {
+			again = appendPeerMsg(again, m.kind, m.inst, m.val)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("frame %x decodes to %+v, which encodes to %x", b, msgs, again)
 		}
 	})
 }

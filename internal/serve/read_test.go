@@ -54,10 +54,10 @@ func TestDecisionReadableOnlyOnceFlushed(t *testing.T) {
 	if len(s.recs) != 2 {
 		t.Fatalf("the turn holds %d journal records, want the proposal and one decision", len(s.recs))
 	}
-	if len(s.out[2]) != 2 {
-		t.Fatalf("%d messages for the late proposer, want our proposal and the one decision", len(s.out[2]))
-	} else if kind, inst, val, err := decodePeerMsg(s.out[2][1]); err != nil || kind != pmDecide || inst != "x" || val != 5 {
-		t.Fatalf("late proposer is told (%d, %q, %d, %v), want the decision 5", kind, inst, val, err)
+	if msgs, err := decodeFrame(s.out[2].msgs); err != nil || len(msgs) != 2 || s.out[2].n != 2 {
+		t.Fatalf("%d messages (%d counted, %v) for the late proposer, want our proposal and the one decision", len(msgs), s.out[2].n, err)
+	} else if m := msgs[1]; m != (peerMsg{pmDecide, "x", 5}) {
+		t.Fatalf("late proposer is told %+v, want the decision 5", m)
 	}
 	if st := s.Stats(); st.Decisions != 1 || st.Adopted != 0 || st.IdempotentHits != 1 || st.Submits != 2 {
 		t.Fatalf("stats after the turn: %+v", st)
@@ -125,7 +125,7 @@ func TestPeerProposalShedAtFullTable(t *testing.T) {
 	defer s.Close()
 
 	s.handle(event{from: 1, kind: pmPropose, inst: "a", val: 5}) // opens a: 2 of n−f = 3 proposals
-	recs, sent := len(s.recs), len(s.out[2])
+	recs, sent := len(s.recs), s.out[2].n
 	s.handle(event{from: 2, kind: pmPropose, inst: "b", val: 6})
 
 	if st := s.Stats(); st.PeerSheds != 1 || st.Overloads != 0 || st.PeerProposes != 2 {
@@ -134,9 +134,9 @@ func TestPeerProposalShedAtFullTable(t *testing.T) {
 	if _, open := s.inflight["b"]; open || len(s.inflight) != 1 {
 		t.Fatalf("the shed proposal opened an instance: %d in flight", len(s.inflight))
 	}
-	if _, known := s.proposals["b"]; known || len(s.recs) != recs || len(s.out[2]) != sent {
+	if _, known := s.proposals["b"]; known || len(s.recs) != recs || s.out[2].n != sent {
 		t.Fatalf("the shed proposal left effects: proposal %v, %d journal records (was %d), %d messages to its sender (was %d)",
-			known, len(s.recs), recs, len(s.out[2]), sent)
+			known, len(s.recs), recs, s.out[2].n, sent)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestDecidedProposerIsNotAnswered(t *testing.T) {
 	sentKinds(t, s, 2, 1)
 	s.handle(event{from: 2, kind: pmPropose, inst: "y", val: 4})
 	sentKinds(t, s, 2, 1, pmDecide)
-	if _, _, val, _ := decodePeerMsg(s.out[2][1]); val != 3 {
-		t.Fatalf("the undecided proposer is told %d, want the decision 3", val)
+	if msgs, _ := decodeFrame(s.out[2].msgs); msgs[1].val != 3 {
+		t.Fatalf("the undecided proposer is told %d, want the decision 3", msgs[1].val)
 	}
 	s.handle(event{from: 1, kind: pmProposeQuiet, inst: "w", val: 6}) // opens w and decides it
 	sentKinds(t, s, 1, 1, pmProposeQuiet)
@@ -271,13 +271,16 @@ func TestDecidedProposerIsNotAnswered(t *testing.T) {
 // since it held from.
 func sentKinds(t *testing.T, s *Server, to, from int, want ...byte) {
 	t.Helper()
-	msgs := s.out[to][from:]
-	if len(msgs) != len(want) {
+	msgs, _ := decodeFrame(s.out[to].msgs)
+	if len(msgs) != s.out[to].n {
+		t.Fatalf("node %d's outbox holds %d messages, counts %d", to, len(msgs), s.out[to].n)
+	}
+	if msgs = msgs[from:]; len(msgs) != len(want) {
 		t.Fatalf("%d messages to node %d, want %d", len(msgs), to, len(want))
 	}
 	for i, m := range msgs {
-		if kind, _, _, err := decodePeerMsg(m); err != nil || kind != want[i] {
-			t.Fatalf("message %d to node %d is kind %d (%v), want %d", i, to, kind, err, want[i])
+		if m.kind != want[i] {
+			t.Fatalf("message %d to node %d is kind %d, want %d", i, to, m.kind, want[i])
 		}
 	}
 }

@@ -22,7 +22,7 @@
 // turn; the flush at the end of the turn appends all of the turn's journal
 // records in one wal.Group commit, then makes the turn's decisions
 // readable, then releases the client responses, then sends each peer at
-// most one mesh frame (a message, or a pmBatch of them). A read — a query,
+// most one mesh frame, its messages back to back. A read — a query,
 // a submit for a decided instance — enters no loop: the connection's reader
 // answers it from the durable decisions. Robustness comes in three layers:
 //
@@ -402,7 +402,7 @@ func newServer(cfg Config, js *JournalState) *Server {
 		proposals:   make(map[string]int),
 		decided:     js.Decisions,
 		heard:       core.NewSet(cfg.N),
-		turn:        turn{fresh: make(map[string]int), out: make([][][]byte, cfg.N)},
+		turn:        turn{fresh: make(map[string]int), out: make([]outbox, cfg.N)},
 		recovered:   len(js.Decisions),
 		incarnation: js.Boots + 1,
 	}
@@ -603,15 +603,14 @@ func (s *Server) ask(ins *instance) {
 		}
 	}
 	fill := need - s.heard.Count()
-	ask, quiet := s.message(pmPropose, ins.id, ins.proposal), s.message(pmProposeQuiet, ins.id, ins.proposal)
 	for i := 1; i < n; i++ {
-		p, msg := core.PID((me+i)%n), quiet
+		p, kind := core.PID((me+i)%n), pmProposeQuiet
 		if s.heard.Has(p) {
-			msg = ask
+			kind = pmPropose
 		} else if fill > 0 {
-			msg, fill = ask, fill-1
+			kind, fill = pmPropose, fill-1
 		}
-		s.send(p, msg)
+		s.send(p, kind, ins.id, ins.proposal)
 	}
 }
 
@@ -642,26 +641,25 @@ func (s *Server) admit() bool {
 // nobody is a proposeAll skip that skips no peer.
 const nobody core.PID = -1
 
-// proposal encodes this node's proposal prop for instance id. Once the
-// instance is decided here, in this turn or earlier, it goes as
+// proposal is the kind this node's proposal for instance id goes as.
+// Once the instance is decided here, in this turn or earlier, it is
 // pmProposeQuiet: the node has nothing left to learn, so no peer answers
-// it. It takes the id and proposal, not the instance: a decided instance's
-// record is already free.
-func (s *Server) proposal(id string, prop int) []byte {
-	kind := pmPropose
+// it. It takes the id, not the instance: a decided instance's record is
+// already free.
+func (s *Server) proposal(id string) byte {
 	if _, done := s.lookup(id); done {
-		kind = pmProposeQuiet
+		return pmProposeQuiet
 	}
-	return s.message(kind, id, prop)
+	return pmPropose
 }
 
 // proposeAll records this node's proposal prop for instance id for every
 // other node but skip.
 func (s *Server) proposeAll(id string, prop int, skip core.PID) {
-	msg := s.proposal(id, prop)
+	kind := s.proposal(id)
 	for p := range s.out {
 		if to := core.PID(p); to != s.cfg.Me && to != skip {
-			s.send(to, msg)
+			s.send(to, kind, id, prop)
 		}
 	}
 }
@@ -724,7 +722,7 @@ func (s *Server) onPeer(ev event) {
 			// decided — a straggler, a restarted peer, or one resubmitting
 			// because its own view never filled.
 			if asks {
-				s.send(ev.from, s.message(pmDecide, ev.inst, val))
+				s.send(ev.from, pmDecide, ev.inst, val)
 			}
 			return
 		}
@@ -756,7 +754,7 @@ func (s *Server) onPeer(ev event) {
 			// instance when a client asks it (a plain pmPropose answered
 			// with pmDecide), as a restarted node does.
 			if asks {
-				s.send(ev.from, s.proposal(ev.inst, prop))
+				s.send(ev.from, s.proposal(ev.inst), ev.inst, prop)
 			}
 		case !open:
 			skip := nobody
@@ -767,7 +765,7 @@ func (s *Server) onPeer(ev event) {
 		case seen && asks:
 			// A repeated proposal is a peer that lost our answer (a
 			// hedge, a restart): resend ours directly, not to all.
-			s.send(ev.from, s.proposal(ev.inst, prop))
+			s.send(ev.from, s.proposal(ev.inst), ev.inst, prop)
 		}
 	case pmDecide:
 		if _, ok := s.lookup(ev.inst); ok {
@@ -882,35 +880,22 @@ func (s *Server) expire(now time.Time) {
 }
 
 // deliver is the mesh's Deliver: on the reader of the connection a frame
-// arrived on, it posts the frame's messages, a batch's unpacked, to the
-// loop. It reads the payload in place, which the reader reuses once
-// it returns: a posted event keeps only the instance id, which decoding
-// copies.
+// arrived on, it posts the frame's messages to the loop, in order. It
+// reads the payload in place, which the reader reuses once it returns: a
+// posted event keeps only the instance id, which decoding copies. A
+// malformed message ends the frame; the messages before it stand.
 func (s *Server) deliver(from core.PID, payload []byte) {
-	b, err := netsub.BytesPayload(payload)
-	if err != nil {
-		s.event("serve.bad_peer_msg", map[string]any{"err": err.Error()})
-		return
-	}
-	if len(b) > 0 && b[0] == pmBatch {
-		if err := decodePeerBatch(b, func(m []byte) {
-			s.handlePeerMsg(from, m)
-		}); err != nil {
+	for {
+		kind, inst, val, rest, err := decodePeerMsg(payload)
+		if err != nil {
 			s.event("serve.bad_peer_msg", map[string]any{"err": err.Error()})
+			return
 		}
-		return
+		s.post(event{kind: kind, from: from, inst: inst, val: val})
+		if payload = rest; len(payload) == 0 {
+			return
+		}
 	}
-	s.handlePeerMsg(from, b)
-}
-
-// handlePeerMsg decodes one peer message and posts it to the loop.
-func (s *Server) handlePeerMsg(from core.PID, b []byte) {
-	kind, inst, val, err := decodePeerMsg(b)
-	if err != nil {
-		s.event("serve.bad_peer_msg", map[string]any{"err": err.Error()})
-		return
-	}
-	s.post(event{kind: kind, from: from, inst: inst, val: val})
 }
 
 // clientConn is one accepted client connection: a reader goroutine
@@ -982,6 +967,8 @@ func (s *Server) readConn(cc *clientConn) {
 		switch {
 		case req.Op == "submit" && (req.Inst == "" || req.Req == ""):
 			resp.Err = "submit needs inst and req"
+		case req.Op == "submit" && len(req.Inst) > maxInstanceID:
+			resp.Err = "inst too long"
 		case req.Op == "submit" && !ok:
 			s.post(event{inst: req.Inst, val: req.Val, req: req.Req, timeout: req.TimeoutMS, cc: cc, start: start})
 			continue

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,12 +54,12 @@ func TestWireRoundTrips(t *testing.T) {
 		{pmProposeQuiet, "decided-here", -1},
 	} {
 		b := appendPeerMsg(nil, tc.kind, tc.inst, tc.val)
-		kind, inst, val, err := decodePeerMsg(b)
+		kind, inst, val, rest, err := decodePeerMsg(b)
 		if err != nil {
 			t.Fatalf("decodePeerMsg(%v): %v", tc, err)
 		}
-		if kind != tc.kind || inst != tc.inst || val != tc.val {
-			t.Fatalf("peer round trip: got (%d,%q,%d), want (%d,%q,%d)", kind, inst, val, tc.kind, tc.inst, tc.val)
+		if kind != tc.kind || inst != tc.inst || val != tc.val || len(rest) != 0 {
+			t.Fatalf("peer round trip: got (%d,%q,%d) and %d bytes more, want (%d,%q,%d)", kind, inst, val, len(rest), tc.kind, tc.inst, tc.val)
 		}
 		p := appendInstVal(nil, tc.inst, tc.val)
 		inst, val, err = decodeInstValRecord(p)
@@ -65,8 +67,8 @@ func TestWireRoundTrips(t *testing.T) {
 			t.Fatalf("journal round trip: got (%q,%d,%v)", inst, val, err)
 		}
 	}
-	for _, bad := range [][]byte{nil, {}, {9, 1, 'x', 0}, {pmPropose}, append(appendPeerMsg(nil, pmDecide, "i", 1), 0)} {
-		if _, _, _, err := decodePeerMsg(bad); err == nil {
+	for _, bad := range [][]byte{nil, {}, {9, 1, 'x', 0}, {pmPropose}, {3, 1, 'x', 0}} {
+		if _, _, _, _, err := decodePeerMsg(bad); err == nil {
 			t.Fatalf("decodePeerMsg(%v) accepted garbage", bad)
 		}
 	}
@@ -103,6 +105,30 @@ func TestSingleNodeDecideAndIdempotentRetry(t *testing.T) {
 	if q, _ := c.Query("nope"); q.Status != StatusUnknown {
 		t.Fatalf("query unknown instance: %+v", q)
 	}
+}
+
+// TestLongInstanceIDIsRefused: a submit naming an instance id longer than
+// the journal's record format holds is answered StatusError by the
+// connection's reader, before the loop could journal it; the node still
+// restarts from its journal and serves.
+func TestLongInstanceIDIsRefused(t *testing.T) {
+	cl := testCluster(t, 1, 0, nil)
+	c := NewClient(ClientConfig{Addr: cl.ClientAddrs()[0], Timeout: 2 * time.Second, Seed: 1})
+	defer c.Close()
+	long := strings.Repeat("x", maxInstanceID+1)
+	if resp, err := c.Submit(long, "r1", 1); err == nil || resp.Status != StatusError {
+		t.Fatalf("a %d-byte instance id got %s (%v); want StatusError", len(long), resp.Status, err)
+	}
+	mustDecide(t, c, "short", "r2", 2)
+	cl.Servers[0].Kill()
+	if _, err := cl.Restart(0, nil); err != nil {
+		t.Fatalf("Restart: %v", err)
+	}
+	c.dropConn()
+	if q, err := c.Query("short"); err != nil || q.Status != StatusDecided || q.Val != 2 {
+		t.Fatalf("restarted node answers %+v, %v; want short decided 2", q, err)
+	}
+	mustDecide(t, c, "after", "r3", 3)
 }
 
 func TestClusterDecidesWithinKBound(t *testing.T) {
@@ -401,42 +427,65 @@ func TestAckBeforeJournalBugLosesAck(t *testing.T) {
 	}
 }
 
-// TestPeerBatchRoundTrip pins the coalesced broadcast frame: messages
-// survive packing, garbage is rejected, and the count bound holds.
-func TestPeerBatchRoundTrip(t *testing.T) {
-	msgs := [][]byte{
-		appendPeerMsg(nil, pmPropose, "a", 1),
-		appendPeerMsg(nil, pmDecide, "bb", -7),
-		appendPeerMsg(nil, pmPropose, "instance-3", 1<<33),
-	}
-	frame := appendPeerBatch(nil, msgs)
-	if frame[0] != pmBatch {
-		t.Fatalf("frame kind %d, want pmBatch", frame[0])
-	}
-	var got [][]byte
-	if err := decodePeerBatch(frame, func(m []byte) {
-		got = append(got, append([]byte(nil), m...))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(msgs) {
-		t.Fatalf("decoded %d messages, want %d", len(got), len(msgs))
-	}
-	for i := range msgs {
-		kind, inst, val, err := decodePeerMsg(got[i])
-		wk, wi, wv, _ := decodePeerMsg(msgs[i])
-		if err != nil || kind != wk || inst != wi || val != wv {
-			t.Fatalf("message %d mangled: (%d,%q,%d,%v)", i, kind, inst, val, err)
+// peerMsg is one decoded peer message.
+type peerMsg struct {
+	kind byte
+	inst string
+	val  int
+}
+
+// decodeFrame decodes a mesh frame's payload, as deliver reads it: the
+// messages before the first that fails to decode, and its error.
+func decodeFrame(b []byte) ([]peerMsg, error) {
+	var msgs []peerMsg
+	for {
+		kind, inst, val, rest, err := decodePeerMsg(b)
+		if err != nil {
+			return msgs, err
+		}
+		msgs = append(msgs, peerMsg{kind, inst, val})
+		if b = rest; len(b) == 0 {
+			return msgs, nil
 		}
 	}
-	for _, bad := range [][]byte{nil, {pmPropose}, frame[:len(frame)-2], append(append([]byte(nil), frame...), 0)} {
-		if err := decodePeerBatch(bad, func([]byte) {}); err == nil {
-			t.Fatalf("decodePeerBatch accepted garbage %v", bad)
-		}
+}
+
+// TestPeerFrameRoundTrip pins the mesh frame: messages back to back reach
+// the loop in order. A frame that does not decode whole is refused with
+// one serve.bad_peer_msg, and the messages before the fault still stand.
+func TestPeerFrameRoundTrip(t *testing.T) {
+	m := obs.NewMetrics()
+	s := bareServer(t, Config{Me: 0, N: 3, F: 1, Observer: m})
+	want := []peerMsg{{pmPropose, "a", 1}, {pmDecide, "bb", -7}, {pmProposeQuiet, "instance-3", 1 << 33}}
+	var frame []byte
+	for _, w := range want {
+		frame = appendPeerMsg(frame, w.kind, w.inst, w.val)
 	}
-	// A frame claiming an absurd count must fail before allocating.
-	if err := decodePeerBatch([]byte{pmBatch, 0xff, 0xff, 0xff, 0x7f}, func([]byte) {}); err == nil {
-		t.Fatal("oversized batch count accepted")
+	good := appendPeerMsg(nil, pmPropose, "good", 4)
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		want    []peerMsg
+		bad     int64
+	}{
+		{"three messages", frame, want, 0},
+		{"empty", nil, nil, 1},
+		{"a cut message", frame[:len(frame)-1], want[:2], 1},
+		{"a bad kind after a good message", append(bytes.Clone(good), 3, 1, 'x', 0), []peerMsg{{pmPropose, "good", 4}}, 1},
+	} {
+		before := m.Snapshot().Events["serve.bad_peer_msg"]
+		s.deliver(2, c.payload)
+		if bad := m.Snapshot().Events["serve.bad_peer_msg"] - before; bad != c.bad {
+			t.Errorf("%s: %d serve.bad_peer_msg events, want %d", c.name, bad, c.bad)
+		}
+		for _, w := range c.want {
+			if ev := <-s.ev; ev != (event{kind: w.kind, from: 2, inst: w.inst, val: w.val}) {
+				t.Fatalf("%s: posted %+v, want %+v", c.name, ev, w)
+			}
+		}
+		if len(s.ev) != 0 {
+			t.Fatalf("%s: %d events posted past the ones wanted", c.name, len(s.ev))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -225,7 +226,7 @@ func TestOpenInstanceAllocatesNothing(t *testing.T) {
 }
 
 // TestDeliveredFrameAllocatesOnlyItsID: a mesh frame handed to deliver —
-// one message or a batch — is read where the reader holds it, and each
+// one message or several — is read where the reader holds it, and each
 // message reaches the loop's queue by value: the one allocation per
 // message is its instance id, which the event keeps.
 func TestDeliveredFrameAllocatesOnlyItsID(t *testing.T) {
@@ -234,14 +235,13 @@ func TestDeliveredFrameAllocatesOnlyItsID(t *testing.T) {
 	}
 	const runs = 200
 	s := bareServer(t, Config{Me: 0, N: 3, F: 1})
-	msg := appendPeerMsg(nil, pmPropose, "an-instance", 1000)
-	one, _ := netsub.AppendValue(nil, msg)
-	two, _ := netsub.AppendValue(nil, appendPeerBatch(nil, [][]byte{msg, msg}))
+	one := appendPeerMsg(nil, pmPropose, "an-instance", 1000)
+	three := append(append(bytes.Clone(one), one...), one...)
 	for _, c := range []struct {
 		name    string
 		payload []byte
 		msgs    float64
-	}{{"message", one, 1}, {"batch", two, 2}} {
+	}{{"message", one, 1}, {"frame of three", three, 3}} {
 		if allocs := testing.AllocsPerRun(runs, func() { s.deliver(2, c.payload) }); allocs > c.msgs {
 			t.Errorf("a delivered %s allocates %.1f objects, want at most %.0f (the ids)", c.name, allocs, c.msgs)
 		}

@@ -18,19 +18,25 @@ import (
 const maxTurnEvents = 64
 
 // turn is what the handlers of one turn want externalized. The journal
-// payloads and the peer messages are slices of the turn's own buffers,
-// which reset keeps: wal.Group.AppendBatch and Node.SendBytes are done
-// with the bytes when they return, so flush leaves nothing that still
-// points into them.
+// payloads are slices of the turn's own buffer, and each peer's messages
+// are its outbox's; reset keeps both: wal.Group.AppendBatch and
+// Node.SendBytes are done with the bytes when they return, so flush
+// leaves nothing that still points into them.
 type turn struct {
 	recs  []wal.BatchEntry // journal records, in order
 	fresh map[string]int   // decisions among recs, not yet in the decided table
 	acks  []ack            // client responses
-	out   [][][]byte       // peer messages, indexed by destination pid
+	out   []outbox         // peer messages, indexed by destination pid
 	acked int              // decisions among acks that reached ≥1 waiter
 
-	jbuf, pbuf []byte // recs' payloads, out's messages
-	frame      []byte // a pmBatch frame flush is sending
+	jbuf []byte // recs' payloads
+}
+
+// outbox is what one turn sends one peer: its messages back to back,
+// which are one mesh frame's payload (wire.go), and how many there are.
+type outbox struct {
+	msgs []byte
+	n    int
 }
 
 // ack is one recorded client response.
@@ -46,20 +52,15 @@ func (t *turn) journal(kind uint8, inst string, val int) {
 	t.recs = append(t.recs, wal.BatchEntry{Kind: kind, Payload: t.jbuf[off:len(t.jbuf):len(t.jbuf)]})
 }
 
-// message encodes one peer message into the turn, for send. A buffer
-// grown past its capacity leaves earlier messages where they were.
-func (t *turn) message(kind byte, inst string, val int) []byte {
-	off := len(t.pbuf)
-	t.pbuf = appendPeerMsg(t.pbuf, kind, inst, val)
-	return t.pbuf[off:len(t.pbuf):len(t.pbuf)]
-}
-
 func (t *turn) respond(cc *clientConn, start time.Time, r Response) {
 	t.acks = append(t.acks, ack{cc: cc, start: start, resp: r})
 }
 
-func (t *turn) send(to core.PID, msg []byte) {
-	t.out[to] = append(t.out[to], msg)
+// send appends one peer message to to's outbox.
+func (t *turn) send(to core.PID, kind byte, inst string, val int) {
+	o := &t.out[to]
+	o.msgs = appendPeerMsg(o.msgs, kind, inst, val)
+	o.n++
 }
 
 // reset empties the turn, keeping its buffers but none of their contents.
@@ -68,10 +69,9 @@ func (t *turn) reset() {
 	clear(t.fresh)
 	clear(t.acks)
 	t.recs, t.acks, t.acked = t.recs[:0], t.acks[:0], 0
-	t.jbuf, t.pbuf = t.jbuf[:0], t.pbuf[:0]
-	for to, msgs := range t.out {
-		clear(msgs)
-		t.out[to] = msgs[:0]
+	t.jbuf = t.jbuf[:0]
+	for to := range t.out {
+		t.out[to] = outbox{msgs: t.out[to].msgs[:0]}
 	}
 }
 
@@ -263,21 +263,16 @@ func (s *Server) flush() bool {
 		s.mu.Unlock()
 	}
 	crash := !bug && s.release()
-	for to, msgs := range s.out {
-		if len(msgs) == 0 {
+	for to, o := range s.out {
+		if o.n == 0 {
 			continue
 		}
 		if s.hBcast != nil {
-			s.hBcast.Record(int64(len(msgs)))
-		}
-		frame := msgs[0]
-		if len(msgs) > 1 {
-			s.frame = appendPeerBatch(s.frame[:0], msgs)
-			frame = s.frame
+			s.hBcast.Record(int64(o.n))
 		}
 		// A shed or a closing mesh is a lost message: the origin's
 		// deadline and resubmission cover it.
-		_ = s.node.SendBytes(core.PID(to), frame)
+		_ = s.node.SendBytes(core.PID(to), o.msgs)
 	}
 	if crash {
 		s.crash()

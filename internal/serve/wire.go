@@ -1,10 +1,12 @@
 // Wire formats of the agreement service: the compact peer-to-peer
-// message encoding carried as []byte payloads over the netsub mesh, the
-// WAL record encodings that make instance state durable, and the types of
-// the newline-delimited JSON protocol clients speak (codec.go codes them).
+// message encoding carried over the netsub mesh, the WAL record encodings
+// that make instance state durable, and the types of the
+// newline-delimited JSON protocol clients speak (codec.go codes them).
 //
-// Peer messages ride the existing netsub frame codec as opaque byte
-// slices, so the mesh transport needs no knowledge of the service layer:
+// A mesh data frame's payload is the messages one turn sends one peer,
+// back to back, in no particular order: the frame delimits the run and
+// each message delimits itself, so the mesh transport needs no knowledge
+// of the service layer and the run needs no envelope. One message is
 //
 //	kind     uint8          // pmPropose, pmProposeQuiet or pmDecide
 //	instance uvarint-len + bytes
@@ -12,8 +14,9 @@
 //
 // The two proposal kinds differ only in whether the sender wants an
 // answer: a node that has decided, and an origin writing to the f peers
-// it does not ask, send pmProposeQuiet (byte 4), which nobody answers.
-// The kinds carry no version: every node of a cluster runs the same build.
+// it does not ask, send pmProposeQuiet, which nobody answers. Peer frames
+// are never persisted and carry no version: every node of a cluster runs
+// the same build.
 //
 // Journal records use the same instance/value encoding under three WAL
 // record kinds; recBoot carries only the incarnation number.
@@ -28,51 +31,8 @@ import (
 const (
 	pmPropose      byte = 1 // "my proposal for instance X is v; answer me"
 	pmDecide       byte = 2 // "I decided v for instance X", in reply to a pmPropose for X
-	pmBatch        byte = 3 // coalesced frame: uvarint count, then length-prefixed messages
 	pmProposeQuiet byte = 4 // "my proposal for X is v; no answer wanted"
 )
-
-// maxBatchMsgs bounds one pmBatch frame on the decode side; a frame
-// claiming more is a protocol error rather than an allocation.
-const maxBatchMsgs = 4096
-
-// appendPeerBatch packs several peer messages into one pmBatch frame:
-// one mesh send carries everything a turn has for one peer.
-func appendPeerBatch(b []byte, msgs [][]byte) []byte {
-	b = append(b, pmBatch)
-	b = binary.AppendUvarint(b, uint64(len(msgs)))
-	for _, m := range msgs {
-		b = binary.AppendUvarint(b, uint64(len(m)))
-		b = append(b, m...)
-	}
-	return b
-}
-
-// decodePeerBatch unpacks a pmBatch frame, calling fn once per inner
-// message (aliasing into b — fn must not retain past the call).
-func decodePeerBatch(b []byte, fn func(msg []byte)) error {
-	if len(b) < 1 || b[0] != pmBatch {
-		return fmt.Errorf("serve: not a batch frame")
-	}
-	b = b[1:]
-	cnt, n := binary.Uvarint(b)
-	if n <= 0 || overlong(b, n) || cnt > maxBatchMsgs {
-		return fmt.Errorf("serve: bad batch count")
-	}
-	b = b[n:]
-	for i := uint64(0); i < cnt; i++ {
-		ln, n := binary.Uvarint(b)
-		if n <= 0 || overlong(b, n) || uint64(len(b)-n) < ln {
-			return fmt.Errorf("serve: truncated batch message %d", i)
-		}
-		fn(b[n : n+int(ln)])
-		b = b[n+int(ln):]
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("serve: %d trailing bytes in batch frame", len(b))
-	}
-	return nil
-}
 
 // overlong reports whether the n-byte varint at the head of b is longer
 // than the binary.Append(U)varint spelling of its value (a zero final
@@ -88,7 +48,9 @@ const (
 )
 
 // maxInstanceID bounds one instance identifier; anything larger is a
-// protocol error rather than an allocation.
+// protocol error rather than an allocation. A connection's reader refuses
+// a submit naming a longer one before the loop could journal it: a
+// journal holding one would never replay.
 const maxInstanceID = 4096
 
 // appendInstVal appends the shared instance+value encoding.
@@ -113,28 +75,23 @@ func decodeInstVal(b []byte) (inst string, val int, rest []byte, err error) {
 	return inst, int(v), b[n:], nil
 }
 
-// appendPeerMsg appends one peer message payload.
+// appendPeerMsg appends one peer message.
 func appendPeerMsg(b []byte, kind byte, inst string, val int) []byte {
 	return appendInstVal(append(b, kind), inst, val)
 }
 
-// decodePeerMsg parses one peer message payload.
-func decodePeerMsg(b []byte) (kind byte, inst string, val int, err error) {
+// decodePeerMsg parses the peer message at the head of b and returns the
+// bytes after it: the rest of the frame.
+func decodePeerMsg(b []byte) (kind byte, inst string, val int, rest []byte, err error) {
 	if len(b) < 1 {
-		return 0, "", 0, fmt.Errorf("serve: empty peer message")
+		return 0, "", 0, nil, fmt.Errorf("serve: empty peer message")
 	}
 	kind = b[0]
 	if kind != pmPropose && kind != pmDecide && kind != pmProposeQuiet {
-		return 0, "", 0, fmt.Errorf("serve: unknown peer message kind %d", kind)
+		return 0, "", 0, nil, fmt.Errorf("serve: unknown peer message kind %d", kind)
 	}
-	inst, val, rest, err := decodeInstVal(b[1:])
-	if err != nil {
-		return 0, "", 0, err
-	}
-	if len(rest) != 0 {
-		return 0, "", 0, fmt.Errorf("serve: %d trailing bytes in peer message", len(rest))
-	}
-	return kind, inst, val, nil
+	inst, val, rest, err = decodeInstVal(b[1:])
+	return kind, inst, val, rest, err
 }
 
 // encodeBoot builds a recBoot payload.

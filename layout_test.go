@@ -419,6 +419,41 @@ func TestOneModelVocabulary(t *testing.T) {
 	}
 }
 
+// TestServeKnowsNoValueCodec keeps the mesh frame's format in one module
+// per layer: netsub frames bytes, and serve's messages back to back are a
+// data frame's whole payload (internal/serve/wire.go). No non-test file of
+// internal/serve names netsub's value codec, which only Send and Recv use.
+func TestServeKnowsNoValueCodec(t *testing.T) {
+	codec := map[string]bool{"AppendValue": true, "DecodeValue": true, "BytesPayload": true}
+	files, err := filepath.Glob("internal/serve/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var bad []string
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && codec[sel.Sel.Name] {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "netsub" {
+					bad = append(bad, fmt.Sprintf("%s: netsub.%s", fset.Position(sel.Pos()), sel.Sel.Name))
+				}
+			}
+			return true
+		})
+	}
+	if len(bad) > 0 {
+		t.Errorf("internal/serve names netsub's value codec (send bytes with Node.SendBytes; Deliver gets them as framed):\n  %s",
+			strings.Join(bad, "\n  "))
+	}
+}
+
 // TestChangesEntriesArePointers keeps CHANGES.md an index: an entry
 // ("- PR n: …", up to the next entry or blank line) is one paragraph of at
 // most 1 000 bytes pointing at its commit, which holds the full account.
