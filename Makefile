@@ -14,7 +14,7 @@ GO ?= go
 BENCH_PKGS := ./internal/core ./internal/agreement ./internal/msgnet ./internal/swmr ./internal/reliablelink ./internal/chaos ./internal/netsub ./internal/serve ./internal/fleet ./internal/wal ./internal/hoalg ./internal/predicate ./internal/adversary ./internal/snapshot ./internal/semisync
 BENCH_PAT  ?= .
 
-.PHONY: build test race vet ci bench bench-build bench-check baton-race readers-race net-short cover unlinked chaos
+.PHONY: build test race vet ci bench bench-build bench-check baton-race readers-race net-short fuzz-short cover unlinked chaos
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,16 @@ readers-race:
 # mid-run, decisions audited for validity and k-agreement.
 net-short:
 	$(GO) run -race ./cmd/rrfdsim tcp -n 4 -f 1 -k 2 -rounds 3 -watchdog 600
+
+# Every other target replays the wire decoders' checked-in seeds only:
+# these fuzz each for 10 s past them — a mesh frame and the round message
+# it carries, a peer message, a client line, a journal. Not in `make ci`,
+# whose targets assert fixed outcomes; CI runs it as a job of its own.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s -parallel 2 ./internal/netsub/
+	$(GO) test -run '^$$' -fuzz '^FuzzPeerMsg$$' -fuzztime 10s -parallel 2 ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestLine$$' -fuzztime 10s -parallel 2 ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s -parallel 2 ./internal/wal/
 
 # Coverage floors for the packages that judge every other package's safety:
 # the model-checking engine and the model-algebra compiler stay >= 85%

@@ -1,5 +1,5 @@
 // Command rrfdserve runs one agreement-service node: it joins a TCP mesh
-// of n peers, accepts client submissions on a second listener, runs one
+// of n peers, one per -mesh address, accepts client submissions on a second listener, runs one
 // k-set agreement instance per distinct instance ID, and journals every
 // proposal and decision to a write-ahead log before acknowledging — kill
 // the process at any point and the restarted incarnation replays the
@@ -20,7 +20,7 @@
 //
 //	rrfdserve -me 0 -mesh :7000,:7001,:7002 -listen :8000 -wal /var/lib/rrfd/n0
 //	rrfdserve -me 1 -mesh :7000,:7001,:7002 -listen :8001 -wal /var/lib/rrfd/n1 -sync always
-//	rrfdserve -me 0 -n 1 -mesh 127.0.0.1:0 -listen 127.0.0.1:0 -wal /tmp/solo   # single node
+//	rrfdserve -me 0 -mesh 127.0.0.1:0 -listen 127.0.0.1:0 -wal /tmp/solo   # single node
 //
 // SIGINT / SIGTERM shuts the node down cleanly; the journal makes any
 // less polite exit equally safe.
@@ -43,7 +43,7 @@ import (
 )
 
 type config struct {
-	me, n, f    int
+	me, f       int
 	mesh        string
 	listen      string
 	walDir      string
@@ -58,7 +58,6 @@ type config struct {
 func main() {
 	var cfg config
 	flag.IntVar(&cfg.me, "me", 0, "this node's pid (index into -mesh)")
-	flag.IntVar(&cfg.n, "n", 0, "mesh size (0 = len(-mesh))")
 	flag.IntVar(&cfg.f, "f", 0, "fault budget; decisions gather n-f proposals")
 	flag.StringVar(&cfg.mesh, "mesh", "", "comma-separated mesh addresses, one per pid")
 	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:0", "client-facing listen address")
@@ -99,17 +98,12 @@ func start(cfg config, w io.Writer) (*serve.Server, func(), error) {
 	if cfg.mesh == "" {
 		return nil, nop, fmt.Errorf("-mesh is required: comma-separated addresses, one per pid")
 	}
-	if cfg.n == 0 {
-		cfg.n = len(addrs)
+	n := len(addrs)
+	if cfg.me < 0 || cfg.me >= n {
+		return nil, nop, fmt.Errorf("-me %d out of range [0,%d)", cfg.me, n)
 	}
-	if cfg.n != len(addrs) {
-		return nil, nop, fmt.Errorf("-n %d does not match %d -mesh addresses", cfg.n, len(addrs))
-	}
-	if cfg.me < 0 || cfg.me >= cfg.n {
-		return nil, nop, fmt.Errorf("-me %d out of range [0,%d)", cfg.me, cfg.n)
-	}
-	if cfg.f < 0 || cfg.f >= cfg.n {
-		return nil, nop, fmt.Errorf("-f %d out of range [0,%d)", cfg.f, cfg.n)
+	if cfg.f < 0 || cfg.f >= n {
+		return nil, nop, fmt.Errorf("-f %d out of range [0,%d)", cfg.f, n)
 	}
 	var sync wal.SyncMode
 	switch cfg.sync {
@@ -123,7 +117,7 @@ func start(cfg config, w io.Writer) (*serve.Server, func(), error) {
 
 	var tel *obs.Metrics
 	scfg := serve.Config{
-		Me: core.PID(cfg.me), N: cfg.n, F: cfg.f,
+		Me: core.PID(cfg.me), F: cfg.f,
 		MeshAddrs:      addrs,
 		ClientAddr:     cfg.listen,
 		WALDir:         cfg.walDir,
@@ -153,7 +147,7 @@ func start(cfg config, w io.Writer) (*serve.Server, func(), error) {
 		fmt.Fprintf(w, "telemetry listening on http://%s/ (/metrics, /snapshot, /debug/pprof/)\n", ts.Addr())
 	}
 	fmt.Fprintf(w, "rrfdserve p%d/%d incarnation %d: mesh %s, clients %s, wal %s (sync=%s)\n",
-		cfg.me, cfg.n, srv.Incarnation(), srv.MeshAddr(), srv.ClientAddr(), cfg.walDir, cfg.sync)
+		cfg.me, n, srv.Incarnation(), srv.MeshAddr(), srv.ClientAddr(), cfg.walDir, cfg.sync)
 	if rec := srv.Stats().RecoveredDecisions; rec > 0 {
 		fmt.Fprintf(w, "recovered %d durable decisions from the journal\n", rec)
 	}

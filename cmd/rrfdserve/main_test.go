@@ -17,7 +17,6 @@ func TestStartRejectsBadFlags(t *testing.T) {
 	}{
 		{"no wal", config{mesh: "127.0.0.1:0"}, "-wal"},
 		{"no mesh", config{walDir: t.TempDir(), sync: "always"}, "-mesh"},
-		{"n mismatch", config{walDir: t.TempDir(), mesh: "a,b", n: 3, sync: "always"}, "does not match"},
 		{"me range", config{walDir: t.TempDir(), mesh: "a,b", me: 2, sync: "always"}, "-me"},
 		{"f range", config{walDir: t.TempDir(), mesh: "a,b", f: 2, sync: "always"}, "-f"},
 		{"bad sync", config{walDir: t.TempDir(), mesh: "127.0.0.1:0", sync: "sometimes"}, "-sync"},

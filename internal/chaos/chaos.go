@@ -516,14 +516,10 @@ func runCampaign[C any, V fmt.Stringer](c campaignSpec, sum fmt.Stringer,
 	if c.observed {
 		workers = 1
 	}
-	timed := func(execute func()) { execute() }
-	if c.telemetry != nil {
-		wall := c.telemetry.Get(c.wallName)
-		timed = func(execute func()) {
-			start := time.Now()
-			execute()
-			wall.Record(time.Since(start).Nanoseconds())
-		}
+	wall := c.telemetry.Get(c.wallName)
+	timed := func(execute func()) {
+		defer wall.Since(time.Now())
+		execute()
 	}
 	shares, perr := par.Map(workers, c.runs, func(run int) C {
 		return one(run, draws[run].sched, draws[run].scen, timed)

@@ -63,7 +63,7 @@ func BenchmarkNetsubRoundTrip(b *testing.B) {
 	}()
 
 	// Warm the connections so the benchmark measures steady state.
-	if err := a.Send(1, 0); err != nil {
+	if err := a.Send(1, rm(0)); err != nil {
 		b.Fatalf("warm-up send: %v", err)
 	}
 	if _, err := a.Recv(); err != nil {

@@ -55,8 +55,8 @@ const (
 	// reverse connection, the one the receiver dialed to the sender.
 	FrameHeartbeatAck FrameKind = 3
 
-	// FrameData carries one application value (see AppendValue), or
-	// the bytes SendBytes was given.
+	// FrameData carries one round message (see AppendValue), or the
+	// bytes SendBytes was given.
 	FrameData FrameKind = 4
 )
 
@@ -207,17 +207,17 @@ func peekExactly(br *bufio.Reader, n int) ([]byte, error) {
 	return nil, err
 }
 
-// Value encoding: a one-byte tag followed by a tag-specific body. The
-// substrate deliberately speaks a tiny closed vocabulary — the types the
-// round protocols actually put on the wire — rather than a reflective
+// Value encoding. A Send carries one round message, m_{i,r} of §2 item 3:
+// a msgnet.RoundMsg whose value is nil, an int or a string, and nothing
+// else. It is spelled tagRoundMsg, the uvarint round, then the value's
+// one-byte tag and its body. The vocabulary is closed and tiny — the
+// shapes the round protocols put on the wire — rather than a reflective
 // codec, so a corrupt byte can never decode into an unexpected type.
 const (
 	tagNil      = 0x00
 	tagInt      = 0x01 // zigzag varint
 	tagString   = 0x02 // uvarint length + bytes
-	tagBytes    = 0x03 // uvarint length + bytes
-	tagBool     = 0x04 // one byte, 0 or 1
-	tagRoundMsg = 0x05 // uvarint round + nested value
+	tagRoundMsg = 0x05 // uvarint round + one of the above
 )
 
 // RoundMsg is msgnet.RoundMsg. This package spells it msgnet.RoundMsg; the
@@ -225,93 +225,75 @@ const (
 // change to bench/.
 type RoundMsg = msgnet.RoundMsg
 
-// AppendValue appends the wire encoding of v to dst. Supported types:
-// nil, int, string, []byte, bool, msgnet.RoundMsg. Anything else is a caller
-// bug and is reported as an *UnsupportedTypeError.
-func AppendValue(dst []byte, v core.Value) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(dst, tagNil), nil
-	case int:
-		dst = append(dst, tagInt)
-		return binary.AppendVarint(dst, int64(x)), nil
-	case string:
-		dst = append(dst, tagString)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...), nil
-	case []byte:
-		dst = append(dst, tagBytes)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...), nil
-	case bool:
-		b := byte(0)
-		if x {
-			b = 1
-		}
-		return append(dst, tagBool, b), nil
-	case msgnet.RoundMsg:
-		dst = append(dst, tagRoundMsg)
-		dst = binary.AppendUvarint(dst, uint64(x.Round))
-		return AppendValue(dst, x.Value)
-	default:
-		return dst, &UnsupportedTypeError{Value: v}
+// vet refuses a value outside the wire vocabulary with an
+// *UnsupportedTypeError: a caller bug, not a network condition.
+func vet(v core.Value) error {
+	m, ok := v.(msgnet.RoundMsg)
+	if !ok {
+		return &UnsupportedTypeError{Value: v}
 	}
+	switch m.Value.(type) {
+	case nil, int, string:
+		return nil
+	}
+	return &UnsupportedTypeError{Value: m.Value}
 }
 
-// DecodeValue decodes one value from the front of b, returning it and
-// the bytes consumed. Malformed bodies, overlong varints included, yield a
-// *CorruptFrameError: a value has one encoding, AppendValue's.
+// AppendValue appends the wire encoding of v, a msgnet.RoundMsg over nil,
+// an int or a string, to dst. Anything else is refused (see vet).
+func AppendValue(dst []byte, v core.Value) ([]byte, error) {
+	if err := vet(v); err != nil {
+		return dst, err
+	}
+	m := v.(msgnet.RoundMsg)
+	dst = binary.AppendUvarint(append(dst, tagRoundMsg), uint64(m.Round))
+	switch x := m.Value.(type) {
+	case int:
+		return binary.AppendVarint(append(dst, tagInt), int64(x)), nil
+	case string:
+		dst = binary.AppendUvarint(append(dst, tagString), uint64(len(x)))
+		return append(dst, x...), nil
+	}
+	return append(dst, tagNil), nil
+}
+
+// DecodeValue decodes one round message from the front of b, returning it
+// and the bytes consumed. Anything else — another shape, a malformed body,
+// an overlong varint — yields a *CorruptFrameError: a value has one
+// encoding, AppendValue's.
 func DecodeValue(b []byte) (core.Value, int, error) {
-	if len(b) == 0 {
+	if len(b) == 0 || b[0] != tagRoundMsg {
+		return nil, 0, &CorruptFrameError{Field: "value", Detail: "not a round message"}
+	}
+	r, n := binary.Uvarint(b[1:])
+	if n <= 0 || overlong(b[1:], n) || r > uint64(MaxFramePayload) {
+		return nil, 0, &CorruptFrameError{Field: "value", Detail: "bad round"}
+	}
+	m, body := msgnet.RoundMsg{Round: int(r)}, b[1+n:]
+	if len(body) == 0 {
 		return nil, 0, &CorruptFrameError{Field: "value", Detail: "empty"}
 	}
-	switch b[0] {
+	head := 1 + n + 1 // through the value's tag
+	switch body[0] {
 	case tagNil:
-		return nil, 1, nil
+		return m, head, nil
 	case tagInt:
-		v, n := binary.Varint(b[1:])
-		if n <= 0 || overlong(b[1:], n) {
+		v, k := binary.Varint(body[1:])
+		if k <= 0 || overlong(body[1:], k) {
 			return nil, 0, &CorruptFrameError{Field: "value", Detail: "bad varint"}
 		}
-		return int(v), 1 + n, nil
+		m.Value = int(v)
+		return m, head + k, nil
 	case tagString:
-		s, n, err := decodeBlob(b[1:], "string")
-		if err != nil {
-			return nil, 0, err
+		l, k := binary.Uvarint(body[1:])
+		if k <= 0 || overlong(body[1:], k) || l > uint64(MaxFramePayload) || uint64(len(body)-1-k) < l {
+			return nil, 0, &CorruptFrameError{Field: "value", Detail: "bad string length"}
 		}
-		return string(s), 1 + n, nil
-	case tagBytes:
-		s, n, err := decodeBlob(b[1:], "bytes")
-		if err != nil {
-			return nil, 0, err
-		}
-		return append([]byte(nil), s...), 1 + n, nil
-	case tagBool:
-		if len(b) < 2 || b[1] > 1 {
-			return nil, 0, &CorruptFrameError{Field: "value", Detail: "bad bool"}
-		}
-		return b[1] == 1, 2, nil
-	case tagRoundMsg:
-		r, n := binary.Uvarint(b[1:])
-		if n <= 0 || overlong(b[1:], n) || r > uint64(MaxFramePayload) {
-			return nil, 0, &CorruptFrameError{Field: "value", Detail: "bad round"}
-		}
-		inner, m, err := DecodeValue(b[1+n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return msgnet.RoundMsg{Round: int(r), Value: inner}, 1 + n + m, nil
+		m.Value = string(body[1+k : 1+k+int(l)])
+		return m, head + k + int(l), nil
 	default:
-		return nil, 0, &CorruptFrameError{Field: "value", Detail: fmt.Sprintf("unknown tag 0x%02X", b[0])}
+		return nil, 0, &CorruptFrameError{Field: "value", Detail: fmt.Sprintf("unknown tag 0x%02X", body[0])}
 	}
-}
-
-func decodeBlob(b []byte, what string) ([]byte, int, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || overlong(b, n) || l > uint64(MaxFramePayload) || uint64(len(b)-n) < l {
-		return nil, 0, &CorruptFrameError{Field: "value", Detail: "bad " + what + " length"}
-	}
-	return b[n : n+int(l)], n + int(l), nil
 }
 
 // overlong reports whether the n-byte varint at the head of b is longer

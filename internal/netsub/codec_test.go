@@ -138,17 +138,13 @@ func TestReadFrameStream(t *testing.T) {
 
 func TestValueRoundTrip(t *testing.T) {
 	values := []core.Value{
-		nil,
-		0,
-		-1,
-		1 << 40,
-		"",
-		"p3@r7",
-		[]byte{0, 1, 2},
-		true,
-		false,
+		msgnet.RoundMsg{Round: 0, Value: nil},
+		msgnet.RoundMsg{Round: 1, Value: 0},
+		msgnet.RoundMsg{Round: 2, Value: -1},
+		msgnet.RoundMsg{Round: 3, Value: 1 << 40},
+		msgnet.RoundMsg{Round: 4, Value: ""},
 		msgnet.RoundMsg{Round: 12, Value: "payload"},
-		msgnet.RoundMsg{Round: 1, Value: msgnet.RoundMsg{Round: 2, Value: 99}},
+		msgnet.RoundMsg{Round: MaxFramePayload, Value: "p3@r7"},
 	}
 	for _, v := range values {
 		buf, err := AppendValue(nil, v)
@@ -170,20 +166,62 @@ func TestValueRoundTrip(t *testing.T) {
 
 func TestValueRejectsUnsupported(t *testing.T) {
 	var unsupported *UnsupportedTypeError
-	if _, err := AppendValue(nil, 3.14); !errors.As(err, &unsupported) {
-		t.Fatalf("float: %v", err)
+	for _, v := range []core.Value{3.14, msgnet.RoundMsg{Round: 1, Value: 3.14}} {
+		if b, err := AppendValue([]byte("kept"), v); !errors.As(err, &unsupported) || string(b) != "kept" {
+			t.Fatalf("%#v: appended % X, %v", v, b, err)
+		}
+	}
+}
+
+// TestRetiredShapesAreRefused: a Send carries one round message over nil,
+// an int or a string. Every other shape — a bare value, []byte, bool, a
+// nested round message — is refused by Send, to a peer and to self alike,
+// with an *UnsupportedTypeError, and the spelling it once had is refused on
+// receipt with a *CorruptFrameError.
+func TestRetiredShapesAreRefused(t *testing.T) {
+	const tagBytes, tagBool = 0x03, 0x04 // retired tags
+	nodes := startMesh(t, 2, nil)
+	for _, c := range []struct {
+		v    core.Value
+		wire []byte
+	}{
+		{nil, []byte{tagNil}},
+		{7, []byte{tagInt, 0x0E}},
+		{"bare", []byte{tagString, 4, 'b', 'a', 'r', 'e'}},
+		{[]byte{1, 2}, []byte{tagBytes, 2, 1, 2}},
+		{true, []byte{tagBool, 1}},
+		{rm([]byte{1, 2}), []byte{tagRoundMsg, 1, tagBytes, 2, 1, 2}},
+		{rm(false), []byte{tagRoundMsg, 1, tagBool, 0}},
+		{rm(rm(7)), []byte{tagRoundMsg, 1, tagRoundMsg, 1, tagInt, 0x0E}},
+	} {
+		for to := core.PID(0); to < 2; to++ {
+			var unsupported *UnsupportedTypeError
+			if err := nodes[0].Send(to, c.v); !errors.As(err, &unsupported) {
+				t.Errorf("Send(p%d, %#v) = %v, want an *UnsupportedTypeError", to, c.v, err)
+			}
+		}
+		var corrupt *CorruptFrameError
+		if v, _, err := DecodeValue(c.wire); !errors.As(err, &corrupt) {
+			t.Errorf("DecodeValue(% X) = %#v, %v; want a *CorruptFrameError", c.wire, v, err)
+		}
+	}
+	if st := nodes[0].Stats(); st.FramesSent != 0 || st.Sheds != 0 {
+		t.Fatalf("refused sends counted: %+v", st)
 	}
 }
 
 func TestDecodeValueErrors(t *testing.T) {
 	var corrupt *CorruptFrameError
 	bad := [][]byte{
-		{},                  // empty
-		{0xEE},              // unknown tag
-		{tagBool, 2},        // bool out of range
-		{tagBool},           // bool missing byte
-		{tagString, 0xFF},   // unterminated length varint
-		{tagString, 5, 'a'}, // length beyond buffer
+		{},                                  // empty
+		{0xEE},                              // unknown tag
+		{tagRoundMsg},                       // round missing
+		{tagRoundMsg, 0xFF},                 // unterminated round varint
+		{tagRoundMsg, 1},                    // value missing
+		{tagRoundMsg, 1, 0xEE},              // unknown value tag
+		{tagRoundMsg, 1, tagInt},            // int missing
+		{tagRoundMsg, 1, tagString, 0xFF},   // unterminated length varint
+		{tagRoundMsg, 1, tagString, 5, 'a'}, // length beyond buffer
 	}
 	for _, b := range bad {
 		if _, _, err := DecodeValue(b); !errors.As(err, &corrupt) {
@@ -202,12 +240,12 @@ func TestDecodersRefuseNonCanonical(t *testing.T) {
 		name string
 		b    []byte
 	}{
-		{"overlong int 0", []byte{tagInt, 0x80, 0x00}},
-		{"overlong int -1", []byte{tagInt, 0x81, 0x80, 0x00}},
-		{"overlong string length", []byte{tagString, 0x81, 0x00, 'a'}},
-		{"overlong bytes length", []byte{tagBytes, 0x80, 0x00}},
+		{"overlong int 0", []byte{tagRoundMsg, 1, tagInt, 0x80, 0x00}},
+		{"overlong int -1", []byte{tagRoundMsg, 1, tagInt, 0x81, 0x80, 0x00}},
+		{"overlong string length", []byte{tagRoundMsg, 1, tagString, 0x81, 0x00, 'a'}},
+		{"overlong empty string length", []byte{tagRoundMsg, 1, tagString, 0x80, 0x00}},
 		{"overlong round", []byte{tagRoundMsg, 0x82, 0x00, tagNil}},
-		{"overlong inner int", []byte{tagRoundMsg, 2, tagInt, 0x84, 0x80, 0x00}},
+		{"overlong int 2", []byte{tagRoundMsg, 2, tagInt, 0x84, 0x80, 0x00}},
 	}
 	for _, c := range values {
 		if v, _, err := DecodeValue(c.b); !errors.As(err, &corrupt) {

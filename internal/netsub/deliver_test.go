@@ -1,12 +1,13 @@
 package netsub
 
 import (
-	"bytes"
 	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/msgnet"
 )
 
 // TestSendBytesInlineAllocatesNothing: SendBytes to an idle, connected
@@ -59,24 +60,24 @@ func TestSendBytesInlineAllocatesNothing(t *testing.T) {
 // first, still queued, is intact.
 func TestRecvPayloadSurvivesNextFrame(t *testing.T) {
 	nodes := startMesh(t, 2, nil)
-	first, second := []byte("first frame"), []byte("other bytes")
-	for _, b := range [][]byte{first, second} {
-		if err := nodes[0].Send(1, b); err != nil {
+	first, second := rm("first frame"), rm("other bytes")
+	for _, m := range []msgnet.RoundMsg{first, second} {
+		if err := nodes[0].Send(1, m); err != nil {
 			t.Fatalf("send: %v", err)
 		}
 	}
 	waitFor(t, "both frames read", func() bool { return nodes[1].Stats().FramesReceived == 2 })
-	for _, want := range [][]byte{first, second} {
-		if env := recvFrom(t, nodes[1], 0, time.Second); !bytes.Equal(env.Payload.([]byte), want) {
-			t.Fatalf("received %q, want %q", env.Payload, want)
+	for _, want := range []msgnet.RoundMsg{first, second} {
+		if env := recvFrom(t, nodes[1], 0, time.Second); env.Payload != want {
+			t.Fatalf("received %#v, want %#v", env.Payload, want)
 		}
 	}
 }
 
 // TestDeliverHandsRawPayload: with Config.Deliver set, a data frame's
 // payload goes to the handler exactly as framed, from the peer's
-// connection and from a send to self alike: the bytes SendBytes was given,
-// and a Send's value in AppendValue's encoding.
+// connection: the bytes SendBytes was given, and a Send's round message in
+// AppendValue's encoding.
 func TestDeliverHandsRawPayload(t *testing.T) {
 	type got struct {
 		from    core.PID
@@ -93,14 +94,11 @@ func TestDeliverHandsRawPayload(t *testing.T) {
 	if err := nodes[0].SendBytes(1, []byte("over the wire")); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if err := nodes[1].SendBytes(1, []byte("to self")); err != nil {
-		t.Fatalf("self send: %v", err)
-	}
-	if err := nodes[0].Send(1, 42); err != nil {
+	if err := nodes[0].Send(1, rm(42)); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	want := map[core.PID][]string{0: {"over the wire", ""}, 1: {"to self"}}
-	for range 3 {
+	want := map[core.PID][]string{0: {"over the wire", ""}}
+	for range 2 {
 		var g got
 		select {
 		case g = <-in:
@@ -112,14 +110,33 @@ func TestDeliverHandsRawPayload(t *testing.T) {
 		}
 		w := want[g.from][0]
 		want[g.from] = want[g.from][1:]
-		if w == "" { // the int
-			if v, n, err := DecodeValue(g.payload); err != nil || n != len(g.payload) || v != 42 {
-				t.Fatalf("the int arrived as %x: DecodeValue %v, %d bytes, %v", g.payload, v, n, err)
+		if w == "" { // the round message
+			if v, n, err := DecodeValue(g.payload); err != nil || n != len(g.payload) || v != rm(42) {
+				t.Fatalf("the round message arrived as %x: DecodeValue %v, %d bytes, %v", g.payload, v, n, err)
 			}
 			continue
 		}
 		if string(g.payload) != w {
 			t.Fatalf("from p%d: %q, want %q", g.from, g.payload, w)
 		}
+	}
+}
+
+// TestSendBytesToSelfIsRefused: a node never sends itself bytes. SendBytes
+// to its own pid fails, Deliver never runs, and no frame is counted.
+func TestSendBytesToSelfIsRefused(t *testing.T) {
+	var calls atomic.Int64
+	nodes := startMesh(t, 2, func(i int, c *Config) {
+		c.Deliver = func(core.PID, []byte) { calls.Add(1) }
+	})
+	if err := nodes[1].SendBytes(1, []byte("to self")); err == nil {
+		t.Fatal("SendBytes to self succeeded")
+	}
+	if err := nodes[1].SendBytes(0, []byte("to a peer")); err != nil {
+		t.Fatalf("send to a peer: %v", err)
+	}
+	waitFor(t, "the peer's frame", func() bool { return calls.Load() == 1 })
+	if st := nodes[1].Stats(); st.FramesSent != 1 || st.FramesReceived != 0 {
+		t.Fatalf("after one refused and one sent frame: %+v", st)
 	}
 }

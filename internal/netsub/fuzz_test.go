@@ -3,6 +3,9 @@ package netsub
 import (
 	"bytes"
 	"errors"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/msgnet"
@@ -34,11 +37,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(data)
 	f.Add(valid(FrameHeartbeat, []byte{0x80, 0x02}))
 	f.Add(valid(FrameHeartbeatAck, nil))
-	f.Add(data[:headerSize-1])                                       // header cut short
-	f.Add(data[:len(data)-1])                                        // trailer cut short
-	f.Add(append([]byte{0}, data...))                                // misaligned stream
-	f.Add(valid(FrameData, []byte{tagInt, 0x80, 0x00}))              // overlong 0
-	f.Add(valid(FrameHello, []byte{helloVersion, 0x81, 0x00, 3, 1})) // overlong pid
+	f.Add(data[:headerSize-1])                                          // header cut short
+	f.Add(data[:len(data)-1])                                           // trailer cut short
+	f.Add(append([]byte{0}, data...))                                   // misaligned stream
+	f.Add(valid(FrameData, []byte{tagRoundMsg, 2, tagInt, 0x80, 0x00})) // overlong 0
+	f.Add(valid(FrameHello, []byte{helloVersion, 0x81, 0x00, 3, 1}))    // overlong pid
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, n, err := DecodeFrame(b)
@@ -87,4 +90,30 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDataSeedDecodesWhole: the checked-in valid-data seed is a Send frame
+// as the wire has always spelled it. It decodes whole to the round message
+// it carries, and Send's encoder writes exactly its bytes.
+func TestDataSeedDecodesWhole(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeFrame/valid-data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	seed, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("seed %q: %v", lit, err)
+	}
+	fr, n, err := DecodeFrame([]byte(seed))
+	if err != nil || n != len(seed) || fr.Kind != FrameData {
+		t.Fatalf("frame: %v, %d of %d bytes, kind %v", err, n, len(seed), fr.Kind)
+	}
+	want := msgnet.RoundMsg{Round: 2, Value: "p1@r2"}
+	if v, k, err := DecodeValue(fr.Payload); err != nil || k != len(fr.Payload) || v != want {
+		t.Fatalf("payload decodes to %#v (%d of %d bytes), %v; want %#v", v, k, len(fr.Payload), err, want)
+	}
+	if frame, err := appendValueFrame(nil, want); err != nil || string(frame) != seed {
+		t.Fatalf("Send frames %#v as % X (%v), want the seed % X", want, frame, err, seed)
+	}
 }

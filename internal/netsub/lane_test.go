@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/msgnet"
 )
 
 // TestLaneStalledReader: a peer whose reader stalls cannot take a frame
@@ -45,7 +46,7 @@ func TestLaneStalledReader(t *testing.T) {
 	start := time.Now()
 	for i := uint32(0); i < sends; i++ {
 		binary.BigEndian.PutUint32(payload, i)
-		err := nd.Send(1, payload)
+		err := nd.Send(1, rm(string(payload)))
 		var bp *BackpressureError
 		switch {
 		case err == nil:
@@ -93,11 +94,12 @@ func TestLaneStalledReader(t *testing.T) {
 			t.Fatalf("frame %d: %v", want, err)
 		}
 		v, _, err := DecodeValue(f.Payload)
-		b, ok := v.([]byte)
+		m, _ := v.(msgnet.RoundMsg)
+		b, ok := m.Value.(string)
 		if err != nil || !ok || len(b) != frameBytes {
-			t.Fatalf("frame %d decodes to %T of %d bytes, %v", want, v, len(b), err)
+			t.Fatalf("frame %d decodes to %#v of %d bytes, %v", want, m.Value, len(b), err)
 		}
-		if got := binary.BigEndian.Uint32(b); got != want {
+		if got := binary.BigEndian.Uint32([]byte(b[:4])); got != want {
 			t.Fatalf("frame %d arrived where %d was due", got, want)
 		}
 	}
@@ -106,13 +108,13 @@ func TestLaneStalledReader(t *testing.T) {
 	}
 }
 
-// TestLaneInlineSendAllocatesNothing: a Send of a boxed value to an idle,
+// TestLaneInlineSendAllocatesNothing: a Send of a boxed round message to an idle,
 // connected peer encodes into the lane's scratch and writes it from the
 // caller's goroutine, allocating nothing. The peer is the test's own
 // reader, which allocates nothing either: AllocsPerRun counts the process.
 func TestLaneInlineSendAllocatesNothing(t *testing.T) {
 	nd, br := laneToTest(t, nil)
-	var payload core.Value = []byte("a proposal-sized payload")
+	var payload core.Value = rm("a proposal-sized payload")
 	frame, _ := appendValueFrame(nil, payload)
 	const runs = 1000 // AllocsPerRun sends once more, to warm up
 	got := make([]byte, (runs+1)*len(frame))

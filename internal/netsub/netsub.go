@@ -100,15 +100,15 @@ type Config struct {
 	// full queue sheds with a *BackpressureError. 0 means 64.
 	SendQueue int
 
-	// Deliver, when non-nil, receives every data frame's payload
-	// exactly as framed — the bytes SendBytes was given; a Send's value
-	// in AppendValue's encoding — on the reader of the connection it
-	// arrived on (a send to self: on the sender's goroutine); a handler
-	// that blocks holds that connection back. A mesh whose nodes set
-	// Deliver is sent bytes. The payload aliases the reader's buffer and
-	// is valid only until the handler returns: nothing copies it, and a
-	// handler that keeps any of it copies that part. nil means the
-	// receive queue behind Recv and RecvTimeout, which decodes a copy.
+	// Deliver, when non-nil, receives every data frame a peer sends
+	// exactly as framed — the bytes SendBytes was given; a Send's round
+	// message in AppendValue's encoding — on the reader of the connection
+	// it arrived on; a handler that blocks holds that connection back. A
+	// mesh whose nodes set Deliver is sent bytes, and never by a node to
+	// itself. The payload aliases the reader's buffer and is valid only
+	// until the handler returns: nothing copies it, and a handler that
+	// keeps any of it copies that part. nil means the receive queue
+	// behind Recv and RecvTimeout, which decodes a copy.
 	Deliver func(from core.PID, payload []byte)
 
 	// HeartbeatEvery is the outbound heartbeat cadence; an inbound
@@ -245,6 +245,8 @@ func Start(cfg Config) (*Node, error) {
 		done:    make(chan struct{}),
 		inbound: make([]net.Conn, cfg.N),
 		seenInc: make([]int, cfg.N),
+		hRTT:    cfg.Hist.Get("netsub_rtt_ns"),
+		hQueue:  cfg.Hist.Get("netsub_queue_depth"),
 	}
 	nd.deliver = nd.enqueue
 	if d := cfg.Deliver; d != nil {
@@ -252,10 +254,6 @@ func Start(cfg Config) (*Node, error) {
 			d(from, payload)
 			return nil
 		}
-	}
-	if cfg.Hist != nil {
-		nd.hRTT = cfg.Hist.Get("netsub_rtt_ns")
-		nd.hQueue = cfg.Hist.Get("netsub_queue_depth")
 	}
 	for i := 0; i < cfg.N; i++ {
 		if core.PID(i) == cfg.Me {
@@ -288,7 +286,7 @@ func (nd *Node) Incarnation() int { return nd.cfg.Incarnation }
 // Clock implements msgnet.Substrate: milliseconds since node start.
 func (nd *Node) Clock() int { return int(time.Since(nd.start) / time.Millisecond) }
 
-// nanos is the histogram clock.
+// nanos is the heartbeat clock: nanoseconds since node start.
 func (nd *Node) nanos() int64 { return time.Since(nd.start).Nanoseconds() }
 
 // Stats returns a snapshot of the node's transport counters.
@@ -304,9 +302,10 @@ func (nd *Node) Stats() Stats {
 	}
 }
 
-// Send implements msgnet.Substrate: it frames the payload into the
-// peer's lane, which writes it at once when the lane is idle and queues
-// it for the peer's writer otherwise. A full queue sheds with a
+// Send implements msgnet.Substrate: it frames the payload, one round
+// message (see AppendValue), into the peer's lane, which writes it at once
+// when the lane is idle and queues it for the peer's writer otherwise; a
+// send to self queues it behind Recv. A full queue sheds with a
 // *BackpressureError. A shed message is a lost message, not a broken
 // node — callers at the round layer treat it like any other loss the
 // watchdog will surface.
@@ -329,15 +328,16 @@ func (nd *Node) Send(to core.PID, payload core.Value) error {
 // SendBytes sends b as one data frame's payload, framed straight into the
 // peer's lane, which hands it to the peer's Config.Deliver as it is. It
 // is for a mesh whose nodes set Deliver: the receive queue behind Recv
-// decodes a payload as a Send's value, and tears down the connection of
-// one that is not. b is copied before SendBytes returns, so the caller
-// may reuse it.
+// decodes a payload as a Send's round message, and tears down the
+// connection of one that is not. A node never sends itself bytes: to is
+// a peer. b is copied before SendBytes returns, so the caller may reuse
+// it.
 func (nd *Node) SendBytes(to core.PID, b []byte) error {
 	if err := nd.check(to); err != nil {
 		return err
 	}
 	if to == nd.me {
-		return nd.deliverSelf(b)
+		return fmt.Errorf("netsub: p%d sends bytes to itself", to)
 	}
 	p := nd.peers[to]
 	f, err := AppendFrame(p.lane.Buf(), FrameData, b)
@@ -361,15 +361,11 @@ func (nd *Node) check(to core.PID) error {
 	}
 }
 
-// sendSelf hands payload to this node's own delivery, as a frame from
-// itself would arrive, without a connection.
+// sendSelf queues payload behind Recv, as a frame from this node itself
+// would arrive, without a connection.
 func (nd *Node) sendSelf(payload core.Value) error {
-	if nd.cfg.Deliver != nil {
-		b, err := AppendValue(nil, payload)
-		if err != nil {
-			return err
-		}
-		return nd.deliverSelf(b)
+	if err := vet(payload); err != nil {
+		return err
 	}
 	select {
 	case nd.recvQ <- msgnet.Envelope{From: nd.me, To: nd.me, Payload: payload}:
@@ -382,17 +378,6 @@ func (nd *Node) sendSelf(payload core.Value) error {
 		nd.sheds.Add(1)
 		return &BackpressureError{To: nd.me, Cap: cap(nd.recvQ)}
 	}
-}
-
-// deliverSelf hands a data frame's payload to this node's own delivery,
-// as the frame would arrive from itself, without a connection.
-func (nd *Node) deliverSelf(payload []byte) error {
-	nd.framesSent.Add(1) // before it can cause anything, as push counts
-	if err := nd.deliver(nd.me, payload); err != nil {
-		return err
-	}
-	nd.framesRecv.Add(1)
-	return nil
 }
 
 // Broadcast implements msgnet.Substrate: it sends payload to every
@@ -596,10 +581,8 @@ func (nd *Node) serveInbound(c net.Conn) {
 			ack, _ := AppendFrame(lane.Buf(), FrameHeartbeatAck, f.Payload)
 			lane.Push(ack)
 		case FrameHeartbeatAck:
-			if sent, n := binary.Uvarint(f.Payload); n > 0 && nd.hRTT != nil {
-				if rtt := nd.nanos() - int64(sent); rtt >= 0 {
-					nd.hRTT.Record(rtt)
-				}
+			if sent, n := binary.Uvarint(f.Payload); n > 0 {
+				nd.hRTT.Since(nd.start.Add(time.Duration(sent)))
 			}
 		default:
 			// Duplicate hellos are ignored.

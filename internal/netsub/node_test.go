@@ -25,6 +25,9 @@ func testConfig() Config {
 	}
 }
 
+// rm is a round-1 message carrying v: a Send carries nothing else.
+func rm(v core.Value) msgnet.RoundMsg { return msgnet.RoundMsg{Round: 1, Value: v} }
+
 // startMesh brings up n connected loopback nodes.
 func startMesh(t *testing.T, n int, tweak func(i int, c *Config)) []*Node {
 	t.Helper()
@@ -108,7 +111,7 @@ func recvFrom(t *testing.T, nd *Node, from core.PID, within time.Duration) msgne
 
 func TestSendRecvAcrossTCP(t *testing.T) {
 	nodes := startMesh(t, 2, nil)
-	values := []core.Value{42, "hi", []byte{1, 2}, true, nil, msgnet.RoundMsg{Round: 3, Value: -7}}
+	values := []core.Value{rm(42), rm("hi"), rm(nil), msgnet.RoundMsg{Round: 3, Value: -7}}
 	for _, v := range values {
 		if err := nodes[0].Send(1, v); err != nil {
 			t.Fatalf("send %v: %v", v, err)
@@ -121,10 +124,10 @@ func TestSendRecvAcrossTCP(t *testing.T) {
 		}
 	}
 	// Loopback delivery works without touching the wire.
-	if err := nodes[0].Send(0, "self"); err != nil {
+	if err := nodes[0].Send(0, rm("self")); err != nil {
 		t.Fatalf("self send: %v", err)
 	}
-	if env := recvFrom(t, nodes[0], 0, time.Second); env.Payload != "self" {
+	if env := recvFrom(t, nodes[0], 0, time.Second); env.Payload != rm("self") {
 		t.Fatalf("loopback got %#v", env.Payload)
 	}
 }
@@ -140,11 +143,11 @@ func TestBackpressureSheds(t *testing.T) {
 		}
 	})
 	for k := 0; k < 4; k++ {
-		if err := nodes[0].Send(1, k); err != nil {
+		if err := nodes[0].Send(1, rm(k)); err != nil {
 			t.Fatalf("send %d within cap: %v", k, err)
 		}
 	}
-	err := nodes[0].Send(1, 99)
+	err := nodes[0].Send(1, rm(99))
 	var bp *BackpressureError
 	if !errors.As(err, &bp) || !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("want BackpressureError, got %v", err)
@@ -156,14 +159,14 @@ func TestBackpressureSheds(t *testing.T) {
 		t.Fatal("shed not counted")
 	}
 	// Broadcast survives the shed: it is a partial broadcast, not an error.
-	if err := nodes[0].Broadcast("round"); err != nil {
+	if err := nodes[0].Broadcast(rm("round")); err != nil {
 		t.Fatalf("broadcast over congested peer: %v", err)
 	}
 }
 
 func TestRestartedPeerReconnects(t *testing.T) {
 	nodes := startMesh(t, 2, nil)
-	nodes[0].Send(1, "before")
+	nodes[0].Send(1, rm("before"))
 	recvFrom(t, nodes[1], 0, 2*time.Second)
 
 	// Kill p1 and restart it on the same address with a new incarnation:
@@ -175,9 +178,9 @@ func TestRestartedPeerReconnects(t *testing.T) {
 	// Keep sending until a frame lands on the restarted node.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		nodes[0].Send(1, "after")
+		nodes[0].Send(1, rm("after"))
 		env, ok, _ := restarted.RecvTimeout(restarted.Clock() + 50)
-		if ok && env.Payload == "after" {
+		if ok && env.Payload == rm("after") {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -208,7 +211,7 @@ func TestCloseUnblocksAndIsIdempotent(t *testing.T) {
 		t.Fatal("Recv still blocked after Close")
 	}
 	nodes[0].Close() // idempotent
-	if err := nodes[0].Send(1, "x"); !errors.Is(err, ErrClosed) {
+	if err := nodes[0].Send(1, rm("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close: %v", err)
 	}
 }
@@ -351,7 +354,7 @@ func TestClockMonotonicMillis(t *testing.T) {
 // kernel accepts exactly one write there).
 func TestFirstSendAfterPeerRestartArrives(t *testing.T) {
 	nodes := startMesh(t, 2, func(i int, c *Config) { c.HeartbeatEvery = -1 })
-	nodes[0].Send(1, "before")
+	nodes[0].Send(1, rm("before"))
 	recvFrom(t, nodes[1], 0, 2*time.Second)
 	waitHellos(t, nodes[0], 1) // p0 must have met incarnation 1 to recognise 2 as a restart
 
@@ -360,10 +363,10 @@ func TestFirstSendAfterPeerRestartArrives(t *testing.T) {
 	restarted := restartPeer(t, 1, addrs, 2, func(c *Config) { c.HeartbeatEvery = -1 })
 
 	waitHellos(t, nodes[0], 2) // counted only after the outbound lane was told
-	if err := nodes[0].Send(1, "after"); err != nil {
+	if err := nodes[0].Send(1, rm("after")); err != nil {
 		t.Fatalf("send after restart: %v", err)
 	}
-	if env := recvFrom(t, restarted, 0, 2*time.Second); env.Payload != "after" {
+	if env := recvFrom(t, restarted, 0, 2*time.Second); env.Payload != rm("after") {
 		t.Fatalf("restarted peer got %#v, want the first frame sent to it", env.Payload)
 	}
 	if st := nodes[0].Stats(); st.Reconnects != 1 {
@@ -376,14 +379,14 @@ func TestFirstSendAfterPeerRestartArrives(t *testing.T) {
 // and is never given up on — its next incarnation hears the node.
 func TestDownPeerIsRedialedAfterRestart(t *testing.T) {
 	nodes := startMesh(t, 2, nil)
-	nodes[0].Send(1, "before")
+	nodes[0].Send(1, rm("before"))
 	recvFrom(t, nodes[1], 0, 2*time.Second)
 	waitHellos(t, nodes[0], 1)
 
 	addrs := []string{nodes[0].Addr(), nodes[1].Addr()}
 	nodes[1].Close()
 	for i := 0; i < 30; i++ {
-		if err := nodes[0].Send(1, i); err != nil && !errors.Is(err, ErrBackpressure) {
+		if err := nodes[0].Send(1, rm(i)); err != nil && !errors.Is(err, ErrBackpressure) {
 			t.Fatalf("send %d to a down peer: %v", i, err)
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -391,12 +394,12 @@ func TestDownPeerIsRedialedAfterRestart(t *testing.T) {
 	restarted := restartPeer(t, 1, addrs, 2, nil)
 	waitHellos(t, nodes[0], 2)
 
-	if err := nodes[0].Send(1, "after"); err != nil {
+	if err := nodes[0].Send(1, rm("after")); err != nil {
 		t.Fatalf("send after restart: %v", err)
 	}
 	// Frames queued during the outage reach the new incarnation first.
 	for {
-		if env := recvFrom(t, restarted, 0, 2*time.Second); env.Payload == "after" {
+		if env := recvFrom(t, restarted, 0, 2*time.Second); env.Payload == rm("after") {
 			break
 		}
 	}
@@ -436,7 +439,7 @@ func TestWriterCoalescesQueuedFrames(t *testing.T) {
 			}
 		}
 	})
-	nodes[0].Send(1, 0)
+	nodes[0].Send(1, rm(0))
 	for deadline := time.Now().Add(2 * time.Second); sc.writes.Load() < 2; {
 		if time.Now().After(deadline) {
 			t.Fatal("writer never reached its first data write")
@@ -444,13 +447,13 @@ func TestWriterCoalescesQueuedFrames(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 1; i < k; i++ {
-		if err := nodes[0].Send(1, i); err != nil {
+		if err := nodes[0].Send(1, rm(i)); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
 	close(sc.release)
 	for i := 0; i < k; i++ {
-		if env := recvFrom(t, nodes[1], 0, 2*time.Second); env.Payload != i {
+		if env := recvFrom(t, nodes[1], 0, 2*time.Second); env.Payload != rm(i) {
 			t.Fatalf("frame %d arrived as %#v", i, env.Payload)
 		}
 	}

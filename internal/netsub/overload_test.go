@@ -48,7 +48,7 @@ func TestSustainedOverloadEscalation(t *testing.T) {
 
 	var sheds int
 	for stop := time.Now().Add(200 * time.Millisecond); time.Now().Before(stop); {
-		switch err := nodes[0].Send(1, "overload"); {
+		switch err := nodes[0].Send(1, rm("overload")); {
 		case err == nil:
 		case errors.Is(err, ErrBackpressure):
 			sheds++

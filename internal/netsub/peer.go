@@ -57,9 +57,7 @@ func (p *peer) push(b []byte) error {
 		}
 		return &BackpressureError{To: p.to, Cap: p.lane.max}
 	}
-	if p.nd.hQueue != nil {
-		p.nd.hQueue.Record(int64(depth))
-	}
+	p.nd.hQueue.Record(int64(depth))
 	return nil
 }
 

@@ -21,6 +21,7 @@ import (
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 const (
@@ -79,8 +80,12 @@ func New() *Histogram {
 	return &Histogram{shards: new([nShards]shard)}
 }
 
-// Record adds one observation. Negative values clamp to zero.
+// Record adds one observation. Negative values clamp to zero. A nil
+// histogram records nothing, so an unset one costs its callers no guard.
 func (h *Histogram) Record(v int64) {
+	if h == nil {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
@@ -93,6 +98,14 @@ func (h *Histogram) Record(v int64) {
 		if v <= m || s.max.CompareAndSwap(m, v) {
 			break
 		}
+	}
+}
+
+// Since records the nanoseconds elapsed since t0. A nil histogram records
+// nothing and reads no clock.
+func (h *Histogram) Since(t0 time.Time) {
+	if h != nil {
+		h.Record(time.Since(t0).Nanoseconds())
 	}
 }
 
@@ -237,7 +250,11 @@ func (r *Registry) Reset() {
 }
 
 // Get returns the histogram registered under name, creating it if absent.
+// A nil registry returns a nil histogram, which records nothing.
 func (r *Registry) Get(name string) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.m[name]

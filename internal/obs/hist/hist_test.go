@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 // lcg is a tiny deterministic generator so the reference distributions are
@@ -149,5 +150,27 @@ func TestRegistry(t *testing.T) {
 	}
 	if decoded["p999"] != 200 {
 		t.Fatalf("p999 %v, want 200 (clamped to max)", decoded["p999"])
+	}
+}
+
+// TestUnsetHistogramRecordsNothing: a nil registry hands out nil
+// histograms, and a nil histogram takes Record and Since as no-ops, so a
+// recording site needs no guard. A live one's Since records the elapsed
+// nanoseconds.
+func TestUnsetHistogramRecordsNothing(t *testing.T) {
+	var r *Registry
+	h := r.Get("unset")
+	if h != nil {
+		t.Fatalf("a nil registry returned %v", h)
+	}
+	h.Record(1)
+	h.Since(time.Now())
+
+	live := NewRegistry().Get("live")
+	t0 := time.Now()
+	time.Sleep(time.Millisecond)
+	live.Since(t0)
+	if s := live.Snapshot(); s.Count != 1 || s.Max < int64(time.Millisecond) {
+		t.Fatalf("Since recorded %d values, max %d ns; want 1 of at least %d", s.Count, s.Max, time.Millisecond)
 	}
 }

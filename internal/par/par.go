@@ -103,13 +103,8 @@ func Map[T any](workers, n int, task func(i int) T) ([]T, error) {
 			}
 		}()
 		if m != nil {
-			if m.QueueDepth != nil {
-				m.QueueDepth.Record(int64(n - i))
-			}
-			if m.TaskNS != nil {
-				start := time.Now()
-				defer func() { m.TaskNS.Record(time.Since(start).Nanoseconds()) }()
-			}
+			m.QueueDepth.Record(int64(n - i))
+			defer m.TaskNS.Since(time.Now())
 		}
 		out[i] = task(i)
 	}

@@ -149,7 +149,6 @@ func (cl *Cluster) nodeConfig(i int) Config {
 	cc := cl.cfg
 	return Config{
 		Me:             core.PID(i),
-		N:              cc.N,
 		F:              cc.F,
 		MeshAddrs:      cl.meshAddrs,
 		ClientAddr:     cl.clientAddrs[i],

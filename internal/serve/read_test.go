@@ -21,7 +21,7 @@ import (
 // instance decided and opens, journals and adopts nothing more.
 func TestDecisionReadableOnlyOnceFlushed(t *testing.T) {
 	s, err := Start(Config{
-		Me: 0, N: 3, F: 1,
+		Me: 0, F: 1,
 		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
 		WALDir:      t.TempDir(),
 		InstanceTTL: time.Hour,
@@ -112,7 +112,7 @@ func tcpPair(t *testing.T) (near, far net.Conn) {
 // shed, not as a client overload, and opens, journals and answers nothing.
 func TestPeerProposalShedAtFullTable(t *testing.T) {
 	s, err := Start(Config{
-		Me: 0, N: 3, F: 0,
+		Me: 0, F: 0,
 		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
 		WALDir:      t.TempDir(),
 		MaxInflight: 1,
@@ -158,7 +158,7 @@ func TestUnobservedDecideBuildsNoEventFields(t *testing.T) {
 	}
 	perDecide := func(o obs.Observer) float64 {
 		s, err := Start(Config{
-			Me: 0, N: 3, F: 1,
+			Me: 0, F: 1,
 			MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
 			WALDir:      t.TempDir(),
 			InstanceTTL: time.Hour,
@@ -202,7 +202,7 @@ func TestDecidedProposerIsNotAnswered(t *testing.T) {
 		}
 		addrs[me] = "127.0.0.1:0"
 		s, err := Start(Config{
-			Me: core.PID(me), N: n, F: f, MeshAddrs: addrs,
+			Me: core.PID(me), F: f, MeshAddrs: addrs,
 			WALDir: t.TempDir(), InstanceTTL: time.Hour, Seed: 1,
 		})
 		if err != nil {
@@ -385,7 +385,7 @@ func TestConcurrentReaders(t *testing.T) {
 // a buffer made beforehand: AllocsPerRun counts the process.
 func TestInlineResponseAllocatesNothing(t *testing.T) {
 	s, err := Start(Config{
-		Me: 0, N: 3, F: 1,
+		Me: 0, F: 1,
 		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
 		WALDir:      t.TempDir(),
 		InstanceTTL: time.Hour,

@@ -77,16 +77,15 @@ import (
 
 // Config shapes one serving node.
 type Config struct {
-	// Me is this server's pid; N the mesh size; F the crash bound. The
-	// decision rule gathers n−f proposals, so decisions stay within the
-	// k = f+1 bound of eq. (3).
+	// Me is this server's pid; F the crash bound. The decision rule
+	// gathers n−f proposals, so decisions stay within the k = f+1 bound
+	// of eq. (3).
 	Me core.PID
-	N  int
 	F  int
 
-	// MeshAddrs maps each pid to its mesh listen address. MeshListener,
-	// when non-nil, is the pre-bound mesh listener (else MeshAddrs[Me]
-	// is bound).
+	// MeshAddrs maps each pid to its mesh listen address; the mesh size n
+	// is its length. MeshListener, when non-nil, is the pre-bound mesh
+	// listener (else MeshAddrs[Me] is bound).
 	MeshAddrs    []string
 	MeshListener net.Listener
 
@@ -150,15 +149,18 @@ type Config struct {
 	CrashAfterAcks int
 }
 
+// n is the mesh size.
+func (c *Config) n() int { return len(c.MeshAddrs) }
+
 func (c *Config) fill() error {
-	if c.N <= 0 {
-		return fmt.Errorf("serve: invalid mesh size %d", c.N)
+	if c.n() == 0 {
+		return fmt.Errorf("serve: MeshAddrs is required")
 	}
-	if c.Me < 0 || int(c.Me) >= c.N {
-		return fmt.Errorf("serve: pid %d outside mesh of %d", c.Me, c.N)
+	if c.Me < 0 || int(c.Me) >= c.n() {
+		return fmt.Errorf("serve: pid %d outside mesh of %d", c.Me, c.n())
 	}
-	if c.F < 0 || c.F >= c.N {
-		return fmt.Errorf("serve: need 0 <= f < n, got f=%d n=%d", c.F, c.N)
+	if c.F < 0 || c.F >= c.n() {
+		return fmt.Errorf("serve: need 0 <= f < n, got f=%d n=%d", c.F, c.n())
 	}
 	if c.WALDir == "" {
 		return fmt.Errorf("serve: WALDir is required")
@@ -338,16 +340,12 @@ func Start(cfg Config) (*Server, error) {
 		return nil, err
 	}
 
-	var walBatchHist *hist.Histogram
-	if cfg.Hist != nil {
-		walBatchHist = cfg.Hist.Get("serve_wal_batch")
-	}
 	// From here on the loop appends each turn's records through the group
 	// and writes them itself, one fsync per commit.
-	s.group = wal.NewGroup(log, wal.GroupOptions{BatchHist: walBatchHist})
+	s.group = wal.NewGroup(log, wal.GroupOptions{BatchHist: cfg.Hist.Get("serve_wal_batch")})
 
 	mesh := cfg.Mesh
-	mesh.Me, mesh.N, mesh.Addrs = cfg.Me, cfg.N, cfg.MeshAddrs
+	mesh.Me, mesh.N, mesh.Addrs = cfg.Me, cfg.n(), cfg.MeshAddrs
 	mesh.Listener = cfg.MeshListener
 	mesh.Incarnation = s.incarnation
 	mesh.Seed = cfg.Seed
@@ -401,23 +399,22 @@ func newServer(cfg Config, js *JournalState) *Server {
 		inflight:    make(map[string]*instance),
 		proposals:   make(map[string]int),
 		decided:     js.Decisions,
-		heard:       core.NewSet(cfg.N),
-		turn:        turn{fresh: make(map[string]int), out: make([]outbox, cfg.N)},
+		heard:       core.NewSet(cfg.n()),
+		turn:        turn{fresh: make(map[string]int), out: make([]outbox, cfg.n())},
 		recovered:   len(js.Decisions),
 		incarnation: js.Boots + 1,
+
+		hReq:         cfg.Hist.Get("serve_request_ns"),
+		hDecide:      cfg.Hist.Get("serve_decide_ns"),
+		hInflight:    cfg.Hist.Get("serve_inflight_depth"),
+		hBcast:       cfg.Hist.Get("serve_bcast_batch"),
+		hTurnEvents:  cfg.Hist.Get("serve_turn_events"),
+		hTurnJournal: cfg.Hist.Get("serve_turn_journal_ns"),
 	}
 	for inst, val := range js.Proposals {
 		if _, done := js.Decisions[inst]; !done {
 			s.proposals[inst] = val
 		}
-	}
-	if cfg.Hist != nil {
-		s.hReq = cfg.Hist.Get("serve_request_ns")
-		s.hDecide = cfg.Hist.Get("serve_decide_ns")
-		s.hInflight = cfg.Hist.Get("serve_inflight_depth")
-		s.hBcast = cfg.Hist.Get("serve_bcast_batch")
-		s.hTurnEvents = cfg.Hist.Get("serve_turn_events")
-		s.hTurnJournal = cfg.Hist.Get("serve_turn_journal_ns")
 	}
 	return s
 }
@@ -594,7 +591,8 @@ const hedgeFraction = 8
 // peer's liveness at most once, and none past the n−f−1 heard peers it
 // needs.
 func (s *Server) ask(ins *instance) {
-	n, me, need := s.cfg.N, int(s.cfg.Me), s.cfg.N-s.cfg.F-1
+	n, me := s.cfg.n(), int(s.cfg.Me)
+	need := n - s.cfg.F - 1
 	s.heard.Clear()
 	for i, found := 1, 0; i < n && found < need; i++ {
 		if p := core.PID((me + i) % n); s.node.Hears(p) {
@@ -632,9 +630,7 @@ func (s *Server) admit() bool {
 	if n > s.cfg.MaxInflight {
 		return false
 	}
-	if s.hInflight != nil {
-		s.hInflight.Record(int64(n))
-	}
+	s.hInflight.Record(int64(n))
 	return true
 }
 
@@ -681,7 +677,7 @@ func (s *Server) openInstance(id string, val int) *instance {
 	if k := len(s.free); k > 0 {
 		ins, s.free = s.free[k-1], s.free[:k-1]
 	} else {
-		ins = &instance{view: agreement.Row{Heard: core.NewSet(s.cfg.N), Vals: make([]int, s.cfg.N)}}
+		ins = &instance{view: agreement.Row{Heard: core.NewSet(s.cfg.n()), Vals: make([]int, s.cfg.n())}}
 	}
 	ins.id, ins.proposal, ins.start = id, prop, time.Now()
 	ins.view.Heard.Add(s.cfg.Me)
@@ -783,7 +779,7 @@ func (s *Server) onPeer(ev event) {
 // maybeDecide decides ins once its view holds n−f proposals, and reports
 // whether it did.
 func (s *Server) maybeDecide(ins *instance) bool {
-	min, ok := agreement.QuorumMin(ins.view, s.cfg.N-s.cfg.F)
+	min, ok := agreement.QuorumMin(ins.view, s.cfg.n()-s.cfg.F)
 	if !ok {
 		return false
 	}
@@ -791,9 +787,7 @@ func (s *Server) maybeDecide(ins *instance) bool {
 	if s.cfg.Observer != nil {
 		s.event("serve.decide", map[string]any{"gathered": ins.view.Heard.Count()})
 	}
-	if s.hDecide != nil {
-		s.hDecide.Record(time.Since(ins.start).Nanoseconds())
-	}
+	s.hDecide.Since(ins.start)
 	s.commitDecision(ins.id, min)
 	return true
 }
@@ -837,22 +831,27 @@ func (s *Server) abstain(ins *instance, w waiter) {
 	s.ctr.abstains.Add(1)
 	s.respond(w.cc, w.start, Response{
 		Req: w.req, Inst: ins.id, Status: StatusAbstain,
-		Gathered: ins.view.Heard.Count(), Need: s.cfg.N - s.cfg.F, Incarnation: s.incarnation,
+		Gathered: ins.view.Heard.Count(), Need: s.cfg.n() - s.cfg.F, Incarnation: s.incarnation,
 	})
 }
 
-// expire serves the deadlines due by now, earliest first. A
-// request's deadline abstains the first waiter still attached under its
-// ID; an instance's TTL evicts the instance, abstaining every waiter still
-// attached. Entries that died meanwhile are dropped: their instance's
-// record has been freed since, whoever holds it now.
+// expire serves the deadlines due by now, earliest first, and at most
+// maxTurnEvents live ones: a hedge adds a message for every peer, so a
+// turn that served a burst of them whole could build a frame past
+// netsub.MaxFramePayload, which the mesh refuses whole. The loop takes the
+// rest in its next turns. A request's deadline abstains the first waiter
+// still attached under its ID; an instance's TTL evicts the instance,
+// abstaining every waiter still attached. Entries that died meanwhile are
+// dropped uncounted: their instance's record has been freed since,
+// whoever holds it now, or their waiter has gone.
 func (s *Server) expire(now time.Time) {
-	for len(s.due) > 0 && !s.due[0].at.After(now) {
+	for live := 0; live < maxTurnEvents && len(s.due) > 0 && !s.due[0].at.After(now); {
 		d := s.due.pop()
-		ins := d.ins
-		if d.gen != ins.gen {
-			continue // dead: decided or evicted meanwhile
+		if d.dead() {
+			continue
 		}
+		live++
+		ins := d.ins
 		if d.hedge {
 			s.hedge(ins)
 			continue
@@ -868,14 +867,13 @@ func (s *Server) expire(now time.Time) {
 			s.ctr.evictions.Add(1)
 			continue
 		}
-		if i := ins.waiting(d.req); i >= 0 {
-			w := ins.waiters[i]
-			ins.waiters = slices.Delete(ins.waiters, i, i+1)
-			if s.cfg.Observer != nil {
-				s.event("serve.abstain", map[string]any{"gathered": ins.view.Heard.Count(), "need": s.cfg.N - s.cfg.F})
-			}
-			s.abstain(ins, w)
+		i := ins.waiting(d.req)
+		w := ins.waiters[i]
+		ins.waiters = slices.Delete(ins.waiters, i, i+1)
+		if s.cfg.Observer != nil {
+			s.event("serve.abstain", map[string]any{"gathered": ins.view.Heard.Count(), "need": s.cfg.n() - s.cfg.F})
 		}
+		s.abstain(ins, w)
 	}
 }
 
@@ -975,9 +973,7 @@ func (s *Server) readConn(cc *clientConn) {
 		case req.Op == "submit":
 			s.ctr.submits.Add(1)
 			resp = s.dup(req.Req, req.Inst, val)
-			if s.hReq != nil {
-				s.hReq.Record(time.Since(start).Nanoseconds())
-			}
+			s.hReq.Since(start)
 		case req.Op == "query" && req.Inst == "":
 			resp.Err = "query needs inst"
 		case req.Op == "query":

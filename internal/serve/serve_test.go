@@ -157,7 +157,7 @@ func TestClusterDecidesWithinKBound(t *testing.T) {
 func TestOverloadDeadlineAndTTL(t *testing.T) {
 	m := obs.NewMetrics()
 	s, err := Start(Config{
-		Me: 0, N: 2, F: 0,
+		Me: 0, F: 0,
 		MeshAddrs:      []string{"127.0.0.1:0", "127.0.0.1:1"}, // peer 1 never listens
 		WALDir:         t.TempDir(),
 		MaxInflight:    2,
@@ -235,7 +235,7 @@ func TestOverloadDeadlineAndTTL(t *testing.T) {
 func TestMixedDeadlinesAbstainInOrder(t *testing.T) {
 	const ttl = 1500 * time.Millisecond
 	s, err := Start(Config{
-		Me: 0, N: 2, F: 0,
+		Me: 0, F: 0,
 		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1"}, // peer 1 never listens
 		WALDir:      t.TempDir(),
 		InstanceTTL: ttl,
@@ -308,7 +308,7 @@ func TestStartRefusesWhatReadJournalRefuses(t *testing.T) {
 	if want == nil {
 		t.Fatal("ReadJournal accepted a record of kind 9")
 	}
-	s, err := Start(Config{Me: 0, N: 1, MeshAddrs: []string{"127.0.0.1:0"}, WALDir: dir, Seed: 1})
+	s, err := Start(Config{Me: 0, MeshAddrs: []string{"127.0.0.1:0"}, WALDir: dir, Seed: 1})
 	if err == nil {
 		s.Close()
 		t.Fatalf("Start accepted the journal ReadJournal refuses with %q", want)
@@ -328,7 +328,7 @@ func TestDecidedInstanceKeepsNoProposal(t *testing.T) {
 	dir := t.TempDir()
 	start := func() *Server {
 		t.Helper()
-		s, err := Start(Config{Me: 0, N: 1, MeshAddrs: []string{"127.0.0.1:0"}, WALDir: dir, Seed: 1})
+		s, err := Start(Config{Me: 0, MeshAddrs: []string{"127.0.0.1:0"}, WALDir: dir, Seed: 1})
 		if err != nil {
 			t.Fatalf("Start: %v", err)
 		}
@@ -455,7 +455,7 @@ func decodeFrame(b []byte) ([]peerMsg, error) {
 // one serve.bad_peer_msg, and the messages before the fault still stand.
 func TestPeerFrameRoundTrip(t *testing.T) {
 	m := obs.NewMetrics()
-	s := bareServer(t, Config{Me: 0, N: 3, F: 1, Observer: m})
+	s := bareServer(t, 3, Config{Me: 0, F: 1, Observer: m})
 	want := []peerMsg{{pmPropose, "a", 1}, {pmDecide, "bb", -7}, {pmProposeQuiet, "instance-3", 1 << 33}}
 	var frame []byte
 	for _, w := range want {

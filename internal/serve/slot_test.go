@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,29 +14,29 @@ import (
 	"repro/internal/wal"
 )
 
-// bareServer is a server's state with no loop or journal, and a mesh node
-// that reaches no peer, so it hears none: a test plays the loop by calling
-// the handlers itself.
-func bareServer(t *testing.T, cfg Config) *Server {
+// bareServer is the state of a server in a mesh of n, with no loop or
+// journal, and a mesh node that reaches no peer, so it hears none: a test
+// plays the loop by calling the handlers itself.
+func bareServer(t *testing.T, n int, cfg Config) *Server {
 	t.Helper()
-	cfg.WALDir = "unused"
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(cfg, &JournalState{Decisions: map[string]int{}, Proposals: map[string]int{}})
-	addrs := make([]string, cfg.N)
+	addrs := make([]string, n)
 	for i := range addrs {
 		addrs[i] = "127.0.0.1:1" // no peer listens
 	}
 	addrs[cfg.Me] = "127.0.0.1:0"
-	nd, err := netsub.Start(netsub.Config{Me: cfg.Me, N: cfg.N, Addrs: addrs})
+	cfg.MeshAddrs, cfg.WALDir = addrs, "unused"
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(cfg, &JournalState{Decisions: map[string]int{}, Proposals: map[string]int{}})
+	nd, err := netsub.Start(netsub.Config{Me: cfg.Me, N: n, Addrs: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nd.Close() })
 	// Each peer's dial is refused, now and at every redial: the mesh
 	// hears nobody.
-	for nd.Stats().DialFailures < int64(cfg.N-1) {
+	for nd.Stats().DialFailures < int64(n-1) {
 		time.Sleep(time.Millisecond)
 	}
 	s.node = nd
@@ -47,7 +49,7 @@ func bareServer(t *testing.T, cfg Config) *Server {
 // their ids.
 func TestOneTurnOneCommitOneFramePerPeer(t *testing.T) {
 	reg := hist.NewRegistry()
-	s := bareServer(t, Config{Me: 0, N: 3, F: 1, InstanceTTL: time.Hour, Hist: reg})
+	s := bareServer(t, 3, Config{Me: 0, F: 1, InstanceTTL: time.Hour, Hist: reg})
 	log, _, _, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -85,6 +87,63 @@ func TestOneTurnOneCommitOneFramePerPeer(t *testing.T) {
 	}
 }
 
+// TestHedgeBurstFitsItsFrames: 300 fresh instances whose ids are close to
+// the longest a client may name hedge at the same instant. A turn serves
+// at most maxTurnEvents of the due hedges and the loop takes the rest in
+// the turns after it, so every frame a turn builds fits a mesh frame and
+// the mesh takes it: no proposal is lost to a frame refused whole.
+func TestHedgeBurstFitsItsFrames(t *testing.T) {
+	const instances, idLen = 300, 4000
+	reg := hist.NewRegistry()
+	s := bareServer(t, 3, Config{Me: 0, F: 1, RequestTimeout: 1600 * time.Millisecond, InstanceTTL: time.Hour, Hist: reg})
+	log, _, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.group = wal.NewGroup(log, wal.GroupOptions{})
+	t.Cleanup(func() {
+		s.group.Close()
+		log.Close()
+	})
+	// One start: every hedge falls due RequestTimeout/8 after it, long
+	// after the loop has opened the instances. No request deadline or TTL
+	// falls due during the test, and no instance decides: nobody answers.
+	start := time.Now()
+	for i := range instances {
+		id := fmt.Sprintf("%0*d", idLen, i)
+		s.ev <- event{inst: id, req: id, val: i, timeout: int(time.Hour / time.Millisecond), start: start}
+	}
+	stop := sync.OnceFunc(func() {
+		close(s.done)
+		s.wg.Wait()
+	})
+	t.Cleanup(stop)
+	s.wg.Add(1)
+	go s.loop()
+
+	waitFor(t, "every hedge", func() bool { return s.Stats().Hedges == instances })
+	stop() // the loop stops between turns: the last hedge's frames are sent
+	b := reg.Get("serve_bcast_batch").Snapshot()
+	if b.Sum != 2*2*instances || b.Max > maxTurnEvents {
+		t.Fatalf("%d frames carried %d messages, at most %d a frame; want %d in all, at most %d a frame",
+			b.Count, b.Sum, b.Max, 2*2*instances, maxTurnEvents)
+	}
+	if ms := s.Mesh().Stats(); ms.FramesSent+ms.Sheds != b.Count {
+		t.Fatalf("of %d frames built the mesh took %d and shed %d: the rest were refused", b.Count, ms.FramesSent, ms.Sheds)
+	}
+}
+
+// TestTurnFramesFitMeshFrames pins the bound maxTurnEvents gives a turn's
+// frame to a peer: each event or live deadline adds at most one message,
+// and maxTurnEvents of the longest message fit netsub.MaxFramePayload.
+func TestTurnFramesFitMeshFrames(t *testing.T) {
+	longest := appendPeerMsg(nil, pmPropose, strings.Repeat("x", maxInstanceID), math.MinInt)
+	if size := maxTurnEvents * len(longest); size > netsub.MaxFramePayload {
+		t.Fatalf("a turn's frame may carry %d × %d bytes = %d, past netsub.MaxFramePayload %d",
+			maxTurnEvents, len(longest), size, netsub.MaxFramePayload)
+	}
+}
+
 // TestAdmissionNeverOvershoots: the in-flight bound is the size of the
 // loop's table. Clients on connections of their own, each read by its own
 // goroutine, submit fresh instances at once to a node that hears no peer,
@@ -97,7 +156,7 @@ func TestAdmissionNeverOvershoots(t *testing.T) {
 	const max, clients = 4, 16
 	reg := hist.NewRegistry()
 	s, err := Start(Config{
-		Me: 0, N: 3, F: 1,
+		Me: 0, F: 1,
 		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
 		WALDir:      t.TempDir(),
 		MaxInflight: max,
@@ -158,7 +217,7 @@ func TestAdmissionNeverOvershoots(t *testing.T) {
 // neither abstains its waiter nor evicts it.
 func TestStaleDeadlineSparesReusedSlot(t *testing.T) {
 	const ttl = 10 * time.Second
-	s := bareServer(t, Config{Me: 0, N: 3, F: 1, InstanceTTL: ttl})
+	s := bareServer(t, 3, Config{Me: 0, F: 1, InstanceTTL: ttl})
 	s.due = make(deadlines, 0, 8) // room: no sweep drops the stale entries before they fall due
 
 	s.handle(event{inst: "old", req: "r", val: 1, timeout: 50, start: time.Now()})
@@ -201,7 +260,7 @@ func TestOpenInstanceAllocatesNothing(t *testing.T) {
 		t.Skip("allocation pin: the race detector allocates")
 	}
 	const runs = 1000
-	s := bareServer(t, Config{Me: 0, N: 3, F: 1, InstanceTTL: time.Hour})
+	s := bareServer(t, 3, Config{Me: 0, F: 1, InstanceTTL: time.Hour})
 	ids := make([]string, 2*runs+2) // AllocsPerRun runs once more, to warm up
 	for i := range ids {
 		ids[i] = fmt.Sprintf("i%d", i)
@@ -234,7 +293,7 @@ func TestDeliveredFrameAllocatesOnlyItsID(t *testing.T) {
 		t.Skip("allocation pin: the race detector allocates")
 	}
 	const runs = 200
-	s := bareServer(t, Config{Me: 0, N: 3, F: 1})
+	s := bareServer(t, 3, Config{Me: 0, F: 1})
 	one := appendPeerMsg(nil, pmPropose, "an-instance", 1000)
 	three := append(append(bytes.Clone(one), one...), one...)
 	for _, c := range []struct {

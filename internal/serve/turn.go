@@ -13,8 +13,10 @@ import (
 	"repro/internal/wal"
 )
 
-// maxTurnEvents bounds how many queued events one turn handles before it
-// flushes, so a deep backlog cannot hold the first event's ack hostage.
+// maxTurnEvents bounds how many queued events, or live deadlines, one turn
+// handles before it flushes, so a deep backlog cannot hold the first
+// event's ack hostage. Each adds at most one message per peer, so a turn's
+// frame to a peer stays below netsub.MaxFramePayload.
 const maxTurnEvents = 64
 
 // turn is what the handlers of one turn want externalized. The journal
@@ -212,12 +214,12 @@ func (s *Server) loop() {
 				}
 			}
 		}
-		if s.hTurnEvents != nil {
-			s.hTurnEvents.Record(int64(n))
-		}
+		s.hTurnEvents.Record(int64(n))
 		if s.flush() {
 			return // crashed, or the journal refused: the loop dies mid-stride
 		}
+		// A turn that left due deadlines behind re-arms for the past:
+		// the clock fires at once.
 		if len(s.due) > 0 && !s.due[0].at.Equal(armed) {
 			armed = s.due[0].at
 			clock.Reset(time.Until(armed))
@@ -244,18 +246,13 @@ func (s *Server) flush() bool {
 		return true
 	}
 	if len(s.recs) > 0 {
-		var t0 time.Time
-		if s.hTurnJournal != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		if _, err := s.group.AppendBatch(s.recs); err != nil {
 			s.event("serve.journal_refused", map[string]any{"err": err.Error(), "records": len(s.recs)})
 			s.halt()
 			return true
 		}
-		if s.hTurnJournal != nil {
-			s.hTurnJournal.Record(time.Since(t0).Nanoseconds())
-		}
+		s.hTurnJournal.Since(t0)
 	}
 	if len(s.fresh) > 0 {
 		s.mu.Lock()
@@ -267,9 +264,7 @@ func (s *Server) flush() bool {
 		if o.n == 0 {
 			continue
 		}
-		if s.hBcast != nil {
-			s.hBcast.Record(int64(o.n))
-		}
+		s.hBcast.Record(int64(o.n))
 		// A shed or a closing mesh is a lost message: the origin's
 		// deadline and resubmission cover it.
 		_ = s.node.SendBytes(core.PID(to), o.msgs)
@@ -286,9 +281,7 @@ func (s *Server) flush() bool {
 func (s *Server) release() bool {
 	for i := range s.acks {
 		a := &s.acks[i]
-		if s.hReq != nil {
-			s.hReq.Record(time.Since(a.start).Nanoseconds())
-		}
+		s.hReq.Since(a.start)
 		if !a.cc.write(&a.resp) {
 			a.cc.c.Close() // slow client: shed the connection, not the server
 		}

@@ -368,7 +368,7 @@ func TestStoppedServerLeavesNothingBehind(t *testing.T) {
 		base := runtime.NumGoroutine()
 		const ttl = 300 * time.Millisecond
 		s, err := Start(Config{
-			Me: 0, N: 2, F: 0,
+			Me: 0, F: 0,
 			MeshAddrs:      []string{"127.0.0.1:0", "127.0.0.1:1"}, // peer 1 never listens
 			WALDir:         t.TempDir(),
 			RequestTimeout: ttl / 2,
@@ -504,7 +504,7 @@ func (h *hedgeLog) Observe(e obs.Event) {
 func TestHedgeResendsShedProposal(t *testing.T) {
 	log := &hedgeLog{}
 	s, err := Start(Config{
-		Me: 0, N: 3, F: 1,
+		Me: 0, F: 1,
 		MeshAddrs:   []string{"127.0.0.1:0", "127.0.0.1:1", "127.0.0.1:1"}, // no peer listens
 		Mesh:        netsub.Config{SendQueue: 1},
 		WALDir:      t.TempDir(),

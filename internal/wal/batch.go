@@ -136,9 +136,7 @@ func (g *Group) AppendBatch(entries []BatchEntry) (uint64, error) {
 	first, err := g.log.AppendBatch(entries)
 	g.appends += int64(len(entries))
 	g.batches++
-	if g.opts.BatchHist != nil {
-		g.opts.BatchHist.Record(int64(len(entries)))
-	}
+	g.opts.BatchHist.Record(int64(len(entries)))
 	return first, err
 }
 
