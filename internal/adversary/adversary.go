@@ -20,52 +20,66 @@ import (
 // Awerbuch-synchronizer regime the paper contrasts with (§6): with no faults,
 // synchrony and asynchrony coincide.
 func Benign(n int) core.Oracle {
+	sus := core.NewSets(n, n)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		sus := make([]core.Set, n)
-		for i := range sus {
-			sus[i] = core.NewSet(n)
-		}
 		return core.RoundPlan{Suspects: sus}
 	})
 }
 
-// emptySuspects allocates an all-empty suspect slice.
-func emptySuspects(n int) []core.Set {
-	sus := make([]core.Set, n)
-	for i := range sus {
-		sus[i] = core.NewSet(n)
-	}
-	return sus
+// sampler is a seeded adversary's state: its generator, and the plan rows
+// and scratch it refills every round, so a round allocates nothing. Its
+// plans' rows are borrowed (core.Oracle): the engine copies what it keeps.
+type sampler struct {
+	rng     *rand.Rand
+	sus     []core.Set // D(i,r) for every process: the plan's rows
+	pool    core.Set   // a round's or a process's candidates
+	members []core.PID // the shuffle buffer of pickK and randSubset
 }
 
-// randSubset returns a subset of pool with at most max elements, chosen
-// uniformly at random (each element of pool is considered in a random order
-// and kept with probability 1/2 until the cap is hit).
-func randSubset(rng *rand.Rand, n int, pool core.Set, max int) core.Set {
-	members := pool.Members()
-	rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-	out := core.NewSet(n)
-	for _, p := range members {
-		if out.Count() >= max {
+// newSampler carves a sampler's rows and scratch over n processes.
+func newSampler(n int, seed int64) *sampler {
+	return &sampler{rng: newRand(seed), sus: core.NewSets(n, n), pool: core.NewSet(n), members: make([]core.PID, 0, n)}
+}
+
+// rows empties the plan rows for a new round and returns them.
+func (s *sampler) rows() []core.Set {
+	for i := range s.sus {
+		s.sus[i].Clear()
+	}
+	return s.sus
+}
+
+// shuffled returns pool's members, taken in increasing order and shuffled,
+// in the shuffle buffer: valid until the next call.
+func (s *sampler) shuffled(pool core.Set) []core.PID {
+	m := s.members[:0]
+	pool.ForEach(func(p core.PID) { m = append(m, p) })
+	s.rng.Shuffle(len(m), func(i, j int) { m[i], m[j] = m[j], m[i] })
+	s.members = m
+	return m
+}
+
+// randSubset overwrites dst with a subset of pool with at most max
+// elements, chosen uniformly at random (each element of pool is considered
+// in a random order and kept with probability 1/2 until the cap is hit).
+func (s *sampler) randSubset(dst *core.Set, pool core.Set, max int) {
+	dst.Clear()
+	for _, p := range s.shuffled(pool) {
+		if dst.Count() >= max {
 			break
 		}
-		if rng.Intn(2) == 1 {
-			out.Add(p)
+		if s.rng.Intn(2) == 1 {
+			dst.Add(p)
 		}
 	}
-	return out
 }
 
-// pickK returns k distinct members of pool chosen uniformly at random (or all
-// of pool if it has fewer than k members).
-func pickK(rng *rand.Rand, n int, pool core.Set, k int) core.Set {
-	members := pool.Members()
-	rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-	if k > len(members) {
-		k = len(members)
+// pickK overwrites dst with k distinct members of pool chosen uniformly at
+// random (or all of pool if it has fewer than k members).
+func (s *sampler) pickK(dst *core.Set, pool core.Set, k int) {
+	m := s.shuffled(pool)
+	dst.Clear()
+	for _, p := range m[:min(max(k, 0), len(m))] {
+		dst.Add(p)
 	}
-	if k < 0 {
-		k = 0
-	}
-	return core.SetOf(n, members[:k]...)
 }

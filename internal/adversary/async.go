@@ -11,25 +11,19 @@ import "repro/internal/core"
 // allowSelf permits p_i ∈ D(i,r), which the model explicitly tolerates ("p_i
 // may be late to round r and learn that from the RRFD").
 func AsyncBudget(n, f int, allowSelf bool, seed int64) core.Oracle {
-	rng := newRand(seed)
+	s := newSampler(n, seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		sus := make([]core.Set, n)
+		sus := s.rows()
 		active.ForEach(func(i core.PID) {
-			pool := active.Clone()
+			s.pool.CopyFrom(active)
 			if !allowSelf {
-				pool.Remove(i)
+				s.pool.Remove(i)
 			}
-			d := pickK(rng, n, pool, rng.Intn(f+1))
-			if d.Count() == n { // D(i,r) = S is forbidden
-				d.Remove(i)
+			s.pickK(&sus[i], s.pool, s.rng.Intn(f+1))
+			if sus[i].Count() == n { // D(i,r) = S is forbidden
+				sus[i].Remove(i)
 			}
-			sus[i] = d
 		})
-		for i := range sus {
-			if sus[i].Universe() == 0 {
-				sus[i] = core.NewSet(n)
-			}
-		}
 		return core.RoundPlan{Suspects: sus}
 	})
 }
@@ -39,21 +33,16 @@ func AsyncBudget(n, f int, allowSelf bool, seed int64) core.Oracle {
 // "star" process is suspected by nobody — the paper's declarative reading of
 // the fact that the first writer of a round is read by everyone.
 func SharedMem(n, f int, seed int64) core.Oracle {
-	rng := newRand(seed)
+	s := newSampler(n, seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		star := core.PID(rng.Intn(n))
-		sus := make([]core.Set, n)
+		star := core.PID(s.rng.Intn(n))
+		sus := s.rows()
 		active.ForEach(func(i core.PID) {
-			pool := active.Clone()
-			pool.Remove(i)
-			pool.Remove(star)
-			sus[i] = pickK(rng, n, pool, rng.Intn(f+1))
+			s.pool.CopyFrom(active)
+			s.pool.Remove(i)
+			s.pool.Remove(star)
+			s.pickK(&sus[i], s.pool, s.rng.Intn(f+1))
 		})
-		for i := range sus {
-			if sus[i].Universe() == 0 {
-				sus[i] = core.NewSet(n)
-			}
-		}
 		return core.RoundPlan{Suspects: sus}
 	})
 }
@@ -67,33 +56,25 @@ func SharedMem(n, f int, seed int64) core.Oracle {
 // scan — so all suspect sets are suffixes of one order, totally ordered by
 // containment.
 func SnapshotChain(n, f int, seed int64) core.Oracle {
-	rng := newRand(seed)
+	s := newSampler(n, seed)
+	pos := make([]int, n) // a process's place in the round's write order
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		order := active.Members()
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		pos := make(map[core.PID]int, len(order))
+		order := s.shuffled(active)
 		for idx, p := range order {
 			pos[p] = idx
 		}
-		sus := make([]core.Set, n)
+		sus := s.rows()
 		active.ForEach(func(i core.PID) {
 			// Scan point: between max(own write+1, len−f) and len.
 			lo := pos[i] + 1
 			if m := len(order) - f; m > lo {
 				lo = m
 			}
-			scan := lo + rng.Intn(len(order)-lo+1)
-			d := core.NewSet(n)
+			scan := lo + s.rng.Intn(len(order)-lo+1)
 			for _, p := range order[scan:] {
-				d.Add(p)
+				sus[i].Add(p)
 			}
-			sus[i] = d
 		})
-		for i := range sus {
-			if sus[i].Universe() == 0 {
-				sus[i] = core.NewSet(n)
-			}
-		}
 		return core.RoundPlan{Suspects: sus}
 	})
 }
@@ -105,29 +86,26 @@ func SnapshotChain(n, f int, seed int64) core.Oracle {
 // structure of a one-shot immediate snapshot, so the induced suspect sets
 // satisfy self-inclusion, the containment chain, AND immediacy.
 func OrderedBlocks(n int, seed int64) core.Oracle {
-	rng := newRand(seed)
+	s := newSampler(n, seed)
+	full := core.FullSet(n)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		members := active.Members()
-		rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-		sus := make([]core.Set, n)
-		prefix := core.NewSet(n)
+		members := s.shuffled(active)
+		sus := s.rows()
+		prefix := &s.pool
+		prefix.Clear()
 		idx := 0
 		for idx < len(members) {
 			// Block size between 1 and the remainder.
-			size := 1 + rng.Intn(len(members)-idx)
+			size := 1 + s.rng.Intn(len(members)-idx)
 			block := members[idx : idx+size]
 			for _, p := range block {
 				prefix.Add(p)
 			}
 			for _, p := range block {
-				sus[p] = prefix.Complement()
+				sus[p].CopyFrom(full)
+				sus[p].DiffInto(*prefix)
 			}
 			idx += size
-		}
-		for i := range sus {
-			if sus[i].Universe() == 0 {
-				sus[i] = core.NewSet(n)
-			}
 		}
 		return core.RoundPlan{Suspects: sus}
 	})
@@ -140,24 +118,23 @@ func OrderedBlocks(n int, seed int64) core.Oracle {
 // adversary is biased toward building exactly such cycles, which is what
 // the E4 conjecture experiment needs.
 func NoMutualMissOracle(n, f int, seed int64) core.Oracle {
-	rng := newRand(seed)
+	s := newSampler(n, seed)
+	extra := core.NewSet(n)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		sus := emptySuspects(n)
-		members := active.Members()
-		if len(members) >= 3 && rng.Intn(2) == 0 && f >= 1 {
+		sus := s.rows()
+		if live := active.Count(); live >= 3 && s.rng.Intn(2) == 0 && f >= 1 {
 			// Build a miss cycle over a random subset.
-			size := 3 + rng.Intn(len(members)-2)
-			rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-			cyc := members[:size]
+			size := 3 + s.rng.Intn(live-2)
+			cyc := s.shuffled(active)[:size]
 			for i, p := range cyc {
 				sus[p].Add(cyc[(i+1)%size])
 			}
 		}
 		// Random extra one-way misses within budget.
 		active.ForEach(func(i core.PID) {
-			pool := active.Clone()
-			pool.Remove(i)
-			extra := pickK(rng, n, pool, f-sus[i].Count())
+			s.pool.CopyFrom(active)
+			s.pool.Remove(i)
+			s.pickK(&extra, s.pool, f-sus[i].Count())
 			extra.ForEach(func(j core.PID) {
 				if !sus[j].Has(i) && sus[i].Count() < f {
 					sus[i].Add(j)
@@ -174,24 +151,20 @@ func NoMutualMissOracle(n, f int, seed int64) core.Oracle {
 // paper uses B to show eq. (3) is not the weakest RRFD equivalent to
 // f-resilient asynchronous message passing.
 func BSystemOracle(n, f, t int, seed int64) core.Oracle {
-	rng := newRand(seed)
+	s := newSampler(n, seed)
+	q := core.NewSet(n)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		q := pickK(rng, n, active, t)
-		sus := make([]core.Set, n)
+		s.pickK(&q, active, t)
+		sus := s.rows()
 		active.ForEach(func(i core.PID) {
 			budget := f
 			if q.Has(i) {
 				budget = t
 			}
-			pool := active.Clone()
-			pool.Remove(i)
-			sus[i] = pickK(rng, n, pool, budget)
+			s.pool.CopyFrom(active)
+			s.pool.Remove(i)
+			s.pickK(&sus[i], s.pool, budget)
 		})
-		for i := range sus {
-			if sus[i].Universe() == 0 {
-				sus[i] = core.NewSet(n)
-			}
-		}
 		return core.RoundPlan{Suspects: sus}
 	})
 }

@@ -8,30 +8,24 @@ import "repro/internal/core"
 // core C of suspects shared by everyone plus an uncertainty pool U of exactly
 // k−1 processes about which observers disagree arbitrarily.
 func KSetUncertainty(n, k int, seed int64) core.Oracle {
-	rng := newRand(seed)
+	s := newSampler(n, seed)
+	c, u := core.NewSet(n), core.NewSet(n)
+	// Keep |C| + |U| < n so no process's D can become all of S.
+	maxCore := max(n-k, 0)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		// Keep |C| + |U| < n so no process's D can become all of S.
-		maxCore := n - k
-		if maxCore < 0 {
-			maxCore = 0
-		}
-		c := pickK(rng, n, active, rng.Intn(maxCore+1))
-		u := pickK(rng, n, active.Diff(c), k-1)
-		sus := make([]core.Set, n)
+		sus := s.rows()
+		s.pickK(&c, active, s.rng.Intn(maxCore+1))
+		s.pool.CopyFrom(active)
+		s.pool.DiffInto(c)
+		s.pickK(&u, s.pool, k-1)
 		active.ForEach(func(i core.PID) {
-			d := c.Clone()
+			sus[i].CopyFrom(c)
 			u.ForEach(func(p core.PID) {
-				if rng.Intn(2) == 1 {
-					d.Add(p)
+				if s.rng.Intn(2) == 1 {
+					sus[i].Add(p)
 				}
 			})
-			sus[i] = d
 		})
-		for i := range sus {
-			if sus[i].Universe() == 0 {
-				sus[i] = core.NewSet(n)
-			}
-		}
 		return core.RoundPlan{Suspects: sus}
 	})
 }
@@ -41,16 +35,16 @@ func KSetUncertainty(n, k int, seed int64) core.Oracle {
 // which the semi-synchronous model implements in 2 steps). The common set is
 // chosen at random each round, as large as n−1.
 func Identical(n int, seed int64) core.Oracle {
-	rng := newRand(seed)
+	s := newSampler(n, seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		pool := active.Clone()
+		sus := s.rows()
 		// Leave at least one process unsuspected so D ≠ S.
-		members := pool.Members()
-		rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-		d := core.SetOf(n, members[:rng.Intn(len(members))]...)
-		sus := make([]core.Set, n)
-		for i := range sus {
-			sus[i] = d.Clone()
+		members := s.shuffled(active)
+		for _, p := range members[:s.rng.Intn(len(members))] {
+			sus[0].Add(p)
+		}
+		for i := 1; i < n; i++ {
+			sus[i].CopyFrom(sus[0])
 		}
 		return core.RoundPlan{Suspects: sus}
 	})
@@ -62,22 +56,17 @@ func Identical(n int, seed int64) core.Oracle {
 // of anyone — including the spare — through round stab, and from round
 // stab+1 on the spare process is never suspected again.
 func EventuallySpare(n, f, stab int, spare core.PID, seed int64) core.Oracle {
-	rng := newRand(seed)
+	s := newSampler(n, seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		sus := make([]core.Set, n)
+		sus := s.rows()
 		active.ForEach(func(i core.PID) {
-			pool := active.Clone()
-			pool.Remove(i)
+			s.pool.CopyFrom(active)
+			s.pool.Remove(i)
 			if r > stab {
-				pool.Remove(spare)
+				s.pool.Remove(spare)
 			}
-			sus[i] = pickK(rng, n, pool, f)
+			s.pickK(&sus[i], s.pool, f)
 		})
-		for i := range sus {
-			if sus[i].Universe() == 0 {
-				sus[i] = core.NewSet(n)
-			}
-		}
 		return core.RoundPlan{Suspects: sus}
 	})
 }
@@ -88,20 +77,15 @@ func EventuallySpare(n, f, stab int, spare core.PID, seed int64) core.Oracle {
 // different ways at different observers, round after round. This is the
 // wait-free regime: up to n−1 processes may effectively never be heard from.
 func SpareNeverSuspected(n int, spare core.PID, seed int64) core.Oracle {
-	rng := newRand(seed)
+	s := newSampler(n, seed)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		sus := make([]core.Set, n)
+		sus := s.rows()
 		active.ForEach(func(i core.PID) {
-			pool := active.Clone()
-			pool.Remove(spare)
-			pool.Remove(i) // keep D ≠ S simple; self-trust is also natural here
-			sus[i] = randSubset(rng, n, pool, n-1)
+			s.pool.CopyFrom(active)
+			s.pool.Remove(spare)
+			s.pool.Remove(i) // keep D ≠ S simple; self-trust is also natural here
+			s.randSubset(&sus[i], s.pool, n-1)
 		})
-		for i := range sus {
-			if sus[i].Universe() == 0 {
-				sus[i] = core.NewSet(n)
-			}
-		}
 		return core.RoundPlan{Suspects: sus}
 	})
 }

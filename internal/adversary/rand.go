@@ -8,7 +8,9 @@ import "math/rand"
 // math/rand's Seed fills its 607-word register by 1 881 chained Lehmer
 // steps, each with an int32 division; this source fills it in closed form,
 // each step an independent multiply by a precomputed power and a Mersenne
-// fold (DESIGN §11 "Seeded samplers").
+// fold, and only at the 274th draw: the first 273 draws read seeded words
+// alone, so a short sampler has no register at all (DESIGN §11 "Seeded
+// samplers").
 func newRand(seed int64) *rand.Rand {
 	s := new(source)
 	s.Seed(seed)
@@ -27,9 +29,14 @@ const (
 )
 
 // source is a rand.Source64 with math/rand's stream: rngSource with a
-// closed-form Seed.
+// closed-form Seed and a register built on demand. Draw j ≤ regTap adds
+// feed word 334−j to tap word 607−j, neither written yet, so it is two
+// seeded words in closed form; draw regTap+1 reads the sum draw 1 wrote, and
+// fill builds the register first.
 type source struct {
-	vec       [regLen]uint64
+	seed      uint64          // the normalized seed
+	drawn     int             // draws taken, counted through regTap+1
+	vec       *[regLen]uint64 // the register, live once drawn > regTap
 	tap, feed int
 }
 
@@ -67,12 +74,19 @@ func mulMod(a, b uint64) uint64 {
 	return v&lehmerP + v>>31
 }
 
+// lehmerWord returns word i's three consecutive Lehmer values from the
+// normalized seed, packed: the seeded word before its cooked XOR.
+func lehmerWord(seed uint64, i int) uint64 {
+	p := &lehmerPow[i]
+	return mulMod(seed, p[0])<<40 ^ mulMod(seed, p[1])<<20 ^ mulMod(seed, p[2])
+}
+
 // seedRegister sets v to the register seeded with the normalized seed: word
-// i is three consecutive Lehmer values, packed, XORed with mask[i] (cooked,
-// or a register whose cooked words are wanted).
+// i is lehmerWord XORed with mask[i] (cooked, or a register whose cooked
+// words are wanted).
 func seedRegister(v *[regLen]uint64, seed uint64, mask *[regLen]uint64) {
-	for i, p := range &lehmerPow {
-		v[i] = mulMod(seed, p[0])<<40 ^ mulMod(seed, p[1])<<20 ^ mulMod(seed, p[2]) ^ mask[i]
+	for i := range v {
+		v[i] = lehmerWord(seed, i) ^ mask[i]
 	}
 }
 
@@ -102,7 +116,11 @@ func recoverCooked(src rand.Source64, seed uint64) [regLen]uint64 {
 	return c
 }
 
-// Seed is rngSource.Seed, its register filled in closed form.
+// word returns seeded word i of the register in closed form.
+func (s *source) word(i int) uint64 { return lehmerWord(s.seed, i) ^ cooked[i] }
+
+// Seed is rngSource.Seed, deferred: it normalizes the seed and starts the
+// stream over, keeping any register it has for the next fill.
 func (s *source) Seed(seed int64) {
 	seed %= lehmerP
 	if seed < 0 {
@@ -111,12 +129,30 @@ func (s *source) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	seedRegister(&s.vec, uint64(seed), &cooked)
-	s.tap, s.feed = 0, regLen-regTap
+	s.seed, s.drawn = uint64(seed), 0
+}
+
+// fill builds the register as rngSource has it after regTap draws: seeded,
+// each draw's sum written back to its feed word.
+func (s *source) fill() {
+	if s.vec == nil {
+		s.vec = new([regLen]uint64)
+	}
+	seedRegister(s.vec, s.seed, &cooked)
+	for j := 1; j <= regTap; j++ {
+		s.vec[regLen-regTap-j] += s.vec[regLen-j]
+	}
+	s.tap, s.feed = regLen-regTap, regLen-2*regTap
 }
 
 // Uint64 is rngSource.Uint64.
 func (s *source) Uint64() uint64 {
+	if s.drawn <= regTap {
+		if s.drawn++; s.drawn <= regTap {
+			return s.word(regLen-regTap-s.drawn) + s.word(regLen-s.drawn)
+		}
+		s.fill()
+	}
 	s.tap--
 	if s.tap < 0 {
 		s.tap += regLen

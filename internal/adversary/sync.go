@@ -11,13 +11,14 @@ import "repro/internal/core"
 // rate in [0,1] tunes hostility: the probability that a victim's round
 // message is dropped at each receiver.
 func Omission(n, f int, rate float64, seed int64) core.Oracle {
-	rng := newRand(seed)
-	victims := pickK(rng, n, core.FullSet(n), f)
+	s := newSampler(n, seed)
+	victims := core.NewSet(n)
+	s.pickK(&victims, core.FullSet(n), f)
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		sus := emptySuspects(n)
+		sus := s.rows()
 		active.ForEach(func(i core.PID) {
 			victims.ForEach(func(v core.PID) {
-				if v != i && active.Has(v) && rng.Float64() < rate {
+				if v != i && active.Has(v) && s.rng.Float64() < rate {
 					sus[i].Add(v)
 				}
 			})
@@ -33,37 +34,39 @@ func Omission(n, f int, rate float64, seed int64) core.Oracle {
 // and it stops participating from round r+1 — so everything suspected at
 // round r is dead, hence suspected by everyone, at round r+1.
 func Crash(n, f int, seed int64) core.Oracle {
-	rng := newRand(seed)
-	victims := pickK(rng, n, core.FullSet(n), f).Members()
+	s := newSampler(n, seed)
+	victims := core.NewSet(n)
+	s.pickK(&victims, core.FullSet(n), f)
 	// Assign each victim a crash round in [1, 2f+2]; multiple victims may
 	// share a round.
-	crashRound := make(map[core.PID]int, len(victims))
-	for _, v := range victims {
-		crashRound[v] = 1 + rng.Intn(2*f+2)
-	}
+	crashRound := make([]int, n)
+	victims.ForEach(func(v core.PID) { crashRound[v] = 1 + s.rng.Intn(2*f+2) })
+	full, scratch := core.FullSet(n), core.NewSets(n, 3)
+	crashes, dying, live := scratch[0], scratch[1], scratch[2] // dying: emit this round, dead next round
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		sus := emptySuspects(n)
-		crashes := core.NewSet(n)
-		dying := core.NewSet(n) // emit this round, dead next round
-		for v, cr := range crashRound {
+		sus := s.rows()
+		crashes.Clear()
+		dying.Clear()
+		victims.ForEach(func(v core.PID) {
 			if !active.Has(v) {
-				continue
+				return
 			}
-			switch {
+			switch cr := crashRound[v]; {
 			case cr < r:
 				crashes.Add(v)
 			case cr == r:
 				dying.Add(v)
 			}
-		}
-		live := active.Diff(crashes)
-		dead := core.FullSet(n).Diff(live)
+		})
+		live.CopyFrom(active)
+		live.DiffInto(crashes)
 		live.ForEach(func(i core.PID) {
-			dead.ForEach(func(v core.PID) { sus[i].Add(v) })
+			sus[i].CopyFrom(full)
+			sus[i].DiffInto(live) // the dead
 			dying.ForEach(func(v core.PID) {
 				// A dying process hears itself; others miss its last
 				// message with probability 1/2.
-				if v != i && rng.Intn(2) == 1 {
+				if v != i && s.rng.Intn(2) == 1 {
 					sus[i].Add(v)
 				}
 			})
@@ -88,19 +91,24 @@ func ChainCrash(n, f, k int) core.Oracle {
 	m := f / k
 	// holder(j, r) = p_{k·(r−1)+j} is the round-r holder of value j.
 	holder := func(j, r int) core.PID { return core.PID(k*(r-1) + j) }
+	full, rows := core.FullSet(n), core.NewSets(n, n+2)
+	sus, crashes, live := rows[:n:n], rows[n], rows[n+1]
 	return core.OracleFunc(func(r int, active core.Set) core.RoundPlan {
-		sus := emptySuspects(n)
-		crashes := core.NewSet(n)
+		for i := range sus {
+			sus[i].Clear()
+		}
+		crashes.Clear()
 		// Crash last round's holders at the start of this round.
 		if r > 1 && r <= m+1 {
 			for j := 0; j < k; j++ {
 				crashes.Add(holder(j, r-1))
 			}
 		}
-		live := active.Diff(crashes)
-		dead := core.FullSet(n).Diff(live)
+		live.CopyFrom(active)
+		live.DiffInto(crashes)
 		live.ForEach(func(i core.PID) {
-			dead.ForEach(func(v core.PID) { sus[i].Add(v) })
+			sus[i].CopyFrom(full)
+			sus[i].DiffInto(live) // the dead
 			if r <= m {
 				// This round's holders reach only their successors.
 				for j := 0; j < k; j++ {

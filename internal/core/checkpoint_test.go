@@ -130,6 +130,74 @@ func TestKillAndResumeIdenticalTrace(t *testing.T) {
 	}
 }
 
+// borrowedSchedule writes round r's plan into sus and crashes: p(r−1)
+// crashes in rounds 1 and 2, everybody suspects the dead, and p_i also
+// suspects p((i+r) mod n), so every round's plan differs from the last.
+func borrowedSchedule(n, r int, active Set, sus []Set, crashes *Set) {
+	crashes.Clear()
+	if r <= 2 {
+		crashes.Add(PID(r - 1))
+	}
+	for i := range sus {
+		sus[i].fill()
+		sus[i].DiffInto(active)
+		sus[i].UnionInto(*crashes)
+		if q := PID((i + r) % n); q != PID(i) {
+			sus[i].Add(q)
+		}
+	}
+}
+
+// TestEngineCopiesBorrowedPlan: an oracle may return the same rows every
+// round and overwrite them at its next Plan call (Oracle's borrowed-plan
+// rule). Its run, its trace and a Resume from any halt must equal those of
+// an oracle that builds fresh rows for the same schedule.
+func TestEngineCopiesBorrowedPlan(t *testing.T) {
+	const n, rounds = 5, 4
+	inputs := ckInputs(n)
+	fresh := func() Oracle {
+		return OracleFunc(func(r int, active Set) RoundPlan {
+			sus, crashes := NewSets(n, n), NewSet(n)
+			borrowedSchedule(n, r, active, sus, &crashes)
+			return RoundPlan{Suspects: sus, Crashes: crashes}
+		})
+	}
+	borrowed := func() Oracle {
+		rows := NewSets(n, n+1)
+		sus := rows[:n:n]
+		return OracleFunc(func(r int, active Set) RoundPlan {
+			borrowedSchedule(n, r, active, sus, &rows[n])
+			return RoundPlan{Suspects: sus, Crashes: rows[n]}
+		})
+	}
+
+	want, err := Run(n, inputs, ckFactory(rounds), fresh())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(n, inputs, ckFactory(rounds), borrowed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, want, got)
+
+	for halt := 1; halt < rounds; halt++ {
+		dir := filepath.Join(t.TempDir(), "ck")
+		_, err := Run(n, inputs, ckFactory(rounds), borrowed(),
+			WithCheckpointing(dir, CheckpointOptions{}),
+			WithHaltAfterRound(halt))
+		var he *HaltError
+		if !errors.As(err, &he) || he.Round != halt {
+			t.Fatalf("halt %d: got %v, want *HaltError", halt, err)
+		}
+		got, err := Resume(dir, ckFactory(rounds), borrowed())
+		if err != nil {
+			t.Fatalf("resume after halt %d: %v", halt, err)
+		}
+		sameResult(t, want, got)
+	}
+}
+
 // TestResumeWithoutSnapshotReplaysAll: there is no snapshot to start from,
 // so every resumed instance re-executes each journaled round.
 func TestResumeWithoutSnapshotReplaysAll(t *testing.T) {

@@ -129,6 +129,12 @@ type RoundPlan struct {
 // crashes them. Oracles may keep state across rounds (e.g. cumulative fault
 // budgets) but must be deterministic for reproducibility; randomized oracles
 // should derive all randomness from an explicit seed.
+//
+// A plan's sets are borrowed: they belong to the oracle, which may
+// overwrite them at its next Plan call, so an oracle can return the same
+// rows every round. The engine copies what it keeps (the D(i,r) Deliver
+// gets, the round's record, the crashed set) and reads the plan only
+// during its round; any other caller must do the same.
 type Oracle interface {
 	Plan(r int, active Set) RoundPlan
 }

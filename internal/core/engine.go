@@ -344,22 +344,29 @@ func NewRoundRecord(r, n int) RoundRecord {
 // Active transitions). Rounds beyond the trace replay its final record.
 // Replaying lets any algorithm be run against an explicitly enumerated
 // family of detector behaviours — the basis of exhaustive theorem checking.
+// The plan's rows are the oracle's own, refilled every round.
 func TraceOracle(t *Trace) Oracle {
+	rows := NewSets(t.N, t.N+1)
+	sus, crashes := rows[:t.N:t.N], rows[t.N]
 	return OracleFunc(func(r int, active Set) RoundPlan {
 		if r > t.Len() {
 			r = t.Len()
 		}
+		crashes.Clear()
 		rec := t.Round(r)
-		if rec == nil {
-			rec = &RoundRecord{Suspects: make([]Set, t.N), Active: active} // empty trace: behave benignly
+		if rec == nil { // empty trace: behave benignly
+			for i := range sus {
+				sus[i].Clear()
+			}
+			return RoundPlan{Suspects: sus, Crashes: crashes}
 		}
-		sus := make([]Set, t.N)
 		for i := range sus {
-			sus[i] = NewSet(t.N)
 			sus[i].CopyFrom(rec.Suspects[i])
 		}
 		// Crash whoever the trace stops running.
-		return RoundPlan{Suspects: sus, Crashes: active.Diff(rec.Active)}
+		crashes.CopyFrom(active)
+		crashes.DiffInto(rec.Active)
+		return RoundPlan{Suspects: sus, Crashes: crashes}
 	})
 }
 

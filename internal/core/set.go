@@ -68,6 +68,14 @@ func carve(n int, groups ...[]Set) {
 	}
 }
 
+// NewSets returns count empty sets over n processes, the rows of one word
+// slab: an oracle's plan rows, carved once and refilled every round.
+func NewSets(n, count int) []Set {
+	rows := make([]Set, count)
+	carve(n, rows)
+	return rows
+}
+
 // Universe returns the size n of the universe the set draws from.
 func (s Set) Universe() int { return s.n }
 
