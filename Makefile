@@ -52,11 +52,14 @@ bench-build:
 # whose par.Map workers share msgnet's and reliablelink's pooled state, and
 # the experiment sweeps, where a worker resumes coroutines another created.
 # A snapshot handle's scan buffers are touched from whichever goroutine
-# resumes its body's coroutine.
+# resumes its body's coroutine. An exploration task's engine Runner carries
+# its storage from one schedule to the next, on whichever worker runs the
+# task: the shared-enumerator explorations at 1, 4 and 8 workers.
 baton-race:
 	$(GO) test -race -count=1 -cpu 1,4 ./internal/baton/ ./internal/msgnet/ ./internal/swmr/ ./internal/reliablelink/ ./internal/snapshot/
 	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|Golden|Hygiene' ./internal/chaos/
 	$(GO) test -race -count=1 -cpu 1,4 -run TestSweepWorkersByteIdentical ./internal/exp/
+	$(GO) test -race -count=1 -cpu 1,4 -run TestSharedEnumExploresTheSameTree ./internal/adversary/
 
 # Connection readers answer reads from the decided table while the loop
 # publishes into it: the concurrent-reader tests ten times over. Readers

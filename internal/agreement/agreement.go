@@ -29,7 +29,7 @@ import (
 // not crash — and reports the first one broken. maxRound, when positive,
 // additionally bounds the latest decision round.
 func Validate(res *core.Result, inputs []core.Value, k, maxRound int) error {
-	if v, ok := task.KSet(k, task.Inputs(inputs), len(inputs), task.ByPID(res.Outputs), task.In(res.Crashed)).Err().(*task.Violation); ok {
+	if v, ok := task.KSet(k, task.Inputs(inputs), len(inputs), task.ByPID(res.Outputs).At, task.In(res.Crashed)).Err().(*task.Violation); ok {
 		if v.Index < 0 {
 			return fmt.Errorf("agreement: %w", v)
 		}

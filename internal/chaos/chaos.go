@@ -427,7 +427,7 @@ func check(cfg Config, eq3 predicate.P, res runResult) []Violation {
 	for i := range proposals {
 		proposals[i] = i
 	}
-	if v, ok := task.KSet(cfg.K, task.Inputs(proposals), cfg.N, task.ByPID(res.decisions), nil).Err().(*task.Violation); ok {
+	if v, ok := task.KSet(cfg.K, task.Inputs(proposals), cfg.N, task.ByPID(res.decisions).At, nil).Err().(*task.Violation); ok {
 		if v.Index < 0 {
 			add(v.Clause, "%v", v)
 		} else {

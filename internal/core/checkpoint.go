@@ -56,7 +56,7 @@ func WithHaltAfterRound(r int) Option {
 }
 
 // halts reports whether WithHaltAfterRound stops the run after round r.
-func (e *execution) halts(r int) bool {
+func (e *Runner) halts(r int) bool {
 	return r >= max(e.o.haltAfter, e.replay) && (r > e.replay || !allDecided(e.active, e.res.DecidedAt))
 }
 
@@ -197,7 +197,8 @@ func (ck *checkpointer) writeEnd() error {
 // same final Result. An observer sees one "recovery.resume" event, then
 // every round's engine events, the replayed ones included.
 func Resume(dir string, factory Factory, oracle Oracle, opts ...Option) (res *Result, err error) {
-	o := foldOptions(opts)
+	var e Runner
+	o := e.fold(opts)
 	if o.ckDir != "" && o.ckDir != dir {
 		return nil, fmt.Errorf("core: resume dir %s conflicts with WithCheckpointing dir %s", dir, o.ckDir)
 	}
@@ -214,8 +215,7 @@ func Resume(dir string, factory Factory, oracle Oracle, opts ...Option) (res *Re
 	}
 
 	jo := &journalOracle{Oracle: oracle, rounds: rounds}
-	var e execution
-	e.begin(len(inputs), inputs, factory, jo, o)
+	e.begin(len(inputs), inputs, factory, jo)
 	defer func() { e.end(res, err) }()
 	e.ck = &checkpointer{log: l, ended: ended}
 	e.replay = len(rounds)

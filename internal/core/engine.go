@@ -88,16 +88,57 @@ func WithoutTrace() Option {
 // Run returns an error if the oracle produces an invalid plan (one violating
 // S(i,r) ∪ D(i,r) = S, suspecting everybody, delivering from a process that
 // did not emit, or failing to suspect a crashed process) or if the round
-// limit is hit first.
-func Run(n int, inputs []Value, factory Factory, oracle Oracle, opts ...Option) (res *Result, err error) {
+// limit is hit first. Run is a fresh Runner's Run: what it returns is the
+// caller's.
+func Run(n int, inputs []Value, factory Factory, oracle Oracle, opts ...Option) (*Result, error) {
+	return new(Runner).Run(n, inputs, factory, oracle, opts...)
+}
+
+// Runner runs executions one after another and keeps their storage: the
+// working sets, the processes and the emission vector, the Result and its
+// maps, the trace, and one block of record rows per round index. Its first
+// run allocates what Run does; a later one over the same n and no more
+// rounds allocates none of the engine's own, only its algorithm's and its
+// oracle's.
+//
+// What Runner.Run returns is borrowed, like an oracle's plan: the Result,
+// its sets and its Trace are the Runner's until its next Run, which
+// rewrites them in place. A caller that keeps one past that copies it, and
+// a trace the Runner recorded must not be replayed (TraceOracle) by the
+// same Runner. The zero Runner is ready for use; a Runner serves one
+// goroutine at a time.
+type Runner struct {
+	n      int
+	o      *engineOptions // folded into in place by every run
+	ob     obs.Observer
+	now    func() time.Time
+	oracle Oracle
+	ck     *checkpointer
+	replay int // rounds 1..replay re-execute a checkpoint log (Resume): not journaled again
+
+	// Kept from run to run.
+	procs  []Algorithm
+	msgs   []Message // round-r emissions, indexed by PID
+	res    *Result
+	trace  *Trace
+	rec    RoundRecord // the record of an untraced round (checkpointing)
+	active Set
+	full   Set
+	// validatePlan's scratch, and S(p,r) and the D(p,r) copy Deliver gets
+	live, dead, deliver, susp Set
+}
+
+// Run executes one run as the package-level Run does, over this Runner's
+// storage.
+func (e *Runner) Run(n int, inputs []Value, factory Factory, oracle Oracle, opts ...Option) (res *Result, err error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: invalid process count %d", n)
 	}
 	if len(inputs) != n {
 		return nil, fmt.Errorf("core: %d inputs for %d processes", len(inputs), n)
 	}
-	var e execution
-	e.begin(n, inputs, factory, oracle, foldOptions(opts))
+	e.fold(opts)
+	e.begin(n, inputs, factory, oracle)
 	defer func() { e.end(res, err) }()
 	if e.o.ckDir != "" {
 		ck, err := newCheckpointer(e.o.ckDir, e.o.ckOpts, inputs)
@@ -109,61 +150,47 @@ func Run(n int, inputs []Value, factory Factory, oracle Oracle, opts ...Option) 
 	return e.run()
 }
 
-// execution is one engine run in flight: the loop state shared by Run and
-// Resume.
-type execution struct {
-	n      int
-	o      engineOptions
-	ob     obs.Observer
-	now    func() time.Time
-	oracle Oracle
-	procs  []Algorithm
-	res    *Result
-	active Set
-	full   Set
-	ck     *checkpointer
-	replay int // rounds 1..replay re-execute a checkpoint log (Resume): not journaled again
-	// validatePlan's scratch, and S(p,r) and the D(p,r) copy Deliver gets
-	live, dead, deliver, susp Set
-}
-
-// foldOptions applies opts over the engine defaults.
-func foldOptions(opts []Option) engineOptions {
-	o := engineOptions{maxRounds: 10000, trace: true}
+// fold applies opts over the engine defaults, into options the Runner
+// keeps: the first run allocates them, as every Option may retain them.
+func (e *Runner) fold(opts []Option) *engineOptions {
+	if e.o == nil {
+		e.o = new(engineOptions)
+	}
+	*e.o = engineOptions{maxRounds: 10000, trace: true}
 	for _, opt := range opts {
-		opt(&o)
+		opt(e.o)
 	}
-	return o
+	return e.o
 }
 
-// begin is the prelude Run and Resume share: it defaults the observer and
-// the clock, opens the observer's run (the caller defers end), builds the n
-// processes from their inputs and starts from an empty Result with everyone
-// active. The run's working sets are rows of one word slab.
-func (e *execution) begin(n int, inputs []Value, factory Factory, oracle Oracle, o engineOptions) {
-	var ws [7]Set
-	carve(n, ws[:])
-	*e = execution{
-		n:       n,
-		o:       o,
-		ob:      o.observer,
-		now:     o.clock,
-		oracle:  oracle,
-		procs:   make([]Algorithm, n),
-		active:  ws[0],
-		full:    ws[1],
-		live:    ws[3],
-		dead:    ws[4],
-		deliver: ws[5],
-		susp:    ws[6],
-		res: &Result{
-			Outputs:   make(map[PID]Value, n),
-			DecidedAt: make(map[PID]int, n),
-			Crashed:   ws[2],
-		},
+// begin is the prelude Run and Resume share, over the options fold left:
+// it defaults the observer and the clock, opens the observer's run (the
+// caller defers end), builds the n processes from their inputs and starts
+// from an empty Result with everyone active. The working sets are rows of
+// one word slab, carved when n changes; the Result, its maps and the trace
+// are the previous run's, emptied.
+func (e *Runner) begin(n int, inputs []Value, factory Factory, oracle Oracle) {
+	o := e.o
+	e.n, e.ob, e.now, e.oracle, e.ck, e.replay = n, o.observer, o.clock, oracle, nil, 0
+	if e.res == nil {
+		e.res = &Result{Outputs: make(map[PID]Value, n), DecidedAt: make(map[PID]int, n)}
 	}
-	e.full.fill()
+	res := e.res
+	clear(res.Outputs)
+	clear(res.DecidedAt)
+	res.Rounds, res.Trace = 0, nil
+	if e.full.n != n {
+		var ws [7]Set
+		Carve(n, ws[:])
+		e.active, e.full, res.Crashed, e.live, e.dead, e.deliver, e.susp = ws[0], ws[1], ws[2], ws[3], ws[4], ws[5], ws[6]
+		e.full.fill()
+	}
 	e.active.fill()
+	res.Crashed.Clear()
+	if cap(e.procs) < n {
+		e.procs, e.msgs = make([]Algorithm, n), make([]Message, n)
+	}
+	e.procs, e.msgs = e.procs[:n], e.msgs[:n]
 	if e.ob == nil {
 		e.ob = DefaultObserver()
 	}
@@ -177,15 +204,19 @@ func (e *execution) begin(n int, inputs []Value, factory Factory, oracle Oracle,
 		e.procs[i] = factory(PID(i), n, inputs[i])
 	}
 	if o.trace {
-		e.res.Trace = NewTrace(n)
-		if o.traceLen > 0 {
-			e.res.Trace.Rounds = make([]RoundRecord, 0, o.traceLen)
+		if e.trace == nil {
+			e.trace = NewTrace(n)
 		}
+		e.trace.N, e.trace.Rounds = n, e.trace.Rounds[:0]
+		if cap(e.trace.Rounds) < o.traceLen {
+			e.trace.Rounds = make([]RoundRecord, 0, o.traceLen)
+		}
+		res.Trace = e.trace
 	}
 }
 
 // end closes the observer's run begin opened.
-func (e *execution) end(res *Result, err error) {
+func (e *Runner) end(res *Result, err error) {
 	if e.ob == nil {
 		return
 	}
@@ -198,7 +229,7 @@ func (e *execution) end(res *Result, err error) {
 
 // phase reports round r's phase that began at start, timed on the
 // engine's clock, and returns its duration.
-func (e *execution) phase(r int, name string, start time.Time) time.Duration {
+func (e *Runner) phase(r int, name string, start time.Time) time.Duration {
 	d := e.now().Sub(start)
 	e.ob.Observe(obs.Event{Kind: obs.Phase, R: r, P: -1, Phase: name, Dur: d})
 	return d
@@ -207,7 +238,7 @@ func (e *execution) phase(r int, name string, start time.Time) time.Duration {
 // run executes rounds 1..maxRounds and settles the checkpoint log: a clean
 // finish gets an end-of-log marker, every other exit (halt, plan error)
 // leaves the log resumable.
-func (e *execution) run() (*Result, error) {
+func (e *Runner) run() (*Result, error) {
 	res, err := e.loop()
 	if e.ck != nil {
 		if err == nil {
@@ -227,13 +258,11 @@ func (e *execution) run() (*Result, error) {
 // A round builds nothing per process: each Deliver reads the round's
 // emission vector through an Inbox over the S(p,r) scratch set, and when
 // recording (trace or checkpoint) the round's 2n+2 sets are copied into
-// the rows of one word slab. An untraced round allocates nothing, so its
-// cost is the algorithm's and the oracle's, not the engine's.
-func (e *execution) loop() (*Result, error) {
+// the rows of one word slab (record). An untraced round allocates nothing,
+// so its cost is the algorithm's and the oracle's, not the engine's.
+func (e *Runner) loop() (*Result, error) {
 	o, ob, now, res := e.o, e.ob, e.now, e.res
-	n := e.n
-	deliver, susp := e.deliver, e.susp
-	msgs := make([]Message, n) // round-r emissions, indexed by PID
+	deliver, susp, msgs := e.deliver, e.susp, e.msgs
 
 	record := o.trace || e.ck != nil
 	for r := 1; r <= o.maxRounds; r++ {
@@ -277,10 +306,7 @@ func (e *execution) loop() (*Result, error) {
 
 		var rec RoundRecord
 		if record {
-			rec = NewRoundRecord(r, n)
-			rec.Active.CopyFrom(e.active)
-			rec.Crashed.fill()
-			rec.Crashed.DiffInto(e.active)
+			rec = e.record(r)
 		}
 		e.active.ForEach(func(p PID) {
 			plan.deliverSetInto(&deliver, p, e.active)
@@ -330,12 +356,43 @@ func (e *execution) loop() (*Result, error) {
 	return res, ErrMaxRounds
 }
 
+// record returns round r's record, Active and Crashed filled and every
+// other set empty. A traced round takes the rows its round index had in
+// the Runner's previous traced run (the trace's Rounds array keeps them
+// past its length), an untraced one the Runner's one record; rows over
+// another n, or none yet, are carved afresh. The engine writes only the
+// active processes' rows, so a reused block is cleared first.
+func (e *Runner) record(r int) RoundRecord {
+	var rec RoundRecord
+	if t := e.res.Trace; t == nil {
+		rec = e.rec
+	} else if len(t.Rounds) < cap(t.Rounds) {
+		rec = t.Rounds[:len(t.Rounds)+1][len(t.Rounds)]
+	}
+	if rec.Active.n == e.n {
+		rec.R = r
+		for p := range rec.Suspects {
+			rec.Suspects[p].Clear()
+			rec.Deliver[p].Clear()
+		}
+	} else {
+		rec = NewRoundRecord(r, e.n)
+	}
+	if e.res.Trace == nil {
+		e.rec = rec
+	}
+	rec.Active.CopyFrom(e.active)
+	rec.Crashed.fill()
+	rec.Crashed.DiffInto(e.active)
+	return rec
+}
+
 // NewRoundRecord returns round r's record over n processes with every set
 // empty: its 2n+2 sets are the rows of one word slab.
 func NewRoundRecord(r, n int) RoundRecord {
 	var ac [2]Set
 	rows := make([]Set, 2*n)
-	carve(n, rows, ac[:])
+	Carve(n, rows, ac[:])
 	return RoundRecord{R: r, Suspects: rows[:n:n], Deliver: rows[n:], Active: ac[0], Crashed: ac[1]}
 }
 

@@ -53,9 +53,9 @@ func (s *Set) fill() {
 // wordsPerSet returns the words one set over n processes occupies.
 func wordsPerSet(n int) int { return (n + 63) / 64 }
 
-// carve points every set of every group at its own row of one fresh word
+// Carve points every set of every group at its own row of one fresh word
 // slab, empty over n processes.
-func carve(n int, groups ...[]Set) {
+func Carve(n int, groups ...[]Set) {
 	w, rows := wordsPerSet(n), 0
 	for _, g := range groups {
 		rows += len(g)
@@ -72,7 +72,7 @@ func carve(n int, groups ...[]Set) {
 // slab: an oracle's plan rows, carved once and refilled every round.
 func NewSets(n, count int) []Set {
 	rows := make([]Set, count)
-	carve(n, rows)
+	Carve(n, rows)
 	return rows
 }
 

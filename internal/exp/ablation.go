@@ -86,16 +86,18 @@ func X04Ablations(quick bool) (*Table, error) {
 		loose := hoalg.KSetEq3(k + 1).Compile()
 		strict := hoalg.KSetEq3(k).Compile()
 		witnesses := 0
+		inputs := identityInputs(n)
+		var runner core.Runner // each Result is counted before the next run
 		err := predicate.ExhaustiveTraces(n, 1, func(tr *core.Trace) error {
 			if !loose.Holds(tr) || strict.Holds(tr) {
 				return nil // outside the loosened-but-not-strict band
 			}
-			res, err := core.Run(n, identityInputs(n), agreement.OneRoundKSet(),
+			res, err := runner.Run(n, inputs, agreement.OneRoundKSet(),
 				core.TraceOracle(tr), core.WithoutTrace())
 			if err != nil {
 				return err
 			}
-			if task.KSet(k, nil, n, task.ByPID(res.Outputs), nil).Excess {
+			if task.KSet(k, nil, n, task.ByPID(res.Outputs).At, nil).Excess {
 				witnesses++
 			}
 			return nil

@@ -9,14 +9,15 @@ import (
 // sweeps (E06, E10, E12), the sweeps that build seeded samplers (E01, E02,
 // E04, E07, E15: an oracle's reused plan rows shared between workers would
 // show here, and as a race under -race), summed-accumulator sweeps (X03),
-// the fanned-out exhaustive searches (E11, X04) — at workers=1 and
-// workers=8 and requires byte-identical tables: the determinism contract
-// SetWorkers promises.
+// the fanned-out exhaustive searches (E11, X04), the catalog's explored
+// schedules (X05: each exploration task keeps one engine Runner across its
+// schedules) — at workers=1 and workers=8 and requires byte-identical
+// tables: the determinism contract SetWorkers promises.
 func TestSweepWorkersByteIdentical(t *testing.T) {
 	targets := map[string]bool{
 		"E01": true, "E02": true, "E04": true, "E06": true, "E07": true,
 		"E10": true, "E11": true, "E12": true, "E15": true,
-		"X03": true, "X04": true,
+		"X03": true, "X04": true, "X05": true,
 	}
 	render := func(workers int) string {
 		SetWorkers(workers)

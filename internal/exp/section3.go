@@ -180,17 +180,19 @@ func E07OneRoundKSet(quick bool) (*Table, error) {
 	for _, pc := range proofCases {
 		pred := hoalg.KSetEq3(pc.k).Compile()
 		satisfying := 0
+		inputs := identityInputs(pc.n)
+		var runner core.Runner // each Result is validated before the next run
 		err := predicate.ExhaustiveTraces(pc.n, 1, func(tr *core.Trace) error {
 			if !pred.Holds(tr) {
 				return nil
 			}
 			satisfying++
-			res, err := core.Run(pc.n, identityInputs(pc.n), agreement.OneRoundKSet(),
+			res, err := runner.Run(pc.n, inputs, agreement.OneRoundKSet(),
 				core.TraceOracle(tr), core.WithoutTrace())
 			if err != nil {
 				return err
 			}
-			return agreement.Validate(res, identityInputs(pc.n), pc.k, 1)
+			return agreement.Validate(res, inputs, pc.k, 1)
 		})
 		if err != nil {
 			return nil, err

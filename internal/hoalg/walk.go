@@ -17,18 +17,27 @@ import (
 // is cloned per round) and the listed plans are the enumerator's own: a
 // compiled Enum memoises its lists, so one enum shared by every schedule of
 // an exploration expands each state once.
+//
+// The history's sets are rows of one slab, grown by doubling: a round's
+// union is written once, into the next free row, and only suspected is
+// updated in place. Before round 1 prevUnion is that free row, still empty.
 type Walk struct {
 	n         int
 	enum      Enum
 	suspected core.Set
 	prevUnion core.Set
-	unions    []core.Set
+	unions    []core.Set // one row per round followed; the rows past its length are free
 	err       error
 }
 
+// walkRounds is how many rounds a walk's first slab holds: a swept
+// schedule's two.
+const walkRounds = 2
+
 // NewWalk starts a walk over enum's plan family for n processes.
 func NewWalk(n int, enum Enum) Walk {
-	return Walk{n: n, enum: enum, suspected: core.NewSet(n), prevUnion: core.NewSet(n)}
+	rows := core.NewSets(n, 1+walkRounds)
+	return Walk{n: n, enum: enum, suspected: rows[0], prevUnion: rows[1], unions: rows[1:1]}
 }
 
 // EmptyFamilyError reports that an enumerator listed no plan at all: the
@@ -52,13 +61,15 @@ func (e *EmptyFamilyError) Error() string {
 // and an oracle should return the zero core.RoundPlan, which the engine
 // rejects, ending the run.
 func (w *Walk) Plans(r int, active core.Set) *Family {
-	st := EnumState{R: r, Active: active, Suspected: w.suspected,
-		PrevUnion: w.prevUnion, Unions: w.unions}
+	st := EnumState{R: r, Active: active, Suspected: w.suspected, PrevUnion: w.prevUnion}
+	if len(w.unions) > 0 { // before round 1 Unions stays nil: the memo keys an empty history apart from none
+		st.Unions = w.unions
+	}
 	fam := w.enum(st)
 	if len(fam.Plans) == 0 {
 		// The error outlives the round: detach it from the engine's live
-		// set and from the history this walk updates in place.
-		st.Active, st.Suspected = active.Clone(), w.suspected.Clone()
+		// set and from the rows this walk writes in place.
+		st.Active, st.Suspected, st.PrevUnion = active.Clone(), w.suspected.Clone(), w.prevUnion.Clone()
 		w.err = &EmptyFamilyError{Round: r, State: st}
 	}
 	return fam
@@ -67,13 +78,19 @@ func (w *Walk) Plans(r int, active core.Set) *Family {
 // Follow takes plan, one of the last Plans, as the round's: it folds the
 // plan's suspicions into the history and returns it.
 func (w *Walk) Follow(plan core.RoundPlan) core.RoundPlan {
-	u := core.NewSet(w.n)
+	if len(w.unions) == cap(w.unions) {
+		grown := make([]core.Set, len(w.unions), 2*cap(w.unions))
+		copy(grown, w.unions)
+		core.Carve(w.n, grown[len(grown):cap(grown)])
+		w.unions = grown
+	}
+	w.unions = w.unions[:len(w.unions)+1]
+	u := w.unions[len(w.unions)-1]
 	for _, d := range plan.Suspects {
 		u.UnionInto(d)
 	}
 	w.prevUnion = u
 	w.suspected.UnionInto(u)
-	w.unions = append(w.unions, u)
 	return plan
 }
 

@@ -185,6 +185,9 @@ type task struct {
 	// abort ends the task with an infrastructure failure: a
 	// *DivergenceError from choose, or whatever the run handed Ctx.Fail.
 	abort error
+
+	ctx   Ctx       // the one every schedule of the task is handed
+	sched *schedule // CheckRun's storage, kept across the task's schedules
 }
 
 func newTask(o Options, run func(*Ctx) error, prefix []frame, budget int) *task {
@@ -372,7 +375,8 @@ func (t *task) runOnce() error {
 	t.tail = t.tail[:0]
 	t.drain, t.sampling = false, false
 	t.hasPending = false
-	return t.runFn(&Ctx{t: t})
+	t.ctx = Ctx{t: t}
+	return t.runFn(&t.ctx)
 }
 
 // currentChoices snapshots the full choice sequence of the schedule that

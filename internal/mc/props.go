@@ -33,10 +33,16 @@ func (e *PropertyError) Error() string {
 func (e *PropertyError) Unwrap() error { return e.Err }
 
 // Validity holds when every decision value is some process's input.
+//
+// Validity is not inlined: its Check closure, compiled into a caller's
+// package, hands ByPID's reader to the generic task.KSet as escaping, one
+// allocation a checked schedule.
+//
+//go:noinline
 func Validity(inputs []core.Value) Property {
 	n, input := len(inputs), tasks.Inputs(inputs)
 	return Property{Name: "validity", Check: func(res *core.Result) error {
-		if v, ok := tasks.KSet(n, input, n, tasks.ByPID(res.Outputs), nil).Err().(*tasks.Violation); ok {
+		if v, ok := tasks.KSet(n, input, n, tasks.ByPID(res.Outputs).At, nil).Err().(*tasks.Violation); ok {
 			return fmt.Errorf("process %d %w", v.Index, v)
 		}
 		return nil
@@ -46,7 +52,7 @@ func Validity(inputs []core.Value) Property {
 // KAgreement holds when at most k distinct values are decided.
 func KAgreement(k int) Property {
 	return Property{Name: fmt.Sprintf("%d-agreement", k), Check: func(res *core.Result) error {
-		return tasks.KSet(k, nil, res.Crashed.Universe(), tasks.ByPID(res.Outputs), nil).Err()
+		return tasks.KSet(k, nil, res.Crashed.Universe(), tasks.ByPID(res.Outputs).At, nil).Err()
 	}}
 }
 
@@ -121,6 +127,12 @@ type RunSpec struct {
 }
 
 // CheckRun compiles the spec into a run function for Explore or Replay.
+//
+// An exploration task runs its schedules on one core.Runner, one
+// markingOracle and one factory, kept on the task (schedule): a schedule
+// allocates only what its algorithms and its oracle do. The Result a
+// Property checks is the Runner's, so a Check reads it only during the
+// call and copies what its error keeps.
 func CheckRun(s RunSpec) func(*Ctx) error {
 	maxRounds := s.MaxRounds
 	if maxRounds == 0 {
@@ -130,18 +142,15 @@ func CheckRun(s RunSpec) func(*Ctx) error {
 	if s.Model != nil {
 		props = append(append([]Property(nil), s.Props...), TraceSatisfies(*s.Model))
 	}
+	runOpts := []core.Option{core.WithMaxRounds(maxRounds)}
+	if s.Observer != nil {
+		runOpts = append(runOpts, core.WithObserver(s.Observer))
+	}
+	spec := &s
 	return func(ctx *Ctx) error {
-		mo := &markingOracle{ctx: ctx, inner: s.Oracle(ctx), mark: s.Mark}
-		factory := func(me core.PID, n int, input core.Value) core.Algorithm {
-			a := s.Factory(me, n, input)
-			mo.algs = append(mo.algs, a)
-			return a
-		}
-		runOpts := []core.Option{core.WithMaxRounds(maxRounds)}
-		if s.Observer != nil {
-			runOpts = append(runOpts, core.WithObserver(s.Observer))
-		}
-		res, err := core.Run(s.N, s.Inputs, factory, mo, runOpts...)
+		sc := ctx.schedule(spec)
+		sc.mo.ctx, sc.mo.inner, sc.mo.algs = ctx, s.Oracle(ctx), sc.mo.algs[:0]
+		res, err := sc.runner.Run(s.N, s.Inputs, sc.factory, &sc.mo, runOpts...)
 		if err != nil {
 			return fmt.Errorf("execution failed: %w", err)
 		}
@@ -152,6 +161,34 @@ func CheckRun(s RunSpec) func(*Ctx) error {
 		}
 		return nil
 	}
+}
+
+// schedule is the storage a CheckRun run function keeps across one task's
+// schedules: the Runner, the markingOracle and the factory that fills its
+// algs, sized to N once.
+type schedule struct {
+	spec    *RunSpec
+	runner  core.Runner
+	mo      markingOracle
+	factory core.Factory
+}
+
+// schedule returns spec's storage: the task's own, or a fresh one under
+// Replay or when the task's run function checks another spec too.
+func (c *Ctx) schedule(spec *RunSpec) *schedule {
+	if c.t != nil && c.t.sched != nil && c.t.sched.spec == spec {
+		return c.t.sched
+	}
+	sc := &schedule{spec: spec, mo: markingOracle{mark: spec.Mark, algs: make([]core.Algorithm, 0, spec.N)}}
+	sc.factory = func(me core.PID, n int, input core.Value) core.Algorithm {
+		a := spec.Factory(me, n, input)
+		sc.mo.algs = append(sc.mo.algs, a)
+		return a
+	}
+	if c.t != nil {
+		c.t.sched = sc
+	}
+	return sc
 }
 
 // markingOracle wraps the schedule's oracle to Mark the system

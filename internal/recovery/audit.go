@@ -53,7 +53,7 @@ func Audit(out *Outcome, n, f, rounds int) error {
 		return &AuditError{Kind: "budget", Proc: -1, Detail: err.Error()}
 	}
 
-	if v, ok := task.KSet(f+1, task.Inputs(out.Proposals), n, task.ByPID(out.Decisions), nil).Err().(*task.Violation); ok {
+	if v, ok := task.KSet(f+1, task.Inputs(out.Proposals), n, task.ByPID(out.Decisions).At, nil).Err().(*task.Violation); ok {
 		return &AuditError{Kind: v.Clause, Proc: core.PID(v.Index), Detail: v.Error()}
 	}
 

@@ -137,7 +137,7 @@ func TestAuditsAgreeOnOneRoundKSet(t *testing.T) {
 			}
 			traces++
 			byValidate := agreement.Validate(res, inputs, k, 0) == nil
-			byTask := KSet(k, Inputs(inputs), n, ByPID(res.Outputs), In(res.Crashed)).Err() == nil
+			byTask := KSet(k, Inputs(inputs), n, ByPID(res.Outputs).At, In(res.Crashed)).Err() == nil
 			byMC := true
 			for _, p := range props {
 				byMC = byMC && p.Check(res) == nil

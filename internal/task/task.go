@@ -39,7 +39,7 @@ type Verdict[V comparable] struct {
 // termination clause, and k = n for no bound: n indices decide at most n
 // values.
 func KSet[V comparable](k int, input func(V) bool, n int, decided func(i int) (V, bool), exempt func(i int) bool) Verdict[V] {
-	vd := Verdict[V]{k: k}
+	vd := Verdict[V]{k: k, Distinct: make([]V, 0, min(n, k+1))}
 	for i := 0; i < n; i++ {
 		v, ok := decided(i)
 		switch {
@@ -115,12 +115,18 @@ func Inputs[V comparable](inputs []V) func(V) bool {
 	return func(v V) bool { return set[v] }
 }
 
-// ByPID reads a per-process map in KSet's index order.
-func ByPID[V any](m map[core.PID]V) func(int) (V, bool) {
-	return func(i int) (V, bool) {
-		v, ok := m[core.PID(i)]
-		return v, ok
-	}
+// ByPID reads a per-process map in KSet's index order: ByPID(m).At is
+// KSet's decided argument. The method value is built in the caller's
+// frame and KSet keeps no reader, so the read allocates nothing.
+func ByPID[V any](m map[core.PID]V) PIDMap[V] { return m }
+
+// PIDMap is a per-process map; see ByPID.
+type PIDMap[V any] map[core.PID]V
+
+// At is index i's entry, if it has one.
+func (m PIDMap[V]) At(i int) (V, bool) {
+	v, ok := m[core.PID(i)]
+	return v, ok
 }
 
 // In is a process set as KSet's exempt argument.
@@ -213,15 +219,16 @@ func Solves(k, n int, inputs []core.Value, factory core.Factory,
 	p predicate.P, gen OracleGen, trials int, opts ...core.Option) (*Report, error) {
 	rep := &Report{Predicate: p.Name, Trials: trials}
 	input := Inputs(inputs)
+	var runner core.Runner // each Result is audited before the next run
 	for seed := int64(0); seed < int64(trials); seed++ {
-		res, err := core.Run(n, inputs, factory, gen(seed), opts...)
+		res, err := runner.Run(n, inputs, factory, gen(seed), opts...)
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: %w", seed, err)
 		}
 		if err := p.Check(res.Trace); err != nil {
 			return nil, fmt.Errorf("seed %d: adversary outside the system: %w", seed, err)
 		}
-		if err := KSet(k, input, len(inputs), ByPID(res.Outputs), In(res.Crashed)).Err(); err != nil {
+		if err := KSet(k, input, len(inputs), ByPID(res.Outputs).At, In(res.Crashed)).Err(); err != nil {
 			return nil, byProcess(fmt.Sprintf("seed %d: %d-set agreement", seed, k), err)
 		}
 		if r := res.MaxDecisionRound(); r > rep.MaxRounds {

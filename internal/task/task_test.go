@@ -22,7 +22,7 @@ func identityInputs(n int) []core.Value {
 func TestKSetCheck(t *testing.T) {
 	inputs := identityInputs(4)
 	check := func(out map[core.PID]core.Value, crashed core.Set) error {
-		return KSet(2, Inputs(inputs), len(inputs), ByPID(out), In(crashed)).Err()
+		return KSet(2, Inputs(inputs), len(inputs), ByPID(out).At, In(crashed)).Err()
 	}
 	if err := check(map[core.PID]core.Value{0: 1, 1: 1, 2: 3, 3: 3}, core.NewSet(4)); err != nil {
 		t.Fatal(err)
