@@ -50,13 +50,17 @@ bench-build:
 # next execution (internal/baton), so the packages built on it are raced at
 # one and at four processors whatever the runner has; so are the campaigns
 # whose par.Map workers share msgnet's and reliablelink's pooled state, and
-# the experiment sweeps, where a worker resumes coroutines another created.
-# A snapshot handle's scan buffers are touched from whichever goroutine
-# resumes its body's coroutine. An exploration task's engine Runner carries
-# its storage from one schedule to the next, on whichever worker runs the
-# task: the shared-enumerator explorations at 1, 4 and 8 workers.
+# the experiment sweeps, where a worker resumes coroutines another created
+# and E07's trials borrow pooled engine Runners. A collect's buffer is its
+# caller's (a snapshot handle's scan buffers, an adopt-commit's, a
+# simulation's board) and the step that applies each read writes it while
+# the caller is parked, from whichever goroutine holds the baton: every
+# package that collects is raced too. An exploration task's engine Runner
+# carries its storage from one schedule to the next, on whichever worker
+# runs the task: the shared-enumerator explorations at 1, 4 and 8 workers.
 baton-race:
-	$(GO) test -race -count=1 -cpu 1,4 ./internal/baton/ ./internal/msgnet/ ./internal/swmr/ ./internal/reliablelink/ ./internal/snapshot/
+	$(GO) test -race -count=1 -cpu 1,4 ./internal/baton/ ./internal/msgnet/ ./internal/swmr/ ./internal/reliablelink/ ./internal/snapshot/ \
+		./internal/adoptcommit/ ./internal/immediate/ ./internal/simulate/
 	$(GO) test -race -count=1 -cpu 1,4 -run 'Parallel|Golden|Hygiene' ./internal/chaos/
 	$(GO) test -race -count=1 -cpu 1,4 -run TestSweepWorkersByteIdentical ./internal/exp/
 	$(GO) test -race -count=1 -cpu 1,4 -run TestSharedEnumExploresTheSameTree ./internal/adversary/

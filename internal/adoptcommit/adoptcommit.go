@@ -77,8 +77,8 @@ func Run(p *swmr.Proc, name string, v core.Value) (Outcome, error) {
 	if err := p.Write(c1(name), v); err != nil {
 		return Outcome{}, err
 	}
-	seen, err := p.Collect(c1(name))
-	if err != nil {
+	seen := make([]core.Value, p.N) // both collects', the first read out before the second
+	if err := p.Collect(c1(name), seen); err != nil {
 		return Outcome{}, err
 	}
 	singleton := true
@@ -91,14 +91,13 @@ func Run(p *swmr.Proc, name string, v core.Value) (Outcome, error) {
 	if err := p.Write(c2(name), phase2Cell{commit: singleton, value: v}); err != nil {
 		return Outcome{}, err
 	}
-	seen2, err := p.Collect(c2(name))
-	if err != nil {
+	if err := p.Collect(c2(name), seen); err != nil {
 		return Outcome{}, err
 	}
 	allCommitSame := true
 	var commitVal core.Value
 	sawCommit := false
-	for _, s := range seen2 {
+	for _, s := range seen {
 		if s == swmr.Bottom {
 			continue
 		}
@@ -134,5 +133,9 @@ func Run(p *swmr.Proc, name string, v core.Value) (Outcome, error) {
 // Theorem 4.3's simulation uses it to recover an alive proposal after an
 // adopt of a "faulty" verdict.
 func CollectProposals(p *swmr.Proc, name string) ([]core.Value, error) {
-	return p.Collect(c1(name))
+	props := make([]core.Value, p.N)
+	if err := p.Collect(c1(name), props); err != nil {
+		return nil, err
+	}
+	return props, nil
 }

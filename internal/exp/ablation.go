@@ -137,8 +137,8 @@ func onePhaseAdoptCommit(p *swmr.Proc, v core.Value) (core.Value, error) {
 	if err := p.Write("abl1", v); err != nil {
 		return nil, err
 	}
-	seen, err := p.Collect("abl1")
-	if err != nil {
+	seen := make([]core.Value, p.N)
+	if err := p.Collect("abl1", seen); err != nil {
 		return nil, err
 	}
 	unanimous := true

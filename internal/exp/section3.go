@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/adversary"
 	"repro/internal/agreement"
@@ -129,6 +130,11 @@ func E06ConsensusS(quick bool) (*Table, error) {
 	return t, nil
 }
 
+// runners lends E07's seeded trials an engine Runner each, so that a sweep
+// worker reuses one Runner's storage from trial to trial. A trial that
+// fails drops its Runner.
+var runners = sync.Pool{New: func() any { return new(core.Runner) }}
+
 // E07OneRoundKSet validates Theorem 3.1: k-set agreement in exactly one
 // round under the detector |⋃D \ ⋂D| < k, across hostile sweeps.
 func E07OneRoundKSet(quick bool) (*Table, error) {
@@ -147,16 +153,19 @@ func E07OneRoundKSet(quick bool) (*Table, error) {
 			distinct, rounds int
 		}
 		rs, err := sweep(seeds, func(seed int) (kStat, error) {
-			res, err := core.Run(tc.n, identityInputs(tc.n), agreement.OneRoundKSet(),
+			e := runners.Get().(*core.Runner)
+			res, err := e.Run(tc.n, identityInputs(tc.n), agreement.OneRoundKSet(),
 				adversary.KSetUncertainty(tc.n, tc.k, int64(seed)))
 			if err != nil {
 				return kStat{}, err
 			}
-			return kStat{
+			st := kStat{
 				ok:       agreement.Validate(res, identityInputs(tc.n), tc.k, 1) == nil,
 				distinct: res.DistinctOutputs(),
 				rounds:   res.Rounds,
-			}, nil
+			}
+			runners.Put(e) // the borrowed Result is read: the next trial may rewrite it
+			return st, nil
 		})
 		if err != nil {
 			return nil, err
@@ -339,6 +348,7 @@ func DetectorFromKSet(n, k, rounds int, cfg swmr.Config) (*core.Trace, error) {
 	out, err := swmr.Run(n, cfg, func(p *swmr.Proc) (core.Value, error) {
 		rec := &core.RoundRec{}
 		recs[p.Me] = rec
+		cells := make([]core.Value, n)
 		for r := 1; r <= rounds; r++ {
 			if err := p.Write(fmt.Sprintf("val:%d", r), int(p.Me)*1000+r); err != nil {
 				return nil, err
@@ -363,8 +373,7 @@ func DetectorFromKSet(n, k, rounds int, cfg swmr.Config) (*core.Trace, error) {
 			if err := p.Write(fmt.Sprintf("chosen:%d", r), chosen); err != nil {
 				return nil, err
 			}
-			cells, err := p.Collect(fmt.Sprintf("chosen:%d", r))
-			if err != nil {
+			if err := p.Collect(fmt.Sprintf("chosen:%d", r), cells); err != nil {
 				return nil, err
 			}
 			q := core.NewSet(n)

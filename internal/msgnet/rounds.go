@@ -31,15 +31,34 @@ func (s Stall) String() string {
 // collects the current round's messages up to a quorum, buffering those
 // that are early and discarding those that are late (the Bracha and Coan
 // construction the paper cites).
+//
+// A round's gathering is one Drive with the Gather as its Handler: on a
+// *Node the process parks once for the whole view, and the baton holders
+// file each message it receives.
 type Gather struct {
 	sub    Substrate
-	quorum int
-	future map[int]map[core.PID]core.Value // rounds ahead of the caller's
+	future *early // the views of rounds ahead of the caller's
+
+	// The drive of the round being gathered. The two counts are int32 to
+	// keep a Gather at 48 bytes: as a node's Handler it is on the heap,
+	// one per process of every run.
+	view      map[core.PID]core.Value
+	deadline  int
+	r, quorum int32
+}
+
+// early is the buffered view of a round ahead of the caller's, one link of
+// a list that holds a round or two. A link whose view has been taken (nil)
+// is free for the next early round.
+type early struct {
+	r    int
+	view map[core.PID]core.Value
+	next *early
 }
 
 // NewGather returns the gatherer for one process on sub.
 func NewGather(sub Substrate, quorum int) *Gather {
-	return &Gather{sub: sub, quorum: quorum, future: make(map[int]map[core.PID]core.Value)}
+	return &Gather{sub: sub, quorum: int32(quorum)}
 }
 
 // Round receives until the view of round r holds quorum messages (full),
@@ -48,47 +67,84 @@ func NewGather(sub Substrate, quorum int) *Gather {
 // as the only backstop — a far RecvTimeout deadline would instead let
 // the virtual scheduler fast-forward its clock to it.
 func (g *Gather) Round(r, watchdogTicks int) (view map[core.PID]core.Value, full bool, err error) {
-	view = g.future[r]
+	view = g.take(r)
 	if view == nil {
 		view = make(map[core.PID]core.Value)
 	}
-	delete(g.future, r)
-	deadline := g.sub.Clock() + watchdogTicks
-	for len(view) < g.quorum {
-		var env Envelope
-		arrived := true
-		if watchdogTicks == 0 {
-			env, err = g.sub.Recv()
-		} else {
-			env, arrived, err = g.sub.RecvTimeout(deadline)
-		}
-		if err != nil || !arrived {
-			return view, false, err
-		}
-		m, ok := env.Payload.(RoundMsg)
-		if !ok {
-			return view, false, fmt.Errorf("msgnet: foreign payload %T", env.Payload)
-		}
-		switch {
-		case m.Round == r:
-			view[env.From] = m.Value
-		case m.Round > r: // early: buffer
-			if g.future[m.Round] == nil {
-				g.future[m.Round] = make(map[core.PID]core.Value)
-			}
-			g.future[m.Round][env.From] = m.Value
-		default: // late: discard
+	if len(view) >= int(g.quorum) {
+		return view, true, nil
+	}
+	g.r, g.view, g.deadline = int32(r), view, NoDeadline
+	if watchdogTicks != 0 {
+		g.deadline = g.sub.Clock() + watchdogTicks
+	}
+	last, err := Drive(g.sub, Op{Deadline: g.deadline}, g)
+	if err == nil && last.Got {
+		if _, ok := last.Env.Payload.(RoundMsg); !ok {
+			err = fmt.Errorf("msgnet: foreign payload %T", last.Env.Payload)
 		}
 	}
-	return view, true, nil
+	return view, err == nil && len(view) >= int(g.quorum), err
+}
+
+// Handle files the message just received and asks for the next, until the
+// view is full, the deadline has passed or a payload is foreign (Round
+// tells the three apart by the last Result).
+func (g *Gather) Handle(last Result) (Op, bool) {
+	m, ok := last.Env.Payload.(RoundMsg)
+	if !last.Got || !ok {
+		return Op{}, false
+	}
+	switch r := int(g.r); {
+	case m.Round == r:
+		g.view[last.Env.From] = m.Value
+	case m.Round > r: // early: buffer
+		g.ahead(m.Round)[last.Env.From] = m.Value
+	default: // late: discard
+	}
+	return Op{Deadline: g.deadline}, len(g.view) < int(g.quorum)
+}
+
+// ahead returns the buffered view of round r, ahead of the caller's,
+// starting it in a free link, or a new one, if there is none.
+func (g *Gather) ahead(r int) map[core.PID]core.Value {
+	var free *early
+	for e := g.future; e != nil; e = e.next {
+		switch {
+		case e.view == nil:
+			free = e
+		case e.r == r:
+			return e.view
+		}
+	}
+	if free == nil {
+		free = &early{next: g.future}
+		g.future = free
+	}
+	free.r, free.view = r, make(map[core.PID]core.Value)
+	return free.view
+}
+
+// take returns round r's buffered view (nil: none) and frees its link.
+func (g *Gather) take(r int) map[core.PID]core.Value {
+	for e := g.future; e != nil; e = e.next {
+		if e.r == r && e.view != nil {
+			view := e.view
+			e.view = nil
+			return view
+		}
+	}
+	return nil
 }
 
 // Newest returns the highest round with a buffered early message (0 when
 // there is none): where a process that fell behind should resume.
 func (g *Gather) Newest() int {
 	newest := 0
-	for r := range g.future {
-		newest = max(newest, r)
+	for e := g.future; e != nil; e = e.next {
+		if e.view != nil {
+			newest = max(newest, e.r)
+		}
 	}
 	return newest
 }

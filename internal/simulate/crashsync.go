@@ -205,9 +205,9 @@ func CrashSync(n, f, k, rounds int, cfg swmr.Config, factory core.Factory, input
 		if zombie || !decided {
 			// "I crashed" (or the algorithm needs more rounds than the
 			// budget): adopt any posted decision, as in Corollary 4.4.
+			board := make([]core.Value, n)
 			for {
-				board, err := p.Collect("decision")
-				if err != nil {
+				if err := p.Collect("decision", board); err != nil {
 					return nil, err
 				}
 				found := false

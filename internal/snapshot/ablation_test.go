@@ -18,22 +18,22 @@ import (
 // returns the view and the number of collects it needed. Like Scan, it
 // collects into the handle's buffers and allocates only the view.
 func (o *Object) scanNoHelp(maxCollects int) ([]Cell, int, error) {
-	if err := o.collect(o.prev); err != nil {
+	if err := o.proc.Collect(o.reg, o.prev); err != nil {
 		return nil, 1, err
 	}
 	for c := 2; c <= maxCollects; c++ {
-		if err := o.collect(o.cur); err != nil {
+		if err := o.proc.Collect(o.reg, o.cur); err != nil {
 			return nil, c, err
 		}
 		same := true
 		for j := range o.cur {
-			if o.cur[j].Seq != o.prev[j].Seq {
+			if seq(o.cur[j]) != seq(o.prev[j]) {
 				same = false
 				break
 			}
 		}
 		if same {
-			return cloneView(o.cur, len(o.cur)), c, nil
+			return cells(o.cur), c, nil
 		}
 		o.prev, o.cur = o.cur, o.prev
 	}

@@ -34,17 +34,17 @@ type Object struct {
 	proc *swmr.Proc
 	reg  string // the register holding the caller's cell: "snap:"+name
 
-	// Scan's scratch: the two collects it compares and how often each
-	// component moved since the scan began.
-	prev, cur []Cell
+	// Scan's scratch: the two collects it compares, as read (a Cell, or
+	// Bottom), and how often each component moved since the scan began.
+	prev, cur []core.Value
 	moved     []int
 }
 
 // New returns process p's handle to the snapshot object called name.
 func New(p *swmr.Proc, name string) *Object {
-	cells := make([]Cell, 2*p.N)
+	regs := make([]core.Value, 2*p.N)
 	return &Object{proc: p, reg: "snap:" + name,
-		prev: cells[:p.N:p.N], cur: cells[p.N:], moved: make([]int, p.N)}
+		prev: regs[:p.N:p.N], cur: regs[p.N:], moved: make([]int, p.N)}
 }
 
 // Update atomically (in the linearization sense) replaces the caller's
@@ -80,49 +80,48 @@ func (o *Object) Update(v core.Value) error {
 // allocated, so it stays the caller's across later Scans and Updates.
 func (o *Object) Scan() ([]Cell, error) {
 	n := o.proc.N
-	if err := o.collect(o.prev); err != nil {
+	if err := o.proc.Collect(o.reg, o.prev); err != nil {
 		return nil, err
 	}
 	clear(o.moved)
 	for {
-		if err := o.collect(o.cur); err != nil {
+		if err := o.proc.Collect(o.reg, o.cur); err != nil {
 			return nil, err
 		}
 		same := true
 		for j := 0; j < n; j++ {
-			if o.cur[j].Seq != o.prev[j].Seq {
+			if seq(o.cur[j]) != seq(o.prev[j]) {
 				same = false
 				o.moved[j]++
 				if o.moved[j] >= 2 {
 					// j completed a full Update strictly inside our
 					// scan; its embedded view is a snapshot
 					// linearizable within our interval.
-					return cloneView(o.cur[j].View, n), nil
+					out := make([]Cell, n)
+					copy(out, o.cur[j].(Cell).View)
+					return out, nil
 				}
 			}
 		}
 		if same {
-			return cloneView(o.cur, n), nil
+			return cells(o.cur), nil
 		}
 		o.prev, o.cur = o.cur, o.prev
 	}
 }
 
-// collect reads every component once, in pid order, into into (n register
-// operations).
-func (o *Object) collect(into []Cell) error {
-	for j := range into {
-		v, err := o.proc.Read(core.PID(j), o.reg)
-		if err != nil {
-			return err
-		}
-		into[j], _ = v.(Cell)
-	}
-	return nil
+// seq is the sequence number of a component as read: 0 for Bottom.
+func seq(v core.Value) int {
+	c, _ := v.(Cell)
+	return c.Seq
 }
 
-func cloneView(view []Cell, n int) []Cell {
-	out := make([]Cell, n)
-	copy(out, view)
+// cells returns a fresh view of a collect: a Cell per register, the zero
+// Cell for Bottom.
+func cells(regs []core.Value) []Cell {
+	out := make([]Cell, len(regs))
+	for j, v := range regs {
+		out[j], _ = v.(Cell)
+	}
 	return out
 }

@@ -114,7 +114,8 @@ func TestParMapCapturesBodyPanic(t *testing.T) {
 			if i == 2 && p.Me == 1 {
 				panic(fmt.Sprint("body of run ", i))
 			}
-			return p.Collect("r")
+			vals := make([]core.Value, p.N)
+			return vals, p.Collect("r", vals)
 		})
 		if err != nil {
 			t.Errorf("run %d: %v", i, err)
@@ -185,7 +186,8 @@ func TestOutcomeIndependentOfGOMAXPROCS(t *testing.T) {
 			if err := p.Write("v", int(p.Me)+spin-spin); err != nil {
 				return nil, err
 			}
-			return p.Collect("v")
+			vals := make([]core.Value, p.N)
+			return vals, p.Collect("v", vals)
 		}
 	}
 	run := func(seed int64, salt int) (*Outcome, error) {

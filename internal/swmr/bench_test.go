@@ -43,8 +43,7 @@ func BenchmarkCollect(b *testing.B) {
 			if err := p.Write("v", int(p.Me)); err != nil {
 				return nil, err
 			}
-			_, err := p.Collect("v")
-			return nil, err
+			return nil, p.Collect("v", make([]core.Value, n))
 		})
 		if err != nil {
 			b.Fatal(err)

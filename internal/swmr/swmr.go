@@ -4,13 +4,13 @@
 // (§4.2), and Theorem 3.3's detector construction.
 //
 // Each process runs as its own coroutine and accesses memory only through
-// Proc.Read / Proc.Write. A cooperative scheduler serializes the operations:
-// every register operation is one atomic step, and an explicit core.Chooser
-// decides which pending operation executes next. This yields linearizable
-// registers by construction, full control over interleavings (seeded random,
-// round-robin, or exhaustive exploration for model checking), and precise
-// crash injection (a crashed process's next operation fails with ErrCrashed
-// and is never scheduled again).
+// Proc.Read / Proc.Write / Proc.Collect. A cooperative scheduler serializes
+// the operations: every register operation is one atomic step, and an
+// explicit core.Chooser decides which pending operation executes next. This
+// yields linearizable registers by construction, full control over
+// interleavings (seeded random, round-robin, or exhaustive exploration for
+// model checking), and precise crash injection (a crashed process's next
+// operation fails with ErrCrashed and is never scheduled again).
 package swmr
 
 import (
@@ -107,22 +107,26 @@ const (
 	opRead opKind = iota
 	opWrite
 	opAtomic
+	opCollect
 )
 
 // request is a process's one outstanding operation, as data. It lives
 // inside its Proc and is refilled per operation: the process writes it
 // before posting it and yielding, and the baton holder that applies it
-// writes res before waking the process.
+// writes res before waking the process. A collect is one request for n
+// reads: each holder that applies a read writes into and advances owner,
+// the process parked, and only the last read, or a failure, wakes it.
 //
 // Atomic's fn runs, like the Chooser, wherever the step runs — on the driver
 // or on a body's coroutine: serialized and ordered, so it may keep
 // unsynchronized state, but not tied to a goroutine.
 type request struct {
 	kind  opKind
-	owner core.PID   // opRead: whose register; opWrite: the caller
+	owner core.PID   // opRead, opCollect: whose register is read next; opWrite: the caller
 	name  string     // the register, or the Atomic object
 	v     core.Value // opWrite's value
 	fn    func(state core.Value) (newState, result core.Value)
+	into  []core.Value // opCollect: the caller's buffer, one entry per owner
 	res   result
 }
 
@@ -139,6 +143,10 @@ func (r *request) apply(m *memory) core.Value {
 		next, res := r.fn(m.objects[r.name])
 		m.objects[r.name] = next
 		return res
+	case opCollect:
+		r.into[r.owner] = *m.cell(r.owner, r.name)
+		r.owner++
+		return nil
 	}
 	return *m.cell(r.owner, r.name)
 }
@@ -186,20 +194,19 @@ func (p *Proc) Atomic(name string, fn func(state core.Value) (newState, result c
 	return p.do()
 }
 
-// Collect reads register name of every process, one register operation per
-// process in increasing PID order, and returns the n values (Bottom for
-// unwritten entries). A collect is NOT atomic — it is n separate steps, as
-// in the real model.
-func (p *Proc) Collect(name string) ([]core.Value, error) {
-	out := make([]core.Value, p.N)
-	for i := 0; i < p.N; i++ {
-		v, err := p.Read(core.PID(i), name)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
+// Collect reads register name of every process into into[:N], one register
+// operation per process in increasing PID order (Bottom for unwritten
+// entries); into must hold at least N values. A collect is NOT atomic — it
+// is n separate steps, as in the real model, each offered to the Chooser
+// and counted towards a crash like a Read — but the process parks once:
+// the holder that applies a read stays on for the next, and only the last
+// read, or the first that fails, wakes the caller. The reads are written
+// into the buffer while the caller is parked, so no other body may share
+// it; after an error it holds the reads made before the failure.
+func (p *Proc) Collect(name string, into []core.Value) error {
+	p.req.kind, p.req.owner, p.req.name, p.req.into = opCollect, 0, name, into[:p.N]
+	_, err := p.do()
+	return err
 }
 
 // do posts the request the caller has filled in and waits for its result.
@@ -278,7 +285,9 @@ func Run(n int, cfg Config, body Body) (*Outcome, error) {
 }
 
 // run is the baton's step function: called with every live process parked
-// on a posted operation, it returns the one whose operation it applied.
+// on a posted operation, it returns the one whose operation it applied —
+// for a collect, the last read or the one that failed; a read before it
+// leaves the collect posted and the loop steps on.
 func (s *sched) run(abort error) (core.PID, bool) {
 	if abort != nil && s.abort == nil { // a panic: unwind
 		s.abort = abort
@@ -312,11 +321,14 @@ func (s *sched) run(abort error) (core.PID, bool) {
 			req.res = result{v: req.apply(&s.mem)}
 			s.opsDone[pick]++
 		}
-		s.pending[pick] = nil
 		s.step++
 		if s.step > s.cfg.maxSteps && s.abort == nil {
 			s.abort = ErrMaxSteps
 		}
+		if req.kind == opCollect && req.res.err == nil && int(req.owner) < len(req.into) {
+			continue // reads left: the collect stays posted
+		}
+		s.pending[pick] = nil
 		return pick, false
 	}
 	return -1, true

@@ -73,9 +73,9 @@ func TestCollect(t *testing.T) {
 		if err := p.Write("v", int(p.Me)); err != nil {
 			return nil, err
 		}
+		vals := make([]core.Value, p.N)
 		for {
-			vals, err := p.Collect("v")
-			if err != nil {
+			if err := p.Collect("v", vals); err != nil {
 				return nil, err
 			}
 			missing := false
@@ -201,8 +201,8 @@ func TestDeterministicScheduling(t *testing.T) {
 			if err := p.Write("v", int(p.Me)); err != nil {
 				return nil, err
 			}
-			vals, err := p.Collect("v")
-			if err != nil {
+			vals := make([]core.Value, p.N)
+			if err := p.Collect("v", vals); err != nil {
 				return nil, err
 			}
 			return fmt.Sprintf("%v", vals), nil
@@ -226,8 +226,8 @@ func TestSchedulerActuallyInterleaves(t *testing.T) {
 			if err := p.Write("v", int(p.Me)); err != nil {
 				return nil, err
 			}
-			vals, err := p.Collect("v")
-			if err != nil {
+			vals := make([]core.Value, p.N)
+			if err := p.Collect("v", vals); err != nil {
 				return nil, err
 			}
 			return fmt.Sprintf("%v", vals), nil
